@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke front-smoke obs-smoke concurrency-smoke cache-smoke compose-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke bench-e2e bench-e2e-trace front-smoke obs-smoke concurrency-smoke cache-smoke compose-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -39,6 +39,18 @@ bench-hot:
 # serve throughput, exactly one index build). CI runs this.
 bench-hot-smoke:
 	$(PY) benchmarks/bench_hot.py --smoke --out /tmp/BENCH_hype.json
+
+# The repo's benchmark (BENCHMARK.json; see benchmarks/e2e/README.md):
+# end-to-end metrics of the five workloads at the default seed, one
+# fresh interpreter each (~16 s per workload).
+bench-e2e:
+	@for w in $$(python3 -c "import json; print(*[w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']])"); do \
+	    python3 benchmarks/e2e/run.py --workload $$w || exit 1; done
+
+# Per-layer (traced) run of one workload: make bench-e2e-trace WORKLOAD=descent_hot
+WORKLOAD ?= descent_hot
+bench-e2e-trace:
+	python3 benchmarks/e2e/run.py --workload $(WORKLOAD) --trace 1
 
 # Front-end smoke: boots the asyncio NDJSON server on an ephemeral port,
 # runs a scripted wave through the client helper and checks the reply

@@ -245,9 +245,9 @@ def bench_wave_scaling(tree, repeats: int) -> dict:
     """Composed vs per-lane batch stepping at wave widths 1/2/4/8/16.
 
     Both sides drive the same compiled plans over the same layout from
-    fresh :class:`repro.hype.core.RunCursor`s — the per-lane side is the
-    shared :func:`repro.hype.kernel.descend` batch loop (one traversal,
-    W table lookups per node), the composed side is ONE
+    fresh :class:`repro.hype.core.RunCursor`s — the per-lane side is
+    :func:`repro.hype.kernel.descend` (one lean pass per lane, W passes
+    per wave), the composed side is ONE
     :class:`repro.hype.compose.ComposedKernel` (one lookup per node).
     Answers and full per-lane ``HyPEStats`` are asserted identical
     before timing; samples interleave the two sides per round.  The

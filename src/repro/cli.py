@@ -297,9 +297,9 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
         _print_answers(answer.nodes, limit=args.limit)
     print(
         f"batched {len(requests)} query(ies) in {stats.lanes} lane(s): "
-        f"visited {stats.visited_elements} element(s) in one shared pass "
-        f"vs {stats.sequential_visited} sequentially "
-        f"(saved {stats.saved_visits})"
+        f"{stats.visited_elements} distinct element(s) visited "
+        f"vs {stats.sequential_visited} summed over lanes "
+        f"(shared {stats.saved_visits})"
     )
     if args.plan_dir or args.doc_dir:
         # Surface the tier accounting so a warm restart is verifiable

@@ -20,13 +20,16 @@ composed-cfg id space:
   label in lane A's alphabet but not lane B's resolves lane B through
   its own OTHER column, so the composed table stays finite and (for the
   plain family) document-independent;
-* quiet-pop entries are memoised **per composed cfg**
-  (:meth:`ComposedKernel.quiet_of`) — one entry resolves every member
-  lane's bottom-up pop at that configuration, the cross-MFA memo
+* pops are compiled **per composed cfg** the way the member kernels
+  compile theirs: ``cpops[ccfg] = (preds, outcomes)`` gathers every
+  popping member's node-dependent predicates, and one probe on the
+  observed predicate bits (plus the frozen truths the children
+  reported) yields a :class:`_Outcome` that resolves *every* member
+  lane's bottom-up pop at that configuration — the cross-MFA memo
   sharing open since PR 3 (member state ids differ; composed ids do
-  not).  Truth-carrying pops reuse each member plan's own
-  ``_pop_cache``/``_dead_cache`` via the member kernel's
-  :meth:`repro.hype.kernel.DenseKernel.pop_frame`, so nothing is
+  not).  A miss (:meth:`ComposedKernel.fill_pop`) resolves each member
+  from its own kernel (:meth:`~repro.hype.kernel.DenseKernel.pop_quiet`
+  / :meth:`~repro.hype.kernel.DenseKernel.pop_frame`), so nothing is
   computed twice across the wave.
 
 Composed state spaces are products and can blow up, so interning is
@@ -57,14 +60,28 @@ import threading
 import time
 from array import array
 
-from ..errors import DeadlineError
 from ..guard import CHECK_INTERVAL
-from .kernel import CFG_SHIFT, DEAD, FINAL_BIT, OTHER_LABEL, POP_BIT, UNFILLED
+from .kernel import (
+    CFG_SHIFT,
+    DEAD,
+    FINAL_BIT,
+    OTHER_LABEL,
+    POP_BIT,
+    UNFILLED,
+    _UNBUILT,
+    _expired,
+)
 
 #: Default cap on interned composed configurations per kernel.  Products
 #: of real view-query waves stay far below this; adversarial mixes hit
 #: the cap and fall back to per-lane stepping.
 DEFAULT_CCFG_CAP = 4096
+
+#: Cap on memoised pop outcomes per composed cfg.  A member kernel's pop
+#: table grows with the truth sets *one* lane observes; a composed key
+#: combines every lane's, so a diverse corpus could mint a product of
+#: them.  Past the cap a miss is resolved per member and not stored.
+POP_OUTCOME_CAP = 512
 
 
 class ComposeError(ValueError):
@@ -97,7 +114,7 @@ class ComposedKernel:
         "ccfg_ids",
         "ccfg_tuples",
         "ccfg_live",
-        "cquiet",
+        "cpops",
         "trans",
         "cedge_ids",
         "cedge_lanes",
@@ -134,14 +151,13 @@ class ComposedKernel:
         #: ccfg -> tuple of (lane_idx, member packed word, mstates) for
         #: the *live* components — everything a push needs, precomputed.
         self.ccfg_live: list = [()]
-        #: ccfg -> composed quiet-pop entry: None (unknown), False (some
-        #: member needs the node-dependent full path), or a pair
-        #: ``(simple, entries)`` where ``entries`` holds one
-        #: (lane_idx, dead, report, resolved) per live popping member and
-        #: ``simple`` is True when no entry carries a death or a report —
-        #: such pops are pure per-lane resolution counts, so the descent
-        #: just tallies them per ccfg and applies the counts at writeback.
-        self.cquiet: list = [(True, ())]
+        #: ccfg -> composed pop table ``(preds, outcomes)``: every
+        #: popping member's ``(bit, holds)`` predicates renumbered into
+        #: one bit space, and ``bits`` — or ``(bits, truths)`` once
+        #: children reported truths, a frozenset of ``(lane, watcher)``
+        #: pairs — to the :class:`_Outcome` for all lanes.  Built on the
+        #: ccfg's first pop, like the member kernels' tables.
+        self.cpops: list = [_UNBUILT]
         # (ccfg, label) -> child ccfg (plain) / 0-or-ceid+1 (indexed).
         self.trans: dict = {}
         # tuple of (lane_idx, member edge id) -> composed edge id.
@@ -178,7 +194,7 @@ class ComposedKernel:
             )
             self.ccfg_tuples.append(cfgs)
             self.ccfg_live.append(live)
-            self.cquiet.append(None)
+            self.cpops.append(_UNBUILT)
             # Publish last (same contract as the member kernels).
             self.ccfg_ids[cfgs] = ccfg
             return ccfg
@@ -232,6 +248,13 @@ class ComposedKernel:
         trans[(ccfg, label)] = word
         return word
 
+    def lookup_column(self, ccfg: int, label: str) -> int:
+        """:meth:`lookup_trans` for columnar fills: no per-label alias
+        is stored (see :meth:`DenseKernel.lookup_column`)."""
+        return self.lookup_trans(
+            ccfg, label if label in self.alphabet else OTHER_LABEL
+        )
+
     def _compute_trans(self, ccfg: int, label: str) -> int:
         cfgs = self.ccfg_tuples[ccfg]
         kerns = self.kerns
@@ -277,37 +300,45 @@ class ComposedKernel:
         return ccfg
 
     # ------------------------------------------------------------------
-    # Pops, memoised per composed cfg
+    # Pops, compiled per composed cfg
     # ------------------------------------------------------------------
-    def quiet_of(self, ccfg: int):
-        """The ccfg's composed quiet-pop entry (one entry, every lane).
-
-        ``False`` — cached — when any live popping member carries
-        node-dependent final predicates; the frame then takes the full
-        per-member path (which still reuses the member plans' own pop
-        memo tables).
-        """
-        entries = []
+    def fill_pop(self, ccfg: int, node, truths=None) -> "_Outcome":
+        """The miss path of a composed pop at ``node``: resolve every
+        popping member from its own kernel and store the outcome."""
         cfgs = self.ccfg_tuples[ccfg]
         kerns = self.kerns
-        for i, packed, _mstates in self.ccfg_live[ccfg]:
-            if not packed & POP_BIT:
-                continue
-            kern = kerns[i]
-            cfg = cfgs[i]
-            quiet = kern.quiet[cfg]
-            if quiet is None:
-                quiet = kern._compute_quiet(cfg)
-            if quiet is False:
-                self.cquiet[ccfg] = False
-                return False
-            entries.append((i, quiet[0], quiet[1], quiet[2]))
-        simple = all(
-            dead is None and not report for _i, dead, report, _res in entries
-        )
-        entry = (simple, tuple(entries))
-        self.cquiet[ccfg] = entry
-        return entry
+        poppers = [
+            i for i, packed, _m in self.ccfg_live[ccfg] if packed & POP_BIT
+        ]
+        entry = self.cpops[ccfg]
+        if entry is _UNBUILT:
+            holds = [
+                holds
+                for i in poppers
+                for _bit, holds in kerns[i].pop_entry(cfgs[i])[0]
+            ]
+            entry = self.cpops[ccfg] = (
+                tuple((1 << n, h) for n, h in enumerate(holds)),
+                {},
+            )
+        bits = 0
+        for bit, holds in entry[0]:
+            if holds(node):
+                bits |= bit
+        entries = []
+        reports = []
+        for i in poppers:
+            mine = truths and {w for lane, w in truths if lane == i}
+            if mine:
+                dead, report, resolved = kerns[i].pop_frame(cfgs[i], node, mine)
+            else:
+                dead, report, resolved = kerns[i].pop_quiet(cfgs[i], node)
+            entries.append((i, dead, resolved))
+            reports.extend((i, watcher) for watcher in report)
+        outcome = _Outcome(tuple(entries), tuple(reports))
+        if len(entry[1]) < POP_OUTCOME_CAP:
+            entry[1][bits if truths is None else (bits, truths)] = outcome
+        return outcome
 
     # ------------------------------------------------------------------
     # Gauges
@@ -325,7 +356,7 @@ class _CLane:
     """Per-member bound cursor methods (mirrors the kernel's ``_Lane``)."""
 
     __slots__ = (
-        "cursor",
+        "deaths",
         "visit_nodes",
         "nodes_append",
         "parents_append",
@@ -335,7 +366,7 @@ class _CLane:
     )
 
     def __init__(self, cursor) -> None:
-        self.cursor = cursor
+        self.deaths = cursor.deaths
         self.visit_nodes = cursor.visit_nodes
         self.nodes_append = cursor.visit_nodes.append
         self.parents_append = cursor.visit_parents.append
@@ -344,79 +375,29 @@ class _CLane:
         self.resolved = 0
 
 
-def _pop_composed(ck, frame, cursors, clanes) -> None:
-    """Pop one composed frame: every member lane's Fig. 6 lines 11-21.
+class _Outcome:
+    """One composed pop, resolved for every lane: ``entries`` holds a
+    ``(lane, dead, resolved)`` per popping member, ``report`` the
+    ``(lane, watcher)`` truths to tell the parent.  ``simple`` — no
+    death, no report — pops are pure resolution counts: the descent
+    tallies them per outcome (instances hash by identity) and applies
+    the counts at writeback."""
 
-    The quiet path resolves *all* members from one ccfg-indexed entry;
-    everything else delegates to each member kernel's
-    :meth:`repro.hype.kernel.DenseKernel.pop_frame` through a per-lane
-    shim frame, so truth-set pops hit the member plans' shared
-    ``_pop_cache``/``_dead_cache`` exactly as sequential runs do.
-    """
-    ccfg = frame[1]
-    vidx = frame[2]
-    tts = frame[3]
-    parent = frame[4]
-    if tts is None:
-        cq = ck.cquiet[ccfg]
-        if cq is None:
-            cq = ck.quiet_of(ccfg)
-        if cq is not False:
-            for i, dead, report, resolved in cq[1]:
-                if dead:
-                    cursors[i].deaths[vidx[i]] = dead
-                clanes[i].resolved += resolved
-                if report and parent is not None:
-                    ptts = parent[3]
-                    if ptts is None:
-                        ptts = parent[3] = {}
-                    trues = ptts.get(i)
-                    if trues is None:
-                        ptts[i] = set(report)
-                    else:
-                        trues.update(report)
-            return
-    node = frame[0]
-    cfgs = ck.ccfg_tuples[ccfg]
-    kerns = ck.kerns
-    ptts = parent[3] if parent is not None else None
-    for i, packed, _mstates in ck.ccfg_live[ccfg]:
-        if not packed & POP_BIT:
-            continue
-        trues = None if tts is None else tts.get(i)
-        cfg = cfgs[i]
-        kern = kerns[i]
-        if not trues:
-            # This lane heard nothing from its children: its member quiet
-            # entry resolves the pop without a frame or a pop_frame call.
-            q = kern.quiet[cfg]
-            if q is None:
-                q = kern._compute_quiet(cfg)
-            if q is not False:
-                dead, report, resolved = q
-                if dead:
-                    cursors[i].deaths[vidx[i]] = dead
-                clanes[i].resolved += resolved
-                if report and parent is not None:
-                    if ptts is None:
-                        ptts = parent[3] = {}
-                    pset = ptts.get(i)
-                    if pset is None:
-                        ptts[i] = set(report)
-                    else:
-                        pset.update(report)
-                continue
-        if parent is not None:
-            if ptts is None:
-                ptts = parent[3] = {}
-            pset = ptts.get(i)
-            proxy = [None, None, None, pset, None]
-        else:
-            pset = None
-            proxy = None
-        kern.pop_frame([node, vidx[i], cfg, trues, proxy], cursors[i])
-        if proxy is not None and pset is None and proxy[3]:
-            ptts[i] = proxy[3]
+    __slots__ = ("simple", "entries", "report")
+
+    def __init__(self, entries: tuple, report: tuple) -> None:
+        self.entries = entries
+        self.report = report
+        self.simple = not report and not any(dead for _i, dead, _r in entries)
+
+    def apply(self, vidx, clanes) -> tuple:
+        """Record deaths and resolution counts; returns the report."""
+        for i, dead, resolved in self.entries:
+            lane = clanes[i]
+            if dead:
+                lane.deaths[vidx[i]] = dead
+            lane.resolved += resolved
+        return self.report
 
 
 def descend_composed(
@@ -436,32 +417,32 @@ def descend_composed(
     :class:`repro.errors.DeadlineError` mid-pass and the caller discards
     every member cursor (no partial answers).
 
-    Frames are plain lists ``[node, ccfg, vidx, tts, parent, row]``:
-    ``vidx`` maps lane index to the lane's visit index at this node,
-    ``tts`` lazily maps lane index to the truths its children reported.
+    The loop has the shape of the kernel's lean pass with a ccfg where
+    that has a cfg: the current frame lives in locals — ``vidx`` maps
+    lane index to the lane's visit index at this node, ``tts`` is the
+    lazily created set of ``(lane, watcher)`` truths its children
+    reported — the stack holds one tuple per open ancestor, and
+    childless elements are visited and popped inline.
     """
     if layout is not None and not layout.covers(context):
         layout = None
     columnar = layout is not None
     width = ck.width
     clanes = [_CLane(cursor) for cursor in cursors]
-    root = ck.root_ccfg(context)
-    if root == 0:
-        if shared is not None:
-            shared.visited_elements += 0
+    ccfg = ck.root_ccfg(context)
+    if ccfg == 0:
         return
     ccfg_live = ck.ccfg_live
-    vidx0 = [0] * width
-    for i, packed, mstates in ccfg_live[root]:
+    vidx = [0] * width
+    for i, packed, mstates in ccfg_live[ccfg]:
         cl = clanes[i]
-        vidx0[i] = len(cl.visit_nodes)
+        vidx[i] = len(cl.visit_nodes)
         cl.nodes_append(context)
         cl.parents_append(-1)
         cl.mstates_append(mstates)
         if packed & FINAL_BIT:
             cl.finals_append(context)
-    if shared is not None:
-        shared.visited_elements += 1
+    node = context
     if columnar:
         rows = layout.rows_for(ck)
         blank = array("i", [UNFILLED]) * layout.num_labels
@@ -470,113 +451,112 @@ def descend_composed(
         kid_ids = layout.kid_ids
         kid_labels = layout.kid_labels
         kid_start = layout.kid_start
-        row0 = rows.get(root)
-        if row0 is None:
-            row0 = rows.setdefault(root, blank[:])
-        frame = [context, root, vidx0, None, None, row0]
-        cid0 = context.node_id
-        stack = [[frame, kid_start[cid0], kid_start[cid0 + 1], None]]
+        row = rows.get(ccfg)
+        if row is None:
+            row = rows.setdefault(ccfg, blank[:])
+        ki = kid_start[node.node_id]
+        kend = kid_start[node.node_id + 1]
+        kids = kids2 = None
     else:
-        rows = blank = labels = nodes = kid_ids = kid_labels = kid_start = None
-        frame = [context, root, vidx0, None, None, None]
-        kids0 = context.element_children_cached()
-        stack = [[frame, 0, len(kids0), kids0]]
-    stack_append = stack.append
-    trans = ck.trans
+        trans = ck.trans
+        row = None
+        kids = node.element_children_cached()
+        ki = 0
+        kend = len(kids)
     indexed = ck.indexed
     mask_keys = ck.mask_keys
     cedge_filters = ck.cedge_filters
-    lookup = ck.lookup_trans
-    cquiet = ck.cquiet
-    # ccfg -> tally of effect-free quiet pops (no deaths, no reports):
-    # one dict bump replaces a per-lane loop; resolution counts are
-    # applied per lane in the writeback sweep below.
-    quiet_counts: dict = {}
+    cpops = ck.cpops
+    fill_pop = ck.fill_pop
+    tts = None
+    visited = 1
+    skipped = 0
+    # Outcome -> tally of effect-free pops (no deaths, no reports): one
+    # dict bump replaces a per-lane loop; resolution counts are applied
+    # per lane in the writeback sweep below.
+    tally: dict = {}
+    # ccfg -> element children examined under nodes visited in that ccfg
+    # (every live lane examined them): per-lane ``skipped`` falls out at
+    # writeback without re-walking the visit columns.
+    kid_counts: dict = {ccfg: kend - ki}
     # ccfg -> per-live-lane push tuples with the cursor appends pre-bound
     # for THIS run (lane methods differ per run, ccfg structure doesn't).
     push_ops: dict = {}
-    label = ""
-    cid = -1
+    stack = []
+    push = stack.append
+    pop = stack.pop
     checks = CHECK_INTERVAL
     deadline_at = None if deadline is None else deadline.expires_at
     perf_counter = time.perf_counter
-    while stack:
+    while True:
         if deadline_at is not None:
             checks -= 1
             if checks < 0:
                 checks = CHECK_INTERVAL
                 if perf_counter() >= deadline_at:
-                    raise DeadlineError(
-                        "deadline exceeded mid-descent "
-                        f"({-deadline.remaining_ms():.1f} ms over)"
-                    )
-        top = stack[-1]
-        ki = top[1]
-        if ki == top[2]:
-            stack.pop()
-            pframe = top[0]
-            if pframe[3] is None:
-                pc = pframe[1]
-                cq = cquiet[pc]
-                if cq is None:
-                    cq = ck.quiet_of(pc)
-                if cq is not False:
-                    if cq[0]:
-                        quiet_counts[pc] = quiet_counts.get(pc, 0) + 1
-                    else:
-                        pvidx = pframe[2]
-                        parent = pframe[4]
-                        for i, dead, report, resolved in cq[1]:
-                            if dead:
-                                cursors[i].deaths[pvidx[i]] = dead
-                            clanes[i].resolved += resolved
-                            if report and parent is not None:
-                                ptts = parent[3]
-                                if ptts is None:
-                                    ptts = parent[3] = {}
-                                pset = ptts.get(i)
-                                if pset is None:
-                                    ptts[i] = set(report)
-                                else:
-                                    pset.update(report)
-                    continue
-            _pop_composed(ck, pframe, cursors, clanes)
+                    raise _expired(deadline)
+        if ki == kend:
+            # Children done: pop every member lane (Fig. 6 lines 11-21)
+            # from one table probe, then resume the parent.
+            preds, outcomes = cpops[ccfg]
+            bits = 0
+            for bit, holds in preds:
+                if holds(node):
+                    bits |= bit
+            if tts is None:
+                outcome = outcomes.get(bits) or fill_pop(ccfg, node)
+            else:
+                truths = frozenset(tts)
+                outcome = outcomes.get((bits, truths)) or fill_pop(
+                    ccfg, node, truths
+                )
+            if outcome.simple:
+                tally[outcome] = tally.get(outcome, 0) + 1
+                report = ()
+            else:
+                report = outcome.apply(vidx, clanes)
+            if not stack:
+                break
+            node, ccfg, vidx, tts, row, ki, kend, kids = pop()
+            if report:
+                if tts is None:
+                    tts = set(report)
+                else:
+                    tts.update(report)
             continue
-        top[1] = ki + 1
-        frame = top[0]
-        ccfg = frame[1]
         if columnar:
             lid = kid_labels[ki]
             cid = kid_ids[ki]
-            child = None
-            row = frame[5]
             word = row[lid]
             if word == UNFILLED:
-                word = lookup(ccfg, labels[lid])
-                row[lid] = word
+                word = row[lid] = ck.lookup_column(ccfg, labels[lid])
         else:
-            child = top[3][ki]
-            label = child.label
-            word = trans.get((ccfg, label), UNFILLED)
+            child = kids[ki]
+            word = trans.get((ccfg, child.label), UNFILLED)
             if word == UNFILLED:
-                word = lookup(ccfg, label)
+                word = ck.lookup_trans(ccfg, child.label)
+        ki += 1
         if indexed and word:
-            ceid = word - 1
-            if child is not None:
+            if not columnar:
                 cid = child.node_id
+            ceid = word - 1
             mask_key = mask_keys[cid]
             word = cedge_filters[ceid].get(mask_key, UNFILLED)
             if word == UNFILLED:
                 word = ck.fill_filter(ceid, mask_key, cid)
         if word == 0:
             # Every member prunes: one skip for the whole wave.
-            if shared is not None:
-                shared.skipped_subtrees += 1
+            skipped += 1
             continue
-        if child is None:
+        if columnar:
             child = nodes[cid]
-        pvidx = frame[2]
-        vidx = [0] * width
+            ki2 = kid_start[cid]
+            kend2 = kid_start[cid + 1]
+        else:
+            kids2 = child.element_children_cached()
+            ki2 = 0
+            kend2 = len(kids2)
+        vidx2 = [0] * width
         ops = push_ops.get(word)
         if ops is None:
             ops = push_ops[word] = tuple(
@@ -592,54 +572,66 @@ def descend_composed(
                 for i, packed, mstates in ccfg_live[word]
             )
         for i, vn, na, pa, ma, fa, mstates in ops:
-            vidx[i] = len(vn)
+            vidx2[i] = len(vn)
             na(child)
-            pa(pvidx[i])
+            pa(vidx[i])
             ma(mstates)
             if fa is not None:
                 fa(child)
-        if shared is not None:
-            shared.visited_elements += 1
+        visited += 1
+        if ki2 == kend2:
+            # Childless: no child can report a truth, so the pop is the
+            # table probe, applied to the node still in hand.
+            preds, outcomes = cpops[word]
+            bits = 0
+            for bit, holds in preds:
+                if holds(child):
+                    bits |= bit
+            outcome = outcomes.get(bits) or fill_pop(word, child)
+            if outcome.simple:
+                tally[outcome] = tally.get(outcome, 0) + 1
+            else:
+                report = outcome.apply(vidx2, clanes)
+                if report:
+                    if tts is None:
+                        tts = set(report)
+                    else:
+                        tts.update(report)
+            continue
+        kid_counts[word] = kid_counts.get(word, 0) + kend2 - ki2
+        push((node, ccfg, vidx, tts, row, ki, kend, kids))
+        node = child
+        ccfg = word
+        vidx = vidx2
+        tts = None
+        ki = ki2
+        kend = kend2
+        kids = kids2
         if columnar:
-            row2 = rows.get(word)
-            if row2 is None:
-                row2 = rows.setdefault(word, blank[:])
-            stack_append(
-                [
-                    [child, word, vidx, None, frame, row2],
-                    kid_start[cid],
-                    kid_start[cid + 1],
-                    None,
-                ]
-            )
-        else:
-            kids = child.element_children_cached()
-            stack_append(
-                [[child, word, vidx, None, frame, None], 0, len(kids), kids]
-            )
-    # Writeback — same closing sweep as the per-lane descent: visited,
-    # skipped and cans_vertices fall out of the visit columns.
-    for pc, count in quiet_counts.items():
-        for i, _dead, _report, resolved in cquiet[pc][1]:
+            row = rows.get(word)
+            if row is None:
+                row = rows.setdefault(word, blank[:])
+    if shared is not None:
+        shared.visited_elements += visited
+        shared.skipped_subtrees += skipped
+    # Writeback — the composed machine keeps no per-lane prune counters
+    # (a prune is per member, a step is per wave): a lane skipped what it
+    # examined and did not visit.
+    for outcome, count in tally.items():
+        for i, _dead, resolved in outcome.entries:
             clanes[i].resolved += resolved * count
+    examined = [0] * width
+    for pc, count in kid_counts.items():
+        for i, _packed, _mstates in ccfg_live[pc]:
+            examined[i] += count
     for i, cursor in enumerate(cursors):
-        vn = cursor.visit_nodes
-        visited = len(vn)
+        visited = len(cursor.visit_nodes)
         if not visited:
             continue
         cursor.visited = visited
-        if columnar:
-            ks = layout.kid_start
-            examined = 0
-            for node in vn:
-                nid = node.node_id
-                examined += ks[nid + 1] - ks[nid]
-        else:
-            examined = sum(len(n.element_children_cached()) for n in vn)
-        cursor.skipped = examined - (visited - 1)
+        cursor.skipped = examined[i] - (visited - 1)
         cursor.cans_vertices = sum(map(len, cursor.visit_mstates))
-        if clanes[i].resolved:
-            cursor.stats.afa_states_resolved += clanes[i].resolved
+        cursor.stats.afa_states_resolved += clanes[i].resolved
 
 
 # ----------------------------------------------------------------------

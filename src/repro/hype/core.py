@@ -131,8 +131,8 @@ class CompiledPlan:
         self._step_cache: dict = {}
         self._avoid_cache: dict = {}
         #: The dense evaluation core: interned run configurations, packed
-        #: transition words, the cfg-keyed quiet-pop cache, and the
-        #: single shared descent (:func:`repro.hype.kernel.descend`).
+        #: transition words, the per-cfg pop tables, and the single
+        #: shared descent (:func:`repro.hype.kernel.descend`).
         self.kernel = DenseKernel(self)
 
     # ------------------------------------------------------------------

@@ -34,13 +34,30 @@ time and ship it inside a :class:`repro.compile.artifact.PlanArtifact`
 (format v3): a cold worker rehydrates the closure instead of re-deriving
 it on the first requests.
 
-The descent itself — :func:`descend` — is the **single** implementation
-behind both :meth:`repro.hype.core.CompiledPlan.run` (a one-lane batch)
-and :class:`repro.serve.batch.BatchEvaluator` (N lanes, one pass),
-replacing the four hand-mirrored loops that previously had to be edited
-in lockstep.  String and columnar modes are the same loop: only the
-child source (layout kid spans vs. cached element-children lists) and
-the transition probe (array row vs. dict) differ per node.
+The descent — :func:`descend` — is the **single** entry point behind
+both :meth:`repro.hype.core.CompiledPlan.run` (a one-lane batch) and
+:class:`repro.serve.batch.BatchEvaluator` (N lanes), and it has a
+single implementation: the *lean pass* (:func:`_descend_lane`), run once
+per live lane.  The lean pass keeps the current frame — node, visit
+index, cfg, its ``array('i')`` row, the truths its children reported,
+the child cursor — in locals, pushes one tuple of those per visited
+element that has element children and pops childless elements inline.
+A wave's lanes are stepped one after the other (stepping them together
+through one multiplexed loop measured slower at every width); what the
+wave shares is reported from the union of the lanes' visit columns, and
+truly shared stepping is :mod:`repro.hype.compose`'s composed machine.
+String and columnar modes are the same loop: only the child source
+(layout kid spans vs. cached element-children lists) and the transition
+probe (array row vs. dict) differ per node.
+
+The pop side is compiled like the push side: ``pops[cfg] = (preds,
+outcomes)`` holds the cfg's node-dependent predicates and, per observed
+predicate-bit pattern, the finished ``(dead, report, resolved)`` of the
+bottom-up resolution — so a pop that heard no truth from its children
+is "evaluate the predicates, one dict probe, apply": inline in the lean
+pass, :meth:`DenseKernel.pop_quiet` elsewhere.  Only pops whose
+children reported truths enter :meth:`DenseKernel.pop_frame`, which
+memoises on the truth set in the same table.
 
 Thread safety follows the plan contract: cfg/edge minting is
 lock-guarded (ids must be unique), every other table is fill-only with
@@ -53,6 +70,7 @@ from __future__ import annotations
 import threading
 import time
 from array import array
+from types import MappingProxyType
 
 from ..errors import DeadlineError
 from ..faults import fire as _fault_fire
@@ -72,6 +90,13 @@ UNFILLED = -1
 #: Alias column for labels outside the automaton's transition alphabet.
 #: NUL is illegal in XML names, so no document label collides with it.
 OTHER_LABEL = "\x00other"
+
+#: The pop table of a cfg that has not popped yet, shared and never
+#: written: every probe misses, so building the real entry is part of
+#: the miss path (:meth:`DenseKernel.fill_pop`) instead of a branch in
+#: the loops — and a plan that is compiled but rarely run keeps no
+#: per-cfg tables alive.
+_UNBUILT = ((), MappingProxyType({}))
 
 
 class DenseKernel:
@@ -95,7 +120,7 @@ class DenseKernel:
         "cfg_size",
         "cfg_has_ann",
         "cfg_packed",
-        "quiet",
+        "pops",
         "trans",
         "edge_ids",
         "edge_base",
@@ -130,14 +155,16 @@ class DenseKernel:
         self.cfg_size: list[int] = []
         self.cfg_has_ann: list[bool] = []
         self.cfg_packed: list[int] = []
-        # cfg -> quiet-pop entry: None (unknown), False (must take the
-        # full path: node-dependent predicates), or (dead, report,
-        # resolved) — the old (m_id, r_id, watch)-keyed cache, now one
-        # list index.
-        self.quiet: list = []
+        # cfg -> pop table ``(preds, outcomes)``: ``preds`` pairs a bit
+        # with the bound ``holds`` of each node-dependent predicate of
+        # the cfg's relevant set; ``outcomes`` maps the predicate bits
+        # observed at a node — ``(bits, truths)`` once children reported
+        # truths — to the pop's ``(dead, report, resolved)``.  Built on
+        # the cfg's first pop (:data:`_UNBUILT` until then).
+        self.pops: list = []
         # (cfg, label) -> packed word (plain) or edge word (indexed);
-        # unseen labels are stored both under their own key (so the
-        # string path stays one probe) and under OTHER_LABEL.
+        # the string path also stores unseen labels under their own key
+        # (so it stays one probe) next to OTHER_LABEL.
         self.trans: dict = {}
         # (base_id, r_id, watch) -> edge id; parallel per-edge tables.
         self.edge_ids: dict = {}
@@ -181,7 +208,7 @@ class DenseKernel:
             self.cfg_size.append(len(mstates))
             self.cfg_has_ann.append(has_ann)
             self.cfg_packed.append(packed)
-            self.quiet.append(None)
+            self.pops.append(_UNBUILT)
             # Publish last: readers only index the tables by ids they
             # obtained from this dict.
             self.cfg_ids[key] = cfg
@@ -234,6 +261,17 @@ class DenseKernel:
         trans[(cfg, label)] = packed
         return packed
 
+    def lookup_column(self, cfg: int, label: str) -> int:
+        """:meth:`lookup_trans` for columnar fills, which cache the word
+        in a per-document row: labels outside the alphabet resolve
+        through the OTHER column *without* storing a per-label alias —
+        only the string path reads aliases back, and a long-lived plan
+        would otherwise gain cfgs x new-labels dead entries per served
+        document."""
+        return self.lookup_trans(
+            cfg, label if label in self.alphabet else OTHER_LABEL
+        )
+
     def _compute_trans(self, cfg: int, label: str) -> int:
         plan = self.plan
         (
@@ -280,108 +318,79 @@ class DenseKernel:
     # ------------------------------------------------------------------
     # Pop (bottom-up AFA resolution), cfg-keyed
     # ------------------------------------------------------------------
-    def pop_frame(self, frame, cursor) -> None:
-        """Pop one descent frame (lines 11-21 of the paper's Fig. 6)."""
-        cfg = frame[2]
-        trans_true = frame[3]
-        if not trans_true:
-            quiet = self.quiet[cfg]
-            if quiet is None:
-                quiet = self._compute_quiet(cfg)
-            if quiet is not False:
-                dead, report, resolved = quiet
-                if dead:
-                    cursor.deaths[frame[1]] = dead
-                cursor.stats.afa_states_resolved += resolved
-                if report:
-                    parent = frame[4]
-                    if parent is not None:
-                        trues = parent[3]
-                        if trues is None:
-                            trues = parent[3] = set()
-                        trues.update(report)
-                return
-        plan = self.plan
-        r_id = self.cfg_r[cfg]
-        finals, trans, groups = plan._relevant_plan(
-            r_id, self.cfg_relevant[cfg]
-        )
-        node = frame[0]
-        bits = 0
-        for position, (_state, pred) in enumerate(finals):
-            if pred is None or pred.holds(node):
-                bits |= 1 << position
-        if not trans_true:
-            # No child contributed a truth: resolution depends only on
-            # the relevant set and the predicate outcomes at this node.
-            cache_key = (r_id, bits)
-            values = plan._pop_cache.get(cache_key)
-            if values is None:
-                values = plan._resolve(finals, trans, groups, None, bits)
-                plan._pop_cache[cache_key] = values
-            if self.cfg_has_ann[cfg]:
-                dead_key = (self.cfg_m[cfg], r_id, bits)
-                dead = plan._dead_cache.get(dead_key)
-                if dead is None:
-                    dead = plan._compute_dead(self.cfg_mstates[cfg], values)
-                    plan._dead_cache[dead_key] = dead
-                if dead:
-                    cursor.deaths[frame[1]] = dead
-        else:
-            # Child truths contributed: the fixpoint is still a pure
-            # function of (relevant set, truth set, predicate bits) —
-            # documents repeat structure, so memoise on the observed
-            # truth sets (3-tuple keys cannot collide with the quiet
-            # path's 2-tuple keys in the shared caches).
-            truths = frozenset(trans_true)
-            cache_key = (r_id, bits, truths)
-            values = plan._pop_cache.get(cache_key)
-            if values is None:
-                values = plan._resolve(finals, trans, groups, trans_true, bits)
-                plan._pop_cache[cache_key] = values
-            if self.cfg_has_ann[cfg]:
-                dead_key = (self.cfg_m[cfg], r_id, bits, truths)
-                dead = plan._dead_cache.get(dead_key)
-                if dead is None:
-                    dead = plan._compute_dead(self.cfg_mstates[cfg], values)
-                    plan._dead_cache[dead_key] = dead
-                if dead:
-                    cursor.deaths[frame[1]] = dead
-        cursor.stats.afa_states_resolved += len(values)
-        # Report established truths to the parent (fstates↑).
-        watch = self.cfg_watch[cfg]
-        parent = frame[4]
-        if watch and parent is not None:
-            trues = parent[3]
-            if trues is None:
-                trues = parent[3] = set()
-            for watcher, target in watch:
-                if values.get(target, False):
-                    trues.add(watcher)
+    def pop_frame(self, cfg: int, node, truths) -> tuple:
+        """Pop a frame whose children reported ``truths`` (lines 11-21
+        of the paper's Fig. 6); returns ``(dead, report, resolved)``.
 
-    def _compute_quiet(self, cfg: int):
-        """Build (or reject) one cfg's quiet-pop cache entry.
-
-        ``False`` — cached — when the relevant set carries final-state
-        predicates, whose outcome depends on the node and so cannot be
-        memoised per cfg.
+        Truth-free pops never come here (see :meth:`pop_quiet`).  The
+        fixpoint is still a pure function of (cfg, predicate bits, truth
+        set) — documents repeat structure, so the observed truth sets
+        are memoised in the same per-cfg table.
         """
+        preds, outcomes = self.pops[cfg]
+        bits = 0
+        for bit, holds in preds:
+            if holds(node):
+                bits |= bit
+        truths = frozenset(truths)
+        return outcomes.get((bits, truths)) or self.fill_pop(cfg, node, truths)
+
+    def pop_quiet(self, cfg: int, node) -> tuple:
+        """Pop a frame whose children reported nothing: the cfg's
+        predicates at ``node``, one table probe.  The lean pass inlines
+        exactly this; every other caller comes here."""
+        preds, outcomes = self.pops[cfg]
+        bits = 0
+        for bit, holds in preds:
+            if holds(node):
+                bits |= bit
+        return outcomes.get(bits) or self.fill_pop(cfg, node)
+
+    def pop_entry(self, cfg: int) -> tuple:
+        """The cfg's pop table, built on first use."""
+        entry = self.pops[cfg]
+        if entry is _UNBUILT:
+            finals = self.plan._relevant_plan(
+                self.cfg_r[cfg], self.cfg_relevant[cfg]
+            )[0]
+            entry = self.pops[cfg] = (
+                tuple(
+                    (1 << position, pred.holds)
+                    for position, (_state, pred) in enumerate(finals)
+                    if pred is not None
+                ),
+                {},
+            )
+        return entry
+
+    def fill_pop(self, cfg: int, node, truths=None) -> tuple:
+        """The miss path of a pop at ``node``: resolve and store the
+        table entry — the dead NFA states, the watchers to report to
+        the parent (fstates↑) and the number of AFA states resolved."""
         plan = self.plan
         r_id = self.cfg_r[cfg]
         finals, trans, groups = plan._relevant_plan(
             r_id, self.cfg_relevant[cfg]
         )
-        if finals:
-            self.quiet[cfg] = False
-            return False
-        cache_key = (r_id, 0)
+        # The table is keyed by the node-dependent predicates only;
+        # finals without a predicate hold everywhere.
+        bits = full = 0
+        for position, (_state, pred) in enumerate(finals):
+            if pred is None:
+                full |= 1 << position
+            elif pred.holds(node):
+                bits |= 1 << position
+        full |= bits
+        # 3-tuple keys cannot collide with the truth-free 2-tuple keys
+        # in the plan-wide caches (shared by cfgs with one relevant set).
+        cache_key = (r_id, full) if truths is None else (r_id, full, truths)
         values = plan._pop_cache.get(cache_key)
         if values is None:
-            values = plan._resolve(finals, trans, groups, None, 0)
+            values = plan._resolve(finals, trans, groups, truths, full)
             plan._pop_cache[cache_key] = values
         dead = None
         if self.cfg_has_ann[cfg]:
-            dead_key = (self.cfg_m[cfg], r_id, 0)
+            dead_key = (self.cfg_m[cfg],) + cache_key
             dead = plan._dead_cache.get(dead_key)
             if dead is None:
                 dead = plan._compute_dead(self.cfg_mstates[cfg], values)
@@ -391,9 +400,10 @@ class DenseKernel:
             for watcher, target in self.cfg_watch[cfg]
             if values.get(target, False)
         )
-        quiet = (dead, report, len(values))
-        self.quiet[cfg] = quiet
-        return quiet
+        outcome = (dead, report, len(values))
+        outcomes = self.pop_entry(cfg)[1]
+        outcomes[bits if truths is None else (bits, truths)] = outcome
+        return outcome
 
     # ------------------------------------------------------------------
     # Persistence (artifact v3 payload)
@@ -528,66 +538,45 @@ def kernel_payload(plan, max_cfgs: int = 256) -> dict:
 
 
 class _Lane:
-    """One plan's per-run view of the shared descent (a batch lane).
+    """One plan's per-run view of the descent (a batch lane).
 
-    Everything the inner loop touches per child is pre-resolved into a
-    slot at lane construction — bound append methods, the kernel's cfg
-    columns, the per-document row table — so a visit costs slot reads
-    instead of attribute chains (``cursor.visit_nodes.append`` et al.).
+    Everything the loop touches per child is pre-resolved into a slot at
+    lane construction — bound append methods, the kernel's cfg columns,
+    the per-document row table — so a visit costs slot reads instead of
+    attribute chains (``cursor.visit_nodes.append`` et al.).
     """
 
     __slots__ = (
         "cursor",
         "kern",
-        "trans",
+        "layout",
         "indexed",
         "mask_keys",
-        "filters",
         "rows",
-        "labels",
         "blank",
-        "cfg_mstates",
-        "visit_nodes",
         "nodes_append",
         "parents_append",
         "mstates_append",
         "finals_append",
-        "pop_frame",
-        "quiet",
-        "deaths",
-        "resolved",
     )
 
     def __init__(self, plan, cursor, layout) -> None:
-        kern = plan.kernel
         self.cursor = cursor
-        self.kern = kern
-        self.trans = kern.trans
+        self.kern = plan.kernel
+        self.layout = layout
         index = plan.index
         self.indexed = index is not None
         self.mask_keys = index.mask_keys if index is not None else None
-        self.filters = kern.edge_filters
         if layout is not None:
             self.rows = layout.rows_for(plan)
-            self.labels = layout.labels
             self.blank = array("i", [UNFILLED]) * layout.num_labels
         else:
             self.rows = None
-            self.labels = None
             self.blank = None
-        self.cfg_mstates = kern.cfg_mstates
-        self.visit_nodes = cursor.visit_nodes
         self.nodes_append = cursor.visit_nodes.append
         self.parents_append = cursor.visit_parents.append
         self.mstates_append = cursor.visit_mstates.append
         self.finals_append = cursor.finals_seen.append
-        self.pop_frame = kern.pop_frame
-        # Quiet-pop fast path: the kernel's cfg-indexed quiet entries,
-        # the cursor's death map, and a deferred afa_states_resolved
-        # accumulator flushed at writeback.
-        self.quiet = kern.quiet
-        self.deaths = cursor.deaths
-        self.resolved = 0
 
     def row_for(self, cfg: int):
         """The cfg's label-id-indexed packed row for this document."""
@@ -598,221 +587,248 @@ class _Lane:
         return row
 
     def fill_row(self, row, lid: int, cfg: int) -> int:
-        packed = self.kern.lookup_trans(cfg, self.labels[lid])
+        packed = self.kern.lookup_column(cfg, self.layout.labels[lid])
         row[lid] = packed
         return packed
 
 
+def _expired(deadline) -> DeadlineError:
+    return DeadlineError(
+        "deadline exceeded mid-descent "
+        f"({-deadline.remaining_ms():.1f} ms over)"
+    )
+
+
 def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
-    """THE descent loop: one shared pass driving every lane's automaton.
+    """THE descent: every lane's automaton driven over ``context``.
 
     ``lanes`` is a list of ``(plan, cursor)`` pairs; a sequential run is
-    a one-lane batch.  With a covering ``layout`` the pass is columnar
-    (flat kid spans, ``array('i')`` transition rows); otherwise it walks
-    cached element-children lists and the string-keyed table — same
-    visits, same order, same counters either way.  ``shared`` (a
-    :class:`repro.serve.batch.BatchStats`-shaped object) receives the
-    shared-pass visit/skip counters when given.
+    a one-lane batch.  Each live lane is finished by one lean pass
+    (:func:`_descend_lane`), one lane after the other.  With a covering
+    ``layout`` the pass is columnar (flat kid spans, ``array('i')``
+    transition rows); otherwise it walks cached element-children lists
+    and the string-keyed table — same visits, same order, same counters
+    either way.  ``shared`` (a :class:`repro.serve.batch.BatchStats`-
+    shaped object) receives the counters of the pass a wave *shares*: the
+    union of the lanes' visit sets, and the children of that union no
+    lane entered.
 
     ``deadline`` (a :class:`repro.guard.Deadline`) arms a cooperative
     cancellation checkpoint: every :data:`repro.guard.CHECK_INTERVAL`
-    loop iterations the clock is read once and an expired deadline
-    raises :class:`repro.errors.DeadlineError` mid-descent — the
-    caller's cursors are abandoned wholesale, never finished partially.
-    With ``deadline=None`` the checkpoint is a single dead branch per
+    loop iterations — counted across the lanes, never reset between
+    them — the clock is read once and an expired deadline raises
+    :class:`repro.errors.DeadlineError` mid-descent; the caller's
+    cursors are abandoned wholesale, never finished partially.  With
+    ``deadline=None`` the checkpoint is a single dead branch per
     iteration, keeping the hot path inside the tracing-off overhead
     floor.
-
-    Frames are plain lists ``[node, visit_idx, cfg, trans_true, parent,
-    pop_flag, lane, row]`` — the lane and its bound transition row ride
-    in the frame, so the per-child loop iterates frames directly with no
-    entry wrappers.  Stack entries are ``[frames, next_kid, kid_end,
-    kids]``.
     """
     _fault_fire("descend")
     if layout is not None and not layout.covers(context):
         layout = None
-    columnar = layout is not None
-    entries = []
+    checks = CHECK_INTERVAL
     live = []
     for plan, cursor in lanes:
-        kern = plan.kernel
-        cfg = kern.root_cfg(context)
+        cfg = plan.kernel.root_cfg(context)
         if cfg == DEAD:
             # Dead at the root: the lane finishes with the all-zero result.
             continue
         lane = _Lane(plan, cursor, layout)
-        live.append(lane)
-        packed = kern.cfg_packed[cfg]
-        cursor.visit_nodes.append(context)
-        cursor.visit_parents.append(-1)
-        cursor.visit_mstates.append(kern.cfg_mstates[cfg])
-        if packed & FINAL_BIT:
-            cursor.finals_seen.append(context)
-        entries.append(
-            [
-                context,
-                0,
-                cfg,
-                None,
-                None,
-                packed & POP_BIT,
-                lane,
-                lane.row_for(cfg) if columnar else None,
-            ]
+        checks = _descend_lane(lane, context, cfg, deadline, checks)
+        live.append(cursor)
+    if shared is None or not live:
+        return
+    if len(live) == 1:
+        shared.visited_elements += live[0].visited
+        shared.skipped_subtrees += live[0].skipped
+        return
+    union = set()
+    for cursor in live:
+        union.update(cursor.visit_nodes)
+    if layout is not None:
+        kid_start = layout.kid_start
+        examined = sum(
+            kid_start[node.node_id + 1] - kid_start[node.node_id]
+            for node in union
         )
-    if shared is not None:
-        shared.visited_elements = 1 if entries else 0
-    if entries:
+    else:
+        examined = sum(len(node.element_children_cached()) for node in union)
+    shared.visited_elements += len(union)
+    shared.skipped_subtrees += examined - len(union) + 1
+
+
+def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
+    """The lean pass: run one lane's automaton over ``node``'s subtree.
+
+    The current node's frame lives in locals (node, visit index, cfg,
+    its ``array('i')`` row, the truths its children reported, the child
+    cursor); the stack holds one tuple of those per *open* ancestor,
+    pushed only for visited elements that have element children — a
+    childless element is visited and popped inline.  ``checks`` is the
+    countdown to the next deadline checkpoint; it is returned so a wave
+    of short lanes still reads the clock every ``CHECK_INTERVAL`` steps.
+    """
+    kern = lane.kern
+    cursor = lane.cursor
+    pops = kern.pops
+    fill_pop = kern.fill_pop
+    cfg_mstates = kern.cfg_mstates
+    deaths = cursor.deaths
+    nodes_append = lane.nodes_append
+    parents_append = lane.parents_append
+    mstates_append = lane.mstates_append
+    finals_append = lane.finals_append
+    indexed = lane.indexed
+    mask_keys = lane.mask_keys
+    filters = kern.edge_filters
+    layout = lane.layout
+    columnar = layout is not None
+    packed = kern.cfg_packed[cfg]
+    nodes_append(node)
+    parents_append(-1)
+    mstates_append(cfg_mstates[cfg])
+    if packed & FINAL_BIT:
+        finals_append(node)
+    pflag = packed & POP_BIT
+    if columnar:
+        nodes = layout.nodes
+        kid_ids = layout.kid_ids
+        kid_labels = layout.kid_labels
+        kid_start = layout.kid_start
+        rows = lane.rows
+        row = lane.row_for(cfg)
+        ki = kid_start[node.node_id]
+        kend = kid_start[node.node_id + 1]
+        kids = kids2 = None
+    else:
+        trans = kern.trans
+        row = None
+        kids = node.element_children_cached()
+        ki = 0
+        kend = len(kids)
+    vidx = 0
+    nvis = 1
+    trues = None
+    skipped = resolved = 0
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    deadline_at = None if deadline is None else deadline.expires_at
+    perf_counter = time.perf_counter
+    while True:
+        if deadline_at is not None:
+            checks -= 1
+            if checks < 0:
+                checks = CHECK_INTERVAL
+                if perf_counter() >= deadline_at:
+                    raise _expired(deadline)
+        if ki == kend:
+            # Children done: pop the node, then resume its parent.
+            report = ()
+            if pflag:
+                if trues:
+                    dead, report, n = kern.pop_frame(cfg, node, trues)
+                else:
+                    preds, outcomes = pops[cfg]
+                    bits = 0
+                    for bit, holds in preds:
+                        if holds(node):
+                            bits |= bit
+                    outcome = outcomes.get(bits)
+                    if outcome is None:
+                        outcome = fill_pop(cfg, node)
+                    dead, report, n = outcome
+                if dead:
+                    deaths[vidx] = dead
+                resolved += n
+            if not stack:
+                break
+            node, vidx, cfg, row, pflag, trues, ki, kend, kids = pop()
+            if report:
+                if trues is None:
+                    trues = set(report)
+                else:
+                    trues.update(report)
+            continue
         if columnar:
-            nodes = layout.nodes
-            kid_ids = layout.kid_ids
-            kid_labels = layout.kid_labels
-            kid_start = layout.kid_start
-            cid0 = context.node_id
-            stack = [[entries, kid_start[cid0], kid_start[cid0 + 1], None]]
+            lid = kid_labels[ki]
+            cid = kid_ids[ki]
+            packed = row[lid]
+            if packed == UNFILLED:
+                packed = lane.fill_row(row, lid, cfg)
         else:
-            nodes = kid_ids = kid_labels = kid_start = None
-            kids0 = context.element_children_cached()
-            stack = [[entries, 0, len(kids0), kids0]]
-        stack_append = stack.append
-        label = ""
-        cid = -1
-        checks = CHECK_INTERVAL
-        deadline_at = None if deadline is None else deadline.expires_at
-        perf_counter = time.perf_counter
-        while stack:
-            if deadline_at is not None:
-                checks -= 1
-                if checks < 0:
-                    checks = CHECK_INTERVAL
-                    if perf_counter() >= deadline_at:
-                        raise DeadlineError(
-                            "deadline exceeded mid-descent "
-                            f"({-deadline.remaining_ms():.1f} ms over)"
-                        )
-            top = stack[-1]
-            ki = top[1]
-            if ki == top[2]:
-                # All element kids processed: pop every lane's frame.
-                # Quiet pops (no child truths, node-independent outcome)
-                # resolve inline from the cfg-indexed cache; everything
-                # else takes the kernel's full pop path.
-                stack.pop()
-                for frame in top[0]:
-                    if frame[5]:
-                        lane = frame[6]
-                        if not frame[3]:
-                            quiet = lane.quiet[frame[2]]
-                            if type(quiet) is tuple:
-                                dead, report, resolved = quiet
-                                if dead:
-                                    lane.deaths[frame[1]] = dead
-                                lane.resolved += resolved
-                                if report:
-                                    parent = frame[4]
-                                    if parent is not None:
-                                        trues = parent[3]
-                                        if trues is None:
-                                            parent[3] = set(report)
-                                        else:
-                                            trues.update(report)
-                                continue
-                        lane.pop_frame(frame, lane.cursor)
-                continue
-            top[1] = ki + 1
-            if columnar:
-                lid = kid_labels[ki]
-                cid = kid_ids[ki]
-                child = None
-            else:
-                child = top[3][ki]
-                label = child.label
-            survivors = None
-            for frame in top[0]:
-                lane = frame[6]
-                cfg = frame[2]
-                if columnar:
-                    packed = frame[7][lid]
-                    if packed == UNFILLED:
-                        packed = lane.fill_row(frame[7], lid, cfg)
-                else:
-                    packed = lane.trans.get((cfg, label), UNFILLED)
-                    if packed == UNFILLED:
-                        packed = lane.kern.lookup_trans(cfg, label)
-                if lane.indexed:
-                    if packed == DEAD:
-                        continue
-                    eid = packed >> 1
-                    if child is not None:
-                        cid = child.node_id
-                    mask_key = lane.mask_keys[cid]
-                    packed = lane.filters[eid].get(mask_key, UNFILLED)
-                    if packed == UNFILLED:
-                        packed = lane.kern.fill_filter(eid, mask_key, cid)
-                if packed == DEAD:
-                    # This lane prunes the subtree; others may descend.
-                    continue
-                cfg2 = packed >> CFG_SHIFT
-                if child is None:
-                    child = nodes[cid]
-                visit_idx = len(lane.visit_nodes)
-                lane.nodes_append(child)
-                lane.parents_append(frame[1])
-                lane.mstates_append(lane.cfg_mstates[cfg2])
-                if packed & FINAL_BIT:
-                    lane.finals_append(child)
-                if columnar:
-                    rows = lane.rows
-                    row2 = rows.get(cfg2)
-                    if row2 is None:
-                        row2 = rows.setdefault(cfg2, lane.blank[:])
-                else:
-                    row2 = None
-                child_frame = [
-                    child,
-                    visit_idx,
-                    cfg2,
-                    None,
-                    frame,
-                    packed & POP_BIT,
-                    lane,
-                    row2,
-                ]
-                if survivors is None:
-                    survivors = [child_frame]
-                else:
-                    survivors.append(child_frame)
-            if survivors is not None:
-                if shared is not None:
-                    shared.visited_elements += 1
-                if columnar:
-                    stack_append(
-                        [survivors, kid_start[cid], kid_start[cid + 1], None]
-                    )
-                else:
-                    kids = child.element_children_cached()
-                    stack_append([survivors, 0, len(kids), kids])
-            elif shared is not None:
-                shared.skipped_subtrees += 1
-    # Writeback: the loop keeps no per-child counters.  A lane examines
-    # every element child of every node it visits, so visited, skipped
-    # and cans_vertices all fall out of the visit columns in one cheap
-    # closing sweep.
-    for lane in live:
-        cursor = lane.cursor
-        vn = cursor.visit_nodes
-        visited = len(vn)
-        cursor.visited = visited
+            child = kids[ki]
+            packed = trans.get((cfg, child.label), UNFILLED)
+            if packed == UNFILLED:
+                packed = kern.lookup_trans(cfg, child.label)
+        ki += 1
+        if indexed and packed:
+            if not columnar:
+                cid = child.node_id
+            eid = packed >> 1
+            mask_key = mask_keys[cid]
+            packed = filters[eid].get(mask_key, UNFILLED)
+            if packed == UNFILLED:
+                packed = kern.fill_filter(eid, mask_key, cid)
+        if packed == DEAD:
+            skipped += 1
+            continue
+        cfg2 = packed >> CFG_SHIFT
         if columnar:
-            ks = layout.kid_start
-            examined = 0
-            for node in vn:
-                nid = node.node_id
-                examined += ks[nid + 1] - ks[nid]
+            child = nodes[cid]
+            ki2 = kid_start[cid]
+            kend2 = kid_start[cid + 1]
         else:
-            examined = sum(len(n.element_children_cached()) for n in vn)
-        cursor.skipped = examined - (visited - 1)
-        cursor.cans_vertices = sum(map(len, cursor.visit_mstates))
-        if lane.resolved:
-            cursor.stats.afa_states_resolved += lane.resolved
+            kids2 = child.element_children_cached()
+            ki2 = 0
+            kend2 = len(kids2)
+        nodes_append(child)
+        parents_append(vidx)
+        mstates_append(cfg_mstates[cfg2])
+        if packed & FINAL_BIT:
+            finals_append(child)
+        if ki2 == kend2:
+            # Childless: no child can report a truth, so the pop is the
+            # table probe, applied to the node still in hand.
+            if packed & POP_BIT:
+                preds, outcomes = pops[cfg2]
+                bits = 0
+                for bit, holds in preds:
+                    if holds(child):
+                        bits |= bit
+                outcome = outcomes.get(bits)
+                if outcome is None:
+                    outcome = fill_pop(cfg2, child)
+                dead, report, n = outcome
+                if dead:
+                    deaths[nvis] = dead
+                resolved += n
+                if report:
+                    if trues is None:
+                        trues = set(report)
+                    else:
+                        trues.update(report)
+            nvis += 1
+            continue
+        push((node, vidx, cfg, row, pflag, trues, ki, kend, kids))
+        node = child
+        vidx = nvis
+        nvis += 1
+        cfg = cfg2
+        pflag = packed & POP_BIT
+        trues = None
+        ki = ki2
+        kend = kend2
+        kids = kids2
+        if columnar:
+            row = rows.get(cfg2)
+            if row is None:
+                row = lane.row_for(cfg2)
+    # Writeback: a lane examines every element child of every node it
+    # visits, so ``visited`` is the length of its visit columns and
+    # ``skipped`` the prunes counted on the way.
+    cursor.visited = nvis
+    cursor.skipped = skipped
+    cursor.cans_vertices = sum(map(len, cursor.visit_mstates))
+    cursor.stats.afa_states_resolved += resolved
+    return checks

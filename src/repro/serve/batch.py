@@ -1,25 +1,25 @@
-"""Batched HyPE: N plans evaluated in one shared top-down document pass.
+"""Batched HyPE: N plans evaluated over one document as one wave.
 
 Sequential serving runs one :class:`repro.hype.core.CompiledPlan` pass
-per query, so K concurrent queries over one source cost K document
-traversals even though the traversals are identical in shape.  The batch
-evaluator instead drives every automaton down a *single* depth-first pass
-(a network of automata sharing one execution context): each automaton is
-a *lane* carrying its own ``mstates``/``fstates`` cursor, and a subtree
-is descended iff **at least one** lane keeps live states for it — i.e. a
-subtree is pruned only when *every* live automaton allows the prune.
+per query.  The batch evaluator takes the wave whole: each automaton is
+a *lane* carrying its own ``mstates``/``fstates`` cursor, lanes that can
+form one machine (same view, same algorithm family) are stepped
+together down a *single* depth-first pass by
+:mod:`repro.hype.compose` — a subtree is descended iff **at least one**
+lane keeps live states for it — and every other lane runs
+:func:`repro.hype.kernel.descend`'s lean pass on its own, the SAME code
+a sequential :meth:`repro.hype.core.CompiledPlan.run` drives with one
+lane.  (Up to PR 12 the per-lane lanes were also multiplexed through one
+traversal; once the lean pass existed that measured slower than running
+them one after the other, so it is gone.)
 
 Correctness: a lane steps its plan's dense kernel only at nodes where
 it is itself live, calls the same transition/pop machinery, and records
 its own cans DAG into its own :class:`repro.hype.core.RunCursor` —
 exactly the state the sequential run would build.  So per-lane answers
 *and* per-lane statistics (visited, skipped, gate failures) are
-identical to N sequential runs; only the shared traversal count
-(:class:`BatchStats`) differs, and that is the win being measured.
-
-The pass itself is :func:`repro.hype.kernel.descend` — the SAME loop a
-sequential :meth:`repro.hype.core.CompiledPlan.run` drives with one
-lane, so there is no mirrored descent to keep in lockstep anymore.
+identical to N sequential runs; :class:`BatchStats` adds what the wave
+has in common — the union of the lanes' visits against their sum.
 
 Sharing: lanes are :class:`CompiledPlan` objects, so two lanes given the
 *same* plan object (e.g. the same view query admitted for two tenants)
@@ -41,9 +41,11 @@ from ..xtree.node import Node
 class BatchStats:
     """Counters of the *shared* pass (per-lane stats live on each result).
 
-    When composed groups run (PR 9), the batch may make several passes —
-    one per composed group plus one per-lane pass for the leftovers —
-    and ``visited_elements``/``skipped_subtrees`` sum over those passes.
+    The batch makes one pass per composed group plus one per-lane pass
+    for the leftovers, and ``visited_elements``/``skipped_subtrees`` sum
+    over those passes.  A composed group really traverses only these
+    elements; for the per-lane leftovers they are the union of the
+    lanes' visit sets — the traversal a shared pass would make.
     """
 
     #: Lanes in the batch (live or not at the root).
@@ -63,7 +65,8 @@ class BatchStats:
 
     @property
     def saved_visits(self) -> int:
-        """Element visits the batch avoided vs. sequential evaluation."""
+        """Element visits shared between lanes: avoided outright inside
+        composed groups, overlap between the passes of per-lane lanes."""
         return self.sequential_visited - self.visited_elements
 
 
@@ -138,10 +141,10 @@ class BatchEvaluator:
 
     # ------------------------------------------------------------------
     def run(self, context: Node, layout=None, deadline=None) -> BatchResult:
-        """Evaluate every lane's ``context[[M]]`` in one shared pass.
+        """Evaluate every lane's ``context[[M]]`` as one wave.
 
         With a ``layout`` (the context document's columnar
-        :class:`repro.docstore.layout.DocumentLayout`) the shared pass
+        :class:`repro.docstore.layout.DocumentLayout`) each pass
         runs the dense columnar fast path — flat kid spans and per-cfg
         ``array('i')`` transition rows per lane; without one it walks
         cached element-children lists.  Either way the pass is the one

@@ -78,3 +78,66 @@ class TestCompileBudget:
         budget = CompileBudget(max_ast_nodes=123, max_mfa_states=45)
         assert CompileBudget.from_dict(budget.as_dict()) == budget
         assert CompileBudget.from_dict({}) == CompileBudget()
+
+
+class TestDescentCheckpointAcrossLanes:
+    """A wave runs one lean pass per lane; the countdown to the next
+    clock read is threaded through them, never reset per lane."""
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_expiry_inside_a_later_lane(self, columnar):
+        from repro.docstore import IndexedDocument
+        from repro.hype.api import compile_plan
+        from repro.hype.core import RunCursor
+        from repro.hype.kernel import descend
+        from repro.serve.batch import BatchEvaluator
+        from repro.xtree.build import document, element
+
+        big = element("a", *(element("c") for _ in range(3 * CHECK_INTERVAL)))
+        tree = document(element("r", big, element("b")))
+        layout = IndexedDocument(tree).layout if columnar else None
+        plans = [compile_plan(query) for query in ("b", "a//c")]
+        cursors = [RunCursor(plan) for plan in plans]
+        expired = Deadline(time.perf_counter() - 1.0)
+        with pytest.raises(DeadlineError):
+            descend(list(zip(plans, cursors)), tree.root, layout, deadline=expired)
+        # The first lane is three steps and finished; the second was cut
+        # one countdown after the start of the wave, not at its end.
+        assert cursors[0].visited == 2
+        assert 0 < len(cursors[1].visit_nodes) <= CHECK_INTERVAL + 2
+        # The caller discards the cursors: the batch surfaces the error
+        # whole, and the plans answer in full afterwards.
+        with pytest.raises(DeadlineError):
+            BatchEvaluator(plans).run(tree.root, layout, deadline=expired)
+        answers = BatchEvaluator(plans).run(tree.root, layout).results
+        assert [len(r.answers) for r in answers] == [1, 3 * CHECK_INTERVAL]
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_many_short_lanes_share_one_countdown(self, columnar):
+        """80 lanes of ~100 steps each: no lane alone reaches
+        CHECK_INTERVAL, so the checkpoint fires only if the countdown is
+        carried from lane to lane, not reset."""
+        from repro.docstore import IndexedDocument
+        from repro.hype.api import compile_plan
+        from repro.hype.core import RunCursor
+        from repro.hype.kernel import descend
+        from repro.xtree.build import document, element
+
+        lanes, fan = 80, 100
+        assert fan + 2 < CHECK_INTERVAL < lanes * fan // 2
+        tree = document(element("r", *(element("c") for _ in range(fan))))
+        layout = IndexedDocument(tree).layout if columnar else None
+        plan = compile_plan("c")
+        cursors = [RunCursor(plan) for _ in range(lanes)]
+        expired = Deadline(time.perf_counter() - 1.0)
+        with pytest.raises(DeadlineError):
+            descend(
+                [(plan, cursor) for cursor in cursors],
+                tree.root,
+                layout,
+                deadline=expired,
+            )
+        # Every loop step visits at most one element, so the first clock
+        # read came within CHECK_INTERVAL steps of the start of the wave.
+        stepped = sum(len(cursor.visit_nodes) for cursor in cursors)
+        assert CHECK_INTERVAL - lanes <= stepped <= CHECK_INTERVAL + 2

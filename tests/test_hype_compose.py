@@ -112,6 +112,29 @@ class TestConstruction:
         assert kernel.interned_ccfgs == grown  # tables are saturated
 
 
+class TestPopOutcomeCap:
+    def test_outcomes_past_the_cap_resolve_without_being_stored(
+        self, hospital_doc, monkeypatch
+    ):
+        """A composed pop key combines every lane's truths, so the memo
+        is capped per ccfg; past the cap pops still resolve (per member)
+        and lanes stay identical to sequential runs."""
+        from repro.hype import compose
+
+        monkeypatch.setattr(compose, "POP_OUTCOME_CAP", 1)
+        queries = [
+            "//patient[.//diagnosis/text() = 'flu']",
+            "//patient[.//test/text() = 'x-ray']/pname",
+        ]
+        plans = _plans(queries, None)
+        layout = IndexedDocument(hospital_doc).layout
+        kernel = ComposedKernel(plans)
+        got = _composed(plans, hospital_doc, layout, kernel)
+        _assert_lanes_identical(got, _sequential(plans, hospital_doc, layout))
+        sizes = [len(outcomes) for _preds, outcomes in kernel.cpops]
+        assert max(sizes) == 1
+
+
 class TestPayloadRoundTrip:
     def test_plain_tables_round_trip(self, hospital_doc):
         queries = ["//patient", "patient/record", "//patient/parent"]

@@ -11,15 +11,18 @@ codec (format v3) and be rejected structurally when mangled.
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compile import ArtifactError, PlanArtifact, QueryCompiler
 from repro.compile.artifact import _validate_kernel
 from repro.docstore import IndexedDocument
 from repro.hype.api import ALGORITHMS, compile_plan, to_mfa
-from repro.hype.core import CompiledPlan
-from repro.hype.kernel import OTHER_LABEL, kernel_payload
+from repro.hype.compose import ComposedKernel, descend_composed
+from repro.hype.core import CompiledPlan, RunCursor
+from repro.hype.kernel import OTHER_LABEL, DenseKernel, descend, kernel_payload
 from repro.hype.index import build_index
-from repro.serve.batch import BatchEvaluator
+from repro.serve.batch import BatchEvaluator, BatchStats
+from repro.workloads import FIG8
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 
 from .strategies import paths, trees
@@ -69,6 +72,175 @@ class TestOneSharedLoop:
                 ):
                     callers.append(path.name)
         assert sorted(callers) == ["batch.py", "core.py"]
+
+
+def _cans(cursor):
+    """Everything one lane's descent recorded, by value."""
+    return (
+        [node.node_id for node in cursor.visit_nodes],
+        cursor.visit_parents,
+        cursor.visit_mstates,
+        cursor.deaths,
+        [node.node_id for node in cursor.finals_seen],
+    )
+
+
+class TestWaveLanes:
+    """A wave is one lean pass per live lane: nothing a lane records may
+    depend on its wavemates, and the shared counters describe the pass
+    the wave has in common."""
+
+    @given(
+        trees(),
+        st.lists(
+            st.tuples(paths(), st.sampled_from(ALGORITHMS)),
+            min_size=2,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wave_lanes_equal_sequential_descents(self, tree, members):
+        """Mixed-algorithm waves of 2-6 lanes (random paths die at
+        different depths): each lane's cans DAG, deaths, answers and
+        HyPEStats equal its own one-lane descent, and the shared pass
+        visits exactly the union of the lanes' visit sets."""
+        plans = [
+            compile_plan(query, algorithm=algorithm, tree=tree)
+            for query, algorithm in members
+        ]
+        for layout in (None, IndexedDocument(tree).layout):
+            cursors = [RunCursor(plan) for plan in plans]
+            shared = BatchStats()
+            descend(list(zip(plans, cursors)), tree.root, layout, shared=shared)
+            union: set[int] = set()
+            for plan, cursor in zip(plans, cursors):
+                solo = RunCursor(plan)
+                descend([(plan, solo)], tree.root, layout)
+                assert _cans(cursor) == _cans(solo)
+                lane, alone = cursor.finish(), solo.finish()
+                assert lane.answers == alone.answers
+                assert lane.stats == alone.stats
+                assert alone.stats == plan.run(tree.root, layout).stats
+                union.update(node.node_id for node in cursor.visit_nodes)
+            assert shared.visited_elements == len(union)
+            examined = sum(
+                len(tree.node(node_id).element_children_cached())
+                for node_id in union
+            )
+            assert shared.skipped_subtrees == examined - max(len(union) - 1, 0)
+
+
+class TestPopTable:
+    def _doc(self):
+        from repro.xtree.build import document, element, text_node
+
+        def a(value):
+            return element("a", element("b", text_node(value)))
+
+        return document(element("r", a("x"), a("y"), a("x")))
+
+    def test_text_predicate_resolves_both_outcomes_from_one_entry(self):
+        """A cfg whose relevant set carries a ``text()`` predicate used
+        to switch its memo off; now both outcomes live in ONE ``pops``
+        entry, keyed by the predicate bit observed at the node."""
+        tree = self._doc()
+        plan = compile_plan("a[b/text() = 'x']")
+        for layout in (None, IndexedDocument(tree).layout):
+            assert len(plan.run(tree.root, layout).answers) == 2
+        kern = plan.kernel
+        gated = [entry for entry in kern.pops if entry[0]]
+        assert len(gated) == 1, "exactly the cfg of <b> carries the predicate"
+        preds, outcomes = gated[0]
+        assert [bit for bit, _holds in preds] == [1]
+        assert set(outcomes) == {0, 1}
+        (_d0, report0, n0), (_d1, report1, n1) = outcomes[0], outcomes[1]
+        assert report0 == () and len(report1) == 1  # only 'x' tells <a>
+        assert n0 == n1 > 0
+
+    def test_composed_pop_table_gathers_member_predicates(self):
+        """The composed machine compiles its pops the same way: one
+        ``cpops`` entry gathers both members' ``text()`` predicates, and
+        each observed bit pattern resolves every lane in one probe."""
+        tree = self._doc()
+        plans = [compile_plan(f"a[b/text() = '{v}']") for v in ("x", "y")]
+        composed = ComposedKernel(plans)
+        for layout in (None, IndexedDocument(tree).layout):
+            cursors = [RunCursor(plan) for plan in plans]
+            descend_composed(composed, cursors, tree.root, layout)
+            assert [len(c.finish().answers) for c in cursors] == [2, 1]
+        gated = [entry for entry in composed.cpops if entry[0]]
+        assert len(gated) == 1, "exactly the ccfg of <b> carries predicates"
+        preds, outcomes = gated[0]
+        assert [bit for bit, _holds in preds] == [1, 2]
+        assert set(outcomes) == {1, 2}  # 'x' nodes, 'y' nodes
+        for bits, lane in ((1, 0), (2, 1)):
+            outcome = outcomes[bits]
+            assert not outcome.simple
+            assert [i for i, _watcher in outcome.report] == [lane]
+            assert [i for i, _dead, _n in outcome.entries] == [0, 1]
+
+    def test_pop_frame_is_never_entered_without_child_truths(self, monkeypatch):
+        """Truth-free pops are table probes in every loop — lean pass
+        (alone and in a wave) and composed, string and columnar."""
+        calls = []
+        real = DenseKernel.pop_frame
+
+        def checked(self, cfg, node, truths):
+            assert truths, "pop_frame entered without child truths"
+            calls.append(cfg)
+            return real(self, cfg, node, truths)
+
+        monkeypatch.setattr(DenseKernel, "pop_frame", checked)
+        tree = generate_hospital_document(HospitalConfig(num_patients=6, seed=3))
+        layouts = (None, IndexedDocument(tree).layout)
+        queries = sorted(FIG8.values()) + ["//patient[.//diagnosis/text() = 'flu']"]
+        for algorithm in ALGORITHMS:
+            index = None
+            if algorithm != "hype":
+                index = build_index(tree, compressed=algorithm == "opthype-c")
+            plans = [
+                compile_plan(query, algorithm=algorithm, index=index)
+                for query in queries
+            ]
+            for layout in layouts:
+                for plan in plans:
+                    plan.run(tree.root, layout)
+                BatchEvaluator(plans).run(tree.root, layout)
+                descend_composed(
+                    ComposedKernel(plans),
+                    [RunCursor(plan) for plan in plans],
+                    tree.root,
+                    layout,
+                )
+        assert calls, "the workload must exercise truth-carrying pops too"
+
+    def test_columnar_fill_stores_no_alias_for_unseen_labels(self):
+        """A long-lived plan serving documents with ever-new labels must
+        not grow: the columnar fill resolves them through the OTHER
+        column (only the string path keeps per-label aliases)."""
+        from repro.xtree.build import document, element
+
+        plan = compile_plan("//a/b")
+        composed = ComposedKernel([plan, compile_plan("//a/c")])
+        sizes = []
+        for round_ in range(4):
+            tree = document(
+                element(
+                    "r",
+                    element("a", element("b"), element("c")),
+                    *(element(f"fresh{round_}x{i}") for i in range(50)),
+                )
+            )
+            layout = IndexedDocument(tree).layout
+            columnar = plan.run(tree.root, layout)
+            cursors = [RunCursor(member) for member in composed.plans]
+            descend_composed(composed, cursors, tree.root, layout)
+            sizes.append((len(plan.kernel.trans), len(composed.trans)))
+            assert cursors[0].finish().answers == columnar.answers
+            string = compile_plan("//a/b").run(tree.root)
+            assert columnar.answers == string.answers
+            assert columnar.stats == string.stats
+        assert len(set(sizes)) == 1, sizes
 
 
 class TestPreloadedClosure:
