@@ -75,8 +75,15 @@ WAVE_B = [("auditor", q) for q in sorted(FIG9.values())] + [
 @pytest.fixture(scope="module")
 def waves_doc():
     """A document big enough that wave evaluation dominates dispatch
-    overhead (the window calibration assumes eval >> timer slop)."""
-    patients = max(4, int(500 * scale_factor()))
+    overhead (the window calibration assumes eval >> timer slop).
+
+    Wave B reaches the pool ~40 ms later than the timers say (GIL
+    hand-offs to the loop, the executor and the pool thread while wave A
+    computes), and overlapped evaluations lose a little to interleaving;
+    both are fixed costs, so the window that satisfies the overlap AND
+    the < 0.9x ratio only exists once a wave evaluates for ~0.3 s.
+    """
+    patients = max(4, int(2000 * scale_factor()))
     return generate_hospital_document(
         HospitalConfig(num_patients=patients, seed=2007)
     )
@@ -163,9 +170,11 @@ def test_concurrent_waves_beat_serialised_sum(waves_doc):
     _warm(concurrent_service)
     # Calibration: wave B's evaluation starts at ~2.2x window and must
     # land inside wave A's evaluation (ends at window + eval_A), so the
-    # window must stay below ~0.8x eval_A; 0.7x leaves margin for timer
-    # slop while keeping the saved window a large slice of the total.
-    window = min(0.3, max(0.03, 0.7 * eval_a))
+    # window must stay below ~0.8x eval_A; 0.6x leaves a third of
+    # eval_A as margin for timer slop and for runs that evaluate faster
+    # than the warm-up did, while the saved window stays a large slice
+    # of the total.
+    window = min(0.3, max(0.03, 0.6 * eval_a))
     gap = 1.15 * window
 
     ratios = []

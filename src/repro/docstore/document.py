@@ -11,7 +11,9 @@ tenant, lane, wave and algorithm variant that touches the document.  An
   (:class:`repro.docstore.layout.DocumentLayout`), built eagerly so the
   evaluator hot loop is columnar from the first request;
 * ``index_for(compressed)`` — the OptHyPE (or OptHyPE-C) index, built
-  at most once per variant behind a per-variant lock; when the owning
+  at most once per variant behind the document's build lock; the tree
+  is swept for the first variant only (the second is a conversion of
+  the first's mask column), and when the owning
   :class:`repro.docstore.store.DocumentStore` has a persistent tier
   (``--doc-dir``), a previously-persisted index is loaded instead of
   rebuilt and fresh builds are written back.
@@ -29,9 +31,11 @@ from __future__ import annotations
 import hashlib
 import threading
 
-from ..hype.index import Index, build_index
+from ..hype.index import Index, build_index, other_variant
 from ..obs.trace import span
 from ..xtree.node import XMLTree
+from ..xtree.parse import parse_xml
+from ..xtree.serialize import serialize
 from .layout import DocumentLayout
 
 
@@ -77,7 +81,7 @@ class IndexedDocument:
                 tier.save_layout(content_hash, layout)
         self.layout = layout
         self._indexes: dict[bool, Index] = {}
-        self._index_locks = {False: threading.Lock(), True: threading.Lock()}
+        self._index_lock = threading.Lock()
         self._hash_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -89,28 +93,24 @@ class IndexedDocument:
         same scheme :class:`repro.docstore.store.DocumentStore` uses),
         so textual variants of one document share one address.
         """
-        from ..xtree.parse import parse_xml
-
-        tree = parse_xml(content)
-        return cls(tree, **kwargs)
+        return cls(parse_xml(content), **kwargs)
 
     @property
     def content_hash(self) -> str:
         """The document's content address (computed lazily when adopted).
 
-        Documents parsed from text carry the hash of that text; trees
-        built in memory (generators, tests) are hashed over their
-        canonical serialisation on first need — deterministic, so a
-        regenerated document (same config, same seed) addresses the
-        same persisted indexes across restarts.
+        Documents a store parsed from text carry the hash of the
+        canonical text that parse emitted; trees built in memory
+        (generators, tests) are hashed over their canonical
+        serialisation on first need — deterministic, so a regenerated
+        document (same config, same seed) addresses the same persisted
+        indexes across restarts.
         """
         digest = self._content_hash
         if digest is None:
             with self._hash_lock:
                 digest = self._content_hash
                 if digest is None:
-                    from ..xtree.serialize import serialize
-
                     digest = content_digest(serialize(self.tree))
                     self._content_hash = digest
         return digest
@@ -129,14 +129,16 @@ class IndexedDocument:
     def index_for(self, compressed: bool) -> Index:
         """The OptHyPE(-C) index, built (or tier-loaded) exactly once.
 
-        The per-variant lock makes N threads racing a cold document
-        converge on one build; ``stats.index_builds`` counts real
-        constructions, ``stats.index_loads`` counts tier rehydrations.
+        The build lock makes N threads racing a cold document converge
+        on one build per variant and one tree sweep per document (the
+        second variant converts the first); ``stats.index_builds``
+        counts real constructions of either kind, ``stats.index_loads``
+        counts tier rehydrations.
         """
         index = self._indexes.get(compressed)
         if index is not None:
             return index
-        with self._index_locks[compressed]:
+        with self._index_lock:
             index = self._indexes.get(compressed)
             if index is not None:
                 return index
@@ -151,7 +153,11 @@ class IndexedDocument:
                     compressed=compressed,
                     size=self.tree.size,
                 ):
-                    index = build_index(self.tree, compressed=compressed)
+                    built = self._indexes.get(not compressed)
+                    if built is not None:
+                        index = other_variant(built)
+                    else:
+                        index = build_index(self.tree, compressed=compressed)
                 self.stats.count("index_builds")
                 if self.tier is not None:
                     self.tier.save(self.content_hash, compressed, index)

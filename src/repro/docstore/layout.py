@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 import weakref
 
-from ..xtree.node import Node, XMLTree
+from ..xtree.node import Node, TEXT_LABEL, XMLTree
 
 #: ``node_label`` entry for text (PCDATA) nodes.
 TEXT_ID = -1
@@ -90,18 +90,19 @@ class DocumentLayout:
         label_ids = self.label_ids
         labels = self.labels
         node_label = self.node_label
-        for node in self.nodes:
-            if node.is_element:
-                lid = label_ids.get(node.label)
+        for node_id, node in enumerate(self.nodes):
+            label = node.label
+            if label != TEXT_LABEL:
+                lid = label_ids.get(label)
                 if lid is None:
-                    lid = label_ids[node.label] = len(labels)
-                    labels.append(node.label)
-                node_label[node.node_id] = lid
+                    lid = label_ids[label] = len(labels)
+                    labels.append(label)
+                node_label[node_id] = lid
         kid_ids = self.kid_ids
         kid_labels = self.kid_labels
         kid_start = self.kid_start
-        for node in self.nodes:
-            kid_start[node.node_id] = len(kid_ids)
+        for node_id, node in enumerate(self.nodes):
+            kid_start[node_id] = len(kid_ids)
             for child in node.children:
                 cid = child.node_id
                 lid = node_label[cid]

@@ -8,7 +8,11 @@ content-addressed asset instead:
 * ``get(content)`` hashes the XML text (sha256) and parses **at most
   once per content hash** — concurrent cold requests for one document
   wait on a per-key gate and receive the same shared
-  :class:`repro.docstore.document.IndexedDocument`;
+  :class:`repro.docstore.document.IndexedDocument`; that one parse
+  (:func:`repro.xtree.parse.parse_canonical`) also freezes the tree and
+  emits the canonical text the document is addressed by, so ingest
+  walks a new document's text once and its nodes never again before the
+  layout;
 * every holder of that document shares one columnar layout and one
   OptHyPE index per variant (built exactly once, see
   :meth:`IndexedDocument.index_for`);
@@ -58,6 +62,8 @@ from ..hype.index import (
     SubtreeLabelIndex,
 )
 from ..xtree.node import XMLTree
+from ..xtree.parse import parse_canonical
+from ..xtree.serialize import serialize
 from .document import IndexedDocument, content_digest
 from .layout import DocumentLayout
 
@@ -582,11 +588,8 @@ class DocumentStore:
             with gate:
                 pass
         try:
-            from ..xtree.parse import parse_xml
-            from ..xtree.serialize import serialize
-
-            tree = parse_xml(content)
-            canonical = content_digest(serialize(tree))
+            tree, canonical_text = parse_canonical(content)
+            canonical = content_digest(canonical_text)
             with self._lock:
                 self._alias(raw_digest, canonical)
                 doc = self._docs.get(canonical)
@@ -607,18 +610,22 @@ class DocumentStore:
                 self._resolving.pop(raw_digest, None)
             gate.release()
 
-    def adopt(self, tree: XMLTree) -> IndexedDocument:
+    def adopt(self, document: XMLTree | IndexedDocument) -> IndexedDocument:
         """Register an already-parsed tree under its content address.
 
         The address is the hash of the tree's canonical serialisation —
         the same scheme :meth:`get` resolves to — so an adopted
         generator-built document and the same document parsed from any
-        textual variant share one entry (and one index).
+        textual variant share one entry (and one index).  An
+        :class:`IndexedDocument` is adopted by the address it already
+        carries: its tree is not serialised again.
         """
-        from ..xtree.serialize import serialize
-
+        if isinstance(document, IndexedDocument):
+            tree, address = document.tree, document.content_hash
+        else:
+            tree, address = document, content_digest(serialize(document))
         return self._get(
-            content_digest(serialize(tree)),
+            address,
             lambda digest: IndexedDocument(
                 tree, digest, stats=self.stats, tier=self.tier
             ),

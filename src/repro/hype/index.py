@@ -55,28 +55,42 @@ class LabelBits:
         return total
 
 
-def _compute_masks(tree: XMLTree, bits: LabelBits) -> list[int]:
-    masks = [0] * len(tree.nodes)
-    # Document order puts children after parents, so a reverse sweep sees
-    # every child before its parent.
-    for node in reversed(tree.nodes):
-        parent = node.parent
-        if parent is None:
-            continue
-        if node.is_element:
-            contribution = masks[node.node_id] | bits.bit(node.label)
-        else:
-            contribution = bits.bit(TEXT_BIT_LABEL)
-        masks[parent.node_id] |= contribution
-    return masks
+def subtree_masks(tree: XMLTree) -> tuple[LabelBits, list[int]]:
+    """Per node, the mask of labels occurring strictly below it.
+
+    The one sweep both index variants derive from.  Document order puts
+    children after parents, so a reverse sweep sees every child before
+    its parent (``nodes[0]`` is the root, the only node without one).  A
+    text node carries the label ``#text`` — :data:`TEXT_BIT_LABEL` — and
+    an empty mask, so one expression serves both kinds of node.
+    """
+    bits = LabelBits()
+    bit_of = bits.bit_of
+    nodes = tree.nodes
+    masks = [0] * len(nodes)
+    for node_id in range(len(nodes) - 1, 0, -1):
+        node = nodes[node_id]
+        label = node.label
+        bit = bit_of.get(label)
+        if bit is None:
+            bit = bit_of[label] = 1 << len(bit_of)
+        masks[node.parent.node_id] |= masks[node_id] | bit
+    return bits, masks
+
+
+def _intern_masks(masks: list[int]) -> tuple[list[int], list[int]]:
+    """``(mask_table, ids)``: the distinct masks in first-appearance
+    order and, per node, its mask's position in that table."""
+    table: dict[int, int] = {}
+    ids = [table.setdefault(mask, len(table)) for mask in masks]
+    return list(table), ids
 
 
 class SubtreeLabelIndex:
     """Uncompressed per-node bitmask index (OptHyPE)."""
 
     def __init__(self, tree: XMLTree) -> None:
-        self.bits = LabelBits()
-        self.masks = _compute_masks(tree, self.bits)
+        self.bits, self.masks = subtree_masks(tree)
 
     @classmethod
     def from_parts(
@@ -118,18 +132,8 @@ class CompressedLabelIndex:
     """Interned-mask index (OptHyPE-C): table of unique masks + small ids."""
 
     def __init__(self, tree: XMLTree) -> None:
-        self.bits = LabelBits()
-        raw = _compute_masks(tree, self.bits)
-        table: dict[int, int] = {}
-        self.mask_table: list[int] = []
-        self.ids: list[int] = [0] * len(raw)
-        for node_id, mask in enumerate(raw):
-            idx = table.get(mask)
-            if idx is None:
-                idx = len(self.mask_table)
-                table[mask] = idx
-                self.mask_table.append(mask)
-            self.ids[node_id] = idx
+        self.bits, masks = subtree_masks(tree)
+        self.mask_table, self.ids = _intern_masks(masks)
 
     @classmethod
     def from_parts(
@@ -179,3 +183,19 @@ def build_index(tree: XMLTree, compressed: bool = False) -> Index:
     if compressed:
         return CompressedLabelIndex(tree)
     return SubtreeLabelIndex(tree)
+
+
+def other_variant(index: Index) -> Index:
+    """The other index variant of the same document, without a sweep.
+
+    Both variants hold one mask column — per node, or interned — so
+    either converts into exactly the index :func:`build_index` would
+    have built (the read-only ``bits`` are shared).
+    """
+    if isinstance(index, CompressedLabelIndex):
+        table = index.mask_table
+        masks = [table[mask_id] for mask_id in index.ids]
+        return SubtreeLabelIndex.from_parts(index.bits, masks)
+    return CompressedLabelIndex.from_parts(
+        index.bits, *_intern_masks(index.masks)
+    )

@@ -263,12 +263,10 @@ class QueryService:
         the store resolves one copy and one index build.  Re-adding a
         content-identical document is a no-op returning the same hash.
         """
-        if isinstance(document, IndexedDocument):
-            doc = document
-            if self._document_store is not None:
-                doc = self._document_store.adopt(document.tree)
-        elif self._document_store is not None:
+        if self._document_store is not None:
             doc = self._document_store.adopt(document)
+        elif isinstance(document, IndexedDocument):
+            doc = document
         else:
             doc = IndexedDocument(document)
         content_hash = doc.content_hash

@@ -6,10 +6,13 @@ a single :class:`Node` class: text nodes use the pseudo-label ``#text`` and
 carry a string ``value``; element nodes have a real label and ``value`` is
 ``None``.
 
-Trees are built once (via :mod:`repro.xtree.build` or the XML parser) and
-then *frozen*: :func:`index_tree` assigns ids, parents, depth and document
-order, after which algorithms treat the tree as immutable.  This mirrors the
-read-only document trees SMOQE evaluates over.
+Trees are built once and then *frozen* — every node carries its id,
+parent and depth in document order — after which algorithms treat the
+tree as immutable.  This mirrors the read-only document trees SMOQE
+evaluates over.  The XML parser freezes each node as it creates it (text
+arrives in document order); trees assembled in memory
+(:mod:`repro.xtree.build`, the generators) are frozen by
+:func:`index_tree`, which also re-freezes a tree after structural edits.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ class Node:
         label: Element tag, or :data:`TEXT_LABEL` for text nodes.
         value: Text content for text nodes, ``None`` for elements.
         children: Ordered list of child nodes.
-        parent: Parent node, ``None`` for the root (set by :func:`index_tree`).
-        node_id: Document-order integer id (set by :func:`index_tree`).
-        depth: Root depth 0 (set by :func:`index_tree`).
+        parent: Parent node, ``None`` for the root (set by the freeze).
+        node_id: Document-order integer id (set by the freeze).
+        depth: Root depth 0 (set by the freeze).
     """
 
     __slots__ = (
@@ -172,6 +175,21 @@ class XMLTree:
         #: stand down when the tree has been re-frozen since.
         self.freeze_count = 0
         index_tree(root, self)
+
+    @classmethod
+    def from_frozen(cls, nodes: list[Node], labels: set[str]) -> "XMLTree":
+        """Wrap nodes that were frozen as they were built (the parser).
+
+        ``nodes`` is the document-order list (``nodes[i].node_id == i``,
+        parents and depths assigned) and ``labels`` its element labels:
+        the state one :func:`index_tree` freeze would leave.
+        """
+        tree = cls.__new__(cls)
+        tree.root = nodes[0]
+        tree.nodes = nodes
+        tree.labels = labels
+        tree.freeze_count = 1
+        return tree
 
     # ------------------------------------------------------------------
     @property

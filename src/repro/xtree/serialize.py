@@ -6,10 +6,11 @@ Round-trips with :mod:`repro.xtree.parse` (modulo insignificant whitespace):
 
 from __future__ import annotations
 
-from .node import Node, XMLTree
+from .node import Node, TEXT_LABEL, XMLTree
 
 
-def _escape(text: str) -> str:
+def escape_text(text: str) -> str:
+    """``text`` as PCDATA: ``&``, ``<`` and ``>`` become entities."""
     return (
         text.replace("&", "&amp;")
         .replace("<", "&lt;")
@@ -20,31 +21,35 @@ def _escape(text: str) -> str:
 def serialize(tree: XMLTree | Node, indent: int | None = None) -> str:
     """Serialise a tree (or subtree root) to an XML string.
 
+    Iterative, so a document may be arbitrarily deep.
+
     Args:
         tree: An :class:`XMLTree` or a bare :class:`Node` subtree root.
         indent: If given, pretty-print with this many spaces per level.
     """
     root = tree.root if isinstance(tree, XMLTree) else tree
     parts: list[str] = []
-    _write(root, parts, indent, 0)
+    # ``(node, level)`` is a subtree still to write; ``(None, line)`` is
+    # the closing tag of an element whose children are being written.
+    stack: list[tuple[Node | None, int | str]] = [(root, 0)]
+    while stack:
+        node, level = stack.pop()
+        if node is None:
+            parts.append(level)
+            continue
+        pad = " " * (indent * level) if indent is not None else ""
+        label = node.label
+        children = node.children
+        if label == TEXT_LABEL:
+            parts.append(pad + escape_text(node.value or ""))
+        elif not children:
+            parts.append(f"{pad}<{label}/>")
+        elif all(c.label == TEXT_LABEL for c in children):
+            content = escape_text("".join(c.value or "" for c in children))
+            parts.append(f"{pad}<{label}>{content}</{label}>")
+        else:
+            parts.append(f"{pad}<{label}>")
+            stack.append((None, f"{pad}</{label}>"))
+            stack.extend((c, level + 1) for c in reversed(children))
     joiner = "\n" if indent is not None else ""
     return joiner.join(parts)
-
-
-def _write(node: Node, parts: list[str], indent: int | None, level: int) -> None:
-    pad = " " * (indent * level) if indent is not None else ""
-    if node.is_text:
-        parts.append(pad + _escape(node.value or ""))
-        return
-    if not node.children:
-        parts.append(f"{pad}<{node.label}/>")
-        return
-    only_text = all(c.is_text for c in node.children)
-    if only_text:
-        content = _escape("".join(c.value or "" for c in node.children))
-        parts.append(f"{pad}<{node.label}>{content}</{node.label}>")
-        return
-    parts.append(f"{pad}<{node.label}>")
-    for child in node.children:
-        _write(child, parts, indent, level + 1)
-    parts.append(f"{pad}</{node.label}>")

@@ -12,6 +12,7 @@ The acceptance properties of the document tier:
 """
 
 import gzip
+import hashlib
 import json
 import threading
 
@@ -24,7 +25,10 @@ from repro.docstore import (
     TEXT_ID,
     content_digest,
 )
+from repro.errors import XMLParseError
+from repro.hype.api import ALGORITHMS
 from repro.hype.index import build_index
+from repro.serve.service import QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.xtree.parse import parse_xml
 from repro.xtree.serialize import serialize
@@ -131,6 +135,31 @@ class TestDocumentStore:
         assert len(store) == 1
         assert store.stats.evictions == 1
 
+    def test_failed_get_releases_the_gate_and_adds_no_alias(self):
+        store = DocumentStore()
+        good = store.get("<a><b/></a>")
+        for _ in range(2):  # a held gate would hang the second attempt
+            with pytest.raises(XMLParseError, match="mismatched"):
+                store.get("<a><b></a>")
+        assert store._resolving == {}
+        assert store._aliases == {content_digest("<a><b/></a>"): good.content_hash}
+        assert len(store) == 1 and store.get("<a><b/></a>") is good
+
+    def test_deep_document_ingests(self):
+        """Regression: the recursive serialiser died on the way to the
+        content address (RecursionError) although nothing else recursed."""
+        depth = 5000
+        xml = "<a>" * depth + "x" + "</a>" * depth
+        parsed = DocumentStore().get(xml)
+        adopted = DocumentStore().adopt(parse_xml(xml))
+        assert parsed.content_hash == adopted.content_hash == content_digest(xml)
+        assert parsed.index_for(False).mask(depth - 1) == parsed.index_for(True).mask(depth - 1)
+        with QueryService(parsed) as service:
+            service.register_tenant("admin", None)
+            for algorithm in ALGORITHMS:
+                answer = service.submit("admin", "//a[text() = 'x']", algorithm)
+                assert answer.ids() == [depth - 1]
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             DocumentStore(capacity=0)
@@ -151,6 +180,74 @@ class TestDocumentStore:
             thread.join()
         assert len({id(doc) for doc in docs}) == 1
         assert store.stats.misses == 1
+
+
+class TestIngestWalks:
+    """How often a new document is walked on its way to being served —
+    counted, so the one-pass ingest holds without a timing floor."""
+
+    @pytest.fixture()
+    def walks(self, monkeypatch):
+        import repro.docstore.document as document_module
+        import repro.docstore.store as store_module
+        import repro.hype.index as index_module
+        import repro.xtree.node as node_module
+
+        counts = {"serialize": 0, "index_tree": 0, "sweep": 0, "parse": 0}
+
+        def spy(kind, module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[kind] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy("serialize", store_module, "serialize")
+        spy("serialize", document_module, "serialize")
+        spy("index_tree", node_module, "index_tree")
+        spy("sweep", index_module, "subtree_masks")
+        spy("parse", store_module, "parse_canonical")
+        return counts
+
+    def test_text_to_served_is_one_parse_and_one_sweep(self, hospital_xml, walks):
+        store = DocumentStore()
+        scratch = store.get("<scratch/>")
+        with QueryService(scratch, document_store=store) as service:
+            before = dict(walks)
+            doc = store.get(hospital_xml)
+            content_hash = service.add_document(doc)
+            service.register_tenant("admin", None, documents=(content_hash,))
+            for algorithm in ALGORITHMS:
+                service.submit("admin", "//patient/pname", algorithm, document=content_hash)
+            spent = {kind: walks[kind] - before[kind] for kind in walks}
+            assert spent == {"serialize": 0, "index_tree": 0, "sweep": 1, "parse": 1}
+            assert store.stats.index_builds == 2
+            assert store.get(hospital_xml) is doc
+            assert walks["parse"] == before["parse"] + 1
+
+    def test_unaddressed_document_is_serialised_once(self, hospital_tree, walks):
+        store = DocumentStore()
+        doc = IndexedDocument(hospital_tree)
+        assert store.adopt(doc) is store.adopt(doc)
+        assert walks["serialize"] == 1
+
+    def test_both_variants_expose_the_same_masks(self, hospital_xml, walks):
+        for first in (False, True):
+            doc = DocumentStore().get(hospital_xml)
+            derived_from, derived = doc.index_for(first), doc.index_for(not first)
+            assert derived.bits is derived_from.bits
+            for compressed, index in ((first, derived_from), (not first, derived)):
+                built = build_index(doc.tree, compressed=compressed)
+                assert index.bits.bit_of == built.bits.bit_of
+                assert list(index.mask_keys) == list(built.mask_keys)
+                assert index.memory_entries() == built.memory_entries()
+                assert [index.mask(i) for i in range(doc.size)] == [
+                    built.mask(i) for i in range(doc.size)
+                ]
+            assert derived.distinct_masks() == derived_from.distinct_masks()
+        assert walks["sweep"] == 2 + 4  # one per document + the four references
 
 
 class TestIndexSharing:
@@ -377,6 +474,47 @@ class TestPersistentTier:
         warm = DocumentStore(index_dir=tmp_path / "docs")
         warm.get(hospital_xml)
         assert warm.stats.corrupt == 1 and warm.stats.layout_stores == 1
+
+
+class TestPersistedBytes:
+    """Golden: what a ``--doc-dir`` holds for one fixed document.
+
+    The constants were computed at the commit before the one-pass
+    ingest; a change that moves any of them orphans every deployed tier
+    (and needs a ``DOC_FORMAT_VERSION`` bump).  Index files are hashed
+    over their gunzipped JSON record — the gzip container's header
+    bytes vary across zlib / Python versions, the record does not.
+    """
+
+    XML = (
+        '<?xml version="1.0"?>\n<hospital>\n'
+        '  <patient id="1"><name>Ann &amp; Bo</name>'
+        "<visit><date>2006</date><treatment/></visit></patient>\n"
+        "  <!-- c -->\n"
+        "  <patient><name>Cy &lt;3</name><visit></visit></patient>\n"
+        "</hospital>\n"
+    )
+    ADDRESS = "824514870acf0a7a01141e5fc7113146ecba1b0cc928bac48538f9fad2ab17a6"
+    FILES = {
+        ".u.v2.docidx.json.gz": "92b40fa5ace613ec9c949678c9352ba6c05a67bcb9cfcdebb353b30a2d28058e",
+        ".c.v2.docidx.json.gz": "45d55907adb5fcf0197ee02d32415ddbba139cf21c14ef260175f8f2a7c2fac4",
+        ".v2.doclay.bin": "3c88e6430cf05b226300367e1bf8131eca91c8db374d1271dd47d5282ee714d6",
+    }
+
+    @pytest.mark.parametrize("order", [(False, True), (True, False)])
+    def test_address_and_tier_files_are_pinned(self, tmp_path, order):
+        assert DOC_FORMAT_VERSION == 2
+        doc = DocumentStore(index_dir=tmp_path).get(self.XML)
+        for compressed in order:
+            doc.index_for(compressed)
+        assert doc.content_hash == self.ADDRESS
+        found = {}
+        for path in tmp_path.iterdir():
+            raw = path.read_bytes()
+            if path.name.endswith(".gz"):
+                raw = gzip.decompress(raw)
+            found[path.name.removeprefix(self.ADDRESS)] = hashlib.sha256(raw).hexdigest()
+        assert found == self.FILES
 
 
 class TestTierGC:

@@ -1,9 +1,13 @@
 """XML parser and serialiser tests (including round trips)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.docstore import DocumentStore, content_digest
 from repro.errors import XMLParseError
-from repro.xtree import document, element, parse_xml, serialize
+from repro.xtree import XMLTree, document, element, parse_xml, serialize, text_node
+from repro.xtree.parse import parse_canonical
 
 
 class TestParse:
@@ -97,3 +101,172 @@ class TestSerialize:
     def test_serialize_subtree(self):
         tree = parse_xml("<a><b>x</b></a>")
         assert serialize(tree.root.element_children()[0]) == "<b>x</b>"
+
+    def test_deep_tree_does_not_recurse(self):
+        depth = 5000
+        tree = parse_xml("<a>" * depth + "x" + "</a>" * depth)
+        flat = serialize(tree)
+        assert flat == "<a>" * depth + "x" + "</a>" * depth
+        pretty = serialize(tree, indent=1).split("\n")
+        assert len(pretty) == 2 * depth - 1
+        assert pretty[depth - 1] == " " * (depth - 1) + "<a>x</a>"
+        assert pretty[-1] == "</a>"
+
+    def test_pretty_print_shapes(self):
+        tree = document(
+            element("a", element("b", "x", "y"), element("c"), "t", element("d", element("e")))
+        )
+        assert serialize(tree, indent=2) == (
+            "<a>\n  <b>xy</b>\n  <c/>\n  t\n  <d>\n    <e/>\n  </d>\n</a>"
+        )
+        assert serialize(tree) == "<a><b>xy</b><c/>t<d><e/></d></a>"
+
+
+# ----------------------------------------------------------------------
+# The fused pass is the old pipeline: parse + index_tree + serialize
+# ----------------------------------------------------------------------
+TEXT_VALUES = ("x", "a & b", "1 < 2 > 0", "say \"hi\"", "it's", "R&D;", "p  q")
+
+#: Spellings the parser must read as the same character.
+SPELLINGS = {
+    "&": ("&amp;",),
+    "<": ("&lt;",),
+    ">": ("&gt;", ">"),
+    '"': ("&quot;", '"'),
+    "'": ("&apos;", "'"),
+}
+NOISE = ("", " ", "\n  ", "<!-- note -->", "<?pi data?>", "\n<!-- a -->\n")
+ATTRIBUTES = ("", ' id="1"', " k='v' z=\"&amp;\"", "\n   lang='en'")
+
+
+@st.composite
+def source_trees(draw, max_depth: int = 4):
+    """Element trees whose text children are never adjacent (adjacent
+    text has no textual form: it reads back as one node)."""
+
+    def build(depth: int):
+        node = element(draw(st.sampled_from(("a", "b", "c-d", "e.f", "_g"))))
+        for _ in range(draw(st.integers(0, 3))):
+            text_ok = not (node.children and node.children[-1].is_text)
+            if depth < max_depth and not (text_ok and draw(st.booleans())):
+                node.append(build(depth + 1))
+            elif text_ok:
+                node.append(text_node(draw(st.sampled_from(TEXT_VALUES))))
+        return node
+
+    return XMLTree(build(0))
+
+
+def render(draw, node) -> str:
+    """One of the many texts that parse to ``node``'s subtree."""
+    noise = st.sampled_from(NOISE)
+    if node.is_text:
+        spelled = "".join(
+            draw(st.sampled_from(SPELLINGS[ch])) if ch in SPELLINGS else ch
+            for ch in node.value
+        )
+        return draw(st.sampled_from(("", " ", "\n"))) + spelled + draw(
+            st.sampled_from(("", " ", "\t\n"))
+        )
+    label = node.label
+    attributes = draw(st.sampled_from(ATTRIBUTES))
+    if not node.children:
+        return draw(
+            st.sampled_from(
+                (
+                    f"<{label}{attributes}/>",
+                    f"<{label}{attributes} />",
+                    f"<{label}{attributes}></{label}>",
+                    f"<{label}{attributes}> \n </{label} >",
+                    f"<{label}{attributes}><!-- empty --></{label}>",
+                )
+            )
+        )
+    body = draw(noise)
+    for child in node.children:
+        # Markup between two pieces of text would split it in two.
+        body += render(draw, child) + ("" if child.is_text else draw(noise))
+    return f"<{label}{attributes}>{body}</{label}>"
+
+
+@st.composite
+def documents_as_text(draw):
+    """A tree and two independently noisy renderings of it."""
+    tree = draw(source_trees())
+    texts = []
+    for _ in range(2):
+        prolog = draw(st.sampled_from(("", '<?xml version="1.0"?>\n', "<!-- head -->")))
+        epilog = draw(st.sampled_from(("", "\n", "\n<!-- tail -->\n")))
+        texts.append(prolog + render(draw, tree.root) + epilog)
+    return tree, texts
+
+
+def frozen_columns(tree):
+    return [
+        (id(n), n.node_id, id(n.parent) if n.parent else None, n.depth, n.label, n.value)
+        for n in tree.nodes
+    ]
+
+
+class TestFusedPass:
+    @given(documents_as_text())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_parse_freezes_and_serialises_like_the_separate_walks(self, case):
+        source, texts = case
+        expected = serialize(source)
+        for text in texts:
+            tree, canonical = parse_canonical(text)
+            assert canonical == expected == serialize(tree)
+            assert parse_canonical(canonical)[1] == canonical
+            assert tree.freeze_count == 1
+            assert tree.root is tree.nodes[0]
+            columns, labels = frozen_columns(tree), set(tree.labels)
+            refrozen = XMLTree(tree.root)
+            assert frozen_columns(refrozen) == columns
+            assert refrozen.labels == labels
+            assert [(n.label, n.value, n.depth) for n in source.nodes] == [
+                (n.label, n.value, n.depth) for n in tree.nodes
+            ]
+
+    @given(documents_as_text())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_every_textual_variant_is_one_store_entry(self, case):
+        source, texts = case
+        store = DocumentStore()
+        docs = [store.get(text) for text in texts]
+        docs.append(store.get(serialize(source, indent=2)))
+        docs.append(store.adopt(source))
+        assert len(store) == 1
+        assert all(doc is docs[0] for doc in docs)
+        assert docs[0].content_hash == content_digest(serialize(source))
+
+    def test_elements_of_one_label_share_one_string(self):
+        tree = parse_xml('<a><b/><b x="1">t</b><a><b ></b></a></a>')
+        by_label = {}
+        for node in tree.nodes:
+            if node.is_element:
+                assert by_label.setdefault(node.label, node.label) is node.label
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("<a/></b>", "unmatched closing tag </b>"),
+            ("</ b >", "unmatched closing tag </b>"),
+            ("<a><b></a></b>", "mismatched tags: <b> closed by </a>"),
+            ("<a><b x='1'>t</c></a>", "mismatched tags: <b> closed by </c>"),
+            ("<a><1b/></a>", "malformed tag '<1b/>'"),
+            ("<a><></a>", "malformed tag '<>'"),
+            ("<a/><b/>", "multiple root elements"),
+            ("<a></a><a>", "multiple root elements"),
+            ("boom <a/>", "text content outside the root element"),
+            ("<a/> &amp; ", "text content outside the root element"),
+            ("<a><b>", "unclosed element <b>"),
+            ("<a><b/>", "unclosed element <a>"),
+            ("   ", "no root element found"),
+            ("<?xml version='1.0'?><!-- only -->", "no root element found"),
+        ],
+    )
+    def test_error_messages_are_unchanged(self, text, message):
+        with pytest.raises(XMLParseError) as excinfo:
+            parse_xml(text)
+        assert str(excinfo.value) == message
