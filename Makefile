@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke bench-e2e bench-e2e-trace front-smoke obs-smoke concurrency-smoke cache-smoke compose-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke bench-e2e bench-e2e-trace front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke compose-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -48,6 +48,8 @@ bench-e2e:
 	    python3 benchmarks/e2e/run.py --workload $$w || exit 1; done
 
 # Per-layer (traced) run of one workload: make bench-e2e-trace WORKLOAD=descent_hot
+# (WORKLOAD=plan_churn re-reads the miss path's budget: compile.*,
+# runtime.gc_us, budget.gc_share / budget.compile_share).
 WORKLOAD ?= descent_hot
 bench-e2e-trace:
 	python3 benchmarks/e2e/run.py --workload $(WORKLOAD) --trace 1
@@ -79,6 +81,15 @@ concurrency-smoke:
 # cold pipeline on compile time, and answer identically. CI runs this.
 cache-smoke:
 	$(PY) -m pytest benchmarks/test_warm_restart.py -q
+
+# Plan-churn hygiene smoke (outside pytest): never-seen queries through
+# a continuously evicting plan cache.  Prints cyclic-garbage count,
+# collections per generation, _compute_child_sets calls per compile and
+# tracked objects per cached plan; fails on any cyclic garbage (an
+# evicted plan must die by reference count).  Re-read the traced budget
+# itself with `make bench-e2e-trace WORKLOAD=plan_churn`. CI runs this.
+churn-smoke:
+	$(PY) benchmarks/churn_hygiene.py
 
 # Composed-tier smoke: a brand-new service over a populated --plan-dir
 # must serve a same-view wave by REHYDRATING the persisted composed

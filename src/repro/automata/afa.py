@@ -88,7 +88,9 @@ class AFAState:
         pred: Predicate = None,
     ) -> None:
         self.kind = kind
-        self.eps = eps if eps is not None else []
+        # Operator states are always handed their ε-list (`wire` extends
+        # it); transition and final states share one empty tuple.
+        self.eps = eps if eps is not None else ()
         self.label = label
         self.target = target
         self.pred = pred

@@ -9,7 +9,10 @@ normalised query text, and the format version.  Since format v3 an
 artifact may also carry the plan's eagerly-closed **dense kernel
 payload** (:func:`repro.hype.kernel.kernel_payload`): the interned-cfg
 transition closure that lets a cold worker start with its hot-loop
-tables filled instead of re-deriving them on the first requests.
+tables filled instead of re-deriving them on the first requests.  The
+payload is an *encoding*: the process that compiled the plan keeps the
+closed tables themselves (:attr:`PlanArtifact.closure`) and encodes them
+only when the artifact is serialised.
 Document-dependent state (index mask filters, per-layout rows) is still
 deliberately NOT part of an artifact: it rebuilds lazily on first run,
 which keeps artifacts small and document-portable.
@@ -82,9 +85,25 @@ class PlanArtifact:
     description: str = ""
     format_version: int = FORMAT_VERSION
     stages: dict[str, float] = field(default_factory=dict)
-    #: Dense kernel closure (:func:`repro.hype.kernel.kernel_payload`),
-    #: or ``None`` when the producer skipped the dense stage.
-    kernel: dict | None = None
+    #: The dense closure (``None``: the producer skipped the dense
+    #: stage): a decoded v3 ``kernel`` payload when the artifact came
+    #: from a store or a peer, or — fresh from the pipeline — the
+    #: index-free :class:`repro.hype.core.CompiledPlan` whose table the
+    #: dense stage closed in place (the plan cache serves it as HyPE).
+    closure: object | None = None
+
+    @property
+    def kernel(self) -> dict | None:
+        """The v3 ``kernel`` payload.  A fresh compilation holds closed
+        tables, not a payload: it is encoded here, on demand — i.e. when
+        the artifact is serialised (:meth:`to_payload`, so
+        ``PlanStore.save`` and a fleet ship) — to the same bytes."""
+        closure = self.closure
+        if closure is None or isinstance(closure, dict):
+            return closure
+        from ..hype.kernel import kernel_payload
+
+        return kernel_payload(closure)
 
     def cache_key(self) -> PlanKey:
         """The collision-safe key this artifact is stored under."""
@@ -100,8 +119,9 @@ class PlanArtifact:
             "description": self.description,
             "mfa": mfa_to_dict(self.mfa),
         }
-        if self.kernel is not None:
-            payload["kernel"] = self.kernel
+        kernel = self.kernel
+        if kernel is not None:
+            payload["kernel"] = kernel
         return payload
 
     def to_bytes(self) -> bytes:
@@ -158,7 +178,7 @@ class PlanArtifact:
             view_fingerprint=fingerprint,
             description=str(data.get("description", "")),
             format_version=FORMAT_VERSION,
-            kernel=_validate_kernel(data.get("kernel")),
+            closure=_validate_kernel(data.get("kernel")),
         )
 
     @classmethod

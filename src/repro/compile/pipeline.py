@@ -19,9 +19,10 @@ Stages (every compilation runs a subset, each individually timed):
 ``trim``    drop NFA states unreachable from the start (view path)
 ``translate`` direct query → MFA (Thompson construction; the non-view
             sibling of ``rewrite``)
-``dense``   eagerly close the MFA's dense transition table
-            (:func:`repro.hype.kernel.kernel_payload`) so the artifact
-            ships hot-loop-ready — cold workers skip the lazy fills
+``dense``   eagerly close the MFA's dense transition table, in place
+            in the plan that will serve it (:func:`repro.hype.kernel.close`)
+            — the artifact ships hot-loop-ready, cold workers skip the
+            lazy fills
 ========== ==========================================================
 
 The stage counters double as the restart acceptance check: a service
@@ -224,14 +225,14 @@ class QueryCompiler:
             self.budget.check_mfa(
                 mfa.size(), TRANSLATE if spec is None else REWRITE
             )
-        kernel = self._timed(DENSE, _dense_closure, mfa, _stages=stages)
+        closed = self._timed(DENSE, _dense_closure, mfa, _stages=stages)
         return PlanArtifact(
             mfa=mfa,
             normalized_query=normalized.text,
             view_fingerprint=fingerprint,
             description=mfa.description or normalized.text,
             stages=stages,
-            kernel=kernel,
+            closure=closed,
         )
 
     # ------------------------------------------------------------------
@@ -249,13 +250,17 @@ class QueryCompiler:
         return result
 
 
-def _dense_closure(mfa) -> dict:
-    """The dense stage: close an index-free plan's transition table.
+def _dense_closure(mfa):
+    """The dense stage: build THE index-free plan of ``mfa`` — it
+    travels in the artifact and serves HyPE on every document — and
+    close its transition table in place.
 
     Imported lazily — the hype evaluator package sits above the compile
     pipeline in the layer diagram, and only this one stage reaches up.
     """
     from ..hype.core import CompiledPlan
-    from ..hype.kernel import kernel_payload
+    from ..hype.kernel import close
 
-    return kernel_payload(CompiledPlan(mfa))
+    plan = CompiledPlan(mfa)
+    close(plan)
+    return plan

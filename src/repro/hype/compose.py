@@ -219,7 +219,9 @@ class ComposedKernel:
     # ------------------------------------------------------------------
     def root_ccfg(self, context) -> int:
         """The composed cfg the wave enters ``context`` with."""
-        cfgs = tuple(kern.root_cfg(context) for kern in self.kerns)
+        cfgs = tuple(
+            plan.kernel.root_cfg(plan, context) for plan in self.plans
+        )
         if not any(cfgs):
             return 0
         return self.ccfg_of(cfgs)
@@ -258,12 +260,13 @@ class ComposedKernel:
     def _compute_trans(self, ccfg: int, label: str) -> int:
         cfgs = self.ccfg_tuples[ccfg]
         kerns = self.kerns
+        plans = self.plans
         if self.indexed:
             lanes = []
             for i, cfg in enumerate(cfgs):
                 if cfg == DEAD:
                     continue
-                word = kerns[i].lookup_trans(cfg, label)
+                word = kerns[i].lookup_trans(plans[i], cfg, label)
                 if word != DEAD:
                     lanes.append((i, word >> 1))
             if not lanes:
@@ -274,7 +277,7 @@ class ComposedKernel:
         for i, cfg in enumerate(cfgs):
             if cfg == DEAD:
                 continue
-            packed = kerns[i].lookup_trans(cfg, label)
+            packed = kerns[i].lookup_trans(plans[i], cfg, label)
             if packed != DEAD:
                 child[i] = packed >> CFG_SHIFT
                 any_live = True
@@ -291,7 +294,9 @@ class ComposedKernel:
             kern = kerns[i]
             packed = kern.edge_filters[eid].get(mask_key, UNFILLED)
             if packed == UNFILLED:
-                packed = kern.fill_filter(eid, mask_key, node_id)
+                packed = kern.fill_filter(
+                    self.plans[i], eid, mask_key, node_id
+                )
             if packed != DEAD:
                 child[i] = packed >> CFG_SHIFT
                 any_live = True
@@ -307,6 +312,7 @@ class ComposedKernel:
         popping member from its own kernel and store the outcome."""
         cfgs = self.ccfg_tuples[ccfg]
         kerns = self.kerns
+        plans = self.plans
         poppers = [
             i for i, packed, _m in self.ccfg_live[ccfg] if packed & POP_BIT
         ]
@@ -315,7 +321,7 @@ class ComposedKernel:
             holds = [
                 holds
                 for i in poppers
-                for _bit, holds in kerns[i].pop_entry(cfgs[i])[0]
+                for _bit, holds in kerns[i].pop_entry(plans[i], cfgs[i])[0]
             ]
             entry = self.cpops[ccfg] = (
                 tuple((1 << n, h) for n, h in enumerate(holds)),
@@ -330,9 +336,13 @@ class ComposedKernel:
         for i in poppers:
             mine = truths and {w for lane, w in truths if lane == i}
             if mine:
-                dead, report, resolved = kerns[i].pop_frame(cfgs[i], node, mine)
+                dead, report, resolved = kerns[i].pop_frame(
+                    plans[i], cfgs[i], node, mine
+                )
             else:
-                dead, report, resolved = kerns[i].pop_quiet(cfgs[i], node)
+                dead, report, resolved = kerns[i].pop_quiet(
+                    plans[i], cfgs[i], node
+                )
             entries.append((i, dead, resolved))
             reports.extend((i, watcher) for watcher in report)
         outcome = _Outcome(tuple(entries), tuple(reports))

@@ -132,7 +132,8 @@ class CompiledPlan:
         self._avoid_cache: dict = {}
         #: The dense evaluation core: interned run configurations, packed
         #: transition words, the per-cfg pop tables, and the single
-        #: shared descent (:func:`repro.hype.kernel.descend`).
+        #: shared descent (:func:`repro.hype.kernel.descend`).  Owned
+        #: one way — the kernel keeps no reference to this plan.
         self.kernel = DenseKernel(self)
 
     # ------------------------------------------------------------------
@@ -147,10 +148,11 @@ class CompiledPlan:
     ) -> "CompiledPlan":
         """Build (or rehydrate) the plan realising ``algorithm`` on ``mfa``.
 
-        This is the one constructor path everything above the evaluator
-        uses — the plan cache wiring a fresh compilation, and the
-        persistent tier rehydrating an MFA decoded from a
-        :class:`repro.compile.artifact.PlanArtifact`.  Artifacts carry
+        This is the constructor path everything above the evaluator
+        uses — the plan cache building an OptHyPE executable per
+        document, and the persistent tier rehydrating an MFA decoded from
+        a :class:`repro.compile.artifact.PlanArtifact` (only the compile
+        pipeline's dense stage builds a bare plan itself).  Artifacts carry
         only the automaton: the document-side index comes from
         ``indexes``, which is either an *index provider* (anything with
         an ``index_for(compressed)`` method — canonically
@@ -187,7 +189,7 @@ class CompiledPlan:
                 mfa, index=index, analyzer=ViabilityAnalyzer(mfa, index.bits)
             )
         if kernel:
-            plan.kernel.preload(kernel)
+            plan.kernel.preload(plan, kernel)
         return plan
 
     # ------------------------------------------------------------------

@@ -29,10 +29,20 @@ Labels the automaton does not distinguish — anything outside the MFA's
 transition alphabet — all share one ``OTHER`` column per cfg: an unseen
 label can only take wildcard moves, so its transition is independent of
 the label text.  That makes the table *finite and document-independent*,
-which is what lets :func:`kernel_payload` close it eagerly at compile
-time and ship it inside a :class:`repro.compile.artifact.PlanArtifact`
-(format v3): a cold worker rehydrates the closure instead of re-deriving
-it on the first requests.
+which is what lets :func:`close` close it eagerly at compile time — in
+place, in the index-free plan that then serves HyPE on every document —
+and :func:`kernel_payload` encode the closed table into a
+:class:`repro.compile.artifact.PlanArtifact` (format v3) whenever one is
+persisted or shipped: a cold worker rehydrates the closure
+(:meth:`DenseKernel.preload`) instead of re-deriving it on the first
+requests.
+
+Ownership runs one way: a plan owns its kernel and the kernel holds no
+reference back.  The slow paths that need the automaton (transition and
+pop misses, rehydration) take the plan as their first argument — every
+lane and every composed machine holds its plans for the run anyway — so
+a plan dropped by the cache is freed by reference count, not by the
+cycle collector.
 
 The descent — :func:`descend` — is the **single** entry point behind
 both :meth:`repro.hype.core.CompiledPlan.run` (a one-lane batch) and
@@ -102,14 +112,17 @@ _UNBUILT = ((), MappingProxyType({}))
 class DenseKernel:
     """Dense transition tables of one :class:`CompiledPlan`.
 
-    Built empty with the plan and filled lazily (or eagerly preloaded
-    from a persisted artifact payload); shared by every run and lane of
-    the plan, across threads.
+    Built empty with the plan and filled lazily — or eagerly: closed in
+    place (:func:`close`), preloaded from a persisted artifact payload,
+    or seeded from a closed kernel; shared by every run and lane of the
+    plan, across threads.
     """
 
     __slots__ = (
-        "plan",
+        "finals",
+        "ann",
         "alphabet",
+        "closure",
         "_lock",
         "cfg_ids",
         "cfg_mstates",
@@ -117,7 +130,6 @@ class DenseKernel:
         "cfg_watch",
         "cfg_m",
         "cfg_r",
-        "cfg_size",
         "cfg_has_ann",
         "cfg_packed",
         "pops",
@@ -129,13 +141,16 @@ class DenseKernel:
         "edge_r",
         "edge_watch",
         "edge_filters",
+        "__weakref__",
     )
 
     def __init__(self, plan) -> None:
         from ..automata.afa import TRANS, WILDCARD
 
-        self.plan = plan
         nfa = plan.mfa.nfa
+        # What the per-cfg flags need of the automaton (not the plan).
+        self.finals = nfa.finals
+        self.ann = nfa.ann
         labels = nfa.alphabet()
         for holder in plan.mfa.pool.states:
             if holder.kind == TRANS and holder.label != WILDCARD:
@@ -144,6 +159,8 @@ class DenseKernel:
         #: Labels with their own transition column; everything else
         #: aliases to :data:`OTHER_LABEL`.
         self.alphabet = frozenset(labels)
+        #: :func:`close`'s record; ``None`` until the table is closed.
+        self.closure = None
         self._lock = threading.Lock()
         # (m_id, r_id, watch) -> cfg id; parallel per-cfg tables below.
         self.cfg_ids: dict = {}
@@ -152,7 +169,6 @@ class DenseKernel:
         self.cfg_watch: list = []
         self.cfg_m: list[int] = []
         self.cfg_r: list[int] = []
-        self.cfg_size: list[int] = []
         self.cfg_has_ann: list[bool] = []
         self.cfg_packed: list[int] = []
         # cfg -> pop table ``(preds, outcomes)``: ``preds`` pairs a bit
@@ -188,14 +204,14 @@ class DenseKernel:
         cfg = self.cfg_ids.get(key)
         if cfg is not None:
             return cfg
-        nfa = self.plan.mfa.nfa
         with self._lock:
             cfg = self.cfg_ids.get(key)
             if cfg is not None:
                 return cfg
             cfg = len(self.cfg_packed)
-            has_final = bool(mstates & nfa.finals)
-            has_ann = any(s in nfa.ann for s in mstates)
+            has_final = bool(mstates & self.finals)
+            ann = self.ann
+            has_ann = any(s in ann for s in mstates)
             pop_needed = bool(relevant) and bool(watch or has_ann)
             packed = (cfg << CFG_SHIFT) | (FINAL_BIT if has_final else 0)
             if pop_needed:
@@ -205,7 +221,6 @@ class DenseKernel:
             self.cfg_watch.append(watch)
             self.cfg_m.append(m_id)
             self.cfg_r.append(r_id)
-            self.cfg_size.append(len(mstates))
             self.cfg_has_ann.append(has_ann)
             self.cfg_packed.append(packed)
             self.pops.append(_UNBUILT)
@@ -237,31 +252,31 @@ class DenseKernel:
     # ------------------------------------------------------------------
     # Transition resolution (slow path; results land in the tables)
     # ------------------------------------------------------------------
-    def root_cfg(self, context) -> int:
+    def root_cfg(self, plan, context) -> int:
         """The cfg the run enters ``context`` with (DEAD when pruned)."""
-        mstates0, m_id0, relevant0, r_id0 = self.plan.initial_sets(context)
+        mstates0, m_id0, relevant0, r_id0 = plan.initial_sets(context)
         if not mstates0 and not relevant0:
             return DEAD
         return self.cfg_of(mstates0, m_id0, relevant0, r_id0, ())
 
-    def lookup_trans(self, cfg: int, label: str) -> int:
+    def lookup_trans(self, plan, cfg: int, label: str) -> int:
         """``(cfg, label)``'s packed (or edge) word, computing on miss."""
         trans = self.trans
         packed = trans.get((cfg, label))
         if packed is not None:
             return packed
         if label in self.alphabet:
-            packed = self._compute_trans(cfg, label)
+            packed = self._compute_trans(plan, cfg, label)
         else:
             key = (cfg, OTHER_LABEL)
             packed = trans.get(key)
             if packed is None:
-                packed = self._compute_trans(cfg, OTHER_LABEL)
+                packed = self._compute_trans(plan, cfg, OTHER_LABEL)
                 trans[key] = packed
         trans[(cfg, label)] = packed
         return packed
 
-    def lookup_column(self, cfg: int, label: str) -> int:
+    def lookup_column(self, plan, cfg: int, label: str) -> int:
         """:meth:`lookup_trans` for columnar fills, which cache the word
         in a per-document row: labels outside the alphabet resolve
         through the OTHER column *without* storing a per-label alias —
@@ -269,11 +284,10 @@ class DenseKernel:
         would otherwise gain cfgs x new-labels dead entries per served
         document."""
         return self.lookup_trans(
-            cfg, label if label in self.alphabet else OTHER_LABEL
+            plan, cfg, label if label in self.alphabet else OTHER_LABEL
         )
 
-    def _compute_trans(self, cfg: int, label: str) -> int:
-        plan = self.plan
+    def _compute_trans(self, plan, cfg: int, label: str) -> int:
         (
             base_v,
             base_idv,
@@ -295,9 +309,8 @@ class DenseKernel:
         child = self.cfg_of(mstates_v, m_idv, relevant_v, r_idv, watch)
         return self.cfg_packed[child]
 
-    def fill_filter(self, eid: int, mask_key, node_id: int) -> int:
+    def fill_filter(self, plan, eid: int, mask_key, node_id: int) -> int:
         """Resolve one ``edge × mask_key`` filter-row entry (OptHyPE)."""
-        plan = self.plan
         mstates_f, m_idf, relevant_f, r_idf = plan._apply_index(
             self.edge_base[eid],
             self.edge_base_id[eid],
@@ -318,7 +331,7 @@ class DenseKernel:
     # ------------------------------------------------------------------
     # Pop (bottom-up AFA resolution), cfg-keyed
     # ------------------------------------------------------------------
-    def pop_frame(self, cfg: int, node, truths) -> tuple:
+    def pop_frame(self, plan, cfg: int, node, truths) -> tuple:
         """Pop a frame whose children reported ``truths`` (lines 11-21
         of the paper's Fig. 6); returns ``(dead, report, resolved)``.
 
@@ -333,9 +346,11 @@ class DenseKernel:
             if holds(node):
                 bits |= bit
         truths = frozenset(truths)
-        return outcomes.get((bits, truths)) or self.fill_pop(cfg, node, truths)
+        return outcomes.get((bits, truths)) or self.fill_pop(
+            plan, cfg, node, truths
+        )
 
-    def pop_quiet(self, cfg: int, node) -> tuple:
+    def pop_quiet(self, plan, cfg: int, node) -> tuple:
         """Pop a frame whose children reported nothing: the cfg's
         predicates at ``node``, one table probe.  The lean pass inlines
         exactly this; every other caller comes here."""
@@ -344,13 +359,13 @@ class DenseKernel:
         for bit, holds in preds:
             if holds(node):
                 bits |= bit
-        return outcomes.get(bits) or self.fill_pop(cfg, node)
+        return outcomes.get(bits) or self.fill_pop(plan, cfg, node)
 
-    def pop_entry(self, cfg: int) -> tuple:
+    def pop_entry(self, plan, cfg: int) -> tuple:
         """The cfg's pop table, built on first use."""
         entry = self.pops[cfg]
         if entry is _UNBUILT:
-            finals = self.plan._relevant_plan(
+            finals = plan._relevant_plan(
                 self.cfg_r[cfg], self.cfg_relevant[cfg]
             )[0]
             entry = self.pops[cfg] = (
@@ -363,11 +378,10 @@ class DenseKernel:
             )
         return entry
 
-    def fill_pop(self, cfg: int, node, truths=None) -> tuple:
+    def fill_pop(self, plan, cfg: int, node, truths=None) -> tuple:
         """The miss path of a pop at ``node``: resolve and store the
         table entry — the dead NFA states, the watchers to report to
         the parent (fstates↑) and the number of AFA states resolved."""
-        plan = self.plan
         r_id = self.cfg_r[cfg]
         finals, trans, groups = plan._relevant_plan(
             r_id, self.cfg_relevant[cfg]
@@ -401,14 +415,14 @@ class DenseKernel:
             if values.get(target, False)
         )
         outcome = (dead, report, len(values))
-        outcomes = self.pop_entry(cfg)[1]
+        outcomes = self.pop_entry(plan, cfg)[1]
         outcomes[bits if truths is None else (bits, truths)] = outcome
         return outcome
 
     # ------------------------------------------------------------------
-    # Persistence (artifact v3 payload)
+    # Rehydration: a persisted payload, or a closed plan's own tables
     # ------------------------------------------------------------------
-    def preload(self, payload: dict) -> int:
+    def preload(self, plan, payload: dict) -> int:
         """Rehydrate the eager closure of a persisted plan artifact.
 
         The payload is document-independent: for plain plans it fills
@@ -417,37 +431,66 @@ class DenseKernel:
         filter rows stay lazy — they depend on the document).  Returns
         the number of transition entries installed.
         """
-        interned = [
-            self.plan._intern(frozenset(states)) for states in payload["sets"]
-        ]
+        interned = [plan._intern(frozenset(row)) for row in payload["sets"]]
+        columns = payload["labels"] + [OTHER_LABEL]
+        return self._install(
+            plan,
+            [
+                (interned[m], interned[r], tuple((int(w), int(t)) for w, t in watch))
+                for m, r, watch in payload["cfgs"]
+            ],
+            (
+                (cfg_i, columns[label_i], interned[base_i], child_i)
+                for cfg_i, label_i, base_i, child_i in payload["trans"]
+            ),
+        )
+
+    def seed(self, plan, closed: "DenseKernel") -> int:
+        """:meth:`preload` straight from a closed kernel's tables (the
+        index-free plan of the same MFA that :func:`close` closed) — how
+        an OptHyPE executable gets its pre-filter edge words without a
+        payload ever being encoded."""
+        order, children, bases, num_cfgs = closed.closure
+        intern = plan._intern
+        columns = sorted(closed.alphabet) + [OTHER_LABEL]
+        width = len(columns)
+        return self._install(
+            plan,
+            [
+                (
+                    intern(closed.cfg_mstates[cfg]),
+                    intern(closed.cfg_relevant[cfg]),
+                    closed.cfg_watch[cfg],
+                )
+                for cfg in range(num_cfgs)
+            ],
+            (
+                (order[i // width], columns[i % width], intern(base), children[i])
+                for i, base in enumerate(bases)
+            ),
+        )
+
+    def _install(self, plan, cfgs, rows) -> int:
+        """Mint ``cfgs`` — ``((mstates, m_id), (relevant, r_id), watch)``
+        in the source's id order — and install ``rows`` — ``(source cfg,
+        label, (base, base_id), source child)`` — that are not present."""
         cfg_map: list[int] = []
-        for m_idx, r_idx, watch in payload["cfgs"]:
-            mstates, m_id = interned[m_idx]
-            relevant, r_id = interned[r_idx]
-            watch_t = tuple((int(w), int(t)) for w, t in watch)
+        for (mstates, m_id), (relevant, r_id), watch in cfgs:
             if not mstates and not relevant:
                 cfg_map.append(DEAD)
             else:
-                cfg_map.append(
-                    self.cfg_of(mstates, m_id, relevant, r_id, watch_t)
-                )
-        labels = payload["labels"]
-        other = len(labels)
-        indexed = self.plan.index is not None
+                cfg_map.append(self.cfg_of(mstates, m_id, relevant, r_id, watch))
+        indexed = plan.index is not None
         trans = self.trans
         installed = 0
-        for cfg_i, label_i, base_idx, child_i in payload["trans"]:
-            key = (
-                cfg_map[cfg_i],
-                labels[label_i] if label_i < other else OTHER_LABEL,
-            )
+        for cfg_i, label, (base, base_id), child_i in rows:
+            key = (cfg_map[cfg_i], label)
             if key in trans:
                 continue
             child = cfg_map[child_i]
             if child == DEAD:
                 trans[key] = DEAD
             elif indexed:
-                base, base_id = interned[base_idx]
                 eid = self.edge_of(
                     base,
                     base_id,
@@ -462,21 +505,87 @@ class DenseKernel:
         return installed
 
 
-def kernel_payload(plan, max_cfgs: int = 256) -> dict:
-    """Eagerly close a (plain) plan's dense table for persistence.
+def close(plan, max_cfgs: int = 256) -> None:
+    """Eagerly close a (plain) plan's dense table, in place.
 
     BFS from the root cfg over the automaton's alphabet plus the OTHER
     column.  The closure is finite because unseen labels alias to one
     column; ``max_cfgs`` caps expansion against adversarial queries (a
-    truncated closure is still a valid payload — the kernel fills the
-    rest lazily).  The plan must be index-free: the payload describes
-    the *pre-filter* table, which serves all three algorithm variants.
+    truncated closure is still valid — the kernel fills the rest
+    lazily).  A column whose label no NFA state of the cfg's ``mstates``
+    and no transition state of its ``relevant`` set names can only take
+    wildcard moves, exactly like OTHER: its child sets are OTHER's, so
+    only the named columns are computed (in column order, which keeps
+    the cfg minting order that of computing every column).  The plan
+    must be index-free: the closed table is the *pre-filter* one, which
+    serves all three algorithm variants (:meth:`DenseKernel.seed`).
     """
+    from ..automata.afa import TRANS
+
     if plan.index is not None:
-        raise ValueError("kernel payloads are built from index-free plans")
+        raise ValueError("dense closures are built in index-free plans")
     kern = plan.kernel
+    if kern.closure is not None:
+        return
+    columns = sorted(kern.alphabet) + [OTHER_LABEL]
+    nfa_trans = plan.mfa.nfa.trans
+    states = plan.mfa.pool.states
+    trans = kern.trans
+    children = array("i")
+    bases: list = []
+    root = kern.root_cfg(plan, None)
+    seen = {DEAD}
+    queue: list[int] = []
+    if root != DEAD:
+        seen.add(root)
+        queue.append(root)
+    for cfg in queue:  # grows while iterated: the BFS frontier
+        mstates = kern.cfg_mstates[cfg]
+        relevant = kern.cfg_relevant[cfg]
+        named = set()
+        for state in mstates:
+            named.update(nfa_trans[state])
+        for state in relevant:
+            holder = states[state]
+            if holder.kind == TRANS:
+                named.add(holder.label)
+        other = plan._compute_child_sets(mstates, relevant, OTHER_LABEL)
+        for label in columns:
+            if label in named:
+                sets = plan._compute_child_sets(mstates, relevant, label)
+            else:
+                sets = other
+            base_v, _, mstates_v, m_idv, relevant_v, r_idv, watch, _, _ = sets
+            if not mstates_v and not relevant_v:
+                child = packed = DEAD
+            else:
+                child = kern.cfg_of(mstates_v, m_idv, relevant_v, r_idv, watch)
+                packed = kern.cfg_packed[child]
+            trans[(cfg, label)] = packed
+            children.append(child)
+            bases.append(base_v)
+            if child not in seen:
+                seen.add(child)
+                if len(seen) <= max_cfgs:
+                    queue.append(child)
+    # The cfg count is part of the record: a truncated closure's plan
+    # mints further cfgs while it runs, and they are not the closure's.
+    kern.closure = (array("i", queue), children, bases, len(kern.cfg_packed))
+
+
+def kernel_payload(plan, max_cfgs: int = 256) -> dict:
+    """The v3 artifact encoding of a plan's closed dense table.
+
+    Closes the table first if nobody has (:func:`close`).  Pure
+    encoding otherwise — plain JSON-shaped data, a function of the
+    closure alone, so a plan that has since served documents encodes to
+    the same bytes as on the day it was compiled.
+    """
+    close(plan, max_cfgs)
+    kern = plan.kernel
+    order, children, bases, num_cfgs = kern.closure
     labels = sorted(kern.alphabet)
-    columns = labels + [OTHER_LABEL]
+    width = len(labels) + 1
     sets: dict = {}
     set_rows: list[list[int]] = []
 
@@ -487,47 +596,17 @@ def kernel_payload(plan, max_cfgs: int = 256) -> dict:
             set_rows.append(sorted(fs))
         return idx
 
-    root = kern.root_cfg(None)
-    trans_rows: list[list[int]] = []
-    seen = {DEAD}
-    queue: list[int] = []
-    if root != DEAD:
-        seen.add(root)
-        queue.append(root)
-    head = 0
-    while head < len(queue):
-        cfg = queue[head]
-        head += 1
-        mstates = kern.cfg_mstates[cfg]
-        relevant = kern.cfg_relevant[cfg]
-        for label_i, label in enumerate(columns):
-            (
-                base_v,
-                base_idv,
-                mstates_v,
-                m_idv,
-                relevant_v,
-                r_idv,
-                watch,
-                _has_final,
-                _has_ann,
-            ) = plan._compute_child_sets(mstates, relevant, label)
-            if not mstates_v and not relevant_v:
-                child = DEAD
-            else:
-                child = kern.cfg_of(mstates_v, m_idv, relevant_v, r_idv, watch)
-            trans_rows.append([cfg, label_i, set_id(base_v), child])
-            if child not in seen:
-                seen.add(child)
-                if len(seen) <= max_cfgs:
-                    queue.append(child)
+    trans_rows = [
+        [order[i // width], i % width, set_id(base), children[i]]
+        for i, base in enumerate(bases)
+    ]
     cfg_rows = [
         [
             set_id(kern.cfg_mstates[cfg]),
             set_id(kern.cfg_relevant[cfg]),
             [[watcher, target] for watcher, target in kern.cfg_watch[cfg]],
         ]
-        for cfg in range(len(kern.cfg_packed))
+        for cfg in range(num_cfgs)
     ]
     return {
         "labels": labels,
@@ -548,6 +627,7 @@ class _Lane:
 
     __slots__ = (
         "cursor",
+        "plan",
         "kern",
         "layout",
         "indexed",
@@ -562,6 +642,7 @@ class _Lane:
 
     def __init__(self, plan, cursor, layout) -> None:
         self.cursor = cursor
+        self.plan = plan
         self.kern = plan.kernel
         self.layout = layout
         index = plan.index
@@ -587,7 +668,9 @@ class _Lane:
         return row
 
     def fill_row(self, row, lid: int, cfg: int) -> int:
-        packed = self.kern.lookup_column(cfg, self.layout.labels[lid])
+        packed = self.kern.lookup_column(
+            self.plan, cfg, self.layout.labels[lid]
+        )
         row[lid] = packed
         return packed
 
@@ -629,7 +712,7 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     checks = CHECK_INTERVAL
     live = []
     for plan, cursor in lanes:
-        cfg = plan.kernel.root_cfg(context)
+        cfg = plan.kernel.root_cfg(plan, context)
         if cfg == DEAD:
             # Dead at the root: the lane finishes with the all-zero result.
             continue
@@ -668,6 +751,7 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
     countdown to the next deadline checkpoint; it is returned so a wave
     of short lanes still reads the clock every ``CHECK_INTERVAL`` steps.
     """
+    plan = lane.plan
     kern = lane.kern
     cursor = lane.cursor
     pops = kern.pops
@@ -727,7 +811,7 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
             report = ()
             if pflag:
                 if trues:
-                    dead, report, n = kern.pop_frame(cfg, node, trues)
+                    dead, report, n = kern.pop_frame(plan, cfg, node, trues)
                 else:
                     preds, outcomes = pops[cfg]
                     bits = 0
@@ -736,7 +820,7 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
                             bits |= bit
                     outcome = outcomes.get(bits)
                     if outcome is None:
-                        outcome = fill_pop(cfg, node)
+                        outcome = fill_pop(plan, cfg, node)
                     dead, report, n = outcome
                 if dead:
                     deaths[vidx] = dead
@@ -760,7 +844,7 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
             child = kids[ki]
             packed = trans.get((cfg, child.label), UNFILLED)
             if packed == UNFILLED:
-                packed = kern.lookup_trans(cfg, child.label)
+                packed = kern.lookup_trans(plan, cfg, child.label)
         ki += 1
         if indexed and packed:
             if not columnar:
@@ -769,7 +853,7 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
             mask_key = mask_keys[cid]
             packed = filters[eid].get(mask_key, UNFILLED)
             if packed == UNFILLED:
-                packed = kern.fill_filter(eid, mask_key, cid)
+                packed = kern.fill_filter(plan, eid, mask_key, cid)
         if packed == DEAD:
             skipped += 1
             continue
@@ -798,7 +882,7 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
                         bits |= bit
                 outcome = outcomes.get(bits)
                 if outcome is None:
-                    outcome = fill_pop(cfg2, child)
+                    outcome = fill_pop(plan, cfg2, child)
                 dead, report, n = outcome
                 if dead:
                     deaths[nvis] = dead

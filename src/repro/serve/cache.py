@@ -37,11 +37,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, TypeVar
+from weakref import WeakKeyDictionary
 
 from ..automata.mfa import MFA
 from ..compile.artifact import PlanArtifact, PlanKey
 from ..compile.pipeline import NormalizedQuery, QueryCompiler
 from ..compile.store import PlanStore
+from ..hype.api import HYPE
 from ..hype.compose import (
     DEFAULT_CCFG_CAP,
     ComposedKernel,
@@ -63,6 +65,8 @@ V = TypeVar("V")
 #: Cache key: (view fingerprint or None for direct source queries,
 #: normalised query text, plan format version).
 CacheKey = PlanKey
+
+_NO_PLANS: dict = {}
 
 
 def normalized_query_text(query: str | ast.Path) -> str:
@@ -93,12 +97,16 @@ class CachedPlan:
     Both :class:`repro.engine.smoqe.SMOQE` and
     :class:`repro.serve.service.QueryService` store :class:`CachedPlan`
     values, so one :class:`PlanCache` can be shared between an engine and
-    a service over the same document — and, because
-    :class:`repro.hype.core.CompiledPlan` is thread-safe, the same
-    compiled plan serves every tenant bound to the view and every worker
-    of the evaluation pool at once.  Plans are built lazily per algorithm
-    (under a per-entry lock so a cold algorithm is compiled exactly once)
-    and reused across runs: their memo tables keep paying off.
+    a service — and, because :class:`repro.hype.core.CompiledPlan` is
+    thread-safe, the same compiled plan serves every tenant bound to the
+    view and every worker of the evaluation pool at once.  Executables
+    are built lazily (under a per-entry lock so a cold one is built
+    exactly once) and reused across runs: their memo tables keep paying
+    off.
+
+    Ownership runs one way: a cached plan owns its artifact and its
+    executables, an executable owns its dense kernel, and nothing points
+    back — so an evicted entry is freed by reference count.
 
     ``artifact`` is the serialisable record this plan came from (or was
     written to) — ``None`` for values inserted through the generic
@@ -107,7 +115,15 @@ class CachedPlan:
 
     mfa: MFA
     artifact: PlanArtifact | None = None
+    #: The HyPE executable, under its algorithm name: index-free, hence
+    #: document-independent — ONE per plan serves every document.
     plans: dict[str, CompiledPlan] = field(default_factory=dict)
+    #: document -> {algorithm: executable} for OptHyPE / OptHyPE-C,
+    #: which embed the document's index and mask tables — held weakly,
+    #: so they go when the document store (and its users) let it go.
+    _per_document: WeakKeyDictionary = field(
+        default_factory=WeakKeyDictionary, repr=False, compare=False
+    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -115,44 +131,54 @@ class CachedPlan:
     def compiled(
         self, algorithm: str, document: XMLTree, indexes: dict
     ) -> CompiledPlan:
-        """The (cached) compiled plan realising ``algorithm``.
+        """The (cached) executable realising ``algorithm`` on ``document``.
 
-        ``indexes`` is the caller's per-document index cache
-        (``compressed -> Index``), shared across plans; construction
-        delegates to :meth:`repro.hype.core.CompiledPlan.for_algorithm`,
-        the same rehydration path a persisted artifact takes.  When the
-        backing artifact carries a dense kernel closure (format v3),
-        every algorithm variant is preloaded from it — a rehydrated
-        plan's hot loop starts filled.
-
-        The memo is keyed per ``(algorithm, document)``: an executable
-        plan embeds document-specific state (the OptHyPE index, the
-        dense kernel's interned mask tables), so one cached MFA serving
-        a multi-document service must realise a separate executable per
-        document it runs over.  The document key is the content hash
-        when the caller's index cache is an
-        :class:`repro.docstore.IndexedDocument` (stable across store
-        evictions), the tree's identity otherwise.
+        ``indexes`` is the caller's per-document index cache — an
+        :class:`repro.docstore.IndexedDocument` or the legacy
+        ``compressed -> Index`` dict — and construction delegates to
+        :meth:`repro.hype.core.CompiledPlan.for_algorithm`.
         """
-        doc_key = getattr(indexes, "content_hash", None) or str(id(document))
-        key = f"{algorithm}@{doc_key}"
-        plan = self.plans.get(key)
+        if algorithm == HYPE:
+            owner = None
+            plan = self.plans.get(algorithm)
+        else:
+            # The IndexedDocument, or the tree itself beside a plain dict.
+            owner = indexes if hasattr(indexes, "index_for") else document
+            plan = self._per_document.get(owner, _NO_PLANS).get(algorithm)
         if plan is not None:
             return plan
         with self._lock:
-            plan = self.plans.get(key)
-            if plan is not None:
-                return plan
-            artifact = self.artifact
-            plan = CompiledPlan.for_algorithm(
-                self.mfa,
-                algorithm,
-                document,
-                indexes,
-                kernel=artifact.kernel if artifact is not None else None,
-            )
-            self.plans[key] = plan
+            if owner is None:
+                memo = self.plans
+            else:
+                memo = self._per_document.setdefault(owner, {})
+            plan = memo.get(algorithm)
+            if plan is None:
+                plan = memo[algorithm] = self._build(algorithm, document, indexes)
             return plan
+
+    def _build(self, algorithm: str, document: XMLTree, indexes) -> CompiledPlan:
+        """One executable.  A freshly compiled plan's HyPE executable IS
+        the index-free plan whose table the compile pipeline closed in
+        place, and its OptHyPE executables seed their pre-filter edge
+        words from that plan's tables; a plan rehydrated from a store or
+        a peer preloads every executable from the v3 kernel payload."""
+        closure = self.artifact.closure if self.artifact is not None else None
+        if not isinstance(closure, CompiledPlan):
+            return CompiledPlan.for_algorithm(
+                self.mfa, algorithm, document, indexes, kernel=closure
+            )
+        if algorithm == HYPE:
+            return closure
+        plan = CompiledPlan.for_algorithm(self.mfa, algorithm, document, indexes)
+        plan.kernel.seed(plan, closure.kernel)
+        return plan
+
+    def executables(self) -> list[CompiledPlan]:
+        """Every live executable of this plan (introspection, tests)."""
+        with self._lock:
+            memos = [self.plans, *self._per_document.values()]
+        return [plan for memo in memos for plan in memo.values()]
 
 
 @dataclass
@@ -453,20 +479,25 @@ class PlanCache:
                 with gate:
                     pass
             try:
-                return self._resolve(key, spec, normalized, plan_span)
+                plan, tier = self._resolve(key, spec, normalized)
             finally:
                 with self._lock:
                     self._resolving.pop(key, None)
                 gate.release()
+            if plan_span is not None:
+                plan_span.set(tier=tier)
+            # Write-back after publication AND after the gate: the save
+            # (payload encode + disk write) is atomic and idempotent, so
+            # waiters — served from L1 by now — never queue behind it.
+            if tier == "compile" and self.store is not None:
+                self.store.save(key, plan.artifact)
+            return plan
 
     def _resolve(
-        self,
-        key: Hashable,
-        spec: ViewSpec | None,
-        normalized: NormalizedQuery,
-        plan_span=None,
-    ) -> CachedPlan:
-        """Store probe + compile + write-back for one cold key (gated)."""
+        self, key: Hashable, spec: ViewSpec | None, normalized: NormalizedQuery
+    ) -> tuple[CachedPlan, str]:
+        """Store probe + compile for one cold key (gated); returns the
+        published plan and the tier that produced it."""
         if self.store is not None:
             artifact = self.store.load(key)
             if artifact is not None:
@@ -474,21 +505,13 @@ class PlanCache:
                 with self._lock:
                     self._stats.l2_hits += 1
                     self._store(key, plan)
-                if plan_span is not None:
-                    plan_span.set(tier="l2")
-                return plan
+                return plan, "l2"
         fresh: PlanArtifact = self.compiler.compile(spec, normalized)
         plan = CachedPlan(fresh.mfa, artifact=fresh)
         with self._lock:
             self._stats.misses += 1
             self._store(key, plan)
-        if plan_span is not None:
-            plan_span.set(tier="compile")
-        # Write-back after publication: the save is atomic and idempotent,
-        # so waiters (already served from L1) never queue behind it.
-        if self.store is not None:
-            self.store.save(key, fresh)
-        return plan
+        return plan, "compile"
 
     # ------------------------------------------------------------------
     # Generic L1 operations

@@ -164,7 +164,7 @@ class XMLTree:
     document-order list of nodes (``nodes[i].node_id == i``).
     """
 
-    __slots__ = ("root", "nodes", "labels", "freeze_count")
+    __slots__ = ("root", "nodes", "labels", "freeze_count", "__weakref__")
 
     def __init__(self, root: Node) -> None:
         self.root = root

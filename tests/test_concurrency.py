@@ -133,7 +133,7 @@ class TestSharedPlanStress:
             )
         for key in stress_service.cache.keys():
             plan = stress_service.cache.get(key)
-            for compiled in plan.plans.values():
+            for compiled in plan.executables():
                 entries = list(compiled._set_ids.items())
                 minted = [entry_id for _, (_, entry_id) in entries]
                 assert len(set(minted)) == len(minted)

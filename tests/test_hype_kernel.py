@@ -185,10 +185,10 @@ class TestPopTable:
         calls = []
         real = DenseKernel.pop_frame
 
-        def checked(self, cfg, node, truths):
+        def checked(self, plan, cfg, node, truths):
             assert truths, "pop_frame entered without child truths"
             calls.append(cfg)
-            return real(self, cfg, node, truths)
+            return real(self, plan, cfg, node, truths)
 
         monkeypatch.setattr(DenseKernel, "pop_frame", checked)
         tree = generate_hospital_document(HospitalConfig(num_patients=6, seed=3))
@@ -269,10 +269,10 @@ class TestPreloadedClosure:
         payload = kernel_payload(CompiledPlan(mfa))
         assert payload["trans"], "closure of a/b cannot be empty"
         plan = CompiledPlan(mfa)
-        installed = plan.kernel.preload(payload)
+        installed = plan.kernel.preload(plan, payload)
         assert installed == len(payload["trans"])
         # Idempotent: a second preload finds every entry present.
-        assert plan.kernel.preload(payload) == 0
+        assert plan.kernel.preload(plan, payload) == 0
 
     def test_payload_requires_an_index_free_plan(self):
         tree = generate_hospital_document(HospitalConfig(num_patients=1, seed=0))

@@ -1,6 +1,7 @@
 """Plan-cache tests: LRU behaviour, counters, fingerprint keys, threading."""
 
 import threading
+import time
 
 import pytest
 
@@ -302,3 +303,119 @@ class TestSMOQEDelegation:
         b = engine.evaluate("department/name")  # recompiled
         assert a.ids() == b.ids()
         assert engine.cache_stats().evictions >= 1
+
+
+class TestExecutableLifetime:
+    def test_per_document_executables_follow_the_document_store(self):
+        """OptHyPE executables embed a document's index, so they are
+        held weakly by document: with a capacity-2 store and 11
+        documents through one hot query, the cached plan keeps the
+        executables (and indexes) of the documents the store still
+        holds — not 11 of each — and a re-ingested document gets a
+        fresh executable that answers correctly."""
+        from repro.baselines.naive import NaiveEvaluator
+        from repro.docstore import DocumentStore
+        from repro.hype.api import HYPE, OPTHYPE
+        from repro.workloads import HospitalConfig, generate_hospital_document
+        from repro.xtree.serialize import serialize
+
+        query = "//patient[.//diagnosis/text() = 'heart disease']"
+        store = DocumentStore(capacity=2)
+        cached = PlanCache(8).plan(None, query)
+
+        def answer(xml):
+            doc = store.get(xml)
+            plan = cached.compiled(OPTHYPE, doc.tree, doc)
+            got = plan.run(doc.tree.root, layout=doc.layout).answers
+            want = NaiveEvaluator(query).run(doc.tree)
+            assert {n.node_id for n in got} == {n.node_id for n in want}
+            return len(got)
+
+        texts = [
+            serialize(
+                generate_hospital_document(HospitalConfig(num_patients=6, seed=s))
+            )
+            for s in range(11)
+        ]
+        assert sum(answer(xml) for xml in texts) > 0
+        assert store.stats.evictions == 9
+        live = cached.executables()
+        assert len(live) <= store.capacity
+        assert len({id(plan.index) for plan in live}) == len(live)
+        answer(texts[0])  # evicted long ago: re-ingested, rebuilt, right
+        assert len(cached.executables()) <= store.capacity
+        # The index-free HyPE executable is per plan, whatever the document.
+        docs = [store.get(xml) for xml in texts[:3]]
+        assert len({id(cached.compiled(HYPE, d.tree, d)) for d in docs}) == 1
+
+
+class TestResolutionGate:
+    """The per-key gate covers probe + compile + publication, not the
+    write-back."""
+
+    class SlowStore:
+        def __init__(self, fail: bool = False) -> None:
+            self.fail = fail
+            self.saving = threading.Event()
+            self.release = threading.Event()
+            self.saved: list = []
+
+        def load(self, key):
+            return None
+
+        def save(self, key, artifact) -> bool:
+            self.saving.set()
+            if self.fail:
+                raise RuntimeError("disk on fire")
+            assert self.release.wait(10)
+            self.saved.append(key)
+            return True
+
+    def test_waiters_return_before_the_write_back_finishes(self):
+        from repro.compile.pipeline import QueryCompiler
+
+        compiling = threading.Event()
+        go = threading.Event()
+
+        class GatedCompiler(QueryCompiler):
+            def compile(self, spec, query):
+                compiling.set()
+                assert go.wait(10)
+                return super().compile(spec, query)
+
+        store = self.SlowStore()
+        cache = PlanCache(4, store=store, compiler=GatedCompiler())
+        results: dict = {}
+
+        def ask(name):
+            results[name] = cache.plan(None, "a[b]/c")
+
+        owner = threading.Thread(target=ask, args=("owner",))
+        owner.start()
+        assert compiling.wait(10)
+        waiter = threading.Thread(target=ask, args=("waiter",))
+        waiter.start()
+        time.sleep(0.1)  # let the waiter reach the owner's gate
+        go.set()
+        assert store.saving.wait(10)
+        waiter.join(10)
+        try:
+            assert not waiter.is_alive(), "waiter queued behind store.save"
+            assert store.saved == [] and owner.is_alive()
+        finally:
+            store.release.set()
+            owner.join(10)
+        assert not owner.is_alive()
+        assert results["waiter"] is results["owner"]
+        assert len(store.saved) == 1
+        assert cache.stats.misses == 1 and not cache._resolving
+
+    def test_a_failing_save_leaves_the_key_resolvable(self):
+        store = self.SlowStore(fail=True)
+        cache = PlanCache(4, store=store)
+        with pytest.raises(RuntimeError):
+            cache.plan(None, "a[b]/c")
+        assert not cache._resolving
+        plan = cache.plan(None, "a[b]/c")  # published before the save
+        assert plan.artifact is not None
+        assert cache.stats.misses == 1 and cache.stats.hits == 1
