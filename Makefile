@@ -5,10 +5,16 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke bench-e2e bench-e2e-trace front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke compose-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test loc bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke bench-e2e bench-e2e-trace front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke compose-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
+
+# Code lines per package under src/repro (non-blank, non-comment,
+# non-docstring; stdlib tokenize).  CI prints this after tier-1 so a
+# PR's CHANGES.md entry can quote its delta against the parent.
+loc:
+	$(PY) tools/loc.py
 
 install:
 	$(PY) -m pip install -e .

@@ -20,6 +20,7 @@ The checks ``make fleet-smoke`` runs in CI:
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import signal
 import time
@@ -28,7 +29,7 @@ import pytest
 
 from repro.hype.api import OPTHYPE
 from repro.serve.fleet import FleetSpec, start_fleet
-from repro.serve.frontend import FrontendClient
+from repro.serve.frontend import LINE_LIMIT, FrontendClient
 from repro.workloads.multidoc import (
     MultiDocConfig,
     build_multidoc_service,
@@ -91,21 +92,41 @@ async def _replay(acceptor, payloads):
         await client.aclose()
 
 
+async def _oversize_exchange(acceptor):
+    reader, writer = await asyncio.open_connection(
+        acceptor.host, acceptor.port
+    )
+    try:
+        writer.write(b'{"op": "ping", "pad": "' + b"x" * LINE_LIMIT + b'"}\n')
+        await writer.drain()
+        refusal = json.loads(await asyncio.wait_for(reader.readline(), 10))
+        return refusal, await asyncio.wait_for(reader.readline(), 10)
+    finally:
+        writer.close()
+
+
 def test_fleet_answers_byte_identical_to_single_process(tmp_path, reference):
     payloads, expected = reference
 
     async def main():
         acceptor = await start_fleet(_spec(tmp_path), workers=3)
         try:
-            return await _replay(acceptor, payloads)
+            replies = await _replay(acceptor, payloads)
+            return replies, await _oversize_exchange(acceptor)
         finally:
             await acceptor.close()
 
-    replies = asyncio.run(main())
+    replies, (refusal, after) = asyncio.run(main())
     assert all(reply["ok"] for reply in replies)
     assert [reply["ids"] for reply in replies] == expected
     # >= 2 structurally different documents actually exercised.
     assert len({reply["document"] for reply in replies}) >= 2
+    # The acceptor's door is the frontend's line server: a line past the
+    # cap is the documented ``invalid-request`` (it used to drift to
+    # ``bad-request``), then the connection drops.
+    assert refusal["ok"] is False and refusal["error"] == "invalid-request"
+    assert f"exceeds {LINE_LIMIT} bytes" in refusal["message"]
+    assert after == b""
 
 
 def test_warm_fleet_zero_rewrites_zero_index_builds(tmp_path, reference):

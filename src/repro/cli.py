@@ -834,9 +834,9 @@ def _install_faults(args: argparse.Namespace) -> None:
 
 def cmd_serve_front(args: argparse.Namespace) -> int:
     import asyncio
-    import signal
 
     from .serve.frontend import QueryFrontend
+    from .serve.lines import serve_until_drained
 
     _install_faults(args)
     service = _front_service(args)
@@ -875,29 +875,12 @@ def cmd_serve_front(args: argparse.Namespace) -> int:
         # Graceful drain on SIGTERM: refuse new admissions, finish every
         # in-flight wave, flush the access log — what a fleet restart
         # (or any supervisor) needs from a worker.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-
-        async def _drain() -> None:
+        async def drain() -> None:
             print("draining: refusing new admissions", flush=True)
             await frontend.drain()
-            stop.set()
-
-        try:
-            loop.add_signal_handler(
-                signal.SIGTERM,
-                lambda: asyncio.ensure_future(_drain()),
-            )
-        except NotImplementedError:  # pragma: no cover - non-Unix loops
-            pass
-        server = asyncio.create_task(frontend.serve_forever())
-        try:
-            await stop.wait()
             print("drained: all in-flight requests flushed", flush=True)
-        finally:
-            server.cancel()
-            await asyncio.gather(server, return_exceptions=True)
-            await frontend.close()
+
+        await serve_until_drained(drain, frontend.close)
 
     try:
         asyncio.run(_serve())
@@ -909,9 +892,9 @@ def cmd_serve_front(args: argparse.Namespace) -> int:
 def cmd_serve_fleet(args: argparse.Namespace) -> int:
     """Boot the multi-process fleet: one acceptor, N workers."""
     import asyncio
-    import signal
 
     from .serve.fleet import FleetAcceptor, FleetSpec
+    from .serve.lines import serve_until_drained
     from .workloads.multidoc import MultiDocConfig
 
     _install_faults(args)
@@ -952,33 +935,15 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
             f"plan dir {args.plan_dir or '-'}, doc dir {args.doc_dir or '-'})",
             flush=True,
         )
-        # Graceful drain on SIGTERM, mirroring serve-front: stop
-        # accepting, flush every acknowledged request, SIGTERM the
-        # workers (they drain in-process), exit 0.  Before this the
-        # acceptor died hard and dropped whatever was in flight.
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-
-        async def _drain() -> None:
+        # Graceful drain on SIGTERM: stop accepting, flush every
+        # acknowledged request, SIGTERM the workers (they drain
+        # in-process), exit 0.
+        async def drain() -> None:
             print("draining: refusing new connections", flush=True)
             await acceptor.drain()
-            stop.set()
-
-        try:
-            loop.add_signal_handler(
-                signal.SIGTERM,
-                lambda: asyncio.ensure_future(_drain()),
-            )
-        except NotImplementedError:  # pragma: no cover - non-Unix loops
-            pass
-        server = asyncio.create_task(acceptor.serve_forever())
-        try:
-            await stop.wait()
             print("drained: fleet stopped cleanly", flush=True)
-        finally:
-            server.cancel()
-            await asyncio.gather(server, return_exceptions=True)
-            await acceptor.close()
+
+        await serve_until_drained(drain, acceptor.close)
 
     try:
         asyncio.run(_serve())

@@ -13,14 +13,17 @@ point               seam
                       delay, write failure (``drop``)
 ``doc-tier.load``     :meth:`repro.docstore.store.DocIndexTier.load` —
                       I/O delay, index corruption
-``worker.message``    the fleet worker's per-message loop
-                      (:func:`repro.serve.fleet._serve_worker`) — crash
-                      (``os._exit``) and hang
+``worker.message``    every request line a frontend (so every fleet
+                      worker) dispatches
+                      (:meth:`repro.serve.frontend.QueryFrontend.reply_for`)
+                      — crash (``os._exit``) and hang
 ``worker.connect``    :meth:`repro.serve.fleet.WorkerHandle.call` on the
                       acceptor side — connection drop before send (the
                       unacknowledged-retry path)
-``descend``           :func:`repro.hype.kernel.descend` entry — slow
-                      descent (exercises deadlines under load)
+``descend``           every descent entry: per-lane
+                      (:func:`repro.hype.kernel.descend`) and composed
+                      (:func:`repro.hype.compose.descend_composed`) —
+                      slow descent (exercises deadlines under load)
 ==================  ====================================================
 
 Schedules are **deterministic**: a rule names the exact 1-based hit

@@ -60,6 +60,7 @@ import threading
 import time
 from array import array
 
+from ..faults import fire as _fault_fire
 from ..guard import CHECK_INTERVAL
 from .kernel import (
     CFG_SHIFT,
@@ -434,6 +435,7 @@ def descend_composed(
     reported — the stack holds one tuple per open ancestor, and
     childless elements are visited and popped inline.
     """
+    _fault_fire("descend")
     if layout is not None and not layout.covers(context):
         layout = None
     columnar = layout is not None

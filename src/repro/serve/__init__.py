@@ -21,6 +21,9 @@ source; each user group is confined to its own security view and poses
   queue-wait and in-flight gauges for the metrics layer;
 * :mod:`repro.serve.admission` — per-wave admission control: concurrent
   async arrivals coalesce into ``submit_wave`` batches;
+* :mod:`repro.serve.lines` — the one NDJSON connection loop (framing,
+  gate, task per line, id echo) every listening socket runs, plus the
+  one SIGTERM → drain → close sequence;
 * :mod:`repro.serve.frontend` — the asyncio NDJSON socket server (and
   client helper, with per-connection backpressure) in front of the
   service;

@@ -63,6 +63,16 @@ class BatchStats:
     #: Groups that hit the ccfg cap mid-wave and re-ran per-lane.
     composed_fallbacks: int = 0
 
+    def merge(self, other: "BatchStats") -> None:
+        """Add another pass's (or group's) counters into this one."""
+        self.lanes += other.lanes
+        self.visited_elements += other.visited_elements
+        self.skipped_subtrees += other.skipped_subtrees
+        self.sequential_visited += other.sequential_visited
+        self.composed_groups += other.composed_groups
+        self.composed_lanes += other.composed_lanes
+        self.composed_fallbacks += other.composed_fallbacks
+
     @property
     def saved_visits(self) -> int:
         """Element visits shared between lanes: avoided outright inside
@@ -174,7 +184,7 @@ class BatchEvaluator:
             except ComposedOverflow:
                 stats.composed_fallbacks += 1
                 continue
-            pass_stats = BatchStats()
+            pass_stats = BatchStats(composed_groups=1, composed_lanes=len(group))
             try:
                 descend_composed(
                     kernel,
@@ -191,18 +201,12 @@ class BatchEvaluator:
                 for i in group:
                     cursors[i] = RunCursor(self.plans[i])
                 continue
-            stats.visited_elements += pass_stats.visited_elements
-            stats.skipped_subtrees += pass_stats.skipped_subtrees
-            stats.composed_groups += 1
-            stats.composed_lanes += len(group)
+            stats.merge(pass_stats)
             composed_lanes.update(group)
             leftover.difference_update(group)
         if leftover:
             lanes = [(self.plans[i], cursors[i]) for i in sorted(leftover)]
-            pass_stats = BatchStats()
-            descend(lanes, context, layout, shared=pass_stats, deadline=deadline)
-            stats.visited_elements += pass_stats.visited_elements
-            stats.skipped_subtrees += pass_stats.skipped_subtrees
+            descend(lanes, context, layout, shared=stats, deadline=deadline)
         results = [cursor.finish() for cursor in cursors]
         stats.sequential_visited = sum(r.stats.visited_elements for r in results)
         return BatchResult(results, stats, frozenset(composed_lanes))

@@ -12,7 +12,11 @@ denies the in-process :class:`repro.serve.pool.ExecutionPool`.  Topology:
   zero index builds** for anything a sibling (or a previous run) already
   compiled — the property PRs 4–5 built and ``make fleet-smoke`` checks.
 * **The acceptor** owns the listening socket and speaks the same NDJSON
-  protocol as a single frontend.  Every ``query`` is routed by the
+  protocol as a single frontend — literally: both are
+  :class:`repro.serve.lines.LineServer` subclasses, and this module
+  keeps only routing, circuit breakers and health.  Its gate differs in
+  one policy: a draining acceptor refuses *every* op, a draining worker
+  only ``query``.  Every ``query`` is routed by the
   *document content hash* it names through a
   :class:`repro.serve.ring.HashRing` over worker names, so each worker's
   in-memory plan/layout LRUs stay hot for its shard of the document
@@ -44,7 +48,6 @@ import importlib
 import json
 import os
 import random
-import signal
 import sys
 import threading
 import time
@@ -54,7 +57,14 @@ from ..errors import ReproError, ServiceError
 from ..faults import fire as _fault_fire
 from ..obs.export import _Exposition, merge_expositions
 from .admission import AdmissionConfig
-from .frontend import DEFAULT_HOST, LINE_LIMIT, QueryFrontend
+from .frontend import QueryFrontend
+from .lines import (
+    DEFAULT_HOST,
+    LINE_LIMIT,
+    LineServer,
+    error_reply,
+    serve_until_drained,
+)
 from .ring import DEFAULT_REPLICAS, HashRing
 
 #: Seconds to wait for a spawned worker's handshake line.
@@ -280,27 +290,21 @@ async def _serve_worker(name: str, spec: FleetSpec) -> int:
         ),
         flush=True,
     )
-    loop = asyncio.get_running_loop()
     stop = asyncio.Event()
-
-    async def _drain_and_stop() -> None:
-        await frontend.drain()
-        stop.set()
-
-    loop.add_signal_handler(
-        signal.SIGTERM, lambda: asyncio.ensure_future(_drain_and_stop())
-    )
     # A daemon thread watches stdin: EOF means the acceptor is gone and
     # this worker must not outlive it (daemonic so a blocked read never
     # wedges interpreter shutdown).
     threading.Thread(
-        target=_stdin_eof_watch, args=(loop, stop), daemon=True
+        target=_stdin_eof_watch,
+        args=(asyncio.get_running_loop(), stop),
+        daemon=True,
     ).start()
-    try:
-        await stop.wait()
-    finally:
+
+    async def close() -> None:
         await frontend.close()
         service.close()
+
+    await serve_until_drained(frontend.drain, close, stop)
     return 0
 
 
@@ -482,8 +486,12 @@ class WorkerHandle:
 # ----------------------------------------------------------------------
 # The acceptor
 # ----------------------------------------------------------------------
-class FleetAcceptor:
-    """The fleet's front door: one socket, N workers, ring routing."""
+class FleetAcceptor(LineServer):
+    """The fleet's front door: one socket, N workers, ring routing.
+
+    The socket side is :class:`repro.serve.lines.LineServer`; this class
+    keeps routing, circuit breakers and the health loop.
+    """
 
     def __init__(
         self,
@@ -499,6 +507,7 @@ class FleetAcceptor:
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        super().__init__(LINE_LIMIT)
         self.spec = spec
         names = [f"w{i}" for i in range(workers)]
         self.workers: dict[str, WorkerHandle] = {
@@ -530,12 +539,6 @@ class FleetAcceptor:
         self.worker_restarts: dict[str, int] = {name: 0 for name in names}
         self._restart_attempts: dict[str, int] = {name: 0 for name in names}
         self._restart_at: dict[str, float] = {name: 0.0 for name in names}
-        self.host: str | None = None
-        self.port: int | None = None
-        self.draining = False
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
-        self._inflight: set[asyncio.Task] = set()
         self._health_task: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -552,54 +555,26 @@ class FleetAcceptor:
         catalog = await first.call({"op": "documents"})
         self.documents = catalog["documents"]
         self.default_document = catalog["default"]
-        self._server = await asyncio.start_server(
-            self._handle_client, host, port, limit=LINE_LIMIT
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
+        await super().start(host, port)
         self._health_task = asyncio.create_task(self._health_loop())
         return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise RuntimeError("acceptor not started")
-        await self._server.serve_forever()
 
     async def drain(self) -> None:
         """Graceful shutdown: refuse new work, flush what was accepted.
 
-        Ordered so no acknowledged request is lost: (1) close the
-        listening socket — no new connections; (2) mark draining — lines
-        already-open connections send from now on are refused with an
-        ``error: draining`` reply, never silently dropped; (3) await
-        every request task admitted before the mark; (4) stop the health
-        loop (it must not resurrect workers mid-shutdown) and close the
-        client connections; (5) SIGTERM the workers, which run their own
-        in-process drain before exiting.  Idempotent with :meth:`close`.
+        Ordered so no acknowledged request is lost: (1) mark draining —
+        lines already-open connections send from now on are refused with
+        an ``error: draining`` reply, never silently dropped; (2) close
+        the listening socket — no new connections; (3) await every
+        request task admitted before the mark; (4) :meth:`close`: stop
+        the health loop (it must not resurrect workers mid-shutdown),
+        close the client connections and SIGTERM the workers, which run
+        their own in-process drain before exiting.
         """
         self.draining = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        while self._inflight:
-            await asyncio.gather(
-                *list(self._inflight), return_exceptions=True
-            )
-        if self._health_task is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except asyncio.CancelledError:
-                pass
-            self._health_task = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        await asyncio.gather(
-            *(worker.stop() for worker in self.workers.values())
-        )
+        await self.stop_listening()
+        await self.flush_inflight()
+        await self.close()
 
     async def close(self) -> None:
         if self._health_task is not None:
@@ -609,23 +584,10 @@ class FleetAcceptor:
             except asyncio.CancelledError:
                 pass
             self._health_task = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        if self._connections:
-            for task in list(self._connections):
-                task.cancel()
-            await asyncio.gather(*self._connections, return_exceptions=True)
+        await super().close()
         await asyncio.gather(
             *(worker.stop() for worker in self.workers.values())
         )
-
-    async def __aenter__(self) -> "FleetAcceptor":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
 
     # ------------------------------------------------------------------
     def _restart_delay(self, name: str) -> float:
@@ -788,13 +750,17 @@ class FleetAcceptor:
                 continue
             breaker.record_success()
             return reply
-        return {
-            "ok": False,
-            "error": "service",
-            "message": "no live worker for this document shard",
-        }
+        return error_reply(
+            "service", "no live worker for this document shard"
+        )
 
-    async def _reply_for(self, message: dict) -> dict:
+    def gate(self, message: dict, pending: int) -> tuple[str, str] | None:
+        """A draining acceptor refuses every op, not just queries."""
+        if self.draining:
+            return "draining", "acceptor is draining; retry elsewhere"
+        return None
+
+    async def reply_for(self, message: dict) -> dict:
         op = message.get("op")
         if op == "query":
             return await self._route_query(message)
@@ -863,121 +829,12 @@ class FleetAcceptor:
             texts.append(self._acceptor_exposition())
             return {"ok": True, "prometheus": merge_expositions(texts)}
         if op in ("open", "close"):
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "message": "sessions are worker-local; connect to a worker "
-                "directly for session-scoped serving",
-            }
-        return {
-            "ok": False,
-            "error": "bad-request",
-            "message": f"unknown op {op!r}",
-        }
-
-    # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One client connection: a task per line, ids echoed verbatim."""
-        conn = asyncio.current_task()
-        if conn is not None:
-            self._connections.add(conn)
-            conn.add_done_callback(self._connections.discard)
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await self._send(
-                        writer,
-                        write_lock,
-                        {
-                            "ok": False,
-                            "error": "bad-request",
-                            "message": (
-                                f"request line exceeds {LINE_LIMIT} bytes"
-                            ),
-                        },
-                    )
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    message = json.loads(line)
-                    if not isinstance(message, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as error:
-                    await self._send(
-                        writer,
-                        write_lock,
-                        {
-                            "ok": False,
-                            "error": "bad-request",
-                            "message": f"invalid request line: {error}",
-                        },
-                    )
-                    continue
-                if self.draining:
-                    reply = {
-                        "ok": False,
-                        "error": "draining",
-                        "message": "acceptor is draining; retry elsewhere",
-                    }
-                    client_id = message.get("id")
-                    if client_id is not None:
-                        reply["id"] = client_id
-                    await self._send(writer, write_lock, reply)
-                    continue
-                task = asyncio.create_task(
-                    self._serve_message(message, writer, write_lock)
-                )
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-                self._inflight.add(task)
-                task.add_done_callback(self._inflight.discard)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass
-
-    async def _serve_message(
-        self, message: dict, writer: asyncio.StreamWriter, lock: asyncio.Lock
-    ) -> None:
-        client_id = message.pop("id", None)
-        try:
-            reply = await self._reply_for(message)
-        except Exception as error:
-            reply = {
-                "ok": False,
-                "error": "internal",
-                "message": f"{type(error).__name__}: {error}",
-            }
-        if client_id is not None:
-            reply["id"] = client_id
-        await self._send(writer, lock, reply)
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, reply: dict
-    ) -> None:
-        data = (json.dumps(reply) + "\n").encode()
-        async with lock:
-            writer.write(data)
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+            return error_reply(
+                "bad-request",
+                "sessions are worker-local; connect to a worker directly "
+                "for session-scoped serving",
+            )
+        return error_reply("bad-request", f"unknown op {op!r}")
 
 
 async def start_fleet(

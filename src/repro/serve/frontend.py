@@ -1,12 +1,18 @@
 """Async I/O front-end: a newline-delimited-JSON socket server.
 
 The network face of the service: clients connect over TCP and exchange
-one JSON object per line.  Every ``query`` op goes through the
-:class:`repro.serve.admission.AdmissionController`, so requests arriving
-concurrently — from many connections, or pipelined on one — coalesce
-into waves and share one :class:`repro.serve.batch.BatchEvaluator`
-document pass.  Evaluation runs in a worker thread; the event loop keeps
-reading sockets while a wave evaluates.
+one JSON object per line.  The connection loop is
+:class:`repro.serve.lines.LineServer` (framing, byte cap, one task per
+line, id echo, the ``internal`` catch-all); this module supplies its two
+hooks — :meth:`QueryFrontend.reply_for`, the ops below, and
+:meth:`QueryFrontend.gate`, which refuses ``query`` lines while draining
+or past the per-connection pending cap.  Every ``query`` op goes through
+the :class:`repro.serve.admission.AdmissionController`, so requests
+arriving concurrently — from many connections, or pipelined on one —
+coalesce into waves and share one
+:class:`repro.serve.batch.BatchEvaluator` document pass.  Evaluation
+runs in a worker thread; the event loop keeps reading sockets while a
+wave evaluates.
 
 Protocol (one request object per line, one reply object per line)::
 
@@ -93,9 +99,9 @@ from ..obs.export import render_prometheus
 from ..obs.log import AccessLogger
 from ..obs.trace import Tracer
 from .admission import AdmissionConfig, AdmissionController
+from .lines import DEFAULT_HOST, LINE_LIMIT, LineServer, error_reply
 from .service import QueryRequest, QueryService, rejection_kind
 
-DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7407
 
 #: Default cap on ids returned per query reply (full count is always sent).
@@ -105,16 +111,8 @@ DEFAULT_ID_LIMIT = 100
 #: query lines get a structured ``overloaded`` rejection.
 DEFAULT_MAX_PENDING = 32
 
-#: Default per-line stream buffer cap (server and client) — the DoS
-#: guard against unbounded request lines.  A request line longer than
-#: the server's cap (``max_line_bytes``, tunable via ``--max-line-bytes``)
-#: is answered with a structured ``invalid-request`` rejection and the
-#: connection dropped — past the buffer the line framing is
-#: unrecoverable.
-LINE_LIMIT = 1 << 20
 
-
-class QueryFrontend:
+class QueryFrontend(LineServer):
     """The NDJSON socket server wrapping one :class:`QueryService`."""
 
     def __init__(
@@ -134,59 +132,15 @@ class QueryFrontend:
             raise ValueError(
                 f"max_line_bytes must be >= 1024, got {max_line_bytes}"
             )
+        super().__init__(max_line_bytes)
         self.service = service
         self.admission = AdmissionController(service, admission, executor)
         self.max_pending = max_pending
-        self.max_line_bytes = max_line_bytes
         self.tracer = tracer
         self.access_log = access_log
         # ``worker`` labels this process's Prometheus series so a fleet's
         # merged exposition keeps per-worker resolution.
         self.worker = worker
-        self.host: str | None = None
-        self.port: int | None = None
-        self._server: asyncio.AbstractServer | None = None
-        self._connections: set[asyncio.Task] = set()
-        self._inflight: set[asyncio.Task] = set()
-        self._draining = False
-
-    # ------------------------------------------------------------------
-    async def start(
-        self, host: str = DEFAULT_HOST, port: int = 0
-    ) -> tuple[str, int]:
-        """Bind and start accepting; returns the bound ``(host, port)``.
-
-        ``port=0`` binds an ephemeral port (use the returned one).
-        """
-        self._server = await asyncio.start_server(
-            self._handle_client, host, port, limit=self.max_line_bytes
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.host, self.port = sockname[0], sockname[1]
-        return self.host, self.port
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            raise RuntimeError("frontend not started")
-        await self._server.serve_forever()
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Stop established connections too (the server close above only
-        # stops the listening socket): cancel each handler out of its
-        # blocking read — its ``finally`` still flushes in-flight replies
-        # and closes the transport — then wait for all of them.
-        if self._connections:
-            for task in list(self._connections):
-                task.cancel()
-            await asyncio.gather(*self._connections, return_exceptions=True)
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     async def drain(self) -> None:
         """Graceful shutdown: refuse new queries, finish in-flight ones.
@@ -199,158 +153,35 @@ class QueryFrontend:
         record reaches disk.  Call :meth:`close` afterwards to drop the
         listener and connections.
         """
-        self._draining = True
-        if self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+        self.draining = True
+        await self.flush_inflight()
         if self.access_log is not None:
             self.access_log.log.close()
 
-    async def __aenter__(self) -> "QueryFrontend":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
     # ------------------------------------------------------------------
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One connection: spawn a task per request line so pipelined
-        requests coalesce into waves instead of serialising.  Query lines
-        past the per-connection pending cap are rejected inline."""
-        conn = asyncio.current_task()
-        if conn is not None:
-            self._connections.add(conn)
-            conn.add_done_callback(self._connections.discard)
-        write_lock = asyncio.Lock()
-        tasks: set[asyncio.Task] = set()
-        pending_queries = 0
+    def gate(self, message: dict, pending: int) -> tuple[str, str] | None:
+        """Only ``query`` ops are gated: draining, then backpressure."""
+        if message.get("op") != "query":
+            return None
+        if self.draining:
+            # A structured kind, so a load balancer retries elsewhere.
+            return "draining", "server is draining; retry elsewhere"
+        if pending >= self.max_pending:
+            # Backpressure: reject rather than queue without bound.
+            return "overloaded", (
+                f"connection has {pending} pending query(ies) "
+                f"(cap {self.max_pending}); drain replies before "
+                "pipelining more"
+            )
+        return None
 
-        def _query_done(task: asyncio.Task) -> None:
-            nonlocal pending_queries
-            pending_queries -= 1
-            tasks.discard(task)
+    def refused(self, kind: str, message: dict | None) -> None:
+        tenant = None if message is None else message.get("tenant")
+        self.service.metrics.record_rejection(
+            kind, tenant=None if tenant is None else str(tenant)
+        )
 
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # Oversized line (the --max-line-bytes DoS guard):
-                    # framing past the buffer cap is unrecoverable —
-                    # reply with a structured rejection, count it, then
-                    # drop the connection.
-                    self.service.metrics.record_rejection("invalid-request")
-                    await self._send(
-                        writer,
-                        write_lock,
-                        {
-                            "ok": False,
-                            "error": "invalid-request",
-                            "message": (
-                                "request line exceeds "
-                                f"{self.max_line_bytes} bytes"
-                            ),
-                        },
-                    )
-                    break
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    message = json.loads(line)
-                    if not isinstance(message, dict):
-                        raise ValueError("request must be a JSON object")
-                except ValueError as error:
-                    await self._send(
-                        writer,
-                        write_lock,
-                        {
-                            "ok": False,
-                            "error": "bad-request",
-                            "message": f"invalid request line: {error}",
-                        },
-                    )
-                    continue
-                is_query = message.get("op") == "query"
-                if is_query and self._draining:
-                    # Graceful shutdown: new admissions are refused with a
-                    # structured kind so a load balancer retries elsewhere.
-                    tenant = message.get("tenant")
-                    self.service.metrics.record_rejection(
-                        "draining",
-                        tenant=None if tenant is None else str(tenant),
-                    )
-                    reply = {
-                        "ok": False,
-                        "error": "draining",
-                        "message": "server is draining; retry elsewhere",
-                    }
-                    if "id" in message:
-                        reply["id"] = message["id"]
-                    await self._send(writer, write_lock, reply)
-                    continue
-                if is_query and pending_queries >= self.max_pending:
-                    # Backpressure: reject rather than queue without bound.
-                    tenant = message.get("tenant")
-                    self.service.metrics.record_rejection(
-                        "overloaded",
-                        tenant=None if tenant is None else str(tenant),
-                    )
-                    reply = {
-                        "ok": False,
-                        "error": "overloaded",
-                        "message": (
-                            f"connection has {pending_queries} pending "
-                            f"query(ies) (cap {self.max_pending}); drain "
-                            "replies before pipelining more"
-                        ),
-                    }
-                    if "id" in message:
-                        reply["id"] = message["id"]
-                    await self._send(writer, write_lock, reply)
-                    continue
-                task = asyncio.create_task(
-                    self._serve_message(message, writer, write_lock)
-                )
-                tasks.add(task)
-                if is_query:
-                    pending_queries += 1
-                    # Tracked frontend-wide too, so drain() can await
-                    # every in-flight query across all connections.
-                    self._inflight.add(task)
-                    task.add_done_callback(self._inflight.discard)
-                    task.add_done_callback(_query_done)
-                else:
-                    task.add_done_callback(tasks.discard)
-        except asyncio.CancelledError:
-            pass  # close() cancelled us: exit normally so the stream
-            # machinery never sees a cancelled handler task (3.11 logs it)
-        finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                pass  # already tearing down; the transport is closed
-
-    async def _send(
-        self, writer: asyncio.StreamWriter, lock: asyncio.Lock, reply: dict
-    ) -> None:
-        data = (json.dumps(reply) + "\n").encode()
-        async with lock:
-            writer.write(data)
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass  # client went away; nothing left to tell it
-
-    async def _serve_message(
-        self, message: dict, writer: asyncio.StreamWriter, lock: asyncio.Lock
-    ) -> None:
+    async def reply_for(self, message: dict) -> dict:
         fault = _fault_fire("worker.message")
         if fault is not None and fault.action == "crash":
             # Deterministic chaos: die exactly as an OOM-killed or
@@ -358,21 +189,6 @@ class QueryFrontend:
             # acceptor's unacknowledged-retry path and health loop
             # must absorb it.
             os._exit(13)
-        try:
-            reply = await self._reply_for(message)
-        except Exception as error:
-            # A reply must go out for every request line, no matter
-            # what — a swallowed exception would hang the client.
-            reply = {
-                "ok": False,
-                "error": "internal",
-                "message": f"{type(error).__name__}: {error}",
-            }
-        if "id" in message:
-            reply["id"] = message["id"]
-        await self._send(writer, lock, reply)
-
-    async def _reply_for(self, message: dict) -> dict:
         op = message.get("op")
         try:
             if op == "open":
@@ -411,11 +227,9 @@ class QueryFrontend:
                 }
             if op == "trace":
                 if self.tracer is None:
-                    return {
-                        "ok": False,
-                        "error": "bad-request",
-                        "message": "tracing is not enabled on this server",
-                    }
+                    return error_reply(
+                        "bad-request", "tracing is not enabled on this server"
+                    )
                 limit = message.get("limit")
                 return {
                     "ok": True,
@@ -428,33 +242,22 @@ class QueryFrontend:
                 }
             if op == "ping":
                 return {"ok": True, "pong": True}
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "message": f"unknown op {op!r}",
-            }
+            return error_reply("bad-request", f"unknown op {op!r}")
         except KeyError as error:
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "message": f"missing field {error.args[0]!r}",
-            }
+            return error_reply(
+                "bad-request", f"missing field {error.args[0]!r}"
+            )
         except ReproError as error:
-            return {
-                "ok": False,
-                "error": rejection_kind(error),
-                "message": str(error),
-            }
+            return error_reply(rejection_kind(error), str(error))
 
     async def _serve_query(self, message: dict) -> dict:
         try:
             limit = int(message.get("limit", DEFAULT_ID_LIMIT))
         except (TypeError, ValueError):
-            return {
-                "ok": False,
-                "error": "bad-request",
-                "message": f"limit must be an integer, got {message['limit']!r}",
-            }
+            return error_reply(
+                "bad-request",
+                f"limit must be an integer, got {message['limit']!r}",
+            )
         document = message.get("document")
         deadline_ms = message.get("deadline_ms")
         if deadline_ms is not None:
@@ -463,14 +266,11 @@ class QueryFrontend:
             except (TypeError, ValueError):
                 deadline_ms = -1.0
             if deadline_ms <= 0 or deadline_ms != deadline_ms:
-                return {
-                    "ok": False,
-                    "error": "bad-request",
-                    "message": (
-                        "deadline_ms must be a positive number, got "
-                        f"{message['deadline_ms']!r}"
-                    ),
-                }
+                return error_reply(
+                    "bad-request",
+                    "deadline_ms must be a positive number, got "
+                    f"{message['deadline_ms']!r}",
+                )
         request = QueryRequest(
             tenant=str(message["tenant"]),
             query=str(message["query"]),

@@ -14,19 +14,29 @@ nor against a document its catalog does not name (a
 rejection kind).  A tenant bound to ``view=None`` is trusted with direct
 (unrewritten) regular-XPath access to its cataloged sources.
 
-Two serving paths:
+One serving path: every request becomes a :class:`Grant`
+(:meth:`QueryService._admit`: authorise, fetch or compile the plan from
+the shared LRU :class:`repro.serve.cache.PlanCache`), grants over the
+same document form a group, and a group is evaluated by
+:meth:`QueryService._shared_pass` — the single place that resolves the
+document, realises executables, hands one
+:class:`repro.serve.batch.BatchEvaluator` pass to the pool, mirrors
+spans and (through :meth:`Grant.answer`) records served requests.  The
+entry points differ only in admission and in how rejections surface:
 
-* :meth:`QueryService.submit` — one request: authorise, fetch or compile
-  the plan from the shared LRU :class:`repro.serve.cache.PlanCache`, run
-  HyPE, record metrics.
-* :meth:`QueryService.submit_many` — many requests over the same
-  document: plans are gathered per request and evaluated by one
-  :class:`repro.serve.batch.BatchEvaluator` pass, so K queries cost one
-  shared traversal instead of K.
+* :meth:`QueryService.submit` — one request, a width-1 group; raises
+  its rejection.
+* :meth:`QueryService.submit_many` — all-or-nothing: the first
+  rejection raises.
+* :meth:`QueryService.submit_wave` — per-slot outcomes: the entry point
+  the front-end's admission waves use.
+
+A deadline that fires mid-pass retries each live grant through the same
+``_shared_pass`` at width 1 under its own deadline.
 
 Concurrency: compiled plans are immutable-after-warmup and thread-safe
 (:class:`repro.hype.core.CompiledPlan`), so evaluation needs no global
-lock — every run is dispatched to a bounded
+lock — every pass is dispatched to a bounded
 :class:`repro.serve.pool.ExecutionPool`, letting independent waves and
 requests overlap while queue-wait and evaluation time are measured
 separately.
@@ -53,7 +63,8 @@ from ..errors import (
 )
 from ..guard import Deadline, min_deadline
 from ..hype.api import ALGORITHMS, HYPE
-from ..obs.trace import add_span, span
+from ..hype.core import HyPEResult
+from ..obs.trace import add_span, current_span, span
 from ..views.spec import ViewSpec
 from ..xpath import ast
 from ..xpath.parser import parse_query
@@ -116,6 +127,54 @@ class QueryRequest:
         return None
 
 
+@dataclass(slots=True)
+class Grant:
+    """One admitted request: what evaluation and accounting need of it.
+
+    Built by :meth:`QueryService._admit`; the evaluation path only ever
+    reads it.  ``session`` is the :class:`Session` object (not its id)
+    captured at admission, so accounting after evaluation touches the
+    admitted session directly — a session closed mid-flight must not
+    fail a request (let alone a whole wave) admitted while it was open.
+    """
+
+    request: QueryRequest
+    binding: TenantBinding
+    algorithm: str
+    plan: CachedPlan
+    query_text: str
+    session: Session | None
+    document: str
+    deadline: Deadline | None
+
+    def expired(self) -> bool:
+        return self.deadline is not None and self.deadline.expired()
+
+    def answer(
+        self,
+        result: HyPEResult,
+        metrics: ServiceMetrics,
+        queue_wait: float,
+        eval_seconds: float,
+    ) -> QueryAnswer:
+        """Account this request's share of a pass and wrap its lane's
+        result — the one place a served request is recorded."""
+        metrics.record_request(
+            self.request.tenant, queue_wait, eval_seconds, len(result.answers)
+        )
+        if self.session is not None:
+            self.session.touch(self.query_text)
+        return QueryAnswer(
+            result.answers,
+            self.plan.mfa,
+            result.stats,
+            self.algorithm,
+            view=self.binding.view,
+            query_text=self.query_text,
+            document=self.document,
+        )
+
+
 @dataclass
 class WaveResult:
     """Per-request outcomes of one admission wave.
@@ -142,6 +201,11 @@ class WaveResult:
     def rejected(self) -> int:
         """Requests rejected before evaluation."""
         return len(self.outcomes) - self.admitted
+
+
+def _call(func, *args, **kwargs):
+    """``Context.run``'s shape for the caller's own (current) context."""
+    return func(*args, **kwargs)
 
 
 def rejection_kind(error: ReproError) -> str:
@@ -406,62 +470,29 @@ class QueryService:
     ) -> QueryAnswer:
         """Authorise, plan, evaluate and account one request.
 
-        ``deadline_ms`` (or a pre-armed ``deadline``) bounds the whole
-        request; expiry at any stage — admission, pool queue, or
-        mid-descent — raises :class:`repro.errors.DeadlineError`,
-        counted under the ``deadline`` rejection kind, and no partial
-        answer is ever returned.
+        A width-1 group on the caller's thread: the same path a wave
+        takes, minus the wave/batch counters.  ``deadline_ms`` (or a
+        pre-armed ``deadline``) bounds the whole request; expiry at any
+        stage — admission, pool queue, or mid-descent — raises
+        :class:`repro.errors.DeadlineError`, counted under the
+        ``deadline`` rejection kind, and no partial answer is ever
+        returned.
         """
-        if deadline is None and deadline_ms is not None:
-            deadline = Deadline.after_ms(deadline_ms)
-        try:
-            if deadline is not None and deadline.expired():
-                raise DeadlineError("deadline expired before admission")
-            binding, algo, session, doc_hash = self._authorize(
-                tenant, algorithm, session_id, document
+        grant = self._admit(
+            QueryRequest(
+                tenant,
+                query,
+                algorithm,
+                session_id,
+                document,
+                deadline_ms,
+                deadline,
             )
-            plan, query_text = self._plan(binding, query)
-        except ReproError as error:
-            # Parse/rewrite failures reject a request just as authorisation
-            # failures do; classify so every rejection is counted.
-            self.metrics.record_rejection(rejection_kind(error), tenant=tenant)
-            raise
-        doc = self._resolve_document(doc_hash)
-        compiled = plan.compiled(algo, doc.tree, doc)
-        try:
-            outcome = self.pool.execute(
-                lambda: compiled.run(
-                    doc.tree.root, layout=doc.layout, deadline=deadline
-                ),
-                deadline=deadline,
-            )
-        except DeadlineError as error:
-            self.metrics.record_rejection(rejection_kind(error), tenant=tenant)
-            raise
-        result = outcome.result
-        add_span("queue.wait", outcome.enqueued, outcome.started)
-        add_span(
-            "evaluate",
-            outcome.started,
-            outcome.finished,
-            algorithm=algo,
-            answers=len(result.answers),
-            visited=result.stats.visited_elements,
         )
-        self.metrics.record_request(
-            tenant, outcome.queue_wait, outcome.eval_seconds, len(result.answers)
-        )
-        if session is not None:
-            session.touch(query_text)
-        return QueryAnswer(
-            result.answers,
-            plan.mfa,
-            result.stats,
-            algo,
-            view=binding.view,
-            query_text=query_text,
-            document=doc_hash,
-        )
+        (outcome,), _stats = self._evaluate_group([grant])
+        if isinstance(outcome, ReproError):
+            raise outcome
+        return outcome
 
     def submit_many(
         self, requests: list[QueryRequest]
@@ -480,15 +511,7 @@ class QueryService:
         """
         if not requests:
             return [], BatchStats()
-        grants = []
-        for request in requests:
-            try:
-                grants.append(self._admit(request))
-            except ReproError as error:
-                self.metrics.record_rejection(
-                    rejection_kind(error), tenant=request.tenant
-                )
-                raise
+        grants = [self._admit(request) for request in requests]
         answers, stats = self._evaluate_grants(grants)
         for answer in answers:
             # Deadline expiry mid-batch surfaces as that request's
@@ -533,9 +556,6 @@ class QueryService:
                 else:
                     grant = self._admit(request)
             except ReproError as error:
-                self.metrics.record_rejection(
-                    rejection_kind(error), tenant=request.tenant
-                )
                 outcomes[slot] = error
                 continue
             grants.append(grant)
@@ -587,81 +607,65 @@ class QueryService:
                 )
             return local
 
-    def _admit(self, request: QueryRequest):
+    def _admit(self, request: QueryRequest) -> Grant:
         """Authorise + plan one request (the pre-evaluation gate).
 
         The request's deadline is armed here (unless the caller armed it
         earlier, e.g. at protocol arrival) and a request that arrives
         already expired is rejected before any authorisation or compile
-        work is spent on it.
+        work is spent on it.  Parse/rewrite failures reject a request
+        just as authorisation failures do; every rejection is classified
+        and counted here, then re-raised for the caller to place.
         """
-        deadline = request.arm()
-        if deadline is not None and deadline.expired():
-            raise DeadlineError("deadline expired before admission")
-        binding, algo, session, doc_hash = self._authorize(
-            request.tenant,
-            request.algorithm,
-            request.session_id,
-            request.document,
+        try:
+            deadline = request.arm()
+            if deadline is not None and deadline.expired():
+                raise DeadlineError("deadline expired before admission")
+            binding, algo, session, doc_hash = self._authorize(
+                request.tenant,
+                request.algorithm,
+                request.session_id,
+                request.document,
+            )
+            plan, query_text = self._plan(binding, request.query)
+        except ReproError as error:
+            self.metrics.record_rejection(
+                rejection_kind(error), tenant=request.tenant
+            )
+            raise
+        return Grant(
+            request, binding, algo, plan, query_text, session, doc_hash, deadline
         )
-        plan, query_text = self._plan(binding, request.query)
-        return (request, binding, algo, plan, query_text, session, doc_hash, deadline)
 
     def _evaluate_grants(
         self,
-        grants: list,
+        grants: list[Grant],
         contexts: list[contextvars.Context | None] | None = None,
-    ) -> tuple[list[QueryAnswer], BatchStats]:
+    ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
         """Run admitted grants through shared per-document passes.
 
         Grants are partitioned by the document their request was
         authorised against: each distinct document costs exactly one
         shared traversal (the common single-document wave stays one
         pass, unchanged), and the per-group answers are merged back into
-        request order with the group counters summed into one
+        request order with the group counters merged into one
         :class:`BatchStats` for the wave.
         """
-        groups: dict[str, list[int]] = {}
+        by_document: dict[str, list[int]] = {}
         for index, grant in enumerate(grants):
-            groups.setdefault(grant[6], []).append(index)
+            by_document.setdefault(grant.document, []).append(index)
         answers: list[QueryAnswer | ReproError | None] = [None] * len(grants)
-        lanes_total = 0
-        visited_total = 0
-        skipped_total = 0
-        composed_groups_total = 0
-        composed_lanes_total = 0
-        composed_fallbacks_total = 0
-        for doc_hash, indices in groups.items():
-            group = [grants[index] for index in indices]
-            group_contexts = (
-                [contexts[index] for index in indices]
-                if contexts is not None
-                else None
-            )
+        stats = BatchStats()
+        for indices in by_document.values():
             group_answers, group_stats = self._evaluate_group(
-                doc_hash, group, group_contexts
+                [grants[index] for index in indices],
+                None
+                if contexts is None
+                else [contexts[index] for index in indices],
             )
             for index, answer in zip(indices, group_answers):
                 answers[index] = answer
-            lanes_total += group_stats.lanes
-            visited_total += group_stats.visited_elements
-            skipped_total += group_stats.skipped_subtrees
-            composed_groups_total += group_stats.composed_groups
-            composed_lanes_total += group_stats.composed_lanes
-            composed_fallbacks_total += group_stats.composed_fallbacks
-        stats = BatchStats(
-            lanes=lanes_total,
-            visited_elements=visited_total,
-            skipped_subtrees=skipped_total,
-            sequential_visited=sum(
-                answer.stats.visited_elements
-                for answer in answers
-                if not isinstance(answer, ReproError)
-            ),
-            composed_groups=composed_groups_total,
-            composed_lanes=composed_lanes_total,
-            composed_fallbacks=composed_fallbacks_total,
-        )
+            stats.merge(group_stats)
         self.metrics.record_batch(
             len(grants),
             stats.visited_elements,
@@ -674,8 +678,7 @@ class QueryService:
 
     def _evaluate_group(
         self,
-        doc_hash: str,
-        grants: list,
+        grants: list[Grant],
         contexts: list[contextvars.Context | None] | None = None,
     ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
         """Run one document's admitted grants, deadline-aware.
@@ -683,18 +686,18 @@ class QueryService:
         Grants whose deadline already expired are rejected up front (the
         structured ``deadline`` kind) without costing the wave anything.
         The rest share one pass armed with the *earliest* live deadline;
-        if that fires mid-pass the shared cursors are discarded wholesale
-        — no partial answers can escape — and every live grant is retried
+        if that fires the shared cursors are discarded wholesale — no
+        partial answers can escape — and every live grant is retried
         per-lane under its OWN deadline, so one tight-deadline request
-        cannot sink its wavemates.
+        cannot sink its wavemates: slower deadlines still complete and
+        expired ones become structured ``deadline`` rejections.
         """
         answers: list[QueryAnswer | ReproError | None] = [None] * len(grants)
         live: list[int] = []
         for index, grant in enumerate(grants):
-            deadline = grant[7]
-            if deadline is not None and deadline.expired():
+            if grant.expired():
                 answers[index] = self._reject_deadline(
-                    grant[0].tenant, "deadline expired before evaluation"
+                    grant, DeadlineError("deadline expired before evaluation")
                 )
             else:
                 live.append(index)
@@ -702,50 +705,80 @@ class QueryService:
             return answers, BatchStats()
         live_grants = [grants[index] for index in live]
         live_contexts = (
-            [contexts[index] for index in live] if contexts is not None else None
+            None if contexts is None else [contexts[index] for index in live]
         )
-        group_deadline = min_deadline(grant[7] for grant in live_grants)
         try:
             group_answers, stats = self._shared_pass(
-                doc_hash, live_grants, live_contexts, group_deadline
+                live_grants,
+                live_contexts,
+                min_deadline(grant.deadline for grant in live_grants),
             )
         except DeadlineError:
             group_answers, stats = self._lane_fallback(
-                doc_hash, live_grants, live_contexts
+                live_grants, live_contexts
             )
         for index, answer in zip(live, group_answers):
             answers[index] = answer
         return answers, stats
 
-    def _reject_deadline(self, tenant: str, message: str) -> DeadlineError:
-        """Build + count one structured ``deadline`` rejection."""
-        error = DeadlineError(message)
-        self.metrics.record_rejection("deadline", tenant=tenant)
+    def _lane_fallback(
+        self,
+        grants: list[Grant],
+        contexts: list[contextvars.Context | None] | None,
+    ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
+        """Retry grants one width-1 pass at a time, each under its own
+        deadline (the aborted shared pass's cursors died with its
+        exception, so nothing partial survives into these)."""
+        answers: list[QueryAnswer | ReproError] = []
+        stats = BatchStats()
+        for index, grant in enumerate(grants):
+            try:
+                if grant.expired():
+                    raise DeadlineError("deadline expired before evaluation")
+                (answer,), lane_stats = self._shared_pass(
+                    [grant],
+                    None if contexts is None else [contexts[index]],
+                    grant.deadline,
+                )
+            except DeadlineError as error:
+                answer = self._reject_deadline(grant, error)
+            else:
+                stats.merge(lane_stats)
+            answers.append(answer)
+        return answers, stats
+
+    def _reject_deadline(
+        self, grant: Grant, error: DeadlineError
+    ) -> DeadlineError:
+        """Count one structured ``deadline`` rejection; returns it."""
+        self.metrics.record_rejection("deadline", tenant=grant.request.tenant)
         return error
 
     def _shared_pass(
         self,
-        doc_hash: str,
-        grants: list,
-        contexts: list[contextvars.Context | None] | None = None,
-        deadline: Deadline | None = None,
+        grants: list[Grant],
+        contexts: list[contextvars.Context | None] | None,
+        deadline: Deadline | None,
     ) -> tuple[list[QueryAnswer], BatchStats]:
-        """Run one document's admitted grants through one shared pass.
+        """Run one document's live grants through one pass — the single
+        place that resolves the document, realises executables, hands
+        work to the pool, mirrors spans and records served requests.
 
         Requests resolving to the same compiled plan — e.g. two tenants
         bound to one view posing the same query — share one lane, so the
         plan's memo tables are filled once and read by every request.
 
-        Shared-pass phases (document resolution, queue wait, the batched
-        evaluation) happen once per group but serve every grant — with
-        ``contexts`` they are mirrored as spans into *each* request's
-        trace, at the absolute instants the shared work ran.
+        The pass's phases (document resolution, queue wait, the batched
+        evaluation) happen once but serve every grant, so they are
+        recorded as spans into *each* request's trace at the absolute
+        instants the shared work ran: into the grant's captured context
+        when it has one, else into the caller's active trace.
 
-        ``deadline`` (the wave's earliest) arms the pool's pre-eval drop
-        and the kernel checkpoint; expiry raises
-        :class:`repro.errors.DeadlineError` out of this method with no
-        cursor state surviving.
+        ``deadline`` arms the pool's pre-eval drop and the kernel
+        checkpoint; expiry raises :class:`repro.errors.DeadlineError`
+        out of this method with no cursor state surviving.
         """
+        doc_hash = grants[0].document
         resolve_start = time.perf_counter()
         doc = self._resolve_document(doc_hash, uses=len(grants))
         resolve_end = time.perf_counter()
@@ -754,24 +787,26 @@ class QueryService:
         lane_meta: list = []
         request_lane: list[int] = []
         for grant in grants:
-            binding, algo, plan = grant[1], grant[2], grant[3]
-            compiled = plan.compiled(algo, doc.tree, doc)
+            compiled = grant.plan.compiled(grant.algorithm, doc.tree, doc)
             lane = lane_of.get(id(compiled))
             if lane is None:
                 lane = lane_of[id(compiled)] = len(lanes)
                 lanes.append(compiled)
-                artifact = plan.artifact
+                artifact = grant.plan.artifact
                 if artifact is None:
                     # Plans inserted through the generic put API carry no
                     # fingerprint to key a composed kernel under.
                     lane_meta.append(None)
                 else:
+                    view = grant.binding.view
                     view_fp = (
-                        self._views[binding.view].fingerprint()
-                        if binding.view is not None
-                        else None
+                        None
+                        if view is None
+                        else self._views[view].fingerprint()
                     )
-                    lane_meta.append((algo, view_fp, artifact.cache_key()))
+                    lane_meta.append(
+                        (grant.algorithm, view_fp, artifact.cache_key())
+                    )
             request_lane.append(lane)
         groups, composer, group_width = self._compose_groups(
             lanes, lane_meta, doc
@@ -788,17 +823,15 @@ class QueryService:
         # Attribute the shared pass evenly across the batched requests.
         wait_share = pooled.queue_wait / len(grants)
         eval_share = pooled.eval_seconds / len(grants)
+        traced_here = current_span() is not None
         answers: list[QueryAnswer] = []
-        for index, (
-            (request, binding, algo, plan, query_text, session, _doc_hash, _dl),
-            lane,
-        ) in enumerate(zip(grants, request_lane)):
+        for index, (grant, lane) in enumerate(zip(grants, request_lane)):
             result = outcome.results[lane]
             ctx = contexts[index] if contexts is not None else None
             if ctx is not None:
-                # Mirror the shared-pass phases into this request's trace
-                # at their real absolute times.  Sequential ctx.run calls:
-                # a Context must not be entered from two threads at once.
+                # Sequential ctx.run calls: a Context must not be
+                # entered from two threads at once.  (The caller's own
+                # trace already holds _resolve_document's span.)
                 ctx.run(
                     add_span,
                     "docstore.resolve",
@@ -806,15 +839,19 @@ class QueryService:
                     resolve_end,
                     uses=len(grants),
                 )
-                ctx.run(
-                    add_span, "queue.wait", pooled.enqueued, pooled.started
-                )
-                ctx.run(
+                record = ctx.run
+            elif traced_here:
+                record = _call
+            else:
+                record = None
+            if record is not None:
+                record(add_span, "queue.wait", pooled.enqueued, pooled.started)
+                record(
                     add_span,
                     "evaluate",
                     pooled.started,
                     pooled.finished,
-                    algorithm=algo,
+                    algorithm=grant.algorithm,
                     document=doc_hash,
                     wave=len(grants),
                     lanes=len(lanes),
@@ -824,123 +861,14 @@ class QueryService:
                     composed=lane in outcome.composed,
                     composed_width=group_width.get(lane, 0),
                 )
-            self.metrics.record_request(
-                request.tenant, wait_share, eval_share, len(result.answers)
-            )
-            if session is not None:
-                # The session captured at admission: touching it directly
-                # keeps a close() racing the evaluation from failing the
-                # wave after every answer was already computed.
-                session.touch(query_text)
             answers.append(
-                QueryAnswer(
-                    result.answers,
-                    plan.mfa,
-                    result.stats,
-                    algo,
-                    view=binding.view,
-                    query_text=query_text,
-                    document=doc_hash,
-                )
+                grant.answer(result, self.metrics, wait_share, eval_share)
             )
-        stats = BatchStats(
-            lanes=len(lanes),
-            visited_elements=outcome.stats.visited_elements,
-            skipped_subtrees=outcome.stats.skipped_subtrees,
-            sequential_visited=sum(
-                a.stats.visited_elements for a in answers
-            ),
-            composed_groups=outcome.stats.composed_groups,
-            composed_lanes=outcome.stats.composed_lanes,
-            composed_fallbacks=outcome.stats.composed_fallbacks,
-        )
-        return answers, stats
-
-    def _lane_fallback(
-        self,
-        doc_hash: str,
-        grants: list,
-        contexts: list[contextvars.Context | None] | None = None,
-    ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
-        """Retry grants one lane at a time, each under its own deadline.
-
-        The shared pass aborted on the wave's earliest deadline; here
-        every grant gets a fresh cursor and its own budget, so slower
-        deadlines still complete and expired ones become structured
-        ``deadline`` rejections — never partial answers (the aborted
-        pass's cursors were discarded with the exception).
-        """
-        doc = self._resolve_document(doc_hash, uses=len(grants))
-        answers: list[QueryAnswer | ReproError] = []
-        evaluated = 0
-        visited = 0
-        skipped = 0
-        for index, grant in enumerate(grants):
-            request, binding, algo, plan, query_text, session, _dh, deadline = grant
-            if deadline is not None and deadline.expired():
-                answers.append(
-                    self._reject_deadline(
-                        request.tenant, "deadline expired before evaluation"
-                    )
-                )
-                continue
-            compiled = plan.compiled(algo, doc.tree, doc)
-            try:
-                pooled = self.pool.execute(
-                    lambda c=compiled, d=deadline: c.run(
-                        doc.tree.root, layout=doc.layout, deadline=d
-                    ),
-                    deadline=deadline,
-                )
-            except DeadlineError:
-                answers.append(
-                    self._reject_deadline(
-                        request.tenant, "deadline expired mid-evaluation"
-                    )
-                )
-                continue
-            result = pooled.result
-            evaluated += 1
-            visited += result.stats.visited_elements
-            skipped += result.stats.skipped_subtrees
-            ctx = contexts[index] if contexts is not None else None
-            if ctx is not None:
-                ctx.run(add_span, "queue.wait", pooled.enqueued, pooled.started)
-                ctx.run(
-                    add_span,
-                    "evaluate",
-                    pooled.started,
-                    pooled.finished,
-                    algorithm=algo,
-                    document=doc_hash,
-                    answers=len(result.answers),
-                    visited=result.stats.visited_elements,
-                    fallback="deadline",
-                )
-            self.metrics.record_request(
-                request.tenant,
-                pooled.queue_wait,
-                pooled.eval_seconds,
-                len(result.answers),
-            )
-            if session is not None:
-                session.touch(query_text)
-            answers.append(
-                QueryAnswer(
-                    result.answers,
-                    plan.mfa,
-                    result.stats,
-                    algo,
-                    view=binding.view,
-                    query_text=query_text,
-                    document=doc_hash,
-                )
-            )
-        stats = BatchStats(
-            lanes=evaluated,
-            visited_elements=visited,
-            skipped_subtrees=skipped,
-            sequential_visited=visited,
+        stats = outcome.stats
+        # Per *request*, not per lane: what N separate passes would have
+        # cost also counts the duplicate evaluations lane sharing avoided.
+        stats.sequential_visited = sum(
+            answer.stats.visited_elements for answer in answers
         )
         return answers, stats
 

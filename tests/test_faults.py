@@ -17,6 +17,7 @@ from repro.compile import FORMAT_VERSION, PlanStore, QueryCompiler
 from repro.docstore import DocumentStore
 from repro.faults import ENV_VAR, FaultPlan, FaultRule
 from repro.hype.api import compile_plan
+from repro.serve.batch import BatchEvaluator
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.xtree.serialize import serialize
 
@@ -155,6 +156,25 @@ class TestDescendSeam:
         assert schedule.fired_counts() == {"descend": 1}
         assert schedule.hits("descend") == 3
         assert slow >= fast + 0.04
+
+    def test_composed_pass_fires_the_seam_too(self):
+        """Regression: ``descend_composed`` skipped the seam, so slow-
+        descent schedules never touched ``--compose`` traffic."""
+        tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))
+        lanes = [
+            compile_plan("department/patient", tree=tree),
+            compile_plan("department/patient/parent", tree=tree),
+        ]
+        schedule = plan(
+            FaultRule("descend", "delay", hits=(1,), seconds=0.05)
+        )
+        started = time.perf_counter()
+        wave = BatchEvaluator(lanes, groups=[(0, 1)]).run(tree.root)
+        elapsed = time.perf_counter() - started
+        assert wave.composed == {0, 1}  # ONE composed pass, no per-lane one
+        assert schedule.hits("descend") == 1
+        assert schedule.fired_counts() == {"descend": 1}
+        assert elapsed >= 0.04
 
 
 class TestWorkerPointSchedules:

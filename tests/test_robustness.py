@@ -11,8 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import faults
 from repro.compile.pipeline import QueryCompiler
 from repro.errors import DeadlineError, QueryTooComplexError
+from repro.faults import FaultPlan, FaultRule
 from repro.guard import CompileBudget, Deadline
 from repro.hype.api import ALGORITHMS
 from repro.serve.fleet import CircuitBreaker
@@ -137,6 +139,50 @@ class TestNoPartialAnswers:
         with pytest.raises(DeadlineError):
             svc.submit("admin", "hospital", deadline_ms=0.0)
         assert svc.metrics_snapshot().rejected_kinds.get("deadline") == 1
+
+
+class TestDeadlineUnderSlowDescent:
+    """A ``descend`` fault delay past a wave's earliest deadline: the
+    composed pass is abandoned whole at its checkpoint, the expired
+    request is rejected once, and its undeadlined wavemate is retried
+    per-lane to the complete answer."""
+
+    @pytest.fixture(autouse=True)
+    def fault_free(self):
+        yield
+        faults.install(None)
+
+    def test_composed_pass_expires_under_injected_delay(self, big_hospital_doc):
+        svc = QueryService(big_hospital_doc, compose=True)
+        svc.register_view("research", sigma0())
+        svc.register_tenant("institute", "research")
+        tight, free = QUERIES[0], QUERIES[1]
+        with svc:
+            reference = svc.submit_wave(
+                [QueryRequest("institute", tight), QueryRequest("institute", free)]
+            )
+            assert reference.stats.composed_lanes == 2
+            schedule = faults.install(
+                FaultPlan([FaultRule("descend", "delay", hits=(1,), seconds=0.1)])
+            )
+            result = svc.submit_wave(
+                [
+                    QueryRequest(
+                        "institute", tight, deadline=Deadline.after_ms(30.0)
+                    ),
+                    QueryRequest("institute", free),
+                ]
+            )
+            expired, live = result.outcomes
+            assert isinstance(expired, DeadlineError)
+            assert live.ids() == reference.outcomes[1].ids()
+            # Hit 1 was the composed entry (delayed, then abandoned);
+            # hit 2 the survivor's per-lane retry.
+            assert schedule.hits("descend") == 2
+            assert result.stats.composed_lanes == 0
+            snap = svc.metrics_snapshot()
+            assert snap.rejected_kinds == {"deadline": 1}
+            assert snap.requests == 3  # two reference answers + the survivor
 
 
 class TestRewriteBombRegression:

@@ -1,0 +1,124 @@
+"""Structural guards on the serving stack (AST walks, no execution).
+
+Like ``test_descend_is_the_only_descent_loop``: the serving stack has
+ONE path per job, and a second copy growing back next to it fails here.
+
+* every query takes the wave path — ``service.py`` hands evaluation to
+  the pool, builds a ``QueryAnswer`` and records a served request in
+  exactly one place each, and a grant is a record, never ``grant[6]``;
+* one accept-side line loop under ``serve/``
+  (:class:`repro.serve.lines.LineServer`);
+* one SIGTERM → drain → close loop
+  (:func:`repro.serve.lines.serve_until_drained`).
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
+
+import repro
+
+SRC = Path(inspect.getfile(repro)).parent
+SERVE = sorted((SRC / "serve").glob("*.py"))
+
+#: Loops that read *replies* (a client of some server), by function name.
+CLIENT_READERS = {"_read_replies"}
+
+
+def calls(tree: ast.AST):
+    return (node for node in ast.walk(tree) if isinstance(node, ast.Call))
+
+
+def functions(tree: ast.AST):
+    return (
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    )
+
+
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text())
+
+
+def is_pool_handoff(call: ast.Call) -> bool:
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("execute", "dispatch")
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "pool"
+    )
+
+
+def test_service_evaluates_and_accounts_in_one_place():
+    tree = parse(SRC / "serve" / "service.py")
+    handoffs = [call.lineno for call in calls(tree) if is_pool_handoff(call)]
+    answers = [
+        call.lineno
+        for call in calls(tree)
+        if isinstance(call.func, ast.Name) and call.func.id == "QueryAnswer"
+    ]
+    recorded = [
+        call.lineno
+        for call in calls(tree)
+        if isinstance(call.func, ast.Attribute)
+        and call.func.attr == "record_request"
+    ]
+    assert len(handoffs) == 1, handoffs
+    assert len(answers) == 1, answers
+    assert len(recorded) == 1, recorded
+
+
+def test_only_the_service_hands_work_to_the_pool():
+    owners = [
+        path.name
+        for path in SERVE
+        for call in calls(parse(path))
+        if is_pool_handoff(call)
+    ]
+    assert owners == ["service.py"]
+
+
+def test_grants_are_never_indexed_positionally():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SERVE
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "grant"
+        and isinstance(node.slice, ast.Constant)
+        and isinstance(node.slice.value, int)
+    ]
+    assert offenders == []
+
+
+def test_one_accept_side_line_loop():
+    loops = []
+    for path in SERVE:
+        for function in functions(parse(path)):
+            if function.name in CLIENT_READERS:
+                continue
+            for loop in ast.walk(function):
+                if isinstance(loop, ast.While) and any(
+                    isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "readline"
+                    for call in calls(loop)
+                ):
+                    loops.append(f"{path.name}:{function.name}")
+    assert loops == ["lines.py:_handle_client"]
+
+
+def test_sigterm_is_registered_in_one_function():
+    registrars = []
+    for path in [SRC / "cli.py", *SERVE]:
+        for function in functions(parse(path)):
+            if any(
+                isinstance(node, ast.Attribute) and node.attr == "SIGTERM"
+                for node in ast.walk(function)
+            ):
+                registrars.append(f"{path.name}:{function.name}")
+    assert registrars == ["lines.py:serve_until_drained"]

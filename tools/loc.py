@@ -1,0 +1,71 @@
+"""Code-line counts per package under ``src/repro`` (``make loc``).
+
+A *code line* is a physical line carrying at least one token that is not
+a comment, a blank, or part of a docstring (a string literal standing
+alone as a statement) — so comment, docstring and blank-line edits never
+move the number.  Stdlib :mod:`tokenize` only.
+
+    python tools/loc.py [ROOT]          # default ROOT: src/repro
+
+Prints one row per package (top-level modules under ``(root)``), the
+``serve/ + cli.py`` subtotal PR budgets quote, and the total; compare
+two checkouts by running it in each.
+"""
+
+from __future__ import annotations
+
+import sys
+import tokenize
+from pathlib import Path
+
+_LAYOUT = {
+    tokenize.NEWLINE,
+    tokenize.INDENT,
+    tokenize.DEDENT,
+    tokenize.ENDMARKER,
+}
+_INVISIBLE = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+
+
+def code_lines(path: Path) -> int:
+    with tokenize.open(path) as handle:
+        tokens = [
+            token
+            for token in tokenize.generate_tokens(handle.readline)
+            if token.type not in _INVISIBLE
+        ]
+    lines: set[int] = set()
+    for index, token in enumerate(tokens):
+        if token.type in _LAYOUT:
+            continue
+        if (
+            token.type == tokenize.STRING
+            and tokens[index + 1].type == tokenize.NEWLINE
+            and (index == 0 or tokens[index - 1].type in _LAYOUT)
+        ):
+            continue  # a string standing alone as a statement: docstring
+        lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines)
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[1] if len(argv) > 1 else "src/repro")
+    per_package: dict[str, int] = {}
+    per_file: dict[str, int] = {}
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root)
+        package = relative.parts[0] if len(relative.parts) > 1 else "(root)"
+        count = code_lines(path)
+        per_package[package] = per_package.get(package, 0) + count
+        per_file[relative.as_posix()] = count
+    width = max(map(len, per_package), default=8)
+    for package, count in sorted(per_package.items()):
+        print(f"{package:<{width}}  {count:>6}")
+    serving = per_package.get("serve", 0) + per_file.get("cli.py", 0)
+    print(f"{'serve+cli.py':<{width}}  {serving:>6}")
+    print(f"{'total':<{width}}  {sum(per_package.values()):>6}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
