@@ -35,14 +35,17 @@ bench-serve:
 bench-front:
 	$(PY) -m repro.cli bench-front
 
-# Hot-loop benchmark: single-run nodes/sec (string vs interned columnar
-# path, all three algorithms) + cold-vs-shared-document serve throughput.
-# Writes BENCH_hype.json at the repo root — the perf trajectory record.
+# Hot-loop benchmark: single-run absolute nodes/sec (all three
+# algorithms over the document's layout), wave-composition scaling +
+# cold-vs-shared-document serve throughput.  Writes BENCH_hype.json at
+# the repo root — the kernel micro-record; the descent's regression
+# guard is the calibrated descent_hot row of `make bench-e2e`.
 bench-hot:
 	$(PY) benchmarks/bench_hot.py --check
 
-# Tiny-size variant with the acceptance floors enforced (>=1.5x shared
-# serve throughput, exactly one index build). CI runs this.
+# Tiny-size variant with the acceptance floors enforced (width-8 wave
+# composition >=1.3x, >=1.5x shared serve throughput, exactly one index
+# build, cheap rewrite-bomb rejection). CI runs this.
 bench-hot-smoke:
 	$(PY) benchmarks/bench_hot.py --smoke --out /tmp/BENCH_hype.json
 

@@ -4,17 +4,12 @@ This script establishes (and re-measures, PR over PR) the perf
 trajectory of the evaluation hot path.  It reports, under a strict
 min-of-N wall-clock protocol:
 
-1. **Single-run evaluation** — nodes/sec for ``hype`` vs ``opthype`` vs
-   ``opthype-c`` over the Fig. 8 query family plus a structural scan,
-   on the string-label path *and* the interned columnar path (the
-   document-layout fast loop), with per-query speedups;
-2. **Dense-kernel speedup** — the unified :mod:`repro.hype.kernel`
-   descent against the preserved PR 5 interned-columnar loop
-   (``benchmarks/legacy_columnar.py``), same plan, same layout,
-   byte-identical answers asserted before timing.  Samples interleave
-   the two sides inside each round so clock drift hits both alike, and
-   sub-timer rows are lifted by a calibrated inner-repeat loop;
-3. **Wave-composition scaling** — the per-lane batch loop vs ONE
+1. **Single-run evaluation** — absolute nodes/sec for ``hype`` vs
+   ``opthype`` vs ``opthype-c`` over the Fig. 8 query family plus a
+   structural scan, over the document's columnar layout (the one path
+   the evaluator has).  The regression guard for the descent itself is
+   the calibrated ``descent_hot`` row of ``benchmarks/e2e``;
+2. **Wave-composition scaling** — the per-lane batch loop vs ONE
    :class:`repro.hype.compose.ComposedKernel` at wave widths 1/2/4/8/16
    over distinct queries, per-lane answers/stats asserted identical
    first; the ``wave_scaling`` rows carry the lanes-vs-lane-steps/sec
@@ -22,7 +17,7 @@ min-of-N wall-clock protocol:
    ``>= 1.3x`` on descent-bound (plain ``hype``) rows.  The ``skew``
    row replays the Zipf-hot-document scenario workload
    (:mod:`repro.workloads.skew`) per-request vs composed waves;
-4. **Serve-batch throughput on a repeated-document workload** — the
+3. **Serve-batch throughput on a repeated-document workload** — the
    multi-tenant hospital traffic replayed (a) *cold*, where every
    request pays its own parse + OptHyPE index build (the pre-docstore
    behaviour), and (b) *shared*, where every request resolves the one
@@ -52,9 +47,9 @@ carry p50/p95/p99 from the service's log-bucket histograms, and when the
 committed baseline was produced under the identical protocol the run
 also reports the tracing-off hot-loop overhead against it.  ``--check``
 makes the script exit non-zero unless the acceptance floors hold
-(dense-kernel median >= 1.5x on descent-bound rows, shared-vs-cold
-throughput >= 1.5x, one index build, tracing-off overhead < 2%% when
-comparable); ``--smoke`` shrinks every size for CI.
+(width-8 composed waves >= 1.3x on descent-bound rows, shared-vs-cold
+throughput >= 1.5x, one index build, cheap bomb rejection, tracing-off
+overhead < 2%% when comparable); ``--smoke`` shrinks every size for CI.
 
 Run: ``make bench-hot`` (full) / ``make bench-hot-smoke`` (CI).
 """
@@ -63,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -94,42 +88,27 @@ def best_of(callable_, repeats: int) -> float:
 
 # ----------------------------------------------------------------------
 def bench_single_runs(tree, repeats: int) -> dict:
-    """Nodes/sec per algorithm, string vs interned-columnar paths."""
-    doc = IndexedDocument(tree)
-    layout = doc.layout
+    """Nodes/sec per algorithm over the document's layout."""
+    layout = IndexedDocument(tree).layout
     elements = tree.element_count
     results: dict = {}
     for name, query in QUERIES.items():
         per_algo: dict = {}
         for algorithm in ALGORITHMS:
             plan = compile_plan(query, algorithm=algorithm, tree=tree)
-            # Warm both paths so memo tables don't skew the comparison.
-            reference = plan.run(tree.root)
-            columnar_ref = plan.run(tree.root, layout=layout)
-            assert columnar_ref.answers == reference.answers
-            assert columnar_ref.stats == reference.stats
-            string_s = best_of(lambda: plan.run(tree.root), repeats)
+            # Warm the memo tables and rows before timing.
+            reference = plan.run(tree.root, layout=layout)
             columnar_s = best_of(
                 lambda: plan.run(tree.root, layout=layout), repeats
             )
             per_algo[algorithm] = {
                 "visited_elements": reference.stats.visited_elements,
                 "answers": reference.stats.answers,
-                "string_s": string_s,
                 "columnar_s": columnar_s,
-                "string_nodes_per_s": elements / string_s,
                 "columnar_nodes_per_s": elements / columnar_s,
-                "interning_speedup": string_s / columnar_s,
             }
         results[name] = per_algo
     return results
-
-
-# ----------------------------------------------------------------------
-#: Dense-kernel floor: median speedup over descent-bound rows (the opt
-#: algorithms on real queries — prune-to-nothing scans and the
-#: alloc-bound plain-``hype`` rows measure different bottlenecks).
-DENSE_FLOOR = 1.5
 
 
 def _calibrated_inner(fn, target_s: float = 2e-3) -> int:
@@ -140,69 +119,6 @@ def _calibrated_inner(fn, target_s: float = 2e-3) -> int:
     if elapsed >= target_s:
         return 1
     return min(64, max(1, round(target_s / max(elapsed, 1e-6)) + 1))
-
-
-def bench_dense(tree, repeats: int) -> dict:
-    """Dense kernel vs the preserved PR 5 columnar loop, interleaved.
-
-    Both sides drive the SAME compiled plan over the SAME layout, so the
-    comparison isolates the descent loop itself.  Equality of answers
-    and full ``HyPEStats`` is asserted before any timing.
-    """
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from legacy_columnar import LegacyColumnarEvaluator
-
-    layout = IndexedDocument(tree).layout
-    results: dict = {}
-    for name, query in QUERIES.items():
-        per_algo: dict = {}
-        for algorithm in ALGORITHMS:
-            plan = compile_plan(query, algorithm=algorithm, tree=tree)
-            legacy = LegacyColumnarEvaluator(plan)
-
-            def run_dense():
-                return plan.run(tree.root, layout=layout)
-
-            def run_legacy():
-                return legacy.run(tree.root, layout)
-
-            # Warm both sides (memo tables, rows) and prove equivalence.
-            reference = run_dense()
-            old = run_legacy()
-            assert old.answers == reference.answers
-            assert old.stats == reference.stats
-            inner = _calibrated_inner(run_legacy)
-            legacy_s = dense_s = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                for _ in range(inner):
-                    run_legacy()
-                middle = time.perf_counter()
-                for _ in range(inner):
-                    run_dense()
-                ended = time.perf_counter()
-                legacy_s = min(legacy_s, (middle - started) / inner)
-                dense_s = min(dense_s, (ended - middle) / inner)
-            per_algo[algorithm] = {
-                "inner_repeats": inner,
-                "legacy_columnar_s": legacy_s,
-                "dense_s": dense_s,
-                "dense_speedup": legacy_s / dense_s,
-                "descent_bound": algorithm != HYPE and name != "scan",
-            }
-        results[name] = per_algo
-    return results
-
-
-def dense_median(dense: dict) -> float:
-    """Median ``dense_speedup`` over the descent-bound rows."""
-    ratios = [
-        entry["dense_speedup"]
-        for per_algo in dense.values()
-        for entry in per_algo.values()
-        if entry["descent_bound"]
-    ]
-    return statistics.median(ratios) if ratios else 0.0
 
 
 # ----------------------------------------------------------------------
@@ -786,11 +702,11 @@ OVERHEAD_CEILING = 0.02
 def hot_loop_total(single: dict) -> float:
     """Aggregate single-run wall time — the overhead comparison basis.
 
-    Summing every row (all queries x algorithms x both paths) damps the
-    per-row timer noise that would make a 2%% per-query check flaky.
+    Summing every row (all queries x algorithms) damps the per-row
+    timer noise that would make a 2%% per-query check flaky.
     """
     return sum(
-        entry["string_s"] + entry["columnar_s"]
+        entry["columnar_s"]
         for per_algo in single.values()
         for entry in per_algo.values()
     )
@@ -801,9 +717,10 @@ def tracing_overhead(payload: dict, baseline_path: Path) -> dict | None:
 
     Returns ``{"baseline_total_s", "total_s", "overhead"}`` when the
     committed ``BENCH_hype.json`` was produced under the identical
-    protocol (same sizes, repeats, seed, non-smoke), else ``None`` —
-    CI smoke sizes differ from the committed full run, and numbers
-    from another protocol are not comparable.
+    protocol (same sizes, repeats, seed, non-smoke) and carries the
+    current ``single_run`` schema, else ``None`` — CI smoke sizes differ
+    from the committed full run, and numbers from another protocol (or
+    a baseline that summed other columns) are not comparable.
     """
     if not baseline_path.exists():
         return None
@@ -813,9 +730,10 @@ def tracing_overhead(payload: dict, baseline_path: Path) -> dict | None:
         return None
     if baseline.get("protocol") != payload["protocol"]:
         return None
-    if "single_run" not in baseline:
+    try:
+        baseline_total = hot_loop_total(baseline["single_run"])
+    except (KeyError, TypeError, AttributeError):
         return None
-    baseline_total = hot_loop_total(baseline["single_run"])
     total = hot_loop_total(payload["single_run"])
     if baseline_total <= 0:
         return None
@@ -885,48 +803,14 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     single = bench_single_runs(tree, args.repeats)
-    # Median over *measurable* rows only: a pruned-to-nothing run (the
-    # opt variants skip the whole tree on structural scans) finishes in
-    # microseconds and its ratio is timer noise, not a signal.
-    speedups = [
-        entry["interning_speedup"]
-        for per_algo in single.values()
-        for entry in per_algo.values()
-        if entry["string_s"] >= 5e-4
-    ]
-    speedups = speedups or [1.0]
     for name, per_algo in single.items():
         for algorithm, entry in per_algo.items():
             print(
                 f"  {name:6s} {algorithm:9s} "
-                f"string {entry['string_s'] * 1000:8.2f} ms "
-                f"({entry['string_nodes_per_s'] / 1e3:7.0f}k nodes/s)  "
-                f"columnar {entry['columnar_s'] * 1000:8.2f} ms "
-                f"({entry['columnar_nodes_per_s'] / 1e3:7.0f}k nodes/s)  "
-                f"x{entry['interning_speedup']:.2f}"
+                f"{entry['columnar_s'] * 1000:8.2f} ms "
+                f"({entry['columnar_nodes_per_s'] / 1e3:7.0f}k nodes/s, "
+                f"{entry['visited_elements']} visited)"
             )
-    median_speedup = statistics.median(speedups)
-    print(
-        f"interning median speedup over {len(speedups)} measurable "
-        f"row(s): x{median_speedup:.2f} (max x{max(speedups):.2f})"
-    )
-
-    dense = bench_dense(tree, args.repeats)
-    for name, per_algo in dense.items():
-        for algorithm, entry in per_algo.items():
-            bound = "descent-bound" if entry["descent_bound"] else ""
-            print(
-                f"  {name:6s} {algorithm:9s} "
-                f"legacy {entry['legacy_columnar_s'] * 1000:8.2f} ms  "
-                f"dense {entry['dense_s'] * 1000:8.2f} ms  "
-                f"x{entry['dense_speedup']:.2f} "
-                f"(inner {entry['inner_repeats']}) {bound}"
-            )
-    dense_med = dense_median(dense)
-    print(
-        f"dense-kernel median speedup over descent-bound rows: "
-        f"x{dense_med:.2f} (floor x{DENSE_FLOOR})"
-    )
 
     wave_tree = tree
     if args.patients < WAVE_MIN_PATIENTS:
@@ -1009,9 +893,6 @@ def main(argv: list[str] | None = None) -> int:
             "elements": tree.element_count,
         },
         "single_run": single,
-        "interning_median_speedup": median_speedup,
-        "dense": dense,
-        "dense_median_speedup": dense_med,
         "wave_scaling": wave,
         "skew": skew,
         "adversarial": adversarial,
@@ -1066,7 +947,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(
             "tracing-off overhead check skipped: no committed baseline "
-            "under this protocol (expected for --smoke / changed sizes)"
+            "under this protocol and schema (expected for --smoke / "
+            "changed sizes)"
         )
 
     out = Path(args.out)
@@ -1079,11 +961,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"tracing-off hot-loop overhead {overhead['overhead']:+.2%} "
                 f">= {OVERHEAD_CEILING:.0%} ceiling vs committed baseline"
-            )
-        if dense_med < DENSE_FLOOR:
-            failures.append(
-                f"dense-kernel median speedup x{dense_med:.2f} < "
-                f"{DENSE_FLOOR} floor on descent-bound rows"
             )
         failures.extend(wave_failures)
         if adversarial["bomb_reject_s"] >= 5.0:

@@ -14,10 +14,9 @@ from ..automata.mfa import MFA
 from ..baselines.naive import NaiveEvaluator
 from ..baselines.twopass import TwoPassEvaluator
 from ..baselines.xquery_sim import XQuerySimEvaluator
-from ..hype.analyze import ViabilityAnalyzer
-from ..hype.api import to_mfa
+from ..docstore.document import IndexedDocument
+from ..hype.api import ALGORITHMS, to_mfa
 from ..hype.core import CompiledPlan
-from ..hype.index import build_index
 from ..workloads.scales import SeriesStep
 from ..xtree.node import XMLTree
 from .timing import Timing, measure
@@ -57,28 +56,24 @@ def make_algorithms(
 
     Known names: ``naive`` (JAXP profile), ``twopass`` (Koch profile),
     ``xquery`` (GALAX profile), ``hype``, ``opthype``, ``opthype-c``.
-    Index construction for the OptHyPE variants is *included* in the
-    measured time on first use per tree — matching the paper, whose index
-    is built during the document scan — then cached per tree.
+    Building the document's columns — and the index, for the OptHyPE
+    variants — is *included* in the measured time on first use per tree,
+    matching the paper, whose index is built during the document scan;
+    both are then held in one :class:`IndexedDocument` per tree (keyed
+    by the tree object, which the entry keeps alive, so an id is never
+    reused under it).
     """
     mfa = to_mfa(query)
     runners: dict[str, Callable[[XMLTree], set]] = {}
-    index_cache: dict[tuple[int, bool], object] = {}
+    documents: dict[XMLTree, IndexedDocument] = {}
 
-    def hype_runner(tree: XMLTree) -> set:
-        return CompiledPlan(mfa).run(tree.root).answers
-
-    def opt_runner_factory(compressed: bool):
+    def hype_runner_factory(algorithm: str):
         def run(tree: XMLTree) -> set:
-            key = (id(tree), compressed)
-            index = index_cache.get(key)
-            if index is None:
-                index = build_index(tree, compressed=compressed)
-                index_cache[key] = index
-            plan = CompiledPlan(
-                mfa, index=index, analyzer=ViabilityAnalyzer(mfa, index.bits)
-            )
-            return plan.run(tree.root).answers
+            doc = documents.get(tree)
+            if doc is None:
+                doc = documents[tree] = IndexedDocument(tree)
+            plan = CompiledPlan.for_algorithm(mfa, algorithm, tree, doc)
+            return plan.run(doc.root, layout=doc.layout).answers
 
         return run
 
@@ -89,12 +84,8 @@ def make_algorithms(
             runners[name] = TwoPassEvaluator(mfa).run
         elif name == "xquery":
             runners[name] = XQuerySimEvaluator(query).run
-        elif name == "hype":
-            runners[name] = hype_runner
-        elif name == "opthype":
-            runners[name] = opt_runner_factory(False)
-        elif name == "opthype-c":
-            runners[name] = opt_runner_factory(True)
+        elif name in ALGORITHMS:
+            runners[name] = hype_runner_factory(name)
         else:
             raise ValueError(f"unknown algorithm {name!r}")
     return runners
@@ -139,14 +130,10 @@ def pruning_statistics(query: str, tree: XMLTree) -> dict[str, float]:
     """Fraction of element nodes *not* visited, per HyPE variant (E8)."""
     mfa: MFA = to_mfa(query)
     total = tree.element_count
+    doc = IndexedDocument(tree)
     out: dict[str, float] = {}
-    plain = CompiledPlan(mfa).run(tree.root)
-    out["hype"] = 1.0 - plain.stats.visited_elements / total
-    for name, compressed in (("opthype", False), ("opthype-c", True)):
-        index = build_index(tree, compressed=compressed)
-        plan = CompiledPlan(
-            mfa, index=index, analyzer=ViabilityAnalyzer(mfa, index.bits)
-        )
-        run = plan.run(tree.root)
+    for name in ALGORITHMS:
+        plan = CompiledPlan.for_algorithm(mfa, name, tree, doc)
+        run = plan.run(doc.root, layout=doc.layout)
         out[name] = 1.0 - run.stats.visited_elements / total
     return out

@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 from ..automata.codec import CodecError, mfa_from_dict, mfa_to_dict
 from ..automata.mfa import MFA
 from ..errors import ReproError
+from ..hype.kernel import check_cfgs
 
 #: Version of the persisted plan format (codec payload + key scheme).
 #: v2: artifact files are gzip-compressed (decoding still accepts plain
@@ -210,8 +211,10 @@ def _validate_kernel(kernel: object) -> dict | None:
     """Structurally validate an optional dense-kernel payload.
 
     The shape is what :func:`repro.hype.kernel.kernel_payload` emits and
-    :meth:`repro.hype.kernel.DenseKernel.preload` consumes; every index
-    is range-checked here so a truncated or hand-mangled payload fails
+    :meth:`repro.hype.kernel.DenseKernel.preload` consumes: the cfg rows
+    are checked by the kernel's own codec
+    (:func:`repro.hype.kernel.check_cfgs`), the labels and every
+    transition index here, so a truncated or hand-mangled payload fails
     the *decode* (a counted cache miss) instead of crashing a preload
     deep inside the evaluator.
 
@@ -225,44 +228,14 @@ def _validate_kernel(kernel: object) -> dict | None:
             f"kernel payload must be an object, got {type(kernel).__name__}"
         )
     try:
-        labels = kernel["labels"]
-        sets = kernel["sets"]
-        cfgs = kernel["cfgs"]
-        trans = kernel["trans"]
-    except KeyError as error:
-        raise ArtifactError(f"kernel payload missing {error}") from error
+        num_sets, num_cfgs = check_cfgs(kernel)
+    except ValueError as error:
+        raise ArtifactError(f"kernel {error}") from error
+    labels, trans = kernel.get("labels"), kernel.get("trans")
     if not isinstance(labels, list) or not all(
         isinstance(label, str) for label in labels
     ):
         raise ArtifactError("kernel labels must be a list of strings")
-    if not isinstance(sets, list) or not all(
-        isinstance(row, list)
-        and all(isinstance(state, int) for state in row)
-        for row in sets
-    ):
-        raise ArtifactError("kernel sets must be lists of state ids")
-    num_sets = len(sets)
-    if not isinstance(cfgs, list):
-        raise ArtifactError("kernel cfgs must be a list")
-    for row in cfgs:
-        if (
-            not isinstance(row, list)
-            or len(row) != 3
-            or not isinstance(row[0], int)
-            or not isinstance(row[1], int)
-            or not isinstance(row[2], list)
-        ):
-            raise ArtifactError(f"malformed kernel cfg row {row!r}")
-        if not 0 <= row[0] < num_sets or not 0 <= row[1] < num_sets:
-            raise ArtifactError(f"kernel cfg row {row!r} references no set")
-        for pair in row[2]:
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)
-            ):
-                raise ArtifactError(f"malformed kernel watch pair {pair!r}")
-    num_cfgs = len(cfgs)
     if not isinstance(trans, list):
         raise ArtifactError("kernel trans must be a list")
     for row in trans:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..faults import fire as _fault_fire
+from ..hype.compose import check_composed
 from .artifact import ArtifactError, PlanArtifact, PlanKey
 
 #: Suffix of artifact files inside a store directory.
@@ -199,9 +200,10 @@ class PlanStore:
     def load_composed(self, algorithm: str, member_keys) -> dict | None:
         """The stored composed payload for the member tuple, or ``None``.
 
-        Same durability policy as plan artifacts: unreadable or
-        undecodable files and key-echo mismatches are misses (the caller
-        recomposes and overwrites).
+        Same durability policy as plan artifacts: unreadable,
+        undecodable or structurally invalid files
+        (:func:`repro.hype.compose.check_composed`) and key-echo
+        mismatches are misses (the caller recomposes and overwrites).
         """
         path = self.composed_path_for(algorithm, member_keys)
         try:
@@ -214,18 +216,17 @@ class PlanStore:
             return None
         try:
             record = json.loads(raw)
+            if (
+                not isinstance(record, dict)
+                or record.get("keys") != self._composed_key(algorithm, member_keys)
+            ):
+                raise ValueError("key echo mismatch")
+            payload = check_composed(record.get("payload"))
         except ValueError:
             self._count("composed_misses", "corrupt")
             return None
-        if (
-            not isinstance(record, dict)
-            or record.get("keys") != self._composed_key(algorithm, member_keys)
-            or not isinstance(record.get("payload"), dict)
-        ):
-            self._count("composed_misses", "corrupt")
-            return None
         self._count("composed_hits")
-        return record["payload"]
+        return payload
 
     def save_composed(self, algorithm: str, member_keys, payload: dict) -> bool:
         """Persist one composed payload atomically (best effort)."""

@@ -8,8 +8,8 @@ tenant, lane, wave and algorithm variant that touches the document.  An
 
 * ``tree`` — the frozen :class:`repro.xtree.node.XMLTree`;
 * ``layout`` — the interned columnar tables
-  (:class:`repro.docstore.layout.DocumentLayout`), built eagerly so the
-  evaluator hot loop is columnar from the first request;
+  (:class:`repro.docstore.layout.DocumentLayout`) the evaluator
+  walks, built eagerly and once, so no request pays for them;
 * ``index_for(compressed)`` — the OptHyPE (or OptHyPE-C) index, built
   at most once per variant behind the document's build lock; the tree
   is swept for the first variant only (the second is a conversion of
@@ -18,12 +18,10 @@ tenant, lane, wave and algorithm variant that touches the document.  An
   (``--doc-dir``), a previously-persisted index is loaded instead of
   rebuilt and fresh builds are written back.
 
-``index_for`` also satisfies the index-provider protocol of
-:meth:`repro.hype.core.CompiledPlan.for_algorithm`, so an
-:class:`IndexedDocument` can be passed wherever the older per-service
-``dict[bool, Index]`` cache went — with the difference that N concurrent
-cold requests now trigger exactly ONE build (counted in
-``stats.index_builds``) instead of racing N.
+``index_for`` is the index-provider protocol of
+:meth:`repro.hype.core.CompiledPlan.for_algorithm`: N concurrent cold
+requests trigger exactly ONE build (counted in ``stats.index_builds``)
+instead of racing N.
 """
 
 from __future__ import annotations

@@ -20,13 +20,16 @@ high-throughput tree engines):
   the parallel ``kid_labels`` slice.  Text children are excluded at
   build time, so the hot loop never re-tests them.
 
-The evaluator (:meth:`repro.hype.core.CompiledPlan.run` with a
-``layout``) walks these arrays instead of :class:`Node` objects and
-keys its child-transition rows by integer label id — a list index
-instead of a string-keyed dict probe.  Per-``(plan, layout)`` rows live
-here (:meth:`DocumentLayout.rows_for`) keyed weakly by plan, because
-label ids are *per-document*: a plain-HyPE plan may outlive this
-document and serve another one whose interning differs.
+These columns are the only document the evaluator walks
+(:func:`repro.hype.kernel.descend`,
+:func:`repro.hype.compose.descend_composed`): child-transition rows are
+keyed by integer label id — a list index, not a string-keyed dict
+probe.  Per-``(plan, layout)`` rows live here
+(:meth:`DocumentLayout.rows_for`) keyed weakly by plan, because label
+ids are *per-document*: a plain-HyPE plan may outlive this document and
+serve another one whose interning differs.  A run that is handed no
+layout, or one that does not cover its context, walks fresh columns
+built by :func:`covering_layout`.
 
 Layouts are immutable once built, like the frozen trees they describe,
 and therefore freely shared across threads, tenants and lanes.
@@ -37,6 +40,7 @@ from __future__ import annotations
 import threading
 import weakref
 
+from ..errors import EvaluationError
 from ..xtree.node import Node, TEXT_LABEL, XMLTree
 
 #: ``node_label`` entry for text (PCDATA) nodes.
@@ -66,8 +70,8 @@ class DocumentLayout:
         # The freeze generation this layout snapshots.  index_tree()
         # re-freezes IN PLACE (the nodes list object is reused), so
         # object identity alone cannot detect a re-frozen tree — the
-        # stamp makes covers() stand down and the evaluator fall back
-        # to the always-correct string path.
+        # stamp makes covers() stand down and the evaluator walk fresh
+        # columns (covering_layout) instead.
         self._freeze_count = getattr(tree, "freeze_count", 0)
         #: Document-order node list (``nodes[i].node_id == i``) — the
         #: bridge back from columnar ids to the Node objects answers,
@@ -81,8 +85,8 @@ class DocumentLayout:
         self.kid_labels: list[int] = []
         self.kid_start: list[int] = [0] * (size + 1)
         self._build()
-        #: plan -> {(m_id, r_id) -> row}; weak keys so an evicted plan
-        #: releases its rows with it.
+        #: plan (or composed kernel) -> {cfg id -> row}; weak keys so an
+        #: evicted plan releases its rows with it.
         self._rows: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._rows_lock = threading.Lock()
 
@@ -160,13 +164,13 @@ class DocumentLayout:
     def covers(self, node: Node) -> bool:
         """Whether ``node`` belongs to this layout's document *as frozen*.
 
-        The columnar run indexes the tables by ``node_id``, so it is
-        only valid for nodes of the tree the layout was built from —
-        and only for the freeze it snapshotted: a structural edit +
+        The descent indexes the tables by ``node_id``, so it is only
+        valid for nodes of the tree the layout was built from — and
+        only for the freeze it snapshotted: a structural edit +
         :func:`repro.xtree.node.index_tree` re-freeze bumps the tree's
-        ``freeze_count``, after which this layout stands down (the
-        evaluator falls back to the string path) instead of silently
-        serving the stale structure.
+        ``freeze_count``, after which this layout stands down
+        (:func:`covering_layout` builds the fresh structure's columns)
+        instead of silently serving the stale structure.
         """
         if getattr(self.tree, "freeze_count", 0) != self._freeze_count:
             return False
@@ -181,8 +185,7 @@ class DocumentLayout:
         label id whose entries are packed transition words (``UNFILLED``
         until first computed) — see :mod:`repro.hype.kernel`.  Entries
         are a deterministic function of their key, so concurrent fills
-        are benign — the same contract as the plan's own string-keyed
-        tables.
+        are benign — the same contract as the plan's own tables.
         """
         rows = self._rows.get(plan)
         if rows is None:
@@ -206,3 +209,37 @@ class DocumentLayout:
             f"DocumentLayout(nodes={len(self.nodes)}, "
             f"labels={len(self.labels)}, kids={len(self.kid_ids)})"
         )
+
+
+def covering_layout(
+    context: Node, layout: DocumentLayout | None = None
+) -> DocumentLayout:
+    """``layout`` if it covers ``context``, else fresh columns.
+
+    The one place a descent gets its document from.  A missing, stale
+    (re-frozen tree) or foreign layout is never indexed: the context's
+    document is walked from its root and a new layout built over it —
+    once per call, kept nowhere; a caller that evaluates twice holds an
+    :class:`repro.docstore.document.IndexedDocument`.
+
+    Raises:
+        EvaluationError: when the document's ``node_id``s are not its
+            document order (a tree that was never frozen, or edited
+            since), which the columns would mis-index.
+    """
+    if layout is not None and layout.covers(context):
+        return layout
+    root = context
+    while root.parent is not None:
+        root = root.parent
+    nodes = list(root.iter_subtree())
+    labels = set()
+    for position, node in enumerate(nodes):
+        if node.node_id != position:
+            raise EvaluationError(
+                "cannot evaluate over an unfrozen tree: node ids are not "
+                "in document order (freeze it with XMLTree / index_tree)"
+            )
+        if node.label != TEXT_LABEL:
+            labels.add(node.label)
+    return DocumentLayout(XMLTree.from_frozen(nodes, labels))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from ..automata.compile import compile_query
 from ..automata.mfa import MFA
+from ..docstore.layout import DocumentLayout
 from ..errors import EvaluationError
 from ..xpath import ast
 from ..xpath.parser import parse_query
@@ -96,11 +97,8 @@ def evaluate_hype(
         EvaluationError: for unknown algorithm names or when an opt variant
             is asked to run on a bare context node without an index.
     """
-    context = tree.root if isinstance(tree, XMLTree) else tree
-    plan = compile_plan(
-        query,
-        algorithm=algorithm,
-        tree=tree if isinstance(tree, XMLTree) else None,
-        index=index,
-    )
-    return plan.run(context)
+    if not isinstance(tree, XMLTree):
+        # A bare context node: the run builds its document's columns.
+        return compile_plan(query, algorithm=algorithm, index=index).run(tree)
+    plan = compile_plan(query, algorithm=algorithm, tree=tree, index=index)
+    return plan.run(tree.root, layout=DocumentLayout(tree))

@@ -44,12 +44,17 @@ to sequential runs: each member lane records into its own
 :class:`repro.hype.core.RunCursor` exactly where its own automaton is
 live (a lane dead in a ccfg component simply has no entry in the ccfg's
 live list), and pops delegate to the member kernels' own machinery —
-property-tested across all three algorithms, string and columnar paths.
+property-tested across all three algorithms.  Like the per-lane
+descent, the composed pass walks a
+:class:`repro.docstore.layout.DocumentLayout`'s columns and nothing
+else (:func:`repro.docstore.layout.covering_layout`).
 
 For the plain (index-free) family the composed closure is persistable:
 :func:`composed_payload` snapshots the interned tuples and transitions
-in a self-contained, member-order-dependent form, and
-:func:`preload_composed` rehydrates them into a fresh kernel without
+in a self-contained, member-order-dependent form (member cfgs in the
+kernel's one cfg wire form, :func:`repro.hype.kernel.encode_cfgs`),
+:func:`check_composed` validates a loaded one, and
+:func:`preload_composed` rehydrates it into a fresh kernel without
 recomposition — the warm-restart path of the composed tier in
 :class:`repro.serve.cache.ComposedCache`.
 """
@@ -60,6 +65,7 @@ import threading
 import time
 from array import array
 
+from ..docstore.layout import covering_layout
 from ..faults import fire as _fault_fire
 from ..guard import CHECK_INTERVAL
 from .kernel import (
@@ -71,6 +77,10 @@ from .kernel import (
     UNFILLED,
     _UNBUILT,
     _expired,
+    _is_ints,
+    check_cfgs,
+    decode_cfgs,
+    encode_cfgs,
 )
 
 #: Default cap on interned composed configurations per kernel.  Products
@@ -159,7 +169,8 @@ class ComposedKernel:
         #: pairs — to the :class:`_Outcome` for all lanes.  Built on the
         #: ccfg's first pop, like the member kernels' tables.
         self.cpops: list = [_UNBUILT]
-        # (ccfg, label) -> child ccfg (plain) / 0-or-ceid+1 (indexed).
+        # (ccfg, label) -> child ccfg (plain) / 0-or-ceid+1 (indexed),
+        # for the union alphabet's labels and OTHER_LABEL only.
         self.trans: dict = {}
         # tuple of (lane_idx, member edge id) -> composed edge id.
         self.cedge_ids: dict = {}
@@ -230,33 +241,19 @@ class ComposedKernel:
     def lookup_trans(self, ccfg: int, label: str) -> int:
         """``(ccfg, label)``'s composed word, computing on miss.
 
-        Labels outside the union alphabet alias to one OTHER column —
-        and each member resolves *its own* aliasing inside
-        :meth:`_compute_trans`, so a label known to some members and
-        unknown to others advances each member exactly as its private
-        table would.
+        Labels outside the union alphabet resolve through — and are
+        stored under — one OTHER column, and each member resolves *its
+        own* aliasing inside :meth:`_compute_trans`, so a label known to
+        some members and unknown to others advances each member exactly
+        as its private table would.
         """
-        trans = self.trans
-        word = trans.get((ccfg, label))
-        if word is not None:
-            return word
-        if label in self.alphabet:
-            word = self._compute_trans(ccfg, label)
-        else:
-            key = (ccfg, OTHER_LABEL)
-            word = trans.get(key)
-            if word is None:
-                word = self._compute_trans(ccfg, OTHER_LABEL)
-                trans[key] = word
-        trans[(ccfg, label)] = word
+        if label not in self.alphabet:
+            label = OTHER_LABEL
+        key = (ccfg, label)
+        word = self.trans.get(key)
+        if word is None:
+            word = self.trans[key] = self._compute_trans(ccfg, label)
         return word
-
-    def lookup_column(self, ccfg: int, label: str) -> int:
-        """:meth:`lookup_trans` for columnar fills: no per-label alias
-        is stored (see :meth:`DenseKernel.lookup_column`)."""
-        return self.lookup_trans(
-            ccfg, label if label in self.alphabet else OTHER_LABEL
-        )
 
     def _compute_trans(self, ccfg: int, label: str) -> int:
         cfgs = self.ccfg_tuples[ccfg]
@@ -364,7 +361,7 @@ class ComposedKernel:
 # The composed descent: ONE machine stepping the whole wave
 # ----------------------------------------------------------------------
 class _CLane:
-    """Per-member bound cursor methods (mirrors the kernel's ``_Lane``)."""
+    """Per-member bound cursor methods and resolution tally."""
 
     __slots__ = (
         "deaths",
@@ -436,9 +433,7 @@ def descend_composed(
     childless elements are visited and popped inline.
     """
     _fault_fire("descend")
-    if layout is not None and not layout.covers(context):
-        layout = None
-    columnar = layout is not None
+    layout = covering_layout(context, layout)
     width = ck.width
     clanes = [_CLane(cursor) for cursor in cursors]
     ccfg = ck.root_ccfg(context)
@@ -455,26 +450,18 @@ def descend_composed(
         if packed & FINAL_BIT:
             cl.finals_append(context)
     node = context
-    if columnar:
-        rows = layout.rows_for(ck)
-        blank = array("i", [UNFILLED]) * layout.num_labels
-        labels = layout.labels
-        nodes = layout.nodes
-        kid_ids = layout.kid_ids
-        kid_labels = layout.kid_labels
-        kid_start = layout.kid_start
-        row = rows.get(ccfg)
-        if row is None:
-            row = rows.setdefault(ccfg, blank[:])
-        ki = kid_start[node.node_id]
-        kend = kid_start[node.node_id + 1]
-        kids = kids2 = None
-    else:
-        trans = ck.trans
-        row = None
-        kids = node.element_children_cached()
-        ki = 0
-        kend = len(kids)
+    rows = layout.rows_for(ck)
+    blank = array("i", [UNFILLED]) * layout.num_labels
+    labels = layout.labels
+    nodes = layout.nodes
+    kid_ids = layout.kid_ids
+    kid_labels = layout.kid_labels
+    kid_start = layout.kid_start
+    row = rows.get(ccfg)
+    if row is None:
+        row = rows.setdefault(ccfg, blank[:])
+    ki = kid_start[node.node_id]
+    kend = kid_start[node.node_id + 1]
     indexed = ck.indexed
     mask_keys = ck.mask_keys
     cedge_filters = ck.cedge_filters
@@ -529,28 +516,20 @@ def descend_composed(
                 report = outcome.apply(vidx, clanes)
             if not stack:
                 break
-            node, ccfg, vidx, tts, row, ki, kend, kids = pop()
+            node, ccfg, vidx, tts, row, ki, kend = pop()
             if report:
                 if tts is None:
                     tts = set(report)
                 else:
                     tts.update(report)
             continue
-        if columnar:
-            lid = kid_labels[ki]
-            cid = kid_ids[ki]
-            word = row[lid]
-            if word == UNFILLED:
-                word = row[lid] = ck.lookup_column(ccfg, labels[lid])
-        else:
-            child = kids[ki]
-            word = trans.get((ccfg, child.label), UNFILLED)
-            if word == UNFILLED:
-                word = ck.lookup_trans(ccfg, child.label)
+        lid = kid_labels[ki]
+        cid = kid_ids[ki]
         ki += 1
+        word = row[lid]
+        if word == UNFILLED:
+            word = row[lid] = ck.lookup_trans(ccfg, labels[lid])
         if indexed and word:
-            if not columnar:
-                cid = child.node_id
             ceid = word - 1
             mask_key = mask_keys[cid]
             word = cedge_filters[ceid].get(mask_key, UNFILLED)
@@ -560,14 +539,9 @@ def descend_composed(
             # Every member prunes: one skip for the whole wave.
             skipped += 1
             continue
-        if columnar:
-            child = nodes[cid]
-            ki2 = kid_start[cid]
-            kend2 = kid_start[cid + 1]
-        else:
-            kids2 = child.element_children_cached()
-            ki2 = 0
-            kend2 = len(kids2)
+        child = nodes[cid]
+        ki2 = kid_start[cid]
+        kend2 = kid_start[cid + 1]
         vidx2 = [0] * width
         ops = push_ops.get(word)
         if ops is None:
@@ -611,18 +585,16 @@ def descend_composed(
                         tts.update(report)
             continue
         kid_counts[word] = kid_counts.get(word, 0) + kend2 - ki2
-        push((node, ccfg, vidx, tts, row, ki, kend, kids))
+        push((node, ccfg, vidx, tts, row, ki, kend))
         node = child
         ccfg = word
         vidx = vidx2
         tts = None
         ki = ki2
         kend = kend2
-        kids = kids2
-        if columnar:
-            row = rows.get(word)
-            if row is None:
-                row = rows.setdefault(word, blank[:])
+        row = rows.get(word)
+        if row is None:
+            row = rows.setdefault(word, blank[:])
     if shared is not None:
         shared.visited_elements += visited
         shared.skipped_subtrees += skipped
@@ -652,10 +624,10 @@ def descend_composed(
 def composed_payload(ck: ComposedKernel) -> dict:
     """Snapshot a plain-family kernel's hot composed tables.
 
-    Self-contained and member-order-dependent: each member's referenced
-    cfgs are encoded structurally (state sets + watch lists, exactly as
-    :func:`repro.hype.kernel.kernel_payload` does), so rehydration in a
-    fresh process — where member cfg ids mint in a different order —
+    Self-contained and member-order-dependent: each member's cfgs are
+    encoded structurally (:func:`repro.hype.kernel.encode_cfgs`, the
+    form :func:`repro.hype.kernel.kernel_payload` uses), so rehydration
+    in a fresh process — where member cfg ids mint in a different order —
     still maps every tuple correctly.  Index-equipped kernels are
     document-bound (mask filter rows) and are not persisted.
     """
@@ -663,34 +635,13 @@ def composed_payload(ck: ComposedKernel) -> dict:
         raise ValueError("composed payloads are built from plain-family kernels")
     labels = sorted(ck.alphabet)
     label_ids = {label: i for i, label in enumerate(labels)}
-    other = len(labels)
-    members = []
-    for plan, kern in zip(ck.plans, ck.kerns):
-        sets: dict = {}
-        set_rows: list[list[int]] = []
-
-        def set_id(fs) -> int:
-            idx = sets.get(fs)
-            if idx is None:
-                idx = sets[fs] = len(set_rows)
-                set_rows.append(sorted(fs))
-            return idx
-
-        cfg_rows = [
-            [
-                set_id(kern.cfg_mstates[cfg]),
-                set_id(kern.cfg_relevant[cfg]),
-                [[w, t] for w, t in kern.cfg_watch[cfg]],
-            ]
-            for cfg in range(len(kern.cfg_packed))
-        ]
-        members.append({"sets": set_rows, "cfgs": cfg_rows})
+    label_ids[OTHER_LABEL] = len(labels)
+    members = [encode_cfgs(kern, len(kern.cfg_packed))[0] for kern in ck.kerns]
     with ck._lock:
         ccfg_rows = [list(cfgs) for cfgs in ck.ccfg_tuples]
         trans_rows = [
-            [ccfg, label_ids.get(label, other), child]
+            [ccfg, label_ids[label], child]
             for (ccfg, label), child in ck.trans.items()
-            if label in label_ids or label == OTHER_LABEL
         ]
     return {
         "version": 1,
@@ -702,13 +653,59 @@ def composed_payload(ck: ComposedKernel) -> dict:
     }
 
 
+def check_composed(payload: object) -> dict:
+    """Structurally validate a :func:`composed_payload`-shaped dict.
+
+    Member cfgs go through :func:`repro.hype.kernel.check_cfgs`; on top
+    of that: one member per lane of ``width``, every ccfg row one valid
+    member cfg index per lane, every transition ``[ccfg, label, ccfg]``
+    in range (label ``len(labels)`` is the OTHER column).  Raises
+    :class:`ValueError` — :meth:`repro.compile.store.PlanStore.
+    load_composed` counts that a corrupt miss and the wave recomposes —
+    where an unchecked :func:`preload_composed` would raise out of the
+    wave, or mis-map a negative index silently.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError("composed payload must be an object")
+    width, labels = payload.get("width"), payload.get("labels")
+    members, ccfgs = payload.get("members"), payload.get("ccfgs")
+    trans = payload.get("trans")
+    if payload.get("version") != 1 or type(width) is not int:
+        raise ValueError("not a version-1 composed payload")
+    if not isinstance(labels, list) or not all(
+        isinstance(label, str) for label in labels
+    ):
+        raise ValueError("composed labels must be a list of strings")
+    if not isinstance(members, list) or len(members) != width:
+        raise ValueError(f"composed payload needs {width} members")
+    if not all(isinstance(member, dict) for member in members):
+        raise ValueError("composed members must be objects")
+    counts = [check_cfgs(member)[1] for member in members]
+    if not isinstance(ccfgs, list) or not isinstance(trans, list):
+        raise ValueError("composed ccfgs and trans must be lists")
+    for row in ccfgs:
+        if not _is_ints(row, width) or not all(
+            0 <= cfg < count for cfg, count in zip(row, counts)
+        ):
+            raise ValueError(f"composed ccfg row {row!r} references no cfg")
+    for row in trans:
+        if not _is_ints(row, 3) or not (
+            0 <= row[0] < len(ccfgs)
+            and 0 <= row[1] <= len(labels)
+            and 0 <= row[2] < len(ccfgs)
+        ):
+            raise ValueError(f"malformed composed transition {row!r}")
+    return payload
+
+
 def preload_composed(ck: ComposedKernel, payload: dict) -> int:
     """Rehydrate persisted composed tables into a fresh kernel.
 
     Member order must match the payload's (the composed tier keys
-    payloads by the ordered member fingerprints).  Returns the number of
-    transitions installed; the caller counts a rehydration instead of a
-    build when it is non-zero.  May raise :class:`ComposedOverflow` if
+    payloads by the ordered member fingerprints), and the payload must
+    be structurally valid (:func:`check_composed`).  Returns the number
+    of transitions installed; the caller counts a rehydration instead of
+    a build when it is non-zero.  May raise :class:`ComposedOverflow` if
     the payload outgrew a smaller cap — callers treat that as a plain
     miss and recompose.
     """
@@ -716,21 +713,10 @@ def preload_composed(ck: ComposedKernel, payload: dict) -> int:
         raise ValueError("composed payloads rehydrate plain-family kernels")
     if payload.get("version") != 1 or payload.get("width") != ck.width:
         return 0
-    cfg_maps: list[list[int]] = []
-    for plan, kern, member in zip(ck.plans, ck.kerns, payload["members"]):
-        interned = [plan._intern(frozenset(row)) for row in member["sets"]]
-        cfg_map: list[int] = []
-        for m_idx, r_idx, watch in member["cfgs"]:
-            mstates, m_id = interned[m_idx]
-            relevant, r_id = interned[r_idx]
-            if not mstates and not relevant:
-                cfg_map.append(DEAD)
-            else:
-                watch_t = tuple((int(w), int(t)) for w, t in watch)
-                cfg_map.append(
-                    kern.cfg_of(mstates, m_id, relevant, r_id, watch_t)
-                )
-        cfg_maps.append(cfg_map)
+    cfg_maps = [
+        decode_cfgs(plan, member["sets"], member["cfgs"])[1]
+        for plan, member in zip(ck.plans, payload["members"])
+    ]
     ccfg_map: list[int] = []
     for row in payload["ccfgs"]:
         mapped = tuple(cfg_maps[i][idx] for i, idx in enumerate(row))
@@ -738,15 +724,11 @@ def preload_composed(ck: ComposedKernel, payload: dict) -> int:
             ccfg_map.append(0)
         else:
             ccfg_map.append(ck.ccfg_of(mapped))
-    labels = payload["labels"]
-    other = len(labels)
+    columns = payload["labels"] + [OTHER_LABEL]
     trans = ck.trans
     installed = 0
     for ccfg_i, label_i, child_i in payload["trans"]:
-        key = (
-            ccfg_map[ccfg_i],
-            labels[label_i] if label_i < other else OTHER_LABEL,
-        )
+        key = (ccfg_map[ccfg_i], columns[label_i])
         if key in trans:
             continue
         trans[key] = ccfg_map[child_i]

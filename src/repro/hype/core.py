@@ -46,7 +46,9 @@ The descent itself lives in :mod:`repro.hype.kernel`: each plan owns a
 level further — interned run configurations with flags packed into flat
 ``array('i')`` transition words — and :func:`repro.hype.kernel.descend`
 is the single loop behind both :meth:`CompiledPlan.run` (a one-lane
-batch) and the batched evaluator of :mod:`repro.serve.batch`.
+batch) and the batched evaluator of :mod:`repro.serve.batch`.  It walks
+the columns of a :class:`repro.docstore.layout.DocumentLayout` and
+nothing else.
 
 ``HyPEEvaluator`` (the pre-split alias, deprecated in PR 3) was removed;
 importing it raises a pointed :class:`ImportError`.
@@ -143,7 +145,7 @@ class CompiledPlan:
         mfa: MFA,
         algorithm: str,
         document,
-        indexes: dict,
+        indexes,
         kernel: dict | None = None,
     ) -> "CompiledPlan":
         """Build (or rehydrate) the plan realising ``algorithm`` on ``mfa``.
@@ -154,12 +156,11 @@ class CompiledPlan:
         a :class:`repro.compile.artifact.PlanArtifact` (only the compile
         pipeline's dense stage builds a bare plan itself).  Artifacts carry
         only the automaton: the document-side index comes from
-        ``indexes``, which is either an *index provider* (anything with
-        an ``index_for(compressed)`` method — canonically
-        :class:`repro.docstore.document.IndexedDocument`, which builds
-        or tier-loads each variant exactly once under a lock) or the
-        legacy plain ``dict[bool, Index]`` cache (``setdefault`` keeps
-        concurrent cold builds converging on one object).  Every memo
+        ``indexes``, an *index provider* (anything with an
+        ``index_for(compressed)`` method — canonically the
+        :class:`repro.docstore.document.IndexedDocument` of
+        ``document``, which builds or tier-loads each variant exactly
+        once under a lock).  Every memo
         table starts empty, filling lazily on first run — unless the
         artifact shipped its eager dense closure, passed as ``kernel``
         and preloaded into the plan's
@@ -168,23 +169,13 @@ class CompiledPlan:
         filter rows always stay lazy).
         """
         from .api import ALGORITHMS, HYPE, OPTHYPE_C
-        from .index import build_index
 
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         if algorithm == HYPE:
             plan = cls(mfa)
         else:
-            compressed = algorithm == OPTHYPE_C
-            index_for = getattr(indexes, "index_for", None)
-            if index_for is not None:
-                index = index_for(compressed)
-            else:
-                index = indexes.get(compressed)
-                if index is None:
-                    index = indexes.setdefault(
-                        compressed, build_index(document, compressed=compressed)
-                    )
+            index = indexes.index_for(algorithm == OPTHYPE_C)
             plan = cls(
                 mfa, index=index, analyzer=ViabilityAnalyzer(mfa, index.bits)
             )
@@ -251,14 +242,19 @@ class CompiledPlan:
         (:class:`repro.serve.batch.BatchEvaluator`) drives with N lanes,
         so there is exactly one descent implementation to maintain.
 
-        ``layout`` — a :class:`repro.docstore.layout.DocumentLayout` of
-        the context's document — switches the descent to the dense
-        columnar fast path: per-cfg ``array('i')`` transition rows
-        indexed by interned label id instead of string-keyed dicts.
-        Answers and per-run :class:`HyPEStats` are identical either way
-        (property-tested in ``tests/test_hype_columnar.py`` and
-        ``tests/test_hype_kernel.py``); a layout that does not cover
-        ``context`` falls back to the string path.
+        ``layout`` — the :class:`repro.docstore.layout.DocumentLayout`
+        of the context's document — holds the columns the descent walks
+        (flat kid spans, per-cfg ``array('i')`` transition rows indexed
+        by interned label id); a caller that evaluates a document more
+        than once passes its :class:`repro.docstore.document.
+        IndexedDocument`'s.  Without one — or with one that does not
+        cover ``context`` (re-frozen tree, foreign document), which is
+        never indexed — this run builds fresh columns from the context's
+        document (:func:`repro.docstore.layout.covering_layout`);
+        answers and per-run :class:`HyPEStats` are identical either way
+        (property-tested in ``tests/test_hype_columnar.py``).  A tree
+        that was never frozen raises
+        :class:`repro.errors.EvaluationError`.
 
         ``deadline`` — an optional :class:`repro.guard.Deadline` — arms
         the descent's cooperative cancellation checkpoint; expiry raises

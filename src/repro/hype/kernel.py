@@ -21,9 +21,9 @@ transition table* over interned run configurations:
   ``edge × mask_key -> packed`` through the per-edge filter row, which
   caches the *post*-filter flags too.
 * per document, a layout binds each cfg to an ``array('i')`` row indexed
-  by interned label id (kept in the existing weak-key row cache of
-  :class:`repro.docstore.layout.DocumentLayout`), so a columnar visit is
-  one C-array read plus two shifts.
+  by interned label id (kept in the weak-key row cache of
+  :class:`repro.docstore.layout.DocumentLayout`), so a visit is one
+  C-array read plus two shifts.
 
 Labels the automaton does not distinguish — anything outside the MFA's
 transition alphabet — all share one ``OTHER`` column per cfg: an unseen
@@ -35,7 +35,11 @@ and :func:`kernel_payload` encode the closed table into a
 :class:`repro.compile.artifact.PlanArtifact` (format v3) whenever one is
 persisted or shipped: a cold worker rehydrates the closure
 (:meth:`DenseKernel.preload`) instead of re-deriving it on the first
-requests.
+requests.  Cfgs cross a process boundary in one wire form — state-set
+rows plus ``[mstates, relevant, watch]`` rows — written by
+:func:`encode_cfgs`, checked by :func:`check_cfgs` and read back by
+:func:`decode_cfgs`, for this payload and for
+:func:`repro.hype.compose.composed_payload` alike.
 
 Ownership runs one way: a plan owns its kernel and the kernel holds no
 reference back.  The slow paths that need the automaton (transition and
@@ -56,9 +60,10 @@ A wave's lanes are stepped one after the other (stepping them together
 through one multiplexed loop measured slower at every width); what the
 wave shares is reported from the union of the lanes' visit columns, and
 truly shared stepping is :mod:`repro.hype.compose`'s composed machine.
-String and columnar modes are the same loop: only the child source
-(layout kid spans vs. cached element-children lists) and the transition
-probe (array row vs. dict) differ per node.
+The document the pass walks is always a
+:class:`~repro.docstore.layout.DocumentLayout`'s columns — the caller's
+when it covers the context, fresh ones otherwise
+(:func:`repro.docstore.layout.covering_layout`).
 
 The pop side is compiled like the push side: ``pops[cfg] = (preds,
 outcomes)`` holds the cfg's node-dependent predicates and, per observed
@@ -82,6 +87,7 @@ import time
 from array import array
 from types import MappingProxyType
 
+from ..docstore.layout import covering_layout
 from ..errors import DeadlineError
 from ..faults import fire as _fault_fire
 from ..guard import CHECK_INTERVAL
@@ -178,9 +184,8 @@ class DenseKernel:
         # truths — to the pop's ``(dead, report, resolved)``.  Built on
         # the cfg's first pop (:data:`_UNBUILT` until then).
         self.pops: list = []
-        # (cfg, label) -> packed word (plain) or edge word (indexed);
-        # the string path also stores unseen labels under their own key
-        # (so it stays one probe) next to OTHER_LABEL.
+        # (cfg, label) -> packed word (plain) or edge word (indexed),
+        # for the alphabet's labels and OTHER_LABEL only.
         self.trans: dict = {}
         # (base_id, r_id, watch) -> edge id; parallel per-edge tables.
         self.edge_ids: dict = {}
@@ -260,32 +265,20 @@ class DenseKernel:
         return self.cfg_of(mstates0, m_id0, relevant0, r_id0, ())
 
     def lookup_trans(self, plan, cfg: int, label: str) -> int:
-        """``(cfg, label)``'s packed (or edge) word, computing on miss."""
-        trans = self.trans
-        packed = trans.get((cfg, label))
-        if packed is not None:
-            return packed
-        if label in self.alphabet:
-            packed = self._compute_trans(plan, cfg, label)
-        else:
-            key = (cfg, OTHER_LABEL)
-            packed = trans.get(key)
-            if packed is None:
-                packed = self._compute_trans(plan, cfg, OTHER_LABEL)
-                trans[key] = packed
-        trans[(cfg, label)] = packed
-        return packed
+        """``(cfg, label)``'s packed (or edge) word, computing on miss.
 
-    def lookup_column(self, plan, cfg: int, label: str) -> int:
-        """:meth:`lookup_trans` for columnar fills, which cache the word
-        in a per-document row: labels outside the alphabet resolve
-        through the OTHER column *without* storing a per-label alias —
-        only the string path reads aliases back, and a long-lived plan
-        would otherwise gain cfgs x new-labels dead entries per served
-        document."""
-        return self.lookup_trans(
-            plan, cfg, label if label in self.alphabet else OTHER_LABEL
-        )
+        A label outside the alphabet resolves through — and is stored
+        under — the OTHER column only (the caller caches the word in its
+        per-document row), so a long-lived plan serving ever-new labels
+        does not grow.
+        """
+        if label not in self.alphabet:
+            label = OTHER_LABEL
+        key = (cfg, label)
+        packed = self.trans.get(key)
+        if packed is None:
+            packed = self.trans[key] = self._compute_trans(plan, cfg, label)
+        return packed
 
     def _compute_trans(self, plan, cfg: int, label: str) -> int:
         (
@@ -431,14 +424,11 @@ class DenseKernel:
         filter rows stay lazy — they depend on the document).  Returns
         the number of transition entries installed.
         """
-        interned = [plan._intern(frozenset(row)) for row in payload["sets"]]
+        interned, cfg_map = decode_cfgs(plan, payload["sets"], payload["cfgs"])
         columns = payload["labels"] + [OTHER_LABEL]
         return self._install(
             plan,
-            [
-                (interned[m], interned[r], tuple((int(w), int(t)) for w, t in watch))
-                for m, r, watch in payload["cfgs"]
-            ],
+            cfg_map,
             (
                 (cfg_i, columns[label_i], interned[base_i], child_i)
                 for cfg_i, label_i, base_i, child_i in payload["trans"]
@@ -449,37 +439,30 @@ class DenseKernel:
         """:meth:`preload` straight from a closed kernel's tables (the
         index-free plan of the same MFA that :func:`close` closed) — how
         an OptHyPE executable gets its pre-filter edge words without a
-        payload ever being encoded."""
+        payload ever being encoded: the closed kernel's own frozensets
+        stand in for the set rows."""
         order, children, bases, num_cfgs = closed.closure
+        _, cfg_map = decode_cfgs(
+            plan,
+            closed.cfg_mstates[:num_cfgs] + closed.cfg_relevant[:num_cfgs],
+            zip(range(num_cfgs), range(num_cfgs, 2 * num_cfgs), closed.cfg_watch),
+        )
         intern = plan._intern
         columns = sorted(closed.alphabet) + [OTHER_LABEL]
         width = len(columns)
         return self._install(
             plan,
-            [
-                (
-                    intern(closed.cfg_mstates[cfg]),
-                    intern(closed.cfg_relevant[cfg]),
-                    closed.cfg_watch[cfg],
-                )
-                for cfg in range(num_cfgs)
-            ],
+            cfg_map,
             (
                 (order[i // width], columns[i % width], intern(base), children[i])
                 for i, base in enumerate(bases)
             ),
         )
 
-    def _install(self, plan, cfgs, rows) -> int:
-        """Mint ``cfgs`` — ``((mstates, m_id), (relevant, r_id), watch)``
-        in the source's id order — and install ``rows`` — ``(source cfg,
-        label, (base, base_id), source child)`` — that are not present."""
-        cfg_map: list[int] = []
-        for (mstates, m_id), (relevant, r_id), watch in cfgs:
-            if not mstates and not relevant:
-                cfg_map.append(DEAD)
-            else:
-                cfg_map.append(self.cfg_of(mstates, m_id, relevant, r_id, watch))
+    def _install(self, plan, cfg_map, rows) -> int:
+        """Install the ``rows`` — ``(source cfg, label, (base, base_id),
+        source child)``, cfgs mapped to this kernel's by ``cfg_map`` —
+        that are not present."""
         indexed = plan.index is not None
         trans = self.trans
         installed = 0
@@ -503,6 +486,97 @@ class DenseKernel:
                 trans[key] = self.cfg_packed[child]
             installed += 1
         return installed
+
+
+# ----------------------------------------------------------------------
+# The cfg codec: the one wire form of interned run configurations
+# ----------------------------------------------------------------------
+def encode_cfgs(kern: DenseKernel, num_cfgs: int, bases=()) -> tuple[dict, list]:
+    """The wire form of ``kern``'s first ``num_cfgs`` cfgs.
+
+    Returns ``({"sets": rows, "cfgs": rows}, base_ids)``: each distinct
+    state set becomes one sorted ``sets`` row, each cfg one ``[mstates
+    set, relevant set, [[watcher, target], ...]]`` row, and ``base_ids``
+    are the set ids of ``bases`` (numbered first), for callers whose
+    transition rows name further sets.  Plain JSON-shaped data.
+    """
+    ids: dict = {}
+    set_rows: list[list[int]] = []
+
+    def set_id(fs) -> int:
+        idx = ids.get(fs)
+        if idx is None:
+            idx = ids[fs] = len(set_rows)
+            set_rows.append(sorted(fs))
+        return idx
+
+    base_ids = [set_id(base) for base in bases]
+    cfg_rows = [
+        [
+            set_id(kern.cfg_mstates[cfg]),
+            set_id(kern.cfg_relevant[cfg]),
+            [[watcher, target] for watcher, target in kern.cfg_watch[cfg]],
+        ]
+        for cfg in range(num_cfgs)
+    ]
+    return {"sets": set_rows, "cfgs": cfg_rows}, base_ids
+
+
+def _is_ints(row: object, arity: int | None = None) -> bool:
+    """Whether ``row`` is a list of ints (bools excluded) of ``arity``."""
+    return (
+        isinstance(row, list)
+        and (arity is None or len(row) == arity)
+        and all(type(x) is int for x in row)
+    )
+
+
+def check_cfgs(payload: dict) -> tuple[int, int]:
+    """Structurally validate encoded cfgs: ``sets`` are int lists, every
+    cfg row is ``[set, set, [[int, int], ...]]`` with both set ids in
+    range.  Returns ``(len(sets), len(cfgs))`` for the caller's own
+    range checks; raises :class:`ValueError` on any violation, so a
+    mangled payload is refused where it is loaded instead of crashing
+    (or silently mis-indexing) a decode inside the evaluator."""
+    for key in ("sets", "cfgs"):
+        if not isinstance(payload.get(key), list):
+            raise ValueError(f"payload {key!r} must be a list")
+    sets, cfgs = payload["sets"], payload["cfgs"]
+    if not all(_is_ints(row) for row in sets):
+        raise ValueError("sets must be lists of state ids")
+    for row in cfgs:
+        if (
+            not isinstance(row, list)
+            or len(row) != 3
+            or not _is_ints(row[:2])
+            or not isinstance(row[2], list)
+            or not all(_is_ints(pair, 2) for pair in row[2])
+        ):
+            raise ValueError(f"malformed cfg row {row!r}")
+        if not (0 <= row[0] < len(sets) and 0 <= row[1] < len(sets)):
+            raise ValueError(f"cfg row {row!r} references no set")
+    return len(sets), len(cfgs)
+
+
+def decode_cfgs(plan, sets, cfgs) -> tuple[list, list[int]]:
+    """Decode cfgs into ``plan``'s id space: intern each state set, mint
+    each ``(mstates set, relevant set, watch)`` row in the plan's kernel
+    (the empty cfg is :data:`DEAD`).  Returns ``(interned, cfg_map)`` —
+    the ``(set, id)`` pair per ``sets`` row and the kernel cfg id per
+    ``cfgs`` row.  Indices must be valid (:func:`check_cfgs`)."""
+    intern = plan._intern
+    cfg_of = plan.kernel.cfg_of
+    interned = [intern(frozenset(row)) for row in sets]
+    cfg_map: list[int] = []
+    for m_idx, r_idx, watch in cfgs:
+        mstates, m_id = interned[m_idx]
+        relevant, r_id = interned[r_idx]
+        if not mstates and not relevant:
+            cfg_map.append(DEAD)
+        else:
+            watch = tuple((int(w), int(t)) for w, t in watch)
+            cfg_map.append(cfg_of(mstates, m_id, relevant, r_id, watch))
+    return interned, cfg_map
 
 
 def close(plan, max_cfgs: int = 256) -> None:
@@ -586,93 +660,15 @@ def kernel_payload(plan, max_cfgs: int = 256) -> dict:
     order, children, bases, num_cfgs = kern.closure
     labels = sorted(kern.alphabet)
     width = len(labels) + 1
-    sets: dict = {}
-    set_rows: list[list[int]] = []
-
-    def set_id(fs) -> int:
-        idx = sets.get(fs)
-        if idx is None:
-            idx = sets[fs] = len(set_rows)
-            set_rows.append(sorted(fs))
-        return idx
-
-    trans_rows = [
-        [order[i // width], i % width, set_id(base), children[i]]
-        for i, base in enumerate(bases)
-    ]
-    cfg_rows = [
-        [
-            set_id(kern.cfg_mstates[cfg]),
-            set_id(kern.cfg_relevant[cfg]),
-            [[watcher, target] for watcher, target in kern.cfg_watch[cfg]],
-        ]
-        for cfg in range(num_cfgs)
-    ]
+    encoded, base_ids = encode_cfgs(kern, num_cfgs, bases)
     return {
         "labels": labels,
-        "sets": set_rows,
-        "cfgs": cfg_rows,
-        "trans": trans_rows,
+        **encoded,
+        "trans": [
+            [order[i // width], i % width, base_id, children[i]]
+            for i, base_id in enumerate(base_ids)
+        ],
     }
-
-
-class _Lane:
-    """One plan's per-run view of the descent (a batch lane).
-
-    Everything the loop touches per child is pre-resolved into a slot at
-    lane construction — bound append methods, the kernel's cfg columns,
-    the per-document row table — so a visit costs slot reads instead of
-    attribute chains (``cursor.visit_nodes.append`` et al.).
-    """
-
-    __slots__ = (
-        "cursor",
-        "plan",
-        "kern",
-        "layout",
-        "indexed",
-        "mask_keys",
-        "rows",
-        "blank",
-        "nodes_append",
-        "parents_append",
-        "mstates_append",
-        "finals_append",
-    )
-
-    def __init__(self, plan, cursor, layout) -> None:
-        self.cursor = cursor
-        self.plan = plan
-        self.kern = plan.kernel
-        self.layout = layout
-        index = plan.index
-        self.indexed = index is not None
-        self.mask_keys = index.mask_keys if index is not None else None
-        if layout is not None:
-            self.rows = layout.rows_for(plan)
-            self.blank = array("i", [UNFILLED]) * layout.num_labels
-        else:
-            self.rows = None
-            self.blank = None
-        self.nodes_append = cursor.visit_nodes.append
-        self.parents_append = cursor.visit_parents.append
-        self.mstates_append = cursor.visit_mstates.append
-        self.finals_append = cursor.finals_seen.append
-
-    def row_for(self, cfg: int):
-        """The cfg's label-id-indexed packed row for this document."""
-        rows = self.rows
-        row = rows.get(cfg)
-        if row is None:
-            row = rows.setdefault(cfg, self.blank[:])
-        return row
-
-    def fill_row(self, row, lid: int, cfg: int) -> int:
-        packed = self.kern.lookup_column(
-            self.plan, cfg, self.layout.labels[lid]
-        )
-        row[lid] = packed
-        return packed
 
 
 def _expired(deadline) -> DeadlineError:
@@ -687,14 +683,16 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
 
     ``lanes`` is a list of ``(plan, cursor)`` pairs; a sequential run is
     a one-lane batch.  Each live lane is finished by one lean pass
-    (:func:`_descend_lane`), one lane after the other.  With a covering
-    ``layout`` the pass is columnar (flat kid spans, ``array('i')``
-    transition rows); otherwise it walks cached element-children lists
-    and the string-keyed table — same visits, same order, same counters
-    either way.  ``shared`` (a :class:`repro.serve.batch.BatchStats`-
-    shaped object) receives the counters of the pass a wave *shares*: the
-    union of the lanes' visit sets, and the children of that union no
-    lane entered.
+    (:func:`_descend_lane`), one lane after the other, over the columns
+    of ``layout`` (flat kid spans, ``array('i')`` transition rows).  A
+    missing layout, or one that does not cover ``context`` (re-frozen
+    tree, foreign document), is never indexed: the pass walks fresh
+    columns of the context's document instead
+    (:func:`repro.docstore.layout.covering_layout`) — same visits, same
+    order, same counters.  ``shared`` (a
+    :class:`repro.serve.batch.BatchStats`-shaped object) receives the
+    counters of the pass a wave *shares*: the union of the lanes' visit
+    sets, and the children of that union no lane entered.
 
     ``deadline`` (a :class:`repro.guard.Deadline`) arms a cooperative
     cancellation checkpoint: every :data:`repro.guard.CHECK_INTERVAL`
@@ -707,8 +705,7 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     floor.
     """
     _fault_fire("descend")
-    if layout is not None and not layout.covers(context):
-        layout = None
+    layout = covering_layout(context, layout)
     checks = CHECK_INTERVAL
     live = []
     for plan, cursor in lanes:
@@ -716,8 +713,9 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
         if cfg == DEAD:
             # Dead at the root: the lane finishes with the all-zero result.
             continue
-        lane = _Lane(plan, cursor, layout)
-        checks = _descend_lane(lane, context, cfg, deadline, checks)
+        checks = _descend_lane(
+            plan, cursor, layout, context, cfg, deadline, checks
+        )
         live.append(cursor)
     if shared is None or not live:
         return
@@ -728,45 +726,51 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     union = set()
     for cursor in live:
         union.update(cursor.visit_nodes)
-    if layout is not None:
-        kid_start = layout.kid_start
-        examined = sum(
-            kid_start[node.node_id + 1] - kid_start[node.node_id]
-            for node in union
-        )
-    else:
-        examined = sum(len(node.element_children_cached()) for node in union)
+    kid_start = layout.kid_start
+    examined = sum(
+        kid_start[node.node_id + 1] - kid_start[node.node_id] for node in union
+    )
     shared.visited_elements += len(union)
     shared.skipped_subtrees += examined - len(union) + 1
 
 
-def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
-    """The lean pass: run one lane's automaton over ``node``'s subtree.
+def _descend_lane(
+    plan, cursor, layout, node, cfg: int, deadline, checks: int
+) -> int:
+    """The lean pass: run one lane — ``plan`` recording into ``cursor``
+    — over ``node``'s subtree in ``layout``.
 
     The current node's frame lives in locals (node, visit index, cfg,
     its ``array('i')`` row, the truths its children reported, the child
-    cursor); the stack holds one tuple of those per *open* ancestor,
-    pushed only for visited elements that have element children — a
-    childless element is visited and popped inline.  ``checks`` is the
-    countdown to the next deadline checkpoint; it is returned so a wave
-    of short lanes still reads the clock every ``CHECK_INTERVAL`` steps.
+    cursor into the layout's kid columns); the stack holds one tuple of
+    those per *open* ancestor, pushed only for visited elements that
+    have element children — a childless element is visited and popped
+    inline.  ``checks`` is the countdown to the next deadline
+    checkpoint; it is returned so a wave of short lanes still reads the
+    clock every ``CHECK_INTERVAL`` steps.
     """
-    plan = lane.plan
-    kern = lane.kern
-    cursor = lane.cursor
+    kern = plan.kernel
     pops = kern.pops
     fill_pop = kern.fill_pop
+    lookup_trans = kern.lookup_trans
     cfg_mstates = kern.cfg_mstates
     deaths = cursor.deaths
-    nodes_append = lane.nodes_append
-    parents_append = lane.parents_append
-    mstates_append = lane.mstates_append
-    finals_append = lane.finals_append
-    indexed = lane.indexed
-    mask_keys = lane.mask_keys
+    nodes_append = cursor.visit_nodes.append
+    parents_append = cursor.visit_parents.append
+    mstates_append = cursor.visit_mstates.append
+    finals_append = cursor.finals_seen.append
+    index = plan.index
+    indexed = index is not None
+    mask_keys = index.mask_keys if indexed else None
     filters = kern.edge_filters
-    layout = lane.layout
-    columnar = layout is not None
+    labels = layout.labels
+    nodes = layout.nodes
+    kid_ids = layout.kid_ids
+    kid_labels = layout.kid_labels
+    kid_start = layout.kid_start
+    # cfg -> this document's label-id-indexed row of packed words.
+    rows = layout.rows_for(plan)
+    blank = array("i", [UNFILLED]) * len(labels)
     packed = kern.cfg_packed[cfg]
     nodes_append(node)
     parents_append(-1)
@@ -774,22 +778,11 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
     if packed & FINAL_BIT:
         finals_append(node)
     pflag = packed & POP_BIT
-    if columnar:
-        nodes = layout.nodes
-        kid_ids = layout.kid_ids
-        kid_labels = layout.kid_labels
-        kid_start = layout.kid_start
-        rows = lane.rows
-        row = lane.row_for(cfg)
-        ki = kid_start[node.node_id]
-        kend = kid_start[node.node_id + 1]
-        kids = kids2 = None
-    else:
-        trans = kern.trans
-        row = None
-        kids = node.element_children_cached()
-        ki = 0
-        kend = len(kids)
+    row = rows.get(cfg)
+    if row is None:
+        row = rows.setdefault(cfg, blank[:])
+    ki = kid_start[node.node_id]
+    kend = kid_start[node.node_id + 1]
     vidx = 0
     nvis = 1
     trues = None
@@ -827,28 +820,20 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
                 resolved += n
             if not stack:
                 break
-            node, vidx, cfg, row, pflag, trues, ki, kend, kids = pop()
+            node, vidx, cfg, row, pflag, trues, ki, kend = pop()
             if report:
                 if trues is None:
                     trues = set(report)
                 else:
                     trues.update(report)
             continue
-        if columnar:
-            lid = kid_labels[ki]
-            cid = kid_ids[ki]
-            packed = row[lid]
-            if packed == UNFILLED:
-                packed = lane.fill_row(row, lid, cfg)
-        else:
-            child = kids[ki]
-            packed = trans.get((cfg, child.label), UNFILLED)
-            if packed == UNFILLED:
-                packed = kern.lookup_trans(plan, cfg, child.label)
+        lid = kid_labels[ki]
+        cid = kid_ids[ki]
         ki += 1
+        packed = row[lid]
+        if packed == UNFILLED:
+            packed = row[lid] = lookup_trans(plan, cfg, labels[lid])
         if indexed and packed:
-            if not columnar:
-                cid = child.node_id
             eid = packed >> 1
             mask_key = mask_keys[cid]
             packed = filters[eid].get(mask_key, UNFILLED)
@@ -858,14 +843,9 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
             skipped += 1
             continue
         cfg2 = packed >> CFG_SHIFT
-        if columnar:
-            child = nodes[cid]
-            ki2 = kid_start[cid]
-            kend2 = kid_start[cid + 1]
-        else:
-            kids2 = child.element_children_cached()
-            ki2 = 0
-            kend2 = len(kids2)
+        child = nodes[cid]
+        ki2 = kid_start[cid]
+        kend2 = kid_start[cid + 1]
         nodes_append(child)
         parents_append(vidx)
         mstates_append(cfg_mstates[cfg2])
@@ -894,7 +874,7 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
                         trues.update(report)
             nvis += 1
             continue
-        push((node, vidx, cfg, row, pflag, trues, ki, kend, kids))
+        push((node, vidx, cfg, row, pflag, trues, ki, kend))
         node = child
         vidx = nvis
         nvis += 1
@@ -903,11 +883,9 @@ def _descend_lane(lane, node, cfg: int, deadline, checks: int) -> int:
         trues = None
         ki = ki2
         kend = kend2
-        kids = kids2
-        if columnar:
-            row = rows.get(cfg2)
-            if row is None:
-                row = lane.row_for(cfg2)
+        row = rows.get(cfg2)
+        if row is None:
+            row = rows.setdefault(cfg2, blank[:])
     # Writeback: a lane examines every element child of every node it
     # visits, so ``visited`` is the length of its visit columns and
     # ``skipped`` the prunes counted on the way.

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..docstore.layout import covering_layout
 from ..hype.compose import ComposedKernel, ComposeError, ComposedOverflow, descend_composed
 from ..hype.core import CompiledPlan, HyPEResult, RunCursor
 from ..hype.kernel import descend
@@ -153,21 +154,25 @@ class BatchEvaluator:
     def run(self, context: Node, layout=None, deadline=None) -> BatchResult:
         """Evaluate every lane's ``context[[M]]`` as one wave.
 
-        With a ``layout`` (the context document's columnar
-        :class:`repro.docstore.layout.DocumentLayout`) each pass
-        runs the dense columnar fast path — flat kid spans and per-cfg
-        ``array('i')`` transition rows per lane; without one it walks
-        cached element-children lists.  Either way the pass is the one
-        shared :func:`repro.hype.kernel.descend` loop, and per-lane
-        answers and stats are identical to N sequential runs.  A lane
-        dead at the root never enters the pass (the sequential run
-        returns the all-zero result immediately).
+        Every pass walks the columns of ``layout`` (the context
+        document's :class:`repro.docstore.layout.DocumentLayout`) —
+        flat kid spans and per-cfg ``array('i')`` transition rows per
+        lane; without one, or with one that does not cover ``context``,
+        the wave builds fresh columns from the context's document once
+        (:func:`repro.docstore.layout.covering_layout`) — callers that
+        serve a document twice pass their
+        :class:`repro.docstore.document.IndexedDocument`'s.  Either way the pass is the one shared
+        :func:`repro.hype.kernel.descend` loop, and per-lane answers and
+        stats are identical to N sequential runs.  A lane dead at the
+        root never enters the pass (the sequential run returns the
+        all-zero result immediately).
 
         ``deadline`` (a :class:`repro.guard.Deadline`) arms the kernel's
         cooperative cancellation checkpoint: an expired pass raises
         :class:`repro.errors.DeadlineError` and the batch's local cursors
         are discarded with it, so no partial answer can escape.
         """
+        layout = covering_layout(context, layout)
         stats = BatchStats(lanes=len(self.plans))
         cursors = [RunCursor(plan) for plan in self.plans]
         leftover = set(range(len(self.plans)))

@@ -129,29 +129,27 @@ class CachedPlan:
     )
 
     def compiled(
-        self, algorithm: str, document: XMLTree, indexes: dict
+        self, algorithm: str, document: XMLTree, indexes
     ) -> CompiledPlan:
         """The (cached) executable realising ``algorithm`` on ``document``.
 
-        ``indexes`` is the caller's per-document index cache — an
-        :class:`repro.docstore.IndexedDocument` or the legacy
-        ``compressed -> Index`` dict — and construction delegates to
+        ``indexes`` is the document's
+        :class:`repro.docstore.IndexedDocument` — the index provider,
+        and the weak key its OptHyPE executables live under — and
+        construction delegates to
         :meth:`repro.hype.core.CompiledPlan.for_algorithm`.
         """
         if algorithm == HYPE:
-            owner = None
             plan = self.plans.get(algorithm)
         else:
-            # The IndexedDocument, or the tree itself beside a plain dict.
-            owner = indexes if hasattr(indexes, "index_for") else document
-            plan = self._per_document.get(owner, _NO_PLANS).get(algorithm)
+            plan = self._per_document.get(indexes, _NO_PLANS).get(algorithm)
         if plan is not None:
             return plan
         with self._lock:
-            if owner is None:
+            if algorithm == HYPE:
                 memo = self.plans
             else:
-                memo = self._per_document.setdefault(owner, {})
+                memo = self._per_document.setdefault(indexes, {})
             plan = memo.get(algorithm)
             if plan is None:
                 plan = memo[algorithm] = self._build(algorithm, document, indexes)

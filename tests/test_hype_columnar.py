@@ -1,74 +1,102 @@
-"""Columnar-path equivalence: the interned hot loop changes nothing.
+"""Columns are the only document the evaluator walks.
 
-The acceptance property of the layout fast path: for ANY document and
-ANY query, evaluating through the columnar tables (interned label ids,
-flattened kid spans, int-keyed child rows) returns byte-identical
-answers AND byte-identical per-run :class:`HyPEStats` to the
-string-label path — across all three algorithm variants, sequentially
-and batched, and through the full service stack.
+There is one path — :class:`repro.docstore.layout.DocumentLayout`
+columns — so the properties here pin the two things that can differ
+between callers: *whose* columns a run walks (the supplied layout, or
+fresh ones built on demand when none covers the context) must not be
+observable in answers or :class:`HyPEStats`, and the supplied-layout
+path — the one production runs — must agree with the reference
+evaluator directly, not transitively.  A stale or foreign layout is
+never indexed; a never-frozen tree is refused.
 """
 
 import pytest
 from hypothesis import given, settings
 
 from repro.docstore import DocumentStore, IndexedDocument
+from repro.errors import EvaluationError
 from repro.hype.api import ALGORITHMS, OPTHYPE, compile_plan
+from repro.hype.compose import ComposedKernel, descend_composed
+from repro.hype.core import RunCursor
 from repro.serve.batch import BatchEvaluator
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.workloads.queries import FIG8
+from repro.xpath import evaluate
 from repro.xtree.serialize import serialize
 
 from .strategies import paths, trees
 
 
-@given(trees(), paths())
-@settings(max_examples=60, deadline=None)
-def test_columnar_run_is_identical_to_string_run(tree, query):
-    doc = IndexedDocument(tree)
-    for algorithm in ALGORITHMS:
-        plan = compile_plan(query, algorithm=algorithm, tree=tree)
-        string_path = plan.run(tree.root)
-        columnar = plan.run(tree.root, layout=doc.layout)
-        assert columnar.answers == string_path.answers
-        assert columnar.stats == string_path.stats
+def _composed(plans, context, layout):
+    cursors = [RunCursor(plan) for plan in plans]
+    descend_composed(ComposedKernel(plans), cursors, context, layout)
+    return [cursor.finish() for cursor in cursors]
+
+
+def _plan(query, algorithm, doc):
+    """A plan over the document's own index (what serving builds)."""
+    index = None if algorithm == "hype" else doc.index_for(algorithm == "opthype-c")
+    return compile_plan(query, algorithm=algorithm, index=index)
+
+
+def _poison(layout):
+    """Make any read of the layout's kid columns raise."""
+    layout.kid_ids = layout.kid_labels = layout.kid_start = None
+
+
+def _same(results, expected):
+    assert len(results) == len(expected)
+    for got, want in zip(results, expected):
+        assert got.answers == want.answers
+        assert got.stats == want.stats
 
 
 @given(trees(), paths(max_leaves=5), paths(max_leaves=5))
-@settings(max_examples=40, deadline=None)
-def test_columnar_batch_is_identical_to_string_batch(tree, first, second):
+@settings(max_examples=60, deadline=None)
+def test_on_demand_layout_is_identical_to_a_supplied_one(tree, first, second):
+    """Per lane, batched and composed, all three algorithms, root and
+    sub-tree contexts: a run that builds its own columns is the run
+    that was handed the document's."""
     doc = IndexedDocument(tree)
-    plans = [
-        compile_plan(first, algorithm="hype"),
-        compile_plan(second, algorithm="opthype-c", tree=tree),
-    ]
-    string_path = BatchEvaluator(plans).run(tree.root)
-    columnar = BatchEvaluator(plans).run(tree.root, layout=doc.layout)
-    assert string_path.stats == columnar.stats
-    for a, b in zip(string_path.results, columnar.results):
-        assert a.answers == b.answers
-        assert a.stats == b.stats
+    contexts = [n for n in tree.nodes if n.is_element][:3]
+    for algorithm in ALGORITHMS:
+        plans = [_plan(query, algorithm, doc) for query in (first, second)]
+        for context in contexts:
+            supplied = [plan.run(context, layout=doc.layout) for plan in plans]
+            _same([plan.run(context) for plan in plans], supplied)
+            batch = BatchEvaluator(plans)
+            with_layout = batch.run(context, layout=doc.layout)
+            on_demand = batch.run(context)
+            assert with_layout.stats == on_demand.stats
+            _same(on_demand.results, supplied)
+            _same(with_layout.results, supplied)
+            _same(_composed(plans, context, None), supplied)
+            _same(_composed(plans, context, doc.layout), supplied)
 
 
 @given(trees(), paths())
-@settings(max_examples=40, deadline=None)
-def test_columnar_subtree_contexts_agree(tree, query):
-    """The layout covers every node, not just the root."""
+@settings(max_examples=120, deadline=None)
+def test_supplied_layout_agrees_with_the_reference_evaluator(tree, query):
+    """The oracle on the path production runs: every algorithm, over
+    the document's own layout and index, against the set semantics."""
     doc = IndexedDocument(tree)
-    contexts = [n for n in tree.nodes if n.is_element][:5]
-    plan = compile_plan(query, algorithm="hype")
-    for context in contexts:
-        a = plan.run(context)
-        b = plan.run(context, layout=doc.layout)
-        assert a.answers == b.answers
-        assert a.stats == b.stats
+    contexts = [n for n in tree.nodes if n.is_element][:3]
+    for algorithm in ALGORITHMS:
+        plan = _plan(query, algorithm, doc)
+        for context in contexts:
+            expected = {n.node_id for n in evaluate(query, context)}
+            got = plan.run(context, layout=doc.layout)
+            assert {n.node_id for n in got.answers} == expected
+            assert got.stats.answers == len(expected)
 
 
 def test_refrozen_tree_invalidates_the_layout():
     """Regression: index_tree re-freezes IN PLACE (same nodes list
     object), so a stale layout used to keep passing covers() and the
-    columnar path silently dropped nodes added by the documented
-    edit + re-freeze protocol."""
+    run silently dropped nodes added by the documented edit + re-freeze
+    protocol.  The stale layout is never indexed: the run walks the
+    fresh structure's columns and reports its answers and stats."""
     from repro.xtree.build import document, element
     from repro.xtree.node import Node, index_tree
 
@@ -82,27 +110,60 @@ def test_refrozen_tree_invalidates_the_layout():
     index_tree(tree.root, tree)
 
     assert not stale_layout.covers(tree.root)
-    via_layout = plan.run(tree.root, layout=stale_layout)
-    direct = plan.run(tree.root)
-    assert len(direct.answers) == 2
-    assert via_layout.answers == direct.answers
-    assert via_layout.stats == direct.stats
-    # A layout built against the new freeze covers it again.
+    _poison(stale_layout)
     fresh = IndexedDocument(tree)
     assert fresh.layout.covers(tree.root)
-    refreshed = plan.run(tree.root, layout=fresh.layout)
-    assert refreshed.answers == direct.answers
+    expected = plan.run(tree.root, layout=fresh.layout)
+    assert len(expected.answers) == 2
+    for layout in (stale_layout, None):
+        got = plan.run(tree.root, layout=layout)
+        assert got.answers == expected.answers
+        assert got.stats == expected.stats
+        batch = BatchEvaluator([plan, plan]).run(tree.root, layout=layout)
+        _same(batch.results, [expected, expected])
+        _same(_composed([plan, plan], tree.root, layout), [expected, expected])
 
 
-def test_foreign_layout_falls_back_to_string_path():
+def test_foreign_layout_is_never_indexed():
     tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))
     other = generate_hospital_document(HospitalConfig(num_patients=3, seed=9))
-    layout = IndexedDocument(other).layout
-    plan = compile_plan("//patient", algorithm="hype")
-    direct = plan.run(tree.root)
-    fallen_back = plan.run(tree.root, layout=layout)
-    assert fallen_back.answers == direct.answers
-    assert fallen_back.stats == direct.stats
+    foreign = IndexedDocument(other).layout
+    doc = IndexedDocument(tree)
+    assert not foreign.covers(tree.root)
+    _poison(foreign)
+    for algorithm in ALGORITHMS:
+        plan = _plan("//patient", algorithm, doc)
+        expected = plan.run(tree.root, layout=doc.layout)
+        assert expected.answers
+        got = plan.run(tree.root, layout=foreign)
+        assert got.answers == expected.answers
+        assert got.stats == expected.stats
+        _same(
+            BatchEvaluator([plan, plan]).run(tree.root, layout=foreign).results,
+            [expected, expected],
+        )
+        _same(_composed([plan, plan], tree.root, foreign), [expected, expected])
+
+
+def test_a_never_frozen_tree_is_refused():
+    """``node_id``s that are not the document order would mis-index the
+    columns: both descents raise instead."""
+    from repro.xtree.build import document, element
+    from repro.xtree.node import Node
+
+    loose = element("a", element("b"), element("c"))  # never frozen
+    plan = compile_plan("//b", algorithm="hype")
+    with pytest.raises(EvaluationError):
+        plan.run(loose)
+    with pytest.raises(EvaluationError):
+        BatchEvaluator([plan, plan]).run(loose)
+    with pytest.raises(EvaluationError):
+        _composed([plan, plan], loose, None)
+    # Edited since its freeze and not re-frozen: refused too.
+    tree = document(element("a", element("b")))
+    tree.root.children.insert(0, Node("b"))
+    with pytest.raises(EvaluationError):
+        plan.run(tree.root)
 
 
 def test_one_plan_serves_two_documents_with_distinct_layouts():

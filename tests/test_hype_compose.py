@@ -4,8 +4,8 @@ Unit coverage for :mod:`repro.hype.compose` (construction errors, the
 ccfg cap, payload round-trips) plus the PR's strongest guarantee as a
 hypothesis property: stepping N plans as ONE composed machine yields
 answers *and* full per-lane ``HyPEStats`` byte-identical to N sequential
-runs — across all three algorithm families, on the string and columnar
-paths, and straight through a mid-wave ccfg-cap fallback.  A
+runs — across all three algorithm families, over on-demand and supplied
+layouts, and straight through a mid-wave ccfg-cap fallback.  A
 service-level test pins the grouping contract: waves mixing views must
 NOT compose across view boundaries.
 """
@@ -176,7 +176,7 @@ class TestComposedEqualsSequential:
 
     @given(trees(), st.lists(paths(max_leaves=5), min_size=2, max_size=4))
     @settings(max_examples=40, **COMMON)
-    def test_all_families_string_path(self, tree, queries):
+    def test_all_families_on_demand_layout(self, tree, queries):
         for _family, make_index in FAMILIES:
             plans = _plans(queries, make_index(tree))
             _assert_lanes_identical(
@@ -186,7 +186,7 @@ class TestComposedEqualsSequential:
 
     @given(trees(), st.lists(paths(max_leaves=5), min_size=2, max_size=4))
     @settings(max_examples=40, **COMMON)
-    def test_all_families_columnar_path(self, tree, queries):
+    def test_all_families_supplied_layout(self, tree, queries):
         layout = IndexedDocument(tree).layout
         for _family, make_index in FAMILIES:
             plans = _plans(queries, make_index(tree))

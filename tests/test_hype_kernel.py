@@ -40,7 +40,7 @@ class TestOneSharedLoop:
     @settings(max_examples=40, deadline=None)
     def test_batched_lanes_match_sequential_runs(self, tree, query):
         """All three algorithms in ONE batched pass == three sequential
-        runs, on both the string and the columnar path."""
+        runs, over on-demand columns and over the document's layout."""
         plans = _algorithm_plans(query, tree)
         layout = IndexedDocument(tree).layout
         for batch_layout in (None, layout):
@@ -53,7 +53,9 @@ class TestOneSharedLoop:
     def test_descend_is_the_only_descent_loop(self):
         """Structural guard: CompiledPlan.run and BatchEvaluator.run
         both drive repro.hype.kernel.descend, and no other descent
-        implementation exists in the library."""
+        implementation exists in the library — nor a second document
+        mode (the evaluator walks layout columns only) or a second cfg
+        codec beside the kernel's."""
         import ast as pyast
         import inspect
         import pathlib
@@ -72,6 +74,58 @@ class TestOneSharedLoop:
                 ):
                     callers.append(path.name)
         assert sorted(callers) == ["batch.py", "core.py"]
+
+        def pairs_of(comp, kind, what):
+            """``comp`` builds 2-element ``kind`` nodes whose parts
+            satisfy ``what`` (the shape of a watch-pair conversion)."""
+            elt = comp.elt
+            return (
+                isinstance(elt, kind)
+                and len(elt.elts) == 2
+                and all(what(part) for part in elt.elts)
+            )
+
+        banned = {"element_children_cached", "columnar", "lookup_column"}
+        encoders, decoders = [], []
+        evaluator = sorted((src_root / "hype").glob("*.py"))
+        evaluator.append(src_root / "serve" / "batch.py")
+        for path in evaluator:
+            tree = pyast.parse(path.read_text())
+            names = {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                for node in pyast.walk(tree)
+                if isinstance(node, (pyast.Name, pyast.Attribute))
+            }
+            names |= {
+                node.name
+                for node in pyast.walk(tree)
+                if isinstance(node, pyast.FunctionDef)
+            }
+            assert not names & banned, (path.name, names & banned)
+            for func in pyast.walk(tree):
+                if not isinstance(func, pyast.FunctionDef):
+                    continue
+                for node in pyast.walk(func):
+                    if not isinstance(node, (pyast.ListComp, pyast.GeneratorExp)):
+                        continue
+                    source = node.generators[0].iter
+                    # Encoder: ``[[w, t] for w, t in <x>.cfg_watch[...]]``.
+                    if (
+                        isinstance(source, pyast.Subscript)
+                        and getattr(source.value, "attr", None) == "cfg_watch"
+                        and pairs_of(node, pyast.List, lambda p: True)
+                    ):
+                        encoders.append(func.name)
+                    # Decoder: ``tuple((int(w), int(t)) for w, t in watch)``.
+                    if pairs_of(
+                        node,
+                        pyast.Tuple,
+                        lambda p: isinstance(p, pyast.Call)
+                        and getattr(p.func, "id", None) == "int",
+                    ):
+                        decoders.append(func.name)
+        assert encoders == ["encode_cfgs"]
+        assert decoders == ["decode_cfgs"]
 
 
 def _cans(cursor):
@@ -181,7 +235,7 @@ class TestPopTable:
 
     def test_pop_frame_is_never_entered_without_child_truths(self, monkeypatch):
         """Truth-free pops are table probes in every loop — lean pass
-        (alone and in a wave) and composed, string and columnar."""
+        (alone and in a wave) and composed."""
         calls = []
         real = DenseKernel.pop_frame
 
@@ -214,10 +268,11 @@ class TestPopTable:
                 )
         assert calls, "the workload must exercise truth-carrying pops too"
 
-    def test_columnar_fill_stores_no_alias_for_unseen_labels(self):
+    def test_unseen_labels_store_no_alias(self):
         """A long-lived plan serving documents with ever-new labels must
-        not grow: the columnar fill resolves them through the OTHER
-        column (only the string path keeps per-label aliases)."""
+        not grow: they resolve through the OTHER column, with or without
+        a supplied layout, and only alphabet ∪ {OTHER} columns are ever
+        stored (a bare-tree run used to keep one alias per label)."""
         from repro.xtree.build import document, element
 
         plan = compile_plan("//a/b")
@@ -231,16 +286,18 @@ class TestPopTable:
                     *(element(f"fresh{round_}x{i}") for i in range(50)),
                 )
             )
-            layout = IndexedDocument(tree).layout
-            columnar = plan.run(tree.root, layout)
-            cursors = [RunCursor(member) for member in composed.plans]
-            descend_composed(composed, cursors, tree.root, layout)
-            sizes.append((len(plan.kernel.trans), len(composed.trans)))
-            assert cursors[0].finish().answers == columnar.answers
-            string = compile_plan("//a/b").run(tree.root)
-            assert columnar.answers == string.answers
-            assert columnar.stats == string.stats
+            for layout in (IndexedDocument(tree).layout, None):
+                result = plan.run(tree.root, layout)
+                assert [n.label for n in result.answers] == ["b"]
+                assert result.stats.visited_elements == 54  # r, a, b, c + 50
+                cursors = [RunCursor(member) for member in composed.plans]
+                descend_composed(composed, cursors, tree.root, layout)
+                assert cursors[0].finish().answers == result.answers
+                sizes.append((len(plan.kernel.trans), len(composed.trans)))
         assert len(set(sizes)) == 1, sizes
+        for kern in (plan.kernel, composed.plans[1].kernel, composed):
+            columns = kern.alphabet | {OTHER_LABEL}
+            assert kern.trans and {label for _cfg, label in kern.trans} <= columns
 
 
 class TestPreloadedClosure:
@@ -248,17 +305,16 @@ class TestPreloadedClosure:
     @settings(max_examples=30, deadline=None)
     def test_preloaded_plan_is_indistinguishable(self, tree, query):
         """A plan rehydrated from a persisted closure answers exactly
-        like a lazily-filled one — every algorithm, both paths."""
+        like a lazily-filled one — every algorithm."""
         mfa = to_mfa(query)
         payload = kernel_payload(CompiledPlan(mfa))
-        layout = IndexedDocument(tree).layout
-        indexes: dict = {}
+        doc = IndexedDocument(tree)
         for algorithm in ALGORITHMS:
-            lazy = CompiledPlan.for_algorithm(mfa, algorithm, tree, indexes)
+            lazy = CompiledPlan.for_algorithm(mfa, algorithm, tree, doc)
             eager = CompiledPlan.for_algorithm(
-                mfa, algorithm, tree, indexes, kernel=payload
+                mfa, algorithm, tree, doc, kernel=payload
             )
-            for run_layout in (None, layout):
+            for run_layout in (None, doc.layout):
                 a = lazy.run(tree.root, layout=run_layout)
                 b = eager.run(tree.root, layout=run_layout)
                 assert a.answers == b.answers
@@ -281,35 +337,57 @@ class TestPreloadedClosure:
         with pytest.raises(ValueError):
             kernel_payload(indexed)
 
-    def test_other_column_aliases_unknown_labels(self):
+    def test_trans_keys_stay_inside_the_alphabet(self):
         """Labels outside the automaton alphabet share ONE transition
-        word — the aliasing that keeps the closed table finite and
-        document-independent."""
+        column — the aliasing that keeps the closed table finite and
+        document-independent: after serving documents full of
+        out-of-alphabet labels, every ``trans`` key of every member
+        kernel and of the composed kernel names an alphabet label or
+        OTHER, whichever way the documents were handed in."""
         from repro.xtree.build import document, element
 
-        tree = document(
-            element("a", *(element(f"z{i}") for i in range(6)))
-        )
-        plan = compile_plan("a/b", algorithm="hype")
-        plan.run(tree.root)
-        kern = plan.kernel
-        assert not any(label.startswith("z") for label in kern.alphabet)
-        aliased = [
-            (cfg, label)
-            for (cfg, label) in kern.trans
-            if label.startswith("z")
+        trees = [
+            document(
+                element(
+                    "r",
+                    element("a", element("b"), *(element(f"z{n}x{i}") for i in range(6))),
+                )
+            )
+            for n in range(3)
         ]
-        assert aliased, "unknown labels must have been probed"
-        for cfg, label in aliased:
-            assert kern.trans[(cfg, label)] == kern.trans[(cfg, OTHER_LABEL)]
+        for algorithm in ALGORITHMS:
+            for tree in trees:
+                doc = IndexedDocument(tree)
+                plans = [
+                    CompiledPlan.for_algorithm(to_mfa(query), algorithm, tree, doc)
+                    for query in ("a/b", "a//b")
+                ]
+                composed = ComposedKernel(plans)
+                for layout in (None, doc.layout):
+                    for plan in plans:
+                        assert plan.run(tree.root, layout).stats.answers == 1
+                    BatchEvaluator(plans).run(tree.root, layout)
+                    descend_composed(
+                        composed,
+                        [RunCursor(plan) for plan in plans],
+                        tree.root,
+                        layout,
+                    )
+                for kern in (*(plan.kernel for plan in plans), composed):
+                    assert not any(l.startswith("z") for l in kern.alphabet)
+                    columns = kern.alphabet | {OTHER_LABEL}
+                    labels = {label for _cfg, label in kern.trans}
+                    assert OTHER_LABEL in labels, "unknown labels were probed"
+                    assert labels <= columns
 
 
 class TestStaleLayoutFallback:
-    def test_refrozen_tree_falls_back_with_a_rehydrated_layout(self, tmp_path):
+    def test_refrozen_tree_stands_a_rehydrated_layout_down(self, tmp_path):
         """The freeze_count guard must hold for layouts loaded from the
         binary sidecar exactly as for built ones: after an edit +
-        re-freeze, the loaded layout stands down and the kernel serves
-        the new structure through the string path."""
+        re-freeze, the loaded layout stands down — its mmap'ed columns
+        are never indexed — and the kernel serves the new structure's
+        answers and stats from fresh columns."""
         from repro.docstore import DocumentStore
         from repro.xtree.build import document, element
         from repro.xtree.node import Node, index_tree
@@ -330,11 +408,15 @@ class TestStaleLayoutFallback:
         index_tree(doc.tree.root, doc.tree)
 
         assert not stale.covers(doc.tree.root)
-        via_layout = plan.run(doc.tree.root, layout=stale)
-        direct = plan.run(doc.tree.root)
-        assert len(direct.answers) == 2
-        assert via_layout.answers == direct.answers
-        assert via_layout.stats == direct.stats
+        stale.kid_ids = stale.kid_labels = stale.kid_start = None  # unreadable
+        expected = plan.run(doc.tree.root, layout=IndexedDocument(doc.tree).layout)
+        assert len(expected.answers) == 2
+        for layout in (stale, None):
+            got = plan.run(doc.tree.root, layout=layout)
+            assert got.answers == expected.answers
+            assert got.stats == expected.stats
+            batch = BatchEvaluator([plan, plan]).run(doc.tree.root, layout=layout)
+            assert [lane.stats for lane in batch.results] == [expected.stats] * 2
 
 
 class TestArtifactKernelField:

@@ -286,6 +286,118 @@ class TestWarmRestartAcrossPaths:
             assert healed.cache.stats.l2_hits == 1
 
 
+def _drop(payload, *path):
+    *parents, key = path
+    for step in parents:
+        payload = payload[step]
+    del payload[key]
+
+
+def _put(payload, *path_and_value):
+    *path, key, value = path_and_value
+    for step in path:
+        payload = payload[step]
+    payload[key] = value
+
+
+#: One structural violation per region of a composed payload — each is
+#: valid JSON with the key echo intact, so only the codec's validator
+#: (:func:`repro.hype.compose.check_composed`) stands between it and the
+#: evaluator.
+COMPOSED_MANGLES = {
+    "ccfg-out-of-range": lambda p: _put(p, "ccfgs", 0, [999] * p["width"]),
+    "ccfg-negative": lambda p: _put(p, "ccfgs", 1, [-1] * p["width"]),
+    "ccfg-arity": lambda p: _put(p, "ccfgs", 0, [0]),
+    "ccfg-non-int": lambda p: _put(p, "ccfgs", 1, 0, "1"),
+    "ccfg-bool": lambda p: _put(p, "ccfgs", 1, 0, True),
+    "trans-out-of-range": lambda p: _put(p, "trans", 0, 2, len(p["ccfgs"])),
+    "trans-negative": lambda p: _put(p, "trans", 0, 0, -1),
+    "trans-label": lambda p: _put(p, "trans", 0, 1, len(p["labels"]) + 1),
+    "trans-arity": lambda p: _put(p, "trans", 0, [0, 0]),
+    "trans-non-int": lambda p: _put(p, "trans", 0, 2, None),
+    "labels-non-str": lambda p: _put(p, "labels", 0, 7),
+    "missing-trans": lambda p: _drop(p, "trans"),
+    "missing-ccfgs": lambda p: _drop(p, "ccfgs"),
+    "missing-labels": lambda p: _drop(p, "labels"),
+    "missing-member-sets": lambda p: _drop(p, "members", 0, "sets"),
+    "missing-member-cfgs": lambda p: _drop(p, "members", 1, "cfgs"),
+    "members-too-few": lambda p: p["members"].pop(),
+    "members-too-many": lambda p: p["members"].append(p["members"][0]),
+    "member-not-an-object": lambda p: _put(p, "members", 0, []),
+    "set-non-int": lambda p: _put(p, "members", 0, "sets", 1, ["x"]),
+    "cfg-set-out-of-range": lambda p: _put(p, "members", 0, "cfgs", 1, 0, 10_000),
+    "cfg-set-negative": lambda p: _put(p, "members", 0, "cfgs", 1, 1, -1),
+    "cfg-arity": lambda p: _put(p, "members", 0, "cfgs", 1, [0, 0]),
+    "watch-arity": lambda p: _put(p, "members", 0, "cfgs", 1, 2, [[1]]),
+    "watch-non-int": lambda p: _put(p, "members", 0, "cfgs", 1, 2, [[1, "2"]]),
+    "width-non-int": lambda p: _put(p, "width", "5"),
+}
+
+
+class TestMangledComposedPayload:
+    """A structurally invalid composed file is a counted corrupt miss:
+    the wave recomposes, answers do not move, and the idempotent persist
+    overwrites the bad file.  (It used to raise ``IndexError`` out of
+    ``submit_many`` on every boot — or, for a negative index, silently
+    alias another cfg.)"""
+
+    WAVE = sorted(VIEW_QUERIES.values())[:5]
+
+    def _boot(self, hospital_doc, sigma0_spec, directory) -> QueryService:
+        service = QueryService(
+            hospital_doc, plan_store=PlanStore(directory), compose=True
+        )
+        service.register_view("research", sigma0_spec)
+        service.register_tenant("institute", "research")
+        return service
+
+    def _wave(self, service) -> tuple[list, dict]:
+        wave = [QueryRequest("institute", query) for query in self.WAVE]
+        answers, _stats = service.submit_many(wave)
+        return [a.ids() for a in answers], service.metrics_snapshot().as_dict()
+
+    @pytest.fixture(scope="class")
+    def persisted(self, tmp_path_factory, hospital_doc, sigma0_spec):
+        """A store holding one wave's plans and composed tables."""
+        directory = tmp_path_factory.mktemp("composed") / "plans"
+        with self._boot(hospital_doc, sigma0_spec, directory) as cold:
+            answers, snap = self._wave(cold)
+        assert snap["plan_store"]["composed_stores"] == 1
+        (path,) = directory.glob("*.composed.json")
+        return directory, path.name, answers
+
+    @pytest.mark.parametrize("mangle", sorted(COMPOSED_MANGLES))
+    def test_mangled_payload_is_a_corrupt_miss(
+        self, mangle, persisted, tmp_path, hospital_doc, sigma0_spec
+    ):
+        import shutil
+
+        source, name, expected = persisted
+        directory = tmp_path / "plans"
+        shutil.copytree(source, directory)
+        record = json.loads((directory / name).read_bytes())
+        COMPOSED_MANGLES[mangle](record["payload"])
+        (directory / name).write_text(json.dumps(record))
+
+        with self._boot(hospital_doc, sigma0_spec, directory) as service:
+            answers, snap = self._wave(service)
+        assert answers == expected
+        assert snap["plan_store"]["corrupt"] == 1
+        assert snap["plan_store"]["composed_misses"] == 1
+        assert snap["plan_store"]["composed_hits"] == 0
+        assert snap["composed_rehydrated"] == 0
+        assert snap["composed_builds"] == 1
+        assert snap["composed_fallbacks"] == 0
+        # The recomposed tables overwrote the bad file: the next boot
+        # rehydrates them.
+        assert snap["plan_store"]["composed_stores"] == 1
+        with self._boot(hospital_doc, sigma0_spec, directory) as healed:
+            answers, snap = self._wave(healed)
+        assert answers == expected
+        assert snap["plan_store"]["corrupt"] == 0
+        assert snap["composed_rehydrated"] == 1
+
+
 class TestResolutionGate:
     def test_cold_key_race_compiles_once_and_serves_all(
         self, tmp_path, sigma0_spec

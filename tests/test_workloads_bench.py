@@ -150,6 +150,28 @@ class TestBenchHarness:
         with pytest.raises(ValueError):
             make_algorithms("a", ["bogus"])
 
+    def test_runners_survive_dropped_documents(self):
+        """Regression: the OptHyPE runners cached their index under
+        ``id(tree)`` without holding the tree, so documents generated,
+        run and dropped one after another reused ids and ran through a
+        dead document's index — wrong answer sets and ``IndexError``s.
+        Every document must agree with ``naive``."""
+        runners = make_algorithms(
+            FIG8["fig8a"], ["naive", "hype", "opthype", "opthype-c"]
+        )
+        answered = 0
+        for seed in range(40):
+            doc = generate_hospital_document(
+                HospitalConfig(num_patients=3 + seed % 5, seed=seed)
+            )
+            expected = {n.node_id for n in runners["naive"](doc)}
+            answered += bool(expected)
+            for name in ("hype", "opthype", "opthype-c"):
+                got = {n.node_id for n in runners[name](doc)}
+                assert got == expected, (seed, name)
+            del doc
+        assert answered > 10
+
     def test_run_series_smoke(self):
         doc = generate_hospital_document(HospitalConfig(num_patients=8, seed=4))
         series = [SeriesStep("tiny", 8, doc)]
