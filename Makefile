@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test loc bench bench-smoke bench-serve bench-front bench-hot bench-hot-smoke bench-e2e bench-e2e-trace front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke compose-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test loc bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke compose-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -27,13 +27,6 @@ bench:
 bench-smoke:
 	$(PY) -m pytest benchmarks/test_serve_throughput.py -q \
 	    --benchmark-disable-gc --benchmark-warmup=off
-	$(PY) -m repro.cli bench-serve --patients 30 --requests 16 --repeats 1
-
-bench-serve:
-	$(PY) -m repro.cli bench-serve
-
-bench-front:
-	$(PY) -m repro.cli bench-front
 
 # Hot-loop benchmark: single-run absolute nodes/sec (all three
 # algorithms over the document's layout), wave-composition scaling +
@@ -63,20 +56,23 @@ WORKLOAD ?= descent_hot
 bench-e2e-trace:
 	python3 benchmarks/e2e/run.py --workload $(WORKLOAD) --trace 1
 
-# Front-end smoke: boots the asyncio NDJSON server on an ephemeral port,
-# runs a scripted wave through the client helper and checks the reply
-# stream (coalescing, answers, error mapping, metrics). CI runs this.
+# Front-end smoke: the protocol tests boot the asyncio NDJSON server on
+# an ephemeral port and check the reply stream through the client helper
+# (coalescing, answers, error mapping, metrics); the drain test boots
+# `repro.cli serve-front` itself as a subprocess. CI runs this.
 front-smoke:
-	$(PY) -m repro.cli serve-front --smoke --patients 30 --tenants 2
+	$(PY) -m pytest -q tests/test_serve_frontend.py \
+	    tests/test_serve_drain.py::test_serve_front_sigterm_drains
 
-# Observability smoke: boots the front-end with tracing + access logging
-# on an ephemeral port, replays a seeded burst and checks the three obs
-# surfaces — complete span trees (request through compile/doc-store/
-# evaluate, children within the root), a parseable Prometheus exposition
-# whose +Inf latency bucket equals the request counter, and a valid
-# trace-correlated NDJSON access log. CI runs this.
+# Observability smoke: a traced, access-logged front-end replays a seeded
+# burst and the three obs surfaces are checked — complete span trees
+# (request through compile/doc-store/evaluate, children within the
+# root), a parseable Prometheus exposition whose +Inf latency bucket
+# equals the request counter, a valid trace-correlated NDJSON access
+# log — plus the golden metric/span names. CI runs this.
 obs-smoke:
-	$(PY) -m repro.cli serve-front --obs-smoke --patients 30 --tenants 2
+	$(PY) -m pytest -q tests/test_obs_trace.py::TestFrontendEndToEnd \
+	    tests/test_obs_export.py tests/test_wire_golden.py
 
 # Concurrency smoke: the concurrent-waves benchmark asserts >= 2 waves
 # evaluated in flight at once (pool peak gauge) and that overlapped

@@ -13,50 +13,40 @@ Usage (``python -m repro.cli <command> ...``):
 * ``serve-batch DOC.xml QUERY [QUERY ...] [--spec SPEC.view]`` — answer
   many queries in ONE shared document pass (batched HyPE); with a spec
   the queries are view queries, without they run on the source directly
-* ``bench-serve [--patients N --tenants T --requests R]`` — run the
-  multi-tenant hospital traffic workload sequentially and batched and
-  print a comparison table
 * ``warm --plan-dir DIR [--gc [--doc-dir DIR]] [--spec SPEC.view]
   [QUERY ...]`` — precompile queries (default: the hospital traffic
   workload's) into a persistent plan store, so services booted with the
   same ``--plan-dir`` skip the MFA rewrites entirely (``serve-batch``,
-  ``bench-serve``, ``serve-front`` and ``bench-front`` all accept
-  ``--plan-dir``); ``--gc`` first reclaims stale/corrupt artifact files
-  (with ``--doc-dir`` it also sweeps stale document-tier files).  The
-  analogous ``--doc-dir`` (same four commands) persists built OptHyPE
+  ``serve-front`` and ``serve-fleet`` all accept ``--plan-dir``);
+  ``--gc`` first reclaims stale/corrupt artifact files (with
+  ``--doc-dir`` it also sweeps stale document-tier files).  The
+  analogous ``--doc-dir`` (same three commands) persists built OptHyPE
   document indexes and binary layout sidecars keyed by content hash, so
   a restart also skips index and layout construction
 * ``serve-front [--document DOC.xml] [--host H --port P]`` — boot the
   asyncio NDJSON socket front-end (per-wave admission control in front
   of the query service; ``--pool-size`` bounds concurrent evaluations,
-  ``--max-pending`` caps in-flight queries per connection); ``--smoke``
-  instead boots it on an ephemeral port, runs a scripted wave through
-  the client helper and checks the reply stream (the CI front-smoke
-  target)
-* ``bench-front [--requests R --gap-ms G] [--workload
-  hospital|multidoc]`` — replay the seeded traffic stream through the
-  admission controller with inter-arrival jitter and compare coalesced
-  waves against per-request sequential submits; ``--workload multidoc``
-  replays the two-document stream (hospital + deep-recursion ontology)
-  with per-request document routing and tenant catalogs
+  ``--max-pending`` caps in-flight queries per connection)
 * ``serve-fleet --workers N [--plan-dir DIR --doc-dir DIR]`` — boot the
   multi-process fleet: one acceptor routing requests to N worker
   processes by consistent-hashing each request's document hash; workers
   share the plan and document tiers, so a cold worker starts with zero
   MFA rewrites and zero index builds
-* observability: ``serve-front`` and ``bench-front`` accept
-  ``--trace-sample RATE`` (request tracing; errored/slow traces always
-  kept), ``--slow-ms MS`` (slow-query threshold for trace retention and
-  the slow log) and ``--access-log FILE`` (trace-correlated NDJSON
-  access log); ``serve-front --obs-smoke`` runs the observability smoke
-  (Prometheus exposition parses, trace op returns complete span trees,
-  slow log is valid NDJSON — the CI obs-smoke target)
+* observability: ``serve-front`` accepts ``--trace-sample RATE``
+  (request tracing; errored/slow traces always kept), ``--slow-ms MS``
+  (slow-query threshold for trace retention and the slow log) and
+  ``--access-log FILE`` (trace-correlated NDJSON access log)
 * ``obs --host H --port P [P ...] [--limit N] [--prometheus]`` — fetch
   and pretty-print recent traces (span trees with durations and
   attributes) or the Prometheus text exposition from a running
   ``serve-front``; with ``--prometheus`` and several ports the
   expositions are merged into one (per-worker series stay distinct via
   the ``worker`` label)
+
+The CLI only parses arguments and wires the library together: the
+benchmarks are ``make bench-e2e`` / ``make bench-hot-smoke`` and the
+front-end / observability smokes are pytest selections (``make
+front-smoke`` / ``make obs-smoke``).
 
 View-spec file format (see ``examples/research.view`` written by tests)::
 
@@ -309,88 +299,6 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    from .bench.tables import format_series
-    from .bench.timing import measure
-    from .serve.service import QueryRequest, QueryService
-    from .workloads.traffic import (
-        TrafficConfig,
-        generate_traffic,
-        register_tenants,
-        waves,
-    )
-
-    if args.wave < 1:
-        raise ReproError(f"--wave must be >= 1, got {args.wave}")
-    document = generate_hospital_document(
-        HospitalConfig(num_patients=args.patients, seed=args.seed)
-    )
-    config = TrafficConfig(
-        num_tenants=args.tenants, num_requests=args.requests, seed=args.seed
-    )
-    traffic = generate_traffic(config)
-
-    store = _plan_store(args)
-    doc_store = _document_store(args)
-
-    def fresh_service() -> QueryService:
-        # All runs share the stores (when given): the first compiles and
-        # persists, the rest rehydrate — exactly a restart's behaviour.
-        service = QueryService(
-            document, plan_store=store, document_store=doc_store
-        )
-        register_tenants(service, config)
-        return service
-
-    sequential = fresh_service()
-    seq_timing = measure(
-        lambda: [
-            sequential.submit(request.tenant, request.query)
-            for request in traffic
-        ],
-        repeats=args.repeats,
-    )
-    request_waves = [
-        [QueryRequest(r.tenant, r.query) for r in wave]
-        for wave in waves(traffic, args.wave)
-    ]
-    batched_timed = fresh_service()
-    bat_timing = measure(
-        lambda: [batched_timed.submit_many(wave) for wave in request_waves],
-        repeats=args.repeats,
-    )
-    # Counters come from one clean pass so the reported absolutes match
-    # the stated workload regardless of --repeats.
-    batched = fresh_service()
-    for wave in request_waves:
-        batched.submit_many(wave)
-    bat_snapshot = batched.metrics_snapshot()
-    for used in (sequential, batched_timed, batched):
-        used.close()
-    print(
-        format_series(
-            f"bench-serve: {len(traffic)} requests, "
-            f"{args.tenants} tenants, wave size {args.wave}",
-            row_labels=["sequential", "batched"],
-            columns={"total": [seq_timing.best, bat_timing.best]},
-            extra={
-                "visited": [
-                    # Per-request stats are identical either way; the shared
-                    # pass is what shrinks the batched traversal count.
-                    bat_snapshot.sequential_visited,
-                    bat_snapshot.batch_visited,
-                ]
-            },
-        )
-    )
-    print()
-    print("batched run:")
-    print(bat_snapshot.describe())
-    print()
-    print(bat_snapshot.format_table("per-tenant latency (batched)"))
-    return 0
-
-
 def cmd_warm(args: argparse.Namespace) -> int:
     """Precompile a workload's queries into a persistent plan store.
 
@@ -461,11 +369,11 @@ def cmd_warm(args: argparse.Namespace) -> int:
 
 
 def _front_service(args: argparse.Namespace):
-    """Build the (document, service) pair the front-end commands serve."""
+    """Build the service ``serve-front`` boots."""
     from .serve.service import QueryService
     from .workloads.traffic import TrafficConfig, register_tenants
 
-    if getattr(args, "document", None):
+    if args.document:
         with open(args.document) as handle:
             tree = parse_xml(handle.read())
     else:
@@ -480,9 +388,9 @@ def _front_service(args: argparse.Namespace):
         pool_size=args.pool_size,
         plan_store=_plan_store(args),
         document_store=doc_store,
-        compose=getattr(args, "compose", False),
+        compose=args.compose,
     )
-    if getattr(args, "spec", None):
+    if args.spec:
         with open(args.spec) as handle:
             spec = parse_view_spec_file(handle.read())
         service.register_view("view", spec)
@@ -499,34 +407,6 @@ def _admission_config(args: argparse.Namespace):
 
     return AdmissionConfig(
         max_wave=args.max_wave, max_wait=args.max_wait_ms / 1000.0
-    )
-
-
-def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared observability flags (serve-front and bench-front)."""
-    parser.add_argument(
-        "--trace-sample",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="enable request tracing, keeping this fraction of traces "
-        "(errored and slow traces are always kept)",
-    )
-    parser.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="slow-query threshold: slower requests are always traced "
-        "and logged",
-    )
-    parser.add_argument(
-        "--access-log",
-        default=None,
-        metavar="FILE",
-        help="append one NDJSON entry per request to FILE "
-        "(trace-correlated; without it --slow-ms logs slow/errored "
-        "requests to stderr)",
     )
 
 
@@ -555,257 +435,6 @@ def _obs_setup(args: argparse.Namespace):
             StructuredLog(sys.stderr), slow_seconds=slow_seconds
         )
     return tracer, access_logger
-
-
-async def _front_smoke(service, admission) -> int:
-    """Boot the server, run a scripted wave, check the reply stream."""
-    from .serve.frontend import FrontendClient, QueryFrontend
-    from .workloads.traffic import TrafficConfig, generate_traffic
-
-    failures: list[str] = []
-
-    def check(condition: bool, what: str) -> None:
-        print(f"[smoke] {'ok' if condition else 'FAIL'}: {what}")
-        if not condition:
-            failures.append(what)
-
-    frontend = QueryFrontend(service, admission)
-    host, port = await frontend.start("127.0.0.1", 0)
-    print(f"[smoke] frontend listening on {host}:{port}")
-    client = await FrontendClient.connect(host, port)
-    try:
-        pong = await client.ping()
-        check(pong.get("ok") and pong.get("pong"), "ping round trip")
-
-        tenant = service.tenants()[0]
-        opened = await client.open_session(tenant)
-        check(opened.get("ok") is True, f"open session for {tenant!r}")
-        session = opened.get("session")
-
-        traffic = generate_traffic(
-            TrafficConfig(num_tenants=2, num_requests=8, seed=5)
-        )
-        scripted = [
-            {"tenant": r.tenant, "query": r.query, "limit": -1}
-            for r in traffic
-            if r.tenant in service.tenants()
-        ]
-        replies = await client.query_many(scripted)
-        check(
-            len(replies) == len(scripted),
-            f"every scripted request answered ({len(replies)}/{len(scripted)})",
-        )
-        check(
-            all(reply.get("ok") for reply in replies),
-            "all scripted replies ok",
-        )
-        largest = max(
-            (reply["wave"]["size"] for reply in replies if reply.get("ok")),
-            default=0,
-        )
-        check(largest >= 2, f"pipelined burst coalesced (largest wave {largest})")
-        for message, reply in zip(scripted, replies):
-            expected = service.submit(message["tenant"], message["query"]).ids()
-            if reply.get("count") != len(expected) or reply.get("ids") != expected:
-                check(False, f"answers match direct submit for {message['query']!r}")
-                break
-        else:
-            check(True, "answers match direct per-request submits")
-
-        in_session = await client.query(tenant, "*", session=session)
-        check(in_session.get("ok") is True, "session-scoped query")
-        denied = await client.query("stranger", "*")
-        check(
-            denied.get("ok") is False
-            and denied.get("error") == "authorization",
-            "unknown tenant rejected as authorization error",
-        )
-        garbled = await client.query(tenant, "]][[")
-        check(
-            garbled.get("ok") is False
-            and garbled.get("error") == "invalid-query",
-            "malformed query rejected as invalid-query",
-        )
-        closed = await client.close_session(session)
-        check(closed.get("ok") is True, "close session")
-
-        metrics = await client.metrics()
-        counters = metrics.get("metrics", {})
-        check(
-            metrics.get("ok") is True and counters.get("waves", 0) >= 1,
-            f"metrics report admission waves ({counters.get('waves')})",
-        )
-        check(
-            counters.get("rejected", 0) >= 2,
-            "rejections counted (authorization + parse)",
-        )
-        # Cold boots compile (misses + rewrite stages); a boot over a
-        # populated --plan-dir rehydrates instead (L2 hits, no rewrite).
-        # Either way the tier and stage counters must be exposed and add
-        # up to the plans this run resolved.
-        resolved = counters.get("plan_misses", 0) + counters.get(
-            "plan_l2_hits", 0
-        )
-        check(
-            resolved >= 1
-            and "l2_hits" in counters.get("cache", {})
-            and counters.get("compile", {}).get("normalize", {}).get("count", 0)
-            >= 1,
-            "plan-tier and compile-stage counters exposed",
-        )
-    finally:
-        await client.aclose()
-        await frontend.close()
-    if failures:
-        print(f"[smoke] {len(failures)} check(s) FAILED", file=sys.stderr)
-        return 1
-    print("[smoke] all checks passed")
-    return 0
-
-
-async def _obs_smoke(service, admission) -> int:
-    """Boot a traced front-end, replay a burst, check the obs surfaces.
-
-    The CI obs-smoke target: asserts (1) every request produced a
-    retained trace whose span tree covers request → admission → plan →
-    queue-wait → doc-store → evaluate with children summing within the
-    root, (2) the Prometheus exposition parses and its latency
-    histogram's ``+Inf`` bucket equals the request counter, (3) the
-    access log is valid trace-correlated NDJSON.
-    """
-    import io
-    import json as json_mod
-
-    from .obs.export import parse_exposition
-    from .obs.log import AccessLogger, StructuredLog
-    from .obs.trace import Tracer, span_roots
-    from .serve.frontend import FrontendClient, QueryFrontend
-    from .workloads.traffic import TrafficConfig, generate_traffic
-
-    failures: list[str] = []
-
-    def check(condition: bool, what: str) -> None:
-        print(f"[obs-smoke] {'ok' if condition else 'FAIL'}: {what}")
-        if not condition:
-            failures.append(what)
-
-    tracer = Tracer(sample_rate=1.0, slow_seconds=None)
-    log_buffer = io.StringIO()
-    access_logger = AccessLogger(
-        StructuredLog(log_buffer), slow_seconds=0.0, access=True
-    )
-    frontend = QueryFrontend(
-        service, admission, tracer=tracer, access_log=access_logger
-    )
-    host, port = await frontend.start("127.0.0.1", 0)
-    print(f"[obs-smoke] traced frontend listening on {host}:{port}")
-    client = await FrontendClient.connect(host, port)
-    try:
-        traffic = generate_traffic(
-            TrafficConfig(num_tenants=2, num_requests=8, seed=5)
-        )
-        scripted = [
-            {"tenant": r.tenant, "query": r.query, "limit": 0}
-            for r in traffic
-            if r.tenant in service.tenants()
-        ]
-        replies = await client.query_many(scripted)
-        served = sum(1 for reply in replies if reply.get("ok"))
-        check(
-            served == len(scripted),
-            f"burst served under tracing ({served}/{len(scripted)})",
-        )
-
-        traced = await client.trace()
-        traces = traced.get("traces", [])
-        check(
-            traced.get("ok") is True and len(traces) == len(scripted),
-            f"trace op returns every request's trace ({len(traces)})",
-        )
-        stage_names = (
-            "admission.hold",
-            "plan",
-            "queue.wait",
-            "docstore.resolve",
-            "evaluate",
-        )
-        complete = 0
-        for trace in traces:
-            roots = span_roots(trace)
-            if len(roots) != 1 or roots[0]["name"] != "request":
-                continue
-            names = {s["name"] for s in trace["spans"]}
-            if not all(stage in names for stage in stage_names):
-                continue
-            root = roots[0]
-            child_total = sum(c["duration_ms"] for c in root["children"])
-            if child_total <= root["duration_ms"] * 1.001:
-                complete += 1
-        check(
-            complete == len(traces),
-            f"complete span trees, children within root ({complete})",
-        )
-        tiers = {
-            s["attributes"].get("tier")
-            for trace in traces
-            for s in trace["spans"]
-            if s["name"] == "plan"
-        }
-        check(
-            tiers and tiers <= {"l1", "l2", "compile"} and "l1" in tiers,
-            f"plan spans carry cache-tier annotations ({sorted(tiers)})",
-        )
-
-        prom = await client.prometheus()
-        try:
-            samples = parse_exposition(prom.get("prometheus", ""))
-        except ValueError as error:
-            samples = {}
-            check(False, f"prometheus exposition parses ({error})")
-        else:
-            check(True, "prometheus exposition parses")
-        if samples:
-            requests_total = samples.get("repro_requests_total", {}).get("")
-            buckets = samples.get("repro_request_latency_seconds_bucket", {})
-            inf = buckets.get('le="+Inf"')
-            check(
-                requests_total is not None and inf == requests_total,
-                f"+Inf latency bucket equals request counter "
-                f"({inf} == {requests_total})",
-            )
-
-        entries = [
-            json_mod.loads(line)
-            for line in log_buffer.getvalue().splitlines()
-            if line
-        ]
-        check(
-            len(entries) == len(scripted),
-            f"access log has one NDJSON entry per request ({len(entries)})",
-        )
-        correlated = sum(
-            1
-            for entry in entries
-            if entry.get("trace_id")
-            and any(t["trace_id"] == entry["trace_id"] for t in traces)
-        )
-        check(
-            correlated == len(entries),
-            f"every log entry correlates to a retained trace ({correlated})",
-        )
-        staged = sum(1 for entry in entries if entry.get("stages"))
-        check(
-            staged == len(entries),
-            f"log entries carry stage annotations ({staged})",
-        )
-    finally:
-        await client.aclose()
-        await frontend.close()
-    if failures:
-        print(f"[obs-smoke] {len(failures)} check(s) FAILED", file=sys.stderr)
-        return 1
-    print("[obs-smoke] all checks passed")
-    return 0
 
 
 def _install_faults(args: argparse.Namespace) -> None:
@@ -841,10 +470,6 @@ def cmd_serve_front(args: argparse.Namespace) -> int:
     _install_faults(args)
     service = _front_service(args)
     admission = _admission_config(args)
-    if args.smoke:
-        return asyncio.run(_front_smoke(service, admission))
-    if args.obs_smoke:
-        return asyncio.run(_obs_smoke(service, admission))
     tracer, access_logger = _obs_setup(args)
 
     async def _serve() -> None:
@@ -949,251 +574,6 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("fleet stopped")
-    return 0
-
-
-def cmd_bench_front(args: argparse.Namespace) -> int:
-    import asyncio
-    import time
-
-    from .serve.admission import AdmissionController
-    from .serve.service import QueryRequest, QueryService
-    from .workloads.traffic import (
-        ArrivalConfig,
-        TrafficConfig,
-        generate_traffic,
-        register_tenants,
-    )
-    from .bench.tables import format_series
-
-    if getattr(args, "workload", "hospital") == "multidoc":
-        # The two-document stream: research tenants on the hospital
-        # tree, curators on the deep-recursion ontology, admin on both —
-        # every request carries its document's content hash.
-        from .workloads.multidoc import (
-            MultiDocConfig,
-            build_multidoc_service,
-            generate_multidoc_traffic,
-        )
-
-        multidoc = MultiDocConfig(
-            patients=args.patients,
-            tenants=args.tenants,
-            seed=args.seed,
-            num_requests=args.requests,
-        )
-        sequential, hashes = build_multidoc_service(multidoc)
-        traffic = generate_multidoc_traffic(multidoc, hashes)
-        front, _ = build_multidoc_service(
-            multidoc,
-            pool_size=args.pool_size,
-            plan_store=_plan_store(args),
-            document_store=_document_store(args),
-            compose=args.compose,
-        )
-    elif getattr(args, "workload", "hospital") == "skew":
-        # The Zipf-hot stream: every tenant hammering one of N same-shape
-        # documents, most draws landing on the rank-0 hot key.
-        from .workloads.skew import (
-            SkewConfig,
-            build_skew_service,
-            generate_skew_traffic,
-        )
-
-        skew = SkewConfig(
-            patients=args.patients,
-            tenants=args.tenants,
-            seed=args.seed,
-            num_requests=args.requests,
-        )
-        sequential, hashes = build_skew_service(skew)
-        traffic = generate_skew_traffic(skew, hashes)
-        front, _ = build_skew_service(
-            skew,
-            pool_size=args.pool_size,
-            plan_store=_plan_store(args),
-            document_store=_document_store(args),
-            compose=args.compose,
-        )
-    elif getattr(args, "workload", "hospital") == "adversarial":
-        # The malicious-tenant stream: rewrite bombs salted into honest
-        # traffic.  Bombs are EXPECTED to be rejected query-too-complex,
-        # so both replay paths below count them instead of failing.
-        from .workloads.adversarial import (
-            AdversarialConfig,
-            build_adversarial_service,
-            generate_adversarial_traffic,
-        )
-
-        adversarial_cfg = AdversarialConfig(
-            patients=args.patients,
-            tenants=args.tenants,
-            seed=args.seed,
-            num_requests=args.requests,
-        )
-        sequential, hashes = build_adversarial_service(adversarial_cfg)
-        traffic = generate_adversarial_traffic(adversarial_cfg, hashes)
-        front, _ = build_adversarial_service(
-            adversarial_cfg,
-            pool_size=args.pool_size,
-            plan_store=_plan_store(args),
-            document_store=_document_store(args),
-            compose=args.compose,
-        )
-    else:
-        document = generate_hospital_document(
-            HospitalConfig(num_patients=args.patients, seed=args.seed)
-        )
-        config = TrafficConfig(
-            num_tenants=args.tenants,
-            num_requests=args.requests,
-            seed=args.seed,
-        )
-        traffic = generate_traffic(config)
-
-        # Per-request sequential baseline: each request pays its own pass.
-        sequential = QueryService(document)
-        register_tenants(sequential, config)
-
-        # Front-end replay: jittered arrivals coalesce into waves.
-        front = QueryService(
-            document,
-            pool_size=args.pool_size,
-            plan_store=_plan_store(args),
-            document_store=_document_store(args),
-            compose=args.compose,
-        )
-        register_tenants(front, config)
-
-    adversarial = getattr(args, "workload", "hospital") == "adversarial"
-    seq_started = time.perf_counter()
-    seq_answers = []
-    seq_rejected = 0
-    for r in traffic:
-        try:
-            seq_answers.append(
-                sequential.submit(r.tenant, r.query, document=r.document)
-            )
-        except ReproError:
-            if not adversarial:
-                raise
-            seq_rejected += 1
-    seq_elapsed = time.perf_counter() - seq_started
-    seq_visited = sum(a.stats.visited_elements for a in seq_answers)
-
-    controller = AdmissionController(front, _admission_config(args))
-    arrivals = ArrivalConfig(
-        mean_gap=args.gap_ms / 1000.0, jitter=args.jitter, seed=args.seed
-    )
-    tracer, access_logger = _obs_setup(args)
-
-    async def submit_one(r):
-        request = QueryRequest(r.tenant, r.query, document=r.document)
-        if tracer is None and access_logger is None:
-            return await controller.submit(request)
-        started = time.perf_counter()
-        if tracer is not None:
-            with tracer.trace(
-                "request", tenant=r.tenant, query=r.query
-            ) as root:
-                admitted = await controller.submit(request)
-        else:
-            root = None
-            admitted = await controller.submit(request)
-        if access_logger is not None:
-            from .obs.trace import Tracer as _Tracer
-
-            trace = (
-                None
-                if root is None
-                else _Tracer.export_trace(root.trace, root, "inline")
-            )
-            access_logger.record(
-                tenant=r.tenant,
-                query=r.query,
-                duration=time.perf_counter() - started,
-                trace=trace,
-            )
-        return admitted
-
-    async def replay() -> list:
-        from .workloads.traffic import replay_async
-
-        return await replay_async(submit_one, traffic, arrivals)
-
-    front_started = time.perf_counter()
-    outcomes = asyncio.run(replay())
-    front_elapsed = time.perf_counter() - front_started
-    errors = [o for o in outcomes if isinstance(o, BaseException)]
-    front_rejected = 0
-    if adversarial:
-        # Structured rejections (the bombs) are the expected outcome;
-        # anything else is still a genuine failure.
-        front_rejected = sum(1 for e in errors if isinstance(e, ReproError))
-        errors = [e for e in errors if not isinstance(e, ReproError)]
-    if errors:
-        raise ReproError(f"front-end replay failed: {errors[0]}")
-    snapshot = front.metrics_snapshot()
-    poison = None
-    if adversarial:
-        from .workloads.adversarial import poison_attempt
-
-        poison = poison_attempt(front)
-    sequential.close()
-    front.close()
-    print(
-        format_series(
-            f"bench-front: {len(traffic)} requests, {args.tenants} tenants, "
-            f"gap {args.gap_ms:.1f} ms, max wave {args.max_wave}",
-            row_labels=["per-request", "front-end"],
-            columns={"wall": [seq_elapsed, front_elapsed]},
-            extra={
-                "visited": [seq_visited, snapshot.batch_visited],
-                "waves": [len(traffic), snapshot.waves],
-            },
-        )
-    )
-    print()
-    print(
-        f"admission: mean wave size "
-        f"{snapshot.mean_wave_size:.2f} "
-        f"(largest {snapshot.largest_wave}), "
-        f"visited {snapshot.batch_visited} vs {seq_visited} "
-        f"per-request element(s) "
-        f"(saved {seq_visited - snapshot.batch_visited})"
-    )
-    if adversarial:
-        from .workloads.adversarial import is_bomb
-
-        bombs = sum(1 for r in traffic if is_bomb(r))
-        kinds = snapshot.rejected_kinds
-        too_complex = kinds.get("query-too-complex", 0)
-        if front_rejected != bombs or too_complex != bombs:
-            raise ReproError(
-                f"adversarial stream expected {bombs} query-too-complex "
-                f"rejection(s), saw {front_rejected} "
-                f"(kinds: {kinds})"
-            )
-        print()
-        print(
-            f"adversarial: {bombs} rewrite bomb(s) rejected "
-            f"query-too-complex on both paths "
-            f"(sequential {seq_rejected}, front-end {front_rejected}); "
-            f"poison canary before={poison['before']} "
-            f"poisoned={poison['poisoned']} after={poison['after']} "
-            f"isolated={poison['isolated']}"
-        )
-        if not poison["isolated"]:
-            raise ReproError("cache poisoning crossed a view fingerprint")
-    print()
-    print(snapshot.describe())
-    if tracer is not None:
-        print()
-        print(
-            f"tracing: {tracer.started} trace(s) started, "
-            f"{tracer.store.kept} kept "
-            f"(sample rate {tracer.sample_rate:g})"
-        )
     return 0
 
 
@@ -1393,25 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wrm.set_defaults(func=cmd_warm)
 
-    bsv = sub.add_parser(
-        "bench-serve", help="multi-tenant traffic: sequential vs batched"
-    )
-    bsv.add_argument("--patients", type=int, default=60)
-    bsv.add_argument("--seed", type=int, default=0)
-    bsv.add_argument("--tenants", type=int, default=4)
-    bsv.add_argument("--requests", type=int, default=24)
-    bsv.add_argument("--wave", type=int, default=8)
-    bsv.add_argument("--repeats", type=int, default=3)
-    bsv.add_argument(
-        "--plan-dir",
-        help="persistent plan store shared by the benchmark's services",
-    )
-    bsv.add_argument(
-        "--doc-dir",
-        help="persistent document-index directory shared by the services",
-    )
-    bsv.set_defaults(func=cmd_bench_serve)
-
     sfr = sub.add_parser(
         "serve-front",
         help="boot the asyncio NDJSON front-end with admission control",
@@ -1463,63 +824,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="step same-view wave groups as one composed automaton",
     )
     sfr.add_argument(
-        "--smoke",
-        action="store_true",
-        help="boot on an ephemeral port, run a scripted wave, check replies",
+        "--trace-sample",
+        type=float,
+        default=None,
+        metavar="RATE",
+        help="enable request tracing, keeping this fraction of traces "
+        "(errored and slow traces are always kept)",
     )
     sfr.add_argument(
-        "--obs-smoke",
-        action="store_true",
-        help="boot traced on an ephemeral port and check the observability "
-        "surfaces (traces, Prometheus exposition, access log)",
+        "--slow-ms",
+        type=float,
+        default=None,
+        metavar="MS",
+        help="slow-query threshold: slower requests are always traced "
+        "and logged",
     )
-    _add_obs_flags(sfr)
+    sfr.add_argument(
+        "--access-log",
+        default=None,
+        metavar="FILE",
+        help="append one NDJSON entry per request to FILE "
+        "(trace-correlated; without it --slow-ms logs slow/errored "
+        "requests to stderr)",
+    )
     sfr.set_defaults(func=cmd_serve_front)
-
-    bfr = sub.add_parser(
-        "bench-front",
-        help="replay jittered traffic through admission control vs per-request",
-    )
-    bfr.add_argument("--patients", type=int, default=60)
-    bfr.add_argument("--seed", type=int, default=0)
-    bfr.add_argument("--tenants", type=int, default=4)
-    bfr.add_argument("--requests", type=int, default=24)
-    bfr.add_argument(
-        "--workload",
-        choices=("hospital", "multidoc", "skew", "adversarial"),
-        default="hospital",
-        help="hospital = single-document stream; multidoc = hospital + "
-        "deep-recursion ontology with per-request document routing; "
-        "skew = N same-shape documents behind a Zipf-hot stream; "
-        "adversarial = honest traffic salted with rewrite bombs and a "
-        "cache-poisoning view swap (bombs must reject query-too-complex)",
-    )
-    bfr.add_argument(
-        "--compose",
-        action="store_true",
-        help="front-end steps same-view wave groups as one composed "
-        "automaton (the per-request baseline stays sequential)",
-    )
-    bfr.add_argument("--gap-ms", type=float, default=1.0)
-    bfr.add_argument("--jitter", type=float, default=0.75)
-    bfr.add_argument("--max-wave", type=int, default=8)
-    bfr.add_argument("--max-wait-ms", type=float, default=30.0)
-    bfr.add_argument(
-        "--pool-size",
-        type=int,
-        default=DEFAULT_POOL_SIZE,
-        help="bound on concurrently evaluating waves",
-    )
-    bfr.add_argument(
-        "--plan-dir",
-        help="persistent plan store for the front-end service",
-    )
-    bfr.add_argument(
-        "--doc-dir",
-        help="persistent document-index directory for the front-end service",
-    )
-    _add_obs_flags(bfr)
-    bfr.set_defaults(func=cmd_bench_front)
 
     flt = sub.add_parser(
         "serve-fleet",

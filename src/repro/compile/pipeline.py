@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 from ..automata.compile import compile_query
 from ..guard import CompileBudget
+from ..obs.counters import Counters
 from ..obs.trace import span
 from ..views.spec import ViewSpec
 from ..xpath import ast
@@ -59,14 +60,11 @@ STAGES = (PARSE, NORMALIZE, REWRITE, TRIM, TRANSLATE, DENSE)
 
 
 @dataclass
-class StageStats:
+class StageStats(Counters):
     """Invocation count and cumulative wall time of one pipeline stage."""
 
     count: int = 0
     seconds: float = 0.0
-
-    def snapshot(self) -> "StageStats":
-        return StageStats(self.count, self.seconds)
 
 
 @dataclass
@@ -91,11 +89,7 @@ class CompileStats:
 
     def as_dict(self) -> dict:
         """JSON-shaped per-stage counters (pipeline order)."""
-        return {
-            name: {"count": stage.count, "seconds": stage.seconds}
-            for name in STAGES
-            for stage in [self.stage(name)]
-        }
+        return {name: self.stage(name).as_dict() for name in STAGES}
 
 
 class CompileMetrics:

@@ -42,6 +42,7 @@ from pathlib import Path
 
 from ..faults import fire as _fault_fire
 from ..hype.compose import check_composed
+from ..obs.counters import Counters
 from .artifact import ArtifactError, PlanArtifact, PlanKey
 
 #: Suffix of artifact files inside a store directory.
@@ -52,7 +53,7 @@ COMPOSED_SUFFIX = ".composed.json"
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Counters):
     """Disk-tier counters (a point-in-time copy is a snapshot).
 
     The ``composed_*`` fields count the composed-kernel payload blobs
@@ -69,19 +70,6 @@ class StoreStats:
     composed_hits: int = 0
     composed_misses: int = 0
     composed_stores: int = 0
-
-    def snapshot(self) -> "StoreStats":
-        return StoreStats(
-            self.hits,
-            self.misses,
-            self.corrupt,
-            self.stores,
-            self.errors,
-            self.gc_removed,
-            self.composed_hits,
-            self.composed_misses,
-            self.composed_stores,
-        )
 
 
 class PlanStore:

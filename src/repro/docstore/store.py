@@ -61,6 +61,7 @@ from ..hype.index import (
     LabelBits,
     SubtreeLabelIndex,
 )
+from ..obs.counters import Counters
 from ..xtree.node import XMLTree
 from ..xtree.parse import parse_canonical
 from ..xtree.serialize import serialize
@@ -91,7 +92,7 @@ _LAYOUT_HEADER = struct.Struct("<4sI64s4I")
 
 
 @dataclass
-class DocStoreStats:
+class DocStoreStats(Counters):
     """Document-tier counters (a point-in-time copy is a snapshot).
 
     ``hits``/``misses`` count in-memory document resolutions (a miss is
@@ -127,19 +128,7 @@ class DocStoreStats:
 
     def snapshot(self) -> "DocStoreStats":
         with self._lock:
-            return DocStoreStats(
-                self.hits,
-                self.misses,
-                self.index_builds,
-                self.index_loads,
-                self.index_stores,
-                self.layout_loads,
-                self.layout_stores,
-                self.corrupt,
-                self.errors,
-                self.evictions,
-                self.gc_removed,
-            )
+            return super().snapshot()
 
 
 class DocIndexTier:

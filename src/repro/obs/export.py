@@ -15,6 +15,12 @@ triplets whose ``le`` labels are exactly the bucket ladder of
 by the obs smoke: the latency histogram's ``+Inf`` bucket equals the
 request counter.
 
+An unlabelled family is ONE row of :data:`FAMILIES` — ``(attribute,
+family, kind, help)``, the attribute a dotted path that resolves on the
+snapshot and on its ``as_dict()`` payload alike; the labelled families
+(per kind / tier / stage / op / tenant, histograms) are written once in
+:func:`render_prometheus`.
+
 This module deliberately imports nothing from :mod:`repro.serve` — it
 reads the snapshot duck-typed, so the dependency arrow keeps pointing
 from the serving layer into ``obs`` and never back.
@@ -23,13 +29,73 @@ from the serving layer into ``obs`` and never back.
 from __future__ import annotations
 
 import math
-from dataclasses import fields
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.metrics import MetricsSnapshot
 
     from .hist import Histogram
+
+
+class Family(NamedTuple):
+    """One unlabelled metric family and where its value lives."""
+
+    attribute: str
+    family: str
+    kind: str
+    help: str
+
+
+#: The declaration table of the unlabelled families, in exposition order.
+FAMILIES = (
+    Family("requests", "requests_total", "counter", "Served requests."),
+    Family("waves", "waves_total", "counter", "Admission waves dispatched."),
+    Family("wave_requests", "wave_requests_total", "counter",
+           "Requests that joined a wave."),
+    Family("wave_admitted", "wave_admitted_total", "counter",
+           "Wave requests admitted into shared evaluation."),
+    Family("largest_wave", "largest_wave", "gauge",
+           "Largest admission wave observed."),
+    Family("batch_runs", "batch_runs_total", "counter",
+           "Shared evaluation passes."),
+    Family("batched_queries", "batched_queries_total", "counter",
+           "Queries served by shared passes."),
+    Family("batch_visited", "batch_visited_total", "counter",
+           "Elements visited by shared passes."),
+    Family("sequential_visited", "sequential_visited_total", "counter",
+           "Elements per-query passes would have visited."),
+    Family("composed_groups", "composed_groups_total", "counter",
+           "Wave groups stepped as one composed machine."),
+    Family("composed_lanes", "composed_lanes_total", "counter",
+           "Lanes advanced composed."),
+    Family("composed_fallbacks", "composed_fallbacks_total", "counter",
+           "Composed groups that hit the ccfg cap and re-ran per-lane."),
+    Family("cache.misses", "plan_cache_misses_total", "counter",
+           "Full plan-cache misses."),
+    Family("cache.evictions", "plan_cache_evictions_total", "counter",
+           "L1 LRU evictions."),
+    Family("in_flight_evaluations", "in_flight_evaluations", "gauge",
+           "Evaluations executing now."),
+    Family("pool.peak_in_flight", "peak_in_flight", "gauge",
+           "Peak concurrent evaluations observed."),
+    Family("pool.size", "pool_size", "gauge", "Evaluation pool worker bound."),
+)
+
+#: Composed-tier occupancy, read from ``snapshot.composed_gauges`` and
+#: exported only when composition is on.
+COMPOSED_GAUGES = (
+    Family("kernels", "composed_kernels", "gauge", "Composed kernels cached."),
+    Family("interned_ccfgs", "composed_interned_ccfgs", "gauge",
+           "Composed configurations interned across cached kernels."),
+)
+
+
+def resolve(source, path: str):
+    """Follow a dotted ``path`` through attributes (a snapshot) or keys
+    (its ``as_dict()`` payload)."""
+    for name in path.split("."):
+        source = source[name] if isinstance(source, dict) else getattr(source, name)
+    return source
 
 
 def _escape(value: str) -> str:
@@ -56,7 +122,7 @@ def _labels(**labels: str) -> str:
     return "{" + inner + "}"
 
 
-class _Exposition:
+class Exposition:
     """Accumulates HELP/TYPE-headed metric families in order.
 
     ``base_labels`` (e.g. ``worker="w3"``) are stamped onto every sample
@@ -85,6 +151,27 @@ class _Exposition:
         merged = {**self.base_labels, **labels}
         self.lines.append(f"{full_name}{_labels(**merged)} {_fmt(value)}")
 
+    def scalars(self, source, rows: Iterable[Family]) -> None:
+        """One unlabelled sample per table row, read off ``source``."""
+        for row in rows:
+            self.sample(
+                self.family(row.family, row.kind, row.help),
+                resolve(source, row.attribute),
+            )
+
+    def labelled(
+        self,
+        name: str,
+        kind: str,
+        help_text: str,
+        label: str,
+        values: Iterable[tuple[str, float | int]],
+    ) -> None:
+        """One family whose samples differ in a single ``label``."""
+        full = self.family(name, kind, help_text)
+        for key, value in values:
+            self.sample(full, value, **{label: key})
+
     def histogram(
         self, name: str, hist: "Histogram", help_text: str, **labels: str
     ) -> None:
@@ -110,142 +197,53 @@ def render_prometheus(
     from many fleet processes stay distinguishable after
     :func:`merge_expositions` folds their texts into one view.
     """
-    exp = _Exposition(
-        namespace, None if worker is None else {"worker": worker}
-    )
-
-    name = exp.family("requests_total", "counter", "Served requests.")
-    exp.sample(name, snapshot.requests)
-    name = exp.family(
-        "rejected_total", "counter", "Rejected requests by failure kind."
-    )
-    for kind, count in sorted(snapshot.rejected_kinds.items()):
-        exp.sample(name, count, kind=kind)
-
-    name = exp.family("waves_total", "counter", "Admission waves dispatched.")
-    exp.sample(name, snapshot.waves)
-    name = exp.family(
-        "wave_requests_total", "counter", "Requests that joined a wave."
-    )
-    exp.sample(name, snapshot.wave_requests)
-    name = exp.family(
-        "wave_admitted_total",
+    exp = Exposition(namespace, None if worker is None else {"worker": worker})
+    exp.scalars(snapshot, FAMILIES)
+    exp.labelled(
+        "rejected_total",
         "counter",
-        "Wave requests admitted into shared evaluation.",
+        "Rejected requests by failure kind.",
+        "kind",
+        sorted(snapshot.rejected_kinds.items()),
     )
-    exp.sample(name, snapshot.wave_admitted)
-    name = exp.family(
-        "largest_wave", "gauge", "Largest admission wave observed."
-    )
-    exp.sample(name, snapshot.largest_wave)
-
-    name = exp.family(
-        "batch_runs_total", "counter", "Shared evaluation passes."
-    )
-    exp.sample(name, snapshot.batch_runs)
-    name = exp.family(
-        "batched_queries_total", "counter", "Queries served by shared passes."
-    )
-    exp.sample(name, snapshot.batched_queries)
-    name = exp.family(
-        "batch_visited_total",
+    exp.labelled(
+        "plan_cache_hits_total",
         "counter",
-        "Elements visited by shared passes.",
+        "Plan-cache hits by tier.",
+        "tier",
+        (("l1", snapshot.cache.l1_hits), ("l2", snapshot.cache.l2_hits)),
     )
-    exp.sample(name, snapshot.batch_visited)
-    name = exp.family(
-        "sequential_visited_total",
-        "counter",
-        "Elements per-query passes would have visited.",
-    )
-    exp.sample(name, snapshot.sequential_visited)
-
-    name = exp.family(
-        "composed_groups_total",
-        "counter",
-        "Wave groups stepped as one composed machine.",
-    )
-    exp.sample(name, snapshot.composed_groups)
-    name = exp.family(
-        "composed_lanes_total", "counter", "Lanes advanced composed."
-    )
-    exp.sample(name, snapshot.composed_lanes)
-    name = exp.family(
-        "composed_fallbacks_total",
-        "counter",
-        "Composed groups that hit the ccfg cap and re-ran per-lane.",
-    )
-    exp.sample(name, snapshot.composed_fallbacks)
-    if snapshot.composed is not None:
-        name = exp.family(
-            "composed_cache_ops_total",
+    stages = snapshot.compile.as_dict()
+    for figure, name, help_text in (
+        ("count", "compile_stage_runs_total", "Compile-stage invocations."),
+        (
+            "seconds",
+            "compile_stage_seconds_total",
+            "Cumulative compile-stage wall time.",
+        ),
+    ):
+        exp.labelled(
+            name,
             "counter",
-            "Composed-kernel tier operations by kind.",
+            help_text,
+            "stage",
+            ((stage, counters[figure]) for stage, counters in stages.items()),
         )
-        for field in fields(snapshot.composed):
-            exp.sample(name, getattr(snapshot.composed, field.name), op=field.name)
-        name = exp.family(
-            "composed_kernels", "gauge", "Composed kernels cached."
-        )
-        exp.sample(name, snapshot.composed_gauges.get("kernels", 0))
-        name = exp.family(
-            "composed_interned_ccfgs",
-            "gauge",
-            "Composed configurations interned across cached kernels.",
-        )
-        exp.sample(name, snapshot.composed_gauges.get("interned_ccfgs", 0))
-
-    name = exp.family(
-        "plan_cache_hits_total", "counter", "Plan-cache hits by tier."
-    )
-    exp.sample(name, snapshot.cache.l1_hits, tier="l1")
-    exp.sample(name, snapshot.cache.l2_hits, tier="l2")
-    name = exp.family(
-        "plan_cache_misses_total", "counter", "Full plan-cache misses."
-    )
-    exp.sample(name, snapshot.cache.misses)
-    name = exp.family(
-        "plan_cache_evictions_total", "counter", "L1 LRU evictions."
-    )
-    exp.sample(name, snapshot.cache.evictions)
-
-    runs = exp.family(
-        "compile_stage_runs_total", "counter", "Compile-stage invocations."
-    )
-    for stage, counters in snapshot.compile.as_dict().items():
-        exp.sample(runs, counters["count"], stage=stage)
-    seconds = exp.family(
-        "compile_stage_seconds_total",
-        "counter",
-        "Cumulative compile-stage wall time.",
-    )
-    for stage, counters in snapshot.compile.as_dict().items():
-        exp.sample(seconds, counters["seconds"], stage=stage)
-
     for block, stats in (
+        ("composed_cache", snapshot.composed),
         ("plan_store", snapshot.store),
         ("doc_store", snapshot.doc_store),
     ):
-        if stats is None:
-            continue
-        name = exp.family(
-            f"{block}_ops_total",
-            "counter",
-            f"{block.replace('_', ' ')} operations by kind.",
-        )
-        for field in fields(stats):
-            exp.sample(name, getattr(stats, field.name), op=field.name)
-
-    name = exp.family(
-        "in_flight_evaluations", "gauge", "Evaluations executing now."
-    )
-    exp.sample(name, snapshot.in_flight_evaluations)
-    name = exp.family(
-        "peak_in_flight", "gauge", "Peak concurrent evaluations observed."
-    )
-    exp.sample(name, snapshot.peak_in_flight)
-    name = exp.family("pool_size", "gauge", "Evaluation pool worker bound.")
-    exp.sample(name, snapshot.pool_size)
+        if stats is not None:
+            exp.labelled(
+                f"{block}_ops_total",
+                "counter",
+                f"{block.replace('_', ' ')} operations by kind.",
+                "op",
+                stats.as_dict().items(),
+            )
+    if snapshot.composed is not None:
+        exp.scalars(snapshot.composed_gauges, COMPOSED_GAUGES)
 
     exp.histogram(
         "request_latency_seconds",
@@ -257,29 +255,42 @@ def render_prometheus(
         snapshot.queue_wait.hist,
         "Time requests queued for a pool worker.",
     )
-
-    requests = exp.family(
-        "tenant_requests_total", "counter", "Served requests per tenant."
-    )
-    answers = exp.family(
-        "tenant_answers_total", "counter", "Answer nodes per tenant."
-    )
-    rejections = exp.family(
-        "tenant_rejections_total", "counter", "Rejected requests per tenant."
-    )
-    for tenant in sorted(snapshot.tenants):
-        tm = snapshot.tenants[tenant]
-        exp.sample(requests, tm.requests, tenant=tenant)
-        exp.sample(answers, tm.answers, tenant=tenant)
-        exp.sample(rejections, tm.rejections, tenant=tenant)
-    for tenant in sorted(snapshot.tenants):
+    tenants = sorted(snapshot.tenants.items())
+    for figure, help_text in (
+        ("requests", "Served requests per tenant."),
+        ("answers", "Answer nodes per tenant."),
+        ("rejections", "Rejected requests per tenant."),
+    ):
+        exp.labelled(
+            f"tenant_{figure}_total",
+            "counter",
+            help_text,
+            "tenant",
+            ((tenant, getattr(tm, figure)) for tenant, tm in tenants),
+        )
+    for tenant, tm in tenants:
         exp.histogram(
             "tenant_latency_seconds",
-            snapshot.tenants[tenant].latency.hist,
+            tm.latency.hist,
             "Per-tenant evaluation latency.",
             tenant=tenant,
         )
     return exp.render()
+
+
+def _sample(line: str) -> tuple[str, str, float]:
+    """Split one ``name{labels} value`` line into its three parts.
+
+    The one sample-line splitter behind :func:`merge_expositions` and
+    :func:`parse_exposition`; raises ``ValueError`` on a malformed line.
+    """
+    body, _, raw_value = line.rpartition(" ")
+    if not body:
+        raise ValueError(f"malformed sample line: {line!r}")
+    name, brace, rest = body.partition("{")
+    if brace and not rest.endswith("}"):
+        raise ValueError(f"unterminated labels: {line!r}")
+    return name, rest[:-1], float(raw_value)
 
 
 def merge_expositions(texts: list[str]) -> str:
@@ -295,76 +306,52 @@ def merge_expositions(texts: list[str]) -> str:
     (:func:`render_prometheus`) never collide, so the fleet's merged
     view keeps per-worker resolution while still being one scrape.
     """
-    headers: dict[str, list[str]] = {}
-    family_order: list[str] = []
-    sample_order: dict[str, list[str]] = {}
-    values: dict[str, dict[str, float]] = {}
+    #: family -> (header lines, {(name, labels): summed value}), both in
+    #: first-appearance order.
+    families: dict[str, tuple[list[str], dict[tuple[str, str], float]]] = {}
     for text in texts:
         family = None
         for line in text.splitlines():
-            if not line:
-                continue
-            if line.startswith("# HELP ") or line.startswith("# TYPE "):
+            if line.startswith(("# HELP ", "# TYPE ")):
                 name = line.split(" ", 3)[2]
-                if name not in headers:
-                    headers[name] = []
-                    family_order.append(name)
-                    sample_order[name] = []
-                    values[name] = {}
+                headers, _ = families.setdefault(name, ([], {}))
                 if line.startswith("# TYPE "):
                     family = name
-                if line not in headers[name]:
-                    headers[name].append(line)
-                continue
-            if line.startswith("#"):
-                continue
-            body, _, raw_value = line.rpartition(" ")
-            if not body:
-                raise ValueError(f"malformed sample line: {line!r}")
-            value = float(raw_value)
-            name = body.partition("{")[0]
-            # _bucket/_sum/_count samples attach to the TYPE'd family
-            # they follow; a headerless text degrades to per-name groups.
-            owner = family if family is not None and name.startswith(family) else name
-            if owner not in headers:
-                headers[owner] = []
-                family_order.append(owner)
-                sample_order[owner] = []
-                values[owner] = {}
-            if body not in values[owner]:
-                sample_order[owner].append(body)
-                values[owner][body] = 0.0
-            values[owner][body] += value
+                if line not in headers:
+                    headers.append(line)
+            elif line and not line.startswith("#"):
+                name, labels, value = _sample(line)
+                # _bucket/_sum/_count samples attach to the TYPE'd family
+                # they follow; a headerless text degrades to per-name groups.
+                owner = (
+                    family
+                    if family is not None and name.startswith(family)
+                    else name
+                )
+                _, values = families.setdefault(owner, ([], {}))
+                values[name, labels] = values.get((name, labels), 0.0) + value
     lines: list[str] = []
-    for name in family_order:
-        lines.extend(headers[name])
-        for body in sample_order[name]:
-            lines.append(f"{body} {_fmt(values[name][body])}")
+    for headers, values in families.values():
+        lines.extend(headers)
+        for (name, labels), value in values.items():
+            braced = "{" + labels + "}" if labels else ""
+            lines.append(f"{name}{braced} {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
 def parse_exposition(text: str) -> dict[str, dict[str, float]]:
     """A minimal exposition parser: ``{metric: {label_repr: value}}``.
 
-    Not a full client — just enough structure validation for the obs
-    smoke and the tests: every non-comment line must be
-    ``name{labels} value`` with a float-parseable value, labels
-    well-formed.  Raises ``ValueError`` on any malformed line.
+    Not a full client — just enough structure validation for the tests:
+    every non-comment line must be ``name{labels} value`` with a
+    float-parseable value, labels well-formed.  Raises ``ValueError`` on
+    any malformed line.
     """
     samples: dict[str, dict[str, float]] = {}
     for line in text.splitlines():
         if not line or line.startswith("#"):
             continue
-        body, _, raw_value = line.rpartition(" ")
-        if not body:
-            raise ValueError(f"malformed sample line: {line!r}")
-        value = float(raw_value)  # raises ValueError on garbage
-        name, labels = body, ""
-        if "{" in body:
-            name, _, rest = body.partition("{")
-            if not rest.endswith("}"):
-                raise ValueError(f"unterminated labels: {line!r}")
-            labels = rest[:-1]
+        name, labels, value = _sample(line)
         if not name.replace("_", "").replace(":", "").isalnum():
             raise ValueError(f"bad metric name: {name!r}")
         samples.setdefault(name, {})[labels] = value

@@ -52,6 +52,7 @@ from ..hype.compose import (
     preload_composed,
 )
 from ..hype.core import CompiledPlan
+from ..obs.counters import Counters
 from ..obs.trace import span
 from ..views.spec import ViewSpec
 from ..xpath import ast
@@ -180,7 +181,7 @@ class CachedPlan:
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Tiered hit/miss/eviction counters (a copy is a snapshot).
 
     ``hits`` counts L1 (in-memory) hits; ``l2_hits`` counts lookups
@@ -213,12 +214,9 @@ class CacheStats:
         total = self.lookups
         return self.total_hits / total if total else 0.0
 
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.evictions, self.l2_hits)
-
 
 @dataclass
-class ComposedStats:
+class ComposedStats(Counters):
     """Composed-tier counters (a copy is a snapshot).
 
     ``builds`` counts kernels composed (or recomposed) in this process;
@@ -234,15 +232,6 @@ class ComposedStats:
     rehydrated: int = 0
     persisted: int = 0
     evictions: int = 0
-
-    def snapshot(self) -> "ComposedStats":
-        return ComposedStats(
-            self.builds,
-            self.hits,
-            self.rehydrated,
-            self.persisted,
-            self.evictions,
-        )
 
 
 class _ComposedEntry:

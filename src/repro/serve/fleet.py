@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, asdict
 
 from ..errors import ReproError, ServiceError
 from ..faults import fire as _fault_fire
-from ..obs.export import _Exposition, merge_expositions
+from ..obs.export import Exposition, Family, merge_expositions
 from .admission import AdmissionConfig
 from .frontend import QueryFrontend
 from .lines import (
@@ -648,12 +648,24 @@ class FleetAcceptor(LineServer):
     #: Numeric encoding of breaker states for the Prometheus gauge.
     BREAKER_STATES = {"closed": 0, "half-open": 1, "open": 2}
 
+    #: The acceptor's own scalar counters: ``metrics`` op key (the
+    #: attribute name) and Prometheus family, declared once.
+    FAMILIES = (
+        Family("restarts", "fleet_restarts_total", "counter",
+               "Worker restarts performed."),
+        Family("reroutes", "fleet_reroutes_total", "counter",
+               "Queries rerouted past their preferred worker."),
+        Family("timeouts", "fleet_request_timeouts_total", "counter",
+               "Worker requests abandoned at the per-request timeout."),
+    )
+
+    def _counters(self) -> dict:
+        return {row.attribute: getattr(self, row.attribute) for row in self.FAMILIES}
+
     def _fleet_health(self) -> dict:
         """Acceptor-level resilience counters for the ``metrics`` op."""
         return {
-            "restarts": self.restarts,
-            "reroutes": self.reroutes,
-            "timeouts": self.timeouts,
+            **self._counters(),
             "workers": {
                 name: {
                     "alive": self.workers[name].alive,
@@ -668,46 +680,31 @@ class FleetAcceptor(LineServer):
         """The acceptor's own Prometheus series (merged with the
         workers' expositions by the ``prometheus`` op): restart and
         reroute totals plus per-worker breaker state and backoff."""
-        out = _Exposition("repro")
-        fam = out.family(
-            "fleet_restarts_total", "counter", "Worker restarts performed."
-        )
-        out.sample(fam, self.restarts)
-        fam = out.family(
-            "fleet_reroutes_total", "counter",
-            "Queries rerouted past their preferred worker.",
-        )
-        out.sample(fam, self.reroutes)
-        fam = out.family(
-            "fleet_request_timeouts_total", "counter",
-            "Worker requests abandoned at the per-request timeout.",
-        )
-        out.sample(fam, self.timeouts)
-        fam = out.family(
+        out = Exposition("repro")
+        out.scalars(self, self.FAMILIES)
+        out.labelled(
             "fleet_worker_restarts_total", "counter",
             "Restarts per worker name.",
+            "worker", self.worker_restarts.items(),
         )
-        for name in self.workers:
-            out.sample(fam, self.worker_restarts[name], worker=name)
-        fam = out.family(
-            "fleet_worker_up", "gauge", "Worker liveness (1 = routable)."
+        out.labelled(
+            "fleet_worker_up", "gauge", "Worker liveness (1 = routable).",
+            "worker",
+            ((name, int(worker.alive)) for name, worker in self.workers.items()),
         )
-        for name, worker in self.workers.items():
-            out.sample(fam, 1 if worker.alive else 0, worker=name)
-        fam = out.family(
+        breakers = self.breakers.items()
+        out.labelled(
             "fleet_breaker_state", "gauge",
             "Circuit breaker state (0 closed, 1 half-open, 2 open).",
+            "worker",
+            ((name, self.BREAKER_STATES.get(b.state, 2)) for name, b in breakers),
         )
-        for name, breaker in self.breakers.items():
-            out.sample(
-                fam, self.BREAKER_STATES.get(breaker.state, 2), worker=name
-            )
-        fam = out.family(
+        out.labelled(
             "fleet_breaker_backoff_seconds", "gauge",
             "Seconds until an open breaker admits its half-open probe.",
+            "worker",
+            ((name, b.backoff_remaining()) for name, b in breakers),
         )
-        for name, breaker in self.breakers.items():
-            out.sample(fam, breaker.backoff_remaining(), worker=name)
         return out.render()
 
     # ------------------------------------------------------------------
@@ -791,9 +788,7 @@ class FleetAcceptor(LineServer):
                 },
                 "documents": sorted(self.documents),
                 "default": self.default_document,
-                "restarts": self.restarts,
-                "reroutes": self.reroutes,
-                "timeouts": self.timeouts,
+                **self._counters(),
             }
         if op == "metrics":
             per_worker: dict[str, dict | None] = {}

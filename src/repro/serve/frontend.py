@@ -177,9 +177,7 @@ class QueryFrontend(LineServer):
 
     def refused(self, kind: str, message: dict | None) -> None:
         tenant = None if message is None else message.get("tenant")
-        self.service.metrics.record_rejection(
-            kind, tenant=None if tenant is None else str(tenant)
-        )
+        self.service.reject(kind, None if tenant is None else str(tenant))
 
     async def reply_for(self, message: dict) -> dict:
         fault = _fault_fire("worker.message")

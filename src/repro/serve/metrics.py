@@ -2,33 +2,24 @@
 
 The recorder (:class:`ServiceMetrics`) is thread-safe and cheap to update
 on the hot path; :meth:`ServiceMetrics.snapshot` produces an immutable
-:class:`MetricsSnapshot` whose :meth:`MetricsSnapshot.format_table`
-renders through :func:`repro.bench.tables.format_series`, so service
-numbers drop straight into the benchmark harness' output format.
+:class:`MetricsSnapshot`.  A scalar counter is declared once, as a field
+of :class:`ServiceCounters`: the snapshot inherits it, ``as_dict`` walks
+the fields, and :data:`repro.obs.export.FAMILIES` holds the one table
+row that names its Prometheus family.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
-from ..bench.tables import format_series
 from ..compile.pipeline import CompileStats
 from ..compile.store import StoreStats
 from ..docstore.store import DocStoreStats
+from ..obs.counters import Counters
 from ..obs.hist import Histogram
+from .batch import BatchStats
 from .cache import CacheStats, ComposedStats
-
-
-def _stats_fields(stats) -> dict:
-    """Every declared counter of a stats dataclass, by name.
-
-    The parity contract of :meth:`MetricsSnapshot.as_dict`: a counter
-    added to ``CacheStats``/``StoreStats``/``DocStoreStats`` shows up in
-    the JSON payload automatically, so ``describe()`` can never render a
-    number the dict omits (locked by the parity test).
-    """
-    return {f.name: getattr(stats, f.name) for f in fields(stats)}
 
 
 @dataclass
@@ -75,9 +66,7 @@ class LatencyStats:
         return self.hist.p99
 
     def snapshot(self) -> "LatencyStats":
-        return LatencyStats(
-            self.count, self.total, self.min, self.max, self.hist.copy()
-        )
+        return replace(self, hist=self.hist.copy())
 
     def as_dict(self) -> dict:
         """JSON summary: the legacy aggregate shape plus percentiles."""
@@ -104,56 +93,107 @@ class TenantMetrics:
     latency: LatencyStats = field(default_factory=LatencyStats)
 
     def snapshot(self) -> "TenantMetrics":
-        return TenantMetrics(
-            self.requests, self.answers, self.rejections, self.latency.snapshot()
-        )
+        return replace(self, latency=self.latency.snapshot())
+
+    def as_dict(self) -> dict:
+        return {
+            "requests": self.requests,
+            "answers": self.answers,
+            "rejections": self.rejections,
+            "mean_latency": self.latency.mean,
+            "max_latency": self.latency.max,
+        }
 
 
 @dataclass
-class MetricsSnapshot:
+class ServiceCounters(Counters):
+    """The service's scalar counters — THE declaration of each.
+
+    :class:`ServiceMetrics` bumps one instance under its lock and
+    :class:`MetricsSnapshot` inherits the fields, so a counter added
+    here reaches ``snapshot()`` and ``as_dict()`` with no further edit
+    (and Prometheus with one :data:`repro.obs.export.FAMILIES` row).
+    """
+
+    requests: int = 0
+    rejected: int = 0
+    waves: int = 0
+    wave_requests: int = 0
+    wave_admitted: int = 0
+    largest_wave: int = 0
+    batch_runs: int = 0
+    batched_queries: int = 0
+    batch_visited: int = 0
+    sequential_visited: int = 0
+    #: Wave-composition batch counters (groups stepped as ONE machine).
+    composed_groups: int = 0
+    composed_lanes: int = 0
+    composed_fallbacks: int = 0
+
+
+@dataclass
+class PoolGauges(Counters):
+    """The evaluation pool's bound and high-water mark at snapshot time."""
+
+    size: int = 0
+    peak_in_flight: int = 0
+
+
+#: Flat ``as_dict`` keys beyond the counter block: the in-flight gauge
+#: and the derived figures (properties of :class:`MetricsSnapshot`).
+_FLAT = (
+    "mean_wave_size",
+    "composed_builds",
+    "composed_hits",
+    "composed_rehydrated",
+    "interned_ccfgs",
+    "in_flight_evaluations",
+    "plan_l1_hits",
+    "plan_l2_hits",
+    "plan_misses",
+    "doc_hits",
+    "doc_index_builds",
+)
+
+
+@dataclass
+class MetricsSnapshot(ServiceCounters):
     """Immutable point-in-time view of the service counters.
 
     ``latency`` covers pure *evaluation* time; ``queue_wait`` covers the
     time requests sat queued for an evaluation-pool worker.  The two used
     to be folded together (the old global evaluation lock's wait was
     timed inside "latency"), which made pool overlap invisible.
-    ``in_flight_evaluations`` / ``peak_in_flight`` are the pool's gauges
-    at snapshot time.
+    ``in_flight_evaluations`` and ``pool`` (``size`` /
+    ``peak_in_flight``) are the pool's gauges at snapshot time.
     """
 
-    requests: int
-    rejected: int
-    batch_runs: int
-    batched_queries: int
-    batch_visited: int
-    sequential_visited: int
-    latency: LatencyStats
-    cache: CacheStats
-    tenants: dict[str, TenantMetrics]
     rejected_kinds: dict[str, int] = field(default_factory=dict)
-    waves: int = 0
-    wave_requests: int = 0
-    wave_admitted: int = 0
-    largest_wave: int = 0
+    latency: LatencyStats = field(default_factory=LatencyStats)
     queue_wait: LatencyStats = field(default_factory=LatencyStats)
+    tenants: dict[str, TenantMetrics] = field(default_factory=dict)
     in_flight_evaluations: int = 0
-    peak_in_flight: int = 0
-    pool_size: int = 0
+    pool: PoolGauges = field(default_factory=PoolGauges)
+    cache: CacheStats = field(default_factory=CacheStats)
     compile: CompileStats = field(default_factory=CompileStats)
     #: Disk-tier counters; ``None`` when no plan store is configured.
     store: StoreStats | None = None
     #: Document-tier counters (shared store's when one is wired, the
     #: service's own document otherwise); ``None`` on old snapshots.
     doc_store: DocStoreStats | None = None
-    #: Wave-composition batch counters (groups stepped as ONE machine).
-    composed_groups: int = 0
-    composed_lanes: int = 0
-    composed_fallbacks: int = 0
     #: Composed-tier cache counters; ``None`` when composition is off.
     composed: ComposedStats | None = None
     #: Composed-tier occupancy gauges (kernels / interned ccfgs /
     #: preloaded transitions) at snapshot time.
     composed_gauges: dict = field(default_factory=dict)
+
+    @property
+    def pool_size(self) -> int:
+        return self.pool.size
+
+    @property
+    def peak_in_flight(self) -> int:
+        return self.pool.peak_in_flight
 
     @property
     def doc_hits(self) -> int:
@@ -209,24 +249,6 @@ class MetricsSnapshot:
     def mean_wave_size(self) -> float:
         """Average requests coalesced per admission wave (0.0 when none)."""
         return self.wave_requests / self.waves if self.waves else 0.0
-
-    def format_table(self, title: str = "service metrics") -> str:
-        """Render per-tenant rows in the benchmark-table format."""
-        tenants = sorted(self.tenants)
-        return format_series(
-            title,
-            row_labels=tenants,
-            columns={
-                "mean": [self.tenants[t].latency.mean for t in tenants],
-                "max": [self.tenants[t].latency.max for t in tenants],
-            },
-            unit="ms",
-            extra={
-                "requests": [self.tenants[t].requests for t in tenants],
-                "answers": [self.tenants[t].answers for t in tenants],
-                "rejections": [self.tenants[t].rejections for t in tenants],
-            },
-        )
 
     def describe(self) -> str:
         """One-paragraph summary for CLI output."""
@@ -331,68 +353,37 @@ class MetricsSnapshot:
         return "\n".join(lines)
 
     def as_dict(self) -> dict:
-        """JSON-serialisable counters (the front-end ``metrics`` reply)."""
-        return {
-            "requests": self.requests,
-            "rejected": self.rejected,
-            "rejected_kinds": dict(self.rejected_kinds),
-            "waves": self.waves,
-            "wave_requests": self.wave_requests,
-            "wave_admitted": self.wave_admitted,
-            "largest_wave": self.largest_wave,
-            "mean_wave_size": self.mean_wave_size,
-            "batch_runs": self.batch_runs,
-            "batched_queries": self.batched_queries,
-            "batch_visited": self.batch_visited,
-            "sequential_visited": self.sequential_visited,
-            "composed_groups": self.composed_groups,
-            "composed_lanes": self.composed_lanes,
-            "composed_fallbacks": self.composed_fallbacks,
-            "composed_builds": self.composed_builds,
-            "composed_hits": self.composed_hits,
-            "composed_rehydrated": self.composed_rehydrated,
-            "interned_ccfgs": self.interned_ccfgs,
-            "composed": None
-            if self.composed is None
-            else {
-                **_stats_fields(self.composed),
-                "gauges": dict(self.composed_gauges),
-            },
-            "latency": self.latency.as_dict(),
-            "queue_wait": self.queue_wait.as_dict(),
-            "in_flight_evaluations": self.in_flight_evaluations,
-            "pool": {
-                "size": self.pool_size,
-                "peak_in_flight": self.peak_in_flight,
-            },
-            "plan_l1_hits": self.plan_l1_hits,
-            "plan_l2_hits": self.plan_l2_hits,
-            "plan_misses": self.plan_misses,
-            "cache": {
-                **_stats_fields(self.cache),
+        """JSON-serialisable counters (the front-end ``metrics`` reply):
+        every :class:`ServiceCounters` field and :data:`_FLAT` figure
+        under its own name, then the nested blocks."""
+        payload = {f.name: getattr(self, f.name) for f in fields(ServiceCounters)}
+        payload.update((name, getattr(self, name)) for name in _FLAT)
+        payload.update(
+            rejected_kinds=dict(self.rejected_kinds),
+            latency=self.latency.as_dict(),
+            queue_wait=self.queue_wait.as_dict(),
+            pool=self.pool.as_dict(),
+            cache={
+                **self.cache.as_dict(),
                 "l1_hits": self.cache.l1_hits,
                 "hit_rate": self.cache.hit_rate,
             },
-            "compile": self.compile.as_dict(),
-            "plan_store": None
-            if self.store is None
-            else _stats_fields(self.store),
-            "doc_hits": self.doc_hits,
-            "doc_index_builds": self.doc_index_builds,
-            "doc_store": None
+            compile=self.compile.as_dict(),
+            plan_store=None if self.store is None else self.store.as_dict(),
+            doc_store=None
             if self.doc_store is None
-            else _stats_fields(self.doc_store),
-            "tenants": {
-                name: {
-                    "requests": tm.requests,
-                    "answers": tm.answers,
-                    "rejections": tm.rejections,
-                    "mean_latency": tm.latency.mean,
-                    "max_latency": tm.latency.max,
-                }
-                for name, tm in sorted(self.tenants.items())
+            else self.doc_store.as_dict(),
+            composed=None
+            if self.composed is None
+            else {
+                **self.composed.as_dict(),
+                "gauges": dict(self.composed_gauges),
             },
-        }
+            tenants={
+                name: tm.as_dict() for name, tm in sorted(self.tenants.items())
+            },
+        )
+        return payload
 
 
 class ServiceMetrics:
@@ -400,20 +391,8 @@ class ServiceMetrics:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._requests = 0
-        self._rejected = 0
+        self._counters = ServiceCounters()
         self._rejected_kinds: dict[str, int] = {}
-        self._batch_runs = 0
-        self._batched_queries = 0
-        self._batch_visited = 0
-        self._sequential_visited = 0
-        self._composed_groups = 0
-        self._composed_lanes = 0
-        self._composed_fallbacks = 0
-        self._waves = 0
-        self._wave_requests = 0
-        self._wave_admitted = 0
-        self._largest_wave = 0
         self._latency = LatencyStats()
         self._queue_wait = LatencyStats()
         self._tenants: dict[str, TenantMetrics] = {}
@@ -429,7 +408,7 @@ class ServiceMetrics:
         per-tenant latency tracks evaluation only.
         """
         with self._lock:
-            self._requests += 1
+            self._counters.requests += 1
             self._latency.record(eval_seconds)
             self._queue_wait.record(queue_wait)
             per_tenant = self._tenants.get(tenant)
@@ -444,12 +423,14 @@ class ServiceMetrics:
     ) -> None:
         """Count one rejected request, classified by failure ``kind``.
 
-        When the rejected request named a ``tenant``, the rejection is
-        also attributed to that tenant's row, so per-tenant dashboards
-        see rejected traffic rather than only the global total.
+        With a ``tenant`` the rejection is also attributed to that
+        tenant's row, so per-tenant dashboards see rejected traffic
+        rather than only the global total.  Pass only names the service
+        has registered (:meth:`QueryService.reject` filters): a row is
+        two histograms, and a claimed name is attacker-controlled.
         """
         with self._lock:
-            self._rejected += 1
+            self._counters.rejected += 1
             self._rejected_kinds[kind] = self._rejected_kinds.get(kind, 0) + 1
             if tenant is not None:
                 per_tenant = self._tenants.get(tenant)
@@ -461,30 +442,24 @@ class ServiceMetrics:
         """Count one admission wave of ``size`` requests (``admitted`` of
         which passed authorisation into the shared evaluation pass)."""
         with self._lock:
-            self._waves += 1
-            self._wave_requests += size
-            self._wave_admitted += admitted
-            if size > self._largest_wave:
-                self._largest_wave = size
+            counters = self._counters
+            counters.waves += 1
+            counters.wave_requests += size
+            counters.wave_admitted += admitted
+            if size > counters.largest_wave:
+                counters.largest_wave = size
 
-    def record_batch(
-        self,
-        queries: int,
-        visited: int,
-        sequential_visited: int,
-        *,
-        composed_groups: int = 0,
-        composed_lanes: int = 0,
-        composed_fallbacks: int = 0,
-    ) -> None:
+    def record_batch(self, queries: int, stats: BatchStats) -> None:
+        """Count one shared evaluation pass serving ``queries`` requests."""
         with self._lock:
-            self._batch_runs += 1
-            self._batched_queries += queries
-            self._batch_visited += visited
-            self._sequential_visited += sequential_visited
-            self._composed_groups += composed_groups
-            self._composed_lanes += composed_lanes
-            self._composed_fallbacks += composed_fallbacks
+            counters = self._counters
+            counters.batch_runs += 1
+            counters.batched_queries += queries
+            counters.batch_visited += stats.visited_elements
+            counters.sequential_visited += stats.sequential_visited
+            counters.composed_groups += stats.composed_groups
+            counters.composed_lanes += stats.composed_lanes
+            counters.composed_fallbacks += stats.composed_fallbacks
 
     # ------------------------------------------------------------------
     def snapshot(
@@ -503,32 +478,19 @@ class ServiceMetrics:
         """Counters + the caller-supplied cache/compile/store/pool gauges."""
         with self._lock:
             return MetricsSnapshot(
-                requests=self._requests,
-                rejected=self._rejected,
-                batch_runs=self._batch_runs,
-                batched_queries=self._batched_queries,
-                batch_visited=self._batch_visited,
-                sequential_visited=self._sequential_visited,
+                **self._counters.as_dict(),
+                rejected_kinds=dict(self._rejected_kinds),
                 latency=self._latency.snapshot(),
-                cache=cache or CacheStats(),
+                queue_wait=self._queue_wait.snapshot(),
                 tenants={
                     name: tm.snapshot() for name, tm in self._tenants.items()
                 },
-                rejected_kinds=dict(self._rejected_kinds),
-                waves=self._waves,
-                wave_requests=self._wave_requests,
-                wave_admitted=self._wave_admitted,
-                largest_wave=self._largest_wave,
-                queue_wait=self._queue_wait.snapshot(),
                 in_flight_evaluations=in_flight,
-                peak_in_flight=peak_in_flight,
-                pool_size=pool_size,
+                pool=PoolGauges(pool_size, peak_in_flight),
+                cache=cache or CacheStats(),
                 compile=compile or CompileStats(),
                 store=store,
                 doc_store=doc_store,
-                composed_groups=self._composed_groups,
-                composed_lanes=self._composed_lanes,
-                composed_fallbacks=self._composed_fallbacks,
                 composed=composed,
                 composed_gauges=dict(composed_gauges or {}),
             )

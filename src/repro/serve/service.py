@@ -136,6 +136,9 @@ class Grant:
     captured at admission, so accounting after evaluation touches the
     admitted session directly — a session closed mid-flight must not
     fail a request (let alone a whole wave) admitted while it was open.
+    ``context`` is the request's captured :mod:`contextvars` context
+    (its trace), set by :meth:`QueryService.submit_wave` when the slot
+    came with one.
     """
 
     request: QueryRequest
@@ -146,6 +149,7 @@ class Grant:
     session: Session | None
     document: str
     deadline: Deadline | None
+    context: contextvars.Context | None = None
 
     def expired(self) -> bool:
         return self.deadline is not None and self.deadline.expired()
@@ -546,7 +550,6 @@ class QueryService:
             return WaveResult([], BatchStats())
         outcomes: list[QueryAnswer | ReproError] = [None] * len(requests)
         grants = []
-        grant_contexts: list[contextvars.Context | None] = []
         admitted_slots: list[int] = []
         for slot, request in enumerate(requests):
             ctx = contexts[slot] if contexts is not None else None
@@ -558,13 +561,11 @@ class QueryService:
             except ReproError as error:
                 outcomes[slot] = error
                 continue
+            grant.context = ctx
             grants.append(grant)
-            grant_contexts.append(ctx)
             admitted_slots.append(slot)
         if grants:
-            answers, stats = self._evaluate_grants(
-                grants, contexts=grant_contexts
-            )
+            answers, stats = self._evaluate_grants(grants)
         else:
             answers, stats = [], BatchStats()
         for slot, answer in zip(admitted_slots, answers):
@@ -629,18 +630,14 @@ class QueryService:
             )
             plan, query_text = self._plan(binding, request.query)
         except ReproError as error:
-            self.metrics.record_rejection(
-                rejection_kind(error), tenant=request.tenant
-            )
+            self.reject(rejection_kind(error), request.tenant)
             raise
         return Grant(
             request, binding, algo, plan, query_text, session, doc_hash, deadline
         )
 
     def _evaluate_grants(
-        self,
-        grants: list[Grant],
-        contexts: list[contextvars.Context | None] | None = None,
+        self, grants: list[Grant]
     ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
         """Run admitted grants through shared per-document passes.
 
@@ -658,28 +655,16 @@ class QueryService:
         stats = BatchStats()
         for indices in by_document.values():
             group_answers, group_stats = self._evaluate_group(
-                [grants[index] for index in indices],
-                None
-                if contexts is None
-                else [contexts[index] for index in indices],
+                [grants[index] for index in indices]
             )
             for index, answer in zip(indices, group_answers):
                 answers[index] = answer
             stats.merge(group_stats)
-        self.metrics.record_batch(
-            len(grants),
-            stats.visited_elements,
-            stats.sequential_visited,
-            composed_groups=stats.composed_groups,
-            composed_lanes=stats.composed_lanes,
-            composed_fallbacks=stats.composed_fallbacks,
-        )
+        self.metrics.record_batch(len(grants), stats)
         return answers, stats
 
     def _evaluate_group(
-        self,
-        grants: list[Grant],
-        contexts: list[contextvars.Context | None] | None = None,
+        self, grants: list[Grant]
     ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
         """Run one document's admitted grants, deadline-aware.
 
@@ -704,41 +689,31 @@ class QueryService:
         if not live:
             return answers, BatchStats()
         live_grants = [grants[index] for index in live]
-        live_contexts = (
-            None if contexts is None else [contexts[index] for index in live]
-        )
         try:
             group_answers, stats = self._shared_pass(
                 live_grants,
-                live_contexts,
                 min_deadline(grant.deadline for grant in live_grants),
             )
         except DeadlineError:
-            group_answers, stats = self._lane_fallback(
-                live_grants, live_contexts
-            )
+            group_answers, stats = self._lane_fallback(live_grants)
         for index, answer in zip(live, group_answers):
             answers[index] = answer
         return answers, stats
 
     def _lane_fallback(
-        self,
-        grants: list[Grant],
-        contexts: list[contextvars.Context | None] | None,
+        self, grants: list[Grant]
     ) -> tuple[list[QueryAnswer | ReproError], BatchStats]:
         """Retry grants one width-1 pass at a time, each under its own
         deadline (the aborted shared pass's cursors died with its
         exception, so nothing partial survives into these)."""
         answers: list[QueryAnswer | ReproError] = []
         stats = BatchStats()
-        for index, grant in enumerate(grants):
+        for grant in grants:
             try:
                 if grant.expired():
                     raise DeadlineError("deadline expired before evaluation")
                 (answer,), lane_stats = self._shared_pass(
-                    [grant],
-                    None if contexts is None else [contexts[index]],
-                    grant.deadline,
+                    [grant], grant.deadline
                 )
             except DeadlineError as error:
                 answer = self._reject_deadline(grant, error)
@@ -751,14 +726,23 @@ class QueryService:
         self, grant: Grant, error: DeadlineError
     ) -> DeadlineError:
         """Count one structured ``deadline`` rejection; returns it."""
-        self.metrics.record_rejection("deadline", tenant=grant.request.tenant)
+        self.reject("deadline", grant.request.tenant)
         return error
 
+    def reject(self, kind: str, tenant: str | None = None) -> None:
+        """Count one rejected request of failure ``kind``.
+
+        Only a tenant this service has *registered* gets the rejection
+        on its metrics row; the claimed name of an unauthenticated
+        request counts in ``rejected`` / ``rejected_kinds`` alone, so
+        hostile input cannot mint per-tenant series without bound.
+        """
+        self.metrics.record_rejection(
+            kind, tenant if tenant in self._tenants else None
+        )
+
     def _shared_pass(
-        self,
-        grants: list[Grant],
-        contexts: list[contextvars.Context | None] | None,
-        deadline: Deadline | None,
+        self, grants: list[Grant], deadline: Deadline | None
     ) -> tuple[list[QueryAnswer], BatchStats]:
         """Run one document's live grants through one pass — the single
         place that resolves the document, realises executables, hands
@@ -825,9 +809,9 @@ class QueryService:
         eval_share = pooled.eval_seconds / len(grants)
         traced_here = current_span() is not None
         answers: list[QueryAnswer] = []
-        for index, (grant, lane) in enumerate(zip(grants, request_lane)):
+        for grant, lane in zip(grants, request_lane):
             result = outcome.results[lane]
-            ctx = contexts[index] if contexts is not None else None
+            ctx = grant.context
             if ctx is not None:
                 # Sequential ctx.run calls: a Context must not be
                 # entered from two threads at once.  (The caller's own

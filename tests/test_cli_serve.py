@@ -1,4 +1,4 @@
-"""CLI tests for the serving subcommands (serve-batch, bench-serve)."""
+"""CLI tests for the serving subcommands (serve-batch, warm)."""
 
 import pytest
 
@@ -84,29 +84,6 @@ class TestServeBatch:
     def test_missing_document_fails_cleanly(self, capsys):
         assert main(["serve-batch", "/no/such/file.xml", "a"]) == 1
         assert "error:" in capsys.readouterr().err
-
-
-class TestBenchServe:
-    def test_small_run(self, capsys):
-        assert main(
-            [
-                "bench-serve",
-                "--patients",
-                "12",
-                "--requests",
-                "8",
-                "--tenants",
-                "2",
-                "--wave",
-                "4",
-                "--repeats",
-                "1",
-            ]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "sequential" in out and "batched" in out
-        assert "plan cache" in out
-        assert "per-tenant latency" in out
 
 
 class TestWarmAndPlanDir:

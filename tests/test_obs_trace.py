@@ -296,6 +296,82 @@ class TestFrontendEndToEnd:
         # Every span closed (duration present) and belongs to this trace.
         assert all(s["trace_id"] == trace["trace_id"] for s in trace["spans"])
 
+    def test_traced_burst_feeds_all_three_obs_surfaces(self):
+        """The observability smoke: one seeded burst through a traced,
+        access-logged front-end must show up consistently on the trace
+        op, the ``prometheus`` op and the access log."""
+        import io
+        import json
+
+        from repro.obs.export import parse_exposition
+        from repro.obs.log import AccessLogger, StructuredLog
+        from repro.serve.frontend import FrontendClient, QueryFrontend
+        from repro.workloads.traffic import TrafficConfig, generate_traffic
+
+        service = _front_service()
+        tracer = Tracer(sample_rate=1.0, slow_seconds=None)
+        log_buffer = io.StringIO()
+        access_log = AccessLogger(
+            StructuredLog(log_buffer), slow_seconds=0.0, access=True
+        )
+        burst = [
+            {"tenant": r.tenant, "query": r.query, "limit": 0}
+            for r in generate_traffic(
+                TrafficConfig(num_tenants=2, num_requests=8, seed=5)
+            )
+            if r.tenant in service.tenants()
+        ]
+
+        async def scenario():
+            frontend = QueryFrontend(
+                service, tracer=tracer, access_log=access_log
+            )
+            host, port = await frontend.start("127.0.0.1", 0)
+            client = await FrontendClient.connect(host, port)
+            try:
+                replies = await client.query_many(burst)
+                traced = await client.trace()
+                prom = await client.prometheus()
+                return replies, traced, prom
+            finally:
+                await client.aclose()
+                await frontend.close()
+
+        replies, traced, prom = asyncio.run(scenario())
+        service.close()
+        assert burst and all(reply.get("ok") for reply in replies), replies
+        traces = traced["traces"]
+        assert traced["ok"] is True and len(traces) == len(burst)
+        for trace in traces:
+            (root,) = span_roots(trace)
+            assert root["name"] == "request"
+            assert set(self.STAGES) <= {s["name"] for s in trace["spans"]}
+            child_total = sum(c["duration_ms"] for c in root["children"])
+            assert child_total <= root["duration_ms"] * 1.001
+        # Plan spans carry their cache tier; a repeated query hits L1.
+        tiers = {
+            s["attributes"].get("tier")
+            for trace in traces
+            for s in trace["spans"]
+            if s["name"] == "plan"
+        }
+        assert tiers <= {"l1", "l2", "compile"} and "l1" in tiers, tiers
+        # The wire exposition parses and keeps the histogram invariant.
+        assert prom["ok"] is True
+        samples = parse_exposition(prom["prometheus"])
+        requests_total = samples["repro_requests_total"][""]
+        buckets = samples["repro_request_latency_seconds_bucket"]
+        assert buckets['le="+Inf"'] == requests_total == len(burst)
+        # One NDJSON access-log entry per request, each correlated to a
+        # retained trace and carrying its stage annotations.
+        entries = [
+            json.loads(line) for line in log_buffer.getvalue().splitlines()
+        ]
+        assert len(entries) == len(burst)
+        trace_ids = {trace["trace_id"] for trace in traces}
+        assert all(entry.get("trace_id") in trace_ids for entry in entries)
+        assert all(entry.get("stages") for entry in entries)
+
     def test_concurrent_waves_no_cross_trace_spans(self):
         """Stress satellite: a pipelined burst (several waves, shared
         evaluation passes) must attribute every span to its own request's

@@ -87,8 +87,14 @@ class TestProtocol:
 
         reply = run_with_frontend(service, scenario)
         assert reply["ok"] is True
-        assert reply["metrics"]["requests"] == 1
-        assert reply["metrics"]["waves"] == 1
+        counters = reply["metrics"]
+        assert counters["requests"] == 1
+        assert counters["waves"] == 1
+        # Plan-tier and compile-stage counters are exposed and add up to
+        # the one plan this run resolved (cold boot: a miss, not an L2 hit).
+        assert counters["plan_misses"] + counters["plan_l2_hits"] == 1
+        assert "l2_hits" in counters["cache"]
+        assert counters["compile"]["normalize"]["count"] >= 1
 
     def test_pipelined_burst_coalesces(self, service):
         queries = sorted(VIEW_QUERIES.values())[:4]
@@ -103,6 +109,7 @@ class TestProtocol:
             scenario,
             admission=AdmissionConfig(max_wave=4, max_wait=0.5),
         )
+        assert len(replies) == len(queries)
         assert all(reply["ok"] for reply in replies)
         assert max(reply["wave"]["size"] for reply in replies) >= 2
         for query, reply in zip(queries, replies):

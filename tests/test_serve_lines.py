@@ -223,6 +223,7 @@ def test_flush_inflight_awaits_admitted_requests():
 def test_frontend_gate_policy():
     doc = generate_hospital_document(HospitalConfig(num_patients=2, seed=1))
     with QueryService(doc) as service:
+        service.register_tenant("t", None)  # only registered names get a row
         frontend = QueryFrontend(service, max_pending=3)
         query = {"op": "query", "tenant": "t"}
         assert frontend.gate(query, 2) is None

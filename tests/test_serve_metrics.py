@@ -1,6 +1,7 @@
 """Metrics tests: latency sentinels, rejection kinds, wave counters."""
 
 import math
+import re
 
 import pytest
 
@@ -28,12 +29,14 @@ class TestLatencyStats:
         assert stats.mean == (0.5 + 0.2 + 0.9) / 3
 
     def test_empty_tenant_latency_renders_finite(self):
-        """The rendered table carries no inf even without the old ad-hoc
-        ``count`` guard in ``format_table``."""
+        """The rendered payload and summary carry no inf."""
+        import json
+
         metrics = ServiceMetrics()
         metrics.record_request("t", 0.0, 0.001, answers=1)
-        table = metrics.snapshot(CacheStats()).format_table()
-        assert "inf" not in table
+        snap = metrics.snapshot(CacheStats(), pool_size=1)
+        rendered = json.dumps(snap.as_dict()) + snap.describe()
+        assert "inf" not in rendered.lower()
 
 
 class TestQueueWaitSplit:
@@ -241,12 +244,11 @@ class TestTenantRejections:
         assert snap.rejected == 1
         assert snap.tenants == {}
 
-    def test_rejections_rendered_in_table_and_payload(self):
+    def test_rejections_rendered_in_payload(self):
         metrics = ServiceMetrics()
         metrics.record_request("t", 0.0, 0.001, answers=1)
         metrics.record_rejection("authorization", tenant="t")
         snap = metrics.snapshot(CacheStats())
-        assert "rejections" in snap.format_table()
         assert snap.as_dict()["tenants"]["t"]["rejections"] == 1
 
 
@@ -282,75 +284,89 @@ class TestLatencyPercentiles:
             assert f"{payload['latency'][q] * 1000:.2f}" in text
 
 
-class TestDescribeAsDictParity:
-    def test_every_describe_figure_exists_in_as_dict(self):
-        """Audit: each counter describe() quotes has a machine-readable
-        counterpart, so nothing is CLI-only."""
-        from repro.compile.store import StoreStats
+class TestDeclarationTable:
+    """One declaration per counter: a field of its block plus (for the
+    unlabelled Prometheus families) one ``FAMILIES`` row.  Walking the
+    table replaces the hand-kept parity lists."""
 
-        metrics = ServiceMetrics()
-        metrics.record_request("t", 0.001, 0.002, answers=2)
-        metrics.record_rejection("authorization", tenant="t")
-        metrics.record_wave(3, admitted=2)
-        metrics.record_batch(2, visited=5, sequential_visited=9)
-        snap = metrics.snapshot(
-            CacheStats(hits=2, misses=1, l2_hits=1, evictions=1),
-            in_flight=1,
-            peak_in_flight=2,
-            pool_size=4,
-            store=StoreStats(hits=1, misses=1, stores=1),
+    @pytest.fixture(scope="class")
+    def snapshot(self):
+        from repro.serve.service import QueryRequest, QueryService
+        from repro.views.samples import sigma0
+        from repro.workloads.hospital import (
+            HospitalConfig,
+            generate_hospital_document,
         )
-        payload = snap.as_dict()
-        # requests line
-        assert payload["requests"] == snap.requests
-        assert payload["rejected"] == snap.rejected
-        assert payload["rejected_kinds"] == snap.rejected_kinds
-        # plan-cache line
-        assert payload["plan_l1_hits"] == snap.plan_l1_hits
-        assert payload["plan_l2_hits"] == snap.plan_l2_hits
-        assert payload["plan_misses"] == snap.plan_misses
-        assert payload["cache"]["evictions"] == snap.cache.evictions
-        assert payload["cache"]["hit_rate"] == snap.cache.hit_rate
-        # plan-store line
-        assert payload["plan_store"]["hits"] == snap.store.hits
-        assert payload["plan_store"]["stores"] == snap.store.stores
-        # admission line
-        assert payload["waves"] == snap.waves
-        assert payload["mean_wave_size"] == snap.mean_wave_size
-        assert payload["largest_wave"] == snap.largest_wave
-        assert payload["wave_admitted"] == snap.wave_admitted
-        # batching line
-        assert payload["batch_runs"] == snap.batch_runs
-        assert payload["batched_queries"] == snap.batched_queries
-        assert payload["batch_visited"] == snap.batch_visited
-        assert payload["sequential_visited"] == snap.sequential_visited
-        # pool line
-        assert payload["pool"]["size"] == snap.pool_size
-        assert payload["in_flight_evaluations"] == snap.in_flight_evaluations
-        assert payload["pool"]["peak_in_flight"] == snap.peak_in_flight
-        assert payload["queue_wait"]["mean"] == snap.queue_wait.mean
-        assert payload["latency"]["mean"] == snap.latency.mean
-        assert payload["latency"]["p99"] == snap.latency.p99
 
-    def test_stats_dataclasses_fully_mirrored(self):
-        """Every dataclass counter field of the cache / store / doc-store
-        stats appears verbatim in as_dict — new fields can't silently
-        skip the wire format."""
+        doc = generate_hospital_document(HospitalConfig(num_patients=6, seed=3))
+        with QueryService(doc, compose=True) as service:
+            service.register_view("research", sigma0())
+            service.register_tenant("institute", "research")
+            service.register_tenant("twin", "research")
+            service.submit_wave(
+                [
+                    QueryRequest("institute", "patient"),
+                    QueryRequest("twin", "patient/parent"),
+                    QueryRequest("twin", "]][["),
+                ]
+            )
+            return service.metrics_snapshot()
+
+    def test_every_declaration_reaches_payload_and_exposition(self, snapshot):
         from dataclasses import fields
 
-        from repro.compile.store import StoreStats
-        from repro.docstore.store import DocStoreStats
-
-        metrics = ServiceMetrics()
-        snap = metrics.snapshot(
-            CacheStats(), store=StoreStats(), doc_store=DocStoreStats()
+        from repro.obs.export import (
+            COMPOSED_GAUGES,
+            FAMILIES,
+            merge_expositions,
+            render_prometheus,
+            resolve,
         )
-        payload = snap.as_dict()
-        assert set(payload["plan_store"]) == {
-            f.name for f in fields(StoreStats)
-        }
-        assert set(payload["doc_store"]) == {
-            f.name for f in fields(DocStoreStats)
-        }
-        cache_fields = {f.name for f in fields(CacheStats)}
-        assert cache_fields <= set(payload["cache"])
+        from repro.serve.metrics import ServiceCounters
+
+        payload = snapshot.as_dict()
+        single = render_prometheus(snapshot)
+        merged = merge_expositions(
+            [
+                render_prometheus(snapshot, worker="w0"),
+                render_prometheus(snapshot, worker="w1"),
+            ]
+        )
+        assert len({row.family for row in FAMILIES + COMPOSED_GAUGES}) == len(
+            FAMILIES + COMPOSED_GAUGES
+        )
+        for row in FAMILIES:
+            value = resolve(snapshot, row.attribute)
+            assert resolve(payload, row.attribute) == value, row
+            assert parse_value(single, row.family) == value, row
+            assert parse_value(merged, row.family, 'worker="w1"') == value, row
+        for row in COMPOSED_GAUGES:
+            value = snapshot.composed_gauges[row.attribute]
+            assert payload["composed"]["gauges"][row.attribute] == value, row
+            assert parse_value(single, row.family) == value, row
+        for text in (single, merged):
+            types = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, flags=re.M))
+            for row in FAMILIES + COMPOSED_GAUGES:
+                assert types[f"repro_{row.family}"] == row.kind, row
+        # A field added to any block reaches ``as_dict`` with no edit.
+        for f in fields(ServiceCounters):
+            assert payload[f.name] == getattr(snapshot, f.name), f.name
+        assert snapshot.wave_admitted == 2 and snapshot.rejected == 1
+        for key, block in (
+            ("cache", snapshot.cache),
+            ("plan_store", snapshot.store),
+            ("doc_store", snapshot.doc_store),
+            ("composed", snapshot.composed),
+            ("pool", snapshot.pool),
+        ):
+            if block is None:
+                assert payload[key] is None
+                continue
+            for f in fields(block):
+                assert payload[key][f.name] == getattr(block, f.name), (key, f.name)
+
+
+def parse_value(text: str, family: str, labels: str = "") -> float:
+    from repro.obs.export import parse_exposition
+
+    return parse_exposition(text)[f"repro_{family}"][labels]

@@ -138,14 +138,6 @@ class TestMetrics:
         assert snap.cache.hits == 1 and snap.cache.misses == 1
         assert snap.tenants["institute"].requests == 2
 
-    def test_format_table_renders_bench_style(self, service):
-        service.submit("institute", "patient")
-        service.submit("admin", FIG8A)
-        table = service.metrics_snapshot().format_table()
-        assert "service metrics" in table
-        assert "institute" in table and "admin" in table
-        assert "(times in ms)" in table
-
     def test_parse_failure_counts_as_rejection(self, service):
         """Regression: malformed queries escaped the rejection counter
         (only ``ServiceError`` was caught, not parse failures)."""
@@ -349,3 +341,46 @@ class TestTrafficWorkload:
         snap = svc.metrics_snapshot()
         assert snap.batched_queries == 12
         assert snap.cache.hit_rate > 0
+
+
+class TestUnregisteredTenantsMintNoMetricRows:
+    """Regression: a rejection's *claimed* tenant used to get a metrics
+    row (two histograms, ~35 exposition lines) whether or not the service
+    had ever registered it — unbounded growth from unauthenticated input."""
+
+    def test_unknown_names_count_globally_only(self, service):
+        from repro.obs.export import render_prometheus
+        from repro.serve.frontend import QueryFrontend
+
+        service.submit("institute", "patient")
+        before = service.metrics_snapshot()
+        lines_before = render_prometheus(before).count("\n")
+        frontend = QueryFrontend(service)
+        strangers = 50
+        for index in range(strangers):
+            with pytest.raises(AuthorizationError):
+                service.submit(f"stranger-{index}", "*")
+            frontend.refused(
+                "overloaded", {"op": "query", "tenant": f"flood-{index}"}
+            )
+        after = service.metrics_snapshot()
+        assert after.rejected_kinds == {
+            "authorization": strangers,
+            "overloaded": strangers,
+        }
+        assert after.rejected == 2 * strangers
+        assert set(after.tenants) == set(before.tenants) == {"institute"}
+        # Two new rejected_total{kind=...} samples, and nothing else.
+        assert render_prometheus(after).count("\n") == lines_before + 2
+
+    def test_registered_tenant_rejection_lands_on_its_row(self, service):
+        from repro.serve.frontend import QueryFrontend
+
+        with pytest.raises(ReproError):
+            service.submit("admin", "]][[")
+        QueryFrontend(service).refused(
+            "overloaded", {"op": "query", "tenant": "admin"}
+        )
+        snap = service.metrics_snapshot()
+        assert snap.tenants["admin"].rejections == 2
+        assert snap.tenants["admin"].requests == 0

@@ -122,3 +122,86 @@ def test_sigterm_is_registered_in_one_function():
             ):
                 registrars.append(f"{path.name}:{function.name}")
     assert registrars == ["lines.py:serve_until_drained"]
+
+
+# ----------------------------------------------------------------------
+# The CLI parses arguments; a counter is declared once (PR 18)
+# ----------------------------------------------------------------------
+def test_cli_hosts_no_bench_or_smoke_driver():
+    tree = parse(SRC / "cli.py")
+    coroutines = [
+        node.name for node in tree.body if isinstance(node, ast.AsyncFunctionDef)
+    ]
+    drivers = [
+        function.name
+        for function in functions(tree)
+        if function.name.startswith("cmd_bench_") or function.name.endswith("_smoke")
+    ]
+    assert coroutines == []
+    assert drivers == []
+
+
+def test_serving_and_obs_never_import_the_bench_package():
+    offenders = []
+    for path in [*SERVE, *sorted((SRC / "obs").glob("*.py"))]:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+            elif isinstance(node, ast.Import):
+                module = " ".join(alias.name for alias in node.names)
+            else:
+                continue
+            if "bench" in module.split("."):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def string_literals(function: ast.AST) -> set[str]:
+    return {
+        node.value
+        for node in ast.walk(function)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_table_families_are_spelled_only_in_the_table():
+    """``render_prometheus`` and ``MetricsSnapshot.as_dict`` walk the
+    declarations; neither spells a table row's family (nor ``as_dict``
+    a row's attribute) by hand."""
+    from repro.obs.export import COMPOSED_GAUGES, FAMILIES
+
+    rows = FAMILIES + COMPOSED_GAUGES
+    families = {row.family for row in rows}
+    attributes = {row.attribute for row in rows}
+    snapshot_class = next(
+        node
+        for node in ast.walk(parse(SRC / "serve" / "metrics.py"))
+        if isinstance(node, ast.ClassDef) and node.name == "MetricsSnapshot"
+    )
+    for name, scope, forbidden in (
+        ("render_prometheus", parse(SRC / "obs" / "export.py"), families),
+        ("as_dict", snapshot_class, families | attributes),
+    ):
+        (walker,) = [f for f in functions(scope) if f.name == name]
+        assert string_literals(walker) & forbidden == set(), name
+
+
+def test_no_snapshot_copies_fields_positionally():
+    """A ``snapshot()`` is ``replace(self, ...)`` (or the ``Counters``
+    base): adding a field never means editing one."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for function in functions(parse(path)):
+            if function.name != "snapshot":
+                continue
+            for call in calls(function):
+                own_fields = [
+                    arg
+                    for arg in call.args
+                    if isinstance(arg, ast.Attribute)
+                    and isinstance(arg.value, ast.Name)
+                    and arg.value.id == "self"
+                ]
+                if len(own_fields) >= 3:
+                    offenders.append(f"{path.name}:{call.lineno}")
+    assert offenders == []

@@ -12,7 +12,10 @@ records
 
 ``tests/golden/wire.json`` was generated from the commit *before* the
 serving stack was folded onto the wave path (PR 16) and must stay
-byte-identical; regenerate only for a deliberate protocol change::
+byte-identical (one deliberate edit since: PR 18 removed the
+``metrics_tree.tenants.stranger`` key — an unregistered tenant's
+rejection no longer mints a metrics row); regenerate only for a
+deliberate protocol change::
 
     PYTHONPATH=src python tests/test_wire_golden.py > tests/golden/wire.json
 
