@@ -87,12 +87,16 @@ concurrency-smoke:
 cache-smoke:
 	$(PY) -m pytest benchmarks/test_warm_restart.py -q
 
-# Plan-churn hygiene smoke (outside pytest): never-seen queries through
-# a continuously evicting plan cache.  Prints cyclic-garbage count,
-# collections per generation, _compute_child_sets calls per compile and
-# tracked objects per cached plan; fails on any cyclic garbage (an
-# evicted plan must die by reference count).  Re-read the traced budget
-# itself with `make bench-e2e-trace WORKLOAD=plan_churn`. CI runs this.
+# Plan- and document-churn hygiene smoke (outside pytest): never-seen
+# queries through a continuously evicting plan cache, then never-seen
+# documents through a continuously evicting document store behind
+# services that are dropped.  Prints, per side, cyclic-garbage count,
+# collections per generation and tracked objects per cached plan /
+# ingested document (plans also: _compute_child_sets calls per compile);
+# fails on any cyclic garbage (an evicted plan or document must die by
+# reference count).  Re-read the traced budgets themselves with
+# `make bench-e2e-trace WORKLOAD=plan_churn` / `WORKLOAD=doc_churn`.
+# CI runs this.
 churn-smoke:
 	$(PY) benchmarks/churn_hygiene.py
 

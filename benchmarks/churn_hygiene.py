@@ -1,9 +1,11 @@
-"""Collector hygiene of the plan-miss path (``make churn-smoke``).
+"""Collector hygiene of the plan-miss and document-ingest paths
+(``make churn-smoke``).
 
-Drives never-seen query texts (the ``plan_churn`` templates of
-``benchmarks/e2e``) through a :class:`repro.serve.service.QueryService`
-over a small, continuously evicting :class:`repro.serve.cache.PlanCache`
-and reports what the cycle collector had to do about it:
+**Plans.**  Drives never-seen query texts (the ``plan_churn`` templates
+of ``benchmarks/e2e``) through a
+:class:`repro.serve.service.QueryService` over a small, continuously
+evicting :class:`repro.serve.cache.PlanCache` and reports what the cycle
+collector had to do about it:
 
 * **cyclic garbage** — objects only a collection could free, caught with
   ``gc.DEBUG_SAVEALL``.  Plans own their kernels one way, so an evicted
@@ -14,15 +16,26 @@ and reports what the cycle collector had to do about it:
 * **tracked objects per cached plan** — what each L1 entry adds to every
   later collection's traversal.
 
-Exits non-zero on any cyclic garbage.  ``tests/test_plan_hygiene.py``
-runs the same functions as tier-1 assertions; re-read the traced budget
-itself with ``make bench-e2e-trace WORKLOAD=plan_churn``.
+**Documents.**  Drives distinct hospital documents the way ``doc_churn``
+does — ingest into a persisting :class:`repro.docstore.store.
+DocumentStore` that evicts continuously, catalog, one query per
+algorithm — behind a service that is dropped after every round, and
+reports the same three things: **cyclic garbage** (a tree owns its nodes
+one way, so an evicted, released document must die by reference count:
+0), **collections per generation** per N ingests, and **tracked objects
+per ingested document**.
+
+Exits non-zero on any cyclic garbage from either side.
+``tests/test_plan_hygiene.py`` runs the same functions as tier-1
+assertions; re-read the traced budgets themselves with
+``make bench-e2e-trace WORKLOAD=plan_churn`` / ``WORKLOAD=doc_churn``.
 """
 
 from __future__ import annotations
 
 import gc
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -30,7 +43,8 @@ for path in (HERE.parent / "src", HERE / "e2e"):
     if str(path) not in sys.path:
         sys.path.insert(0, str(path))
 
-from inputs import CHURN_TEMPLATES  # noqa: E402  (benchmarks/e2e)
+from inputs import ADMIN, CHURN_TEMPLATES  # noqa: E402  (benchmarks/e2e)
+from workloads import DOC_QUERIES  # noqa: E402  (benchmarks/e2e)
 
 from repro.docstore.store import DocumentStore  # noqa: E402
 from repro.hype.core import CompiledPlan  # noqa: E402
@@ -84,6 +98,32 @@ class ChurnService:
         self.service.close()
 
 
+def _garbage_of(drive) -> list:
+    """Everything only the cycle collector could free after ``drive()``
+    (``gc.DEBUG_SAVEALL`` keeps what a collection finds)."""
+    gc.collect()
+    del gc.garbage[:]
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        drive()
+        gc.collect()
+    finally:
+        gc.set_debug(flags)
+    garbage = list(gc.garbage)
+    del gc.garbage[:]
+    return garbage
+
+
+def _collections(drive) -> tuple[int, int, int]:
+    """Collections per generation while ``drive()`` ran, collector on."""
+    gc.collect()
+    before = [generation["collections"] for generation in gc.get_stats()]
+    drive()
+    after = [generation["collections"] for generation in gc.get_stats()]
+    return tuple(b - a for a, b in zip(before, after))
+
+
 def cyclic_garbage(requests: int = 96, capacity: int = 4) -> list:
     """Everything only the cycle collector could free after ``requests``
     misses through a ``capacity``-entry cache (``[]`` = plans die by
@@ -91,18 +131,7 @@ def cyclic_garbage(requests: int = 96, capacity: int = 4) -> list:
     churn = ChurnService(capacity)
     try:
         churn.drive(capacity)  # lazy imports and first-use tables
-        gc.collect()
-        del gc.garbage[:]
-        flags = gc.get_debug()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            churn.drive(requests)
-            gc.collect()
-        finally:
-            gc.set_debug(flags)
-        garbage = list(gc.garbage)
-        del gc.garbage[:]
-        return garbage
+        return _garbage_of(lambda: churn.drive(requests))
     finally:
         churn.close()
 
@@ -118,19 +147,18 @@ def collections_and_calls(requests: int = 768, capacity: int = 256) -> dict:
         calls[0] += 1
         return real(self, mstates, relevant, label)
 
-    try:
-        churn.drive(capacity)
-        gc.collect()
-        before = [generation["collections"] for generation in gc.get_stats()]
+    def drive() -> None:
         CompiledPlan._compute_child_sets = counting
         try:
             churn.drive(requests)
         finally:
             CompiledPlan._compute_child_sets = real
-        after = [generation["collections"] for generation in gc.get_stats()]
+
+    try:
+        churn.drive(capacity)
+        gen0, gen1, gen2 = _collections(drive)
     finally:
         churn.close()
-    gen0, gen1, gen2 = (b - a for a, b in zip(before, after))
     return {
         "requests": requests,
         "gen0_collections": gen0,
@@ -154,25 +182,145 @@ def tracked_per_plan(plans: int = 256) -> float:
         churn.close()
 
 
+# ----------------------------------------------------------------------
+# The document side
+# ----------------------------------------------------------------------
+class DocumentChurn:
+    """``doc_churn`` in miniature: every round ingests ``per_round``
+    never-seen documents into a fresh persisting store of ``capacity``
+    entries behind a fresh service, serves each by all three algorithms,
+    and lets store and service go."""
+
+    #: Documents per round: twice the default store's capacity, so the
+    #: LRU evicts through the second half as in ``doc_churn``.
+    per_round = 4
+
+    def __init__(self, capacity: int = 2) -> None:
+        self.capacity = capacity
+        self.cache = PlanCache(16)
+        self.spec = sigma0()
+        for tenant, query, _algorithm in DOC_QUERIES:
+            self.cache.plan(self.spec if tenant != ADMIN else None, query)
+        self._next = 0
+
+    def texts(self, documents: int) -> list[str]:
+        """``documents`` never-seen documents (made outside any measured
+        drive: generating one is not ingesting one)."""
+        texts = []
+        for _ in range(documents):
+            tree = generate_hospital_document(
+                HospitalConfig(num_patients=6, seed=500 + self._next)
+            )
+            self._next += 1
+            texts.append(serialize(tree))
+        return texts
+
+    def service(self, store: DocumentStore) -> QueryService:
+        scratch = generate_hospital_document(HospitalConfig(num_patients=1, seed=1))
+        service = QueryService(scratch, cache=self.cache, document_store=store)
+        service.register_view("research", self.spec)
+        return service
+
+    def ingest(self, service: QueryService, store: DocumentStore, texts) -> None:
+        """One ``doc_churn`` operation per text: ingest, catalog, one
+        query per algorithm."""
+        catalog: tuple[str, ...] = ()
+        for text in texts:
+            catalog += (service.add_document(store.get(text)),)
+            service.register_tenant(TENANT, "research", documents=catalog)
+            service.register_tenant(ADMIN, None, documents=catalog)
+            for tenant, query, algorithm in DOC_QUERIES:
+                service.submit(tenant, query, algorithm, document=catalog[-1])
+
+    def drive(self, texts: list[str]) -> None:
+        for first in range(0, len(texts), self.per_round):
+            with tempfile.TemporaryDirectory() as root:
+                store = DocumentStore(capacity=self.capacity, index_dir=root)
+                with self.service(store) as service:
+                    self.ingest(service, store, texts[first : first + self.per_round])
+
+
+def document_garbage(documents: int = 12, capacity: int = 2) -> list:
+    """Everything only the cycle collector could free after ``documents``
+    ingests through a ``capacity``-document store (``[]`` = documents
+    die by reference count)."""
+    churn = DocumentChurn(capacity)
+    churn.drive(churn.texts(churn.per_round))  # lazy imports, first-use tables
+    texts = churn.texts(documents)
+    return _garbage_of(lambda: churn.drive(texts))
+
+
+def document_collections(documents: int = 16) -> dict:
+    """Collector on: collections per generation over ``documents``
+    ingests."""
+    churn = DocumentChurn()
+    churn.drive(churn.texts(churn.per_round))
+    texts = churn.texts(documents)
+    gen0, gen1, gen2 = _collections(lambda: churn.drive(texts))
+    return {
+        "documents": documents,
+        "gen0_collections": gen0,
+        "gen1_collections": gen1,
+        "gen2_collections": gen2,
+    }
+
+
+def tracked_per_document(documents: int = 8) -> tuple[float, float]:
+    """``(GC-tracked objects, nodes)`` each ingested, served and still
+    held document adds to every later collection's traversal."""
+    churn = DocumentChurn(capacity=2 * documents)
+    store = DocumentStore(capacity=churn.capacity)
+    with churn.service(store) as service:
+        churn.ingest(service, store, churn.texts(2))
+        texts = churn.texts(documents)
+        gc.collect()
+        before = len(gc.get_objects())
+        churn.ingest(service, store, texts)
+        gc.collect()
+        tracked = len(gc.get_objects()) - before
+        nodes = sum(store.get(text).size for text in texts)  # hits
+        return tracked / documents, nodes / documents
+
+
+def _kinds(garbage: list) -> list[str]:
+    return sorted({type(o).__module__ + "." + type(o).__name__ for o in garbage})
+
+
 def main() -> int:
     garbage = cyclic_garbage()
     counts = collections_and_calls()
-    print(f"cyclic garbage objects        {len(garbage)}")
+    print("plans")
+    print(f"  cyclic garbage objects        {len(garbage)}")
     print(
-        f"collections gen0/gen1/gen2    {counts['gen0_collections']}/"
+        f"  collections gen0/gen1/gen2    {counts['gen0_collections']}/"
         f"{counts['gen1_collections']}/{counts['gen2_collections']} "
         f"per {counts['requests']} misses"
     )
     print(
-        "_compute_child_sets / compile "
+        "  _compute_child_sets / compile "
         f"{counts['child_sets_calls_per_compile']:.1f}"
     )
-    print(f"tracked objects / cached plan {tracked_per_plan():.0f}")
-    if garbage:
-        kinds = sorted({type(o).__module__ + "." + type(o).__name__ for o in garbage})
-        print(f"FAIL: evicted plans left cyclic garbage: {kinds}", file=sys.stderr)
-        return 1
-    return 0
+    print(f"  tracked objects / cached plan {tracked_per_plan():.0f}")
+    doc_garbage = document_garbage()
+    doc_counts = document_collections()
+    tracked, nodes = tracked_per_document()
+    print("documents")
+    print(f"  cyclic garbage objects        {len(doc_garbage)}")
+    print(
+        f"  collections gen0/gen1/gen2    {doc_counts['gen0_collections']}/"
+        f"{doc_counts['gen1_collections']}/{doc_counts['gen2_collections']} "
+        f"per {doc_counts['documents']} ingests"
+    )
+    print(f"  tracked objects / document    {tracked:.0f} ({nodes:.0f} nodes)")
+    status = 0
+    for what, found in (("plans", garbage), ("documents", doc_garbage)):
+        if found:
+            print(
+                f"FAIL: evicted {what} left cyclic garbage: {_kinds(found)}",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -131,7 +131,10 @@ class IndexedDocument:
         on one build per variant and one tree sweep per document (the
         second variant converts the first); ``stats.index_builds``
         counts real constructions of either kind, ``stats.index_loads``
-        counts tier rehydrations.
+        counts tier rehydrations.  Either way the index carries the
+        freeze it describes: if the tree is edited and re-frozen behind
+        this wrapper, indexed runs refuse the old index instead of
+        pruning on its masks (wrap the tree again).
         """
         index = self._indexes.get(compressed)
         if index is not None:
@@ -143,7 +146,7 @@ class IndexedDocument:
             index = None
             if self.tier is not None:
                 index = self.tier.load(
-                    self.content_hash, compressed, self.tree.size
+                    self.content_hash, compressed, self.tree
                 )
             if index is None:
                 with span(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from operator import is_
 
 from ..errors import EvaluationError
 from ..xtree.node import Node, TEXT_LABEL, XMLTree
@@ -72,7 +73,7 @@ class DocumentLayout:
         # object identity alone cannot detect a re-frozen tree — the
         # stamp makes covers() stand down and the evaluator walk fresh
         # columns (covering_layout) instead.
-        self._freeze_count = getattr(tree, "freeze_count", 0)
+        self._freeze_count = tree.freeze_count
         #: Document-order node list (``nodes[i].node_id == i``) — the
         #: bridge back from columnar ids to the Node objects answers,
         #: predicates and phase 2 operate on.
@@ -138,7 +139,7 @@ class DocumentLayout:
         """
         layout = cls.__new__(cls)
         layout.tree = tree
-        layout._freeze_count = getattr(tree, "freeze_count", 0)
+        layout._freeze_count = tree.freeze_count
         layout.nodes = tree.nodes
         layout.labels = list(labels)
         layout.label_ids = {
@@ -172,10 +173,25 @@ class DocumentLayout:
         (:func:`covering_layout` builds the fresh structure's columns)
         instead of silently serving the stale structure.
         """
-        if getattr(self.tree, "freeze_count", 0) != self._freeze_count:
+        if self.tree.freeze_count != self._freeze_count:
             return False
         node_id = node.node_id
         return 0 <= node_id < len(self.nodes) and self.nodes[node_id] is node
+
+    def check_index(self, index) -> None:
+        """Refuse an OptHyPE(-C) ``index`` of another freeze than these
+        columns (``None``, plain HyPE, always passes).
+
+        Masks are per ``node_id`` like the columns, but an
+        :class:`repro.docstore.document.IndexedDocument` keeps handing
+        out the index of the freeze it was built for; pruning the
+        re-frozen structure on it would silently drop answers.
+        """
+        if index is not None and index.freeze_count != self._freeze_count:
+            raise EvaluationError(
+                "document was re-frozen after it was indexed: rebuild its "
+                "IndexedDocument (stale subtree masks would prune answers)"
+            )
 
     # ------------------------------------------------------------------
     def rows_for(self, plan) -> dict:
@@ -217,29 +233,27 @@ def covering_layout(
     """``layout`` if it covers ``context``, else fresh columns.
 
     The one place a descent gets its document from.  A missing, stale
-    (re-frozen tree) or foreign layout is never indexed: the context's
-    document is walked from its root and a new layout built over it —
-    once per call, kept nowhere; a caller that evaluates twice holds an
+    (re-frozen tree) or foreign layout is never indexed: a new layout is
+    built over the tree that owns ``context`` — once per call, kept
+    nowhere; a caller that evaluates twice holds an
     :class:`repro.docstore.document.IndexedDocument`.
 
     Raises:
-        EvaluationError: when the document's ``node_id``s are not its
-            document order (a tree that was never frozen, or edited
-            since), which the columns would mis-index.
+        EvaluationError: when ``context`` has no live owning tree (never
+            frozen, or its document was released), or when that tree's
+            ``nodes`` are not its document order any more (edited since
+            the freeze), which the columns would mis-index.
     """
     if layout is not None and layout.covers(context):
         return layout
-    root = context
-    while root.parent is not None:
-        root = root.parent
-    nodes = list(root.iter_subtree())
-    labels = set()
-    for position, node in enumerate(nodes):
-        if node.node_id != position:
-            raise EvaluationError(
-                "cannot evaluate over an unfrozen tree: node ids are not "
-                "in document order (freeze it with XMLTree / index_tree)"
-            )
-        if node.label != TEXT_LABEL:
-            labels.add(node.label)
-    return DocumentLayout(XMLTree.from_frozen(nodes, labels))
+    tree = context.owning_tree()
+    nodes = tree.nodes
+    walked = list(tree.root.iter_subtree())
+    if len(walked) == len(nodes) and all(map(is_, walked, nodes)):
+        fresh = DocumentLayout(tree)
+        if fresh.covers(context):
+            return fresh
+    raise EvaluationError(
+        "cannot evaluate over an unfrozen tree: node ids are not "
+        "in document order (re-freeze it with index_tree)"
+    )

@@ -160,15 +160,16 @@ class DocIndexTier:
 
     # ------------------------------------------------------------------
     def load(
-        self, content_hash: str, compressed: bool, expected_size: int
+        self, content_hash: str, compressed: bool, tree: XMLTree
     ) -> Index | None:
-        """Rehydrate a persisted index, or ``None`` on any miss.
+        """Rehydrate ``tree``'s persisted index, or ``None`` on any miss.
 
         Validation is strict: version, content hash and variant must
-        echo the key, the mask arrays must cover exactly
-        ``expected_size`` nodes, and the payload must decode.  Any
-        failure counts as ``corrupt`` (the caller rebuilds and the next
-        save overwrites the bad file).
+        echo the key, the mask arrays must cover exactly ``tree``'s
+        nodes, and the payload must decode.  Any failure counts as
+        ``corrupt`` (the caller rebuilds and the next save overwrites
+        the bad file).  The index is stamped with ``tree``'s current
+        freeze, like one built from it now.
         """
         path = self.path_for(content_hash, compressed)
         try:
@@ -185,9 +186,7 @@ class DocIndexTier:
             raw = raw[: len(raw) // 2]
         try:
             payload = json.loads(gzip.decompress(raw).decode("utf-8"))
-            index = _index_from_payload(
-                payload, content_hash, compressed, expected_size
-            )
+            index = _index_from_payload(payload, content_hash, compressed, tree)
         except (OSError, EOFError, ValueError, KeyError, TypeError):
             # EOFError: gzip's truncated-stream signal — a half-written
             # or bit-rotted file must degrade to a counted rebuild, not
@@ -361,9 +360,10 @@ def _index_to_payload(
 
 
 def _index_from_payload(
-    payload: dict, content_hash: str, compressed: bool, expected_size: int
+    payload: dict, content_hash: str, compressed: bool, tree: XMLTree
 ) -> Index:
     """Decode and validate one index record (raises ``ValueError``)."""
+    expected_size = tree.size
     if payload.get("doc_format_version") != DOC_FORMAT_VERSION:
         raise ValueError("document-index format version mismatch")
     if payload.get("content_hash") != content_hash:
@@ -387,11 +387,13 @@ def _index_from_payload(
             raise ValueError("document-index id array does not cover the tree")
         if ids and not (0 <= min(ids) and max(ids) < len(table)):
             raise ValueError("document-index ids point outside the mask table")
-        return CompressedLabelIndex.from_parts(bits, table, ids)
+        return CompressedLabelIndex.from_parts(
+            bits, table, ids, tree.freeze_count
+        )
     masks = _int_list(payload["masks"])
     if len(masks) != expected_size:
         raise ValueError("document-index mask array does not cover the tree")
-    return SubtreeLabelIndex.from_parts(bits, masks)
+    return SubtreeLabelIndex.from_parts(bits, masks, tree.freeze_count)
 
 
 def _int_list(values: object) -> list[int]:

@@ -434,6 +434,7 @@ def descend_composed(
     """
     _fault_fire("descend")
     layout = covering_layout(context, layout)
+    layout.check_index(ck.plans[0].index)  # the members' one index
     width = ck.width
     clanes = [_CLane(cursor) for cursor in cursors]
     ccfg = ck.root_ccfg(context)

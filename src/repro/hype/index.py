@@ -15,6 +15,12 @@ lives in :mod:`repro.hype.analyze`.
   a small table and stores one small id per node — documents have very few
   distinct subtree label-sets (bounded by the DTD structure), so this is
   substantially smaller while answering the same queries.
+
+Either variant describes one freeze of its tree and carries that
+freeze's stamp (``freeze_count``, as
+:class:`repro.docstore.layout.DocumentLayout` does): masks are indexed
+by ``node_id``, so after an edit + re-freeze they would prune the wrong
+subtrees, and an indexed run refuses them instead.
 """
 
 from __future__ import annotations
@@ -74,7 +80,7 @@ def subtree_masks(tree: XMLTree) -> tuple[LabelBits, list[int]]:
         bit = bit_of.get(label)
         if bit is None:
             bit = bit_of[label] = 1 << len(bit_of)
-        masks[node.parent.node_id] |= masks[node_id] | bit
+        masks[node.parent_id] |= masks[node_id] | bit
     return bits, masks
 
 
@@ -91,15 +97,17 @@ class SubtreeLabelIndex:
 
     def __init__(self, tree: XMLTree) -> None:
         self.bits, self.masks = subtree_masks(tree)
+        self.freeze_count = tree.freeze_count
 
     @classmethod
     def from_parts(
-        cls, bits: LabelBits, masks: list[int]
+        cls, bits: LabelBits, masks: list[int], freeze_count: int
     ) -> "SubtreeLabelIndex":
         """Rehydrate a persisted index without recomputing the masks."""
         self = cls.__new__(cls)
         self.bits = bits
         self.masks = masks
+        self.freeze_count = freeze_count
         return self
 
     def mask(self, node_id: int) -> int:
@@ -134,16 +142,22 @@ class CompressedLabelIndex:
     def __init__(self, tree: XMLTree) -> None:
         self.bits, masks = subtree_masks(tree)
         self.mask_table, self.ids = _intern_masks(masks)
+        self.freeze_count = tree.freeze_count
 
     @classmethod
     def from_parts(
-        cls, bits: LabelBits, mask_table: list[int], ids: list[int]
+        cls,
+        bits: LabelBits,
+        mask_table: list[int],
+        ids: list[int],
+        freeze_count: int,
     ) -> "CompressedLabelIndex":
         """Rehydrate a persisted index without recomputing the masks."""
         self = cls.__new__(cls)
         self.bits = bits
         self.mask_table = mask_table
         self.ids = ids
+        self.freeze_count = freeze_count
         return self
 
     def mask(self, node_id: int) -> int:
@@ -190,12 +204,15 @@ def other_variant(index: Index) -> Index:
 
     Both variants hold one mask column — per node, or interned — so
     either converts into exactly the index :func:`build_index` would
-    have built (the read-only ``bits`` are shared).
+    have built (the read-only ``bits`` are shared, the freeze stamp is
+    carried over).
     """
     if isinstance(index, CompressedLabelIndex):
         table = index.mask_table
         masks = [table[mask_id] for mask_id in index.ids]
-        return SubtreeLabelIndex.from_parts(index.bits, masks)
+        return SubtreeLabelIndex.from_parts(
+            index.bits, masks, index.freeze_count
+        )
     return CompressedLabelIndex.from_parts(
-        index.bits, *_intern_masks(index.masks)
+        index.bits, *_intern_masks(index.masks), index.freeze_count
     )

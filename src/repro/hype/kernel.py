@@ -689,7 +689,10 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     tree, foreign document), is never indexed: the pass walks fresh
     columns of the context's document instead
     (:func:`repro.docstore.layout.covering_layout`) — same visits, same
-    order, same counters.  ``shared`` (a
+    order, same counters.  An OptHyPE(-C) lane whose index is of another
+    freeze than those columns is refused
+    (:meth:`repro.docstore.layout.DocumentLayout.check_index`).
+    ``shared`` (a
     :class:`repro.serve.batch.BatchStats`-shaped object) receives the
     counters of the pass a wave *shares*: the union of the lanes' visit
     sets, and the children of that union no lane entered.
@@ -709,6 +712,7 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     checks = CHECK_INTERVAL
     live = []
     for plan, cursor in lanes:
+        layout.check_index(plan.index)
         cfg = plan.kernel.root_cfg(plan, context)
         if cfg == DEAD:
             # Dead at the root: the lane finishes with the all-zero result.

@@ -7,17 +7,32 @@ carry a string ``value``; element nodes have a real label and ``value`` is
 ``None``.
 
 Trees are built once and then *frozen* — every node carries its id,
-parent and depth in document order — after which algorithms treat the
-tree as immutable.  This mirrors the read-only document trees SMOQE
-evaluates over.  The XML parser freezes each node as it creates it (text
-arrives in document order); trees assembled in memory
+its parent's id and its depth in document order — after which algorithms
+treat the tree as immutable.  This mirrors the read-only document trees
+SMOQE evaluates over.  The XML parser freezes each node as it creates it
+(text arrives in document order); trees assembled in memory
 (:mod:`repro.xtree.build`, the generators) are frozen by
 :func:`index_tree`, which also re-freezes a tree after structural edits.
+
+A frozen tree owns its nodes one way: an :class:`XMLTree` holds its
+nodes, a node holds its children, and nothing points back up by strong
+reference.  A node knows its parent as ``parent_id`` (a position in the
+owning tree's ``nodes``) plus one weak reference to that tree, shared by
+all of the tree's nodes; :attr:`Node.parent` and
+:meth:`Node.iter_ancestors` derive the object from the two.  So a
+document is acyclic and is freed by reference count the moment its last
+holder lets go — no garbage collection pass — and whoever holds a
+:class:`Node` (an answer set, say) pins that node's subtree only: once
+the tree itself is gone, asking such a node for its parent raises
+:class:`repro.errors.EvaluationError`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import weakref
+from typing import Iterator, Optional, Sequence
+
+from ..errors import EvaluationError
 
 #: Pseudo-label used for text (PCDATA) nodes.
 TEXT_LABEL = "#text"
@@ -29,8 +44,10 @@ class Node:
     Attributes:
         label: Element tag, or :data:`TEXT_LABEL` for text nodes.
         value: Text content for text nodes, ``None`` for elements.
-        children: Ordered list of child nodes.
-        parent: Parent node, ``None`` for the root (set by the freeze).
+        children: Ordered list of child nodes; a text node, which can
+            have none, shares one empty tuple.
+        parent_id: The parent's ``node_id``, ``-1`` for the root (set by
+            the freeze).
         node_id: Document-order integer id (set by the freeze).
         depth: Root depth 0 (set by the freeze).
     """
@@ -39,7 +56,8 @@ class Node:
         "label",
         "value",
         "children",
-        "parent",
+        "parent_id",
+        "_owner",
         "node_id",
         "depth",
         "_text_cache",
@@ -49,8 +67,11 @@ class Node:
     def __init__(self, label: str, value: Optional[str] = None) -> None:
         self.label = label
         self.value = value
-        self.children: list[Node] = []
-        self.parent: Optional[Node] = None
+        self.children: Sequence[Node] = [] if label != TEXT_LABEL else ()
+        self.parent_id: int = -1
+        #: Weak reference to the owning :class:`XMLTree` (one object per
+        #: tree, set by the freeze); ``None`` until frozen.
+        self._owner: Optional[weakref.ref] = None
         self.node_id: int = -1
         self.depth: int = 0
         self._text_cache: Optional[str] = None
@@ -130,24 +151,73 @@ class Node:
         next(it)  # skip self
         yield from it
 
+    def owning_tree(self) -> "XMLTree":
+        """The tree whose freeze this node carries.
+
+        Raises:
+            EvaluationError: when the node was never frozen, or its tree
+                has been released (a node keeps its subtree alive, not
+                its document).
+        """
+        owner = self._owner
+        if owner is None:
+            raise EvaluationError(
+                "node is not part of a frozen tree "
+                "(freeze it with XMLTree / index_tree)"
+            )
+        tree = owner()
+        if tree is None:
+            raise EvaluationError(
+                "the document this node belonged to has been released: "
+                "a held node keeps its subtree, not its ancestors "
+                "(hold the XMLTree to navigate upwards)"
+            )
+        return tree
+
+    @property
+    def parent(self) -> Optional["Node"]:
+        """Parent node, ``None`` for the root and before the freeze.
+
+        Raises:
+            EvaluationError: when the owning tree has been released.
+        """
+        parent_id = self.parent_id
+        if parent_id < 0:
+            return None
+        return self.owning_tree().nodes[parent_id]
+
     def iter_ancestors(self) -> Iterator["Node"]:
         """Yield proper ancestors, nearest first (requires an indexed tree)."""
-        node = self.parent
-        while node is not None:
+        parent_id = self.parent_id
+        if parent_id < 0:
+            return
+        nodes = self.owning_tree().nodes
+        while parent_id >= 0:
+            node = nodes[parent_id]
             yield node
-            node = node.parent
+            parent_id = node.parent_id
 
     # ------------------------------------------------------------------
     # Mutation (only valid before the tree is indexed/frozen)
     # ------------------------------------------------------------------
     def append(self, child: "Node") -> "Node":
-        """Append ``child`` and return it (for fluent tree building)."""
-        self.children.append(child)
+        """Append ``child`` and return it (for fluent tree building).
+
+        Raises:
+            EvaluationError: on a text node, which is a leaf.
+        """
+        try:
+            self.children.append(child)
+        except AttributeError:
+            raise EvaluationError("a text node cannot have children") from None
         return child
 
-    def extend(self, children: list["Node"]) -> None:
-        """Append all ``children`` in order."""
-        self.children.extend(children)
+    def extend(self, children: Sequence["Node"]) -> None:
+        """Append all ``children`` in order (refused on a text node)."""
+        try:
+            self.children.extend(children)
+        except AttributeError:
+            raise EvaluationError("a text node cannot have children") from None
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -181,14 +251,18 @@ class XMLTree:
         """Wrap nodes that were frozen as they were built (the parser).
 
         ``nodes`` is the document-order list (``nodes[i].node_id == i``,
-        parents and depths assigned) and ``labels`` its element labels:
-        the state one :func:`index_tree` freeze would leave.
+        parent ids and depths assigned) and ``labels`` its element
+        labels.  Stamps every node with the new tree's ownership, which
+        leaves the state one :func:`index_tree` freeze would.
         """
         tree = cls.__new__(cls)
         tree.root = nodes[0]
         tree.nodes = nodes
         tree.labels = labels
         tree.freeze_count = 1
+        owner = weakref.ref(tree)
+        for node in nodes:
+            node._owner = owner
         return tree
 
     # ------------------------------------------------------------------
@@ -221,31 +295,34 @@ class XMLTree:
         return f"XMLTree(root={self.root.label}, size={self.size})"
 
 
-def index_tree(root: Node, tree: Optional[XMLTree] = None) -> None:
-    """Assign ``node_id``, ``parent`` and ``depth`` in document order.
+def index_tree(root: Node, tree: XMLTree) -> None:
+    """Freeze ``root``'s subtree as ``tree``'s document.
 
-    Re-entrant: calling it again after structural edits re-freezes the tree.
-    When ``tree`` is given its ``nodes``/``labels`` caches are (re)built.
+    Assigns ``node_id``, ``parent_id``, ``depth`` and ``tree``'s
+    ownership in document order and (re)builds ``tree.nodes`` /
+    ``tree.labels``.  Re-entrant: calling it again after structural
+    edits re-freezes the tree.
     """
-    if tree is not None:
-        tree.nodes.clear()
-        tree.labels.clear()
-        tree.freeze_count = getattr(tree, "freeze_count", 0) + 1
-    counter = 0
-    stack: list[tuple[Node, Optional[Node], int]] = [(root, None, 0)]
+    nodes = tree.nodes
+    labels = tree.labels
+    nodes.clear()
+    labels.clear()
+    tree.freeze_count += 1
+    owner = weakref.ref(tree)
+    stack: list[tuple[Node, int, int]] = [(root, -1, 0)]
     while stack:
-        node, parent, depth = stack.pop()
-        node.parent = parent
+        node, parent_id, depth = stack.pop()
+        node_id = len(nodes)
+        node.parent_id = parent_id
+        node._owner = owner
         node.depth = depth
-        node.node_id = counter
+        node.node_id = node_id
         # (Re-)freezing invalidates the lazy per-node caches: structural
         # edits before this call may have changed children or text.
         node._text_cache = None
         node._elems_cache = None
-        counter += 1
-        if tree is not None:
-            tree.nodes.append(node)
-            if node.is_element:
-                tree.labels.add(node.label)
+        nodes.append(node)
+        if node.label != TEXT_LABEL:
+            labels.add(node.label)
         for child in reversed(node.children):
-            stack.append((child, node, depth + 1))
+            stack.append((child, node_id, depth + 1))

@@ -12,11 +12,15 @@ the paper's algorithms run on, kept simple and predictable.
 
 One tokeniser pass does all of a document's text-side work: nodes are
 created in document order, so each is *frozen as it is built* (``node_id``
-is its position, ``parent`` and ``depth`` come off the open-element
+is its position, ``parent_id`` and ``depth`` come off the open-element
 stack — no :func:`repro.xtree.node.index_tree` re-walk), and the same
 pass emits the canonical serialisation (exactly what
 :func:`repro.xtree.serialize.serialize` would print for the finished
 tree), which is what the document store hashes into a content address.
+A node records its parent's id, never the parent: the finished tree is
+acyclic and dies by reference count
+(:meth:`repro.xtree.node.XMLTree.from_frozen` stamps the nodes with
+their owning tree, which is how ``Node.parent`` is derived).
 
 Nothing is allocated per tag: a per-parse cache maps each distinct tag
 token to its kind, its interned label and its canonical spellings, so a repeated tag costs one dict probe (no name regex) and every element
@@ -112,7 +116,8 @@ def parse_canonical(source: str) -> tuple[XMLTree, str]:
             node = Node(name)
             node.node_id = len(nodes)
             if stack:
-                parent = node.parent = stack[-1]
+                parent = stack[-1]
+                node.parent_id = parent.node_id
                 parent.children.append(node)
                 node.depth = len(stack)
             elif nodes:
@@ -133,7 +138,8 @@ def parse_canonical(source: str) -> tuple[XMLTree, str]:
                 raise XMLParseError("text content outside the root element")
             node = Node(TEXT_LABEL, text)
             node.node_id = len(nodes)
-            parent = node.parent = stack[-1]
+            parent = stack[-1]
+            node.parent_id = parent.node_id
             parent.children.append(node)
             node.depth = len(stack)
             nodes.append(node)

@@ -418,6 +418,58 @@ class TestStaleLayoutFallback:
             batch = BatchEvaluator([plan, plan]).run(doc.tree.root, layout=layout)
             assert [lane.stats for lane in batch.results] == [expected.stats] * 2
 
+    def test_refrozen_tree_refuses_the_index_of_its_old_freeze(self):
+        """Regression: an IndexedDocument keeps handing out the index of
+        the freeze it was built for, and OptHyPE / OptHyPE-C then pruned
+        the re-frozen structure on stale masks (``//e`` -> 0 answers
+        where HyPE finds 2).  An indexed run whose index and columns are
+        of different freezes raises; a fresh IndexedDocument serves all
+        three algorithms."""
+        from repro.errors import EvaluationError
+        from repro.hype.api import HYPE
+        from repro.xtree.build import document, element
+        from repro.xtree.node import Node, index_tree
+
+        tree = document(element("a", element("b"), element("c", element("d"))))
+        doc = IndexedDocument(tree)
+        artifact = QueryCompiler().compile(None, "//e")
+        stale = {
+            algorithm: CompiledPlan.for_algorithm(
+                artifact.mfa, algorithm, tree, doc
+            )
+            for algorithm in ALGORITHMS
+        }
+        for plan in stale.values():
+            assert not plan.run(tree.root, layout=doc.layout).answers
+
+        tree.root.append(Node("e"))
+        tree.root.children[1].append(Node("e"))
+        index_tree(tree.root, tree)
+
+        for layout in (doc.layout, None):
+            hype = stale[HYPE].run(tree.root, layout=layout)
+            assert len(hype.answers) == 2
+            for algorithm in ALGORITHMS:
+                if algorithm == HYPE:
+                    continue
+                plan = stale[algorithm]
+                with pytest.raises(EvaluationError, match="re-frozen"):
+                    plan.run(tree.root, layout=layout)
+                with pytest.raises(EvaluationError, match="re-frozen"):
+                    BatchEvaluator([plan]).run(tree.root, layout=layout)
+                with pytest.raises(EvaluationError, match="re-frozen"):
+                    # Two lanes on one index: the composed pass.
+                    BatchEvaluator([plan, plan]).run(tree.root, layout=layout)
+        fresh = IndexedDocument(tree)
+        plans = [
+            CompiledPlan.for_algorithm(artifact.mfa, algorithm, tree, fresh)
+            for algorithm in ALGORITHMS
+        ]
+        batch = BatchEvaluator(plans).run(tree.root, layout=fresh.layout)
+        for plan, lane in zip(plans, batch.results):
+            solo = plan.run(tree.root, layout=fresh.layout)
+            assert lane.answers == solo.answers == hype.answers
+
 
 class TestArtifactKernelField:
     def test_kernel_survives_the_codec(self):

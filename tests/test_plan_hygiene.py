@@ -1,10 +1,13 @@
-"""Collector hygiene of the plan-miss path (tier-1).
+"""Collector hygiene of the plan-miss and document-ingest paths (tier-1).
 
 A missed plan is built once and owned one way — cached plan → artifact
 → index-free executable → dense kernel, no back-pointers — so LRU
-eviction frees it by reference count.  The checks themselves live in
-``benchmarks/churn_hygiene.py`` (``make churn-smoke`` runs them outside
-pytest); here they are assertions.
+eviction frees it by reference count.  A document is owned one way too —
+store entry → tree → nodes → children, a node knowing its parent by id
+and its tree weakly — so an evicted, released document is freed the same
+way, whatever still holds one of its nodes.  The checks themselves live
+in ``benchmarks/churn_hygiene.py`` (``make churn-smoke`` runs them
+outside pytest); here they are assertions.
 """
 
 from __future__ import annotations
@@ -15,6 +18,13 @@ import weakref
 from pathlib import Path
 
 import pytest
+
+from repro.docstore import DocumentStore
+from repro.errors import EvaluationError
+from repro.hype.api import ALGORITHMS
+from repro.serve.cache import PlanCache
+from repro.workloads import HospitalConfig, generate_hospital_document
+from repro.xtree import Node, parse_xml, serialize, text_node
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "churn_hygiene.py"
 
@@ -83,3 +93,139 @@ def test_the_closure_computes_only_named_columns(hygiene):
     (97 when every (cfg, column) pair was computed)."""
     counts = hygiene.collections_and_calls(requests=64, capacity=16)
     assert counts["child_sets_calls_per_compile"] <= 40
+
+
+# ----------------------------------------------------------------------
+# The document side
+# ----------------------------------------------------------------------
+def _hospital_text(seed: int) -> str:
+    return serialize(
+        generate_hospital_document(HospitalConfig(num_patients=2, seed=seed))
+    )
+
+
+def _live_nodes() -> int:
+    return sum(type(o) is Node for o in gc.get_objects())
+
+
+def test_evicted_documents_leave_no_cyclic_garbage(hygiene):
+    """Twelve never-seen documents through a capacity-2 store behind
+    services that are dropped, under ``DEBUG_SAVEALL`` (one ``Node`` and
+    one ``list`` per element waited for the collector while ``parent``
+    was an object reference)."""
+    garbage = hygiene.document_garbage(documents=12, capacity=2)
+    assert garbage == [], hygiene._kinds(garbage)
+
+
+def test_an_evicted_document_dies_by_reference_count():
+    """With the collector OFF, the wrapper, tree, layout, both indexes,
+    the per-document executables and every node are gone the moment the
+    store evicts the entry and the caller lets go — after the document
+    was served by all three algorithms through a cached plan, so
+    ``CachedPlan._per_document`` and ``DocumentLayout._rows`` hold
+    (weak) entries for it."""
+    texts = [_hospital_text(seed) for seed in (11, 12, 13)]
+    store = DocumentStore(capacity=2)
+    cached = PlanCache(8).plan(None, "//patient")
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_nodes()
+        doc = store.get(texts[0])
+        results = [
+            cached.compiled(algorithm, doc.tree, doc).run(
+                doc.root, layout=doc.layout
+            )
+            for algorithm in ALGORITHMS
+        ]
+        assert all(result.answers for result in results)
+        per_document = [
+            plan for plan in cached.executables() if plan.index is not None
+        ]
+        assert len(per_document) == 2
+        assert doc.layout.rows_for(per_document[0])
+        refs = [
+            weakref.ref(held)
+            for held in (
+                doc,
+                doc.tree,
+                doc.layout,
+                doc.index_for(False),
+                doc.index_for(True),
+                *per_document,
+            )
+        ]
+        assert _live_nodes() == before + doc.size
+        del doc, results, per_document
+        assert all(ref() is not None for ref in refs)  # the store's entry
+        store.get(texts[1])
+        store.get(texts[2])  # capacity 2: the first document is evicted
+        assert [ref() for ref in refs] == [None] * len(refs)
+        kept = sum(store.get(text).size for text in texts[1:])  # hits
+        assert _live_nodes() == before + kept
+    finally:
+        gc.enable()
+
+
+def test_a_held_node_pins_its_subtree_not_its_document():
+    """An answer outlives its document: the subtree stays readable, the
+    way up raises the documented error, nothing else is kept."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_nodes()
+        tree = parse_xml("<a><b><c>x</c><c>y</c></b><d>z</d></a>")
+        held = tree.node(1)
+        assert held.parent is tree.root
+        assert [a.label for a in tree.node(3).iter_ancestors()] == ["c", "b", "a"]
+        tree_ref = weakref.ref(tree)
+        del tree
+        assert tree_ref() is None
+        assert _live_nodes() == before + 5  # b, c, x, c, y
+        assert [n.label for n in held.iter_subtree()][:2] == ["b", "c"]
+        assert [c.text() for c in held.children] == ["x", "y"]
+        with pytest.raises(EvaluationError, match="released"):
+            held.parent
+        with pytest.raises(EvaluationError, match="released"):
+            next(held.iter_ancestors())
+        del held
+        assert _live_nodes() == before
+    finally:
+        gc.enable()
+
+
+def test_a_very_deep_document_dies_by_reference_count():
+    """200 000 nested elements: freeing the chain by reference count
+    neither recurses through the interpreter stack nor waits for the
+    collector."""
+    depth = 200_000
+    tree = parse_xml("<a>" * depth + "</a>" * depth)
+    assert tree.size == depth
+    gc.collect()
+    gc.disable()
+    try:
+        ref = weakref.ref(tree)
+        del tree
+        assert ref() is None
+        assert _live_nodes() < depth
+    finally:
+        gc.enable()
+
+
+def test_a_text_node_is_a_leaf():
+    """Text nodes share one empty child tuple (no list a document can
+    never fill), so building under one is refused."""
+    leaf = text_node("x")
+    assert leaf.children == ()
+    assert leaf.children is text_node("y").children
+    with pytest.raises(EvaluationError):
+        leaf.append(Node("b"))
+    with pytest.raises(EvaluationError):
+        leaf.extend([Node("b")])
+
+
+def test_tracked_objects_per_document(hygiene):
+    """What each held document adds to every later collection's
+    traversal, per node (3.2 with a child list per text node)."""
+    tracked, nodes = hygiene.tracked_per_document(documents=4)
+    assert tracked / nodes <= 3.0
