@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from dataclasses import dataclass, field
 
 from ..automata.codec import CodecError, mfa_from_dict, mfa_to_dict
@@ -67,8 +68,12 @@ _GZIP_MAGIC = b"\x1f\x8b"
 PlanKey = tuple[str | None, str, int]
 
 
-class ArtifactError(ReproError):
-    """Raised when a serialised artifact cannot be decoded."""
+class ArtifactError(ReproError, ValueError):
+    """Raised when a serialised artifact cannot be decoded.
+
+    A :class:`ValueError` like every tier decoder's failure, so
+    :meth:`repro.tier.FileTier.read` counts it ``corrupt``.
+    """
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +201,7 @@ class PlanArtifact:
         if raw[:2] == _GZIP_MAGIC:
             try:
                 raw = gzip.decompress(raw)
-            except (OSError, EOFError) as error:
+            except (OSError, EOFError, zlib.error) as error:
                 raise ArtifactError(
                     f"artifact gzip stream is corrupt: {error}"
                 ) from error

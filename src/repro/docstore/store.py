@@ -27,34 +27,29 @@ content-addressed asset instead:
   tables as zero-copy views over the mapped file instead of re-walking
   the tree — and never touches a JSON decoder on the hot start path.
 
-Durability policy mirrors :class:`repro.compile.store.PlanStore`:
-atomic tmp-file + ``os.replace`` writes, corruption/version/shape
-mismatches are counted misses (the index is rebuilt and the file
-overwritten), and an unwritable disk degrades to memory-only operation
-— it never fails serving.  :meth:`DocIndexTier.gc` reclaims files the
-current version will never read (old-version filenames, foreign files
-under the tier's suffixes, stale headers).
-
-**Trust boundary.** Like the plan store, validation is structural, not
-cryptographic: point ``--doc-dir`` only at directories writable solely
-by principals as trusted as the service process itself.
+The ``--doc-dir`` tier is a :class:`repro.tier.FileTier` (atomic
+best-effort writes; corruption, version and shape mismatches are counted
+misses — the index or layout is rebuilt and the file overwritten; an
+unwritable disk degrades to memory-only operation, never fails serving;
+validation is structural, so point ``--doc-dir`` only at directories
+writable solely by principals as trusted as the process), and the store
+itself a :class:`repro.tier.SingleFlightLRU` — both disciplines are
+described once, in :mod:`repro.tier`.  :meth:`DocIndexTier.gc` reclaims
+files the current version will never read.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-import mmap
 import os
 import struct
 import sys
-import threading
+import zlib
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..faults import fire as _fault_fire
 from ..hype.index import (
     CompressedLabelIndex,
     Index,
@@ -62,6 +57,7 @@ from ..hype.index import (
     SubtreeLabelIndex,
 )
 from ..obs.counters import Counters
+from ..tier import FileTier, SingleFlightLRU
 from ..xtree.node import XMLTree
 from ..xtree.parse import parse_canonical
 from ..xtree.serialize import serialize
@@ -118,28 +114,10 @@ class DocStoreStats(Counters):
     evictions: int = 0
     gc_removed: int = 0
 
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
 
-    def count(self, *fields: str, n: int = 1) -> None:
-        with self._lock:
-            for name in fields:
-                setattr(self, name, getattr(self, name) + n)
-
-    def snapshot(self) -> "DocStoreStats":
-        with self._lock:
-            return super().snapshot()
-
-
-class DocIndexTier:
+class DocIndexTier(FileTier):
     """The on-disk index tier of one ``--doc-dir`` directory."""
 
-    def __init__(self, root: str | os.PathLike, stats: DocStoreStats) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = stats
-
-    # ------------------------------------------------------------------
     def path_for(self, content_hash: str, compressed: bool) -> Path:
         """The index file backing one ``(document, variant)`` pair.
 
@@ -171,57 +149,33 @@ class DocIndexTier:
         the bad file).  The index is stamped with ``tree``'s current
         freeze, like one built from it now.
         """
-        path = self.path_for(content_hash, compressed)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.stats.count("errors")
-            return None
-        fault = _fault_fire("doc-tier.load")
-        if fault is not None and fault.action == "corrupt":
-            # Deterministic bit-rot: decoding fails below and takes the
-            # tier's normal corruption path (counted rebuild + overwrite).
-            raw = raw[: len(raw) // 2]
-        try:
-            payload = json.loads(gzip.decompress(raw).decode("utf-8"))
-            index = _index_from_payload(payload, content_hash, compressed, tree)
-        except (OSError, EOFError, ValueError, KeyError, TypeError):
-            # EOFError: gzip's truncated-stream signal — a half-written
-            # or bit-rotted file must degrade to a counted rebuild, not
-            # fail serving.
-            self.stats.count("corrupt")
-            return None
-        self.stats.count("index_loads")
+        index = self.read(
+            self.path_for(content_hash, compressed),
+            "doc-tier.load",
+            lambda raw: _index_from_payload(
+                _index_payload(raw, content_hash, compressed), tree
+            ),
+        )
+        if index is not None:
+            self.stats.count("index_loads")
         return index
 
     def save(self, content_hash: str, compressed: bool, index: Index) -> bool:
-        """Persist ``index`` atomically (best effort; failures counted)."""
-        path = self.path_for(content_hash, compressed)
-        tmp = path.with_name(
-            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
-        )
+        """Persist ``index``; whether the write landed."""
         payload = _index_to_payload(index, content_hash, compressed)
-        try:
-            tmp.write_bytes(
-                gzip.compress(
-                    json.dumps(
-                        payload, sort_keys=True, separators=(",", ":")
-                    ).encode("utf-8"),
-                    mtime=0,
-                )
-            )
-            os.replace(tmp, path)
-        except OSError:
-            self.stats.count("errors")
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        self.stats.count("index_stores")
-        return True
+        landed = self.write(
+            self.path_for(content_hash, compressed),
+            gzip.compress(
+                json.dumps(
+                    payload, sort_keys=True, separators=(",", ":")
+                ).encode("utf-8"),
+                mtime=0,
+            ),
+            "doc-tier.save",
+        )
+        if landed:
+            self.stats.count("index_stores")
+        return landed
 
     # ------------------------------------------------------------------
     def load_layout(
@@ -235,100 +189,55 @@ class DocIndexTier:
         one header validation instead of a tree walk — and no JSON.
         The mapping stays alive exactly as long as the views into it.
         """
-        path = self.layout_path_for(content_hash)
-        try:
-            with open(path, "rb") as handle:
-                buf = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # ValueError: mmap of an empty (half-created) file.
-            self.stats.count("corrupt")
-            return None
-        try:
-            layout = _layout_from_buffer(buf, content_hash, tree)
-        except ValueError:
-            # No explicit close: views into the mapping may survive in
-            # the (suppressed) traceback; the GC reclaims both together.
-            self.stats.count("corrupt")
-            return None
-        self.stats.count("layout_loads")
+        layout = self.read(
+            self.layout_path_for(content_hash),
+            "doc-tier.load-layout",
+            lambda buf: _layout_from_buffer(buf, content_hash, tree),
+            mapped=True,
+        )
+        if layout is not None:
+            self.stats.count("layout_loads")
         return layout
 
     def save_layout(self, content_hash: str, layout: DocumentLayout) -> bool:
-        """Persist ``layout`` atomically (best effort; failures counted)."""
-        path = self.layout_path_for(content_hash)
-        tmp = path.with_name(
-            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
+        """Persist ``layout``; whether the write landed."""
+        landed = self.write(
+            self.layout_path_for(content_hash),
+            _layout_to_bytes(layout, content_hash),
+            "doc-tier.save-layout",
         )
-        try:
-            tmp.write_bytes(_layout_to_bytes(layout, content_hash))
-            os.replace(tmp, path)
-        except OSError:
-            self.stats.count("errors")
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        self.stats.count("layout_stores")
-        return True
+        if landed:
+            self.stats.count("layout_stores")
+        return landed
 
     # ------------------------------------------------------------------
     def gc(self) -> int:
         """Remove tier files the current format will never read.
 
-        Sweeps anything under the tier's suffixes that the running
-        version cannot serve: files whose name does not carry the
-        current ``.v{DOC_FORMAT_VERSION}`` tag (every pre-bump file),
-        and current-version layout sidecars whose header fails
-        validation (wrong magic/version/hash echo — e.g. a renamed or
-        half-corrupted file).  Unknown files are left alone.  Returns
-        the number removed (also counted in ``stats.gc_removed``).
+        Sweeps anything under the tier's suffixes that no :meth:`load` /
+        :meth:`load_layout` of the running version could serve: files
+        whose name does not carry the current ``.v{DOC_FORMAT_VERSION}``
+        tag (every pre-bump file), and current-version files that do not
+        decode or do not echo their own name (a renamed, truncated or
+        bit-rotted file) — every check a load makes except the ones that
+        need the live tree.  Unknown files are left alone.  Returns the
+        number removed (also counted in ``stats.gc_removed``).
         """
-        tag = f".v{DOC_FORMAT_VERSION}"
-        removed = 0
-        try:
-            entries = sorted(self.root.iterdir())
-        except OSError:
-            self.stats.count("errors")
-            return 0
-        for path in entries:
-            name = path.name
-            if name.endswith(DOC_INDEX_SUFFIX):
-                stale = not name.endswith(f"{tag}{DOC_INDEX_SUFFIX}")
-            elif name.endswith(DOC_LAYOUT_SUFFIX):
-                stale = not name.endswith(
-                    f"{tag}{DOC_LAYOUT_SUFFIX}"
-                ) or not self._layout_header_ok(path)
-            else:
-                continue
-            if not stale:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                self.stats.count("errors")
-                continue
-            removed += 1
-            self.stats.count("gc_removed")
-        return removed
 
-    def _layout_header_ok(self, path: Path) -> bool:
-        """Whether a current-version sidecar's header echoes its name."""
-        try:
-            with open(path, "rb") as handle:
-                head = handle.read(_LAYOUT_HEADER.size)
-        except OSError:
-            return False
-        if len(head) != _LAYOUT_HEADER.size:
-            return False
-        magic, version, hash_bytes = _LAYOUT_HEADER.unpack(head)[:3]
-        return (
-            magic == _LAYOUT_MAGIC
-            and version == DOC_FORMAT_VERSION
-            and hash_bytes == path.name.split(".", 1)[0].encode("ascii")
-        )
+        def keep(path: Path, raw: bytes) -> bool:
+            content_hash, variant = path.name.split(".")[:2]
+            if path.name.endswith(DOC_LAYOUT_SUFFIX):
+                if path != self.layout_path_for(content_hash):
+                    return False
+                _layout_header(memoryview(raw), content_hash)
+            else:
+                compressed = variant == "c"
+                if path != self.path_for(content_hash, compressed):
+                    return False
+                _index_payload(raw, content_hash, compressed)
+            return True
+
+        return self.sweep((DOC_INDEX_SUFFIX, DOC_LAYOUT_SUFFIX), keep)
 
     def __len__(self) -> int:
         """Number of index files currently in the tier."""
@@ -359,39 +268,53 @@ def _index_to_payload(
     return payload
 
 
-def _index_from_payload(
-    payload: dict, content_hash: str, compressed: bool, tree: XMLTree
-) -> Index:
-    """Decode and validate one index record (raises ``ValueError``)."""
-    expected_size = tree.size
+def _index_payload(raw: bytes, content_hash: str, compressed: bool) -> dict:
+    """Decode one index file and check everything that does not need the
+    tree: container, version / hash / variant echo, field types
+    (raises ``ValueError``)."""
+    try:
+        payload = json.loads(gzip.decompress(raw))
+    except (OSError, EOFError, zlib.error) as error:
+        # EOFError: gzip's truncated-stream signal — a half-written or
+        # bit-rotted file must degrade to a counted rebuild.
+        raise ValueError(f"document-index container: {error}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("document-index record must be an object")
     if payload.get("doc_format_version") != DOC_FORMAT_VERSION:
         raise ValueError("document-index format version mismatch")
     if payload.get("content_hash") != content_hash:
         raise ValueError("document-index content hash mismatch")
     if payload.get("compressed") is not compressed:
         raise ValueError("document-index variant mismatch")
-    labels = payload["bits"]
+    labels = payload.get("bits")
     if not isinstance(labels, list) or not all(
         isinstance(label, str) for label in labels
     ):
         raise ValueError("document-index bits must be a list of labels")
-    bits = LabelBits()
-    for label in labels:
-        bits.bit(label)
-    if len(bits.bit_of) != len(labels):
+    if len(set(labels)) != len(labels):
         raise ValueError("document-index bit labels must be unique")
-    if compressed:
-        table = _int_list(payload["mask_table"])
-        ids = _int_list(payload["ids"])
-        if len(ids) != expected_size:
+    for column in ("mask_table", "ids") if compressed else ("masks",):
+        _int_list(payload.get(column))
+    return payload
+
+
+def _index_from_payload(payload: dict, tree: XMLTree) -> Index:
+    """The index a checked record describes, if it covers ``tree``
+    (raises ``ValueError``)."""
+    bits = LabelBits()
+    for label in payload["bits"]:
+        bits.bit(label)
+    if payload["compressed"]:
+        table, ids = payload["mask_table"], payload["ids"]
+        if len(ids) != tree.size:
             raise ValueError("document-index id array does not cover the tree")
         if ids and not (0 <= min(ids) and max(ids) < len(table)):
             raise ValueError("document-index ids point outside the mask table")
         return CompressedLabelIndex.from_parts(
             bits, table, ids, tree.freeze_count
         )
-    masks = _int_list(payload["masks"])
-    if len(masks) != expected_size:
+    masks = payload["masks"]
+    if len(masks) != tree.size:
         raise ValueError("document-index mask array does not cover the tree")
     return SubtreeLabelIndex.from_parts(bits, masks, tree.freeze_count)
 
@@ -465,18 +388,10 @@ def _layout_to_bytes(layout: DocumentLayout, content_hash: str) -> bytes:
     return b"".join(parts)
 
 
-def _layout_from_buffer(
-    buf, content_hash: str, tree: XMLTree
-) -> DocumentLayout:
-    """Decode and validate one sidecar (raises ``ValueError``).
-
-    Validation is structural and O(1) in the document size: magic,
-    version and hash echo, the node count against the live tree, exact
-    file length for the declared counts, and the span-table endpoints.
-    The columns themselves are trusted — same boundary as the index
-    records (a ``--doc-dir`` is as trusted as the process).
-    """
-    view = memoryview(buf)
+def _layout_header(view: memoryview, content_hash: str) -> tuple:
+    """Validate one sidecar's header against its name and its own length
+    — everything that does not need the tree (raises ``ValueError``).
+    Returns ``(num_nodes, num_kids, labels, first column offset)``."""
     if len(view) < _LAYOUT_HEADER.size:
         raise ValueError("document-layout sidecar is truncated")
     (
@@ -494,8 +409,6 @@ def _layout_from_buffer(
         raise ValueError("document-layout format version mismatch")
     if hash_bytes != content_hash.encode("ascii"):
         raise ValueError("document-layout content hash mismatch")
-    if num_nodes != len(tree.nodes):
-        raise ValueError("document-layout node count does not cover the tree")
     offset = _LAYOUT_HEADER.size + blob_len + (-blob_len % 4)
     expected = offset + 4 * (num_nodes + 2 * num_kids + num_nodes + 1)
     if len(view) != expected:
@@ -504,6 +417,24 @@ def _layout_from_buffer(
     labels = blob.decode("utf-8").split("\x00") if blob else []
     if len(labels) != num_labels or len(set(labels)) != num_labels:
         raise ValueError("document-layout label table is malformed")
+    return num_nodes, num_kids, labels, offset
+
+
+def _layout_from_buffer(
+    buf, content_hash: str, tree: XMLTree
+) -> DocumentLayout:
+    """Decode and validate one sidecar (raises ``ValueError``).
+
+    Validation is structural and O(1) in the document size: the header
+    (:func:`_layout_header`), the node count against the live tree and
+    the span-table endpoints.  The columns themselves are trusted — same
+    boundary as the index records (a ``--doc-dir`` is as trusted as the
+    process).
+    """
+    view = memoryview(buf)
+    num_nodes, num_kids, labels, offset = _layout_header(view, content_hash)
+    if num_nodes != len(tree.nodes):
+        raise ValueError("document-layout node count does not cover the tree")
     node_label = _int32_column(view, offset, num_nodes)
     offset += 4 * num_nodes
     kid_ids = _int32_column(view, offset, num_kids)
@@ -521,11 +452,12 @@ def _layout_from_buffer(
 class DocumentStore:
     """A bounded, content-addressed cache of shared indexed documents.
 
-    Thread-safe.  Cold content is parsed (and its layout built) exactly
-    once behind a per-hash resolution gate — the same no-thundering-herd
-    discipline as :class:`repro.serve.cache.PlanCache` — and every
-    caller receives the same shared :class:`IndexedDocument`, so their
-    index builds converge too.
+    Thread-safe.  Cold content is parsed once per text and ingested
+    (layout built, tier consulted) once per content address — two
+    :class:`repro.tier.SingleFlightLRU` maps, the same discipline as
+    :class:`repro.serve.cache.PlanCache` — and every caller receives the
+    same shared :class:`IndexedDocument`, so their index builds converge
+    too.
     """
 
     def __init__(
@@ -533,23 +465,23 @@ class DocumentStore:
         capacity: int = 16,
         index_dir: str | os.PathLike | None = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"store capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = DocStoreStats()
+        self._docs = SingleFlightLRU(capacity, self.stats)
         self.tier = (
             DocIndexTier(index_dir, self.stats) if index_dir else None
         )
-        self._docs: OrderedDict[str, IndexedDocument] = OrderedDict()
         #: raw-text digest -> canonical digest.  Documents are ADDRESSED
         #: by the hash of their canonical serialisation (so a file with
         #: a trailing newline, odd whitespace, or entity variants shares
         #: one entry — and one persisted index — with its canonical
         #: form); raw digests are kept only as a fast path that lets a
-        #: repeated ``get`` of the same text skip the re-parse.
-        self._aliases: dict[str, str] = {}
-        self._lock = threading.Lock()
-        self._resolving: dict[str, threading.Lock] = {}
+        #: repeated ``get`` of the same text skip the re-parse.  Bounded
+        #: and uncounted: losing an alias costs a re-parse, never
+        #: correctness.
+        self._aliases = SingleFlightLRU(
+            max(64, 4 * capacity), DocStoreStats()
+        )
 
     # ------------------------------------------------------------------
     def get(self, content: str) -> IndexedDocument:
@@ -561,45 +493,24 @@ class DocumentStore:
         resolves to the same shared entry and the same ``--doc-dir``
         index files.
         """
-        raw_digest = content_digest(content)
-        while True:
-            with self._lock:
-                canonical = self._aliases.get(raw_digest)
-                if canonical is not None:
-                    doc = self._docs.get(canonical)
-                    if doc is not None:
-                        self._docs.move_to_end(canonical)
-                        self.stats.count("hits")
-                        return doc
-                gate = self._resolving.get(raw_digest)
-                if gate is None:
-                    gate = self._resolving[raw_digest] = threading.Lock()
-                    gate.acquire()
-                    break
-            with gate:
-                pass
-        try:
+        tree = None
+
+        def address() -> str:
+            nonlocal tree
             tree, canonical_text = parse_canonical(content)
-            canonical = content_digest(canonical_text)
-            with self._lock:
-                self._alias(raw_digest, canonical)
-                doc = self._docs.get(canonical)
-                if doc is not None:
-                    # Another textual variant already registered this
-                    # document: share its entry (the parse was the alias
-                    # table's warm-up cost, paid once per variant).
-                    self._docs.move_to_end(canonical)
-                    self.stats.count("hits")
-                    return doc
-            doc = IndexedDocument(
-                tree, canonical, stats=self.stats, tier=self.tier
-            )
-            self._insert(canonical, doc)
-            return doc
-        finally:
-            with self._lock:
-                self._resolving.pop(raw_digest, None)
-            gate.release()
+            return content_digest(canonical_text)
+
+        canonical = self._aliases.get(content_digest(content), address)
+        # A known text whose document was evicted is parsed again here;
+        # a text another variant already registered was parsed only to
+        # learn its address, and its tree is dropped.
+        return self._docs.get(
+            canonical,
+            lambda: self._ingest(
+                tree if tree is not None else parse_canonical(content)[0],
+                canonical,
+            ),
+        )
 
     def adopt(self, document: XMLTree | IndexedDocument) -> IndexedDocument:
         """Register an already-parsed tree under its content address.
@@ -615,12 +526,11 @@ class DocumentStore:
             tree, address = document.tree, document.content_hash
         else:
             tree, address = document, content_digest(serialize(document))
-        return self._get(
-            address,
-            lambda digest: IndexedDocument(
-                tree, digest, stats=self.stats, tier=self.tier
-            ),
-        )
+        return self._docs.get(address, lambda: self._ingest(tree, address))
+
+    def _ingest(self, tree: XMLTree, address: str) -> IndexedDocument:
+        self.stats.count("misses")
+        return IndexedDocument(tree, address, stats=self.stats, tier=self.tier)
 
     def resolve(
         self, content_hash: str, uses: int = 1
@@ -635,64 +545,17 @@ class DocumentStore:
         wave resolves once but counts every admitted request, so the
         hit counter stays comparable across serving paths.
         """
-        with self._lock:
-            doc = self._docs.get(content_hash)
-            if doc is None:
-                self.stats.count("misses")
-                return None
-            self._docs.move_to_end(content_hash)
-            self.stats.count("hits", n=uses)
-            return doc
-
-    # ------------------------------------------------------------------
-    def _get(self, digest: str, factory) -> IndexedDocument:
-        while True:
-            with self._lock:
-                doc = self._docs.get(digest)
-                if doc is not None:
-                    self._docs.move_to_end(digest)
-                    self.stats.count("hits")
-                    return doc
-                gate = self._resolving.get(digest)
-                if gate is None:
-                    gate = self._resolving[digest] = threading.Lock()
-                    gate.acquire()
-                    break
-            with gate:
-                pass
-        try:
-            doc = factory(digest)
-            self._insert(digest, doc)
-            return doc
-        finally:
-            with self._lock:
-                self._resolving.pop(digest, None)
-            gate.release()
-
-    def _insert(self, digest: str, doc: IndexedDocument) -> None:
-        with self._lock:
+        doc = self._docs.hit(content_hash, uses)
+        if doc is None:
             self.stats.count("misses")
-            self._docs[digest] = doc
-            while len(self._docs) > self.capacity:
-                self._docs.popitem(last=False)
-                self.stats.count("evictions")
-
-    def _alias(self, raw_digest: str, canonical: str) -> None:
-        """Record the raw→canonical mapping (bounded; callers hold the
-        lock).  The table is a pure fast path, so clearing it on
-        overflow costs only re-parses, never correctness."""
-        if len(self._aliases) >= max(64, 4 * self.capacity):
-            self._aliases.clear()
-        self._aliases[raw_digest] = canonical
+        return doc
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._docs)
+        return len(self._docs)
 
     def __contains__(self, content_hash: str) -> bool:
-        with self._lock:
-            return content_hash in self._docs
+        return self._docs.peek(content_hash) is not None
 
     def snapshot_stats(self) -> DocStoreStats:
         return self.stats.snapshot()

@@ -4,27 +4,38 @@ A :class:`FaultPlan` is a seeded, explicit schedule of faults to fire at
 named **injection points** — places the serving stack already passes
 through on every request, instrumented with one probe each:
 
-==================  ====================================================
-point               seam
-==================  ====================================================
-``plan-store.load``   :meth:`repro.compile.store.PlanStore.load` — I/O
-                      delay, artifact corruption
-``plan-store.save``   :meth:`repro.compile.store.PlanStore.save` — I/O
-                      delay, write failure (``drop``)
-``doc-tier.load``     :meth:`repro.docstore.store.DocIndexTier.load` —
-                      I/O delay, index corruption
-``worker.message``    every request line a frontend (so every fleet
-                      worker) dispatches
-                      (:meth:`repro.serve.frontend.QueryFrontend.reply_for`)
-                      — crash (``os._exit``) and hang
-``worker.connect``    :meth:`repro.serve.fleet.WorkerHandle.call` on the
-                      acceptor side — connection drop before send (the
-                      unacknowledged-retry path)
-``descend``           every descent entry: per-lane
-                      (:func:`repro.hype.kernel.descend`) and composed
-                      (:func:`repro.hype.compose.descend_composed`) —
-                      slow descent (exercises deadlines under load)
-==================  ====================================================
+==============================  ================================================
+point                           seam
+==============================  ================================================
+``plan-store.load``             :meth:`repro.compile.store.PlanStore.load` —
+                                I/O delay, artifact corruption
+``plan-store.save``             ``PlanStore.save`` — I/O delay, write failure
+                                (``drop``)
+``plan-store.load-composed``    ``PlanStore.load_composed`` — as ``load``
+``plan-store.save-composed``    ``PlanStore.save_composed`` — as ``save``
+``doc-tier.load``               :meth:`repro.docstore.store.DocIndexTier.load`
+                                — I/O delay, index corruption
+``doc-tier.save``               ``DocIndexTier.save`` — write failure
+``doc-tier.load-layout``        ``DocIndexTier.load_layout`` — as ``load``
+``doc-tier.save-layout``        ``DocIndexTier.save_layout`` — as ``save``
+``worker.message``              every request line a frontend (so every fleet
+                                worker) dispatches (:meth:`repro.serve.
+                                frontend.QueryFrontend.reply_for`) — crash
+                                (``os._exit``) and hang
+``worker.connect``              :meth:`repro.serve.fleet.WorkerHandle.call` on
+                                the acceptor side — connection drop before
+                                send (the unacknowledged-retry path)
+``descend``                     every descent entry: per-lane
+                                (:func:`repro.hype.kernel.descend`) and composed
+                                (:func:`repro.hype.compose.descend_composed`)
+                                — slow descent (exercises deadlines under load)
+==============================  ================================================
+
+The eight file points are one probe each in :class:`repro.tier.FileTier`
+— ``read`` fires its point once the bytes are in hand (never for a
+missing file) and ``write`` on every call; the point's name is an
+argument, so a file I/O site cannot be added without one
+(``tests/test_serve_structure.py`` holds file I/O to that module).
 
 Schedules are **deterministic**: a rule names the exact 1-based hit
 numbers it fires on (``hits=[2, 5]``), or a modulus (``every=3`` — every

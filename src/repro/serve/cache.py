@@ -6,9 +6,11 @@ since the compilation pipeline became a first-class subsystem
 (:mod:`repro.compile`), they are cached under collision-safe keys and can
 outlive the process:
 
-* **L1** — the bounded, thread-safe LRU of live :class:`CachedPlan`
-  values (one thread-safe :class:`repro.hype.core.CompiledPlan` per
-  algorithm, shared by every tenant, lane and pool worker);
+* **L1** — a :class:`repro.tier.SingleFlightLRU` of live
+  :class:`CachedPlan` values (one thread-safe
+  :class:`repro.hype.core.CompiledPlan` per algorithm, shared by every
+  tenant, lane and pool worker); a cold key is resolved once, outside
+  the map lock — the discipline is described in :mod:`repro.tier`;
 * **L2** — an optional :class:`repro.compile.store.PlanStore` directory
   of serialised :class:`repro.compile.artifact.PlanArtifact` records.
   An L1 miss consults the store and rehydrates before compiling, and
@@ -34,9 +36,8 @@ The cache is the single plan store for both the stand-alone
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterator, TypeVar
+from typing import Hashable, Iterator
 from weakref import WeakKeyDictionary
 
 from ..automata.mfa import MFA
@@ -45,7 +46,6 @@ from ..compile.pipeline import NormalizedQuery, QueryCompiler
 from ..compile.store import PlanStore
 from ..hype.api import HYPE
 from ..hype.compose import (
-    DEFAULT_CCFG_CAP,
     ComposedKernel,
     ComposedOverflow,
     composed_payload,
@@ -54,6 +54,7 @@ from ..hype.compose import (
 from ..hype.core import CompiledPlan
 from ..obs.counters import Counters
 from ..obs.trace import span
+from ..tier import SingleFlightLRU
 from ..views.spec import ViewSpec
 from ..xpath import ast
 from ..xpath.normalize import normal_form
@@ -61,13 +62,15 @@ from ..xpath.parser import parse_query
 from ..xpath.unparse import unparse
 from ..xtree.node import XMLTree
 
-V = TypeVar("V")
-
 #: Cache key: (view fingerprint or None for direct source queries,
 #: normalised query text, plan format version).
 CacheKey = PlanKey
 
 _NO_PLANS: dict = {}
+
+#: Composed kernels kept per :class:`ComposedCache` (each capped at
+#: :data:`repro.hype.compose.DEFAULT_CCFG_CAP` composed cfgs).
+COMPOSED_CAPACITY = 64
 
 
 def normalized_query_text(query: str | ast.Path) -> str:
@@ -110,12 +113,11 @@ class CachedPlan:
     back — so an evicted entry is freed by reference count.
 
     ``artifact`` is the serialisable record this plan came from (or was
-    written to) — ``None`` for values inserted through the generic
-    ``put``/``get_or_create`` API.
+    written to); its key is what composed kernels are keyed under.
     """
 
     mfa: MFA
-    artifact: PlanArtifact | None = None
+    artifact: PlanArtifact
     #: The HyPE executable, under its algorithm name: index-free, hence
     #: document-independent — ONE per plan serves every document.
     plans: dict[str, CompiledPlan] = field(default_factory=dict)
@@ -162,7 +164,7 @@ class CachedPlan:
         place, and its OptHyPE executables seed their pre-filter edge
         words from that plan's tables; a plan rehydrated from a store or
         a peer preloads every executable from the v3 kernel payload."""
-        closure = self.artifact.closure if self.artifact is not None else None
+        closure = self.artifact.closure
         if not isinstance(closure, CompiledPlan):
             return CompiledPlan.for_algorithm(
                 self.mfa, algorithm, document, indexes, kernel=closure
@@ -258,22 +260,15 @@ class ComposedCache:
     (a warm restart skips recomposition), and :meth:`persist` writes the
     hot tables back after a composed run grew them.  Index-equipped
     kernels embed per-document mask rows — cached, never persisted.
+    A cold shape is built (store probe, decode, preload) once and
+    outside the map lock (:class:`repro.tier.SingleFlightLRU`), so
+    ``stats`` / ``gauges`` and other shapes never queue behind it.
     """
 
-    def __init__(
-        self,
-        capacity: int = 64,
-        max_ccfgs: int = DEFAULT_CCFG_CAP,
-        store: PlanStore | None = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"composed capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.max_ccfgs = max_ccfgs
+    def __init__(self, store: PlanStore | None = None) -> None:
         self.store = store
-        self._entries: OrderedDict[tuple, _ComposedEntry] = OrderedDict()
-        self._lock = threading.Lock()
         self._stats = ComposedStats()
+        self._lru = SingleFlightLRU(COMPOSED_CAPACITY, self._stats)
 
     # ------------------------------------------------------------------
     def kernel_for(
@@ -290,39 +285,31 @@ class ComposedCache:
         :class:`ComposedOverflow` itself; overflow happens mid-descent
         and is handled by :meth:`repro.serve.batch.BatchEvaluator.run`.
         """
-        key = (algorithm, doc_key, tuple(member_keys))
         member_ids = tuple(id(plan) for plan in members)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.member_ids == member_ids:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return entry.kernel
-            kernel = ComposedKernel(members, max_ccfgs=self.max_ccfgs)
-            self._stats.builds += 1
-            persisted_shape = None
-            if self.store is not None and not kernel.indexed:
-                payload = self.store.load_composed(algorithm, member_keys)
-                if payload is not None:
-                    try:
-                        installed = preload_composed(kernel, payload)
-                    except ComposedOverflow:
-                        # The payload outgrew this cap: recompose fresh.
-                        kernel = ComposedKernel(members, max_ccfgs=self.max_ccfgs)
-                        installed = 0
-                    if installed:
-                        self._stats.rehydrated += 1
-                        persisted_shape = (
-                            len(payload["ccfgs"]),
-                            len(payload["trans"]),
-                        )
-            self._entries[key] = _ComposedEntry(
-                kernel, member_ids, persisted_shape
-            )
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
-            return kernel
+        return self._lru.get(
+            (algorithm, doc_key, tuple(member_keys)),
+            lambda: self._build(members, member_ids, member_keys, algorithm),
+            fresh=lambda entry: entry.member_ids == member_ids,
+        ).kernel
+
+    def _build(self, members, member_ids, member_keys, algorithm):
+        kernel = ComposedKernel(members)
+        self._stats.count("builds")
+        entry = _ComposedEntry(kernel, member_ids)
+        if self.store is None or kernel.indexed:
+            return entry
+        payload = self.store.load_composed(algorithm, member_keys)
+        if payload is None:
+            return entry
+        try:
+            installed = preload_composed(kernel, payload)
+        except ComposedOverflow:
+            # The payload outgrew the cap: recompose fresh.
+            return _ComposedEntry(ComposedKernel(members), member_ids)
+        if installed:
+            self._stats.count("rehydrated")
+            entry.persisted_shape = (len(kernel.ccfg_tuples), len(kernel.trans))
+        return entry
 
     def persist(
         self,
@@ -332,76 +319,56 @@ class ComposedCache:
     ) -> bool:
         """Write the cached kernel's tables back if they grew.
 
-        Idempotent per table shape: a warm restart whose preloaded
+        Idempotent per table shape — read off the kernel, so an unchanged
+        kernel is never re-encoded: a warm restart whose preloaded
         closure already covers the traffic never rewrites the blob —
         the compose-smoke asserts exactly that (zero recompositions).
         """
         if self.store is None:
             return False
-        key = (algorithm, doc_key, tuple(member_keys))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.kernel.indexed:
-                return False
-            kernel = entry.kernel
-            persisted_shape = entry.persisted_shape
-        payload = composed_payload(kernel)
-        shape = (len(payload["ccfgs"]), len(payload["trans"]))
-        if persisted_shape == shape:
+        entry = self._lru.peek((algorithm, doc_key, tuple(member_keys)))
+        if entry is None or entry.kernel.indexed:
             return False
+        kernel = entry.kernel
+        shape = (len(kernel.ccfg_tuples), len(kernel.trans))
+        if entry.persisted_shape == shape:
+            return False
+        payload = composed_payload(kernel)
         if not self.store.save_composed(algorithm, member_keys, payload):
             return False
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.kernel is kernel:
-                entry.persisted_shape = shape
-            self._stats.persisted += 1
+        # A concurrent wave may have grown the kernel past ``shape``
+        # before the payload was taken: the next persist writes again.
+        entry.persisted_shape = shape
+        self._stats.count("persisted")
         return True
 
     # ------------------------------------------------------------------
     def gauges(self) -> dict:
         """Point-in-time composed-tier gauges (kernel/ccfg occupancy)."""
-        with self._lock:
-            kernels = len(self._entries)
-            ccfgs = sum(
-                entry.kernel.interned_ccfgs
-                for entry in self._entries.values()
-            )
-            preloaded = sum(
-                entry.kernel.preloaded for entry in self._entries.values()
-            )
+        kernels = [entry.kernel for _key, entry in self._lru.items()]
         return {
-            "kernels": kernels,
-            "interned_ccfgs": ccfgs,
-            "preloaded_trans": preloaded,
+            "kernels": len(kernels),
+            "interned_ccfgs": sum(k.interned_ccfgs for k in kernels),
+            "preloaded_trans": sum(k.preloaded for k in kernels),
         }
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
     @property
     def stats(self) -> ComposedStats:
-        with self._lock:
-            return self._stats.snapshot()
+        return self._stats.snapshot()
 
 
 class PlanCache:
     """A bounded LRU of compiled plans over an optional disk tier.
 
-    The L1 map takes one internal lock, so the cache is safe to share
-    between serving threads.  :meth:`plan` — the high-level entry every
-    engine/service lookup goes through — resolves a cold key (store
-    probe, compilation, write-back) *outside* that lock under a per-key
-    resolution gate: a key is still loaded/compiled at most once (no
-    thundering herd), but L1 hits for other keys never queue behind one
-    key's disk I/O or rewrite.  The generic ``get``/``put``/
-    ``get_or_create`` API of the L1 tier remains for callers managing
-    their own values (its factory runs inside the lock, as before).
+    :meth:`plan` — the entry every engine/service lookup goes through —
+    is one :meth:`repro.tier.SingleFlightLRU.get`: an L1 hit is a single
+    lock acquisition, and a cold key's store probe and compilation run
+    once, outside the map lock, so L1 hits for other keys never queue
+    behind one key's disk I/O or rewrite.  ``get`` / ``keys`` / ``in``
+    are introspection.
     """
 
     def __init__(
@@ -409,27 +376,15 @@ class PlanCache:
         capacity: int = 256,
         store: PlanStore | None = None,
         compiler: QueryCompiler | None = None,
-        composed_capacity: int = 64,
-        composed_max_ccfgs: int = DEFAULT_CCFG_CAP,
     ) -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
         self.store = store
         self.compiler = compiler if compiler is not None else QueryCompiler()
-        self._entries: OrderedDict[Hashable, object] = OrderedDict()
-        self._lock = threading.Lock()
         self._stats = CacheStats()
-        #: key -> gate lock held by the thread currently resolving it.
-        self._resolving: dict[Hashable, threading.Lock] = {}
+        self._lru = SingleFlightLRU(capacity, self._stats)
         #: The composed-plan tier (wave composition, PR 9) — shares the
         #: disk store so warm restarts rehydrate composed tables too.
-        self.composed = ComposedCache(
-            composed_capacity, composed_max_ccfgs, store=store
-        )
+        self.composed = ComposedCache(store)
 
-    # ------------------------------------------------------------------
-    # The compilation-aware two-tier lookup
     # ------------------------------------------------------------------
     def plan(
         self, spec: ViewSpec | None, query: str | ast.Path | NormalizedQuery
@@ -445,32 +400,21 @@ class PlanCache:
         with span("plan") as plan_span:
             normalized = self.compiler.normalize(query)
             key = self.compiler.plan_key(spec, normalized)
-            while True:
-                with self._lock:
-                    entry = self._entries.get(key)
-                    if entry is not None:
-                        self._entries.move_to_end(key)
-                        self._stats.hits += 1
-                        if plan_span is not None:
-                            plan_span.set(tier="l1")
-                        return entry  # type: ignore[return-value]
-                    gate = self._resolving.get(key)
-                    if gate is None:
-                        # We own this key's resolution; the gate is released
-                        # (and removed) once the entry is published.
-                        gate = self._resolving[key] = threading.Lock()
-                        gate.acquire()
-                        break
-                # Someone else is resolving this key: wait for their gate,
-                # then re-check L1 (or take over if they failed).
-                with gate:
-                    pass
-            try:
-                plan, tier = self._resolve(key, spec, normalized)
-            finally:
-                with self._lock:
-                    self._resolving.pop(key, None)
-                gate.release()
+            tier = "l1"
+
+            def resolve() -> CachedPlan:
+                nonlocal tier
+                artifact = None if self.store is None else self.store.load(key)
+                if artifact is None:
+                    tier = "compile"
+                    artifact = self.compiler.compile(spec, normalized)
+                    self._stats.count("misses")
+                else:
+                    tier = "l2"
+                    self._stats.count("l2_hits")
+                return CachedPlan(artifact.mfa, artifact)
+
+            plan = self._lru.get(key, resolve)
             if plan_span is not None:
                 plan_span.set(tier=tier)
             # Write-back after publication AND after the gate: the save
@@ -480,74 +424,13 @@ class PlanCache:
                 self.store.save(key, plan.artifact)
             return plan
 
-    def _resolve(
-        self, key: Hashable, spec: ViewSpec | None, normalized: NormalizedQuery
-    ) -> tuple[CachedPlan, str]:
-        """Store probe + compile for one cold key (gated); returns the
-        published plan and the tier that produced it."""
-        if self.store is not None:
-            artifact = self.store.load(key)
-            if artifact is not None:
-                plan = CachedPlan(artifact.mfa, artifact=artifact)
-                with self._lock:
-                    self._stats.l2_hits += 1
-                    self._store(key, plan)
-                return plan, "l2"
-        fresh: PlanArtifact = self.compiler.compile(spec, normalized)
-        plan = CachedPlan(fresh.mfa, artifact=fresh)
-        with self._lock:
-            self._stats.misses += 1
-            self._store(key, plan)
-        return plan, "compile"
-
     # ------------------------------------------------------------------
-    # Generic L1 operations
-    # ------------------------------------------------------------------
-    def get(self, key: Hashable) -> object | None:
+    def get(self, key: Hashable) -> CachedPlan | None:
         """Return the cached plan (refreshing recency) or ``None``."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._stats.hits += 1
-            return entry
-
-    def put(self, key: Hashable, value: V) -> V:
-        """Insert ``value``, evicting the least recently used on overflow."""
-        with self._lock:
-            self._store(key, value)
-        return value
-
-    def get_or_create(
-        self, key: Hashable, factory: Callable[[], V]
-    ) -> tuple[V, bool]:
-        """Return ``(plan, created)``; compile via ``factory`` on a miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return entry, False  # type: ignore[return-value]
-            self._stats.misses += 1
-            value = factory()
-            self._store(key, value)
-            return value, True
-
-    def _store(self, key: Hashable, value: object) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = value
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self._stats.evictions += 1
-
-    # ------------------------------------------------------------------
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it existed."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
+        plan = self._lru.hit(key)
+        if plan is None:
+            self._stats.count("misses")
+        return plan
 
     def invalidate_view(self, view: str | None) -> int:
         """Drop every L1 plan keyed under fingerprint ``view``.
@@ -558,36 +441,23 @@ class PlanCache:
         left in place — they stay valid for any holder still using that
         specification.
         """
-        with self._lock:
-            doomed = [
-                key
-                for key in self._entries
-                if isinstance(key, tuple) and key and key[0] == view
-            ]
-            for key in doomed:
-                del self._entries[key]
-            return len(doomed)
+        return self._lru.drop(lambda key: key[0] == view)
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        self._lru.drop(lambda key: True)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._lru)
 
     def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
+        return self._lru.peek(key) is not None
 
     def keys(self) -> Iterator[Hashable]:
         """Snapshot of keys, least recently used first."""
-        with self._lock:
-            return iter(list(self._entries))
+        return iter([key for key, _plan in self._lru.items()])
 
     @property
     def stats(self) -> CacheStats:
         """A point-in-time copy of the counters."""
-        with self._lock:
-            return self._stats.snapshot()
+        return self._stats.snapshot()

@@ -776,21 +776,13 @@ class QueryService:
             if lane is None:
                 lane = lane_of[id(compiled)] = len(lanes)
                 lanes.append(compiled)
-                artifact = grant.plan.artifact
-                if artifact is None:
-                    # Plans inserted through the generic put API carry no
-                    # fingerprint to key a composed kernel under.
-                    lane_meta.append(None)
-                else:
-                    view = grant.binding.view
-                    view_fp = (
-                        None
-                        if view is None
-                        else self._views[view].fingerprint()
-                    )
-                    lane_meta.append(
-                        (grant.algorithm, view_fp, artifact.cache_key())
-                    )
+                view = grant.binding.view
+                view_fp = (
+                    None if view is None else self._views[view].fingerprint()
+                )
+                lane_meta.append(
+                    (grant.algorithm, view_fp, grant.plan.artifact.cache_key())
+                )
             request_lane.append(lane)
         groups, composer, group_width = self._compose_groups(
             lanes, lane_meta, doc
@@ -869,8 +861,6 @@ class QueryService:
             return [], None, {}
         by_family: dict = {}
         for lane, meta in enumerate(lane_meta):
-            if meta is None:
-                continue
             by_family.setdefault((meta[0], meta[1]), []).append(lane)
         groups: list[tuple[int, ...]] = []
         group_width: dict[int, int] = {}

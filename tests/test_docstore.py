@@ -25,7 +25,6 @@ from repro.docstore import (
     TEXT_ID,
     content_digest,
 )
-from repro.errors import XMLParseError
 from repro.hype.api import ALGORITHMS
 from repro.hype.index import build_index
 from repro.serve.service import QueryService
@@ -135,16 +134,6 @@ class TestDocumentStore:
         assert len(store) == 1
         assert store.stats.evictions == 1
 
-    def test_failed_get_releases_the_gate_and_adds_no_alias(self):
-        store = DocumentStore()
-        good = store.get("<a><b/></a>")
-        for _ in range(2):  # a held gate would hang the second attempt
-            with pytest.raises(XMLParseError, match="mismatched"):
-                store.get("<a><b></a>")
-        assert store._resolving == {}
-        assert store._aliases == {content_digest("<a><b/></a>"): good.content_hash}
-        assert len(store) == 1 and store.get("<a><b/></a>") is good
-
     def test_deep_document_ingests(self):
         """Regression: the recursive serialiser died on the way to the
         content address (RecursionError) although nothing else recursed."""
@@ -163,23 +152,6 @@ class TestDocumentStore:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             DocumentStore(capacity=0)
-
-    def test_concurrent_cold_content_parses_once(self, hospital_xml):
-        store = DocumentStore()
-        docs = []
-        barrier = threading.Barrier(8)
-
-        def resolve():
-            barrier.wait()
-            docs.append(store.get(hospital_xml))
-
-        threads = [threading.Thread(target=resolve) for _ in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len({id(doc) for doc in docs}) == 1
-        assert store.stats.misses == 1
 
 
 class TestIngestWalks:

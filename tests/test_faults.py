@@ -139,6 +139,125 @@ class TestDocTierSeam:
         assert again.stats.index_loads == 1  # hit 2: clean load
 
 
+class TestSeamsNamedByTheTier:
+    """The five file I/O sites that had no fault point before every read
+    and write went through :class:`repro.tier.FileTier` (whose seam name
+    is an argument): corrupt on load is a counted rebuild, drop on save a
+    counted error, answers identical either way."""
+
+    XML = serialize(
+        generate_hospital_document(HospitalConfig(num_patients=3, seed=1))
+    )
+    QUERY = "//patient[.//diagnosis/text() = 'heart disease']"
+
+    def answers(self, store: DocumentStore) -> list:
+        from repro.serve.service import QueryService
+
+        with QueryService(store.get(self.XML), document_store=store) as service:
+            service.register_tenant("admin", None)
+            return [
+                service.submit("admin", self.QUERY, algorithm).ids()
+                for algorithm in ("hype", "opthype", "opthype-c")
+            ]
+
+    def test_doc_tier_save_and_save_layout_drops_are_counted_errors(
+        self, tmp_path
+    ):
+        reference = self.answers(DocumentStore())
+        schedule = plan(
+            FaultRule("doc-tier.save", "drop", hits=(1,)),
+            FaultRule("doc-tier.save-layout", "drop", hits=(1,)),
+        )
+        cold = DocumentStore(index_dir=tmp_path / "docs")
+        assert self.answers(cold) == reference
+        assert schedule.fired_counts() == {
+            "doc-tier.save": 1,
+            "doc-tier.save-layout": 1,
+        }
+        stats = cold.stats
+        assert (stats.errors, stats.corrupt) == (2, 0)
+        assert (stats.layout_stores, stats.index_stores) == (0, 1)
+        assert len(list((tmp_path / "docs").iterdir())) == 1  # no temporaries
+        # What did not land is rebuilt (and stored) by the next process.
+        warm = DocumentStore(index_dir=tmp_path / "docs")
+        assert self.answers(warm) == reference
+        stats = warm.stats
+        assert (stats.index_loads, stats.index_builds) == (1, 1)
+        assert (stats.layout_stores, stats.index_stores) == (1, 1)
+
+    def test_doc_tier_load_layout_corruption_degrades_to_rebuild(self, tmp_path):
+        cold = DocumentStore(index_dir=tmp_path / "docs")
+        reference = self.answers(cold)
+        schedule = plan(FaultRule("doc-tier.load-layout", "corrupt", hits=(1,)))
+        warm = DocumentStore(index_dir=tmp_path / "docs")
+        assert self.answers(warm) == reference
+        assert schedule.fired_counts() == {"doc-tier.load-layout": 1}
+        stats = warm.stats
+        assert (stats.corrupt, stats.errors) == (1, 0)
+        assert (stats.layout_loads, stats.layout_stores) == (0, 1)
+        again = DocumentStore(index_dir=tmp_path / "docs")
+        assert self.answers(again) == reference
+        assert again.stats.layout_loads == 1  # hit 2: clean load
+
+    def composed_wave(self, directory) -> tuple[list, dict]:
+        from repro.serve.service import QueryRequest, QueryService
+        from repro.views.samples import sigma0
+        from repro.workloads import VIEW_QUERIES
+
+        with QueryService(
+            DocumentStore().get(self.XML),
+            plan_store=PlanStore(directory),
+            compose=True,
+        ) as service:
+            service.register_view("research", sigma0())
+            service.register_tenant("institute", "research")
+            wave = [
+                QueryRequest("institute", query)
+                for query in sorted(VIEW_QUERIES.values())[:4]
+            ]
+            answers, _stats = service.submit_many(wave)
+            return (
+                [answer.ids() for answer in answers],
+                service.metrics_snapshot().as_dict(),
+            )
+
+    def test_composed_save_drop_then_load_corruption(self, tmp_path):
+        schedule = plan(
+            FaultRule("plan-store.save-composed", "drop", hits=(1,)),
+            FaultRule("plan-store.load-composed", "corrupt", hits=(1,)),
+        )
+        # Boot 1: the write-back is dropped — a counted error, nothing on
+        # disk (so boot 2's probe is a plain miss: the load seam fires
+        # only once bytes are in hand).
+        reference, snap = self.composed_wave(tmp_path)
+        assert snap["plan_store"]["errors"] == 1
+        assert snap["plan_store"]["composed_stores"] == 0
+        assert snap["composed"]["persisted"] == 0
+        assert list(tmp_path.glob("*.composed.json*")) == []
+        # Boot 2: recomposes, and this time the write lands.
+        answers, snap = self.composed_wave(tmp_path)
+        assert answers == reference
+        assert snap["plan_store"]["composed_misses"] == 1
+        assert snap["plan_store"]["composed_stores"] == 1
+        assert schedule.hits("plan-store.load-composed") == 0
+        # Boot 3: the stored payload rots in flight — a counted corrupt
+        # miss, a recomposition, an overwrite.
+        answers, snap = self.composed_wave(tmp_path)
+        assert answers == reference
+        assert snap["plan_store"]["corrupt"] == 1
+        assert snap["composed_rehydrated"] == 0
+        assert snap["plan_store"]["composed_stores"] == 1
+        # Boot 4: clean.
+        answers, snap = self.composed_wave(tmp_path)
+        assert answers == reference
+        assert snap["composed_rehydrated"] == 1
+        assert snap["plan_store"]["corrupt"] == 0
+        assert schedule.fired_counts() == {
+            "plan-store.save-composed": 1,
+            "plan-store.load-composed": 1,
+        }
+
+
 class TestDescendSeam:
     def test_slow_descent_fires_per_schedule(self):
         tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))

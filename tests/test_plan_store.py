@@ -398,50 +398,6 @@ class TestMangledComposedPayload:
         assert snap["composed_rehydrated"] == 1
 
 
-class TestResolutionGate:
-    def test_cold_key_race_compiles_once_and_serves_all(
-        self, tmp_path, sigma0_spec
-    ):
-        """Threads racing one cold key: exactly one pipeline run, every
-        thread gets the published plan, and the L1 lock is never held
-        across the resolution (other keys stay servable meanwhile)."""
-        import threading
-
-        cache = PlanCache(store=PlanStore(tmp_path / "plans"))
-        barrier = threading.Barrier(6)
-        plans, errors = [], []
-
-        def worker():
-            try:
-                barrier.wait(timeout=10)
-                plans.append(cache.plan(sigma0_spec, "patient/record"))
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not errors
-        assert len({id(plan) for plan in plans}) == 1  # one published plan
-        stats = cache.stats
-        assert stats.misses == 1 and stats.hits == 5
-        assert cache.compiler.metrics.snapshot().rewrites == 1
-        assert len(cache._resolving) == 0  # no leaked gates
-
-    def test_failed_resolution_releases_the_gate(self, sigma0_spec):
-        """A compile error must not wedge the key: the next caller takes
-        over (and a valid query on the same cache still works)."""
-        from repro.errors import ReproError
-
-        cache = PlanCache()
-        with pytest.raises(ReproError):
-            cache.plan(None, "]][[")  # parse failure inside plan()
-        assert len(cache._resolving) == 0
-        assert cache.plan(sigma0_spec, "patient") is not None
-
-
 class TestArtifactCompression:
     def test_artifacts_are_gzip_on_disk_but_plain_json_decodes(self, store):
         """v2 artifacts are gzip-compressed; an uncompressed JSON payload

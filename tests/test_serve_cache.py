@@ -52,82 +52,51 @@ class TestPlanKey:
 
 
 class TestPlanCache:
-    def test_get_put_and_counters(self):
+    """``PlanCache`` as an owner: its key scheme and counters.  The LRU
+    and gate behaviour it is built on is pinned in ``tests/test_tier.py``
+    (directly, and through this class as one of three owners)."""
+
+    def test_get_is_a_counted_lookup(self):
         cache = PlanCache(capacity=4)
-        key = ("v", "q")
+        key = plan_key(None, "a/b")
         assert cache.get(key) is None
-        cache.put(key, "plan")
-        assert cache.get(key) == "plan"
+        plan = cache.plan(None, "a/b")
+        assert cache.get(key) is plan
         stats = cache.stats
-        assert (stats.hits, stats.misses, stats.evictions) == (1, 1, 0)
+        assert (stats.hits, stats.misses, stats.evictions) == (1, 2, 0)
         assert stats.l1_hits == 1 and stats.l2_hits == 0
-        assert stats.lookups == 2
-        assert stats.hit_rate == pytest.approx(0.5)
+        assert stats.lookups == 3
+        assert stats.hit_rate == pytest.approx(1 / 3)
 
-    def test_get_or_create_reports_creation(self):
-        cache = PlanCache(capacity=4)
-        calls = []
-        value, created = cache.get_or_create("k", lambda: calls.append(1) or "x")
-        assert (value, created) == ("x", True)
-        value, created = cache.get_or_create("k", lambda: calls.append(1) or "y")
-        assert (value, created) == ("x", False)
-        assert len(calls) == 1
-
-    def test_lru_eviction_order(self):
+    def test_keys_are_least_recently_used_first(self):
         cache = PlanCache(capacity=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh 'a'; 'b' is now LRU
-        cache.put("c", 3)
-        assert "b" not in cache
-        assert "a" in cache and "c" in cache
+        for query in ("a", "b"):
+            cache.plan(None, query)
+        cache.plan(None, "a")  # refresh 'a'; 'b' is now LRU
+        cache.plan(None, "c")
+        assert plan_key(None, "b") not in cache
+        assert list(cache.keys()) == [plan_key(None, "a"), plan_key(None, "c")]
         assert cache.stats.evictions == 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             PlanCache(capacity=0)
 
-    def test_invalidate_view_drops_only_that_view(self):
+    def test_invalidate_view_drops_only_that_view(self, sigma0_spec):
         cache = PlanCache(capacity=8)
-        cache.put(("v1", "q1"), 1)
-        cache.put(("v1", "q2"), 2)
-        cache.put(("v2", "q1"), 3)
-        cache.put((None, "q1"), 4)
-        assert cache.invalidate_view("v1") == 2
-        assert len(cache) == 2
-        assert ("v2", "q1") in cache and (None, "q1") in cache
+        cache.plan(sigma0_spec, "patient")
+        cache.plan(sigma0_spec, "patient/record")
+        cache.plan(None, "patient")
+        assert cache.invalidate_view("no-such-fingerprint") == 0
+        assert cache.invalidate_view(sigma0_spec.fingerprint()) == 2
+        assert list(cache.keys()) == [plan_key(None, "patient")]
+        assert cache.stats.evictions == 0  # released, not evicted
 
-    def test_invalidate_and_clear(self):
+    def test_clear(self):
         cache = PlanCache(capacity=8)
-        cache.put("k", 1)
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        cache.put("k", 1)
+        cache.plan(None, "k")
         cache.clear()
         assert len(cache) == 0
-
-    def test_thread_safety_smoke(self):
-        cache = PlanCache(capacity=16)
-        errors = []
-
-        def worker(offset: int) -> None:
-            try:
-                for i in range(200):
-                    key = ("v", (offset + i) % 32)
-                    cache.get_or_create(key, lambda key=key: key)
-                    cache.get(key)
-            except Exception as error:  # pragma: no cover - failure path
-                errors.append(error)
-
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(cache) <= 16
-        stats = cache.stats
-        assert stats.lookups == 4 * 200 * 2
 
 
 class TestFingerprintKeys:
@@ -230,12 +199,12 @@ class TestFingerprintKeys:
     def test_eviction_accounting_under_capacity_pressure(self):
         cache = PlanCache(capacity=2)
         for i in range(6):
-            cache.put(("v", f"q{i}"), i)
+            cache.plan(None, f"q{i}")
         stats = cache.stats
         assert len(cache) == 2
         assert stats.evictions == 4
         # Only the two most recent keys survive.
-        assert ("v", "q4") in cache and ("v", "q5") in cache
+        assert plan_key(None, "q4") in cache and plan_key(None, "q5") in cache
 
     def test_engine_answers_stay_correct_across_evictions(
         self, hospital_doc, sigma0_spec
@@ -351,7 +320,7 @@ class TestExecutableLifetime:
 
 class TestResolutionGate:
     """The per-key gate covers probe + compile + publication, not the
-    write-back."""
+    write-back.  (The gate itself: ``tests/test_tier.py``.)"""
 
     class SlowStore:
         def __init__(self, fail: bool = False) -> None:
@@ -408,14 +377,78 @@ class TestResolutionGate:
         assert not owner.is_alive()
         assert results["waiter"] is results["owner"]
         assert len(store.saved) == 1
-        assert cache.stats.misses == 1 and not cache._resolving
+        assert cache.stats.misses == 1
 
     def test_a_failing_save_leaves_the_key_resolvable(self):
         store = self.SlowStore(fail=True)
         cache = PlanCache(4, store=store)
         with pytest.raises(RuntimeError):
             cache.plan(None, "a[b]/c")
-        assert not cache._resolving
         plan = cache.plan(None, "a[b]/c")  # published before the save
         assert plan.artifact is not None
         assert cache.stats.misses == 1 and cache.stats.hits == 1
+
+
+class TestComposedCache:
+    """What is ``ComposedCache``'s own on top of the shared LRU: the
+    member-identity staleness test and the idempotent write-back."""
+
+    KEYS = ((None, "q0", 3), (None, "q1", 3))
+
+    @staticmethod
+    def members():
+        from repro.hype.api import to_mfa
+        from repro.hype.core import CompiledPlan
+
+        return [CompiledPlan(to_mfa(query)) for query in ("//a", "//a/b")]
+
+    def test_recompiled_members_rebuild_the_kernel(self):
+        """A plan the plan LRU evicted and recompiled is a new object
+        under the same key: its kernel must not be served stale."""
+        from repro.hype.api import HYPE
+        from repro.serve.cache import ComposedCache
+
+        cache = ComposedCache()
+        first, recompiled = self.members(), self.members()
+        kernel = cache.kernel_for(first, self.KEYS, HYPE)
+        assert cache.kernel_for(first, self.KEYS, HYPE) is kernel
+        rebuilt = cache.kernel_for(recompiled, self.KEYS, HYPE)
+        assert rebuilt is not kernel and rebuilt.plans == recompiled
+        assert cache.kernel_for(recompiled, self.KEYS, HYPE) is rebuilt
+        stats = cache.stats
+        assert (stats.builds, stats.hits, stats.evictions) == (2, 2, 0)
+        assert len(cache) == 1 and cache.gauges()["kernels"] == 1
+
+    def test_an_unchanged_kernel_is_never_re_encoded(
+        self, tmp_path, hospital_doc, sigma0_spec, monkeypatch
+    ):
+        """Regression: every composed wave over a ``--plan-dir`` used to
+        re-encode every member's cfgs just to compare two lengths."""
+        import repro.serve.cache as module
+        from repro.compile import PlanStore
+        from repro.serve.service import QueryRequest, QueryService
+        from repro.workloads import VIEW_QUERIES
+
+        encodes = []
+        real = module.composed_payload
+        monkeypatch.setattr(
+            module,
+            "composed_payload",
+            lambda kernel: encodes.append(kernel) or real(kernel),
+        )
+        wave = [
+            QueryRequest("institute", query)
+            for query in sorted(VIEW_QUERIES.values())[:4]
+        ]
+        for boot in range(2):  # cold, then rehydrated from the store
+            with QueryService(
+                hospital_doc, plan_store=PlanStore(tmp_path), compose=True
+            ) as service:
+                service.register_view("research", sigma0_spec)
+                service.register_tenant("institute", "research")
+                for _ in range(4):
+                    service.submit_many(wave)
+                snap = service.metrics_snapshot().as_dict()
+            assert snap["composed_fallbacks"] == 0
+            assert snap["composed"]["persisted"] == (1 if boot == 0 else 0)
+        assert len(encodes) == 1

@@ -205,3 +205,143 @@ def test_no_snapshot_copies_fields_positionally():
                 if len(own_fields) >= 3:
                     offenders.append(f"{path.name}:{call.lineno}")
     assert offenders == []
+
+
+# ----------------------------------------------------------------------
+# A tier is written once (PR 20)
+# ----------------------------------------------------------------------
+LIBRARY = sorted(SRC.rglob("*.py"))
+TIER = "tier.py"
+
+#: Modules that open files the tier does not own, by relative path: the
+#: CLI reads and writes *user-named* files, the access log appends to one.
+FILE_IO_EXEMPT = {"cli.py", "obs/log.py"}
+
+#: Attribute calls that read, write or map a file.
+FILE_IO_ATTRIBUTES = {
+    "read_bytes",
+    "read_text",
+    "write_bytes",
+    "write_text",
+    "replace",
+    "rename",
+    "mmap",
+}
+
+
+def relative(path: Path) -> str:
+    return path.relative_to(SRC).as_posix()
+
+
+def is_file_io(call: ast.Call) -> bool:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id == "open"
+    if not isinstance(func, ast.Attribute) or func.attr not in FILE_IO_ATTRIBUTES:
+        return False
+    if func.attr in ("replace", "rename", "mmap"):
+        # os.replace / os.rename / mmap.mmap — not str.replace.
+        return isinstance(func.value, ast.Name) and func.value.id in ("os", "mmap")
+    return True
+
+
+def is_lock_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Lock")
+
+
+def test_file_io_happens_in_the_tier_module_only():
+    """ROADMAP's seam-coverage test: a read or write site outside
+    ``repro.tier`` (whose every read and write names its fault seam)
+    fails here."""
+    sites = {
+        relative(path)
+        for path in LIBRARY
+        for call in calls(parse(path))
+        if is_file_io(call)
+    }
+    assert sites - FILE_IO_EXEMPT == {TIER}
+    assert FILE_IO_EXEMPT <= sites  # the exemptions are still needed
+
+
+def test_every_tier_read_and_write_names_a_registered_seam():
+    """``FileTier.read`` / ``write`` are called with a literal seam name
+    and every such name is in the ``repro.faults`` table."""
+    import repro.faults
+
+    named = set()
+    for path in LIBRARY:
+        for call in calls(parse(path)):
+            func = call.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in ("read", "write")
+                and ast.unparse(func.value) in ("self", "self._tier")
+                and len(call.args) >= 2
+            ):
+                seam = call.args[1] if func.attr == "read" else call.args[2]
+                assert isinstance(seam, ast.Constant), relative(path)
+                named.add(seam.value)
+    assert named == {
+        "plan-store.load",
+        "plan-store.save",
+        "plan-store.load-composed",
+        "plan-store.save-composed",
+        "doc-tier.load",
+        "doc-tier.save",
+        "doc-tier.load-layout",
+        "doc-tier.save-layout",
+    }
+    assert all(f"``{seam}``" in repro.faults.__doc__ for seam in named)
+
+
+def test_one_copy_of_each_tier_discipline():
+    """Exactly one ``os.replace``, one temporary-file name, one per-key
+    gate and one evicting ``popitem`` under ``src/repro`` — all in the
+    tier module."""
+    replaces, temporaries, evictions, gates = [], [], [], []
+    for path in LIBRARY:
+        tree = parse(path)
+        where = relative(path)
+        for call in calls(tree):
+            func = call.func
+            if not isinstance(func, ast.Attribute):
+                continue
+            if is_file_io(call) and func.attr == "replace":
+                replaces.append(where)
+            if func.attr == "popitem":
+                evictions.append(where)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and any(
+                isinstance(part, ast.Constant) and ".tmp." in part.value
+                for part in node.values
+            ):
+                temporaries.append(where)
+            if (
+                isinstance(node, ast.Assign)
+                and is_lock_call(node.value)
+                and any(isinstance(target, ast.Subscript) for target in node.targets)
+            ):
+                gates.append(where)
+    assert replaces == [TIER]
+    assert temporaries == [TIER]
+    assert evictions == [TIER]
+    assert gates == [TIER]
+
+
+def test_the_replaced_copies_are_gone():
+    from repro.compile.store import PlanStore
+    from repro.docstore.store import DocStoreStats, DocumentStore
+    from repro.serve.cache import ComposedCache, PlanCache
+
+    for owner, names in (
+        (PlanCache, ("put", "get_or_create", "invalidate", "_store", "_resolve")),
+        (PlanStore, ("_count",)),
+        (DocumentStore, ("_get", "_insert", "_alias")),
+    ):
+        assert [name for name in names if hasattr(owner, name)] == []
+    assert "count" not in vars(DocStoreStats)  # the one in Counters serves
+    assert "__post_init__" not in vars(DocStoreStats)  # no private lock
+    for owner in (PlanCache, ComposedCache):
+        parameters = inspect.signature(owner).parameters
+        assert not [name for name in parameters if "composed" in name or "ccfg" in name]
+    assert "capacity" not in inspect.signature(ComposedCache).parameters

@@ -8,8 +8,8 @@ move the number.  Stdlib :mod:`tokenize` only.
     python tools/loc.py [ROOT]          # default ROOT: src/repro
 
 Prints one row per package (top-level modules under ``(root)``), the
-``serve/ + cli.py`` subtotal PR budgets quote, and the total; compare
-two checkouts by running it in each.
+``serve/ + cli.py`` and ``tiers`` subtotals PR budgets quote, and the
+total; compare two checkouts by running it in each.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ _LAYOUT = {
     tokenize.ENDMARKER,
 }
 _INVISIBLE = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+
+#: The cache / persistence tiers: the two disciplines and their owners.
+_TIERS = ("tier.py", "compile/store.py", "docstore/store.py", "serve/cache.py")
 
 
 def code_lines(path: Path) -> int:
@@ -63,6 +66,7 @@ def main(argv: list[str]) -> int:
         print(f"{package:<{width}}  {count:>6}")
     serving = per_package.get("serve", 0) + per_file.get("cli.py", 0)
     print(f"{'serve+cli.py':<{width}}  {serving:>6}")
+    print(f"{'tiers':<{width}}  {sum(per_file.get(f, 0) for f in _TIERS):>6}")
     print(f"{'total':<{width}}  {sum(per_package.values()):>6}")
     return 0
 
