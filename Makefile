@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test loc bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke compose-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test loc bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke compose-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -55,6 +55,16 @@ bench-e2e:
 WORKLOAD ?= descent_hot
 bench-e2e-trace:
 	python3 benchmarks/e2e/run.py --workload $(WORKLOAD) --trace 1
+
+# A performance claim's measuring protocol: alternating parent/change
+# pairs of one workload, per-side medians and quartiles, wins per metric
+# against the parent's own spread; fails on any run that is not correct.
+#   make bench-e2e-pairs PARENT=/path/to/parent-checkout WORKLOAD=request_overhead [PAIRS=10] [SEED=n]
+# CI runs it once against itself with PAIRS=1 PAIRS_FLAGS=--smoke.
+PAIRS ?= 10
+bench-e2e-pairs:
+	python3 tools/e2e_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+	    --pairs $(PAIRS) $(if $(SEED),--seed $(SEED)) $(PAIRS_FLAGS)
 
 # Front-end smoke: the protocol tests boot the asyncio NDJSON server on
 # an ephemeral port and check the reply stream through the client helper

@@ -27,8 +27,6 @@ from ..hype.core import HyPEStats
 from ..serve.cache import CachedPlan, CacheStats, PlanCache
 from ..views.spec import ViewSpec
 from ..xpath import ast
-from ..xpath.parser import parse_query
-from ..xpath.unparse import unparse
 from ..xtree.node import Node, XMLTree
 
 
@@ -127,23 +125,21 @@ class SMOQE:
         The rewriting is cached, so repeated queries over the same view pay
         only evaluation time.
         """
-        query_ast = parse_query(query) if isinstance(query, str) else query
-        plan = self._rewritten(view, query_ast)
+        plan, text = self._rewritten(view, query)
         nodes, stats, algo = self._run(plan, algorithm)
-        return QueryAnswer(
-            nodes, plan.mfa, stats, algo, view=view, query_text=unparse(query_ast)
-        )
+        return QueryAnswer(nodes, plan.mfa, stats, algo, view=view, query_text=text)
 
     def rewrite(self, view: str, query: str | ast.Path) -> MFA:
         """Expose the rewritten MFA (for inspection or external evaluation)."""
-        query_ast = parse_query(query) if isinstance(query, str) else query
-        return self._rewritten(view, query_ast).mfa
+        return self._rewritten(view, query)[0].mfa
 
-    def _rewritten(self, view: str, query_ast: ast.Path) -> CachedPlan:
+    def _rewritten(
+        self, view: str, query: str | ast.Path
+    ) -> tuple[CachedPlan, str]:
         entry = self._views.get(view)
         if entry is None:
             raise ViewError(f"unknown view {view!r}")
-        return self.cache.plan(entry.spec, query_ast)
+        return self.cache.lookup(entry.spec, query)
 
     # ------------------------------------------------------------------
     # Stand-alone regular XPath engine
@@ -152,12 +148,9 @@ class SMOQE:
         self, query: str | ast.Path, algorithm: str | None = None
     ) -> QueryAnswer:
         """Evaluate a (regular) XPath query directly on the source."""
-        query_ast = parse_query(query) if isinstance(query, str) else query
-        plan = self.cache.plan(None, query_ast)
+        plan, text = self.cache.lookup(None, query)
         nodes, stats, algo = self._run(plan, algorithm)
-        return QueryAnswer(
-            nodes, plan.mfa, stats, algo, query_text=unparse(query_ast)
-        )
+        return QueryAnswer(nodes, plan.mfa, stats, algo, query_text=text)
 
     # ------------------------------------------------------------------
     def _run(self, plan: CachedPlan, algorithm: str | None):

@@ -449,7 +449,7 @@ def descend_composed(
         cl.parents_append(-1)
         cl.mstates_append(mstates)
         if packed & FINAL_BIT:
-            cl.finals_append(context)
+            cl.finals_append(vidx[i])
     node = context
     rows = layout.rows_for(ck)
     blank = array("i", [UNFILLED]) * layout.num_labels
@@ -564,7 +564,7 @@ def descend_composed(
             pa(vidx[i])
             ma(mstates)
             if fa is not None:
-                fa(child)
+                fa(vidx2[i])
         visited += 1
         if ki2 == kend2:
             # Childless: no child can report a truth, so the pop is the

@@ -14,14 +14,18 @@ per ``(tree node, NFA state)`` pair of the run, ε-edges kept stepwise, and
 vertices *deleted* when their filter gate turns out false at pop time; a
 final traversal from the initial vertex separates real answers from
 candidates.  We store the same DAG **node-major**: the visit list (node,
-parent visit index, interned ``mstates`` set) plus the rare *death records*
-(gate-failed states per node).  Phase 2 then recomputes the *alive* state
-set per node top-down — ``alive(n)`` is the ε-closure (avoiding dead
-states) of the transitions from ``alive(parent)`` — which is exactly
-vertex reachability in the paper's DAG.  Because state sets are interned,
-subtrees unaffected by any death re-use the phase-1 sets by identity, and
-when no gate failed at all, phase 2 degenerates to reading off the finals
-seen in phase 1.
+parent visit index, interned ``mstates`` set), the visit indices of the
+*candidates* (visits whose ``mstates`` hold a final state) plus the rare
+*death records* (gate-failed states per node).  ``alive(n)`` — the
+ε-closure (avoiding dead states) of the transitions from
+``alive(parent)`` — is exactly vertex reachability in the paper's DAG,
+and phase 2 computes it only where an answer can come from: for each
+candidate it climbs to the nearest ancestor whose alive set it already
+knows (or to the root) and recomputes the chain back down, so the
+traversal is restricted to the vertices that can reach a final one.
+Because state sets are interned, chains unaffected by any death re-use
+the phase-1 sets by identity, and when no gate failed at all, phase 2
+degenerates to reading off the candidates.
 
 OptHyPE/OptHyPE-C plug in a subtree-label index plus the viability oracle
 (:mod:`repro.hype.analyze`) to skip subtrees even when states are live but
@@ -129,9 +133,8 @@ class CompiledPlan:
         self._pop_cache: dict = {}
         # (m_id, r_id, finals bitmask) -> frozenset of dead states
         self._dead_cache: dict = {}
-        # Phase-2 caches.
-        self._step_cache: dict = {}
-        self._avoid_cache: dict = {}
+        # Phase 2: (alive(parent), label, phase-1 set, dead) -> alive set.
+        self._alive_cache: dict = {}
         #: The dense evaluation core: interned run configurations, packed
         #: transition words, the per-cfg pop tables, and the single
         #: shared descent (:func:`repro.hype.kernel.descend`).  Owned
@@ -204,9 +207,9 @@ class CompiledPlan:
     def initial_sets(self, context: Node):
         """Root ``(mstates, m_id, relevant, r_id)`` after index filtering.
 
-        Shared by :meth:`run` and the batched evaluator
-        (:mod:`repro.serve.batch`), which drives many plans through one
-        document pass and needs each lane's root sets up front.
+        The slow path of :meth:`repro.hype.kernel.DenseKernel.root_cfg`,
+        which derives it once per root mask key (once per plan when
+        there is no index) and memoises the resulting cfg.
         """
         nfa = self.mfa.nfa
         pool = self.mfa.pool
@@ -224,12 +227,54 @@ class CompiledPlan:
     def collect_answers(
         self, visit_nodes, visit_parents, visit_mstates, deaths, finals_seen
     ) -> set[Node]:
-        """Phase 2 over an externally-built cans DAG (cursor/batch reuse)."""
+        """Phase 2 over an externally-built cans DAG (cursor/batch reuse).
+
+        ``finals_seen`` holds the visit indices of the *candidates* — the
+        visits whose phase-1 ``mstates`` contain a final state.  A vertex
+        alive in phase 2 was present in phase 1, so every answer is one
+        of them, and the traversal is restricted to the vertices that can
+        reach one: per candidate, climb ``visit_parents`` to the nearest
+        ancestor whose alive set this call already knows (or to the
+        root), come back down filling the chain, and test ``alive &
+        finals`` at the candidate.  With no death recorded no chain is
+        built at all: the candidates are the answers.
+        """
         if not deaths:
-            return set(finals_seen)
-        return self._phase2(
-            visit_nodes, visit_parents, visit_mstates, deaths, self.mfa.nfa.finals
-        )
+            return {visit_nodes[i] for i in finals_seen}
+        finals = self.mfa.nfa.finals
+        alive_cache = self._alive_cache
+        alive: dict[int, frozenset] = {}
+        answers: set[Node] = set()
+        for candidate in finals_seen:
+            chain = []
+            i = candidate
+            while i != -1 and i not in alive:
+                chain.append(i)
+                i = visit_parents[i]
+            while chain:
+                parent = i
+                i = chain.pop()
+                phase1 = visit_mstates[i]
+                dead = deaths.get(i)
+                # ``None`` above the root — which no phase-1 set is, so
+                # the root never takes the identity path below.
+                parent_alive = None if parent == -1 else alive[parent]
+                if dead is None and parent_alive is visit_mstates[parent]:
+                    # No divergence above or here: phase-1 set is exact.
+                    current = phase1
+                else:
+                    # Every component is canonical (interned sets, the
+                    # dead-cache's records), so the key is stable across
+                    # runs of this plan.
+                    label = visit_nodes[i].label
+                    key = (parent_alive, label, phase1, dead)
+                    current = alive_cache.get(key)
+                    if current is None:
+                        current = alive_cache[key] = self._alive(*key)
+                alive[i] = current
+            if alive[candidate] & finals:
+                answers.add(visit_nodes[candidate])
+        return answers
 
     # ------------------------------------------------------------------
     def run(self, context: Node, layout=None, deadline=None) -> HyPEResult:
@@ -436,52 +481,26 @@ class CompiledPlan:
         return frozenset(dead)
 
     # ------------------------------------------------------------------
-    # Phase 2: alive-state propagation over the visit list
+    # Phase 2: the ε-closure step of :meth:`collect_answers`
     # ------------------------------------------------------------------
-    def _phase2(self, nodes, parents, mstates_list, deaths, finals) -> set[Node]:
+    def _alive(self, parent_alive, label, phase1, dead) -> frozenset:
+        """``alive(n)``: the transitions from ``alive(parent)`` on
+        ``label`` (the start state at the root, ``parent_alive=None``),
+        ε-closed within the node's phase-1 set avoiding its dead states."""
         nfa = self.mfa.nfa
-        answers: set[Node] = set()
-        alive: list[frozenset] = [None] * len(nodes)  # type: ignore[list-item]
-        step_cache = self._step_cache
-        for i, node in enumerate(nodes):
-            parent = parents[i]
-            phase1 = mstates_list[i]
-            dead = deaths.get(i)
-            if parent == -1:
-                current = frozenset({nfa.start}) & phase1
-                current = self._closure_avoiding(current, dead, phase1)
-            else:
-                parent_alive = alive[parent]
-                if dead is None and parent_alive is mstates_list[parent]:
-                    # No divergence above or here: phase-1 set is exact.
-                    current = phase1
-                else:
-                    # parent_alive is always interned, so the frozenset key
-                    # is canonical and stable across runs of this plan.
-                    key = (parent_alive, node.label)
-                    base = step_cache.get(key)
-                    if base is None:
-                        base = frozenset(
-                            t
-                            for s in parent_alive
-                            for t in nfa.step_targets(s, node.label)
-                        )
-                        step_cache[key] = base
-                    current = self._closure_avoiding(base & phase1, dead, phase1)
-            alive[i] = current
-            if current & finals:
-                answers.add(node)
-        return answers
+        if parent_alive is None:
+            base = {nfa.start}
+        else:
+            base = {t for s in parent_alive for t in nfa.step_targets(s, label)}
+        return self._closure_avoiding(base & phase1, dead, phase1)
 
     def _closure_avoiding(self, base, dead, universe) -> frozenset:
-        """Stepwise ε-closure within ``universe``, skipping dead states."""
+        """Stepwise ε-closure within ``universe``, skipping dead states
+        (interned, and ``universe`` itself when nothing was lost — the
+        identity :meth:`collect_answers`' fast path tests)."""
         nfa = self.mfa.nfa
         if dead is None and base == universe:
             return universe
-        cache_key = (base, dead, universe)
-        cached = self._avoid_cache.get(cache_key)
-        if cached is not None:
-            return cached
         result: set[int] = set()
         stack = [s for s in base if (dead is None or s not in dead)]
         while stack:
@@ -495,21 +514,18 @@ class CompiledPlan:
                         stack.append(target)
         frozen = frozenset(result)
         if frozen == universe:
-            interned = universe
-        else:
-            interned, _ = self._intern(frozen)
-        self._avoid_cache[cache_key] = interned
-        return interned
+            return universe
+        return self._intern(frozen)[0]
 
 
 class RunCursor:
     """Per-run traversal state of ONE evaluation of one plan.
 
     A cursor carries exactly what one depth-first pass accumulates: the
-    node-major cans DAG (visit lists), the death records, the finals seen
-    in phase 1, and the counters.  Cursors are cheap to build, private to
-    their run, and never synchronised — all sharing happens through the
-    plan's memo tables.  Both the sequential :meth:`CompiledPlan.run` and
+    node-major cans DAG (visit lists), the death records, the candidates
+    (visit indices with a final state in phase 1), and the counters.
+    Cursors are cheap to build, private to their run, and never
+    synchronised — all sharing happens through the plan's memo tables.  Both the sequential :meth:`CompiledPlan.run` and
     the lanes of :class:`repro.serve.batch.BatchEvaluator` record through
     this class, so a batched lane is *observationally identical* to a
     sequential run.
@@ -535,7 +551,8 @@ class RunCursor:
         self.visit_parents: list[int] = []
         self.visit_mstates: list[frozenset] = []
         self.deaths: dict[int, frozenset] = {}
-        self.finals_seen: list[Node] = []
+        #: Visit indices whose phase-1 ``mstates`` hold a final state.
+        self.finals_seen: list[int] = []
         self.visited = 0
         self.skipped = 0
         self.cans_vertices = 0

@@ -138,6 +138,7 @@ class DenseKernel:
         "cfg_r",
         "cfg_has_ann",
         "cfg_packed",
+        "roots",
         "pops",
         "trans",
         "edge_ids",
@@ -177,6 +178,9 @@ class DenseKernel:
         self.cfg_r: list[int] = []
         self.cfg_has_ann: list[bool] = []
         self.cfg_packed: list[int] = []
+        # Root mask key (``None`` in an index-free plan, whose root is a
+        # constant) -> the cfg a run enters its context with.
+        self.roots: dict = {}
         # cfg -> pop table ``(preds, outcomes)``: ``preds`` pairs a bit
         # with the bound ``holds`` of each node-dependent predicate of
         # the cfg's relevant set; ``outcomes`` maps the predicate bits
@@ -258,11 +262,20 @@ class DenseKernel:
     # Transition resolution (slow path; results land in the tables)
     # ------------------------------------------------------------------
     def root_cfg(self, plan, context) -> int:
-        """The cfg the run enters ``context`` with (DEAD when pruned)."""
-        mstates0, m_id0, relevant0, r_id0 = plan.initial_sets(context)
-        if not mstates0 and not relevant0:
-            return DEAD
-        return self.cfg_of(mstates0, m_id0, relevant0, r_id0, ())
+        """The cfg the run enters ``context`` with (DEAD when pruned):
+        a constant of an index-free plan, a function of the context's
+        mask key in an indexed one — derived once per key."""
+        index = plan.index
+        key = None if index is None else index.mask_key(context.node_id)
+        cfg = self.roots.get(key)
+        if cfg is None:
+            mstates0, m_id0, relevant0, r_id0 = plan.initial_sets(context)
+            if not mstates0 and not relevant0:
+                cfg = DEAD
+            else:
+                cfg = self.cfg_of(mstates0, m_id0, relevant0, r_id0, ())
+            self.roots[key] = cfg
+        return cfg
 
     def lookup_trans(self, plan, cfg: int, label: str) -> int:
         """``(cfg, label)``'s packed (or edge) word, computing on miss.
@@ -780,7 +793,7 @@ def _descend_lane(
     parents_append(-1)
     mstates_append(cfg_mstates[cfg])
     if packed & FINAL_BIT:
-        finals_append(node)
+        finals_append(0)
     pflag = packed & POP_BIT
     row = rows.get(cfg)
     if row is None:
@@ -854,7 +867,7 @@ def _descend_lane(
         parents_append(vidx)
         mstates_append(cfg_mstates[cfg2])
         if packed & FINAL_BIT:
-            finals_append(child)
+            finals_append(nvis)
         if ki2 == kend2:
             # Childless: no child can report a truth, so the pop is the
             # table probe, applied to the node still in hand.

@@ -9,7 +9,8 @@ independent clients never coalesce on their own.  The
 * the first arrival of a wave becomes its leader and holds the wave open
   for at most :attr:`AdmissionConfig.max_wait` seconds or until
   :attr:`AdmissionConfig.max_wave` requests have joined, whichever is
-  first;
+  first — a wave already full on the leader's arrival leaves at once,
+  only a partial wave holds the window;
 * the leader then dispatches the whole wave through
   :meth:`QueryService.submit_wave` in a worker thread
   (``run_in_executor``), so the event loop keeps accepting arrivals —
@@ -153,11 +154,22 @@ class AdmissionController:
 
     # ------------------------------------------------------------------
     async def _lead_wave(self) -> None:
-        """First arrival's duty: hold the wave open, then dispatch it."""
+        """First arrival's duty: hold the wave open, then dispatch it.
+
+        A wave that is full on the leader's arrival (``max_wave == 1``,
+        or a re-led overflow of a whole wave) has nothing to wait for
+        and leaves at once — no event, no timer, no loop turn; only a
+        partial wave holds the window.  Either way the dispatch runs in
+        a housekeeping task, never in the leader itself: cancelling the
+        leader (a caller timeout on submit, a dropped connection) must
+        not strand the other waiters — whether the cancel lands in the
+        window or during the evaluation that follows.
+        """
+        if len(self._pending) >= self.config.max_wave:
+            self._spawn(self._dispatch(self._take_wave()))
+            return
         self._collecting = True
         self._wave_full = asyncio.Event()
-        if len(self._pending) >= self.config.max_wave:
-            self._wave_full.set()
         try:
             await asyncio.wait_for(
                 self._wave_full.wait(), timeout=self.config.max_wait
@@ -165,11 +177,6 @@ class AdmissionController:
         except asyncio.TimeoutError:
             pass
         finally:
-            # Dispatch from a housekeeping task, never from the leader
-            # itself: cancelling the leader (a caller timeout on submit,
-            # a dropped connection) must not strand the other waiters —
-            # whether the cancel lands in the window above or during the
-            # evaluation that would follow.
             wave = self._take_wave()
             if wave:
                 self._spawn(self._dispatch(wave))

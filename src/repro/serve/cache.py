@@ -28,6 +28,12 @@ The flip side is deliberate too: two registrations of *identical* specs
 (same content, different objects or names) share one plan and its warm
 memo tables.
 
+Queries arrive as text, and a warm server sees the same texts over and
+over: :class:`PlanCache` keeps a bounded raw-text alias table in front
+of L1 (``(view fingerprint, text as posed)`` → key + display text), so
+only a text's first sight is parsed and normalised — a hit does no
+compile-stage work at all.
+
 The cache is the single plan store for both the stand-alone
 :class:`repro.engine.smoqe.SMOQE` engine and the multi-tenant
 :class:`repro.serve.service.QueryService`.
@@ -363,12 +369,24 @@ class ComposedCache:
 class PlanCache:
     """A bounded LRU of compiled plans over an optional disk tier.
 
-    :meth:`plan` — the entry every engine/service lookup goes through —
-    is one :meth:`repro.tier.SingleFlightLRU.get`: an L1 hit is a single
-    lock acquisition, and a cold key's store probe and compilation run
-    once, outside the map lock, so L1 hits for other keys never queue
+    :meth:`lookup` — the entry every engine/service lookup goes through
+    (:meth:`plan` is the same minus the display text) — resolves a key
+    with one :meth:`repro.tier.SingleFlightLRU.get`: an L1 hit is a
+    single lock acquisition, and a cold key's store probe and compilation
+    run once, outside the map lock, so L1 hits for other keys never queue
     behind one key's disk I/O or rewrite.  ``get`` / ``keys`` / ``in``
     are introspection.
+
+    A query handed over as *text* is first looked up in a raw-text alias
+    table — ``(view fingerprint, text as posed) → (plan key, display
+    text)``, the sibling of :class:`repro.docstore.store.DocumentStore`'s
+    raw-content aliases — so a text seen before reaches its plan with no
+    parse and no normalisation: a warm hit is one alias probe plus one
+    L1 hit.  The table is bounded at the plan capacity, holds keys and
+    never plans (an evicted plan still dies by reference count), and is
+    written only after a lookup succeeded: a rejected text is rejected
+    afresh every time, and an alias whose plan was evicted just falls
+    through to the full path below it.
     """
 
     def __init__(
@@ -381,6 +399,9 @@ class PlanCache:
         self.compiler = compiler if compiler is not None else QueryCompiler()
         self._stats = CacheStats()
         self._lru = SingleFlightLRU(capacity, self._stats)
+        #: Raw-text aliases (see the class docstring).  Uncounted: losing
+        #: one costs a re-parse, never correctness.
+        self._aliases = SingleFlightLRU(capacity, CacheStats())
         #: The composed-plan tier (wave composition, PR 9) — shares the
         #: disk store so warm restarts rehydrate composed tables too.
         self.composed = ComposedCache(store)
@@ -389,15 +410,39 @@ class PlanCache:
     def plan(
         self, spec: ViewSpec | None, query: str | ast.Path | NormalizedQuery
     ) -> CachedPlan:
-        """Fetch or build the plan for ``query`` over ``spec``.
+        """Fetch or build the plan for ``query`` over ``spec``
+        (:meth:`lookup` without the display text)."""
+        return self.lookup(spec, query)[0]
 
-        Lookup order: L1 (live plans) → L2 (artifact store, when
-        configured) → the compilation pipeline.  Rehydrated and freshly
-        compiled plans are promoted into L1; fresh compilations are also
-        written back to the store, so every process sharing the
-        directory — and every future restart — starts warm.
+    def lookup(
+        self, spec: ViewSpec | None, query: str | ast.Path | NormalizedQuery
+    ) -> tuple[CachedPlan, str]:
+        """Fetch or build the plan for ``query`` over ``spec``; returns
+        it with the query's display text (the unparse of the query *as
+        posed*, not of its normal form).
+
+        Lookup order: raw-text alias (texts only) → L1 (live plans) → L2
+        (artifact store, when configured) → the compilation pipeline.
+        Rehydrated and freshly compiled plans are promoted into L1; fresh
+        compilations are also written back to the store, so every process
+        sharing the directory — and every future restart — starts warm.
+        Only a text's first sight (or its first after its plan was
+        evicted) parses and normalises it.
         """
         with span("plan") as plan_span:
+            alias = None
+            if isinstance(query, str):
+                alias = (None if spec is None else spec.fingerprint(), query)
+                known = self._aliases.hit(alias)
+                plan = None if known is None else self._lru.hit(known[0])
+                if plan is not None:
+                    if plan_span is not None:
+                        plan_span.set(tier="l1")
+                    return plan, known[1]
+                query = parse_query(query)
+            display = (
+                query.text if isinstance(query, NormalizedQuery) else unparse(query)
+            )
             normalized = self.compiler.normalize(query)
             key = self.compiler.plan_key(spec, normalized)
             tier = "l1"
@@ -422,7 +467,9 @@ class PlanCache:
             # waiters — served from L1 by now — never queue behind it.
             if tier == "compile" and self.store is not None:
                 self.store.save(key, plan.artifact)
-            return plan
+            if alias is not None:
+                self._aliases.get(alias, lambda: (key, display))
+            return plan, display
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable) -> CachedPlan | None:
@@ -441,10 +488,12 @@ class PlanCache:
         left in place — they stay valid for any holder still using that
         specification.
         """
+        self._aliases.drop(lambda alias: alias[0] == view)
         return self._lru.drop(lambda key: key[0] == view)
 
     def clear(self) -> None:
-        self._lru.drop(lambda key: True)
+        self._aliases.drop()
+        self._lru.drop()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

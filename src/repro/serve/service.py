@@ -67,8 +67,6 @@ from ..hype.core import HyPEResult
 from ..obs.trace import add_span, current_span, span
 from ..views.spec import ViewSpec
 from ..xpath import ast
-from ..xpath.parser import parse_query
-from ..xpath.unparse import unparse
 from ..xtree.node import XMLTree
 from .batch import BatchEvaluator, BatchStats
 from .cache import CachedPlan, PlanCache
@@ -454,10 +452,8 @@ class QueryService:
     def _plan(
         self, binding: TenantBinding, query: str | ast.Path
     ) -> tuple[CachedPlan, str]:
-        query_ast = parse_query(query) if isinstance(query, str) else query
         spec = None if binding.view is None else self._views[binding.view]
-        plan = self.cache.plan(spec, query_ast)
-        return plan, unparse(query_ast)
+        return self.cache.lookup(spec, query)
 
     # ------------------------------------------------------------------
     # Serving

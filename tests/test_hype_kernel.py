@@ -135,7 +135,7 @@ def _cans(cursor):
         cursor.visit_parents,
         cursor.visit_mstates,
         cursor.deaths,
-        [node.node_id for node in cursor.finals_seen],
+        cursor.finals_seen,
     )
 
 
@@ -182,6 +182,34 @@ class TestWaveLanes:
                 for node_id in union
             )
             assert shared.skipped_subtrees == examined - max(len(union) - 1, 0)
+
+
+class TestRootMemo:
+    """The root cfg is derived once: a constant of an index-free plan,
+    one entry per root mask key of an indexed one."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_runs_after_the_first_derive_nothing(self, algorithm, monkeypatch):
+        tree = generate_hospital_document(HospitalConfig(num_patients=3, seed=5))
+        plan = compile_plan(FIG8["fig8a"], algorithm=algorithm, tree=tree)
+        derived = []
+        real = plan.initial_sets
+        monkeypatch.setattr(
+            plan, "initial_sets", lambda context: derived.append(context) or real(context)
+        )
+        contexts = [tree.root, tree.root.children[0]]
+        fresh = compile_plan(FIG8["fig8a"], algorithm=algorithm, tree=tree)
+        for context in contexts * 3:
+            result = plan.run(context)
+            expected = fresh.run(context)
+            assert result.answers == expected.answers
+            assert result.stats == expected.stats
+            fresh.kernel.roots.clear()  # the reference derives every time
+        keys = {
+            None if plan.index is None else plan.index.mask_key(c.node_id)
+            for c in contexts
+        }
+        assert len(derived) == len(keys) == len(plan.kernel.roots)
 
 
 class TestPopTable:

@@ -197,6 +197,141 @@ class TestWaveFailures:
         assert isinstance(result, AdmittedAnswer)
         assert result.wave_size == 2
 
+    def test_cancelled_leader_in_the_window_frees_followers(self, service):
+        """The cancel lands while the partial wave is still collecting."""
+
+        async def scenario():
+            controller = AdmissionController(
+                service, AdmissionConfig(max_wave=8, max_wait=0.2)
+            )
+            leader = asyncio.create_task(
+                controller.submit(QueryRequest("institute", "patient"))
+            )
+            await asyncio.sleep(0.005)
+            follower = asyncio.create_task(
+                controller.submit(QueryRequest("admin", "//pname"))
+            )
+            await asyncio.sleep(0.005)
+            leader.cancel()
+            result = await asyncio.wait_for(follower, timeout=5.0)
+            assert leader.cancelled()
+            return result
+
+        result = asyncio.run(scenario())
+        assert isinstance(result, AdmittedAnswer) and result.wave_size == 2
+
+    @pytest.mark.parametrize("max_wave", [1, 2])
+    def test_cancelled_leader_of_a_full_wave_strands_nobody(
+        self, service, monkeypatch, max_wave
+    ):
+        """A wave full on arrival leaves from a housekeeping task too:
+        cancelling its leader mid-evaluation fails neither the wave nor
+        the waves behind it.  (``max_wave=1``: every submitter leads a
+        full wave; ``2``: the overflow of a burst is re-led full.)"""
+        import time
+
+        real_submit_wave = service.submit_wave
+
+        def slow_submit_wave(requests):
+            time.sleep(0.1)
+            return real_submit_wave(requests)
+
+        monkeypatch.setattr(service, "submit_wave", slow_submit_wave)
+
+        async def scenario():
+            controller = AdmissionController(
+                service, AdmissionConfig(max_wave=max_wave, max_wait=0.5)
+            )
+            tasks = [
+                asyncio.create_task(
+                    controller.submit(QueryRequest("institute", "patient"))
+                )
+                for _ in range(2 * max_wave)
+            ]
+            await asyncio.sleep(0.05)  # both waves are evaluating
+            tasks[0].cancel()
+            tasks[max_wave].cancel()
+            done = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=5.0
+            )
+            assert not controller._pending and not controller._collecting
+            return done
+
+        done = asyncio.run(scenario())
+        for slot, outcome in enumerate(done):
+            if slot % max_wave == 0:
+                assert isinstance(outcome, asyncio.CancelledError)
+            else:
+                assert isinstance(outcome, AdmittedAnswer)
+                assert outcome.wave_size == max_wave
+        assert service.metrics_snapshot().waves == 2
+
+
+class TestFullOnArrival:
+    """A wave full on the leader's arrival leaves at once; only a
+    partial wave holds the window."""
+
+    @staticmethod
+    def run_spied(service, config, requests, monkeypatch):
+        calls = {"wait_for": 0, "call_later": 0}
+        real_wait_for = asyncio.wait_for
+
+        async def wait_for(*args, **kwargs):
+            calls["wait_for"] += 1
+            return await real_wait_for(*args, **kwargs)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            real_call_later = loop.call_later
+
+            def call_later(*args, **kwargs):
+                calls["call_later"] += 1
+                return real_call_later(*args, **kwargs)
+
+            controller = AdmissionController(service, config)
+            monkeypatch.setattr(asyncio, "wait_for", wait_for)
+            monkeypatch.setattr(loop, "call_later", call_later)
+            try:
+                return await asyncio.gather(*map(controller.submit, requests))
+            finally:
+                monkeypatch.undo()
+
+        return asyncio.run(scenario()), calls
+
+    def test_a_full_wave_sets_no_timer(self, service, monkeypatch):
+        for _ in range(3):
+            results, calls = self.run_spied(
+                service,
+                AdmissionConfig(max_wave=1, max_wait=0.5),
+                [QueryRequest("institute", "patient")],
+                monkeypatch,
+            )
+            assert results[0].wave_size == 1
+            assert calls == {"wait_for": 0, "call_later": 0}
+
+    def test_a_releadable_overflow_sets_no_second_timer(self, service, monkeypatch):
+        results, calls = self.run_spied(
+            service,
+            AdmissionConfig(max_wave=2, max_wait=0.5),
+            [QueryRequest("institute", "patient") for _ in range(4)],
+            monkeypatch,
+        )
+        assert [r.wave_size for r in results] == [2, 2, 2, 2]
+        assert calls["wait_for"] == 1
+
+    def test_a_partial_wave_holds_exactly_one_window(self, service, monkeypatch):
+        results, calls = self.run_spied(
+            service,
+            AdmissionConfig(max_wave=4, max_wait=0.01),
+            [QueryRequest("institute", "patient") for _ in range(2)],
+            monkeypatch,
+        )
+        assert [r.wave_size for r in results] == [2, 2]
+        assert calls == {"wait_for": 1, "call_later": 1}
+        assert service.metrics_snapshot().waves == 1
+
+
+class TestConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_wave"):
             AdmissionConfig(max_wave=0)

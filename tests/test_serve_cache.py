@@ -452,3 +452,206 @@ class TestComposedCache:
             assert snap["composed_fallbacks"] == 0
             assert snap["composed"]["persisted"] == (1 if boot == 0 else 0)
         assert len(encodes) == 1
+
+
+def _restricted_spec():
+    from repro.dtd import hospital_dtd, hospital_view_dtd
+    from repro.views.samples import SIGMA0_ANNOTATIONS
+    from repro.views.spec import view_spec
+
+    return view_spec(
+        hospital_dtd(),
+        hospital_view_dtd(),
+        {**SIGMA0_ANNOTATIONS, ("patient", "parent"): "parent[not(.)]"},
+    )
+
+
+def _stage_counts(cache: PlanCache) -> dict:
+    return {
+        name: stage["count"]
+        for name, stage in cache.compiler.metrics.snapshot().as_dict().items()
+    }
+
+
+class TestRawTextAlias:
+    """A text seen before reaches its plan without being parsed: the
+    alias table maps ``(view fingerprint, text as posed)`` to the plan
+    key and the display text, holds no plan, and is never the reason a
+    request is answered differently."""
+
+    def test_a_hit_does_no_compile_stage_work(self, sigma0_spec):
+        cache = PlanCache(capacity=4)
+        plan, display = cache.lookup(sigma0_spec, "(patient)//record")
+        before, stats = _stage_counts(cache), cache.stats
+        for _ in range(5):
+            assert cache.lookup(sigma0_spec, "(patient)//record") == (plan, display)
+        assert _stage_counts(cache) == before
+        assert cache.stats.hits == stats.hits + 5
+        assert cache.stats.misses == stats.misses == 1
+
+    def test_display_text_is_the_unparse_of_the_text_as_posed(self):
+        from repro.xpath.parser import parse_query
+        from repro.xpath.unparse import unparse
+
+        cache = PlanCache(capacity=4)
+        for text in ("a//b", "(a)/((*)*)/b", "a//b"):
+            assert cache.lookup(None, text)[1] == unparse(parse_query(text))
+        assert cache.lookup(None, parse_query("a//b"))[1] == unparse(
+            parse_query("a//b")
+        )
+
+    def test_two_spellings_are_two_aliases_of_one_plan(self):
+        cache = PlanCache(capacity=4)
+        sugared = cache.plan(None, "a//b")
+        desugared = cache.plan(None, normalized_query_text("a//b"))
+        assert sugared is desugared
+        assert len(cache._aliases) == 2 and len(cache) == 1
+        stats = cache.stats
+        assert (stats.misses, stats.hits) == (1, 1)
+
+    def test_reregistering_a_view_name_never_serves_the_old_alias(
+        self, hospital_doc, sigma0_spec
+    ):
+        from repro.serve.service import QueryService
+
+        cache = PlanCache(capacity=8)
+        with QueryService(hospital_doc, cache=cache) as service:
+            service.register_view("research", sigma0_spec)
+            service.register_tenant("institute", "research")
+            opened = service.submit("institute", "patient/parent").ids()
+            assert opened and service.submit("institute", "patient/parent").ids() == opened
+            service.register_view("research", _restricted_spec())
+            assert service.submit("institute", "patient/parent").ids() == []
+            assert service.submit("institute", "patient/parent").ids() == []
+            service.register_view("research", sigma0_spec)
+            assert service.submit("institute", "patient/parent").ids() == opened
+
+    def test_an_alias_outliving_its_plan_recompiles_and_counts_a_miss(self):
+        from repro.xpath.parser import parse_query
+
+        cache = PlanCache(capacity=2)
+        cache.plan(None, "a")
+        cache.plan(None, "b")
+        # An AST lookup writes no alias: 'a' loses its plan, not its alias.
+        cache.plan(None, parse_query("c"))
+        assert plan_key(None, "a") not in cache
+        assert len(cache._aliases) == 2
+        assert cache.stats.misses == 3
+        cache.plan(None, "a")
+        assert cache.stats.misses == 4 and plan_key(None, "a") in cache
+        hits = cache.stats.hits
+        cache.plan(None, "a")
+        assert cache.stats.hits == hits + 1 and cache.stats.misses == 4
+
+    def test_rejected_texts_are_rejected_every_time_and_leave_no_alias(self):
+        from repro.compile.pipeline import QueryCompiler
+        from repro.errors import QueryParseError, QueryTooComplexError
+        from repro.guard import CompileBudget
+
+        cache = PlanCache(
+            capacity=4,
+            compiler=QueryCompiler(budget=CompileBudget(max_ast_nodes=3)),
+        )
+        for _ in range(3):
+            with pytest.raises(QueryParseError):
+                cache.plan(None, "]][[")
+            with pytest.raises(QueryTooComplexError):
+                cache.plan(None, "a/b/c/d/e/f")
+        assert len(cache._aliases) == 0 and len(cache) == 0
+        assert cache.plan(None, "a") is cache.plan(None, "a")
+
+    def test_the_table_is_bounded_at_the_plan_capacity(self, sigma0_spec):
+        cache = PlanCache(capacity=8)
+        for i in range(40):  # plan_churn: every text is new
+            cache.plan(sigma0_spec, f"patient[record/diagnosis/text() = 'd{i}']")
+            cache.plan(None, f"//x{i}")
+            assert len(cache._aliases) <= 8 and len(cache) <= 8
+        assert cache.stats.hits == 0 and cache.stats.misses == 80
+
+    def test_an_alias_does_not_keep_its_plan_alive(self):
+        import gc
+        import weakref
+
+        from repro.xpath.parser import parse_query
+
+        cache = PlanCache(capacity=1)
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(cache.plan(None, "a/b"))
+            assert ref() is not None
+            cache.plan(None, parse_query("c"))  # evicts the plan, not the alias
+            assert len(cache._aliases) == 1
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_invalidation_and_clear_release_the_aliases_too(self, sigma0_spec):
+        cache = PlanCache(capacity=8)
+        cache.plan(sigma0_spec, "patient")
+        cache.plan(None, "patient")
+        assert cache.invalidate_view(sigma0_spec.fingerprint()) == 1
+        assert len(cache._aliases) == 1
+        cache.clear()
+        assert len(cache._aliases) == 0
+
+    def test_a_hit_still_emits_the_plan_span_with_its_tier(self):
+        from repro.obs.trace import Tracer
+
+        cache = PlanCache(capacity=4)
+        tracer = Tracer(sample_rate=1.0, slow_seconds=None)
+        for _ in range(2):
+            with tracer.trace("request"):
+                cache.plan(None, "a/b")
+        tiers = [
+            span["attributes"]["tier"]
+            for trace in tracer.store.recent(None)
+            for span in trace["spans"]
+            if span["name"] == "plan"
+        ]
+        assert sorted(tiers) == ["compile", "l1"]
+
+
+def test_warm_requests_over_the_wire_record_no_compile_stage(
+    hospital_doc, sigma0_spec
+):
+    """Compile-stage counters count compile work: N warm requests move
+    ``cache.hits`` by N and nothing under ``compile``."""
+    import asyncio
+
+    from repro.serve.admission import AdmissionConfig
+    from repro.serve.frontend import FrontendClient, QueryFrontend
+    from repro.serve.service import QueryService
+
+    queries = ["patient", "patient/record", "(patient)//diagnosis"]
+    warm = 4
+
+    async def scenario(service):
+        frontend = QueryFrontend(service, AdmissionConfig(max_wave=1, max_wait=0.02))
+        host, port = await frontend.start("127.0.0.1", 0)
+        client = await FrontendClient.connect(host, port)
+        try:
+            cold = [await client.query("institute", q, limit=-1) for q in queries]
+            before = (await client.metrics())["metrics"]
+            replies = [
+                await client.query("institute", q, limit=-1)
+                for _ in range(warm)
+                for q in queries
+            ]
+            return cold, before, replies, (await client.metrics())["metrics"]
+        finally:
+            await client.aclose()
+            await frontend.close()
+
+    with QueryService(hospital_doc) as service:
+        service.register_view("research", sigma0_spec)
+        service.register_tenant("institute", "research")
+        cold, before, replies, after = asyncio.run(scenario(service))
+    n = warm * len(queries)
+    assert all(reply["ok"] for reply in replies)
+    assert [r["ids"] for r in replies] == [r["ids"] for r in cold] * warm
+    assert [r["query"] for r in replies] == [r["query"] for r in cold] * warm
+    assert after["compile"] == before["compile"]
+    assert before["compile"]["normalize"]["count"] == len(queries)
+    assert after["cache"]["hits"] == before["cache"]["hits"] + n
+    assert after["cache"]["misses"] == before["cache"]["misses"] == len(queries)
