@@ -63,7 +63,7 @@ import time
 from pathlib import Path
 
 from repro.docstore import DocumentStore, IndexedDocument
-from repro.hype.api import ALGORITHMS, HYPE, OPTHYPE, compile_plan
+from repro.hype.api import ALGORITHMS, HYPE, OPTHYPE, OPTHYPE_C, compile_plan
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.workloads.queries import FIG8, FIG9
@@ -87,15 +87,24 @@ def best_of(callable_, repeats: int) -> float:
 
 
 # ----------------------------------------------------------------------
+def _document_plan(query, algorithm, doc):
+    """A plan for ``doc``'s label table; asking the document for the
+    index also parks its mask column on ``doc.layout``, where runs read
+    it."""
+    index = None if algorithm == HYPE else doc.index_for(algorithm == OPTHYPE_C)
+    return compile_plan(query, algorithm=algorithm, index=index)
+
+
 def bench_single_runs(tree, repeats: int) -> dict:
     """Nodes/sec per algorithm over the document's layout."""
-    layout = IndexedDocument(tree).layout
+    doc = IndexedDocument(tree)
+    layout = doc.layout
     elements = tree.element_count
     results: dict = {}
     for name, query in QUERIES.items():
         per_algo: dict = {}
         for algorithm in ALGORITHMS:
-            plan = compile_plan(query, algorithm=algorithm, tree=tree)
+            plan = _document_plan(query, algorithm, doc)
             # Warm the memo tables and rows before timing.
             reference = plan.run(tree.root, layout=layout)
             columnar_s = best_of(
@@ -172,26 +181,17 @@ def bench_wave_scaling(tree, repeats: int) -> dict:
     """
     from repro.hype.compose import ComposedKernel, descend_composed
     from repro.hype.core import RunCursor
-    from repro.hype.index import build_index
     from repro.hype.kernel import descend
 
-    layout = IndexedDocument(tree).layout
+    doc = IndexedDocument(tree)
+    layout = doc.layout
     elements = tree.element_count
     pool = list(WAVE_QUERIES.values())
     results: dict = {}
     for algorithm in ALGORITHMS:
-        # Composition requires the members to share ONE index object
-        # (the serving stack hands every lane the document's index), so
-        # the opt plans here are compiled against a shared build.
-        index = (
-            None
-            if algorithm == HYPE
-            else build_index(tree, compressed=(algorithm != OPTHYPE))
-        )
-        all_plans = [
-            compile_plan(query, algorithm=algorithm, index=index)
-            for query in pool
-        ]
+        # Composition requires the members to share one (label table,
+        # variant): every lane is compiled against the document's own.
+        all_plans = [_document_plan(query, algorithm, doc) for query in pool]
         rows = []
         for width in WAVE_WIDTHS:
             plans = all_plans[:width]
@@ -455,9 +455,10 @@ def bench_parallel_scaling(tree, repeats: int, workers: int = 4) -> dict:
     """
     from repro.serve.pool import ExecutionPool
 
-    layout = IndexedDocument(tree).layout
+    doc = IndexedDocument(tree)
+    layout = doc.layout
     query = QUERIES["fig8a"]
-    plan = compile_plan(query, algorithm=OPTHYPE, tree=tree)
+    plan = _document_plan(query, OPTHYPE, doc)
     expected = plan.run(tree.root, layout=layout).stats
 
     def one():

@@ -282,6 +282,24 @@ def tracked_per_document(documents: int = 8) -> tuple[float, float]:
         return tracked / documents, nodes / documents
 
 
+def executables_per_plan(documents: int = 12) -> tuple[int, int, int]:
+    """``(most executables any cached plan holds, live label tables,
+    documents)`` with ``documents`` same-DTD documents ingested, served
+    and all still held: OptHyPE executables are per (plan, label table,
+    variant), so the first number is bounded by tables x 2 variants + the
+    index-free one — not by documents."""
+    churn = DocumentChurn(capacity=documents)
+    store = DocumentStore(capacity=documents)
+    with churn.service(store) as service:
+        texts = churn.texts(documents)
+        churn.ingest(service, store, texts)
+        tables = {id(store.get(text).layout.table) for text in texts}  # hits
+        most = max(
+            len(churn.cache.get(key).executables()) for key in churn.cache.keys()
+        )
+        return most, len(tables), documents
+
+
 def _kinds(garbage: list) -> list[str]:
     return sorted({type(o).__module__ + "." + type(o).__name__ for o in garbage})
 
@@ -312,7 +330,19 @@ def main() -> int:
         f"per {doc_counts['documents']} ingests"
     )
     print(f"  tracked objects / document    {tracked:.0f} ({nodes:.0f} nodes)")
+    most, tables, documents = executables_per_plan()
+    print(
+        f"  executables / plan (max)      {most} "
+        f"({tables} label table(s), {documents} documents)"
+    )
     status = 0
+    if most > 2 * tables + 1:
+        print(
+            f"FAIL: a cached plan holds {most} executables for {tables} label "
+            "table(s): executables are per document again",
+            file=sys.stderr,
+        )
+        status = 1
     for what, found in (("plans", garbage), ("documents", doc_garbage)):
         if found:
             print(

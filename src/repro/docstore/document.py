@@ -11,9 +11,10 @@ tenant, lane, wave and algorithm variant that touches the document.  An
   (:class:`repro.docstore.layout.DocumentLayout`) the evaluator
   walks, built eagerly and once, so no request pays for them;
 * ``index_for(compressed)`` — the OptHyPE (or OptHyPE-C) index, built
-  at most once per variant behind the document's build lock; the tree
-  is swept for the first variant only (the second is a conversion of
-  the first's mask column), and when the owning
+  at most once per variant behind the document's build lock and parked
+  on the layout (document → layout → index, one way), where runs read
+  its mask column; the tree is swept for the first variant only (the
+  second is a conversion of the first's mask column), and when the owning
   :class:`repro.docstore.store.DocumentStore` has a persistent tier
   (``--doc-dir``), a previously-persisted index is loaded instead of
   rebuilt and fresh builds are written back.
@@ -29,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import threading
 
+from ..errors import EvaluationError
 from ..hype.index import Index, build_index, other_variant
 from ..obs.trace import span
 from ..xtree.node import XMLTree
@@ -78,7 +80,6 @@ class IndexedDocument:
             if tier is not None and content_hash is not None:
                 tier.save_layout(content_hash, layout)
         self.layout = layout
-        self._indexes: dict[bool, Index] = {}
         self._index_lock = threading.Lock()
         self._hash_lock = threading.Lock()
 
@@ -131,22 +132,33 @@ class IndexedDocument:
         on one build per variant and one tree sweep per document (the
         second variant converts the first); ``stats.index_builds``
         counts real constructions of either kind, ``stats.index_loads``
-        counts tier rehydrations.  Either way the index carries the
-        freeze it describes: if the tree is edited and re-frozen behind
-        this wrapper, indexed runs refuse the old index instead of
-        pruning on its masks (wrap the tree again).
+        counts tier rehydrations.  Either way the index is in the
+        layout's label table, is parked on the layout, and carries the
+        freeze it describes.
+
+        Raises:
+            EvaluationError: when the tree was edited and re-frozen
+                behind this wrapper and the variant is not built yet —
+                its label table may not be the layout's any more.  (Runs
+                over a re-frozen tree walk fresh columns and never read
+                the old masks either way: wrap the tree again.)
         """
-        index = self._indexes.get(compressed)
+        indexes = self.layout.indexes
+        index = indexes.get(compressed)
         if index is not None:
             return index
         with self._index_lock:
-            index = self._indexes.get(compressed)
+            index = indexes.get(compressed)
             if index is not None:
                 return index
-            index = None
+            if not self.layout.covers(self.tree.root):
+                raise EvaluationError(
+                    "document was re-frozen after it was wrapped: rebuild "
+                    "its IndexedDocument (its label table may have changed)"
+                )
             if self.tier is not None:
                 index = self.tier.load(
-                    self.content_hash, compressed, self.tree
+                    self.content_hash, compressed, self.layout
                 )
             if index is None:
                 with span(
@@ -154,20 +166,18 @@ class IndexedDocument:
                     compressed=compressed,
                     size=self.tree.size,
                 ):
-                    built = self._indexes.get(not compressed)
+                    built = indexes.get(not compressed)
                     if built is not None:
                         index = other_variant(built)
                     else:
-                        index = build_index(self.tree, compressed=compressed)
+                        index = build_index(
+                            self.tree, compressed, self.layout.table
+                        )
                 self.stats.count("index_builds")
                 if self.tier is not None:
                     self.tier.save(self.content_hash, compressed, index)
-            self._indexes[compressed] = index
+            indexes[compressed] = index
             return index
-
-    def built_indexes(self) -> dict[bool, Index]:
-        """Snapshot of the variants already built (for introspection)."""
-        return dict(self._indexes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         short = (self._content_hash or "?")[:12]

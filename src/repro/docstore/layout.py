@@ -10,8 +10,9 @@ document — so a :class:`DocumentLayout` precomputes it once per
 document into flat integer arrays (the array-of-struct layout of
 high-throughput tree engines):
 
-* ``labels`` / ``label_ids`` — the interned element-label table
-  (dense ids ``0..num_labels-1`` in first-appearance document order);
+* ``table`` — the :class:`repro.hype.index.LabelTable` of the
+  document's label set (dense ids ``0..num_labels-1``; sorted label
+  order for a fresh build, so documents of one DTD share one table);
 * ``node_label`` — per ``node_id``, the interned label id
   (:data:`TEXT_ID` for text nodes);
 * ``kid_ids`` / ``kid_labels`` / ``kid_start`` — the flattened
@@ -24,12 +25,15 @@ These columns are the only document the evaluator walks
 (:func:`repro.hype.kernel.descend`,
 :func:`repro.hype.compose.descend_composed`): child-transition rows are
 keyed by integer label id — a list index, not a string-keyed dict
-probe.  Per-``(plan, layout)`` rows live here
-(:meth:`DocumentLayout.rows_for`) keyed weakly by plan, because label
-ids are *per-document*: a plain-HyPE plan may outlive this document and
-serve another one whose interning differs.  A run that is handed no
-layout, or one that does not cover its context, walks fresh columns
-built by :func:`covering_layout`.
+probe.  The rows belong to the label table
+(:meth:`repro.hype.index.LabelTable.rows_for`, keyed weakly by plan), so
+what a plan filled for one document is a hit for the next one of that
+label set.  The OptHyPE(-C) subtree-mask column is a column of the
+document too: ``indexes`` holds the variants built (or tier-loaded) for
+it, and an indexed run reads its mask keys from there
+(:meth:`DocumentLayout.mask_keys`).  A run that is handed no layout, or
+one that does not cover its context, walks fresh columns built by
+:func:`covering_layout`.
 
 Layouts are immutable once built, like the frozen trees they describe,
 and therefore freely shared across threads, tenants and lanes.
@@ -37,11 +41,10 @@ and therefore freely shared across threads, tenants and lanes.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from operator import is_
 
 from ..errors import EvaluationError
+from ..hype.index import Index, LabelTable, build_index, label_table
 from ..xtree.node import Node, TEXT_LABEL, XMLTree
 
 #: ``node_label`` entry for text (PCDATA) nodes.
@@ -54,15 +57,14 @@ class DocumentLayout:
     __slots__ = (
         "tree",
         "nodes",
-        "labels",
-        "label_ids",
+        "table",
         "node_label",
         "kid_ids",
         "kid_labels",
         "kid_start",
         "_freeze_count",
-        "_rows",
-        "_rows_lock",
+        "indexes",
+        "on_demand",
         "__weakref__",
     )
 
@@ -78,31 +80,21 @@ class DocumentLayout:
         #: bridge back from columnar ids to the Node objects answers,
         #: predicates and phase 2 operate on.
         self.nodes: list[Node] = tree.nodes
-        self.labels: list[str] = []
-        self.label_ids: dict[str, int] = {}
-        size = len(tree.nodes)
-        self.node_label: list[int] = [TEXT_ID] * size
+        self.table: LabelTable = label_table(sorted(tree.labels))
         self.kid_ids: list[int] = []
         self.kid_labels: list[int] = []
-        self.kid_start: list[int] = [0] * (size + 1)
+        self.kid_start: list[int] = [0] * (len(tree.nodes) + 1)
         self._build()
-        #: plan (or composed kernel) -> {cfg id -> row}; weak keys so an
-        #: evicted plan releases its rows with it.
-        self._rows: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self._rows_lock = threading.Lock()
+        #: compressed? -> the OptHyPE(-C) index of this freeze, parked by
+        #: whoever built or loaded it (``IndexedDocument.index_for``).
+        self.indexes: dict[bool, Index] = {}
+        #: Throw-away columns (:func:`covering_layout`) have no owner to
+        #: build their mask column: a run sweeps it when it needs it.
+        self.on_demand = False
 
     def _build(self) -> None:
-        label_ids = self.label_ids
-        labels = self.labels
-        node_label = self.node_label
-        for node_id, node in enumerate(self.nodes):
-            label = node.label
-            if label != TEXT_LABEL:
-                lid = label_ids.get(label)
-                if lid is None:
-                    lid = label_ids[label] = len(labels)
-                    labels.append(label)
-                node_label[node_id] = lid
+        lids = {**self.table.label_ids, TEXT_LABEL: TEXT_ID}
+        self.node_label = node_label = [lids[node.label] for node in self.nodes]
         kid_ids = self.kid_ids
         kid_labels = self.kid_labels
         kid_start = self.kid_start
@@ -134,29 +126,28 @@ class DocumentLayout:
         mmap'ed sidecar; the hot loop only ever *indexes* the columns,
         so views serve exactly like the lists ``_build`` produces (and
         they keep the mapping alive for as long as the layout lives).
-        Only ``labels``/``label_ids`` are materialised, because the fill
-        path looks labels up by string.
+        ``labels`` is taken in the order the columns were written in: no
+        column is remapped, and a file in sorted order joins the table
+        fresh builds use.
         """
         layout = cls.__new__(cls)
         layout.tree = tree
         layout._freeze_count = tree.freeze_count
         layout.nodes = tree.nodes
-        layout.labels = list(labels)
-        layout.label_ids = {
-            label: lid for lid, label in enumerate(layout.labels)
-        }
+        layout.table = label_table(labels)
         layout.node_label = node_label
         layout.kid_ids = kid_ids
         layout.kid_labels = kid_labels
         layout.kid_start = kid_start
-        layout._rows = weakref.WeakKeyDictionary()
-        layout._rows_lock = threading.Lock()
+        layout.indexes = {}
+        layout.on_demand = False
         return layout
 
     # ------------------------------------------------------------------
     @property
-    def num_labels(self) -> int:
-        return len(self.labels)
+    def labels(self) -> tuple[str, ...]:
+        """The label table's labels, in id order."""
+        return self.table.labels
 
     def span(self, node_id: int) -> tuple[int, int]:
         """The ``kid_ids``/``kid_labels`` span of a node's element kids."""
@@ -178,38 +169,35 @@ class DocumentLayout:
         node_id = node.node_id
         return 0 <= node_id < len(self.nodes) and self.nodes[node_id] is node
 
-    def check_index(self, index) -> None:
-        """Refuse an OptHyPE(-C) ``index`` of another freeze than these
-        columns (``None``, plain HyPE, always passes).
+    def mask_keys(self, plan):
+        """The mask-key column ``plan`` prunes this document on:
+        ``None`` for plain HyPE, else the parked index of the plan's
+        variant.
 
-        Masks are per ``node_id`` like the columns, but an
-        :class:`repro.docstore.document.IndexedDocument` keeps handing
-        out the index of the freeze it was built for; pruning the
-        re-frozen structure on it would silently drop answers.
+        Raises:
+            EvaluationError: when there is no such column of the plan's
+                label table — the executable was built for a foreign
+                label set, the variant was never built for this document,
+                or the parked index is of another freeze than these
+                columns — rather than prune on masks that mean something
+                else.
         """
-        if index is not None and index.freeze_count != self._freeze_count:
-            raise EvaluationError(
-                "document was re-frozen after it was indexed: rebuild its "
-                "IndexedDocument (stale subtree masks would prune answers)"
-            )
-
-    # ------------------------------------------------------------------
-    def rows_for(self, plan) -> dict:
-        """The per-``(plan, layout)`` child-transition row table.
-
-        Rows map a dense-kernel cfg id to an ``array('i')`` indexed by
-        label id whose entries are packed transition words (``UNFILLED``
-        until first computed) — see :mod:`repro.hype.kernel`.  Entries
-        are a deterministic function of their key, so concurrent fills
-        are benign — the same contract as the plan's own tables.
-        """
-        rows = self._rows.get(plan)
-        if rows is None:
-            with self._rows_lock:
-                rows = self._rows.get(plan)
-                if rows is None:
-                    rows = self._rows[plan] = {}
-        return rows
+        if plan.bit_of is None:
+            return None
+        if plan.bit_of is self.table.bit_of:
+            index = self.indexes.get(plan.compressed)
+            if index is None and self.on_demand:
+                index = self.indexes[plan.compressed] = build_index(
+                    self.tree, plan.compressed, self.table
+                )
+            if index is not None and index.freeze_count == self._freeze_count:
+                return index.mask_keys
+        raise EvaluationError(
+            "the run's document has no subtree-mask column of this "
+            "executable's label table and variant: foreign label set, "
+            "index never built, or the document was re-frozen after it "
+            "was indexed (rebuild its IndexedDocument)"
+        )
 
     def memory_entries(self) -> int:
         """Footprint proxy: total stored integers across the tables."""
@@ -235,7 +223,8 @@ def covering_layout(
     The one place a descent gets its document from.  A missing, stale
     (re-frozen tree) or foreign layout is never indexed: a new layout is
     built over the tree that owns ``context`` — once per call, kept
-    nowhere; a caller that evaluates twice holds an
+    nowhere, its mask column swept when an indexed lane asks; a caller
+    that evaluates twice holds an
     :class:`repro.docstore.document.IndexedDocument`.
 
     Raises:
@@ -251,6 +240,7 @@ def covering_layout(
     walked = list(tree.root.iter_subtree())
     if len(walked) == len(nodes) and all(map(is_, walked, nodes)):
         fresh = DocumentLayout(tree)
+        fresh.on_demand = True
         if fresh.covers(context):
             return fresh
     raise EvaluationError(

@@ -53,8 +53,8 @@ from pathlib import Path
 from ..hype.index import (
     CompressedLabelIndex,
     Index,
-    LabelBits,
     SubtreeLabelIndex,
+    TEXT_BIT_LABEL,
 )
 from ..obs.counters import Counters
 from ..tier import FileTier, SingleFlightLRU
@@ -70,6 +70,9 @@ from .layout import DocumentLayout
 #: :meth:`DocIndexTier.gc` reclaims them.
 #: v2: adds the binary mmap-able layout sidecar (``.doclay.bin``); v1
 #: index files are never looked up again and are swept by ``gc``.
+#: Every file spells out its own label order, so v2 covers both the
+#: first-appearance order older builds wrote and the sorted order fresh
+#: builds write: either loads as the label table of *its* order.
 DOC_FORMAT_VERSION = 2
 
 #: Suffix of index files inside a ``--doc-dir``.
@@ -138,22 +141,24 @@ class DocIndexTier(FileTier):
 
     # ------------------------------------------------------------------
     def load(
-        self, content_hash: str, compressed: bool, tree: XMLTree
+        self, content_hash: str, compressed: bool, layout: DocumentLayout
     ) -> Index | None:
-        """Rehydrate ``tree``'s persisted index, or ``None`` on any miss.
+        """Rehydrate the persisted index of ``layout``'s document, or
+        ``None`` on any miss.
 
         Validation is strict: version, content hash and variant must
-        echo the key, the mask arrays must cover exactly ``tree``'s
-        nodes, and the payload must decode.  Any failure counts as
-        ``corrupt`` (the caller rebuilds and the next save overwrites
-        the bad file).  The index is stamped with ``tree``'s current
-        freeze, like one built from it now.
+        echo the key, the mask arrays must cover exactly the tree's
+        nodes and name only labels of the layout's table, and the
+        payload must decode.  Any failure counts as ``corrupt`` (the
+        caller rebuilds and the next save overwrites the bad file).  The
+        index is translated into the layout's label table and stamped
+        with the tree's current freeze, like one built from it now.
         """
         index = self.read(
             self.path_for(content_hash, compressed),
             "doc-tier.load",
             lambda raw: _index_from_payload(
-                _index_payload(raw, content_hash, compressed), tree
+                _index_payload(raw, content_hash, compressed), layout
             ),
         )
         if index is not None:
@@ -249,22 +254,27 @@ def _index_to_payload(
 ) -> dict:
     """The self-describing JSON record of one built index.
 
-    ``bits`` is the label→bit assignment in bit order — serialising the
-    actual assignment makes a rehydrated index behave *identically* to
-    the one that was built (same masks, same viability cache keys).
+    ``bits`` is the label → bit assignment in bit order, so the record
+    can be read into whatever label table the loading document has.  An
+    OptHyPE-C record is self-contained and minimal: this document's
+    distinct masks in first-appearance order and file-local ids — not
+    the table-wide interning the live index is keyed by.
     """
-    in_order = sorted(index.bits.bit_of, key=index.bits.bit_of.__getitem__)
     payload = {
         "doc_format_version": DOC_FORMAT_VERSION,
         "content_hash": content_hash,
         "compressed": compressed,
-        "bits": in_order,
+        "bits": [TEXT_BIT_LABEL, *index.table.labels],
     }
     if compressed:
-        payload["mask_table"] = list(index.mask_table)
-        payload["ids"] = list(index.ids)
+        local: dict[int, int] = {}
+        payload["ids"] = [
+            local.setdefault(key, len(local)) for key in index.mask_keys
+        ]
+        interned = index.table.masks
+        payload["mask_table"] = [interned[key] for key in local]
     else:
-        payload["masks"] = list(index.masks)
+        payload["masks"] = list(index.mask_keys)
     return payload
 
 
@@ -298,25 +308,41 @@ def _index_payload(raw: bytes, content_hash: str, compressed: bool) -> dict:
     return payload
 
 
-def _index_from_payload(payload: dict, tree: XMLTree) -> Index:
-    """The index a checked record describes, if it covers ``tree``
-    (raises ``ValueError``)."""
-    bits = LabelBits()
-    for label in payload["bits"]:
-        bits.bit(label)
-    if payload["compressed"]:
-        table, ids = payload["mask_table"], payload["ids"]
-        if len(ids) != tree.size:
-            raise ValueError("document-index id array does not cover the tree")
-        if ids and not (0 <= min(ids) and max(ids) < len(table)):
-            raise ValueError("document-index ids point outside the mask table")
-        return CompressedLabelIndex.from_parts(
-            bits, table, ids, tree.freeze_count
-        )
-    masks = payload["masks"]
-    if len(masks) != tree.size:
+def _index_from_payload(payload: dict, layout: DocumentLayout) -> Index:
+    """The index a checked record describes, in ``layout``'s label
+    table, if it covers the layout's tree (raises ``ValueError``).
+
+    The record's masks are in *its* bit order; one pass over the
+    distinct ones re-expresses them in the table's (the identity for a
+    record written in the table's own order).
+    """
+    tree, table = layout.tree, layout.table
+    try:
+        bits = [table.bit_of[label] for label in payload["bits"]]
+    except KeyError as error:
+        raise ValueError(f"document-index names a foreign label {error}") from None
+    compressed = payload["compressed"]
+    masks = payload["mask_table" if compressed else "masks"]
+    if masks and not 0 <= min(masks) <= max(masks) < 1 << len(bits):
+        raise ValueError("document-index masks name bits the record lacks")
+    if bits != [1 << position for position in range(len(bits))]:
+        moved = {
+            mask: sum(bit for position, bit in enumerate(bits) if mask >> position & 1)
+            for mask in set(masks)
+        }
+        masks = [moved[mask] for mask in masks]
+    ids = payload["ids"] if compressed else masks
+    if len(ids) != tree.size:
         raise ValueError("document-index mask array does not cover the tree")
-    return SubtreeLabelIndex.from_parts(bits, masks, tree.freeze_count)
+    if not compressed:
+        return SubtreeLabelIndex(table, masks, tree.freeze_count)
+    if ids and not (0 <= min(ids) and max(ids) < len(masks)):
+        raise ValueError("document-index ids point outside the mask table")
+    # File-local ids -> the table-wide ones the live index is keyed by.
+    interned = table.mask_ids(masks)
+    return CompressedLabelIndex(
+        table, [interned[local] for local in ids], tree.freeze_count
+    )
 
 
 def _int_list(values: object) -> list[int]:

@@ -27,7 +27,7 @@ from .compose import (
 )
 from .index import (
     CompressedLabelIndex,
-    LabelBits,
+    LabelTable,
     SubtreeLabelIndex,
     build_index,
 )
@@ -49,7 +49,7 @@ __all__ = [
     "build_index",
     "SubtreeLabelIndex",
     "CompressedLabelIndex",
-    "LabelBits",
+    "LabelTable",
     "ViabilityAnalyzer",
     "DenseKernel",
     "descend",

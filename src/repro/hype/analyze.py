@@ -13,24 +13,32 @@ the subtree-root mask for all depths is sound.  NOT states are treated as
 always possibly-true — refuting a negation requires proving its operand
 *must* be true, which label information alone cannot.
 
-Results are cached per mask (OptHyPE) / per interned mask id (OptHyPE-C);
-documents expose only a handful of distinct masks, so the analysis
-amortises to near-zero.
+Results are cached per mask, in an analyzer that lives as long as its
+executable — per (plan, label table), not per document — and documents
+expose only a handful of distinct masks, so the analysis amortises to
+near-zero.
 """
 
 from __future__ import annotations
 
 from ..automata.afa import AND, FINAL, NOT, OR, TRANS, WILDCARD
 from ..automata.mfa import MFA
-from .index import LabelBits, TEXT_BIT_LABEL
+from .index import TEXT_BIT_LABEL
 
 
 class ViabilityAnalyzer:
-    """Per-MFA viability oracle, cached by subtree label mask."""
+    """Per-MFA viability oracle, cached by subtree label mask.
 
-    def __init__(self, mfa: MFA, bits: LabelBits) -> None:
+    ``bit_of`` is the label → bit map of the masks it is asked about
+    (:attr:`repro.hype.index.LabelTable.bit_of`, text marker included).
+    """
+
+    def __init__(self, mfa: MFA, bit_of: dict[str, int]) -> None:
         self.mfa = mfa
-        self.bits = bits
+        self.bit_of = bit_of
+        self.text_bit = bit_of[TEXT_BIT_LABEL]
+        #: Mask of all element-label bits (excludes the text marker).
+        self.element_mask = sum(bit_of.values()) - self.text_bit
         self._afa_cache: dict[int, list[bool]] = {}
         self._nfa_cache: dict[int, frozenset[int]] = {}
         self._reverse = self._reverse_edges()
@@ -46,8 +54,8 @@ class ViabilityAnalyzer:
         pool = self.mfa.pool
         n = len(pool.states)
         possible = [False] * n
-        element_mask = self.bits.element_mask & mask
-        text_bit = self.bits.bit_if_known(TEXT_BIT_LABEL)
+        element_mask = self.element_mask & mask
+        text_bit = self.text_bit
         # Leaves first, then a monotone fixpoint for operator states.
         for i, state in enumerate(pool.states):
             if state.kind == FINAL:
@@ -70,7 +78,7 @@ class ViabilityAnalyzer:
                     if state.label == WILDCARD:
                         label_ok = bool(element_mask)
                     else:
-                        label_ok = bool(mask & self.bits.bit_if_known(state.label))
+                        label_ok = bool(mask & self.bit_of.get(state.label, 0))
                     if label_ok and possible[state.target]:
                         possible[i] = True
                         changed = True
@@ -105,7 +113,7 @@ class ViabilityAnalyzer:
             entry = nfa.ann.get(state)
             return entry is None or possible[entry]
 
-        element_mask = self.bits.element_mask & mask
+        element_mask = self.element_mask & mask
         frontier = [f for f in nfa.finals if passable(f)]
         viable: set[int] = set(frontier)
         while frontier:
@@ -118,7 +126,7 @@ class ViabilityAnalyzer:
                 elif label == WILDCARD:
                     ok = bool(element_mask)
                 else:
-                    ok = bool(mask & self.bits.bit_if_known(label))
+                    ok = bool(mask & self.bit_of.get(label, 0))
                 if ok:
                     viable.add(source)
                     frontier.append(source)

@@ -7,7 +7,10 @@
 * ``"opthype-c"`` — HyPE + compressed (interned-mask) index.
 
 Queries may be given as strings, ASTs or pre-compiled MFAs; indexes are
-built per document and can be passed in for reuse across queries.
+built per document and can be passed in for reuse across queries.  An
+OptHyPE(-C) plan keeps only the label table and variant of the index it
+was compiled with: a run prunes on the mask column of the document it is
+over (the ``layout``'s, or one swept on demand when none is supplied).
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ def to_mfa(query: str | ast.Path | MFA) -> MFA:
 def compile_plan(
     query: str | ast.Path | MFA,
     algorithm: str = HYPE,
-    tree: XMLTree | None = None,
     index: Index | None = None,
 ) -> CompiledPlan:
     """Compile a query into a reusable, thread-safe :class:`CompiledPlan`.
@@ -53,13 +55,15 @@ def compile_plan(
     Args:
         query: Query string, AST, or compiled MFA.
         algorithm: One of :data:`ALGORITHMS`.
-        tree: Document to build the OptHyPE index from when ``index``
-            is not supplied (plain HyPE needs neither).
-        index: Optional pre-built index for the opt variants.
+        index: For the opt variants, an index of a document the plan
+            is to serve (``IndexedDocument.index_for``): the plan takes
+            its label table and variant and keeps neither the index nor
+            the table, so it serves documents of that label set for as
+            long as one of them is held.
 
     Raises:
         EvaluationError: for unknown algorithm names or when an opt
-            variant has neither a tree nor a pre-built index.
+            variant has no index to name its label table.
     """
     if algorithm not in ALGORITHMS:
         raise EvaluationError(
@@ -69,12 +73,10 @@ def compile_plan(
     if algorithm == HYPE:
         return CompiledPlan(mfa)
     if index is None:
-        if tree is None:
-            raise EvaluationError(
-                "OptHyPE needs an XMLTree (to build its index) or an "
-                "explicit pre-built index"
-            )
-        index = build_index(tree, compressed=(algorithm == OPTHYPE_C))
+        raise EvaluationError(
+            "OptHyPE needs an index of a document it is to serve "
+            "(IndexedDocument.index_for) to name its label table"
+        )
     return CompiledPlan(mfa, index=index)
 
 
@@ -100,5 +102,10 @@ def evaluate_hype(
     if not isinstance(tree, XMLTree):
         # A bare context node: the run builds its document's columns.
         return compile_plan(query, algorithm=algorithm, index=index).run(tree)
-    plan = compile_plan(query, algorithm=algorithm, tree=tree, index=index)
-    return plan.run(tree.root, layout=DocumentLayout(tree))
+    layout = DocumentLayout(tree)
+    if index is None and algorithm in (OPTHYPE, OPTHYPE_C):
+        index = build_index(tree, algorithm == OPTHYPE_C, layout.table)
+    if index is not None:
+        layout.indexes[index.compressed] = index
+    plan = compile_plan(query, algorithm=algorithm, index=index)
+    return plan.run(tree.root, layout=layout)

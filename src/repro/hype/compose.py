@@ -107,8 +107,9 @@ class ComposedKernel:
     """Dense product tables over N member plans' kernels.
 
     Members must be one algorithm family: all index-free (plain HyPE),
-    or all bound to the *same* index object (OptHyPE/-C over one
-    document) — mixed families raise :class:`ComposeError`.  Like the
+    or all OptHyPE(-C) executables of one ``(label table, variant)`` —
+    they read one mask column, that of the document the wave runs on —
+    and mixed families raise :class:`ComposeError`.  Like the
     member kernels, every table is fill-only with entries that are pure
     functions of their key; only id minting takes the lock.
     """
@@ -118,7 +119,6 @@ class ComposedKernel:
         "kerns",
         "width",
         "indexed",
-        "mask_keys",
         "alphabet",
         "max_ccfgs",
         "_lock",
@@ -137,18 +137,20 @@ class ComposedKernel:
     def __init__(self, plans, max_ccfgs: int = DEFAULT_CCFG_CAP) -> None:
         if len(plans) < 2:
             raise ComposeError("composition needs at least two member plans")
-        index = plans[0].index
+        first = plans[0]
         for plan in plans:
-            if plan.index is not index:
+            if (
+                plan.bit_of is not first.bit_of
+                or plan.compressed != first.compressed
+            ):
                 raise ComposeError(
-                    "composed members must share one algorithm family: "
-                    "all index-free, or all bound to the same index object"
+                    "composed members must share one algorithm family: all "
+                    "index-free, or all of one label table and index variant"
                 )
         self.plans = list(plans)
         self.kerns = [plan.kernel for plan in plans]
         self.width = len(plans)
-        self.indexed = index is not None
-        self.mask_keys = index.mask_keys if index is not None else None
+        self.indexed = first.bit_of is not None
         alphabet: set[str] = set()
         for kern in self.kerns:
             alphabet |= kern.alphabet
@@ -229,11 +231,10 @@ class ComposedKernel:
     # ------------------------------------------------------------------
     # Transition resolution
     # ------------------------------------------------------------------
-    def root_ccfg(self, context) -> int:
-        """The composed cfg the wave enters ``context`` with."""
-        cfgs = tuple(
-            plan.kernel.root_cfg(plan, context) for plan in self.plans
-        )
+    def root_ccfg(self, key) -> int:
+        """The composed cfg the wave enters its context with (``key``:
+        the context's mask key, ``None`` for the plain family)."""
+        cfgs = tuple(plan.kernel.root_cfg(plan, key) for plan in self.plans)
         if not any(cfgs):
             return 0
         return self.ccfg_of(cfgs)
@@ -283,7 +284,7 @@ class ComposedKernel:
             return 0
         return self.ccfg_of(tuple(child))
 
-    def fill_filter(self, ceid: int, mask_key, node_id: int) -> int:
+    def fill_filter(self, ceid: int, mask_key: int) -> int:
         """Resolve one composed ``edge × mask_key`` entry (OptHyPE)."""
         kerns = self.kerns
         child = [DEAD] * self.width
@@ -292,9 +293,7 @@ class ComposedKernel:
             kern = kerns[i]
             packed = kern.edge_filters[eid].get(mask_key, UNFILLED)
             if packed == UNFILLED:
-                packed = kern.fill_filter(
-                    self.plans[i], eid, mask_key, node_id
-                )
+                packed = kern.fill_filter(self.plans[i], eid, mask_key)
             if packed != DEAD:
                 child[i] = packed >> CFG_SHIFT
                 any_live = True
@@ -434,10 +433,13 @@ def descend_composed(
     """
     _fault_fire("descend")
     layout = covering_layout(context, layout)
-    layout.check_index(ck.plans[0].index)  # the members' one index
+    # The members' one (label table, variant): one column serves them all.
+    mask_keys = layout.mask_keys(ck.plans[0])
     width = ck.width
     clanes = [_CLane(cursor) for cursor in cursors]
-    ccfg = ck.root_ccfg(context)
+    ccfg = ck.root_ccfg(
+        None if mask_keys is None else mask_keys[context.node_id]
+    )
     if ccfg == 0:
         return
     ccfg_live = ck.ccfg_live
@@ -451,9 +453,9 @@ def descend_composed(
         if packed & FINAL_BIT:
             cl.finals_append(vidx[i])
     node = context
-    rows = layout.rows_for(ck)
-    blank = array("i", [UNFILLED]) * layout.num_labels
-    labels = layout.labels
+    labels = layout.table.labels
+    rows = layout.table.rows_for(ck)
+    blank = array("i", [UNFILLED]) * len(labels)
     nodes = layout.nodes
     kid_ids = layout.kid_ids
     kid_labels = layout.kid_labels
@@ -464,7 +466,6 @@ def descend_composed(
     ki = kid_start[node.node_id]
     kend = kid_start[node.node_id + 1]
     indexed = ck.indexed
-    mask_keys = ck.mask_keys
     cedge_filters = ck.cedge_filters
     cpops = ck.cpops
     fill_pop = ck.fill_pop
@@ -535,7 +536,7 @@ def descend_composed(
             mask_key = mask_keys[cid]
             word = cedge_filters[ceid].get(mask_key, UNFILLED)
             if word == UNFILLED:
-                word = ck.fill_filter(ceid, mask_key, cid)
+                word = ck.fill_filter(ceid, mask_key)
         if word == 0:
             # Every member prunes: one skip for the whole wave.
             skipped += 1
@@ -630,7 +631,7 @@ def composed_payload(ck: ComposedKernel) -> dict:
     form :func:`repro.hype.kernel.kernel_payload` uses), so rehydration
     in a fresh process — where member cfg ids mint in a different order —
     still maps every tuple correctly.  Index-equipped kernels are
-    document-bound (mask filter rows) and are not persisted.
+    bound to a label table (mask filter rows) and are not persisted.
     """
     if ck.indexed:
         raise ValueError("composed payloads are built from plain-family kernels")

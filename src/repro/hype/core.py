@@ -29,13 +29,17 @@ degenerates to reading off the candidates.
 
 OptHyPE/OptHyPE-C plug in a subtree-label index plus the viability oracle
 (:mod:`repro.hype.analyze`) to skip subtrees even when states are live but
-provably cannot produce answers or flip a filter to true.
+provably cannot produce answers or flip a filter to true.  What they
+derive is a function of (automaton, label set), so such an executable
+belongs to a *label table* (:class:`repro.hype.index.LabelTable`), not to
+a document: it owns no index, and each run prunes on the mask column of
+the document it is over.
 
 Plan/run split.  Evaluation state comes in two kinds with very different
 lifetimes, and the classes here mirror that:
 
-* :class:`CompiledPlan` — the reusable half: the MFA, the optional index
-  and viability analyzer, and every per-MFA memo table (interned state
+* :class:`CompiledPlan` — the reusable half: the MFA, the optional
+  viability analyzer, and every per-MFA memo table (interned state
   sets, child-transition cache, relevant-set plans, pop/death caches,
   phase-2 caches).  A plan is *immutable after warmup*: the tables only
   ever gain entries, every entry is a pure function of its key, and the
@@ -107,17 +111,22 @@ class CompiledPlan:
     sets to one id, which WOULD corrupt the keyed caches).
     """
 
-    def __init__(
-        self,
-        mfa: MFA,
-        index: Index | None = None,
-        analyzer: ViabilityAnalyzer | None = None,
-    ) -> None:
+    def __init__(self, mfa: MFA, index: Index | None = None) -> None:
         self.mfa = mfa
-        self.index = index
-        if index is not None and analyzer is None:
-            analyzer = ViabilityAnalyzer(mfa, index.bits)
-        self.analyzer = analyzer
+        #: What an OptHyPE(-C) executable keeps of ``index``: its label
+        #: table's immutable bit map (which also identifies the table —
+        #: :meth:`repro.docstore.layout.DocumentLayout.mask_keys`), the
+        #: variant, and for OptHyPE-C the table's mask list.  Never the
+        #: table (it dies with its last document, and this executable
+        #: with it), never the index (a document's, read per run).
+        self.bit_of = self.masks = self.analyzer = None
+        self.compressed = False
+        if index is not None:
+            self.bit_of = index.table.bit_of
+            self.compressed = index.compressed
+            if index.compressed:
+                self.masks = index.table.masks
+            self.analyzer = ViabilityAnalyzer(mfa, self.bit_of)
         # Guards id minting in _intern; every other table is benign to
         # race on (see class docstring).
         self._intern_lock = threading.Lock()
@@ -154,22 +163,23 @@ class CompiledPlan:
         """Build (or rehydrate) the plan realising ``algorithm`` on ``mfa``.
 
         This is the constructor path everything above the evaluator
-        uses — the plan cache building an OptHyPE executable per
-        document, and the persistent tier rehydrating an MFA decoded from
+        uses — the plan cache building an OptHyPE executable per label
+        table, and the persistent tier rehydrating an MFA decoded from
         a :class:`repro.compile.artifact.PlanArtifact` (only the compile
         pipeline's dense stage builds a bare plan itself).  Artifacts carry
-        only the automaton: the document-side index comes from
+        only the automaton: the label table and variant come from
         ``indexes``, an *index provider* (anything with an
         ``index_for(compressed)`` method — canonically the
         :class:`repro.docstore.document.IndexedDocument` of
         ``document``, which builds or tier-loads each variant exactly
-        once under a lock).  Every memo
+        once under a lock and parks it on its layout, where runs find
+        it).  Every memo
         table starts empty, filling lazily on first run — unless the
         artifact shipped its eager dense closure, passed as ``kernel``
         and preloaded into the plan's
         :class:`repro.hype.kernel.DenseKernel` (pre-filter transitions
-        for all three algorithm variants; the document-dependent mask
-        filter rows always stay lazy).
+        for all three algorithm variants; the mask filter rows always
+        stay lazy).
         """
         from .api import ALGORITHMS, HYPE, OPTHYPE_C
 
@@ -178,10 +188,7 @@ class CompiledPlan:
         if algorithm == HYPE:
             plan = cls(mfa)
         else:
-            index = indexes.index_for(algorithm == OPTHYPE_C)
-            plan = cls(
-                mfa, index=index, analyzer=ViabilityAnalyzer(mfa, index.bits)
-            )
+            plan = cls(mfa, index=indexes.index_for(algorithm == OPTHYPE_C))
         if kernel:
             plan.kernel.preload(plan, kernel)
         return plan
@@ -204,8 +211,9 @@ class CompiledPlan:
         """A fresh per-run cursor over this plan."""
         return RunCursor(self)
 
-    def initial_sets(self, context: Node):
-        """Root ``(mstates, m_id, relevant, r_id)`` after index filtering.
+    def initial_sets(self, mask_key: int | None):
+        """Root ``(mstates, m_id, relevant, r_id)``, filtered on the
+        context's ``mask_key`` (``None``: index-free plan).
 
         The slow path of :meth:`repro.hype.kernel.DenseKernel.root_cfg`,
         which derives it once per root mask key (once per plan when
@@ -218,9 +226,9 @@ class CompiledPlan:
         relevant0 = relevance_closure(pool, self._ann_entries(mstates0))
         mstates0, m_id0 = self._intern(mstates0)
         relevant0, r_id0 = self._intern(relevant0)
-        if self.index is not None:
+        if mask_key is not None:
             mstates0, m_id0, relevant0, r_id0 = self._apply_index(
-                base0, base_id0, relevant0, r_id0, context.node_id
+                base0, base_id0, relevant0, r_id0, mask_key
             )
         return mstates0, m_id0, relevant0, r_id0
 
@@ -353,8 +361,9 @@ class CompiledPlan:
             return []
         return [ann[s] for s in mstates if s in ann]
 
-    def _apply_index(self, base, base_id, relevant, r_id, node_id: int):
-        """Index-based subtree filtering (OptHyPE).
+    def _apply_index(self, base, base_id, relevant, r_id, mask_key: int):
+        """Index-based subtree filtering (OptHyPE), a function of the
+        subtree's mask key alone.
 
         The filtered ``mstates`` must be the ε-closure of the *base*
         transition targets restricted to viable states: a viable state
@@ -362,15 +371,14 @@ class CompiledPlan:
         (definitely-false annotation) must NOT survive — intersecting the
         already-closed set would incorrectly keep it.
         """
-        assert self.index is not None and self.analyzer is not None
         # mask_key is an int for both variants: the raw mask (OptHyPE) or
-        # the interned mask id (OptHyPE-C) — small and O(1) to hash even
-        # when the label alphabet makes masks wide.
-        key = (base_id, r_id, self.index.mask_key(node_id))
+        # the table's interned mask id (OptHyPE-C) — small and O(1) to
+        # hash even when the label alphabet makes masks wide.
+        key = (base_id, r_id, mask_key)
         cached = self._filter_cache.get(key)
         if cached is not None:
             return cached
-        mask = self.index.mask(node_id)
+        mask = self.masks[mask_key] if self.compressed else mask_key
         nfa = self.mfa.nfa
         viable = self.analyzer.viable_nfa_states(mask)
         closed: set[int] = set()
@@ -590,5 +598,6 @@ def hype_eval(
     context: Node,
     index: Index | None = None,
 ) -> HyPEResult:
-    """One-shot HyPE evaluation (builds a fresh plan)."""
+    """One-shot HyPE evaluation (builds a fresh plan; ``index`` names
+    the label table and variant of an OptHyPE(-C) one)."""
     return CompiledPlan(mfa, index=index).run(context)

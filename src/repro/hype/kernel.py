@@ -14,16 +14,19 @@ transition table* over interned run configurations:
   ``packed = (cfg << 2) | has_final | (pop_needed << 1)``
 
   ``packed == 0`` ⇔ dead (prune the subtree for this lane); ``-1`` marks
-  an unfilled slot in the per-document ``array('i')`` rows.
+  an unfilled slot in the per-label-table ``array('i')`` rows.
 * plain-HyPE transitions resolve ``(cfg, label) -> packed`` directly;
   index-equipped plans (OptHyPE/-C) resolve ``(cfg, label) -> edge`` —
   an interned ``(base, relevant, watch)`` pre-filter triple — and then
   ``edge × mask_key -> packed`` through the per-edge filter row, which
-  caches the *post*-filter flags too.
-* per document, a layout binds each cfg to an ``array('i')`` row indexed
+  caches the *post*-filter flags too.  The mask key is read from the
+  mask column of the document the run is over
+  (:meth:`repro.docstore.layout.DocumentLayout.mask_keys`); an
+  executable owns no index.
+* per label table, each cfg is bound to an ``array('i')`` row indexed
   by interned label id (kept in the weak-key row cache of
-  :class:`repro.docstore.layout.DocumentLayout`), so a visit is one
-  C-array read plus two shifts.
+  :class:`repro.hype.index.LabelTable`, shared by every document of that
+  label set), so a visit is one C-array read plus two shifts.
 
 Labels the automaton does not distinguish — anything outside the MFA's
 transition alphabet — all share one ``OTHER`` column per cfg: an unseen
@@ -100,7 +103,7 @@ CFG_SHIFT = 2
 #: The dead configuration's id — and, conveniently, its packed word.
 DEAD = 0
 
-#: Sentinel for unfilled slots in the per-document ``array('i')`` rows.
+#: Sentinel for unfilled slots in the per-label-table ``array('i')`` rows.
 UNFILLED = -1
 
 #: Alias column for labels outside the automaton's transition alphabet.
@@ -198,8 +201,9 @@ class DenseKernel:
         self.edge_relevant: list = []
         self.edge_r: list[int] = []
         self.edge_watch: list = []
-        # edge id -> {mask_key -> packed word} (document-dependent, but
-        # index-equipped plans are document-bound, so plan-wide is safe).
+        # edge id -> {mask_key -> packed word}: a function of the mask
+        # key in the executable's label table, whichever document of
+        # that label set the key was read from.
         self.edge_filters: list[dict] = []
         empty, empty_id = plan._intern(frozenset())
         assert self.cfg_of(empty, empty_id, empty, empty_id, ()) == DEAD
@@ -261,15 +265,14 @@ class DenseKernel:
     # ------------------------------------------------------------------
     # Transition resolution (slow path; results land in the tables)
     # ------------------------------------------------------------------
-    def root_cfg(self, plan, context) -> int:
-        """The cfg the run enters ``context`` with (DEAD when pruned):
-        a constant of an index-free plan, a function of the context's
-        mask key in an indexed one — derived once per key."""
-        index = plan.index
-        key = None if index is None else index.mask_key(context.node_id)
+    def root_cfg(self, plan, key) -> int:
+        """The cfg the run enters its context with (DEAD when pruned):
+        a constant of an index-free plan (``key`` is ``None``), a
+        function of the context's mask key in an indexed one — derived
+        once per key."""
         cfg = self.roots.get(key)
         if cfg is None:
-            mstates0, m_id0, relevant0, r_id0 = plan.initial_sets(context)
+            mstates0, m_id0, relevant0, r_id0 = plan.initial_sets(key)
             if not mstates0 and not relevant0:
                 cfg = DEAD
             else:
@@ -282,7 +285,7 @@ class DenseKernel:
 
         A label outside the alphabet resolves through — and is stored
         under — the OTHER column only (the caller caches the word in its
-        per-document row), so a long-lived plan serving ever-new labels
+        label table's row), so a long-lived plan serving ever-new labels
         does not grow.
         """
         if label not in self.alphabet:
@@ -309,20 +312,20 @@ class DenseKernel:
         )
         if not mstates_v and not relevant_v:
             return DEAD
-        if plan.index is not None:
+        if plan.bit_of is not None:
             eid = self.edge_of(base_v, base_idv, relevant_v, r_idv, watch)
             return (eid << 1) | 1
         child = self.cfg_of(mstates_v, m_idv, relevant_v, r_idv, watch)
         return self.cfg_packed[child]
 
-    def fill_filter(self, plan, eid: int, mask_key, node_id: int) -> int:
+    def fill_filter(self, plan, eid: int, mask_key: int) -> int:
         """Resolve one ``edge × mask_key`` filter-row entry (OptHyPE)."""
         mstates_f, m_idf, relevant_f, r_idf = plan._apply_index(
             self.edge_base[eid],
             self.edge_base_id[eid],
             self.edge_relevant[eid],
             self.edge_r[eid],
-            node_id,
+            mask_key,
         )
         if not mstates_f and not relevant_f:
             packed = DEAD
@@ -434,7 +437,7 @@ class DenseKernel:
         The payload is document-independent: for plain plans it fills
         the ``(cfg, label) -> packed`` table outright; for index-equipped
         plans the same entries become pre-filter edge words (the mask
-        filter rows stay lazy — they depend on the document).  Returns
+        filter rows stay lazy — they fill as documents bring masks).  Returns
         the number of transition entries installed.
         """
         interned, cfg_map = decode_cfgs(plan, payload["sets"], payload["cfgs"])
@@ -476,7 +479,7 @@ class DenseKernel:
         """Install the ``rows`` — ``(source cfg, label, (base, base_id),
         source child)``, cfgs mapped to this kernel's by ``cfg_map`` —
         that are not present."""
-        indexed = plan.index is not None
+        indexed = plan.bit_of is not None
         trans = self.trans
         installed = 0
         for cfg_i, label, (base, base_id), child_i in rows:
@@ -609,7 +612,7 @@ def close(plan, max_cfgs: int = 256) -> None:
     """
     from ..automata.afa import TRANS
 
-    if plan.index is not None:
+    if plan.bit_of is not None:
         raise ValueError("dense closures are built in index-free plans")
     kern = plan.kernel
     if kern.closure is not None:
@@ -702,9 +705,10 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     tree, foreign document), is never indexed: the pass walks fresh
     columns of the context's document instead
     (:func:`repro.docstore.layout.covering_layout`) — same visits, same
-    order, same counters.  An OptHyPE(-C) lane whose index is of another
-    freeze than those columns is refused
-    (:meth:`repro.docstore.layout.DocumentLayout.check_index`).
+    order, same counters.  An OptHyPE(-C) lane prunes on the mask column
+    of *that* document, and is refused when it has none of the lane's
+    label table and variant
+    (:meth:`repro.docstore.layout.DocumentLayout.mask_keys`).
     ``shared`` (a
     :class:`repro.serve.batch.BatchStats`-shaped object) receives the
     counters of the pass a wave *shares*: the union of the lanes' visit
@@ -725,13 +729,15 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     checks = CHECK_INTERVAL
     live = []
     for plan, cursor in lanes:
-        layout.check_index(plan.index)
-        cfg = plan.kernel.root_cfg(plan, context)
+        mask_keys = layout.mask_keys(plan)
+        cfg = plan.kernel.root_cfg(
+            plan, None if mask_keys is None else mask_keys[context.node_id]
+        )
         if cfg == DEAD:
             # Dead at the root: the lane finishes with the all-zero result.
             continue
         checks = _descend_lane(
-            plan, cursor, layout, context, cfg, deadline, checks
+            plan, cursor, layout, mask_keys, context, cfg, deadline, checks
         )
         live.append(cursor)
     if shared is None or not live:
@@ -752,10 +758,11 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
 
 
 def _descend_lane(
-    plan, cursor, layout, node, cfg: int, deadline, checks: int
+    plan, cursor, layout, mask_keys, node, cfg: int, deadline, checks: int
 ) -> int:
     """The lean pass: run one lane — ``plan`` recording into ``cursor``
-    — over ``node``'s subtree in ``layout``.
+    — over ``node``'s subtree in ``layout``, pruning on the document's
+    ``mask_keys`` column (``None``: plain HyPE).
 
     The current node's frame lives in locals (node, visit index, cfg,
     its ``array('i')`` row, the truths its children reported, the child
@@ -776,17 +783,16 @@ def _descend_lane(
     parents_append = cursor.visit_parents.append
     mstates_append = cursor.visit_mstates.append
     finals_append = cursor.finals_seen.append
-    index = plan.index
-    indexed = index is not None
-    mask_keys = index.mask_keys if indexed else None
+    indexed = mask_keys is not None
     filters = kern.edge_filters
-    labels = layout.labels
+    table = layout.table
+    labels = table.labels
     nodes = layout.nodes
     kid_ids = layout.kid_ids
     kid_labels = layout.kid_labels
     kid_start = layout.kid_start
-    # cfg -> this document's label-id-indexed row of packed words.
-    rows = layout.rows_for(plan)
+    # cfg -> this label table's label-id-indexed row of packed words.
+    rows = table.rows_for(plan)
     blank = array("i", [UNFILLED]) * len(labels)
     packed = kern.cfg_packed[cfg]
     nodes_append(node)
@@ -855,7 +861,7 @@ def _descend_lane(
             mask_key = mask_keys[cid]
             packed = filters[eid].get(mask_key, UNFILLED)
             if packed == UNFILLED:
-                packed = kern.fill_filter(plan, eid, mask_key, cid)
+                packed = kern.fill_filter(plan, eid, mask_key)
         if packed == DEAD:
             skipped += 1
             continue

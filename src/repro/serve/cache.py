@@ -50,7 +50,7 @@ from ..automata.mfa import MFA
 from ..compile.artifact import PlanArtifact, PlanKey
 from ..compile.pipeline import NormalizedQuery, QueryCompiler
 from ..compile.store import PlanStore
-from ..hype.api import HYPE
+from ..hype.api import HYPE, OPTHYPE_C
 from ..hype.compose import (
     ComposedKernel,
     ComposedOverflow,
@@ -127,10 +127,11 @@ class CachedPlan:
     #: The HyPE executable, under its algorithm name: index-free, hence
     #: document-independent — ONE per plan serves every document.
     plans: dict[str, CompiledPlan] = field(default_factory=dict)
-    #: document -> {algorithm: executable} for OptHyPE / OptHyPE-C,
-    #: which embed the document's index and mask tables — held weakly,
-    #: so they go when the document store (and its users) let it go.
-    _per_document: WeakKeyDictionary = field(
+    #: label table -> {algorithm: executable} for OptHyPE / OptHyPE-C:
+    #: what they derive is a function of the label set, so every
+    #: document of one label set runs on the same two — held weakly, so
+    #: they go when the last document of that label set is let go.
+    _per_table: WeakKeyDictionary = field(
         default_factory=WeakKeyDictionary, repr=False, compare=False
     )
     _lock: threading.Lock = field(
@@ -143,22 +144,25 @@ class CachedPlan:
         """The (cached) executable realising ``algorithm`` on ``document``.
 
         ``indexes`` is the document's
-        :class:`repro.docstore.IndexedDocument` — the index provider,
-        and the weak key its OptHyPE executables live under — and
-        construction delegates to
+        :class:`repro.docstore.IndexedDocument` — the index provider:
+        asking it for the variant builds (or loads) and parks the
+        document's own mask column, and names the label table its
+        OptHyPE executables live under — and construction delegates to
         :meth:`repro.hype.core.CompiledPlan.for_algorithm`.
         """
         if algorithm == HYPE:
+            table = None
             plan = self.plans.get(algorithm)
         else:
-            plan = self._per_document.get(indexes, _NO_PLANS).get(algorithm)
+            table = indexes.index_for(algorithm == OPTHYPE_C).table
+            plan = self._per_table.get(table, _NO_PLANS).get(algorithm)
         if plan is not None:
             return plan
         with self._lock:
-            if algorithm == HYPE:
+            if table is None:
                 memo = self.plans
             else:
-                memo = self._per_document.setdefault(indexes, {})
+                memo = self._per_table.setdefault(table, {})
             plan = memo.get(algorithm)
             if plan is None:
                 plan = memo[algorithm] = self._build(algorithm, document, indexes)
@@ -184,7 +188,7 @@ class CachedPlan:
     def executables(self) -> list[CompiledPlan]:
         """Every live executable of this plan (introspection, tests)."""
         with self._lock:
-            memos = [self.plans, *self._per_document.values()]
+            memos = [self.plans, *self._per_table.values()]
         return [plan for memo in memos for plan in memo.values()]
 
 
@@ -265,7 +269,7 @@ class ComposedCache:
     build first tries :meth:`repro.compile.store.PlanStore.load_composed`
     (a warm restart skips recomposition), and :meth:`persist` writes the
     hot tables back after a composed run grew them.  Index-equipped
-    kernels embed per-document mask rows — cached, never persisted.
+    kernels hold mask rows of one label table — cached, never persisted.
     A cold shape is built (store probe, decode, preload) once and
     outside the map lock (:class:`repro.tier.SingleFlightLRU`), so
     ``stats`` / ``gauges`` and other shapes never queue behind it.

@@ -63,6 +63,22 @@ def paths(max_leaves: int = 8) -> st.SearchStrategy[ast.Path]:
     )
 
 
+def gated_paths() -> st.SearchStrategy[ast.Path]:
+    """Queries with a gate on the way to their answers (deaths happen).
+    One inner strategy object throughout: building one is the slow part."""
+    inner = paths(3)
+    exists = st.builds(ast.Exists, inner)
+    gated = st.builds(
+        ast.Filtered, inner, st.one_of(exists, st.builds(ast.Not, exists))
+    )
+    return st.one_of(
+        gated,
+        st.builds(ast.Concat, gated, inner),
+        st.builds(ast.Star, gated),
+        st.builds(ast.Union, st.builds(ast.Concat, gated, inner), inner),
+    )
+
+
 def filters(path_strategy: st.SearchStrategy[ast.Path]) -> st.SearchStrategy[ast.Filter]:
     """Random filters over the given path strategy."""
     base = st.one_of(

@@ -14,7 +14,9 @@ The acceptance properties of the document tier:
 import gzip
 import hashlib
 import json
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,7 @@ from repro.docstore import (
 )
 from repro.hype.api import ALGORITHMS
 from repro.hype.index import build_index
+from repro.serve.cache import PlanCache
 from repro.serve.service import QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.xtree.parse import parse_xml
@@ -60,11 +63,14 @@ class TestDocumentLayout:
             ] == [c.label for c in kids]
 
     def test_label_ids_are_dense_and_unique(self, hospital_tree):
+        """Label → id moved from the layout to its label table; a fresh
+        build uses the sorted label set, whatever order labels appear in."""
         layout = IndexedDocument(hospital_tree).layout
-        assert sorted(layout.label_ids.values()) == list(
+        assert sorted(layout.table.label_ids.values()) == list(
             range(len(layout.labels))
         )
-        assert set(layout.labels) == hospital_tree.labels
+        assert layout.labels == tuple(sorted(hospital_tree.labels))
+        assert layout.labels is layout.table.labels
 
     def test_covers_rejects_foreign_nodes(self, hospital_tree):
         layout = IndexedDocument(hospital_tree).layout
@@ -142,7 +148,7 @@ class TestDocumentStore:
         parsed = DocumentStore().get(xml)
         adopted = DocumentStore().adopt(parse_xml(xml))
         assert parsed.content_hash == adopted.content_hash == content_digest(xml)
-        assert parsed.index_for(False).mask(depth - 1) == parsed.index_for(True).mask(depth - 1)
+        assert parsed.index_for(False).masks[depth - 1] == parsed.index_for(True).masks[depth - 1]
         with QueryService(parsed) as service:
             service.register_tenant("admin", None)
             for algorithm in ALGORITHMS:
@@ -206,18 +212,20 @@ class TestIngestWalks:
         assert walks["serialize"] == 1
 
     def test_both_variants_expose_the_same_masks(self, hospital_xml, walks):
+        """The label → bit map both variants shared (``index.bits``) is
+        the label table's now — and so is OptHyPE-C's mask interning, so
+        a reference build of the same label set has the same keys."""
         for first in (False, True):
             doc = DocumentStore().get(hospital_xml)
             derived_from, derived = doc.index_for(first), doc.index_for(not first)
-            assert derived.bits is derived_from.bits
+            assert derived.table is derived_from.table is doc.layout.table
+            assert doc.layout.indexes == {first: derived_from, not first: derived}
             for compressed, index in ((first, derived_from), (not first, derived)):
                 built = build_index(doc.tree, compressed=compressed)
-                assert index.bits.bit_of == built.bits.bit_of
+                assert built.table is index.table
                 assert list(index.mask_keys) == list(built.mask_keys)
                 assert index.memory_entries() == built.memory_entries()
-                assert [index.mask(i) for i in range(doc.size)] == [
-                    built.mask(i) for i in range(doc.size)
-                ]
+                assert index.masks == built.masks
             assert derived.distinct_masks() == derived_from.distinct_masks()
         assert walks["sweep"] == 2 + 4  # one per document + the four references
 
@@ -230,7 +238,7 @@ class TestIndexSharing:
         c = doc.index_for(True)
         assert a is b and c is not a
         assert doc.stats.index_builds == 2
-        assert set(doc.built_indexes()) == {False, True}
+        assert doc.layout.indexes == {False: a, True: c}  # parked on the layout
 
     def test_n_threads_one_cold_document_one_build(self, hospital_xml):
         """The concurrency acceptance: N threads racing a cold document
@@ -265,10 +273,11 @@ class TestPersistentTier:
         assert warm.stats.index_builds == 0
         assert warm.stats.index_loads == 1
         built = cold.get(hospital_xml).index_for(True)
-        # A rehydrated index is observationally identical to a built one.
-        assert loaded.bits.bit_of == built.bits.bit_of
-        assert loaded.mask_table == built.mask_table
-        assert loaded.ids == built.ids
+        # A rehydrated index is observationally identical to a built one
+        # — same table, same table-wide mask ids.
+        assert loaded.table is built.table
+        assert loaded.mask_keys == built.mask_keys
+        assert loaded.masks == built.masks
 
     def test_uncompressed_variant_round_trips(self, tmp_path, hospital_xml):
         cold = DocumentStore(index_dir=tmp_path / "docs")
@@ -277,7 +286,7 @@ class TestPersistentTier:
         loaded = warm.get(hospital_xml).index_for(False)
         assert warm.stats.index_builds == 0 and warm.stats.index_loads == 1
         assert loaded.masks == built.masks
-        assert loaded.bits.bit_of == built.bits.bit_of
+        assert loaded.table is built.table
 
     def test_corrupt_index_file_is_counted_and_rebuilt(
         self, tmp_path, hospital_xml
@@ -306,6 +315,34 @@ class TestPersistentTier:
         warm = DocumentStore(index_dir=tmp_path / "docs")
         warm.get(hospital_xml).index_for(False)
         assert warm.stats.corrupt == 1 and warm.stats.index_builds == 1
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda record: record["bits"].__setitem__(1, "no-such-label"),
+            lambda record: record["masks"].__setitem__(0, 1 << len(record["bits"])),
+            lambda record: record["masks"].__setitem__(0, -1),
+        ],
+    )
+    def test_a_record_outside_the_label_table_is_rejected(
+        self, tmp_path, hospital_xml, tamper
+    ):
+        """A record is read into the loading document's label table: a
+        label that table lacks, or a mask naming a bit the record does
+        not declare, is a counted rebuild — not a junk mask interned
+        into a table other documents share."""
+        cold = DocumentStore(index_dir=tmp_path / "docs")
+        doc = cold.get(hospital_xml)
+        doc.index_for(False)
+        path = cold.tier.path_for(doc.content_hash, False)
+        record = json.loads(gzip.decompress(path.read_bytes()))
+        tamper(record)
+        path.write_bytes(gzip.compress(json.dumps(record).encode()))
+
+        warm = DocumentStore(index_dir=tmp_path / "docs")
+        rebuilt = warm.get(hospital_xml).index_for(False)
+        assert warm.stats.corrupt == 1 and warm.stats.index_builds == 1
+        assert rebuilt.masks == doc.index_for(False).masks
 
     def test_truncated_gzip_index_is_a_counted_miss(
         self, tmp_path, hospital_xml
@@ -367,8 +404,7 @@ class TestPersistentTier:
         assert warm.stats.layout_loads == 1
         assert warm.stats.layout_stores == 0
         # A rehydrated layout is column-identical to a built one.
-        assert loaded.labels == built.labels
-        assert loaded.label_ids == built.label_ids
+        assert loaded.table is built.table  # sorted file order: the shared table
         assert list(loaded.node_label) == built.node_label
         assert list(loaded.kid_ids) == built.kid_ids
         assert list(loaded.kid_labels) == built.kid_labels
@@ -451,11 +487,17 @@ class TestPersistentTier:
 class TestPersistedBytes:
     """Golden: what a ``--doc-dir`` holds for one fixed document.
 
-    The constants were computed at the commit before the one-pass
-    ingest; a change that moves any of them orphans every deployed tier
-    (and needs a ``DOC_FORMAT_VERSION`` bump).  Index files are hashed
-    over their gunzipped JSON record — the gzip container's header
-    bytes vary across zlib / Python versions, the record does not.
+    ``FILES`` pins what a fresh build writes (labels in sorted order,
+    the text marker on bit 0: the canonical form every document of one
+    label set shares a table through); ``tests/golden/doctier_v2`` keeps
+    the three files the commit before the label table wrote for the same
+    document (first-appearance label ids, bits in reverse document
+    order), which must stay loadable: the formats spell out their own
+    label order, so v2 covers both.  A change that stops reading either
+    orphans deployed tiers (and needs a ``DOC_FORMAT_VERSION`` bump).
+    Index files are hashed over their gunzipped JSON record — the gzip
+    container's header bytes vary across zlib / Python versions, the
+    record does not.
     """
 
     XML = (
@@ -468,10 +510,27 @@ class TestPersistedBytes:
     )
     ADDRESS = "824514870acf0a7a01141e5fc7113146ecba1b0cc928bac48538f9fad2ab17a6"
     FILES = {
+        ".u.v2.docidx.json.gz": "44daf7e5b92e9a62569cd8a846dafe7e33698d095a13853e9819408624d265e3",
+        ".c.v2.docidx.json.gz": "00b2685264722a18ebf2a3f6543e512160223100fe0a9d3ee361a0c4e95ff732",
+        ".v2.doclay.bin": "c3210a005c6f06bc7287a6d0f1ee93edce596c8a3b3edf56a981100ea40988db",
+    }
+    #: The same three files as the parent commit wrote them.
+    PARENT_FILES = {
         ".u.v2.docidx.json.gz": "92b40fa5ace613ec9c949678c9352ba6c05a67bcb9cfcdebb353b30a2d28058e",
         ".c.v2.docidx.json.gz": "45d55907adb5fcf0197ee02d32415ddbba139cf21c14ef260175f8f2a7c2fac4",
         ".v2.doclay.bin": "3c88e6430cf05b226300367e1bf8131eca91c8db374d1271dd47d5282ee714d6",
     }
+    FIXTURES = Path(__file__).parent / "golden" / "doctier_v2"
+
+    @staticmethod
+    def _digests(directory) -> dict:
+        found = {}
+        for path in directory.iterdir():
+            raw = path.read_bytes()
+            if path.name.endswith(".gz"):
+                raw = gzip.decompress(raw)
+            found[path.name[64:]] = hashlib.sha256(raw).hexdigest()
+        return found
 
     @pytest.mark.parametrize("order", [(False, True), (True, False)])
     def test_address_and_tier_files_are_pinned(self, tmp_path, order):
@@ -480,13 +539,63 @@ class TestPersistedBytes:
         for compressed in order:
             doc.index_for(compressed)
         assert doc.content_hash == self.ADDRESS
-        found = {}
-        for path in tmp_path.iterdir():
-            raw = path.read_bytes()
-            if path.name.endswith(".gz"):
-                raw = gzip.decompress(raw)
-            found[path.name.removeprefix(self.ADDRESS)] = hashlib.sha256(raw).hexdigest()
-        assert found == self.FILES
+        assert self._digests(tmp_path) == self.FILES
+
+    def test_a_record_is_the_same_whatever_the_table_saw_first(self, tmp_path):
+        """An OptHyPE-C record carries its own distinct masks and
+        file-local ids, not the table-wide interning: the bytes do not
+        depend on which documents filled the shared table before."""
+        crowd = DocumentStore().get(
+            "<hospital><patient><visit><treatment/><date>1</date></visit>"
+            "<name>n</name></patient></hospital>"
+        )
+        crowd.index_for(True)
+        doc = DocumentStore(index_dir=tmp_path).get(self.XML)
+        assert doc.layout.table is crowd.layout.table
+        assert doc.index_for(True).table.masks[0] != 0  # not this record's order
+        doc.index_for(False)
+        assert self._digests(tmp_path) == self.FILES
+
+    def test_parent_written_files_still_load(self, tmp_path):
+        """First-appearance files load as the table of *their* order —
+        no build, nothing counted corrupt, no column remapped — and
+        answer (and prune) exactly like a fresh canonical build."""
+        assert self._digests(self.FIXTURES) == self.PARENT_FILES
+        shutil.copytree(self.FIXTURES, tmp_path / "old")
+        old_store = DocumentStore(index_dir=tmp_path / "old")
+        old, new = old_store.get(self.XML), DocumentStore().get(self.XML)
+        cached = PlanCache(4).plan(None, "//patient[visit/treatment]/name")
+        for algorithm in ALGORITHMS:
+            results = [
+                cached.compiled(algorithm, doc.tree, doc).run(
+                    doc.root, layout=doc.layout
+                )
+                for doc in (old, new)
+            ]
+            assert [n.node_id for n in results[0].answers] == [
+                n.node_id for n in results[1].answers
+            ]
+            assert results[0].answers and results[0].stats == results[1].stats
+        stats = old_store.snapshot_stats()
+        assert (stats.index_builds, stats.corrupt, stats.errors) == (0, 0, 0)
+        assert (stats.index_loads, stats.layout_loads) == (2, 1)
+        assert old.layout.labels == (
+            "hospital", "patient", "name", "visit", "date", "treatment"
+        )
+        assert old.layout.table is not new.layout.table
+        assert isinstance(old.layout.node_label, memoryview)  # still zero-copy
+        for compressed in (False, True):
+            assert old.index_for(compressed).table is old.layout.table
+            # Same label sets per node, expressed in each table's bits.
+            assert [
+                {label for label, bit in doc.layout.table.bit_of.items() if mask & bit}
+                for doc in (old, new)
+                for mask in doc.index_for(compressed).masks
+            ][: old.size] == [
+                {label for label, bit in new.layout.table.bit_of.items() if mask & bit}
+                for mask in new.index_for(compressed).masks
+            ]
+        assert self._digests(tmp_path / "old") == self.PARENT_FILES  # untouched
 
 
 class TestTierGC:

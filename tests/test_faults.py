@@ -261,7 +261,7 @@ class TestSeamsNamedByTheTier:
 class TestDescendSeam:
     def test_slow_descent_fires_per_schedule(self):
         tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))
-        compiled = compile_plan("department/patient", tree=tree)
+        compiled = compile_plan("department/patient")
         schedule = plan(
             FaultRule("descend", "delay", hits=(2,), seconds=0.05)
         )
@@ -281,8 +281,8 @@ class TestDescendSeam:
         descent schedules never touched ``--compose`` traffic."""
         tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))
         lanes = [
-            compile_plan("department/patient", tree=tree),
-            compile_plan("department/patient/parent", tree=tree),
+            compile_plan("department/patient"),
+            compile_plan("department/patient/parent"),
         ]
         schedule = plan(
             FaultRule("descend", "delay", hits=(1,), seconds=0.05)

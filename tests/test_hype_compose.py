@@ -30,6 +30,7 @@ from repro.hype.compose import (
 from repro.hype.core import CompiledPlan, RunCursor
 from repro.serve.batch import BatchEvaluator
 from repro.xpath.parser import parse_query
+from repro.xtree.parse import parse_xml
 
 from .strategies import paths, trees
 
@@ -38,13 +39,14 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: (family name, index factory) — composition members must share one
-#: index object, exactly as the serving stack hands lanes the document's
-#: index.
+#: (family name, index of an IndexedDocument) — composition members
+#: must share one (label table, variant), exactly as the serving stack
+#: compiles every lane against the document's own index, which also
+#: parks the mask column on the document's layout.
 FAMILIES = (
-    ("hype", lambda tree: None),
-    ("opthype", lambda tree: build_index(tree, compressed=False)),
-    ("opthype-c", lambda tree: build_index(tree, compressed=True)),
+    ("hype", lambda doc: None),
+    ("opthype", lambda doc: doc.index_for(False)),
+    ("opthype-c", lambda doc: doc.index_for(True)),
 )
 
 
@@ -84,15 +86,23 @@ class TestConstruction:
             ComposedKernel([plan])
 
     def test_rejects_mixed_families(self, hospital_doc):
+        """The "same index object" rule became "same (label table,
+        variant)": members read ONE mask column, the run's document's."""
         plain = _plans(["//patient"], None)
-        indexed = _plans(["//ward"], build_index(hospital_doc))
+        index = build_index(hospital_doc)
+        indexed = _plans(["//ward"], index)
         with pytest.raises(ComposeError, match="share one algorithm family"):
             ComposedKernel(plain + indexed)
-        # Two different index objects are two families too, even over
-        # the same document.
+        # Two index objects of one label table are one family ...
         other = _plans(["//patient"], build_index(hospital_doc))
+        assert ComposedKernel(indexed + other).indexed
+        # ... the other variant, or another label table, is not.
+        packed = _plans(["//patient"], build_index(hospital_doc, compressed=True))
         with pytest.raises(ComposeError, match="share one algorithm family"):
-            ComposedKernel(indexed + other)
+            ComposedKernel(indexed + packed)
+        foreign = build_index(parse_xml("<hospital><annex/></hospital>"))
+        with pytest.raises(ComposeError, match="share one algorithm family"):
+            ComposedKernel(indexed + _plans(["//patient"], foreign))
 
     def test_cap_overflow_raises(self, hospital_doc):
         plans = _plans(["//patient", "//patient//treatment"], None)
@@ -177,8 +187,9 @@ class TestComposedEqualsSequential:
     @given(trees(), st.lists(paths(max_leaves=5), min_size=2, max_size=4))
     @settings(max_examples=40, **COMMON)
     def test_all_families_on_demand_layout(self, tree, queries):
+        doc = IndexedDocument(tree)  # keeps the plans' label table alive
         for _family, make_index in FAMILIES:
-            plans = _plans(queries, make_index(tree))
+            plans = _plans(queries, make_index(doc))
             _assert_lanes_identical(
                 _composed(plans, tree, None),
                 _sequential(plans, tree, None),
@@ -187,9 +198,10 @@ class TestComposedEqualsSequential:
     @given(trees(), st.lists(paths(max_leaves=5), min_size=2, max_size=4))
     @settings(max_examples=40, **COMMON)
     def test_all_families_supplied_layout(self, tree, queries):
-        layout = IndexedDocument(tree).layout
+        doc = IndexedDocument(tree)
+        layout = doc.layout
         for _family, make_index in FAMILIES:
-            plans = _plans(queries, make_index(tree))
+            plans = _plans(queries, make_index(doc))
             _assert_lanes_identical(
                 _composed(plans, tree, layout),
                 _sequential(plans, tree, layout),

@@ -28,11 +28,16 @@ from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from .strategies import paths, trees
 
 
-def _algorithm_plans(query, tree):
-    return [
-        compile_plan(query, algorithm=algorithm, tree=tree)
-        for algorithm in ALGORITHMS
-    ]
+def _document_plan(query, algorithm, doc):
+    """A plan for ``doc``'s label table (what serving builds): asking
+    the document for the index also parks its mask column on
+    ``doc.layout``; on-demand runs sweep their own."""
+    index = None if algorithm == "hype" else doc.index_for(algorithm == "opthype-c")
+    return compile_plan(query, algorithm=algorithm, index=index)
+
+
+def _algorithm_plans(query, doc):
+    return [_document_plan(query, algorithm, doc) for algorithm in ALGORITHMS]
 
 
 class TestOneSharedLoop:
@@ -41,9 +46,9 @@ class TestOneSharedLoop:
     def test_batched_lanes_match_sequential_runs(self, tree, query):
         """All three algorithms in ONE batched pass == three sequential
         runs, over on-demand columns and over the document's layout."""
-        plans = _algorithm_plans(query, tree)
-        layout = IndexedDocument(tree).layout
-        for batch_layout in (None, layout):
+        doc = IndexedDocument(tree)
+        plans = _algorithm_plans(query, doc)
+        for batch_layout in (None, doc.layout):
             batch = BatchEvaluator(plans).run(tree.root, layout=batch_layout)
             for plan, lane in zip(plans, batch.results):
                 solo = plan.run(tree.root, layout=batch_layout)
@@ -158,11 +163,11 @@ class TestWaveLanes:
         different depths): each lane's cans DAG, deaths, answers and
         HyPEStats equal its own one-lane descent, and the shared pass
         visits exactly the union of the lanes' visit sets."""
+        doc = IndexedDocument(tree)
         plans = [
-            compile_plan(query, algorithm=algorithm, tree=tree)
-            for query, algorithm in members
+            _document_plan(query, algorithm, doc) for query, algorithm in members
         ]
-        for layout in (None, IndexedDocument(tree).layout):
+        for layout in (None, doc.layout):
             cursors = [RunCursor(plan) for plan in plans]
             shared = BatchStats()
             descend(list(zip(plans, cursors)), tree.root, layout, shared=shared)
@@ -190,26 +195,29 @@ class TestRootMemo:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_runs_after_the_first_derive_nothing(self, algorithm, monkeypatch):
+        """``initial_sets`` takes the context's mask key now (read from
+        the run's document), not the context: the memo is per key across
+        every document of the executable's label table."""
         tree = generate_hospital_document(HospitalConfig(num_patients=3, seed=5))
-        plan = compile_plan(FIG8["fig8a"], algorithm=algorithm, tree=tree)
+        doc = IndexedDocument(tree)
+        plan = _document_plan(FIG8["fig8a"], algorithm, doc)
         derived = []
         real = plan.initial_sets
         monkeypatch.setattr(
-            plan, "initial_sets", lambda context: derived.append(context) or real(context)
+            plan, "initial_sets", lambda key: derived.append(key) or real(key)
         )
         contexts = [tree.root, tree.root.children[0]]
-        fresh = compile_plan(FIG8["fig8a"], algorithm=algorithm, tree=tree)
+        fresh = _document_plan(FIG8["fig8a"], algorithm, doc)
         for context in contexts * 3:
-            result = plan.run(context)
-            expected = fresh.run(context)
+            result = plan.run(context, layout=doc.layout)
+            expected = fresh.run(context, layout=doc.layout)
             assert result.answers == expected.answers
             assert result.stats == expected.stats
             fresh.kernel.roots.clear()  # the reference derives every time
-        keys = {
-            None if plan.index is None else plan.index.mask_key(c.node_id)
-            for c in contexts
-        }
-        assert len(derived) == len(keys) == len(plan.kernel.roots)
+        mask_keys = doc.layout.mask_keys(plan)
+        keys = {None if mask_keys is None else mask_keys[c.node_id] for c in contexts}
+        assert len(derived) == len(keys)  # once per key, ever
+        assert set(derived) == keys == set(plan.kernel.roots)
 
 
 class TestPopTable:
@@ -274,16 +282,11 @@ class TestPopTable:
 
         monkeypatch.setattr(DenseKernel, "pop_frame", checked)
         tree = generate_hospital_document(HospitalConfig(num_patients=6, seed=3))
-        layouts = (None, IndexedDocument(tree).layout)
+        doc = IndexedDocument(tree)
+        layouts = (None, doc.layout)
         queries = sorted(FIG8.values()) + ["//patient[.//diagnosis/text() = 'flu']"]
         for algorithm in ALGORITHMS:
-            index = None
-            if algorithm != "hype":
-                index = build_index(tree, compressed=algorithm == "opthype-c")
-            plans = [
-                compile_plan(query, algorithm=algorithm, index=index)
-                for query in queries
-            ]
+            plans = [_document_plan(query, algorithm, doc) for query in queries]
             for layout in layouts:
                 for plan in plans:
                     plan.run(tree.root, layout)

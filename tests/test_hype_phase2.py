@@ -14,19 +14,20 @@ from hypothesis import strategies as st
 
 from repro.automata import compile_query
 from repro.docstore import IndexedDocument
-from repro.hype import build_index
 from repro.hype.compose import ComposedKernel, descend_composed
 from repro.hype.core import CompiledPlan, RunCursor
 from repro.hype.kernel import descend
-from repro.xpath import ast, evaluate, parse_query
+from repro.xpath import evaluate, parse_query
 from repro.xtree import parse_xml
 
-from .strategies import paths, trees
+from .strategies import gated_paths, trees
 
+#: Per family, the index of an IndexedDocument a plan is compiled with
+#: (asking parks the document's mask column on its layout).
 FAMILIES = (
-    lambda tree: None,
-    lambda tree: build_index(tree, compressed=False),
-    lambda tree: build_index(tree, compressed=True),
+    lambda doc: None,
+    lambda doc: doc.index_for(False),
+    lambda doc: doc.index_for(True),
 )
 
 
@@ -66,23 +67,7 @@ def assert_matches_full_walk(plan, cursor):
     assert result.stats.cans_vertices == sum(map(len, cursor.visit_mstates))
 
 
-def filter_queries() -> st.SearchStrategy[ast.Path]:
-    """Queries with a gate on the way to their answers (deaths happen).
-    One inner strategy object throughout: building one is the slow part."""
-    inner = paths(3)
-    exists = st.builds(ast.Exists, inner)
-    gated = st.builds(
-        ast.Filtered, inner, st.one_of(exists, st.builds(ast.Not, exists))
-    )
-    return st.one_of(
-        gated,
-        st.builds(ast.Concat, gated, inner),
-        st.builds(ast.Star, gated),
-        st.builds(ast.Union, st.builds(ast.Concat, gated, inner), inner),
-    )
-
-
-@given(trees(max_depth=3), st.lists(filter_queries(), min_size=2, max_size=3))
+@given(trees(max_depth=3), st.lists(gated_paths(), min_size=2, max_size=3))
 @settings(
     max_examples=30,
     deadline=None,
@@ -90,9 +75,10 @@ def filter_queries() -> st.SearchStrategy[ast.Path]:
 )
 def test_candidate_driven_equals_the_full_walk(tree, queries):
     """Documents x filter queries x 3 algorithms x lean / wave / composed."""
-    layout = IndexedDocument(tree).layout
+    doc = IndexedDocument(tree)
+    layout = doc.layout
     for family in FAMILIES:
-        index = family(tree)
+        index = family(doc)
         plans = [CompiledPlan(compile_query(q), index=index) for q in queries]
 
         def lean(lanes):

@@ -118,12 +118,13 @@ def test_evicted_documents_leave_no_cyclic_garbage(hygiene):
 
 
 def test_an_evicted_document_dies_by_reference_count():
-    """With the collector OFF, the wrapper, tree, layout, both indexes,
-    the per-document executables and every node are gone the moment the
-    store evicts the entry and the caller lets go — after the document
-    was served by all three algorithms through a cached plan, so
-    ``CachedPlan._per_document`` and ``DocumentLayout._rows`` hold
-    (weak) entries for it."""
+    """With the collector OFF, the wrapper, tree, layout, both indexes
+    and every node are gone the moment the store evicts the entry and
+    the caller lets go — after the document was served by all three
+    algorithms through a cached plan.  The index belongs to the layout
+    (an executable holds none, so the masks go at once); rows and
+    OptHyPE executables belong to the label table, which the last
+    document of the label set takes with it."""
     texts = [_hospital_text(seed) for seed in (11, 12, 13)]
     store = DocumentStore(capacity=2)
     cached = PlanCache(8).plan(None, "//patient")
@@ -139,11 +140,16 @@ def test_an_evicted_document_dies_by_reference_count():
             for algorithm in ALGORITHMS
         ]
         assert all(result.answers for result in results)
-        per_document = [
-            plan for plan in cached.executables() if plan.index is not None
+        per_table = [
+            plan for plan in cached.executables() if plan.bit_of is not None
         ]
-        assert len(per_document) == 2
-        assert doc.layout.rows_for(per_document[0])
+        assert len(per_table) == 2
+        table = doc.layout.table
+        assert table.rows_for(per_table[0])
+        assert doc.layout.indexes == {
+            False: doc.index_for(False),
+            True: doc.index_for(True),
+        }
         refs = [
             weakref.ref(held)
             for held in (
@@ -152,19 +158,66 @@ def test_an_evicted_document_dies_by_reference_count():
                 doc.layout,
                 doc.index_for(False),
                 doc.index_for(True),
-                *per_document,
             )
         ]
+        shared = [weakref.ref(held) for held in (table, *per_table)]
         assert _live_nodes() == before + doc.size
-        del doc, results, per_document
+        del doc, results, per_table, table
         assert all(ref() is not None for ref in refs)  # the store's entry
         store.get(texts[1])
         store.get(texts[2])  # capacity 2: the first document is evicted
         assert [ref() for ref in refs] == [None] * len(refs)
+        # Same DTD: the two live documents keep the table, and with it
+        # the two executables every document of the label set runs on.
+        assert all(ref() is not None for ref in shared)
         kept = sum(store.get(text).size for text in texts[1:])  # hits
         assert _live_nodes() == before + kept
+        store.get("<other/>")
+        store.get("<another/>")  # the last hospital document is evicted
+        assert [ref() for ref in shared] == [None] * len(shared)
+        assert len(cached.executables()) == 1  # the index-free one
     finally:
         gc.enable()
+
+
+def test_tables_and_executables_of_dead_label_sets_are_gone():
+    """With the collector OFF, documents of 100 distinct label sets
+    through a capacity-2 store under one cached plan: a label table, its
+    interned masks and its executables live exactly as long as a
+    document of that label set does (an executable holds the table's
+    bit map and mask list, never the table), so the plan holds at most
+    two executables per live table plus the index-free one."""
+    store = DocumentStore(capacity=2)
+    cached = PlanCache(8).plan(None, "//item[note]")
+    gc.collect()
+    gc.disable()
+    try:
+        tables, plans = [], []
+        for n in range(100):
+            doc = store.get(f"<r><item><note/></item><item/><kind-{n}/></r>")
+            for algorithm in ALGORITHMS:
+                plan = cached.compiled(algorithm, doc.tree, doc)
+                assert len(plan.run(doc.root, layout=doc.layout).answers) == 1
+                if plan.bit_of is not None:
+                    plans.append(weakref.ref(plan))
+            tables.append(weakref.ref(doc.layout.table))
+            del doc, plan
+            live = sum(ref() is not None for ref in tables)
+            assert live <= store.capacity
+            assert len(cached.executables()) <= 2 * live + 1
+        assert sum(ref() is not None for ref in tables) == 2
+        assert sum(ref() is not None for ref in plans) == 4
+    finally:
+        gc.enable()
+
+
+def test_executables_are_per_label_table_not_per_document(hygiene):
+    """``doc_churn`` in miniature with every document still held: a
+    cached plan holds executables for its label tables, however many
+    documents share them."""
+    most, tables, documents = hygiene.executables_per_plan(documents=8)
+    assert tables < documents
+    assert most <= 2 * tables + 1
 
 
 def test_a_held_node_pins_its_subtree_not_its_document():

@@ -275,13 +275,14 @@ class TestSMOQEDelegation:
 
 
 class TestExecutableLifetime:
-    def test_per_document_executables_follow_the_document_store(self):
-        """OptHyPE executables embed a document's index, so they are
-        held weakly by document: with a capacity-2 store and 11
-        documents through one hot query, the cached plan keeps the
-        executables (and indexes) of the documents the store still
-        holds — not 11 of each — and a re-ingested document gets a
-        fresh executable that answers correctly."""
+    def test_executables_are_per_label_table_not_per_document(self):
+        """What an OptHyPE executable derives is a function of (plan,
+        label set), so it is held weakly by label table: with a
+        capacity-2 store and 11 same-DTD documents through one hot
+        query, the cached plan keeps ONE executable (it was one per live
+        document while executables embedded a document's index), which
+        owns no index — every run prunes on its own document's masks,
+        and a re-ingested document is served by the same executable."""
         from repro.baselines.naive import NaiveEvaluator
         from repro.docstore import DocumentStore
         from repro.hype.api import HYPE, OPTHYPE
@@ -308,11 +309,12 @@ class TestExecutableLifetime:
         ]
         assert sum(answer(xml) for xml in texts) > 0
         assert store.stats.evictions == 9
-        live = cached.executables()
-        assert len(live) <= store.capacity
-        assert len({id(plan.index) for plan in live}) == len(live)
-        answer(texts[0])  # evicted long ago: re-ingested, rebuilt, right
-        assert len(cached.executables()) <= store.capacity
+        (live,) = cached.executables()
+        assert not hasattr(live, "index")
+        answer(texts[0])  # evicted long ago: re-ingested, same executable, right
+        assert cached.executables() == [live]
+        annex = store.get("<hospital><annex><patient/></annex></hospital>")
+        assert cached.compiled(OPTHYPE, annex.tree, annex) is not live
         # The index-free HyPE executable is per plan, whatever the document.
         docs = [store.get(xml) for xml in texts[:3]]
         assert len({id(cached.compiled(HYPE, d.tree, d)) for d in docs}) == 1

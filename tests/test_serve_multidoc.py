@@ -117,9 +117,9 @@ class TestPerRequestDocuments:
 
     def test_cached_plan_realised_per_document(self, multidoc):
         """Regression: one cached MFA (same view, same query text) must
-        compile a separate executable per document — an OptHyPE plan
-        embeds the index of the document it was built against, so
-        reusing it across documents crashes or answers wrongly."""
+        not answer one document from another's index.  OptHyPE
+        executables are per label table and read the mask column of the
+        document they run on: hospital and ontology get separate ones."""
         service, hashes = multidoc
         for document in (hashes[HOSPITAL], hashes[ONTOLOGY]):
             answer = service.submit(
