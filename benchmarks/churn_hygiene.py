@@ -20,12 +20,16 @@ collector had to do about it:
 does — ingest into a persisting :class:`repro.docstore.store.
 DocumentStore` that evicts continuously, catalog, one query per
 algorithm — behind a service that is dropped after every round, and
-reports the same three things: **cyclic garbage** (a tree owns its nodes
-one way, so an evicted, released document must die by reference count:
-0), **collections per generation** per N ingests, and **tracked objects
-per ingested document**.
+reports the same three things: **cyclic garbage** (a tree owns its
+columns one way, so an evicted, released document must die by reference
+count: 0), **collections per generation** per N ingests, and **tracked
+objects per ingested document** — a parsed document is columns, so at
+most :data:`TRACKED_PER_DOCUMENT_FLOOR` whatever its node count — plus
+the **nodes created by the served queries**: the serving path walks node
+ids and replies with ids, so 0.
 
-Exits non-zero on any cyclic garbage from either side.
+Exits non-zero on any cyclic garbage from either side, on a document
+over the tracked-object floor, or on a node created while serving.
 ``tests/test_plan_hygiene.py`` runs the same functions as tier-1
 assertions; re-read the traced budgets themselves with
 ``make bench-e2e-trace WORKLOAD=plan_churn`` / ``WORKLOAD=doc_churn``.
@@ -46,6 +50,7 @@ for path in (HERE.parent / "src", HERE / "e2e"):
 from inputs import ADMIN, CHURN_TEMPLATES  # noqa: E402  (benchmarks/e2e)
 from workloads import DOC_QUERIES  # noqa: E402  (benchmarks/e2e)
 
+import repro.xtree.node as node_module  # noqa: E402
 from repro.docstore.store import DocumentStore  # noqa: E402
 from repro.hype.core import CompiledPlan  # noqa: E402
 from repro.serve.cache import PlanCache  # noqa: E402
@@ -55,6 +60,11 @@ from repro.workloads import HospitalConfig, generate_hospital_document  # noqa: 
 from repro.xtree.serialize import serialize  # noqa: E402
 
 TENANT = "inst-0"
+
+#: Most GC-tracked objects one ingested, served and held document may
+#: add, whatever its node count (878 for 484 nodes while every node was
+#: a ``Node`` with a child list).
+TRACKED_PER_DOCUMENT_FLOOR = 64
 
 
 class ChurnService:
@@ -267,19 +277,59 @@ def document_collections(documents: int = 16) -> dict:
 
 def tracked_per_document(documents: int = 8) -> tuple[float, float]:
     """``(GC-tracked objects, nodes)`` each ingested, served and still
-    held document adds to every later collection's traversal."""
+    held document adds to every later collection's traversal.
+
+    Label tables, their transition rows, the plans' executables and mask
+    filters are per label set, not per document: the same texts are
+    served once first, behind a store kept alive meanwhile, so the
+    measured round adds document-owned objects only."""
     churn = DocumentChurn(capacity=2 * documents)
-    store = DocumentStore(capacity=churn.capacity)
+    texts = churn.texts(documents + 1)
+    warm = DocumentStore(capacity=churn.capacity)
+    with churn.service(warm) as seen:
+        churn.ingest(seen, warm, texts)
+        store = DocumentStore(capacity=churn.capacity)
+        with churn.service(store) as service:
+            churn.ingest(service, store, texts[:1])  # first-use state
+            gc.collect()
+            before = len(gc.get_objects())
+            churn.ingest(service, store, texts[1:])
+            gc.collect()
+            tracked = len(gc.get_objects()) - before
+            nodes = sum(store.get(text).size for text in texts[1:])  # hits
+    return tracked / documents, nodes / documents
+
+
+def nodes_created_by_serving(documents: int = 4) -> int:
+    """:class:`repro.xtree.node.Node` objects created while ``documents``
+    never-seen documents are ingested and served by all three algorithms,
+    each reply read as ids (the front-end's reply path)."""
+    churn = DocumentChurn(capacity=documents)
+    texts = churn.texts(documents)
+    store = DocumentStore(capacity=documents)
+    created = [0]
+    real = node_module._view
+
+    def counting(*args):
+        created[0] += 1
+        return real(*args)
+
     with churn.service(store) as service:
-        churn.ingest(service, store, churn.texts(2))
-        texts = churn.texts(documents)
-        gc.collect()
-        before = len(gc.get_objects())
-        churn.ingest(service, store, texts)
-        gc.collect()
-        tracked = len(gc.get_objects()) - before
-        nodes = sum(store.get(text).size for text in texts)  # hits
-        return tracked / documents, nodes / documents
+        node_module._view = counting
+        try:
+            for text in texts:
+                doc = store.get(text)
+                catalog = (service.add_document(doc),)
+                service.register_tenant(TENANT, "research", documents=catalog)
+                service.register_tenant(ADMIN, None, documents=catalog)
+                for tenant, query, algorithm in DOC_QUERIES:
+                    answer = service.submit(
+                        tenant, query, algorithm, document=catalog[0]
+                    )
+                    answer.ids()
+        finally:
+            node_module._view = real
+    return created[0]
 
 
 def executables_per_plan(documents: int = 12) -> tuple[int, int, int]:
@@ -330,12 +380,28 @@ def main() -> int:
         f"per {doc_counts['documents']} ingests"
     )
     print(f"  tracked objects / document    {tracked:.0f} ({nodes:.0f} nodes)")
+    created = nodes_created_by_serving()
+    print(f"  Nodes created while serving   {created}")
     most, tables, documents = executables_per_plan()
     print(
         f"  executables / plan (max)      {most} "
         f"({tables} label table(s), {documents} documents)"
     )
     status = 0
+    if tracked > TRACKED_PER_DOCUMENT_FLOOR:
+        print(
+            f"FAIL: an ingested document adds {tracked:.0f} tracked objects "
+            f"(floor {TRACKED_PER_DOCUMENT_FLOOR}): documents are objects again",
+            file=sys.stderr,
+        )
+        status = 1
+    if created:
+        print(
+            f"FAIL: serving created {created} Node(s): the descent or the "
+            "reply path asks for nodes again",
+            file=sys.stderr,
+        )
+        status = 1
     if most > 2 * tables + 1:
         print(
             f"FAIL: a cached plan holds {most} executables for {tables} label "

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import AutomatonError
-from ..xtree.node import Node
 
 #: Transition-state label matching any element tag.
 WILDCARD = "*"
@@ -41,34 +40,27 @@ FINAL = "final"
 class TextPred:
     """Final-state predicate ``text() = value``.
 
-    Evaluated per relevant node on the HyPE hot path, so it reads the
-    frozen tree's per-node text cache instead of re-walking and
-    re-joining the text children on every probe.
+    Predicates are evaluated at a node id against a document's
+    :class:`repro.xtree.node.TreeColumns` (the run's
+    ``DocumentLayout.columns``, or a node's ``columns``): one read of
+    the ``text`` column, on the HyPE hot path as everywhere else.
     """
 
     value: str
 
-    def holds(self, node: Node) -> bool:
-        return node.text_cached() == self.value
+    def holds(self, columns, node_id: int) -> bool:
+        return columns.text[node_id] == self.value
 
 
 @dataclass(frozen=True)
 class PositionPred:
-    """Final-state predicate ``position() = k`` (1-based element position)."""
+    """Final-state predicate ``position() = k`` (1-based element position,
+    the root's is 1): one read of the ``position`` column."""
 
     k: int
 
-    def holds(self, node: Node) -> bool:
-        parent = node.parent
-        if parent is None:
-            return self.k == 1
-        # The cached element-kid list turns the per-probe sibling walk
-        # into one identity scan (and amortises across probes).
-        elems = parent.element_children_cached()
-        for position, sibling in enumerate(elems, start=1):
-            if sibling is node:
-                return position == self.k
-        return False
+    def holds(self, columns, node_id: int) -> bool:
+        return columns.position[node_id] == self.k
 
 
 Predicate = Optional[TextPred | PositionPred]

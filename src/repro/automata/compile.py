@@ -147,14 +147,6 @@ class MFABuilder:
         raise TypeError(f"unknown path node {path!r}")
 
     # ------------------------------------------------------------------
-    def merge_annotation(self, state: int, entry: int) -> None:
-        """Attach ``entry`` to ``state``, ANDing with any existing filter."""
-        existing = self.nfa.ann.get(state)
-        if existing is None:
-            self.nfa.annotate(state, entry)
-        else:
-            self.nfa.annotate(state, self.pool.new_and([existing, entry]))
-
     def finish(self, start: int, finals: set[int], description: str = "") -> MFA:
         """Assemble the MFA from a fragment."""
         self.nfa.start = start

@@ -141,7 +141,7 @@ class MemoAFAEvaluator:
             return self.memo[key]
         holder = self.pool.states[state]
         if holder.kind == FINAL:
-            result = holder.pred is None or holder.pred.holds(node)
+            result = holder.pred is None or holder.pred.holds(node.columns, node.node_id)
         elif holder.kind == TRANS:
             result = self._trans_value(holder.label, holder.target, node)
         else:

@@ -58,7 +58,8 @@ class TwoPassEvaluator:
             def leaf_value(state: int, node=node) -> bool:
                 holder = states[state]
                 if holder.kind == FINAL:
-                    return holder.pred is None or holder.pred.holds(node)
+                    pred = holder.pred
+                    return pred is None or pred.holds(node.columns, node.node_id)
                 # TRANS: look the target up in the children's masks.
                 assert holder.kind == TRANS
                 target_bit = 1 << holder.target  # type: ignore[operator]

@@ -32,9 +32,6 @@ class SeriesResult:
     answer_counts: list[int] = field(default_factory=list)
     times: dict[str, list[float]] = field(default_factory=dict)
 
-    def mean_times(self) -> dict[str, list[float]]:
-        return self.times
-
     def render(self) -> str:
         from .tables import format_series
 

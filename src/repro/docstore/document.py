@@ -34,7 +34,6 @@ from ..errors import EvaluationError
 from ..hype.index import Index, build_index, other_variant
 from ..obs.trace import span
 from ..xtree.node import XMLTree
-from ..xtree.parse import parse_xml
 from ..xtree.serialize import serialize
 from .layout import DocumentLayout
 
@@ -84,16 +83,6 @@ class IndexedDocument:
         self._hash_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_content(cls, content: str, **kwargs) -> "IndexedDocument":
-        """Parse ``content`` into a frozen, addressed document.
-
-        The address is the hash of the *canonical* serialisation (the
-        same scheme :class:`repro.docstore.store.DocumentStore` uses),
-        so textual variants of one document share one address.
-        """
-        return cls(parse_xml(content), **kwargs)
-
     @property
     def content_hash(self) -> str:
         """The document's content address (computed lazily when adopted).
@@ -151,7 +140,7 @@ class IndexedDocument:
             index = indexes.get(compressed)
             if index is not None:
                 return index
-            if not self.layout.covers(self.tree.root):
+            if not self.layout.covers(0):
                 raise EvaluationError(
                     "document was re-frozen after it was wrapped: rebuild "
                     "its IndexedDocument (its label table may have changed)"

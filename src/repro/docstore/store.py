@@ -459,7 +459,7 @@ def _layout_from_buffer(
     """
     view = memoryview(buf)
     num_nodes, num_kids, labels, offset = _layout_header(view, content_hash)
-    if num_nodes != len(tree.nodes):
+    if num_nodes != tree.size:
         raise ValueError("document-layout node count does not cover the tree")
     node_label = _int32_column(view, offset, num_nodes)
     offset += 4 * num_nodes

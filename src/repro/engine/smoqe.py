@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ..automata.mfa import MFA
 from ..errors import ViewError
 from ..hype.api import ALGORITHMS, HYPE
-from ..hype.core import HyPEStats
+from ..hype.core import HyPEResult, HyPEStats
 from ..serve.cache import CachedPlan, CacheStats, PlanCache
 from ..views.spec import ViewSpec
 from ..xpath import ast
@@ -34,9 +34,8 @@ from ..xtree.node import Node, XMLTree
 class QueryAnswer:
     """Answer set plus provenance of how it was computed."""
 
-    nodes: set[Node]
+    result: HyPEResult
     mfa: MFA
-    stats: HyPEStats
     algorithm: str
     view: str | None = None
     query_text: str = ""
@@ -44,9 +43,18 @@ class QueryAnswer:
     # for engine paths that predate multi-document serving).
     document: str | None = None
 
+    @property
+    def stats(self) -> HyPEStats:
+        return self.result.stats
+
+    @property
+    def nodes(self) -> set[Node]:
+        """The answer nodes, created from the ids on first access."""
+        return self.result.answers
+
     def ids(self) -> list[int]:
         """Sorted document-order node ids (stable for display/tests)."""
-        return sorted(node.node_id for node in self.nodes)
+        return list(self.result.ids)
 
 
 @dataclass
@@ -126,8 +134,8 @@ class SMOQE:
         only evaluation time.
         """
         plan, text = self._rewritten(view, query)
-        nodes, stats, algo = self._run(plan, algorithm)
-        return QueryAnswer(nodes, plan.mfa, stats, algo, view=view, query_text=text)
+        result, algo = self._run(plan, algorithm)
+        return QueryAnswer(result, plan.mfa, algo, view=view, query_text=text)
 
     def rewrite(self, view: str, query: str | ast.Path) -> MFA:
         """Expose the rewritten MFA (for inspection or external evaluation)."""
@@ -149,8 +157,8 @@ class SMOQE:
     ) -> QueryAnswer:
         """Evaluate a (regular) XPath query directly on the source."""
         plan, text = self.cache.lookup(None, query)
-        nodes, stats, algo = self._run(plan, algorithm)
-        return QueryAnswer(nodes, plan.mfa, stats, algo, query_text=text)
+        result, algo = self._run(plan, algorithm)
+        return QueryAnswer(result, plan.mfa, algo, query_text=text)
 
     # ------------------------------------------------------------------
     def _run(self, plan: CachedPlan, algorithm: str | None):
@@ -159,8 +167,7 @@ class SMOQE:
             raise ValueError(f"unknown algorithm {algo!r}")
         doc = self._doc
         compiled = plan.compiled(algo, doc.tree, doc)
-        result = compiled.run(doc.tree.root, layout=doc.layout)
-        return result.answers, result.stats, algo
+        return compiled.run(0, layout=doc.layout), algo
 
     def cache_stats(self) -> CacheStats:
         """Plan-cache hit/miss/eviction counters."""

@@ -108,4 +108,4 @@ def evaluate_hype(
     if index is not None:
         layout.indexes[index.compressed] = index
     plan = compile_plan(query, algorithm=algorithm, index=index)
-    return plan.run(tree.root, layout=layout)
+    return plan.run(0, layout=layout)

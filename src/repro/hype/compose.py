@@ -304,9 +304,10 @@ class ComposedKernel:
     # ------------------------------------------------------------------
     # Pops, compiled per composed cfg
     # ------------------------------------------------------------------
-    def fill_pop(self, ccfg: int, node, truths=None) -> "_Outcome":
-        """The miss path of a composed pop at ``node``: resolve every
-        popping member from its own kernel and store the outcome."""
+    def fill_pop(self, ccfg: int, columns, node_id: int, truths=None) -> "_Outcome":
+        """The miss path of a composed pop at node ``node_id`` of
+        ``columns`` (the wave's document): resolve every popping member
+        from its own kernel and store the outcome."""
         cfgs = self.ccfg_tuples[ccfg]
         kerns = self.kerns
         plans = self.plans
@@ -326,7 +327,7 @@ class ComposedKernel:
             )
         bits = 0
         for bit, holds in entry[0]:
-            if holds(node):
+            if holds(columns, node_id):
                 bits |= bit
         entries = []
         reports = []
@@ -334,11 +335,11 @@ class ComposedKernel:
             mine = truths and {w for lane, w in truths if lane == i}
             if mine:
                 dead, report, resolved = kerns[i].pop_frame(
-                    plans[i], cfgs[i], node, mine
+                    plans[i], cfgs[i], columns, node_id, mine
                 )
             else:
                 dead, report, resolved = kerns[i].pop_quiet(
-                    plans[i], cfgs[i], node
+                    plans[i], cfgs[i], columns, node_id
                 )
             entries.append((i, dead, resolved))
             reports.extend((i, watcher) for watcher in report)
@@ -364,8 +365,8 @@ class _CLane:
 
     __slots__ = (
         "deaths",
-        "visit_nodes",
-        "nodes_append",
+        "visit_ids",
+        "ids_append",
         "parents_append",
         "mstates_append",
         "finals_append",
@@ -374,8 +375,8 @@ class _CLane:
 
     def __init__(self, cursor) -> None:
         self.deaths = cursor.deaths
-        self.visit_nodes = cursor.visit_nodes
-        self.nodes_append = cursor.visit_nodes.append
+        self.visit_ids = cursor.visit_ids
+        self.ids_append = cursor.visit_ids.append
         self.parents_append = cursor.visit_parents.append
         self.mstates_append = cursor.visit_mstates.append
         self.finals_append = cursor.finals_seen.append
@@ -432,39 +433,38 @@ def descend_composed(
     childless elements are visited and popped inline.
     """
     _fault_fire("descend")
-    layout = covering_layout(context, layout)
+    layout, node = covering_layout(context, layout)
+    for cursor in cursors:
+        cursor.layout = layout
     # The members' one (label table, variant): one column serves them all.
     mask_keys = layout.mask_keys(ck.plans[0])
     width = ck.width
     clanes = [_CLane(cursor) for cursor in cursors]
-    ccfg = ck.root_ccfg(
-        None if mask_keys is None else mask_keys[context.node_id]
-    )
+    ccfg = ck.root_ccfg(None if mask_keys is None else mask_keys[node])
     if ccfg == 0:
         return
     ccfg_live = ck.ccfg_live
     vidx = [0] * width
     for i, packed, mstates in ccfg_live[ccfg]:
         cl = clanes[i]
-        vidx[i] = len(cl.visit_nodes)
-        cl.nodes_append(context)
+        vidx[i] = len(cl.visit_ids)
+        cl.ids_append(node)
         cl.parents_append(-1)
         cl.mstates_append(mstates)
         if packed & FINAL_BIT:
             cl.finals_append(vidx[i])
-    node = context
     labels = layout.table.labels
     rows = layout.table.rows_for(ck)
     blank = array("i", [UNFILLED]) * len(labels)
-    nodes = layout.nodes
     kid_ids = layout.kid_ids
     kid_labels = layout.kid_labels
     kid_start = layout.kid_start
+    columns = layout.columns  # what text() / position() filters read
     row = rows.get(ccfg)
     if row is None:
         row = rows.setdefault(ccfg, blank[:])
-    ki = kid_start[node.node_id]
-    kend = kid_start[node.node_id + 1]
+    ki = kid_start[node]
+    kend = kid_start[node + 1]
     indexed = ck.indexed
     cedge_filters = ck.cedge_filters
     cpops = ck.cpops
@@ -502,14 +502,14 @@ def descend_composed(
             preds, outcomes = cpops[ccfg]
             bits = 0
             for bit, holds in preds:
-                if holds(node):
+                if holds(columns, node):
                     bits |= bit
             if tts is None:
-                outcome = outcomes.get(bits) or fill_pop(ccfg, node)
+                outcome = outcomes.get(bits) or fill_pop(ccfg, columns, node)
             else:
                 truths = frozenset(tts)
                 outcome = outcomes.get((bits, truths)) or fill_pop(
-                    ccfg, node, truths
+                    ccfg, columns, node, truths
                 )
             if outcome.simple:
                 tally[outcome] = tally.get(outcome, 0) + 1
@@ -526,14 +526,14 @@ def descend_composed(
                     tts.update(report)
             continue
         lid = kid_labels[ki]
-        cid = kid_ids[ki]
+        child = kid_ids[ki]
         ki += 1
         word = row[lid]
         if word == UNFILLED:
             word = row[lid] = ck.lookup_trans(ccfg, labels[lid])
         if indexed and word:
             ceid = word - 1
-            mask_key = mask_keys[cid]
+            mask_key = mask_keys[child]
             word = cedge_filters[ceid].get(mask_key, UNFILLED)
             if word == UNFILLED:
                 word = ck.fill_filter(ceid, mask_key)
@@ -541,17 +541,16 @@ def descend_composed(
             # Every member prunes: one skip for the whole wave.
             skipped += 1
             continue
-        child = nodes[cid]
-        ki2 = kid_start[cid]
-        kend2 = kid_start[cid + 1]
+        ki2 = kid_start[child]
+        kend2 = kid_start[child + 1]
         vidx2 = [0] * width
         ops = push_ops.get(word)
         if ops is None:
             ops = push_ops[word] = tuple(
                 (
                     i,
-                    clanes[i].visit_nodes,
-                    clanes[i].nodes_append,
+                    clanes[i].visit_ids,
+                    clanes[i].ids_append,
                     clanes[i].parents_append,
                     clanes[i].mstates_append,
                     clanes[i].finals_append if packed & FINAL_BIT else None,
@@ -573,9 +572,9 @@ def descend_composed(
             preds, outcomes = cpops[word]
             bits = 0
             for bit, holds in preds:
-                if holds(child):
+                if holds(columns, child):
                     bits |= bit
-            outcome = outcomes.get(bits) or fill_pop(word, child)
+            outcome = outcomes.get(bits) or fill_pop(word, columns, child)
             if outcome.simple:
                 tally[outcome] = tally.get(outcome, 0) + 1
             else:
@@ -611,7 +610,7 @@ def descend_composed(
         for i, _packed, _mstates in ccfg_live[pc]:
             examined[i] += count
     for i, cursor in enumerate(cursors):
-        visited = len(cursor.visit_nodes)
+        visited = len(cursor.visit_ids)
         if not visited:
             continue
         cursor.visited = visited

@@ -13,8 +13,8 @@ One top-down depth-first pass over the document combines:
 per ``(tree node, NFA state)`` pair of the run, ε-edges kept stepwise, and
 vertices *deleted* when their filter gate turns out false at pop time; a
 final traversal from the initial vertex separates real answers from
-candidates.  We store the same DAG **node-major**: the visit list (node,
-parent visit index, interned ``mstates`` set), the visit indices of the
+candidates.  We store the same DAG **node-major**: the visit list (node
+id, parent visit index, interned ``mstates`` set), the visit indices of the
 *candidates* (visits whose ``mstates`` hold a final state) plus the rare
 *death records* (gate-failed states per node).  ``alive(n)`` — the
 ε-closure (avoiding dead states) of the transitions from
@@ -25,7 +25,9 @@ knows (or to the root) and recomputes the chain back down, so the
 traversal is restricted to the vertices that can reach a final one.
 Because state sets are interned, chains unaffected by any death re-use
 the phase-1 sets by identity, and when no gate failed at all, phase 2
-degenerates to reading off the candidates.
+degenerates to reading off the candidates.  The answers are node ids
+(:attr:`HyPEResult.ids`); :class:`Node` objects are created from them
+only when a caller asks (:attr:`HyPEResult.answers`).
 
 OptHyPE/OptHyPE-C plug in a subtree-label index plus the viability oracle
 (:mod:`repro.hype.analyze`) to skip subtrees even when states are live but
@@ -65,12 +67,12 @@ importing it raises a pointed :class:`ImportError`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..automata.afa import FINAL, TRANS, WILDCARD
 from ..automata.mfa import MFA
 from ..automata.truth import child_relevant, relevance_closure
-from ..xtree.node import Node
+from ..xtree.node import Node, XMLTree
 from .analyze import ViabilityAnalyzer
 from .index import Index
 from .kernel import DenseKernel, descend
@@ -90,10 +92,23 @@ class HyPEStats:
 
 @dataclass
 class HyPEResult:
-    """Answer set plus run statistics."""
+    """Answer ids (ascending document order) plus run statistics.
 
-    answers: set[Node]
-    stats: HyPEStats = field(default_factory=HyPEStats)
+    ``answers`` — the answer :class:`Node` objects — is created from the
+    ids only when a caller asks: the serving path reads ``ids`` and
+    creates no node.
+    """
+
+    ids: list[int]
+    #: The document the ids are of (what ``answers`` are created from).
+    tree: XMLTree
+    stats: HyPEStats
+
+    @property
+    def answers(self) -> set[Node]:
+        """The answer nodes (the tree's own objects, one per id)."""
+        nodes = self.tree.nodes
+        return {nodes[node_id] for node_id in self.ids}
 
 
 _EMPTY = frozenset()
@@ -233,9 +248,10 @@ class CompiledPlan:
         return mstates0, m_id0, relevant0, r_id0
 
     def collect_answers(
-        self, visit_nodes, visit_parents, visit_mstates, deaths, finals_seen
-    ) -> set[Node]:
-        """Phase 2 over an externally-built cans DAG (cursor/batch reuse).
+        self, visit_ids, visit_parents, visit_mstates, deaths, finals_seen, label
+    ) -> list[int]:
+        """Phase 2 over an externally-built cans DAG (cursor/batch reuse):
+        the answer node ids, in visit (= document) order.
 
         ``finals_seen`` holds the visit indices of the *candidates* — the
         visits whose phase-1 ``mstates`` contain a final state.  A vertex
@@ -245,14 +261,15 @@ class CompiledPlan:
         ancestor whose alive set this call already knows (or to the
         root), come back down filling the chain, and test ``alive &
         finals`` at the candidate.  With no death recorded no chain is
-        built at all: the candidates are the answers.
+        built at all: the candidates are the answers.  ``label`` is the
+        document's per-node label column (read on a chain only).
         """
         if not deaths:
-            return {visit_nodes[i] for i in finals_seen}
+            return [visit_ids[i] for i in finals_seen]
         finals = self.mfa.nfa.finals
         alive_cache = self._alive_cache
         alive: dict[int, frozenset] = {}
-        answers: set[Node] = set()
+        answers: list[int] = []
         for candidate in finals_seen:
             chain = []
             i = candidate
@@ -274,18 +291,17 @@ class CompiledPlan:
                     # Every component is canonical (interned sets, the
                     # dead-cache's records), so the key is stable across
                     # runs of this plan.
-                    label = visit_nodes[i].label
-                    key = (parent_alive, label, phase1, dead)
+                    key = (parent_alive, label[visit_ids[i]], phase1, dead)
                     current = alive_cache.get(key)
                     if current is None:
                         current = alive_cache[key] = self._alive(*key)
                 alive[i] = current
             if alive[candidate] & finals:
-                answers.add(visit_nodes[candidate])
+                answers.append(visit_ids[candidate])
         return answers
 
     # ------------------------------------------------------------------
-    def run(self, context: Node, layout=None, deadline=None) -> HyPEResult:
+    def run(self, context: Node | int, layout=None, deadline=None) -> HyPEResult:
         """Evaluate ``context[[M]]`` in one pass + one cans traversal.
 
         Safe to call from many threads at once: all mutable per-run
@@ -295,19 +311,21 @@ class CompiledPlan:
         (:class:`repro.serve.batch.BatchEvaluator`) drives with N lanes,
         so there is exactly one descent implementation to maintain.
 
-        ``layout`` — the :class:`repro.docstore.layout.DocumentLayout`
-        of the context's document — holds the columns the descent walks
-        (flat kid spans, per-cfg ``array('i')`` transition rows indexed
-        by interned label id); a caller that evaluates a document more
-        than once passes its :class:`repro.docstore.document.
-        IndexedDocument`'s.  Without one — or with one that does not
-        cover ``context`` (re-frozen tree, foreign document), which is
-        never indexed — this run builds fresh columns from the context's
-        document (:func:`repro.docstore.layout.covering_layout`);
-        answers and per-run :class:`HyPEStats` are identical either way
+        ``context`` is a node, or a node id of ``layout``'s document
+        (``0``: its root — how the serving path runs without creating a
+        node).  ``layout`` — the :class:`repro.docstore.layout.
+        DocumentLayout` of the context's document — holds the columns
+        the descent walks (flat kid spans, per-cfg ``array('i')``
+        transition rows indexed by interned label id); a caller that
+        evaluates a document more than once passes its
+        :class:`repro.docstore.document.IndexedDocument`'s.  Without one
+        — or with one that does not cover ``context`` (re-frozen tree,
+        foreign document), which is never indexed — this run builds
+        fresh columns from the context's document
+        (:func:`repro.docstore.layout.covering_layout`); answers and
+        per-run :class:`HyPEStats` are identical either way
         (property-tested in ``tests/test_hype_columnar.py``).  A tree
-        that was never frozen raises
-        :class:`repro.errors.EvaluationError`.
+        that was never frozen raises :class:`repro.errors.EvaluationError`.
 
         ``deadline`` — an optional :class:`repro.guard.Deadline` — arms
         the descent's cooperative cancellation checkpoint; expiry raises
@@ -542,7 +560,8 @@ class RunCursor:
     __slots__ = (
         "plan",
         "stats",
-        "visit_nodes",
+        "layout",
+        "visit_ids",
         "visit_parents",
         "visit_mstates",
         "deaths",
@@ -555,7 +574,11 @@ class RunCursor:
     def __init__(self, plan: CompiledPlan) -> None:
         self.plan = plan
         self.stats = HyPEStats()
-        self.visit_nodes: list[Node] = []
+        #: The columns the descent walked (set by it): what phase 2 reads
+        #: labels from and the result's answers are created from.
+        self.layout = None
+        #: Per visit, the node id (document order).
+        self.visit_ids: list[int] = []
         self.visit_parents: list[int] = []
         self.visit_mstates: list[frozenset] = []
         self.deaths: dict[int, frozenset] = {}
@@ -571,16 +594,18 @@ class RunCursor:
         stats.visited_elements = self.visited
         stats.skipped_subtrees = self.skipped
         stats.cans_vertices = self.cans_vertices
-        answers = self.plan.collect_answers(
-            self.visit_nodes,
+        layout = self.layout
+        ids = self.plan.collect_answers(
+            self.visit_ids,
             self.visit_parents,
             self.visit_mstates,
             self.deaths,
             self.finals_seen,
+            layout.columns.label,
         )
-        stats.answers = len(answers)
+        stats.answers = len(ids)
         stats.gate_failures = len(self.deaths)
-        return HyPEResult(answers, stats)
+        return HyPEResult(ids, layout.tree, stats)
 
 
 def __getattr__(name: str):

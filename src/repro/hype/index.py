@@ -140,17 +140,20 @@ def label_table(labels) -> LabelTable:
 def subtree_masks(tree: XMLTree, bit_of: dict[str, int]) -> list[int]:
     """Per node, the mask of labels occurring strictly below it.
 
-    The one sweep both index variants derive from.  Document order puts
-    children after parents, so a reverse sweep sees every child before
-    its parent (``nodes[0]`` is the root, the only node without one).  A
-    text node carries the label ``#text`` — :data:`TEXT_BIT_LABEL` — and
-    an empty mask, so one expression serves both kinds of node.
+    The one sweep both index variants derive from, over the tree's label
+    and parent columns.  Document order puts children after parents, so
+    a reverse sweep sees every child before its parent (node 0 is the
+    root, the only node without one).  A text node carries the label
+    ``#text`` — :data:`TEXT_BIT_LABEL` — and an empty mask, so one
+    expression serves both kinds of node.
     """
-    nodes = tree.nodes
-    masks = [0] * len(nodes)
-    for node_id in range(len(nodes) - 1, 0, -1):
-        node = nodes[node_id]
-        masks[node.parent_id] |= masks[node_id] | bit_of[node.label]
+    columns = tree.columns
+    label = columns.label
+    masks = [0] * len(label)
+    for node_id, up, name in zip(
+        range(len(label) - 1, 0, -1), reversed(columns.parent), reversed(label)
+    ):
+        masks[up] |= masks[node_id] | bit_of[name]
     return masks
 
 

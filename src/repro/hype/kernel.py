@@ -340,9 +340,10 @@ class DenseKernel:
     # ------------------------------------------------------------------
     # Pop (bottom-up AFA resolution), cfg-keyed
     # ------------------------------------------------------------------
-    def pop_frame(self, plan, cfg: int, node, truths) -> tuple:
-        """Pop a frame whose children reported ``truths`` (lines 11-21
-        of the paper's Fig. 6); returns ``(dead, report, resolved)``.
+    def pop_frame(self, plan, cfg: int, columns, node_id: int, truths) -> tuple:
+        """Pop node ``node_id`` of ``columns`` (the run's document), whose
+        children reported ``truths`` (lines 11-21 of the paper's Fig. 6);
+        returns ``(dead, report, resolved)``.
 
         Truth-free pops never come here (see :meth:`pop_quiet`).  The
         fixpoint is still a pure function of (cfg, predicate bits, truth
@@ -352,23 +353,23 @@ class DenseKernel:
         preds, outcomes = self.pops[cfg]
         bits = 0
         for bit, holds in preds:
-            if holds(node):
+            if holds(columns, node_id):
                 bits |= bit
         truths = frozenset(truths)
         return outcomes.get((bits, truths)) or self.fill_pop(
-            plan, cfg, node, truths
+            plan, cfg, columns, node_id, truths
         )
 
-    def pop_quiet(self, plan, cfg: int, node) -> tuple:
+    def pop_quiet(self, plan, cfg: int, columns, node_id: int) -> tuple:
         """Pop a frame whose children reported nothing: the cfg's
-        predicates at ``node``, one table probe.  The lean pass inlines
-        exactly this; every other caller comes here."""
+        predicates at ``node_id``, one table probe.  The lean pass
+        inlines exactly this; every other caller comes here."""
         preds, outcomes = self.pops[cfg]
         bits = 0
         for bit, holds in preds:
-            if holds(node):
+            if holds(columns, node_id):
                 bits |= bit
-        return outcomes.get(bits) or self.fill_pop(plan, cfg, node)
+        return outcomes.get(bits) or self.fill_pop(plan, cfg, columns, node_id)
 
     def pop_entry(self, plan, cfg: int) -> tuple:
         """The cfg's pop table, built on first use."""
@@ -387,8 +388,8 @@ class DenseKernel:
             )
         return entry
 
-    def fill_pop(self, plan, cfg: int, node, truths=None) -> tuple:
-        """The miss path of a pop at ``node``: resolve and store the
+    def fill_pop(self, plan, cfg: int, columns, node_id: int, truths=None) -> tuple:
+        """The miss path of a pop at ``node_id``: resolve and store the
         table entry — the dead NFA states, the watchers to report to
         the parent (fstates↑) and the number of AFA states resolved."""
         r_id = self.cfg_r[cfg]
@@ -401,7 +402,7 @@ class DenseKernel:
         for position, (_state, pred) in enumerate(finals):
             if pred is None:
                 full |= 1 << position
-            elif pred.holds(node):
+            elif pred.holds(columns, node_id):
                 bits |= 1 << position
         full |= bits
         # 3-tuple keys cannot collide with the truth-free 2-tuple keys
@@ -700,14 +701,16 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     ``lanes`` is a list of ``(plan, cursor)`` pairs; a sequential run is
     a one-lane batch.  Each live lane is finished by one lean pass
     (:func:`_descend_lane`), one lane after the other, over the columns
-    of ``layout`` (flat kid spans, ``array('i')`` transition rows).  A
-    missing layout, or one that does not cover ``context`` (re-frozen
-    tree, foreign document), is never indexed: the pass walks fresh
-    columns of the context's document instead
+    of ``layout`` (flat kid spans, ``array('i')`` transition rows), by
+    node id.  ``context`` is a node, or a node id of ``layout``'s
+    document.  A missing layout, or one that does not cover ``context``
+    (re-frozen tree, foreign document), is never indexed: the pass walks
+    fresh columns of the context's document instead
     (:func:`repro.docstore.layout.covering_layout`) — same visits, same
-    order, same counters.  An OptHyPE(-C) lane prunes on the mask column
-    of *that* document, and is refused when it has none of the lane's
-    label table and variant
+    order, same counters.  Every cursor records the columns it was run
+    over (what phase 2 and its answers read).  An OptHyPE(-C) lane
+    prunes on the mask column of *that* document, and is refused when it
+    has none of the lane's label table and variant
     (:meth:`repro.docstore.layout.DocumentLayout.mask_keys`).
     ``shared`` (a
     :class:`repro.serve.batch.BatchStats`-shaped object) receives the
@@ -725,19 +728,20 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     floor.
     """
     _fault_fire("descend")
-    layout = covering_layout(context, layout)
+    layout, root = covering_layout(context, layout)
     checks = CHECK_INTERVAL
     live = []
     for plan, cursor in lanes:
+        cursor.layout = layout
         mask_keys = layout.mask_keys(plan)
         cfg = plan.kernel.root_cfg(
-            plan, None if mask_keys is None else mask_keys[context.node_id]
+            plan, None if mask_keys is None else mask_keys[root]
         )
         if cfg == DEAD:
             # Dead at the root: the lane finishes with the all-zero result.
             continue
         checks = _descend_lane(
-            plan, cursor, layout, mask_keys, context, cfg, deadline, checks
+            plan, cursor, layout, mask_keys, root, cfg, deadline, checks
         )
         live.append(cursor)
     if shared is None or not live:
@@ -748,23 +752,21 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
         return
     union = set()
     for cursor in live:
-        union.update(cursor.visit_nodes)
+        union.update(cursor.visit_ids)
     kid_start = layout.kid_start
-    examined = sum(
-        kid_start[node.node_id + 1] - kid_start[node.node_id] for node in union
-    )
+    examined = sum(kid_start[i + 1] - kid_start[i] for i in union)
     shared.visited_elements += len(union)
     shared.skipped_subtrees += examined - len(union) + 1
 
 
 def _descend_lane(
-    plan, cursor, layout, mask_keys, node, cfg: int, deadline, checks: int
+    plan, cursor, layout, mask_keys, node: int, cfg: int, deadline, checks: int
 ) -> int:
     """The lean pass: run one lane — ``plan`` recording into ``cursor``
-    — over ``node``'s subtree in ``layout``, pruning on the document's
-    ``mask_keys`` column (``None``: plain HyPE).
+    — over node ``node``'s subtree in ``layout``, pruning on the
+    document's ``mask_keys`` column (``None``: plain HyPE).
 
-    The current node's frame lives in locals (node, visit index, cfg,
+    The current node's frame lives in locals (node id, visit index, cfg,
     its ``array('i')`` row, the truths its children reported, the child
     cursor into the layout's kid columns); the stack holds one tuple of
     those per *open* ancestor, pushed only for visited elements that
@@ -779,7 +781,7 @@ def _descend_lane(
     lookup_trans = kern.lookup_trans
     cfg_mstates = kern.cfg_mstates
     deaths = cursor.deaths
-    nodes_append = cursor.visit_nodes.append
+    ids_append = cursor.visit_ids.append
     parents_append = cursor.visit_parents.append
     mstates_append = cursor.visit_mstates.append
     finals_append = cursor.finals_seen.append
@@ -787,15 +789,15 @@ def _descend_lane(
     filters = kern.edge_filters
     table = layout.table
     labels = table.labels
-    nodes = layout.nodes
     kid_ids = layout.kid_ids
     kid_labels = layout.kid_labels
     kid_start = layout.kid_start
+    columns = layout.columns  # what text() / position() filters read
     # cfg -> this label table's label-id-indexed row of packed words.
     rows = table.rows_for(plan)
     blank = array("i", [UNFILLED]) * len(labels)
     packed = kern.cfg_packed[cfg]
-    nodes_append(node)
+    ids_append(node)
     parents_append(-1)
     mstates_append(cfg_mstates[cfg])
     if packed & FINAL_BIT:
@@ -804,8 +806,8 @@ def _descend_lane(
     row = rows.get(cfg)
     if row is None:
         row = rows.setdefault(cfg, blank[:])
-    ki = kid_start[node.node_id]
-    kend = kid_start[node.node_id + 1]
+    ki = kid_start[node]
+    kend = kid_start[node + 1]
     vidx = 0
     nvis = 1
     trues = None
@@ -827,16 +829,16 @@ def _descend_lane(
             report = ()
             if pflag:
                 if trues:
-                    dead, report, n = kern.pop_frame(plan, cfg, node, trues)
+                    dead, report, n = kern.pop_frame(plan, cfg, columns, node, trues)
                 else:
                     preds, outcomes = pops[cfg]
                     bits = 0
                     for bit, holds in preds:
-                        if holds(node):
+                        if holds(columns, node):
                             bits |= bit
                     outcome = outcomes.get(bits)
                     if outcome is None:
-                        outcome = fill_pop(plan, cfg, node)
+                        outcome = fill_pop(plan, cfg, columns, node)
                     dead, report, n = outcome
                 if dead:
                     deaths[vidx] = dead
@@ -851,14 +853,14 @@ def _descend_lane(
                     trues.update(report)
             continue
         lid = kid_labels[ki]
-        cid = kid_ids[ki]
+        child = kid_ids[ki]
         ki += 1
         packed = row[lid]
         if packed == UNFILLED:
             packed = row[lid] = lookup_trans(plan, cfg, labels[lid])
         if indexed and packed:
             eid = packed >> 1
-            mask_key = mask_keys[cid]
+            mask_key = mask_keys[child]
             packed = filters[eid].get(mask_key, UNFILLED)
             if packed == UNFILLED:
                 packed = kern.fill_filter(plan, eid, mask_key)
@@ -866,10 +868,9 @@ def _descend_lane(
             skipped += 1
             continue
         cfg2 = packed >> CFG_SHIFT
-        child = nodes[cid]
-        ki2 = kid_start[cid]
-        kend2 = kid_start[cid + 1]
-        nodes_append(child)
+        ki2 = kid_start[child]
+        kend2 = kid_start[child + 1]
+        ids_append(child)
         parents_append(vidx)
         mstates_append(cfg_mstates[cfg2])
         if packed & FINAL_BIT:
@@ -881,11 +882,11 @@ def _descend_lane(
                 preds, outcomes = pops[cfg2]
                 bits = 0
                 for bit, holds in preds:
-                    if holds(child):
+                    if holds(columns, child):
                         bits |= bit
                 outcome = outcomes.get(bits)
                 if outcome is None:
-                    outcome = fill_pop(plan, cfg2, child)
+                    outcome = fill_pop(plan, cfg2, columns, child)
                 dead, report, n = outcome
                 if dead:
                     deaths[nvis] = dead

@@ -151,11 +151,13 @@ class BatchEvaluator:
                 self.groups.append(members)
 
     # ------------------------------------------------------------------
-    def run(self, context: Node, layout=None, deadline=None) -> BatchResult:
+    def run(self, context: Node | int, layout=None, deadline=None) -> BatchResult:
         """Evaluate every lane's ``context[[M]]`` as one wave.
 
-        Every pass walks the columns of ``layout`` (the context
-        document's :class:`repro.docstore.layout.DocumentLayout`) —
+        ``context`` is a node, or a node id of ``layout``'s document
+        (``0``: its root).  Every pass walks the columns of ``layout``
+        (the context document's
+        :class:`repro.docstore.layout.DocumentLayout`) —
         flat kid spans and per-cfg ``array('i')`` transition rows per
         lane; without one, or with one that does not cover ``context``,
         the wave builds fresh columns from the context's document once
@@ -172,7 +174,7 @@ class BatchEvaluator:
         :class:`repro.errors.DeadlineError` and the batch's local cursors
         are discarded with it, so no partial answer can escape.
         """
-        layout = covering_layout(context, layout)
+        layout, root = covering_layout(context, layout)
         stats = BatchStats(lanes=len(self.plans))
         cursors = [RunCursor(plan) for plan in self.plans]
         leftover = set(range(len(self.plans)))
@@ -194,7 +196,7 @@ class BatchEvaluator:
                 descend_composed(
                     kernel,
                     [cursors[i] for i in group],
-                    context,
+                    root,
                     layout,
                     shared=pass_stats,
                     deadline=deadline,
@@ -211,7 +213,7 @@ class BatchEvaluator:
             leftover.difference_update(group)
         if leftover:
             lanes = [(self.plans[i], cursors[i]) for i in sorted(leftover)]
-            descend(lanes, context, layout, shared=stats, deadline=deadline)
+            descend(lanes, root, layout, shared=stats, deadline=deadline)
         results = [cursor.finish() for cursor in cursors]
         stats.sequential_visited = sum(r.stats.visited_elements for r in results)
         return BatchResult(results, stats, frozenset(composed_lanes))

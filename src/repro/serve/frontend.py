@@ -294,7 +294,7 @@ class QueryFrontend(LineServer):
                 ) as root:
                     admitted = await self.admission.submit(request)
                     root.set(
-                        answers=len(admitted.answer.nodes),
+                        answers=len(admitted.answer.result.ids),
                         wave=admitted.wave_size,
                     )
             else:
@@ -311,7 +311,7 @@ class QueryFrontend(LineServer):
             request,
             time.perf_counter() - started,
             root,
-            answers=len(admitted.answer.nodes),
+            answers=len(admitted.answer.result.ids),
             wave=admitted.wave_size,
         )
         return self._query_reply(request, admitted, limit)

@@ -162,14 +162,13 @@ class Grant:
         """Account this request's share of a pass and wrap its lane's
         result — the one place a served request is recorded."""
         metrics.record_request(
-            self.request.tenant, queue_wait, eval_seconds, len(result.answers)
+            self.request.tenant, queue_wait, eval_seconds, len(result.ids)
         )
         if self.session is not None:
             self.session.touch(self.query_text)
         return QueryAnswer(
-            result.answers,
+            result,
             self.plan.mfa,
-            result.stats,
             self.algorithm,
             view=self.binding.view,
             query_text=self.query_text,
@@ -784,8 +783,9 @@ class QueryService:
             lanes, lane_meta, doc
         )
         pooled = self.pool.execute(
+            # Node id 0, the root: the pass walks columns and creates no node.
             lambda: BatchEvaluator(lanes, groups=groups, composer=composer).run(
-                doc.tree.root, layout=doc.layout, deadline=deadline
+                0, layout=doc.layout, deadline=deadline
             ),
             deadline=deadline,
         )
@@ -828,7 +828,7 @@ class QueryService:
                     wave=len(grants),
                     lanes=len(lanes),
                     lane=lane,
-                    answers=len(result.answers),
+                    answers=len(result.ids),
                     visited=outcome.stats.visited_elements,
                     composed=lane in outcome.composed,
                     composed_width=group_width.get(lane, 0),

@@ -209,11 +209,11 @@ def poison_attempt(service, tenant: str = "inst-0") -> dict:
     (or vice versa): ``before == after`` even though the poisoned
     answer in between may differ.  Returns the three canary counts.
     """
-    before = len(service.submit(tenant, CANARY_QUERY).nodes)
+    before = len(service.submit(tenant, CANARY_QUERY).result.ids)
     service.register_view("research", sigma0_variant())
-    poisoned = len(service.submit(tenant, CANARY_QUERY).nodes)
+    poisoned = len(service.submit(tenant, CANARY_QUERY).result.ids)
     service.register_view("research", sigma0())
-    after = len(service.submit(tenant, CANARY_QUERY).nodes)
+    after = len(service.submit(tenant, CANARY_QUERY).result.ids)
     return {
         "before": before,
         "poisoned": poisoned,

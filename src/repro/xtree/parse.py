@@ -2,32 +2,30 @@
 
 The documents in the paper (hospital records, views of them) are plain
 element/PCDATA trees.  We parse exactly that: elements, nested elements,
-text content, self-closing tags, comments, processing instructions and an
-optional XML declaration.  Attributes are parsed and *discarded* (the data
-model of Section 2 has no attributes); entities ``&amp; &lt; &gt; &quot;
-&apos;`` are decoded.
+text content, self-closing tags, comments, processing instructions, CDATA
+sections and an optional XML declaration.  Attributes are parsed and
+*discarded* (the data model of Section 2 has no attributes); the entities
+``&amp; &lt; &gt; &quot; &apos;`` and numeric character references are
+decoded in one pass (an unknown entity stays literal), and a CDATA
+section's content is text, taken as written.
 
 This is intentionally not a general-purpose XML parser — it is the substrate
 the paper's algorithms run on, kept simple and predictable.
 
-One tokeniser pass does all of a document's text-side work: nodes are
-created in document order, so each is *frozen as it is built* (``node_id``
-is its position, ``parent_id`` and ``depth`` come off the open-element
-stack — no :func:`repro.xtree.node.index_tree` re-walk), and the same
-pass emits the canonical serialisation (exactly what
+One tokeniser pass does all of a document's text-side work: nodes arrive
+in document order, so the pass emits the document's
+:class:`repro.xtree.node.TreeColumns` directly — a node's id is its
+position, its parent, depth and element position come off the
+open-element stack, an element's ``text()`` accumulates as its text
+children arrive — and no :class:`repro.xtree.node.Node` is created.  The
+same pass emits the canonical serialisation (exactly what
 :func:`repro.xtree.serialize.serialize` would print for the finished
 tree), which is what the document store hashes into a content address.
-A node records its parent's id, never the parent: the finished tree is
-acyclic and dies by reference count
-(:meth:`repro.xtree.node.XMLTree.from_frozen` stamps the nodes with
-their owning tree, which is how ``Node.parent`` is derived).
 
 Nothing is allocated per tag: a per-parse cache maps each distinct tag
-token to its kind, its interned label and its canonical spellings, so a repeated tag costs one dict probe (no name regex) and every element
-of one label shares one ``str``.  Short-lived per-token strings are
-avoided on purpose — retained through the parse they would share
-allocator pools with the long-lived nodes and make every later garbage
-collection of the tree slower (see ``docs/performance.md``).
+token to its kind, its interned label and its canonical spellings, so a
+repeated tag costs one dict probe (no name regex) and every element of
+one label shares one ``str``.
 """
 
 from __future__ import annotations
@@ -36,32 +34,61 @@ import re
 import sys
 
 from ..errors import XMLParseError
-from .node import Node, TEXT_LABEL, XMLTree
+from .node import TEXT_LABEL, TreeColumns, XMLTree
 from .serialize import escape_text
 
+#: The tokens of a document: text, or markup up to its first ``>``.
 _TOKEN = re.compile(r"<[^>]*>|[^<]+")
+#: One whole markup token where a ``>`` may occur inside it: a comment,
+#: CDATA section, processing instruction, declaration, or a tag whose
+#: quoted attribute values hold one.  A :data:`_TOKEN` token that
+#: starts one of these but is not one whole sends the document through
+#: :data:`_CAREFUL_TOKEN` instead — rare, so the common ``<name>`` token
+#: pays for none of it (and both are compiled on first use only).
+_MARKUP = (
+    r"<!--.*?-->|<!\[CDATA\[.*?\]\]>|<\?.*?\?>|<!(?!--|\[CDATA\[)[^>]*>"
+    r"|<(?![!?])[^>\"']*(?:(?:\"[^\"]*\"|'[^']*')[^>\"']*)*>"
+)
+#: Every token by the markup rules; a ``<`` that starts no markup is a
+#: token of its own (a malformed tag).
+_CAREFUL_TOKEN = _MARKUP + r"|[^<]+|<"
 _NAME = re.compile(r"[A-Za-z_][\w.\-]*")
-
-_ENTITIES = {
-    "&amp;": "&",
-    "&lt;": "<",
-    "&gt;": ">",
-    "&quot;": '"',
-    "&apos;": "'",
-}
+_ENTITY = re.compile(r"&(amp|lt|gt|quot|apos|#[0-9]{1,7}|#x[0-9a-fA-F]{1,6});")
+_NAMED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
 
 # Tag kinds of the per-parse tag cache.
-_OPEN, _EMPTY, _CLOSE, _SKIP = range(4)
+_OPEN, _EMPTY, _CLOSE, _SKIP, _CDATA = range(5)
 
 
-def _decode_entities(text: str) -> str:
-    for entity, char in _ENTITIES.items():
-        text = text.replace(entity, char)
-    return text
+class _Retokenize(Exception):
+    """A fast token cut a comment, CDATA section, processing
+    instruction or quoted attribute value short at an inner ``>``."""
+
+
+def _entity(match: re.Match) -> str:
+    """One reference decoded (``_ENTITY.sub`` decodes each once, left to
+    right: ``&amp;lt;`` is ``&lt;``, not ``<``)."""
+    name = match.group(1)
+    if name[0] != "#":
+        return _NAMED[name]
+    code = int(name[2:], 16) if name[1] == "x" else int(name[1:])
+    if 0 < code < 0x110000 and not 0xD800 <= code < 0xE000:
+        return chr(code)
+    return match.group(0)  # not a character: kept literal
 
 
 def _classify(token: str) -> tuple[int, str, str, str]:
-    """One tag token as ``(kind, label, canonical tag, <label/>)``."""
+    """One tag token as ``(kind, label, canonical tag, <label/>)``; a
+    CDATA section as ``(_CDATA, its stripped content, "", "")``.
+
+    Raises:
+        _Retokenize: for the first piece of markup :data:`_TOKEN` cut short.
+    """
+    if token[1:2] in ("!", "?") or '"' in token or "'" in token:
+        if re.fullmatch(_MARKUP, token, re.S) is None:
+            raise _Retokenize
+    if token.startswith("<![CDATA["):
+        return _CDATA, token[9:-3].strip(), "", ""
     if token.startswith(("<?", "<!")):
         return _SKIP, "", "", ""  # declaration, PI, comment, doctype
     if token.startswith("</"):
@@ -86,71 +113,105 @@ def parse_canonical(source: str) -> tuple[XMLTree, str]:
     Raises:
         XMLParseError: on mismatched tags, missing root, trailing content.
     """
-    nodes: list[Node] = []
-    stack: list[Node] = []  # the open elements, root first
+    try:
+        return _parse(_TOKEN.findall(source))
+    except _Retokenize:
+        return _parse(re.findall(_CAREFUL_TOKEN, source, re.S))
+
+
+def _parse(tokens: list[str]) -> tuple[XMLTree, str]:
+    # The columns (see TreeColumns).  A document has fewer nodes than
+    # tokens, so the columns whose usual entry is a default are sized up
+    # front (and cut to the node count at the end); an open element's
+    # entry in ``kid_counts`` counts its element children so far.
+    label, parent, depth, elements = [], [], [], []  # elements: their ids
+    room = len(tokens)
+    text, position, kid_counts = [""] * room, [0] * room, [0] * room
+    stack: list[int] = []  # the open elements, root first
     parts: list[str] = []  # the canonical text, in pieces
     tags: dict[str, tuple[int, str, str, str]] = {}
-    for token in _TOKEN.findall(source):
+    label_append, parent_append = label.append, parent.append
+    depth_append, parts_append = depth.append, parts.append
+    elements_append = elements.append
+    for token in tokens:
         if token[0] == "<":
             tag = tags.get(token)
             if tag is None:
-                tag = tags[token] = _classify(token)
+                tag = _classify(token)
+                if tag[0] != _CDATA:
+                    tags[token] = tag
             kind, name, canonical, empty = tag
+            if kind <= _EMPTY:
+                node = len(label)
+                if stack:
+                    up = stack[-1]
+                    parent_append(up)
+                    depth_append(len(stack))
+                    count = kid_counts[up] + 1
+                    kid_counts[up] = position[node] = count
+                elif node:
+                    raise XMLParseError("multiple root elements")
+                else:
+                    parent_append(-1)
+                    depth_append(0)
+                    position[0] = 1
+                label_append(name)
+                elements_append(node)
+                if kind == _OPEN:
+                    stack.append(node)
+                    parts_append(canonical)
+                else:
+                    parts_append(empty)
+                continue
             if kind == _CLOSE:
                 if not stack:
                     raise XMLParseError(f"unmatched closing tag </{name}>")
                 node = stack.pop()
-                if node.label != name:
+                if label[node] != name:
                     raise XMLParseError(
-                        f"mismatched tags: <{node.label}> closed by </{name}>"
+                        f"mismatched tags: <{label[node]}> closed by </{name}>"
                     )
                 # A childless element has appended nothing since its
                 # open tag, which becomes ``<label/>``.
-                if node.children:
-                    parts.append(canonical)
+                if len(label) > node + 1:
+                    parts_append(canonical)
                 else:
                     parts[-1] = empty
                 continue
             if kind == _SKIP:
                 continue
-            node = Node(name)
-            node.node_id = len(nodes)
-            if stack:
-                parent = stack[-1]
-                node.parent_id = parent.node_id
-                parent.children.append(node)
-                node.depth = len(stack)
-            elif nodes:
-                raise XMLParseError("multiple root elements")
-            nodes.append(node)
-            if kind == _OPEN:
-                stack.append(node)
-                parts.append(canonical)
-            else:
-                parts.append(empty)
+            value = escaped = name  # CDATA: text as written
+            if "&" in value or "<" in value or ">" in value:
+                escaped = escape_text(value)
+        elif "&" in token or ">" in token:
+            value = _ENTITY.sub(_entity, token).strip()
+            escaped = escape_text(value)
         else:
-            if "&" in token:
-                token = _decode_entities(token)
-            text = token.strip()
-            if not text:
-                continue
-            if not stack:
-                raise XMLParseError("text content outside the root element")
-            node = Node(TEXT_LABEL, text)
-            node.node_id = len(nodes)
-            parent = stack[-1]
-            node.parent_id = parent.node_id
-            parent.children.append(node)
-            node.depth = len(stack)
-            nodes.append(node)
-            parts.append(escape_text(text))
+            value = escaped = token.strip()
+        if not value:
+            continue
+        if not stack:
+            raise XMLParseError("text content outside the root element")
+        node = stack[-1]
+        text[len(label)] = value
+        text[node] += value
+        label_append(TEXT_LABEL)
+        parent_append(node)
+        depth_append(len(stack))
+        parts_append(escaped)
     if stack:
-        raise XMLParseError(f"unclosed element <{stack[-1].label}>")
-    if not nodes:
+        raise XMLParseError(f"unclosed element <{label[stack[-1]]}>")
+    if not label:
         raise XMLParseError("no root element found")
+    size = len(label)  # the node count: cut the columns sized up front
+    text, position = text[:size], position[:size]  # (no spare capacity)
+    del kid_counts[size:]
     # Every cached open tag created at least one element.
-    labels = {tag[1] for tag in tags.values() if tag[0] in (_OPEN, _EMPTY)}
-    return XMLTree.from_frozen(nodes, labels), "".join(parts)
+    labels = {tag[1] for tag in tags.values() if tag[0] <= _EMPTY}
+    columns = TreeColumns(
+        label, parent, depth, text, position, kid_counts, elements
+    )
+    return XMLTree.from_columns(columns, labels), "".join(parts)
 
 
 def parse_xml(source: str) -> XMLTree:

@@ -76,26 +76,34 @@ class TestAFAPool:
 
 
 class TestPredicates:
+    """Predicates read a frozen document's ``text`` / ``position``
+    columns at a node id (they took a ``Node`` and walked its text
+    children / its parent's element children before)."""
+
+    @staticmethod
+    def at(node):
+        return node.columns, node.node_id
+
     def test_text_pred(self):
-        node = element("a", "hello")
-        assert TextPred("hello").holds(node)
-        assert not TextPred("nope").holds(node)
+        node = document(element("a", "hello")).root
+        assert TextPred("hello").holds(*self.at(node))
+        assert not TextPred("nope").holds(*self.at(node))
 
     def test_position_pred(self):
         tree = document(element("r", element("a"), element("b"), element("c")))
         first, second, third = tree.root.element_children()
-        assert PositionPred(1).holds(first)
-        assert PositionPred(2).holds(second)
-        assert not PositionPred(2).holds(third)
+        assert PositionPred(1).holds(*self.at(first))
+        assert PositionPred(2).holds(*self.at(second))
+        assert not PositionPred(2).holds(*self.at(third))
 
     def test_position_pred_root(self):
         tree = document(element("r"))
-        assert PositionPred(1).holds(tree.root)
-        assert not PositionPred(2).holds(tree.root)
+        assert PositionPred(1).holds(*self.at(tree.root))
+        assert not PositionPred(2).holds(*self.at(tree.root))
 
     def test_position_skips_text_siblings(self):
         tree = document(element("r", "text", element("a")))
-        assert PositionPred(1).holds(tree.root.element_children()[0])
+        assert PositionPred(1).holds(*self.at(tree.root.element_children()[0]))
 
 
 class TestNFA:

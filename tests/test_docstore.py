@@ -56,7 +56,9 @@ class TestDocumentLayout:
             else:
                 assert layout.node_label[node.node_id] == TEXT_ID
             start, end = layout.span(node.node_id)
-            kids = [layout.nodes[cid] for cid in layout.kid_ids[start:end]]
+            # The layout holds no node list any more: ids map back
+            # through the tree's own nodes.
+            kids = [hospital_tree.nodes[cid] for cid in layout.kid_ids[start:end]]
             assert kids == node.element_children()
             assert [
                 layout.labels[lid] for lid in layout.kid_labels[start:end]
@@ -403,12 +405,13 @@ class TestPersistentTier:
         loaded = warm.get(hospital_xml).layout
         assert warm.stats.layout_loads == 1
         assert warm.stats.layout_stores == 0
-        # A rehydrated layout is column-identical to a built one.
+        # A rehydrated layout is column-identical to a built one (built
+        # columns are int arrays now, so both sides are listed).
         assert loaded.table is built.table  # sorted file order: the shared table
-        assert list(loaded.node_label) == built.node_label
-        assert list(loaded.kid_ids) == built.kid_ids
-        assert list(loaded.kid_labels) == built.kid_labels
-        assert list(loaded.kid_start) == built.kid_start
+        assert list(loaded.node_label) == list(built.node_label)
+        assert list(loaded.kid_ids) == list(built.kid_ids)
+        assert list(loaded.kid_labels) == list(built.kid_labels)
+        assert list(loaded.kid_start) == list(built.kid_start)
         assert loaded.covers(warm.get(hospital_xml).tree.root)
 
     def test_rehydrated_layout_answers_like_built(

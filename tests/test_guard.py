@@ -104,7 +104,8 @@ class TestDescentCheckpointAcrossLanes:
         # The first lane is three steps and finished; the second was cut
         # one countdown after the start of the wave, not at its end.
         assert cursors[0].visited == 2
-        assert 0 < len(cursors[1].visit_nodes) <= CHECK_INTERVAL + 2
+        # The visit column holds node ids (it held nodes).
+        assert 0 < len(cursors[1].visit_ids) <= CHECK_INTERVAL + 2
         # The caller discards the cursors: the batch surfaces the error
         # whole, and the plans answer in full afterwards.
         with pytest.raises(DeadlineError):
@@ -139,5 +140,5 @@ class TestDescentCheckpointAcrossLanes:
             )
         # Every loop step visits at most one element, so the first clock
         # read came within CHECK_INTERVAL steps of the start of the wave.
-        stepped = sum(len(cursor.visit_nodes) for cursor in cursors)
+        stepped = sum(len(cursor.visit_ids) for cursor in cursors)
         assert CHECK_INTERVAL - lanes <= stepped <= CHECK_INTERVAL + 2

@@ -134,9 +134,10 @@ class TestOneSharedLoop:
 
 
 def _cans(cursor):
-    """Everything one lane's descent recorded, by value."""
+    """Everything one lane's descent recorded, by value (the visit
+    column holds node ids since the descent stopped creating nodes)."""
     return (
-        [node.node_id for node in cursor.visit_nodes],
+        cursor.visit_ids,
         cursor.visit_parents,
         cursor.visit_mstates,
         cursor.deaths,
@@ -180,11 +181,10 @@ class TestWaveLanes:
                 assert lane.answers == alone.answers
                 assert lane.stats == alone.stats
                 assert alone.stats == plan.run(tree.root, layout).stats
-                union.update(node.node_id for node in cursor.visit_nodes)
+                union.update(cursor.visit_ids)
             assert shared.visited_elements == len(union)
             examined = sum(
-                len(tree.node(node_id).element_children_cached())
-                for node_id in union
+                len(tree.node(node_id).element_children()) for node_id in union
             )
             assert shared.skipped_subtrees == examined - max(len(union) - 1, 0)
 
@@ -275,10 +275,11 @@ class TestPopTable:
         calls = []
         real = DenseKernel.pop_frame
 
-        def checked(self, plan, cfg, node, truths):
+        # A pop reads its predicates off the layout at a node id.
+        def checked(self, plan, cfg, columns, node_id, truths):
             assert truths, "pop_frame entered without child truths"
             calls.append(cfg)
-            return real(self, plan, cfg, node, truths)
+            return real(self, plan, cfg, columns, node_id, truths)
 
         monkeypatch.setattr(DenseKernel, "pop_frame", checked)
         tree = generate_hospital_document(HospitalConfig(num_patients=6, seed=3))

@@ -32,12 +32,15 @@ FAMILIES = (
 
 
 def full_walk(plan: CompiledPlan, cursor: RunCursor) -> set:
-    """The pre-PR-21 phase 2: alive sets for the whole visit list."""
+    """The pre-PR-21 phase 2: alive sets for the whole visit list (over
+    node ids and the document's label column, as the descent records
+    them now)."""
     nfa = plan.mfa.nfa
+    label = cursor.layout.columns.label
     mstates_list = cursor.visit_mstates
-    alive: list = [None] * len(cursor.visit_nodes)
+    alive: list = [None] * len(cursor.visit_ids)
     answers = set()
-    for i, node in enumerate(cursor.visit_nodes):
+    for i, node_id in enumerate(cursor.visit_ids):
         parent = cursor.visit_parents[i]
         phase1 = mstates_list[i]
         dead = cursor.deaths.get(i)
@@ -46,22 +49,23 @@ def full_walk(plan: CompiledPlan, cursor: RunCursor) -> set:
         elif dead is None and alive[parent] is mstates_list[parent]:
             alive[i] = phase1
             if phase1 & nfa.finals:
-                answers.add(node)
+                answers.add(node_id)
             continue
         else:
             base = frozenset(
-                t for s in alive[parent] for t in nfa.step_targets(s, node.label)
+                t for s in alive[parent] for t in nfa.step_targets(s, label[node_id])
             ) & phase1
         alive[i] = plan._closure_avoiding(base, dead, phase1)
         if alive[i] & nfa.finals:
-            answers.add(node)
+            answers.add(node_id)
     return answers
 
 
 def assert_matches_full_walk(plan, cursor):
     expected = full_walk(plan, cursor)
     result = cursor.finish()
-    assert result.answers == expected
+    assert set(result.ids) == expected
+    assert result.answers == {result.tree.nodes[i] for i in expected}
     assert result.stats.answers == len(expected)
     assert result.stats.gate_failures == len(cursor.deaths)
     assert result.stats.cans_vertices == sum(map(len, cursor.visit_mstates))
@@ -115,7 +119,7 @@ def run(query: str, xml: str):
 
 def answer_ids(plan, cursor) -> set[int]:
     assert_matches_full_walk(plan, cursor)
-    return {node.node_id for node in cursor.finish().answers}
+    return set(cursor.finish().ids)
 
 
 class CountingList(list):
@@ -156,7 +160,7 @@ def test_a_live_candidate_nested_under_a_dead_ancestor():
     assert set(chain[1:]) & set(cursor.deaths), "no death above the candidate"
     assert nested not in cursor.deaths
     assert answer_ids(plan, cursor) == expected
-    assert cursor.visit_nodes[nested].node_id in expected and len(expected) == 1
+    assert cursor.visit_ids[nested] in expected and len(expected) == 1
 
 
 def test_candidates_sharing_a_chain_climb_it_once():
@@ -167,14 +171,16 @@ def test_candidates_sharing_a_chain_climb_it_once():
     )
     assert cursor.deaths and len(cursor.finals_seen) == 3  # a, d, d
     parents = CountingList(cursor.visit_parents)
+    # Phase 2 returns node ids and reads labels off the label column.
     answers = plan.collect_answers(
-        cursor.visit_nodes,
+        cursor.visit_ids,
         parents,
         cursor.visit_mstates,
         cursor.deaths,
         cursor.finals_seen,
+        cursor.layout.columns.label,
     )
-    assert {n.node_id for n in answers} == expected and len(expected) == 2
+    assert set(answers) == expected and len(expected) == 2
     # a: itself + root (2 reads); first d: d, c, c, c up to the known
     # root (4 reads); second d: only itself (1 read).
     assert parents.reads == 7
@@ -184,9 +190,9 @@ def test_no_deaths_builds_no_chain_at_all():
     plan, cursor, expected = run("a/b", "<r><a><b/><b/></a><a/></r>")
     assert not cursor.deaths
     answers = plan.collect_answers(
-        cursor.visit_nodes, None, None, cursor.deaths, cursor.finals_seen
+        cursor.visit_ids, None, None, cursor.deaths, cursor.finals_seen, None
     )
-    assert {n.node_id for n in answers} == expected and len(expected) == 2
+    assert set(answers) == expected and len(expected) == 2
 
 
 def test_finals_seen_holds_visit_indices_in_both_loops():
@@ -199,7 +205,8 @@ def test_finals_seen_holds_visit_indices_in_both_loops():
     for one, other in zip(lean, composed):
         assert one.finals_seen == other.finals_seen
         assert all(type(i) is int for i in one.finals_seen)
-        assert [one.visit_nodes[i].label for i in one.finals_seen] in (
+        label = one.layout.columns.label
+        assert [label[one.visit_ids[i]] for i in one.finals_seen] in (
             ["b", "b"],
             ["a", "a"],
         )

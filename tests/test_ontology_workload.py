@@ -54,8 +54,10 @@ class TestCuratedView:
             source = view.source_of(cterm)
             codes = {
                 c.text()
-                for e in source.child_elements("evidence")
-                for c in e.child_elements("code")
+                for e in source.children
+                if e.label == "evidence"
+                for c in e.children
+                if c.label == "code"
             }
             assert "EXP" in codes
 

@@ -48,7 +48,7 @@ class TestHospitalWorkload:
 
     def test_element_text_ratio_near_paper(self):
         doc = generate_hospital_document(HospitalConfig(num_patients=60, seed=1))
-        ratio = doc.element_count / doc.text_count
+        ratio = doc.element_count / (doc.size - doc.element_count)
         assert 1.5 <= ratio <= 3.0  # paper: ≈ 2:1
 
     def test_selectivity_knob(self):

@@ -39,10 +39,12 @@ class TestNodeBasics:
         node = element("x", "t", element("y"), element("z"))
         assert [c.label for c in node.element_children()] == ["y", "z"]
 
-    def test_child_elements_filters_by_label(self):
+    def test_children_filter_by_label(self):
+        """``Node.child_elements`` is gone (no caller outside tests): a
+        comprehension over ``children`` does the same."""
         tree = sample_tree()
-        assert len(tree.root.child_elements("b")) == 2
-        assert len(tree.root.child_elements("nope")) == 0
+        assert len([c for c in tree.root.children if c.label == "b"]) == 2
+        assert not [c for c in tree.root.children if c.label == "nope"]
 
     def test_append_returns_child(self):
         parent = element("p")
@@ -75,7 +77,7 @@ class TestIndexing:
     def test_counts(self):
         tree = sample_tree()
         assert tree.element_count == 5
-        assert tree.text_count == 2
+        assert tree.size - tree.element_count == 2  # text_count is gone
         assert tree.size == 7
 
     def test_reindex_after_mutation(self):
@@ -98,9 +100,11 @@ class TestTraversal:
         assert ids == sorted(ids)
         assert len(ids) == tree.size
 
-    def test_iter_descendants_excludes_self(self):
+    def test_iter_subtree_starts_with_self(self):
+        """``iter_descendants`` is gone: it was ``iter_subtree`` minus
+        its first node."""
         tree = sample_tree()
-        descendants = list(tree.root.iter_descendants())
+        descendants = list(tree.root.iter_subtree())[1:]
         assert tree.root not in descendants
         assert len(descendants) == tree.size - 1
 
@@ -115,47 +119,45 @@ class TestTraversal:
         assert sample_tree().depth() == 3
 
 
-class TestCachedVariants:
-    """The lazy hot-path variants must be behaviour-identical to the
-    allocating originals, including across a re-freeze."""
+class TestColumns:
+    """The per-node caches (``text_cached``, ``element_children_cached``)
+    are gone: a frozen tree's columns answer the same questions, and a
+    re-freeze rebuilds them."""
 
-    def test_text_cached_matches_text_everywhere(self):
+    def test_text_column_matches_text_everywhere(self):
         tree = sample_tree()
         for node in tree.nodes:
-            assert node.text_cached() == node.text()
-            # Second read serves the cache; still identical.
-            assert node.text_cached() == node.text()
+            assert tree.columns.text[node.node_id] == node.text()
 
-    def test_element_children_cached_matches_everywhere(self):
+    def test_kid_spans_are_the_element_children(self):
         tree = sample_tree()
+        columns = tree.columns
         for node in tree.nodes:
-            assert node.element_children_cached() == node.element_children()
-            assert node.element_children_cached() == node.element_children()
+            start, end = columns.kid_start[node.node_id : node.node_id + 2]
+            assert [tree.nodes[i] for i in columns.kid_ids[start:end]] == (
+                node.element_children()
+            )
+            for place, kid in enumerate(node.element_children(), start=1):
+                assert columns.position[kid.node_id] == place
 
-    def test_cached_list_is_shared_not_copied(self):
+    def test_refreeze_rebuilds_the_columns(self):
         tree = sample_tree()
         root = tree.root
-        assert root.element_children_cached() is root.element_children_cached()
-        # The allocating variant still returns a fresh list per call.
-        assert root.element_children() is not root.element_children()
-
-    def test_refreeze_invalidates_both_caches(self):
-        tree = sample_tree()
-        root = tree.root
-        before_text = root.text_cached()
-        before_elems = root.element_children_cached()
+        before = tree.columns
         # Structural edit + re-freeze (the documented mutation protocol).
         root.append(text_node("extra"))
         root.append(element("z"))
         index_tree(root, tree)
-        assert root.text_cached() == root.text() == before_text + "extra"
-        assert root.element_children_cached() == root.element_children()
-        assert len(root.element_children_cached()) == len(before_elems) + 1
+        assert tree.columns is not before
+        assert root.columns is tree.columns
+        assert tree.columns.text[0] == root.text() == "extra"
+        assert len(root.element_children()) == 4
+        assert tree.columns.position[root.element_children()[-1].node_id] == 4
 
     def test_text_node_and_empty_element(self):
         tree = sample_tree()
         text = next(n for n in tree.nodes if n.is_text)
         empty = next(n for n in tree.nodes if n.is_element and not n.children)
-        assert text.text_cached() == text.text() == (text.value or "")
-        assert empty.text_cached() == ""
-        assert empty.element_children_cached() == []
+        assert tree.columns.text[text.node_id] == text.text() == text.value
+        assert tree.columns.text[empty.node_id] == ""
+        assert tree.columns.position[text.node_id] == 0

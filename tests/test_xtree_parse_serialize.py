@@ -75,6 +75,52 @@ class TestParse:
             parse_xml("boom <a/>")
 
 
+class TestEntitiesAndMarkup:
+    """Each input read wrong before the token pass was rewritten: a
+    reference decoded twice, a numeric reference kept literal, and a
+    ``>`` inside a comment, a quoted attribute value or a CDATA section
+    ending the tag."""
+
+    @pytest.mark.parametrize(
+        "source, text, canonical",
+        [
+            ("<a>x &amp;lt; y</a>", "x &lt; y", "<a>x &amp;lt; y</a>"),
+            ("<a>&#65;&#x42;c</a>", "ABc", "<a>ABc</a>"),
+            ("<a>&#60;b&#62;</a>", "<b>", "<a>&lt;b&gt;</a>"),
+            ("<a>&bogus; &#0; &#xD800;</a>", "&bogus; &#0; &#xD800;",
+             "<a>&amp;bogus; &amp;#0; &amp;#xD800;</a>"),
+            ("<a><![CDATA[x<y &amp;]]></a>", "x<y &amp;", "<a>x&lt;y &amp;amp;</a>"),
+        ],
+    )
+    def test_text(self, source, text, canonical):
+        tree, got = parse_canonical(source)
+        assert [n.label for n in tree.nodes] == ["a", "#text"]
+        assert tree.root.text() == text == tree.columns.text[0]
+        assert got == canonical == serialize(tree)
+        assert parse_canonical(canonical)[1] == canonical
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "<a><!-- x > y --><b/></a>",
+            '<a t="1>2"><b/></a>',
+            "<a t='1>2' u=\"'\"><b/></a>",
+            "<a><?pi x > y?><b k=\">\"/></a>",
+        ],
+    )
+    def test_markup_holding_a_greater_than_sign(self, source):
+        tree, canonical = parse_canonical(source)
+        assert [n.label for n in tree.nodes] == ["a", "b"]
+        assert canonical == "<a><b/></a>"
+
+    def test_a_text_filter_matches_the_decoded_text(self):
+        from repro.hype.api import evaluate_hype
+
+        tree = parse_xml("<r><a>x &amp;lt; y</a><a>x &lt; y</a></r>")
+        hits = evaluate_hype("a[text() = 'x &lt; y']", tree).answers
+        assert [n.node_id for n in hits] == [1]
+
+
 class TestSerialize:
     def test_empty_element(self):
         assert serialize(document(element("a"))) == "<a/>"
