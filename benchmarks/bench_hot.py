@@ -9,14 +9,21 @@ min-of-N wall-clock protocol:
    structural scan, over the document's columnar layout (the one path
    the evaluator has).  The regression guard for the descent itself is
    the calibrated ``descent_hot`` row of ``benchmarks/e2e``;
+   The ``descent_passes`` rows time the lean pass itself per lane —
+   interpreted (``_descend_lane_py``) and compiled (``_lean.c``, when
+   this process has it: ``descent`` records ``kernel.DESCENT``);
 2. **Wave-composition scaling** — the per-lane batch loop vs ONE
    :class:`repro.hype.compose.ComposedKernel` at wave widths 1/2/4/8/16
    over distinct queries, per-lane answers/stats asserted identical
    first; the ``wave_scaling`` rows carry the lanes-vs-lane-steps/sec
    curve, and the width-8 composed speedup is floor-checked at
-   ``>= 1.3x`` on descent-bound (plain ``hype``) rows.  The ``skew``
-   row replays the Zipf-hot-document scenario workload
-   (:mod:`repro.workloads.skew`) per-request vs composed waves;
+   ``>= 1.3x`` on descent-bound (plain ``hype``) rows.  The floor
+   compares composed sharing with the *same* interpreted loop stepped
+   per lane; the compiled per-lane pass, which the composed machine
+   does not beat, is recorded beside it as ``compiled_composed_speedup``
+   without a floor.  The ``skew`` row replays the Zipf-hot-document
+   scenario workload (:mod:`repro.workloads.skew`) per-request vs
+   composed waves;
 3. **Serve-batch throughput on a repeated-document workload** — the
    multi-tenant hospital traffic replayed (a) *cold*, where every
    request pays its own parse + OptHyPE index build (the pre-docstore
@@ -60,9 +67,11 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.docstore import DocumentStore, IndexedDocument
+from repro.hype import kernel
 from repro.hype.api import ALGORITHMS, HYPE, OPTHYPE, OPTHYPE_C, compile_plan
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
@@ -120,6 +129,50 @@ def bench_single_runs(tree, repeats: int) -> dict:
     return results
 
 
+#: The lean passes this process can run, by name.
+PASSES = {"python": kernel._descend_lane_py}
+if kernel.DESCENT == "compiled":
+    PASSES["compiled"] = kernel._descend_lane
+
+
+@contextmanager
+def lean_pass(name: str):
+    """Run :func:`repro.hype.kernel.descend` with the named lean pass."""
+    saved = kernel._descend_lane
+    kernel._descend_lane = PASSES[name]
+    try:
+        yield
+    finally:
+        kernel._descend_lane = saved
+
+
+def bench_descent_passes(tree, repeats: int) -> dict:
+    """Per-lane nodes/sec of each lean pass over the document's layout:
+    the structural scan, one plan per algorithm, warm tables."""
+    doc = IndexedDocument(tree)
+    layout = doc.layout
+    elements = tree.element_count
+    results: dict = {}
+    for algorithm in ALGORITHMS:
+        plan = _document_plan(WAVE_QUERIES["scan"], algorithm, doc)
+        row: dict = {}
+        for name in PASSES:
+            with lean_pass(name):
+                reference = plan.run(tree.root, layout=layout)
+                seconds = best_of(lambda: plan.run(tree.root, layout=layout), repeats)
+            visited = reference.stats.visited_elements
+            row[name] = {
+                "visited_elements": visited,
+                "seconds": seconds,
+                "nodes_per_s": elements / seconds,
+                "ns_per_visit": seconds / visited * 1e9,
+            }
+        if "compiled" in row:
+            row["compiled_speedup"] = row["python"]["seconds"] / row["compiled"]["seconds"]
+        results[algorithm] = row
+    return results
+
+
 def _calibrated_inner(fn, target_s: float = 2e-3) -> int:
     """Inner-repeat count lifting one timed sample above timer noise."""
     started = time.perf_counter()
@@ -171,13 +224,16 @@ def bench_wave_scaling(tree, repeats: int) -> dict:
 
     Both sides drive the same compiled plans over the same layout from
     fresh :class:`repro.hype.core.RunCursor`s — the per-lane side is
-    :func:`repro.hype.kernel.descend` (one lean pass per lane, W passes
-    per wave), the composed side is ONE
+    :func:`repro.hype.kernel.descend` with the interpreted lean pass
+    (one pass per lane, W passes per wave: the loop the composed machine
+    is the shared version of), the composed side is ONE
     :class:`repro.hype.compose.ComposedKernel` (one lookup per node).
     Answers and full per-lane ``HyPEStats`` are asserted identical
-    before timing; samples interleave the two sides per round.  The
+    before timing; samples interleave the sides per round.  The
     headline is ``lane_steps_per_s`` growing *sublinearly* in cost:
     composed wall time at width W sits well under W x width-1 time.
+    Where the compiled pass is loaded it is timed per lane as a third
+    side (``compiled_perlane_s``, ``compiled_composed_speedup``).
     """
     from repro.hype.compose import ComposedKernel, descend_composed
     from repro.hype.core import RunCursor
@@ -196,23 +252,31 @@ def bench_wave_scaling(tree, repeats: int) -> dict:
         for width in WAVE_WIDTHS:
             plans = all_plans[:width]
 
-            def run_perlane():
+            def run_lanes():
                 cursors = [RunCursor(plan) for plan in plans]
                 descend(list(zip(plans, cursors)), tree.root, layout)
                 return cursors
+
+            def run_perlane():
+                with lean_pass("python"):
+                    return run_lanes()
+
+            def run_compiled():
+                with lean_pass("compiled"):
+                    return run_lanes()
 
             if width < 2:
                 # A singleton group never composes (the service routes
                 # it per-lane) — the width-1 row anchors the curve with
                 # the per-lane loop on both arms.
-                kernel = None
+                composed_kernel = None
                 run_composed = run_perlane
             else:
-                kernel = ComposedKernel(plans)
+                composed_kernel = ComposedKernel(plans)
 
                 def run_composed():
                     cursors = [RunCursor(plan) for plan in plans]
-                    descend_composed(kernel, cursors, tree.root, layout)
+                    descend_composed(composed_kernel, cursors, tree.root, layout)
                     return cursors
 
             # Warm both sides (memos, composed tables) and prove the
@@ -222,18 +286,20 @@ def bench_wave_scaling(tree, repeats: int) -> dict:
             for lane, (ref, got) in enumerate(zip(reference, composed)):
                 assert got.answers == ref.answers, f"lane {lane} answers"
                 assert got.stats == ref.stats, f"lane {lane} stats"
+            sides = {"perlane": run_perlane, "composed": run_composed}
+            if "compiled" in PASSES:
+                sides["compiled"] = run_compiled
             inner = _calibrated_inner(run_perlane)
-            perlane_s = composed_s = float("inf")
+            best = dict.fromkeys(sides, float("inf"))
             for _ in range(repeats):
-                started = time.perf_counter()
-                for _ in range(inner):
-                    run_perlane()
-                middle = time.perf_counter()
-                for _ in range(inner):
-                    run_composed()
-                ended = time.perf_counter()
-                perlane_s = min(perlane_s, (middle - started) / inner)
-                composed_s = min(composed_s, (ended - middle) / inner)
+                for side, run in sides.items():
+                    started = time.perf_counter()
+                    for _ in range(inner):
+                        run()
+                    elapsed = (time.perf_counter() - started) / inner
+                    best[side] = min(best[side], elapsed)
+            perlane_s, composed_s = best["perlane"], best["composed"]
+            compiled_s = best.get("compiled")
             rows.append(
                 {
                     "width": width,
@@ -241,12 +307,19 @@ def bench_wave_scaling(tree, repeats: int) -> dict:
                     "perlane_s": perlane_s,
                     "composed_s": composed_s,
                     "composed_speedup": perlane_s / composed_s,
+                    "compiled_perlane_s": compiled_s,
+                    # Unfloored: the compiled pass per lane vs composed.
+                    "compiled_composed_speedup": (
+                        None if compiled_s is None else compiled_s / composed_s
+                    ),
                     # Lane-steps/sec: W lanes advanced over the whole
                     # document per pass — the axis the curve plots.
                     "perlane_lane_steps_per_s": width * elements / perlane_s,
                     "composed_lane_steps_per_s": width * elements / composed_s,
-                    "composed": kernel is not None,
-                    "interned_ccfgs": 0 if kernel is None else kernel.interned_ccfgs,
+                    "composed": composed_kernel is not None,
+                    "interned_ccfgs": (
+                        0 if composed_kernel is None else composed_kernel.interned_ccfgs
+                    ),
                     "descent_bound": algorithm == HYPE,
                 }
             )
@@ -265,7 +338,7 @@ def wave_floor_failures(wave: dict) -> list[str]:
                 failures.append(
                     f"wave composition at width {row['width']} "
                     f"({algorithm}): x{row['composed_speedup']:.2f} < "
-                    f"{WAVE_FLOOR} floor over the per-lane batch path"
+                    f"{WAVE_FLOOR} floor over the interpreted per-lane pass"
                 )
     return failures
 
@@ -813,6 +886,19 @@ def main(argv: list[str] | None = None) -> int:
                 f"{entry['visited_elements']} visited)"
             )
 
+    print(f"descent: {kernel.DESCENT}")
+    passes = bench_descent_passes(tree, args.repeats)
+    for algorithm, row in passes.items():
+        print(
+            f"  lean pass {algorithm:9s} "
+            + "  ".join(
+                f"{name} {row[name]['nodes_per_s'] / 1e6:5.2f}M nodes/s "
+                f"({row[name]['ns_per_visit']:4.0f} ns/visit)"
+                for name in PASSES
+            )
+            + (f"  x{row['compiled_speedup']:.2f}" if "compiled_speedup" in row else "")
+        )
+
     wave_tree = tree
     if args.patients < WAVE_MIN_PATIENTS:
         wave_tree = generate_hospital_document(
@@ -829,6 +915,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"x{row['composed_speedup']:.2f} "
                 f"({row['composed_lane_steps_per_s'] / 1e6:6.2f}M "
                 f"lane-steps/s, {row['interned_ccfgs']} ccfgs) {bound}"
+                + (
+                    ""
+                    if row["compiled_perlane_s"] is None
+                    else f"  [compiled per-lane {row['compiled_perlane_s'] * 1000:.2f} ms: "
+                    f"x{row['compiled_composed_speedup']:.2f}]"
+                )
             )
     wave_failures = wave_floor_failures(wave)
     print(
@@ -894,6 +986,8 @@ def main(argv: list[str] | None = None) -> int:
             "elements": tree.element_count,
         },
         "single_run": single,
+        "descent": kernel.DESCENT,
+        "descent_passes": passes,
         "wave_scaling": wave,
         "skew": skew,
         "adversarial": adversarial,

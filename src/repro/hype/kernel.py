@@ -54,11 +54,17 @@ cycle collector.
 The descent — :func:`descend` — is the **single** entry point behind
 both :meth:`repro.hype.core.CompiledPlan.run` (a one-lane batch) and
 :class:`repro.serve.batch.BatchEvaluator` (N lanes), and it has a
-single implementation: the *lean pass* (:func:`_descend_lane`), run once
-per live lane.  The lean pass keeps the current frame — node, visit
-index, cfg, its ``array('i')`` row, the truths its children reported,
-the child cursor — in locals, pushes one tuple of those per visited
-element that has element children and pops childless elements inline.
+single algorithm: the *lean pass*, run once per live lane.  The lean
+pass keeps the current frame — node, visit index, cfg, its
+``array('i')`` row, the truths its children reported, the child cursor
+— in locals, pushes one tuple of those per visited element that has
+element children and pops childless elements inline.  It exists twice:
+:func:`_descend_lane_py` is the reference, and ``_lean.c`` the same
+pass compiled (every table's hit path in C; misses, predicates and the
+clock call the Python code here).  :mod:`repro.hype.native` builds the
+extension on first import; :data:`DESCENT` records which pass this
+process runs (``"compiled"``, or ``"python: <reason>"``) and
+:func:`descend` calls that one.
 A wave's lanes are stepped one after the other (stepping them together
 through one multiplexed loop measured slower at every width); what the
 wave shares is reported from the union of the lanes' visit columns, and
@@ -85,6 +91,7 @@ duplicated work, never wrong answers.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from array import array
@@ -94,6 +101,7 @@ from ..docstore.layout import covering_layout
 from ..errors import DeadlineError
 from ..faults import fire as _fault_fire
 from ..guard import CHECK_INTERVAL
+from . import native
 
 #: Flag bits of a packed transition word (see module docstring).
 FINAL_BIT = 1
@@ -700,7 +708,8 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
 
     ``lanes`` is a list of ``(plan, cursor)`` pairs; a sequential run is
     a one-lane batch.  Each live lane is finished by one lean pass
-    (:func:`_descend_lane`), one lane after the other, over the columns
+    (compiled, or :func:`_descend_lane_py` — :data:`DESCENT` says
+    which), one lane after the other, over the columns
     of ``layout`` (flat kid spans, ``array('i')`` transition rows), by
     node id.  ``context`` is a node, or a node id of ``layout``'s
     document.  A missing layout, or one that does not cover ``context``
@@ -759,12 +768,16 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     shared.skipped_subtrees += examined - len(union) + 1
 
 
-def _descend_lane(
+def _descend_lane_py(
     plan, cursor, layout, mask_keys, node: int, cfg: int, deadline, checks: int
 ) -> int:
     """The lean pass: run one lane — ``plan`` recording into ``cursor``
     — over node ``node``'s subtree in ``layout``, pruning on the
     document's ``mask_keys`` column (``None``: plain HyPE).
+
+    The reference implementation, and the pass this process runs when
+    the compiled one (``_lean.c``, the same algorithm statement by
+    statement) is unavailable — see :data:`DESCENT`.
 
     The current node's frame lives in locals (node id, visit index, cfg,
     its ``array('i')`` row, the truths its children reported, the child
@@ -918,3 +931,38 @@ def _descend_lane(
     cursor.cans_vertices = sum(map(len, cursor.visit_mstates))
     cursor.stats.afa_states_resolved += resolved
     return checks
+
+
+def _new_row(width: int) -> array:
+    """A fresh transition row: ``width`` :data:`UNFILLED` slots."""
+    return array("i", [UNFILLED]) * width
+
+
+def _select_pass(cache_dir=None) -> tuple:
+    """``(lean pass, DESCENT record)`` for this process: the compiled
+    pass when :func:`repro.hype.native.load` builds or finds it (in
+    ``cache_dir``, default the package's ``__pycache__``) and it accepts
+    this module's helpers and constants, else :func:`_descend_lane_py`
+    with the reason."""
+    lean, reason = native.load(cache_dir)
+    if lean is not None:
+        try:
+            lean.setup(
+                _expired,
+                _new_row,
+                time.perf_counter,
+                CHECK_INTERVAL,
+                (FINAL_BIT, POP_BIT, CFG_SHIFT, DEAD, UNFILLED),
+            )
+            return lean.descend_lane, "compiled"
+        except (TypeError, ValueError) as error:
+            reason = f"the build refused its setup: {error}"
+    return _descend_lane_py, f"python: {reason}"
+
+
+#: The lean pass :func:`descend` runs, and which one it is: ``"compiled"``
+#: or ``"python: <why the compiled pass is unavailable>"``.
+_descend_lane, DESCENT = _select_pass()
+# INFO, not WARNING: a library prints nothing unless logging is set up,
+# and the fallback is a supported configuration, not a fault.
+logging.getLogger(__name__).info("descent: %s", DESCENT)

@@ -1,0 +1,139 @@
+"""Build-on-first-import loader of the compiled lean pass (``_lean.c``).
+
+:func:`load` returns the extension module, or ``None`` and the reason
+the Python pass runs instead.  The shared object is built once per
+checkout, source and interpreter, and every later process only loads
+it:
+
+* it lives in the package's ``__pycache__``, named by the sha256 of the
+  source and the interpreter's extension suffix (which carries its ABI
+  tag), so an edited source or another interpreter builds its own file
+  and nothing stale is ever loaded;
+* the compiler is ``CC`` from the environment when set (as setuptools
+  honours it), else the interpreter's own build compiler
+  (``sysconfig``); headers come from ``sysconfig``'s include path.  The
+  source is fed on stdin, so the bytes hashed are the bytes compiled;
+* the output is written to a temporary file and ``os.replace``-d into
+  place (:func:`repro.tier.publish`), so concurrent processes — fleet
+  workers, test subprocesses — never load a half-written object.
+
+The fallback reasons: a free-threaded interpreter (the pass holds the
+GIL for its whole run and has not been audited without it), no
+compiler, no ``Python.h``, a failed build, or a cache directory that
+cannot be written.  None of them is an error: the Python pass is the
+same algorithm, at about half the speed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.machinery
+import importlib.util
+import os
+import pkgutil
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
+from ..tier import publish
+
+#: The extension's module name (its init function is ``PyInit__lean``).
+MODULE = f"{__package__}._lean"
+SOURCE = "_lean.c"
+CACHE = Path(__file__).resolve().parent / "__pycache__"
+
+#: Seconds a build may take before it counts as failed.
+BUILD_TIMEOUT = 120
+
+
+def compiler() -> list[str]:
+    """The C compiler command line: ``CC``, else the interpreter's."""
+    return shlex.split(
+        os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+    )
+
+
+def load(cache_dir: str | os.PathLike | None = None):
+    """``(module, None)`` — the compiled lean pass, built first if this
+    source and interpreter have no cached build in ``cache_dir``
+    (default: the package's ``__pycache__``) — or ``(None, reason)``."""
+    if sysconfig.get_config_var("Py_GIL_DISABLED"):
+        return None, "free-threaded build"
+    source = pkgutil.get_data(__package__, SOURCE)
+    if source is None:
+        return None, f"{SOURCE} is not installed"
+    digest = hashlib.sha256(source).hexdigest()[:16]
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    cache = CACHE if cache_dir is None else Path(cache_dir)
+    target = cache / f"_lean.{digest}{suffix}"
+    if target.is_file():
+        try:
+            return _import(target), None
+        except ImportError:
+            pass  # unloadable (truncated, foreign): rebuilt over below
+    reason = _build(source, target)
+    if reason is not None:
+        return None, reason
+    try:
+        return _import(target), None
+    except ImportError as error:
+        return None, f"the build does not load: {error}"
+
+
+def _build(source: bytes, target: Path) -> str | None:
+    """Compile ``source`` into ``target``; the reason it failed, or None."""
+    command = compiler()
+    if not command or shutil.which(command[0]) is None:
+        return f"no compiler ({' '.join(command) or 'CC is empty'})"
+    include = sysconfig.get_paths()["include"]
+    if not Path(include, "Python.h").is_file():
+        return f"no Python.h in {include}"
+    if sys.platform == "darwin":
+        link = ["-bundle", "-undefined", "dynamic_lookup"]
+    else:
+        link = ["-shared"]
+
+    def compile_into(tmp: Path) -> None:
+        try:
+            done = subprocess.run(
+                [*command, *link, "-fPIC", "-O2", f"-I{include}",
+                 "-o", str(tmp), "-x", "c", "-"],
+                input=source,
+                capture_output=True,
+                timeout=BUILD_TIMEOUT,
+            )
+        except OSError as error:  # found on PATH but not runnable
+            raise _BuildFailed(f"build failed ({error})") from None
+        if done.returncode != 0:
+            message = done.stderr.decode(errors="replace").strip()
+            raise _BuildFailed(
+                f"build failed ({command[0]} exited {done.returncode}"
+                + (f": {message.splitlines()[-1]}" if message else "")
+                + ")"
+            )
+
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        publish(target, compile_into)
+    except _BuildFailed as failure:
+        return str(failure)
+    except subprocess.TimeoutExpired:
+        return f"build failed (no result after {BUILD_TIMEOUT} s)"
+    except OSError as error:
+        return f"cannot write the build cache: {error}"
+    return None
+
+
+class _BuildFailed(Exception):
+    pass
+
+
+def _import(path: Path):
+    loader = importlib.machinery.ExtensionFileLoader(MODULE, str(path))
+    spec = importlib.util.spec_from_file_location(MODULE, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module

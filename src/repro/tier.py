@@ -17,6 +17,8 @@ algorithm grows back anywhere under ``src/repro``.
   an exception), written atomically and best-effort, and swept of what
   the current format will never load.  Every read and write names its
   :mod:`repro.faults` seam, so a file I/O site cannot exist without one.
+  Its atomic write is :func:`publish`, which the build cache of the
+  compiled lean pass (:mod:`repro.hype.native`) shares.
 """
 
 from __future__ import annotations
@@ -132,6 +134,25 @@ class SingleFlightLRU:
             return len(self._entries)
 
 
+def publish(path: Path, produce: Callable[[Path], object]) -> None:
+    """Atomically create the file at ``path``: ``produce(tmp)`` writes a
+    temporary file beside it, which is then ``os.replace``-d into place,
+    so readers — other processes included — only ever see a complete
+    file.  Whatever ``produce`` raises propagates, with the temporary
+    removed.  :meth:`FileTier.write` publishes its bytes this way; the
+    compiled lean pass (:mod:`repro.hype.native`) its shared object."""
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    try:
+        produce(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+        raise
+
+
 class FileTier:
     """One flat directory of persisted files under one durability policy.
 
@@ -208,20 +229,12 @@ class FileTier:
         full / read-only disk and degrades exactly like a real one.
         """
         fault = _fault_fire(seam)
-        tmp = path.with_name(
-            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
-        )
         try:
             if fault is not None and fault.action == "drop":
                 raise OSError("injected write failure")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            publish(path, lambda tmp: tmp.write_bytes(data))
         except OSError:
             self.stats.count("errors")
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
             return False
         return True
 

@@ -1,0 +1,474 @@
+"""The compiled lean pass against its reference, and its safety rails.
+
+``repro.hype.kernel`` runs one of two implementations of the same lean
+pass: ``_lean.c`` when :mod:`repro.hype.native` could build and load it
+(``kernel.DESCENT == "compiled"``), else :func:`kernel._descend_lane_py`.
+Here:
+
+* **differential** — random documents × random (and gated) queries × the
+  three algorithms, each on a cold plan (every table miss taken) and on
+  a warm one (every probe a hit): both passes produce the same visit
+  columns (the phase-1 sets by identity on one plan), deaths,
+  candidates, :class:`HyPEStats`, answers and deadline countdown; an
+  expired deadline stops both after the same number of steps;
+* **fallback** — no compiler, a failed build, an unwritable cache and a
+  free-threaded interpreter each select the Python pass with the reason
+  recorded, and a cached build is loaded without invoking a compiler;
+* **bounds and references** — mangled columns of a built layout and of
+  a tier-loaded (``memoryview``) one, and mangled table ids, raise
+  ``IndexError``; a pass cut short by a raising predicate or miss path
+  leaks no reference, truth set or buffer export.  These run in a
+  subprocess, so a crash fails the test instead of killing the suite.
+
+The compiled-pass tests are skipped, not failed, where ``DESCENT`` is a
+fallback (the ``CC=false`` CI job runs the suite that way).
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.docstore import IndexedDocument
+from repro.docstore.layout import covering_layout
+from repro.errors import DeadlineError
+from repro.guard import CHECK_INTERVAL, Deadline
+from repro.hype import kernel, native
+from repro.hype.api import ALGORITHMS, compile_plan
+from repro.hype.core import RunCursor
+from repro.workloads.hospital import HospitalConfig, generate_hospital_document
+
+from .strategies import gated_paths, paths, trees
+
+SRC = Path(kernel.__file__).resolve().parents[2]
+
+compiled_only = pytest.mark.skipif(
+    kernel.DESCENT != "compiled", reason=f"descent is {kernel.DESCENT!r}"
+)
+PASSES = {"python": kernel._descend_lane_py, "compiled": kernel._descend_lane}
+
+
+def _plan(query, algorithm, doc):
+    index = None if algorithm == "hype" else doc.index_for(algorithm == "opthype-c")
+    return compile_plan(query, algorithm=algorithm, index=index)
+
+
+def _lane(lean, plan, layout, context, deadline=None, checks=CHECK_INTERVAL):
+    """One lane through ``lean`` exactly as :func:`kernel.descend`
+    drives it: ``(cursor, countdown left, error raised)``."""
+    layout, root = covering_layout(context, layout)
+    cursor = RunCursor(plan)
+    cursor.layout = layout
+    mask_keys = layout.mask_keys(plan)
+    cfg = plan.kernel.root_cfg(plan, None if mask_keys is None else mask_keys[root])
+    if cfg == kernel.DEAD:
+        return cursor, checks, None
+    try:
+        left = lean(plan, cursor, layout, mask_keys, root, cfg, deadline, checks)
+    except DeadlineError as error:
+        return cursor, None, type(error)
+    return cursor, left, None
+
+
+def _record(cursor, left, error):
+    """Everything a lane leaves behind, by value."""
+    record = (
+        list(cursor.visit_ids),
+        list(cursor.visit_parents),
+        list(cursor.visit_mstates),
+        dict(cursor.deaths),
+        list(cursor.finals_seen),
+        left,
+        error,
+    )
+    if error is not None:
+        return record, None
+    result = cursor.finish()
+    return record, (result.ids, result.stats)
+
+
+def _same_sets(a, b):
+    assert len(a.visit_mstates) == len(b.visit_mstates)
+    assert all(x is y for x, y in zip(a.visit_mstates, b.visit_mstates))
+
+
+# ----------------------------------------------------------------------
+# Differential: compiled == python
+# ----------------------------------------------------------------------
+@compiled_only
+class TestCompiledEqualsPython:
+    @given(
+        trees(),
+        st.one_of(paths(), gated_paths()),
+        st.integers(0, CHECK_INTERVAL),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cold_and_warm_plans(self, tree, query, checks):
+        """Per algorithm: a fresh plan per pass (every miss taken), then
+        each pass again on the plan the *other* one warmed (every probe
+        a hit, phase-1 sets identical objects), with a live deadline so
+        the countdown is read and returned."""
+        doc = IndexedDocument(tree)
+        far = Deadline(time.perf_counter() + 3600.0)
+        contexts = [n.node_id for n in tree.nodes if n.is_element][:2]
+        for algorithm in ALGORITHMS:
+            plans = {name: _plan(query, algorithm, doc) for name in PASSES}
+            for context in contexts:
+                cold = {
+                    name: _lane(lean, plans[name], doc.layout, context, far, checks)
+                    for name, lean in PASSES.items()
+                }
+                assert _record(*cold["python"]) == _record(*cold["compiled"])
+                for name, lean in PASSES.items():
+                    other = "compiled" if name == "python" else "python"
+                    warm = _lane(lean, plans[other], doc.layout, context, far, checks)
+                    assert _record(*warm) == _record(*cold[other])
+                    _same_sets(warm[0], cold[other][0])
+
+    @given(trees(max_depth=5), gated_paths(), st.integers(0, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_expired_deadline_cuts_both_at_the_same_step(self, tree, query, checks):
+        """An expired deadline raises at the first clock read, ``checks``
+        steps into the pass — in both — leaving the same partial visit
+        columns (or both finish first and agree)."""
+        doc = IndexedDocument(tree)
+        expired = Deadline(time.perf_counter() - 1.0)
+        for algorithm in ALGORITHMS:
+            plan = _plan(query, algorithm, doc)
+            got = [
+                _record(*_lane(lean, plan, doc.layout, 0, expired, checks))
+                for lean in PASSES.values()
+            ]
+            assert got[0] == got[1]
+
+    def test_hospital_queries_through_descend(self, monkeypatch):
+        """The real entry point, batched, on a document with text
+        predicates and deaths: ``descend`` with either pass installed
+        gives the same lanes."""
+        from repro.serve.batch import BatchEvaluator
+        from repro.workloads.queries import FIG8
+
+        tree = generate_hospital_document(HospitalConfig(num_patients=12, seed=7))
+        doc = IndexedDocument(tree)
+        queries = [*FIG8.values(), "//patient[.//diagnosis/text() = 'flu']/pname"]
+        for algorithm in ALGORITHMS:
+            plans = [_plan(query, algorithm, doc) for query in queries]
+            results = {}
+            for name, lean in PASSES.items():
+                monkeypatch.setattr(kernel, "_descend_lane", lean)
+                batch = BatchEvaluator(plans).run(0, layout=doc.layout)
+                results[name] = [(r.ids, r.stats) for r in batch.results]
+            assert results["python"] == results["compiled"]
+            assert any(stats.gate_failures for _ids, stats in results["python"])
+
+
+# ----------------------------------------------------------------------
+# Loading and the fallback
+# ----------------------------------------------------------------------
+class TestFallback:
+    def test_missing_compiler_runs_the_python_pass(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(native, "compiler", lambda: ["/nonexistent/cc"])
+        lean, descent = kernel._select_pass(tmp_path)
+        assert lean is kernel._descend_lane_py
+        assert descent == "python: no compiler (/nonexistent/cc)"
+        assert list(tmp_path.iterdir()) == []
+        ran = []
+
+        def spy(*args):
+            ran.append(args[0])
+            return lean(*args)
+
+        tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=1))
+        doc = IndexedDocument(tree)
+        plan = _plan("//patient/pname", "opthype", doc)
+        expected = plan.run(0, layout=doc.layout)
+        monkeypatch.setattr(kernel, "_descend_lane", spy)
+        monkeypatch.setattr(kernel, "DESCENT", descent)
+        result = plan.run(0, layout=doc.layout)
+        assert ran == [plan]
+        assert result.ids == expected.ids and result.stats == expected.stats
+
+    def test_failed_build_leaves_no_file(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("CC", "false")
+        module, reason = native.load(tmp_path)
+        assert module is None
+        assert reason.startswith("build failed (false exited 1")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_cache(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        module, reason = native.load(blocker / "cache")
+        assert module is None
+        assert reason.startswith(("cannot write the build cache", "no compiler", "no Python.h"))
+
+    def test_free_threaded_interpreter_falls_back(self, monkeypatch):
+        real = native.sysconfig.get_config_var
+        monkeypatch.setattr(
+            native.sysconfig,
+            "get_config_var",
+            lambda name: 1 if name == "Py_GIL_DISABLED" else real(name),
+        )
+        assert native.load() == (None, "free-threaded build")
+
+    @compiled_only
+    def test_a_cached_build_invokes_no_compiler(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("compiler invoked for a cached build")
+
+        monkeypatch.setattr(native, "compiler", forbidden)
+        module, reason = native.load()
+        assert reason is None and hasattr(module, "descend_lane")
+        # A second process: CC names no compiler at all, and it loads.
+        env = dict(os.environ, CC="/nonexistent/cc", PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", "from repro.hype import kernel; print(kernel.DESCENT)"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.stdout.strip() == "compiled", done.stderr
+
+
+# ----------------------------------------------------------------------
+# Bounds and references, each in a subprocess
+# ----------------------------------------------------------------------
+_PRELUDE = """
+import gc, sys, tempfile
+from array import array
+from repro.docstore import DocumentStore, IndexedDocument
+from repro.hype import kernel
+from repro.hype.api import ALGORITHMS, compile_plan
+from repro.hype.kernel import DenseKernel
+from repro.workloads.hospital import HospitalConfig, generate_hospital_document
+from repro.xtree.serialize import serialize
+
+assert kernel.DESCENT == "compiled", kernel.DESCENT
+tree = generate_hospital_document(HospitalConfig(num_patients=6, seed=4))
+if sys.argv[1] == "built":
+    doc = IndexedDocument(tree)
+else:
+    work = tempfile.mkdtemp()
+    DocumentStore(index_dir=work).get(serialize(tree))
+    warm = DocumentStore(index_dir=work)
+    doc = warm.get(serialize(tree))
+    assert warm.stats.layout_loads == 1
+    assert isinstance(doc.layout.kid_ids, memoryview)
+layout = doc.layout
+
+
+def plan_for(query, algorithm):
+    index = None if algorithm == "hype" else doc.index_for(algorithm == "opthype-c")
+    plan = compile_plan(query, algorithm=algorithm, index=index)
+    plan.run(0, layout=layout)  # warm: rows and pops exist
+    return plan
+"""
+
+_BOUNDS = _PRELUDE + """
+def like(column, values):
+    if isinstance(column, memoryview):
+        return memoryview(array("i", values))
+    return values
+
+
+def mangles(values):
+    values = list(values)
+    yield "negative", [-1 - v if i == 0 else v for i, v in enumerate(values)]
+    yield "huge", [v + 10**6 if i == 0 else v for i, v in enumerate(values)]
+    yield "truncated", values[: len(values) // 2]
+
+
+failures = []
+runs = 0
+for algorithm in ALGORITHMS:
+    plan = plan_for("//*", algorithm)
+    kern = plan.kernel
+    for name in ("kid_start", "kid_ids", "kid_labels"):
+        original = getattr(layout, name)
+        for how, values in mangles(original):
+            setattr(layout, name, like(original, values))
+            try:
+                plan.run(0, layout=layout)
+                failures.append(f"{algorithm} {name} {how}: no error")
+            except IndexError:
+                pass
+            finally:
+                setattr(layout, name, original)
+            runs += 1
+    if algorithm != "hype":
+        index = layout.indexes[plan.compressed]
+        original = index.mask_keys
+        index.mask_keys = original[: len(original) // 2]
+        try:
+            plan.run(0, layout=layout)
+            failures.append(f"{algorithm} mask_keys truncated: no error")
+        except IndexError:
+            pass
+        finally:
+            index.mask_keys = original
+        runs += 1
+    # Table ids: a transition word naming no cfg (no edge), a cfg with
+    # no pop entry.
+    rows = layout.table.rows_for(plan)
+    row = rows[kern.roots[next(iter(kern.roots))]]
+    saved = row[:]
+    bogus = (10**6 << 1) | 1 if plan.bit_of is not None else 10**6 << kernel.CFG_SHIFT
+    for lid in range(len(row)):
+        if row[lid] not in (kernel.UNFILLED, kernel.DEAD):
+            row[lid] = bogus
+    try:
+        plan.run(0, layout=layout)
+        failures.append(f"{algorithm} bogus table id: no error")
+    except IndexError:
+        pass
+    finally:
+        row[:] = saved
+    gated = plan_for("//patient[.//diagnosis]/pname", algorithm)
+    pops = gated.kernel.pops[:]
+    del gated.kernel.pops[1:]
+    try:
+        gated.run(0, layout=layout)
+        failures.append(f"{algorithm} truncated pops: no error")
+    except IndexError:
+        pass
+    finally:
+        gated.kernel.pops[:] = pops
+    runs += 2
+    assert plan.run(0, layout=layout).ids, "restored plan answers"
+print(runs, "mangled runs")
+if failures:
+    print("\\n".join(failures))
+    sys.exit(1)
+"""
+
+_REFCOUNTS = _PRELUDE + """
+class Boom(Exception):
+    pass
+
+
+def live_sets():
+    gc.collect()
+    return sum(1 for o in gc.get_objects() if type(o) is set)
+
+
+def snapshot(plan):
+    kern = plan.kernel
+    rows = layout.table.rows_for(plan)
+    return (
+        [sys.getrefcount(s) for s in kern.cfg_mstates],
+        {cfg: sys.getrefcount(row) for cfg, row in rows.items()},
+    )
+
+
+query = "//patient[.//diagnosis/text() = 'flu' or .//test/text() = 'x-ray']/pname"
+for algorithm in ALGORITHMS:
+    plan = plan_for(query, algorithm)
+    kern = plan.kernel
+    before, sets = snapshot(plan), live_sets()
+    calls = [0]
+
+    def bomb(real, fuse):
+        def holds(columns, node_id):
+            calls[0] += 1
+            if calls[0] >= fuse:
+                raise Boom()
+            return real(columns, node_id)
+        return holds
+
+    real_pops = kern.pops[:]
+    raised = 0
+    for run in range(200):
+        calls[0] = 0
+        fuse = 1 + run % 23
+        for cfg, (preds, outcomes) in enumerate(real_pops):
+            if preds:
+                kern.pops[cfg] = (
+                    tuple((bit, bomb(holds, fuse)) for bit, holds in preds),
+                    outcomes,
+                )
+        try:
+            plan.run(0, layout=layout)
+        except Boom:
+            raised += 1
+        kern.pops[:] = real_pops
+    assert raised > 100, raised
+    # A miss path raising mid-pass: every pop and transition misses.
+    real_fill, real_lookup = DenseKernel.fill_pop, DenseKernel.lookup_trans
+    def failing(real, fuse):
+        def method(self, *args):
+            calls[0] += 1
+            if calls[0] >= fuse:
+                raise Boom()
+            return real(self, *args)
+        return method
+    rows = layout.table.rows_for(plan)
+    for run in range(200):
+        calls[0] = 0
+        DenseKernel.fill_pop = failing(real_fill, 1 + run % 7)
+        DenseKernel.lookup_trans = failing(real_lookup, 1 + run % 11)
+        saved = {cfg: row[:] for cfg, row in rows.items()}
+        for row in rows.values():
+            row[:] = array("i", [kernel.UNFILLED]) * len(row)
+        outcomes = [entry[1] for entry in kern.pops if entry[0] or entry[1]]
+        cleared = [dict(o) for o in outcomes]
+        for o in outcomes:
+            o.clear()
+        try:
+            plan.run(0, layout=layout)
+        except Boom:
+            raised += 1
+        finally:
+            DenseKernel.fill_pop, DenseKernel.lookup_trans = real_fill, real_lookup
+            for cfg, row in saved.items():
+                rows[cfg][:] = row
+            for o, kept in zip(outcomes, cleared):
+                o.clear()
+                o.update(kept)
+    assert raised > 300, raised
+    after = snapshot(plan)
+    assert after == before, (algorithm, before, after)
+    assert live_sets() == sets, "a pending truth set leaked"
+    # No buffer export survives a pass: rows can be resized again.
+    for row in rows.values():
+        row.append(0)
+        row.pop()
+if isinstance(layout.kid_ids, memoryview):
+    for name in ("kid_ids", "kid_labels", "kid_start"):
+        getattr(layout, name).release()  # BufferError if still exported
+print("clean")
+"""
+
+
+def _subprocess(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+@compiled_only
+class TestBoundsAndReferences:
+    @pytest.mark.parametrize("kind", ["built", "tier-loaded"])
+    def test_mangled_columns_raise_and_never_crash(self, kind):
+        done = _subprocess(_BOUNDS, kind)
+        assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
+        assert "mangled runs" in done.stdout
+
+    @pytest.mark.parametrize("kind", ["built", "tier-loaded"])
+    def test_a_pass_cut_short_leaks_nothing(self, kind):
+        done = _subprocess(_REFCOUNTS, kind)
+        assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
+        assert done.stdout.strip() == "clean"
