@@ -11,7 +11,9 @@ min-of-N wall-clock protocol:
    the calibrated ``descent_hot`` row of ``benchmarks/e2e``;
    The ``descent_passes`` rows time the lean pass itself per lane —
    interpreted (``_descend_lane_py``) and compiled (``_lean.c``, when
-   this process has it: ``descent`` records ``kernel.DESCENT``);
+   this process has it: ``descent`` records ``kernel.DESCENT``) — and
+   the ``phase2_passes`` row times phase 2 alone per request, σ0 view
+   queries under every algorithm, interpreted vs compiled;
 2. **Wave-composition scaling** — the per-lane batch loop vs ONE
    :class:`repro.hype.compose.ComposedKernel` at wave widths 1/2/4/8/16
    over distinct queries, per-lane answers/stats asserted identical
@@ -171,6 +173,60 @@ def bench_descent_passes(tree, repeats: int) -> dict:
             row["compiled_speedup"] = row["python"]["seconds"] / row["compiled"]["seconds"]
         results[algorithm] = row
     return results
+
+
+def bench_phase2_passes(tree, repeats: int) -> dict:
+    """Phase 2 per request, each implementation over the same cans: the
+    σ0 view queries rewritten to MFAs under every algorithm, one descent
+    each, then the answer collection alone — interpreted
+    (``_collect_answers_py``) and compiled (``_lean.c``, when this
+    process has it) — on the plans' warm alive caches, answers asserted
+    identical first."""
+    from repro.hype.core import CompiledPlan, RunCursor
+    from repro.rewrite.mfa_rewrite import rewrite_query
+    from repro.views.samples import sigma0
+    from repro.workloads.queries import VIEW_QUERIES
+
+    doc = IndexedDocument(tree)
+    layout = doc.layout
+    spec = sigma0()
+    requests = []
+    deaths = 0
+    for query in VIEW_QUERIES.values():
+        mfa = rewrite_query(spec, query)
+        for algorithm in ALGORITHMS:
+            plan = _document_plan(mfa, algorithm, doc)
+            cursor = RunCursor(plan)
+            kernel.descend([(plan, cursor)], 0, layout)
+            deaths += len(cursor.deaths)
+            columns = (
+                cursor.visit_ids,
+                cursor.visit_parents,
+                cursor.visit_mstates,
+                cursor.deaths,
+                cursor.finals_seen,
+                layout.columns.label,
+            )
+            requests.append((plan, columns))
+    phases = {"python": CompiledPlan._collect_answers_py}
+    if kernel._collect_answers is not None:
+        phases["compiled"] = kernel._collect_answers
+
+    def collect_all(collect) -> list:
+        return [collect(plan, *columns) for plan, columns in requests]
+
+    expected = collect_all(phases["python"])  # also warms the alive caches
+    for collect in phases.values():
+        assert collect_all(collect) == expected, "phase 2 passes disagree"
+    row: dict = {"requests": len(requests), "deaths": deaths}
+    for name, collect in phases.items():
+        seconds = best_of(lambda: collect_all(collect), repeats)
+        row[name] = {"us_per_request": seconds / len(requests) * 1e6}
+    if "compiled" in row:
+        row["compiled_speedup"] = (
+            row["python"]["us_per_request"] / row["compiled"]["us_per_request"]
+        )
+    return row
 
 
 def _calibrated_inner(fn, target_s: float = 2e-3) -> int:
@@ -352,7 +408,8 @@ def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
     side pays one sequential pass per query; the wave side batches the
     stream 8 requests at a time through a ``compose=True`` service, so
     same-view lanes piling onto the hot document fuse into composed
-    groups.  Answers are asserted identical before timing.
+    groups — where the lean pass is interpreted; a compiled process
+    steps them per lane.  Answers are asserted identical before timing.
     """
     from repro.workloads.skew import (
         SkewConfig,
@@ -898,6 +955,20 @@ def main(argv: list[str] | None = None) -> int:
             )
             + (f"  x{row['compiled_speedup']:.2f}" if "compiled_speedup" in row else "")
         )
+    phase2 = bench_phase2_passes(tree, args.repeats)
+    print(
+        f"  phase 2 ({phase2['requests']} view requests, {phase2['deaths']} deaths) "
+        + "  ".join(
+            f"{name} {phase2[name]['us_per_request']:6.1f} us/request"
+            for name in ("python", "compiled")
+            if name in phase2
+        )
+        + (
+            f"  x{phase2['compiled_speedup']:.2f}"
+            if "compiled_speedup" in phase2
+            else ""
+        )
+    )
 
     wave_tree = tree
     if args.patients < WAVE_MIN_PATIENTS:
@@ -988,6 +1059,7 @@ def main(argv: list[str] | None = None) -> int:
         "single_run": single,
         "descent": kernel.DESCENT,
         "descent_passes": passes,
+        "phase2_passes": phase2,
         "wave_scaling": wave,
         "skew": skew,
         "adversarial": adversarial,

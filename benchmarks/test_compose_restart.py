@@ -37,9 +37,10 @@ def compose_doc():
 
 
 def _boot(document, plan_dir) -> QueryService:
-    service = QueryService(
-        document, plan_store=PlanStore(plan_dir), compose=True
-    )
+    service = QueryService(document, plan_store=PlanStore(plan_dir))
+    # Composed whatever the lean pass: QueryService(compose=True) steps
+    # per lane in a process where the pass is compiled.
+    service.compose = True
     service.register_view("research", sigma0())
     service.register_tenant("institute", "research")
     return service

@@ -98,19 +98,6 @@ class NFA:
             result |= self.eps_closure_of(state)
         return frozenset(result)
 
-    def next_states(self, states, label: str) -> frozenset[int]:
-        """ε-closed successor set after consuming a child labelled ``label``."""
-        base: set[int] = set()
-        for state in states:
-            labelled = self.trans[state]
-            targets = labelled.get(label)
-            if targets:
-                base |= targets
-            wild = labelled.get(WILDCARD)
-            if wild:
-                base |= wild
-        return self.eps_closure(base)
-
     def step_targets(self, state: int, label: str) -> set[int]:
         """Direct (non-ε-closed) successors of one state on ``label``."""
         labelled = self.trans[state]

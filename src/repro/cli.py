@@ -821,7 +821,8 @@ def build_parser() -> argparse.ArgumentParser:
     sfr.add_argument(
         "--compose",
         action="store_true",
-        help="step same-view wave groups as one composed automaton",
+        help="step same-view wave groups as one composed automaton where "
+        "that is faster (only when the lean pass runs in Python)",
     )
     sfr.add_argument(
         "--trace-sample",

@@ -1,12 +1,15 @@
 /*
- * The lean pass, compiled: repro.hype.kernel._descend_lane_py in C.
+ * The lean pass, compiled: repro.hype.kernel._descend_lane_py in C, and
+ * after it phase 2: repro.hype.core.CompiledPlan._collect_answers_py.
  *
  * One lane of the HyPE descent over a DocumentLayout's columns, exactly
  * as the Python reference walks it -- same visits in the same order,
  * same cursor columns, same counters, same countdown to the next
- * deadline checkpoint.  The Python pass stays the specification and the
- * fallback; tests/test_descent_native.py holds the two to identical
- * results.
+ * deadline checkpoint.  Phase 2 climbs the same candidate chains, probes
+ * and fills the same alive_cache under the same keys and returns the
+ * same answer ids in the same order.  The Python functions stay the
+ * specification and the fallback; tests/test_descent_native.py holds
+ * each pair to identical results.
  *
  * What runs here, per element, is the hit path of every table the pass
  * reads: the array('i') transition row, the OptHyPE filter row, the
@@ -15,14 +18,16 @@
  * same Python code the reference calls: the tables' miss paths
  * (lookup_trans, fill_filter, fill_pop), the predicates' holds, and the
  * clock once every CHECK_INTERVAL steps.  So the kernel's tables, their
- * locking and their fill-only contract are untouched.
+ * locking and their fill-only contract are untouched.  Phase 2 likewise
+ * calls plan._alive on every alive_cache miss.
  *
  * Bounds: every index this file derives from data -- a column index
  * into kid_start / kid_ids / kid_labels / the mask-key column, a label
  * id into a row, a cfg or edge id into pops / cfg_mstates /
- * edge_filters -- is checked before it is read, negatives included,
- * and a failed check raises IndexError.  A mangled layout is an
- * exception, never a wild read.
+ * edge_filters, a visit index from finals_seen / visit_parents / a
+ * deaths key, a node id into the label column -- is checked before it
+ * is read, negatives included, and a failed check raises IndexError.
+ * A mangled layout or cursor is an exception, never a wild read.
  *
  * References: anything borrowed from a list or dict is held (INCREF'd)
  * across every call back into Python, since that code may mutate the
@@ -54,7 +59,8 @@ static PyObject *s_kernel, *s_pops, *s_fill_pop, *s_lookup_trans,
     *s_deaths, *s_visit_ids, *s_visit_parents, *s_visit_mstates,
     *s_finals_seen, *s_table, *s_labels, *s_rows_for, *s_kid_ids,
     *s_kid_labels, *s_kid_start, *s_columns, *s_expires_at, *s_visited,
-    *s_skipped, *s_cans_vertices, *s_stats, *s_afa_states_resolved, *s_get;
+    *s_skipped, *s_cans_vertices, *s_stats, *s_afa_states_resolved, *s_get,
+    *s_mfa, *s_nfa, *s_finals, *s_alive_cache, *s_alive;
 
 static int
 out_of_range(const char *what, long long index)
@@ -359,18 +365,18 @@ row_for(Pass *p, long cfg, Frame *f)
     return 0;
 }
 
-/* ``outcomes.get(key)`` as a new reference, NULL for a miss (no error
- * set) or on error; a stored None is a miss too, as in the reference. */
+/* ``memo.get(key)`` as a new reference, NULL for a miss (no error set)
+ * or on error; a stored None is a miss too, as in the reference. */
 static PyObject *
-outcome_get(PyObject *outcomes, PyObject *key)
+memo_get(PyObject *memo, PyObject *key)
 {
     PyObject *value;
-    if (PyDict_CheckExact(outcomes)) {
-        value = PyDict_GetItemWithError(outcomes, key);
+    if (PyDict_CheckExact(memo)) {
+        value = PyDict_GetItemWithError(memo, key);
         Py_XINCREF(value);
     }
     else {
-        value = PyObject_CallMethodOneArg(outcomes, s_get, key);
+        value = PyObject_CallMethodOneArg(memo, s_get, key);
     }
     if (value == Py_None) {
         Py_DECREF(value);
@@ -448,7 +454,7 @@ pop_outcome(Pass *p, long cfg, PyObject *node, PyObject *trues)
         if (key == NULL)
             goto done;
     }
-    outcome = outcome_get(outcomes, key);
+    outcome = memo_get(outcomes, key);
     if (outcome == NULL && PyErr_Occurred())
         goto done;
     if (outcome != NULL && trues != NULL) {
@@ -914,6 +920,275 @@ error:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* Phase 2                                                              */
+/* ------------------------------------------------------------------ */
+
+/* ``seq[i]`` as a new reference: lists bounds-checked in place, any
+ * other sequence through its protocol with negatives refused. */
+static PyObject *
+item_at(PyObject *seq, long long i, const char *what)
+{
+    if (PyList_Check(seq)) {
+        PyObject *item = list_at(seq, i, what);
+        return item == NULL ? NULL : Py_NewRef(item);
+    }
+    if (i < 0 || i > PY_SSIZE_T_MAX) {
+        out_of_range(what, i);
+        return NULL;
+    }
+    return PySequence_GetItem(seq, (Py_ssize_t)i);
+}
+
+/* ``seq[i]`` read as an int (the item is held while it converts). */
+static int
+long_at(PyObject *seq, long long i, const char *what, long *out)
+{
+    PyObject *item = item_at(seq, i, what);
+    if (item == NULL)
+        return -1;
+    int status = as_long(item, out);
+    Py_DECREF(item);
+    return status;
+}
+
+/* A visit index: an int in [0, n). */
+static int
+visit_at(PyObject *seq, long long i, Py_ssize_t n, Py_ssize_t *out)
+{
+    long visit;
+    if (long_at(seq, i, "visit", &visit) < 0)
+        return -1;
+    if ((unsigned long long)visit >= (unsigned long long)n)
+        return out_of_range("visit", visit);
+    *out = visit;
+    return 0;
+}
+
+/* ``alive & finals`` is non-empty, tested by membership of each final
+ * state (``finals`` is a tuple of them); generically for a non-set. */
+static int
+has_final(PyObject *alive, PyObject *finals)
+{
+    if (!PyAnySet_Check(alive)) {
+        PyObject *both = PyNumber_And(alive, finals);
+        if (both == NULL)
+            return -1;
+        int truth = PyObject_IsTrue(both);
+        Py_DECREF(both);
+        return truth;
+    }
+    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(finals); k++) {
+        int found = PySet_Contains(alive, PyTuple_GET_ITEM(finals, k));
+        if (found != 0)
+            return found;
+    }
+    return 0;
+}
+
+/* ``alive(i)`` when it is not phase 1's set: ``alive_cache[(parent_alive,
+ * label[visit_ids[i]], phase1, dead)]``, computed by ``plan._alive`` on a
+ * miss.  Returns a new reference. */
+static PyObject *
+alive_of(PyObject *plan, PyObject *cache, PyObject **alive_fn,
+         PyObject *visit_ids, PyObject *label, Py_ssize_t i,
+         PyObject *parent_alive, PyObject *phase1, PyObject *dead)
+{
+    long node;
+    if (long_at(visit_ids, i, "visit", &node) < 0)
+        return NULL;
+    PyObject *name = item_at(label, node, "node");
+    if (name == NULL)
+        return NULL;
+    PyObject *key = PyTuple_Pack(4, parent_alive ? parent_alive : Py_None, name,
+                                 phase1, dead ? dead : Py_None);
+    Py_DECREF(name);
+    if (key == NULL)
+        return NULL;
+    PyObject *current = memo_get(cache, key);
+    if (current == NULL && !PyErr_Occurred()) {
+        if (*alive_fn == NULL)
+            *alive_fn = PyObject_GetAttr(plan, s_alive);
+        if (*alive_fn != NULL) {
+            PyObject **parts = ((PyTupleObject *)key)->ob_item;
+            current = PyObject_Vectorcall(*alive_fn, parts, 4, NULL);
+        }
+        if (current != NULL && PyObject_SetItem(cache, key, current) < 0)
+            Py_CLEAR(current);
+    }
+    Py_DECREF(key);
+    return current;
+}
+
+/* collect_answers(plan, visit_ids, visit_parents, visit_mstates, deaths,
+ * finals_seen, label) -> answer node ids: the signature and semantics of
+ * CompiledPlan._collect_answers_py.
+ *
+ * Per call, ``alive`` is a C array of owned references indexed by visit
+ * (NULL: not known yet) and ``deaths`` is flattened once into another.
+ * A parent visit precedes its child, so every step of a climb must go to
+ * a smaller index (or -1 above the root): a mangled ``visit_parents``
+ * cannot loop. */
+static PyObject *
+collect_answers(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "collect_answers takes 7 arguments");
+        return NULL;
+    }
+    PyObject *plan = args[0], *visit_ids = args[1], *visit_parents = args[2],
+             *visit_mstates = args[3], *deaths = args[4], *finals_seen = args[5],
+             *label = args[6];
+    if (!PyList_Check(visit_ids) || !PyList_Check(finals_seen)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "collect_answers: visit_ids and finals_seen must be lists");
+        return NULL;
+    }
+    Py_ssize_t n = PyList_GET_SIZE(visit_ids);
+    PyObject *answers = PyList_New(0);
+    if (answers == NULL)
+        return NULL;
+    int any = PyObject_IsTrue(deaths);
+    if (any < 0)
+        goto fail;
+    if (!any) {
+        /* No gate failed: the candidates are the answers. */
+        for (Py_ssize_t k = 0; k < PyList_GET_SIZE(finals_seen); k++) {
+            Py_ssize_t visit;
+            if (visit_at(finals_seen, k, n, &visit) < 0)
+                goto fail;
+            PyObject *node = list_at(visit_ids, visit, "visit");
+            if (node == NULL || PyList_Append(answers, node) < 0)
+                goto fail;
+        }
+        return answers;
+    }
+    if (!PyList_Check(visit_parents) || !PyList_Check(visit_mstates) ||
+        !PyDict_Check(deaths)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "collect_answers: visit columns must be lists, deaths a dict");
+        goto fail;
+    }
+
+    int status = -1;
+    PyObject *cache = NULL, *finals = NULL, *alive_fn = NULL;
+    Py_ssize_t size = n ? n : 1, ndead = PyDict_GET_SIZE(deaths), touched = 0;
+    PyObject **alive = PyMem_Calloc(size, sizeof(PyObject *));
+    PyObject **dead = PyMem_Calloc(size, sizeof(PyObject *));
+    Py_ssize_t *chain = PyMem_Malloc(size * sizeof(Py_ssize_t));
+    Py_ssize_t *known = PyMem_Malloc(size * sizeof(Py_ssize_t));
+    Py_ssize_t *dead_at = PyMem_Malloc((ndead ? ndead : 1) * sizeof(Py_ssize_t));
+    Py_ssize_t flattened = 0;
+    if (alive == NULL || dead == NULL || chain == NULL || known == NULL ||
+        dead_at == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* Flatten deaths: every key a visit index in range. */
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(deaths, &pos, &key, &value)) {
+        if (!PyLong_CheckExact(key)) {
+            PyErr_SetString(PyExc_TypeError, "collect_answers: a deaths key must be an int");
+            goto done;
+        }
+        long visit;
+        if (as_long(key, &visit) < 0)
+            goto done;
+        if ((unsigned long long)visit >= (unsigned long long)n) {
+            out_of_range("visit", visit);
+            goto done;
+        }
+        if (value != Py_None) {
+            dead[visit] = Py_NewRef(value);
+            dead_at[flattened++] = visit;
+        }
+    }
+    PyObject *mfa = PyObject_GetAttr(plan, s_mfa);
+    PyObject *nfa = mfa ? PyObject_GetAttr(mfa, s_nfa) : NULL;
+    PyObject *finals_set = nfa ? PyObject_GetAttr(nfa, s_finals) : NULL;
+    Py_XDECREF(mfa);
+    Py_XDECREF(nfa);
+    if (finals_set == NULL)
+        goto done;
+    finals = PySequence_Tuple(finals_set);
+    Py_DECREF(finals_set);
+    if (finals == NULL || (cache = PyObject_GetAttr(plan, s_alive_cache)) == NULL)
+        goto done;
+
+    for (Py_ssize_t k = 0; k < PyList_GET_SIZE(finals_seen); k++) {
+        Py_ssize_t candidate, i, depth = 0;
+        if (visit_at(finals_seen, k, n, &candidate) < 0)
+            goto done;
+        /* Climb to the nearest visit whose alive set is known. */
+        for (i = candidate; i != -1 && alive[i] == NULL;) {
+            long parent;
+            chain[depth++] = i;
+            if (long_at(visit_parents, i, "visit", &parent) < 0)
+                goto done;
+            if (parent < -1 || parent >= i) {
+                out_of_range("parent visit", parent);
+                goto done;
+            }
+            i = parent;
+        }
+        /* Come back down, filling the chain. */
+        while (depth > 0) {
+            Py_ssize_t parent = i;
+            i = chain[--depth];
+            PyObject *phase1 = item_at(visit_mstates, i, "visit");
+            if (phase1 == NULL)
+                goto done;
+            PyObject *parent_alive = parent == -1 ? NULL : alive[parent];
+            int same = 0;
+            if (dead[i] == NULL && parent_alive != NULL) {
+                /* No divergence above or here: phase 1's set is exact. */
+                PyObject *above = list_at(visit_mstates, parent, "visit");
+                if (above == NULL) {
+                    Py_DECREF(phase1);
+                    goto done;
+                }
+                same = parent_alive == above;
+            }
+            PyObject *current = same ? Py_NewRef(phase1)
+                : alive_of(plan, cache, &alive_fn, visit_ids, label, i,
+                           parent_alive, phase1, dead[i]);
+            Py_DECREF(phase1);
+            if (current == NULL)
+                goto done;
+            alive[i] = current;
+            known[touched++] = i;
+        }
+        int hit = has_final(alive[candidate], finals);
+        if (hit < 0)
+            goto done;
+        if (hit) {
+            PyObject *node = list_at(visit_ids, candidate, "visit");
+            if (node == NULL || PyList_Append(answers, node) < 0)
+                goto done;
+        }
+    }
+    status = 0;
+done:
+    for (Py_ssize_t k = 0; k < touched; k++)
+        Py_DECREF(alive[known[k]]);
+    for (Py_ssize_t k = 0; k < flattened; k++)
+        Py_DECREF(dead[dead_at[k]]);
+    PyMem_Free(alive);
+    PyMem_Free(dead);
+    PyMem_Free(chain);
+    PyMem_Free(known);
+    PyMem_Free(dead_at);
+    Py_XDECREF(cache);
+    Py_XDECREF(finals);
+    Py_XDECREF(alive_fn);
+    if (status == 0)
+        return answers;
+fail:
+    Py_DECREF(answers);
+    return NULL;
+}
+
 /* setup(expired, new_row, clock, check_interval, constants): install the
  * kernel's helpers; ``constants`` is kernel's (FINAL_BIT, POP_BIT,
  * CFG_SHIFT, DEAD, UNFILLED), refused unless it matches this file's. */
@@ -952,6 +1227,10 @@ static PyMethodDef lean_methods[] = {
     {"descend_lane", (PyCFunction)(void (*)(void))descend_lane, METH_FASTCALL,
      "descend_lane(plan, cursor, layout, mask_keys, node, cfg, deadline, checks)"
      " -> checks\n\nThe compiled lean pass (see repro.hype.kernel)."},
+    {"collect_answers", (PyCFunction)(void (*)(void))collect_answers, METH_FASTCALL,
+     "collect_answers(plan, visit_ids, visit_parents, visit_mstates, deaths,"
+     " finals_seen, label) -> answer node ids\n\n"
+     "Phase 2, compiled (see repro.hype.core)."},
     {"setup", setup, METH_VARARGS,
      "setup(expired, new_row, clock, check_interval, constants)"},
     {NULL, NULL, 0, NULL},
@@ -959,7 +1238,8 @@ static PyMethodDef lean_methods[] = {
 
 static struct PyModuleDef lean_module = {
     PyModuleDef_HEAD_INIT, "_lean",
-    "The compiled lean pass of repro.hype.kernel.", -1, lean_methods,
+    "The compiled lean pass of repro.hype.kernel and phase 2 of repro.hype.core.",
+    -1, lean_methods,
 };
 
 PyMODINIT_FUNC
@@ -994,6 +1274,11 @@ PyInit__lean(void)
     INTERN(s_stats, "stats");
     INTERN(s_afa_states_resolved, "afa_states_resolved");
     INTERN(s_get, "get");
+    INTERN(s_mfa, "mfa");
+    INTERN(s_nfa, "nfa");
+    INTERN(s_finals, "finals");
+    INTERN(s_alive_cache, "_alive_cache");
+    INTERN(s_alive, "_alive");
 #undef INTERN
     return PyModule_Create(&lean_module);
 }

@@ -49,6 +49,11 @@ descent, the composed pass walks a
 :class:`repro.docstore.layout.DocumentLayout`'s columns and nothing
 else (:func:`repro.docstore.layout.covering_layout`).
 
+The composed pass is interpreted.  It beats the interpreted lean pass
+stepped per lane and loses to the compiled one, so the service routes
+waves here only in a process whose :data:`repro.hype.kernel.DESCENT`
+is a fallback (:class:`repro.serve.service.QueryService`).
+
 For the plain (index-free) family the composed closure is persistable:
 :func:`composed_payload` snapshots the interned tuples and transitions
 in a self-contained, member-order-dependent form (member cfgs in the

@@ -58,7 +58,10 @@ level further — interned run configurations with flags packed into flat
 is the single loop behind both :meth:`CompiledPlan.run` (a one-lane
 batch) and the batched evaluator of :mod:`repro.serve.batch`.  It walks
 the columns of a :class:`repro.docstore.layout.DocumentLayout` and
-nothing else.
+nothing else.  Phase 2 (:meth:`CompiledPlan._collect_answers_py`) is
+compiled into the same extension as the lean pass and runs compiled
+wherever that pass does; its ε-closure step (:meth:`CompiledPlan._alive`)
+stays Python either way.
 
 ``HyPEEvaluator`` (the pre-split alias, deprecated in PR 3) was removed;
 importing it raises a pointed :class:`ImportError`.
@@ -73,6 +76,7 @@ from ..automata.afa import FINAL, TRANS, WILDCARD
 from ..automata.mfa import MFA
 from ..automata.truth import child_relevant, relevance_closure
 from ..xtree.node import Node, XMLTree
+from . import kernel
 from .analyze import ViabilityAnalyzer
 from .index import Index
 from .kernel import DenseKernel, descend
@@ -247,11 +251,13 @@ class CompiledPlan:
             )
         return mstates0, m_id0, relevant0, r_id0
 
-    def collect_answers(
+    def _collect_answers_py(
         self, visit_ids, visit_parents, visit_mstates, deaths, finals_seen, label
     ) -> list[int]:
-        """Phase 2 over an externally-built cans DAG (cursor/batch reuse):
-        the answer node ids, in visit (= document) order.
+        """Phase 2 over a run's cans DAG: the answer node ids, in visit
+        (= document) order.  The reference implementation, and the
+        phase 2 a process runs when ``_lean.c``'s (the same algorithm) is
+        unavailable — see :data:`repro.hype.kernel.DESCENT`.
 
         ``finals_seen`` holds the visit indices of the *candidates* — the
         visits whose phase-1 ``mstates`` contain a final state.  A vertex
@@ -507,12 +513,14 @@ class CompiledPlan:
         return frozenset(dead)
 
     # ------------------------------------------------------------------
-    # Phase 2: the ε-closure step of :meth:`collect_answers`
+    # Phase 2: the ε-closure step of :meth:`_collect_answers_py`
     # ------------------------------------------------------------------
     def _alive(self, parent_alive, label, phase1, dead) -> frozenset:
         """``alive(n)``: the transitions from ``alive(parent)`` on
         ``label`` (the start state at the root, ``parent_alive=None``),
-        ε-closed within the node's phase-1 set avoiding its dead states."""
+        ε-closed within the node's phase-1 set avoiding its dead states.
+        Both phase-2 implementations call it on every ``_alive_cache``
+        miss."""
         nfa = self.mfa.nfa
         if parent_alive is None:
             base = {nfa.start}
@@ -523,7 +531,7 @@ class CompiledPlan:
     def _closure_avoiding(self, base, dead, universe) -> frozenset:
         """Stepwise ε-closure within ``universe``, skipping dead states
         (interned, and ``universe`` itself when nothing was lost — the
-        identity :meth:`collect_answers`' fast path tests)."""
+        identity phase 2's fast path tests)."""
         nfa = self.mfa.nfa
         if dead is None and base == universe:
             return universe
@@ -595,7 +603,8 @@ class RunCursor:
         stats.skipped_subtrees = self.skipped
         stats.cans_vertices = self.cans_vertices
         layout = self.layout
-        ids = self.plan.collect_answers(
+        ids = _collect_answers(
+            self.plan,
             self.visit_ids,
             self.visit_parents,
             self.visit_mstates,
@@ -606,6 +615,12 @@ class RunCursor:
         stats.answers = len(ids)
         stats.gate_failures = len(self.deaths)
         return HyPEResult(ids, layout.tree, stats)
+
+
+#: Phase 2 as this process runs it, ``(plan, *cans columns) -> ids``:
+#: ``_lean.c``'s when the compiled passes loaded, else the reference
+#: (:data:`repro.hype.kernel.DESCENT` says which).
+_collect_answers = kernel._collect_answers or CompiledPlan._collect_answers_py
 
 
 def __getattr__(name: str):

@@ -61,14 +61,19 @@ pass keeps the current frame — node, visit index, cfg, its
 element children and pops childless elements inline.  It exists twice:
 :func:`_descend_lane_py` is the reference, and ``_lean.c`` the same
 pass compiled (every table's hit path in C; misses, predicates and the
-clock call the Python code here).  :mod:`repro.hype.native` builds the
-extension on first import; :data:`DESCENT` records which pass this
-process runs (``"compiled"``, or ``"python: <reason>"``) and
-:func:`descend` calls that one.
+clock call the Python code here).  The same extension carries phase 2
+(:meth:`repro.hype.core.CompiledPlan._collect_answers_py`, compiled).
+:mod:`repro.hype.native` builds it on first import; :data:`DESCENT`
+records which passes this process runs (``"compiled"``, or
+``"python: <reason>"``) and :func:`descend` calls that lean pass.
 A wave's lanes are stepped one after the other (stepping them together
 through one multiplexed loop measured slower at every width); what the
-wave shares is reported from the union of the lanes' visit columns, and
-truly shared stepping is :mod:`repro.hype.compose`'s composed machine.
+wave shares is reported from the union of the lanes' visit columns.
+:mod:`repro.hype.compose`'s composed machine steps a wave's lanes
+together instead, but it is interpreted: it beats the interpreted lean
+pass and loses to the compiled one, so the service composes only in a
+process whose :data:`DESCENT` is a fallback
+(:class:`repro.serve.service.QueryService`).
 The document the pass walks is always a
 :class:`~repro.docstore.layout.DocumentLayout`'s columns — the caller's
 when it covers the context, fresh ones otherwise
@@ -939,11 +944,13 @@ def _new_row(width: int) -> array:
 
 
 def _select_pass(cache_dir=None) -> tuple:
-    """``(lean pass, DESCENT record)`` for this process: the compiled
-    pass when :func:`repro.hype.native.load` builds or finds it (in
-    ``cache_dir``, default the package's ``__pycache__``) and it accepts
-    this module's helpers and constants, else :func:`_descend_lane_py`
-    with the reason."""
+    """``(lean pass, phase 2, DESCENT record)`` for this process: the
+    compiled pair when :func:`repro.hype.native.load` builds or finds it
+    (in ``cache_dir``, default the package's ``__pycache__``) and it
+    accepts this module's helpers and constants, else
+    :func:`_descend_lane_py`, ``None`` (phase 2 is then the plan's own
+    :meth:`~repro.hype.core.CompiledPlan._collect_answers_py`) and the
+    reason."""
     lean, reason = native.load(cache_dir)
     if lean is not None:
         try:
@@ -954,15 +961,16 @@ def _select_pass(cache_dir=None) -> tuple:
                 CHECK_INTERVAL,
                 (FINAL_BIT, POP_BIT, CFG_SHIFT, DEAD, UNFILLED),
             )
-            return lean.descend_lane, "compiled"
+            return lean.descend_lane, lean.collect_answers, "compiled"
         except (TypeError, ValueError) as error:
             reason = f"the build refused its setup: {error}"
-    return _descend_lane_py, f"python: {reason}"
+    return _descend_lane_py, None, f"python: {reason}"
 
 
-#: The lean pass :func:`descend` runs, and which one it is: ``"compiled"``
-#: or ``"python: <why the compiled pass is unavailable>"``.
-_descend_lane, DESCENT = _select_pass()
+#: The lean pass :func:`descend` runs, the compiled phase 2 (``None``:
+#: the Python one), and which they are: ``"compiled"`` or
+#: ``"python: <why the compiled passes are unavailable>"``.
+_descend_lane, _collect_answers, DESCENT = _select_pass()
 # INFO, not WARNING: a library prints nothing unless logging is set up,
 # and the fallback is a supported configuration, not a fault.
 logging.getLogger(__name__).info("descent: %s", DESCENT)

@@ -2,16 +2,18 @@
 
 Sequential serving runs one :class:`repro.hype.core.CompiledPlan` pass
 per query.  The batch evaluator takes the wave whole: each automaton is
-a *lane* carrying its own ``mstates``/``fstates`` cursor, lanes that can
-form one machine (same view, same algorithm family) are stepped
-together down a *single* depth-first pass by
-:mod:`repro.hype.compose` — a subtree is descended iff **at least one**
-lane keeps live states for it — and every other lane runs
-:func:`repro.hype.kernel.descend`'s lean pass on its own, the SAME code
-a sequential :meth:`repro.hype.core.CompiledPlan.run` drives with one
-lane.  (Up to PR 12 the per-lane lanes were also multiplexed through one
-traversal; once the lean pass existed that measured slower than running
-them one after the other, so it is gone.)
+a *lane* carrying its own ``mstates``/``fstates`` cursor, and every lane
+runs :func:`repro.hype.kernel.descend`'s lean pass on its own, the SAME
+code a sequential :meth:`repro.hype.core.CompiledPlan.run` drives with
+one lane — except the groups the caller names, whose lanes are stepped
+together down a *single* depth-first pass by :mod:`repro.hype.compose`
+(a subtree is descended iff **at least one** lane keeps live states for
+it).  The composed machine is interpreted: it saves work over the
+interpreted lean pass and costs time against the compiled one, so
+:class:`repro.serve.service.QueryService` names groups only in a process
+that runs the Python lean pass.  (The per-lane lanes were once also
+multiplexed through one traversal; once the lean pass existed that
+measured slower than running them one after the other, so it is gone.)
 
 Correctness: a lane steps its plan's dense kernel only at nodes where
 it is itself live, calls the same transition/pop machinery, and records

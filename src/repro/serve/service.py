@@ -45,6 +45,7 @@ separately.
 from __future__ import annotations
 
 import contextvars
+import logging
 import time
 from dataclasses import dataclass
 
@@ -62,6 +63,7 @@ from ..errors import (
     ViewError,
 )
 from ..guard import Deadline, min_deadline
+from ..hype import kernel
 from ..hype.api import ALGORITHMS, HYPE
 from ..hype.core import HyPEResult
 from ..obs.trace import add_span, current_span, span
@@ -241,12 +243,21 @@ class QueryService:
     ) -> None:
         if default_algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {default_algorithm!r}")
-        #: Wave composition (PR 9): groups of >= 2 lanes sharing
-        #: (view fingerprint, algorithm, document) step as ONE composed
-        #: machine through the cache's composed tier.  Off by default —
-        #: per-lane answers are identical either way; the flag trades
-        #: per-wave composition work for sublinear batch stepping.
-        self.compose = compose
+        #: Wave composition: groups of >= 2 lanes sharing (view
+        #: fingerprint, algorithm, document) step as ONE composed
+        #: machine through the cache's composed tier.  ``compose=True``
+        #: asks for that where it pays: the composed machine is
+        #: interpreted, so it beats the interpreted lean pass and loses
+        #: to the compiled one — a process whose
+        #: :data:`repro.hype.kernel.DESCENT` is ``"compiled"`` steps
+        #: every wave per lane instead.  Per-lane answers and stats are
+        #: identical either way.
+        self.compose = compose and kernel.DESCENT != "compiled"
+        if compose and not self.compose:
+            logging.getLogger(__name__).info(
+                "compose: waves step per lane (the compiled lean pass "
+                "outruns the interpreted composed machine)"
+            )
         # The document tier: every request path works over a shared
         # IndexedDocument (columnar layout for the hot loop, OptHyPE
         # indexes built exactly once).  With a ``document_store`` the

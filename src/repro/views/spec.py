@@ -15,7 +15,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..dtd.model import DTD, StrContent
+from ..dtd.model import DTD
 from ..errors import ViewError
 from ..xpath import ast
 from ..xpath.fragment import to_xreg
@@ -171,12 +171,3 @@ def copy_view(dtd: DTD) -> ViewSpec:
         annotations[(parent, child)] = ast.Label(child)
     # Choice children may repeat edges; dict keys already dedupe.
     return ViewSpec(dtd, dtd, annotations)
-
-
-def str_types(dtd: DTD) -> set[str]:
-    """Element types with PCDATA content (their view nodes copy text)."""
-    return {
-        label
-        for label, content in dtd.productions.items()
-        if isinstance(content, StrContent)
-    }

@@ -129,18 +129,6 @@ class TestNFA:
         nfa.add_eps(b, a)
         assert nfa.eps_closure_of(a) == frozenset({a, b})
 
-    def test_next_states_label(self):
-        nfa = self.build()
-        assert nfa.next_states({0}, "a") == frozenset({1, 2})
-
-    def test_next_states_wildcard_matches_any(self):
-        nfa = self.build()
-        assert nfa.next_states({2}, "whatever") == frozenset({3})
-
-    def test_next_states_no_match(self):
-        nfa = self.build()
-        assert nfa.next_states({0}, "b") == frozenset()
-
     def test_step_targets(self):
         nfa = self.build()
         assert nfa.step_targets(0, "a") == {1}

@@ -1,24 +1,32 @@
-"""The compiled lean pass against its reference, and its safety rails.
+"""The compiled lean pass and phase 2 against their references, and
+their safety rails.
 
 ``repro.hype.kernel`` runs one of two implementations of the same lean
 pass: ``_lean.c`` when :mod:`repro.hype.native` could build and load it
 (``kernel.DESCENT == "compiled"``), else :func:`kernel._descend_lane_py`.
-Here:
+Phase 2 follows it: ``_lean.c``'s ``collect_answers``, else
+:meth:`CompiledPlan._collect_answers_py`.  Here:
 
 * **differential** — random documents × random (and gated) queries × the
   three algorithms, each on a cold plan (every table miss taken) and on
   a warm one (every probe a hit): both passes produce the same visit
   columns (the phase-1 sets by identity on one plan), deaths,
   candidates, :class:`HyPEStats`, answers and deadline countdown; an
-  expired deadline stops both after the same number of steps;
+  expired deadline stops both after the same number of steps.  Both
+  phase 2s, on a cold and on a warm ``_alive_cache``, return the same
+  answer ids in the same order and leave the same cache keys;
 * **fallback** — no compiler, a failed build, an unwritable cache and a
   free-threaded interpreter each select the Python pass with the reason
   recorded, and a cached build is loaded without invoking a compiler;
 * **bounds and references** — mangled columns of a built layout and of
   a tier-loaded (``memoryview``) one, and mangled table ids, raise
   ``IndexError``; a pass cut short by a raising predicate or miss path
-  leaks no reference, truth set or buffer export.  These run in a
-  subprocess, so a crash fails the test instead of killing the suite.
+  leaks no reference, truth set or buffer export.  Mangled cans columns
+  (``visit_parents``, ``finals_seen``, a ``deaths`` key, a visit's node
+  id) make phase 2 raise ``IndexError``, and a phase 2 cut short by a
+  raising ``_alive`` leaves every cached set's refcount as it was.
+  These run in a subprocess, so a crash fails the test instead of
+  killing the suite.
 
 The compiled-pass tests are skipped, not failed, where ``DESCENT`` is a
 fallback (the ``CC=false`` CI job runs the suite that way).
@@ -43,7 +51,7 @@ from repro.errors import DeadlineError
 from repro.guard import CHECK_INTERVAL, Deadline
 from repro.hype import kernel, native
 from repro.hype.api import ALGORITHMS, compile_plan
-from repro.hype.core import RunCursor
+from repro.hype.core import CompiledPlan, RunCursor
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 
 from .strategies import gated_paths, paths, trees
@@ -54,6 +62,10 @@ compiled_only = pytest.mark.skipif(
     kernel.DESCENT != "compiled", reason=f"descent is {kernel.DESCENT!r}"
 )
 PASSES = {"python": kernel._descend_lane_py, "compiled": kernel._descend_lane}
+PHASE2 = {
+    "python": CompiledPlan._collect_answers_py,
+    "compiled": kernel._collect_answers,
+}
 
 
 def _plan(query, algorithm, doc):
@@ -170,14 +182,84 @@ class TestCompiledEqualsPython:
             assert any(stats.gate_failures for _ids, stats in results["python"])
 
 
+def _phase2(collect, plan, cursor):
+    """One phase 2 over ``cursor``'s cans: ``(answer ids, the plan's
+    alive-cache keys afterwards)``."""
+    ids = collect(
+        plan,
+        cursor.visit_ids,
+        cursor.visit_parents,
+        cursor.visit_mstates,
+        cursor.deaths,
+        cursor.finals_seen,
+        cursor.layout.columns.label,
+    )
+    return ids, list(plan._alive_cache)
+
+
+def _phase2_agrees(plan, cursor):
+    """Both phase 2s from an empty cache (every chain step a miss through
+    ``plan._alive``), then each on the cache the *other* one filled
+    (every probe a hit): same ids in the same order, same keys, the same
+    cached set objects.  Returns the answer ids."""
+    cache = plan._alive_cache
+    cold = {}
+    for name, collect in PHASE2.items():
+        cache.clear()
+        cold[name] = _phase2(collect, plan, cursor), dict(cache)
+    (expected, filled), (got, compiled_filled) = cold["python"], cold["compiled"]
+    assert got == expected
+    assert all(filled[key] is compiled_filled[key] for key in filled)
+    for name, collect in PHASE2.items():
+        cache.clear()
+        cache.update(cold["compiled" if name == "python" else "python"][1])
+        assert _phase2(collect, plan, cursor) == expected
+    return expected[0]
+
+
+@compiled_only
+class TestCompiledPhase2EqualsPython:
+    @given(trees(), gated_paths())
+    @settings(max_examples=80, deadline=None)
+    def test_cold_and_warm_caches(self, tree, query):
+        doc = IndexedDocument(tree)
+        contexts = [n.node_id for n in tree.nodes if n.is_element][:2]
+        for algorithm in ALGORITHMS:
+            plan = _plan(query, algorithm, doc)
+            for context in contexts:
+                cursor, _left, _error = _lane(
+                    kernel._descend_lane, plan, doc.layout, context
+                )
+                _phase2_agrees(plan, cursor)
+
+    def test_hospital_cans_with_deaths(self):
+        """Text predicates on a generated document: deaths on most
+        candidate chains, and the answers are ``run``'s."""
+        from repro.workloads.queries import FIG8
+
+        tree = generate_hospital_document(HospitalConfig(num_patients=12, seed=7))
+        doc = IndexedDocument(tree)
+        queries = [*FIG8.values(), "//patient[.//diagnosis/text() = 'flu']/pname"]
+        deaths = 0
+        for algorithm in ALGORITHMS:
+            for query in queries:
+                plan = _plan(query, algorithm, doc)
+                cursor, _left, _error = _lane(kernel._descend_lane, plan, doc.layout, 0)
+                deaths += len(cursor.deaths)
+                ids = _phase2_agrees(plan, cursor)
+                assert ids == plan.run(0, layout=doc.layout).ids
+        assert deaths
+
+
 # ----------------------------------------------------------------------
 # Loading and the fallback
 # ----------------------------------------------------------------------
 class TestFallback:
     def test_missing_compiler_runs_the_python_pass(self, monkeypatch, tmp_path):
         monkeypatch.setattr(native, "compiler", lambda: ["/nonexistent/cc"])
-        lean, descent = kernel._select_pass(tmp_path)
+        lean, collect, descent = kernel._select_pass(tmp_path)
         assert lean is kernel._descend_lane_py
+        assert collect is None  # phase 2: the plan's own reference
         assert descent == "python: no compiler (/nonexistent/cc)"
         assert list(tmp_path.iterdir()) == []
         ran = []
@@ -448,6 +530,127 @@ print("clean")
 """
 
 
+_CANS = _PRELUDE + """
+from repro.hype.core import RunCursor
+
+collect = kernel._collect_answers
+GATED = "//patient[.//diagnosis/text() = 'flu' or .//test/text() = 'x-ray']/pname"
+
+
+def cans(query, algorithm):
+    plan = plan_for(query, algorithm)
+    cursor = RunCursor(plan)
+    kernel.descend([(plan, cursor)], 0, layout)
+    assert cursor.deaths and cursor.finals_seen, algorithm
+    columns = [
+        cursor.visit_ids,
+        cursor.visit_parents,
+        cursor.visit_mstates,
+        cursor.deaths,
+        cursor.finals_seen,
+        layout.columns.label,
+    ]
+    return plan, cursor, columns
+"""
+
+_PHASE2_BOUNDS = _CANS + """
+VISIT_IDS, PARENTS, MSTATES, DEATHS, FINALS = range(5)
+failures = []
+runs = 0
+for algorithm in ALGORITHMS:
+    plan, cursor, columns = cans(GATED, algorithm)
+    n = len(cursor.visit_ids)
+    ids, parents, deaths = cursor.visit_ids, cursor.visit_parents, cursor.deaths
+    dead = next(iter(deaths.values()))
+    mangles = [
+        (PARENTS, "huge", [p if p < 0 else p + 10**6 for p in parents]),
+        (PARENTS, "negative", [p if p < 0 else -2 - p for p in parents]),
+        (PARENTS, "self", [p if p < 0 else i for i, p in enumerate(parents)]),
+        (PARENTS, "forward", [p if p < 0 else n - 1 for p in parents]),
+        (PARENTS, "truncated", parents[:1]),
+        (FINALS, "past the end", [n]),
+        (FINALS, "huge", [n + 10**6]),
+        (FINALS, "negative", [-2]),
+        (FINALS, "above the root", [-1]),
+        (DEATHS, "past the end", {**deaths, n: dead}),
+        (DEATHS, "negative", {**deaths, -1: dead}),
+        (VISIT_IDS, "huge", [v + 10**6 for v in ids]),
+        (VISIT_IDS, "negative", [-1 - v for v in ids]),
+        (MSTATES, "truncated", cursor.visit_mstates[:1]),
+    ]
+    # With no death recorded the candidates are read off directly.
+    undead = columns[:DEATHS] + [{}] + columns[DEATHS + 1:]
+    for column, how, values in mangles + [(FINALS, "no deaths", [n])]:
+        args = list(undead if how == "no deaths" else columns)
+        args[column] = values
+        try:
+            collect(plan, *args)
+            failures.append(f"{algorithm} column {column} {how}: no error")
+        except IndexError:
+            pass
+        runs += 1
+    assert collect(plan, *columns) == plan.run(0, layout=layout).ids
+print(runs, "mangled runs")
+if failures:
+    print("\\n".join(failures))
+    sys.exit(1)
+"""
+
+_PHASE2_REFCOUNTS = _CANS + """
+class Boom(Exception):
+    pass
+
+
+for algorithm in ALGORITHMS:
+    plan, cursor, columns = cans(GATED, algorithm)
+    cache = plan._alive_cache
+    real = plan._alive
+    calls = [0]
+
+    def failing(fuse):
+        def alive(*key):
+            calls[0] += 1
+            if calls[0] >= fuse:
+                raise Boom()
+            return real(*key)
+        return alive
+
+    cache.clear()
+    plan._alive = failing(float("inf"))
+    expected = collect(plan, *columns)
+    del plan._alive
+    misses = calls[0]
+    assert misses > 2, (algorithm, misses)
+    warm = list(cache.items())
+    tracked = [s for s, _id in plan._set_ids.values()]
+    tracked += [value for _key, value in warm] + list(cursor.deaths.values())
+    tracked += sorted(set(layout.columns.label))
+    gc.collect()
+    before = [sys.getrefcount(o) for o in tracked]
+    raised = 0
+    for run in range(200):
+        cache.clear()
+        if run % 2:
+            cache.update(warm[: len(warm) // 2])  # hits, then misses
+        calls[0] = 0
+        plan._alive = failing(1 + run % misses)
+        try:
+            collect(plan, *columns)
+        except Boom:
+            raised += 1
+        finally:
+            del plan._alive
+    assert raised > 100, raised
+    cache.clear()
+    cache.update(warm)
+    gc.collect()
+    after = [sys.getrefcount(o) for o in tracked]
+    assert after == before, (algorithm, before, after)
+    assert collect(plan, *columns) == expected
+print("clean")
+"""
+
+
 def _subprocess(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
@@ -470,5 +673,15 @@ class TestBoundsAndReferences:
     @pytest.mark.parametrize("kind", ["built", "tier-loaded"])
     def test_a_pass_cut_short_leaks_nothing(self, kind):
         done = _subprocess(_REFCOUNTS, kind)
+        assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
+        assert done.stdout.strip() == "clean"
+
+    def test_mangled_cans_raise_and_never_crash(self):
+        done = _subprocess(_PHASE2_BOUNDS, "built")
+        assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
+        assert "45 mangled runs" in done.stdout
+
+    def test_a_phase_2_cut_short_leaks_nothing(self):
+        done = _subprocess(_PHASE2_REFCOUNTS, "built")
         assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
         assert done.stdout.strip() == "clean"

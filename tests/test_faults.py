@@ -205,10 +205,9 @@ class TestSeamsNamedByTheTier:
         from repro.workloads import VIEW_QUERIES
 
         with QueryService(
-            DocumentStore().get(self.XML),
-            plan_store=PlanStore(directory),
-            compose=True,
+            DocumentStore().get(self.XML), plan_store=PlanStore(directory)
         ) as service:
+            service.compose = True  # composed whatever the lean pass
             service.register_view("research", sigma0())
             service.register_tenant("institute", "research")
             wave = [

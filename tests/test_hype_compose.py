@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.automata import compile_query
 from repro.docstore import IndexedDocument
-from repro.hype import build_index
+from repro.hype import build_index, kernel
 from repro.hype.compose import (
     ComposedKernel,
     ComposeError,
@@ -249,7 +249,10 @@ class TestServiceGrouping:
             hospital_view_dtd(),
             {**SIGMA0_ANNOTATIONS, ("patient", "parent"): "parent[not(.)]"},
         )
-        service = QueryService(hospital_doc, compose=True)
+        service = QueryService(hospital_doc)
+        # Composed whatever the lean pass: QueryService(compose=True)
+        # resolves to per-lane stepping where the pass is compiled.
+        service.compose = True
         service.register_view("research", sigma0_spec)
         service.register_view("restricted", restricted)
         service.register_tenant("inst", "research")
@@ -289,3 +292,66 @@ class TestServiceGrouping:
             expected = two_view_service.submit(request.tenant, request.query)
             assert answer.ids() == expected.ids()
             assert answer.stats == expected.stats
+
+
+@pytest.mark.skipif(
+    kernel.DESCENT != "compiled", reason=f"descent is {kernel.DESCENT!r}"
+)
+class TestCompiledProcessStepsPerLane:
+    """Where the lean pass is compiled, ``QueryService(compose=True)``
+    steps waves per lane: the interpreted composed machine would be the
+    slower pass.  The union of the lanes' visits is the composed
+    traversal, so the wave's shared counters do not move either."""
+
+    def test_compose_request_resolves_to_per_lane(
+        self, hospital_doc, sigma0_spec, tmp_path, monkeypatch, caplog
+    ):
+        import logging
+
+        from repro.compile import PlanStore
+        from repro.serve.service import QueryRequest, QueryService
+        from repro.workloads import VIEW_QUERIES
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-lane wave reached the composed tier")
+
+        wave = [
+            QueryRequest("institute", query)
+            for query in sorted(VIEW_QUERIES.values())[:5]
+        ]
+        runs = {}
+        for name in ("per-lane", "composed"):
+            directory = tmp_path / name
+            with caplog.at_level(logging.INFO, logger="repro.serve.service"):
+                service = QueryService(
+                    hospital_doc, plan_store=PlanStore(directory), compose=True
+                )
+            with service:
+                if name == "per-lane":
+                    assert service.compose is False
+                    monkeypatch.setattr(service.cache.composed, "kernel_for", forbidden)
+                    monkeypatch.setattr(service, "_persist_composed", forbidden)
+                else:
+                    service.compose = True
+                service.register_view("research", sigma0_spec)
+                service.register_tenant("institute", "research")
+                answers, stats = service.submit_many(wave)
+                runs[name] = answers, stats, service.metrics_snapshot().as_dict()
+            if name == "per-lane":
+                assert list(directory.glob("*.composed.json*")) == []
+        assert [r.message for r in caplog.records].count(
+            "compose: waves step per lane (the compiled lean pass "
+            "outruns the interpreted composed machine)"
+        ) == 2
+        answers, stats, snap = runs["per-lane"]
+        composed_answers, composed_stats, _snap = runs["composed"]
+        assert (stats.composed_groups, stats.composed_lanes) == (0, 0)
+        assert composed_stats.composed_lanes == len(wave)
+        assert [a.ids() for a in answers] == [a.ids() for a in composed_answers]
+        assert [a.stats for a in answers] == [a.stats for a in composed_answers]
+        assert (stats.visited_elements, stats.skipped_subtrees) == (
+            composed_stats.visited_elements,
+            composed_stats.skipped_subtrees,
+        )
+        assert snap["composed_builds"] == 0
+        assert snap["plan_store"]["composed_stores"] == 0

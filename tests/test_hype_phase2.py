@@ -1,6 +1,7 @@
 """Phase 2 is candidate-driven: same answers as the full cans walk.
 
-``CompiledPlan.collect_answers`` recomputes alive sets only on the
+``CompiledPlan._collect_answers_py`` (and its compiled twin, which
+``RunCursor.finish`` runs where it is built) recomputes alive sets only on the
 chains from the candidates (visits with a final state in phase 1) up to
 the root.  The walk it replaced — every visit, top-down — is kept here,
 and only here, as the reference the property compares against.
@@ -172,7 +173,10 @@ def test_candidates_sharing_a_chain_climb_it_once():
     assert cursor.deaths and len(cursor.finals_seen) == 3  # a, d, d
     parents = CountingList(cursor.visit_parents)
     # Phase 2 returns node ids and reads labels off the label column.
-    answers = plan.collect_answers(
+    # The reference, by name: the compiled phase 2 reads the list in C,
+    # past any __getitem__ spy (tests/test_descent_native.py holds the
+    # two to identical answers and cache keys).
+    answers = plan._collect_answers_py(
         cursor.visit_ids,
         parents,
         cursor.visit_mstates,
@@ -189,7 +193,7 @@ def test_candidates_sharing_a_chain_climb_it_once():
 def test_no_deaths_builds_no_chain_at_all():
     plan, cursor, expected = run("a/b", "<r><a><b/><b/></a><a/></r>")
     assert not cursor.deaths
-    answers = plan.collect_answers(
+    answers = plan._collect_answers_py(
         cursor.visit_ids, None, None, cursor.deaths, cursor.finals_seen, None
     )
     assert set(answers) == expected and len(expected) == 2

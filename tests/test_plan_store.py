@@ -344,9 +344,8 @@ class TestMangledComposedPayload:
     WAVE = sorted(VIEW_QUERIES.values())[:5]
 
     def _boot(self, hospital_doc, sigma0_spec, directory) -> QueryService:
-        service = QueryService(
-            hospital_doc, plan_store=PlanStore(directory), compose=True
-        )
+        service = QueryService(hospital_doc, plan_store=PlanStore(directory))
+        service.compose = True  # composed whatever the lean pass
         service.register_view("research", sigma0_spec)
         service.register_tenant("institute", "research")
         return service

@@ -45,7 +45,8 @@ def service_for(compose: bool) -> QueryService:
         doc = generate_hospital_document(
             HospitalConfig(num_patients=6, seed=3)
         )
-        svc = QueryService(doc, compose=compose)
+        svc = QueryService(doc)
+        svc.compose = compose  # composed whatever the lean pass
         svc.register_view("research", sigma0())
         svc.register_tenant("institute", "research")
         _services[compose] = svc
@@ -153,7 +154,8 @@ class TestDeadlineUnderSlowDescent:
         faults.install(None)
 
     def test_composed_pass_expires_under_injected_delay(self, big_hospital_doc):
-        svc = QueryService(big_hospital_doc, compose=True)
+        svc = QueryService(big_hospital_doc)
+        svc.compose = True  # composed whatever the lean pass
         svc.register_view("research", sigma0())
         svc.register_tenant("institute", "research")
         tight, free = QUERIES[0], QUERIES[1]

@@ -443,9 +443,8 @@ class TestComposedCache:
             for query in sorted(VIEW_QUERIES.values())[:4]
         ]
         for boot in range(2):  # cold, then rehydrated from the store
-            with QueryService(
-                hospital_doc, plan_store=PlanStore(tmp_path), compose=True
-            ) as service:
+            with QueryService(hospital_doc, plan_store=PlanStore(tmp_path)) as service:
+                service.compose = True  # composed whatever the lean pass
                 service.register_view("research", sigma0_spec)
                 service.register_tenant("institute", "research")
                 for _ in range(4):

@@ -299,7 +299,8 @@ class TestDeclarationTable:
         )
 
         doc = generate_hospital_document(HospitalConfig(num_patients=6, seed=3))
-        with QueryService(doc, compose=True) as service:
+        with QueryService(doc) as service:
+            service.compose = True  # composed whatever the lean pass
             service.register_view("research", sigma0())
             service.register_tenant("institute", "research")
             service.register_tenant("twin", "research")

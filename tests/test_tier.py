@@ -596,8 +596,8 @@ class Deployment:
             documents.get(XML),
             plan_store=PlanStore(self.plans),
             document_store=documents,
-            compose=True,
         )
+        service.compose = True  # composed whatever the lean pass
         service.register_view("research", sigma0())
         service.register_tenant("institute", "research")
         return service

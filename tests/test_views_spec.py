@@ -5,7 +5,6 @@ import pytest
 from repro.dtd import parse_dtd
 from repro.errors import ViewError
 from repro.views import copy_view, sigma0, view_spec
-from repro.views.spec import str_types
 from repro.xpath import ast
 
 SRC = parse_dtd(
@@ -82,6 +81,3 @@ class TestCopyView:
         spec = copy_view(SRC)
         assert spec.annotation("x", "y") == ast.Label("y")
         assert spec.view_dtd is SRC
-
-    def test_str_types(self):
-        assert str_types(SRC) == {"t"}

@@ -79,8 +79,8 @@ def build_service(work: Path) -> QueryService:
         doc,
         plan_store=PlanStore(str(work / "plans")),
         document_store=DocumentStore(index_dir=str(work / "docs")),
-        compose=True,
     )
+    service.compose = True  # the composed wave, compiled lean pass or not
     service.register_view("research", sigma0())
     service.register_tenant("institute", "research")
     service.register_tenant("twin", "research")
