@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test loc bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke compose-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test loc bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -109,14 +109,6 @@ cache-smoke:
 # CI runs this.
 churn-smoke:
 	$(PY) benchmarks/churn_hygiene.py
-
-# Composed-tier smoke: a brand-new service over a populated --plan-dir
-# must serve a same-view wave by REHYDRATING the persisted composed
-# transition tables — zero recompositions (nothing newly interned, the
-# idempotent persist writes nothing back) and identical answers. CI
-# runs this.
-compose-smoke:
-	$(PY) -m pytest benchmarks/test_compose_restart.py -q
 
 # Fleet smoke: 3 workers over >= 2 structurally different documents
 # behind the consistent-hash acceptor.  Asserts byte-identical answers

@@ -24,7 +24,7 @@ from ..automata.mfa import MFA
 from ..errors import ViewError
 from ..hype.api import ALGORITHMS, HYPE
 from ..hype.core import HyPEResult, HyPEStats
-from ..serve.cache import CachedPlan, CacheStats, PlanCache
+from ..serve.cache import CachedPlan, PlanCache
 from ..views.spec import ViewSpec
 from ..xpath import ast
 from ..xtree.node import Node, XMLTree
@@ -168,7 +168,3 @@ class SMOQE:
         doc = self._doc
         compiled = plan.compiled(algo, doc.tree, doc)
         return compiled.run(0, layout=doc.layout), algo
-
-    def cache_stats(self) -> CacheStats:
-        """Plan-cache hit/miss/eviction counters."""
-        return self.cache.stats

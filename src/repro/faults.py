@@ -11,8 +11,6 @@ point                           seam
                                 I/O delay, artifact corruption
 ``plan-store.save``             ``PlanStore.save`` — I/O delay, write failure
                                 (``drop``)
-``plan-store.load-composed``    ``PlanStore.load_composed`` — as ``load``
-``plan-store.save-composed``    ``PlanStore.save_composed`` — as ``save``
 ``doc-tier.load``               :meth:`repro.docstore.store.DocIndexTier.load`
                                 — I/O delay, index corruption
 ``doc-tier.save``               ``DocIndexTier.save`` — write failure
@@ -31,7 +29,7 @@ point                           seam
                                 — slow descent (exercises deadlines under load)
 ==============================  ================================================
 
-The eight file points are one probe each in :class:`repro.tier.FileTier`
+The six file points are one probe each in :class:`repro.tier.FileTier`
 — ``read`` fires its point once the bytes are in hand (never for a
 missing file) and ``write`` on every call; the point's name is an
 argument, so a file I/O site cannot be added without one

@@ -21,9 +21,7 @@ from .compose import (
     ComposedKernel,
     ComposedOverflow,
     ComposeError,
-    composed_payload,
     descend_composed,
-    preload_composed,
 )
 from .index import (
     CompressedLabelIndex,
@@ -57,9 +55,7 @@ __all__ = [
     "ComposedKernel",
     "ComposedOverflow",
     "ComposeError",
-    "composed_payload",
     "descend_composed",
-    "preload_composed",
 ]
 
 

@@ -54,14 +54,9 @@ stepped per lane and loses to the compiled one, so the service routes
 waves here only in a process whose :data:`repro.hype.kernel.DESCENT`
 is a fallback (:class:`repro.serve.service.QueryService`).
 
-For the plain (index-free) family the composed closure is persistable:
-:func:`composed_payload` snapshots the interned tuples and transitions
-in a self-contained, member-order-dependent form (member cfgs in the
-kernel's one cfg wire form, :func:`repro.hype.kernel.encode_cfgs`),
-:func:`check_composed` validates a loaded one, and
-:func:`preload_composed` rehydrates it into a fresh kernel without
-recomposition — the warm-restart path of the composed tier in
-:class:`repro.serve.cache.ComposedCache`.
+Composed tables live in memory only
+(:class:`repro.serve.cache.ComposedCache`): a restarted process
+recomposes them on its first wave.
 """
 
 from __future__ import annotations
@@ -82,10 +77,6 @@ from .kernel import (
     UNFILLED,
     _UNBUILT,
     _expired,
-    _is_ints,
-    check_cfgs,
-    decode_cfgs,
-    encode_cfgs,
 )
 
 #: Default cap on interned composed configurations per kernel.  Products
@@ -135,7 +126,6 @@ class ComposedKernel:
         "cedge_ids",
         "cedge_lanes",
         "cedge_filters",
-        "preloaded",
         "__weakref__",
     )
 
@@ -184,9 +174,6 @@ class ComposedKernel:
         self.cedge_lanes: list = []
         # ceid -> {mask_key -> child ccfg}.
         self.cedge_filters: list[dict] = []
-        #: Transition entries installed from a persisted payload (a warm
-        #: restart that skipped recomposition shows this non-zero).
-        self.preloaded = 0
 
     # ------------------------------------------------------------------
     # Interning
@@ -622,122 +609,3 @@ def descend_composed(
         cursor.skipped = examined[i] - (visited - 1)
         cursor.cans_vertices = sum(map(len, cursor.visit_mstates))
         cursor.stats.afa_states_resolved += clanes[i].resolved
-
-
-# ----------------------------------------------------------------------
-# Persistence (the composed tier's warm-restart payload)
-# ----------------------------------------------------------------------
-def composed_payload(ck: ComposedKernel) -> dict:
-    """Snapshot a plain-family kernel's hot composed tables.
-
-    Self-contained and member-order-dependent: each member's cfgs are
-    encoded structurally (:func:`repro.hype.kernel.encode_cfgs`, the
-    form :func:`repro.hype.kernel.kernel_payload` uses), so rehydration
-    in a fresh process — where member cfg ids mint in a different order —
-    still maps every tuple correctly.  Index-equipped kernels are
-    bound to a label table (mask filter rows) and are not persisted.
-    """
-    if ck.indexed:
-        raise ValueError("composed payloads are built from plain-family kernels")
-    labels = sorted(ck.alphabet)
-    label_ids = {label: i for i, label in enumerate(labels)}
-    label_ids[OTHER_LABEL] = len(labels)
-    members = [encode_cfgs(kern, len(kern.cfg_packed))[0] for kern in ck.kerns]
-    with ck._lock:
-        ccfg_rows = [list(cfgs) for cfgs in ck.ccfg_tuples]
-        trans_rows = [
-            [ccfg, label_ids[label], child]
-            for (ccfg, label), child in ck.trans.items()
-        ]
-    return {
-        "version": 1,
-        "width": ck.width,
-        "labels": labels,
-        "members": members,
-        "ccfgs": ccfg_rows,
-        "trans": trans_rows,
-    }
-
-
-def check_composed(payload: object) -> dict:
-    """Structurally validate a :func:`composed_payload`-shaped dict.
-
-    Member cfgs go through :func:`repro.hype.kernel.check_cfgs`; on top
-    of that: one member per lane of ``width``, every ccfg row one valid
-    member cfg index per lane, every transition ``[ccfg, label, ccfg]``
-    in range (label ``len(labels)`` is the OTHER column).  Raises
-    :class:`ValueError` — :meth:`repro.compile.store.PlanStore.
-    load_composed` counts that a corrupt miss and the wave recomposes —
-    where an unchecked :func:`preload_composed` would raise out of the
-    wave, or mis-map a negative index silently.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("composed payload must be an object")
-    width, labels = payload.get("width"), payload.get("labels")
-    members, ccfgs = payload.get("members"), payload.get("ccfgs")
-    trans = payload.get("trans")
-    if payload.get("version") != 1 or type(width) is not int:
-        raise ValueError("not a version-1 composed payload")
-    if not isinstance(labels, list) or not all(
-        isinstance(label, str) for label in labels
-    ):
-        raise ValueError("composed labels must be a list of strings")
-    if not isinstance(members, list) or len(members) != width:
-        raise ValueError(f"composed payload needs {width} members")
-    if not all(isinstance(member, dict) for member in members):
-        raise ValueError("composed members must be objects")
-    counts = [check_cfgs(member)[1] for member in members]
-    if not isinstance(ccfgs, list) or not isinstance(trans, list):
-        raise ValueError("composed ccfgs and trans must be lists")
-    for row in ccfgs:
-        if not _is_ints(row, width) or not all(
-            0 <= cfg < count for cfg, count in zip(row, counts)
-        ):
-            raise ValueError(f"composed ccfg row {row!r} references no cfg")
-    for row in trans:
-        if not _is_ints(row, 3) or not (
-            0 <= row[0] < len(ccfgs)
-            and 0 <= row[1] <= len(labels)
-            and 0 <= row[2] < len(ccfgs)
-        ):
-            raise ValueError(f"malformed composed transition {row!r}")
-    return payload
-
-
-def preload_composed(ck: ComposedKernel, payload: dict) -> int:
-    """Rehydrate persisted composed tables into a fresh kernel.
-
-    Member order must match the payload's (the composed tier keys
-    payloads by the ordered member fingerprints), and the payload must
-    be structurally valid (:func:`check_composed`).  Returns the number
-    of transitions installed; the caller counts a rehydration instead of
-    a build when it is non-zero.  May raise :class:`ComposedOverflow` if
-    the payload outgrew a smaller cap — callers treat that as a plain
-    miss and recompose.
-    """
-    if ck.indexed:
-        raise ValueError("composed payloads rehydrate plain-family kernels")
-    if payload.get("version") != 1 or payload.get("width") != ck.width:
-        return 0
-    cfg_maps = [
-        decode_cfgs(plan, member["sets"], member["cfgs"])[1]
-        for plan, member in zip(ck.plans, payload["members"])
-    ]
-    ccfg_map: list[int] = []
-    for row in payload["ccfgs"]:
-        mapped = tuple(cfg_maps[i][idx] for i, idx in enumerate(row))
-        if not any(mapped):
-            ccfg_map.append(0)
-        else:
-            ccfg_map.append(ck.ccfg_of(mapped))
-    columns = payload["labels"] + [OTHER_LABEL]
-    trans = ck.trans
-    installed = 0
-    for ccfg_i, label_i, child_i in payload["trans"]:
-        key = (ccfg_map[ccfg_i], columns[label_i])
-        if key in trans:
-            continue
-        trans[key] = ccfg_map[child_i]
-        installed += 1
-    ck.preloaded += installed
-    return installed

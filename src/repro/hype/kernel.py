@@ -41,8 +41,7 @@ persisted or shipped: a cold worker rehydrates the closure
 requests.  Cfgs cross a process boundary in one wire form — state-set
 rows plus ``[mstates, relevant, watch]`` rows — written by
 :func:`encode_cfgs`, checked by :func:`check_cfgs` and read back by
-:func:`decode_cfgs`, for this payload and for
-:func:`repro.hype.compose.composed_payload` alike.
+:func:`decode_cfgs`.
 
 Ownership runs one way: a plan owns its kernel and the kernel holds no
 reference back.  The slow paths that need the automaton (transition and

@@ -51,12 +51,7 @@ from ..compile.artifact import PlanArtifact, PlanKey
 from ..compile.pipeline import NormalizedQuery, QueryCompiler
 from ..compile.store import PlanStore
 from ..hype.api import HYPE, OPTHYPE_C
-from ..hype.compose import (
-    ComposedKernel,
-    ComposedOverflow,
-    composed_payload,
-    preload_composed,
-)
+from ..hype.compose import ComposedKernel
 from ..hype.core import CompiledPlan
 from ..obs.counters import Counters
 from ..obs.trace import span
@@ -231,28 +226,22 @@ class CacheStats(Counters):
 class ComposedStats(Counters):
     """Composed-tier counters (a copy is a snapshot).
 
-    ``builds`` counts kernels composed (or recomposed) in this process;
-    ``rehydrated`` counts builds whose transition tables were preloaded
-    from a persisted payload instead of recomposed; ``persisted`` counts
-    payload write-backs.  Cap overflows surface as
-    ``composed_fallbacks`` on the batch/service side, not here — the
-    cache never serves a partially-stepped kernel.
+    ``builds`` counts kernels composed (or recomposed) in this process.
+    Cap overflows surface as ``composed_fallbacks`` on the batch/service
+    side, not here — the cache never serves a partially-stepped kernel.
     """
 
     builds: int = 0
     hits: int = 0
-    rehydrated: int = 0
-    persisted: int = 0
     evictions: int = 0
 
 
 class _ComposedEntry:
-    __slots__ = ("kernel", "member_ids", "persisted_shape")
+    __slots__ = ("kernel", "member_ids")
 
-    def __init__(self, kernel, member_ids, persisted_shape=None) -> None:
+    def __init__(self, kernel, member_ids) -> None:
         self.kernel = kernel
         self.member_ids = member_ids
-        self.persisted_shape = persisted_shape
 
 
 class ComposedCache:
@@ -265,18 +254,14 @@ class ComposedCache:
     whose members changed identity (the plan LRU evicted and recompiled
     one) rebuilds rather than serving a stale product.
 
-    Plain-family kernels are document-independent and persistable: a
-    build first tries :meth:`repro.compile.store.PlanStore.load_composed`
-    (a warm restart skips recomposition), and :meth:`persist` writes the
-    hot tables back after a composed run grew them.  Index-equipped
-    kernels hold mask rows of one label table — cached, never persisted.
-    A cold shape is built (store probe, decode, preload) once and
-    outside the map lock (:class:`repro.tier.SingleFlightLRU`), so
-    ``stats`` / ``gauges`` and other shapes never queue behind it.
+    Kernels live in memory only: a restarted process recomposes on its
+    first wave (persisting the tables was measured to buy nothing).  A
+    cold shape is built once and outside the map lock
+    (:class:`repro.tier.SingleFlightLRU`), so ``stats`` / ``gauges`` and
+    other shapes never queue behind it.
     """
 
-    def __init__(self, store: PlanStore | None = None) -> None:
-        self.store = store
+    def __init__(self) -> None:
         self._stats = ComposedStats()
         self._lru = SingleFlightLRU(COMPOSED_CAPACITY, self._stats)
 
@@ -292,65 +277,20 @@ class ComposedCache:
 
         Raises :class:`repro.hype.compose.ComposeError` for mixed
         families (the batch steps those lanes per-lane) — never raises
-        :class:`ComposedOverflow` itself; overflow happens mid-descent
+        :class:`repro.hype.compose.ComposedOverflow` itself; overflow happens mid-descent
         and is handled by :meth:`repro.serve.batch.BatchEvaluator.run`.
         """
         member_ids = tuple(id(plan) for plan in members)
         return self._lru.get(
             (algorithm, doc_key, tuple(member_keys)),
-            lambda: self._build(members, member_ids, member_keys, algorithm),
+            lambda: self._build(members, member_ids),
             fresh=lambda entry: entry.member_ids == member_ids,
         ).kernel
 
-    def _build(self, members, member_ids, member_keys, algorithm):
+    def _build(self, members, member_ids):
         kernel = ComposedKernel(members)
         self._stats.count("builds")
-        entry = _ComposedEntry(kernel, member_ids)
-        if self.store is None or kernel.indexed:
-            return entry
-        payload = self.store.load_composed(algorithm, member_keys)
-        if payload is None:
-            return entry
-        try:
-            installed = preload_composed(kernel, payload)
-        except ComposedOverflow:
-            # The payload outgrew the cap: recompose fresh.
-            return _ComposedEntry(ComposedKernel(members), member_ids)
-        if installed:
-            self._stats.count("rehydrated")
-            entry.persisted_shape = (len(kernel.ccfg_tuples), len(kernel.trans))
-        return entry
-
-    def persist(
-        self,
-        member_keys: tuple,
-        algorithm: str,
-        doc_key: str | None = None,
-    ) -> bool:
-        """Write the cached kernel's tables back if they grew.
-
-        Idempotent per table shape — read off the kernel, so an unchanged
-        kernel is never re-encoded: a warm restart whose preloaded
-        closure already covers the traffic never rewrites the blob —
-        the compose-smoke asserts exactly that (zero recompositions).
-        """
-        if self.store is None:
-            return False
-        entry = self._lru.peek((algorithm, doc_key, tuple(member_keys)))
-        if entry is None or entry.kernel.indexed:
-            return False
-        kernel = entry.kernel
-        shape = (len(kernel.ccfg_tuples), len(kernel.trans))
-        if entry.persisted_shape == shape:
-            return False
-        payload = composed_payload(kernel)
-        if not self.store.save_composed(algorithm, member_keys, payload):
-            return False
-        # A concurrent wave may have grown the kernel past ``shape``
-        # before the payload was taken: the next persist writes again.
-        entry.persisted_shape = shape
-        self._stats.count("persisted")
-        return True
+        return _ComposedEntry(kernel, member_ids)
 
     # ------------------------------------------------------------------
     def gauges(self) -> dict:
@@ -359,7 +299,6 @@ class ComposedCache:
         return {
             "kernels": len(kernels),
             "interned_ccfgs": sum(k.interned_ccfgs for k in kernels),
-            "preloaded_trans": sum(k.preloaded for k in kernels),
         }
 
     def __len__(self) -> int:
@@ -406,9 +345,8 @@ class PlanCache:
         #: Raw-text aliases (see the class docstring).  Uncounted: losing
         #: one costs a re-parse, never correctness.
         self._aliases = SingleFlightLRU(capacity, CacheStats())
-        #: The composed-plan tier (wave composition, PR 9) — shares the
-        #: disk store so warm restarts rehydrate composed tables too.
-        self.composed = ComposedCache(store)
+        #: The composed-plan tier (wave composition), in memory only.
+        self.composed = ComposedCache()
 
     # ------------------------------------------------------------------
     def plan(

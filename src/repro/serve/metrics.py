@@ -145,7 +145,6 @@ _FLAT = (
     "mean_wave_size",
     "composed_builds",
     "composed_hits",
-    "composed_rehydrated",
     "interned_ccfgs",
     "in_flight_evaluations",
     "plan_l1_hits",
@@ -183,8 +182,8 @@ class MetricsSnapshot(ServiceCounters):
     doc_store: DocStoreStats | None = None
     #: Composed-tier cache counters; ``None`` when composition is off.
     composed: ComposedStats | None = None
-    #: Composed-tier occupancy gauges (kernels / interned ccfgs /
-    #: preloaded transitions) at snapshot time.
+    #: Composed-tier occupancy gauges (kernels / interned ccfgs) at
+    #: snapshot time.
     composed_gauges: dict = field(default_factory=dict)
 
     @property
@@ -234,11 +233,6 @@ class MetricsSnapshot(ServiceCounters):
     def composed_hits(self) -> int:
         """Composed-kernel lookups served from the LRU tier."""
         return self.composed.hits if self.composed is not None else 0
-
-    @property
-    def composed_rehydrated(self) -> int:
-        """Composed builds preloaded from a persisted payload."""
-        return self.composed.rehydrated if self.composed is not None else 0
 
     @property
     def interned_ccfgs(self) -> int:
@@ -333,8 +327,6 @@ class MetricsSnapshot(ServiceCounters):
                 f"{self.composed_fallbacks} fallback(s); tier: "
                 f"{self.composed_builds} build(s), "
                 f"{self.composed_hits} hit(s), "
-                f"{self.composed_rehydrated} rehydrated, "
-                f"{self.composed.persisted} persisted, "
                 f"{self.composed.evictions} eviction(s); "
                 f"{gauges.get('kernels', 0)} kernel(s) holding "
                 f"{gauges.get('interned_ccfgs', 0)} interned ccfg(s)"

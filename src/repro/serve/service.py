@@ -801,8 +801,6 @@ class QueryService:
             deadline=deadline,
         )
         outcome = pooled.result
-        if groups:
-            self._persist_composed(groups, lane_meta, doc)
         # Attribute the shared pass evenly across the batched requests.
         wait_share = pooled.queue_wait / len(grants)
         eval_share = pooled.eval_seconds / len(grants)
@@ -900,18 +898,6 @@ class QueryService:
             )
 
         return groups, composer, group_width
-
-    def _persist_composed(self, groups, lane_meta, doc) -> None:
-        """Write grown plain-family composed tables back to the store."""
-        composed_cache = self.cache.composed
-        if composed_cache.store is None:
-            return
-        for group in groups:
-            composed_cache.persist(
-                tuple(lane_meta[lane][2] for lane in group),
-                lane_meta[group[0]][0],
-                doc_key=doc.content_hash,
-            )
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> MetricsSnapshot:

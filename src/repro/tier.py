@@ -1,8 +1,8 @@
 """The two tier disciplines, written once.
 
 Everything this system caches or persists — plans, composed kernels,
-documents; plan artifacts, composed payloads, index files, layout
-sidecars — goes through one of the two classes here.  The owners
+documents; plan artifacts, index files, layout sidecars — goes through
+one of the two classes here.  The owners
 (:mod:`repro.serve.cache`, :mod:`repro.docstore.store`,
 :mod:`repro.compile.store`) keep what is theirs: key scheme, codec,
 counters.  ``docs/architecture.md`` § "The tier discipline" is the prose

@@ -11,9 +11,6 @@ built from it must not be able to tell the two apart.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 
@@ -24,14 +21,7 @@ from repro.compile.pipeline import QueryCompiler
 from repro.compile.store import PlanStore
 from repro.docstore import IndexedDocument
 from repro.hype.api import ALGORITHMS, HYPE
-from repro.hype.compose import (
-    ComposedKernel,
-    check_composed,
-    composed_payload,
-    descend_composed,
-    preload_composed,
-)
-from repro.hype.core import CompiledPlan, RunCursor
+from repro.hype.core import CompiledPlan
 from repro.hype.kernel import DEAD, OTHER_LABEL, close, kernel_payload
 from repro.serve.cache import PlanCache
 from repro.views import materialize, sigma0
@@ -155,54 +145,6 @@ class TestPersistedBytes:
     def test_random_queries_encode_like_the_reference(self, query):
         mfa = compile_query(query)
         assert kernel_payload(CompiledPlan(mfa)) == reference_payload(mfa)
-
-
-class TestComposedBytes:
-    """``tests/golden/composed.json`` holds the composed ``"version": 1``
-    payload of the wave below as the commit *before* the shared cfg
-    codec wrote it (``json.dumps``, insertion-ordered keys — the bytes
-    :meth:`repro.compile.store.PlanStore.save_composed` persists)."""
-
-    GOLDEN = Path(__file__).parent / "golden" / "composed.json"
-
-    def _wave(self):
-        compiler = QueryCompiler()
-        plans = [
-            CompiledPlan(compiler.compile(sigma0(), query).mfa)
-            for _name, query in sorted(VIEW_QUERIES.items())
-        ]
-        doc = IndexedDocument(
-            generate_hospital_document(HospitalConfig(num_patients=6, seed=3))
-        )
-        return plans, doc
-
-    def _run(self, kernel, plans, doc):
-        cursors = [RunCursor(plan) for plan in plans]
-        descend_composed(kernel, cursors, doc.root, doc.layout)
-        return [cursor.finish() for cursor in cursors]
-
-    def test_composed_payload_bytes_equal_the_golden_file(self):
-        plans, doc = self._wave()
-        kernel = ComposedKernel(plans)
-        self._run(kernel, plans, doc)
-        assert json.dumps(composed_payload(kernel)) + "\n" == self.GOLDEN.read_text()
-
-    def test_the_golden_payload_rehydrates_a_fresh_kernel(self):
-        """Decoded through the shared codec, the old bytes install every
-        transition and the wave interns nothing new."""
-        plans, doc = self._wave()
-        expected = self._run(ComposedKernel(plans), plans, doc)
-        plans, doc = self._wave()
-        payload = check_composed(json.loads(self.GOLDEN.read_text()))
-        kernel = ComposedKernel(plans)
-        assert preload_composed(kernel, payload) == len(payload["trans"])
-        got = self._run(kernel, plans, doc)
-        assert [r.stats for r in got] == [r.stats for r in expected]
-        assert [{n.node_id for n in r.answers} for r in got] == [
-            {n.node_id for n in r.answers} for r in expected
-        ]
-        assert kernel.interned_ccfgs == len(payload["ccfgs"])
-        assert len(kernel.trans) == len(payload["trans"])
 
 
 class TestClosedTable:

@@ -140,7 +140,7 @@ class TestDocTierSeam:
 
 
 class TestSeamsNamedByTheTier:
-    """The five file I/O sites that had no fault point before every read
+    """The three file I/O sites that had no fault point before every read
     and write went through :class:`repro.tier.FileTier` (whose seam name
     is an argument): corrupt on load is a counted rebuild, drop on save a
     counted error, answers identical either way."""
@@ -198,63 +198,6 @@ class TestSeamsNamedByTheTier:
         again = DocumentStore(index_dir=tmp_path / "docs")
         assert self.answers(again) == reference
         assert again.stats.layout_loads == 1  # hit 2: clean load
-
-    def composed_wave(self, directory) -> tuple[list, dict]:
-        from repro.serve.service import QueryRequest, QueryService
-        from repro.views.samples import sigma0
-        from repro.workloads import VIEW_QUERIES
-
-        with QueryService(
-            DocumentStore().get(self.XML), plan_store=PlanStore(directory)
-        ) as service:
-            service.compose = True  # composed whatever the lean pass
-            service.register_view("research", sigma0())
-            service.register_tenant("institute", "research")
-            wave = [
-                QueryRequest("institute", query)
-                for query in sorted(VIEW_QUERIES.values())[:4]
-            ]
-            answers, _stats = service.submit_many(wave)
-            return (
-                [answer.ids() for answer in answers],
-                service.metrics_snapshot().as_dict(),
-            )
-
-    def test_composed_save_drop_then_load_corruption(self, tmp_path):
-        schedule = plan(
-            FaultRule("plan-store.save-composed", "drop", hits=(1,)),
-            FaultRule("plan-store.load-composed", "corrupt", hits=(1,)),
-        )
-        # Boot 1: the write-back is dropped — a counted error, nothing on
-        # disk (so boot 2's probe is a plain miss: the load seam fires
-        # only once bytes are in hand).
-        reference, snap = self.composed_wave(tmp_path)
-        assert snap["plan_store"]["errors"] == 1
-        assert snap["plan_store"]["composed_stores"] == 0
-        assert snap["composed"]["persisted"] == 0
-        assert list(tmp_path.glob("*.composed.json*")) == []
-        # Boot 2: recomposes, and this time the write lands.
-        answers, snap = self.composed_wave(tmp_path)
-        assert answers == reference
-        assert snap["plan_store"]["composed_misses"] == 1
-        assert snap["plan_store"]["composed_stores"] == 1
-        assert schedule.hits("plan-store.load-composed") == 0
-        # Boot 3: the stored payload rots in flight — a counted corrupt
-        # miss, a recomposition, an overwrite.
-        answers, snap = self.composed_wave(tmp_path)
-        assert answers == reference
-        assert snap["plan_store"]["corrupt"] == 1
-        assert snap["composed_rehydrated"] == 0
-        assert snap["plan_store"]["composed_stores"] == 1
-        # Boot 4: clean.
-        answers, snap = self.composed_wave(tmp_path)
-        assert answers == reference
-        assert snap["composed_rehydrated"] == 1
-        assert snap["plan_store"]["corrupt"] == 0
-        assert schedule.fired_counts() == {
-            "plan-store.save-composed": 1,
-            "plan-store.load-composed": 1,
-        }
 
 
 class TestDescendSeam:

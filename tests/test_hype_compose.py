@@ -1,7 +1,7 @@
 """Wave composition: the composed kernel is indistinguishable per lane.
 
 Unit coverage for :mod:`repro.hype.compose` (construction errors, the
-ccfg cap, payload round-trips) plus the PR's strongest guarantee as a
+ccfg cap) plus the PR's strongest guarantee as a
 hypothesis property: stepping N plans as ONE composed machine yields
 answers *and* full per-lane ``HyPEStats`` byte-identical to N sequential
 runs — across all three algorithm families, over on-demand and supplied
@@ -23,9 +23,7 @@ from repro.hype.compose import (
     ComposedKernel,
     ComposeError,
     ComposedOverflow,
-    composed_payload,
     descend_composed,
-    preload_composed,
 )
 from repro.hype.core import CompiledPlan, RunCursor
 from repro.serve.batch import BatchEvaluator
@@ -143,42 +141,6 @@ class TestPopOutcomeCap:
         _assert_lanes_identical(got, _sequential(plans, hospital_doc, layout))
         sizes = [len(outcomes) for _preds, outcomes in kernel.cpops]
         assert max(sizes) == 1
-
-
-class TestPayloadRoundTrip:
-    def test_plain_tables_round_trip(self, hospital_doc):
-        queries = ["//patient", "patient/record", "//patient/parent"]
-        plans = _plans(queries, None)
-        warm = ComposedKernel(plans)
-        reference = _composed(plans, hospital_doc, None, kernel=warm)
-        payload = composed_payload(warm)
-        assert payload["width"] == len(plans)
-        assert payload["trans"], "warm kernel persisted no transitions"
-
-        fresh = ComposedKernel(plans)
-        installed = preload_composed(fresh, payload)
-        assert installed == len(payload["trans"])
-        assert fresh.preloaded == installed
-        assert fresh.interned_ccfgs == warm.interned_ccfgs
-        _assert_lanes_identical(
-            _composed(plans, hospital_doc, None, kernel=fresh), reference
-        )
-        # Rehydration saturated the tables: nothing new gets interned.
-        assert fresh.interned_ccfgs == warm.interned_ccfgs
-
-    def test_indexed_kernels_do_not_persist(self, hospital_doc):
-        plans = _plans(["//patient", "//ward"], build_index(hospital_doc))
-        with pytest.raises(ValueError, match="plain"):
-            composed_payload(ComposedKernel(plans))
-
-    def test_preload_respects_the_cap(self, hospital_doc):
-        plans = _plans(["//patient", "//patient//treatment"], None)
-        warm = ComposedKernel(plans)
-        _composed(plans, hospital_doc, None, kernel=warm)
-        payload = composed_payload(warm)
-        capped = ComposedKernel(plans, max_ccfgs=2)
-        with pytest.raises(ComposedOverflow):
-            preload_composed(capped, payload)
 
 
 class TestComposedEqualsSequential:
@@ -330,15 +292,12 @@ class TestCompiledProcessStepsPerLane:
                 if name == "per-lane":
                     assert service.compose is False
                     monkeypatch.setattr(service.cache.composed, "kernel_for", forbidden)
-                    monkeypatch.setattr(service, "_persist_composed", forbidden)
                 else:
                     service.compose = True
                 service.register_view("research", sigma0_spec)
                 service.register_tenant("institute", "research")
                 answers, stats = service.submit_many(wave)
                 runs[name] = answers, stats, service.metrics_snapshot().as_dict()
-            if name == "per-lane":
-                assert list(directory.glob("*.composed.json*")) == []
         assert [r.message for r in caplog.records].count(
             "compose: waves step per lane (the compiled lean pass "
             "outruns the interpreted composed machine)"
@@ -354,4 +313,3 @@ class TestCompiledProcessStepsPerLane:
             composed_stats.skipped_subtrees,
         )
         assert snap["composed_builds"] == 0
-        assert snap["plan_store"]["composed_stores"] == 0

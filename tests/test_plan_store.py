@@ -9,6 +9,7 @@ tenants and through the single-submit, batch and NDJSON-frontend paths.
 
 import asyncio
 import gzip
+import hashlib
 import json
 
 import pytest
@@ -87,13 +88,22 @@ class TestPlanStore:
         assert leftovers == []
         assert len(store) == 1
 
-    def test_clear_removes_artifacts(self, store):
+    def test_gc_sweeps_a_well_formed_composed_file_as_stale(self, store):
+        """Composed tables are no longer persisted: a ``*.composed.json``
+        an older process left behind is removed and counted, however
+        healthy, and the artifacts beside it stay."""
         compiler = QueryCompiler()
-        for query in ("a", "b", "c"):
+        keys = []
+        for query in ("a/b", "c/d"):
             artifact = compiler.compile(None, query)
             store.save(artifact.cache_key(), artifact)
-        assert store.clear() == 3
-        assert len(store) == 0
+            keys.append(artifact.cache_key())
+        stale = _legacy_composed_file(store.root, "hype", keys)
+        assert store.gc() == 1
+        assert not stale.exists() and len(store) == 2
+        stats = store.stats
+        assert (stats.gc_removed, stats.errors) == (1, 0)
+        assert store.gc() == 0
 
 
 class TestTwoTierCache:
@@ -286,115 +296,28 @@ class TestWarmRestartAcrossPaths:
             assert healed.cache.stats.l2_hits == 1
 
 
-def _drop(payload, *path):
-    *parents, key = path
-    for step in parents:
-        payload = payload[step]
-    del payload[key]
-
-
-def _put(payload, *path_and_value):
-    *path, key, value = path_and_value
-    for step in path:
-        payload = payload[step]
-    payload[key] = value
-
-
-#: One structural violation per region of a composed payload — each is
-#: valid JSON with the key echo intact, so only the codec's validator
-#: (:func:`repro.hype.compose.check_composed`) stands between it and the
-#: evaluator.
-COMPOSED_MANGLES = {
-    "ccfg-out-of-range": lambda p: _put(p, "ccfgs", 0, [999] * p["width"]),
-    "ccfg-negative": lambda p: _put(p, "ccfgs", 1, [-1] * p["width"]),
-    "ccfg-arity": lambda p: _put(p, "ccfgs", 0, [0]),
-    "ccfg-non-int": lambda p: _put(p, "ccfgs", 1, 0, "1"),
-    "ccfg-bool": lambda p: _put(p, "ccfgs", 1, 0, True),
-    "trans-out-of-range": lambda p: _put(p, "trans", 0, 2, len(p["ccfgs"])),
-    "trans-negative": lambda p: _put(p, "trans", 0, 0, -1),
-    "trans-label": lambda p: _put(p, "trans", 0, 1, len(p["labels"]) + 1),
-    "trans-arity": lambda p: _put(p, "trans", 0, [0, 0]),
-    "trans-non-int": lambda p: _put(p, "trans", 0, 2, None),
-    "labels-non-str": lambda p: _put(p, "labels", 0, 7),
-    "missing-trans": lambda p: _drop(p, "trans"),
-    "missing-ccfgs": lambda p: _drop(p, "ccfgs"),
-    "missing-labels": lambda p: _drop(p, "labels"),
-    "missing-member-sets": lambda p: _drop(p, "members", 0, "sets"),
-    "missing-member-cfgs": lambda p: _drop(p, "members", 1, "cfgs"),
-    "members-too-few": lambda p: p["members"].pop(),
-    "members-too-many": lambda p: p["members"].append(p["members"][0]),
-    "member-not-an-object": lambda p: _put(p, "members", 0, []),
-    "set-non-int": lambda p: _put(p, "members", 0, "sets", 1, ["x"]),
-    "cfg-set-out-of-range": lambda p: _put(p, "members", 0, "cfgs", 1, 0, 10_000),
-    "cfg-set-negative": lambda p: _put(p, "members", 0, "cfgs", 1, 1, -1),
-    "cfg-arity": lambda p: _put(p, "members", 0, "cfgs", 1, [0, 0]),
-    "watch-arity": lambda p: _put(p, "members", 0, "cfgs", 1, 2, [[1]]),
-    "watch-non-int": lambda p: _put(p, "members", 0, "cfgs", 1, 2, [[1, "2"]]),
-    "width-non-int": lambda p: _put(p, "width", "5"),
-}
-
-
-class TestMangledComposedPayload:
-    """A structurally invalid composed file is a counted corrupt miss:
-    the wave recomposes, answers do not move, and the idempotent persist
-    overwrites the bad file.  (It used to raise ``IndexError`` out of
-    ``submit_many`` on every boot — or, for a negative index, silently
-    alias another cfg.)"""
-
-    WAVE = sorted(VIEW_QUERIES.values())[:5]
-
-    def _boot(self, hospital_doc, sigma0_spec, directory) -> QueryService:
-        service = QueryService(hospital_doc, plan_store=PlanStore(directory))
-        service.compose = True  # composed whatever the lean pass
-        service.register_view("research", sigma0_spec)
-        service.register_tenant("institute", "research")
-        return service
-
-    def _wave(self, service) -> tuple[list, dict]:
-        wave = [QueryRequest("institute", query) for query in self.WAVE]
-        answers, _stats = service.submit_many(wave)
-        return [a.ids() for a in answers], service.metrics_snapshot().as_dict()
-
-    @pytest.fixture(scope="class")
-    def persisted(self, tmp_path_factory, hospital_doc, sigma0_spec):
-        """A store holding one wave's plans and composed tables."""
-        directory = tmp_path_factory.mktemp("composed") / "plans"
-        with self._boot(hospital_doc, sigma0_spec, directory) as cold:
-            answers, snap = self._wave(cold)
-        assert snap["plan_store"]["composed_stores"] == 1
-        (path,) = directory.glob("*.composed.json")
-        return directory, path.name, answers
-
-    @pytest.mark.parametrize("mangle", sorted(COMPOSED_MANGLES))
-    def test_mangled_payload_is_a_corrupt_miss(
-        self, mangle, persisted, tmp_path, hospital_doc, sigma0_spec
-    ):
-        import shutil
-
-        source, name, expected = persisted
-        directory = tmp_path / "plans"
-        shutil.copytree(source, directory)
-        record = json.loads((directory / name).read_bytes())
-        COMPOSED_MANGLES[mangle](record["payload"])
-        (directory / name).write_text(json.dumps(record))
-
-        with self._boot(hospital_doc, sigma0_spec, directory) as service:
-            answers, snap = self._wave(service)
-        assert answers == expected
-        assert snap["plan_store"]["corrupt"] == 1
-        assert snap["plan_store"]["composed_misses"] == 1
-        assert snap["plan_store"]["composed_hits"] == 0
-        assert snap["composed_rehydrated"] == 0
-        assert snap["composed_builds"] == 1
-        assert snap["composed_fallbacks"] == 0
-        # The recomposed tables overwrote the bad file: the next boot
-        # rehydrates them.
-        assert snap["plan_store"]["composed_stores"] == 1
-        with self._boot(hospital_doc, sigma0_spec, directory) as healed:
-            answers, snap = self._wave(healed)
-        assert answers == expected
-        assert snap["plan_store"]["corrupt"] == 0
-        assert snap["composed_rehydrated"] == 1
+def _legacy_composed_file(directory, algorithm, keys):
+    """A ``*.composed.json`` exactly as an older process named and wrote
+    it: the sha256 of the algorithm and the member keys, a record echoing
+    them, and a payload that process's validator accepted."""
+    digest = hashlib.sha256(algorithm.encode())
+    for fingerprint, normalized, version in keys:
+        digest.update(b"\x02")
+        digest.update(b"\x00" if fingerprint is None else fingerprint.encode())
+        digest.update(b"\x01" + normalized.encode() + b"\x01" + str(version).encode())
+    width = len(keys)
+    payload = {
+        "version": 1,
+        "width": width,
+        "labels": [],
+        "members": [{"sets": [[]], "cfgs": [[0, 0, []]]}] * width,
+        "ccfgs": [[0] * width],
+        "trans": [],
+    }
+    record = {"keys": [[algorithm], *map(list, keys)], "payload": payload}
+    path = directory / f"{digest.hexdigest()}.composed.json"
+    path.write_text(json.dumps(record))
+    return path
 
 
 class TestArtifactCompression:

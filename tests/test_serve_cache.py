@@ -219,7 +219,7 @@ class TestFingerprintKeys:
         for _ in range(3):  # cycle so every plan is evicted at least once
             for query, expected in baseline.items():
                 assert engine.answer("research", query).ids() == expected
-        assert engine.cache_stats().evictions >= 3
+        assert engine.cache.stats.evictions >= 3
 
 
 class TestSMOQEDelegation:
@@ -230,7 +230,7 @@ class TestSMOQEDelegation:
         first = engine.answer("research", "patient")
         again = engine.answer("research", "(patient)")  # same normalised key
         assert first.ids() == again.ids()
-        stats = engine.cache_stats()
+        stats = engine.cache.stats
         assert stats.misses == 1 and stats.hits == 1
         assert plan_key(sigma0_spec, "patient") in cache
 
@@ -238,7 +238,7 @@ class TestSMOQEDelegation:
         engine = SMOQE(hospital_doc)
         engine.evaluate("//pname")
         engine.evaluate("//pname")
-        assert engine.cache_stats().hits == 1
+        assert engine.cache.stats.hits == 1
         assert plan_key(None, "//pname") in engine.cache
 
     def test_cache_shared_between_engine_and_service(
@@ -271,7 +271,7 @@ class TestSMOQEDelegation:
         engine.evaluate("//pname")  # evicts the first plan
         b = engine.evaluate("department/name")  # recompiled
         assert a.ids() == b.ids()
-        assert engine.cache_stats().evictions >= 1
+        assert engine.cache.stats.evictions >= 1
 
 
 class TestExecutableLifetime:
@@ -393,7 +393,7 @@ class TestResolutionGate:
 
 class TestComposedCache:
     """What is ``ComposedCache``'s own on top of the shared LRU: the
-    member-identity staleness test and the idempotent write-back."""
+    member-identity staleness test."""
 
     KEYS = ((None, "q0", 3), (None, "q1", 3))
 
@@ -420,39 +420,6 @@ class TestComposedCache:
         stats = cache.stats
         assert (stats.builds, stats.hits, stats.evictions) == (2, 2, 0)
         assert len(cache) == 1 and cache.gauges()["kernels"] == 1
-
-    def test_an_unchanged_kernel_is_never_re_encoded(
-        self, tmp_path, hospital_doc, sigma0_spec, monkeypatch
-    ):
-        """Regression: every composed wave over a ``--plan-dir`` used to
-        re-encode every member's cfgs just to compare two lengths."""
-        import repro.serve.cache as module
-        from repro.compile import PlanStore
-        from repro.serve.service import QueryRequest, QueryService
-        from repro.workloads import VIEW_QUERIES
-
-        encodes = []
-        real = module.composed_payload
-        monkeypatch.setattr(
-            module,
-            "composed_payload",
-            lambda kernel: encodes.append(kernel) or real(kernel),
-        )
-        wave = [
-            QueryRequest("institute", query)
-            for query in sorted(VIEW_QUERIES.values())[:4]
-        ]
-        for boot in range(2):  # cold, then rehydrated from the store
-            with QueryService(hospital_doc, plan_store=PlanStore(tmp_path)) as service:
-                service.compose = True  # composed whatever the lean pass
-                service.register_view("research", sigma0_spec)
-                service.register_tenant("institute", "research")
-                for _ in range(4):
-                    service.submit_many(wave)
-                snap = service.metrics_snapshot().as_dict()
-            assert snap["composed_fallbacks"] == 0
-            assert snap["composed"]["persisted"] == (1 if boot == 0 else 0)
-        assert len(encodes) == 1
 
 
 def _restricted_spec():

@@ -211,9 +211,6 @@ class TestStoreStatsSurface:
             "stores": 0,
             "errors": 1,
             "gc_removed": 0,
-            "composed_hits": 0,
-            "composed_misses": 0,
-            "composed_stores": 0,
         }
 
     def test_no_store_no_line_and_null_payload(self):

@@ -284,8 +284,6 @@ def test_every_tier_read_and_write_names_a_registered_seam():
     assert named == {
         "plan-store.load",
         "plan-store.save",
-        "plan-store.load-composed",
-        "plan-store.save-composed",
         "doc-tier.load",
         "doc-tier.save",
         "doc-tier.load-layout",

@@ -4,10 +4,10 @@
 kind in the system is built on.  This suite pins each algorithm once,
 directly, and then drives the same gate scenarios through the three LRU
 owners (``PlanCache``, ``ComposedCache``, ``DocumentStore``) and the same
-damage / sweep scenarios through the four persisted kinds (plan
-artifact, composed payload, index file, layout sidecar) by
-parametrisation — the per-owner copies of these tests are gone (mapping
-in ``CHANGES.md``, PR 20).
+damage / sweep scenarios through the three persisted kinds (plan
+artifact, index file, layout sidecar) by parametrisation — the
+per-owner copies of these tests are gone (mapping in ``CHANGES.md``,
+PR 20).
 
 Every wait has a timeout: at a defect these tests fail, they do not hang.
 """
@@ -15,7 +15,6 @@ Every wait has a timeout: at a defect these tests fail, they do not hang.
 from __future__ import annotations
 
 import gzip
-import json
 import mmap
 import shutil
 import sys
@@ -306,25 +305,31 @@ class PlanOwner:
 
 
 class ComposedOwner:
-    """``ComposedCache.kernel_for`` over a slow fake store; the slow step
-    is the store probe (the parent ran it under the map lock)."""
+    """``ComposedCache.kernel_for``; the slow step is the composition.
+    Each key is its own member tuple, so the step can name it."""
 
     def __init__(self, tmp_path, monkeypatch) -> None:
+        import repro.serve.cache as module
+
         self.step = step = SlowStep()
+        real = module.ComposedKernel
 
-        class SlowStore:
-            def load_composed(self, algorithm, member_keys):
-                step(member_keys)
-                return None
+        def stepped(members):
+            step(tuple(members))
+            return real(members)
 
-        self.cache = ComposedCache(store=SlowStore())
-        self.members = [CompiledPlan(to_mfa(q)) for q in ("//a", "//a/b")]
+        monkeypatch.setattr(module, "ComposedKernel", stepped)
+        self.cache = ComposedCache()
+        self.members = [
+            tuple(CompiledPlan(to_mfa(q)) for q in ("//a", "//a/b"))
+            for _ in range(2)
+        ]
 
     def key(self, i: int):
-        return ((None, f"q{i}", 3), (None, f"r{i}", 3))
+        return self.members[i]
 
     def lookup(self, i: int):
-        return self.cache.kernel_for(self.members, self.key(i), HYPE)
+        return self.cache.kernel_for(list(self.members[i]), self.key(i), HYPE)
 
     def probe(self):
         return self.cache.stats, len(self.cache), self.cache.gauges()
@@ -573,15 +578,14 @@ class TestFileTier:
 
 
 # ----------------------------------------------------------------------
-# One read policy, one sweep policy: the four persisted kinds
+# One read policy, one sweep policy: the three persisted kinds
 # ----------------------------------------------------------------------
 WAVE = sorted(VIEW_QUERIES.values())[:4]
-SIBLING_WAVE = WAVE[:2]
 XML = serialize(generate_hospital_document(HospitalConfig(num_patients=4, seed=3)))
 SIBLING_XML = serialize(
     generate_hospital_document(HospitalConfig(num_patients=3, seed=5))
 )
-KINDS = ("plan", "composed", "index", "layout")
+KINDS = ("plan", "index", "layout")
 
 
 class Deployment:
@@ -604,7 +608,7 @@ class Deployment:
 
     def drive(self, wave=WAVE) -> tuple[list, dict]:
         """The wave under all three algorithms: touches every plan, the
-        composed payload (HyPE), both index variants and the layout."""
+        composed machine (HyPE), both index variants and the layout."""
         with self.boot() as service:
             answers = [
                 [
@@ -617,10 +621,6 @@ class Deployment:
             ]
             return answers, service.metrics_snapshot().as_dict()
 
-    def composed_path(self, wave):
-        keys = sorted((plan_key(sigma0(), q) for q in wave), key=lambda k: k[1:])
-        return PlanStore(self.plans).composed_path_for(HYPE, keys)
-
     def target(self, kind: str):
         """(the file a WAVE drive reads, a healthy file of the same kind
         stored under another key)."""
@@ -632,28 +632,22 @@ class Deployment:
                 plans.path_for(plan_key(sigma0(), WAVE[0])),
                 plans.path_for(plan_key(sigma0(), WAVE[1])),
             ),
-            "composed": (
-                self.composed_path(WAVE),
-                self.composed_path(SIBLING_WAVE),
-            ),
             "index": (tier.path_for(address, False), tier.path_for(address, True)),
             "layout": (tier.layout_path_for(address), tier.layout_path_for(other)),
         }[kind]
 
     def counters(self, kind: str, snap: dict) -> dict:
-        return snap["plan_store" if kind in ("plan", "composed") else "doc_store"]
+        return snap["plan_store" if kind == "plan" else "doc_store"]
 
 
 @pytest.fixture(scope="module")
 def populated(tmp_path_factory):
     """Both directories after one cold run, with a second file of every
-    kind (another wave shape, another document) beside the targets."""
+    kind (another query, another document) beside the targets."""
     deployment = Deployment(tmp_path_factory.mktemp("tiers"))
     answers, snap = deployment.drive()
-    deployment.drive(SIBLING_WAVE)
     DocumentStore(index_dir=deployment.docs).get(SIBLING_XML)
     assert snap["plan_store"]["stores"] == len(WAVE)
-    assert snap["plan_store"]["composed_stores"] == 1
     assert snap["doc_store"]["index_stores"] == 2
     for kind in KINDS:
         assert all(path.is_file() for path in deployment.target(kind))
@@ -732,16 +726,8 @@ class TestOneReadPolicy:
         assert answers == expected
         assert snap["plan_store"]["corrupt"] == snap["doc_store"]["corrupt"] == 0
         assert snap["plan_store"]["misses"] == snap["plan_misses"] == 0
-        assert snap["composed_rehydrated"] == 1
         assert snap["doc_store"]["index_builds"] == 0
         assert snap["doc_store"]["layout_loads"] == 1
-
-
-def invalid_composed_payload(path, sibling) -> None:
-    """Valid JSON, key echo intact — only ``check_composed`` refuses it."""
-    record = json.loads(path.read_bytes())
-    record["payload"]["trans"][0][2] = len(record["payload"]["ccfgs"])
-    path.write_text(json.dumps(record))
 
 
 def undecodable_index(path, sibling) -> None:
@@ -751,16 +737,12 @@ def undecodable_index(path, sibling) -> None:
 
 class TestGcReclaimsWhatLoadRefuses:
     """Satellite 3: a sweep's ``keep`` is the kind's own decode-and-echo
-    check.  (At the parent ``gc`` kept a composed blob failing
-    ``check_composed``, an undecodable current-version index file and a
-    sidecar truncated after its header.)"""
+    check.  (At the parent ``gc`` kept an undecodable current-version
+    index file and a sidecar truncated after its header.)"""
 
     CASES = [
         ("plan", DAMAGE["truncated"]),
         ("plan", DAMAGE["wrong-key-echo"]),
-        ("composed", DAMAGE["truncated"]),
-        ("composed", invalid_composed_payload),
-        ("composed", DAMAGE["wrong-key-echo"]),
         ("index", DAMAGE["truncated"]),
         ("index", undecodable_index),
         ("index", DAMAGE["wrong-key-echo"]),
@@ -778,7 +760,7 @@ class TestGcReclaimsWhatLoadRefuses:
         }
         before = files()
         damage(path, sibling)
-        if kind in ("plan", "composed"):
+        if kind == "plan":
             store = PlanStore(deployment.plans)
             assert store.gc() == 1
             assert store.stats.gc_removed == 1 and store.stats.errors == 0
