@@ -200,6 +200,56 @@ class TestSeamsNamedByTheTier:
         assert again.stats.layout_loads == 1  # hit 2: clean load
 
 
+class TestRetiredComposedSeams:
+    """Composed tables are no longer persisted, so the two points that
+    guarded their file I/O are gone: a plan naming either one never
+    fires across a cold and a restarted composed wave over a
+    ``--plan-dir``, and the plan store counts no failure."""
+
+    XML = TestSeamsNamedByTheTier.XML
+
+    def composed_wave(self, directory) -> tuple[list, dict]:
+        from repro.serve.service import QueryRequest, QueryService
+        from repro.views.samples import sigma0
+        from repro.workloads import VIEW_QUERIES
+
+        with QueryService(
+            DocumentStore().get(self.XML), plan_store=PlanStore(directory)
+        ) as service:
+            service.compose = True  # composed whatever the lean pass
+            service.register_view("research", sigma0())
+            service.register_tenant("institute", "research")
+            wave = [
+                QueryRequest("institute", query)
+                for query in sorted(VIEW_QUERIES.values())[:4]
+            ]
+            answers, _stats = service.submit_many(wave)
+            return (
+                [answer.ids() for answer in answers],
+                service.metrics_snapshot().as_dict(),
+            )
+
+    @pytest.mark.parametrize(
+        "point,action",
+        [
+            ("plan-store.save-composed", "drop"),
+            ("plan-store.load-composed", "corrupt"),
+        ],
+    )
+    def test_a_retired_point_never_fires(self, point, action, tmp_path):
+        reference, _snap = self.composed_wave(tmp_path / "reference")
+        schedule = plan(FaultRule(point, action))
+        for _boot in range(2):  # cold, then restarted over the same store
+            answers, snap = self.composed_wave(tmp_path / "plans")
+            assert answers == reference
+            assert snap["composed_builds"] == 1
+            counters = snap["plan_store"]
+            assert (counters["errors"], counters["corrupt"]) == (0, 0)
+        assert schedule.hits(point) == 0
+        assert schedule.fired_counts() == {}
+        assert list((tmp_path / "plans").glob("*.composed.json*")) == []
+
+
 class TestDescendSeam:
     def test_slow_descent_fires_per_schedule(self):
         tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))

@@ -16,6 +16,7 @@ import pytest
 
 from repro.compile import FORMAT_VERSION, PlanStore, QueryCompiler
 from repro.compile.pipeline import REWRITE, TRANSLATE
+from repro.hype.api import ALGORITHMS
 from repro.serve.cache import PlanCache, plan_key
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads import FIG8, VIEW_QUERIES
@@ -318,6 +319,117 @@ def _legacy_composed_file(directory, algorithm, keys):
     path = directory / f"{digest.hexdigest()}.composed.json"
     path.write_text(json.dumps(record))
     return path
+
+
+def _mangle_legacy_payload(path) -> None:
+    record = json.loads(path.read_bytes())
+    record["payload"]["ccfgs"][0] = [999] * record["payload"]["width"]
+    path.write_text(json.dumps(record))
+
+
+#: What an older process could have left under a wave's
+#: ``*.composed.json`` name: a payload its validator accepted, one it
+#: refused, and files damaged on disk.
+LEGACY_FORMS = {
+    "well-formed": lambda path: None,
+    "mangled-payload": _mangle_legacy_payload,
+    "empty": lambda path: path.write_bytes(b""),
+    "truncated": lambda path: path.write_bytes(
+        path.read_bytes()[: path.stat().st_size // 2]
+    ),
+    "not-json": lambda path: path.write_bytes(b"\x00 not json \x00"),
+    "gzipped": lambda path: path.write_bytes(gzip.compress(path.read_bytes())),
+}
+
+
+class TestRetiredComposedKind:
+    """Composed tables live in memory only.  No configuration writes a
+    ``*.composed.json``; one an older process left in the plan directory
+    is never read (whatever its content, nothing is counted against it
+    and the wave recomposes), and ``gc`` sweeps it."""
+
+    WAVE = sorted(VIEW_QUERIES.values())[:5]
+
+    def _boot(self, hospital_doc, sigma0_spec, directory, compose=True):
+        service = QueryService(hospital_doc, plan_store=PlanStore(directory))
+        service.compose = compose  # whatever the lean pass
+        service.register_view("research", sigma0_spec)
+        service.register_tenant("institute", "research")
+        return service
+
+    def _wave(self, service, algorithm="hype") -> tuple[list, dict]:
+        wave = [QueryRequest("institute", q, algorithm) for q in self.WAVE]
+        answers, _stats = service.submit_many(wave)
+        return [a.ids() for a in answers], service.metrics_snapshot().as_dict()
+
+    def _plant(self, directory, sigma0_spec, form):
+        keys = sorted(
+            (plan_key(sigma0_spec, q) for q in self.WAVE), key=lambda k: k[1:]
+        )
+        path = _legacy_composed_file(directory, "hype", keys)
+        LEGACY_FORMS[form](path)
+        return path
+
+    @pytest.fixture(scope="class")
+    def populated(self, tmp_path_factory, hospital_doc, sigma0_spec):
+        """A plan directory after one composed wave, and its answers."""
+        directory = tmp_path_factory.mktemp("retired") / "plans"
+        with self._boot(hospital_doc, sigma0_spec, directory) as cold:
+            answers, snap = self._wave(cold)
+        assert snap["composed_builds"] == 1
+        assert snap["plan_store"]["stores"] == len(self.WAVE)
+        return directory, answers
+
+    @pytest.fixture()
+    def directory(self, populated, tmp_path):
+        import shutil
+
+        source, _answers = populated
+        shutil.copytree(source, tmp_path / "plans")
+        return tmp_path / "plans"
+
+    @pytest.mark.parametrize("form", sorted(LEGACY_FORMS))
+    def test_gc_sweeps_a_leftover_composed_file(self, form, directory, sigma0_spec):
+        stale = self._plant(directory, sigma0_spec, form)
+        store = PlanStore(directory)
+        assert store.gc() == 1
+        assert not stale.exists()
+        assert len(store) == len(list(directory.iterdir())) == len(self.WAVE)
+        assert (store.stats.gc_removed, store.stats.errors) == (1, 0)
+
+    @pytest.mark.parametrize("form", sorted(LEGACY_FORMS))
+    def test_a_leftover_composed_file_is_never_read(
+        self, form, directory, populated, hospital_doc, sigma0_spec
+    ):
+        stale = self._plant(directory, sigma0_spec, form)
+        before = stale.read_bytes(), stale.stat().st_mtime_ns
+        with self._boot(hospital_doc, sigma0_spec, directory) as service:
+            answers, snap = self._wave(service)
+        assert answers == populated[1]
+        counters = snap["plan_store"]
+        assert (counters["corrupt"], counters["errors"]) == (0, 0)
+        assert counters["hits"] == len(self.WAVE)  # the plans still load
+        assert (snap["composed_builds"], snap["composed_fallbacks"]) == (1, 0)
+        assert (stale.read_bytes(), stale.stat().st_mtime_ns) == before
+        assert list(directory.glob("*.composed.json*")) == [stale]
+
+    @pytest.mark.parametrize("compose", [True, False], ids=["composed", "per-lane"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_configuration_writes_a_composed_file(
+        self, algorithm, compose, tmp_path, hospital_doc, sigma0_spec
+    ):
+        directory = tmp_path / "plans"
+        runs = []
+        for _boot in range(2):  # cold, then restarted over the same store
+            with self._boot(hospital_doc, sigma0_spec, directory, compose) as service:
+                runs.append(self._wave(service, algorithm))
+        (cold, cold_snap), (warm, warm_snap) = runs
+        assert warm == cold
+        assert warm_snap["plan_store"]["hits"] == len(self.WAVE)
+        for snap in (cold_snap, warm_snap):
+            assert (snap["composed_builds"] > 0) == compose
+        assert list(directory.glob("*.composed.json*")) == []
+        assert len(PlanStore(directory)) == len(list(directory.iterdir()))
 
 
 class TestArtifactCompression:

@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -343,3 +346,78 @@ def test_the_replaced_copies_are_gone():
         parameters = inspect.signature(owner).parameters
         assert not [name for name in parameters if "composed" in name or "ccfg" in name]
     assert "capacity" not in inspect.signature(ComposedCache).parameters
+
+
+#: Composed tables are no longer persisted: the codec, the store API, the
+#: write-back, the fault seams and the wire keys of that kind, by name.
+RETIRED_COMPOSED_NAMES = (
+    "load_composed",
+    "save_composed",
+    "composed_payload",
+    "preload_composed",
+    "check_composed",
+    "COMPOSED_SUFFIX",
+    "composed_path_for",
+    "_decode_composed",
+    "_composed_key",
+    "_persist_composed",
+    "persisted_shape",
+    "preloaded_trans",
+    "composed_rehydrated",
+    "composed_stores",
+    "composed_misses",
+    "plan-store.load-composed",
+    "plan-store.save-composed",
+)
+
+
+@pytest.mark.parametrize("name", RETIRED_COMPOSED_NAMES)
+def test_a_retired_composed_persistence_name_is_gone(name):
+    pattern = re.compile(rf"(?<![\w-]){re.escape(name)}(?![\w-])")
+    assert [
+        relative(path) for path in LIBRARY if pattern.search(path.read_text())
+    ] == []
+
+
+#: Members that went with composed persistence (or were only ever called
+#: from tests), as (module, class, member).
+RETIRED_MEMBERS = (
+    ("compile/store.py", "PlanStore", "clear"),
+    ("compile/store.py", "StoreStats", "composed_hits"),
+    ("engine/smoqe.py", "SMOQE", "cache_stats"),
+    ("hype/compose.py", "ComposedKernel", "preloaded"),
+    ("serve/cache.py", "ComposedCache", "persist"),
+    ("serve/cache.py", "ComposedStats", "rehydrated"),
+    ("serve/cache.py", "ComposedStats", "persisted"),
+)
+
+
+def members(klass: ast.ClassDef) -> set[str]:
+    """Every name the class defines: methods, class-level fields and
+    attributes its methods assign on ``self``."""
+    names = set()
+    for node in ast.walk(klass):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize(
+    "module,owner,member",
+    RETIRED_MEMBERS,
+    ids=[f"{owner}.{member}" for _module, owner, member in RETIRED_MEMBERS],
+)
+def test_a_retired_member_is_gone(module, owner, member):
+    (klass,) = [
+        node
+        for node in ast.walk(parse(SRC / module))
+        if isinstance(node, ast.ClassDef) and node.name == owner
+    ]
+    names = members(klass)
+    assert names, f"{owner} defines nothing: the walk is broken"
+    assert member not in names

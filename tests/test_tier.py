@@ -749,6 +749,11 @@ class TestGcReclaimsWhatLoadRefuses:
         ("layout", DAMAGE["truncated"]),
         ("layout", DAMAGE["wrong-key-echo"]),
         ("layout", DAMAGE["empty"]),
+        ("plan", DAMAGE["empty"]),
+        ("plan", flip_header_byte),
+        ("index", DAMAGE["empty"]),
+        ("index", flip_header_byte),
+        ("layout", flip_header_byte),
     ]
 
     @pytest.mark.parametrize("kind,damage", CASES)
