@@ -11,7 +11,8 @@ min-of-N wall-clock protocol:
    the calibrated ``descent_hot`` row of ``benchmarks/e2e``;
    The ``descent_passes`` rows time the lean pass itself per lane —
    interpreted (``_descend_lane_py``) and compiled (``_lean.c``, when
-   this process has it: ``descent`` records ``kernel.DESCENT``) — and
+   this process has it: ``descent`` records ``kernel.DESCENT``, and
+   ``parse`` the parser's token pass, ``repro.xtree.parse.SCAN``) — and
    the ``phase2_passes`` row times phase 2 alone per request, σ0 view
    queries under every algorithm, interpreted vs compiled;
 2. **Wave-composition scaling** — the per-lane batch loop vs ONE
@@ -79,7 +80,7 @@ from repro.serve.service import QueryRequest, QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.workloads.queries import FIG8, FIG9
 from repro.workloads.traffic import TrafficConfig, generate_traffic, waves
-from repro.xtree.parse import parse_xml
+from repro.xtree.parse import SCAN, parse_xml
 from repro.xtree.serialize import serialize
 
 #: The single-run query set: the paper's Fig. 8 family + one structural
@@ -943,7 +944,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{entry['visited_elements']} visited)"
             )
 
-    print(f"descent: {kernel.DESCENT}")
+    print(f"descent: {kernel.DESCENT}; parse: {SCAN}")
     passes = bench_descent_passes(tree, args.repeats)
     for algorithm, row in passes.items():
         print(
@@ -1058,6 +1059,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "single_run": single,
         "descent": kernel.DESCENT,
+        "parse": SCAN,
         "descent_passes": passes,
         "phase2_passes": phase2,
         "wave_scaling": wave,

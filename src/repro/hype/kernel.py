@@ -62,7 +62,7 @@ element children and pops childless elements inline.  It exists twice:
 pass compiled (every table's hit path in C; misses, predicates and the
 clock call the Python code here).  The same extension carries phase 2
 (:meth:`repro.hype.core.CompiledPlan._collect_answers_py`, compiled).
-:mod:`repro.hype.native` builds it on first import; :data:`DESCENT`
+:mod:`repro.native` builds it on first import; :data:`DESCENT`
 records which passes this process runs (``"compiled"``, or
 ``"python: <reason>"``) and :func:`descend` calls that lean pass.
 A wave's lanes are stepped one after the other (stepping them together
@@ -105,7 +105,7 @@ from ..docstore.layout import covering_layout
 from ..errors import DeadlineError
 from ..faults import fire as _fault_fire
 from ..guard import CHECK_INTERVAL
-from . import native
+from .. import native
 
 #: Flag bits of a packed transition word (see module docstring).
 FINAL_BIT = 1
@@ -944,13 +944,13 @@ def _new_row(width: int) -> array:
 
 def _select_pass(cache_dir=None) -> tuple:
     """``(lean pass, phase 2, DESCENT record)`` for this process: the
-    compiled pair when :func:`repro.hype.native.load` builds or finds it
+    compiled pair when :func:`repro.native.load` builds or finds it
     (in ``cache_dir``, default the package's ``__pycache__``) and it
     accepts this module's helpers and constants, else
     :func:`_descend_lane_py`, ``None`` (phase 2 is then the plan's own
     :meth:`~repro.hype.core.CompiledPlan._collect_answers_py`) and the
     reason."""
-    lean, reason = native.load(cache_dir)
+    lean, reason = native.load(__package__, "_lean.c", cache_dir)
     if lean is not None:
         try:
             lean.setup(

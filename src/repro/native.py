@@ -1,14 +1,18 @@
-"""Build-on-first-import loader of the compiled lean pass (``_lean.c``).
+"""Build-on-first-import loader of the compiled passes.
 
-:func:`load` returns the extension module, or ``None`` and the reason
-the Python pass runs instead.  The shared object is built once per
-checkout, source and interpreter, and every later process only loads
-it:
+Two C sources ship beside the Python passes they compile:
+``repro/hype/_lean.c`` (the lean descent and phase 2,
+:mod:`repro.hype.kernel`) and ``repro/xtree/_scan.c`` (the parser's
+token pass over a plain document, :mod:`repro.xtree.parse`).
+:func:`load` takes a package and one of its sources and returns the
+extension module, or ``None`` and the reason the Python pass runs
+instead.  The shared object is built once per checkout, source and
+interpreter, and every later process only loads it:
 
-* it lives in the package's ``__pycache__``, named by the sha256 of the
-  source and the interpreter's extension suffix (which carries its ABI
-  tag), so an edited source or another interpreter builds its own file
-  and nothing stale is ever loaded;
+* it lives in the package's ``__pycache__``, named by the source's stem,
+  the sha256 of the source and the interpreter's extension suffix
+  (which carries its ABI tag), so an edited source or another
+  interpreter builds its own file and nothing stale is ever loaded;
 * the compiler is ``CC`` from the environment when set (as setuptools
   honours it), else the interpreter's own build compiler
   (``sysconfig``); headers come from ``sysconfig``'s include path.  The
@@ -17,11 +21,15 @@ it:
   place (:func:`repro.tier.publish`), so concurrent processes — fleet
   workers, test subprocesses — never load a half-written object.
 
-The fallback reasons: a free-threaded interpreter (the pass holds the
+The fallback reasons: a free-threaded interpreter (each pass holds the
 GIL for its whole run and has not been audited without it), no
 compiler, no ``Python.h``, a failed build, or a cache directory that
-cannot be written.  None of them is an error: the Python pass is the
-same algorithm, at about half the speed.
+cannot be written.  None of them is an error: each Python pass is the
+same algorithm, only slower.
+
+This module lives at the top of :mod:`repro`, not under either package,
+because :mod:`repro.xtree` is imported by :mod:`repro.hype` and cannot
+import it back.
 """
 
 from __future__ import annotations
@@ -38,12 +46,7 @@ import sys
 import sysconfig
 from pathlib import Path
 
-from ..tier import publish
-
-#: The extension's module name (its init function is ``PyInit__lean``).
-MODULE = f"{__package__}._lean"
-SOURCE = "_lean.c"
-CACHE = Path(__file__).resolve().parent / "__pycache__"
+from .tier import publish
 
 #: Seconds a build may take before it counts as failed.
 BUILD_TIMEOUT = 120
@@ -56,29 +59,39 @@ def compiler() -> list[str]:
     )
 
 
-def load(cache_dir: str | os.PathLike | None = None):
-    """``(module, None)`` — the compiled lean pass, built first if this
-    source and interpreter have no cached build in ``cache_dir``
-    (default: the package's ``__pycache__``) — or ``(None, reason)``."""
+def load(
+    package: str, source: str, cache_dir: str | os.PathLike | None = None
+):
+    """``(module, None)`` — ``package``'s extension compiled from its
+    ``source`` (say ``"_scan.c"``, whose module is ``package._scan``),
+    built first if this source and interpreter have no cached build in
+    ``cache_dir`` (default: the package's ``__pycache__``) — or
+    ``(None, reason)``."""
     if sysconfig.get_config_var("Py_GIL_DISABLED"):
         return None, "free-threaded build"
-    source = pkgutil.get_data(__package__, SOURCE)
-    if source is None:
-        return None, f"{SOURCE} is not installed"
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    code = pkgutil.get_data(package, source)
+    if code is None:
+        return None, f"{source} is not installed"
+    stem = source.removesuffix(".c")
+    digest = hashlib.sha256(code).hexdigest()[:16]
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    cache = CACHE if cache_dir is None else Path(cache_dir)
-    target = cache / f"_lean.{digest}{suffix}"
+    if cache_dir is None:
+        home = Path(importlib.util.find_spec(package).origin).parent
+        cache = home / "__pycache__"
+    else:
+        cache = Path(cache_dir)
+    target = cache / f"{stem}.{digest}{suffix}"
+    module = f"{package}.{stem}"
     if target.is_file():
         try:
-            return _import(target), None
+            return _import(module, target), None
         except ImportError:
             pass  # unloadable (truncated, foreign): rebuilt over below
-    reason = _build(source, target)
+    reason = _build(code, target)
     if reason is not None:
         return None, reason
     try:
-        return _import(target), None
+        return _import(module, target), None
     except ImportError as error:
         return None, f"the build does not load: {error}"
 
@@ -131,9 +144,9 @@ class _BuildFailed(Exception):
     pass
 
 
-def _import(path: Path):
-    loader = importlib.machinery.ExtensionFileLoader(MODULE, str(path))
-    spec = importlib.util.spec_from_file_location(MODULE, path, loader=loader)
+def _import(name: str, path: Path):
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
     return module

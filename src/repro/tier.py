@@ -18,7 +18,7 @@ algorithm grows back anywhere under ``src/repro``.
   the current format will never load.  Every read and write names its
   :mod:`repro.faults` seam, so a file I/O site cannot exist without one.
   Its atomic write is :func:`publish`, which the build cache of the
-  compiled lean pass (:mod:`repro.hype.native`) shares.
+  compiled passes (:mod:`repro.native`) shares.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def publish(path: Path, produce: Callable[[Path], object]) -> None:
     so readers — other processes included — only ever see a complete
     file.  Whatever ``produce`` raises propagates, with the temporary
     removed.  :meth:`FileTier.write` publishes its bytes this way; the
-    compiled lean pass (:mod:`repro.hype.native`) its shared object."""
+    compiled passes (:mod:`repro.native`) their shared objects."""
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
     try:
         produce(tmp)

@@ -26,6 +26,28 @@ Nothing is allocated per tag: a per-parse cache maps each distinct tag
 token to its kind, its interned label and its canonical spellings, so a
 repeated tag costs one dict probe (no name regex) and every element of
 one label shares one ``str``.
+
+The token pass exists twice.  ``_scan.c`` compiles it for the plain
+documents the system serves (:mod:`repro.native` builds it on first
+import; :data:`SCAN` records ``"compiled"`` or ``"python: <reason>"``).
+It accepts exactly an ASCII ``str`` made of the tags ``<NAME>``,
+``</NAME>`` and ``<NAME/>`` (``NAME`` is ``[A-Za-z_][A-Za-z0-9_.-]*``),
+comments and processing instructions holding no ``>`` (skipped), and
+text runs holding no ``&`` and no ``>`` (stripped of ``str.strip()``'s
+ASCII whitespace), in a well-formed document.  For anything else —
+non-ASCII text, an attribute, an entity, CDATA, a DOCTYPE, a ``>`` in
+text, a ``<`` that starts no such tag, every malformed document — it
+returns ``None`` and :func:`parse_canonical` runs the Python pass below,
+which stays the specification and the only code that raises
+:class:`~repro.errors.XMLParseError`.  Both emit the same columns, label
+set and canonical text (``tests/test_parse_native.py``).
+
+Both passes take time linear in the source: the compiled one scans
+forward only, and the Python one never rescans a suffix per token — the
+text from the first ``<`` that no ``>`` follows is cut without the tag
+pattern (:func:`_tokens`), and the markup-aware re-tokenisation stops at
+the first ``<`` that opens no markup, where the parse fails anyway
+(:func:`_careful_tokens`).
 """
 
 from __future__ import annotations
@@ -33,12 +55,15 @@ from __future__ import annotations
 import re
 import sys
 
+from .. import native
 from ..errors import XMLParseError
 from .node import TEXT_LABEL, TreeColumns, XMLTree
 from .serialize import escape_text
 
 #: The tokens of a document: text, or markup up to its first ``>``.
 _TOKEN = re.compile(r"<[^>]*>|[^<]+")
+#: A text run: from the first ``<`` that no ``>`` follows, the only token.
+_TEXT = re.compile(r"[^<]+")
 #: One whole markup token where a ``>`` may occur inside it: a comment,
 #: CDATA section, processing instruction, declaration, or a tag whose
 #: quoted attribute values hold one.  A :data:`_TOKEN` token that
@@ -113,10 +138,53 @@ def parse_canonical(source: str) -> tuple[XMLTree, str]:
     Raises:
         XMLParseError: on mismatched tags, missing root, trailing content.
     """
+    if _scan is not None:
+        scanned = _scan(source, TEXT_LABEL)
+        if scanned is not None:
+            *columns, labels, canonical = scanned
+            return XMLTree.from_columns(TreeColumns(*columns), labels), canonical
+    return _parse_py(source)
+
+
+def _parse_py(source: str) -> tuple[XMLTree, str]:
+    """:func:`parse_canonical` by the Python token pass — the reference
+    the compiled one is held to."""
     try:
-        return _parse(_TOKEN.findall(source))
+        return _parse(_tokens(source))
     except _Retokenize:
-        return _parse(re.findall(_CAREFUL_TOKEN, source, re.S))
+        return _parse(_careful_tokens(source))
+
+
+def _tokens(source: str) -> list[str]:
+    """``_TOKEN.findall(source)``, in linear time.
+
+    Past the first ``<`` that has no ``>`` after it, no tag can match:
+    ``findall`` would try each later ``<`` against the whole rest of the
+    source and skip it.  That tail is cut into its text runs directly.
+    """
+    tail = source.find("<", source.rfind(">") + 1)
+    if tail < 0:
+        return _TOKEN.findall(source)
+    return _TOKEN.findall(source, 0, tail) + _TEXT.findall(source, tail)
+
+
+def _careful_tokens(source: str) -> list[str]:
+    """The tokens by :data:`_CAREFUL_TOKEN`, up to and including the first
+    ``<`` that starts no markup.
+
+    That token is a malformed tag, so :func:`_parse` raises on reaching
+    it and never reads further — and every unterminated comment, CDATA
+    section, processing instruction or quoted value is exactly such a
+    ``<``, reached after one scan to the end of the source.  Stopping
+    there keeps a run of them linear instead of one rescan each.
+    """
+    tokens = []
+    for match in re.finditer(_CAREFUL_TOKEN, source, re.S):
+        token = match.group()
+        tokens.append(token)
+        if token == "<":
+            break
+    return tokens
 
 
 def _parse(tokens: list[str]) -> tuple[XMLTree, str]:
@@ -221,3 +289,20 @@ def parse_xml(source: str) -> XMLTree:
         XMLParseError: on mismatched tags, missing root, trailing content.
     """
     return parse_canonical(source)[0]
+
+
+def _select_scan(cache_dir=None) -> tuple:
+    """``(compiled scan or None, SCAN record)`` for this process: the
+    compiled token pass when :func:`repro.native.load` builds or finds it
+    (in ``cache_dir``, default the package's ``__pycache__``), else
+    ``None`` and the reason the Python pass runs alone."""
+    module, reason = native.load(__package__, "_scan.c", cache_dir)
+    if module is None:
+        return None, f"python: {reason}"
+    return module.scan, "compiled"
+
+
+#: The compiled token pass :func:`parse_canonical` tries first (``None``:
+#: the Python pass only), and which it is: ``"compiled"`` or
+#: ``"python: <why the compiled pass is unavailable>"``.
+_scan, SCAN = _select_scan()

@@ -2,7 +2,7 @@
 their safety rails.
 
 ``repro.hype.kernel`` runs one of two implementations of the same lean
-pass: ``_lean.c`` when :mod:`repro.hype.native` could build and load it
+pass: ``_lean.c`` when :mod:`repro.native` could build and load it
 (``kernel.DESCENT == "compiled"``), else :func:`kernel._descend_lane_py`.
 Phase 2 follows it: ``_lean.c``'s ``collect_answers``, else
 :meth:`CompiledPlan._collect_answers_py`.  Here:
@@ -17,7 +17,9 @@ Phase 2 follows it: ``_lean.c``'s ``collect_answers``, else
   answer ids in the same order and leave the same cache keys;
 * **fallback** — no compiler, a failed build, an unwritable cache and a
   free-threaded interpreter each select the Python pass with the reason
-  recorded, and a cached build is loaded without invoking a compiler;
+  recorded, and a cached build is loaded without invoking a compiler.
+  The loader cases run for both of :mod:`repro.native`'s sources, the
+  lean pass and the parser's token pass (``repro/xtree/_scan.c``);
 * **bounds and references** — mangled columns of a built layout and of
   a tier-loaded (``memoryview``) one, and mangled table ids, raise
   ``IndexError``; a pass cut short by a raising predicate or miss path
@@ -49,10 +51,12 @@ from repro.docstore import IndexedDocument
 from repro.docstore.layout import covering_layout
 from repro.errors import DeadlineError
 from repro.guard import CHECK_INTERVAL, Deadline
-from repro.hype import kernel, native
+from repro import native
+from repro.hype import kernel
 from repro.hype.api import ALGORITHMS, compile_plan
 from repro.hype.core import CompiledPlan, RunCursor
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
+from repro.xtree import parse
 
 from .strategies import gated_paths, paths, trees
 
@@ -61,6 +65,8 @@ SRC = Path(kernel.__file__).resolve().parents[2]
 compiled_only = pytest.mark.skipif(
     kernel.DESCENT != "compiled", reason=f"descent is {kernel.DESCENT!r}"
 )
+#: The loader's two sources: the lean pass and the parser's token pass.
+SOURCES = [("repro.hype", "_lean.c"), ("repro.xtree", "_scan.c")]
 PASSES = {"python": kernel._descend_lane_py, "compiled": kernel._descend_lane}
 PHASE2 = {
     "python": CompiledPlan._collect_answers_py,
@@ -278,47 +284,60 @@ class TestFallback:
         assert ran == [plan]
         assert result.ids == expected.ids and result.stats == expected.stats
 
-    def test_failed_build_leaves_no_file(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("package, source", SOURCES)
+    def test_failed_build_leaves_no_file(self, monkeypatch, tmp_path, package, source):
         monkeypatch.setenv("CC", "false")
-        module, reason = native.load(tmp_path)
+        module, reason = native.load(package, source, tmp_path)
         assert module is None
         assert reason.startswith("build failed (false exited 1")
         assert list(tmp_path.iterdir()) == []
 
-    def test_unwritable_cache(self, tmp_path):
+    @pytest.mark.parametrize("package, source", SOURCES)
+    def test_unwritable_cache(self, tmp_path, package, source):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        module, reason = native.load(blocker / "cache")
+        module, reason = native.load(package, source, blocker / "cache")
         assert module is None
         assert reason.startswith(("cannot write the build cache", "no compiler", "no Python.h"))
 
-    def test_free_threaded_interpreter_falls_back(self, monkeypatch):
+    @pytest.mark.parametrize("package, source", SOURCES)
+    def test_free_threaded_interpreter_falls_back(self, monkeypatch, package, source):
         real = native.sysconfig.get_config_var
         monkeypatch.setattr(
             native.sysconfig,
             "get_config_var",
             lambda name: 1 if name == "Py_GIL_DISABLED" else real(name),
         )
-        assert native.load() == (None, "free-threaded build")
+        assert native.load(package, source) == (None, "free-threaded build")
 
-    @compiled_only
-    def test_a_cached_build_invokes_no_compiler(self, monkeypatch):
+    @pytest.mark.skipif(
+        (kernel.DESCENT, parse.SCAN) != ("compiled", "compiled"),
+        reason=f"descent is {kernel.DESCENT!r}, scan is {parse.SCAN!r}",
+    )
+    @pytest.mark.parametrize("package, source", SOURCES)
+    def test_a_cached_build_invokes_no_compiler(self, monkeypatch, package, source):
         def forbidden():
             raise AssertionError("compiler invoked for a cached build")
 
         monkeypatch.setattr(native, "compiler", forbidden)
-        module, reason = native.load()
-        assert reason is None and hasattr(module, "descend_lane")
+        module, reason = native.load(package, source)
+        assert reason is None
+        assert module.__name__ == f"{package}.{source[:-2]}"
         # A second process: CC names no compiler at all, and it loads.
         env = dict(os.environ, CC="/nonexistent/cc", PYTHONPATH=str(SRC))
         done = subprocess.run(
-            [sys.executable, "-c", "from repro.hype import kernel; print(kernel.DESCENT)"],
+            [
+                sys.executable,
+                "-c",
+                "from repro.hype import kernel; from repro.xtree import parse;"
+                " print(kernel.DESCENT, parse.SCAN)",
+            ],
             env=env,
             capture_output=True,
             text=True,
             timeout=120,
         )
-        assert done.stdout.strip() == "compiled", done.stderr
+        assert done.stdout.split() == ["compiled", "compiled"], done.stderr
 
 
 # ----------------------------------------------------------------------

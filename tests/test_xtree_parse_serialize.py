@@ -1,5 +1,8 @@
 """XML parser and serialiser tests (including round trips)."""
 
+import gc
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 from repro.docstore import DocumentStore, content_digest
 from repro.errors import XMLParseError
 from repro.xtree import XMLTree, document, element, parse_xml, serialize, text_node
-from repro.xtree.parse import parse_canonical
+from repro.xtree.parse import _parse_py, parse_canonical
 
 
 class TestParse:
@@ -316,3 +319,58 @@ class TestFusedPass:
         with pytest.raises(XMLParseError) as excinfo:
             parse_xml(text)
         assert str(excinfo.value) == message
+
+
+# ----------------------------------------------------------------------
+# Parse time is linear in the source
+# ----------------------------------------------------------------------
+#: Inputs that are hard for a tokeniser, as a function of their size.
+#: Each unterminated opener once cost a scan to the end of the source
+#: per opener (quadratic: 160 KB of ``<![CDATA[>`` took 21 s), and so
+#: did a ``<`` with no ``>`` after it.
+HARD_INPUTS = {
+    "unterminated CDATA": lambda n: "<r>" + "<![CDATA[>" * n + "</r>",
+    "unterminated comment": lambda n: "<!-- >" * n,
+    "unterminated processing instruction": lambda n: "<?x >" * n,
+    "less-than with no greater-than": lambda n: "<r>" + "<x" * n,
+    "deep nesting": lambda n: "<a>" * n + "x" + "</a>" * n,
+    "quoted attribute values holding >": lambda n: "<r>" + '<a t="1>2" u=\'>\'/>' * n + "</r>",
+}
+
+
+def _parse_seconds(parser, source) -> float:
+    """The fastest of a few parses of ``source`` (errors included), in
+    CPU seconds: time spent waiting for a busy host's cores is not the
+    parser's."""
+    best, spent = float("inf"), 0.0
+    for _ in range(5):
+        start = time.process_time()
+        try:
+            parser(source)
+        except XMLParseError:
+            pass
+        took = time.process_time() - start
+        best, spent = min(best, took), spent + took
+        if spent > 0.5:
+            break
+    return best
+
+
+class TestLinearTime:
+    @pytest.mark.parametrize("make", HARD_INPUTS.values(), ids=HARD_INPUTS.keys())
+    @pytest.mark.parametrize("parser", [parse_canonical, _parse_py], ids=["parse", "python"])
+    def test_doubling_the_input_at_most_triples_the_time(self, parser, make):
+        """A quadratic parse quadruples; the best of five measurements
+        keeps a noisy host from failing a linear one."""
+        n = 5000
+        small, large = make(n), make(2 * n)
+        gc.disable()
+        try:
+            ratios = []
+            for _ in range(5):
+                ratios.append(_parse_seconds(parser, large) / _parse_seconds(parser, small))
+                if ratios[-1] <= 3:
+                    break
+        finally:
+            gc.enable()
+        assert min(ratios) <= 3, ratios
