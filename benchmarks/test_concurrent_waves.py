@@ -21,7 +21,7 @@ What is measured (and what is honest about it on a GIL build):
   they interleave rather than parallelise, so their CPU time still sums;
   on a free-threaded build the same code parallelises outright.
 
-Protocol: both modes run three times and the minima are compared (the
+Protocol: both modes run five times and the minima are compared (the
 standard noise-resistant benchmark comparison), with the GC paused over
 the measured region; the window is calibrated from the warm wave time so
 the test scales across machine speeds.
@@ -59,7 +59,15 @@ TARGET_RATIO = 0.9
 ATTEMPTS = 2
 
 #: Runs per mode per attempt; minima are compared.
-RUNS = 3
+RUNS = 5
+
+#: Warm wave-A evaluation (seconds) the document is grown to reach, so
+#: that evaluation dominates the fixed GIL hand-off slop.
+MIN_WAVE_EVAL = 0.25
+
+#: Most the document grows (a multiple of its base patient count) on the
+#: way to ``MIN_WAVE_EVAL``; bounds the fixture's memory.
+MAX_GROWTH = 2.5
 
 _VIEW_SORTED = sorted(VIEW_QUERIES.values())
 
@@ -81,11 +89,29 @@ def waves_doc():
     hand-offs to the loop, the executor and the pool thread while wave A
     computes), and overlapped evaluations lose a little to interleaving;
     both are fixed costs, so the window that satisfies the overlap AND
-    the < 0.9x ratio only exists once a wave evaluates for ~0.3 s.
+    the < 0.9x ratio only exists once a wave evaluates for ~0.2-0.3 s
+    (much past that, two interleaved evaluations over a large document
+    evict each other's caches, and the overlapped wall grows faster than
+    the saved window).
+
+    How many patients that takes depends on the host and on whether the
+    compiled passes loaded (with them, 2000 patients evaluate wave A in
+    ~0.1 s), so the base document is timed and, when wave A's warm
+    evaluation falls short of ``MIN_WAVE_EVAL``, regenerated that much
+    larger (at most ``MAX_GROWTH`` times).
     """
     patients = max(4, int(2000 * scale_factor()))
-    return generate_hospital_document(
+    document = generate_hospital_document(
         HospitalConfig(num_patients=patients, seed=2007)
+    )
+    with _build_service(document, pool_size=1) as probe:
+        # Best of four timed waves: a noisy host only ever slows a wave.
+        eval_a = min(_warm(probe)[0], _warm(probe)[0])
+    growth = min(MAX_GROWTH, MIN_WAVE_EVAL / eval_a)
+    if growth <= 1.0:
+        return document
+    return generate_hospital_document(
+        HospitalConfig(num_patients=int(patients * growth), seed=2007)
     )
 
 
@@ -137,7 +163,7 @@ def _measure_serial(service: QueryService, window: float):
     return asyncio.run(main())
 
 
-def _measure_concurrent(service: QueryService, window: float, gap: float):
+def _measure_concurrent(service: QueryService, window: float):
     """Wave B arrives while wave A evaluates; both stay separate waves."""
 
     async def main():
@@ -148,10 +174,11 @@ def _measure_concurrent(service: QueryService, window: float, gap: float):
         burst_a = asyncio.gather(
             *[controller.submit(r) for r in _requests(WAVE_A)]
         )
-        # Past wave A's window (the wave has closed and is evaluating):
-        # wave B forms, waits out its own window and dispatches — all
-        # inside wave A's evaluation.
-        await asyncio.sleep(gap)
+        # Once wave A has closed and is evaluating (in the pool), wave B
+        # arrives: it forms its own wave, waits out its own window and
+        # dispatches — all inside wave A's evaluation.
+        while service.pool.in_flight == 0 and not burst_a.done():
+            await asyncio.sleep(0.001)
         burst_b = asyncio.gather(
             *[controller.submit(r) for r in _requests(WAVE_B)]
         )
@@ -168,14 +195,14 @@ def test_concurrent_waves_beat_serialised_sum(waves_doc):
 
     eval_a, _eval_b = _warm(serial_service)
     _warm(concurrent_service)
-    # Calibration: wave B's evaluation starts at ~2.2x window and must
-    # land inside wave A's evaluation (ends at window + eval_A), so the
-    # window must stay below ~0.8x eval_A; 0.6x leaves a third of
-    # eval_A as margin for timer slop and for runs that evaluate faster
-    # than the warm-up did, while the saved window stays a large slice
-    # of the total.
-    window = min(0.3, max(0.03, 0.6 * eval_a))
-    gap = 1.15 * window
+    # Calibration: wave B's evaluation starts one window after wave A's
+    # and must land inside it, so the window must stay below eval_A;
+    # 0.7x leaves 0.3x eval_A (~75 ms on the document the fixture sizes)
+    # for the GIL hand-off slop and for runs that evaluate faster than
+    # the warm-up did, while the saved window stays a large slice of
+    # the serialised sum: the overlapped run may cost up to ~15 % more
+    # than the two evaluations back to back and still beat 0.9x.
+    window = min(0.5, max(0.03, 0.7 * eval_a))
 
     ratios = []
     concurrent_outcomes = None
@@ -192,7 +219,7 @@ def test_concurrent_waves_beat_serialised_sum(waves_doc):
                 )
                 serial_walls.append(serial_wall)
                 concurrent_wall, ca, cb = _measure_concurrent(
-                    concurrent_service, window, gap
+                    concurrent_service, window
                 )
                 concurrent_walls.append(concurrent_wall)
                 concurrent_outcomes = (ca, cb)
@@ -206,14 +233,16 @@ def test_concurrent_waves_beat_serialised_sum(waves_doc):
             break
     assert min(ratios) < TARGET_RATIO, (
         f"concurrent wall-clock never beat {TARGET_RATIO}x the serialised "
-        f"sum: ratios {[f'{r:.3f}' for r in ratios]} (window {window:.3f}s)"
+        f"sum: ratios {[f'{r:.3f}' for r in ratios]} (window {window:.3f}s, "
+        f"eval_A {eval_a:.3f}s, {waves_doc.size} nodes)"
     )
 
     # The overlap is real: both waves' evaluations were in flight at
     # once — impossible under the seed's global evaluation lock.
     assert concurrent_service.pool.peak_in_flight >= 2, (
         "the two waves' evaluations never overlapped "
-        f"(peak in flight {concurrent_service.pool.peak_in_flight})"
+        f"(peak in flight {concurrent_service.pool.peak_in_flight}; window "
+        f"{window:.3f}s, eval_A {eval_a:.3f}s, {waves_doc.size} nodes)"
     )
 
     # Answers (ids AND stats) are identical to sequential per-request

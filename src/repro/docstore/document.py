@@ -13,11 +13,11 @@ tenant, lane, wave and algorithm variant that touches the document.  An
 * ``index_for(compressed)`` — the OptHyPE (or OptHyPE-C) index, built
   at most once per variant behind the document's build lock and parked
   on the layout (document → layout → index, one way), where runs read
-  its mask column; the tree is swept for the first variant only (the
+  its mask column; only the first variant is swept or loaded (the
   second is a conversion of the first's mask column), and when the owning
   :class:`repro.docstore.store.DocumentStore` has a persistent tier
-  (``--doc-dir``), a previously-persisted index is loaded instead of
-  rebuilt and fresh builds are written back.
+  (``--doc-dir``), a previously-persisted record is loaded instead of
+  rebuilt and a fresh build is written back — one record per document.
 
 ``index_for`` is the index-provider protocol of
 :meth:`repro.hype.core.CompiledPlan.for_algorithm`: N concurrent cold
@@ -68,6 +68,8 @@ class IndexedDocument:
         self._content_hash = content_hash
         self.stats = stats if stats is not None else DocStoreStats()
         self.tier = tier
+        #: Which counter a conversion bumps: whatever produced its source.
+        self._provenance = "index_builds"
         # The layout is eager either way; with an addressed document and
         # a persistent tier, a previously-saved binary sidecar replaces
         # the build's tree walk (and fresh builds are written back).
@@ -118,12 +120,14 @@ class IndexedDocument:
         """The OptHyPE(-C) index, built (or tier-loaded) exactly once.
 
         The build lock makes N threads racing a cold document converge
-        on one build per variant and one tree sweep per document (the
-        second variant converts the first); ``stats.index_builds``
-        counts real constructions of either kind, ``stats.index_loads``
-        counts tier rehydrations.  Either way the index is in the
-        layout's label table, is parked on the layout, and carries the
-        freeze it describes.
+        on one build per variant and one tree sweep (or tier read) per
+        document: when the other variant is in memory this one is its
+        conversion, and the tier is not probed.  ``stats.index_builds``
+        counts builds and ``stats.index_loads`` tier rehydrations; a
+        conversion counts as whatever produced its source, and writes
+        nothing (the record the first variant wrote holds both).  Either
+        way the index is in the layout's label table, is parked on the
+        layout, and carries the freeze it describes.
 
         Raises:
             EvaluationError: when the tree was edited and re-frozen
@@ -145,26 +149,25 @@ class IndexedDocument:
                     "document was re-frozen after it was wrapped: rebuild "
                     "its IndexedDocument (its label table may have changed)"
                 )
-            if self.tier is not None:
-                index = self.tier.load(
-                    self.content_hash, compressed, self.layout
-                )
-            if index is None:
-                with span(
-                    "docstore.index_build",
-                    compressed=compressed,
-                    size=self.tree.size,
-                ):
-                    built = indexes.get(not compressed)
-                    if built is not None:
-                        index = other_variant(built)
-                    else:
-                        index = build_index(
-                            self.tree, compressed, self.layout.table
-                        )
-                self.stats.count("index_builds")
+            source = indexes.get(not compressed)
+            if source is not None:
+                index = other_variant(source)
+                self.stats.count(self._provenance)
+            else:
                 if self.tier is not None:
-                    self.tier.save(self.content_hash, compressed, index)
+                    index = self.tier.load(self.content_hash, compressed, self.layout)
+                if index is not None:
+                    self._provenance = "index_loads"
+                else:
+                    with span(
+                        "docstore.index_build",
+                        compressed=compressed,
+                        size=self.tree.size,
+                    ):
+                        index = build_index(self.tree, compressed, self.layout.table)
+                    self.stats.count("index_builds")
+                    if self.tier is not None:
+                        self.tier.save(self.content_hash, compressed, index)
             indexes[compressed] = index
             return index
 

@@ -16,32 +16,36 @@ content-addressed asset instead:
 * every holder of that document shares one columnar layout and one
   OptHyPE index per variant (built exactly once, see
   :meth:`IndexedDocument.index_for`);
-* with a persistent tier (``--doc-dir``), built indexes are serialised
-  to disk — version-tagged, atomically written, validated on load — so
-  a restarted service skips index construction for previously-seen
-  documents just as ``--plan-dir`` lets it skip the MFA rewrite;
+* with a persistent tier (``--doc-dir``), a document's subtree masks
+  are written once — one binary record per document serves both index
+  variants — version-tagged, crc32-sealed, atomically written and
+  validated on load, so a restarted service skips index construction
+  for previously-seen documents just as ``--plan-dir`` lets it skip the
+  MFA rewrite;
 * the columnar :class:`repro.docstore.layout.DocumentLayout` is
   persisted alongside as a **binary, mmap-able sidecar**
-  (``.doclay.bin``: a fixed header + int32 little-endian columns), so a
+  (``.doclay.bin``: a sealed header + int32 little-endian columns), so a
   cold worker that re-parses a known document rehydrates the layout
   tables as zero-copy views over the mapped file instead of re-walking
-  the tree — and never touches a JSON decoder on the hot start path.
+  the tree.
 
 The ``--doc-dir`` tier is a :class:`repro.tier.FileTier` (atomic
 best-effort writes; corruption, version and shape mismatches are counted
 misses — the index or layout is rebuilt and the file overwritten; an
-unwritable disk degrades to memory-only operation, never fails serving;
-validation is structural, so point ``--doc-dir`` only at directories
-writable solely by principals as trusted as the process), and the store
-itself a :class:`repro.tier.SingleFlightLRU` — both disciplines are
-described once, in :mod:`repro.tier`.  :meth:`DocIndexTier.gc` reclaims
-files the current version will never read.
+unwritable disk degrades to memory-only operation, never fails serving),
+and the store itself a :class:`repro.tier.SingleFlightLRU` — both
+disciplines are described once, in :mod:`repro.tier`.  Every record
+carries a crc32 of its bytes, so the directory is not trusted for
+*integrity*: a flipped bit, a torn or a renamed file is a counted
+rebuild, never a wrong answer.  It is still trusted against a writer
+that seals a valid record on purpose — that adversary is out of scope.
+:meth:`DocIndexTier.gc` reclaims files the current version will never
+read.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
+import functools
 import os
 import struct
 import sys
@@ -54,7 +58,6 @@ from ..hype.index import (
     CompressedLabelIndex,
     Index,
     SubtreeLabelIndex,
-    TEXT_BIT_LABEL,
 )
 from ..obs.counters import Counters
 from ..tier import FileTier, SingleFlightLRU
@@ -65,29 +68,42 @@ from .document import IndexedDocument, content_digest
 from .layout import DocumentLayout
 
 #: Version of the persisted document-tier format.  Bump whenever a
-#: payload layout or the index semantics change; old files then simply
+#: record layout or the index semantics change; old files then simply
 #: stop matching (their filename carries the version) and are rebuilt —
 #: :meth:`DocIndexTier.gc` reclaims them.
-#: v2: adds the binary mmap-able layout sidecar (``.doclay.bin``); v1
-#: index files are never looked up again and are swept by ``gc``.
-#: Every file spells out its own label order, so v2 covers both the
-#: first-appearance order older builds wrote and the sorted order fresh
-#: builds write: either loads as the label table of *its* order.
-DOC_FORMAT_VERSION = 2
+#: v3: one sealed binary index record per document (both variants are
+#: one mask column) and a sealed layout sidecar, each crc32-checked; the
+#: v1/v2 gzip-JSON index files and v2 sidecars are never read again and
+#: are swept by ``gc``.
+DOC_FORMAT_VERSION = 3
 
-#: Suffix of index files inside a ``--doc-dir``.
-DOC_INDEX_SUFFIX = ".docidx.json.gz"
+#: Suffix of index records inside a ``--doc-dir``.
+DOC_INDEX_SUFFIX = ".docidx.bin"
 
 #: Suffix of binary document-layout sidecars inside a ``--doc-dir``.
 DOC_LAYOUT_SUFFIX = ".doclay.bin"
 
-#: Magic prefix of a layout sidecar.  The fixed-size header that
-#: follows: format version, the 64-hex-char content-hash echo, then the
-#: node/label/kid counts and the byte length of the label blob — all
-#: little-endian u32, so the column offsets are computable without
-#: reading anything else.
+#: Suffix of the gzip-JSON index files of formats v1/v2: never read,
+#: always swept.
+_RETIRED_INDEX_SUFFIX = ".docidx.json.gz"
+
+# Both kinds share one sealed header, so a record's offsets are
+# computable without reading anything else:
+#
+#   4s magic | u32 version | u32 crc32 of every byte after this field
+#   | 64s content-hash echo | four u32 counts (per kind, below)
+#
+# then the label blob (utf-8, NUL-joined, zero-padded to a 4-byte
+# boundary) and the kind's columns.  A flipped bit anywhere fails the
+# magic, the version or the crc, so a damaged file is a counted rebuild
+# before any count or column of it is read.
+_SEAL = struct.Struct("<4sII")
+_ECHO = struct.Struct("<64s4I")
+_INDEX_MAGIC = b"RDIX"
 _LAYOUT_MAGIC = b"RLAY"
-_LAYOUT_HEADER = struct.Struct("<4sI64s4I")
+
+#: Struct code of a file-local mask id, by its byte width.
+_ID_CODES = {1: "B", 2: "H", 4: "I"}
 
 
 @dataclass
@@ -95,14 +111,18 @@ class DocStoreStats(Counters):
     """Document-tier counters (a point-in-time copy is a snapshot).
 
     ``hits``/``misses`` count in-memory document resolutions (a miss is
-    a parse or adoption); ``index_builds`` counts real OptHyPE index
-    constructions — the number the whole tier exists to minimise —
+    a parse or adoption); ``index_builds`` counts OptHyPE indexes built
+    from the tree — the number the whole tier exists to minimise —
     while ``index_loads``/``index_stores`` count the persistent tier's
-    rehydrations and write-backs, and ``layout_loads``/``layout_stores``
-    the same for the binary layout sidecars.  ``corrupt`` counts on-disk
-    files that failed validation (rebuilt and overwritten), ``errors``
-    counts I/O failures, ``evictions`` counts LRU drops, ``gc_removed``
-    counts files reclaimed by :meth:`DocIndexTier.gc`.
+    rehydrations and write-backs (one record per document), and
+    ``layout_loads``/``layout_stores`` the same for the binary layout
+    sidecars.  A document's second variant is a conversion of its first
+    and counts as whatever produced that one: a build after a build, a
+    load after a load — so a new document counts two builds and a
+    restarted one two loads.  ``corrupt`` counts on-disk files that
+    failed validation (rebuilt and overwritten), ``errors`` counts I/O
+    failures, ``evictions`` counts LRU drops, ``gc_removed`` counts
+    files reclaimed by :meth:`DocIndexTier.gc`.
     """
 
     hits: int = 0
@@ -119,63 +139,56 @@ class DocStoreStats(Counters):
 
 
 class DocIndexTier(FileTier):
-    """The on-disk index tier of one ``--doc-dir`` directory."""
+    """The on-disk tier of one ``--doc-dir`` directory: per document one
+    sealed index record and one sealed layout sidecar."""
 
-    def path_for(self, content_hash: str, compressed: bool) -> Path:
-        """The index file backing one ``(document, variant)`` pair.
+    def path_for(self, content_hash: str) -> Path:
+        """The index record backing one document (both variants).
 
         The filename spells out its key (the content hash is already a
         safe hex string), so operators can audit a directory directly
         and version bumps leave old files visibly stale.
         """
-        variant = "c" if compressed else "u"
-        return self.root / (
-            f"{content_hash}.{variant}.v{DOC_FORMAT_VERSION}{DOC_INDEX_SUFFIX}"
-        )
+        return self.root / f"{content_hash}.v{DOC_FORMAT_VERSION}{DOC_INDEX_SUFFIX}"
 
     def layout_path_for(self, content_hash: str) -> Path:
         """The binary layout sidecar backing one document."""
-        return self.root / (
-            f"{content_hash}.v{DOC_FORMAT_VERSION}{DOC_LAYOUT_SUFFIX}"
-        )
+        return self.root / f"{content_hash}.v{DOC_FORMAT_VERSION}{DOC_LAYOUT_SUFFIX}"
 
     # ------------------------------------------------------------------
     def load(
         self, content_hash: str, compressed: bool, layout: DocumentLayout
     ) -> Index | None:
-        """Rehydrate the persisted index of ``layout``'s document, or
-        ``None`` on any miss.
+        """The persisted index (variant ``compressed``) of ``layout``'s
+        document, or ``None`` on any miss.
 
-        Validation is strict: version, content hash and variant must
-        echo the key, the mask arrays must cover exactly the tree's
-        nodes and name only labels of the layout's table, and the
-        payload must decode.  Any failure counts as ``corrupt`` (the
-        caller rebuilds and the next save overwrites the bad file).  The
-        index is translated into the layout's label table and stamped
-        with the tree's current freeze, like one built from it now.
+        Everything is checked before a column is trusted: the seal
+        (magic, version, crc32), the content-hash echo, the node count
+        against the live tree, the lengths, the labels against the
+        layout's table and the mask / id ranges.  Any failure counts as
+        ``corrupt`` (the caller rebuilds and its save overwrites the bad
+        file).  The index is keyed in the layout's label table and
+        stamped with the tree's current freeze, like one built from it
+        now.
         """
         index = self.read(
-            self.path_for(content_hash, compressed),
+            self.path_for(content_hash),
             "doc-tier.load",
-            lambda raw: _index_from_payload(
-                _index_payload(raw, content_hash, compressed), layout
-            ),
+            lambda raw: _index_from_record(raw, content_hash, compressed, layout),
         )
         if index is not None:
             self.stats.count("index_loads")
         return index
 
     def save(self, content_hash: str, compressed: bool, index: Index) -> bool:
-        """Persist ``index``; whether the write landed."""
-        payload = _index_to_payload(index, content_hash, compressed)
+        """Persist ``index``'s document record; whether the write landed.
+
+        Either variant writes the same bytes (``compressed`` only names
+        the one in hand), so a document needs one save.
+        """
         landed = self.write(
-            self.path_for(content_hash, compressed),
-            gzip.compress(
-                json.dumps(
-                    payload, sort_keys=True, separators=(",", ":")
-                ).encode("utf-8"),
-                mtime=0,
-            ),
+            self.path_for(content_hash),
+            _index_record(index, content_hash),
             "doc-tier.save",
         )
         if landed:
@@ -188,11 +201,11 @@ class DocIndexTier(FileTier):
     ) -> DocumentLayout | None:
         """Rehydrate the binary layout sidecar, or ``None`` on any miss.
 
-        The file is mapped, not read: the integer columns become
-        zero-copy ``memoryview`` casts over the mapping (big-endian
-        hosts fall back to a byte-swapped copy), so a cold worker pays
-        one header validation instead of a tree walk — and no JSON.
-        The mapping stays alive exactly as long as the views into it.
+        The file is mapped, not read: once its seal and header check out,
+        the integer columns become zero-copy ``memoryview`` casts over the
+        mapping (big-endian hosts fall back to a byte-swapped copy), so a
+        cold worker pays one crc pass instead of a tree walk.  The
+        mapping stays alive exactly as long as the views into it.
         """
         layout = self.read(
             self.layout_path_for(content_hash),
@@ -220,162 +233,200 @@ class DocIndexTier(FileTier):
         """Remove tier files the current format will never read.
 
         Sweeps anything under the tier's suffixes that no :meth:`load` /
-        :meth:`load_layout` of the running version could serve: files
-        whose name does not carry the current ``.v{DOC_FORMAT_VERSION}``
-        tag (every pre-bump file), and current-version files that do not
-        decode or do not echo their own name (a renamed, truncated or
-        bit-rotted file) — every check a load makes except the ones that
-        need the live tree.  Unknown files are left alone.  Returns the
-        number removed (also counted in ``stats.gc_removed``).
+        :meth:`load_layout` of the running version could serve: the
+        retired gzip-JSON index files, files whose name does not carry
+        the current ``.v{DOC_FORMAT_VERSION}`` tag (every pre-bump file),
+        and current-version files that fail their seal or do not echo
+        their own name (a renamed, truncated or bit-rotted file) — every
+        check a load makes except the ones that need the live tree.
+        Unknown files are left alone.  Returns the number removed (also
+        counted in ``stats.gc_removed``).
         """
 
         def keep(path: Path, raw: bytes) -> bool:
-            content_hash, variant = path.name.split(".")[:2]
-            if path.name.endswith(DOC_LAYOUT_SUFFIX):
-                if path != self.layout_path_for(content_hash):
-                    return False
+            content_hash = path.name.split(".")[0]
+            if path == self.path_for(content_hash):
+                _index_header(memoryview(raw), content_hash)
+            elif path == self.layout_path_for(content_hash):
                 _layout_header(memoryview(raw), content_hash)
             else:
-                compressed = variant == "c"
-                if path != self.path_for(content_hash, compressed):
-                    return False
-                _index_payload(raw, content_hash, compressed)
+                return False
             return True
 
-        return self.sweep((DOC_INDEX_SUFFIX, DOC_LAYOUT_SUFFIX), keep)
+        return self.sweep(
+            (DOC_INDEX_SUFFIX, DOC_LAYOUT_SUFFIX, _RETIRED_INDEX_SUFFIX), keep
+        )
 
     def __len__(self) -> int:
-        """Number of index files currently in the tier."""
-        return sum(1 for _ in self.root.glob(f"*{DOC_INDEX_SUFFIX}"))
-
-
-def _index_to_payload(
-    index: Index, content_hash: str, compressed: bool
-) -> dict:
-    """The self-describing JSON record of one built index.
-
-    ``bits`` is the label → bit assignment in bit order, so the record
-    can be read into whatever label table the loading document has.  An
-    OptHyPE-C record is self-contained and minimal: this document's
-    distinct masks in first-appearance order and file-local ids — not
-    the table-wide interning the live index is keyed by.
-    """
-    payload = {
-        "doc_format_version": DOC_FORMAT_VERSION,
-        "content_hash": content_hash,
-        "compressed": compressed,
-        "bits": [TEXT_BIT_LABEL, *index.table.labels],
-    }
-    if compressed:
-        local: dict[int, int] = {}
-        payload["ids"] = [
-            local.setdefault(key, len(local)) for key in index.mask_keys
-        ]
-        interned = index.table.masks
-        payload["mask_table"] = [interned[key] for key in local]
-    else:
-        payload["masks"] = list(index.mask_keys)
-    return payload
-
-
-def _index_payload(raw: bytes, content_hash: str, compressed: bool) -> dict:
-    """Decode one index file and check everything that does not need the
-    tree: container, version / hash / variant echo, field types
-    (raises ``ValueError``)."""
-    try:
-        payload = json.loads(gzip.decompress(raw))
-    except (OSError, EOFError, zlib.error) as error:
-        # EOFError: gzip's truncated-stream signal — a half-written or
-        # bit-rotted file must degrade to a counted rebuild.
-        raise ValueError(f"document-index container: {error}") from None
-    if not isinstance(payload, dict):
-        raise ValueError("document-index record must be an object")
-    if payload.get("doc_format_version") != DOC_FORMAT_VERSION:
-        raise ValueError("document-index format version mismatch")
-    if payload.get("content_hash") != content_hash:
-        raise ValueError("document-index content hash mismatch")
-    if payload.get("compressed") is not compressed:
-        raise ValueError("document-index variant mismatch")
-    labels = payload.get("bits")
-    if not isinstance(labels, list) or not all(
-        isinstance(label, str) for label in labels
-    ):
-        raise ValueError("document-index bits must be a list of labels")
-    if len(set(labels)) != len(labels):
-        raise ValueError("document-index bit labels must be unique")
-    for column in ("mask_table", "ids") if compressed else ("masks",):
-        _int_list(payload.get(column))
-    return payload
-
-
-def _index_from_payload(payload: dict, layout: DocumentLayout) -> Index:
-    """The index a checked record describes, in ``layout``'s label
-    table, if it covers the layout's tree (raises ``ValueError``).
-
-    The record's masks are in *its* bit order; one pass over the
-    distinct ones re-expresses them in the table's (the identity for a
-    record written in the table's own order).
-    """
-    tree, table = layout.tree, layout.table
-    try:
-        bits = [table.bit_of[label] for label in payload["bits"]]
-    except KeyError as error:
-        raise ValueError(f"document-index names a foreign label {error}") from None
-    compressed = payload["compressed"]
-    masks = payload["mask_table" if compressed else "masks"]
-    if masks and not 0 <= min(masks) <= max(masks) < 1 << len(bits):
-        raise ValueError("document-index masks name bits the record lacks")
-    if bits != [1 << position for position in range(len(bits))]:
-        moved = {
-            mask: sum(bit for position, bit in enumerate(bits) if mask >> position & 1)
-            for mask in set(masks)
-        }
-        masks = [moved[mask] for mask in masks]
-    ids = payload["ids"] if compressed else masks
-    if len(ids) != tree.size:
-        raise ValueError("document-index mask array does not cover the tree")
-    if not compressed:
-        return SubtreeLabelIndex(table, masks, tree.freeze_count)
-    if ids and not (0 <= min(ids) and max(ids) < len(masks)):
-        raise ValueError("document-index ids point outside the mask table")
-    # File-local ids -> the table-wide ones the live index is keyed by.
-    interned = table.mask_ids(masks)
-    return CompressedLabelIndex(
-        table, [interned[local] for local in ids], tree.freeze_count
-    )
-
-
-def _int_list(values: object) -> list[int]:
-    if not isinstance(values, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) for v in values
-    ):
-        raise ValueError("document-index arrays must hold integers")
-    return values
+        """Number of current-version index records: one per document."""
+        return sum(
+            1 for _ in self.root.glob(f"*.v{DOC_FORMAT_VERSION}{DOC_INDEX_SUFFIX}")
+        )
 
 
 # ----------------------------------------------------------------------
-# Binary layout sidecar codec.  The record is header + label blob +
-# four int32 little-endian columns:
+# The sealed header and the label blob, shared by both kinds.
+
+
+def _seal(magic: bytes, content_hash: str, counts: tuple, parts: list) -> bytes:
+    """One record: the sealed header over ``counts`` and the body
+    ``parts``, the crc32 covering everything after its own field."""
+    parts = [_ECHO.pack(content_hash.encode("ascii"), *counts), *parts]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([_SEAL.pack(magic, DOC_FORMAT_VERSION, crc), *parts])
+
+
+def _unseal(view: memoryview, magic: bytes, content_hash: str) -> list[int]:
+    """Check one record's seal and key echo (raises ``ValueError``);
+    its four counts."""
+    if len(view) < _SEAL.size + _ECHO.size:
+        raise ValueError("document-tier record is truncated")
+    found, version, crc = _SEAL.unpack_from(view)
+    if found != magic:
+        raise ValueError("document-tier record magic mismatch")
+    if version != DOC_FORMAT_VERSION:
+        raise ValueError("document-tier record format version mismatch")
+    if zlib.crc32(view[_SEAL.size :]) != crc:
+        raise ValueError("document-tier record checksum mismatch")
+    echo, *counts = _ECHO.unpack_from(view, _SEAL.size)
+    if echo != content_hash.encode("ascii"):
+        raise ValueError("document-tier record content hash mismatch")
+    return counts
+
+
+def _label_blob(labels) -> tuple[int, bytes]:
+    """The labels NUL-joined in utf-8: the blob's length (the header's)
+    and its bytes zero-padded to a 4-byte boundary (the body's)."""
+    blob = "\x00".join(labels).encode("utf-8")
+    return len(blob), blob + b"\x00" * (-len(blob) % 4)
+
+
+def _blob_labels(view: memoryview, blob_len: int) -> tuple[list[str], int]:
+    """The record's labels and the offset of its first column."""
+    start = _SEAL.size + _ECHO.size
+    blob = bytes(view[start : start + blob_len])
+    try:
+        labels = blob.decode("utf-8").split("\x00") if blob else []
+    except UnicodeDecodeError:
+        raise ValueError("document-tier label blob is not utf-8") from None
+    if len(set(labels)) != len(labels):
+        raise ValueError("document-tier labels must be unique")
+    return labels, start + blob_len + (-blob_len % 4)
+
+
+# ----------------------------------------------------------------------
+# Index record codec.  Header counts: nodes, label-blob length, distinct
+# masks, id width.  Body: the label blob in the table's bit order
+# (label ``labels[i]`` is bit ``2 << i``, text bit 0), the document's
+# distinct masks in first-appearance order (``(len(labels) + 8) // 8``
+# bytes each, little-endian), one file-local mask id per node (u8 / u16
+# / u32 by the mask count; stored raw, so a record's bytes do not depend
+# on the zlib build).  Both variants are this one column: the
+# plain index looks the ids up in the masks, OptHyPE-C in their
+# table-wide interning.
+
+
+def _index_record(index: Index, content_hash: str) -> bytes:
+    """The sealed record of ``index``'s document — the same bytes for
+    either variant, whatever the shared table interned before."""
+    keys = index.mask_keys
+    distinct = list(dict.fromkeys(keys))
+    local = dict(zip(distinct, range(len(distinct))))
+    if index.compressed:
+        interned = index.table.masks
+        distinct = [interned[key] for key in distinct]
+    labels = index.table.labels
+    mask_width = (len(labels) + 8) // 8
+    width = 1 if len(distinct) <= 1 << 8 else 2 if len(distinct) <= 1 << 16 else 4
+    blob_len, blob = _label_blob(labels)
+    return _seal(
+        _INDEX_MAGIC,
+        content_hash,
+        (len(keys), blob_len, len(distinct), width),
+        [
+            blob,
+            b"".join(mask.to_bytes(mask_width, "little") for mask in distinct),
+            struct.pack(f"<{len(keys)}{_ID_CODES[width]}", *map(local.__getitem__, keys)),
+        ],
+    )
+
+
+def _index_header(view: memoryview, content_hash: str) -> tuple:
+    """Validate one record against its name and its own length —
+    everything that does not need the tree (raises ``ValueError``).
+    Returns ``(num_nodes, labels, masks, ids)``: ``ids`` the file-local
+    mask id per node, each below ``len(masks)``."""
+    num_nodes, blob_len, count, width = _unseal(view, _INDEX_MAGIC, content_hash)
+    code = _ID_CODES.get(width)
+    if code is None:
+        raise ValueError("document-index id width is not 1, 2 or 4")
+    labels, offset = _blob_labels(view, blob_len)
+    mask_width = (len(labels) + 8) // 8
+    ids_at = offset + count * mask_width
+    if len(view) != ids_at + num_nodes * width:
+        raise ValueError("document-index column lengths do not match header")
+    masks = [
+        int.from_bytes(view[at : at + mask_width], "little")
+        for at in range(offset, ids_at, mask_width)
+    ]
+    if any(mask >> (len(labels) + 1) for mask in masks):
+        raise ValueError("document-index masks name bits the record lacks")
+    ids = struct.unpack_from(f"<{num_nodes}{code}", view, ids_at)
+    if ids and max(ids) >= count:
+        raise ValueError("document-index ids point outside the mask table")
+    return num_nodes, labels, masks, ids
+
+
+def _index_from_record(
+    raw: bytes, content_hash: str, compressed: bool, layout: DocumentLayout
+) -> Index:
+    """The variant ``compressed`` of the index a record describes, if it
+    covers ``layout``'s tree in ``layout``'s label table (raises
+    ``ValueError``).
+
+    A record is written in its document's table, and a document's table
+    is the same in every process (sorted labels, or the sidecar's order,
+    which is the same): a record in another label order is not this
+    document's.
+    """
+    tree, table = layout.tree, layout.table
+    num_nodes, labels, masks, ids = _index_header(memoryview(raw), content_hash)
+    if num_nodes != tree.size:
+        raise ValueError("document-index record does not cover the tree")
+    if tuple(labels) != table.labels:
+        raise ValueError("document-index labels are not the document's table")
+    if compressed:
+        # File-local ids -> the table-wide ones the live index is keyed by.
+        interned = table.mask_ids(masks)
+        return CompressedLabelIndex(
+            table, [interned[local] for local in ids], tree.freeze_count
+        )
+    return SubtreeLabelIndex(table, [masks[local] for local in ids], tree.freeze_count)
+
+
+# ----------------------------------------------------------------------
+# Binary layout sidecar codec.  Header counts: nodes, labels, kids,
+# label-blob length.  Body: the label blob, then four int32
+# little-endian columns:
 #
-#   RLAY | u32 version | 64s content-hash | u32 num_nodes
-#        | u32 num_labels | u32 num_kids | u32 label-blob length
-#   labels blob (utf-8, NUL-joined, zero-padded to a 4-byte boundary)
 #   node_label[num_nodes]  kid_ids[num_kids]  kid_labels[num_kids]
 #   kid_start[num_nodes + 1]
 #
-# Fixed offsets and int32 columns make the load a handful of pointer
-# arithmetic operations over an mmap — the whole point of the format.
+# Fixed offsets and int32 columns make the load a crc pass plus a
+# handful of pointer arithmetic operations over an mmap — the whole
+# point of the format.
+
+
+@functools.lru_cache(maxsize=64)
+def _int32s(count: int) -> struct.Struct:
+    return struct.Struct(f"<{count}i")
 
 
 def _int32_bytes(values) -> bytes:
     """``values`` as int32 little-endian bytes (host-order agnostic)."""
-    column = array("i", values)
-    if column.itemsize != 4:  # pragma: no cover - exotic platforms
-        column = array("l", values)
-        assert column.itemsize == 4
-    if sys.byteorder == "big":  # pragma: no cover - big-endian hosts
-        column.byteswap()
-    return column.tobytes()
+    return _int32s(len(values)).pack(*values)
 
 
 def _int32_column(view: memoryview, offset: int, count: int):
@@ -390,59 +441,34 @@ def _int32_column(view: memoryview, offset: int, count: int):
 
 
 def _layout_to_bytes(layout: DocumentLayout, content_hash: str) -> bytes:
-    """Serialise one built layout into the binary sidecar record."""
-    blob = "\x00".join(layout.labels).encode("utf-8")
-    padding = -len(blob) % 4
-    num_nodes = len(layout.node_label)
-    parts = [
-        _LAYOUT_HEADER.pack(
-            _LAYOUT_MAGIC,
-            DOC_FORMAT_VERSION,
-            content_hash.encode("ascii"),
-            num_nodes,
-            len(layout.labels),
-            len(layout.kid_ids),
-            len(blob),
-        ),
-        blob,
-        b"\x00" * padding,
-        _int32_bytes(layout.node_label),
-        _int32_bytes(layout.kid_ids),
-        _int32_bytes(layout.kid_labels),
-        _int32_bytes(layout.kid_start),
-    ]
-    return b"".join(parts)
+    """Serialise one built layout into the sealed sidecar record."""
+    blob_len, blob = _label_blob(layout.labels)
+    return _seal(
+        _LAYOUT_MAGIC,
+        content_hash,
+        (len(layout.node_label), len(layout.labels), len(layout.kid_ids), blob_len),
+        [
+            blob,
+            _int32_bytes(layout.node_label),
+            _int32_bytes(layout.kid_ids),
+            _int32_bytes(layout.kid_labels),
+            _int32_bytes(layout.kid_start),
+        ],
+    )
 
 
 def _layout_header(view: memoryview, content_hash: str) -> tuple:
-    """Validate one sidecar's header against its name and its own length
-    — everything that does not need the tree (raises ``ValueError``).
+    """Validate one sidecar against its name and its own length —
+    everything that does not need the tree (raises ``ValueError``).
     Returns ``(num_nodes, num_kids, labels, first column offset)``."""
-    if len(view) < _LAYOUT_HEADER.size:
-        raise ValueError("document-layout sidecar is truncated")
-    (
-        magic,
-        version,
-        hash_bytes,
-        num_nodes,
-        num_labels,
-        num_kids,
-        blob_len,
-    ) = _LAYOUT_HEADER.unpack_from(view, 0)
-    if magic != _LAYOUT_MAGIC:
-        raise ValueError("document-layout magic mismatch")
-    if version != DOC_FORMAT_VERSION:
-        raise ValueError("document-layout format version mismatch")
-    if hash_bytes != content_hash.encode("ascii"):
-        raise ValueError("document-layout content hash mismatch")
-    offset = _LAYOUT_HEADER.size + blob_len + (-blob_len % 4)
-    expected = offset + 4 * (num_nodes + 2 * num_kids + num_nodes + 1)
-    if len(view) != expected:
-        raise ValueError("document-layout column lengths do not match header")
-    blob = bytes(view[_LAYOUT_HEADER.size : _LAYOUT_HEADER.size + blob_len])
-    labels = blob.decode("utf-8").split("\x00") if blob else []
-    if len(labels) != num_labels or len(set(labels)) != num_labels:
+    num_nodes, num_labels, num_kids, blob_len = _unseal(
+        view, _LAYOUT_MAGIC, content_hash
+    )
+    labels, offset = _blob_labels(view, blob_len)
+    if len(labels) != num_labels:
         raise ValueError("document-layout label table is malformed")
+    if len(view) != offset + 4 * (2 * num_nodes + 2 * num_kids + 1):
+        raise ValueError("document-layout column lengths do not match header")
     return num_nodes, num_kids, labels, offset
 
 
@@ -451,11 +477,9 @@ def _layout_from_buffer(
 ) -> DocumentLayout:
     """Decode and validate one sidecar (raises ``ValueError``).
 
-    Validation is structural and O(1) in the document size: the header
-    (:func:`_layout_header`), the node count against the live tree and
-    the span-table endpoints.  The columns themselves are trusted — same
-    boundary as the index records (a ``--doc-dir`` is as trusted as the
-    process).
+    The seal and header (:func:`_layout_header`), the node count against
+    the live tree and the span-table endpoints are checked; the columns
+    are then read as written — the crc32 has vouched for every byte.
     """
     view = memoryview(buf)
     num_nodes, num_kids, labels, offset = _layout_header(view, content_hash)

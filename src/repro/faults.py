@@ -12,9 +12,12 @@ point                           seam
 ``plan-store.save``             ``PlanStore.save`` — I/O delay, write failure
                                 (``drop``)
 ``doc-tier.load``               :meth:`repro.docstore.store.DocIndexTier.load`
-                                — I/O delay, index corruption
-``doc-tier.save``               ``DocIndexTier.save`` — write failure
-``doc-tier.load-layout``        ``DocIndexTier.load_layout`` — as ``load``
+                                — I/O delay, corruption of a document's one
+                                index record (both variants)
+``doc-tier.save``               ``DocIndexTier.save`` — write failure (the
+                                record is written once, by the first variant)
+``doc-tier.load-layout``        ``DocIndexTier.load_layout`` — as ``load``,
+                                for the layout sidecar
 ``doc-tier.save-layout``        ``DocIndexTier.save_layout`` — as ``save``
 ``worker.message``              every request line a frontend (so every fleet
                                 worker) dispatches (:meth:`repro.serve.

@@ -168,10 +168,14 @@ class FileTier:
       a failed write removes its temporary, counts ``errors`` and
       returns ``False``.  No fsync: a crash may lose a file, never
       expose a torn one, and a lost file is a rebuild.
-    * **Validation is structural, not cryptographic** — the trust
-      boundary: a well-formed file placed under the right name *will* be
-      served, so the directory must be writable only by principals as
-      trusted as the process itself.
+    * **Integrity is the owner's codec's.**  The document tier seals
+      every record with a crc32 its decoder checks first, so a flipped
+      bit, a torn or a renamed file there is a counted ``corrupt``;
+      plan artifacts are still checked structurally only, so a
+      well-formed artifact under the right name *will* be served and
+      ``--plan-dir`` must be writable only by principals as trusted as
+      the process itself.  Neither check is cryptographic: a writer who
+      seals a valid record on purpose is out of scope for both.
 
     ``stats`` is the owner's counter block and must declare ``errors``,
     ``corrupt`` and ``gc_removed``.

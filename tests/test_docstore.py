@@ -11,9 +11,7 @@ The acceptance properties of the document tier:
   counted rebuild — never a crash, never a wrong index.
 """
 
-import gzip
 import hashlib
-import json
 import shutil
 import threading
 from pathlib import Path
@@ -27,6 +25,7 @@ from repro.docstore import (
     TEXT_ID,
     content_digest,
 )
+from repro.docstore import store as store_module
 from repro.hype.api import ALGORITHMS
 from repro.hype.index import build_index
 from repro.serve.cache import PlanCache
@@ -44,6 +43,33 @@ def hospital_tree():
 @pytest.fixture()
 def hospital_xml(hospital_tree):
     return serialize(hospital_tree)
+
+
+def read_record(path, content_hash) -> dict:
+    """The fields of one v3 index record (its seal checked)."""
+    _nodes, labels, masks, ids = store_module._index_header(
+        memoryview(path.read_bytes()), content_hash
+    )
+    return {"labels": labels, "masks": masks, "ids": list(ids)}
+
+
+def write_record(path, content_hash, labels, masks, ids) -> None:
+    """Seal a (possibly tampered) record the way the tier does — the
+    structural checks behind the crc, exercised by a well-sealed file."""
+    blob_len, blob = store_module._label_blob(labels)
+    mask_width = (len(labels) + 8) // 8
+    path.write_bytes(
+        store_module._seal(
+            store_module._INDEX_MAGIC,
+            content_hash,
+            (len(ids), blob_len, len(masks), 1),
+            [
+                blob,
+                b"".join(mask.to_bytes(mask_width, "little") for mask in masks),
+                bytes(ids),
+            ],
+        )
+    )
 
 
 class TestDocumentLayout:
@@ -296,8 +322,8 @@ class TestPersistentTier:
         cold = DocumentStore(index_dir=tmp_path / "docs")
         doc = cold.get(hospital_xml)
         doc.index_for(True)
-        path = cold.tier.path_for(doc.content_hash, True)
-        path.write_bytes(b"\x00 not gzip \x00")
+        path = cold.tier.path_for(doc.content_hash)
+        path.write_bytes(b"\x00 not a record \x00")
 
         warm = DocumentStore(index_dir=tmp_path / "docs")
         warm.get(hospital_xml).index_for(True)
@@ -305,59 +331,72 @@ class TestPersistentTier:
         assert warm.stats.index_builds == 1  # rebuilt
         assert warm.stats.index_stores == 1  # and overwritten
 
-    def test_tampered_payload_is_rejected(self, tmp_path, hospital_xml):
-        cold = DocumentStore(index_dir=tmp_path / "docs")
-        doc = cold.get(hospital_xml)
-        doc.index_for(False)
-        path = cold.tier.path_for(doc.content_hash, False)
-        payload = json.loads(gzip.decompress(path.read_bytes()))
-        payload["masks"] = payload["masks"][:-1]  # no longer covers the tree
-        path.write_bytes(gzip.compress(json.dumps(payload).encode()))
-
-        warm = DocumentStore(index_dir=tmp_path / "docs")
-        warm.get(hospital_xml).index_for(False)
-        assert warm.stats.corrupt == 1 and warm.stats.index_builds == 1
-
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda record: record["bits"].__setitem__(1, "no-such-label"),
-            lambda record: record["masks"].__setitem__(0, 1 << len(record["bits"])),
-            lambda record: record["masks"].__setitem__(0, -1),
+            # no longer covers the tree
+            lambda record: record["ids"].pop(),
+            # a label the loading table lacks
+            lambda record: record["labels"].__setitem__(0, "no-such-label"),
+            # a mask naming a bit the record does not declare
+            lambda record: record["masks"].__setitem__(
+                0, (1 << 8 * ((len(record["labels"]) + 8) // 8)) - 1
+            ),
+            # an id outside the mask table
+            lambda record: record["ids"].__setitem__(0, len(record["masks"])),
         ],
+        ids=["short", "foreign-label", "foreign-bit", "foreign-id"],
     )
-    def test_a_record_outside_the_label_table_is_rejected(
+    def test_a_sealed_record_that_does_not_fit_is_rejected(
         self, tmp_path, hospital_xml, tamper
     ):
-        """A record is read into the loading document's label table: a
-        label that table lacks, or a mask naming a bit the record does
-        not declare, is a counted rebuild — not a junk mask interned
-        into a table other documents share."""
+        """Behind the crc, a record is still read into the loading
+        document's tree and label table: one that does not cover the
+        tree, names a label the table lacks or a bit the record does not
+        declare, or points outside its own mask table is a counted
+        rebuild — not a junk mask interned into a table other documents
+        share."""
         cold = DocumentStore(index_dir=tmp_path / "docs")
         doc = cold.get(hospital_xml)
         doc.index_for(False)
-        path = cold.tier.path_for(doc.content_hash, False)
-        record = json.loads(gzip.decompress(path.read_bytes()))
+        path = cold.tier.path_for(doc.content_hash)
+        record = read_record(path, doc.content_hash)
+        assert (len(record["labels"]) + 1) % 8  # spare bits for "foreign-bit"
         tamper(record)
-        path.write_bytes(gzip.compress(json.dumps(record).encode()))
+        write_record(path, doc.content_hash, **record)
 
         warm = DocumentStore(index_dir=tmp_path / "docs")
-        rebuilt = warm.get(hospital_xml).index_for(False)
+        rebuilt = warm.get(hospital_xml).index_for(True)
         assert warm.stats.corrupt == 1 and warm.stats.index_builds == 1
-        assert rebuilt.masks == doc.index_for(False).masks
+        assert rebuilt.masks == doc.index_for(True).masks
+        width = len(rebuilt.table.labels) + 1
+        assert not any(mask >> width for mask in rebuilt.table.masks)
 
-    def test_truncated_gzip_index_is_a_counted_miss(
+    def test_a_resealed_record_loads(self, tmp_path, hospital_xml):
+        """The helpers above round-trip: an untampered record resealed
+        by them loads with no build."""
+        cold = DocumentStore(index_dir=tmp_path / "docs")
+        doc = cold.get(hospital_xml)
+        doc.index_for(False)
+        path = cold.tier.path_for(doc.content_hash)
+        raw = path.read_bytes()
+        write_record(path, doc.content_hash, **read_record(path, doc.content_hash))
+        assert path.read_bytes() == raw
+        warm = DocumentStore(index_dir=tmp_path / "docs")
+        assert warm.get(hospital_xml).index_for(False).masks == doc.index_for(False).masks
+        assert (warm.stats.index_loads, warm.stats.corrupt) == (1, 0)
+
+    def test_truncated_index_record_is_a_counted_miss(
         self, tmp_path, hospital_xml
     ):
-        """Regression: a half-written .docidx.json.gz raises EOFError
-        inside gzip — it must degrade to a counted rebuild, never crash
-        serving."""
+        """A half-written record (valid magic, cut body) degrades to a
+        counted rebuild, never crashes serving."""
         cold = DocumentStore(index_dir=tmp_path / "docs")
         doc = cold.get(hospital_xml)
         doc.index_for(True)
-        path = cold.tier.path_for(doc.content_hash, True)
+        path = cold.tier.path_for(doc.content_hash)
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])  # valid magic, truncated body
+        path.write_bytes(raw[: len(raw) // 2])
 
         warm = DocumentStore(index_dir=tmp_path / "docs")
         index = warm.get(hospital_xml).index_for(True)
@@ -371,8 +410,8 @@ class TestPersistentTier:
         doc.index_for(True)
         other_xml = "<hospital><department/></hospital>"
         other_hash = content_digest(other_xml)
-        source = cold.tier.path_for(doc.content_hash, True)
-        target = cold.tier.path_for(other_hash, True)
+        source = cold.tier.path_for(doc.content_hash)
+        target = cold.tier.path_for(other_hash)
         target.write_bytes(source.read_bytes())
 
         warm = DocumentStore(index_dir=tmp_path / "docs")
@@ -490,17 +529,15 @@ class TestPersistentTier:
 class TestPersistedBytes:
     """Golden: what a ``--doc-dir`` holds for one fixed document.
 
-    ``FILES`` pins what a fresh build writes (labels in sorted order,
-    the text marker on bit 0: the canonical form every document of one
-    label set shares a table through); ``tests/golden/doctier_v2`` keeps
-    the three files the commit before the label table wrote for the same
-    document (first-appearance label ids, bits in reverse document
-    order), which must stay loadable: the formats spell out their own
-    label order, so v2 covers both.  A change that stops reading either
-    orphans deployed tiers (and needs a ``DOC_FORMAT_VERSION`` bump).
-    Index files are hashed over their gunzipped JSON record — the gzip
-    container's header bytes vary across zlib / Python versions, the
-    record does not.
+    ``FILES`` pins what a fresh build writes — one sealed index record
+    and one sealed layout sidecar, labels in sorted order with the text
+    marker on bit 0 (the canonical form every document of one label set
+    shares a table through) — hashed over their raw bytes.  A change
+    that alters them orphans deployed tiers (and needs a
+    ``DOC_FORMAT_VERSION`` bump).  ``tests/golden/doctier_v2`` keeps the
+    three files format v2 wrote for the same document (two gzip-JSON
+    index files, one unsealed sidecar): v3 never reads them, a boot over
+    them rebuilds, and ``gc`` sweeps them.
     """
 
     XML = (
@@ -513,31 +550,27 @@ class TestPersistedBytes:
     )
     ADDRESS = "824514870acf0a7a01141e5fc7113146ecba1b0cc928bac48538f9fad2ab17a6"
     FILES = {
-        ".u.v2.docidx.json.gz": "44daf7e5b92e9a62569cd8a846dafe7e33698d095a13853e9819408624d265e3",
-        ".c.v2.docidx.json.gz": "00b2685264722a18ebf2a3f6543e512160223100fe0a9d3ee361a0c4e95ff732",
-        ".v2.doclay.bin": "c3210a005c6f06bc7287a6d0f1ee93edce596c8a3b3edf56a981100ea40988db",
+        ".v3.docidx.bin": "c5c6569d9c1129e21810d558b8e05c827d3bedd0d9981ea429b5fc69ffdb1ee1",
+        ".v3.doclay.bin": "20aec479e23b0992308d1ed3a0f4974a241d0a8a446ddd68eaad79f87c6ad24d",
     }
-    #: The same three files as the parent commit wrote them.
-    PARENT_FILES = {
-        ".u.v2.docidx.json.gz": "92b40fa5ace613ec9c949678c9352ba6c05a67bcb9cfcdebb353b30a2d28058e",
-        ".c.v2.docidx.json.gz": "45d55907adb5fcf0197ee02d32415ddbba139cf21c14ef260175f8f2a7c2fac4",
+    #: The fixture files as format v2 wrote them.
+    V2_FILES = {
+        ".u.v2.docidx.json.gz": "4ff648ee71182dbe6ab288ce71c400b907fc6d84ee019bbc3642ae086de2934f",
+        ".c.v2.docidx.json.gz": "64a1b5151aada7fec9632a02c5dc2d5097984836b278317cbf210cfd6e056b61",
         ".v2.doclay.bin": "3c88e6430cf05b226300367e1bf8131eca91c8db374d1271dd47d5282ee714d6",
     }
     FIXTURES = Path(__file__).parent / "golden" / "doctier_v2"
 
     @staticmethod
     def _digests(directory) -> dict:
-        found = {}
-        for path in directory.iterdir():
-            raw = path.read_bytes()
-            if path.name.endswith(".gz"):
-                raw = gzip.decompress(raw)
-            found[path.name[64:]] = hashlib.sha256(raw).hexdigest()
-        return found
+        return {
+            path.name[64:]: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in directory.iterdir()
+        }
 
     @pytest.mark.parametrize("order", [(False, True), (True, False)])
     def test_address_and_tier_files_are_pinned(self, tmp_path, order):
-        assert DOC_FORMAT_VERSION == 2
+        assert DOC_FORMAT_VERSION == 3
         doc = DocumentStore(index_dir=tmp_path).get(self.XML)
         for compressed in order:
             doc.index_for(compressed)
@@ -545,9 +578,9 @@ class TestPersistedBytes:
         assert self._digests(tmp_path) == self.FILES
 
     def test_a_record_is_the_same_whatever_the_table_saw_first(self, tmp_path):
-        """An OptHyPE-C record carries its own distinct masks and
-        file-local ids, not the table-wide interning: the bytes do not
-        depend on which documents filled the shared table before."""
+        """A record carries its document's distinct masks and file-local
+        ids, not the table-wide interning: the bytes do not depend on
+        which documents filled the shared table before."""
         crowd = DocumentStore().get(
             "<hospital><patient><visit><treatment/><date>1</date></visit>"
             "<name>n</name></patient></hospital>"
@@ -559,11 +592,12 @@ class TestPersistedBytes:
         doc.index_for(False)
         assert self._digests(tmp_path) == self.FILES
 
-    def test_parent_written_files_still_load(self, tmp_path):
-        """First-appearance files load as the table of *their* order —
-        no build, nothing counted corrupt, no column remapped — and
-        answer (and prune) exactly like a fresh canonical build."""
-        assert self._digests(self.FIXTURES) == self.PARENT_FILES
+    def test_v2_files_are_never_read_rebuilt_and_swept(self, tmp_path):
+        """A boot over a v2 directory reads none of its files — nothing
+        loaded, nothing counted corrupt — builds, writes the v3 pair and
+        answers (and prunes) exactly like a fresh build; ``gc`` then
+        sweeps the three v2 files and keeps the v3 pair."""
+        assert self._digests(self.FIXTURES) == self.V2_FILES
         shutil.copytree(self.FIXTURES, tmp_path / "old")
         old_store = DocumentStore(index_dir=tmp_path / "old")
         old, new = old_store.get(self.XML), DocumentStore().get(self.XML)
@@ -575,30 +609,24 @@ class TestPersistedBytes:
                 )
                 for doc in (old, new)
             ]
-            assert [n.node_id for n in results[0].answers] == [
-                n.node_id for n in results[1].answers
-            ]
-            assert results[0].answers and results[0].stats == results[1].stats
+            assert results[0].ids == results[1].ids and results[0].ids
+            assert results[0].stats == results[1].stats
         stats = old_store.snapshot_stats()
-        assert (stats.index_builds, stats.corrupt, stats.errors) == (0, 0, 0)
-        assert (stats.index_loads, stats.layout_loads) == (2, 1)
-        assert old.layout.labels == (
-            "hospital", "patient", "name", "visit", "date", "treatment"
-        )
-        assert old.layout.table is not new.layout.table
-        assert isinstance(old.layout.node_label, memoryview)  # still zero-copy
-        for compressed in (False, True):
-            assert old.index_for(compressed).table is old.layout.table
-            # Same label sets per node, expressed in each table's bits.
-            assert [
-                {label for label, bit in doc.layout.table.bit_of.items() if mask & bit}
-                for doc in (old, new)
-                for mask in doc.index_for(compressed).masks
-            ][: old.size] == [
-                {label for label, bit in new.layout.table.bit_of.items() if mask & bit}
-                for mask in new.index_for(compressed).masks
-            ]
-        assert self._digests(tmp_path / "old") == self.PARENT_FILES  # untouched
+        assert (stats.index_loads, stats.layout_loads) == (0, 0)
+        assert (stats.corrupt, stats.errors) == (0, 0)
+        assert (stats.index_builds, stats.index_stores, stats.layout_stores) == (2, 1, 1)
+        assert old.layout.table is new.layout.table
+        assert self._digests(tmp_path / "old") == {**self.V2_FILES, **self.FILES}
+
+        assert old_store.tier.gc() == 3
+        assert old_store.snapshot_stats().gc_removed == 3
+        assert self._digests(tmp_path / "old") == self.FILES
+        reloaded_store = DocumentStore(index_dir=tmp_path / "old")
+        reloaded = reloaded_store.get(self.XML)
+        assert reloaded.index_for(True).mask_keys == new.index_for(True).mask_keys
+        assert isinstance(reloaded.layout.node_label, memoryview)  # zero-copy
+        stats = reloaded_store.snapshot_stats()
+        assert (stats.index_builds, stats.index_loads, stats.layout_loads) == (0, 1, 1)
 
 
 class TestTierGC:
@@ -606,7 +634,7 @@ class TestTierGC:
         store = DocumentStore(index_dir=tmp_path / "docs")
         doc = store.get(hospital_xml)
         doc.index_for(True)
-        live_index = store.tier.path_for(doc.content_hash, True)
+        live_index = store.tier.path_for(doc.content_hash)
         live_layout = store.tier.layout_path_for(doc.content_hash)
 
         root = store.tier.root
@@ -614,6 +642,9 @@ class TestTierGC:
         v1_index.write_bytes(b"x")
         v1_layout = root / ("b" * 64 + ".v1.doclay.bin")
         v1_layout.write_bytes(b"x")
+        # A v2 index file under the live document's own hash.
+        v2_index = root / (doc.content_hash + ".u.v2.docidx.json.gz")
+        v2_index.write_bytes(b"x")
         # Current-version name but the header echoes a different hash.
         renamed = root / ("c" * 64 + f".v{DOC_FORMAT_VERSION}.doclay.bin")
         renamed.write_bytes(live_layout.read_bytes())
@@ -621,10 +652,11 @@ class TestTierGC:
         unknown.write_text("not ours")
 
         removed = store.tier.gc()
-        assert removed == 3
-        assert store.stats.gc_removed == 3
+        assert removed == 4
+        assert store.stats.gc_removed == 4
         assert live_index.exists() and live_layout.exists()
         assert not v1_index.exists() and not v1_layout.exists()
+        assert not v2_index.exists()
         assert not renamed.exists()
         assert unknown.exists()  # foreign files are left alone
 
@@ -661,3 +693,136 @@ class TestLoadedIndexEquivalence:
         b = CompiledPlan(mfa, index=loaded).run(tree.root)
         assert a.answers == b.answers
         assert a.stats == b.stats
+
+
+class TestCorruptionProperty:
+    """The doc tier's half of the corruption property: one bit flipped
+    anywhere in a v3 index record or layout sidecar — header, hash echo,
+    label blob, mask table, id column, each int32 column, the crc — and
+    all three algorithms either answer exactly as a fresh build or count
+    the file ``corrupt`` and rebuild it.  No exception, no silently
+    different answer.  ``test_kid_labels_low_bits`` is the experiment
+    that gave 22 silent differences over 84 positions with the unsealed
+    v2 sidecar."""
+
+    XML = serialize(generate_hospital_document(HospitalConfig(num_patients=4, seed=7)))
+    QUERIES = (
+        "//patient[.//diagnosis/text() = 'heart disease']",
+        "//doctor/specialty",
+        "//patient[visit/treatment]/pname",
+    )
+
+    @pytest.fixture(scope="class")
+    def setting(self, tmp_path_factory):
+        plans = [PlanCache(8).plan(None, query) for query in self.QUERIES]
+        pristine = tmp_path_factory.mktemp("pristine")
+        doc = DocumentStore(index_dir=pristine).get(self.XML)
+        reference = self.answers(plans, doc)
+        assert all(ids for ids, _stats in reference)
+        files = {
+            "index": doc.tier.path_for(doc.content_hash).read_bytes(),
+            "layout": doc.tier.layout_path_for(doc.content_hash).read_bytes(),
+        }
+        return plans, reference, doc.content_hash, files
+
+    @staticmethod
+    def answers(plans, doc) -> list:
+        found = []
+        for algorithm in ALGORITHMS:
+            for cached in plans:
+                result = cached.compiled(algorithm, doc.tree, doc).run(
+                    0, layout=doc.layout
+                )
+                found.append((result.ids, result.stats))
+        return found
+
+    @staticmethod
+    def regions(kind: str, raw: bytes, content_hash: str) -> dict:
+        """Byte ranges of every region of one record, from its header."""
+        header = store_module._SEAL.size + store_module._ECHO.size
+        regions = {
+            "magic": (0, 4),
+            "version": (4, 8),
+            "crc": (8, 12),
+            "hash-echo": (12, 76),
+            "counts": (76, header),
+        }
+        view = memoryview(raw)
+        if kind == "index":
+            _nodes, labels, masks, _ids = store_module._index_header(
+                view, content_hash
+            )
+            blob_len = len("\x00".join(labels).encode())
+            blob_end = header + blob_len + -blob_len % 4
+            ids_at = blob_end + len(masks) * ((len(labels) + 8) // 8)
+            return {
+                **regions,
+                "label-blob": (header, blob_end),
+                "mask-table": (blob_end, ids_at),
+                "id-column": (ids_at, len(raw)),
+            }
+        num_nodes, num_kids, _labels, at = store_module._layout_header(
+            view, content_hash
+        )
+        regions["label-blob"] = (header, at)
+        for name, count in (
+            ("node_label", num_nodes),
+            ("kid_ids", num_kids),
+            ("kid_labels", num_kids),
+            ("kid_start", num_nodes + 1),
+        ):
+            regions[name] = (at, at + 4 * count)
+            at += 4 * count
+        return regions
+
+    def outcome(self, setting, tmp_path, kind: str, position: int, bit: int) -> str:
+        plans, reference, content_hash, files = setting
+        flipped = bytearray(files[kind])
+        flipped[position] ^= 1 << bit
+        tier = DocumentStore(index_dir=tmp_path).tier
+        for name, raw in files.items():
+            path = (
+                tier.path_for(content_hash)
+                if name == "index"
+                else tier.layout_path_for(content_hash)
+            )
+            path.write_bytes(bytes(flipped) if name == kind else raw)
+        store = DocumentStore(index_dir=tmp_path)
+        same = self.answers(plans, store.get(self.XML)) == reference
+        stats = store.snapshot_stats()
+        rebuilt = (
+            stats.index_builds == 2 and stats.index_stores == 1
+            if kind == "index"
+            else stats.layout_stores == 1
+        )
+        if same and stats.corrupt == 0:
+            return "identical"
+        if same and stats.corrupt == 1 and rebuilt:
+            return "corrupt+rebuild"
+        return f"silent difference or unaccounted damage: {stats}"
+
+    @pytest.mark.parametrize("kind", ["index", "layout"])
+    def test_every_region(self, setting, tmp_path, kind):
+        _plans, _reference, content_hash, files = setting
+        outcomes = {}
+        for region, (start, end) in self.regions(kind, files[kind], content_hash).items():
+            assert end > start, region
+            for position in sorted({start, (start + end) // 2, end - 1}):
+                for bit in (0, 7):
+                    outcomes[region, position, bit] = self.outcome(
+                        setting, tmp_path, kind, position, bit
+                    )
+        assert set(outcomes.values()) <= {"identical", "corrupt+rebuild"}, outcomes
+
+    def test_kid_labels_low_bits(self, setting, tmp_path):
+        _plans, _reference, content_hash, files = setting
+        regions = self.regions("layout", files["layout"], content_hash)
+        start, end = regions["kid_labels"]
+        positions = range(start, end, 4)[:84]
+        assert len(positions) == 84
+        outcomes = [
+            self.outcome(setting, tmp_path, "layout", position, 0)
+            for position in positions
+        ]
+        assert outcomes.count("corrupt+rebuild") + outcomes.count("identical") == 84
+

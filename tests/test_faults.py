@@ -176,14 +176,20 @@ class TestSeamsNamedByTheTier:
         }
         stats = cold.stats
         assert (stats.errors, stats.corrupt) == (2, 0)
-        assert (stats.layout_stores, stats.index_stores) == (0, 1)
-        assert len(list((tmp_path / "docs").iterdir())) == 1  # no temporaries
+        # The second variant is a conversion and writes nothing: with the
+        # document's one record dropped, nothing landed.
+        assert (stats.layout_stores, stats.index_stores) == (0, 0)
+        assert list((tmp_path / "docs").iterdir()) == []  # no temporaries
         # What did not land is rebuilt (and stored) by the next process.
         warm = DocumentStore(index_dir=tmp_path / "docs")
         assert self.answers(warm) == reference
         stats = warm.stats
-        assert (stats.index_loads, stats.index_builds) == (1, 1)
+        assert (stats.index_loads, stats.index_builds) == (0, 2)
         assert (stats.layout_stores, stats.index_stores) == (1, 1)
+        again = DocumentStore(index_dir=tmp_path / "docs")
+        assert self.answers(again) == reference
+        stats = again.stats
+        assert (stats.index_loads, stats.index_builds, stats.layout_loads) == (2, 0, 1)
 
     def test_doc_tier_load_layout_corruption_degrades_to_rebuild(self, tmp_path):
         cold = DocumentStore(index_dir=tmp_path / "docs")

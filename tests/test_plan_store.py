@@ -552,6 +552,12 @@ class TestStoreGC:
         stale_index.write_bytes(b"x")
         stale_layout = doc_dir / ("b" * 64 + ".v1.doclay.bin")
         stale_layout.write_bytes(b"x")
+        retired = [
+            doc_dir / ("c" * 64 + suffix)
+            for suffix in (".u.v2.docidx.json.gz", ".c.v2.docidx.json.gz", ".v2.doclay.bin")
+        ]
+        for path in retired:
+            path.write_bytes(b"x")
         code = main(
             [
                 "warm",
@@ -565,5 +571,6 @@ class TestStoreGC:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "removed 2 stale document-tier file(s)" in out
+        assert "removed 5 stale document-tier file(s)" in out
         assert not stale_index.exists() and not stale_layout.exists()
+        assert not any(path.exists() for path in retired)

@@ -632,7 +632,7 @@ class Deployment:
                 plans.path_for(plan_key(sigma0(), WAVE[0])),
                 plans.path_for(plan_key(sigma0(), WAVE[1])),
             ),
-            "index": (tier.path_for(address, False), tier.path_for(address, True)),
+            "index": (tier.path_for(address), tier.path_for(other)),
             "layout": (tier.layout_path_for(address), tier.layout_path_for(other)),
         }[kind]
 
@@ -646,9 +646,9 @@ def populated(tmp_path_factory):
     kind (another query, another document) beside the targets."""
     deployment = Deployment(tmp_path_factory.mktemp("tiers"))
     answers, snap = deployment.drive()
-    DocumentStore(index_dir=deployment.docs).get(SIBLING_XML)
+    DocumentStore(index_dir=deployment.docs).get(SIBLING_XML).index_for(False)
     assert snap["plan_store"]["stores"] == len(WAVE)
-    assert snap["doc_store"]["index_stores"] == 2
+    assert snap["doc_store"]["index_stores"] == 1  # one record per document
     for kind in KINDS:
         assert all(path.is_file() for path in deployment.target(kind))
     return deployment, answers
@@ -665,7 +665,7 @@ def deployed(populated, tmp_path):
 
 def flip_header_byte(path, sibling) -> None:
     raw = bytearray(path.read_bytes())
-    raw[12] ^= 0xFF  # inside the gzip stream / JSON key echo / hash echo
+    raw[12] ^= 0xFF  # inside a plan's gzip stream / a record's hash echo
     path.write_bytes(bytes(raw))
 
 
@@ -731,7 +731,8 @@ class TestOneReadPolicy:
 
 
 def undecodable_index(path, sibling) -> None:
-    """A current-version name over a record that is not an index."""
+    """A current-version name over a file that is not an index record:
+    the gzip-JSON record format v2 wrote."""
     path.write_bytes(gzip.compress(b'{"doc_format_version": 2}'))
 
 
