@@ -51,16 +51,16 @@ from ..errors import ReproError
 from ..hype.kernel import check_cfgs
 
 #: Version of the persisted plan format (codec payload + key scheme).
-#: v2: artifact files are gzip-compressed (decoding still accepts plain
-#: JSON, so hand-written or legacy-layout payloads of the current
-#: version remain readable; the version lives in the key, so v1 files
-#: are simply never looked up — ``PlanStore.gc`` reclaims them).
+#: v2: artifact files are gzip-compressed (the version lives in the key,
+#: so v1 files are simply never looked up — ``PlanStore.gc`` reclaims
+#: them).
 #: v3: the optional ``kernel`` field carries the dense transition
 #: closure (:func:`repro.hype.kernel.kernel_payload`); v2 files decode
 #: as counted misses and are recompiled (and swept by ``PlanStore.gc``).
+#: Only the gzip form is read: its crc32 trailer is the artifact's seal.
 FORMAT_VERSION = 3
 
-#: gzip magic bytes; anything else is decoded as plain JSON.
+#: gzip magic bytes; bytes that do not start with them are refused.
 _GZIP_MAGIC = b"\x1f\x8b"
 
 #: Cache key of one compiled plan: (view fingerprint | None, normalised
@@ -189,22 +189,20 @@ class PlanArtifact:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PlanArtifact":
-        """Decode :meth:`to_bytes` output (gzip or plain JSON).
-
-        Compression is sniffed from the gzip magic, so an uncompressed
-        JSON artifact of the current format version still decodes —
-        only genuinely corrupt bytes are rejected.
+        """Decode :meth:`to_bytes` output: a gzip stream, whose crc32
+        trailer seals the JSON inside it.  Anything else — plain JSON
+        included — is refused, so a flipped bit is a counted miss and
+        never a different plan.
 
         Raises:
             ArtifactError: on any decode failure (treat as cache miss).
         """
-        if raw[:2] == _GZIP_MAGIC:
-            try:
-                raw = gzip.decompress(raw)
-            except (OSError, EOFError, zlib.error) as error:
-                raise ArtifactError(
-                    f"artifact gzip stream is corrupt: {error}"
-                ) from error
+        if raw[:2] != _GZIP_MAGIC:
+            raise ArtifactError("artifact is not a gzip stream")
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as error:
+            raise ArtifactError(f"artifact gzip stream is corrupt: {error}") from error
         try:
             data = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as error:

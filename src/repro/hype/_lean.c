@@ -206,6 +206,638 @@ list_at(PyObject *list, long long i, const char *what)
 }
 
 /* ------------------------------------------------------------------ */
+/* The cold path: a plan's flat automaton, its dense closure, pop fills */
+/* ------------------------------------------------------------------ */
+/*
+ * repro.hype.kernel._close_py and DenseKernel.fill_pop (with
+ * CompiledPlan._relevant_plan / _resolve / _compute_dead and
+ * AFAPool._analyze under them), compiled.
+ *
+ * Both build Python objects other code keeps: the plan's interned state
+ * sets, its cfgs, its transition and pop tables.  Iteration order is part
+ * of what they must reproduce: a cfg's watch tuple and its predicate bits
+ * follow the iteration order of its interned relevant set, and that order
+ * is a function of how CPython built the set, not of its contents.  So
+ * the closure replays the reference's set operations on real set objects
+ * -- the same operands, the same merges, adds and copies in the same
+ * order -- and only what cannot change an order (membership, the
+ * fixpoint, the SCC numbering) runs on C arrays.  The closure mints sets
+ * and cfgs in the reference's order and leaves the same closure record
+ * and tables; tests/test_cold_native.py holds it to that.
+ *
+ * The flat automaton is built once per plan (and shared by the plans of
+ * one MFA): per AFA state its kind, label column, target, ε list,
+ * predicate and SCC id (the reference's Tarjan, statement by statement,
+ * so operator groups come out in the reference's order); per NFA state
+ * its λ entry, finality, named columns, transition map and ε-closure.
+ * Every id it reads is range-checked when it is built, and every state id
+ * read back out of a set is checked before it indexes anything: a mangled
+ * automaton or table raises, never reads wild.
+ */
+
+enum { K_AND, K_OR, K_NOT, K_TRANS, K_FINAL };
+
+#define WILD_COLUMN (-1)
+#define NO_COLUMN (-2)
+
+static PyObject *unbuilt = NULL;     /* kernel._UNBUILT */
+static PyObject *other_label = NULL; /* kernel.OTHER_LABEL */
+static PyObject *dead_word = NULL;   /* the int DEAD */
+
+static PyObject *s_flat, *s_alphabet, *s_pool, *s_states, *s_kind, *s_eps,
+    *s_label, *s_target, *s_pred, *s_trans, *s_ann, *s_closure,
+    *s_eps_closure_of, *s_start, *s_set_ids, *s_cfg_ids, *s_cfg_relevant,
+    *s_cfg_watch, *s_cfg_m, *s_cfg_r, *s_cfg_has_ann, *s_pop_cache,
+    *s_dead_cache, *s_holds, *s_wildcard, *s_and, *s_or, *s_not, *s_final;
+
+typedef struct {
+    Py_ssize_t n_nfa, n_afa, ncols; /* ncols counts the OTHER column (last) */
+    PyObject **columns;             /* owned labels */
+    PyObject *nfa_trans;            /* owned: nfa.trans, a list of dicts */
+    PyObject *closures;             /* owned: nfa._closure, a list of frozensets */
+    int *ann;                       /* [n_nfa] λ entry, -1 for none */
+    unsigned char *final_;          /* [n_nfa] */
+    unsigned char *named;           /* [n_nfa * ncols] */
+    unsigned char *kind;            /* [n_afa] */
+    int *label, *target, *scc;      /* [n_afa] */
+    int *eps_at, *eps;              /* CSR of operator ε lists */
+    PyObject **pred;                /* [n_afa] owned, NULL for none */
+    int cyclic_not;                 /* AFAPool._analyze would raise */
+    /* Contents as bit sets over max(n_nfa, n_afa) ids, ``words`` wide:
+     * what the closure's fast path computes a child's sets with. */
+    Py_ssize_t words;
+    unsigned long long *step;  /* [n_nfa][ncols]: step targets by column */
+    unsigned long long *clo;   /* [n_nfa]: ε-closure */
+    unsigned long long *reach; /* [n_afa]: relevance closure */
+} Flat;
+
+#define FLAT_CAPSULE "repro.hype._lean.flat"
+
+static void
+flat_free(Flat *f)
+{
+    if (f == NULL)
+        return;
+    if (f->columns != NULL)
+        for (Py_ssize_t i = 0; i < f->ncols; i++)
+            Py_XDECREF(f->columns[i]);
+    if (f->pred != NULL)
+        for (Py_ssize_t i = 0; i < f->n_afa; i++)
+            Py_XDECREF(f->pred[i]);
+    Py_XDECREF(f->nfa_trans);
+    Py_XDECREF(f->closures);
+    PyMem_Free(f->columns);
+    PyMem_Free(f->pred);
+    PyMem_Free(f->ann);
+    PyMem_Free(f->final_);
+    PyMem_Free(f->named);
+    PyMem_Free(f->kind);
+    PyMem_Free(f->label);
+    PyMem_Free(f->target);
+    PyMem_Free(f->scc);
+    PyMem_Free(f->eps_at);
+    PyMem_Free(f->eps);
+    PyMem_Free(f->step);
+    PyMem_Free(f->clo);
+    PyMem_Free(f->reach);
+    PyMem_Free(f);
+}
+
+static void
+flat_capsule_free(PyObject *capsule)
+{
+    flat_free(PyCapsule_GetPointer(capsule, FLAT_CAPSULE));
+}
+
+static int
+bad_automaton(const char *what)
+{
+    PyErr_Format(PyExc_ValueError, "cold path: malformed automaton (%s)", what);
+    return -1;
+}
+
+/* An int in [0, n), or ValueError naming ``what``. */
+static int
+id_in(PyObject *value, Py_ssize_t n, const char *what, long *out)
+{
+    if (!PyLong_Check(value) || as_long(value, out) < 0) {
+        PyErr_Clear();
+        return bad_automaton(what);
+    }
+    if ((unsigned long)*out >= (unsigned long)n)
+        return bad_automaton(what);
+    return 0;
+}
+
+/* A state id read out of a set at run time: IndexError when out of range. */
+static inline int
+state_at(PyObject *item, Py_ssize_t n, const char *what, long *out)
+{
+    if (as_long(item, out) < 0)
+        return -1;
+    if ((unsigned long)*out >= (unsigned long)n)
+        return out_of_range(what, *out);
+    return 0;
+}
+
+/* The column of a label: its index in ``columns``, WILD_COLUMN for the
+ * wildcard, NO_COLUMN for a label no column carries. */
+static int
+column_of(Flat *f, PyObject *label)
+{
+    if (!PyUnicode_Check(label))
+        return NO_COLUMN;
+    if (PyUnicode_Compare(label, s_wildcard) == 0)
+        return WILD_COLUMN;
+    Py_ssize_t lo = 0, hi = f->ncols - 1; /* the sorted alphabet */
+    while (lo < hi) {
+        Py_ssize_t mid = (lo + hi) / 2;
+        int cmp = PyUnicode_Compare(f->columns[mid], label);
+        if (cmp == 0)
+            return (int)mid;
+        if (cmp < 0)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return NO_COLUMN;
+}
+
+/* AFAPool._analyze's SCC ids: the same iterative Tarjan, roots in id
+ * order, successors in ε-list order, so the ids are the reference's. */
+static int
+flat_scc(Flat *f)
+{
+    Py_ssize_t n = f->n_afa;
+    int *index = PyMem_Malloc((n ? n : 1) * sizeof(int));
+    int *low = PyMem_Malloc((n ? n : 1) * sizeof(int));
+    int *stack = PyMem_Malloc((n ? n : 1) * sizeof(int));
+    int *work = PyMem_Malloc((n ? n : 1) * 2 * sizeof(int));
+    unsigned char *on = PyMem_Calloc(n ? n : 1, 1);
+    int status = -1;
+    if (!index || !low || !stack || !work || !on) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < n; i++)
+        index[i] = -1;
+    int counter = 0, depth = 0, top = 0, sccs = 0;
+    for (int root = 0; root < n; root++) {
+        if (index[root] != -1)
+            continue;
+        index[root] = low[root] = counter++;
+        stack[depth++] = root;
+        on[root] = 1;
+        work[0] = root;
+        work[1] = 0;
+        top = 1;
+        while (top) {
+            int node = work[2 * (top - 1)], ptr = work[2 * (top - 1) + 1];
+            int nsucc = f->kind[node] <= K_NOT ? f->eps_at[node + 1] - f->eps_at[node] : 0;
+            if (ptr < nsucc) {
+                work[2 * (top - 1) + 1] = ptr + 1;
+                int succ = f->eps[f->eps_at[node] + ptr];
+                if (index[succ] == -1) {
+                    index[succ] = low[succ] = counter++;
+                    stack[depth++] = succ;
+                    on[succ] = 1;
+                    work[2 * top] = succ;
+                    work[2 * top + 1] = 0;
+                    top++;
+                }
+                else if (on[succ] && index[succ] < low[node])
+                    low[node] = index[succ];
+                continue;
+            }
+            top--;
+            if (top) {
+                int parent = work[2 * (top - 1)];
+                if (low[node] < low[parent])
+                    low[parent] = low[node];
+            }
+            if (low[node] == index[node]) {
+                int first = depth, member, cyclic = 0, has_not = 0;
+                do {
+                    member = stack[--first];
+                } while (member != node);
+                if (depth - first > 1)
+                    cyclic = 1;
+                for (int k = first; k < depth; k++) {
+                    member = stack[k];
+                    on[member] = 0;
+                    f->scc[member] = sccs;
+                    has_not |= f->kind[member] == K_NOT;
+                    if (f->kind[member] <= K_NOT)
+                        for (int e = f->eps_at[member]; e < f->eps_at[member + 1]; e++)
+                            cyclic |= f->eps[e] == member;
+                }
+                if (cyclic && has_not)
+                    f->cyclic_not = 1;
+                depth = first;
+                sccs++;
+            }
+        }
+    }
+    status = 0;
+done:
+    PyMem_Free(index);
+    PyMem_Free(low);
+    PyMem_Free(stack);
+    PyMem_Free(work);
+    PyMem_Free(on);
+    return status;
+}
+
+#define BIT_GET(words, i) ((words)[(i) >> 6] >> ((i) & 63) & 1)
+#define BIT_SET(words, i) ((words)[(i) >> 6] |= 1ULL << ((i) & 63))
+
+/* OR the contents of ``set`` (ints in [0, n)) into ``out``: 1 when they
+ * fit, 0 when an element does not (``out`` is then partial), -1 on error. */
+static int
+bits_of(PyObject *set, Py_ssize_t n, unsigned long long *out)
+{
+    PyObject *iterator = PyObject_GetIter(set), *item;
+    if (iterator == NULL)
+        return -1;
+    int fits = 1;
+    while (fits && (item = PyIter_Next(iterator)) != NULL) {
+        long state = -1;
+        if (!PyLong_CheckExact(item) || as_long(item, &state) < 0) {
+            PyErr_Clear();
+            state = -1;
+        }
+        Py_DECREF(item);
+        if ((unsigned long)state >= (unsigned long)n)
+            fits = 0;
+        else
+            BIT_SET(out, state);
+    }
+    Py_DECREF(iterator);
+    return PyErr_Occurred() ? -1 : fits;
+}
+
+/* The flat automaton's bit-set contents: per NFA state its step targets
+ * by column (the labelled ones plus the wildcard's) and its ε-closure,
+ * per AFA state its relevance closure (the operator ε-reach). */
+static int
+flat_bits(Flat *f)
+{
+    Py_ssize_t n = f->n_nfa, m = f->n_afa, w;
+    w = f->words = ((n > m ? n : m) + 63) / 64 + 1;
+    f->step = PyMem_Calloc((n ? n : 1) * f->ncols * w, sizeof(unsigned long long));
+    f->clo = PyMem_Calloc((n ? n : 1) * w, sizeof(unsigned long long));
+    f->reach = PyMem_Calloc((m ? m : 1) * w, sizeof(unsigned long long));
+    int *stack = PyMem_Malloc((f->eps_at[m] + 1) * sizeof(int));
+    unsigned long long *wild = PyMem_Calloc(w, sizeof(unsigned long long));
+    int status = -1;
+    if (!f->step || !f->clo || !f->reach || !stack || !wild) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t s = 0; s < n; s++) {
+        PyObject *labelled = PyList_GET_ITEM(f->nfa_trans, s), *key, *value;
+        unsigned long long *row = f->step + s * f->ncols * w;
+        Py_ssize_t pos = 0;
+        memset(wild, 0, w * sizeof(unsigned long long));
+        while (PyDict_Next(labelled, &pos, &key, &value)) {
+            int col = column_of(f, key), fits;
+            if (col == NO_COLUMN)
+                continue;
+            fits = bits_of(value, n, col == WILD_COLUMN ? wild : row + col * w);
+            if (fits <= 0) {
+                if (fits == 0)
+                    bad_automaton("a transition targets no NFA state");
+                goto done;
+            }
+        }
+        for (Py_ssize_t col = 0; col < f->ncols; col++)
+            for (Py_ssize_t k = 0; k < w; k++)
+                row[col * w + k] |= wild[k];
+        int fits = bits_of(PyList_GET_ITEM(f->closures, s), n, f->clo + s * w);
+        if (fits <= 0) {
+            if (fits == 0)
+                bad_automaton("an ε-closure names no NFA state");
+            goto done;
+        }
+    }
+    for (Py_ssize_t a = 0; a < m; a++) {
+        unsigned long long *reach = f->reach + a * w;
+        int top = 0;
+        stack[top++] = (int)a;
+        while (top > 0) {
+            int s = stack[--top];
+            if (BIT_GET(reach, s))
+                continue;
+            BIT_SET(reach, s);
+            if (f->kind[s] <= K_NOT)
+                for (int e = f->eps_at[s]; e < f->eps_at[s + 1]; e++)
+                    if (!BIT_GET(reach, f->eps[e]))
+                        stack[top++] = f->eps[e]; /* each edge once */
+        }
+    }
+    status = 0;
+done:
+    PyMem_Free(stack);
+    PyMem_Free(wild);
+    return status;
+}
+
+static PyObject *
+flat_build(PyObject *kern, PyObject *mfa)
+{
+    Flat *f = PyMem_Calloc(1, sizeof(Flat));
+    if (f == NULL)
+        return PyErr_NoMemory();
+    PyObject *nfa = NULL, *pool = NULL, *states = NULL, *alphabet = NULL,
+             *ann = NULL, *finals = NULL, *labels = NULL, *result = NULL;
+    if ((nfa = PyObject_GetAttr(mfa, s_nfa)) == NULL ||
+        (pool = PyObject_GetAttr(mfa, s_pool)) == NULL ||
+        (states = PyObject_GetAttr(pool, s_states)) == NULL ||
+        (f->nfa_trans = PyObject_GetAttr(nfa, s_trans)) == NULL ||
+        (ann = PyObject_GetAttr(nfa, s_ann)) == NULL ||
+        (finals = PyObject_GetAttr(nfa, s_finals)) == NULL ||
+        (alphabet = PyObject_GetAttr(kern, s_alphabet)) == NULL)
+        goto done;
+    if (!PyList_Check(states) || !PyList_Check(f->nfa_trans) || !PyDict_Check(ann)) {
+        bad_automaton("states, transitions and λ must be a list, a list and a dict");
+        goto done;
+    }
+    /* The ε-closures the reference merges (computed on first use). */
+    f->closures = PyObject_GetAttr(nfa, s_closure);
+    if (f->closures == Py_None) {
+        Py_CLEAR(f->closures);
+        PyObject *start = PyObject_GetAttr(nfa, s_start);
+        PyObject *done_ = start ? PyObject_CallMethodOneArg(nfa, s_eps_closure_of, start) : NULL;
+        Py_XDECREF(start);
+        if (done_ == NULL)
+            goto done;
+        Py_DECREF(done_);
+        f->closures = PyObject_GetAttr(nfa, s_closure);
+    }
+    if (f->closures == NULL)
+        goto done;
+    f->n_nfa = PyList_GET_SIZE(f->nfa_trans);
+    f->n_afa = PyList_GET_SIZE(states);
+    if (!PyList_Check(f->closures) || PyList_GET_SIZE(f->closures) != f->n_nfa) {
+        bad_automaton("one ε-closure per NFA state");
+        goto done;
+    }
+    /* Columns: the sorted alphabet, then OTHER. */
+    if ((labels = PySequence_List(alphabet)) == NULL || PyList_Sort(labels) < 0)
+        goto done;
+    f->ncols = PyList_GET_SIZE(labels) + 1;
+    if ((f->columns = PyMem_Calloc(f->ncols, sizeof(PyObject *))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i + 1 < f->ncols; i++) {
+        f->columns[i] = Py_NewRef(PyList_GET_ITEM(labels, i));
+        if (!PyUnicode_Check(f->columns[i])) {
+            bad_automaton("a label is not a str");
+            goto done;
+        }
+    }
+    f->columns[f->ncols - 1] = Py_NewRef(other_label);
+    Py_ssize_t n = f->n_nfa, m = f->n_afa;
+    f->ann = PyMem_Malloc((n ? n : 1) * sizeof(int));
+    f->final_ = PyMem_Calloc(n ? n : 1, 1);
+    f->named = PyMem_Calloc((n ? n : 1) * f->ncols, 1);
+    f->kind = PyMem_Calloc(m ? m : 1, 1);
+    f->label = PyMem_Malloc((m ? m : 1) * sizeof(int));
+    f->target = PyMem_Malloc((m ? m : 1) * sizeof(int));
+    f->scc = PyMem_Malloc((m ? m : 1) * sizeof(int));
+    f->eps_at = PyMem_Calloc(m + 1, sizeof(int));
+    f->pred = PyMem_Calloc(m ? m : 1, sizeof(PyObject *));
+    if (!f->ann || !f->final_ || !f->named || !f->kind || !f->label ||
+        !f->target || !f->scc || !f->eps_at || !f->pred) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* NFA: λ, finals, the columns each state's transitions name. */
+    for (Py_ssize_t s = 0; s < n; s++) {
+        f->ann[s] = -1;
+        PyObject *labelled = PyList_GET_ITEM(f->nfa_trans, s);
+        if (!PyDict_Check(labelled)) {
+            bad_automaton("an NFA state's transitions must be a dict");
+            goto done;
+        }
+        Py_ssize_t pos = 0;
+        PyObject *key, *value;
+        while (PyDict_Next(labelled, &pos, &key, &value)) {
+            int col = column_of(f, key);
+            if (col >= 0)
+                f->named[s * f->ncols + col] = 1;
+        }
+        if (!PyAnySet_Check(PyList_GET_ITEM(f->closures, s))) {
+            bad_automaton("an ε-closure must be a set");
+            goto done;
+        }
+    }
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(ann, &pos, &key, &value)) {
+        long state, entry;
+        if (id_in(key, n, "λ annotates no NFA state", &state) < 0 ||
+            id_in(value, m, "λ names no AFA state", &entry) < 0)
+            goto done;
+        f->ann[state] = (int)entry;
+    }
+    PyObject *iterator = PyObject_GetIter(finals), *item;
+    if (iterator == NULL)
+        goto done;
+    while ((item = PyIter_Next(iterator)) != NULL) {
+        long state;
+        int status = id_in(item, n, "a final state is no NFA state", &state);
+        Py_DECREF(item);
+        if (status < 0) {
+            Py_DECREF(iterator);
+            goto done;
+        }
+        f->final_[state] = 1;
+    }
+    Py_DECREF(iterator);
+    if (PyErr_Occurred())
+        goto done;
+    /* AFA: kind, label column, target, ε lists, predicates. */
+    Py_ssize_t total = 0, cap = 2 * m + 1;
+    if ((f->eps = PyMem_Malloc(cap * sizeof(int))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    PyObject *kinds[] = {s_and, s_or, s_not, s_trans, s_final};
+    for (Py_ssize_t s = 0; s < m; s++) {
+        PyObject *holder = PyList_GET_ITEM(states, s);
+        PyObject *kind = PyObject_GetAttr(holder, s_kind);
+        if (kind == NULL)
+            goto done;
+        int code = -1;
+        for (int k = 0; code < 0 && k < 5; k++)
+            if (kind == kinds[k]) /* the module's constants: interned */
+                code = k;
+        for (int k = 0; code < 0 && PyUnicode_Check(kind) && k < 5; k++)
+            if (PyUnicode_Compare(kind, kinds[k]) == 0)
+                code = k;
+        Py_DECREF(kind);
+        if (code < 0) {
+            bad_automaton("an AFA state of no known kind");
+            goto done;
+        }
+        f->kind[s] = (unsigned char)code;
+        f->label[s] = NO_COLUMN;
+        f->target[s] = -1;
+        if (code <= K_NOT) {
+            PyObject *eps = PyObject_GetAttr(holder, s_eps);
+            if (eps == NULL)
+                goto done;
+            Py_ssize_t k = PyList_Check(eps) || PyTuple_Check(eps) ? PySequence_Fast_GET_SIZE(eps) : -1;
+            int status = k < 0 || (code == K_NOT && k != 1)
+                ? bad_automaton("an operator's ε list") : 0;
+            if (status == 0 && total + k > cap) {
+                while (cap < total + k)
+                    cap *= 2;
+                int *grown = cap > INT_MAX ? NULL : PyMem_Realloc(f->eps, cap * sizeof(int));
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    status = -1;
+                }
+                else
+                    f->eps = grown;
+            }
+            for (Py_ssize_t j = 0; status == 0 && j < k; j++) {
+                long t;
+                status = id_in(PySequence_Fast_GET_ITEM(eps, j), m, "an ε edge", &t);
+                f->eps[total++] = (int)t;
+            }
+            Py_DECREF(eps);
+            if (status < 0)
+                goto done;
+        }
+        else if (code == K_TRANS) {
+            PyObject *label = PyObject_GetAttr(holder, s_label);
+            PyObject *target = label ? PyObject_GetAttr(holder, s_target) : NULL;
+            long t = 0;
+            int status = target == NULL ? -1 : id_in(target, m, "a transition's target", &t);
+            if (status == 0)
+                f->label[s] = column_of(f, label);
+            Py_XDECREF(label);
+            Py_XDECREF(target);
+            if (status < 0)
+                goto done;
+            f->target[s] = (int)t;
+        }
+        else {
+            PyObject *pred = PyObject_GetAttr(holder, s_pred);
+            if (pred == NULL)
+                goto done;
+            if (pred == Py_None)
+                Py_DECREF(pred);
+            else
+                f->pred[s] = pred;
+        }
+        f->eps_at[s + 1] = (int)total;
+    }
+    if (flat_scc(f) < 0 || flat_bits(f) < 0)
+        goto done;
+    result = PyCapsule_New(f, FLAT_CAPSULE, flat_capsule_free);
+    if (result != NULL)
+        f = NULL;
+done:
+    flat_free(f);
+    Py_XDECREF(nfa);
+    Py_XDECREF(pool);
+    Py_XDECREF(states);
+    Py_XDECREF(alphabet);
+    Py_XDECREF(ann);
+    Py_XDECREF(finals);
+    Py_XDECREF(labels);
+    return result;
+}
+
+/* The plan's flat automaton: ``kern.flat``, built and stored on first
+ * use.  A new reference to the capsule; ``*out`` its contents. */
+static PyObject *
+flat_of(PyObject *plan, PyObject *kern, Flat **out)
+{
+    PyObject *capsule = PyObject_GetAttr(kern, s_flat);
+    if (capsule == Py_None) {
+        Py_DECREF(capsule);
+        PyObject *mfa = PyObject_GetAttr(plan, s_mfa);
+        capsule = mfa == NULL ? NULL : flat_build(kern, mfa);
+        Py_XDECREF(mfa);
+        if (capsule != NULL && PyObject_SetAttr(kern, s_flat, capsule) < 0)
+            Py_CLEAR(capsule);
+    }
+    if (capsule == NULL)
+        return NULL;
+    *out = PyCapsule_GetPointer(capsule, FLAT_CAPSULE);
+    if (*out == NULL) {
+        Py_DECREF(capsule);
+        return NULL;
+    }
+    return capsule;
+}
+
+/* ``[int(s) for s in fs]``, each checked against ``n``: a set's
+ * iteration order as a C array (PyMem; *len its length). */
+static int *
+order_of(PyObject *fs, Py_ssize_t n, const char *what, Py_ssize_t *len)
+{
+    Py_ssize_t size = PyObject_Length(fs);
+    if (size < 0)
+        return NULL;
+    int *order = PyMem_Malloc((size ? size : 1) * sizeof(int));
+    if (order == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    Py_ssize_t k = 0;
+    long state;
+#if PY_VERSION_HEX < 0x030D0000
+    if (PyAnySet_Check(fs)) {
+        /* The set's own walk (borrowed keys, no iterator object). */
+        Py_ssize_t pos = 0;
+        Py_hash_t hash;
+        PyObject *key;
+        while (_PySet_NextEntry(fs, &pos, &key, &hash)) {
+            if ((k < size ? state_at(key, n, what, &state) : out_of_range(what, k)) < 0)
+                goto fail;
+            order[k++] = (int)state;
+        }
+        *len = k;
+        return order;
+    }
+#endif
+    PyObject *iterator = PyObject_GetIter(fs), *item;
+    if (iterator == NULL)
+        goto fail;
+    while ((item = PyIter_Next(iterator)) != NULL) {
+        int status = k < size ? state_at(item, n, what, &state) : out_of_range(what, k);
+        Py_DECREF(item);
+        if (status < 0) {
+            Py_DECREF(iterator);
+            goto fail;
+        }
+        order[k++] = (int)state;
+    }
+    Py_DECREF(iterator);
+    if (PyErr_Occurred())
+        goto fail;
+    *len = k;
+    return order;
+fail:
+    PyMem_Free(order);
+    return NULL;
+}
+
+/* What a pass reads for its pop misses, loaded on the first one. */
+typedef struct {
+    PyObject *capsule; /* owned: the plan's flat automaton; NULL until loaded */
+    Flat *flat;
+    PyObject *cfg_relevant, *cfg_r, *cfg_m, *cfg_watch, *cfg_has_ann,
+        *pop_cache, *dead_cache;
+} Cold;
+
+/* ------------------------------------------------------------------ */
 /* One pass                                                             */
 /* ------------------------------------------------------------------ */
 typedef struct {
@@ -236,7 +868,12 @@ typedef struct {
     Py_ssize_t nslots;
     Frame *stack;
     Py_ssize_t depth, cap;
+    Cold cold; /* pop misses resolve here, loaded on the first one */
+    PyObject *alphabet, *trans; /* the kernel's, read on the first row miss */
 } Pass;
+
+static PyObject *cold_fill(Pass *p, Cold *c, long cfg, PyObject *node, PyObject *truths);
+static void cold_clear(Cold *c);
 
 static void
 frame_clear(Frame *f)
@@ -268,6 +905,9 @@ pass_clear(Pass *p)
     for (Py_ssize_t i = 0; i < p->depth; i++)
         frame_clear(&p->stack[i]);
     PyMem_Free(p->stack);
+    cold_clear(&p->cold);
+    Py_XDECREF(p->alphabet);
+    Py_XDECREF(p->trans);
     column_close(&p->kid_ids);
     column_close(&p->kid_labels);
     column_close(&p->kid_start);
@@ -363,6 +1003,36 @@ row_for(Pass *p, long cfg, Frame *f)
     f->row = slot->data;
     f->row_len = slot->len;
     return 0;
+}
+
+/* DenseKernel.lookup_trans's hit path: ``trans[(cfg, label)]`` with a
+ * label outside the alphabet read as OTHER, as a new reference; NULL
+ * (no error set) when the table lacks the entry and the miss path must
+ * compute it. */
+static PyObject *
+known_trans(Pass *p, PyObject *cfg, PyObject *label)
+{
+    if (p->trans == NULL) {
+        if ((p->alphabet = PyObject_GetAttr(p->kern, s_alphabet)) == NULL ||
+            (p->trans = PyObject_GetAttr(p->kern, s_trans)) == NULL)
+            return NULL;
+        if (!PyAnySet_Check(p->alphabet) || !PyDict_Check(p->trans)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "lean pass: alphabet must be a set, trans a dict");
+            return NULL;
+        }
+    }
+    int named = PySet_Contains(p->alphabet, label);
+    if (named < 0)
+        return NULL;
+    PyObject *key = PyTuple_Pack(2, cfg, named ? label : other_label);
+    if (key == NULL)
+        return NULL;
+    PyObject *word = PyDict_GetItemWithError(p->trans, key);
+    Py_DECREF(key);
+    if (word == Py_None)
+        word = NULL;
+    return Py_XNewRef(word);
 }
 
 /* ``memo.get(key)`` as a new reference, NULL for a miss (no error set)
@@ -467,14 +1137,8 @@ pop_outcome(Pass *p, long cfg, PyObject *node, PyObject *trues)
         if (!truth)
             Py_CLEAR(outcome);
     }
-    if (outcome == NULL) {
-        PyObject *cfg_obj = PyLong_FromLong(cfg);
-        if (cfg_obj == NULL)
-            goto done;
-        PyObject *args[5] = {p->plan, cfg_obj, p->columns, node, truths};
-        outcome = PyObject_Vectorcall(p->fill_pop, args, truths ? 5 : 4, NULL);
-        Py_DECREF(cfg_obj);
-    }
+    if (outcome == NULL)
+        outcome = cold_fill(p, &p->cold, cfg, node, truths);
 done:
     Py_XDECREF(wide);
     Py_XDECREF(key);
@@ -790,8 +1454,8 @@ descend_lane(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (packed == UNFILLED) {
             PyObject *label = PySequence_GetItem(p->labels, lid);
             PyObject *cfg_obj = label ? PyLong_FromLong(cur.cfg) : NULL;
-            PyObject *word = NULL;
-            if (cfg_obj != NULL) {
+            PyObject *word = cfg_obj ? known_trans(p, cfg_obj, label) : NULL;
+            if (word == NULL && cfg_obj != NULL && !PyErr_Occurred()) {
                 PyObject *call[3] = {plan, cfg_obj, label};
                 word = PyObject_Vectorcall(p->lookup_trans, call, 3, NULL);
             }
@@ -1189,16 +1853,1206 @@ fail:
     return NULL;
 }
 
-/* setup(expired, new_row, clock, check_interval, constants): install the
- * kernel's helpers; ``constants`` is kernel's (FINAL_BIT, POP_BIT,
- * CFG_SHIFT, DEAD, UNFILLED), refused unless it matches this file's. */
+/* ------------------------------------------------------------------ */
+/* The dense closure                                                    */
+/* ------------------------------------------------------------------ */
+typedef struct {
+    PyObject *plan, *kern, *set_ids, *cfg_ids, *trans;
+    PyObject *cfg_mstates, *cfg_relevant, *cfg_watch, *cfg_m, *cfg_r,
+        *cfg_has_ann, *cfg_packed, *pops;
+    Flat *flat;
+    unsigned char *mark; /* [n_afa] scratch for the relevance DFS */
+    int *stack;          /* [n_afa + sum of ε] scratch */
+    Py_ssize_t stack_cap;
+    /* The plan's interned sets by content (a mirror of _set_ids for this
+     * call), and six bit-set scratch rows: a child's base, mstates,
+     * targets, relevant and λ entries (fast_sets), and table_add's. */
+    Py_ssize_t cap, count;
+    unsigned long long *keys, *scratch;
+    PyObject **canon, **ids;
+} Closer;
+
+typedef struct {
+    PyObject *base, *mstates, *relevant, *watch; /* owned */
+    PyObject *m_id, *r_id;                       /* owned */
+    int has_final, has_ann;                      /* of mstates */
+} ChildSets;
+
+static void
+child_clear(ChildSets *c)
+{
+    Py_CLEAR(c->base);
+    Py_CLEAR(c->mstates);
+    Py_CLEAR(c->relevant);
+    Py_CLEAR(c->watch);
+    Py_CLEAR(c->m_id);
+    Py_CLEAR(c->r_id);
+}
+
+/* CompiledPlan._intern: the canonical set equal to ``fs`` (stolen) and
+ * its id, minting ``(fs, len(_set_ids))`` on a miss. */
+static int
+intern_set(Closer *c, PyObject *fs, PyObject **canon, PyObject **id)
+{
+    PyObject *entry = PyDict_GetItemWithError(c->set_ids, fs);
+    if (entry == NULL) {
+        if (PyErr_Occurred()) {
+            Py_DECREF(fs);
+            return -1;
+        }
+        PyObject *count = PyLong_FromSsize_t(PyDict_GET_SIZE(c->set_ids));
+        entry = count ? PyTuple_Pack(2, fs, count) : NULL;
+        Py_XDECREF(count);
+        if (entry == NULL || PyDict_SetItem(c->set_ids, fs, entry) < 0) {
+            Py_XDECREF(entry);
+            Py_DECREF(fs);
+            return -1;
+        }
+        Py_DECREF(entry); /* the dict holds it */
+    }
+    Py_DECREF(fs);
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2 ||
+        !PyLong_Check(PyTuple_GET_ITEM(entry, 1))) {
+        PyErr_SetString(PyExc_TypeError, "cold path: an interned entry must be (set, id)");
+        return -1;
+    }
+    *canon = Py_NewRef(PyTuple_GET_ITEM(entry, 0));
+    *id = Py_NewRef(PyTuple_GET_ITEM(entry, 1));
+    return 0;
+}
+
+static Py_ssize_t
+slot_of(Closer *c, const unsigned long long *bits)
+{
+    Py_ssize_t w = c->flat->words;
+    unsigned long long h = 1469598103934665603ULL;
+    for (Py_ssize_t k = 0; k < w; k++) {
+        h ^= bits[k];
+        h *= 1099511628211ULL;
+        h ^= h >> 29;
+    }
+    Py_ssize_t mask = c->cap - 1, i = (Py_ssize_t)(h & (unsigned long long)mask);
+    while (c->canon[i] != NULL &&
+           memcmp(c->keys + i * w, bits, w * sizeof(unsigned long long)) != 0)
+        i = (i + 1) & mask;
+    return i;
+}
+
+/* Record an interned set (canonical object, id) under its contents;
+ * sets that do not fit the bit width are left out (no child's sets can
+ * equal them). */
+static int
+table_add(Closer *c, PyObject *canon, PyObject *id)
+{
+    Py_ssize_t w = c->flat->words;
+    if (2 * (c->count + 1) > c->cap) {
+        Py_ssize_t old = c->cap, cap = old ? 2 * old : 64;
+        unsigned long long *keys = c->keys;
+        PyObject **objs = c->canon, **ids = c->ids;
+        c->keys = PyMem_Calloc(cap * w, sizeof(unsigned long long));
+        c->canon = PyMem_Calloc(cap, sizeof(PyObject *));
+        c->ids = PyMem_Calloc(cap, sizeof(PyObject *));
+        if (!c->keys || !c->canon || !c->ids) {
+            PyMem_Free(c->keys);
+            PyMem_Free(c->canon);
+            PyMem_Free(c->ids);
+            c->keys = keys;
+            c->canon = objs;
+            c->ids = ids;
+            PyErr_NoMemory();
+            return -1;
+        }
+        c->cap = cap;
+        for (Py_ssize_t i = 0; i < old; i++)
+            if (objs[i] != NULL) {
+                Py_ssize_t j = slot_of(c, keys + i * w);
+                memcpy(c->keys + j * w, keys + i * w, w * sizeof(unsigned long long));
+                c->canon[j] = objs[i];
+                c->ids[j] = ids[i];
+            }
+        PyMem_Free(keys);
+        PyMem_Free(objs);
+        PyMem_Free(ids);
+    }
+    unsigned long long *bits = c->scratch + 5 * w; /* a sixth row */
+    memset(bits, 0, w * sizeof(unsigned long long));
+    Py_ssize_t n = c->flat->n_nfa > c->flat->n_afa ? c->flat->n_nfa : c->flat->n_afa;
+    int fits = bits_of(canon, n, bits);
+    if (fits <= 0)
+        return fits;
+    Py_ssize_t i = slot_of(c, bits);
+    if (c->canon[i] != NULL)
+        return 0;
+    memcpy(c->keys + i * w, bits, w * sizeof(unsigned long long));
+    c->canon[i] = Py_NewRef(canon);
+    c->ids[i] = Py_NewRef(id);
+    c->count++;
+    return 0;
+}
+
+static void
+table_clear(Closer *c)
+{
+    for (Py_ssize_t i = 0; i < c->cap; i++) {
+        Py_XDECREF(c->canon[i]);
+        Py_XDECREF(c->ids[i]);
+    }
+    PyMem_Free(c->keys);
+    PyMem_Free(c->canon);
+    PyMem_Free(c->ids);
+    PyMem_Free(c->scratch);
+}
+
+/* Seed the table with what the plan has interned already. */
+static int
+table_seed(Closer *c)
+{
+    c->scratch = PyMem_Calloc(6 * c->flat->words, sizeof(unsigned long long));
+    if (c->scratch == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_ssize_t pos = 0;
+    PyObject *key, *entry;
+    while (PyDict_Next(c->set_ids, &pos, &key, &entry)) {
+        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+            PyErr_SetString(PyExc_TypeError, "cold path: an interned entry must be (set, id)");
+            return -1;
+        }
+        if (table_add(c, PyTuple_GET_ITEM(entry, 0), PyTuple_GET_ITEM(entry, 1)) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* ``target |= other`` (set_ior: the reference's ``|=``). */
+static int
+merge_into(PyObject *target, PyObject *other)
+{
+    PyObject *same = PyNumber_InPlaceOr(target, other);
+    if (same == NULL)
+        return -1;
+    Py_DECREF(same);
+    return 0;
+}
+
+static int
+add_int(PyObject *set, long value)
+{
+    PyObject *number = PyLong_FromLong(value);
+    if (number == NULL)
+        return -1;
+    int status = PySet_Add(set, number);
+    Py_DECREF(number);
+    return status;
+}
+
+/* CompiledPlan._compute_child_sets(mstates, relevant, columns[col]),
+ * replayed operation by operation on real sets, then interned in the
+ * reference's order (base, mstates_v, relevant_v); ``m_order`` /
+ * ``r_order`` are the canonical sets' iteration orders.  With ``known``
+ * (base and mstates_v are interned already and mstates_v carries at most
+ * one λ entry, ``entry`` or -1) only relevant_v is built: interning base
+ * and mstates_v would mint nothing, and with one entry at most, no order
+ * of mstates_v can reach relevant_v's. */
+static int
+child_sets(Closer *c, const int *m_order, Py_ssize_t m_len, const int *r_order,
+           Py_ssize_t r_len, Py_ssize_t col, int known, int entry, ChildSets *out)
+{
+    Flat *f = c->flat;
+    PyObject *label = f->columns[col];
+    PyObject *base = NULL, *result = NULL, *closed = NULL, *targets = NULL,
+             *entries = NULL, *reach = NULL, *fs;
+    int *order = NULL, status = -1;
+    Py_ssize_t len = 0;
+    if (!known) {
+        /* base = ∪ nfa.step_targets(state, label), state in mstates. */
+        if ((base = PySet_New(NULL)) == NULL)
+            goto done;
+        for (Py_ssize_t k = 0; k < m_len; k++) {
+            PyObject *labelled = list_at(f->nfa_trans, m_order[k], "NFA state");
+            if (labelled == NULL)
+                goto done;
+            if (!PyDict_Check(labelled)) {
+                bad_automaton("an NFA state's transitions must be a dict");
+                goto done;
+            }
+            PyObject *parts[2] = {
+                col + 1 < f->ncols ? PyDict_GetItemWithError(labelled, label) : NULL,
+                NULL};
+            if (parts[0] == NULL && PyErr_Occurred())
+                goto done;
+            if ((parts[1] = PyDict_GetItemWithError(labelled, s_wildcard)) == NULL &&
+                PyErr_Occurred())
+                goto done;
+            PyObject *step = PySet_New(NULL);
+            int bad = step == NULL;
+            for (int j = 0; !bad && j < 2; j++) {
+                int truth = parts[j] == NULL ? 0 : PyObject_IsTrue(parts[j]);
+                bad = truth < 0 || (truth && merge_into(step, parts[j]) < 0);
+            }
+            bad = bad || merge_into(base, step) < 0;
+            Py_XDECREF(step);
+            if (bad)
+                goto done;
+        }
+        /* mstates_v = nfa.eps_closure(base). */
+        if ((result = PySet_New(NULL)) == NULL ||
+            (order = order_of(base, f->n_nfa, "NFA state", &len)) == NULL)
+            goto done;
+        for (Py_ssize_t k = 0; k < len; k++) {
+            PyObject *closure = list_at(f->closures, order[k], "NFA state");
+            if (closure == NULL || merge_into(result, closure) < 0)
+                goto done;
+        }
+        PyMem_Free(order);
+        order = NULL;
+        if ((closed = PyFrozenSet_New(result)) == NULL)
+            goto done;
+    }
+    /* targets = child_relevant(pool, relevant, label), then
+     * targets |= set(self._ann_entries(mstates_v)). */
+    if ((targets = PySet_New(NULL)) == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < r_len; k++) {
+        int s = r_order[k];
+        if (f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN) &&
+            add_int(targets, f->target[s]) < 0)
+            goto done;
+    }
+    if ((entries = PySet_New(NULL)) == NULL)
+        goto done;
+    if (known) {
+        if (entry >= 0 && add_int(entries, entry) < 0)
+            goto done;
+    }
+    else {
+        if ((order = order_of(closed, f->n_nfa, "NFA state", &len)) == NULL)
+            goto done;
+        for (Py_ssize_t k = 0; k < len; k++)
+            if (f->ann[order[k]] >= 0 && add_int(entries, f->ann[order[k]]) < 0)
+                goto done;
+        PyMem_Free(order);
+        order = NULL;
+    }
+    if (merge_into(targets, entries) < 0)
+        goto done;
+    /* relevant_v = relevance_closure(pool, targets): the same DFS. */
+    if ((order = order_of(targets, f->n_afa, "AFA state", &len)) == NULL)
+        goto done;
+    if (c->stack == NULL || len + f->eps_at[f->n_afa] > c->stack_cap) {
+        Py_ssize_t cap = len + f->eps_at[f->n_afa];
+        int *stack = PyMem_Realloc(c->stack, (cap ? cap : 1) * sizeof(int));
+        if (stack == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        c->stack = stack;
+        c->stack_cap = cap;
+    }
+    Py_ssize_t top = len;
+    memcpy(c->stack, order, len * sizeof(int));
+    if ((reach = PySet_New(NULL)) == NULL)
+        goto done;
+    memset(c->mark, 0, f->n_afa ? f->n_afa : 1);
+    while (top > 0) {
+        int s = c->stack[--top];
+        if (c->mark[s])
+            continue;
+        c->mark[s] = 1;
+        if (add_int(reach, s) < 0)
+            goto done;
+        if (f->kind[s] <= K_NOT)
+            for (int e = f->eps_at[s]; e < f->eps_at[s + 1]; e++)
+                c->stack[top++] = f->eps[e]; /* each state expands once: fits */
+    }
+    /* Intern base, mstates_v, relevant_v -- in that order. */
+    if (!known) {
+        PyObject *base_id = NULL;
+        if ((fs = PyFrozenSet_New(base)) == NULL ||
+            intern_set(c, fs, &out->base, &base_id) < 0)
+            goto done;
+        int added = table_add(c, out->base, base_id);
+        Py_DECREF(base_id);
+        if (added < 0 || intern_set(c, Py_NewRef(closed), &out->mstates, &out->m_id) < 0 ||
+            table_add(c, out->mstates, out->m_id) < 0)
+            goto done;
+    }
+    if ((fs = PyFrozenSet_New(reach)) == NULL ||
+        intern_set(c, fs, &out->relevant, &out->r_id) < 0 ||
+        table_add(c, out->relevant, out->r_id) < 0)
+        goto done;
+    status = 0;
+done:
+    PyMem_Free(order);
+    Py_XDECREF(base);
+    Py_XDECREF(result);
+    Py_XDECREF(closed);
+    Py_XDECREF(targets);
+    Py_XDECREF(entries);
+    Py_XDECREF(reach);
+    return status;
+}
+
+/* The child's sets on column ``col`` by content, in the scratch rows
+ * (base, mstates, targets, relevant, λ entries of mstates); the ones the
+ * plan has interned already are filled into ``out``.  Returns the mask
+ * of those found: 1 base, 2 mstates_v, 4 relevant_v. */
+static int
+fast_sets(Closer *c, const int *m_order, Py_ssize_t m_len, const int *r_order,
+          Py_ssize_t r_len, Py_ssize_t col, ChildSets *out)
+{
+    Flat *f = c->flat;
+    Py_ssize_t w = f->words;
+    unsigned long long *base = c->scratch, *mst = base + w, *tgt = mst + w,
+                       *rel = tgt + w, *anns = rel + w;
+    memset(base, 0, 5 * w * sizeof(unsigned long long));
+    for (Py_ssize_t k = 0; k < m_len; k++) {
+        const unsigned long long *step = f->step + (m_order[k] * f->ncols + col) * w;
+        for (Py_ssize_t j = 0; j < w; j++)
+            base[j] |= step[j];
+    }
+    for (Py_ssize_t b = 0; b < f->n_nfa; b++)
+        if (BIT_GET(base, b)) {
+            const unsigned long long *clo = f->clo + b * w;
+            for (Py_ssize_t j = 0; j < w; j++)
+                mst[j] |= clo[j];
+        }
+    for (Py_ssize_t k = 0; k < r_len; k++) {
+        int s = r_order[k];
+        if (f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN))
+            BIT_SET(tgt, f->target[s]);
+    }
+    for (Py_ssize_t x = 0; x < f->n_nfa; x++)
+        if (BIT_GET(mst, x)) {
+            out->has_final |= f->final_[x];
+            if (f->ann[x] >= 0) {
+                out->has_ann = 1;
+                BIT_SET(tgt, f->ann[x]);
+                BIT_SET(anns, f->ann[x]);
+            }
+        }
+    for (Py_ssize_t t = 0; t < f->n_afa; t++)
+        if (BIT_GET(tgt, t)) {
+            const unsigned long long *reach = f->reach + t * w;
+            for (Py_ssize_t j = 0; j < w; j++)
+                rel[j] |= reach[j];
+        }
+    Py_ssize_t at[3] = {slot_of(c, base), slot_of(c, mst), slot_of(c, rel)};
+    int found = 0;
+    if (c->canon[at[0]] != NULL && c->canon[at[1]] != NULL) {
+        found = 3;
+        out->base = Py_NewRef(c->canon[at[0]]);
+        out->mstates = Py_NewRef(c->canon[at[1]]);
+        out->m_id = Py_NewRef(c->ids[at[1]]);
+    }
+    if (found && c->canon[at[2]] != NULL) {
+        found = 7;
+        out->relevant = Py_NewRef(c->canon[at[2]]);
+        out->r_id = Py_NewRef(c->ids[at[2]]);
+    }
+    return found;
+}
+
+/* watch = ((state, target), ...): relevant's transition states on the
+ * column's label, in relevant's iteration order. */
+static PyObject *
+make_watch(Flat *f, const int *r_order, Py_ssize_t r_len, Py_ssize_t col)
+{
+    Py_ssize_t nwatch = 0;
+    for (Py_ssize_t k = 0; k < r_len; k++) {
+        int s = r_order[k];
+        nwatch += f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN);
+    }
+    PyObject *watch = PyTuple_New(nwatch);
+    for (Py_ssize_t k = 0, w = 0; watch != NULL && k < r_len; k++) {
+        int s = r_order[k];
+        if (!(f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN)))
+            continue;
+        PyObject *pair = Py_BuildValue("(ii)", s, f->target[s]);
+        if (pair == NULL)
+            Py_CLEAR(watch);
+        else
+            PyTuple_SET_ITEM(watch, w++, pair);
+    }
+    return watch;
+}
+
+/* The child's sets on column ``col``: by content when all three are
+ * interned; else replayed -- from relevant_v on when base and mstates_v
+ * are interned and mstates_v names at most one λ entry, in full
+ * otherwise. */
+static int
+resolve_sets(Closer *c, const int *m_order, Py_ssize_t m_len, const int *r_order,
+             Py_ssize_t r_len, Py_ssize_t col, ChildSets *out)
+{
+    memset(out, 0, sizeof *out);
+    int found = fast_sets(c, m_order, m_len, r_order, r_len, col, out);
+    if (found != 7) {
+        Flat *f = c->flat;
+        const unsigned long long *anns = c->scratch + 4 * f->words;
+        int entry = -1, many = 0;
+        for (Py_ssize_t t = 0; t < f->n_afa; t++)
+            if (BIT_GET(anns, t)) {
+                many = entry >= 0;
+                entry = (int)t;
+            }
+        int known = found == 3 && !many;
+        if (!known)
+            child_clear(out);
+        if (child_sets(c, m_order, m_len, r_order, r_len, col, known, entry, out) < 0) {
+            child_clear(out);
+            return -1;
+        }
+    }
+    if ((out->watch = make_watch(c->flat, r_order, r_len, col)) == NULL) {
+        child_clear(out);
+        return -1;
+    }
+    return 0;
+}
+
+/* DenseKernel.cfg_of: the cfg id of ``sets`` (minted on a miss).
+ * Returns the id, or -1 with an exception set. */
+static long
+cfg_of(Closer *c, ChildSets *sets)
+{
+    PyObject *key = PyTuple_Pack(3, sets->m_id, sets->r_id, sets->watch);
+    if (key == NULL)
+        return -1;
+    long cfg = -1;
+    PyObject *known = PyDict_GetItemWithError(c->cfg_ids, key);
+    if (known != NULL) {
+        if (as_long(known, &cfg) == 0 && cfg < 0)
+            cfg = out_of_range("cfg", cfg);
+        Py_DECREF(key);
+        return cfg;
+    }
+    if (PyErr_Occurred()) {
+        Py_DECREF(key);
+        return -1;
+    }
+    int pop_needed = PySet_GET_SIZE(sets->relevant) > 0 &&
+                     (PyTuple_GET_SIZE(sets->watch) > 0 || sets->has_ann);
+    Py_ssize_t next = PyList_GET_SIZE(c->cfg_packed);
+    long packed = ((long)next << CFG_SHIFT) | (sets->has_final ? FINAL_BIT : 0) |
+                  (pop_needed ? POP_BIT : 0);
+    PyObject *id = PyLong_FromSsize_t(next), *word = PyLong_FromLong(packed);
+    if (id != NULL && word != NULL &&
+        PyList_Append(c->cfg_mstates, sets->mstates) == 0 &&
+        PyList_Append(c->cfg_relevant, sets->relevant) == 0 &&
+        PyList_Append(c->cfg_watch, sets->watch) == 0 &&
+        PyList_Append(c->cfg_m, sets->m_id) == 0 &&
+        PyList_Append(c->cfg_r, sets->r_id) == 0 &&
+        PyList_Append(c->cfg_has_ann, sets->has_ann ? Py_True : Py_False) == 0 &&
+        PyList_Append(c->cfg_packed, word) == 0 &&
+        PyList_Append(c->pops, unbuilt) == 0 &&
+        PyDict_SetItem(c->cfg_ids, key, id) == 0) /* published last */
+        cfg = (long)next;
+    Py_XDECREF(id);
+    Py_XDECREF(word);
+    Py_DECREF(key);
+    return cfg;
+}
+
+/* The child cfg of ``sets`` (DEAD when both sets are empty) and its
+ * packed word (borrowed: cfg_packed's, or ``dead_word``). */
+static int
+child_word(Closer *c, ChildSets *sets, long *child, PyObject **word)
+{
+    if (PySet_GET_SIZE(sets->mstates) == 0 && PySet_GET_SIZE(sets->relevant) == 0) {
+        *child = DEAD;
+        *word = dead_word;
+        return 0;
+    }
+    if ((*child = cfg_of(c, sets)) < 0 ||
+        (*word = list_at(c->cfg_packed, *child, "cfg")) == NULL)
+        return -1;
+    if (!PyLong_Check(*word)) {
+        PyErr_SetString(PyExc_TypeError, "cold path: a packed word must be an int");
+        return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+get_dict(PyObject *owner, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(owner, name);
+    if (value != NULL && !PyDict_Check(value)) {
+        PyErr_Format(PyExc_TypeError, "cold path: %U must be a dict", name);
+        Py_CLEAR(value);
+    }
+    return value;
+}
+
+/* eps_closures(eps) -> [frozenset, ...]: NFA._compute_closures, replayed
+ * on real sets (the closures' iteration orders reach every mstates set
+ * the closure builds from them).  ``eps`` is the NFA's list of ε-target
+ * sets; a target out of range raises IndexError.  A step of the fixpoint
+ * that cannot grow its set (decided on bit sets) mutates nothing in the
+ * reference either, so it builds nothing here. */
+static PyObject *
+eps_closures(PyObject *module, PyObject *eps)
+{
+    if (!PyList_Check(eps)) {
+        PyErr_SetString(PyExc_TypeError, "eps_closures: eps must be a list");
+        return NULL;
+    }
+    Py_ssize_t n = PyList_GET_SIZE(eps), w = n / 64 + 1;
+    PyObject **sets = PyMem_Calloc(n ? n : 1, sizeof(PyObject *));
+    unsigned long long *bits = PyMem_Calloc((n ? n : 1) * w + w, sizeof(unsigned long long));
+    PyObject *closures = NULL, *add = NULL;
+    int *order = NULL;
+    if (sets == NULL || bits == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    unsigned long long *grow = bits + n * w;
+    /* sets = [set({i}) | self.eps[i] for i in range(n)] */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *one = PySet_New(NULL);
+        if (one == NULL || add_int(one, (long)i) < 0) {
+            Py_XDECREF(one);
+            goto done;
+        }
+        sets[i] = PyNumber_Or(one, PyList_GET_ITEM(eps, i));
+        Py_DECREF(one);
+        if (sets[i] == NULL)
+            goto done;
+        if (!PySet_Check(sets[i])) {
+            PyErr_SetString(PyExc_TypeError, "eps_closures: ε targets must be sets");
+            goto done;
+        }
+        int fits = bits_of(sets[i], n, bits + i * w);
+        if (fits <= 0) {
+            if (fits == 0)
+                PyErr_SetString(PyExc_IndexError, "eps_closures: an ε target is no NFA state");
+            goto done;
+        }
+    }
+    int changed = 1;
+    while (changed) {
+        changed = 0;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            /* add = ∪ sets[j] for j in list(sets[i]); grows sets[i]? */
+            unsigned long long *own = bits + i * w;
+            int grows = 0;
+            memset(grow, 0, w * sizeof(unsigned long long));
+            for (Py_ssize_t j = 0; j < n; j++)
+                if (BIT_GET(own, j))
+                    for (Py_ssize_t k = 0; k < w; k++)
+                        grow[k] |= bits[j * w + k];
+            for (Py_ssize_t k = 0; k < w; k++)
+                grows |= (grow[k] & ~own[k]) != 0;
+            if (!grows)
+                continue;
+            Py_ssize_t len;
+            if ((add = PySet_New(NULL)) == NULL ||
+                (order = order_of(sets[i], n, "NFA state", &len)) == NULL)
+                goto done;
+            for (Py_ssize_t k = 0; k < len; k++)
+                if (merge_into(add, sets[order[k]]) < 0)
+                    goto done;
+            PyMem_Free(order);
+            order = NULL;
+            if (merge_into(sets[i], add) < 0)
+                goto done;
+            Py_CLEAR(add);
+            memcpy(own, grow, w * sizeof(unsigned long long));
+            changed = 1;
+        }
+    }
+    if ((closures = PyList_New(n)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *frozen = PyFrozenSet_New(sets[i]);
+        if (frozen == NULL) {
+            Py_CLEAR(closures);
+            goto done;
+        }
+        PyList_SET_ITEM(closures, i, frozen);
+    }
+done:
+    Py_XDECREF(add);
+    PyMem_Free(order);
+    if (sets != NULL)
+        for (Py_ssize_t i = 0; i < n; i++)
+            Py_XDECREF(sets[i]);
+    PyMem_Free(sets);
+    PyMem_Free(bits);
+    return closures;
+}
+
+/* close(plan, root, max_cfgs) -> (order bytes, children bytes, bases,
+ * num_cfgs): the BFS of kernel._close_py from the root cfg, which the
+ * caller has minted; the caller holds the plan's intern and cfg locks. */
+static PyObject *
+dense_close(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "close takes 3 arguments");
+        return NULL;
+    }
+    if (unbuilt == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "cold path used before setup()");
+        return NULL;
+    }
+    long root, max_cfgs;
+    if (as_long(args[1], &root) < 0 || as_long(args[2], &max_cfgs) < 0)
+        return NULL;
+    Closer cl;
+    memset(&cl, 0, sizeof cl);
+    Closer *c = &cl;
+    c->plan = args[0];
+    PyObject *capsule = NULL, *bases = NULL, *result = NULL, *cfg_obj = NULL;
+    int *queue = NULL, *children = NULL, *m_order = NULL, *r_order = NULL;
+    unsigned char *seen = NULL;
+    Py_ssize_t qlen = 0, qcap = 16, nchildren = 0, ccap = 64, seen_cap = 64, nseen = 0;
+    ChildSets other, sets;
+    memset(&other, 0, sizeof other);
+    memset(&sets, 0, sizeof sets);
+    if ((c->kern = PyObject_GetAttr(c->plan, s_kernel)) == NULL ||
+        (c->set_ids = get_dict(c->plan, s_set_ids)) == NULL ||
+        (c->cfg_ids = get_dict(c->kern, s_cfg_ids)) == NULL ||
+        (c->trans = get_dict(c->kern, s_trans)) == NULL ||
+        (c->cfg_mstates = get_list(c->kern, s_cfg_mstates)) == NULL ||
+        (c->cfg_relevant = get_list(c->kern, s_cfg_relevant)) == NULL ||
+        (c->cfg_watch = get_list(c->kern, s_cfg_watch)) == NULL ||
+        (c->cfg_m = get_list(c->kern, s_cfg_m)) == NULL ||
+        (c->cfg_r = get_list(c->kern, s_cfg_r)) == NULL ||
+        (c->cfg_has_ann = get_list(c->kern, s_cfg_has_ann)) == NULL ||
+        (c->cfg_packed = get_list(c->kern, s_cfg_packed)) == NULL ||
+        (c->pops = get_list(c->kern, s_pops)) == NULL ||
+        (capsule = flat_of(c->plan, c->kern, &c->flat)) == NULL ||
+        (bases = PyList_New(0)) == NULL)
+        goto done;
+    Flat *f = c->flat;
+    if (table_seed(c) < 0)
+        goto done;
+    queue = PyMem_Malloc(qcap * sizeof(int));
+    children = PyMem_Malloc(ccap * sizeof(int));
+    seen = PyMem_Calloc(seen_cap, 1);
+    c->mark = PyMem_Malloc(f->n_afa ? f->n_afa : 1);
+    if (!queue || !children || !seen || !c->mark) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    seen[DEAD] = 1;
+    nseen = 1;
+    if (root < 0 || root >= PyList_GET_SIZE(c->cfg_packed)) {
+        out_of_range("cfg", root);
+        goto done;
+    }
+    if (root != DEAD) {
+        if (root >= seen_cap) {
+            unsigned char *grown = PyMem_Realloc(seen, root + 1);
+            if (grown == NULL) {
+                PyErr_NoMemory();
+                goto done;
+            }
+            memset(grown + seen_cap, 0, root + 1 - seen_cap);
+            seen = grown;
+            seen_cap = root + 1;
+        }
+        seen[root] = 1;
+        nseen++;
+        queue[qlen++] = (int)root;
+    }
+    unsigned char *named = PyMem_Malloc(f->ncols);
+    if (named == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t qi = 0; qi < qlen; qi++) {
+        long cfg = queue[qi];
+        PyObject *mstates = list_at(c->cfg_mstates, cfg, "cfg");
+        PyObject *relevant = mstates ? list_at(c->cfg_relevant, cfg, "cfg") : NULL;
+        Py_ssize_t m_len = 0, r_len = 0;
+        PyMem_Free(m_order);
+        PyMem_Free(r_order);
+        m_order = r_order = NULL;
+        if (relevant == NULL ||
+            (m_order = order_of(mstates, f->n_nfa, "NFA state", &m_len)) == NULL ||
+            (r_order = order_of(relevant, f->n_afa, "AFA state", &r_len)) == NULL)
+            goto fail_named;
+        /* The columns some state of the cfg names; the rest take OTHER's sets. */
+        memset(named, 0, f->ncols);
+        for (Py_ssize_t k = 0; k < m_len; k++)
+            for (Py_ssize_t col = 0; col < f->ncols; col++)
+                named[col] |= f->named[m_order[k] * f->ncols + col];
+        for (Py_ssize_t k = 0; k < r_len; k++)
+            if (f->kind[r_order[k]] == K_TRANS && f->label[r_order[k]] >= 0)
+                named[f->label[r_order[k]]] = 1;
+        child_clear(&other);
+        if (resolve_sets(c, m_order, m_len, r_order, r_len, f->ncols - 1, &other) < 0)
+            goto fail_named;
+        Py_CLEAR(cfg_obj);
+        if ((cfg_obj = PyLong_FromLong(cfg)) == NULL)
+            goto fail_named;
+        long other_child = -1, child;
+        PyObject *other_word = NULL, *word;
+        for (Py_ssize_t col = 0; col < f->ncols; col++) {
+            ChildSets *use = &other;
+            if (named[col]) {
+                child_clear(&sets);
+                if (resolve_sets(c, m_order, m_len, r_order, r_len, col, &sets) < 0 ||
+                    child_word(c, &sets, &child, &word) < 0)
+                    goto fail_named;
+                use = &sets;
+            }
+            else {
+                if (other_word == NULL &&
+                    child_word(c, &other, &other_child, &other_word) < 0)
+                    goto fail_named;
+                child = other_child;
+                word = other_word;
+            }
+            PyObject *key = PyTuple_Pack(2, cfg_obj, f->columns[col]);
+            int bad = key == NULL || PyDict_SetItem(c->trans, key, word) < 0 ||
+                      PyList_Append(bases, use->base) < 0;
+            Py_XDECREF(key);
+            if (bad)
+                goto fail_named;
+            if (nchildren == ccap) {
+                int *grown = PyMem_Realloc(children, 2 * ccap * sizeof(int));
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    goto fail_named;
+                }
+                children = grown;
+                ccap *= 2;
+            }
+            children[nchildren++] = (int)child;
+            if (child >= seen_cap) {
+                Py_ssize_t cap = seen_cap;
+                while (cap <= child)
+                    cap *= 2;
+                unsigned char *grown = PyMem_Realloc(seen, cap);
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    goto fail_named;
+                }
+                memset(grown + seen_cap, 0, cap - seen_cap);
+                seen = grown;
+                seen_cap = cap;
+            }
+            if (!seen[child]) {
+                seen[child] = 1;
+                if (++nseen <= max_cfgs) {
+                    if (qlen == qcap) {
+                        int *grown = PyMem_Realloc(queue, 2 * qcap * sizeof(int));
+                        if (grown == NULL) {
+                            PyErr_NoMemory();
+                            goto fail_named;
+                        }
+                        queue = grown;
+                        qcap *= 2;
+                    }
+                    queue[qlen++] = (int)child;
+                }
+            }
+        }
+    }
+    PyMem_Free(named);
+    result = Py_BuildValue("(y#y#On)", (const char *)queue, qlen * (Py_ssize_t)sizeof(int),
+                           (const char *)children, nchildren * (Py_ssize_t)sizeof(int),
+                           bases, PyList_GET_SIZE(c->cfg_packed));
+    goto done;
+fail_named:
+    PyMem_Free(named);
+done:
+    child_clear(&other);
+    child_clear(&sets);
+    PyMem_Free(queue);
+    PyMem_Free(children);
+    PyMem_Free(seen);
+    PyMem_Free(m_order);
+    PyMem_Free(r_order);
+    PyMem_Free(c->mark);
+    PyMem_Free(c->stack);
+    Py_XDECREF(cfg_obj);
+    table_clear(c);
+    Py_XDECREF(capsule);
+    Py_XDECREF(bases);
+    Py_XDECREF(c->kern);
+    Py_XDECREF(c->set_ids);
+    Py_XDECREF(c->cfg_ids);
+    Py_XDECREF(c->trans);
+    Py_XDECREF(c->cfg_mstates);
+    Py_XDECREF(c->cfg_relevant);
+    Py_XDECREF(c->cfg_watch);
+    Py_XDECREF(c->cfg_m);
+    Py_XDECREF(c->cfg_r);
+    Py_XDECREF(c->cfg_has_ann);
+    Py_XDECREF(c->cfg_packed);
+    Py_XDECREF(c->pops);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* Pop fills                                                            */
+/* ------------------------------------------------------------------ */
+static void
+cold_clear(Cold *c)
+{
+    Py_CLEAR(c->capsule);
+    Py_CLEAR(c->cfg_relevant);
+    Py_CLEAR(c->cfg_r);
+    Py_CLEAR(c->cfg_m);
+    Py_CLEAR(c->cfg_watch);
+    Py_CLEAR(c->cfg_has_ann);
+    Py_CLEAR(c->pop_cache);
+    Py_CLEAR(c->dead_cache);
+}
+
+static int
+cold_load(Cold *c, PyObject *plan, PyObject *kern)
+{
+    if ((c->capsule = flat_of(plan, kern, &c->flat)) == NULL ||
+        (c->cfg_relevant = get_list(kern, s_cfg_relevant)) == NULL ||
+        (c->cfg_r = get_list(kern, s_cfg_r)) == NULL ||
+        (c->cfg_m = get_list(kern, s_cfg_m)) == NULL ||
+        (c->cfg_watch = get_list(kern, s_cfg_watch)) == NULL ||
+        (c->cfg_has_ann = get_list(kern, s_cfg_has_ann)) == NULL ||
+        (c->pop_cache = PyObject_GetAttr(plan, s_pop_cache)) == NULL ||
+        (c->dead_cache = PyObject_GetAttr(plan, s_dead_cache)) == NULL) {
+        cold_clear(c);
+        return -1;
+    }
+    return 0;
+}
+
+/* A resolved value: from the bit set when this fill resolved it, else
+ * ``values.get(state, False)`` of the cached dict.  -1 on error. */
+static int
+value_of(const unsigned long long *val, PyObject *values, Py_ssize_t n, long state)
+{
+    if (values == NULL)
+        return (unsigned long)state < (unsigned long)n && BIT_GET(val, state);
+    PyObject *number = PyLong_FromLong(state);
+    if (number == NULL)
+        return -1;
+    PyObject *value = PyDict_GetItemWithError(values, number);
+    Py_DECREF(number);
+    if (value == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    return PyObject_IsTrue(value);
+}
+
+/* The operators of one fill, SCC by SCC in the reference's order:
+ * CompiledPlan._resolve on bits.  ``ops`` is sorted by SCC id. */
+static void
+resolve_operators(Flat *f, const int *ops, Py_ssize_t nops, unsigned long long *val)
+{
+    for (Py_ssize_t i = 0; i < nops;) {
+        Py_ssize_t j = i + 1;
+        while (j < nops && f->scc[ops[j]] == f->scc[ops[i]])
+            j++;
+        int changed = 1;
+        while (changed) {
+            changed = 0;
+            for (Py_ssize_t k = i; k < j; k++) {
+                int s = ops[k], kind = f->kind[s], value = kind == K_AND;
+                for (int e = f->eps_at[s]; e < f->eps_at[s + 1]; e++) {
+                    int operand = (int)BIT_GET(val, f->eps[e]);
+                    if (kind == K_AND ? !operand : operand) {
+                        value = kind != K_AND;
+                        break;
+                    }
+                }
+                if (kind == K_NOT)
+                    value = !BIT_GET(val, f->eps[f->eps_at[s]]);
+                if (value && !BIT_GET(val, s)) {
+                    BIT_SET(val, s);
+                    changed = j - i > 1; /* a lone state is resolved once */
+                }
+            }
+        }
+        i = j;
+    }
+}
+
+/* DenseKernel.fill_pop, compiled: resolve and store the pop table entry
+ * of ``cfg`` at ``node`` (whose children reported ``truths``, or NULL).
+ * Returns a new reference to the outcome. */
+static PyObject *
+cold_fill(Pass *p, Cold *c, long cfg, PyObject *node, PyObject *truths)
+{
+    if (c->capsule == NULL && cold_load(c, p->plan, p->kern) < 0)
+        return NULL;
+    Flat *f = c->flat;
+    PyObject *relevant = list_at(c->cfg_relevant, cfg, "cfg");
+    if (relevant == NULL)
+        return NULL;
+    Py_INCREF(relevant);
+    PyObject *r_id = NULL, *values = NULL, *key = NULL, *number = NULL,
+             *dead = NULL, *report = NULL, *outcome = NULL, *entry = NULL,
+             *mstates = NULL, *watch = NULL, *result = NULL;
+    int *order = NULL, *finals = NULL, *trans = NULL, *ops = NULL, *m_order = NULL;
+    unsigned long long *val = NULL;
+    Py_ssize_t len = 0, nfinals = 0, ntrans = 0, nops = 0;
+    if ((r_id = list_at(c->cfg_r, cfg, "cfg")) == NULL)
+        goto done;
+    Py_INCREF(r_id);
+    if ((order = order_of(relevant, f->n_afa, "AFA state", &len)) == NULL)
+        goto done;
+    finals = PyMem_Malloc((len ? len : 1) * sizeof(int));
+    trans = PyMem_Malloc((len ? len : 1) * sizeof(int));
+    ops = PyMem_Malloc((len ? len : 1) * sizeof(int));
+    val = PyMem_Calloc((f->n_afa + 63) / 64 + 1, sizeof(unsigned long long));
+    if (!finals || !trans || !ops || !val) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* CompiledPlan._relevant_plan: finals, transitions, operators by SCC. */
+    for (Py_ssize_t k = 0; k < len; k++) {
+        int s = order[k];
+        if (f->kind[s] == K_FINAL)
+            finals[nfinals++] = s;
+        else if (f->kind[s] == K_TRANS)
+            trans[ntrans++] = s;
+        else {
+            Py_ssize_t at = nops++;
+            while (at > 0 && f->scc[ops[at - 1]] > f->scc[s]) { /* stable */
+                ops[at] = ops[at - 1];
+                at--;
+            }
+            ops[at] = s;
+        }
+    }
+    if (f->cyclic_not || nfinals > 63) {
+        /* The reference raises (a NOT in an ε-cycle) or needs wide ints. */
+        PyObject *cfg_obj = PyLong_FromLong(cfg);
+        if (cfg_obj != NULL) {
+            PyObject *args[5] = {p->plan, cfg_obj, p->columns, node, truths};
+            result = PyObject_Vectorcall(p->fill_pop, args, truths ? 5 : 4, NULL);
+            Py_DECREF(cfg_obj);
+        }
+        goto done;
+    }
+    /* The predicate bits at the node, and the finals holding everywhere. */
+    unsigned long long bits = 0, full = 0;
+    for (Py_ssize_t k = 0; k < nfinals; k++) {
+        PyObject *pred = f->pred[finals[k]];
+        if (pred == NULL) {
+            full |= 1ULL << k;
+            continue;
+        }
+        PyObject *call[3] = {pred, p->columns, node};
+        PyObject *held = PyObject_VectorcallMethod(s_holds, call, 3, NULL);
+        int truth = held == NULL ? -1 : PyObject_IsTrue(held);
+        Py_XDECREF(held);
+        if (truth < 0)
+            goto done;
+        if (truth)
+            bits |= 1ULL << k;
+    }
+    full |= bits;
+    if ((number = PyLong_FromUnsignedLongLong(full)) == NULL)
+        goto done;
+    key = truths ? PyTuple_Pack(3, r_id, number, truths) : PyTuple_Pack(2, r_id, number);
+    if (key == NULL)
+        goto done;
+    Py_ssize_t resolved;
+    values = memo_get(c->pop_cache, key);
+    if (values == NULL && PyErr_Occurred())
+        goto done;
+    if (values != NULL) {
+        if (!PyDict_Check(values)) {
+            PyErr_SetString(PyExc_TypeError, "cold path: cached pop values must be a dict");
+            goto done;
+        }
+        resolved = PyDict_GET_SIZE(values);
+    }
+    else {
+        /* CompiledPlan._resolve: leaves, then the operators' fixpoint. */
+        for (Py_ssize_t k = 0; k < nfinals; k++)
+            if (full >> k & 1)
+                BIT_SET(val, finals[k]);
+        for (Py_ssize_t k = 0; truths && k < ntrans; k++) {
+            PyObject *state = PyLong_FromLong(trans[k]);
+            int in = state == NULL ? -1 : PySet_Contains(truths, state);
+            Py_XDECREF(state);
+            if (in < 0)
+                goto done;
+            if (in)
+                BIT_SET(val, trans[k]);
+        }
+        resolve_operators(f, ops, nops, val);
+        PyObject *fresh = PyDict_New();
+        if (fresh == NULL)
+            goto done;
+        const int *groups[3] = {finals, trans, ops};
+        Py_ssize_t sizes[3] = {nfinals, ntrans, nops};
+        for (int g = 0; g < 3; g++)
+            for (Py_ssize_t k = 0; k < sizes[g]; k++) {
+                PyObject *state = PyLong_FromLong(groups[g][k]);
+                int bad = state == NULL ||
+                          PyDict_SetItem(fresh, state,
+                                         BIT_GET(val, groups[g][k]) ? Py_True : Py_False) < 0;
+                Py_XDECREF(state);
+                if (bad) {
+                    Py_DECREF(fresh);
+                    goto done;
+                }
+            }
+        resolved = PyDict_GET_SIZE(fresh);
+        int stored = PyObject_SetItem(c->pop_cache, key, fresh);
+        Py_DECREF(fresh);
+        if (stored < 0)
+            goto done;
+    }
+    /* The dead NFA states (CompiledPlan._compute_dead), when λ is in play. */
+    PyObject *flag = list_at(c->cfg_has_ann, cfg, "cfg");
+    int has_ann = flag == NULL ? -1 : PyObject_IsTrue(flag);
+    if (has_ann < 0)
+        goto done;
+    if (has_ann) {
+        PyObject *m_id = list_at(c->cfg_m, cfg, "cfg");
+        if (m_id == NULL)
+            goto done;
+        Py_ssize_t width = PyTuple_GET_SIZE(key);
+        PyObject *dead_key = PyTuple_New(width + 1);
+        if (dead_key == NULL)
+            goto done;
+        PyTuple_SET_ITEM(dead_key, 0, Py_NewRef(m_id));
+        for (Py_ssize_t k = 0; k < width; k++)
+            PyTuple_SET_ITEM(dead_key, k + 1, Py_NewRef(PyTuple_GET_ITEM(key, k)));
+        dead = memo_get(c->dead_cache, dead_key);
+        if (dead == NULL && !PyErr_Occurred()) {
+            Py_ssize_t m_len = 0;
+            PyObject *list = NULL;
+            mstates = list_at(p->cfg_mstates, cfg, "cfg");
+            Py_XINCREF(mstates);
+            if (mstates != NULL &&
+                (m_order = order_of(mstates, f->n_nfa, "NFA state", &m_len)) != NULL &&
+                (list = PyList_New(0)) != NULL) {
+                int bad = 0;
+                for (Py_ssize_t k = 0; !bad && k < m_len; k++) {
+                    int s = m_order[k];
+                    if (f->ann[s] < 0)
+                        continue;
+                    int alive = value_of(val, values, f->n_afa, f->ann[s]);
+                    PyObject *number_s = alive ? NULL : PyLong_FromLong(s);
+                    bad = alive < 0 || (!alive && (number_s == NULL ||
+                                                   PyList_Append(list, number_s) < 0));
+                    Py_XDECREF(number_s);
+                }
+                if (!bad && (dead = PyFrozenSet_New(list)) != NULL &&
+                    PyObject_SetItem(c->dead_cache, dead_key, dead) < 0)
+                    Py_CLEAR(dead);
+            }
+            Py_XDECREF(list);
+        }
+        Py_DECREF(dead_key);
+        if (dead == NULL)
+            goto done;
+    }
+    /* The watchers to report to the parent: fstates↑. */
+    watch = list_at(c->cfg_watch, cfg, "cfg");
+    if (watch == NULL)
+        goto done;
+    Py_INCREF(watch);
+    if (!PyTuple_Check(watch)) {
+        PyErr_SetString(PyExc_TypeError, "cold path: a cfg's watch must be a tuple");
+        goto done;
+    }
+    if ((report = PyList_New(0)) == NULL)
+        goto done;
+    for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(watch); k++) {
+        PyObject *pair = PyTuple_GET_ITEM(watch, k);
+        long target;
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError, "cold path: a watch entry must be (watcher, target)");
+            goto done;
+        }
+        if (as_long(PyTuple_GET_ITEM(pair, 1), &target) < 0)
+            goto done;
+        int held = value_of(val, values, f->n_afa, target);
+        if (held < 0 || (held && PyList_Append(report, PyTuple_GET_ITEM(pair, 0)) < 0))
+            goto done;
+    }
+    Py_SETREF(report, PyList_AsTuple(report));
+    if (report == NULL)
+        goto done;
+    if ((outcome = Py_BuildValue("(OOn)", dead ? dead : Py_None, report, resolved)) == NULL)
+        goto done;
+    /* DenseKernel.pop_entry, then the outcome under the observed bits. */
+    entry = list_at(p->pops, cfg, "cfg");
+    if (entry == NULL)
+        goto done;
+    Py_INCREF(entry);
+    if (entry == unbuilt) {
+        PyObject *preds = PyList_New(0), *table = NULL;
+        int bad = preds == NULL;
+        for (Py_ssize_t k = 0; !bad && k < nfinals; k++) {
+            PyObject *pred = f->pred[finals[k]];
+            if (pred == NULL)
+                continue;
+            PyObject *holds = PyObject_GetAttr(pred, s_holds);
+            PyObject *pair = holds ? Py_BuildValue("(KO)", 1ULL << k, holds) : NULL;
+            Py_XDECREF(holds);
+            bad = pair == NULL || PyList_Append(preds, pair) < 0;
+            Py_XDECREF(pair);
+        }
+        if (!bad) {
+            Py_SETREF(preds, PyList_AsTuple(preds));
+            table = preds ? PyDict_New() : NULL;
+        }
+        Py_SETREF(entry, table ? PyTuple_Pack(2, preds, table) : NULL);
+        Py_XDECREF(preds);
+        Py_XDECREF(table);
+        if (entry == NULL || PyList_SetItem(p->pops, cfg, Py_NewRef(entry)) < 0)
+            goto done;
+    }
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+        PyErr_SetString(PyExc_TypeError, "lean pass: a pop table entry must be (preds, outcomes)");
+        goto done;
+    }
+    Py_SETREF(number, PyLong_FromUnsignedLongLong(bits));
+    if (number == NULL)
+        goto done;
+    if (truths) {
+        Py_SETREF(number, PyTuple_Pack(2, number, truths));
+        if (number == NULL)
+            goto done;
+    }
+    if (PyObject_SetItem(PyTuple_GET_ITEM(entry, 1), number, outcome) == 0)
+        result = Py_NewRef(outcome);
+done:
+    PyMem_Free(order);
+    PyMem_Free(finals);
+    PyMem_Free(trans);
+    PyMem_Free(ops);
+    PyMem_Free(val);
+    PyMem_Free(m_order);
+    Py_XDECREF(relevant);
+    Py_XDECREF(r_id);
+    Py_XDECREF(values);
+    Py_XDECREF(key);
+    Py_XDECREF(number);
+    Py_XDECREF(dead);
+    Py_XDECREF(report);
+    Py_XDECREF(outcome);
+    Py_XDECREF(entry);
+    Py_XDECREF(mstates);
+    Py_XDECREF(watch);
+    return result;
+}
+
+/* setup(expired, new_row, clock, check_interval, constants, unbuilt,
+ * other_label): install the kernel's helpers; ``constants`` is kernel's
+ * (FINAL_BIT, POP_BIT, CFG_SHIFT, DEAD, UNFILLED), refused unless it
+ * matches this file's; ``unbuilt`` is the shared pop entry of a cfg that
+ * has not popped and ``other_label`` the OTHER column's label. */
 static PyObject *
 setup(PyObject *module, PyObject *args)
 {
-    PyObject *expired, *new_row, *clock, *constants;
+    PyObject *expired, *new_row, *clock, *constants, *unbuilt_entry, *other;
     long long interval;
-    if (!PyArg_ParseTuple(args, "OOOLO!", &expired, &new_row, &clock, &interval,
-                          &PyTuple_Type, &constants))
+    if (!PyArg_ParseTuple(args, "OOOLO!OU", &expired, &new_row, &clock, &interval,
+                          &PyTuple_Type, &constants, &unbuilt_entry, &other))
         return NULL;
     PyObject *mine = Py_BuildValue("(iiiii)", FINAL_BIT, POP_BIT, CFG_SHIFT, DEAD, UNFILLED);
     if (mine == NULL)
@@ -1219,6 +3073,8 @@ setup(PyObject *module, PyObject *args)
     Py_XSETREF(expired_fn, Py_NewRef(expired));
     Py_XSETREF(new_row_fn, Py_NewRef(new_row));
     Py_XSETREF(clock_fn, Py_NewRef(clock));
+    Py_XSETREF(unbuilt, Py_NewRef(unbuilt_entry));
+    Py_XSETREF(other_label, Py_NewRef(other));
     check_interval = interval;
     Py_RETURN_NONE;
 }
@@ -1231,8 +3087,14 @@ static PyMethodDef lean_methods[] = {
      "collect_answers(plan, visit_ids, visit_parents, visit_mstates, deaths,"
      " finals_seen, label) -> answer node ids\n\n"
      "Phase 2, compiled (see repro.hype.core)."},
+    {"eps_closures", eps_closures, METH_O,
+     "eps_closures(eps) -> [frozenset, ...]\n\n"
+     "NFA._compute_closures, compiled (see repro.automata.nfa)."},
+    {"close", (PyCFunction)(void (*)(void))dense_close, METH_FASTCALL,
+     "close(plan, root, max_cfgs) -> (order, children, bases, num_cfgs)\n\n"
+     "The dense closure, compiled (see repro.hype.kernel._close_py)."},
     {"setup", setup, METH_VARARGS,
-     "setup(expired, new_row, clock, check_interval, constants)"},
+     "setup(expired, new_row, clock, check_interval, constants, unbuilt, other_label)"},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1279,6 +3141,37 @@ PyInit__lean(void)
     INTERN(s_finals, "finals");
     INTERN(s_alive_cache, "_alive_cache");
     INTERN(s_alive, "_alive");
+    INTERN(s_flat, "flat");
+    INTERN(s_alphabet, "alphabet");
+    INTERN(s_pool, "pool");
+    INTERN(s_states, "states");
+    INTERN(s_kind, "kind");
+    INTERN(s_eps, "eps");
+    INTERN(s_label, "label");
+    INTERN(s_target, "target");
+    INTERN(s_pred, "pred");
+    INTERN(s_trans, "trans");
+    INTERN(s_ann, "ann");
+    INTERN(s_closure, "_closure");
+    INTERN(s_eps_closure_of, "eps_closure_of");
+    INTERN(s_start, "start");
+    INTERN(s_set_ids, "_set_ids");
+    INTERN(s_cfg_ids, "cfg_ids");
+    INTERN(s_cfg_relevant, "cfg_relevant");
+    INTERN(s_cfg_watch, "cfg_watch");
+    INTERN(s_cfg_m, "cfg_m");
+    INTERN(s_cfg_r, "cfg_r");
+    INTERN(s_cfg_has_ann, "cfg_has_ann");
+    INTERN(s_pop_cache, "_pop_cache");
+    INTERN(s_dead_cache, "_dead_cache");
+    INTERN(s_holds, "holds");
+    INTERN(s_wildcard, "*");
+    INTERN(s_and, "and");
+    INTERN(s_or, "or");
+    INTERN(s_not, "not");
+    INTERN(s_final, "final");
 #undef INTERN
+    if ((dead_word = PyLong_FromLong(DEAD)) == NULL)
+        return NULL;
     return PyModule_Create(&lean_module);
 }

@@ -59,12 +59,29 @@ pass keeps the current frame — node, visit index, cfg, its
 — in locals, pushes one tuple of those per visited element that has
 element children and pops childless elements inline.  It exists twice:
 :func:`_descend_lane_py` is the reference, and ``_lean.c`` the same
-pass compiled (every table's hit path in C; misses, predicates and the
-clock call the Python code here).  The same extension carries phase 2
-(:meth:`repro.hype.core.CompiledPlan._collect_answers_py`, compiled).
-:mod:`repro.native` builds it on first import; :data:`DESCENT`
-records which passes this process runs (``"compiled"``, or
-``"python: <reason>"``) and :func:`descend` calls that lean pass.
+pass compiled.  The same extension carries phase 2
+(:meth:`repro.hype.core.CompiledPlan._collect_answers_py`, compiled)
+and the *cold path* — what a never-seen plan pays before its tables
+are warm: the dense closure (:func:`close` runs it; :func:`_close_py`
+is its reference) and the pop fills (:meth:`DenseKernel.fill_pop`'s
+reference, with :meth:`~repro.hype.core.CompiledPlan._relevant_plan`,
+``_resolve``, ``_compute_dead`` and ``AFAPool._analyze`` under it).
+Both build the same Python objects the references build, in the same
+order.  :mod:`repro.native` builds the extension on first import;
+:data:`DESCENT` records which passes this process runs
+(``"compiled"``, or ``"python: <reason>"``), and :func:`descend` and
+:func:`close` follow it.
+
+In a compiled process every table's hit path runs in C, a row miss
+whose transition the closure already holds included, and so does a
+pop miss.  What still calls the Python code here: a transition the
+table lacks (:meth:`DenseKernel.lookup_trans` — a cfg past a truncated
+closure, or one an OptHyPE filter minted), every OptHyPE filter miss
+(:meth:`DenseKernel.fill_filter` → ``_apply_index`` and the viability
+analyzer), the root cfg (:meth:`DenseKernel.root_cfg`), the
+predicates' ``holds``, a pop fill over more than 63 finals or of an
+automaton with a NOT in an ε-cycle (the reference raises), and the
+clock.
 A wave's lanes are stepped one after the other (stepping them together
 through one multiplexed loop measured slower at every width); what the
 wave shares is reported from the union of the lanes' visit columns.
@@ -163,6 +180,7 @@ class DenseKernel:
         "edge_r",
         "edge_watch",
         "edge_filters",
+        "flat",
         "__weakref__",
     )
 
@@ -217,6 +235,10 @@ class DenseKernel:
         # key in the executable's label table, whichever document of
         # that label set the key was read from.
         self.edge_filters: list[dict] = []
+        #: The compiled cold path's flat automaton (``None`` until the
+        #: first compiled closure or pop miss builds it; shared by the
+        #: plans of one MFA through :meth:`seed`).
+        self.flat = None
         empty, empty_id = plan._intern(frozenset())
         assert self.cfg_of(empty, empty_id, empty, empty_id, ()) == DEAD
 
@@ -471,6 +493,8 @@ class DenseKernel:
         payload ever being encoded: the closed kernel's own frozensets
         stand in for the set rows."""
         order, children, bases, num_cfgs = closed.closure
+        if self.flat is None:
+            self.flat = closed.flat
         _, cfg_map = decode_cfgs(
             plan,
             closed.cfg_mstates[:num_cfgs] + closed.cfg_relevant[:num_cfgs],
@@ -609,7 +633,30 @@ def decode_cfgs(plan, sets, cfgs) -> tuple[list, list[int]]:
 
 
 def close(plan, max_cfgs: int = 256) -> None:
-    """Eagerly close a (plain) plan's dense table, in place.
+    """Eagerly close a (plain) plan's dense table, in place: the compiled
+    closure (``_lean.c``) when :data:`DESCENT` is ``"compiled"``, else
+    :func:`_close_py`, the reference it reproduces — the same cfgs and
+    interned sets minted in the same order, the same closure record,
+    tables and :func:`kernel_payload` bytes."""
+    if _cold is None:
+        return _close_py(plan, max_cfgs)
+    if plan.bit_of is not None:
+        raise ValueError("dense closures are built in index-free plans")
+    kern = plan.kernel
+    if kern.closure is not None:
+        return
+    nfa = plan.mfa.nfa
+    if nfa._closure is None:
+        nfa._closure = _cold.eps_closures(nfa.eps)
+    root = kern.root_cfg(plan, None)
+    with plan._intern_lock, kern._lock:
+        order, children, bases, num_cfgs = _cold.close(plan, root, max_cfgs)
+    kern.closure = (array("i", order), array("i", children), bases, num_cfgs)
+
+
+def _close_py(plan, max_cfgs: int = 256) -> None:
+    """Eagerly close a (plain) plan's dense table, in place — the
+    reference of the compiled closure.
 
     BFS from the root cfg over the automaton's alphabet plus the OTHER
     column.  The closure is finite because unseen labels alias to one
@@ -943,13 +990,15 @@ def _new_row(width: int) -> array:
 
 
 def _select_pass(cache_dir=None) -> tuple:
-    """``(lean pass, phase 2, DESCENT record)`` for this process: the
-    compiled pair when :func:`repro.native.load` builds or finds it
-    (in ``cache_dir``, default the package's ``__pycache__``) and it
-    accepts this module's helpers and constants, else
-    :func:`_descend_lane_py`, ``None`` (phase 2 is then the plan's own
-    :meth:`~repro.hype.core.CompiledPlan._collect_answers_py`) and the
-    reason."""
+    """``(lean pass, phase 2, cold path, DESCENT record)`` for this
+    process: the compiled ones when :func:`repro.native.load` builds or
+    finds them (in ``cache_dir``, default the package's ``__pycache__``)
+    and the build accepts this module's helpers and constants — the cold
+    path is the extension itself, whose ``close`` and ``eps_closures``
+    :func:`close` calls — else :func:`_descend_lane_py`, ``None`` (phase
+    2 is then the plan's own
+    :meth:`~repro.hype.core.CompiledPlan._collect_answers_py`), ``None``
+    (:func:`close` runs :func:`_close_py`) and the reason."""
     lean, reason = native.load(__package__, "_lean.c", cache_dir)
     if lean is not None:
         try:
@@ -959,17 +1008,19 @@ def _select_pass(cache_dir=None) -> tuple:
                 time.perf_counter,
                 CHECK_INTERVAL,
                 (FINAL_BIT, POP_BIT, CFG_SHIFT, DEAD, UNFILLED),
+                _UNBUILT,
+                OTHER_LABEL,
             )
-            return lean.descend_lane, lean.collect_answers, "compiled"
+            return lean.descend_lane, lean.collect_answers, lean, "compiled"
         except (TypeError, ValueError) as error:
             reason = f"the build refused its setup: {error}"
-    return _descend_lane_py, None, f"python: {reason}"
+    return _descend_lane_py, None, None, f"python: {reason}"
 
 
-#: The lean pass :func:`descend` runs, the compiled phase 2 (``None``:
-#: the Python one), and which they are: ``"compiled"`` or
+#: The lean pass :func:`descend` runs, the compiled phase 2 and cold path
+#: (``None``: the Python ones), and which they are: ``"compiled"`` or
 #: ``"python: <why the compiled passes are unavailable>"``.
-_descend_lane, _collect_answers, DESCENT = _select_pass()
+_descend_lane, _collect_answers, _cold, DESCENT = _select_pass()
 # INFO, not WARNING: a library prints nothing unless logging is set up,
 # and the fallback is a supported configuration, not a fault.
 logging.getLogger(__name__).info("descent: %s", DESCENT)

@@ -10,9 +10,12 @@ instead.  The shared object is built once per checkout, source and
 interpreter, and every later process only loads it:
 
 * it lives in the package's ``__pycache__``, named by the source's stem,
-  the sha256 of the source and the interpreter's extension suffix
-  (which carries its ABI tag), so an edited source or another
-  interpreter builds its own file and nothing stale is ever loaded;
+  a sha256 over the source and the full compiler command line, and the
+  interpreter's extension suffix (which carries its ABI tag), so an
+  edited source, another interpreter or another compiler or flag set
+  builds its own file, and nothing stale or foreign is ever loaded: an
+  object built under ``CC="gcc -fsanitize=address"`` cannot be picked
+  up by a later plain process, which would abort on it;
 * the compiler is ``CC`` from the environment when set (as setuptools
   honours it), else the interpreter's own build compiler
   (``sysconfig``); headers come from ``sysconfig``'s include path.  The
@@ -73,7 +76,10 @@ def load(
     if code is None:
         return None, f"{source} is not installed"
     stem = source.removesuffix(".c")
-    digest = hashlib.sha256(code).hexdigest()[:16]
+    command = _command_line()
+    key = hashlib.sha256(code)
+    key.update("\0".join(["", *command]).encode())
+    digest = key.hexdigest()[:16]
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
     if cache_dir is None:
         home = Path(importlib.util.find_spec(package).origin).parent
@@ -87,7 +93,7 @@ def load(
             return _import(module, target), None
         except ImportError:
             pass  # unloadable (truncated, foreign): rebuilt over below
-    reason = _build(code, target)
+    reason = _build(code, target, command)
     if reason is not None:
         return None, reason
     try:
@@ -96,24 +102,30 @@ def load(
         return None, f"the build does not load: {error}"
 
 
-def _build(source: bytes, target: Path) -> str | None:
-    """Compile ``source`` into ``target``; the reason it failed, or None."""
-    command = compiler()
-    if not command or shutil.which(command[0]) is None:
-        return f"no compiler ({' '.join(command) or 'CC is empty'})"
-    include = sysconfig.get_paths()["include"]
-    if not Path(include, "Python.h").is_file():
-        return f"no Python.h in {include}"
+def _command_line() -> list[str]:
+    """The build's command line, all of it but the output file: what the
+    cache key covers."""
     if sys.platform == "darwin":
         link = ["-bundle", "-undefined", "dynamic_lookup"]
     else:
         link = ["-shared"]
+    include = sysconfig.get_paths()["include"]
+    return [*compiler(), *link, "-fPIC", "-O2", f"-I{include}", "-x", "c", "-"]
+
+
+def _build(source: bytes, target: Path, command: list[str]) -> str | None:
+    """Compile ``source`` into ``target`` with ``command`` (from
+    :func:`_command_line`); the reason it failed, or None."""
+    if shutil.which(command[0]) is None:
+        return f"no compiler ({' '.join(compiler()) or 'CC is empty'})"
+    include = sysconfig.get_paths()["include"]
+    if not Path(include, "Python.h").is_file():
+        return f"no Python.h in {include}"
 
     def compile_into(tmp: Path) -> None:
         try:
             done = subprocess.run(
-                [*command, *link, "-fPIC", "-O2", f"-I{include}",
-                 "-o", str(tmp), "-x", "c", "-"],
+                [*command, "-o", str(tmp)],
                 input=source,
                 capture_output=True,
                 timeout=BUILD_TIMEOUT,

@@ -433,10 +433,6 @@ class PlanCache:
         self._aliases.drop(lambda alias: alias[0] == view)
         return self._lru.drop(lambda key: key[0] == view)
 
-    def clear(self) -> None:
-        self._aliases.drop()
-        self._lru.drop()
-
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._lru)

@@ -487,9 +487,6 @@ class FrontendClient:
             message["deadline_ms"] = deadline_ms
         return await self.request(message)
 
-    async def close_session(self, session: str) -> dict:
-        return await self.request({"op": "close", "session": session})
-
     async def metrics(self) -> dict:
         return await self.request({"op": "metrics"})
 

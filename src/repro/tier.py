@@ -168,14 +168,15 @@ class FileTier:
       a failed write removes its temporary, counts ``errors`` and
       returns ``False``.  No fsync: a crash may lose a file, never
       expose a torn one, and a lost file is a rebuild.
-    * **Integrity is the owner's codec's.**  The document tier seals
-      every record with a crc32 its decoder checks first, so a flipped
-      bit, a torn or a renamed file there is a counted ``corrupt``;
-      plan artifacts are still checked structurally only, so a
-      well-formed artifact under the right name *will* be served and
-      ``--plan-dir`` must be writable only by principals as trusted as
-      the process itself.  Neither check is cryptographic: a writer who
-      seals a valid record on purpose is out of scope for both.
+    * **Integrity is the owner's codec's, and every kind is sealed.**
+      The document tier seals every record with a crc32 its decoder
+      checks first; a plan artifact is read only as the gzip stream it
+      was written as, whose crc32 trailer gzip checks.  So a flipped
+      bit, a torn or a renamed file is a counted ``corrupt`` in every
+      tier.  Neither check is cryptographic: a writer who seals a valid
+      record on purpose is out of scope, so ``--plan-dir`` and
+      ``--doc-dir`` must be writable only by principals as trusted as
+      the process itself.
 
     ``stats`` is the owner's counter block and must declare ``errors``,
     ``corrupt`` and ``gc_removed``.

@@ -39,10 +39,6 @@ class MaterializedView:
     #: view node -> source context node
     provenance: dict[Node, Node]
 
-    def source_of(self, view_node: Node) -> Node:
-        """The source context node a view node was generated from."""
-        return self.provenance[view_node]
-
     def sources(self, view_nodes) -> set[Node]:
         """Map a set of view nodes to their source nodes."""
         return {self.provenance[v] for v in view_nodes}

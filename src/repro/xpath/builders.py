@@ -53,11 +53,6 @@ def wildcard() -> ast.Path:
     return ast.Wildcard()
 
 
-def dos() -> ast.Path:
-    """``//``."""
-    return ast.DescOrSelf()
-
-
 def seq(*parts: PathLike) -> ast.Path:
     """``p1/p2/.../pn`` (left-associated); ``seq()`` is ``ε``."""
     if not parts:
@@ -96,11 +91,6 @@ def exists(p: PathLike) -> ast.Filter:
 def txt_eq(p: PathLike, value: str) -> ast.Filter:
     """Filter: ``p/text() = 'value'``."""
     return ast.TextEquals(path(p), value)
-
-
-def not_(f: FilterLike) -> ast.Filter:
-    """``¬f``."""
-    return ast.Not(predicate(f))
 
 
 def and_(*fs: FilterLike) -> ast.Filter:

@@ -225,8 +225,10 @@ class TestArtifactRoundTrip:
             PlanArtifact.from_payload(payload)
 
     def test_not_json_raises(self):
-        with pytest.raises(ArtifactError, match="JSON"):
+        with pytest.raises(ArtifactError, match="not a gzip stream"):
             PlanArtifact.from_bytes(b"\x00\x01not json")
+        with pytest.raises(ArtifactError, match="JSON"):
+            PlanArtifact.from_bytes(gzip.compress(b"\x00\x01not json"))
 
     def test_truncated_payload_raises(self):
         artifact = QueryCompiler().compile(None, "a/b")

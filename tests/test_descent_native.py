@@ -37,6 +37,7 @@ fallback (the ``CC=false`` CI job runs the suite that way).
 from __future__ import annotations
 
 import os
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -263,9 +264,10 @@ class TestCompiledPhase2EqualsPython:
 class TestFallback:
     def test_missing_compiler_runs_the_python_pass(self, monkeypatch, tmp_path):
         monkeypatch.setattr(native, "compiler", lambda: ["/nonexistent/cc"])
-        lean, collect, descent = kernel._select_pass(tmp_path)
+        lean, collect, close, descent = kernel._select_pass(tmp_path)
         assert lean is kernel._descend_lane_py
         assert collect is None  # phase 2: the plan's own reference
+        assert close is None  # the dense closure: kernel._close_py
         assert descent == "python: no compiler (/nonexistent/cc)"
         assert list(tmp_path.iterdir()) == []
         ran = []
@@ -316,15 +318,16 @@ class TestFallback:
     )
     @pytest.mark.parametrize("package, source", SOURCES)
     def test_a_cached_build_invokes_no_compiler(self, monkeypatch, package, source):
-        def forbidden():
+        def forbidden(*args):
             raise AssertionError("compiler invoked for a cached build")
 
-        monkeypatch.setattr(native, "compiler", forbidden)
+        monkeypatch.setattr(native, "_build", forbidden)
         module, reason = native.load(package, source)
         assert reason is None
         assert module.__name__ == f"{package}.{source[:-2]}"
-        # A second process: CC names no compiler at all, and it loads.
-        env = dict(os.environ, CC="/nonexistent/cc", PYTHONPATH=str(SRC))
+        # A second process with the same CC but no compiler on its PATH
+        # loads the cached build.
+        env = dict(os.environ, PATH="/nonexistent", PYTHONPATH=str(SRC))
         done = subprocess.run(
             [
                 sys.executable,
@@ -338,6 +341,36 @@ class TestFallback:
             timeout=120,
         )
         assert done.stdout.split() == ["compiled", "compiled"], done.stderr
+
+
+    @pytest.mark.skipif(
+        (kernel.DESCENT, parse.SCAN) != ("compiled", "compiled"),
+        reason=f"descent is {kernel.DESCENT!r}, scan is {parse.SCAN!r}",
+    )
+    @pytest.mark.parametrize("package, source", SOURCES)
+    def test_another_cc_builds_its_own_file(self, monkeypatch, tmp_path, package, source):
+        """The cache key covers the compiler command line: a build under
+        other flags (say ``-fsanitize=address``, whose object aborts a
+        plain process) lands in a file of its own, and the first build
+        stays where a process with the first ``CC`` loads it."""
+        cc = native.compiler()
+        first, reason = native.load(package, source, tmp_path)
+        assert reason is None
+        (plain,) = tmp_path.iterdir()
+        monkeypatch.setenv("CC", shlex.join([*cc, "-DREPRO_CACHE_KEY_PROBE"]))
+        second, reason = native.load(package, source, tmp_path)
+        assert reason is None
+        (other,) = set(tmp_path.iterdir()) - {plain}
+        assert other.name.split(".")[0] == plain.name.split(".")[0]
+        monkeypatch.setenv("CC", shlex.join(cc))
+
+        def forbidden(*args):
+            raise AssertionError("the first build was not found")
+
+        monkeypatch.setattr(native, "_build", forbidden)
+        again, reason = native.load(package, source, tmp_path)
+        assert reason is None and again.__name__ == first.__name__
+        assert sorted(tmp_path.iterdir()) == sorted([plain, other])
 
 
 # ----------------------------------------------------------------------
@@ -452,6 +485,9 @@ if failures:
 """
 
 _REFCOUNTS = _PRELUDE + """
+from repro.automata.afa import TextPred
+
+
 class Boom(Exception):
     pass
 
@@ -502,8 +538,11 @@ for algorithm in ALGORITHMS:
             raised += 1
         kern.pops[:] = real_pops
     assert raised > 100, raised
-    # A miss path raising mid-pass: every pop and transition misses.
+    # A miss path raising mid-pass: every pop and transition misses (the
+    # transition table is emptied too, so a row miss cannot be a hit),
+    # and the compiled pass's own pop fills call the raising predicates.
     real_fill, real_lookup = DenseKernel.fill_pop, DenseKernel.lookup_trans
+    real_holds = TextPred.holds
     def failing(real, fuse):
         def method(self, *args):
             calls[0] += 1
@@ -516,6 +555,9 @@ for algorithm in ALGORITHMS:
         calls[0] = 0
         DenseKernel.fill_pop = failing(real_fill, 1 + run % 7)
         DenseKernel.lookup_trans = failing(real_lookup, 1 + run % 11)
+        TextPred.holds = failing(real_holds, 1 + run % 13)
+        known = dict(kern.trans)
+        kern.trans.clear()
         saved = {cfg: row[:] for cfg, row in rows.items()}
         for row in rows.values():
             row[:] = array("i", [kernel.UNFILLED]) * len(row)
@@ -529,6 +571,9 @@ for algorithm in ALGORITHMS:
             raised += 1
         finally:
             DenseKernel.fill_pop, DenseKernel.lookup_trans = real_fill, real_lookup
+            TextPred.holds = real_holds
+            kern.trans.clear()
+            kern.trans.update(known)
             for cfg, row in saved.items():
                 rows[cfg][:] = row
             for o, kept in zip(outcomes, cleared):

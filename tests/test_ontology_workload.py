@@ -51,7 +51,7 @@ class TestCuratedView:
     def test_only_exp_evidence_exposed(self, onto_doc):
         view = materialize(curated_view(), onto_doc)
         for cterm in evaluate(parse_query("//cterm"), view.tree.root):
-            source = view.source_of(cterm)
+            source = view.provenance[cterm]
             codes = {
                 c.text()
                 for e in source.children

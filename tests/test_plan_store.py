@@ -433,10 +433,10 @@ class TestRetiredComposedKind:
 
 
 class TestArtifactCompression:
-    def test_artifacts_are_gzip_on_disk_but_plain_json_decodes(self, store):
-        """v2 artifacts are gzip-compressed; an uncompressed JSON payload
-        of the current version must still decode (treat-as-miss only on
-        real corruption)."""
+    def test_artifacts_are_gzip_on_disk_and_plain_json_is_corrupt(self, store):
+        """Artifacts are gzip on disk, and only that form is read: the
+        same payload written uncompressed has no crc to check, so it is a
+        counted ``corrupt`` (and recompiled), never a hit."""
         from repro.compile import PlanArtifact
 
         compiler = QueryCompiler()
@@ -445,12 +445,9 @@ class TestArtifactCompression:
         store.save(key, artifact)
         raw = store.path_for(key).read_bytes()
         assert raw[:2] == b"\x1f\x8b"  # gzip magic
-        # Rewrite the same payload uncompressed: still a hit, not corrupt.
         store.path_for(key).write_bytes(gzip.decompress(raw))
-        loaded = store.load(key)
-        assert loaded is not None
-        assert loaded.to_bytes() == artifact.to_bytes()
-        assert store.stats.corrupt == 0
+        assert store.load(key) is None
+        assert store.stats.corrupt == 1
         # And the bytes themselves are deterministic (mtime pinned).
         assert artifact.to_bytes() == PlanArtifact.from_bytes(raw).to_bytes()
 
@@ -463,6 +460,81 @@ class TestArtifactCompression:
         store.path_for(key).write_bytes(raw[: len(raw) // 2])
         assert store.load(key) is None
         assert store.stats.corrupt == 1
+
+
+class TestBitFlipProperty:
+    """The plan tier's half of the corruption property: every single-bit
+    flip of a stored artifact, and of the same payload written as plain
+    JSON, loaded through ``PlanStore.load`` and run under all three
+    algorithms.  The only outcomes allowed are answers and
+    :class:`HyPEStats` identical to the pristine plan's, or a counted
+    ``corrupt``.  (Plain JSON carries no seal: 6 319 of its 31 072 flips
+    once decoded to a different artifact.)"""
+
+    QUERY = VIEW_QUERIES["example-4.1"]  # filters, stars, gate failures
+
+    @pytest.fixture(scope="class")
+    def setting(self, tmp_path_factory, sigma0_spec, hospital_doc):
+        from repro.docstore import IndexedDocument
+
+        artifact = QueryCompiler().compile(sigma0_spec, self.QUERY)
+        store = PlanStore(tmp_path_factory.mktemp("flips"))
+        key = artifact.cache_key()
+        assert store.save(key, artifact)
+        doc = IndexedDocument(hospital_doc)
+        reference = self.answers(artifact, doc)
+        assert all(ids for ids, _stats in reference)
+        return store, key, doc, reference, store.path_for(key).read_bytes()
+
+    @staticmethod
+    def answers(artifact, doc) -> list:
+        from repro.hype.core import CompiledPlan
+
+        found = []
+        for algorithm in ALGORITHMS:
+            plan = CompiledPlan.for_algorithm(
+                artifact.mfa, algorithm, doc.tree, doc, kernel=artifact.kernel
+            )
+            result = plan.run(0, layout=doc.layout)
+            found.append((result.ids, result.stats))
+        return found
+
+    def sweep(self, setting, raw: bytes, bits) -> tuple[int, int]:
+        """Load the one-bit flips of ``raw`` at ``bits``; (identical,
+        corrupt)."""
+        store, key, doc, reference, _pristine = setting
+        path = store.path_for(key)
+        identical = corrupt = 0
+        for bit in bits:
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(flipped)
+            before = store.stats.corrupt
+            loaded = store.load(key)
+            if loaded is None:
+                assert store.stats.corrupt == before + 1, bit
+                corrupt += 1
+            else:
+                assert self.answers(loaded, doc) == reference, bit
+                identical += 1
+        return identical, corrupt
+
+    def test_every_flip_of_the_stored_form(self, setting):
+        raw = setting[-1]
+        identical, corrupt = self.sweep(setting, raw, range(8 * len(raw)))
+        assert identical + corrupt == 8 * len(raw)
+        assert corrupt > 0.9 * 8 * len(raw)  # gzip's header fields aside
+
+    def test_plain_json_and_every_flip_of_it_is_corrupt(self, setting):
+        store, key, _doc, _reference, raw = setting
+        plain = gzip.decompress(raw)
+        store.path_for(key).write_bytes(plain)
+        before = store.stats.corrupt
+        assert store.load(key) is None
+        assert store.stats.corrupt == before + 1
+        # One flip per byte, the bit rotating: every byte, every position.
+        bits = [8 * at + at % 8 for at in range(len(plain))]
+        assert self.sweep(setting, plain, bits) == (0, len(plain))
 
 
 class TestStoreGC:

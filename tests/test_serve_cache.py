@@ -92,12 +92,6 @@ class TestPlanCache:
         assert list(cache.keys()) == [plan_key(None, "patient")]
         assert cache.stats.evictions == 0  # released, not evicted
 
-    def test_clear(self):
-        cache = PlanCache(capacity=8)
-        cache.plan(None, "k")
-        cache.clear()
-        assert len(cache) == 0
-
 
 class TestFingerprintKeys:
     """The spec fingerprint *is* the isolation mechanism: no manual
@@ -554,13 +548,13 @@ class TestRawTextAlias:
         finally:
             gc.enable()
 
-    def test_invalidation_and_clear_release_the_aliases_too(self, sigma0_spec):
+    def test_invalidation_releases_the_aliases_too(self, sigma0_spec):
         cache = PlanCache(capacity=8)
         cache.plan(sigma0_spec, "patient")
         cache.plan(None, "patient")
         assert cache.invalidate_view(sigma0_spec.fingerprint()) == 1
         assert len(cache._aliases) == 1
-        cache.clear()
+        assert cache.invalidate_view(None) == 1
         assert len(cache._aliases) == 0
 
     def test_a_hit_still_emits_the_plan_span_with_its_tier(self):

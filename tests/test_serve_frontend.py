@@ -72,7 +72,7 @@ class TestProtocol:
             queried = await client.query(
                 "institute", "patient", session=opened["session"]
             )
-            closed = await client.close_session(opened["session"])
+            closed = await client.request({"op": "close", "session": opened["session"]})
             return opened, queried, closed
 
         opened, queried, closed = run_with_frontend(service, scenario)

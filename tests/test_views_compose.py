@@ -83,7 +83,7 @@ class TestCompose:
         doc = source_doc()
         view = materialize(composed, doc)
         for node in view.tree.root.element_children():
-            assert view.source_of(node).label == "t"
+            assert view.provenance[node].label == "t"
 
     def test_composed_spec_is_queryable_via_rewriting(self):
         """The composed view feeds straight back into the MFA rewriter."""

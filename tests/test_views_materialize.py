@@ -86,12 +86,12 @@ class TestSigma0Materialisation:
     def test_provenance_points_into_source(self, view):
         q = parse_query("patient")
         (alice_view,) = evaluate(q, view.tree.root)
-        source = view.source_of(alice_view)
+        source = view.provenance[alice_view]
         assert source.label == "patient"
         assert [c for c in source.children if c.label == "pname"][0].text() == "Alice"
 
     def test_provenance_of_root(self, view):
-        assert view.source_of(view.tree.root).label == "hospital"
+        assert view.provenance[view.tree.root].label == "hospital"
 
     def test_sources_maps_sets(self, view):
         nodes = evaluate(parse_query("patient/record"), view.tree.root)
@@ -106,7 +106,7 @@ class TestSigma0Materialisation:
         assert kinds == sorted(kinds, key=["parent", "record"].index)
         for kind in ("parent", "record"):
             ids = [
-                view.source_of(c).node_id
+                view.provenance[c].node_id
                 for c in alice.children
                 if c.label == kind
             ]

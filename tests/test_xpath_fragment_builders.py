@@ -17,7 +17,6 @@ from repro.xpath.builders import (
     exists,
     filt,
     label,
-    not_,
     or_,
     path,
     predicate,
@@ -94,7 +93,7 @@ class TestBuilders:
         )
 
     def test_boolean_builders(self):
-        built = filt("a", or_(and_("b", "c"), not_("d")))
+        built = filt("a", or_(and_("b", "c"), ast.Not(exists("d"))))
         parsed = parse_query("a[b and c or not(d)]")
         assert built == parsed
 

@@ -15,12 +15,10 @@ from repro.xpath import (
 )
 from repro.xpath.builders import (
     and_,
-    dos,
     empty,
     exists,
     filt,
     label,
-    not_,
     or_,
     seq,
     star,
@@ -87,15 +85,15 @@ class TestCanonical:
 
 class TestDesugar:
     def test_dos_becomes_star_wildcard(self):
-        assert desugar(dos()) == star(wildcard())
+        assert desugar(ast.DescOrSelf()) == star(wildcard())
 
     def test_nested_desugar(self):
-        q = desugar(seq("a", dos(), "b"))
+        q = desugar(seq("a", "//", "b"))
         assert not ast.contains_desc_or_self(q)
         assert ast.contains_star(q)
 
     def test_desugar_inside_filters(self):
-        q = desugar(filt("a", exists(seq(dos(), "b"))))
+        q = desugar(filt("a", exists(seq("//", "b"))))
         assert not ast.contains_desc_or_self(q)
 
 
@@ -106,7 +104,7 @@ class TestNullable:
             (empty(), True),
             (label("a"), False),
             (wildcard(), False),
-            (dos(), True),
+            (ast.DescOrSelf(), True),
             (star(label("a")), True),
             (seq("a", "b"), False),
             (ast.Concat(empty(), empty()), True),
@@ -138,7 +136,8 @@ class TestSimplify:
         assert simplify(star(union(".", "."))) == empty()
 
     def test_double_negation(self):
-        assert simplify_filter(not_(not_(exists(label("a"))))) == exists(label("a"))
+        twice = ast.Not(ast.Not(exists(label("a"))))
+        assert simplify_filter(twice) == exists(label("a"))
 
     def test_and_idempotent(self):
         f = exists(label("a"))
