@@ -388,7 +388,6 @@ def _front_service(args: argparse.Namespace):
         pool_size=args.pool_size,
         plan_store=_plan_store(args),
         document_store=doc_store,
-        compose=args.compose,
     )
     if args.spec:
         with open(args.spec) as handle:
@@ -545,13 +544,10 @@ def cmd_serve_fleet(args: argparse.Namespace) -> int:
             spec,
             workers=args.workers,
             request_timeout=args.request_timeout,
-            breaker_threshold=args.breaker_threshold,
-            backoff_base=args.backoff_base,
-            backoff_cap=args.backoff_cap,
         )
         host, port = await acceptor.start(args.host, args.port)
         shards = {
-            doc_hash[:12]: acceptor.ring.node_for(doc_hash)
+            doc_hash[:12]: acceptor.supervisor.ring.node_for(doc_hash)
             for doc_hash in sorted(acceptor.documents)
         }
         print(
@@ -819,12 +815,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent document-index directory (restarts skip index builds)",
     )
     sfr.add_argument(
-        "--compose",
-        action="store_true",
-        help="step same-view wave groups as one composed automaton where "
-        "that is faster (only when the lean pass runs in Python)",
-    )
-    sfr.add_argument(
         "--trace-sample",
         type=float,
         default=None,
@@ -889,24 +879,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         help="seconds the acceptor waits for a worker reply before "
         "rerouting the (unacknowledged) request",
-    )
-    flt.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=3,
-        help="consecutive failures before a worker's circuit opens",
-    )
-    flt.add_argument(
-        "--backoff-base",
-        type=float,
-        default=0.25,
-        help="base seconds for breaker/restart exponential backoff",
-    )
-    flt.add_argument(
-        "--backoff-cap",
-        type=float,
-        default=8.0,
-        help="ceiling seconds for breaker/restart exponential backoff",
     )
     flt.add_argument(
         "--faults",

@@ -58,12 +58,3 @@ __all__ = [
     "descend_composed",
 ]
 
-
-def __getattr__(name: str):
-    if name == "HyPEEvaluator":
-        raise ImportError(
-            "HyPEEvaluator was removed (it had been a deprecated alias "
-            "since the plan/run-state split): construct "
-            "repro.hype.core.CompiledPlan instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -62,9 +62,6 @@ nothing else.  Phase 2 (:meth:`CompiledPlan._collect_answers_py`) is
 compiled into the same extension as the lean pass and runs compiled
 wherever that pass does; its ε-closure step (:meth:`CompiledPlan._alive`)
 stays Python either way.
-
-``HyPEEvaluator`` (the pre-split alias, deprecated in PR 3) was removed;
-importing it raises a pointed :class:`ImportError`.
 """
 
 from __future__ import annotations
@@ -621,16 +618,6 @@ class RunCursor:
 #: ``_lean.c``'s when the compiled passes loaded, else the reference
 #: (:data:`repro.hype.kernel.DESCENT` says which).
 _collect_answers = kernel._collect_answers or CompiledPlan._collect_answers_py
-
-
-def __getattr__(name: str):
-    if name == "HyPEEvaluator":
-        raise ImportError(
-            "HyPEEvaluator was removed (it had been a deprecated alias "
-            "since the plan/run-state split): construct "
-            "repro.hype.core.CompiledPlan instead"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def hype_eval(

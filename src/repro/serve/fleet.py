@@ -14,7 +14,9 @@ denies the in-process :class:`repro.serve.pool.ExecutionPool`.  Topology:
 * **The acceptor** owns the listening socket and speaks the same NDJSON
   protocol as a single frontend — literally: both are
   :class:`repro.serve.lines.LineServer` subclasses, and this module
-  keeps only routing, circuit breakers and health.  Its gate differs in
+  keeps only the I/O of routing and health — every decision (breakers,
+  backoff, restarts, which worker to try) is
+  :class:`repro.serve.supervisor.Supervisor`'s.  Its gate differs in
   one policy: a draining acceptor refuses *every* op, a draining worker
   only ``query``.  Every ``query`` is routed by the
   *document content hash* it names through a
@@ -47,15 +49,15 @@ import asyncio
 import importlib
 import json
 import os
-import random
 import sys
 import threading
 import time
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 from ..errors import ReproError, ServiceError
 from ..faults import fire as _fault_fire
-from ..obs.export import Exposition, Family, merge_expositions
+from ..obs.export import merge_expositions
 from .admission import AdmissionConfig
 from .frontend import QueryFrontend
 from .lines import (
@@ -65,7 +67,7 @@ from .lines import (
     error_reply,
     serve_until_drained,
 )
-from .ring import DEFAULT_REPLICAS, HashRing
+from .supervisor import Supervisor
 
 #: Seconds to wait for a spawned worker's handshake line.
 HANDSHAKE_TIMEOUT = 60.0
@@ -82,14 +84,8 @@ class WorkerUnavailable(ServiceError):
     """The targeted worker is dead or died before replying."""
 
 
-#: Consecutive failures that trip a worker's circuit breaker open.
-BREAKER_THRESHOLD = 3
-
-#: First backoff delay (seconds) after the breaker trips / a restart.
-BACKOFF_BASE = 0.25
-
-#: Ceiling on any single backoff delay (seconds).
-BACKOFF_CAP = 8.0
+#: Seconds a health ping may take before it counts as a failure.
+HEALTH_TIMEOUT = 5.0
 
 #: Default per-request timeout (seconds) the acceptor waits on a worker
 #: before counting a breaker failure and rerouting.  Queries are
@@ -97,101 +93,6 @@ BACKOFF_CAP = 8.0
 #: on the next ring preference — exactly the path a dead connection
 #: takes.
 DEFAULT_REQUEST_TIMEOUT = 30.0
-
-
-class CircuitBreaker:
-    """Per-worker circuit breaker: closed → open → half-open → closed.
-
-    ``record_failure`` after :attr:`threshold` *consecutive* failures
-    trips the breaker open for an exponentially growing, jittered delay
-    (each further failure while open doubles it, capped); routing skips
-    open breakers, so a sick worker stops eating requests that its ring
-    siblings could serve.  Once the delay elapses, :meth:`allow` admits
-    exactly ONE probe (half-open); the probe's outcome either closes the
-    breaker or re-opens it with a longer delay.
-
-    Jitter (a uniform 0.5–1.0 factor) keeps a fleet's breakers from
-    re-probing in lockstep after a shared outage.  Not thread-safe: all
-    calls happen on the acceptor's event loop.
-    """
-
-    def __init__(
-        self,
-        threshold: int = BREAKER_THRESHOLD,
-        base_delay: float = BACKOFF_BASE,
-        max_delay: float = BACKOFF_CAP,
-        rng: random.Random | None = None,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {threshold}")
-        self.threshold = threshold
-        self.base_delay = base_delay
-        self.max_delay = max_delay
-        self.state = "closed"
-        self.failures = 0  # consecutive
-        self.total_failures = 0
-        self.opened = 0  # times tripped open
-        self.open_until = 0.0  # monotonic instant the next probe unlocks
-        self._rng = rng if rng is not None else random.Random()
-
-    def _delay(self) -> float:
-        """The jittered exponential delay for the current failure run."""
-        exponent = min(self.failures - self.threshold, 12)
-        raw = min(self.max_delay, self.base_delay * (2.0 ** max(exponent, 0)))
-        return raw * (0.5 + 0.5 * self._rng.random())
-
-    def record_failure(self, now: float | None = None) -> None:
-        now = time.monotonic() if now is None else now
-        self.failures += 1
-        self.total_failures += 1
-        if self.failures >= self.threshold:
-            if self.state != "open":
-                self.opened += 1
-            self.state = "open"
-            self.open_until = now + self._delay()
-
-    def record_success(self) -> None:
-        self.state = "closed"
-        self.failures = 0
-        self.open_until = 0.0
-
-    def reset(self) -> None:
-        """Fresh process behind this breaker: give it traffic again."""
-        self.record_success()
-
-    def allow(self, now: float | None = None) -> bool:
-        """May a request be routed to this worker right now?
-
-        While open, the first call after ``open_until`` transitions to
-        half-open and admits the probe; further calls are refused until
-        the probe reports back through ``record_success``/``record_failure``.
-        """
-        if self.state == "closed":
-            return True
-        if self.state == "open":
-            now = time.monotonic() if now is None else now
-            if now >= self.open_until:
-                self.state = "half-open"
-                return True
-            return False
-        return False  # half-open: one probe already in flight
-
-    def backoff_remaining(self, now: float | None = None) -> float:
-        """Seconds until the next probe unlocks (0 when closed/half-open)."""
-        if self.state != "open":
-            return 0.0
-        now = time.monotonic() if now is None else now
-        return max(0.0, self.open_until - now)
-
-    def as_dict(self) -> dict:
-        """JSON-shaped state for the ``fleet``/``metrics`` ops."""
-        return {
-            "state": self.state,
-            "consecutive_failures": self.failures,
-            "total_failures": self.total_failures,
-            "opened": self.opened,
-            "backoff_ms": round(self.backoff_remaining() * 1000.0, 3),
-        }
 
 
 @dataclass
@@ -323,11 +224,16 @@ def _stdin_eof_watch(loop: asyncio.AbstractEventLoop, stop: asyncio.Event):
 # Acceptor-side worker handle
 # ----------------------------------------------------------------------
 class WorkerHandle:
-    """One worker subprocess + the acceptor's multiplexed connection."""
+    """One worker subprocess + the acceptor's multiplexed connection.
 
-    def __init__(self, name: str, spec: FleetSpec) -> None:
+    ``on_lost`` is called once, when a live connection is lost (the
+    worker died, or :meth:`stop` ran).
+    """
+
+    def __init__(self, name: str, spec: FleetSpec, on_lost: Callable[[], None]) -> None:
         self.name = name
         self.spec = spec
+        self._on_lost = on_lost
         self.proc: asyncio.subprocess.Process | None = None
         self.host: str | None = None
         self.port: int | None = None
@@ -405,7 +311,9 @@ class WorkerHandle:
         on the next ring preference — no acknowledged reply is ever
         involved, because acknowledged replies resolved their futures.
         """
-        self.alive = False
+        was_alive, self.alive = self.alive, False
+        if was_alive:
+            self._on_lost()
         pending, self._futures = self._futures, {}
         for future in pending.values():
             if not future.done():
@@ -489,57 +397,39 @@ class WorkerHandle:
 class FleetAcceptor(LineServer):
     """The fleet's front door: one socket, N workers, ring routing.
 
-    The socket side is :class:`repro.serve.lines.LineServer`; this class
-    keeps routing, circuit breakers and the health loop.
+    The socket side is :class:`repro.serve.lines.LineServer` and every
+    decision is :attr:`supervisor`'s; this class holds the worker
+    handles and performs what the supervisor decides: it forwards
+    queries, pings workers and restarts them.
     """
 
     def __init__(
         self,
         spec: FleetSpec,
         workers: int = 3,
-        replicas: int = DEFAULT_REPLICAS,
         health_interval: float = 0.5,
-        health_timeout: float = 5.0,
         request_timeout: float | None = DEFAULT_REQUEST_TIMEOUT,
-        breaker_threshold: int = BREAKER_THRESHOLD,
-        backoff_base: float = BACKOFF_BASE,
-        backoff_cap: float = BACKOFF_CAP,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         super().__init__(LINE_LIMIT)
         self.spec = spec
         names = [f"w{i}" for i in range(workers)]
+        self.supervisor = Supervisor(names)
         self.workers: dict[str, WorkerHandle] = {
-            name: WorkerHandle(name, spec) for name in names
+            name: self._handle(name) for name in names
         }
-        self.ring = HashRing(names, replicas)
         self.health_interval = health_interval
-        self.health_timeout = health_timeout
         self.request_timeout = request_timeout
         self.documents: dict[str, str | None] = {}
         self.default_document: str | None = None
-        self.restarts = 0
-        self.reroutes = 0
-        self.timeouts = 0
-        # Per-worker resilience state: one circuit breaker each (routing
-        # skips open breakers; half-open probes recover) plus the
-        # restart ledger the health loop's exponential backoff reads.
-        # One seeded RNG keeps backoff jitter deterministic per acceptor
-        # while still de-synchronising the workers from each other.
-        self._rng = random.Random(0x5EED)
-        self.breakers: dict[str, CircuitBreaker] = {
-            name: CircuitBreaker(
-                breaker_threshold, backoff_base, backoff_cap, rng=self._rng
-            )
-            for name in names
-        }
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.worker_restarts: dict[str, int] = {name: 0 for name in names}
-        self._restart_attempts: dict[str, int] = {name: 0 for name in names}
-        self._restart_at: dict[str, float] = {name: 0.0 for name in names}
         self._health_task: asyncio.Task | None = None
+
+    def _handle(self, name: str) -> WorkerHandle:
+        def lost() -> None:
+            self.supervisor.exited(name, time.monotonic())
+
+        return WorkerHandle(name, self.spec, lost)
 
     # ------------------------------------------------------------------
     async def start(
@@ -564,14 +454,15 @@ class FleetAcceptor(LineServer):
 
         Ordered so no acknowledged request is lost: (1) mark draining —
         lines already-open connections send from now on are refused with
-        an ``error: draining`` reply, never silently dropped; (2) close
+        an ``error: draining`` reply, never silently dropped — and tell
+        the supervisor, which restarts nothing from now on; (2) close
         the listening socket — no new connections; (3) await every
         request task admitted before the mark; (4) :meth:`close`: stop
-        the health loop (it must not resurrect workers mid-shutdown),
-        close the client connections and SIGTERM the workers, which run
-        their own in-process drain before exiting.
+        the health loop, close the client connections and SIGTERM the
+        workers, which run their own in-process drain before exiting.
         """
         self.draining = True
+        self.supervisor.drain_began(time.monotonic())
         await self.stop_listening()
         await self.flush_inflight()
         await self.close()
@@ -585,171 +476,83 @@ class FleetAcceptor(LineServer):
                 pass
             self._health_task = None
         await super().close()
+        # A restart cancelled mid-handshake left its handle installed,
+        # so its process is stopped here too.
         await asyncio.gather(
             *(worker.stop() for worker in self.workers.values())
         )
 
     # ------------------------------------------------------------------
-    def _restart_delay(self, name: str) -> float:
-        """Jittered exponential backoff for ``name``'s next restart."""
-        attempts = self._restart_attempts[name]
-        raw = min(
-            self.backoff_cap, self.backoff_base * (2.0 ** min(attempts, 12))
-        )
-        return raw * (0.5 + 0.5 * self._rng.random())
-
     async def _health_loop(self) -> None:
-        """Ping workers; restart crashed ones under their ring name.
-
-        A healthy ping resets the worker's restart-backoff ledger.  A
-        dead or hung worker is killed and respawned — but a crash-looping
-        worker backs off exponentially (with jitter) between attempts
-        instead of restart-spinning, and while it is down routing keeps
-        falling through to the ring's next preference.
-        """
+        """Ping every worker, report the outcomes, restart what is due."""
+        supervisor = self.supervisor
         while True:
             await asyncio.sleep(self.health_interval)
             for name, worker in list(self.workers.items()):
-                if worker.alive and not worker.exited:
-                    try:
-                        await worker.call(
-                            {"op": "ping"}, timeout=self.health_timeout
-                        )
-                        # Survived a full interval: the crash loop (if
-                        # any) is over; restart backoff starts fresh.
-                        self._restart_attempts[name] = 0
-                        continue
-                    except (WorkerUnavailable, asyncio.TimeoutError):
-                        self.breakers[name].record_failure()
-                if time.monotonic() < self._restart_at[name]:
-                    continue  # waiting out this worker's restart backoff
-                self._restart_attempts[name] += 1
-                self._restart_at[name] = (
-                    time.monotonic() + self._restart_delay(name)
-                )
+                if not worker.alive or worker.exited:
+                    supervisor.exited(name, time.monotonic())
+                    continue
                 try:
-                    await worker.stop(kill=True, grace=2.0)
-                    fresh = WorkerHandle(name, self.spec)
-                    await fresh.start()
-                    self.workers[name] = fresh
-                    self.restarts += 1
-                    self.worker_restarts[name] += 1
-                    # Fresh process: let it take traffic immediately; if
-                    # it is still sick the breaker re-trips within
-                    # ``threshold`` requests.
-                    self.breakers[name].reset()
-                except (ReproError, OSError, asyncio.TimeoutError):
-                    # Spawn failed; the backoff above already pushed the
-                    # next attempt out and routing keeps falling through
-                    # to the ring's next preference.
-                    pass
+                    await worker.call({"op": "ping"}, timeout=HEALTH_TIMEOUT)
+                    ok = True
+                except (WorkerUnavailable, asyncio.TimeoutError):
+                    ok = False
+                supervisor.pinged(name, time.monotonic(), ok)
+            for name in supervisor.due_restarts(time.monotonic()):
+                await self._restart(name)
 
-    # ------------------------------------------------------------------
-    #: Numeric encoding of breaker states for the Prometheus gauge.
-    BREAKER_STATES = {"closed": 0, "half-open": 1, "open": 2}
-
-    #: The acceptor's own scalar counters: ``metrics`` op key (the
-    #: attribute name) and Prometheus family, declared once.
-    FAMILIES = (
-        Family("restarts", "fleet_restarts_total", "counter",
-               "Worker restarts performed."),
-        Family("reroutes", "fleet_reroutes_total", "counter",
-               "Queries rerouted past their preferred worker."),
-        Family("timeouts", "fleet_request_timeouts_total", "counter",
-               "Worker requests abandoned at the per-request timeout."),
-    )
-
-    def _counters(self) -> dict:
-        return {row.attribute: getattr(self, row.attribute) for row in self.FAMILIES}
-
-    def _fleet_health(self) -> dict:
-        """Acceptor-level resilience counters for the ``metrics`` op."""
-        return {
-            **self._counters(),
-            "workers": {
-                name: {
-                    "alive": self.workers[name].alive,
-                    "restarts": self.worker_restarts[name],
-                    "breaker": self.breakers[name].as_dict(),
-                }
-                for name in self.workers
-            },
-        }
-
-    def _acceptor_exposition(self) -> str:
-        """The acceptor's own Prometheus series (merged with the
-        workers' expositions by the ``prometheus`` op): restart and
-        reroute totals plus per-worker breaker state and backoff."""
-        out = Exposition("repro")
-        out.scalars(self, self.FAMILIES)
-        out.labelled(
-            "fleet_worker_restarts_total", "counter",
-            "Restarts per worker name.",
-            "worker", self.worker_restarts.items(),
-        )
-        out.labelled(
-            "fleet_worker_up", "gauge", "Worker liveness (1 = routable).",
-            "worker",
-            ((name, int(worker.alive)) for name, worker in self.workers.items()),
-        )
-        breakers = self.breakers.items()
-        out.labelled(
-            "fleet_breaker_state", "gauge",
-            "Circuit breaker state (0 closed, 1 half-open, 2 open).",
-            "worker",
-            ((name, self.BREAKER_STATES.get(b.state, 2)) for name, b in breakers),
-        )
-        out.labelled(
-            "fleet_breaker_backoff_seconds", "gauge",
-            "Seconds until an open breaker admits its half-open probe.",
-            "worker",
-            ((name, b.backoff_remaining()) for name, b in breakers),
-        )
-        return out.render()
+    async def _restart(self, name: str) -> None:
+        """Kill ``name``'s process and spawn a fresh one under its name,
+        so it takes back exactly its old shard."""
+        await self.workers[name].stop(kill=True, grace=2.0)
+        # Installed before it starts: a close() that cancels the
+        # handshake still finds, and stops, the spawned process.
+        fresh = self.workers[name] = self._handle(name)
+        try:
+            await fresh.start()
+        except (ReproError, OSError, asyncio.TimeoutError):
+            return  # the booked attempt already pushed the next one out
+        self.supervisor.restarted(name, time.monotonic())
 
     # ------------------------------------------------------------------
     async def _route_query(self, message: dict) -> dict:
-        """Route by document hash; reroute through the preference order.
+        """Try the supervisor's workers in order until one replies.
 
-        Retrying on :class:`WorkerUnavailable` is safe because queries
-        are read-only and the failure means *no reply was received* —
-        an acknowledged request never re-enters this loop.  Workers
-        draining for shutdown are treated the same as dead ones.
+        Retrying on :class:`WorkerUnavailable` or a timeout is safe
+        because queries are read-only and either means *no reply was
+        received* — an acknowledged request never re-enters this loop.
         """
-        doc_hash = message.get("document") or self.default_document
-        tried = False
-        for name in self.ring.preference(str(doc_hash)):
-            worker = self.workers[name]
-            breaker = self.breakers[name]
-            if not worker.alive or not breaker.allow():
-                # Dead, or its breaker is open (routing-around) — the
-                # ring's next preference takes the shard until a
-                # half-open probe recovers this worker.
-                continue
-            if tried:
-                self.reroutes += 1
-            tried = True
+        supervisor = self.supervisor
+        doc_hash = str(message.get("document") or self.default_document)
+        for name, probe in supervisor.route(doc_hash, time.monotonic()):
             try:
-                reply = await worker.call(
+                reply = await self.workers[name].call(
                     message, timeout=self.request_timeout
                 )
-            except WorkerUnavailable:
-                breaker.record_failure()
-                continue
-            except asyncio.TimeoutError:
-                # No reply within the per-worker budget: the request is
-                # unacknowledged, so retrying on the next preference is
-                # exactly as safe as after a dead connection.
-                self.timeouts += 1
-                breaker.record_failure()
+            except (WorkerUnavailable, asyncio.TimeoutError) as error:
+                timeout = isinstance(error, asyncio.TimeoutError)
+                supervisor.failed(name, time.monotonic(), timeout=timeout, probe=probe)
                 continue
             if reply.get("error") == "draining":
+                supervisor.refused_draining(name, time.monotonic())
                 continue
-            breaker.record_success()
+            supervisor.replied(name, time.monotonic(), probe=probe)
             return reply
         return error_reply(
             "service", "no live worker for this document shard"
         )
+
+    async def _ask_every_worker(self, op: str) -> dict[str, dict | None]:
+        """Each worker's reply to ``op`` (``None`` where it gave none)."""
+        replies: dict[str, dict | None] = {}
+        for name, worker in self.workers.items():
+            try:
+                replies[name] = await worker.call(
+                    {"op": op}, timeout=self.request_timeout
+                )
+            except (WorkerUnavailable, asyncio.TimeoutError):
+                replies[name] = None
+        return replies
 
     def gate(self, message: dict, pending: int) -> tuple[str, str] | None:
         """A draining acceptor refuses every op, not just queries."""
@@ -770,58 +573,37 @@ class FleetAcceptor(LineServer):
                 "default": self.default_document,
             }
         if op == "fleet":
+            health = self.supervisor.as_dict(time.monotonic())
+            for name, worker in self.workers.items():
+                health["workers"][name].update(pid=worker.pid, port=worker.port)
             return {
                 "ok": True,
-                "workers": {
-                    name: {
-                        "pid": worker.pid,
-                        "port": worker.port,
-                        "alive": worker.alive,
-                        "restarts": self.worker_restarts[name],
-                        "breaker": self.breakers[name].as_dict(),
-                    }
-                    for name, worker in self.workers.items()
-                },
+                **health,
                 "ring": {
-                    doc_hash: self.ring.node_for(doc_hash)
+                    doc_hash: self.supervisor.ring.node_for(doc_hash)
                     for doc_hash in self.documents
                 },
                 "documents": sorted(self.documents),
                 "default": self.default_document,
-                **self._counters(),
             }
         if op == "metrics":
-            per_worker: dict[str, dict | None] = {}
-            for name, worker in self.workers.items():
-                if not worker.alive:
-                    per_worker[name] = None
-                    continue
-                try:
-                    reply = await worker.call(
-                        {"op": "metrics"}, timeout=self.request_timeout
-                    )
-                    per_worker[name] = reply.get("metrics")
-                except (WorkerUnavailable, asyncio.TimeoutError):
-                    per_worker[name] = None
+            replies = await self._ask_every_worker("metrics")
             return {
                 "ok": True,
-                "workers": per_worker,
-                "fleet": self._fleet_health(),
+                "workers": {
+                    name: reply and reply.get("metrics")
+                    for name, reply in replies.items()
+                },
+                "fleet": self.supervisor.as_dict(time.monotonic()),
             }
         if op == "prometheus":
-            texts = []
-            for worker in self.workers.values():
-                if not worker.alive:
-                    continue
-                try:
-                    reply = await worker.call(
-                        {"op": "prometheus"}, timeout=self.request_timeout
-                    )
-                except (WorkerUnavailable, asyncio.TimeoutError):
-                    continue
-                if reply.get("ok"):
-                    texts.append(reply["prometheus"])
-            texts.append(self._acceptor_exposition())
+            replies = await self._ask_every_worker("prometheus")
+            texts = [
+                reply["prometheus"]
+                for reply in replies.values()
+                if reply is not None and reply.get("ok")
+            ]
+            texts.append(self.supervisor.exposition(time.monotonic()))
             return {"ok": True, "prometheus": merge_expositions(texts)}
         if op in ("open", "close"):
             return error_reply(

@@ -1,4 +1,12 @@
-"""CLI tests for the serving subcommands (serve-batch, warm)."""
+"""CLI tests for the serving subcommands (serve-batch, warm, serve-front)."""
+
+import json
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -157,3 +165,44 @@ class TestWarmAndPlanDir:
         cold_nodes = [l for l in cold.splitlines() if l.startswith("  node ")]
         warm_nodes = [l for l in warm.splitlines() if l.startswith("  node ")]
         assert cold_nodes == warm_nodes
+
+
+def test_serve_front_max_line_bytes_reaches_the_frontend():
+    """``serve-front --max-line-bytes`` caps the booted server's lines:
+    a line under the cap is served, one past it is refused with a
+    structured ``invalid-request`` and the connection closes."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve-front", "--port", "0",
+         "--patients", "2", "--tenants", "1", "--max-line-bytes", "2048"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+    )
+    try:
+        boot = proc.stdout.readline()
+        match = re.search(r"listening on ([\d.]+):(\d+)", boot)
+        assert match, f"no listening line: {boot!r}"
+        address = (match.group(1), int(match.group(2)))
+        with socket.create_connection(address, timeout=30) as sock:
+            stream = sock.makefile("rwb")
+            ping = {"op": "ping", "pad": "x" * 1500}
+            stream.write(json.dumps(ping).encode() + b"\n")
+            stream.flush()
+            assert json.loads(stream.readline())["ok"] is True
+            oversize = {"op": "ping", "pad": "x" * 3000}
+            stream.write(json.dumps(oversize).encode() + b"\n")
+            stream.flush()
+            reply = json.loads(stream.readline())
+            assert reply == {
+                "ok": False,
+                "error": "invalid-request",
+                "message": "request line exceeds 2048 bytes",
+            }
+            assert stream.readline() == b""  # the connection is closed
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=30)
+        assert proc.returncode == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()

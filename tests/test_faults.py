@@ -276,7 +276,7 @@ class TestDescendSeam:
 
     def test_composed_pass_fires_the_seam_too(self):
         """Regression: ``descend_composed`` skipped the seam, so slow-
-        descent schedules never touched ``--compose`` traffic."""
+        descent schedules never touched composed-wave traffic."""
         tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))
         lanes = [
             compile_plan("department/patient"),

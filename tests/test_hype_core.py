@@ -147,21 +147,3 @@ class TestDeathPropagation:
         query = parse_query(".[a]/a")
         got = hype_eval(compile_query(query), TREE.root).answers
         assert len(got) == 2
-
-
-class TestRemovedAlias:
-    def test_hype_evaluator_import_raises_pointing_at_compiled_plan(self):
-        with pytest.raises(ImportError, match="CompiledPlan"):
-            from repro.hype import HyPEEvaluator  # noqa: F401
-
-    def test_core_module_attribute_raises_too(self):
-        import repro.hype.core as core
-
-        with pytest.raises(ImportError, match="CompiledPlan"):
-            core.HyPEEvaluator
-
-    def test_other_missing_attributes_still_attribute_error(self):
-        import repro.hype.core as core
-
-        with pytest.raises(AttributeError):
-            core.NoSuchThing

@@ -1,10 +1,10 @@
 """Robustness guarantees: deadlines never yield partial answers, rewrite
-bombs die in the compile budget, circuit breakers gate sick workers, and
-the adversarial workload is deterministic and isolation-safe."""
+bombs die in the compile budget, and the adversarial workload is
+deterministic and isolation-safe.  (The fleet's circuit breakers are
+tested with the rest of its supervisor in ``tests/test_supervisor.py``.)"""
 
 from __future__ import annotations
 
-import random
 import time
 
 import pytest
@@ -17,7 +17,6 @@ from repro.errors import DeadlineError, QueryTooComplexError
 from repro.faults import FaultPlan, FaultRule
 from repro.guard import CompileBudget, Deadline
 from repro.hype.api import ALGORITHMS
-from repro.serve.fleet import CircuitBreaker
 from repro.serve.service import QueryRequest, QueryService, rejection_kind
 from repro.views.samples import sigma0
 from repro.workloads import VIEW_QUERIES
@@ -218,76 +217,6 @@ class TestRewriteBombRegression:
             tight.compile(None, "a/b/c/d/e/f/g/h/i/j/k")
         roomy = QueryCompiler(budget=CompileBudget(max_ast_nodes=1_000_000))
         roomy.compile(None, bomb_family(8)[-1])
-
-
-class TestCircuitBreaker:
-    def breaker(self, **kwargs) -> CircuitBreaker:
-        kwargs.setdefault("rng", random.Random(7))
-        return CircuitBreaker(**kwargs)
-
-    def test_threshold_trips_open(self):
-        breaker = self.breaker(threshold=3)
-        breaker.record_failure(now=100.0)
-        breaker.record_failure(now=100.0)
-        assert breaker.state == "closed" and breaker.allow()
-        breaker.record_failure(now=100.0)
-        assert breaker.state == "open"
-        assert breaker.opened == 1
-        assert not breaker.allow(now=100.0)
-
-    def test_half_open_admits_exactly_one_probe(self):
-        breaker = self.breaker(threshold=1, base_delay=1.0, max_delay=8.0)
-        breaker.record_failure(now=100.0)
-        assert not breaker.allow(now=100.0)
-        unlocked = breaker.open_until
-        assert breaker.allow(now=unlocked)  # the probe
-        assert breaker.state == "half-open"
-        assert not breaker.allow(now=unlocked)  # only one
-
-    def test_probe_success_closes(self):
-        breaker = self.breaker(threshold=1)
-        breaker.record_failure(now=100.0)
-        breaker.allow(now=breaker.open_until)
-        breaker.record_success()
-        assert breaker.state == "closed"
-        assert breaker.failures == 0
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_longer(self):
-        breaker = self.breaker(threshold=1, base_delay=1.0, max_delay=60.0)
-        breaker.record_failure(now=100.0)
-        first = breaker.open_until - 100.0
-        breaker.allow(now=breaker.open_until)
-        breaker.record_failure(now=200.0)
-        second = breaker.open_until - 200.0
-        # Jitter is a 0.5–1.0 factor, so doubling the raw delay always
-        # at least matches the previous jittered value's floor.
-        assert second > first * 0.5
-        assert breaker.failures == 2 and breaker.opened == 2
-
-    def test_delay_is_jittered_and_capped(self):
-        breaker = self.breaker(threshold=1, base_delay=1.0, max_delay=4.0)
-        for _ in range(20):
-            breaker.record_failure(now=0.0)
-        # failures >> threshold: raw delay is capped at max_delay, and the
-        # jitter factor keeps it within [0.5, 1.0] * cap.
-        assert 2.0 <= breaker.open_until <= 4.0
-
-    def test_reset_restores_traffic(self):
-        breaker = self.breaker(threshold=1)
-        breaker.record_failure(now=100.0)
-        breaker.reset()
-        assert breaker.state == "closed" and breaker.allow()
-
-    def test_as_dict_shape(self):
-        breaker = self.breaker(threshold=1)
-        breaker.record_failure(now=100.0)
-        state = breaker.as_dict()
-        assert state["state"] == "open"
-        assert state["consecutive_failures"] == 1
-        assert state["total_failures"] == 1
-        assert state["opened"] == 1
-        assert state["backoff_ms"] >= 0
 
 
 class TestAdversarialWorkload:

@@ -5,9 +5,11 @@ a bare fleet worker (``python -m repro.serve.fleet --worker``), and the
 ``serve-fleet`` acceptor fronting its workers.  In each, a query
 admitted *before* the signal must still get its reply, a query arriving
 *after* it must get a structured ``draining`` rejection, logs must be
-flushed, and the process must exit cleanly (status 0).
+flushed, and the process must exit cleanly (status 0).  Also: an
+acceptor's ``close()`` stops a worker restart cancelled mid-handshake.
 """
 
+import asyncio
 import json
 import os
 import re
@@ -16,6 +18,8 @@ import socket
 import subprocess
 import sys
 import time
+
+from repro.serve.fleet import FleetAcceptor, FleetSpec, WorkerHandle
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -218,3 +222,45 @@ def test_fleet_acceptor_sigterm_drains():
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+def test_close_stops_a_restart_whose_handshake_is_in_flight(monkeypatch):
+    """A drain that lands while the health loop is restarting a worker
+    must stop the freshly spawned process too, not only the old one."""
+    spawned: list[int] = []
+
+    async def spawn_then_hang(self):
+        self.proc = await asyncio.create_subprocess_exec(
+            sys.executable, "-c", "import time; time.sleep(60)"
+        )
+        spawned.append(self.proc.pid)
+        await asyncio.Event().wait()  # the handshake never arrives
+
+    monkeypatch.setattr(WorkerHandle, "start", spawn_then_hang)
+
+    async def main():
+        # Never started: w0's handle is down, so the first health tick
+        # restarts it and hangs in the new handle's start().
+        acceptor = FleetAcceptor(FleetSpec(), workers=1, health_interval=0.01)
+        acceptor._health_task = asyncio.create_task(acceptor._health_loop())
+        for _ in range(500):
+            if spawned:
+                break
+            await asyncio.sleep(0.01)
+        await asyncio.wait_for(acceptor.drain(), 30)
+
+    try:
+        asyncio.run(main())
+        assert spawned, "the health loop never restarted w0"
+        for pid in spawned:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                continue
+            raise AssertionError(f"spawned worker {pid} outlived close()")
+    finally:
+        for pid in spawned:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

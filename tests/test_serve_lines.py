@@ -16,6 +16,8 @@ import os
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.fleet import FleetAcceptor, FleetSpec
 from repro.serve.frontend import QueryFrontend
@@ -215,6 +217,101 @@ def test_flush_inflight_awaits_admitted_requests():
         return await asyncio.wait_for(peer.reader.readline(), 0.05)
 
     assert json.loads(drive("frontend", scenario))["id"] == 1
+
+
+# ----------------------------------------------------------------------
+# Fuzzed framing: whatever bytes arrive, in whatever pieces
+# ----------------------------------------------------------------------
+CAP = 1024  # the stub's max_line_bytes
+
+#: What a fuzzed line may be refused with: every one a structured kind.
+STRUCTURED = {"bad-request", "invalid-request", "internal", "overloaded"}
+
+
+def _padded(size: int, index: int) -> bytes:
+    """A ``ping`` object line of exactly ``size`` bytes, id ``index``."""
+    head = json.dumps({"op": "ping", "id": index, "pad": ""}).encode()
+    return head[:-2] + b"x" * (size - len(head)) + b'"}'
+
+
+def _json_non_objects():
+    scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    values = st.recursive(
+        scalars, lambda inner: st.lists(inner, max_size=3), max_leaves=6
+    )
+    return values.map(lambda value: json.dumps(value).encode())
+
+
+_NOISE = st.binary(max_size=48).map(lambda raw: raw.replace(b"\n", b""))
+_LINES = st.lists(
+    st.one_of(
+        _NOISE.map(lambda raw: ("noise", raw)),
+        _json_non_objects().map(lambda raw: ("noise", raw)),
+        st.just(("ping", None)),
+        st.integers(CAP - 8, CAP).map(lambda size: ("ping", size)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=_LINES,
+    oversize=st.one_of(st.none(), st.integers(CAP + 1, CAP + 64)),
+    cuts=st.lists(st.integers(0, 4 * CAP), max_size=6),
+)
+def test_fuzzed_lines_get_one_structured_reply_each_and_never_wedge(
+    lines, oversize, cuts
+):
+    """Random bytes, non-object JSON, objects up to exactly the cap and
+    one past it, split across writes at random points: every non-blank
+    line gets exactly one reply, each served or refused with a
+    structured kind; a line past the cap is refused and ends the
+    connection; otherwise the connection still answers afterwards."""
+    wire: list[bytes] = []
+    served_ids = set()
+    for index, (kind, raw) in enumerate(lines):
+        if kind == "ping":
+            raw = _padded(raw, index) if raw else json.dumps(
+                {"op": "ping", "id": index}
+            ).encode()
+            served_ids.add(index)
+        wire.append(raw)
+    expected = sum(1 for raw in wire if raw.strip()) + 1  # + the last line
+    if oversize is not None:
+        wire.append(_padded(oversize, -1))
+    else:
+        wire.append(b'{"op": "ping", "id": "end"}')
+        served_ids.add("end")
+    stream = b"".join(raw + b"\n" for raw in wire)
+
+    async def scenario(_server, peer):
+        start = 0
+        for cut in sorted(cuts) + [len(stream)]:
+            peer.writer.write(stream[start:cut])
+            await peer.writer.drain()
+            await asyncio.sleep(0)
+            start = max(start, cut)
+        replies = [await peer.recv() for _ in range(expected)]
+        tail = await peer.recv() if oversize is not None else None
+        return replies, tail
+
+    replies, tail = drive("frontend", scenario)
+    assert all(reply is not None for reply in replies), "connection wedged"
+    for reply in replies:
+        assert reply["ok"] is True or (
+            reply["error"] in STRUCTURED and isinstance(reply["message"], str)
+        ), reply
+    assert served_ids <= {r.get("id") for r in replies if r["ok"] is True}
+    refusals = [r for r in replies if r.get("error") == "invalid-request"]
+    if oversize is None:
+        assert refusals == []  # lines up to the cap are framed normally
+    else:
+        # Past the cap: one invalid-request, then the connection closes.
+        assert refusals == [
+            error_reply("invalid-request", f"request line exceeds {CAP} bytes")
+        ]
+        assert tail is None
 
 
 # ----------------------------------------------------------------------
