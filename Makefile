@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test loc bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test loc sanitize bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -18,6 +18,28 @@ loc:
 
 install:
 	$(PY) -m pip install -e .
+
+# The compiled passes (_scan.c, _lean.c) under AddressSanitizer and
+# UndefinedBehaviorSanitizer: the native, parser and doc-tier suites —
+# every differential, the mangled and truncated inputs, the 300-deep
+# and 400-wide documents, the label and distinct-mask boundaries — over
+# three hypothesis seeds, so three times the examples.  The sanitized
+# objects build into a cache of their own (the interpreter's pycache
+# prefix), never beside the plain ones; the runtimes must come first in
+# the process, hence LD_PRELOAD.  Leak reports are off: the interpreter
+# keeps memory until exit by design.
+SANITIZE_CC = gcc -fsanitize=address,undefined -fno-omit-frame-pointer -fno-sanitize-recover=undefined
+SANITIZE_ENV = CC="$(SANITIZE_CC)" PYTHONPYCACHEPREFIX="$(CURDIR)/.sanitize-cache" \
+	LD_PRELOAD="$$(gcc -print-file-name=libasan.so) $$(gcc -print-file-name=libubsan.so)" \
+	ASAN_OPTIONS=detect_leaks=0
+SANITIZE_SUITES = tests/test_parse_native.py tests/test_parse_oracle.py \
+	tests/test_descent_native.py tests/test_cold_native.py tests/test_docstore.py
+sanitize:
+	$(SANITIZE_ENV) $(PY) -c "from repro.hype import kernel; from repro.xtree import parse; \
+	    assert (kernel.DESCENT, parse.SCAN) == ('compiled', 'compiled'), (kernel.DESCENT, parse.SCAN)"
+	@for seed in 1 2 3; do \
+	    $(SANITIZE_ENV) $(PY) -m pytest -q -p no:cacheprovider --hypothesis-seed=$$seed \
+	        $(SANITIZE_SUITES) || exit 1; done
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q

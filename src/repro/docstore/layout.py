@@ -14,7 +14,9 @@ engines):
   document's label set (dense ids ``0..num_labels-1``; sorted label
   order for a fresh build, so documents of one DTD share one table);
 * ``node_label`` — per ``node_id``, the interned label id
-  (:data:`TEXT_ID` for text nodes);
+  (:data:`TEXT_ID` for text nodes) — for a document the compiled scan
+  parsed, the very list it built in the sorted table's order, as is
+  ``kid_labels``; otherwise mapped off the label column here;
 * ``kid_ids`` / ``kid_labels`` / ``kid_start`` — the flattened
   element-children table: node ``i``'s element children are
   ``kid_ids[kid_start[i]:kid_start[i+1]]``, with their label ids in
@@ -36,9 +38,11 @@ what a plan filled for one document is a hit for the next one of that
 label set.  The OptHyPE(-C) subtree-mask column is a column of the
 document too: ``indexes`` holds the variants built (or tier-loaded) for
 it, and an indexed run reads its mask keys from there
-(:meth:`DocumentLayout.mask_keys`).  A run that is handed no layout, or
-one that does not cover its context, walks fresh columns built by
-:func:`covering_layout`.
+(:meth:`DocumentLayout.mask_keys`).  A scanned document's masks come
+from the scan's mask classes (one gather per variant, see
+:mod:`repro.hype.index`); any other tree's are swept once.  A run that
+is handed no layout, or one that does not cover its context, walks
+fresh columns built by :func:`covering_layout`.
 
 Layouts are immutable once built, like the frozen trees they describe,
 and therefore freely shared across threads, tenants and lanes.
@@ -73,16 +77,14 @@ class DocumentLayout:
 
     def __init__(self, tree: XMLTree) -> None:
         table = label_table(sorted(tree.labels))
-        lids = {**table.label_ids, TEXT_LABEL: TEXT_ID}
         columns = tree.columns
-        node_label = list(map(lids.__getitem__, columns.label))
+        node_label, kid_labels = columns.node_label, columns.kid_labels
+        if node_label is None:  # not a compiled scan's freeze: map the labels
+            lids = {**table.label_ids, TEXT_LABEL: TEXT_ID}
+            node_label = list(map(lids.__getitem__, columns.label))
+            kid_labels = list(map(node_label.__getitem__, columns.kid_ids))
         self._adopt(
-            tree,
-            table,
-            node_label,
-            columns.kid_ids,
-            list(map(node_label.__getitem__, columns.kid_ids)),
-            columns.kid_start,
+            tree, table, node_label, columns.kid_ids, kid_labels, columns.kid_start
         )
 
     def _adopt(self, tree, table, node_label, kid_ids, kid_labels, kid_start):

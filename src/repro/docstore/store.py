@@ -54,11 +54,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..hype.index import (
-    CompressedLabelIndex,
-    Index,
-    SubtreeLabelIndex,
-)
+from ..hype.index import Index, from_classes, id_width, local_ids
 from ..obs.counters import Counters
 from ..tier import FileTier, SingleFlightLRU
 from ..xtree.node import XMLTree
@@ -330,25 +326,30 @@ def _blob_labels(view: memoryview, blob_len: int) -> tuple[list[str], int]:
 
 def _index_record(index: Index, content_hash: str) -> bytes:
     """The sealed record of ``index``'s document — the same bytes for
-    either variant, whatever the shared table interned before."""
+    either variant, whatever the shared table interned before.  An index
+    gathered from its mask classes writes them as they are."""
     keys = index.mask_keys
-    distinct = list(dict.fromkeys(keys))
-    local = dict(zip(distinct, range(len(distinct))))
-    if index.compressed:
-        interned = index.table.masks
-        distinct = [interned[key] for key in distinct]
+    if index.classes is not None:
+        _labels, distinct, ids = index.classes
+    else:
+        distinct = list(dict.fromkeys(keys))
+        local = dict(zip(distinct, range(len(distinct))))
+        code = _ID_CODES[id_width(len(distinct))]
+        ids = struct.pack(f"<{len(keys)}{code}", *map(local.__getitem__, keys))
+        if index.compressed:
+            interned = index.table.masks
+            distinct = [interned[key] for key in distinct]
     labels = index.table.labels
     mask_width = (len(labels) + 8) // 8
-    width = 1 if len(distinct) <= 1 << 8 else 2 if len(distinct) <= 1 << 16 else 4
     blob_len, blob = _label_blob(labels)
     return _seal(
         _INDEX_MAGIC,
         content_hash,
-        (len(keys), blob_len, len(distinct), width),
+        (len(keys), blob_len, len(distinct), id_width(len(distinct))),
         [
             blob,
             b"".join(mask.to_bytes(mask_width, "little") for mask in distinct),
-            struct.pack(f"<{len(keys)}{_ID_CODES[width]}", *map(local.__getitem__, keys)),
+            ids,
         ],
     )
 
@@ -356,12 +357,14 @@ def _index_record(index: Index, content_hash: str) -> bytes:
 def _index_header(view: memoryview, content_hash: str) -> tuple:
     """Validate one record against its name and its own length —
     everything that does not need the tree (raises ``ValueError``).
-    Returns ``(num_nodes, labels, masks, ids)``: ``ids`` the file-local
-    mask id per node, each below ``len(masks)``."""
+    Returns ``(num_nodes, labels, masks, local)``: ``local`` the
+    file-local mask ids as stored (:func:`repro.hype.index.local_ids`),
+    each below ``len(masks)``."""
     num_nodes, blob_len, count, width = _unseal(view, _INDEX_MAGIC, content_hash)
-    code = _ID_CODES.get(width)
-    if code is None:
+    if width not in _ID_CODES:
         raise ValueError("document-index id width is not 1, 2 or 4")
+    if width != id_width(count):
+        raise ValueError("document-index id width does not fit its mask count")
     labels, offset = _blob_labels(view, blob_len)
     mask_width = (len(labels) + 8) // 8
     ids_at = offset + count * mask_width
@@ -373,10 +376,10 @@ def _index_header(view: memoryview, content_hash: str) -> tuple:
     ]
     if any(mask >> (len(labels) + 1) for mask in masks):
         raise ValueError("document-index masks name bits the record lacks")
-    ids = struct.unpack_from(f"<{num_nodes}{code}", view, ids_at)
-    if ids and max(ids) >= count:
+    local = bytes(view[ids_at:])
+    if num_nodes and max(local_ids(local, count)) >= count:
         raise ValueError("document-index ids point outside the mask table")
-    return num_nodes, labels, masks, ids
+    return num_nodes, labels, masks, local
 
 
 def _index_from_record(
@@ -384,7 +387,9 @@ def _index_from_record(
 ) -> Index:
     """The variant ``compressed`` of the index a record describes, if it
     covers ``layout``'s tree in ``layout``'s label table (raises
-    ``ValueError``).
+    ``ValueError``): a gather over the record's mask classes, file-local
+    ids to the masks or to their table-wide interning
+    (:func:`repro.hype.index.from_classes`).
 
     A record is written in its document's table, and a document's table
     is the same in every process (sorted labels, or the sidecar's order,
@@ -392,18 +397,14 @@ def _index_from_record(
     document's.
     """
     tree, table = layout.tree, layout.table
-    num_nodes, labels, masks, ids = _index_header(memoryview(raw), content_hash)
+    num_nodes, labels, masks, local = _index_header(memoryview(raw), content_hash)
     if num_nodes != tree.size:
         raise ValueError("document-index record does not cover the tree")
     if tuple(labels) != table.labels:
         raise ValueError("document-index labels are not the document's table")
-    if compressed:
-        # File-local ids -> the table-wide ones the live index is keyed by.
-        interned = table.mask_ids(masks)
-        return CompressedLabelIndex(
-            table, [interned[local] for local in ids], tree.freeze_count
-        )
-    return SubtreeLabelIndex(table, [masks[local] for local in ids], tree.freeze_count)
+    return from_classes(
+        table, (table.labels, tuple(masks), local), tree.freeze_count, compressed
+    )
 
 
 # ----------------------------------------------------------------------

@@ -30,12 +30,24 @@ Either variant is one column of *mask keys* over one freeze of one tree
 carries): keys are indexed by ``node_id``, so after an edit + re-freeze
 they would prune the wrong subtrees.  The evaluator reads the column off
 the layout of the document it runs on, never off the executable.
+
+Where the masks come from: a document the compiled scan parsed
+(:mod:`repro.xtree.parse`) arrives with its *mask classes* — the
+distinct masks, OR-ed up the scan's element stack at each close tag,
+in first-appearance order, and one local id per node — so
+:func:`build_index` is one gather per variant (:func:`from_classes`),
+and the index record stores the classes as they are.  Every other tree
+(a Python parse, a tree built in memory, a re-frozen one, a document
+past the scan's label or mask-count boundary) is swept once by
+:func:`subtree_masks`, the reference the scan is held to.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
+from array import array
 
 from ..xtree.node import XMLTree
 
@@ -157,20 +169,52 @@ def subtree_masks(tree: XMLTree, bit_of: dict[str, int]) -> list[int]:
     return masks
 
 
+def id_width(count: int) -> int:
+    """Bytes per local id of a document with ``count`` distinct masks:
+    u8, u16 or u32 (the index record's widths)."""
+    return 1 if count <= 1 << 8 else 2 if count <= 1 << 16 else 4
+
+
+def local_ids(local: bytes, count: int):
+    """The ids of ``local`` — little-endian, :func:`id_width` ``(count)``
+    bytes each — as an indexable sequence of ints: the bytes themselves
+    for u8, else an ``array`` in host order."""
+    width = id_width(count)
+    if width == 1:
+        return local
+    ids = array("H" if width == 2 else "I", local)
+    if sys.byteorder == "big":
+        ids.byteswap()
+    return ids
+
+
 class SubtreeLabelIndex:
     """Uncompressed per-node bitmask index (OptHyPE): the key of a node
-    is its mask."""
+    is its mask.
 
-    __slots__ = ("table", "mask_keys", "freeze_count", "__weakref__")
+    ``classes``, when known, is the document's mask classes
+    ``(labels, masks, local)``: its distinct masks in the table's bit
+    order (``labels``), in first-appearance node order, and one
+    little-endian local id per node (:func:`local_ids`) — what the mask
+    column was gathered from (:func:`from_classes`).  The other variant
+    gathers from them too, and the index record stores them as they are.
+    """
+
+    __slots__ = ("table", "mask_keys", "freeze_count", "classes", "__weakref__")
     compressed = False
 
     def __init__(
-        self, table: LabelTable, mask_keys: list[int], freeze_count: int
+        self,
+        table: LabelTable,
+        mask_keys: list[int],
+        freeze_count: int,
+        classes: tuple | None = None,
     ) -> None:
         self.table = table
         #: Per-node mask keys as one indexable column (the kernel's view).
         self.mask_keys = mask_keys
         self.freeze_count = freeze_count
+        self.classes = classes
 
     @property
     def masks(self) -> list[int]:
@@ -211,20 +255,49 @@ def build_index(
 ) -> Index:
     """Build the OptHyPE (or OptHyPE-C when ``compressed``) index of
     ``tree`` in ``table`` — by default the canonical one, of the tree's
-    sorted label set."""
+    sorted label set.
+
+    A tree the compiled scan froze carries its mask classes
+    (:class:`repro.xtree.node.TreeColumns`' ``mask_classes``, in the
+    sorted table's bit order), and the build is one gather over them;
+    every other tree, or a table in another order, is swept
+    (:func:`subtree_masks`)."""
     if table is None:
         table = label_table(sorted(tree.labels))
+    classes = tree.columns.mask_classes
+    if classes is not None and classes[0] == table.labels:
+        return from_classes(table, classes, tree.freeze_count, compressed)
     plain = SubtreeLabelIndex(
         table, subtree_masks(tree, table.bit_of), tree.freeze_count
     )
     return other_variant(plain) if compressed else plain
 
 
+def from_classes(
+    table: LabelTable, classes: tuple, freeze_count: int, compressed: bool
+) -> Index:
+    """The index whose mask column is ``classes``' masks gathered by its
+    local ids (see :class:`SubtreeLabelIndex`): the masks themselves for
+    OptHyPE, their table-wide interned ids for OptHyPE-C."""
+    _labels, masks, local = classes
+    ids = local_ids(local, len(masks))
+    if compressed:
+        interned = table.mask_ids(masks)
+        return CompressedLabelIndex(
+            table, [interned[i] for i in ids], freeze_count, classes
+        )
+    return SubtreeLabelIndex(table, [masks[i] for i in ids], freeze_count, classes)
+
+
 def other_variant(index: Index) -> Index:
     """The other index variant of the same document, without a sweep:
     both hold one mask column, per node or interned (same table, same
-    freeze stamp)."""
+    freeze stamp) — gathered again from the mask classes when known."""
     table = index.table
+    if index.classes is not None:
+        return from_classes(
+            table, index.classes, index.freeze_count, not index.compressed
+        )
     if index.compressed:
         return SubtreeLabelIndex(table, index.masks, index.freeze_count)
     return CompressedLabelIndex(

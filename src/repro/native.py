@@ -9,7 +9,8 @@ extension module, or ``None`` and the reason the Python pass runs
 instead.  The shared object is built once per checkout, source and
 interpreter, and every later process only loads it:
 
-* it lives in the package's ``__pycache__``, named by the source's stem,
+* it lives in the package's ``__pycache__`` (beside its bytecode, so
+  under ``sys.pycache_prefix`` when one is set), named by the source's stem,
   a sha256 over the source and the full compiler command line, and the
   interpreter's extension suffix (which carries its ABI tag), so an
   edited source, another interpreter or another compiler or flag set
@@ -68,8 +69,9 @@ def load(
     """``(module, None)`` — ``package``'s extension compiled from its
     ``source`` (say ``"_scan.c"``, whose module is ``package._scan``),
     built first if this source and interpreter have no cached build in
-    ``cache_dir`` (default: the package's ``__pycache__``) — or
-    ``(None, reason)``."""
+    ``cache_dir`` (default: the package's ``__pycache__``, or its mirror
+    under ``sys.pycache_prefix`` when the interpreter keeps its bytecode
+    there — ``PYTHONPYCACHEPREFIX``) — or ``(None, reason)``."""
     if sysconfig.get_config_var("Py_GIL_DISABLED"):
         return None, "free-threaded build"
     code = pkgutil.get_data(package, source)
@@ -84,6 +86,8 @@ def load(
     if cache_dir is None:
         home = Path(importlib.util.find_spec(package).origin).parent
         cache = home / "__pycache__"
+        if sys.pycache_prefix:  # where this interpreter keeps bytecode too
+            cache = Path(sys.pycache_prefix) / home.relative_to(home.anchor)
     else:
         cache = Path(cache_dir)
     target = cache / f"{stem}.{digest}{suffix}"

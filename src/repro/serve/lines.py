@@ -8,8 +8,10 @@ owns everything about that exchange that is not an op:
 
 * framing: ``readline`` under a byte cap; a line past the cap is
   answered ``invalid-request`` and the connection dropped (framing past
-  the buffer is unrecoverable); blank lines are skipped; malformed JSON
-  and non-object lines are answered ``bad-request``;
+  the buffer is unrecoverable) — half-closed first, and what the client
+  already sent read and discarded for a moment, so it ends with a FIN
+  rather than a reset; blank lines are skipped; malformed JSON and
+  non-object lines are answered ``bad-request``;
 * the gate: ``gate(message, pending)`` may refuse a line before any work
   is spent on it, returning ``(kind, text)`` — ``pending`` is the number
   of ``query`` ops this connection has in flight;
@@ -43,6 +45,29 @@ DEFAULT_HOST = "127.0.0.1"
 LINE_LIMIT = 1 << 20
 
 _NO_ID = object()
+
+
+#: Seconds a connection dropped for an oversize line keeps reading what
+#: its client already sent: closing with unread input would reset the
+#: connection instead of ending it.
+LINGER_SECONDS = 1.0
+
+
+async def _linger(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """End a dropped connection with its replies and a FIN, not a reset:
+    half-close, then discard the client's input until it closes too (at
+    most :data:`LINGER_SECONDS`)."""
+
+    async def discard() -> None:
+        while await reader.read(1 << 16):
+            pass
+
+    try:
+        if writer.can_write_eof():
+            writer.write_eof()
+        await asyncio.wait_for(discard(), LINGER_SECONDS)
+    except (ConnectionError, OSError, asyncio.TimeoutError, asyncio.CancelledError):
+        pass  # going either way; a cancelled handler still closes below
 
 
 def error_reply(kind: str, message: str, id=_NO_ID) -> dict:
@@ -131,6 +156,7 @@ class LineServer:
         lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
         queries: set[asyncio.Task] = set()
+        overrun = False
         try:
             while True:
                 try:
@@ -143,6 +169,7 @@ class LineServer:
                         f"request line exceeds {self.max_line_bytes} bytes",
                         None,
                     )
+                    overrun = True
                     break
                 if not line:
                     break
@@ -179,6 +206,8 @@ class LineServer:
         finally:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+            if overrun:
+                await _linger(reader, writer)
             writer.close()
             try:
                 await writer.wait_closed()

@@ -53,7 +53,18 @@ class TreeColumns:
     * ``position`` — an element's 1-based position among its element
       siblings (the root is 1), ``0`` for a text node;
     * ``kid_ids`` / ``kid_start`` — the element-kid spans: node ``i``'s
-      element children are ``kid_ids[kid_start[i]:kid_start[i + 1]]``.
+      element children are ``kid_ids[kid_start[i]:kid_start[i + 1]]``
+      (:func:`kid_spans`).
+
+    The compiled scan (:mod:`repro.xtree.parse`) also hands over what it
+    derived for the document's layout and index: ``node_label`` /
+    ``kid_labels`` (the label ids of
+    :class:`repro.docstore.layout.DocumentLayout`, which adopts these
+    very lists) and ``mask_classes`` (what
+    :func:`repro.hype.index.build_index` gathers its mask column from).
+    They are ``None`` on every other freeze — a Python parse, a tree
+    built in memory, any re-freeze — which derive them from the columns
+    above instead.
 
     Immutable once built, so freely shared across threads.
     """
@@ -64,27 +75,38 @@ class TreeColumns:
         "depth",
         "text",
         "position",
-        "kid_ids",
         "kid_start",
+        "kid_ids",
+        "node_label",
+        "kid_labels",
+        "mask_classes",
         "_ends",
         "__weakref__",
     )
 
     def __init__(
-        self, label, parent, depth, text, position, kid_counts, elements
+        self,
+        label,
+        parent,
+        depth,
+        text,
+        position,
+        kid_start,
+        kid_ids,
+        node_label=None,
+        kid_labels=None,
+        mask_classes=None,
     ) -> None:
         self.label: list[str] = label
         self.parent: list[int] = parent
         self.depth: list[int] = depth
         self.text: list[str] = text
         self.position: list[int] = position
-        # ``elements`` (the element ids, in document order) grouped by
-        # parent — a stable sort keeps document order within a group —
-        # each group where the prefix sum of ``kid_counts`` says.
-        self.kid_start: list[int] = list(accumulate(kid_counts, initial=0))
-        self.kid_ids: list[int] = sorted(
-            islice(elements, 1, None), key=parent.__getitem__
-        )
+        self.kid_start: list[int] = kid_start
+        self.kid_ids: list[int] = kid_ids
+        self.node_label: Optional[list[int]] = node_label
+        self.kid_labels: Optional[list[int]] = kid_labels
+        self.mask_classes: Optional[tuple] = mask_classes
         #: Per node, one past its last descendant — only :class:`Node`
         #: views need it (:meth:`child_ids`), so it is derived on demand.
         self._ends = None
@@ -106,6 +128,15 @@ class TreeColumns:
             ids.append(child)
             child = ends[child]
         return ids
+
+
+def kid_spans(parent, kid_counts, elements) -> tuple[list[int], list[int]]:
+    """``(kid_start, kid_ids)`` of a freeze: ``elements`` (the element
+    ids, in document order) grouped by parent — a stable sort keeps
+    document order within a group — each group where the prefix sum of
+    ``kid_counts`` (per node, its element children) says."""
+    kid_start = list(accumulate(kid_counts, initial=0))
+    return kid_start, sorted(islice(elements, 1, None), key=parent.__getitem__)
 
 
 def _view(columns: TreeColumns, owner: weakref.ref, node_id: int) -> "Node":
@@ -448,7 +479,7 @@ def index_tree(root: Node, tree: XMLTree) -> None:
     tree.labels.clear()
     tree.labels.update(label[i] for i in elements)
     columns = TreeColumns(
-        label, parent, depth, text, position, kid_counts, elements
+        label, parent, depth, text, position, *kid_spans(parent, kid_counts, elements)
     )
     for node in nodes:
         node.columns = columns

@@ -36,6 +36,7 @@ fallback (the ``CC=false`` CI job runs the suite that way).
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import shlex
 import subprocess
@@ -371,6 +372,25 @@ class TestFallback:
         again, reason = native.load(package, source, tmp_path)
         assert reason is None and again.__name__ == first.__name__
         assert sorted(tmp_path.iterdir()) == sorted([plain, other])
+
+    @pytest.mark.skipif(
+        (kernel.DESCENT, parse.SCAN) != ("compiled", "compiled"),
+        reason=f"descent is {kernel.DESCENT!r}, scan is {parse.SCAN!r}",
+    )
+    @pytest.mark.parametrize("package, source", SOURCES)
+    def test_a_pycache_prefix_holds_the_build(self, monkeypatch, tmp_path, package, source):
+        """Under ``PYTHONPYCACHEPREFIX`` the build lives where the
+        interpreter keeps bytecode — what ``make sanitize`` uses for a
+        build cache of its own — and the package's ``__pycache__`` gets
+        nothing new."""
+        home = Path(importlib.util.find_spec(package).origin).parent
+        before = set((home / "__pycache__").iterdir())
+        monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
+        module, reason = native.load(package, source)
+        assert reason is None and module.__name__ == f"{package}.{source[:-2]}"
+        (built,) = (tmp_path / home.relative_to(home.anchor)).glob(f"{source[:-2]}.*")
+        assert built.is_file()
+        assert set((home / "__pycache__").iterdir()) == before
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,10 @@ The acceptance properties of the document tier:
 """
 
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -31,8 +34,12 @@ from repro.hype.index import build_index
 from repro.serve.cache import PlanCache
 from repro.serve.service import QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
+from repro.xtree import parse
+from repro.xtree.node import TEXT_LABEL
 from repro.xtree.parse import parse_xml
 from repro.xtree.serialize import serialize
+
+SRC = Path(parse.__file__).resolve().parents[2]
 
 
 @pytest.fixture()
@@ -217,7 +224,21 @@ class TestIngestWalks:
         spy("parse", store_module, "parse_canonical")
         return counts
 
-    def test_text_to_served_is_one_parse_and_one_sweep(self, hospital_xml, walks):
+    @pytest.fixture(params=["compiled", "python"])
+    def scan(self, request, monkeypatch):
+        """Which token pass parses: the compiled one (skipped where it
+        did not build), whose trees carry their mask classes, or the
+        Python one, whose trees the index sweeps."""
+        if request.param == "python":
+            monkeypatch.setattr(parse, "_scan", None)
+        elif parse.SCAN != "compiled":
+            pytest.skip(f"scan is {parse.SCAN!r}")
+        return request.param
+
+    def test_text_to_served_is_one_parse_and_one_sweep(self, hospital_xml, walks, scan):
+        """A compiled scan hands the index its mask classes, so nothing
+        sweeps the tree; a tree of the Python pass is swept once."""
+        sweeps = 0 if scan == "compiled" else 1
         store = DocumentStore()
         scratch = store.get("<scratch/>")
         with QueryService(scratch, document_store=store) as service:
@@ -228,7 +249,7 @@ class TestIngestWalks:
             for algorithm in ALGORITHMS:
                 service.submit("admin", "//patient/pname", algorithm, document=content_hash)
             spent = {kind: walks[kind] - before[kind] for kind in walks}
-            assert spent == {"serialize": 0, "index_tree": 0, "sweep": 1, "parse": 1}
+            assert spent == {"serialize": 0, "index_tree": 0, "sweep": sweeps, "parse": 1}
             assert store.stats.index_builds == 2
             assert store.get(hospital_xml) is doc
             assert walks["parse"] == before["parse"] + 1
@@ -239,7 +260,7 @@ class TestIngestWalks:
         assert store.adopt(doc) is store.adopt(doc)
         assert walks["serialize"] == 1
 
-    def test_both_variants_expose_the_same_masks(self, hospital_xml, walks):
+    def test_both_variants_expose_the_same_masks(self, hospital_xml, walks, scan):
         """The label → bit map both variants shared (``index.bits``) is
         the label table's now — and so is OptHyPE-C's mask interning, so
         a reference build of the same label set has the same keys."""
@@ -255,7 +276,9 @@ class TestIngestWalks:
                 assert index.memory_entries() == built.memory_entries()
                 assert index.masks == built.masks
             assert derived.distinct_masks() == derived_from.distinct_masks()
-        assert walks["sweep"] == 2 + 4  # one per document + the four references
+        # One per document + the four references, or none at all when
+        # every tree carries its mask classes.
+        assert walks["sweep"] == (0 if scan == "compiled" else 2 + 4)
 
 
 class TestIndexSharing:
@@ -627,6 +650,63 @@ class TestPersistedBytes:
         assert isinstance(reloaded.layout.node_label, memoryview)  # zero-copy
         stats = reloaded_store.snapshot_stats()
         assert (stats.index_builds, stats.index_loads, stats.layout_loads) == (0, 1, 1)
+
+
+class TestPersistedBytesPlain:
+    """Golden: :class:`TestPersistedBytes`' twin for a plain document —
+    no attribute, no entity — which the compiled scan takes, so its
+    record is the scan's mask classes written as they are and its
+    sidecar the scan's label ids.  The same bytes as the Python pass
+    writes (and as the format wrote before the scan derived them): in a
+    ``CC=false`` subprocess, the Python pass alone writes them too."""
+
+    XML = (
+        '<?xml version="1.0"?>\n<hospital>\n'
+        "  <patient><name>Ann and Bo</name>"
+        "<visit><date>2006</date><treatment/></visit></patient>\n"
+        "  <!-- c -->\n"
+        "  <patient><name>Cy</name><visit></visit></patient>\n"
+        "</hospital>\n"
+    )
+    ADDRESS = "c9f2884896454490cbe21eb36c40265c1899aa8955628ea4613efd8f1c046259"
+    FILES = {
+        ".v3.docidx.bin": "d363f5a30e35532ac7856c2391432f8cfa3d77844a7a25feff0758578306dc9d",
+        ".v3.doclay.bin": "27317b1e511f1440a660270f071c3b4c23e236ab5899db592ddee990592620d5",
+    }
+    WRITE = """
+import sys
+from repro.docstore import DocumentStore
+from repro.xtree import parse
+assert parse.SCAN.startswith("python"), parse.SCAN
+doc = DocumentStore(index_dir=sys.argv[1]).get(sys.stdin.read())
+doc.index_for(False)
+doc.index_for(True)
+print(doc.content_hash)
+"""
+
+    @pytest.mark.parametrize("order", [(False, True), (True, False)])
+    def test_address_and_tier_files_are_pinned(self, tmp_path, order):
+        if parse.SCAN == "compiled":
+            assert parse._scan(self.XML, TEXT_LABEL)[9] is not None  # classes
+        doc = DocumentStore(index_dir=tmp_path).get(self.XML)
+        for compressed in order:
+            doc.index_for(compressed)
+        assert doc.content_hash == self.ADDRESS
+        assert TestPersistedBytes._digests(tmp_path) == self.FILES
+
+    def test_the_python_pass_writes_the_same_bytes(self, tmp_path):
+        env = dict(os.environ, CC="false", PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", self.WRITE, str(tmp_path)],
+            input=self.XML,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == self.ADDRESS
+        assert TestPersistedBytes._digests(tmp_path) == self.FILES
 
 
 class TestTierGC:

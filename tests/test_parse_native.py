@@ -13,6 +13,14 @@ first (when :mod:`repro.native` could build it, ``parse.SCAN ==
   the canonical text and its content hash equal the Python pass's, and
   the objects are shared the same way (interned labels, one int per
   element id, an only text child's ``str`` as its parent's ``text()``);
+  and the scan's derived columns — label ids, mask classes — equal
+  what the layout maps and the index sweeps over the Python pass's
+  tree, through both index variants and the index record's bytes;
+* **derived columns** — both sides of each boundary past which the scan
+  emits no mask classes (63 labels, 65 536 distinct masks) and of the
+  u8/u16 id width, and a re-frozen tree, which drops them;
+* **mangled inputs** — random markup, random bytes and every cut of a
+  document (what ``make sanitize`` runs under ASan and UBSan);
 * **fallback** — one named input per class outside the subset, each
   refused by ``scan`` and parsed (or rejected) exactly as the Python
   pass does;
@@ -24,7 +32,8 @@ first (when :mod:`repro.native` could build it, ``parse.SCAN ==
   refcounts of the interned labels and ``TEXT_LABEL`` as they were.
 
 The compiled-only cases skip where ``SCAN`` is a fallback (the
-``CC=false`` CI job); the totality case runs everywhere.
+``CC=false`` CI job); the totality case and the Python pass's
+underived tree run everywhere.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from itertools import chain, combinations, islice
 from pathlib import Path
 
 import pytest
@@ -40,10 +50,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.docstore import content_digest
+from repro.docstore.layout import DocumentLayout
+from repro.docstore.store import _index_record
 from repro.errors import XMLParseError
+from repro.hype.index import build_index, other_variant, subtree_masks
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.xtree import parse
-from repro.xtree.node import TEXT_LABEL, TreeColumns
+from repro.xtree.node import TEXT_LABEL, TreeColumns, XMLTree, index_tree
 from repro.xtree.serialize import serialize
 
 from .strategies import trees
@@ -55,9 +68,9 @@ compiled_only = pytest.mark.skipif(
     parse.SCAN != "compiled", reason=f"scan is {parse.SCAN!r}"
 )
 
-#: ``str.strip()``'s whitespace below 128 — 0x1c-0x1f included, which
-#: the Unicode White_Space property leaves out.
-ASCII_SPACE = " \t\n\v\f\r\x1c\x1d\x1e\x1f"
+#: XML's white space, which a text run is stripped of (the other C0
+#: controls are no XML character at all).
+ASCII_SPACE = " \t\n\r"
 
 
 def python_pass(source):
@@ -70,8 +83,10 @@ def python_pass(source):
 
 def assert_scan_agrees(source, *, accepted=None):
     """``scan(source)`` is ``None`` or equals the Python pass in every
-    column and in how its objects are shared; returns whether it
-    accepted.  ``accepted`` pins the expected outcome."""
+    column and in how its objects are shared, and its derived columns
+    equal what the layout and the index derive from the Python pass's
+    tree (:func:`assert_derived_agree`); returns whether it accepted.
+    ``accepted`` pins the expected outcome."""
     scanned = parse._scan(source, TEXT_LABEL)
     if accepted is not None:
         assert (scanned is not None) == accepted, source
@@ -79,20 +94,20 @@ def assert_scan_agrees(source, *, accepted=None):
         return False
     expected_tree, expected_text = parse._parse_py(source)
     expected = expected_tree.columns
-    label, parent, depth, text, position, kid_counts, elements, labels, canonical = scanned
-    got = TreeColumns(label, parent, depth, text, position, kid_counts, elements)
+    *columns, labels, canonical = scanned
+    label, parent, depth, text, position, kid_start, kid_ids = columns[:7]
+    got = TreeColumns(*columns)
     for name in ("label", "parent", "depth", "text", "position", "kid_ids", "kid_start"):
         assert getattr(got, name) == getattr(expected, name), name
-    assert elements == [i for i, name in enumerate(label) if name != TEXT_LABEL]
     assert labels == expected_tree.labels
     assert canonical == expected_text
     assert content_digest(canonical) == content_digest(expected_text)
     # Interned: the very objects the Python pass (sys.intern) holds.
     assert all(a is b for a, b in zip(label, expected.label))
     assert all(name is sys.intern(name) for name in labels)
-    # One int object per element id, shared by ``elements`` and every
-    # parent entry that names it.
-    ids = {element: element for element in elements}
+    # One int object per element id, shared by its kid_ids entry and
+    # every parent entry that names it.
+    ids = {element: element for element in [0, *kid_ids]}
     assert all(up is ids[up] for up in parent[1:])
     # An element's text() is its only text child's str, as in the
     # Python pass; it is new when built from several.
@@ -102,13 +117,52 @@ def assert_scan_agrees(source, *, accepted=None):
             assert (text[node] is text[up]) == (
                 expected.text[node] is expected.text[up]
             ), node
+    assert_derived_agree(XMLTree.from_columns(got, labels), expected_tree)
     return True
+
+
+def assert_derived_agree(tree, reference):
+    """``tree``'s scan-derived columns (``node_label``, ``kid_labels``,
+    ``mask_classes``) against the Python derivations over ``reference``
+    (the same document, parsed by the Python pass): the layout's label
+    ids, the swept masks' distinct values in first-appearance order and
+    local ids, both index variants' mask keys and the index record's
+    bytes; ``mask_classes`` is ``None`` exactly past the two
+    boundaries."""
+    columns = tree.columns
+    mapped = DocumentLayout(reference)
+    assert columns.node_label == mapped.node_label
+    assert columns.kid_labels == mapped.kid_labels
+    table = mapped.table
+    masks = subtree_masks(reference, table.bit_of)
+    distinct = list(dict.fromkeys(masks))
+    classes = columns.mask_classes
+    if len(table.labels) > 63 or len(distinct) > 1 << 16:
+        assert classes is None
+    else:
+        sorted_labels, got_masks, local = classes
+        assert sorted_labels == table.labels
+        assert list(got_masks) == distinct
+        width = 1 if len(distinct) <= 1 << 8 else 2
+        position = {mask: i for i, mask in enumerate(distinct)}
+        assert local == b"".join(
+            position[mask].to_bytes(width, "little") for mask in masks
+        )
+    for compressed in (False, True):
+        built = build_index(tree, compressed)
+        swept = build_index(reference, compressed)
+        assert built.table is swept.table is table
+        assert list(built.mask_keys) == list(swept.mask_keys)
+        assert list(other_variant(built).mask_keys) == list(
+            other_variant(swept).mask_keys
+        )
+        assert _index_record(built, "0" * 64) == _index_record(swept, "0" * 64)
 
 
 # ----------------------------------------------------------------------
 # Documents inside the accepted subset
 # ----------------------------------------------------------------------
-NOISE = ("", " ", "\n\t", "\x1c\x1f", "<!-- note -->", "<?pi data?>", "<!---->", "<??>")
+NOISE = ("", " ", "\n\t", "\r\n", "<!-- note -->", "<?pi data?>", "<!---->", "<?p?>")
 
 
 @st.composite
@@ -138,8 +192,9 @@ def subset_documents(draw):
 ACCEPTED = {
     "text() of three runs": "<a>x<!-- c -->y<?p?>z</a>",
     "text around an element": "<a>x<b/>y</a>",
-    "ASCII whitespace stripped": "<a> \x1c x \x1f\v</a>",
-    "ASCII whitespace dropped": "<a>\x1d\x1e<b>\f</b></a>",
+    "white space stripped": "<a> \r x \t\n</a>",
+    "white space dropped": "<a>\r\n<b>\t</b></a>",
+    "an XML declaration": '<?xml version="1.0" encoding="UTF-8"?>\n<a/>',
     "every name character": "<_a.b-c9><_a.b-c9/></_a.b-c9>",
     # Element ids past the small ints, which CPython shares anyway.
     "300 deep": "<a>" * 300 + "</a>" * 300,
@@ -178,6 +233,105 @@ class TestDifferential:
 
 
 # ----------------------------------------------------------------------
+# The derived columns at their boundaries
+# ----------------------------------------------------------------------
+LEAVES = [f"a{i:02}" for i in range(61)]
+
+
+def many_masks(classes: int, extra: str = "") -> str:
+    """A document with exactly ``classes`` distinct subtree masks over
+    63 labels: a root ``r`` of ``x`` elements, each holding one leaf per
+    label of a distinct subset of ``a00``..``a60`` (the smallest subsets
+    first).  Its masks are 0 (the leaves'), one per ``x`` and the
+    root's.  ``extra`` goes in the root as written."""
+    subsets = islice(
+        chain.from_iterable(combinations(LEAVES, k) for k in range(1, 5)), classes - 2
+    )
+    body = "".join(
+        "<x>" + "".join(f"<{leaf}/>" for leaf in subset) + "</x>" for subset in subsets
+    )
+    return f"<r>{extra}{body}</r>"
+
+
+def underived(tree):
+    """``tree`` with the same base columns and none of the scan's
+    derivations: what the layout maps and the index sweeps."""
+    columns = tree.columns
+    return XMLTree.from_columns(
+        TreeColumns(
+            columns.label,
+            columns.parent,
+            columns.depth,
+            columns.text,
+            columns.position,
+            columns.kid_start,
+            columns.kid_ids,
+        ),
+        tree.labels,
+    )
+
+
+@compiled_only
+class TestDerivedColumns:
+    """Each fallback boundary of the mask classes from both sides: at
+    most 63 labels (a mask is 64 bits, text bit 0) and at most 65536
+    distinct masks (the u16 local ids; u8 up to 256)."""
+
+    @pytest.mark.parametrize(
+        "classes, extra, width",
+        [(63, "", 1), (256, "", 1), (257, "", 2), (257, "<b64/>", None)],
+        ids=["63 labels", "256 masks", "257 masks", "64 labels"],
+    )
+    def test_small_boundaries(self, classes, extra, width):
+        source = many_masks(classes, extra)
+        assert assert_scan_agrees(source, accepted=True)
+        tree = parse.parse_xml(source)
+        found = tree.columns.mask_classes
+        assert len(tree.labels) == (64 if extra else 63)
+        if width is None:
+            assert found is None
+        else:
+            assert len(found[1]) == classes
+            assert len(found[2]) == width * tree.size
+
+    @pytest.mark.parametrize("classes", [1 << 16, (1 << 16) + 1])
+    def test_u16_boundary(self, classes):
+        """~290k nodes: the base columns are the scan's own (the Python
+        pass agrees on them everywhere else), the derivations are held
+        to the sweep over them."""
+        tree = parse.parse_xml(many_masks(classes))
+        found = tree.columns.mask_classes
+        if classes > 1 << 16:
+            assert found is None
+        else:
+            assert len(found[1]) == classes and len(found[2]) == 2 * tree.size
+        assert_derived_agree(tree, underived(tree))
+
+    def test_a_refrozen_tree_drops_the_scan_columns(self):
+        """Scan columns describe freeze 1 only: a re-frozen tree has new
+        columns, mapped and swept, and equal to them."""
+        tree = parse.parse_xml(many_masks(40, "<b>t</b>"))
+        before = tree.columns
+        layout = DocumentLayout(tree)
+        assert layout.node_label is before.node_label
+        indexes = [build_index(tree, compressed) for compressed in (False, True)]
+        assert all(index.classes is before.mask_classes for index in indexes)
+        index_tree(tree.root, tree)
+        after = tree.columns
+        assert tree.freeze_count == 2 and after is not before
+        assert after.node_label is after.kid_labels is after.mask_classes is None
+        assert not layout.covers(0)
+        again = DocumentLayout(tree)
+        assert again.node_label == layout.node_label
+        assert again.kid_labels == layout.kid_labels
+        for compressed, index in zip((False, True), indexes):
+            rebuilt = build_index(tree, compressed)
+            assert rebuilt.classes is None
+            assert rebuilt.freeze_count == 2
+            assert list(rebuilt.mask_keys) == list(index.mask_keys)
+
+
+# ----------------------------------------------------------------------
 # Outside the subset: refused, then parsed by the Python pass
 # ----------------------------------------------------------------------
 FALLBACKS = {
@@ -197,6 +351,12 @@ FALLBACKS = {
     "processing instruction holding a greater-than": "<a><?p x > y?></a>",
     "short comment": "<a><!--></a>",
     "short processing instruction": "<a><?></a>",
+    "processing instruction with no target": "<a><??></a>",
+    "XML declaration past the start": "<a><?xml x?></a>",
+    "XML declaration in another spelling": "<?xml version='1.0'?><a/>",
+    "control character in text": "<a>\x1c</a>",
+    "control character in a comment": "<a><!-- \x01 --></a>",
+    "carriage return inside text": "<a>x\ry</a>",
     "name starting with a digit": "<a><1b/></a>",
     "mismatched tags": "<a><b></a></b>",
     "unmatched closing tag": "<a/></b>",
@@ -279,6 +439,58 @@ class TestTotality:
             assert tree.columns.label == expected[1].columns.label
             assert tree.columns.parent == expected[1].columns.parent
             assert tree.columns.text == expected[1].columns.text
+
+    def test_the_python_pass_derives_nothing(self):
+        """Only the compiled scan hands over derived columns: a tree of
+        the Python pass is mapped by its layout and swept by its index,
+        into the same columns and keys."""
+        source = serialize(
+            generate_hospital_document(HospitalConfig(num_patients=2, seed=3))
+        )
+        tree = parse._parse_py(source)[0]
+        columns = tree.columns
+        assert columns.node_label is columns.kid_labels is columns.mask_classes is None
+        layout = DocumentLayout(tree)
+        assert len(layout.node_label) == tree.size
+        for compressed in (False, True):
+            assert build_index(tree, compressed).classes is None
+        scanned = parse.parse_xml(source)
+        if parse.SCAN == "compiled":
+            assert scanned.columns.mask_classes is not None
+            assert_derived_agree(scanned, tree)
+
+
+#: Every ASCII character, markup and the C0 controls weighted up.
+MANGLE = st.one_of(
+    st.sampled_from("<>/!?-&;#\"'=[] \t\n\r\x00\x01\x0b\x1c\x7fxa_.1"),
+    st.characters(max_codepoint=127),
+)
+
+
+@compiled_only
+class TestMangledInputs:
+    """What ``make sanitize`` feeds the compiled scan, too: junk, random
+    bytes and every cut of a real document.  ``scan`` never raises and
+    never disagrees with the Python pass, whatever it is given."""
+
+    @given(st.text(MANGLE, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_random_markup(self, text):
+        assert_scan_agrees(text)
+        assert_scan_agrees(f"<a>{text}</a>")
+
+    @given(st.binary(max_size=80))
+    @settings(max_examples=100, deadline=None)
+    def test_random_bytes(self, raw):
+        assert_scan_agrees(raw.decode("latin-1"))
+
+    def test_every_cut_of_a_document(self):
+        source = serialize(
+            generate_hospital_document(HospitalConfig(num_patients=1, seed=4)), indent=1
+        )
+        for cut in range(0, len(source), 3):
+            assert_scan_agrees(source[:cut])
+            assert_scan_agrees(source[cut:])
 
 
 # ----------------------------------------------------------------------

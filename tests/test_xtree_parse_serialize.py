@@ -300,11 +300,17 @@ class TestFusedPass:
         "text, message",
         [
             ("<a/></b>", "unmatched closing tag </b>"),
-            ("</ b >", "unmatched closing tag </b>"),
+            ("</ b >", "malformed tag '</ b >'"),
+            ("<b>x</ b>", "malformed tag '</ b>'"),
             ("<a><b></a></b>", "mismatched tags: <b> closed by </a>"),
             ("<a><b x='1'>t</c></a>", "mismatched tags: <b> closed by </c>"),
             ("<a><1b/></a>", "malformed tag '<1b/>'"),
             ("<a><></a>", "malformed tag '<>'"),
+            # A tag's name is all of its first run, never a prefix of it.
+            ("<r><x:patient/></r>", "malformed tag '<x:patient/>'"),
+            ("<r><a$b/></r>", "malformed tag '<a$b/>'"),
+            ("<r><a:b></a></r>", "malformed tag '<a:b>'"),
+            ("<r><a b/></r>", "malformed tag '<a b/>'"),
             ("<a/><b/>", "multiple root elements"),
             ("<a></a><a>", "multiple root elements"),
             ("boom <a/>", "text content outside the root element"),
