@@ -57,8 +57,11 @@ from ..hype.kernel import check_cfgs
 #: v3: the optional ``kernel`` field carries the dense transition
 #: closure (:func:`repro.hype.kernel.kernel_payload`); v2 files decode
 #: as counted misses and are recompiled (and swept by ``PlanStore.gc``).
+#: v4: each ``cfgs`` row's watch pairs are in ascending state id (a cfg
+#: depends on set contents only), so v3 payloads carry other cfg keys;
+#: v3 files are never read and ``PlanStore.gc`` sweeps them.
 #: Only the gzip form is read: its crc32 trailer is the artifact's seal.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: gzip magic bytes; bytes that do not start with them are refused.
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -92,7 +95,7 @@ class PlanArtifact:
     format_version: int = FORMAT_VERSION
     stages: dict[str, float] = field(default_factory=dict)
     #: The dense closure (``None``: the producer skipped the dense
-    #: stage): a decoded v3 ``kernel`` payload when the artifact came
+    #: stage): a decoded ``kernel`` payload when the artifact came
     #: from a store or a peer, or — fresh from the pipeline — the
     #: index-free :class:`repro.hype.core.CompiledPlan` whose table the
     #: dense stage closed in place (the plan cache serves it as HyPE).
@@ -100,7 +103,7 @@ class PlanArtifact:
 
     @property
     def kernel(self) -> dict | None:
-        """The v3 ``kernel`` payload.  A fresh compilation holds closed
+        """The ``kernel`` payload.  A fresh compilation holds closed
         tables, not a payload: it is encoded here, on demand — i.e. when
         the artifact is serialised (:meth:`to_payload`, so
         ``PlanStore.save`` and a fleet ship) — to the same bytes."""

@@ -1,6 +1,7 @@
 /*
  * The lean pass, compiled: repro.hype.kernel._descend_lane_py in C, and
- * after it phase 2: repro.hype.core.CompiledPlan._collect_answers_py.
+ * after it phase 2 (repro.hype.core.CompiledPlan._collect_answers_py)
+ * and the cold path (kernel._close_py and DenseKernel.fill_pop).
  *
  * One lane of the HyPE descent over a DocumentLayout's columns, exactly
  * as the Python reference walks it -- same visits in the same order,
@@ -8,26 +9,34 @@
  * deadline checkpoint.  Phase 2 climbs the same candidate chains, probes
  * and fills the same alive_cache under the same keys and returns the
  * same answer ids in the same order.  The Python functions stay the
- * specification and the fallback; tests/test_descent_native.py holds
- * each pair to identical results.
+ * specification and the fallback; tests/test_descent_native.py and
+ * tests/test_cold_native.py hold each pair to identical results.
  *
  * What runs here, per element, is the hit path of every table the pass
  * reads: the array('i') transition row, the OptHyPE filter row, the
  * truth-free pop probe and the truth-carrying pop probe (keyed by the
- * predicate bits and the frozen truth set).  Everything else calls the
- * same Python code the reference calls: the tables' miss paths
- * (lookup_trans, fill_filter, fill_pop), the predicates' holds, and the
- * clock once every CHECK_INTERVAL steps.  So the kernel's tables, their
- * locking and their fill-only contract are untouched.  Phase 2 likewise
- * calls plan._alive on every alive_cache miss.
+ * predicate bits and the frozen truth set).  A pop miss is filled here
+ * too.  Everything else calls the same Python code the reference calls:
+ * the transition and filter misses (lookup_trans, fill_filter), the
+ * predicates' holds, and the clock once every CHECK_INTERVAL steps.  So
+ * the kernel's tables, their locking and their fill-only contract are
+ * untouched.  Phase 2 likewise calls plan._alive on every alive_cache
+ * miss.
+ *
+ * Order is by state id; contents decide.  Wherever the reference turns a
+ * state set into something ordered -- a watch tuple, predicate bits, the
+ * resolved values, a dead list -- it walks the set in ascending state
+ * id, and so does this file, over bit rows.  No table depends on how a
+ * set object was built.
  *
  * Bounds: every index this file derives from data -- a column index
  * into kid_start / kid_ids / kid_labels / the mask-key column, a label
  * id into a row, a cfg or edge id into pops / cfg_mstates /
  * edge_filters, a visit index from finals_seen / visit_parents / a
- * deaths key, a node id into the label column -- is checked before it
- * is read, negatives included, and a failed check raises IndexError.
- * A mangled layout or cursor is an exception, never a wild read.
+ * deaths key, a node id into the label column, a state id read out of a
+ * set -- is checked before it is read, negatives included, and a failed
+ * check raises IndexError.  A mangled layout, cursor or automaton is an
+ * exception, never a wild read.
  *
  * References: anything borrowed from a list or dict is held (INCREF'd)
  * across every call back into Python, since that code may mutate the
@@ -210,29 +219,30 @@ list_at(PyObject *list, long long i, const char *what)
 /* ------------------------------------------------------------------ */
 /*
  * repro.hype.kernel._close_py and DenseKernel.fill_pop (with
- * CompiledPlan._relevant_plan / _resolve / _compute_dead and
- * AFAPool._analyze under them), compiled.
+ * CompiledPlan._compute_child_sets / _relevant_plan / _resolve /
+ * _compute_dead, NFA._compute_closures and AFAPool._analyze under them),
+ * compiled.
  *
  * Both build Python objects other code keeps: the plan's interned state
- * sets, its cfgs, its transition and pop tables.  Iteration order is part
- * of what they must reproduce: a cfg's watch tuple and its predicate bits
- * follow the iteration order of its interned relevant set, and that order
- * is a function of how CPython built the set, not of its contents.  So
- * the closure replays the reference's set operations on real set objects
- * -- the same operands, the same merges, adds and copies in the same
- * order -- and only what cannot change an order (membership, the
- * fixpoint, the SCC numbering) runs on C arrays.  The closure mints sets
- * and cfgs in the reference's order and leaves the same closure record
- * and tables; tests/test_cold_native.py holds it to that.
+ * sets, its cfgs, its transition and pop tables.  Each of those is a
+ * function of set contents: the reference orders every watch tuple,
+ * predicate bit and operator group by state id, and interns in a fixed
+ * order (base, mstates, relevant).  So the cold path runs on bit rows
+ * only.  A child's sets are three rows; the plan's canonical set for a
+ * row comes out of a content table mirroring _set_ids (a hit builds
+ * nothing), and a set not yet interned is minted from its row, in the
+ * reference's interning order.  The closure mints sets and cfgs in the
+ * reference's order and leaves the same closure record and tables;
+ * tests/test_cold_native.py holds it to that.
  *
  * The flat automaton is built once per plan (and shared by the plans of
  * one MFA): per AFA state its kind, label column, target, ε list,
- * predicate and SCC id (the reference's Tarjan, statement by statement,
- * so operator groups come out in the reference's order); per NFA state
- * its λ entry, finality, named columns, transition map and ε-closure.
- * Every id it reads is range-checked when it is built, and every state id
- * read back out of a set is checked before it indexes anything: a mangled
- * automaton or table raises, never reads wild.
+ * predicate, SCC id (the reference's Tarjan, statement by statement) and
+ * relevance closure; per NFA state its λ entry, finality, named columns,
+ * step targets by column and ε-closure.  Every id it reads is
+ * range-checked when it is built, and every state id read out of a set
+ * is checked before it becomes a bit: a mangled automaton or table
+ * raises, never reads wild.
  */
 
 enum { K_AND, K_OR, K_NOT, K_TRANS, K_FINAL };
@@ -253,8 +263,6 @@ static PyObject *s_flat, *s_alphabet, *s_pool, *s_states, *s_kind, *s_eps,
 typedef struct {
     Py_ssize_t n_nfa, n_afa, ncols; /* ncols counts the OTHER column (last) */
     PyObject **columns;             /* owned labels */
-    PyObject *nfa_trans;            /* owned: nfa.trans, a list of dicts */
-    PyObject *closures;             /* owned: nfa._closure, a list of frozensets */
     int *ann;                       /* [n_nfa] λ entry, -1 for none */
     unsigned char *final_;          /* [n_nfa] */
     unsigned char *named;           /* [n_nfa * ncols] */
@@ -263,8 +271,8 @@ typedef struct {
     int *eps_at, *eps;              /* CSR of operator ε lists */
     PyObject **pred;                /* [n_afa] owned, NULL for none */
     int cyclic_not;                 /* AFAPool._analyze would raise */
-    /* Contents as bit sets over max(n_nfa, n_afa) ids, ``words`` wide:
-     * what the closure's fast path computes a child's sets with. */
+    /* Contents as bit rows over max(n_nfa, n_afa) ids, ``words`` wide:
+     * what the closure computes a child's sets with. */
     Py_ssize_t words;
     unsigned long long *step;  /* [n_nfa][ncols]: step targets by column */
     unsigned long long *clo;   /* [n_nfa]: ε-closure */
@@ -284,8 +292,6 @@ flat_free(Flat *f)
     if (f->pred != NULL)
         for (Py_ssize_t i = 0; i < f->n_afa; i++)
             Py_XDECREF(f->pred[i]);
-    Py_XDECREF(f->nfa_trans);
-    Py_XDECREF(f->closures);
     PyMem_Free(f->columns);
     PyMem_Free(f->pred);
     PyMem_Free(f->ann);
@@ -326,17 +332,6 @@ id_in(PyObject *value, Py_ssize_t n, const char *what, long *out)
     }
     if ((unsigned long)*out >= (unsigned long)n)
         return bad_automaton(what);
-    return 0;
-}
-
-/* A state id read out of a set at run time: IndexError when out of range. */
-static inline int
-state_at(PyObject *item, Py_ssize_t n, const char *what, long *out)
-{
-    if (as_long(item, out) < 0)
-        return -1;
-    if ((unsigned long)*out >= (unsigned long)n)
-        return out_of_range(what, *out);
     return 0;
 }
 
@@ -476,11 +471,64 @@ bits_of(PyObject *set, Py_ssize_t n, unsigned long long *out)
     return PyErr_Occurred() ? -1 : fits;
 }
 
-/* The flat automaton's bit-set contents: per NFA state its step targets
- * by column (the labelled ones plus the wildcard's) and its ε-closure,
- * per AFA state its relevance closure (the operator ε-reach). */
+/* The first member of ``row`` in [from, n), -1 when there is none. */
+static inline Py_ssize_t
+next_bit(const unsigned long long *row, Py_ssize_t n, Py_ssize_t from)
+{
+    while (from < n) {
+        unsigned long long word = row[from >> 6] >> (from & 63);
+        if (word) {
+            from += __builtin_ctzll(word);
+            return from < n ? from : -1;
+        }
+        from = (from | 63) + 1;
+    }
+    return -1;
+}
+
+/* Every member of ``row`` below ``n``, ascending. */
+#define FOR_EACH_BIT(s, row, n) \
+    for (Py_ssize_t s = next_bit(row, n, 0); s >= 0; s = next_bit(row, n, s + 1))
+
+/* ``row`` (``words`` wide) := the contents of ``set``, every member an
+ * int in [0, n): else IndexError naming ``what``. */
 static int
-flat_bits(Flat *f)
+row_of(PyObject *set, Py_ssize_t n, Py_ssize_t words, const char *what,
+       unsigned long long *row)
+{
+    memset(row, 0, words * sizeof *row);
+    int fits = bits_of(set, n, row);
+    if (fits == 0)
+        PyErr_Format(PyExc_IndexError, "cold path: a set names no %s", what);
+    return fits == 1 ? 0 : -1;
+}
+
+/* A new frozenset of the members of ``row`` below ``n``.  It is copied
+ * out of a set, as the reference's frozenset(set) is: a copy's table is
+ * sized to its contents, one filled by adds can be twice as large. */
+static PyObject *
+set_of(const unsigned long long *row, Py_ssize_t n)
+{
+    PyObject *members = PySet_New(NULL);
+    FOR_EACH_BIT(s, row, n) {
+        if (members == NULL)
+            break;
+        PyObject *number = PyLong_FromSsize_t(s);
+        if (number == NULL || PySet_Add(members, number) < 0)
+            Py_CLEAR(members);
+        Py_XDECREF(number);
+    }
+    PyObject *set = members ? PyFrozenSet_New(members) : NULL;
+    Py_XDECREF(members);
+    return set;
+}
+
+/* The flat automaton's bit rows: per NFA state its step targets by
+ * column (the labelled ones plus the wildcard's, from ``nfa_trans``) and
+ * its ε-closure (``closures``), per AFA state its relevance closure (the
+ * operator ε-reach). */
+static int
+flat_bits(Flat *f, PyObject *nfa_trans, PyObject *closures)
 {
     Py_ssize_t n = f->n_nfa, m = f->n_afa, w;
     w = f->words = ((n > m ? n : m) + 63) / 64 + 1;
@@ -495,7 +543,7 @@ flat_bits(Flat *f)
         goto done;
     }
     for (Py_ssize_t s = 0; s < n; s++) {
-        PyObject *labelled = PyList_GET_ITEM(f->nfa_trans, s), *key, *value;
+        PyObject *labelled = PyList_GET_ITEM(nfa_trans, s), *key, *value;
         unsigned long long *row = f->step + s * f->ncols * w;
         Py_ssize_t pos = 0;
         memset(wild, 0, w * sizeof(unsigned long long));
@@ -513,7 +561,7 @@ flat_bits(Flat *f)
         for (Py_ssize_t col = 0; col < f->ncols; col++)
             for (Py_ssize_t k = 0; k < w; k++)
                 row[col * w + k] |= wild[k];
-        int fits = bits_of(PyList_GET_ITEM(f->closures, s), n, f->clo + s * w);
+        int fits = bits_of(PyList_GET_ITEM(closures, s), n, f->clo + s * w);
         if (fits <= 0) {
             if (fits == 0)
                 bad_automaton("an ε-closure names no NFA state");
@@ -549,36 +597,37 @@ flat_build(PyObject *kern, PyObject *mfa)
     if (f == NULL)
         return PyErr_NoMemory();
     PyObject *nfa = NULL, *pool = NULL, *states = NULL, *alphabet = NULL,
-             *ann = NULL, *finals = NULL, *labels = NULL, *result = NULL;
+             *ann = NULL, *finals = NULL, *labels = NULL, *result = NULL,
+             *nfa_trans = NULL, *closures = NULL;
     if ((nfa = PyObject_GetAttr(mfa, s_nfa)) == NULL ||
         (pool = PyObject_GetAttr(mfa, s_pool)) == NULL ||
         (states = PyObject_GetAttr(pool, s_states)) == NULL ||
-        (f->nfa_trans = PyObject_GetAttr(nfa, s_trans)) == NULL ||
+        (nfa_trans = PyObject_GetAttr(nfa, s_trans)) == NULL ||
         (ann = PyObject_GetAttr(nfa, s_ann)) == NULL ||
         (finals = PyObject_GetAttr(nfa, s_finals)) == NULL ||
         (alphabet = PyObject_GetAttr(kern, s_alphabet)) == NULL)
         goto done;
-    if (!PyList_Check(states) || !PyList_Check(f->nfa_trans) || !PyDict_Check(ann)) {
+    if (!PyList_Check(states) || !PyList_Check(nfa_trans) || !PyDict_Check(ann)) {
         bad_automaton("states, transitions and λ must be a list, a list and a dict");
         goto done;
     }
-    /* The ε-closures the reference merges (computed on first use). */
-    f->closures = PyObject_GetAttr(nfa, s_closure);
-    if (f->closures == Py_None) {
-        Py_CLEAR(f->closures);
+    /* The NFA's ε-closures (computed on first use). */
+    closures = PyObject_GetAttr(nfa, s_closure);
+    if (closures == Py_None) {
+        Py_CLEAR(closures);
         PyObject *start = PyObject_GetAttr(nfa, s_start);
         PyObject *done_ = start ? PyObject_CallMethodOneArg(nfa, s_eps_closure_of, start) : NULL;
         Py_XDECREF(start);
         if (done_ == NULL)
             goto done;
         Py_DECREF(done_);
-        f->closures = PyObject_GetAttr(nfa, s_closure);
+        closures = PyObject_GetAttr(nfa, s_closure);
     }
-    if (f->closures == NULL)
+    if (closures == NULL)
         goto done;
-    f->n_nfa = PyList_GET_SIZE(f->nfa_trans);
+    f->n_nfa = PyList_GET_SIZE(nfa_trans);
     f->n_afa = PyList_GET_SIZE(states);
-    if (!PyList_Check(f->closures) || PyList_GET_SIZE(f->closures) != f->n_nfa) {
+    if (!PyList_Check(closures) || PyList_GET_SIZE(closures) != f->n_nfa) {
         bad_automaton("one ε-closure per NFA state");
         goto done;
     }
@@ -616,7 +665,7 @@ flat_build(PyObject *kern, PyObject *mfa)
     /* NFA: λ, finals, the columns each state's transitions name. */
     for (Py_ssize_t s = 0; s < n; s++) {
         f->ann[s] = -1;
-        PyObject *labelled = PyList_GET_ITEM(f->nfa_trans, s);
+        PyObject *labelled = PyList_GET_ITEM(nfa_trans, s);
         if (!PyDict_Check(labelled)) {
             bad_automaton("an NFA state's transitions must be a dict");
             goto done;
@@ -628,7 +677,7 @@ flat_build(PyObject *kern, PyObject *mfa)
             if (col >= 0)
                 f->named[s * f->ncols + col] = 1;
         }
-        if (!PyAnySet_Check(PyList_GET_ITEM(f->closures, s))) {
+        if (!PyAnySet_Check(PyList_GET_ITEM(closures, s))) {
             bad_automaton("an ε-closure must be a set");
             goto done;
         }
@@ -736,7 +785,7 @@ flat_build(PyObject *kern, PyObject *mfa)
         }
         f->eps_at[s + 1] = (int)total;
     }
-    if (flat_scc(f) < 0 || flat_bits(f) < 0)
+    if (flat_scc(f) < 0 || flat_bits(f, nfa_trans, closures) < 0)
         goto done;
     result = PyCapsule_New(f, FLAT_CAPSULE, flat_capsule_free);
     if (result != NULL)
@@ -750,6 +799,8 @@ done:
     Py_XDECREF(ann);
     Py_XDECREF(finals);
     Py_XDECREF(labels);
+    Py_XDECREF(nfa_trans);
+    Py_XDECREF(closures);
     return result;
 }
 
@@ -775,58 +826,6 @@ flat_of(PyObject *plan, PyObject *kern, Flat **out)
         return NULL;
     }
     return capsule;
-}
-
-/* ``[int(s) for s in fs]``, each checked against ``n``: a set's
- * iteration order as a C array (PyMem; *len its length). */
-static int *
-order_of(PyObject *fs, Py_ssize_t n, const char *what, Py_ssize_t *len)
-{
-    Py_ssize_t size = PyObject_Length(fs);
-    if (size < 0)
-        return NULL;
-    int *order = PyMem_Malloc((size ? size : 1) * sizeof(int));
-    if (order == NULL) {
-        PyErr_NoMemory();
-        return NULL;
-    }
-    Py_ssize_t k = 0;
-    long state;
-#if PY_VERSION_HEX < 0x030D0000
-    if (PyAnySet_Check(fs)) {
-        /* The set's own walk (borrowed keys, no iterator object). */
-        Py_ssize_t pos = 0;
-        Py_hash_t hash;
-        PyObject *key;
-        while (_PySet_NextEntry(fs, &pos, &key, &hash)) {
-            if ((k < size ? state_at(key, n, what, &state) : out_of_range(what, k)) < 0)
-                goto fail;
-            order[k++] = (int)state;
-        }
-        *len = k;
-        return order;
-    }
-#endif
-    PyObject *iterator = PyObject_GetIter(fs), *item;
-    if (iterator == NULL)
-        goto fail;
-    while ((item = PyIter_Next(iterator)) != NULL) {
-        int status = k < size ? state_at(item, n, what, &state) : out_of_range(what, k);
-        Py_DECREF(item);
-        if (status < 0) {
-            Py_DECREF(iterator);
-            goto fail;
-        }
-        order[k++] = (int)state;
-    }
-    Py_DECREF(iterator);
-    if (PyErr_Occurred())
-        goto fail;
-    *len = k;
-    return order;
-fail:
-    PyMem_Free(order);
-    return NULL;
 }
 
 /* What a pass reads for its pop misses, loaded on the first one. */
@@ -1861,12 +1860,9 @@ typedef struct {
     PyObject *cfg_mstates, *cfg_relevant, *cfg_watch, *cfg_m, *cfg_r,
         *cfg_has_ann, *cfg_packed, *pops;
     Flat *flat;
-    unsigned char *mark; /* [n_afa] scratch for the relevance DFS */
-    int *stack;          /* [n_afa + sum of ε] scratch */
-    Py_ssize_t stack_cap;
     /* The plan's interned sets by content (a mirror of _set_ids for this
-     * call), and six bit-set scratch rows: a child's base, mstates,
-     * targets, relevant and λ entries (fast_sets), and table_add's. */
+     * call), and six bit-row scratch rows: a child's base, mstates,
+     * targets and relevant, then the cfg's mstates and relevant. */
     Py_ssize_t cap, count;
     unsigned long long *keys, *scratch;
     PyObject **canon, **ids;
@@ -1938,49 +1934,48 @@ slot_of(Closer *c, const unsigned long long *bits)
     return i;
 }
 
-/* Record an interned set (canonical object, id) under its contents;
- * sets that do not fit the bit width are left out (no child's sets can
- * equal them). */
+/* Grow the content table to ``cap`` slots (a power of two). */
 static int
-table_add(Closer *c, PyObject *canon, PyObject *id)
+table_grow(Closer *c, Py_ssize_t cap)
 {
-    Py_ssize_t w = c->flat->words;
-    if (2 * (c->count + 1) > c->cap) {
-        Py_ssize_t old = c->cap, cap = old ? 2 * old : 64;
-        unsigned long long *keys = c->keys;
-        PyObject **objs = c->canon, **ids = c->ids;
-        c->keys = PyMem_Calloc(cap * w, sizeof(unsigned long long));
-        c->canon = PyMem_Calloc(cap, sizeof(PyObject *));
-        c->ids = PyMem_Calloc(cap, sizeof(PyObject *));
-        if (!c->keys || !c->canon || !c->ids) {
-            PyMem_Free(c->keys);
-            PyMem_Free(c->canon);
-            PyMem_Free(c->ids);
-            c->keys = keys;
-            c->canon = objs;
-            c->ids = ids;
-            PyErr_NoMemory();
-            return -1;
-        }
-        c->cap = cap;
-        for (Py_ssize_t i = 0; i < old; i++)
-            if (objs[i] != NULL) {
-                Py_ssize_t j = slot_of(c, keys + i * w);
-                memcpy(c->keys + j * w, keys + i * w, w * sizeof(unsigned long long));
-                c->canon[j] = objs[i];
-                c->ids[j] = ids[i];
-            }
-        PyMem_Free(keys);
-        PyMem_Free(objs);
-        PyMem_Free(ids);
+    Py_ssize_t old = c->cap, w = c->flat->words;
+    unsigned long long *keys = c->keys;
+    PyObject **objs = c->canon, **ids = c->ids;
+    c->keys = PyMem_Calloc(cap * w, sizeof(unsigned long long));
+    c->canon = PyMem_Calloc(cap, sizeof(PyObject *));
+    c->ids = PyMem_Calloc(cap, sizeof(PyObject *));
+    if (!c->keys || !c->canon || !c->ids) {
+        PyMem_Free(c->keys);
+        PyMem_Free(c->canon);
+        PyMem_Free(c->ids);
+        c->keys = keys;
+        c->canon = objs;
+        c->ids = ids;
+        PyErr_NoMemory();
+        return -1;
     }
-    unsigned long long *bits = c->scratch + 5 * w; /* a sixth row */
-    memset(bits, 0, w * sizeof(unsigned long long));
-    Py_ssize_t n = c->flat->n_nfa > c->flat->n_afa ? c->flat->n_nfa : c->flat->n_afa;
-    int fits = bits_of(canon, n, bits);
-    if (fits <= 0)
-        return fits;
-    Py_ssize_t i = slot_of(c, bits);
+    c->cap = cap;
+    for (Py_ssize_t i = 0; i < old; i++)
+        if (objs[i] != NULL) {
+            Py_ssize_t j = slot_of(c, keys + i * w);
+            memcpy(c->keys + j * w, keys + i * w, w * sizeof(unsigned long long));
+            c->canon[j] = objs[i];
+            c->ids[j] = ids[i];
+        }
+    PyMem_Free(keys);
+    PyMem_Free(objs);
+    PyMem_Free(ids);
+    return 0;
+}
+
+/* Record an interned set (canonical object, id) under its contents,
+ * ``bits``; the first set recorded for some contents stays. */
+static int
+table_put(Closer *c, const unsigned long long *bits, PyObject *canon, PyObject *id)
+{
+    if (2 * (c->count + 1) > c->cap && table_grow(c, 2 * c->cap) < 0)
+        return -1;
+    Py_ssize_t i = slot_of(c, bits), w = c->flat->words;
     if (c->canon[i] != NULL)
         return 0;
     memcpy(c->keys + i * w, bits, w * sizeof(unsigned long long));
@@ -2003,15 +1998,20 @@ table_clear(Closer *c)
     PyMem_Free(c->scratch);
 }
 
-/* Seed the table with what the plan has interned already. */
+/* Seed the table with what the plan has interned already; sets that do
+ * not fit the bit width are left out (no child's sets can equal them). */
 static int
 table_seed(Closer *c)
 {
-    c->scratch = PyMem_Calloc(6 * c->flat->words, sizeof(unsigned long long));
+    Flat *f = c->flat;
+    Py_ssize_t n = f->n_nfa > f->n_afa ? f->n_nfa : f->n_afa;
+    c->scratch = PyMem_Calloc(6 * f->words, sizeof(unsigned long long));
     if (c->scratch == NULL) {
         PyErr_NoMemory();
         return -1;
     }
+    if (table_grow(c, 64) < 0)
+        return -1;
     Py_ssize_t pos = 0;
     PyObject *key, *entry;
     while (PyDict_Next(c->set_ids, &pos, &key, &entry)) {
@@ -2019,297 +2019,111 @@ table_seed(Closer *c)
             PyErr_SetString(PyExc_TypeError, "cold path: an interned entry must be (set, id)");
             return -1;
         }
-        if (table_add(c, PyTuple_GET_ITEM(entry, 0), PyTuple_GET_ITEM(entry, 1)) < 0)
+        memset(c->scratch, 0, f->words * sizeof(unsigned long long));
+        int fits = bits_of(PyTuple_GET_ITEM(entry, 0), n, c->scratch);
+        if (fits < 0 || (fits && table_put(c, c->scratch, PyTuple_GET_ITEM(entry, 0),
+                                           PyTuple_GET_ITEM(entry, 1)) < 0))
             return -1;
     }
     return 0;
 }
 
-/* ``target |= other`` (set_ior: the reference's ``|=``). */
+/* The plan's canonical set with the contents of ``row`` (ids below
+ * ``n``) and its id: the table's, else a frozenset minted from the row
+ * and interned (CompiledPlan._intern), then recorded. */
 static int
-merge_into(PyObject *target, PyObject *other)
+canonical(Closer *c, const unsigned long long *row, Py_ssize_t n, PyObject **canon,
+          PyObject **id)
 {
-    PyObject *same = PyNumber_InPlaceOr(target, other);
-    if (same == NULL)
+    Py_ssize_t i = slot_of(c, row);
+    if (c->canon[i] != NULL) {
+        *canon = Py_NewRef(c->canon[i]);
+        *id = Py_NewRef(c->ids[i]);
+        return 0;
+    }
+    PyObject *fs = set_of(row, n);
+    if (fs == NULL || intern_set(c, fs, canon, id) < 0)
         return -1;
-    Py_DECREF(same);
-    return 0;
+    return table_put(c, row, *canon, *id);
 }
 
-static int
-add_int(PyObject *set, long value)
+/* Whether AFA state ``s`` is a transition state on column ``col``. */
+static inline int
+watches(Flat *f, Py_ssize_t s, Py_ssize_t col)
 {
-    PyObject *number = PyLong_FromLong(value);
-    if (number == NULL)
-        return -1;
-    int status = PySet_Add(set, number);
-    Py_DECREF(number);
-    return status;
+    return f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN);
 }
 
-/* CompiledPlan._compute_child_sets(mstates, relevant, columns[col]),
- * replayed operation by operation on real sets, then interned in the
- * reference's order (base, mstates_v, relevant_v); ``m_order`` /
- * ``r_order`` are the canonical sets' iteration orders.  With ``known``
- * (base and mstates_v are interned already and mstates_v carries at most
- * one λ entry, ``entry`` or -1) only relevant_v is built: interning base
- * and mstates_v would mint nothing, and with one entry at most, no order
- * of mstates_v can reach relevant_v's. */
-static int
-child_sets(Closer *c, const int *m_order, Py_ssize_t m_len, const int *r_order,
-           Py_ssize_t r_len, Py_ssize_t col, int known, int entry, ChildSets *out)
-{
-    Flat *f = c->flat;
-    PyObject *label = f->columns[col];
-    PyObject *base = NULL, *result = NULL, *closed = NULL, *targets = NULL,
-             *entries = NULL, *reach = NULL, *fs;
-    int *order = NULL, status = -1;
-    Py_ssize_t len = 0;
-    if (!known) {
-        /* base = ∪ nfa.step_targets(state, label), state in mstates. */
-        if ((base = PySet_New(NULL)) == NULL)
-            goto done;
-        for (Py_ssize_t k = 0; k < m_len; k++) {
-            PyObject *labelled = list_at(f->nfa_trans, m_order[k], "NFA state");
-            if (labelled == NULL)
-                goto done;
-            if (!PyDict_Check(labelled)) {
-                bad_automaton("an NFA state's transitions must be a dict");
-                goto done;
-            }
-            PyObject *parts[2] = {
-                col + 1 < f->ncols ? PyDict_GetItemWithError(labelled, label) : NULL,
-                NULL};
-            if (parts[0] == NULL && PyErr_Occurred())
-                goto done;
-            if ((parts[1] = PyDict_GetItemWithError(labelled, s_wildcard)) == NULL &&
-                PyErr_Occurred())
-                goto done;
-            PyObject *step = PySet_New(NULL);
-            int bad = step == NULL;
-            for (int j = 0; !bad && j < 2; j++) {
-                int truth = parts[j] == NULL ? 0 : PyObject_IsTrue(parts[j]);
-                bad = truth < 0 || (truth && merge_into(step, parts[j]) < 0);
-            }
-            bad = bad || merge_into(base, step) < 0;
-            Py_XDECREF(step);
-            if (bad)
-                goto done;
-        }
-        /* mstates_v = nfa.eps_closure(base). */
-        if ((result = PySet_New(NULL)) == NULL ||
-            (order = order_of(base, f->n_nfa, "NFA state", &len)) == NULL)
-            goto done;
-        for (Py_ssize_t k = 0; k < len; k++) {
-            PyObject *closure = list_at(f->closures, order[k], "NFA state");
-            if (closure == NULL || merge_into(result, closure) < 0)
-                goto done;
-        }
-        PyMem_Free(order);
-        order = NULL;
-        if ((closed = PyFrozenSet_New(result)) == NULL)
-            goto done;
-    }
-    /* targets = child_relevant(pool, relevant, label), then
-     * targets |= set(self._ann_entries(mstates_v)). */
-    if ((targets = PySet_New(NULL)) == NULL)
-        goto done;
-    for (Py_ssize_t k = 0; k < r_len; k++) {
-        int s = r_order[k];
-        if (f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN) &&
-            add_int(targets, f->target[s]) < 0)
-            goto done;
-    }
-    if ((entries = PySet_New(NULL)) == NULL)
-        goto done;
-    if (known) {
-        if (entry >= 0 && add_int(entries, entry) < 0)
-            goto done;
-    }
-    else {
-        if ((order = order_of(closed, f->n_nfa, "NFA state", &len)) == NULL)
-            goto done;
-        for (Py_ssize_t k = 0; k < len; k++)
-            if (f->ann[order[k]] >= 0 && add_int(entries, f->ann[order[k]]) < 0)
-                goto done;
-        PyMem_Free(order);
-        order = NULL;
-    }
-    if (merge_into(targets, entries) < 0)
-        goto done;
-    /* relevant_v = relevance_closure(pool, targets): the same DFS. */
-    if ((order = order_of(targets, f->n_afa, "AFA state", &len)) == NULL)
-        goto done;
-    if (c->stack == NULL || len + f->eps_at[f->n_afa] > c->stack_cap) {
-        Py_ssize_t cap = len + f->eps_at[f->n_afa];
-        int *stack = PyMem_Realloc(c->stack, (cap ? cap : 1) * sizeof(int));
-        if (stack == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        c->stack = stack;
-        c->stack_cap = cap;
-    }
-    Py_ssize_t top = len;
-    memcpy(c->stack, order, len * sizeof(int));
-    if ((reach = PySet_New(NULL)) == NULL)
-        goto done;
-    memset(c->mark, 0, f->n_afa ? f->n_afa : 1);
-    while (top > 0) {
-        int s = c->stack[--top];
-        if (c->mark[s])
-            continue;
-        c->mark[s] = 1;
-        if (add_int(reach, s) < 0)
-            goto done;
-        if (f->kind[s] <= K_NOT)
-            for (int e = f->eps_at[s]; e < f->eps_at[s + 1]; e++)
-                c->stack[top++] = f->eps[e]; /* each state expands once: fits */
-    }
-    /* Intern base, mstates_v, relevant_v -- in that order. */
-    if (!known) {
-        PyObject *base_id = NULL;
-        if ((fs = PyFrozenSet_New(base)) == NULL ||
-            intern_set(c, fs, &out->base, &base_id) < 0)
-            goto done;
-        int added = table_add(c, out->base, base_id);
-        Py_DECREF(base_id);
-        if (added < 0 || intern_set(c, Py_NewRef(closed), &out->mstates, &out->m_id) < 0 ||
-            table_add(c, out->mstates, out->m_id) < 0)
-            goto done;
-    }
-    if ((fs = PyFrozenSet_New(reach)) == NULL ||
-        intern_set(c, fs, &out->relevant, &out->r_id) < 0 ||
-        table_add(c, out->relevant, out->r_id) < 0)
-        goto done;
-    status = 0;
-done:
-    PyMem_Free(order);
-    Py_XDECREF(base);
-    Py_XDECREF(result);
-    Py_XDECREF(closed);
-    Py_XDECREF(targets);
-    Py_XDECREF(entries);
-    Py_XDECREF(reach);
-    return status;
-}
-
-/* The child's sets on column ``col`` by content, in the scratch rows
- * (base, mstates, targets, relevant, λ entries of mstates); the ones the
- * plan has interned already are filled into ``out``.  Returns the mask
- * of those found: 1 base, 2 mstates_v, 4 relevant_v. */
-static int
-fast_sets(Closer *c, const int *m_order, Py_ssize_t m_len, const int *r_order,
-          Py_ssize_t r_len, Py_ssize_t col, ChildSets *out)
-{
-    Flat *f = c->flat;
-    Py_ssize_t w = f->words;
-    unsigned long long *base = c->scratch, *mst = base + w, *tgt = mst + w,
-                       *rel = tgt + w, *anns = rel + w;
-    memset(base, 0, 5 * w * sizeof(unsigned long long));
-    for (Py_ssize_t k = 0; k < m_len; k++) {
-        const unsigned long long *step = f->step + (m_order[k] * f->ncols + col) * w;
-        for (Py_ssize_t j = 0; j < w; j++)
-            base[j] |= step[j];
-    }
-    for (Py_ssize_t b = 0; b < f->n_nfa; b++)
-        if (BIT_GET(base, b)) {
-            const unsigned long long *clo = f->clo + b * w;
-            for (Py_ssize_t j = 0; j < w; j++)
-                mst[j] |= clo[j];
-        }
-    for (Py_ssize_t k = 0; k < r_len; k++) {
-        int s = r_order[k];
-        if (f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN))
-            BIT_SET(tgt, f->target[s]);
-    }
-    for (Py_ssize_t x = 0; x < f->n_nfa; x++)
-        if (BIT_GET(mst, x)) {
-            out->has_final |= f->final_[x];
-            if (f->ann[x] >= 0) {
-                out->has_ann = 1;
-                BIT_SET(tgt, f->ann[x]);
-                BIT_SET(anns, f->ann[x]);
-            }
-        }
-    for (Py_ssize_t t = 0; t < f->n_afa; t++)
-        if (BIT_GET(tgt, t)) {
-            const unsigned long long *reach = f->reach + t * w;
-            for (Py_ssize_t j = 0; j < w; j++)
-                rel[j] |= reach[j];
-        }
-    Py_ssize_t at[3] = {slot_of(c, base), slot_of(c, mst), slot_of(c, rel)};
-    int found = 0;
-    if (c->canon[at[0]] != NULL && c->canon[at[1]] != NULL) {
-        found = 3;
-        out->base = Py_NewRef(c->canon[at[0]]);
-        out->mstates = Py_NewRef(c->canon[at[1]]);
-        out->m_id = Py_NewRef(c->ids[at[1]]);
-    }
-    if (found && c->canon[at[2]] != NULL) {
-        found = 7;
-        out->relevant = Py_NewRef(c->canon[at[2]]);
-        out->r_id = Py_NewRef(c->ids[at[2]]);
-    }
-    return found;
-}
-
-/* watch = ((state, target), ...): relevant's transition states on the
- * column's label, in relevant's iteration order. */
+/* watch = ((state, target), ...): the transition states of ``rrow`` on
+ * column ``col``, in ascending state id. */
 static PyObject *
-make_watch(Flat *f, const int *r_order, Py_ssize_t r_len, Py_ssize_t col)
+make_watch(Flat *f, const unsigned long long *rrow, Py_ssize_t col)
 {
-    Py_ssize_t nwatch = 0;
-    for (Py_ssize_t k = 0; k < r_len; k++) {
-        int s = r_order[k];
-        nwatch += f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN);
-    }
+    Py_ssize_t nwatch = 0, k = 0;
+    FOR_EACH_BIT(s, rrow, f->n_afa)
+        nwatch += watches(f, s, col);
     PyObject *watch = PyTuple_New(nwatch);
-    for (Py_ssize_t k = 0, w = 0; watch != NULL && k < r_len; k++) {
-        int s = r_order[k];
-        if (!(f->kind[s] == K_TRANS && (f->label[s] == col || f->label[s] == WILD_COLUMN)))
+    FOR_EACH_BIT(s, rrow, f->n_afa) {
+        if (watch == NULL)
+            break;
+        if (!watches(f, s, col))
             continue;
-        PyObject *pair = Py_BuildValue("(ii)", s, f->target[s]);
+        PyObject *pair = Py_BuildValue("(ni)", s, f->target[s]);
         if (pair == NULL)
             Py_CLEAR(watch);
         else
-            PyTuple_SET_ITEM(watch, w++, pair);
+            PyTuple_SET_ITEM(watch, k++, pair);
     }
     return watch;
 }
 
-/* The child's sets on column ``col``: by content when all three are
- * interned; else replayed -- from relevant_v on when base and mstates_v
- * are interned and mstates_v names at most one λ entry, in full
- * otherwise. */
+/* CompiledPlan._compute_child_sets(mstates, relevant, columns[col]) on
+ * bit rows -- ``mrow`` / ``rrow`` hold the cfg's sets: the child's base,
+ * mstates and relevant as the plan's canonical sets, taken in the
+ * reference's interning order (base, mstates, relevant), and its watch. */
 static int
-resolve_sets(Closer *c, const int *m_order, Py_ssize_t m_len, const int *r_order,
-             Py_ssize_t r_len, Py_ssize_t col, ChildSets *out)
+child_sets(Closer *c, const unsigned long long *mrow, const unsigned long long *rrow,
+           Py_ssize_t col, ChildSets *out)
 {
+    Flat *f = c->flat;
+    Py_ssize_t w = f->words;
+    unsigned long long *base = c->scratch, *mst = base + w, *tgt = mst + w, *rel = tgt + w;
     memset(out, 0, sizeof *out);
-    int found = fast_sets(c, m_order, m_len, r_order, r_len, col, out);
-    if (found != 7) {
-        Flat *f = c->flat;
-        const unsigned long long *anns = c->scratch + 4 * f->words;
-        int entry = -1, many = 0;
-        for (Py_ssize_t t = 0; t < f->n_afa; t++)
-            if (BIT_GET(anns, t)) {
-                many = entry >= 0;
-                entry = (int)t;
-            }
-        int known = found == 3 && !many;
-        if (!known)
-            child_clear(out);
-        if (child_sets(c, m_order, m_len, r_order, r_len, col, known, entry, out) < 0) {
-            child_clear(out);
-            return -1;
+    memset(base, 0, 4 * w * sizeof(unsigned long long));
+    FOR_EACH_BIT(s, mrow, f->n_nfa) {
+        const unsigned long long *step = f->step + (s * f->ncols + col) * w;
+        for (Py_ssize_t j = 0; j < w; j++)
+            base[j] |= step[j];
+    }
+    FOR_EACH_BIT(b, base, f->n_nfa) {
+        const unsigned long long *clo = f->clo + b * w;
+        for (Py_ssize_t j = 0; j < w; j++)
+            mst[j] |= clo[j];
+    }
+    FOR_EACH_BIT(s, rrow, f->n_afa)
+        if (watches(f, s, col))
+            BIT_SET(tgt, f->target[s]);
+    FOR_EACH_BIT(x, mst, f->n_nfa) {
+        out->has_final |= f->final_[x];
+        if (f->ann[x] >= 0) {
+            out->has_ann = 1;
+            BIT_SET(tgt, f->ann[x]);
         }
     }
-    if ((out->watch = make_watch(c->flat, r_order, r_len, col)) == NULL) {
-        child_clear(out);
-        return -1;
+    FOR_EACH_BIT(t, tgt, f->n_afa) {
+        const unsigned long long *reach = f->reach + t * w;
+        for (Py_ssize_t j = 0; j < w; j++)
+            rel[j] |= reach[j];
     }
-    return 0;
+    PyObject *base_id = NULL;
+    int status = canonical(c, base, f->n_nfa, &out->base, &base_id) < 0 ||
+                 canonical(c, mst, f->n_nfa, &out->mstates, &out->m_id) < 0 ||
+                 canonical(c, rel, f->n_afa, &out->relevant, &out->r_id) < 0 ||
+                 (out->watch = make_watch(f, rrow, col)) == NULL ? -1 : 0;
+    Py_XDECREF(base_id);
+    if (status < 0)
+        child_clear(out);
+    return status;
 }
 
 /* DenseKernel.cfg_of: the cfg id of ``sets`` (minted on a miss).
@@ -2386,12 +2200,9 @@ get_dict(PyObject *owner, PyObject *name)
     return value;
 }
 
-/* eps_closures(eps) -> [frozenset, ...]: NFA._compute_closures, replayed
- * on real sets (the closures' iteration orders reach every mstates set
- * the closure builds from them).  ``eps`` is the NFA's list of ε-target
- * sets; a target out of range raises IndexError.  A step of the fixpoint
- * that cannot grow its set (decided on bit sets) mutates nothing in the
- * reference either, so it builds nothing here. */
+/* eps_closures(eps) -> [frozenset, ...]: NFA._compute_closures, its
+ * fixpoint run on bit rows.  ``eps`` is the NFA's list of ε-target sets;
+ * a target out of range raises IndexError. */
 static PyObject *
 eps_closures(PyObject *module, PyObject *eps)
 {
@@ -2400,31 +2211,19 @@ eps_closures(PyObject *module, PyObject *eps)
         return NULL;
     }
     Py_ssize_t n = PyList_GET_SIZE(eps), w = n / 64 + 1;
-    PyObject **sets = PyMem_Calloc(n ? n : 1, sizeof(PyObject *));
-    unsigned long long *bits = PyMem_Calloc((n ? n : 1) * w + w, sizeof(unsigned long long));
-    PyObject *closures = NULL, *add = NULL;
-    int *order = NULL;
-    if (sets == NULL || bits == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    unsigned long long *grow = bits + n * w;
+    unsigned long long *bits = PyMem_Calloc((n ? n : 1) * w, sizeof(unsigned long long));
+    PyObject *closures = NULL;
+    if (bits == NULL)
+        return PyErr_NoMemory();
     /* sets = [set({i}) | self.eps[i] for i in range(n)] */
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *one = PySet_New(NULL);
-        if (one == NULL || add_int(one, (long)i) < 0) {
-            Py_XDECREF(one);
-            goto done;
-        }
-        sets[i] = PyNumber_Or(one, PyList_GET_ITEM(eps, i));
-        Py_DECREF(one);
-        if (sets[i] == NULL)
-            goto done;
-        if (!PySet_Check(sets[i])) {
+        PyObject *targets = PyList_GET_ITEM(eps, i);
+        if (!PyAnySet_Check(targets)) {
             PyErr_SetString(PyExc_TypeError, "eps_closures: ε targets must be sets");
             goto done;
         }
-        int fits = bits_of(sets[i], n, bits + i * w);
+        BIT_SET(bits + i * w, i);
+        int fits = bits_of(targets, n, bits + i * w);
         if (fits <= 0) {
             if (fits == 0)
                 PyErr_SetString(PyExc_IndexError, "eps_closures: an ε target is no NFA state");
@@ -2435,38 +2234,19 @@ eps_closures(PyObject *module, PyObject *eps)
     while (changed) {
         changed = 0;
         for (Py_ssize_t i = 0; i < n; i++) {
-            /* add = ∪ sets[j] for j in list(sets[i]); grows sets[i]? */
             unsigned long long *own = bits + i * w;
-            int grows = 0;
-            memset(grow, 0, w * sizeof(unsigned long long));
-            for (Py_ssize_t j = 0; j < n; j++)
-                if (BIT_GET(own, j))
-                    for (Py_ssize_t k = 0; k < w; k++)
-                        grow[k] |= bits[j * w + k];
-            for (Py_ssize_t k = 0; k < w; k++)
-                grows |= (grow[k] & ~own[k]) != 0;
-            if (!grows)
-                continue;
-            Py_ssize_t len;
-            if ((add = PySet_New(NULL)) == NULL ||
-                (order = order_of(sets[i], n, "NFA state", &len)) == NULL)
-                goto done;
-            for (Py_ssize_t k = 0; k < len; k++)
-                if (merge_into(add, sets[order[k]]) < 0)
-                    goto done;
-            PyMem_Free(order);
-            order = NULL;
-            if (merge_into(sets[i], add) < 0)
-                goto done;
-            Py_CLEAR(add);
-            memcpy(own, grow, w * sizeof(unsigned long long));
-            changed = 1;
+            FOR_EACH_BIT(j, own, n)
+                for (Py_ssize_t k = 0; k < w; k++) {
+                    unsigned long long grow = bits[j * w + k] & ~own[k];
+                    own[k] |= grow;
+                    changed |= grow != 0;
+                }
         }
     }
     if ((closures = PyList_New(n)) == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *frozen = PyFrozenSet_New(sets[i]);
+        PyObject *frozen = set_of(bits + i * w, n);
         if (frozen == NULL) {
             Py_CLEAR(closures);
             goto done;
@@ -2474,12 +2254,6 @@ eps_closures(PyObject *module, PyObject *eps)
         PyList_SET_ITEM(closures, i, frozen);
     }
 done:
-    Py_XDECREF(add);
-    PyMem_Free(order);
-    if (sets != NULL)
-        for (Py_ssize_t i = 0; i < n; i++)
-            Py_XDECREF(sets[i]);
-    PyMem_Free(sets);
     PyMem_Free(bits);
     return closures;
 }
@@ -2506,7 +2280,7 @@ dense_close(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Closer *c = &cl;
     c->plan = args[0];
     PyObject *capsule = NULL, *bases = NULL, *result = NULL, *cfg_obj = NULL;
-    int *queue = NULL, *children = NULL, *m_order = NULL, *r_order = NULL;
+    int *queue = NULL, *children = NULL;
     unsigned char *seen = NULL;
     Py_ssize_t qlen = 0, qcap = 16, nchildren = 0, ccap = 64, seen_cap = 64, nseen = 0;
     ChildSets other, sets;
@@ -2530,11 +2304,11 @@ dense_close(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     Flat *f = c->flat;
     if (table_seed(c) < 0)
         goto done;
+    unsigned long long *mrow = c->scratch + 4 * f->words, *rrow = mrow + f->words;
     queue = PyMem_Malloc(qcap * sizeof(int));
     children = PyMem_Malloc(ccap * sizeof(int));
     seen = PyMem_Calloc(seen_cap, 1);
-    c->mark = PyMem_Malloc(f->n_afa ? f->n_afa : 1);
-    if (!queue || !children || !seen || !c->mark) {
+    if (!queue || !children || !seen) {
         PyErr_NoMemory();
         goto done;
     }
@@ -2568,24 +2342,20 @@ dense_close(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         long cfg = queue[qi];
         PyObject *mstates = list_at(c->cfg_mstates, cfg, "cfg");
         PyObject *relevant = mstates ? list_at(c->cfg_relevant, cfg, "cfg") : NULL;
-        Py_ssize_t m_len = 0, r_len = 0;
-        PyMem_Free(m_order);
-        PyMem_Free(r_order);
-        m_order = r_order = NULL;
         if (relevant == NULL ||
-            (m_order = order_of(mstates, f->n_nfa, "NFA state", &m_len)) == NULL ||
-            (r_order = order_of(relevant, f->n_afa, "AFA state", &r_len)) == NULL)
+            row_of(mstates, f->n_nfa, f->words, "NFA state", mrow) < 0 ||
+            row_of(relevant, f->n_afa, f->words, "AFA state", rrow) < 0)
             goto fail_named;
         /* The columns some state of the cfg names; the rest take OTHER's sets. */
         memset(named, 0, f->ncols);
-        for (Py_ssize_t k = 0; k < m_len; k++)
+        FOR_EACH_BIT(s, mrow, f->n_nfa)
             for (Py_ssize_t col = 0; col < f->ncols; col++)
-                named[col] |= f->named[m_order[k] * f->ncols + col];
-        for (Py_ssize_t k = 0; k < r_len; k++)
-            if (f->kind[r_order[k]] == K_TRANS && f->label[r_order[k]] >= 0)
-                named[f->label[r_order[k]]] = 1;
+                named[col] |= f->named[s * f->ncols + col];
+        FOR_EACH_BIT(s, rrow, f->n_afa)
+            if (f->kind[s] == K_TRANS && f->label[s] >= 0)
+                named[f->label[s]] = 1;
         child_clear(&other);
-        if (resolve_sets(c, m_order, m_len, r_order, r_len, f->ncols - 1, &other) < 0)
+        if (child_sets(c, mrow, rrow, f->ncols - 1, &other) < 0)
             goto fail_named;
         Py_CLEAR(cfg_obj);
         if ((cfg_obj = PyLong_FromLong(cfg)) == NULL)
@@ -2596,7 +2366,7 @@ dense_close(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
             ChildSets *use = &other;
             if (named[col]) {
                 child_clear(&sets);
-                if (resolve_sets(c, m_order, m_len, r_order, r_len, col, &sets) < 0 ||
+                if (child_sets(c, mrow, rrow, col, &sets) < 0 ||
                     child_word(c, &sets, &child, &word) < 0)
                     goto fail_named;
                 use = &sets;
@@ -2667,10 +2437,6 @@ done:
     PyMem_Free(queue);
     PyMem_Free(children);
     PyMem_Free(seen);
-    PyMem_Free(m_order);
-    PyMem_Free(r_order);
-    PyMem_Free(c->mark);
-    PyMem_Free(c->stack);
     Py_XDECREF(cfg_obj);
     table_clear(c);
     Py_XDECREF(capsule);
@@ -2789,36 +2555,35 @@ cold_fill(Pass *p, Cold *c, long cfg, PyObject *node, PyObject *truths)
     PyObject *r_id = NULL, *values = NULL, *key = NULL, *number = NULL,
              *dead = NULL, *report = NULL, *outcome = NULL, *entry = NULL,
              *mstates = NULL, *watch = NULL, *result = NULL;
-    int *order = NULL, *finals = NULL, *trans = NULL, *ops = NULL, *m_order = NULL;
-    unsigned long long *val = NULL;
-    Py_ssize_t len = 0, nfinals = 0, ntrans = 0, nops = 0;
-    if ((r_id = list_at(c->cfg_r, cfg, "cfg")) == NULL)
-        goto done;
-    Py_INCREF(r_id);
-    if ((order = order_of(relevant, f->n_afa, "AFA state", &len)) == NULL)
-        goto done;
-    finals = PyMem_Malloc((len ? len : 1) * sizeof(int));
-    trans = PyMem_Malloc((len ? len : 1) * sizeof(int));
-    ops = PyMem_Malloc((len ? len : 1) * sizeof(int));
-    val = PyMem_Calloc((f->n_afa + 63) / 64 + 1, sizeof(unsigned long long));
-    if (!finals || !trans || !ops || !val) {
+    Py_ssize_t m = f->n_afa ? f->n_afa : 1, w = f->words, nfinals = 0, ntrans = 0, nops = 0;
+    int *split = PyMem_Malloc(3 * m * sizeof(int));
+    unsigned long long *val = PyMem_Calloc(3 * w, sizeof(unsigned long long));
+    if (!split || !val) {
         PyErr_NoMemory();
         goto done;
     }
-    /* CompiledPlan._relevant_plan: finals, transitions, operators by SCC. */
-    for (Py_ssize_t k = 0; k < len; k++) {
-        int s = order[k];
+    int *finals = split, *trans = finals + m, *ops = trans + m;
+    /* The resolved values, the relevant set and the mstates set as bit rows. */
+    unsigned long long *rrow = val + w, *mrow = rrow + w;
+    if ((r_id = list_at(c->cfg_r, cfg, "cfg")) == NULL)
+        goto done;
+    Py_INCREF(r_id);
+    if (row_of(relevant, f->n_afa, w, "AFA state", rrow) < 0)
+        goto done;
+    /* CompiledPlan._relevant_plan: finals, transitions, operators by SCC,
+     * each in ascending state id. */
+    FOR_EACH_BIT(s, rrow, f->n_afa) {
         if (f->kind[s] == K_FINAL)
-            finals[nfinals++] = s;
+            finals[nfinals++] = (int)s;
         else if (f->kind[s] == K_TRANS)
-            trans[ntrans++] = s;
+            trans[ntrans++] = (int)s;
         else {
             Py_ssize_t at = nops++;
             while (at > 0 && f->scc[ops[at - 1]] > f->scc[s]) { /* stable */
                 ops[at] = ops[at - 1];
                 at--;
             }
-            ops[at] = s;
+            ops[at] = (int)s;
         }
     }
     if (f->cyclic_not || nfinals > 63) {
@@ -2921,29 +2686,22 @@ cold_fill(Pass *p, Cold *c, long cfg, PyObject *node, PyObject *truths)
             PyTuple_SET_ITEM(dead_key, k + 1, Py_NewRef(PyTuple_GET_ITEM(key, k)));
         dead = memo_get(c->dead_cache, dead_key);
         if (dead == NULL && !PyErr_Occurred()) {
-            Py_ssize_t m_len = 0;
-            PyObject *list = NULL;
+            /* mstates less the states whose λ entry is absent or true. */
             mstates = list_at(p->cfg_mstates, cfg, "cfg");
             Py_XINCREF(mstates);
-            if (mstates != NULL &&
-                (m_order = order_of(mstates, f->n_nfa, "NFA state", &m_len)) != NULL &&
-                (list = PyList_New(0)) != NULL) {
-                int bad = 0;
-                for (Py_ssize_t k = 0; !bad && k < m_len; k++) {
-                    int s = m_order[k];
-                    if (f->ann[s] < 0)
-                        continue;
-                    int alive = value_of(val, values, f->n_afa, f->ann[s]);
-                    PyObject *number_s = alive ? NULL : PyLong_FromLong(s);
-                    bad = alive < 0 || (!alive && (number_s == NULL ||
-                                                   PyList_Append(list, number_s) < 0));
-                    Py_XDECREF(number_s);
+            int bad = mstates == NULL || row_of(mstates, f->n_nfa, w, "NFA state", mrow) < 0;
+            FOR_EACH_BIT(s, mrow, bad ? 0 : f->n_nfa) {
+                int alive = f->ann[s] < 0 ? 1 : value_of(val, values, f->n_afa, f->ann[s]);
+                if (alive < 0) {
+                    bad = 1;
+                    break;
                 }
-                if (!bad && (dead = PyFrozenSet_New(list)) != NULL &&
-                    PyObject_SetItem(c->dead_cache, dead_key, dead) < 0)
-                    Py_CLEAR(dead);
+                if (alive)
+                    mrow[s >> 6] &= ~(1ULL << (s & 63));
             }
-            Py_XDECREF(list);
+            if (!bad && (dead = set_of(mrow, f->n_nfa)) != NULL &&
+                PyObject_SetItem(c->dead_cache, dead_key, dead) < 0)
+                Py_CLEAR(dead);
         }
         Py_DECREF(dead_key);
         if (dead == NULL)
@@ -3021,12 +2779,8 @@ cold_fill(Pass *p, Cold *c, long cfg, PyObject *node, PyObject *truths)
     if (PyObject_SetItem(PyTuple_GET_ITEM(entry, 1), number, outcome) == 0)
         result = Py_NewRef(outcome);
 done:
-    PyMem_Free(order);
-    PyMem_Free(finals);
-    PyMem_Free(trans);
-    PyMem_Free(ops);
+    PyMem_Free(split);
     PyMem_Free(val);
-    PyMem_Free(m_order);
     Py_XDECREF(relevant);
     Py_XDECREF(r_id);
     Py_XDECREF(values);

@@ -353,9 +353,10 @@ class CompiledPlan:
         targets |= set(self._ann_entries(mstates_v))
         relevant_v = relevance_closure(pool, targets)
         states = pool.states
+        # In ascending state id: a cfg's key depends on set contents only.
         watch = tuple(
             (state, states[state].target)
-            for state in relevant
+            for state in sorted(relevant)
             if states[state].kind == TRANS
             and (states[state].label == label or states[state].label == WILDCARD)
         )
@@ -429,7 +430,9 @@ class CompiledPlan:
 
         Returns (finals, trans, op_groups): final states with their
         predicates, transition states, and operator states grouped by SCC
-        in dependency-first order.
+        in dependency-first order — each in ascending state id (the sort
+        by SCC is stable), so predicate bits and the resolved values'
+        order depend on the set's contents only.
         """
         cached = self._plan_cache.get(r_id)
         if cached is not None:
@@ -439,7 +442,7 @@ class CompiledPlan:
         finals: list[tuple[int, object]] = []
         trans: list[int] = []
         operators: list[int] = []
-        for state in relevant:
+        for state in sorted(relevant):
             holder = states[state]
             if holder.kind == FINAL:
                 finals.append((state, holder.pred))

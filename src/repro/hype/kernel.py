@@ -35,7 +35,7 @@ the label text.  That makes the table *finite and document-independent*,
 which is what lets :func:`close` close it eagerly at compile time — in
 place, in the index-free plan that then serves HyPE on every document —
 and :func:`kernel_payload` encode the closed table into a
-:class:`repro.compile.artifact.PlanArtifact` (format v3) whenever one is
+:class:`repro.compile.artifact.PlanArtifact` (format v4) whenever one is
 persisted or shipped: a cold worker rehydrates the closure
 (:meth:`DenseKernel.preload`) instead of re-deriving it on the first
 requests.  Cfgs cross a process boundary in one wire form — state-set
@@ -66,9 +66,13 @@ are warm: the dense closure (:func:`close` runs it; :func:`_close_py`
 is its reference) and the pop fills (:meth:`DenseKernel.fill_pop`'s
 reference, with :meth:`~repro.hype.core.CompiledPlan._relevant_plan`,
 ``_resolve``, ``_compute_dead`` and ``AFAPool._analyze`` under it).
-Both build the same Python objects the references build, in the same
-order.  :mod:`repro.native` builds the extension on first import;
-:data:`DESCENT` records which passes this process runs
+Both build the Python objects the references build, and both keep one
+rule: order is by state id; contents decide.  A cfg's watch tuple, its
+predicate bits and the resolved values walk their state sets in
+ascending id, and sets and cfgs are minted in a fixed order, so every
+table and payload byte is a function of set contents, never of how a
+set object was built.  :mod:`repro.native` builds the extension on
+first import; :data:`DESCENT` records which passes this process runs
 (``"compiled"``, or ``"python: <reason>"``), and :func:`descend` and
 :func:`close` follow it.
 
@@ -724,7 +728,7 @@ def _close_py(plan, max_cfgs: int = 256) -> None:
 
 
 def kernel_payload(plan, max_cfgs: int = 256) -> dict:
-    """The v3 artifact encoding of a plan's closed dense table.
+    """The artifact encoding of a plan's closed dense table.
 
     Closes the table first if nobody has (:func:`close`).  Pure
     encoding otherwise — plain JSON-shaped data, a function of the

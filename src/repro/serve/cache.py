@@ -168,7 +168,7 @@ class CachedPlan:
         the index-free plan whose table the compile pipeline closed in
         place, and its OptHyPE executables seed their pre-filter edge
         words from that plan's tables; a plan rehydrated from a store or
-        a peer preloads every executable from the v3 kernel payload."""
+        a peer preloads every executable from the kernel payload."""
         closure = self.artifact.closure
         if not isinstance(closure, CompiledPlan):
             return CompiledPlan.for_algorithm(

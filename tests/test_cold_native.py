@@ -5,26 +5,33 @@ dense closure and its first run's pop fills.
 (``kernel._cold``) when ``kernel.DESCENT == "compiled"``, else with
 :func:`kernel._close_py`; the compiled lean pass resolves a pop miss in
 C, where :func:`kernel._descend_lane_py` calls
-:meth:`DenseKernel.fill_pop`.  The C side replays the reference's set
-operations on real sets, because a cfg's watch tuple and predicate bits
-follow the *iteration order* of its interned sets.  Here:
+:meth:`DenseKernel.fill_pop`.  The rule both sides keep: order is by
+state id, contents decide.  A cfg's watch tuple and predicate bits walk
+its relevant set in ascending state id, so no table depends on how a set
+object was built (its iteration order).  Here:
 
 * **differential** — for generated queries (``tests/strategies.py``)
   and for the churn templates, FIG8 and the σ0 queries, two MFAs
   compiled independently from one query are closed one by each side.
-  The closure record, every interned set (id and iteration order), the
-  cfg and transition tables, the NFA's ε-closures, the kernel payload and
-  ``PlanArtifact.to_bytes()`` are identical.  Then each side runs all
+  The closure record, every interned set (id and contents), the cfg and
+  transition tables, the NFA's ε-closures (contents), the kernel payload
+  and ``PlanArtifact.to_bytes()`` are identical.  Then each side runs all
   three algorithms cold (every pop a miss) and warm: answers,
   :class:`HyPEStats`, the pop tables, ``_pop_cache`` and ``_dead_cache``
   (entries and their order) are identical;
+* **contents decide** — a plan whose sets were interned beforehand with
+  other insertion histories closes and runs to the same payload bytes and
+  pop tables as a plain plan, and no plan mints two cfgs for one
+  configuration;
 * **the reference alone** — the same comparisons between two
   independent reference closures and runs.  This is what the ``CC=false``
   job asserts (the compiled cases skip there): the determinism the
   compiled side is held to;
 * **bounds and references** — a mangled automaton (transition, ε,
-  λ, target and operator ids out of range, a wrong kind or arity) and
-  mangled cfg tables raise and never crash; 2 000 cold plans, some cut
+  λ, target and operator ids out of range, a closure row naming a state
+  past the automaton, a wrong kind or arity) and mangled cfg tables (a
+  set naming a state at or past the automaton's size) raise and never
+  crash; 2 000 cold plans, some cut
   short by a raising predicate, leave allocated blocks and live sets
   where they were.  These run in a subprocess, so a crash fails the test
   instead of killing the suite.
@@ -115,24 +122,24 @@ def side(name: str):
         kernel._cold, kernel._descend_lane = saved
 
 
-def orders(sets) -> list:
-    return [list(s) for s in sets]
+def contents(sets) -> list:
+    """Each set's members in ascending state id: what a set *is*."""
+    return [sorted(s) for s in sets]
 
 
 def closure_state(plan) -> dict:
-    """Everything a closure leaves, iteration orders included."""
+    """Everything a closure leaves: ids, contents, tables and bytes."""
     kern = plan.kernel
     order, children, bases, num_cfgs = kern.closure
     return {
-        "record": (list(order), list(children), bases, num_cfgs),
-        "base orders": orders(bases),
-        "sets": [(list(canon), set_id) for canon, set_id in plan._set_ids.values()],
+        "record": (list(order), list(children), contents(bases), num_cfgs),
+        "sets": [(sorted(canon), set_id) for canon, set_id in plan._set_ids.values()],
         "cfg ids": list(kern.cfg_ids.items()),
-        "cfg sets": (orders(kern.cfg_mstates), orders(kern.cfg_relevant)),
+        "cfg sets": (contents(kern.cfg_mstates), contents(kern.cfg_relevant)),
         "cfg rows": (kern.cfg_watch, kern.cfg_m, kern.cfg_r, kern.cfg_has_ann),
         "packed": kern.cfg_packed,
         "trans": list(kern.trans.items()),
-        "closures": orders(plan.mfa.nfa._closure),
+        "closures": contents(plan.mfa.nfa._closure),
         "payload": kernel.kernel_payload(plan),
         "bytes": PlanArtifact(mfa=plan.mfa, normalized_query="q", closure=plan).to_bytes(),
     }
@@ -220,12 +227,13 @@ class TestCompiledEqualsPython:
         assert len(states[0]["record"][0]) == 2
 
     @compiled_only
-    def test_eps_closures_replay_the_reference(self):
+    def test_eps_closures_match_the_reference(self):
         for query, on_view in NAMED:
             mfa = fresh_mfa(query, on_view)
             compiled = kernel._cold.eps_closures(mfa.nfa.eps)
             mfa.nfa._compute_closures()
-            assert orders(compiled) == orders(mfa.nfa._closure), query
+            assert all(type(c) is frozenset for c in compiled), query
+            assert compiled == mfa.nfa._closure, query
 
     def test_close_follows_descent(self):
         plan = CompiledPlan(fresh_mfa("a[b]/c"))
@@ -235,6 +243,109 @@ class TestCompiledEqualsPython:
             reference = CompiledPlan(fresh_mfa("a[b]/c"))
             kernel.close(reference)
         assert closure_state(plan) == closure_state(reference)
+
+
+# ----------------------------------------------------------------------
+# Contents decide: no table depends on how a set object was built
+# ----------------------------------------------------------------------
+def reversed_history(members) -> frozenset:
+    """A set built by inserting ``members`` in descending order — another
+    insertion history, and for small int sets often another iteration
+    order, than the plan's own construction gives it."""
+    return frozenset(sorted(members, reverse=True))
+
+
+def run_algorithms(name: str, mfa, doc, history=None) -> tuple[dict, bytes, list]:
+    """One side closes ``mfa``'s index-free plan, seeds the OptHyPE(-C)
+    plans from it and runs each algorithm on ``doc``, cold then warm.
+    ``history`` maps an algorithm to set contents in id order: that plan
+    interns them (:func:`reversed_history`) before anything else.
+    Returns the plans, the artifact bytes and what each run left."""
+    plans, runs = {}, []
+    with side(name):
+        for algorithm in ALGORITHMS:
+            if algorithm == HYPE:
+                plan = CompiledPlan(mfa)
+            else:
+                plan = CompiledPlan.for_algorithm(mfa, algorithm, doc.tree, doc)
+            for members in (history or {}).get(algorithm, ()):
+                plan._intern(reversed_history(members))
+            if algorithm == HYPE:
+                kernel.close(plan)
+            else:
+                plan.kernel.seed(plan, plans[HYPE].kernel)
+            plans[algorithm] = plan
+            for _temperature in ("cold", "warm"):
+                result = plan.run(0, layout=doc.layout)
+                runs.append((algorithm, result.ids, result.stats, pop_state(plan)))
+        artifact = PlanArtifact(mfa=mfa, normalized_query="q", closure=plans[HYPE])
+        return plans, artifact.to_bytes(), runs
+
+
+@pytest.fixture(scope="module")
+def doc30():
+    """A 30-patient hospital document (module-held, like ``docs``)."""
+    return IndexedDocument(
+        generate_hospital_document(HospitalConfig(num_patients=30, seed=7))
+    )
+
+
+class TestContentsDecide:
+    @pytest.mark.parametrize("name", SIDES)
+    def test_other_insertion_histories_change_nothing(self, name, docs):
+        """Pre-interning a plan's sets with other insertion histories
+        leaves its payload bytes, pop tables, answers and stats as a plain
+        plan's: the tables read set contents, never iteration order."""
+        doc = docs[1]
+        reordered = 0
+        for query, on_view in NAMED:
+            mfa = fresh_mfa(query, on_view)
+            plain, plain_bytes, plain_runs = run_algorithms(name, mfa, doc)
+            history = {
+                algorithm: [sorted(s) for s, _id in plan._set_ids.values()]
+                for algorithm, plan in plain.items()
+            }
+            reordered += sum(
+                list(reversed_history(s)) != list(s)
+                for plan in plain.values()
+                for s, _id in plan._set_ids.values()
+            )
+            permuted, permuted_bytes, permuted_runs = run_algorithms(
+                name, mfa, doc, history
+            )
+            assert permuted_bytes == plain_bytes, query
+            assert permuted_runs == plain_runs, query
+            for algorithm, plan in permuted.items():
+                assert plan._set_ids.keys() == plain[algorithm]._set_ids.keys()
+        assert reordered, "no pre-interned set iterates in another order"
+
+    @pytest.mark.parametrize("name", SIDES)
+    def test_one_cfg_per_configuration(self, name, doc30):
+        """No two cfgs of one plan share ``(mstates, relevant, watch
+        contents)``, under every algorithm, after a run — whether the plan
+        was seeded from the closed plan or rehydrated from its artifact
+        (whose decoded sets were built another way than the closure's)."""
+        for query, on_view in NAMED:
+            seeded, raw, _runs = run_algorithms(name, fresh_mfa(query, on_view), doc30)
+            stored = PlanArtifact.from_bytes(raw)
+            with side(name):
+                rehydrated = {
+                    algorithm: CompiledPlan.for_algorithm(
+                        stored.mfa, algorithm, doc30.tree, doc30, kernel=stored.closure
+                    )
+                    for algorithm in ALGORITHMS
+                }
+                for plan in rehydrated.values():
+                    plan.run(0, layout=doc30.layout)
+            for how, plans in (("seeded", seeded), ("rehydrated", rehydrated)):
+                for algorithm, plan in plans.items():
+                    kern = plan.kernel
+                    cfgs = {}
+                    for cfg, key in enumerate(
+                        zip(kern.cfg_mstates, kern.cfg_relevant, map(frozenset, kern.cfg_watch))
+                    ):
+                        first = cfgs.setdefault(key, cfg)
+                        assert first == cfg, (query, how, algorithm, first, cfg)
 
 
 # ----------------------------------------------------------------------
@@ -251,6 +362,10 @@ from repro.workloads import HospitalConfig, generate_hospital_document
 
 doc = IndexedDocument(generate_hospital_document(HospitalConfig(num_patients=3, seed=5)))
 QUERY = "//patient[visit/treatment/medication/text() = 'headache' or not(.//test)]/pname"
+_mfa = to_mfa(QUERY)
+N_NFA, N_AFA = _mfa.nfa.num_states, len(_mfa.pool.states)
+#: A state id past both automata that the flat automaton's bit rows hold.
+IN_ROW_PAST = 64 * (max(N_NFA, N_AFA) // 64 + 1) - 1
 """
 
 _MANGLED = _PRELUDE + """
@@ -261,6 +376,9 @@ def mangles():
     yield "negative trans target", lambda m: labelled(m).add(-1)
     yield "closures", lambda m: setattr(m.nfa, "_closure", m.nfa._closure[:1])
     yield "closure member", lambda m: m.nfa._closure.__setitem__(0, frozenset({10**6}))
+    yield "closure row past the automaton", lambda m: m.nfa._closure.__setitem__(
+        0, frozenset({0, IN_ROW_PAST})
+    )
     yield "lambda entry", lambda m: m.nfa.ann.__setitem__(m.nfa.start, 10**6)
     yield "lambda state", lambda m: m.nfa.ann.__setitem__(10**6, 0)
     def first(m, kind):
@@ -299,6 +417,8 @@ def tables():
     yield "watch kind", every("cfg_watch", [(1, 2)])
     yield "cfg_r cut", lambda k: k.cfg_r.__delitem__(slice(1, None))
     yield "mstates member", every("cfg_mstates", frozenset({-5}))
+    yield "relevant at the bound", every("cfg_relevant", frozenset({N_AFA}))
+    yield "mstates at the bound", every("cfg_mstates", frozenset({N_NFA}))
 
 for name, mangle in tables():
     plan = CompiledPlan(to_mfa(QUERY))
@@ -387,7 +507,7 @@ class TestBoundsAndReferences:
     def test_mangled_flat_arrays_raise_and_never_crash(self):
         done = _subprocess(_MANGLED)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "18 mangled plans" in done.stdout
+        assert "21 mangled plans" in done.stdout
 
     def test_2000_cold_plans_leak_nothing(self):
         done = _subprocess(_CHURN)

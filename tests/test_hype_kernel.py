@@ -6,7 +6,7 @@ answers and :class:`HyPEStats` across all three algorithm variants,
 sequentially and batched — and a plan whose table was *preloaded* from a
 persisted :func:`kernel_payload` closure must be indistinguishable from
 one that filled lazily.  The payload itself must survive the artifact
-codec (format v3) and be rejected structurally when mangled.
+codec (format v4) and be rejected structurally when mangled.
 """
 
 import pytest

@@ -143,6 +143,20 @@ def _inside(source: str, at: int, opener: str, closer: str) -> bool:
     return source.rfind(opener, 0, at) > source.rfind(closer, 0, at)
 
 
+def _in_attribute_value(source: str, at: int) -> bool:
+    """Whether ``at`` lies in a quoted value of the tag opened by the last
+    '<' before it (a value may hold '>', which closes no tag)."""
+    quote = None
+    for char in source[source.rfind("<", 0, at) + 1 : at]:
+        if quote is not None:
+            quote = None if char == quote else quote
+        elif char in "\"'":
+            quote = char
+        elif char == ">":
+            return False
+    return quote is not None
+
+
 def accepted_leniency(source: str, complaint) -> str | None:
     """Which named leniency makes us accept what expat refused at
     ``complaint``, or ``None``."""
@@ -160,10 +174,7 @@ def accepted_leniency(source: str, complaint) -> str | None:
             return "'&' starting no reference"
     if _inside(source, at, "<!--", "-->") and "-" in source[at - 1 : at + 2]:
         return "'--' inside a comment"
-    if here == "<" and _inside(source, at, "=", ">") and (
-        source.count('"', source.rfind("<", 0, at), at) % 2
-        or source.count("'", source.rfind("<", 0, at), at) % 2
-    ):
+    if here == "<" and _in_attribute_value(source, at):
         return "'<' inside an attribute value"
     return None
 
