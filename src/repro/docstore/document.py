@@ -6,7 +6,9 @@ strictly more valuable than any per-query state: they are shared by every
 tenant, lane, wave and algorithm variant that touches the document.  An
 :class:`IndexedDocument` bundles them under build-exactly-once semantics:
 
-* ``tree`` — the frozen :class:`repro.xtree.node.XMLTree`;
+* ``tree`` — the frozen :class:`repro.xtree.node.XMLTree`, immutable
+  for good (a freeze is final), so nothing derived from it below ever
+  goes stale;
 * ``layout`` — the interned columnar tables
   (:class:`repro.docstore.layout.DocumentLayout`) the evaluator
   walks, built eagerly and once, so no request pays for them;
@@ -30,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import threading
 
-from ..errors import EvaluationError
 from ..hype.index import Index, build_index, other_variant
 from ..obs.trace import span
 from ..xtree.node import XMLTree
@@ -126,15 +127,8 @@ class IndexedDocument:
         counts builds and ``stats.index_loads`` tier rehydrations; a
         conversion counts as whatever produced its source, and writes
         nothing (the record the first variant wrote holds both).  Either
-        way the index is in the layout's label table, is parked on the
-        layout, and carries the freeze it describes.
-
-        Raises:
-            EvaluationError: when the tree was edited and re-frozen
-                behind this wrapper and the variant is not built yet —
-                its label table may not be the layout's any more.  (Runs
-                over a re-frozen tree walk fresh columns and never read
-                the old masks either way: wrap the tree again.)
+        way the index is in the layout's label table and is parked on
+        the layout.
         """
         indexes = self.layout.indexes
         index = indexes.get(compressed)
@@ -144,11 +138,6 @@ class IndexedDocument:
             index = indexes.get(compressed)
             if index is not None:
                 return index
-            if not self.layout.covers(0):
-                raise EvaluationError(
-                    "document was re-frozen after it was wrapped: rebuild "
-                    "its IndexedDocument (its label table may have changed)"
-                )
             source = indexes.get(not compressed)
             if source is not None:
                 index = other_variant(source)

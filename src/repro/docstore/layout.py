@@ -44,8 +44,10 @@ from the scan's mask classes (one gather per variant, see
 is handed no layout, or one that does not cover its context, walks
 fresh columns built by :func:`covering_layout`.
 
-Layouts are immutable once built, like the frozen trees they describe,
-and therefore freely shared across threads, tenants and lanes.
+Layouts are immutable once built, like the frozen trees they describe
+(a freeze is final, see :mod:`repro.xtree.node`), so a layout and the
+indexes parked on it are valid for as long as the document lives, and
+are freely shared across threads, tenants and lanes.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ class DocumentLayout:
         "kid_ids",
         "kid_labels",
         "kid_start",
-        "_freeze_count",
         "indexes",
         "on_demand",
         "__weakref__",
@@ -89,18 +90,13 @@ class DocumentLayout:
 
     def _adopt(self, tree, table, node_label, kid_ids, kid_labels, kid_start):
         self.tree = tree
-        # The freeze these columns describe: index_tree() re-freezes IN
-        # PLACE (same tree object) with new TreeColumns, after which
-        # covers() stands down and the evaluator walks fresh columns
-        # (covering_layout) instead.
         self.columns: TreeColumns = tree.columns
-        self._freeze_count = tree.freeze_count
         self.table: LabelTable = table
         self.node_label = node_label
         self.kid_ids = kid_ids
         self.kid_labels = kid_labels
         self.kid_start = kid_start
-        #: compressed? -> the OptHyPE(-C) index of this freeze, parked by
+        #: compressed? -> the OptHyPE(-C) index of the document, parked by
         #: whoever built or loaded it (``IndexedDocument.index_for``).
         self.indexes: dict[bool, Index] = {}
         #: Throw-away columns (:func:`covering_layout`) have no owner to
@@ -147,22 +143,14 @@ class DocumentLayout:
 
     def covers(self, context: Node | int) -> bool:
         """Whether ``context`` — a node, or a node id of this layout's
-        tree — belongs to this layout's document *as frozen*.
+        tree — belongs to this layout's document.
 
         The descent indexes the tables by node id, so it is only valid
-        for nodes of the tree the layout was built from — and only for
-        the freeze it snapshotted: a structural edit +
-        :func:`repro.xtree.node.index_tree` re-freeze gives the tree new
-        columns, after which this layout stands down
-        (:func:`covering_layout` builds the fresh structure's columns)
-        instead of silently serving the stale structure.
+        for nodes of the tree the layout was built from.
         """
-        columns = self.columns
-        if self.tree.columns is not columns:
-            return False
         if isinstance(context, Node):
-            return context.columns is columns
-        return 0 <= context < len(columns.label)
+            return context.columns is self.columns
+        return 0 <= context < len(self.columns.label)
 
     def mask_keys(self, plan):
         """The mask-key column ``plan`` prunes this document on:
@@ -172,10 +160,9 @@ class DocumentLayout:
         Raises:
             EvaluationError: when there is no such column of the plan's
                 label table — the executable was built for a foreign
-                label set, the variant was never built for this document,
-                or the parked index is of another freeze than these
-                columns — rather than prune on masks that mean something
-                else.
+                label set, or the variant was never built for this
+                document — rather than prune on masks that mean
+                something else.
         """
         if plan.bit_of is None:
             return None
@@ -185,13 +172,12 @@ class DocumentLayout:
                 index = self.indexes[plan.compressed] = build_index(
                     self.tree, plan.compressed, self.table
                 )
-            if index is not None and index.freeze_count == self._freeze_count:
+            if index is not None:
                 return index.mask_keys
         raise EvaluationError(
             "the run's document has no subtree-mask column of this "
             "executable's label table and variant: foreign label set, "
-            "index never built, or the document was re-frozen after it "
-            "was indexed (rebuild its IndexedDocument)"
+            "or index never built"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -209,33 +195,25 @@ def covering_layout(
 
     The one place a descent gets its document from.  ``context`` is a
     node, or a node id of ``layout``'s tree (the serving path, which
-    creates no node).  A missing, stale (re-frozen tree) or foreign
-    layout is never indexed: a new layout is built over the tree that
-    owns ``context`` — once per call, kept nowhere, its mask column
-    swept when an indexed lane asks; a caller that evaluates twice holds
-    an :class:`repro.docstore.document.IndexedDocument`.
+    creates no node).  A missing or foreign layout is never indexed: a
+    new layout is built over the tree that owns the ``context`` node —
+    once per call, kept nowhere, its mask column swept when an indexed
+    lane asks; a caller that evaluates twice holds an
+    :class:`repro.docstore.document.IndexedDocument`.
 
     Raises:
         EvaluationError: when ``context`` has no live owning tree (never
-            frozen, or its document was released), when a node's tree was
-            edited since its freeze and not re-frozen (the columns would
-            mis-index it), or when a node id comes without a layout.
+            frozen, or its document was released), or when a node id
+            is not one of ``layout``'s document (or comes without one).
     """
-    node = isinstance(context, Node)
-    if layout is None or not layout.covers(context):
-        if node:
-            tree = context.owning_tree()
-        elif layout is not None:
-            tree = layout.tree
-        else:
-            raise EvaluationError("a node-id context needs its document's layout")
-        layout = None
-        if not tree.nodes.edited():
-            layout = DocumentLayout(tree)
-            layout.on_demand = True
-        if layout is None or not layout.covers(context):
-            raise EvaluationError(
-                "cannot evaluate over an unfrozen tree: node ids are not "
-                "in document order (re-freeze it with index_tree)"
-            )
-    return layout, context.node_id if node else context
+    if layout is not None and layout.covers(context):
+        return layout, context.node_id if isinstance(context, Node) else context
+    if not isinstance(context, Node):
+        raise EvaluationError(
+            f"node id {context} is not a node of the layout's document"
+            if layout is not None
+            else "a node-id context needs its document's layout"
+        )
+    layout = DocumentLayout(context.owning_tree())
+    layout.on_demand = True
+    return layout, context.node_id

@@ -163,9 +163,8 @@ class DocIndexTier(FileTier):
         against the live tree, the lengths, the labels against the
         layout's table and the mask / id ranges.  Any failure counts as
         ``corrupt`` (the caller rebuilds and its save overwrites the bad
-        file).  The index is keyed in the layout's label table and
-        stamped with the tree's current freeze, like one built from it
-        now.
+        file).  The index is keyed in the layout's label table, like
+        one built from the tree now.
         """
         index = self.read(
             self.path_for(content_hash),
@@ -402,9 +401,7 @@ def _index_from_record(
         raise ValueError("document-index record does not cover the tree")
     if tuple(labels) != table.labels:
         raise ValueError("document-index labels are not the document's table")
-    return from_classes(
-        table, (table.labels, tuple(masks), local), tree.freeze_count, compressed
-    )
+    return from_classes(table, (table.labels, tuple(masks), local), compressed)
 
 
 # ----------------------------------------------------------------------

@@ -79,7 +79,6 @@ class SMOQE:
         document: "XMLTree | IndexedDocument",
         default_algorithm: str = HYPE,
         cache: PlanCache | None = None,
-        cache_capacity: int = 256,
     ) -> None:
         from ..docstore.document import IndexedDocument
 
@@ -96,7 +95,7 @@ class SMOQE:
         )
         self.document = self._doc.tree
         self.default_algorithm = default_algorithm
-        self.cache = cache if cache is not None else PlanCache(cache_capacity)
+        self.cache = cache if cache is not None else PlanCache()
         self._views: dict[str, _ViewEntry] = {}
 
     # ------------------------------------------------------------------

@@ -322,8 +322,8 @@ class CompiledPlan:
         transition rows indexed by interned label id); a caller that
         evaluates a document more than once passes its
         :class:`repro.docstore.document.IndexedDocument`'s.  Without one
-        — or with one that does not cover ``context`` (re-frozen tree,
-        foreign document), which is never indexed — this run builds
+        — or with one that does not cover ``context`` (a foreign
+        document's), which is never indexed — this run builds
         fresh columns from the context's document
         (:func:`repro.docstore.layout.covering_layout`); answers and
         per-run :class:`HyPEStats` are identical either way

@@ -25,11 +25,11 @@ here), OptHyPE-C's mask → small id, and each plan's transition rows.
   subtree label-sets (bounded by the DTD structure), so the keys the
   evaluator hashes stay small however wide the alphabet.
 
-Either variant is one column of *mask keys* over one freeze of one tree
-(``freeze_count``, as :class:`repro.docstore.layout.DocumentLayout`
-carries): keys are indexed by ``node_id``, so after an edit + re-freeze
-they would prune the wrong subtrees.  The evaluator reads the column off
-the layout of the document it runs on, never off the executable.
+Either variant is one column of *mask keys* over one frozen tree, indexed
+by ``node_id``; a freeze is final (:mod:`repro.xtree.node`), so the
+column is valid for as long as the tree lives.  The evaluator reads the
+column off the layout of the document it runs on, never off the
+executable.
 
 Where the masks come from: a document the compiled scan parsed
 (:mod:`repro.xtree.parse`) arrives with its *mask classes* — the
@@ -37,8 +37,8 @@ distinct masks, OR-ed up the scan's element stack at each close tag,
 in first-appearance order, and one local id per node — so
 :func:`build_index` is one gather per variant (:func:`from_classes`),
 and the index record stores the classes as they are.  Every other tree
-(a Python parse, a tree built in memory, a re-frozen one, a document
-past the scan's label or mask-count boundary) is swept once by
+(a Python parse, a tree built in memory, a document past the scan's
+label or mask-count boundary) is swept once by
 :func:`subtree_masks`, the reference the scan is held to.
 """
 
@@ -200,20 +200,18 @@ class SubtreeLabelIndex:
     gathers from them too, and the index record stores them as they are.
     """
 
-    __slots__ = ("table", "mask_keys", "freeze_count", "classes", "__weakref__")
+    __slots__ = ("table", "mask_keys", "classes", "__weakref__")
     compressed = False
 
     def __init__(
         self,
         table: LabelTable,
         mask_keys: list[int],
-        freeze_count: int,
         classes: tuple | None = None,
     ) -> None:
         self.table = table
         #: Per-node mask keys as one indexable column (the kernel's view).
         self.mask_keys = mask_keys
-        self.freeze_count = freeze_count
         self.classes = classes
 
     @property
@@ -266,16 +264,12 @@ def build_index(
         table = label_table(sorted(tree.labels))
     classes = tree.columns.mask_classes
     if classes is not None and classes[0] == table.labels:
-        return from_classes(table, classes, tree.freeze_count, compressed)
-    plain = SubtreeLabelIndex(
-        table, subtree_masks(tree, table.bit_of), tree.freeze_count
-    )
+        return from_classes(table, classes, compressed)
+    plain = SubtreeLabelIndex(table, subtree_masks(tree, table.bit_of))
     return other_variant(plain) if compressed else plain
 
 
-def from_classes(
-    table: LabelTable, classes: tuple, freeze_count: int, compressed: bool
-) -> Index:
+def from_classes(table: LabelTable, classes: tuple, compressed: bool) -> Index:
     """The index whose mask column is ``classes``' masks gathered by its
     local ids (see :class:`SubtreeLabelIndex`): the masks themselves for
     OptHyPE, their table-wide interned ids for OptHyPE-C."""
@@ -283,23 +277,17 @@ def from_classes(
     ids = local_ids(local, len(masks))
     if compressed:
         interned = table.mask_ids(masks)
-        return CompressedLabelIndex(
-            table, [interned[i] for i in ids], freeze_count, classes
-        )
-    return SubtreeLabelIndex(table, [masks[i] for i in ids], freeze_count, classes)
+        return CompressedLabelIndex(table, [interned[i] for i in ids], classes)
+    return SubtreeLabelIndex(table, [masks[i] for i in ids], classes)
 
 
 def other_variant(index: Index) -> Index:
     """The other index variant of the same document, without a sweep:
-    both hold one mask column, per node or interned (same table, same
-    freeze stamp) — gathered again from the mask classes when known."""
+    both hold one mask column, per node or interned (same table) —
+    gathered again from the mask classes when known."""
     table = index.table
     if index.classes is not None:
-        return from_classes(
-            table, index.classes, index.freeze_count, not index.compressed
-        )
+        return from_classes(table, index.classes, not index.compressed)
     if index.compressed:
-        return SubtreeLabelIndex(table, index.masks, index.freeze_count)
-    return CompressedLabelIndex(
-        table, table.mask_ids(index.mask_keys), index.freeze_count
-    )
+        return SubtreeLabelIndex(table, index.masks)
+    return CompressedLabelIndex(table, table.mask_ids(index.mask_keys))

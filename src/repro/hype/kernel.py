@@ -768,7 +768,7 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     of ``layout`` (flat kid spans, ``array('i')`` transition rows), by
     node id.  ``context`` is a node, or a node id of ``layout``'s
     document.  A missing layout, or one that does not cover ``context``
-    (re-frozen tree, foreign document), is never indexed: the pass walks
+    (a foreign document's), is never indexed: the pass walks
     fresh columns of the context's document instead
     (:func:`repro.docstore.layout.covering_layout`) — same visits, same
     order, same counters.  Every cursor records the columns it was run

@@ -33,7 +33,6 @@ import asyncio
 import contextvars
 import functools
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 from ..engine.smoqe import QueryAnswer
@@ -78,7 +77,8 @@ class AdmissionController:
 
     All state is touched only from the owning event loop (asyncio is
     cooperatively scheduled, so no locks are needed); the blocking
-    evaluation runs in ``executor`` via ``run_in_executor``.  Wave
+    evaluation runs in the loop's default executor (``run_in_executor``),
+    and from there on the service's evaluation pool.  Wave
     accounting (waves, sizes, mean) lives in the service's metrics —
     ``service.metrics_snapshot()`` reports it.
     """
@@ -87,11 +87,9 @@ class AdmissionController:
         self,
         service: QueryService,
         config: AdmissionConfig | None = None,
-        executor: Executor | None = None,
     ) -> None:
         self.service = service
         self.config = config or AdmissionConfig()
-        self._executor = executor
         # Each pending entry: (request, future, captured contextvars
         # context or None, arrival perf_counter).  The context is taken
         # where the request's trace is active, so spans recorded during
@@ -238,9 +236,7 @@ class AdmissionController:
         else:
             call = functools.partial(self.service.submit_wave, requests)
         try:
-            result: WaveResult = await loop.run_in_executor(
-                self._executor, call
-            )
+            result: WaveResult = await loop.run_in_executor(None, call)
         except Exception as error:  # defensive: keep waiters unblocked
             for _request, future, _ctx, _arrival in wave:
                 if not future.done():

@@ -90,7 +90,6 @@ import asyncio
 import json
 import os
 import time
-from concurrent.futures import Executor
 
 from ..errors import ReproError
 from ..faults import fire as _fault_fire
@@ -119,7 +118,6 @@ class QueryFrontend(LineServer):
         self,
         service: QueryService,
         admission: AdmissionConfig | None = None,
-        executor: Executor | None = None,
         max_pending: int = DEFAULT_MAX_PENDING,
         tracer: Tracer | None = None,
         access_log: AccessLogger | None = None,
@@ -134,7 +132,7 @@ class QueryFrontend(LineServer):
             )
         super().__init__(max_line_bytes)
         self.service = service
-        self.admission = AdmissionController(service, admission, executor)
+        self.admission = AdmissionController(service, admission)
         self.max_pending = max_pending
         self.tracer = tracer
         self.access_log = access_log

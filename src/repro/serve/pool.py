@@ -25,6 +25,19 @@ finishes the job — never call it from inside a pool worker, a full pool
 would deadlock waiting on itself.  The service's call paths (caller
 threads and the front-end's ``run_in_executor`` threads) all sit outside
 the pool, so this cannot arise there.
+
+Why a front-end wave takes two thread hops (event loop → executor
+thread → pool worker) and not one: the hop into the pool keeps every
+descent on the pool's few threads, so their allocations land in few
+malloc arenas.  Running the work on the calling thread under a
+semaphore instead (every check kept) was measured on the end-to-end
+benchmark: ``request_overhead`` throughput rose 3 575 → 3 881 ops/s
+(4 of 5 pairs), but peak RSS rose +7.6 % on ``descent_hot``
+(67.6 → 72.8 MB, 3/3 pairs) and +4.0 % on ``wave_skew`` (3/3), close
+to the benchmark's 10 % RSS bound; a 4-thread wave executor
+still read +6.7 %, ``MALLOC_ARENA_MAX=1`` shrank the ``descent_hot``
+gap to +2.9 %, and an A/A control read +0.4 %.  So the extra hop buys
+memory, not speed; do not remove it without a new answer to arenas.
 """
 
 from __future__ import annotations

@@ -234,10 +234,8 @@ class QueryService:
         document: XMLTree | IndexedDocument,
         default_algorithm: str = HYPE,
         cache: PlanCache | None = None,
-        cache_capacity: int = 256,
         plan_store: PlanStore | None = None,
         document_store: DocumentStore | None = None,
-        pool: ExecutionPool | None = None,
         pool_size: int = DEFAULT_POOL_SIZE,
         compose: bool = False,
     ) -> None:
@@ -286,27 +284,19 @@ class QueryService:
         # ``plan_store`` wires the on-disk tier under a cache this service
         # creates (a restart against the same directory starts warm); an
         # explicitly passed ``cache`` keeps its own store configuration.
-        self.cache = (
-            cache
-            if cache is not None
-            else PlanCache(cache_capacity, store=plan_store)
-        )
+        self.cache = cache if cache is not None else PlanCache(store=plan_store)
         self.sessions = SessionRegistry()
         self.metrics = ServiceMetrics()
         self._views: dict[str, ViewSpec] = {}
         self._tenants: dict[str, TenantBinding] = {}
         # Compiled plans are thread-safe, so there is no evaluation lock:
-        # every run goes through a bounded worker pool (pass ``pool`` to
-        # share one pool between services over the same hardware).
-        self._owns_pool = pool is None
-        self.pool = pool if pool is not None else ExecutionPool(pool_size)
+        # every run goes through the service's bounded worker pool.
+        self.pool = ExecutionPool(pool_size)
 
     def close(self) -> None:
-        """Release the evaluation workers (only a pool this service
-        created; a shared pool passed in stays up for its other users).
-        Idempotent; the service must not be used afterwards."""
-        if self._owns_pool:
-            self.pool.shutdown(wait=True)
+        """Release the evaluation workers.  Idempotent; the service must
+        not be used afterwards."""
+        self.pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryService":
         return self

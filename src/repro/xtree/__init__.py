@@ -1,7 +1,7 @@
 """XML tree substrate: node model, builders, parser, serialiser, statistics."""
 
 from .build import document, element, text_node
-from .node import Node, TEXT_LABEL, XMLTree, index_tree
+from .node import Node, TEXT_LABEL, XMLTree
 from .parse import parse_xml
 from .serialize import serialize
 from .stats import TreeStats, tree_stats
@@ -10,7 +10,6 @@ __all__ = [
     "Node",
     "TEXT_LABEL",
     "XMLTree",
-    "index_tree",
     "document",
     "element",
     "text_node",

@@ -6,14 +6,19 @@ a single :class:`Node` class: text nodes use the pseudo-label ``#text`` and
 carry a string ``value``; element nodes have a real label and ``value`` is
 ``None``.
 
-A frozen document is *columns*: one :class:`TreeColumns` per freeze holds,
-per node in document order, its label, parent id, depth, text value and
+A frozen document is *columns*: its :class:`TreeColumns` hold, per node
+in document order, its label, parent id, depth, text value and
 element position, plus the element-kid spans — what the evaluator walks
 and what its ``text()`` / ``position()`` filters compare.  The XML parser
 emits these columns directly; trees assembled in memory
 (:mod:`repro.xtree.build`, the generators) are frozen into the same
-columns by :func:`index_tree`, which also re-freezes a tree after
-structural edits.  So there is one representation.
+columns when :class:`XMLTree` wraps them.  So there is one
+representation, and a freeze is final: a frozen node's ``children`` is
+a tuple, ``append`` / ``extend`` on it raise
+:class:`repro.errors.EvaluationError`, and :class:`XMLTree` refuses a
+node that already belongs to a tree.  Everything derived from a
+document's columns (layouts, indexes) is therefore valid for as long as
+the document lives; to change a document, build a new one.
 
 :class:`Node` objects are views: ``tree.root``, ``tree.node(i)`` and
 ``tree.nodes[i]`` create one per id on first access (a tree keeps the
@@ -43,7 +48,7 @@ TEXT_LABEL = "#text"
 
 
 class TreeColumns:
-    """One freeze of a document, one entry per node in document order.
+    """A frozen document's columns, one entry per node in document order.
 
     * ``label`` — element tag or :data:`TEXT_LABEL`;
     * ``parent`` — the parent's id, ``-1`` at the root;
@@ -63,8 +68,7 @@ class TreeColumns:
     very lists) and ``mask_classes`` (what
     :func:`repro.hype.index.build_index` gathers its mask column from).
     They are ``None`` on every other freeze — a Python parse, a tree
-    built in memory, any re-freeze — which derive them from the columns
-    above instead.
+    built in memory — which derive them from the columns above instead.
 
     Immutable once built, so freely shared across threads.
     """
@@ -203,10 +207,11 @@ class Node:
         return self.label != TEXT_LABEL
 
     @property
-    def children(self) -> list["Node"]:
-        """Ordered list of child nodes (a text node's is an empty tuple).
+    def children(self) -> "list[Node] | tuple[Node, ...]":
+        """Ordered child nodes: a list while the tree is being built, a
+        tuple once it is frozen (a text node's is always empty).
 
-        A node created from columns derives the list on first access —
+        A node created from columns derives the tuple on first access —
         the tree's own objects while the tree lives, fresh views of the
         columns it holds once the tree is gone.
         """
@@ -215,11 +220,10 @@ class Node:
             cols = self.columns
             ids = cols.child_ids(self.node_id)
             tree = self._owner()
-            if tree is not None and tree.columns is cols:
-                nodes = tree.nodes
-                kids = [nodes[child] for child in ids]
+            if tree is not None:
+                kids = tuple(map(tree.nodes.__getitem__, ids))
             else:
-                kids = [_view(cols, self._owner, child) for child in ids]
+                kids = tuple([_view(cols, self._owner, child) for child in ids])
             self._kids = kids
         return kids
 
@@ -263,8 +267,7 @@ class Node:
         owner = self._owner
         if owner is None:
             raise EvaluationError(
-                "node is not part of a frozen tree "
-                "(freeze it with XMLTree / index_tree)"
+                "node is not part of a frozen tree (freeze it with XMLTree)"
             )
         tree = owner()
         if tree is None:
@@ -299,26 +302,32 @@ class Node:
             parent_id = node.parent_id
 
     # ------------------------------------------------------------------
-    # Mutation (re-freeze with index_tree afterwards)
+    # Building (before the freeze only)
     # ------------------------------------------------------------------
     def append(self, child: "Node") -> "Node":
         """Append ``child`` and return it (for fluent tree building).
 
         Raises:
-            EvaluationError: on a text node, which is a leaf.
+            EvaluationError: on a text node, which is a leaf, or on a
+                node of a frozen tree, which is immutable.
         """
-        try:
-            self.children.append(child)
-        except AttributeError:
-            raise EvaluationError("a text node cannot have children") from None
+        self._building().append(child)
         return child
 
     def extend(self, children: Sequence["Node"]) -> None:
-        """Append all ``children`` in order (refused on a text node)."""
-        try:
-            self.children.extend(children)
-        except AttributeError:
-            raise EvaluationError("a text node cannot have children") from None
+        """Append all ``children`` in order (refused where
+        :meth:`append` is)."""
+        self._building().extend(children)
+
+    def _building(self) -> list["Node"]:
+        """The child list of a node still being built."""
+        if self._owner is not None:
+            raise EvaluationError(
+                "a frozen tree is immutable: build a new tree to change it"
+            )
+        if self.label == TEXT_LABEL:
+            raise EvaluationError("a text node cannot have children")
+        return self._kids
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -365,40 +374,24 @@ class NodeList(Sequence):
                 node = cache[node_id] = _view(self._columns, self._owner, node_id)
             return node
 
-    def edited(self) -> bool:
-        """Whether a handed-out node's children no longer match the
-        columns (a structural edit not re-frozen by :func:`index_tree`)."""
-        cache, columns = self._cache, self._columns
-        for node in cache or ():
-            kids = None if node is None else node._kids
-            if kids is None:
-                continue  # children never asked for: the columns' own
-            ids = columns.child_ids(node.node_id)
-            if len(ids) != len(kids) or any(
-                kid is not cache[i] for kid, i in zip(kids, ids)
-            ):
-                return True
-        return False
-
 
 class XMLTree:
-    """An indexed XML document tree.
+    """A frozen XML document tree.
 
-    Owns the :class:`TreeColumns` of its current freeze plus
-    document-wide metadata the algorithms need: the node count, the set
-    of element labels, and ``nodes``, the document-order sequence of its
+    Owns the :class:`TreeColumns` of its freeze plus document-wide
+    metadata the algorithms need: the node count, the set of element
+    labels, and ``nodes``, the document-order sequence of its
     :class:`Node` views (``nodes[i].node_id == i``).
+
+    Raises:
+        EvaluationError: when ``root`` or a node below it already
+            belongs to a tree (a freeze is final; a node has one tree).
     """
 
-    __slots__ = ("columns", "nodes", "labels", "freeze_count", "__weakref__")
+    __slots__ = ("columns", "nodes", "labels", "__weakref__")
 
     def __init__(self, root: Node) -> None:
-        self.labels: set[str] = set()
-        #: Bumped by every (re-)freeze; derived structures built against
-        #: one freeze (e.g. a subtree-label index) record it and stand
-        #: down when the tree has been re-frozen since.
-        self.freeze_count = 0
-        index_tree(root, self)
+        _freeze(root, self)
 
     @classmethod
     def from_columns(cls, columns: TreeColumns, labels: set[str]) -> "XMLTree":
@@ -407,7 +400,6 @@ class XMLTree:
         tree = cls.__new__(cls)
         tree.columns = columns
         tree.labels = labels
-        tree.freeze_count = 1
         tree.nodes = NodeList(weakref.ref(tree), columns)
         return tree
 
@@ -440,14 +432,15 @@ class XMLTree:
         return f"XMLTree(root={self.columns.label[0]}, size={self.size})"
 
 
-def index_tree(root: Node, tree: XMLTree) -> None:
-    """Freeze ``root``'s subtree as ``tree``'s document.
+def _freeze(root: Node, tree: XMLTree) -> None:
+    """Freeze ``root``'s subtree, built in memory, as ``tree``'s document.
 
-    Builds fresh :class:`TreeColumns` from the node objects, assigns
-    ``node_id``, ``parent_id``, ``depth`` and ``tree``'s ownership in
-    document order, and makes the walked nodes ``tree.nodes``.
-    Re-entrant: calling it again after structural edits re-freezes the
-    tree (layouts and indexes of the old freeze stand down).
+    Claims every node for ``tree`` as it walks them (a node already
+    claimed — by another tree, or earlier in this walk — is refused, and
+    the walk's claims are dropped), builds the :class:`TreeColumns`,
+    then assigns ``node_id``, ``parent_id``, ``depth`` and the columns
+    in document order, turns every child list into a tuple, and makes
+    the walked nodes ``tree.nodes``.
     """
     owner = weakref.ref(tree)
     nodes: list[Node] = []
@@ -455,17 +448,20 @@ def index_tree(root: Node, tree: XMLTree) -> None:
     stack: list[tuple[Node, int, int]] = [(root, -1, 0)]
     while stack:
         node, parent_id, level = stack.pop()
-        # Read before the node is re-stamped: a node created from an older
-        # freeze derives its children from that freeze's columns.
-        kids = node.children
-        node_id = len(nodes)
-        node.node_id, node.parent_id, node.depth = node_id, parent_id, level
+        if node._owner is not None:
+            for claimed in nodes:
+                claimed._owner = None
+            raise EvaluationError(
+                "node already belongs to a tree: a freeze is final "
+                "(build new nodes for a new tree)"
+            )
         node._owner = owner
+        node_id = len(nodes)
         nodes.append(node)
         label.append(node.label)
         parent.append(parent_id)
         depth.append(level)
-        stack.extend((kid, node_id, level + 1) for kid in reversed(kids))
+        stack.extend((kid, node_id, level + 1) for kid in reversed(node._kids))
     # What the parser tracks as it goes, in one sweep in document order.
     text = [(node.value or "") if node.is_text else "" for node in nodes]
     position, kid_counts = [1] + [0] * (len(nodes) - 1), [0] * len(nodes)
@@ -475,14 +471,14 @@ def index_tree(root: Node, tree: XMLTree) -> None:
             text[up] += text[node_id]
         else:
             kid_counts[up] = position[node_id] = kid_counts[up] + 1
-    elements = [node.node_id for node in nodes if node.is_element]
-    tree.labels.clear()
-    tree.labels.update(label[i] for i in elements)
+    elements = [i for i, tag in enumerate(label) if tag != TEXT_LABEL]
     columns = TreeColumns(
         label, parent, depth, text, position, *kid_spans(parent, kid_counts, elements)
     )
-    for node in nodes:
-        node.columns = columns
+    for node_id, node in enumerate(nodes):
+        node.node_id, node.parent_id = node_id, parent[node_id]
+        node.depth, node.columns = depth[node_id], columns
+        node._kids = tuple(node._kids)
     tree.columns = columns
-    tree.freeze_count += 1
+    tree.labels = {label[i] for i in elements}
     tree.nodes = NodeList(owner, columns, nodes)

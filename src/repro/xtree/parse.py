@@ -62,9 +62,9 @@ plus one small local id per node (``mask_classes``, which
 the index record stores as they are).  It emits no mask classes past
 two boundaries, and the index sweeps the tree instead: more than 63
 labels (a mask is 64 bits, text bit 0) or more than 65 536 distinct
-masks (its local ids are u8 or u16).  A tree of the Python pass, a tree
-built in memory and any re-frozen tree carry none of this, and are
-mapped and swept as before.
+masks (its local ids are u8 or u16).  A tree of the Python pass and a tree
+built in memory carry none of this, and are mapped and swept as
+before.
 
 Both passes take time linear in the source: the compiled one scans
 forward only, and the Python one never rescans a suffix per token — the

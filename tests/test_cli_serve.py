@@ -206,3 +206,89 @@ def test_serve_front_max_line_bytes_reaches_the_frontend():
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+
+
+def test_serve_front_and_obs_flags_take_effect_over_the_wire(tmp_path, capsys):
+    """One boot with every serving knob away from its default, each
+    shown over the wire: ``--pool-size 2`` in the ``metrics`` op,
+    ``--max-pending 2`` as an ``overloaded`` third pipelined query,
+    ``--max-wave 1`` as waves of one, ``--trace-sample 1`` as the
+    queries' traces in the ``trace`` op and ``--slow-ms 0`` as a slow
+    entry per query on stderr; ``obs`` prints the traces and
+    ``obs --prometheus`` the exposition."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    errors = open(tmp_path / "stderr.log", "w+")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve-front", "--port", "0",
+         "--patients", "2", "--tenants", "1", "--pool-size", "2",
+         "--max-pending", "2", "--max-wave", "1", "--trace-sample", "1",
+         "--slow-ms", "0"],
+        stdout=subprocess.PIPE, stderr=errors, text=True, env=env,
+    )
+    try:
+        boot = proc.stdout.readline()
+        match = re.search(r"listening on ([\d.]+):(\d+)", boot)
+        assert match, f"no listening line: {boot!r}"
+        host, port = match.group(1), int(match.group(2))
+        with socket.create_connection((host, port), timeout=30) as sock:
+            stream = sock.makefile("rwb")
+
+            def ask(message):
+                stream.write(json.dumps(message).encode() + b"\n")
+                stream.flush()
+                return json.loads(stream.readline())
+
+            burst = [
+                {"op": "query", "id": f"q{i}", "tenant": "admin", "query": "//patient"}
+                for i in range(3)
+            ]
+            stream.write(b"".join(json.dumps(m).encode() + b"\n" for m in burst))
+            stream.flush()
+            replies = {}
+            for _ in burst:
+                reply = json.loads(stream.readline())
+                replies[reply["id"]] = reply
+            assert [replies[f"q{i}"]["ok"] for i in range(3)] == [True, True, False]
+            assert replies["q2"]["error"] == "overloaded"
+            assert ask({"op": "query", "tenant": "admin", "query": "//pname"})["ok"]
+
+            metrics = ask({"op": "metrics"})["metrics"]
+            assert metrics["pool"]["size"] == 2
+            assert metrics["rejected_kinds"]["overloaded"] == 1
+            assert metrics["waves"] == metrics["wave_requests"] == 3
+            assert metrics["largest_wave"] == 1
+
+            traces = ask({"op": "trace"})
+            assert traces["ok"] and traces["started"] >= 3
+            holds = [
+                span
+                for trace in traces["traces"]
+                for span in trace["spans"]
+                if span["name"] == "admission.hold"
+            ]
+            assert len(holds) == 3
+            assert all(span["attributes"]["wave"] == 1 for span in holds)
+            trace_ids = {trace["trace_id"] for trace in traces["traces"]}
+
+        assert main(["obs", "--host", host, "--port", str(port)]) == 0
+        printed = capsys.readouterr().out
+        assert all(f"trace {trace_id}" in printed for trace_id in trace_ids)
+        assert "admission.hold" in printed
+        assert main(["obs", "--prometheus", "--host", host, "--port", str(port)]) == 0
+        exposition = capsys.readouterr().out
+        assert "# TYPE" in exposition and "repro_" in exposition
+
+        proc.send_signal(signal.SIGTERM)
+        proc.communicate(timeout=30)
+        assert proc.returncode == 0
+        errors.seek(0)
+        slow = [json.loads(line) for line in errors if line.startswith("{")]
+        assert len(slow) == 3
+        assert all(entry["slow"] for entry in slow)
+        assert {entry["trace_id"] for entry in slow} <= trace_ids
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        errors.close()

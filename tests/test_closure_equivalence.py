@@ -191,15 +191,23 @@ def _oracle(spec, tree, query) -> set[int]:
     return {node.node_id for node in nodes}
 
 
+def _copy(node):
+    """A fresh copy of ``node``'s subtree (a frozen node belongs to its
+    tree for good)."""
+    if node.is_text:
+        return text_node(node.value)
+    return element(node.label, *map(_copy, node.children))
+
+
 def _relabelled(tree):
-    """``tree``'s hospital re-rooted (its nodes move) under a wrapper of
+    """``tree``'s hospital re-rooted (a copy) under a wrapper of
     never-seen tags, siblings in another order: label ids are interned
     differently."""
     return document(
         element(
             "zz-archive",
             element("zz-note", text_node("x")),
-            *[child for child in reversed(tree.root.children) if child.is_element],
+            *[_copy(kid) for kid in reversed(tree.root.children) if kid.is_element],
         )
     )
 

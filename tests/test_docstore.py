@@ -206,7 +206,7 @@ class TestIngestWalks:
         import repro.hype.index as index_module
         import repro.xtree.node as node_module
 
-        counts = {"serialize": 0, "index_tree": 0, "sweep": 0, "parse": 0}
+        counts = {"serialize": 0, "freeze": 0, "sweep": 0, "parse": 0}
 
         def spy(kind, module, name):
             real = getattr(module, name)
@@ -219,7 +219,7 @@ class TestIngestWalks:
 
         spy("serialize", store_module, "serialize")
         spy("serialize", document_module, "serialize")
-        spy("index_tree", node_module, "index_tree")
+        spy("freeze", node_module, "_freeze")
         spy("sweep", index_module, "subtree_masks")
         spy("parse", store_module, "parse_canonical")
         return counts
@@ -249,7 +249,7 @@ class TestIngestWalks:
             for algorithm in ALGORITHMS:
                 service.submit("admin", "//patient/pname", algorithm, document=content_hash)
             spent = {kind: walks[kind] - before[kind] for kind in walks}
-            assert spent == {"serialize": 0, "index_tree": 0, "sweep": sweeps, "parse": 1}
+            assert spent == {"serialize": 0, "freeze": 0, "sweep": sweeps, "parse": 1}
             assert store.stats.index_builds == 2
             assert store.get(hospital_xml) is doc
             assert walks["parse"] == before["parse"] + 1

@@ -18,7 +18,7 @@ first (when :mod:`repro.native` could build it, ``parse.SCAN ==
   tree, through both index variants and the index record's bytes;
 * **derived columns** — both sides of each boundary past which the scan
   emits no mask classes (63 labels, 65 536 distinct masks) and of the
-  u8/u16 id width, and a re-frozen tree, which drops them;
+  u8/u16 id width;
 * **mangled inputs** — random markup, random bytes and every cut of a
   document (what ``make sanitize`` runs under ASan and UBSan);
 * **fallback** — one named input per class outside the subset, each
@@ -56,7 +56,7 @@ from repro.errors import XMLParseError
 from repro.hype.index import build_index, other_variant, subtree_masks
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.xtree import parse
-from repro.xtree.node import TEXT_LABEL, TreeColumns, XMLTree, index_tree
+from repro.xtree.node import TEXT_LABEL, TreeColumns, XMLTree
 from repro.xtree.serialize import serialize
 
 from .strategies import trees
@@ -306,29 +306,6 @@ class TestDerivedColumns:
         else:
             assert len(found[1]) == classes and len(found[2]) == 2 * tree.size
         assert_derived_agree(tree, underived(tree))
-
-    def test_a_refrozen_tree_drops_the_scan_columns(self):
-        """Scan columns describe freeze 1 only: a re-frozen tree has new
-        columns, mapped and swept, and equal to them."""
-        tree = parse.parse_xml(many_masks(40, "<b>t</b>"))
-        before = tree.columns
-        layout = DocumentLayout(tree)
-        assert layout.node_label is before.node_label
-        indexes = [build_index(tree, compressed) for compressed in (False, True)]
-        assert all(index.classes is before.mask_classes for index in indexes)
-        index_tree(tree.root, tree)
-        after = tree.columns
-        assert tree.freeze_count == 2 and after is not before
-        assert after.node_label is after.kid_labels is after.mask_classes is None
-        assert not layout.covers(0)
-        again = DocumentLayout(tree)
-        assert again.node_label == layout.node_label
-        assert again.kid_labels == layout.kid_labels
-        for compressed, index in zip((False, True), indexes):
-            rebuilt = build_index(tree, compressed)
-            assert rebuilt.classes is None
-            assert rebuilt.freeze_count == 2
-            assert list(rebuilt.mask_keys) == list(index.mask_keys)
 
 
 # ----------------------------------------------------------------------

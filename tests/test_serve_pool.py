@@ -62,8 +62,7 @@ class TestExecutionPool:
             assert pool.completed == 3
 
     def test_service_owns_and_releases_its_pool(self, tmp_path):
-        """QueryService.close() shuts down a pool it created but leaves
-        a caller-supplied (shared) pool running."""
+        """QueryService.close() shuts down the pool it created."""
         from repro.serve.service import QueryService
         from repro.workloads import HospitalConfig, generate_hospital_document
 
@@ -75,14 +74,6 @@ class TestExecutionPool:
             owned.submit("t", "department")
         with pytest.raises(RuntimeError):  # executor is shut down
             owned.pool.execute(lambda: None)
-
-        shared = ExecutionPool(1)
-        try:
-            service = QueryService(doc, pool=shared)
-            service.close()
-            assert shared.execute(lambda: "alive").result == "alive"
-        finally:
-            shared.shutdown()
 
     def test_queue_wait_measures_waiting_not_running(self):
         with ExecutionPool(1) as pool:

@@ -421,3 +421,129 @@ def test_a_retired_member_is_gone(module, owner, member):
     names = members(klass)
     assert names, f"{owner} defines nothing: the walk is broken"
     assert member not in names
+
+
+# ----------------------------------------------------------------------
+# Socket I/O: every asyncio stream read / write under serve/ is a named
+# site — the server-side ones behind their fault seams, so a chaos plan
+# reaches every line a worker serves and every request the acceptor
+# forwards — or a named exemption.
+# ----------------------------------------------------------------------
+#: Stream calls that move bytes (``StreamReader`` / ``StreamWriter``).
+STREAM_CALLS = {"read", "readline", "readexactly", "readuntil", "write", "writelines"}
+
+#: Receivers that are not sockets: blocking stdio, and the worker's
+#: spawn handshake over its pipes.
+NOT_SOCKETS = re.compile(r"^(sys\.|self\.proc\.)")
+
+#: site (module, function qualname, call) -> (module, function, fault
+#: point) of the seam it sits behind.
+FRONTEND_MESSAGE = ("frontend.py", "QueryFrontend.reply_for", "worker.message")
+WORKER_CONNECT = ("fleet.py", "WorkerHandle.call", "worker.connect")
+GUARDED_SITES = {
+    # Every line a frontend reads goes to reply_for; every reply it
+    # writes is reply_for's (or the gate's refusal of that line).
+    ("lines.py", "LineServer._handle_client", "reader.readline"): FRONTEND_MESSAGE,
+    ("lines.py", "LineServer._send", "writer.write"): FRONTEND_MESSAGE,
+    # The acceptor writes a request only past the seam, and reads only
+    # the replies to what it wrote.
+    ("fleet.py", "WorkerHandle.call", "self._writer.write"): WORKER_CONNECT,
+    ("fleet.py", "WorkerHandle._read_replies", "self._reader.readline"): WORKER_CONNECT,
+}
+
+#: Named exemptions: (module, outermost class or function) -> why.
+EXEMPT_SITES = {
+    ("frontend.py", "FrontendClient"): "the protocol's client, not a server",
+    ("lines.py", "_linger"): "drains a dropped connection; parses nothing",
+}
+
+
+def stream_sites() -> dict[tuple[str, str, str], int]:
+    """Every socket stream call under ``serve/``: (module, enclosing
+    function qualname, ``receiver.method``) -> line."""
+    sites = {}
+
+    def visit(node: ast.AST, scope: tuple[str, ...], module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,), module)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in STREAM_CALLS
+            ):
+                receiver = ast.unparse(child.func.value)
+                if not NOT_SOCKETS.match(receiver + "."):
+                    key = (module, ".".join(scope), f"{receiver}.{child.func.attr}")
+                    sites[key] = child.lineno
+            visit(child, scope, module)
+
+    for path in SERVE:
+        visit(parse(path), (), path.name)
+    return sites
+
+
+def function_named(module: str, qualname: str) -> ast.AST:
+    owner, name = qualname.split(".")
+    (klass,) = [
+        node
+        for node in ast.walk(parse(SRC / "serve" / module))
+        if isinstance(node, ast.ClassDef) and node.name == owner
+    ]
+    (function,) = [node for node in functions(klass) if node.name == name]
+    return function
+
+
+def fault_fires(function: ast.AST) -> dict[str, int]:
+    """Fault points ``function`` fires -> line."""
+    return {
+        call.args[0].value: call.lineno
+        for call in calls(function)
+        if isinstance(call.func, ast.Name)
+        and call.func.id in ("fire", "_fault_fire")
+        and call.args
+        and isinstance(call.args[0], ast.Constant)
+    }
+
+
+def exemption(site: tuple[str, str, str]) -> tuple[str, str]:
+    module, qualname, _call = site
+    return module, qualname.split(".")[0]
+
+
+def test_every_socket_io_site_is_guarded_or_exempt():
+    sites = stream_sites()
+    unnamed = [
+        (site, line)
+        for site, line in sites.items()
+        if site not in GUARDED_SITES and exemption(site) not in EXEMPT_SITES
+    ]
+    assert not unnamed, f"socket I/O outside the allowlist: {unnamed}"
+    assert set(GUARDED_SITES) <= set(sites), "a guarded site moved: update the table"
+
+
+def test_each_guarded_site_sits_behind_its_fault_point():
+    for site, (module, qualname, point) in GUARDED_SITES.items():
+        assert f"``{point}``" in repro.faults.__doc__, point
+        fired = fault_fires(function_named(module, qualname))
+        assert point in fired, f"{qualname} no longer fires {point!r}"
+        if site[:2] == (module, qualname):
+            # Same function: the seam comes before the bytes move.
+            assert fired[point] < stream_sites()[site], site
+    # reply_for fires its seam before it looks at the message, and the
+    # line loop hands every line it serves to reply_for.
+    reply_for = function_named(*FRONTEND_MESSAGE[:2])
+    first = reply_for.body[1] if ast.get_docstring(reply_for) else reply_for.body[0]
+    assert "worker.message" in ast.unparse(first)
+    serve = function_named("lines.py", "LineServer._serve")
+    assert any(
+        isinstance(call.func, ast.Attribute) and call.func.attr == "reply_for"
+        for call in calls(serve)
+    )
+
+
+@pytest.mark.parametrize("exempt", sorted(EXEMPT_SITES), ids="/".join)
+def test_each_exemption_still_exists(exempt):
+    """An exemption whose site is gone is deleted, not kept."""
+    assert exempt in {exemption(site) for site in stream_sites()}

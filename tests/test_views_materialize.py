@@ -69,7 +69,7 @@ class TestSigma0Materialisation:
     def test_test_visit_becomes_empty_record(self, view):
         q = parse_query("patient/parent/patient/record/empty")
         (empty,) = evaluate(q, view.tree.root)
-        assert empty.children == []
+        assert empty.children == ()
 
     def test_sensitive_data_hidden(self, view):
         from repro.xtree import serialize

@@ -1,18 +1,23 @@
 """Unit tests for the node/tree model."""
 
-from repro.xtree import XMLTree, document, element, index_tree, text_node
+import pytest
+
+from repro.errors import EvaluationError
+from repro.xtree import XMLTree, document, element, parse_xml, text_node
 from repro.xtree.node import TEXT_LABEL, Node
 
 
-def sample_tree():
-    return document(
-        element(
-            "a",
-            element("b", "hello"),
-            element("c"),
-            element("b", element("d", "world")),
-        )
+def sample_tree_root():
+    return element(
+        "a",
+        element("b", "hello"),
+        element("c"),
+        element("b", element("d", "world")),
     )
+
+
+def sample_tree():
+    return document(sample_tree_root())
 
 
 class TestNodeBasics:
@@ -80,13 +85,6 @@ class TestIndexing:
         assert tree.size - tree.element_count == 2  # text_count is gone
         assert tree.size == 7
 
-    def test_reindex_after_mutation(self):
-        tree = sample_tree()
-        tree.root.append(element("e"))
-        index_tree(tree.root, tree)
-        assert tree.labels == {"a", "b", "c", "d", "e"}
-        assert [n.node_id for n in tree.nodes] == list(range(tree.size))
-
     def test_node_lookup(self):
         tree = sample_tree()
         for node in tree.nodes:
@@ -121,8 +119,7 @@ class TestTraversal:
 
 class TestColumns:
     """The per-node caches (``text_cached``, ``element_children_cached``)
-    are gone: a frozen tree's columns answer the same questions, and a
-    re-freeze rebuilds them."""
+    are gone: a frozen tree's columns answer the same questions."""
 
     def test_text_column_matches_text_everywhere(self):
         tree = sample_tree()
@@ -140,17 +137,16 @@ class TestColumns:
             for place, kid in enumerate(node.element_children(), start=1):
                 assert columns.position[kid.node_id] == place
 
-    def test_refreeze_rebuilds_the_columns(self):
-        tree = sample_tree()
-        root = tree.root
-        before = tree.columns
-        # Structural edit + re-freeze (the documented mutation protocol).
+    def test_late_children_are_in_the_columns(self):
+        """Children appended while the tree is built (here after its
+        other children) are in the columns the freeze builds."""
+        root = sample_tree_root()
         root.append(text_node("extra"))
         root.append(element("z"))
-        index_tree(root, tree)
-        assert tree.columns is not before
+        tree = document(root)
         assert root.columns is tree.columns
         assert tree.columns.text[0] == root.text() == "extra"
+        assert tree.labels == {"a", "b", "c", "d", "z"}
         assert len(root.element_children()) == 4
         assert tree.columns.position[root.element_children()[-1].node_id] == 4
 
@@ -161,3 +157,102 @@ class TestColumns:
         assert tree.columns.text[text.node_id] == text.text() == text.value
         assert tree.columns.text[empty.node_id] == ""
         assert tree.columns.position[text.node_id] == 0
+
+
+class TestAFreezeIsFinal:
+    """A frozen tree is immutable: its layout and indexes describe it
+    for as long as it lives, so nothing has to detect an edit later."""
+
+    @staticmethod
+    def frozen_trees():
+        yield sample_tree()
+        yield parse_xml("<a><b>hello</b><c/><b><d>world</d></b></a>")
+
+    def test_children_of_a_frozen_node_are_a_tuple(self):
+        for tree in self.frozen_trees():
+            for node in tree.nodes:
+                assert isinstance(node.children, tuple)
+                if node.children:
+                    with pytest.raises(TypeError):
+                        node.children[0] = element("x")
+                    with pytest.raises(AttributeError):
+                        node.children.insert(0, element("x"))
+
+    def test_append_and_extend_are_refused_on_every_node(self):
+        for tree in self.frozen_trees():
+            before = list(tree.columns.label)
+            for node in tree.nodes:
+                with pytest.raises(EvaluationError, match="immutable"):
+                    node.append(element("x"))
+                with pytest.raises(EvaluationError, match="immutable"):
+                    node.extend([element("x"), text_node("y")])
+            assert tree.columns.label == before
+            assert [len(n.children) for n in tree.nodes] == [3, 1, 0, 0, 1, 1, 0]
+
+    def test_a_frozen_root_is_refused(self):
+        for tree in self.frozen_trees():
+            columns = tree.columns
+            with pytest.raises(EvaluationError, match="already belongs"):
+                XMLTree(tree.root)
+            assert tree.root.columns is columns
+            assert tree.root.owning_tree() is tree
+
+    def test_a_frozen_node_below_a_new_root_is_refused_and_nothing_is_stamped(self):
+        for tree in self.frozen_trees():
+            fresh = element("x")
+            wrapper = element("w", fresh, tree.root.children[2])
+            with pytest.raises(EvaluationError, match="already belongs"):
+                document(wrapper)
+            assert wrapper.columns is fresh.columns is None
+            assert wrapper.node_id == fresh.node_id == -1
+            fresh.append(element("y"))  # still being built
+            assert document(fresh).labels == {"x", "y"}
+
+    def test_a_node_twice_in_one_tree_is_refused(self):
+        """Regression: a node appended twice was frozen twice, and
+        ``nodes[1].node_id`` read 2."""
+        twice = element("x")
+        root = element("r", twice, element("y", twice))
+        with pytest.raises(EvaluationError, match="already belongs"):
+            document(root)
+        assert root._owner is twice._owner is None
+        assert document(element("r", twice)).size == 2
+
+    def test_text_nodes_still_refuse_children_before_the_freeze(self):
+        with pytest.raises(EvaluationError, match="text node"):
+            text_node("v").append(element("x"))
+
+
+def test_the_freeze_epoch_is_gone():
+    """A freeze is final, so nothing counts freezes, scans for edits or
+    refuses a re-frozen document: the epoch's names and error texts are
+    gone from the package, and ``index_tree`` is no public API."""
+    import ast
+    import inspect
+    from pathlib import Path
+
+    import repro
+    import repro.xtree
+    from repro.xtree.node import NodeList
+
+    retired = {"freeze_count", "_freeze_count", "index_tree"}
+    found = []
+    for path in sorted(Path(inspect.getfile(repro)).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in retired:
+                found.append((path.name, node.attr))
+            elif isinstance(node, ast.Name) and node.id in retired:
+                found.append((path.name, node.id))
+            elif isinstance(node, (ast.FunctionDef, ast.arg)) and (
+                getattr(node, "name", None) in retired
+                or getattr(node, "arg", None) in retired
+            ):
+                found.append((path.name, ast.unparse(node)))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value
+                if text in retired or "re-frozen" in text or "re-freeze" in text:
+                    found.append((path.name, text[:40]))
+    assert not found
+    assert not hasattr(NodeList, "edited")
+    assert not hasattr(repro.xtree, "index_tree")
+    assert "index_tree" not in repro.xtree.__all__
