@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test loc sanitize bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test loc sanitize coverage-c bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -40,6 +40,22 @@ sanitize:
 	@for seed in 1 2 3; do \
 	    $(SANITIZE_ENV) $(PY) -m pytest -q -p no:cacheprovider --hypothesis-seed=$$seed \
 	        $(SANITIZE_SUITES) || exit 1; done
+
+# Line coverage of the compiled passes: SANITIZE_SUITES once against a
+# --coverage build (tools/coverage_cc.py is the CC: it keeps the stdin
+# source as a file beside its gcov notes), in a build cache of its own,
+# then per source the executed / executable lines and every function's
+# unexecuted line numbers for _lean.c and _scan.c.  Report only: no
+# threshold.  Each run starts from an empty .coverage-c/.
+COVERAGE_DIR = $(CURDIR)/.coverage-c
+COVERAGE_ENV = CC="$(PY) $(CURDIR)/tools/coverage_cc.py $(COVERAGE_DIR)/gcov" \
+	PYTHONPYCACHEPREFIX="$(COVERAGE_DIR)/pycache"
+coverage-c:
+	rm -rf "$(COVERAGE_DIR)"
+	$(COVERAGE_ENV) $(PY) -c "from repro.hype import kernel; from repro.xtree import parse; \
+	    assert (kernel.DESCENT, parse.SCAN) == ('compiled', 'compiled'), (kernel.DESCENT, parse.SCAN)"
+	$(COVERAGE_ENV) $(PY) -m pytest -q -p no:cacheprovider $(SANITIZE_SUITES)
+	$(PY) tools/coverage_cc.py --report "$(COVERAGE_DIR)/gcov"
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q

@@ -21,8 +21,8 @@ Usage (``python -m repro.cli <command> ...``):
   ``--gc`` first reclaims stale/corrupt artifact files (with
   ``--doc-dir`` it also sweeps stale document-tier files).  The
   analogous ``--doc-dir`` (same three commands) persists built OptHyPE
-  document indexes and binary layout sidecars keyed by content hash, so
-  a restart also skips index and layout construction
+  document indexes keyed by content hash (one record per document), so
+  a restart also skips index construction
 * ``serve-front [--document DOC.xml] [--host H --port P]`` — boot the
   asyncio NDJSON socket front-end (per-wave admission control in front
   of the query service; ``--pool-size`` bounds concurrent evaluations,
@@ -765,7 +765,7 @@ def build_parser() -> argparse.ArgumentParser:
     wrm.add_argument(
         "--doc-dir",
         help="document-tier directory to sweep as well when --gc is given "
-        "(stale index/layout files of old format versions)",
+        "(old or damaged index records, retired layout sidecars)",
     )
     wrm.set_defaults(func=cmd_warm)
 

@@ -13,7 +13,6 @@ from .layout import DocumentLayout, TEXT_ID
 from .store import (
     DOC_FORMAT_VERSION,
     DOC_INDEX_SUFFIX,
-    DOC_LAYOUT_SUFFIX,
     DocIndexTier,
     DocStoreStats,
     DocumentStore,
@@ -22,7 +21,6 @@ from .store import (
 __all__ = [
     "DOC_FORMAT_VERSION",
     "DOC_INDEX_SUFFIX",
-    "DOC_LAYOUT_SUFFIX",
     "DocIndexTier",
     "DocStoreStats",
     "DocumentStore",

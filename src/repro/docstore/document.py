@@ -11,7 +11,9 @@ tenant, lane, wave and algorithm variant that touches the document.  An
   goes stale;
 * ``layout`` — the interned columnar tables
   (:class:`repro.docstore.layout.DocumentLayout`) the evaluator
-  walks, built eagerly and once, so no request pays for them;
+  walks, built eagerly and once from the parse's own columns (never
+  persisted: rebuilding is cheaper than reading), so no request pays
+  for them;
 * ``index_for(compressed)`` — the OptHyPE (or OptHyPE-C) index, built
   at most once per variant behind the document's build lock and parked
   on the layout (document → layout → index, one way), where runs read
@@ -71,17 +73,7 @@ class IndexedDocument:
         self.tier = tier
         #: Which counter a conversion bumps: whatever produced its source.
         self._provenance = "index_builds"
-        # The layout is eager either way; with an addressed document and
-        # a persistent tier, a previously-saved binary sidecar replaces
-        # the build's tree walk (and fresh builds are written back).
-        layout = None
-        if tier is not None and content_hash is not None:
-            layout = tier.load_layout(content_hash, tree)
-        if layout is None:
-            layout = DocumentLayout(tree)
-            if tier is not None and content_hash is not None:
-                tier.save_layout(content_hash, layout)
-        self.layout = layout
+        self.layout = DocumentLayout(tree)
         self._index_lock = threading.Lock()
         self._hash_lock = threading.Lock()
 

@@ -36,13 +36,17 @@ dict probe.  The rows belong to the label table
 (:meth:`repro.hype.index.LabelTable.rows_for`, keyed weakly by plan), so
 what a plan filled for one document is a hit for the next one of that
 label set.  The OptHyPE(-C) subtree-mask column is a column of the
-document too: ``indexes`` holds the variants built (or tier-loaded) for
-it, and an indexed run reads its mask keys from there
-(:meth:`DocumentLayout.mask_keys`).  A scanned document's masks come
-from the scan's mask classes (one gather per variant, see
-:mod:`repro.hype.index`); any other tree's are swept once.  A run that
-is handed no layout, or one that does not cover its context, walks
-fresh columns built by :func:`covering_layout`.
+document too: ``indexes`` holds the variants built (or rehydrated from
+the ``--doc-dir`` index record) for it, and an indexed run reads its
+mask keys from there (:meth:`DocumentLayout.mask_keys`).  A scanned
+document's masks come from the scan's mask classes (one gather per
+variant, see :mod:`repro.hype.index`); any other tree's are swept once.
+A run that is handed no layout, or one that does not cover its
+context, walks fresh columns built by :func:`covering_layout`.
+
+A layout is never persisted: for a scanned document it is the scan's
+lists plus a shared table lookup (microseconds), less than reading any
+file back, and a restart parses the text anyway.
 
 Layouts are immutable once built, like the frozen trees they describe
 (a freeze is final, see :mod:`repro.xtree.node`), so a layout and the
@@ -84,52 +88,19 @@ class DocumentLayout:
             lids = {**table.label_ids, TEXT_LABEL: TEXT_ID}
             node_label = list(map(lids.__getitem__, columns.label))
             kid_labels = list(map(node_label.__getitem__, columns.kid_ids))
-        self._adopt(
-            tree, table, node_label, columns.kid_ids, kid_labels, columns.kid_start
-        )
-
-    def _adopt(self, tree, table, node_label, kid_ids, kid_labels, kid_start):
         self.tree = tree
-        self.columns: TreeColumns = tree.columns
+        self.columns: TreeColumns = columns
         self.table: LabelTable = table
         self.node_label = node_label
-        self.kid_ids = kid_ids
+        self.kid_ids = columns.kid_ids
         self.kid_labels = kid_labels
-        self.kid_start = kid_start
+        self.kid_start = columns.kid_start
         #: compressed? -> the OptHyPE(-C) index of the document, parked by
         #: whoever built or loaded it (``IndexedDocument.index_for``).
         self.indexes: dict[bool, Index] = {}
         #: Throw-away columns (:func:`covering_layout`) have no owner to
         #: build their mask column: a run sweeps it when it needs it.
         self.on_demand = False
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_arrays(
-        cls,
-        tree: XMLTree,
-        labels,
-        node_label,
-        kid_ids,
-        kid_labels,
-        kid_start,
-    ) -> "DocumentLayout":
-        """Rehydrate a layout from already-built columns.
-
-        The persistence path (:meth:`repro.docstore.store.DocIndexTier.
-        load_layout`) hands in zero-copy ``memoryview`` casts over an
-        mmap'ed sidecar; the hot loop only ever *indexes* the columns,
-        so views serve exactly like built lists (and they keep the
-        mapping alive for as long as the layout lives).  ``labels`` is
-        taken in the order the columns were written in: no column is
-        remapped, and a file in sorted order joins the table fresh
-        builds use.
-        """
-        layout = cls.__new__(cls)
-        layout._adopt(
-            tree, label_table(labels), node_label, kid_ids, kid_labels, kid_start
-        )
-        return layout
 
     # ------------------------------------------------------------------
     @property

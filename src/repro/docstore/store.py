@@ -21,17 +21,13 @@ content-addressed asset instead:
   variants — version-tagged, crc32-sealed, atomically written and
   validated on load, so a restarted service skips index construction
   for previously-seen documents just as ``--plan-dir`` lets it skip the
-  MFA rewrite;
-* the columnar :class:`repro.docstore.layout.DocumentLayout` is
-  persisted alongside as a **binary, mmap-able sidecar**
-  (``.doclay.bin``: a sealed header + int32 little-endian columns), so a
-  cold worker that re-parses a known document rehydrates the layout
-  tables as zero-copy views over the mapped file instead of re-walking
-  the tree.
+  MFA rewrite.  Nothing else is persisted: the columnar
+  :class:`repro.docstore.layout.DocumentLayout` is the parse's own
+  lists, so a restart rebuilds it with the parse it needs anyway.
 
 The ``--doc-dir`` tier is a :class:`repro.tier.FileTier` (atomic
 best-effort writes; corruption, version and shape mismatches are counted
-misses — the index or layout is rebuilt and the file overwritten; an
+misses — the index is rebuilt and the file overwritten; an
 unwritable disk degrades to memory-only operation, never fails serving),
 and the store itself a :class:`repro.tier.SingleFlightLRU` — both
 disciplines are described once, in :mod:`repro.tier`.  Every record
@@ -45,12 +41,9 @@ read.
 
 from __future__ import annotations
 
-import functools
 import os
 import struct
-import sys
 import zlib
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,35 +61,32 @@ from .layout import DocumentLayout
 #: stop matching (their filename carries the version) and are rebuilt —
 #: :meth:`DocIndexTier.gc` reclaims them.
 #: v3: one sealed binary index record per document (both variants are
-#: one mask column) and a sealed layout sidecar, each crc32-checked; the
-#: v1/v2 gzip-JSON index files and v2 sidecars are never read again and
-#: are swept by ``gc``.
+#: one mask column), crc32-checked; the v1/v2 gzip-JSON index files and
+#: the layout sidecars of every version are never read again and are
+#: swept by ``gc``.
 DOC_FORMAT_VERSION = 3
 
 #: Suffix of index records inside a ``--doc-dir``.
 DOC_INDEX_SUFFIX = ".docidx.bin"
 
-#: Suffix of binary document-layout sidecars inside a ``--doc-dir``.
-DOC_LAYOUT_SUFFIX = ".doclay.bin"
+#: Suffixes of retired kinds: never read, always swept — the gzip-JSON
+#: index files of formats v1/v2 and the binary layout sidecars (the
+#: layout is rebuilt from the parse, which is cheaper than reading it).
+_RETIRED_SUFFIXES = (".docidx.json.gz", ".doclay.bin")
 
-#: Suffix of the gzip-JSON index files of formats v1/v2: never read,
-#: always swept.
-_RETIRED_INDEX_SUFFIX = ".docidx.json.gz"
-
-# Both kinds share one sealed header, so a record's offsets are
-# computable without reading anything else:
+# A record opens with a sealed header, so its offsets are computable without
+# reading anything else:
 #
 #   4s magic | u32 version | u32 crc32 of every byte after this field
-#   | 64s content-hash echo | four u32 counts (per kind, below)
+#   | 64s content-hash echo | u32 nodes | u32 label-blob length
+#   | u32 distinct masks | u32 id width
 #
-# then the label blob (utf-8, NUL-joined, zero-padded to a 4-byte
-# boundary) and the kind's columns.  A flipped bit anywhere fails the
+# then the body (the codec below).  A flipped bit anywhere fails the
 # magic, the version or the crc, so a damaged file is a counted rebuild
 # before any count or column of it is read.
 _SEAL = struct.Struct("<4sII")
 _ECHO = struct.Struct("<64s4I")
-_INDEX_MAGIC = b"RDIX"
-_LAYOUT_MAGIC = b"RLAY"
+_MAGIC = b"RDIX"
 
 #: Struct code of a file-local mask id, by its byte width.
 _ID_CODES = {1: "B", 2: "H", 4: "I"}
@@ -110,9 +100,7 @@ class DocStoreStats(Counters):
     a parse or adoption); ``index_builds`` counts OptHyPE indexes built
     from the tree — the number the whole tier exists to minimise —
     while ``index_loads``/``index_stores`` count the persistent tier's
-    rehydrations and write-backs (one record per document), and
-    ``layout_loads``/``layout_stores`` the same for the binary layout
-    sidecars.  A document's second variant is a conversion of its first
+    rehydrations and write-backs (one record per document).  A document's second variant is a conversion of its first
     and counts as whatever produced that one: a build after a build, a
     load after a load — so a new document counts two builds and a
     restarted one two loads.  ``corrupt`` counts on-disk files that
@@ -126,8 +114,6 @@ class DocStoreStats(Counters):
     index_builds: int = 0
     index_loads: int = 0
     index_stores: int = 0
-    layout_loads: int = 0
-    layout_stores: int = 0
     corrupt: int = 0
     errors: int = 0
     evictions: int = 0
@@ -135,8 +121,8 @@ class DocStoreStats(Counters):
 
 
 class DocIndexTier(FileTier):
-    """The on-disk tier of one ``--doc-dir`` directory: per document one
-    sealed index record and one sealed layout sidecar."""
+    """The on-disk tier of one ``--doc-dir`` directory: one sealed index
+    record per document."""
 
     def path_for(self, content_hash: str) -> Path:
         """The index record backing one document (both variants).
@@ -146,10 +132,6 @@ class DocIndexTier(FileTier):
         and version bumps leave old files visibly stale.
         """
         return self.root / f"{content_hash}.v{DOC_FORMAT_VERSION}{DOC_INDEX_SUFFIX}"
-
-    def layout_path_for(self, content_hash: str) -> Path:
-        """The binary layout sidecar backing one document."""
-        return self.root / f"{content_hash}.v{DOC_FORMAT_VERSION}{DOC_LAYOUT_SUFFIX}"
 
     # ------------------------------------------------------------------
     def load(
@@ -190,48 +172,19 @@ class DocIndexTier(FileTier):
             self.stats.count("index_stores")
         return landed
 
-    # ------------------------------------------------------------------
-    def load_layout(
-        self, content_hash: str, tree: XMLTree
-    ) -> DocumentLayout | None:
-        """Rehydrate the binary layout sidecar, or ``None`` on any miss.
-
-        The file is mapped, not read: once its seal and header check out,
-        the integer columns become zero-copy ``memoryview`` casts over the
-        mapping (big-endian hosts fall back to a byte-swapped copy), so a
-        cold worker pays one crc pass instead of a tree walk.  The
-        mapping stays alive exactly as long as the views into it.
-        """
-        layout = self.read(
-            self.layout_path_for(content_hash),
-            "doc-tier.load-layout",
-            lambda buf: _layout_from_buffer(buf, content_hash, tree),
-            mapped=True,
-        )
-        if layout is not None:
-            self.stats.count("layout_loads")
-        return layout
-
     def save_layout(self, content_hash: str, layout: DocumentLayout) -> bool:
-        """Persist ``layout``; whether the write landed."""
-        landed = self.write(
-            self.layout_path_for(content_hash),
-            _layout_to_bytes(layout, content_hash),
-            "doc-tier.save-layout",
-        )
-        if landed:
-            self.stats.count("layout_stores")
-        return landed
+        """Inert (a layout is rebuilt, never persisted): writes nothing."""
+        return False
 
     # ------------------------------------------------------------------
     def gc(self) -> int:
         """Remove tier files the current format will never read.
 
-        Sweeps anything under the tier's suffixes that no :meth:`load` /
-        :meth:`load_layout` of the running version could serve: the
-        retired gzip-JSON index files, files whose name does not carry
+        Sweeps anything under the tier's suffixes that no :meth:`load` of
+        the running version could serve: the retired kinds (gzip-JSON
+        index files, layout sidecars), files whose name does not carry
         the current ``.v{DOC_FORMAT_VERSION}`` tag (every pre-bump file),
-        and current-version files that fail their seal or do not echo
+        and current-version records that fail their seal or do not echo
         their own name (a renamed, truncated or bit-rotted file) — every
         check a load makes except the ones that need the live tree.
         Unknown files are left alone.  Returns the number removed (also
@@ -240,17 +193,12 @@ class DocIndexTier(FileTier):
 
         def keep(path: Path, raw: bytes) -> bool:
             content_hash = path.name.split(".")[0]
-            if path == self.path_for(content_hash):
-                _index_header(memoryview(raw), content_hash)
-            elif path == self.layout_path_for(content_hash):
-                _layout_header(memoryview(raw), content_hash)
-            else:
+            if path != self.path_for(content_hash):
                 return False
+            _index_header(memoryview(raw), content_hash)
             return True
 
-        return self.sweep(
-            (DOC_INDEX_SUFFIX, DOC_LAYOUT_SUFFIX, _RETIRED_INDEX_SUFFIX), keep
-        )
+        return self.sweep((DOC_INDEX_SUFFIX, *_RETIRED_SUFFIXES), keep)
 
     def __len__(self) -> int:
         """Number of current-version index records: one per document."""
@@ -260,67 +208,14 @@ class DocIndexTier(FileTier):
 
 
 # ----------------------------------------------------------------------
-# The sealed header and the label blob, shared by both kinds.
-
-
-def _seal(magic: bytes, content_hash: str, counts: tuple, parts: list) -> bytes:
-    """One record: the sealed header over ``counts`` and the body
-    ``parts``, the crc32 covering everything after its own field."""
-    parts = [_ECHO.pack(content_hash.encode("ascii"), *counts), *parts]
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    return b"".join([_SEAL.pack(magic, DOC_FORMAT_VERSION, crc), *parts])
-
-
-def _unseal(view: memoryview, magic: bytes, content_hash: str) -> list[int]:
-    """Check one record's seal and key echo (raises ``ValueError``);
-    its four counts."""
-    if len(view) < _SEAL.size + _ECHO.size:
-        raise ValueError("document-tier record is truncated")
-    found, version, crc = _SEAL.unpack_from(view)
-    if found != magic:
-        raise ValueError("document-tier record magic mismatch")
-    if version != DOC_FORMAT_VERSION:
-        raise ValueError("document-tier record format version mismatch")
-    if zlib.crc32(view[_SEAL.size :]) != crc:
-        raise ValueError("document-tier record checksum mismatch")
-    echo, *counts = _ECHO.unpack_from(view, _SEAL.size)
-    if echo != content_hash.encode("ascii"):
-        raise ValueError("document-tier record content hash mismatch")
-    return counts
-
-
-def _label_blob(labels) -> tuple[int, bytes]:
-    """The labels NUL-joined in utf-8: the blob's length (the header's)
-    and its bytes zero-padded to a 4-byte boundary (the body's)."""
-    blob = "\x00".join(labels).encode("utf-8")
-    return len(blob), blob + b"\x00" * (-len(blob) % 4)
-
-
-def _blob_labels(view: memoryview, blob_len: int) -> tuple[list[str], int]:
-    """The record's labels and the offset of its first column."""
-    start = _SEAL.size + _ECHO.size
-    blob = bytes(view[start : start + blob_len])
-    try:
-        labels = blob.decode("utf-8").split("\x00") if blob else []
-    except UnicodeDecodeError:
-        raise ValueError("document-tier label blob is not utf-8") from None
-    if len(set(labels)) != len(labels):
-        raise ValueError("document-tier labels must be unique")
-    return labels, start + blob_len + (-blob_len % 4)
-
-
-# ----------------------------------------------------------------------
-# Index record codec.  Header counts: nodes, label-blob length, distinct
-# masks, id width.  Body: the label blob in the table's bit order
-# (label ``labels[i]`` is bit ``2 << i``, text bit 0), the document's
-# distinct masks in first-appearance order (``(len(labels) + 8) // 8``
-# bytes each, little-endian), one file-local mask id per node (u8 / u16
-# / u32 by the mask count; stored raw, so a record's bytes do not depend
-# on the zlib build).  Both variants are this one column: the
-# plain index looks the ids up in the masks, OptHyPE-C in their
-# table-wide interning.
+# Index record codec.  Body: the labels NUL-joined in utf-8, zero-padded
+# to a 4-byte boundary, in the table's bit order (label ``labels[i]`` is
+# bit ``2 << i``, text bit 0); the document's distinct masks in
+# first-appearance order (``(len(labels) + 8) // 8`` bytes each,
+# little-endian); one file-local mask id per node (u8 / u16 / u32 by the
+# mask count; stored raw, so a record's bytes do not depend on the zlib
+# build).  Both variants are this one column: the plain index looks the
+# ids up in the masks, OptHyPE-C in their table-wide interning.
 
 
 def _index_record(index: Index, content_hash: str) -> bytes:
@@ -340,17 +235,23 @@ def _index_record(index: Index, content_hash: str) -> bytes:
             distinct = [interned[key] for key in distinct]
     labels = index.table.labels
     mask_width = (len(labels) + 8) // 8
-    blob_len, blob = _label_blob(labels)
-    return _seal(
-        _INDEX_MAGIC,
-        content_hash,
-        (len(keys), blob_len, len(distinct), id_width(len(distinct))),
-        [
-            blob,
-            b"".join(mask.to_bytes(mask_width, "little") for mask in distinct),
-            ids,
-        ],
-    )
+    blob = "\x00".join(labels).encode("utf-8")
+    parts = [
+        _ECHO.pack(
+            content_hash.encode("ascii"),
+            len(keys),
+            len(blob),
+            len(distinct),
+            id_width(len(distinct)),
+        ),
+        blob + b"\x00" * (-len(blob) % 4),
+        b"".join(mask.to_bytes(mask_width, "little") for mask in distinct),
+        ids,
+    ]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([_SEAL.pack(_MAGIC, DOC_FORMAT_VERSION, crc), *parts])
 
 
 def _index_header(view: memoryview, content_hash: str) -> tuple:
@@ -359,12 +260,31 @@ def _index_header(view: memoryview, content_hash: str) -> tuple:
     Returns ``(num_nodes, labels, masks, local)``: ``local`` the
     file-local mask ids as stored (:func:`repro.hype.index.local_ids`),
     each below ``len(masks)``."""
-    num_nodes, blob_len, count, width = _unseal(view, _INDEX_MAGIC, content_hash)
+    if len(view) < _SEAL.size + _ECHO.size:
+        raise ValueError("document-index record is truncated")
+    magic, version, crc = _SEAL.unpack_from(view)
+    if magic != _MAGIC:
+        raise ValueError("document-index record magic mismatch")
+    if version != DOC_FORMAT_VERSION:
+        raise ValueError("document-index record format version mismatch")
+    if zlib.crc32(view[_SEAL.size :]) != crc:
+        raise ValueError("document-index record checksum mismatch")
+    echo, num_nodes, blob_len, count, width = _ECHO.unpack_from(view, _SEAL.size)
+    if echo != content_hash.encode("ascii"):
+        raise ValueError("document-index record content hash mismatch")
     if width not in _ID_CODES:
         raise ValueError("document-index id width is not 1, 2 or 4")
     if width != id_width(count):
         raise ValueError("document-index id width does not fit its mask count")
-    labels, offset = _blob_labels(view, blob_len)
+    start = _SEAL.size + _ECHO.size
+    blob = bytes(view[start : start + blob_len])
+    try:
+        labels = blob.decode("utf-8").split("\x00") if blob else []
+    except UnicodeDecodeError:
+        raise ValueError("document-index label blob is not utf-8") from None
+    if len(set(labels)) != len(labels):
+        raise ValueError("document-index labels must be unique")
+    offset = start + blob_len + (-blob_len % 4)
     mask_width = (len(labels) + 8) // 8
     ids_at = offset + count * mask_width
     if len(view) != ids_at + num_nodes * width:
@@ -391,9 +311,8 @@ def _index_from_record(
     (:func:`repro.hype.index.from_classes`).
 
     A record is written in its document's table, and a document's table
-    is the same in every process (sorted labels, or the sidecar's order,
-    which is the same): a record in another label order is not this
-    document's.
+    is the same in every process (its sorted labels): a record in
+    another label order is not this document's.
     """
     tree, table = layout.tree, layout.table
     num_nodes, labels, masks, local = _index_header(memoryview(raw), content_hash)
@@ -402,99 +321,6 @@ def _index_from_record(
     if tuple(labels) != table.labels:
         raise ValueError("document-index labels are not the document's table")
     return from_classes(table, (table.labels, tuple(masks), local), compressed)
-
-
-# ----------------------------------------------------------------------
-# Binary layout sidecar codec.  Header counts: nodes, labels, kids,
-# label-blob length.  Body: the label blob, then four int32
-# little-endian columns:
-#
-#   node_label[num_nodes]  kid_ids[num_kids]  kid_labels[num_kids]
-#   kid_start[num_nodes + 1]
-#
-# Fixed offsets and int32 columns make the load a crc pass plus a
-# handful of pointer arithmetic operations over an mmap — the whole
-# point of the format.
-
-
-@functools.lru_cache(maxsize=64)
-def _int32s(count: int) -> struct.Struct:
-    return struct.Struct(f"<{count}i")
-
-
-def _int32_bytes(values) -> bytes:
-    """``values`` as int32 little-endian bytes (host-order agnostic)."""
-    return _int32s(len(values)).pack(*values)
-
-
-def _int32_column(view: memoryview, offset: int, count: int):
-    """A zero-copy int32 view over ``view[offset:]`` (copy on BE hosts)."""
-    window = view[offset : offset + 4 * count]
-    if sys.byteorder == "little":
-        return window.cast("i")
-    column = array("i")  # pragma: no cover - big-endian hosts
-    column.frombytes(window.tobytes())
-    column.byteswap()
-    return column
-
-
-def _layout_to_bytes(layout: DocumentLayout, content_hash: str) -> bytes:
-    """Serialise one built layout into the sealed sidecar record."""
-    blob_len, blob = _label_blob(layout.labels)
-    return _seal(
-        _LAYOUT_MAGIC,
-        content_hash,
-        (len(layout.node_label), len(layout.labels), len(layout.kid_ids), blob_len),
-        [
-            blob,
-            _int32_bytes(layout.node_label),
-            _int32_bytes(layout.kid_ids),
-            _int32_bytes(layout.kid_labels),
-            _int32_bytes(layout.kid_start),
-        ],
-    )
-
-
-def _layout_header(view: memoryview, content_hash: str) -> tuple:
-    """Validate one sidecar against its name and its own length —
-    everything that does not need the tree (raises ``ValueError``).
-    Returns ``(num_nodes, num_kids, labels, first column offset)``."""
-    num_nodes, num_labels, num_kids, blob_len = _unseal(
-        view, _LAYOUT_MAGIC, content_hash
-    )
-    labels, offset = _blob_labels(view, blob_len)
-    if len(labels) != num_labels:
-        raise ValueError("document-layout label table is malformed")
-    if len(view) != offset + 4 * (2 * num_nodes + 2 * num_kids + 1):
-        raise ValueError("document-layout column lengths do not match header")
-    return num_nodes, num_kids, labels, offset
-
-
-def _layout_from_buffer(
-    buf, content_hash: str, tree: XMLTree
-) -> DocumentLayout:
-    """Decode and validate one sidecar (raises ``ValueError``).
-
-    The seal and header (:func:`_layout_header`), the node count against
-    the live tree and the span-table endpoints are checked; the columns
-    are then read as written — the crc32 has vouched for every byte.
-    """
-    view = memoryview(buf)
-    num_nodes, num_kids, labels, offset = _layout_header(view, content_hash)
-    if num_nodes != tree.size:
-        raise ValueError("document-layout node count does not cover the tree")
-    node_label = _int32_column(view, offset, num_nodes)
-    offset += 4 * num_nodes
-    kid_ids = _int32_column(view, offset, num_kids)
-    offset += 4 * num_kids
-    kid_labels = _int32_column(view, offset, num_kids)
-    offset += 4 * num_kids
-    kid_start = _int32_column(view, offset, num_nodes + 1)
-    if num_nodes and (kid_start[0] != 0 or kid_start[num_nodes] != num_kids):
-        raise ValueError("document-layout span table is malformed")
-    return DocumentLayout.from_arrays(
-        tree, labels, node_label, kid_ids, kid_labels, kid_start
-    )
 
 
 class DocumentStore:

@@ -16,9 +16,6 @@ point                           seam
                                 index record (both variants)
 ``doc-tier.save``               ``DocIndexTier.save`` — write failure (the
                                 record is written once, by the first variant)
-``doc-tier.load-layout``        ``DocIndexTier.load_layout`` — as ``load``,
-                                for the layout sidecar
-``doc-tier.save-layout``        ``DocIndexTier.save_layout`` — as ``save``
 ``worker.message``              every request line a frontend (so every fleet
                                 worker) dispatches (:meth:`repro.serve.
                                 frontend.QueryFrontend.reply_for`) — crash
@@ -32,7 +29,7 @@ point                           seam
                                 — slow descent (exercises deadlines under load)
 ==============================  ================================================
 
-The six file points are one probe each in :class:`repro.tier.FileTier`
+The four file points are one probe each in :class:`repro.tier.FileTier`
 — ``read`` fires its point once the bytes are in hand (never for a
 missing file) and ``write`` on every call; the point's name is an
 argument, so a file I/O site cannot be added without one

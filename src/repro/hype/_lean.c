@@ -80,16 +80,12 @@ out_of_range(const char *what, long long index)
 }
 
 /* ------------------------------------------------------------------ */
-/* Columns: a list of ints (a parse), an int32 buffer (a memoryview    */
-/* cast over the sidecar, an array('i')), or any other sequence.       */
+/* Columns: every layout and mask column is a list of ints (the scan's */
+/* or the index's); anything else is refused by name.                 */
 /* ------------------------------------------------------------------ */
 typedef struct {
     const char *name;
-    PyObject *obj; /* owned */
-    const int *ints;
-    Py_ssize_t len;
-    Py_buffer view;
-    int viewed;
+    PyObject *obj; /* owned: a list */
 } Column;
 
 static int
@@ -97,35 +93,19 @@ column_open(Column *c, PyObject *obj, const char *name)
 {
     c->name = name;
     c->obj = obj; /* the reference is the caller's, handed over */
-    c->ints = NULL;
-    c->viewed = 0;
     if (obj == NULL)
         return -1;
-    if (PyList_Check(obj) || !PyObject_CheckBuffer(obj))
-        return 0;
-    if (PyObject_GetBuffer(obj, &c->view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0) {
-        PyErr_Clear();
-        return 0; /* read as a generic sequence */
+    if (!PyList_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "lean pass: column %s must be a list, not %.200s",
+                     name, Py_TYPE(obj)->tp_name);
+        return -1;
     }
-    const char *format = c->view.format;
-    if (c->view.ndim == 1 && c->view.itemsize == (Py_ssize_t)sizeof(int) &&
-        format != NULL && (strcmp(format, "i") == 0 || strcmp(format, "@i") == 0)) {
-        c->viewed = 1;
-        c->ints = (const int *)c->view.buf;
-        c->len = c->view.shape ? c->view.shape[0] : c->view.len / (Py_ssize_t)sizeof(int);
-        return 0;
-    }
-    PyBuffer_Release(&c->view);
     return 0;
 }
 
 static void
 column_close(Column *c)
 {
-    if (c->viewed) {
-        PyBuffer_Release(&c->view);
-        c->viewed = 0;
-    }
     Py_CLEAR(c->obj);
 }
 
@@ -154,55 +134,6 @@ as_long(PyObject *value, long *out)
     return 0;
 }
 
-/* The item at ``i`` as a new reference (negatives are out of range). */
-static PyObject *
-column_item(Column *c, Py_ssize_t i)
-{
-    if (c->ints) {
-        if ((size_t)i >= (size_t)c->len) {
-            out_of_range(c->name, i);
-            return NULL;
-        }
-        return PyLong_FromLong(c->ints[i]);
-    }
-    if (PyList_Check(c->obj)) {
-        if ((size_t)i >= (size_t)PyList_GET_SIZE(c->obj)) {
-            out_of_range(c->name, i);
-            return NULL;
-        }
-        return Py_NewRef(PyList_GET_ITEM(c->obj, i));
-    }
-    if (i < 0) {
-        out_of_range(c->name, i);
-        return NULL;
-    }
-    return PySequence_GetItem(c->obj, i);
-}
-
-static inline int
-column_long(Column *c, Py_ssize_t i, long *out)
-{
-    if (c->ints) {
-        if ((size_t)i >= (size_t)c->len)
-            return out_of_range(c->name, i);
-        *out = c->ints[i];
-        return 0;
-    }
-    if (PyList_Check(c->obj)) {
-        if ((size_t)i >= (size_t)PyList_GET_SIZE(c->obj))
-            return out_of_range(c->name, i);
-        PyObject *item = PyList_GET_ITEM(c->obj, i);
-        if (PyLong_CheckExact(item))
-            return as_long(item, out);
-    }
-    PyObject *item = column_item(c, i);
-    if (item == NULL)
-        return -1;
-    int status = as_long(item, out);
-    Py_DECREF(item);
-    return status;
-}
-
 /* A borrowed list item, bounds-checked. */
 static inline PyObject *
 list_at(PyObject *list, long long i, const char *what)
@@ -212,6 +143,29 @@ list_at(PyObject *list, long long i, const char *what)
         return NULL;
     }
     return PyList_GET_ITEM(list, i);
+}
+
+/* The item at ``i`` as a new reference (negatives are out of range). */
+static PyObject *
+column_item(Column *c, Py_ssize_t i)
+{
+    PyObject *item = list_at(c->obj, i, c->name);
+    return item == NULL ? NULL : Py_NewRef(item);
+}
+
+static inline int
+column_long(Column *c, Py_ssize_t i, long *out)
+{
+    PyObject *item = list_at(c->obj, i, c->name);
+    if (item == NULL)
+        return -1;
+    if (PyLong_CheckExact(item))
+        return as_long(item, out);
+    /* Held while it converts: __index__ may run arbitrary code. */
+    Py_INCREF(item);
+    int status = as_long(item, out);
+    Py_DECREF(item);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */

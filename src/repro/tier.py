@@ -1,7 +1,7 @@
 """The two tier disciplines, written once.
 
 Everything this system caches or persists — plans, composed kernels,
-documents; plan artifacts, index files, layout sidecars — goes through
+documents; plan artifacts and index records — goes through
 one of the two classes here.  The owners
 (:mod:`repro.serve.cache`, :mod:`repro.docstore.store`,
 :mod:`repro.compile.store`) keep what is theirs: key scheme, codec,
@@ -23,7 +23,6 @@ algorithm grows back anywhere under ``src/repro``.
 
 from __future__ import annotations
 
-import mmap
 import os
 import threading
 from collections import OrderedDict
@@ -187,28 +186,15 @@ class FileTier:
         self.root.mkdir(parents=True, exist_ok=True)
         self.stats = stats
 
-    @staticmethod
-    def _fetch(path: Path, mapped: bool):
-        """The file's bytes (or a read-only mapping of them); raises
-        :class:`OSError`."""
-        with open(path, "rb") as handle:
-            if not mapped:
-                return handle.read()
-            try:
-                return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-            except ValueError:  # an empty file cannot be mapped
-                return b""
-
-    def read(self, path: Path, seam: str, decode: Callable, mapped: bool = False):
+    def read(self, path: Path, seam: str, decode: Callable):
         """``decode(contents)`` of the file at ``path``, or ``None``.
 
         ``seam`` is the fault point fired once the bytes are in hand
         (never for a missing file); its ``corrupt`` action mangles them
-        so the read takes the real corruption path.  With ``mapped`` the
-        decoder is handed an ``mmap`` it may keep views into.
+        so the read takes the real corruption path.
         """
         try:
-            data = self._fetch(path, mapped)
+            data = path.read_bytes()
         except FileNotFoundError:
             return None
         except OSError:
@@ -222,8 +208,6 @@ class FileTier:
                 raise ValueError("empty file")
             return decode(data)
         except ValueError:
-            # No explicit close of a mapping: views into it may survive
-            # in the traceback; the collector reclaims both together.
             self.stats.count("corrupt")
             return None
 
@@ -261,7 +245,7 @@ class FileTier:
             if not path.name.endswith(suffixes):
                 continue
             try:
-                data = self._fetch(path, False)
+                data = path.read_bytes()
                 kept = bool(data) and keep(path, data)
             except ValueError:
                 kept = False

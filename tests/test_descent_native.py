@@ -20,10 +20,13 @@ Phase 2 follows it: ``_lean.c``'s ``collect_answers``, else
   recorded, and a cached build is loaded without invoking a compiler.
   The loader cases run for both of :mod:`repro.native`'s sources, the
   lean pass and the parser's token pass (``repro/xtree/_scan.c``);
-* **bounds and references** — mangled columns of a built layout and of
-  a tier-loaded (``memoryview``) one, and mangled table ids, raise
-  ``IndexError``; a pass cut short by a raising predicate or miss path
-  leaks no reference, truth set or buffer export.  Mangled cans columns
+* **bounds and references** — mangled columns of a document whose
+  indexes were built and of one whose indexes were rehydrated from the
+  ``--doc-dir`` record, and mangled table ids, raise ``IndexError``; a
+  column that is not a list (a ``tuple``, an ``array('i')``, a
+  ``memoryview``) raises ``TypeError`` naming it; a pass cut short by a
+  raising predicate or miss path leaks no reference, truth set or
+  buffer export.  Mangled cans columns
   (``visit_parents``, ``finals_seen``, a ``deaths`` key, a visit's node
   id) make phase 2 raise ``IndexError``, and a phase 2 cut short by a
   raising ``_alive`` leaves every cached set's refcount as it was.
@@ -412,11 +415,12 @@ if sys.argv[1] == "built":
     doc = IndexedDocument(tree)
 else:
     work = tempfile.mkdtemp()
-    DocumentStore(index_dir=work).get(serialize(tree))
+    DocumentStore(index_dir=work).get(serialize(tree)).index_for(False)
     warm = DocumentStore(index_dir=work)
     doc = warm.get(serialize(tree))
-    assert warm.stats.layout_loads == 1
-    assert isinstance(doc.layout.kid_ids, memoryview)
+    doc.index_for(False)
+    doc.index_for(True)
+    assert (warm.stats.index_loads, warm.stats.index_builds) == (2, 0)
 layout = doc.layout
 
 
@@ -428,12 +432,6 @@ def plan_for(query, algorithm):
 """
 
 _BOUNDS = _PRELUDE + """
-def like(column, values):
-    if isinstance(column, memoryview):
-        return memoryview(array("i", values))
-    return values
-
-
 def mangles(values):
     values = list(values)
     yield "negative", [-1 - v if i == 0 else v for i, v in enumerate(values)]
@@ -449,7 +447,7 @@ for algorithm in ALGORITHMS:
     for name in ("kid_start", "kid_ids", "kid_labels"):
         original = getattr(layout, name)
         for how, values in mangles(original):
-            setattr(layout, name, like(original, values))
+            setattr(layout, name, values)
             try:
                 plan.run(0, layout=layout)
                 failures.append(f"{algorithm} {name} {how}: no error")
@@ -607,10 +605,45 @@ for algorithm in ALGORITHMS:
     for row in rows.values():
         row.append(0)
         row.pop()
-if isinstance(layout.kid_ids, memoryview):
-    for name in ("kid_ids", "kid_labels", "kid_start"):
-        getattr(layout, name).release()  # BufferError if still exported
 print("clean")
+"""
+
+
+_COLUMN_TYPES = _PRELUDE + """
+NOT_LISTS = {
+    "tuple": tuple,
+    "array": lambda values: array("i", [v & 0x7FFFFFFF for v in values]),
+    "memoryview": lambda values: memoryview(array("i", [v & 0x7FFFFFFF for v in values])),
+}
+failures = []
+runs = 0
+for algorithm in ALGORITHMS:
+    plan = plan_for("//*", algorithm)
+    owners = dict.fromkeys(("kid_ids", "kid_start", "kid_labels"), layout)
+    if algorithm != "hype":
+        owners["mask_keys"] = layout.indexes[plan.compressed]
+    for name, owner in owners.items():
+        original = getattr(owner, name)
+        for kind, make in NOT_LISTS.items():
+            column = make(original)
+            setattr(owner, name, column)
+            before = sys.getrefcount(column), sys.getrefcount(original)
+            try:
+                plan.run(0, layout=layout)
+                failures.append(f"{algorithm} {name} as {kind}: no error")
+            except TypeError as error:
+                if f"column {name} must be a list" not in str(error):
+                    failures.append(f"{algorithm} {name} as {kind}: {error}")
+            after = sys.getrefcount(column), sys.getrefcount(original)
+            if after != before:
+                failures.append(f"{algorithm} {name} as {kind}: {before} -> {after}")
+            setattr(owner, name, original)
+            runs += 1
+    assert plan.run(0, layout=layout).ids, "restored plan answers"
+print(runs, "refused columns")
+if failures:
+    print("\\n".join(failures))
+    sys.exit(1)
 """
 
 
@@ -753,6 +786,11 @@ class TestBoundsAndReferences:
         done = _subprocess(_BOUNDS, kind)
         assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
         assert "mangled runs" in done.stdout
+
+    def test_a_column_that_is_not_a_list_is_refused_by_name(self):
+        done = _subprocess(_COLUMN_TYPES, "built")
+        assert done.returncode == 0, (done.returncode, done.stdout, done.stderr)
+        assert "33 refused columns" in done.stdout
 
     @pytest.mark.parametrize("kind", ["built", "tier-loaded"])
     def test_a_pass_cut_short_leaks_nothing(self, kind):

@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import zlib
 from pathlib import Path
 
 import pytest
@@ -63,20 +64,20 @@ def read_record(path, content_hash) -> dict:
 def write_record(path, content_hash, labels, masks, ids) -> None:
     """Seal a (possibly tampered) record the way the tier does — the
     structural checks behind the crc, exercised by a well-sealed file."""
-    blob_len, blob = store_module._label_blob(labels)
+    blob = "\x00".join(labels).encode("utf-8")
     mask_width = (len(labels) + 8) // 8
-    path.write_bytes(
-        store_module._seal(
-            store_module._INDEX_MAGIC,
-            content_hash,
-            (len(ids), blob_len, len(masks), 1),
-            [
-                blob,
-                b"".join(mask.to_bytes(mask_width, "little") for mask in masks),
-                bytes(ids),
-            ],
-        )
+    body = b"".join(
+        [
+            store_module._ECHO.pack(
+                content_hash.encode("ascii"), len(ids), len(blob), len(masks), 1
+            ),
+            blob + b"\x00" * (-len(blob) % 4),
+            b"".join(mask.to_bytes(mask_width, "little") for mask in masks),
+            bytes(ids),
+        ]
     )
+    seal = store_module._SEAL.pack(b"RDIX", DOC_FORMAT_VERSION, zlib.crc32(body))
+    path.write_bytes(seal + body)
 
 
 class TestDocumentLayout:
@@ -451,116 +452,68 @@ class TestPersistentTier:
         )
         index = store.get(hospital_xml).index_for(True)
         assert index is not None
-        # Two counted write failures: the layout sidecar and the index.
-        assert store.stats.errors == 2
-        assert store.stats.index_stores == 0 and store.stats.layout_stores == 0
+        # One counted write failure: the document's one record.
+        assert store.stats.errors == 1
+        assert store.stats.index_stores == 0
 
-    def test_restart_rehydrates_the_layout_sidecar(
+    def test_a_restart_rebuilds_the_layout_from_the_parse(
         self, tmp_path, hospital_xml
     ):
-        cold = DocumentStore(index_dir=tmp_path / "docs")
-        built = cold.get(hospital_xml).layout
-        assert cold.stats.layout_stores == 1
-        assert cold.stats.layout_loads == 0
-
-        warm = DocumentStore(index_dir=tmp_path / "docs")
-        loaded = warm.get(hospital_xml).layout
-        assert warm.stats.layout_loads == 1
-        assert warm.stats.layout_stores == 0
-        # A rehydrated layout is column-identical to a built one (built
-        # columns are int arrays now, so both sides are listed).
-        assert loaded.table is built.table  # sorted file order: the shared table
-        assert list(loaded.node_label) == list(built.node_label)
-        assert list(loaded.kid_ids) == list(built.kid_ids)
-        assert list(loaded.kid_labels) == list(built.kid_labels)
-        assert list(loaded.kid_start) == list(built.kid_start)
-        assert loaded.covers(warm.get(hospital_xml).tree.root)
-
-    def test_rehydrated_layout_answers_like_built(
-        self, tmp_path, hospital_xml
-    ):
+        """The layout is never persisted: a restarted store's layout is
+        the one a fresh ingest builds — the canonical table, the scan's
+        columns — and answers with the loaded index exactly as the cold
+        process did."""
         from repro.hype.api import to_mfa
         from repro.hype.core import CompiledPlan
 
         cold = DocumentStore(index_dir=tmp_path / "docs")
         doc_cold = cold.get(hospital_xml)
+        doc_cold.index_for(True)
         warm = DocumentStore(index_dir=tmp_path / "docs")
         doc_warm = warm.get(hospital_xml)
-        assert warm.stats.layout_loads == 1
+        built, rebuilt = doc_cold.layout, doc_warm.layout
+        assert rebuilt.table is built.table
+        for name in ("node_label", "kid_ids", "kid_labels", "kid_start"):
+            assert type(getattr(rebuilt, name)) is list, name
+            assert getattr(rebuilt, name) == getattr(built, name), name
         mfa = to_mfa("//patient[.//diagnosis/text() = 'heart disease']")
-        built = CompiledPlan(mfa).run(doc_cold.tree.root, layout=doc_cold.layout)
-        loaded = CompiledPlan(mfa).run(doc_warm.tree.root, layout=doc_warm.layout)
-        assert {n.node_id for n in built.answers} == {
-            n.node_id for n in loaded.answers
-        }
-        assert built.stats == loaded.stats
+        index = doc_warm.index_for(True)
+        assert (warm.stats.index_loads, warm.stats.index_builds) == (1, 0)
+        a = CompiledPlan(mfa, index=doc_cold.index_for(True)).run(
+            doc_cold.tree.root, layout=built
+        )
+        b = CompiledPlan(mfa, index=index).run(doc_warm.tree.root, layout=rebuilt)
+        assert a.ids == b.ids and a.ids
+        assert a.stats == b.stats
 
-    def test_corrupt_sidecar_is_counted_rebuilt_and_overwritten(
-        self, tmp_path, hospital_xml
-    ):
-        cold = DocumentStore(index_dir=tmp_path / "docs")
-        doc = cold.get(hospital_xml)
-        path = cold.tier.layout_path_for(doc.content_hash)
-        path.write_bytes(b"RLAY not a real sidecar")
-
-        warm = DocumentStore(index_dir=tmp_path / "docs")
-        warm.get(hospital_xml)
-        assert warm.stats.corrupt == 1
-        assert warm.stats.layout_loads == 0
-        assert warm.stats.layout_stores == 1  # rebuilt and overwritten
-
-    def test_truncated_sidecar_is_a_counted_miss(
-        self, tmp_path, hospital_xml
-    ):
-        cold = DocumentStore(index_dir=tmp_path / "docs")
-        doc = cold.get(hospital_xml)
-        path = cold.tier.layout_path_for(doc.content_hash)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])  # valid header, cut columns
-
-        warm = DocumentStore(index_dir=tmp_path / "docs")
-        warm.get(hospital_xml)
-        assert warm.stats.corrupt == 1 and warm.stats.layout_stores == 1
-
-    def test_sidecar_hash_mismatch_is_rejected(self, tmp_path, hospital_xml):
-        """A sidecar renamed onto another document's key is never served."""
-        cold = DocumentStore(index_dir=tmp_path / "docs")
-        doc = cold.get(hospital_xml)
-        other_xml = "<hospital><department/></hospital>"
-        other_hash = content_digest(other_xml)
-        source = cold.tier.layout_path_for(doc.content_hash)
-        target = cold.tier.layout_path_for(other_hash)
-        target.write_bytes(source.read_bytes())
-
-        warm = DocumentStore(index_dir=tmp_path / "docs")
-        warm.get(other_xml)
-        assert warm.stats.corrupt == 1 and warm.stats.layout_stores == 1
-
-    def test_empty_sidecar_file_is_a_counted_miss(
-        self, tmp_path, hospital_xml
-    ):
-        """Regression: mmap of a zero-byte (half-created) file raises
-        ValueError — it must degrade to a counted rebuild."""
-        cold = DocumentStore(index_dir=tmp_path / "docs")
-        doc = cold.get(hospital_xml)
-        cold.tier.layout_path_for(doc.content_hash).write_bytes(b"")
-        warm = DocumentStore(index_dir=tmp_path / "docs")
-        warm.get(hospital_xml)
-        assert warm.stats.corrupt == 1 and warm.stats.layout_stores == 1
+    def test_the_inert_save_layout_writes_nothing(self, tmp_path, hospital_xml):
+        """``save_layout`` survives only as a no-op for old callers: after
+        it the directory holds the document's one index record."""
+        store = DocumentStore(index_dir=tmp_path / "docs")
+        doc = store.get(hospital_xml)
+        doc.index_for(False)
+        assert store.tier.save_layout(doc.content_hash, doc.layout) is False
+        assert list(store.tier.root.iterdir()) == [
+            store.tier.path_for(doc.content_hash)
+        ]
+        assert (store.stats.errors, store.stats.index_stores) == (0, 1)
 
 
 class TestPersistedBytes:
     """Golden: what a ``--doc-dir`` holds for one fixed document.
 
-    ``FILES`` pins what a fresh build writes — one sealed index record
-    and one sealed layout sidecar, labels in sorted order with the text
-    marker on bit 0 (the canonical form every document of one label set
-    shares a table through) — hashed over their raw bytes.  A change
-    that alters them orphans deployed tiers (and needs a
-    ``DOC_FORMAT_VERSION`` bump).  ``tests/golden/doctier_v2`` keeps the
-    three files format v2 wrote for the same document (two gzip-JSON
-    index files, one unsealed sidecar): v3 never reads them, a boot over
-    them rebuilds, and ``gc`` sweeps them.
+    ``FILES`` pins what a fresh build writes — one sealed index record,
+    labels in sorted order with the text marker on bit 0 (the canonical
+    form every document of one label set shares a table through) —
+    hashed over its raw bytes.  A change that alters it orphans deployed
+    tiers (and needs a ``DOC_FORMAT_VERSION`` bump).  Two fixtures hold
+    what older writers left for the same document:
+    ``tests/golden/doctier_v2`` the three files format v2 wrote (two
+    gzip-JSON index files, one unsealed sidecar), which v3 never reads
+    — a boot over them rebuilds, and ``gc`` sweeps them; and
+    ``tests/golden/doctier_v3`` the index record and the sealed layout
+    sidecar v3 wrote while it persisted layouts — a boot over them
+    loads the record, reads nothing else, and ``gc`` sweeps the sidecar.
     """
 
     XML = (
@@ -574,7 +527,6 @@ class TestPersistedBytes:
     ADDRESS = "824514870acf0a7a01141e5fc7113146ecba1b0cc928bac48538f9fad2ab17a6"
     FILES = {
         ".v3.docidx.bin": "c5c6569d9c1129e21810d558b8e05c827d3bedd0d9981ea429b5fc69ffdb1ee1",
-        ".v3.doclay.bin": "20aec479e23b0992308d1ed3a0f4974a241d0a8a446ddd68eaad79f87c6ad24d",
     }
     #: The fixture files as format v2 wrote them.
     V2_FILES = {
@@ -583,6 +535,12 @@ class TestPersistedBytes:
         ".v2.doclay.bin": "3c88e6430cf05b226300367e1bf8131eca91c8db374d1271dd47d5282ee714d6",
     }
     FIXTURES = Path(__file__).parent / "golden" / "doctier_v2"
+    #: The fixture files as format v3 wrote them with a layout sidecar.
+    SIDECAR_FILES = {
+        **FILES,
+        ".v3.doclay.bin": "20aec479e23b0992308d1ed3a0f4974a241d0a8a446ddd68eaad79f87c6ad24d",
+    }
+    SIDECAR_FIXTURES = Path(__file__).parent / "golden" / "doctier_v3"
 
     @staticmethod
     def _digests(directory) -> dict:
@@ -615,29 +573,30 @@ class TestPersistedBytes:
         doc.index_for(False)
         assert self._digests(tmp_path) == self.FILES
 
+    @staticmethod
+    def answers(doc) -> list:
+        cached = PlanCache(4).plan(None, "//patient[visit/treatment]/name")
+        results = [
+            cached.compiled(algorithm, doc.tree, doc).run(doc.root, layout=doc.layout)
+            for algorithm in ALGORITHMS
+        ]
+        assert all(result.ids for result in results)
+        return [(result.ids, result.stats) for result in results]
+
     def test_v2_files_are_never_read_rebuilt_and_swept(self, tmp_path):
         """A boot over a v2 directory reads none of its files — nothing
-        loaded, nothing counted corrupt — builds, writes the v3 pair and
-        answers (and prunes) exactly like a fresh build; ``gc`` then
-        sweeps the three v2 files and keeps the v3 pair."""
+        loaded, nothing counted corrupt — builds, writes the v3 record
+        and answers (and prunes) exactly like a fresh build; ``gc`` then
+        sweeps the three v2 files and keeps the record, which the next
+        boot loads."""
         assert self._digests(self.FIXTURES) == self.V2_FILES
         shutil.copytree(self.FIXTURES, tmp_path / "old")
         old_store = DocumentStore(index_dir=tmp_path / "old")
         old, new = old_store.get(self.XML), DocumentStore().get(self.XML)
-        cached = PlanCache(4).plan(None, "//patient[visit/treatment]/name")
-        for algorithm in ALGORITHMS:
-            results = [
-                cached.compiled(algorithm, doc.tree, doc).run(
-                    doc.root, layout=doc.layout
-                )
-                for doc in (old, new)
-            ]
-            assert results[0].ids == results[1].ids and results[0].ids
-            assert results[0].stats == results[1].stats
+        assert self.answers(old) == self.answers(new)
         stats = old_store.snapshot_stats()
-        assert (stats.index_loads, stats.layout_loads) == (0, 0)
-        assert (stats.corrupt, stats.errors) == (0, 0)
-        assert (stats.index_builds, stats.index_stores, stats.layout_stores) == (2, 1, 1)
+        assert (stats.index_loads, stats.corrupt, stats.errors) == (0, 0, 0)
+        assert (stats.index_builds, stats.index_stores) == (2, 1)
         assert old.layout.table is new.layout.table
         assert self._digests(tmp_path / "old") == {**self.V2_FILES, **self.FILES}
 
@@ -647,18 +606,37 @@ class TestPersistedBytes:
         reloaded_store = DocumentStore(index_dir=tmp_path / "old")
         reloaded = reloaded_store.get(self.XML)
         assert reloaded.index_for(True).mask_keys == new.index_for(True).mask_keys
-        assert isinstance(reloaded.layout.node_label, memoryview)  # zero-copy
         stats = reloaded_store.snapshot_stats()
-        assert (stats.index_builds, stats.index_loads, stats.layout_loads) == (0, 1, 1)
+        assert (stats.index_builds, stats.index_loads) == (0, 1)
+
+    def test_a_sidecar_directory_loads_its_record_and_sweeps_the_sidecar(
+        self, tmp_path
+    ):
+        """Upgrade: a directory written while the layout was persisted
+        boots with no index build and nothing counted corrupt or failed,
+        answers (and counts) like a fresh build under every algorithm,
+        and ``gc`` removes the sidecar alone."""
+        assert self._digests(self.SIDECAR_FIXTURES) == self.SIDECAR_FILES
+        shutil.copytree(self.SIDECAR_FIXTURES, tmp_path / "old")
+        old_store = DocumentStore(index_dir=tmp_path / "old")
+        old = old_store.get(self.XML)
+        assert self.answers(old) == self.answers(DocumentStore().get(self.XML))
+        stats = old_store.snapshot_stats()
+        assert (stats.index_builds, stats.corrupt, stats.errors) == (0, 0, 0)
+        assert (stats.index_loads, stats.index_stores) == (2, 0)
+        assert self._digests(tmp_path / "old") == self.SIDECAR_FILES  # untouched
+
+        assert old_store.tier.gc() == 1
+        assert self._digests(tmp_path / "old") == self.FILES
 
 
 class TestPersistedBytesPlain:
     """Golden: :class:`TestPersistedBytes`' twin for a plain document —
     no attribute, no entity — which the compiled scan takes, so its
-    record is the scan's mask classes written as they are and its
-    sidecar the scan's label ids.  The same bytes as the Python pass
-    writes (and as the format wrote before the scan derived them): in a
-    ``CC=false`` subprocess, the Python pass alone writes them too."""
+    record is the scan's mask classes written as they are.  The same
+    bytes as the Python pass writes (and as the format wrote before the
+    scan derived them): in a ``CC=false`` subprocess, the Python pass
+    alone writes them too."""
 
     XML = (
         '<?xml version="1.0"?>\n<hospital>\n'
@@ -671,7 +649,6 @@ class TestPersistedBytesPlain:
     ADDRESS = "c9f2884896454490cbe21eb36c40265c1899aa8955628ea4613efd8f1c046259"
     FILES = {
         ".v3.docidx.bin": "d363f5a30e35532ac7856c2391432f8cfa3d77844a7a25feff0758578306dc9d",
-        ".v3.doclay.bin": "27317b1e511f1440a660270f071c3b4c23e236ab5899db592ddee990592620d5",
     }
     WRITE = """
 import sys
@@ -715,28 +692,30 @@ class TestTierGC:
         doc = store.get(hospital_xml)
         doc.index_for(True)
         live_index = store.tier.path_for(doc.content_hash)
-        live_layout = store.tier.layout_path_for(doc.content_hash)
 
         root = store.tier.root
         v1_index = root / ("a" * 64 + ".c.v1.docidx.json.gz")
         v1_index.write_bytes(b"x")
         v1_layout = root / ("b" * 64 + ".v1.doclay.bin")
         v1_layout.write_bytes(b"x")
-        # A v2 index file under the live document's own hash.
+        # A v2 index file and a current-version (retired) layout sidecar
+        # under the live document's own hash.
         v2_index = root / (doc.content_hash + ".u.v2.docidx.json.gz")
         v2_index.write_bytes(b"x")
+        v3_layout = root / (doc.content_hash + f".v{DOC_FORMAT_VERSION}.doclay.bin")
+        v3_layout.write_bytes(b"x")
         # Current-version name but the header echoes a different hash.
-        renamed = root / ("c" * 64 + f".v{DOC_FORMAT_VERSION}.doclay.bin")
-        renamed.write_bytes(live_layout.read_bytes())
+        renamed = root / ("c" * 64 + f".v{DOC_FORMAT_VERSION}.docidx.bin")
+        renamed.write_bytes(live_index.read_bytes())
         unknown = root / "README.txt"
         unknown.write_text("not ours")
 
         removed = store.tier.gc()
-        assert removed == 4
-        assert store.stats.gc_removed == 4
-        assert live_index.exists() and live_layout.exists()
+        assert removed == 5
+        assert store.stats.gc_removed == 5
+        assert live_index.exists()
         assert not v1_index.exists() and not v1_layout.exists()
-        assert not v2_index.exists()
+        assert not v2_index.exists() and not v3_layout.exists()
         assert not renamed.exists()
         assert unknown.exists()  # foreign files are left alone
 
@@ -777,13 +756,10 @@ class TestLoadedIndexEquivalence:
 
 class TestCorruptionProperty:
     """The doc tier's half of the corruption property: one bit flipped
-    anywhere in a v3 index record or layout sidecar — header, hash echo,
-    label blob, mask table, id column, each int32 column, the crc — and
-    all three algorithms either answer exactly as a fresh build or count
-    the file ``corrupt`` and rebuild it.  No exception, no silently
-    different answer.  ``test_kid_labels_low_bits`` is the experiment
-    that gave 22 silent differences over 84 positions with the unsealed
-    v2 sidecar."""
+    anywhere in a v3 index record — header, hash echo, label blob, mask
+    table, id column, the crc — and all three algorithms either answer
+    exactly as a fresh build or count the file ``corrupt`` and rebuild
+    it.  No exception, no silently different answer."""
 
     XML = serialize(generate_hospital_document(HospitalConfig(num_patients=4, seed=7)))
     QUERIES = (
@@ -799,11 +775,8 @@ class TestCorruptionProperty:
         doc = DocumentStore(index_dir=pristine).get(self.XML)
         reference = self.answers(plans, doc)
         assert all(ids for ids, _stats in reference)
-        files = {
-            "index": doc.tier.path_for(doc.content_hash).read_bytes(),
-            "layout": doc.tier.layout_path_for(doc.content_hash).read_bytes(),
-        }
-        return plans, reference, doc.content_hash, files
+        record = doc.tier.path_for(doc.content_hash).read_bytes()
+        return plans, reference, doc.content_hash, record
 
     @staticmethod
     def answers(plans, doc) -> list:
@@ -817,92 +790,50 @@ class TestCorruptionProperty:
         return found
 
     @staticmethod
-    def regions(kind: str, raw: bytes, content_hash: str) -> dict:
+    def regions(raw: bytes, content_hash: str) -> dict:
         """Byte ranges of every region of one record, from its header."""
         header = store_module._SEAL.size + store_module._ECHO.size
-        regions = {
+        _nodes, labels, masks, _ids = store_module._index_header(
+            memoryview(raw), content_hash
+        )
+        blob_len = len("\x00".join(labels).encode())
+        blob_end = header + blob_len + -blob_len % 4
+        ids_at = blob_end + len(masks) * ((len(labels) + 8) // 8)
+        return {
             "magic": (0, 4),
             "version": (4, 8),
             "crc": (8, 12),
             "hash-echo": (12, 76),
             "counts": (76, header),
+            "label-blob": (header, blob_end),
+            "mask-table": (blob_end, ids_at),
+            "id-column": (ids_at, len(raw)),
         }
-        view = memoryview(raw)
-        if kind == "index":
-            _nodes, labels, masks, _ids = store_module._index_header(
-                view, content_hash
-            )
-            blob_len = len("\x00".join(labels).encode())
-            blob_end = header + blob_len + -blob_len % 4
-            ids_at = blob_end + len(masks) * ((len(labels) + 8) // 8)
-            return {
-                **regions,
-                "label-blob": (header, blob_end),
-                "mask-table": (blob_end, ids_at),
-                "id-column": (ids_at, len(raw)),
-            }
-        num_nodes, num_kids, _labels, at = store_module._layout_header(
-            view, content_hash
-        )
-        regions["label-blob"] = (header, at)
-        for name, count in (
-            ("node_label", num_nodes),
-            ("kid_ids", num_kids),
-            ("kid_labels", num_kids),
-            ("kid_start", num_nodes + 1),
-        ):
-            regions[name] = (at, at + 4 * count)
-            at += 4 * count
-        return regions
 
-    def outcome(self, setting, tmp_path, kind: str, position: int, bit: int) -> str:
-        plans, reference, content_hash, files = setting
-        flipped = bytearray(files[kind])
+    def outcome(self, setting, tmp_path, position: int, bit: int) -> str:
+        plans, reference, content_hash, record = setting
+        flipped = bytearray(record)
         flipped[position] ^= 1 << bit
         tier = DocumentStore(index_dir=tmp_path).tier
-        for name, raw in files.items():
-            path = (
-                tier.path_for(content_hash)
-                if name == "index"
-                else tier.layout_path_for(content_hash)
-            )
-            path.write_bytes(bytes(flipped) if name == kind else raw)
+        tier.path_for(content_hash).write_bytes(bytes(flipped))
         store = DocumentStore(index_dir=tmp_path)
         same = self.answers(plans, store.get(self.XML)) == reference
         stats = store.snapshot_stats()
-        rebuilt = (
-            stats.index_builds == 2 and stats.index_stores == 1
-            if kind == "index"
-            else stats.layout_stores == 1
-        )
         if same and stats.corrupt == 0:
             return "identical"
+        rebuilt = (stats.index_builds, stats.index_stores) == (2, 1)
         if same and stats.corrupt == 1 and rebuilt:
             return "corrupt+rebuild"
         return f"silent difference or unaccounted damage: {stats}"
 
-    @pytest.mark.parametrize("kind", ["index", "layout"])
-    def test_every_region(self, setting, tmp_path, kind):
-        _plans, _reference, content_hash, files = setting
+    def test_every_region(self, setting, tmp_path):
+        _plans, _reference, content_hash, record = setting
         outcomes = {}
-        for region, (start, end) in self.regions(kind, files[kind], content_hash).items():
+        for region, (start, end) in self.regions(record, content_hash).items():
             assert end > start, region
             for position in sorted({start, (start + end) // 2, end - 1}):
                 for bit in (0, 7):
                     outcomes[region, position, bit] = self.outcome(
-                        setting, tmp_path, kind, position, bit
+                        setting, tmp_path, position, bit
                     )
         assert set(outcomes.values()) <= {"identical", "corrupt+rebuild"}, outcomes
-
-    def test_kid_labels_low_bits(self, setting, tmp_path):
-        _plans, _reference, content_hash, files = setting
-        regions = self.regions("layout", files["layout"], content_hash)
-        start, end = regions["kid_labels"]
-        positions = range(start, end, 4)[:84]
-        assert len(positions) == 84
-        outcomes = [
-            self.outcome(setting, tmp_path, "layout", position, 0)
-            for position in positions
-        ]
-        assert outcomes.count("corrupt+rebuild") + outcomes.count("identical") == 84
-

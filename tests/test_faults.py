@@ -160,50 +160,59 @@ class TestSeamsNamedByTheTier:
                 for algorithm in ("hype", "opthype", "opthype-c")
             ]
 
-    def test_doc_tier_save_and_save_layout_drops_are_counted_errors(
-        self, tmp_path
-    ):
+    def test_doc_tier_save_drop_is_a_counted_error(self, tmp_path):
         reference = self.answers(DocumentStore())
-        schedule = plan(
-            FaultRule("doc-tier.save", "drop", hits=(1,)),
-            FaultRule("doc-tier.save-layout", "drop", hits=(1,)),
-        )
+        schedule = plan(FaultRule("doc-tier.save", "drop", hits=(1,)))
         cold = DocumentStore(index_dir=tmp_path / "docs")
         assert self.answers(cold) == reference
-        assert schedule.fired_counts() == {
-            "doc-tier.save": 1,
-            "doc-tier.save-layout": 1,
-        }
+        assert schedule.fired_counts() == {"doc-tier.save": 1}
         stats = cold.stats
-        assert (stats.errors, stats.corrupt) == (2, 0)
+        assert (stats.errors, stats.corrupt) == (1, 0)
         # The second variant is a conversion and writes nothing: with the
         # document's one record dropped, nothing landed.
-        assert (stats.layout_stores, stats.index_stores) == (0, 0)
+        assert stats.index_stores == 0
         assert list((tmp_path / "docs").iterdir()) == []  # no temporaries
         # What did not land is rebuilt (and stored) by the next process.
         warm = DocumentStore(index_dir=tmp_path / "docs")
         assert self.answers(warm) == reference
         stats = warm.stats
-        assert (stats.index_loads, stats.index_builds) == (0, 2)
-        assert (stats.layout_stores, stats.index_stores) == (1, 1)
+        assert (stats.index_loads, stats.index_builds, stats.index_stores) == (0, 2, 1)
         again = DocumentStore(index_dir=tmp_path / "docs")
         assert self.answers(again) == reference
         stats = again.stats
-        assert (stats.index_loads, stats.index_builds, stats.layout_loads) == (2, 0, 1)
+        assert (stats.index_loads, stats.index_builds) == (2, 0)
 
-    def test_doc_tier_load_layout_corruption_degrades_to_rebuild(self, tmp_path):
-        cold = DocumentStore(index_dir=tmp_path / "docs")
-        reference = self.answers(cold)
-        schedule = plan(FaultRule("doc-tier.load-layout", "corrupt", hits=(1,)))
-        warm = DocumentStore(index_dir=tmp_path / "docs")
-        assert self.answers(warm) == reference
-        assert schedule.fired_counts() == {"doc-tier.load-layout": 1}
-        stats = warm.stats
-        assert (stats.corrupt, stats.errors) == (1, 0)
-        assert (stats.layout_loads, stats.layout_stores) == (0, 1)
-        again = DocumentStore(index_dir=tmp_path / "docs")
-        assert self.answers(again) == reference
-        assert again.stats.layout_loads == 1  # hit 2: clean load
+
+class TestRetiredLayoutSeams:
+    """The layout is no longer persisted, so the two points that guarded
+    its sidecar's file I/O are gone: they are not in the seam table, and
+    a plan naming either one never fires across a cold and a restarted
+    boot over a ``--doc-dir``, which counts no failure."""
+
+    POINTS = ("doc-tier.load-layout", "doc-tier.save-layout")
+
+    def test_the_points_are_gone_from_the_seam_table(self):
+        for point in self.POINTS:
+            assert point not in faults.__doc__
+        assert "layout" not in faults.__doc__
+
+    @pytest.mark.parametrize(
+        "point,action",
+        [("doc-tier.save-layout", "drop"), ("doc-tier.load-layout", "corrupt")],
+    )
+    def test_a_retired_point_never_fires(self, point, action, tmp_path):
+        seams = TestSeamsNamedByTheTier()
+        reference = seams.answers(DocumentStore())
+        schedule = plan(FaultRule(point, action))
+        for _boot in range(2):  # cold, then restarted over the same directory
+            store = DocumentStore(index_dir=tmp_path / "docs")
+            assert seams.answers(store) == reference
+            assert (store.stats.errors, store.stats.corrupt) == (0, 0)
+        assert schedule.hits(point) == 0
+        assert schedule.fired_counts() == {}
+        assert [path.name[64:] for path in (tmp_path / "docs").iterdir()] == [
+            ".v3.docidx.bin"
+        ]
 
 
 class TestRetiredComposedSeams:

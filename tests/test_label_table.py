@@ -128,7 +128,6 @@ def test_a_tier_loaded_document_joins_the_canonical_table(tmp_path):
     built.index_for(True)
     warm = DocumentStore(index_dir=tmp_path)
     loaded, fresh = warm.get(xml), warm.get(other)
-    assert warm.stats.layout_loads == 1 and warm.stats.layout_stores == 1
     assert loaded.layout.table is built.layout.table is fresh.layout.table
     assert loaded.index_for(True).mask_keys == built.index_for(True).mask_keys
     assert warm.stats.index_loads == 1 and warm.stats.index_builds == 0

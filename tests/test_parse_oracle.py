@@ -186,8 +186,11 @@ def rejected_leniency(source: str, error: XMLParseError) -> str | None:
         return "leading byte-order mark"
     if re.search(r"<!DOCTYPE[^>]*\[", source):
         return "DOCTYPE internal subset"
-    names = re.findall(r"<[/?]?([^\s/>?!]+)|[ \t\r\n]([^\s=/>]+)[ \t\r\n]*=", source)
-    if any(_NAME.fullmatch(name or attribute) is None for name, attribute in names):
+    names = re.findall(
+        r"<[/?]?([^\s/>?!]+)|<!DOCTYPE\s+([^\s>\[]+)|[ \t\r\n]([^\s=/>]+)[ \t\r\n]*=",
+        source,
+    )
+    if any(_NAME.fullmatch("".join(name)) is None for name in names):
         return "name outside NAME"
     return None
 

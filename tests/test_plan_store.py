@@ -626,7 +626,12 @@ class TestStoreGC:
         stale_layout.write_bytes(b"x")
         retired = [
             doc_dir / ("c" * 64 + suffix)
-            for suffix in (".u.v2.docidx.json.gz", ".c.v2.docidx.json.gz", ".v2.doclay.bin")
+            for suffix in (
+                ".u.v2.docidx.json.gz",
+                ".c.v2.docidx.json.gz",
+                ".v2.doclay.bin",
+                ".v3.doclay.bin",
+            )
         ]
         for path in retired:
             path.write_bytes(b"x")
@@ -643,6 +648,6 @@ class TestStoreGC:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "removed 5 stale document-tier file(s)" in out
+        assert "removed 6 stale document-tier file(s)" in out
         assert not stale_index.exists() and not stale_layout.exists()
         assert not any(path.exists() for path in retired)

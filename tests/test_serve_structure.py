@@ -289,8 +289,6 @@ def test_every_tier_read_and_write_names_a_registered_seam():
         "plan-store.save",
         "doc-tier.load",
         "doc-tier.save",
-        "doc-tier.load-layout",
-        "doc-tier.save-layout",
     }
     assert all(f"``{seam}``" in repro.faults.__doc__ for seam in named)
 
@@ -377,6 +375,60 @@ def test_a_retired_composed_persistence_name_is_gone(name):
     assert [
         relative(path) for path in LIBRARY if pattern.search(path.read_text())
     ] == []
+
+
+#: The layout is rebuilt from the parse and never persisted: the sidecar's
+#: store API, its rehydration constructor, its suffix and its counters,
+#: by name.
+RETIRED_LAYOUT_NAMES = (
+    "load_layout",
+    "from_arrays",
+    "layout_path_for",
+    "DOC_LAYOUT_SUFFIX",
+    "layout_loads",
+    "layout_stores",
+)
+
+
+def spelled(tree: ast.AST):
+    """Every identifier a module spells — names, attributes, definitions,
+    imports, parameters, keywords — and every word of its strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name, node.asname))
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from re.findall(r"\w+", node.value)
+
+
+@pytest.mark.parametrize("name", RETIRED_LAYOUT_NAMES)
+def test_a_retired_layout_sidecar_name_is_gone(name):
+    assert name in set(spelled(ast.parse(f"tier.{name}"))), "the walk is broken"
+    assert [
+        relative(path) for path in LIBRARY if name in set(spelled(parse(path)))
+    ] == []
+
+
+def test_nothing_maps_a_file():
+    """The sidecar was the only mapped kind: every tier read is a plain
+    read now, and nothing under ``src/repro`` imports :mod:`mmap`."""
+    importers = [
+        relative(path)
+        for path in LIBRARY
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Import)
+        and any(alias.name.split(".")[0] == "mmap" for alias in node.names)
+        or isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[0] == "mmap"
+    ]
+    assert importers == []
 
 
 #: Members that went with composed persistence (or were only ever called

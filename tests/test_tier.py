@@ -4,8 +4,8 @@
 kind in the system is built on.  This suite pins each algorithm once,
 directly, and then drives the same gate scenarios through the three LRU
 owners (``PlanCache``, ``ComposedCache``, ``DocumentStore``) and the same
-damage / sweep scenarios through the three persisted kinds (plan
-artifact, index file, layout sidecar) by parametrisation — the
+damage / sweep scenarios through the two persisted kinds (plan
+artifact, index record) by parametrisation — the
 per-owner copies of these tests are gone (mapping in ``CHANGES.md``,
 PR 20).
 
@@ -15,7 +15,6 @@ Every wait has a timeout: at a defect these tests fail, they do not hang.
 from __future__ import annotations
 
 import gzip
-import mmap
 import shutil
 import sys
 import threading
@@ -456,27 +455,18 @@ class TestFileTier:
         path = tier.root / "x.bin"
         path.mkdir()  # chmod does nothing as root; a directory always fails
         assert tier.read(path, "seam.read", upper) is None
-        assert tier.read(path, "seam.read", upper, mapped=True) is None
-        assert self.counts(tier) == (2, 0, 0)
+        assert self.counts(tier) == (1, 0, 0)
 
-    @pytest.mark.parametrize("mapped", [False, True])
-    def test_empty_and_undecodable_files_are_corrupt(self, tier, mapped):
+    def test_empty_and_undecodable_files_are_corrupt(self, tier):
         def refuse(data):
             raise ValueError("not mine")
 
         path = tier.root / "x.bin"
         path.write_bytes(b"")
-        assert tier.read(path, "seam.read", upper, mapped=mapped) is None
+        assert tier.read(path, "seam.read", upper) is None
         path.write_bytes(b"abc")
-        assert tier.read(path, "seam.read", refuse, mapped=mapped) is None
+        assert tier.read(path, "seam.read", refuse) is None
         assert self.counts(tier) == (0, 2, 0)
-
-    def test_a_mapped_read_hands_the_decoder_a_mapping(self, tier):
-        path = tier.root / "x.bin"
-        tier.write(path, b"abcd" * 4, "seam.write")
-        view = tier.read(path, "seam.read", memoryview, mapped=True)
-        assert isinstance(view.obj, mmap.mmap)
-        assert bytes(view[4:8]) == b"abcd"  # alive as long as the view is
 
     def test_a_reader_never_sees_a_partial_file(self, tier):
         path = tier.root / "x.bin"
@@ -585,7 +575,7 @@ XML = serialize(generate_hospital_document(HospitalConfig(num_patients=4, seed=3
 SIBLING_XML = serialize(
     generate_hospital_document(HospitalConfig(num_patients=3, seed=5))
 )
-KINDS = ("plan", "index", "layout")
+KINDS = ("plan", "index")
 
 
 class Deployment:
@@ -608,7 +598,7 @@ class Deployment:
 
     def drive(self, wave=WAVE) -> tuple[list, dict]:
         """The wave under all three algorithms: touches every plan, the
-        composed machine (HyPE), both index variants and the layout."""
+        composed machine (HyPE) and both index variants."""
         with self.boot() as service:
             answers = [
                 [
@@ -633,7 +623,6 @@ class Deployment:
                 plans.path_for(plan_key(sigma0(), WAVE[1])),
             ),
             "index": (tier.path_for(address), tier.path_for(other)),
-            "layout": (tier.layout_path_for(address), tier.layout_path_for(other)),
         }[kind]
 
     def counters(self, kind: str, snap: dict) -> dict:
@@ -727,7 +716,7 @@ class TestOneReadPolicy:
         assert snap["plan_store"]["corrupt"] == snap["doc_store"]["corrupt"] == 0
         assert snap["plan_store"]["misses"] == snap["plan_misses"] == 0
         assert snap["doc_store"]["index_builds"] == 0
-        assert snap["doc_store"]["layout_loads"] == 1
+        assert snap["doc_store"]["index_loads"] == 2  # one record, two variants
 
 
 def undecodable_index(path, sibling) -> None:
@@ -747,14 +736,10 @@ class TestGcReclaimsWhatLoadRefuses:
         ("index", DAMAGE["truncated"]),
         ("index", undecodable_index),
         ("index", DAMAGE["wrong-key-echo"]),
-        ("layout", DAMAGE["truncated"]),
-        ("layout", DAMAGE["wrong-key-echo"]),
-        ("layout", DAMAGE["empty"]),
         ("plan", DAMAGE["empty"]),
         ("plan", flip_header_byte),
         ("index", DAMAGE["empty"]),
         ("index", flip_header_byte),
-        ("layout", flip_header_byte),
     ]
 
     @pytest.mark.parametrize("kind,damage", CASES)
