@@ -5,8 +5,8 @@ kind in the system is built on.  This suite pins each algorithm once,
 directly, and then drives the same gate scenarios through the three LRU
 owners (``PlanCache``, ``ComposedCache``, ``DocumentStore``) and the same
 damage / sweep scenarios through the two persisted kinds (plan
-artifact, index record) by parametrisation — the
-per-owner copies of these tests are gone (mapping in ``CHANGES.md``,
+artifact, index record) by parametrisation, and the retired layout
+sidecar through the same damage states — the per-owner copies of these tests are gone (mapping in ``CHANGES.md``,
 PR 20).
 
 Every wait has a timeout: at a defect these tests fail, they do not hang.
@@ -19,12 +19,13 @@ import shutil
 import sys
 import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from repro import faults
 from repro.compile import PlanStore, QueryCompiler
-from repro.docstore import DocumentStore, content_digest
+from repro.docstore import DOC_FORMAT_VERSION, DocumentStore, content_digest
 from repro.errors import ReproError, XMLParseError
 from repro.faults import FaultPlan, FaultRule
 from repro.hype.api import ALGORITHMS, HYPE, to_mfa
@@ -568,7 +569,7 @@ class TestFileTier:
 
 
 # ----------------------------------------------------------------------
-# One read policy, one sweep policy: the three persisted kinds
+# One read policy, one sweep policy: the two persisted kinds
 # ----------------------------------------------------------------------
 WAVE = sorted(VIEW_QUERIES.values())[:4]
 XML = serialize(generate_hospital_document(HospitalConfig(num_patients=4, seed=3)))
@@ -769,3 +770,69 @@ class TestGcReclaimsWhatLoadRefuses:
         deployment, _expected = deployed
         assert PlanStore(deployment.plans).gc() == 0
         assert DocumentStore(index_dir=deployment.docs).tier.gc() == 0
+
+
+#: A sealed layout sidecar as format 3 wrote it while layouts were
+#: persisted (another document's: the reader of that time refused it
+#: under this deployment's key, counting it ``corrupt``).
+GOLDEN_SIDECAR = next(
+    (Path(__file__).parent / "golden" / "doctier_v3").glob("*.doclay.bin")
+)
+#: What a leftover sidecar may hold: the sealed bytes, or those bytes
+#: damaged the ways ``DAMAGE`` damages a live file ("wrong-key-echo"
+#: puts the document's index record under the sidecar's name).
+SIDECAR_STATES = ["sealed", *sorted(DAMAGE)]
+
+
+class TestRetiredLayoutSidecar:
+    """A ``.doclay.bin`` left beside the index record by a writer that
+    persisted layouts is never read — whatever it holds, a boot loads
+    the record, builds no index, counts nothing and leaves the file as
+    it was — and ``gc`` sweeps it unless it cannot be read."""
+
+    @staticmethod
+    def leave(deployment, state: str) -> Path:
+        address = content_digest(XML)
+        tier = DocumentStore(index_dir=deployment.docs).tier
+        path = tier.root / f"{address}.v{DOC_FORMAT_VERSION}.doclay.bin"
+        path.write_bytes(GOLDEN_SIDECAR.read_bytes())
+        if state != "sealed":
+            DAMAGE[state](path, tier.path_for(address))
+        return path
+
+    @staticmethod
+    def contents(path: Path):
+        return "directory" if path.is_dir() else path.read_bytes()
+
+    @pytest.mark.parametrize("state", SIDECAR_STATES)
+    def test_a_leftover_sidecar_is_never_read(self, state, deployed):
+        deployment, expected = deployed
+        path = self.leave(deployment, state)
+        before = self.contents(path)
+        answers, snap = deployment.drive()
+        assert answers == expected
+        counters = snap["doc_store"]
+        assert (counters["errors"], counters["corrupt"]) == (0, 0)
+        assert (counters["index_builds"], counters["index_stores"]) == (0, 0)
+        assert self.contents(path) == before
+
+    @pytest.mark.parametrize("state", SIDECAR_STATES)
+    def test_gc_sweeps_a_leftover_sidecar(self, state, deployed):
+        deployment, expected = deployed
+        path = self.leave(deployment, state)
+        before = set(deployment.docs.iterdir())
+        store = DocumentStore(index_dir=deployment.docs)
+        if state == "unreadable":
+            # The sweep's read policy: what cannot be read counts
+            # ``errors`` and stays.
+            assert store.tier.gc() == 0
+            assert (store.stats.gc_removed, store.stats.errors) == (0, 1)
+            assert set(deployment.docs.iterdir()) == before
+        else:
+            assert store.tier.gc() == 1
+            assert (store.stats.gc_removed, store.stats.errors) == (1, 0)
+            assert before - set(deployment.docs.iterdir()) == {path}
+        answers, snap = deployment.drive()
+        assert answers == expected
+        counters = snap["doc_store"]
+        assert (counters["errors"], counters["corrupt"]) == (0, 0)
