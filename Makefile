@@ -67,16 +67,17 @@ bench-smoke:
 	    --benchmark-disable-gc --benchmark-warmup=off
 
 # Hot-loop benchmark: single-run absolute nodes/sec (all three
-# algorithms over the document's layout), wave-composition scaling +
-# cold-vs-shared-document serve throughput.  Writes BENCH_hype.json at
+# algorithms over the document's layout), waves against their lanes run
+# one after another + cold-vs-shared-document serve throughput.  Writes BENCH_hype.json at
 # the repo root — the kernel micro-record; the descent's regression
 # guard is the calibrated descent_hot row of `make bench-e2e`.
 bench-hot:
 	$(PY) benchmarks/bench_hot.py --check
 
-# Tiny-size variant with the acceptance floors enforced (width-8 wave
-# composition >=1.3x, >=1.5x shared serve throughput, exactly one index
-# build, cheap rewrite-bomb rejection). CI runs this.
+# Tiny-size variant with the acceptance floors enforced (a width-8 wave
+# against its lanes run one after another, under every lean pass the
+# process has; >=1.5x shared serve throughput, exactly one index build,
+# cheap rewrite-bomb rejection). CI runs this, compiled and with CC=false.
 bench-hot-smoke:
 	$(PY) benchmarks/bench_hot.py --smoke --out /tmp/BENCH_hype.json
 
@@ -98,6 +99,9 @@ bench-e2e-trace:
 # pairs of one workload, per-side medians and quartiles, wins per metric
 # against the parent's own spread; fails on any run that is not correct.
 #   make bench-e2e-pairs PARENT=/path/to/parent-checkout WORKLOAD=request_overhead [PAIRS=10] [SEED=n]
+# Run it from a clone of the change, as PARENT is a clone of the parent:
+# a working checkout's untracked files and caches can move its numbers
+# (peak_rss_mb read differently from one).
 # CI runs it once against itself with PAIRS=1 PAIRS_FLAGS=--smoke.
 PAIRS ?= 10
 bench-e2e-pairs:

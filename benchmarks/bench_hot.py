@@ -15,18 +15,15 @@ min-of-N wall-clock protocol:
    ``parse`` the parser's token pass, ``repro.xtree.parse.SCAN``) — and
    the ``phase2_passes`` row times phase 2 alone per request, σ0 view
    queries under every algorithm, interpreted vs compiled;
-2. **Wave-composition scaling** — the per-lane batch loop vs ONE
-   :class:`repro.hype.compose.ComposedKernel` at wave widths 1/2/4/8/16
-   over distinct queries, per-lane answers/stats asserted identical
-   first; the ``wave_scaling`` rows carry the lanes-vs-lane-steps/sec
-   curve, and the width-8 composed speedup is floor-checked at
-   ``>= 1.3x`` on descent-bound (plain ``hype``) rows.  The floor
-   compares composed sharing with the *same* interpreted loop stepped
-   per lane; the compiled per-lane pass, which the composed machine
-   does not beat, is recorded beside it as ``compiled_composed_speedup``
-   without a floor.  The ``skew`` row replays the Zipf-hot-document
-   scenario workload (:mod:`repro.workloads.skew`) per-request vs
-   composed waves;
+2. **Wave scaling** — one :class:`repro.serve.batch.BatchEvaluator`
+   wave vs the same plans run one after another, at wave widths
+   1/2/4/8/16 over distinct queries, under each lean pass this process
+   has, per-lane answers/stats asserted identical first; the
+   ``wave_scaling`` rows carry the wave/lanes time ratio and the
+   lane-steps/sec curve, and every width-8 ratio is floor-checked
+   (``WAVE_FLOOR``).  The ``skew`` row replays the Zipf-hot-document
+   scenario workload (:mod:`repro.workloads.skew`) per-request vs waves
+   of 8;
 3. **Serve-batch throughput on a repeated-document workload** — the
    multi-tenant hospital traffic replayed (a) *cold*, where every
    request pays its own parse + OptHyPE index build (the pre-docstore
@@ -57,7 +54,7 @@ carry p50/p95/p99 from the service's log-bucket histograms, and when the
 committed baseline was produced under the identical protocol the run
 also reports the tracing-off hot-loop overhead against it.  ``--check``
 makes the script exit non-zero unless the acceptance floors hold
-(width-8 composed waves >= 1.3x on descent-bound rows, shared-vs-cold
+(width-8 waves against their lanes, shared-vs-cold
 throughput >= 1.5x, one index build, cheap bomb rejection, tracing-off
 overhead < 2%% when comparable); ``--smoke`` shrinks every size for CI.
 
@@ -241,13 +238,14 @@ def _calibrated_inner(fn, target_s: float = 2e-3) -> int:
 
 
 # ----------------------------------------------------------------------
-#: Wave-composition floor: composed throughput at width 8 must beat the
-#: per-lane batch path by this factor on *descent-bound* rows (plain
-#: ``hype`` — no per-node index probes, so the one-composed-lookup win
-#: is the dominant term).  The indexed algorithms are pop-bound: their
-#: predicate-final pops are irreducibly per-lane, so their rows are
-#: recorded for the curve but not floor-gated.
-WAVE_FLOOR = 1.3
+#: Wave floor: a width-8 wave — one :class:`repro.serve.batch.
+#: BatchEvaluator` run, which is the lean pass over each lane in turn
+#: plus the union of their visits — against the same eight plans run one
+#: after another, under each lean pass.  The wave does the same descents
+#: plus its shared counters, so it reads a little under x1; the floor
+#: catches a wave that costs materially more than its lanes.  Set below
+#: the worst of repeated ``--smoke`` runs of both passes (``CHANGES.md``).
+WAVE_FLOOR = 0.6
 WAVE_FLOOR_WIDTH = 8
 WAVE_WIDTHS = (1, 2, 4, 8, 16)
 #: The wave rows keep a document floor and min-of-3 even under --smoke:
@@ -259,7 +257,7 @@ WAVE_MIN_REPEATS = 3
 
 #: Wave lanes must be DISTINCT queries: the service dedups identical
 #: plans inside a wave (they share one lane), so a realistic width-W
-#: wave is W different automata — the hard case for composition.
+#: wave is W different automata.
 WAVE_QUERIES = {
     **FIG8,
     **FIG9,
@@ -277,24 +275,19 @@ WAVE_QUERIES = {
 
 
 def bench_wave_scaling(tree, repeats: int) -> dict:
-    """Composed vs per-lane batch stepping at wave widths 1/2/4/8/16.
+    """A wave against its lanes run one by one, widths 1/2/4/8/16.
 
-    Both sides drive the same compiled plans over the same layout from
-    fresh :class:`repro.hype.core.RunCursor`s — the per-lane side is
-    :func:`repro.hype.kernel.descend` with the interpreted lean pass
-    (one pass per lane, W passes per wave: the loop the composed machine
-    is the shared version of), the composed side is ONE
-    :class:`repro.hype.compose.ComposedKernel` (one lookup per node).
-    Answers and full per-lane ``HyPEStats`` are asserted identical
-    before timing; samples interleave the sides per round.  The
-    headline is ``lane_steps_per_s`` growing *sublinearly* in cost:
-    composed wall time at width W sits well under W x width-1 time.
-    Where the compiled pass is loaded it is timed per lane as a third
-    side (``compiled_perlane_s``, ``compiled_composed_speedup``).
+    Both sides drive the same compiled plans over the same layout: the
+    wave side is ONE :meth:`repro.serve.batch.BatchEvaluator.run` (what
+    the service hands the pool), the lanes side is ``plan.run`` per plan,
+    one after another (what sequential serving does).  Each is timed
+    under every lean pass this process has (``python``, and
+    ``compiled`` when it loaded); answers and full per-lane
+    ``HyPEStats`` are asserted identical before timing, and samples
+    interleave the sides per round.  ``wave_ratio`` is lanes time over
+    wave time (> 1: the wave is faster).
     """
-    from repro.hype.compose import ComposedKernel, descend_composed
-    from repro.hype.core import RunCursor
-    from repro.hype.kernel import descend
+    from repro.serve.batch import BatchEvaluator
 
     doc = IndexedDocument(tree)
     layout = doc.layout
@@ -302,115 +295,77 @@ def bench_wave_scaling(tree, repeats: int) -> dict:
     pool = list(WAVE_QUERIES.values())
     results: dict = {}
     for algorithm in ALGORITHMS:
-        # Composition requires the members to share one (label table,
-        # variant): every lane is compiled against the document's own.
         all_plans = [_document_plan(query, algorithm, doc) for query in pool]
         rows = []
         for width in WAVE_WIDTHS:
             plans = all_plans[:width]
+            batch = BatchEvaluator(plans)
+
+            def run_wave():
+                return batch.run(tree.root, layout=layout).results
 
             def run_lanes():
-                cursors = [RunCursor(plan) for plan in plans]
-                descend(list(zip(plans, cursors)), tree.root, layout)
-                return cursors
+                return [plan.run(tree.root, layout=layout) for plan in plans]
 
-            def run_perlane():
-                with lean_pass("python"):
-                    return run_lanes()
-
-            def run_compiled():
-                with lean_pass("compiled"):
-                    return run_lanes()
-
-            if width < 2:
-                # A singleton group never composes (the service routes
-                # it per-lane) — the width-1 row anchors the curve with
-                # the per-lane loop on both arms.
-                composed_kernel = None
-                run_composed = run_perlane
-            else:
-                composed_kernel = ComposedKernel(plans)
-
-                def run_composed():
-                    cursors = [RunCursor(plan) for plan in plans]
-                    descend_composed(composed_kernel, cursors, tree.root, layout)
-                    return cursors
-
-            # Warm both sides (memos, composed tables) and prove the
-            # composed pass byte-identical per lane before timing.
-            reference = [cursor.finish() for cursor in run_perlane()]
-            composed = [cursor.finish() for cursor in run_composed()]
-            for lane, (ref, got) in enumerate(zip(reference, composed)):
-                assert got.answers == ref.answers, f"lane {lane} answers"
-                assert got.stats == ref.stats, f"lane {lane} stats"
-            sides = {"perlane": run_perlane, "composed": run_composed}
-            if "compiled" in PASSES:
-                sides["compiled"] = run_compiled
-            inner = _calibrated_inner(run_perlane)
-            best = dict.fromkeys(sides, float("inf"))
-            for _ in range(repeats):
-                for side, run in sides.items():
-                    started = time.perf_counter()
-                    for _ in range(inner):
-                        run()
-                    elapsed = (time.perf_counter() - started) / inner
-                    best[side] = min(best[side], elapsed)
-            perlane_s, composed_s = best["perlane"], best["composed"]
-            compiled_s = best.get("compiled")
-            rows.append(
-                {
-                    "width": width,
+            row: dict = {"width": width}
+            for name in PASSES:
+                with lean_pass(name):
+                    # Warm both sides' tables and prove them identical.
+                    for lane, (ref, got) in enumerate(zip(run_lanes(), run_wave())):
+                        assert got.answers == ref.answers, f"lane {lane} answers"
+                        assert got.stats == ref.stats, f"lane {lane} stats"
+                    sides = {"wave": run_wave, "lanes": run_lanes}
+                    inner = _calibrated_inner(run_lanes)
+                    best = dict.fromkeys(sides, float("inf"))
+                    for _ in range(repeats):
+                        for side, run in sides.items():
+                            started = time.perf_counter()
+                            for _ in range(inner):
+                                run()
+                            elapsed = (time.perf_counter() - started) / inner
+                            best[side] = min(best[side], elapsed)
+                row[name] = {
                     "inner_repeats": inner,
-                    "perlane_s": perlane_s,
-                    "composed_s": composed_s,
-                    "composed_speedup": perlane_s / composed_s,
-                    "compiled_perlane_s": compiled_s,
-                    # Unfloored: the compiled pass per lane vs composed.
-                    "compiled_composed_speedup": (
-                        None if compiled_s is None else compiled_s / composed_s
-                    ),
+                    "wave_s": best["wave"],
+                    "lanes_s": best["lanes"],
+                    "wave_ratio": best["lanes"] / best["wave"],
                     # Lane-steps/sec: W lanes advanced over the whole
-                    # document per pass — the axis the curve plots.
-                    "perlane_lane_steps_per_s": width * elements / perlane_s,
-                    "composed_lane_steps_per_s": width * elements / composed_s,
-                    "composed": composed_kernel is not None,
-                    "interned_ccfgs": (
-                        0 if composed_kernel is None else composed_kernel.interned_ccfgs
-                    ),
-                    "descent_bound": algorithm == HYPE,
+                    # document per wave — the axis the curve plots.
+                    "wave_lane_steps_per_s": width * elements / best["wave"],
                 }
-            )
+            rows.append(row)
         results[algorithm] = rows
     return results
 
 
 def wave_floor_failures(wave: dict) -> list[str]:
-    """Floor check: width-8 composed speedup on descent-bound rows."""
+    """Floor check: every width-8 wave, every algorithm and pass."""
     failures = []
     for algorithm, rows in wave.items():
         for row in rows:
-            if row["width"] != WAVE_FLOOR_WIDTH or not row["descent_bound"]:
+            if row["width"] != WAVE_FLOOR_WIDTH:
                 continue
-            if row["composed_speedup"] < WAVE_FLOOR:
-                failures.append(
-                    f"wave composition at width {row['width']} "
-                    f"({algorithm}): x{row['composed_speedup']:.2f} < "
-                    f"{WAVE_FLOOR} floor over the interpreted per-lane pass"
-                )
+            for name in PASSES:
+                ratio = row[name]["wave_ratio"]
+                if ratio < WAVE_FLOOR:
+                    failures.append(
+                        f"width-{row['width']} wave ({algorithm}, {name} pass): "
+                        f"x{ratio:.2f} < {WAVE_FLOOR} floor against its lanes "
+                        f"run one after another"
+                    )
     return failures
 
 
 # ----------------------------------------------------------------------
 def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
-    """The Zipf-hot scenario: per-request vs composed waves, one hot key.
+    """The Zipf-hot scenario: per-request vs waves, one hot key.
 
     First entry of the scenario-zoo matrix: N same-shape documents with
     a Zipf document draw (:mod:`repro.workloads.skew`).  The per-request
     side pays one sequential pass per query; the wave side batches the
-    stream 8 requests at a time through a ``compose=True`` service, so
-    same-view lanes piling onto the hot document fuse into composed
-    groups — where the lean pass is interpreted; a compiled process
-    steps them per lane.  Answers are asserted identical before timing.
+    stream 8 requests at a time, so same-view lanes piling onto the hot
+    document share one pass per document.  Answers are asserted
+    identical before timing.
     """
     from repro.workloads.skew import (
         SkewConfig,
@@ -433,7 +388,7 @@ def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
             for r in traffic
         ]
 
-    composed_service, _ = build_skew_service(cfg, compose=True)
+    wave_service, _ = build_skew_service(cfg)
 
     def run_waves() -> list:
         answers = []
@@ -442,18 +397,18 @@ def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
                 QueryRequest(r.tenant, r.query, document=r.document)
                 for r in wave
             ]
-            wave_answers, _stats = composed_service.submit_many(batch)
+            wave_answers, _stats = wave_service.submit_many(batch)
             answers.extend(a.ids() for a in wave_answers)
         return answers
 
     expected = run_sequential()
     got = run_waves()
-    assert got == expected, "composed skew serving changed answers"
+    assert got == expected, "wave skew serving changed answers"
     sequential_s = best_of(run_sequential, repeats)
-    composed_s = best_of(run_waves, repeats)
-    snapshot = composed_service.metrics_snapshot()
+    waves_s = best_of(run_waves, repeats)
+    snapshot = wave_service.metrics_snapshot()
     sequential.close()
-    composed_service.close()
+    wave_service.close()
     return {
         "requests": len(traffic),
         "tenants": tenants,
@@ -461,11 +416,10 @@ def bench_skew(tenants: int, requests: int, repeats: int, seed: int) -> dict:
         "zipf_s": cfg.zipf_s,
         "hot_document_share": share.get(hot_hash, 0) / len(traffic),
         "sequential_s": sequential_s,
-        "composed_waves_s": composed_s,
-        "throughput_speedup": sequential_s / composed_s,
-        "composed_groups": snapshot.composed_groups,
-        "composed_lanes": snapshot.composed_lanes,
-        "composed_fallbacks": snapshot.composed_fallbacks,
+        "waves_s": waves_s,
+        "throughput_speedup": sequential_s / waves_s,
+        "batch_runs": snapshot.batch_runs,
+        "saved_visits": snapshot.batch_saved_visits,
     }
 
 
@@ -527,7 +481,7 @@ def bench_adversarial(tenants: int, requests: int, repeats: int, seed: int) -> d
     expected, rejected = run_stream()
     assert rejected == bombs, "a bomb slipped past the compile budget"
 
-    wave_service, _ = build_adversarial_service(cfg, compose=True)
+    wave_service, _ = build_adversarial_service(cfg)
 
     def run_waves():
         answers, rejected = [], 0
@@ -979,26 +933,19 @@ def main(argv: list[str] | None = None) -> int:
     wave = bench_wave_scaling(wave_tree, max(args.repeats, WAVE_MIN_REPEATS))
     for algorithm, rows in wave.items():
         for row in rows:
-            bound = "descent-bound" if row["descent_bound"] else ""
             print(
                 f"  wave {algorithm:9s} width {row['width']:2d}  "
-                f"per-lane {row['perlane_s'] * 1000:8.2f} ms  "
-                f"composed {row['composed_s'] * 1000:8.2f} ms  "
-                f"x{row['composed_speedup']:.2f} "
-                f"({row['composed_lane_steps_per_s'] / 1e6:6.2f}M "
-                f"lane-steps/s, {row['interned_ccfgs']} ccfgs) {bound}"
-                + (
-                    ""
-                    if row["compiled_perlane_s"] is None
-                    else f"  [compiled per-lane {row['compiled_perlane_s'] * 1000:.2f} ms: "
-                    f"x{row['compiled_composed_speedup']:.2f}]"
+                + "  ".join(
+                    f"{name} wave {row[name]['wave_s'] * 1000:7.2f} ms / "
+                    f"lanes {row[name]['lanes_s'] * 1000:7.2f} ms "
+                    f"x{row[name]['wave_ratio']:.2f}"
+                    for name in PASSES
                 )
             )
     wave_failures = wave_floor_failures(wave)
     print(
-        f"wave composition width-{WAVE_FLOOR_WIDTH} floor "
-        f"x{WAVE_FLOOR} on descent-bound rows: "
-        + ("HOLDS" if not wave_failures else "FAILED")
+        f"width-{WAVE_FLOOR_WIDTH} wave floor x{WAVE_FLOOR} against its "
+        f"lanes, every pass: " + ("HOLDS" if not wave_failures else "FAILED")
     )
 
     skew = bench_skew(args.tenants, args.requests, args.repeats, args.seed)
@@ -1006,12 +953,11 @@ def main(argv: list[str] | None = None) -> int:
         f"skew scenario ({skew['documents']} documents, Zipf "
         f"s={skew['zipf_s']}, hot share "
         f"{skew['hot_document_share']:.0%}):\n"
-        f"  per-request: {skew['sequential_s']:.3f} s; composed waves: "
-        f"{skew['composed_waves_s']:.3f} s — "
+        f"  per-request: {skew['sequential_s']:.3f} s; waves of 8: "
+        f"{skew['waves_s']:.3f} s — "
         f"x{skew['throughput_speedup']:.2f} "
-        f"({skew['composed_lanes']} lane(s) in "
-        f"{skew['composed_groups']} composed group(s), "
-        f"{skew['composed_fallbacks']} fallback(s))"
+        f"({skew['batch_runs']} shared pass(es), "
+        f"{skew['saved_visits']} visit(s) shared)"
     )
 
     adversarial = bench_adversarial(

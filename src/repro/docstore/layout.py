@@ -28,8 +28,7 @@ engines):
   ``position() = k`` filters compare at a node id, in O(1).
 
 These columns are the only document the evaluator walks
-(:func:`repro.hype.kernel.descend`,
-:func:`repro.hype.compose.descend_composed`), by node id — no
+(:func:`repro.hype.kernel.descend`), by node id — no
 :class:`repro.xtree.node.Node` is created on the way: child-transition
 rows are keyed by integer label id — a list index, not a string-keyed
 dict probe.  The rows belong to the label table

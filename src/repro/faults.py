@@ -23,9 +23,8 @@ point                           seam
 ``worker.connect``              :meth:`repro.serve.fleet.WorkerHandle.call` on
                                 the acceptor side — connection drop before
                                 send (the unacknowledged-retry path)
-``descend``                     every descent entry: per-lane
-                                (:func:`repro.hype.kernel.descend`) and composed
-                                (:func:`repro.hype.compose.descend_composed`)
+``descend``                     every descent entry
+                                (:func:`repro.hype.kernel.descend`)
                                 — slow descent (exercises deadlines under load)
 ==============================  ================================================
 

@@ -17,12 +17,6 @@ from .core import (
     RunCursor,
     hype_eval,
 )
-from .compose import (
-    ComposedKernel,
-    ComposedOverflow,
-    ComposeError,
-    descend_composed,
-)
 from .index import (
     CompressedLabelIndex,
     LabelTable,
@@ -52,9 +46,5 @@ __all__ = [
     "DenseKernel",
     "descend",
     "kernel_payload",
-    "ComposedKernel",
-    "ComposedOverflow",
-    "ComposeError",
-    "descend_composed",
 ]
 

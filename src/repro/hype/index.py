@@ -87,8 +87,8 @@ class LabelTable:
         self.bit_of[TEXT_BIT_LABEL] = 1
         self.masks: list[int] = []
         self._mask_ids: dict[int, int] = {}
-        #: plan (or composed kernel) -> {cfg id -> row}; weak keys so an
-        #: evicted plan releases its rows with it.
+        #: plan -> {cfg id -> row}; weak keys so an evicted plan
+        #: releases its rows with it.
         self._rows: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self._lock = threading.Lock()
 

@@ -46,9 +46,8 @@ rows plus ``[mstates, relevant, watch]`` rows — written by
 Ownership runs one way: a plan owns its kernel and the kernel holds no
 reference back.  The slow paths that need the automaton (transition and
 pop misses, rehydration) take the plan as their first argument — every
-lane and every composed machine holds its plans for the run anyway — so
-a plan dropped by the cache is freed by reference count, not by the
-cycle collector.
+lane holds its plan for the run anyway — so a plan dropped by the cache
+is freed by reference count, not by the cycle collector.
 
 The descent — :func:`descend` — is the **single** entry point behind
 both :meth:`repro.hype.core.CompiledPlan.run` (a one-lane batch) and
@@ -89,11 +88,6 @@ clock.
 A wave's lanes are stepped one after the other (stepping them together
 through one multiplexed loop measured slower at every width); what the
 wave shares is reported from the union of the lanes' visit columns.
-:mod:`repro.hype.compose`'s composed machine steps a wave's lanes
-together instead, but it is interpreted: it beats the interpreted lean
-pass and loses to the compiled one, so the service composes only in a
-process whose :data:`DESCENT` is a fallback
-(:class:`repro.serve.service.QueryService`).
 The document the pass walks is always a
 :class:`~repro.docstore.layout.DocumentLayout`'s columns — the caller's
 when it covers the context, fresh ones otherwise
@@ -103,10 +97,10 @@ The pop side is compiled like the push side: ``pops[cfg] = (preds,
 outcomes)`` holds the cfg's node-dependent predicates and, per observed
 predicate-bit pattern, the finished ``(dead, report, resolved)`` of the
 bottom-up resolution — so a pop that heard no truth from its children
-is "evaluate the predicates, one dict probe, apply": inline in the lean
-pass, :meth:`DenseKernel.pop_quiet` elsewhere.  Only pops whose
-children reported truths enter :meth:`DenseKernel.pop_frame`, which
-memoises on the truth set in the same table.
+is "evaluate the predicates, one dict probe, apply", inline in the lean
+pass.  Only pops whose children reported truths enter
+:meth:`DenseKernel.pop_frame`, which memoises on the truth set in the
+same table.
 
 Thread safety follows the plan contract: cfg/edge minting is
 lock-guarded (ids must be unique), every other table is fill-only with
@@ -383,10 +377,10 @@ class DenseKernel:
         children reported ``truths`` (lines 11-21 of the paper's Fig. 6);
         returns ``(dead, report, resolved)``.
 
-        Truth-free pops never come here (see :meth:`pop_quiet`).  The
-        fixpoint is still a pure function of (cfg, predicate bits, truth
-        set) — documents repeat structure, so the observed truth sets
-        are memoised in the same per-cfg table.
+        Truth-free pops never come here (the lean pass resolves them
+        inline).  The fixpoint is still a pure function of (cfg,
+        predicate bits, truth set) — documents repeat structure, so the
+        observed truth sets are memoised in the same per-cfg table.
         """
         preds, outcomes = self.pops[cfg]
         bits = 0
@@ -397,17 +391,6 @@ class DenseKernel:
         return outcomes.get((bits, truths)) or self.fill_pop(
             plan, cfg, columns, node_id, truths
         )
-
-    def pop_quiet(self, plan, cfg: int, columns, node_id: int) -> tuple:
-        """Pop a frame whose children reported nothing: the cfg's
-        predicates at ``node_id``, one table probe.  The lean pass
-        inlines exactly this; every other caller comes here."""
-        preds, outcomes = self.pops[cfg]
-        bits = 0
-        for bit, holds in preds:
-            if holds(columns, node_id):
-                bits |= bit
-        return outcomes.get(bits) or self.fill_pop(plan, cfg, columns, node_id)
 
     def pop_entry(self, plan, cfg: int) -> tuple:
         """The cfg's pop table, built on first use."""

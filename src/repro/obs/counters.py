@@ -1,8 +1,8 @@
 """The one base behind every counter block.
 
 A *counter block* is a dataclass of numeric fields (:class:`CacheStats`,
-:class:`ComposedStats`, :class:`StoreStats`, :class:`DocStoreStats`,
-:class:`StageStats`, :class:`repro.serve.metrics.ServiceCounters`).
+:class:`StoreStats`, :class:`DocStoreStats`, :class:`StageStats`,
+:class:`repro.serve.metrics.ServiceCounters`).
 A counter is declared once — as a field — and the three things every
 block needs are field-generic, so adding one never means editing a
 ``snapshot()``, an ``as_dict()`` or a private ``_count``.

@@ -64,12 +64,6 @@ FAMILIES = (
            "Elements visited by shared passes."),
     Family("sequential_visited", "sequential_visited_total", "counter",
            "Elements per-query passes would have visited."),
-    Family("composed_groups", "composed_groups_total", "counter",
-           "Wave groups stepped as one composed machine."),
-    Family("composed_lanes", "composed_lanes_total", "counter",
-           "Lanes advanced composed."),
-    Family("composed_fallbacks", "composed_fallbacks_total", "counter",
-           "Composed groups that hit the ccfg cap and re-ran per-lane."),
     Family("cache.misses", "plan_cache_misses_total", "counter",
            "Full plan-cache misses."),
     Family("cache.evictions", "plan_cache_evictions_total", "counter",
@@ -80,15 +74,6 @@ FAMILIES = (
            "Peak concurrent evaluations observed."),
     Family("pool.size", "pool_size", "gauge", "Evaluation pool worker bound."),
 )
-
-#: Composed-tier occupancy, read from ``snapshot.composed_gauges`` and
-#: exported only when composition is on.
-COMPOSED_GAUGES = (
-    Family("kernels", "composed_kernels", "gauge", "Composed kernels cached."),
-    Family("interned_ccfgs", "composed_interned_ccfgs", "gauge",
-           "Composed configurations interned across cached kernels."),
-)
-
 
 def resolve(source, path: str):
     """Follow a dotted ``path`` through attributes (a snapshot) or keys
@@ -230,7 +215,6 @@ def render_prometheus(
             ((stage, counters[figure]) for stage, counters in stages.items()),
         )
     for block, stats in (
-        ("composed_cache", snapshot.composed),
         ("plan_store", snapshot.store),
         ("doc_store", snapshot.doc_store),
     ):
@@ -242,8 +226,6 @@ def render_prometheus(
                 "op",
                 stats.as_dict().items(),
             )
-    if snapshot.composed is not None:
-        exp.scalars(snapshot.composed_gauges, COMPOSED_GAUGES)
 
     exp.histogram(
         "request_latency_seconds",

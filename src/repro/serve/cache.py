@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Hashable, Iterator
 from weakref import WeakKeyDictionary
 
@@ -51,7 +52,6 @@ from ..compile.artifact import PlanArtifact, PlanKey
 from ..compile.pipeline import NormalizedQuery, QueryCompiler
 from ..compile.store import PlanStore
 from ..hype.api import HYPE, OPTHYPE_C
-from ..hype.compose import ComposedKernel
 from ..hype.core import CompiledPlan
 from ..obs.counters import Counters
 from ..obs.trace import span
@@ -68,11 +68,6 @@ from ..xtree.node import XMLTree
 CacheKey = PlanKey
 
 _NO_PLANS: dict = {}
-
-#: Composed kernels kept per :class:`ComposedCache` (each capped at
-#: :data:`repro.hype.compose.DEFAULT_CCFG_CAP` composed cfgs).
-COMPOSED_CAPACITY = 64
-
 
 def normalized_query_text(query: str | ast.Path) -> str:
     """Canonical text of a query, used as the cache-key component.
@@ -114,7 +109,7 @@ class CachedPlan:
     back — so an evicted entry is freed by reference count.
 
     ``artifact`` is the serialisable record this plan came from (or was
-    written to); its key is what composed kernels are keyed under.
+    written to).
     """
 
     mfa: MFA
@@ -222,91 +217,17 @@ class CacheStats(Counters):
         return self.total_hits / total if total else 0.0
 
 
-@dataclass
-class ComposedStats(Counters):
-    """Composed-tier counters (a copy is a snapshot).
-
-    ``builds`` counts kernels composed (or recomposed) in this process.
-    Cap overflows surface as ``composed_fallbacks`` on the batch/service
-    side, not here — the cache never serves a partially-stepped kernel.
-    """
-
-    builds: int = 0
-    hits: int = 0
-    evictions: int = 0
-
-
-class _ComposedEntry:
-    __slots__ = ("kernel", "member_ids")
-
-    def __init__(self, kernel, member_ids) -> None:
-        self.kernel = kernel
-        self.member_ids = member_ids
-
-
 class ComposedCache:
-    """The composed-plan tier: LRU of :class:`ComposedKernel` per wave shape.
+    """Inert: waves step per lane, so there is no composed tier to cache.
 
-    Keyed by ``(algorithm, document, ordered member plan fingerprints)``
-    — the service canonicalises member order by fingerprint, so the key
-    is the ISSUE's sorted tuple.  Entries pin the member plan *objects*
-    they were composed from (kernels reference member tables): a lookup
-    whose members changed identity (the plan LRU evicted and recompiled
-    one) rebuilds rather than serving a stale product.
-
-    Kernels live in memory only: a restarted process recomposes on its
-    first wave (persisting the tables was measured to buy nothing).  A
-    cold shape is built once and outside the map lock
-    (:class:`repro.tier.SingleFlightLRU`), so ``stats`` / ``gauges`` and
-    other shapes never queue behind it.
+    Kept only because the frozen end-to-end harness builds one and reads
+    it: :meth:`kernel_for` returns ``None`` and ``stats.builds`` reads 0.
     """
 
-    def __init__(self) -> None:
-        self._stats = ComposedStats()
-        self._lru = SingleFlightLRU(COMPOSED_CAPACITY, self._stats)
+    stats = SimpleNamespace(builds=0)
 
-    # ------------------------------------------------------------------
-    def kernel_for(
-        self,
-        members: list[CompiledPlan],
-        member_keys: tuple,
-        algorithm: str,
-        doc_key: str | None = None,
-    ) -> ComposedKernel:
-        """The composed kernel for one ordered member-plan tuple.
-
-        Raises :class:`repro.hype.compose.ComposeError` for mixed
-        families (the batch steps those lanes per-lane) — never raises
-        :class:`repro.hype.compose.ComposedOverflow` itself; overflow happens mid-descent
-        and is handled by :meth:`repro.serve.batch.BatchEvaluator.run`.
-        """
-        member_ids = tuple(id(plan) for plan in members)
-        return self._lru.get(
-            (algorithm, doc_key, tuple(member_keys)),
-            lambda: self._build(members, member_ids),
-            fresh=lambda entry: entry.member_ids == member_ids,
-        ).kernel
-
-    def _build(self, members, member_ids):
-        kernel = ComposedKernel(members)
-        self._stats.count("builds")
-        return _ComposedEntry(kernel, member_ids)
-
-    # ------------------------------------------------------------------
-    def gauges(self) -> dict:
-        """Point-in-time composed-tier gauges (kernel/ccfg occupancy)."""
-        kernels = [entry.kernel for _key, entry in self._lru.items()]
-        return {
-            "kernels": len(kernels),
-            "interned_ccfgs": sum(k.interned_ccfgs for k in kernels),
-        }
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    @property
-    def stats(self) -> ComposedStats:
-        return self._stats.snapshot()
+    def kernel_for(self, *_args, **_kwargs) -> None:
+        return None
 
 
 class PlanCache:
@@ -345,7 +266,7 @@ class PlanCache:
         #: Raw-text aliases (see the class docstring).  Uncounted: losing
         #: one costs a re-parse, never correctness.
         self._aliases = SingleFlightLRU(capacity, CacheStats())
-        #: The composed-plan tier (wave composition), in memory only.
+        #: Inert (see :class:`ComposedCache`).
         self.composed = ComposedCache()
 
     # ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from ..docstore.store import DocStoreStats
 from ..obs.counters import Counters
 from ..obs.hist import Histogram
 from .batch import BatchStats
-from .cache import CacheStats, ComposedStats
+from .cache import CacheStats
 
 
 @dataclass
@@ -125,10 +125,6 @@ class ServiceCounters(Counters):
     batched_queries: int = 0
     batch_visited: int = 0
     sequential_visited: int = 0
-    #: Wave-composition batch counters (groups stepped as ONE machine).
-    composed_groups: int = 0
-    composed_lanes: int = 0
-    composed_fallbacks: int = 0
 
 
 @dataclass
@@ -143,9 +139,6 @@ class PoolGauges(Counters):
 #: and the derived figures (properties of :class:`MetricsSnapshot`).
 _FLAT = (
     "mean_wave_size",
-    "composed_builds",
-    "composed_hits",
-    "interned_ccfgs",
     "in_flight_evaluations",
     "plan_l1_hits",
     "plan_l2_hits",
@@ -180,11 +173,6 @@ class MetricsSnapshot(ServiceCounters):
     #: Document-tier counters (shared store's when one is wired, the
     #: service's own document otherwise); ``None`` on old snapshots.
     doc_store: DocStoreStats | None = None
-    #: Composed-tier cache counters; ``None`` when composition is off.
-    composed: ComposedStats | None = None
-    #: Composed-tier occupancy gauges (kernels / interned ccfgs) at
-    #: snapshot time.
-    composed_gauges: dict = field(default_factory=dict)
 
     @property
     def pool_size(self) -> int:
@@ -224,20 +212,11 @@ class MetricsSnapshot(ServiceCounters):
         """Element visits batching avoided vs. per-query passes."""
         return self.sequential_visited - self.batch_visited
 
-    @property
-    def composed_builds(self) -> int:
-        """Composed kernels built (or rebuilt) this process."""
-        return self.composed.builds if self.composed is not None else 0
-
-    @property
-    def composed_hits(self) -> int:
-        """Composed-kernel lookups served from the LRU tier."""
-        return self.composed.hits if self.composed is not None else 0
-
-    @property
-    def interned_ccfgs(self) -> int:
-        """Composed configurations interned across cached kernels."""
-        return int(self.composed_gauges.get("interned_ccfgs", 0))
+    #: Inert, each reads 0: waves step per lane, and only the frozen
+    #: end-to-end harness still reads these.  Not in ``as_dict``.
+    composed_hits = composed_builds = composed_fallbacks = interned_ccfgs = (
+        property(lambda self: 0)
+    )
 
     @property
     def mean_wave_size(self) -> float:
@@ -317,20 +296,6 @@ class MetricsSnapshot(ServiceCounters):
                 f"sequential element(s) "
                 f"(saved {self.batch_saved_visits})"
             )
-        if self.composed is not None and (
-            self.composed_builds or self.composed_hits or self.composed_groups
-        ):
-            gauges = self.composed_gauges
-            lines.append(
-                f"composition: {self.composed_lanes} lane(s) in "
-                f"{self.composed_groups} composed group(s), "
-                f"{self.composed_fallbacks} fallback(s); tier: "
-                f"{self.composed_builds} build(s), "
-                f"{self.composed_hits} hit(s), "
-                f"{self.composed.evictions} eviction(s); "
-                f"{gauges.get('kernels', 0)} kernel(s) holding "
-                f"{gauges.get('interned_ccfgs', 0)} interned ccfg(s)"
-            )
         if self.pool_size:
             lines.append(
                 f"evaluation pool: size {self.pool_size}, "
@@ -365,12 +330,6 @@ class MetricsSnapshot(ServiceCounters):
             doc_store=None
             if self.doc_store is None
             else self.doc_store.as_dict(),
-            composed=None
-            if self.composed is None
-            else {
-                **self.composed.as_dict(),
-                "gauges": dict(self.composed_gauges),
-            },
             tenants={
                 name: tm.as_dict() for name, tm in sorted(self.tenants.items())
             },
@@ -449,9 +408,6 @@ class ServiceMetrics:
             counters.batched_queries += queries
             counters.batch_visited += stats.visited_elements
             counters.sequential_visited += stats.sequential_visited
-            counters.composed_groups += stats.composed_groups
-            counters.composed_lanes += stats.composed_lanes
-            counters.composed_fallbacks += stats.composed_fallbacks
 
     # ------------------------------------------------------------------
     def snapshot(
@@ -464,8 +420,6 @@ class ServiceMetrics:
         in_flight: int = 0,
         peak_in_flight: int = 0,
         pool_size: int = 0,
-        composed: ComposedStats | None = None,
-        composed_gauges: dict | None = None,
     ) -> MetricsSnapshot:
         """Counters + the caller-supplied cache/compile/store/pool gauges."""
         with self._lock:
@@ -483,6 +437,4 @@ class ServiceMetrics:
                 compile=compile or CompileStats(),
                 store=store,
                 doc_store=doc_store,
-                composed=composed,
-                composed_gauges=dict(composed_gauges or {}),
             )

@@ -45,7 +45,6 @@ separately.
 from __future__ import annotations
 
 import contextvars
-import logging
 import time
 from dataclasses import dataclass
 
@@ -63,7 +62,6 @@ from ..errors import (
     ViewError,
 )
 from ..guard import Deadline, min_deadline
-from ..hype import kernel
 from ..hype.api import ALGORITHMS, HYPE
 from ..hype.core import HyPEResult
 from ..obs.trace import add_span, current_span, span
@@ -241,21 +239,9 @@ class QueryService:
     ) -> None:
         if default_algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {default_algorithm!r}")
-        #: Wave composition: groups of >= 2 lanes sharing (view
-        #: fingerprint, algorithm, document) step as ONE composed
-        #: machine through the cache's composed tier.  ``compose=True``
-        #: asks for that where it pays: the composed machine is
-        #: interpreted, so it beats the interpreted lean pass and loses
-        #: to the compiled one — a process whose
-        #: :data:`repro.hype.kernel.DESCENT` is ``"compiled"`` steps
-        #: every wave per lane instead.  Per-lane answers and stats are
-        #: identical either way.
-        self.compose = compose and kernel.DESCENT != "compiled"
-        if compose and not self.compose:
-            logging.getLogger(__name__).info(
-                "compose: waves step per lane (the compiled lean pass "
-                "outruns the interpreted composed machine)"
-            )
+        #: Inert: ``compose`` is accepted (and the attribute settable)
+        #: for the frozen end-to-end harness; every wave steps per lane.
+        self.compose = False
         # The document tier: every request path works over a shared
         # IndexedDocument (columnar layout for the hot loop, OptHyPE
         # indexes built exactly once).  With a ``document_store`` the
@@ -764,7 +750,6 @@ class QueryService:
         resolve_end = time.perf_counter()
         lane_of: dict[int, int] = {}
         lanes = []
-        lane_meta: list = []
         request_lane: list[int] = []
         for grant in grants:
             compiled = grant.plan.compiled(grant.algorithm, doc.tree, doc)
@@ -772,20 +757,10 @@ class QueryService:
             if lane is None:
                 lane = lane_of[id(compiled)] = len(lanes)
                 lanes.append(compiled)
-                view = grant.binding.view
-                view_fp = (
-                    None if view is None else self._views[view].fingerprint()
-                )
-                lane_meta.append(
-                    (grant.algorithm, view_fp, grant.plan.artifact.cache_key())
-                )
             request_lane.append(lane)
-        groups, composer, group_width = self._compose_groups(
-            lanes, lane_meta, doc
-        )
         pooled = self.pool.execute(
             # Node id 0, the root: the pass walks columns and creates no node.
-            lambda: BatchEvaluator(lanes, groups=groups, composer=composer).run(
+            lambda: BatchEvaluator(lanes).run(
                 0, layout=doc.layout, deadline=deadline
             ),
             deadline=deadline,
@@ -829,8 +804,6 @@ class QueryService:
                     lane=lane,
                     answers=len(result.ids),
                     visited=outcome.stats.visited_elements,
-                    composed=lane in outcome.composed,
-                    composed_width=group_width.get(lane, 0),
                 )
             answers.append(
                 grant.answer(result, self.metrics, wait_share, eval_share)
@@ -842,52 +815,6 @@ class QueryService:
             answer.stats.visited_elements for answer in answers
         )
         return answers, stats
-
-    def _compose_groups(self, lanes, lane_meta, doc):
-        """Plan the wave's composed groups (lanes sharing a family).
-
-        Lanes group by ``(algorithm, view fingerprint)`` — the document
-        is fixed per group call — and each group's member order is
-        canonicalised by plan fingerprint, so the composed tier's key
-        (the ordered member-fingerprint tuple) is the sorted tuple and
-        one kernel serves every arrival order of the same wave shape.
-        """
-        if not self.compose or len(lanes) < 2:
-            return [], None, {}
-        by_family: dict = {}
-        for lane, meta in enumerate(lane_meta):
-            by_family.setdefault((meta[0], meta[1]), []).append(lane)
-        groups: list[tuple[int, ...]] = []
-        group_width: dict[int, int] = {}
-        for members in by_family.values():
-            if len(members) < 2:
-                continue
-            # Fingerprints within a family share the view component, so
-            # ordering on (normalized query, version) is total.
-            members.sort(key=lambda lane: lane_meta[lane][2][1:])
-            groups.append(tuple(members))
-            for lane in members:
-                group_width[lane] = len(members)
-        if not groups:
-            return [], None, {}
-        meta_of = {
-            id(lanes[lane]): lane_meta[lane]
-            for group in groups
-            for lane in group
-        }
-        composed_cache = self.cache.composed
-        doc_key = doc.content_hash
-
-        def composer(members):
-            metas = [meta_of[id(plan)] for plan in members]
-            return composed_cache.kernel_for(
-                members,
-                tuple(meta[2] for meta in metas),
-                metas[0][0],
-                doc_key=doc_key,
-            )
-
-        return groups, composer, group_width
 
     # ------------------------------------------------------------------
     def metrics_snapshot(self) -> MetricsSnapshot:
@@ -909,6 +836,4 @@ class QueryService:
             in_flight=self.pool.in_flight,
             peak_in_flight=self.pool.peak_in_flight,
             pool_size=self.pool.size,
-            composed=self.cache.composed.stats,
-            composed_gauges=self.cache.composed.gauges(),
         )

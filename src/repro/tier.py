@@ -1,8 +1,8 @@
 """The two tier disciplines, written once.
 
-Everything this system caches or persists — plans, composed kernels,
-documents; plan artifacts and index records — goes through
-one of the two classes here.  The owners
+Everything this system caches or persists — plans, documents; plan
+artifacts and index records — goes through one of the two classes
+here.  The owners
 (:mod:`repro.serve.cache`, :mod:`repro.docstore.store`,
 :mod:`repro.compile.store`) keep what is theirs: key scheme, codec,
 counters.  ``docs/architecture.md`` § "The tier discipline" is the prose

@@ -17,7 +17,6 @@ from repro.compile import FORMAT_VERSION, PlanStore, QueryCompiler
 from repro.docstore import DocumentStore
 from repro.faults import ENV_VAR, FaultPlan, FaultRule
 from repro.hype.api import compile_plan
-from repro.serve.batch import BatchEvaluator
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.xtree.serialize import serialize
 
@@ -218,12 +217,12 @@ class TestRetiredLayoutSeams:
 class TestRetiredComposedSeams:
     """Composed tables are no longer persisted, so the two points that
     guarded their file I/O are gone: a plan naming either one never
-    fires across a cold and a restarted composed wave over a
-    ``--plan-dir``, and the plan store counts no failure."""
+    fires across a cold and a restarted wave over a ``--plan-dir``, and
+    the plan store counts no failure."""
 
     XML = TestSeamsNamedByTheTier.XML
 
-    def composed_wave(self, directory) -> tuple[list, dict]:
+    def wave(self, directory) -> tuple[list, dict]:
         from repro.serve.service import QueryRequest, QueryService
         from repro.views.samples import sigma0
         from repro.workloads import VIEW_QUERIES
@@ -231,7 +230,6 @@ class TestRetiredComposedSeams:
         with QueryService(
             DocumentStore().get(self.XML), plan_store=PlanStore(directory)
         ) as service:
-            service.compose = True  # composed whatever the lean pass
             service.register_view("research", sigma0())
             service.register_tenant("institute", "research")
             wave = [
@@ -252,12 +250,11 @@ class TestRetiredComposedSeams:
         ],
     )
     def test_a_retired_point_never_fires(self, point, action, tmp_path):
-        reference, _snap = self.composed_wave(tmp_path / "reference")
+        reference, _snap = self.wave(tmp_path / "reference")
         schedule = plan(FaultRule(point, action))
         for _boot in range(2):  # cold, then restarted over the same store
-            answers, snap = self.composed_wave(tmp_path / "plans")
+            answers, snap = self.wave(tmp_path / "plans")
             assert answers == reference
-            assert snap["composed_builds"] == 1
             counters = snap["plan_store"]
             assert (counters["errors"], counters["corrupt"]) == (0, 0)
         assert schedule.hits(point) == 0
@@ -282,25 +279,6 @@ class TestDescendSeam:
         assert schedule.fired_counts() == {"descend": 1}
         assert schedule.hits("descend") == 3
         assert slow >= fast + 0.04
-
-    def test_composed_pass_fires_the_seam_too(self):
-        """Regression: ``descend_composed`` skipped the seam, so slow-
-        descent schedules never touched composed-wave traffic."""
-        tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))
-        lanes = [
-            compile_plan("department/patient"),
-            compile_plan("department/patient/parent"),
-        ]
-        schedule = plan(
-            FaultRule("descend", "delay", hits=(1,), seconds=0.05)
-        )
-        started = time.perf_counter()
-        wave = BatchEvaluator(lanes, groups=[(0, 1)]).run(tree.root)
-        elapsed = time.perf_counter() - started
-        assert wave.composed == {0, 1}  # ONE composed pass, no per-lane one
-        assert schedule.hits("descend") == 1
-        assert schedule.fired_counts() == {"descend": 1}
-        assert elapsed >= 0.04
 
 
 class TestWorkerPointSchedules:

@@ -17,8 +17,6 @@ from hypothesis import given, settings
 from repro.docstore import DocumentStore, IndexedDocument
 from repro.errors import EvaluationError
 from repro.hype.api import ALGORITHMS, OPTHYPE, compile_plan
-from repro.hype.compose import ComposedKernel, descend_composed
-from repro.hype.core import RunCursor
 from repro.serve.batch import BatchEvaluator
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
@@ -27,12 +25,6 @@ from repro.xpath import evaluate
 from repro.xtree.serialize import serialize
 
 from .strategies import paths, trees
-
-
-def _composed(plans, context, layout):
-    cursors = [RunCursor(plan) for plan in plans]
-    descend_composed(ComposedKernel(plans), cursors, context, layout)
-    return [cursor.finish() for cursor in cursors]
 
 
 def _plan(query, algorithm, doc):
@@ -56,7 +48,7 @@ def _same(results, expected):
 @given(trees(), paths(max_leaves=5), paths(max_leaves=5))
 @settings(max_examples=60, deadline=None)
 def test_on_demand_layout_is_identical_to_a_supplied_one(tree, first, second):
-    """Per lane, batched and composed, all three algorithms, root and
+    """Per lane and batched, all three algorithms, root and
     sub-tree contexts: a run that builds its own columns is the run
     that was handed the document's."""
     doc = IndexedDocument(tree)
@@ -72,8 +64,6 @@ def test_on_demand_layout_is_identical_to_a_supplied_one(tree, first, second):
             assert with_layout.stats == on_demand.stats
             _same(on_demand.results, supplied)
             _same(with_layout.results, supplied)
-            _same(_composed(plans, context, None), supplied)
-            _same(_composed(plans, context, doc.layout), supplied)
 
 
 @given(trees(), paths())
@@ -135,7 +125,6 @@ def test_foreign_layout_is_never_indexed():
             BatchEvaluator([plan, plan]).run(tree.root, layout=foreign).results,
             [expected, expected],
         )
-        _same(_composed([plan, plan], tree.root, foreign), [expected, expected])
 
 
 def test_a_never_frozen_tree_is_refused():
@@ -149,8 +138,6 @@ def test_a_never_frozen_tree_is_refused():
         plan.run(loose)
     with pytest.raises(EvaluationError):
         BatchEvaluator([plan, plan]).run(loose)
-    with pytest.raises(EvaluationError):
-        _composed([plan, plan], loose, None)
 
 
 def test_one_plan_serves_two_documents_with_distinct_layouts():

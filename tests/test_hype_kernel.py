@@ -17,7 +17,6 @@ from repro.compile import ArtifactError, PlanArtifact, QueryCompiler
 from repro.compile.artifact import _validate_kernel
 from repro.docstore import IndexedDocument
 from repro.hype.api import ALGORITHMS, compile_plan, to_mfa
-from repro.hype.compose import ComposedKernel, descend_composed
 from repro.hype.core import CompiledPlan, RunCursor
 from repro.hype.kernel import OTHER_LABEL, DenseKernel, descend, kernel_payload
 from repro.hype.index import build_index
@@ -247,31 +246,13 @@ class TestPopTable:
         assert report0 == () and len(report1) == 1  # only 'x' tells <a>
         assert n0 == n1 > 0
 
-    def test_composed_pop_table_gathers_member_predicates(self):
-        """The composed machine compiles its pops the same way: one
-        ``cpops`` entry gathers both members' ``text()`` predicates, and
-        each observed bit pattern resolves every lane in one probe."""
-        tree = self._doc()
-        plans = [compile_plan(f"a[b/text() = '{v}']") for v in ("x", "y")]
-        composed = ComposedKernel(plans)
-        for layout in (None, IndexedDocument(tree).layout):
-            cursors = [RunCursor(plan) for plan in plans]
-            descend_composed(composed, cursors, tree.root, layout)
-            assert [len(c.finish().answers) for c in cursors] == [2, 1]
-        gated = [entry for entry in composed.cpops if entry[0]]
-        assert len(gated) == 1, "exactly the ccfg of <b> carries predicates"
-        preds, outcomes = gated[0]
-        assert [bit for bit, _holds in preds] == [1, 2]
-        assert set(outcomes) == {1, 2}  # 'x' nodes, 'y' nodes
-        for bits, lane in ((1, 0), (2, 1)):
-            outcome = outcomes[bits]
-            assert not outcome.simple
-            assert [i for i, _watcher in outcome.report] == [lane]
-            assert [i for i, _dead, _n in outcome.entries] == [0, 1]
-
     def test_pop_frame_is_never_entered_without_child_truths(self, monkeypatch):
-        """Truth-free pops are table probes in every loop — lean pass
-        (alone and in a wave) and composed."""
+        """Truth-free pops are table probes in the lean pass, alone and
+        in a wave.  The reference pass runs: the compiled one resolves
+        every pop in C and never calls ``pop_frame``."""
+        from repro.hype import kernel
+
+        monkeypatch.setattr(kernel, "_descend_lane", kernel._descend_lane_py)
         calls = []
         real = DenseKernel.pop_frame
 
@@ -292,12 +273,6 @@ class TestPopTable:
                 for plan in plans:
                     plan.run(tree.root, layout)
                 BatchEvaluator(plans).run(tree.root, layout)
-                descend_composed(
-                    ComposedKernel(plans),
-                    [RunCursor(plan) for plan in plans],
-                    tree.root,
-                    layout,
-                )
         assert calls, "the workload must exercise truth-carrying pops too"
 
     def test_unseen_labels_store_no_alias(self):
@@ -308,7 +283,6 @@ class TestPopTable:
         from repro.xtree.build import document, element
 
         plan = compile_plan("//a/b")
-        composed = ComposedKernel([plan, compile_plan("//a/c")])
         sizes = []
         for round_ in range(4):
             tree = document(
@@ -322,14 +296,11 @@ class TestPopTable:
                 result = plan.run(tree.root, layout)
                 assert [n.label for n in result.answers] == ["b"]
                 assert result.stats.visited_elements == 54  # r, a, b, c + 50
-                cursors = [RunCursor(member) for member in composed.plans]
-                descend_composed(composed, cursors, tree.root, layout)
-                assert cursors[0].finish().answers == result.answers
-                sizes.append((len(plan.kernel.trans), len(composed.trans)))
+                sizes.append(len(plan.kernel.trans))
         assert len(set(sizes)) == 1, sizes
-        for kern in (plan.kernel, composed.plans[1].kernel, composed):
-            columns = kern.alphabet | {OTHER_LABEL}
-            assert kern.trans and {label for _cfg, label in kern.trans} <= columns
+        kern = plan.kernel
+        columns = kern.alphabet | {OTHER_LABEL}
+        assert kern.trans and {label for _cfg, label in kern.trans} <= columns
 
 
 class TestPreloadedClosure:
@@ -373,9 +344,9 @@ class TestPreloadedClosure:
         """Labels outside the automaton alphabet share ONE transition
         column — the aliasing that keeps the closed table finite and
         document-independent: after serving documents full of
-        out-of-alphabet labels, every ``trans`` key of every member
-        kernel and of the composed kernel names an alphabet label or
-        OTHER, whichever way the documents were handed in."""
+        out-of-alphabet labels, every ``trans`` key of every plan's
+        kernel names an alphabet label or OTHER, whichever way the
+        documents were handed in."""
         from repro.xtree.build import document, element
 
         trees = [
@@ -394,18 +365,11 @@ class TestPreloadedClosure:
                     CompiledPlan.for_algorithm(to_mfa(query), algorithm, tree, doc)
                     for query in ("a/b", "a//b")
                 ]
-                composed = ComposedKernel(plans)
                 for layout in (None, doc.layout):
                     for plan in plans:
                         assert plan.run(tree.root, layout).stats.answers == 1
                     BatchEvaluator(plans).run(tree.root, layout)
-                    descend_composed(
-                        composed,
-                        [RunCursor(plan) for plan in plans],
-                        tree.root,
-                        layout,
-                    )
-                for kern in (*(plan.kernel for plan in plans), composed):
+                for kern in (plan.kernel for plan in plans):
                     assert not any(l.startswith("z") for l in kern.alphabet)
                     columns = kern.alphabet | {OTHER_LABEL}
                     labels = {label for _cfg, label in kern.trans}

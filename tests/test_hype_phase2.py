@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.automata import compile_query
 from repro.docstore import IndexedDocument
-from repro.hype.compose import ComposedKernel, descend_composed
 from repro.hype.core import CompiledPlan, RunCursor
 from repro.hype.kernel import descend
 from repro.xpath import evaluate, parse_query
@@ -79,7 +78,7 @@ def assert_matches_full_walk(plan, cursor):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_candidate_driven_equals_the_full_walk(tree, queries):
-    """Documents x filter queries x 3 algorithms x lean / wave / composed."""
+    """Documents x filter queries x 3 algorithms x lean / wave."""
     doc = IndexedDocument(tree)
     layout = doc.layout
     for family in FAMILIES:
@@ -93,12 +92,7 @@ def test_candidate_driven_equals_the_full_walk(tree, queries):
         def wave(lanes):
             descend(lanes, tree.root, layout)
 
-        def composed(lanes):
-            descend_composed(
-                ComposedKernel(plans), [c for _p, c in lanes], tree.root, layout
-            )
-
-        for drive in (lean, wave, composed):
+        for drive in (lean, wave):
             lanes = [(plan, RunCursor(plan)) for plan in plans]
             drive(lanes)
             for plan, cursor in lanes:
@@ -199,14 +193,15 @@ def test_no_deaths_builds_no_chain_at_all():
     assert set(answers) == expected and len(expected) == 2
 
 
-def test_finals_seen_holds_visit_indices_in_both_loops():
+def test_finals_seen_holds_visit_indices_alone_and_in_a_wave():
     tree = parse_xml("<r><a><b/></a><a><b/></a></r>")
     plans = [CompiledPlan(compile_query(parse_query(q))) for q in ("a/b", "a")]
-    lean = [RunCursor(plan) for plan in plans]
-    descend(list(zip(plans, lean)), tree.root)
-    composed = [RunCursor(plan) for plan in plans]
-    descend_composed(ComposedKernel(plans), composed, tree.root)
-    for one, other in zip(lean, composed):
+    wave = [RunCursor(plan) for plan in plans]
+    descend(list(zip(plans, wave)), tree.root)
+    alone = [RunCursor(plan) for plan in plans]
+    for plan, cursor in zip(plans, alone):
+        descend([(plan, cursor)], tree.root)
+    for one, other in zip(wave, alone):
         assert one.finals_seen == other.finals_seen
         assert all(type(i) is int for i in one.finals_seen)
         label = one.layout.columns.label

@@ -6,7 +6,7 @@ belong to the :class:`repro.hype.index.LabelTable` of a label set, so a
 new document of a known label set runs on tables its predecessors
 filled.  The harness below is the equivalence claim — a shared
 executable *after* other documents filled it is a fresh one, answers and
-:class:`HyPEStats` alike, per lane, as a wave and composed — and the
+:class:`HyPEStats` alike, per lane and as a wave — and the
 hand-written cases pin who shares what, what an executable refuses, and
 that concurrent ingests agree on one table.
 """
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.docstore import DocumentStore, IndexedDocument
 from repro.errors import EvaluationError
 from repro.hype.api import ALGORITHMS, HYPE, OPTHYPE, OPTHYPE_C
-from repro.hype.compose import ComposedKernel
 from repro.hype.core import CompiledPlan
 from repro.hype.index import build_index, label_table
 from repro.serve.batch import BatchEvaluator
@@ -51,13 +50,11 @@ def _same(got, want):
 )
 def test_a_shared_executable_is_a_fresh_one(forest, queries):
     """Sequences of same- and mixed-label-set documents x gated queries
-    x 3 algorithms x per-lane / wave / composed: each document runs on
-    the executables (and composed kernels) its predecessors filled, and
-    is indistinguishable from a fresh ``for_algorithm`` plan of its own."""
+    x 3 algorithms x per-lane / wave: each document runs on the
+    executables its predecessors filled, and is indistinguishable from a fresh ``for_algorithm`` plan of its own."""
     cache = PlanCache(8)
     cached = [cache.plan(None, query) for query in queries]
     documents = [IndexedDocument(tree) for tree in forest]
-    kernels: dict = {}
     for doc in documents:
         root, layout = doc.tree.root, doc.layout
         for algorithm in ALGORITHMS:
@@ -71,18 +68,8 @@ def test_a_shared_executable_is_a_fresh_one(forest, queries):
             for plan, expected in zip(shared, want):
                 _same(plan.run(root, layout=layout), expected)
             wave = BatchEvaluator(shared).run(root, layout=layout)
-            assert not wave.composed
-            composed = BatchEvaluator(
-                shared,
-                groups=[range(len(shared))],
-                composer=lambda members: kernels.setdefault(
-                    (algorithm, id(layout.table)), ComposedKernel(members)
-                ),
-            ).run(root, layout=layout)
-            assert len(composed.composed) == len(shared)
-            for lane, stepped, expected in zip(wave.results, composed.results, want):
+            for lane, expected in zip(wave.results, want):
                 _same(lane, expected)
-                _same(stepped, expected)
     tables = {id(doc.layout.table) for doc in documents}
     for plan in cached:
         assert len(plan.executables()) == 1 + 2 * len(tables)
@@ -203,9 +190,7 @@ def test_an_executable_runs_any_document_of_its_label_table(algorithm):
     assert len(expected.answers) == 17
     b.index_for(algorithm == OPTHYPE_C)
     assert plan.run(b.root, layout=b.layout).answers == expected.answers
-    batch = BatchEvaluator([plan, plan], groups=[(0, 1)])
-    result = batch.run(b.root, layout=b.layout)
-    assert result.composed == {0, 1}
+    result = BatchEvaluator([plan, plan]).run(b.root, layout=b.layout)
     assert [lane.answers for lane in result.results] == [expected.answers] * 2
 
 
@@ -213,8 +198,8 @@ def test_an_executable_runs_any_document_of_its_label_table(algorithm):
 def test_a_document_without_the_mask_column_is_refused(algorithm):
     """No mask column of the executable's (label table, variant) on the
     run's layout — the variant was never built for that document, or the
-    document is of a foreign label set — is a structured error, per lane
-    and composed; never a wrong answer."""
+    document is of a foreign label set — is a structured error, alone
+    and in a wave; never a wrong answer."""
     a, unbuilt = _documents()
     foreign = IndexedDocument(parse_xml("<hospital><patient><pname/></patient></hospital>"))
     for compressed in (False, True):
@@ -228,9 +213,7 @@ def test_a_document_without_the_mask_column_is_refused(algorithm):
         with pytest.raises(EvaluationError, match="no subtree-mask column"):
             BatchEvaluator([plan]).run(doc.root, layout=doc.layout)
         with pytest.raises(EvaluationError, match="no subtree-mask column"):
-            BatchEvaluator([plan, plan], groups=[(0, 1)]).run(
-                doc.root, layout=doc.layout
-            )
+            BatchEvaluator([plan, plan]).run(doc.root, layout=doc.layout)
     # On-demand columns of a foreign label set are refused the same way.
     with pytest.raises(EvaluationError, match="no subtree-mask column"):
         plan.run(foreign.root)

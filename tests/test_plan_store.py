@@ -343,16 +343,15 @@ LEGACY_FORMS = {
 
 
 class TestRetiredComposedKind:
-    """Composed tables live in memory only.  No configuration writes a
+    """Composed tables are gone.  No configuration writes a
     ``*.composed.json``; one an older process left in the plan directory
     is never read (whatever its content, nothing is counted against it
-    and the wave recomposes), and ``gc`` sweeps it."""
+    and the wave answers as before), and ``gc`` sweeps it."""
 
     WAVE = sorted(VIEW_QUERIES.values())[:5]
 
-    def _boot(self, hospital_doc, sigma0_spec, directory, compose=True):
+    def _boot(self, hospital_doc, sigma0_spec, directory):
         service = QueryService(hospital_doc, plan_store=PlanStore(directory))
-        service.compose = compose  # whatever the lean pass
         service.register_view("research", sigma0_spec)
         service.register_tenant("institute", "research")
         return service
@@ -372,11 +371,10 @@ class TestRetiredComposedKind:
 
     @pytest.fixture(scope="class")
     def populated(self, tmp_path_factory, hospital_doc, sigma0_spec):
-        """A plan directory after one composed wave, and its answers."""
+        """A plan directory after one wave, and its answers."""
         directory = tmp_path_factory.mktemp("retired") / "plans"
         with self._boot(hospital_doc, sigma0_spec, directory) as cold:
             answers, snap = self._wave(cold)
-        assert snap["composed_builds"] == 1
         assert snap["plan_store"]["stores"] == len(self.WAVE)
         return directory, answers
 
@@ -409,25 +407,21 @@ class TestRetiredComposedKind:
         counters = snap["plan_store"]
         assert (counters["corrupt"], counters["errors"]) == (0, 0)
         assert counters["hits"] == len(self.WAVE)  # the plans still load
-        assert (snap["composed_builds"], snap["composed_fallbacks"]) == (1, 0)
         assert (stale.read_bytes(), stale.stat().st_mtime_ns) == before
         assert list(directory.glob("*.composed.json*")) == [stale]
 
-    @pytest.mark.parametrize("compose", [True, False], ids=["composed", "per-lane"])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_no_configuration_writes_a_composed_file(
-        self, algorithm, compose, tmp_path, hospital_doc, sigma0_spec
+        self, algorithm, tmp_path, hospital_doc, sigma0_spec
     ):
         directory = tmp_path / "plans"
         runs = []
         for _boot in range(2):  # cold, then restarted over the same store
-            with self._boot(hospital_doc, sigma0_spec, directory, compose) as service:
+            with self._boot(hospital_doc, sigma0_spec, directory) as service:
                 runs.append(self._wave(service, algorithm))
-        (cold, cold_snap), (warm, warm_snap) = runs
+        (cold, _cold_snap), (warm, warm_snap) = runs
         assert warm == cold
         assert warm_snap["plan_store"]["hits"] == len(self.WAVE)
-        for snap in (cold_snap, warm_snap):
-            assert (snap["composed_builds"] > 0) == compose
         assert list(directory.glob("*.composed.json*")) == []
         assert len(PlanStore(directory)) == len(list(directory.iterdir()))
 

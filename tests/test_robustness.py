@@ -33,31 +33,28 @@ from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 
 QUERIES = sorted(VIEW_QUERIES.values())
 
-_services: dict[bool, QueryService] = {}
+_services: list[QueryService] = []
 _reference: dict[tuple[str, str], list[int]] = {}
 
 
-def service_for(compose: bool) -> QueryService:
-    """One shared small service per composition mode (built lazily so
-    hypothesis examples reuse it; answers are read-only)."""
-    if compose not in _services:
+def shared_service() -> QueryService:
+    """One shared small service (built lazily so hypothesis examples
+    reuse it; answers are read-only)."""
+    if not _services:
         doc = generate_hospital_document(
             HospitalConfig(num_patients=6, seed=3)
         )
         svc = QueryService(doc)
-        svc.compose = compose  # composed whatever the lean pass
         svc.register_view("research", sigma0())
         svc.register_tenant("institute", "research")
-        _services[compose] = svc
-    return _services[compose]
+        _services.append(svc)
+    return _services[0]
 
 
-def reference_ids(compose: bool, algorithm: str, query: str) -> list[int]:
-    key = (f"compose={compose}:{algorithm}", query)
+def reference_ids(algorithm: str, query: str) -> list[int]:
+    key = (algorithm, query)
     if key not in _reference:
-        answer = service_for(compose).submit(
-            "institute", query, algorithm=algorithm
-        )
+        answer = shared_service().submit("institute", query, algorithm=algorithm)
         _reference[key] = answer.ids()
     return _reference[key]
 
@@ -65,10 +62,8 @@ def reference_ids(compose: bool, algorithm: str, query: str) -> list[int]:
 class TestNoPartialAnswers:
     """A deadline-expired request is rejected whole — its slot holds a
     DeadlineError, never an answer missing nodes — across all three
-    algorithms (string and columnar kernels) and both the composed and
-    per-lane wave paths; wavemates without deadlines stay complete."""
+    algorithms; wavemates without deadlines stay complete."""
 
-    @pytest.mark.parametrize("compose", [False, True])
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @given(
         picks=st.lists(
@@ -86,10 +81,8 @@ class TestNoPartialAnswers:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    def test_expired_requests_reject_whole(
-        self, compose, algorithm, picks, tiny_ms
-    ):
-        svc = service_for(compose)
+    def test_expired_requests_reject_whole(self, algorithm, picks, tiny_ms):
+        svc = shared_service()
         requests = []
         for query, kind in picks:
             deadline = None
@@ -112,11 +105,10 @@ class TestNoPartialAnswers:
                 continue
             assert not isinstance(outcome, Exception), outcome
             # Any answer that does come back is the COMPLETE answer.
-            assert outcome.ids() == reference_ids(compose, algorithm, query)
+            assert outcome.ids() == reference_ids(algorithm, query)
 
-    @pytest.mark.parametrize("compose", [False, True])
-    def test_expired_wavemate_does_not_sink_the_wave(self, compose):
-        svc = service_for(compose)
+    def test_expired_wavemate_does_not_sink_the_wave(self):
+        svc = shared_service()
         result = svc.submit_wave(
             [
                 QueryRequest(
@@ -130,7 +122,7 @@ class TestNoPartialAnswers:
         expired, live = result.outcomes
         assert isinstance(expired, DeadlineError)
         assert rejection_kind(expired) == "deadline"
-        assert live.ids() == reference_ids(compose, "hype", "patient")
+        assert live.ids() == reference_ids("hype", "patient")
 
     def test_deadline_rejections_are_counted(self):
         doc = generate_hospital_document(HospitalConfig(num_patients=3, seed=5))
@@ -143,18 +135,17 @@ class TestNoPartialAnswers:
 
 class TestDeadlineUnderSlowDescent:
     """A ``descend`` fault delay past a wave's earliest deadline: the
-    composed pass is abandoned whole at its checkpoint, the expired
+    wave's pass is abandoned whole at its checkpoint, the expired
     request is rejected once, and its undeadlined wavemate is retried
-    per-lane to the complete answer."""
+    alone to the complete answer."""
 
     @pytest.fixture(autouse=True)
     def fault_free(self):
         yield
         faults.install(None)
 
-    def test_composed_pass_expires_under_injected_delay(self, big_hospital_doc):
+    def test_wave_pass_expires_under_injected_delay(self, big_hospital_doc):
         svc = QueryService(big_hospital_doc)
-        svc.compose = True  # composed whatever the lean pass
         svc.register_view("research", sigma0())
         svc.register_tenant("institute", "research")
         tight, free = QUERIES[0], QUERIES[1]
@@ -162,7 +153,6 @@ class TestDeadlineUnderSlowDescent:
             reference = svc.submit_wave(
                 [QueryRequest("institute", tight), QueryRequest("institute", free)]
             )
-            assert reference.stats.composed_lanes == 2
             schedule = faults.install(
                 FaultPlan([FaultRule("descend", "delay", hits=(1,), seconds=0.1)])
             )
@@ -177,10 +167,9 @@ class TestDeadlineUnderSlowDescent:
             expired, live = result.outcomes
             assert isinstance(expired, DeadlineError)
             assert live.ids() == reference.outcomes[1].ids()
-            # Hit 1 was the composed entry (delayed, then abandoned);
-            # hit 2 the survivor's per-lane retry.
+            # Hit 1 was the wave's entry (delayed, then abandoned);
+            # hit 2 the survivor's retry.
             assert schedule.hits("descend") == 2
-            assert result.stats.composed_lanes == 0
             snap = svc.metrics_snapshot()
             assert snap.rejected_kinds == {"deadline": 1}
             assert snap.requests == 3  # two reference answers + the survivor

@@ -385,37 +385,6 @@ class TestResolutionGate:
         assert cache.stats.misses == 1 and cache.stats.hits == 1
 
 
-class TestComposedCache:
-    """What is ``ComposedCache``'s own on top of the shared LRU: the
-    member-identity staleness test."""
-
-    KEYS = ((None, "q0", 3), (None, "q1", 3))
-
-    @staticmethod
-    def members():
-        from repro.hype.api import to_mfa
-        from repro.hype.core import CompiledPlan
-
-        return [CompiledPlan(to_mfa(query)) for query in ("//a", "//a/b")]
-
-    def test_recompiled_members_rebuild_the_kernel(self):
-        """A plan the plan LRU evicted and recompiled is a new object
-        under the same key: its kernel must not be served stale."""
-        from repro.hype.api import HYPE
-        from repro.serve.cache import ComposedCache
-
-        cache = ComposedCache()
-        first, recompiled = self.members(), self.members()
-        kernel = cache.kernel_for(first, self.KEYS, HYPE)
-        assert cache.kernel_for(first, self.KEYS, HYPE) is kernel
-        rebuilt = cache.kernel_for(recompiled, self.KEYS, HYPE)
-        assert rebuilt is not kernel and rebuilt.plans == recompiled
-        assert cache.kernel_for(recompiled, self.KEYS, HYPE) is rebuilt
-        stats = cache.stats
-        assert (stats.builds, stats.hits, stats.evictions) == (2, 2, 0)
-        assert len(cache) == 1 and cache.gauges()["kernels"] == 1
-
-
 def _restricted_spec():
     from repro.dtd import hospital_dtd, hospital_view_dtd
     from repro.views.samples import SIGMA0_ANNOTATIONS

@@ -297,7 +297,6 @@ class TestDeclarationTable:
 
         doc = generate_hospital_document(HospitalConfig(num_patients=6, seed=3))
         with QueryService(doc) as service:
-            service.compose = True  # composed whatever the lean pass
             service.register_view("research", sigma0())
             service.register_tenant("institute", "research")
             service.register_tenant("twin", "research")
@@ -314,7 +313,6 @@ class TestDeclarationTable:
         from dataclasses import fields
 
         from repro.obs.export import (
-            COMPOSED_GAUGES,
             FAMILIES,
             merge_expositions,
             render_prometheus,
@@ -330,21 +328,15 @@ class TestDeclarationTable:
                 render_prometheus(snapshot, worker="w1"),
             ]
         )
-        assert len({row.family for row in FAMILIES + COMPOSED_GAUGES}) == len(
-            FAMILIES + COMPOSED_GAUGES
-        )
+        assert len({row.family for row in FAMILIES}) == len(FAMILIES)
         for row in FAMILIES:
             value = resolve(snapshot, row.attribute)
             assert resolve(payload, row.attribute) == value, row
             assert parse_value(single, row.family) == value, row
             assert parse_value(merged, row.family, 'worker="w1"') == value, row
-        for row in COMPOSED_GAUGES:
-            value = snapshot.composed_gauges[row.attribute]
-            assert payload["composed"]["gauges"][row.attribute] == value, row
-            assert parse_value(single, row.family) == value, row
         for text in (single, merged):
             types = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, flags=re.M))
-            for row in FAMILIES + COMPOSED_GAUGES:
+            for row in FAMILIES:
                 assert types[f"repro_{row.family}"] == row.kind, row
         # A field added to any block reaches ``as_dict`` with no edit.
         for f in fields(ServiceCounters):
@@ -354,7 +346,6 @@ class TestDeclarationTable:
             ("cache", snapshot.cache),
             ("plan_store", snapshot.store),
             ("doc_store", snapshot.doc_store),
-            ("composed", snapshot.composed),
             ("pool", snapshot.pool),
         ):
             if block is None:

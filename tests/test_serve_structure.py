@@ -171,11 +171,10 @@ def test_table_families_are_spelled_only_in_the_table():
     """``render_prometheus`` and ``MetricsSnapshot.as_dict`` walk the
     declarations; neither spells a table row's family (nor ``as_dict``
     a row's attribute) by hand."""
-    from repro.obs.export import COMPOSED_GAUGES, FAMILIES
+    from repro.obs.export import FAMILIES
 
-    rows = FAMILIES + COMPOSED_GAUGES
-    families = {row.family for row in rows}
-    attributes = {row.attribute for row in rows}
+    families = {row.family for row in FAMILIES}
+    attributes = {row.attribute for row in FAMILIES}
     snapshot_class = next(
         node
         for node in ast.walk(parse(SRC / "serve" / "metrics.py"))
@@ -431,16 +430,121 @@ def test_nothing_maps_a_file():
     assert importers == []
 
 
+#: The composed wave machine is gone: every wave is the lean pass over
+#: its lanes, one after another.  Its module, its kernel and errors, the
+#: service's grouping, the kernel's composed-only pop and the wave's and
+#: span's composed counters, by name.  (``repro.views.compose`` is the
+#: paper's view composition and stays.)
+RETIRED_COMPOSE_NAMES = (
+    "ComposedKernel",
+    "descend_composed",
+    "ComposedOverflow",
+    "ComposeError",
+    "DEFAULT_CCFG_CAP",
+    "_compose_groups",
+    "pop_quiet",
+    "composed_groups",
+    "composed_lanes",
+    "composed_width",
+)
+
+
+def imported_modules(path: Path):
+    """Every module a file imports, relative imports made absolute, and
+    ``module.name`` for each name a ``from`` import takes."""
+    package = ["repro", *path.relative_to(SRC).parent.parts]
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join([*base, *filter(None, [node.module])])
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_nothing_imports_the_composed_machine():
+    modules = {module for path in LIBRARY for module in imported_modules(path)}
+    assert "repro.views.compose" in modules, "the walk is broken"
+    assert not (SRC / "hype" / "compose.py").exists()
+    assert [
+        relative(path)
+        for path in LIBRARY
+        if any(
+            module == "repro.hype.compose" or module.startswith("repro.hype.compose.")
+            for module in imported_modules(path)
+        )
+    ] == []
+
+
+@pytest.mark.parametrize("name", RETIRED_COMPOSE_NAMES)
+def test_a_retired_composed_machine_name_is_gone(name):
+    assert name in set(spelled(ast.parse(f"kernel.{name}"))), "the walk is broken"
+    assert [
+        relative(path) for path in LIBRARY if name in set(spelled(parse(path)))
+    ] == []
+
+
+# What is left of wave composition is inert: accepted, read, and without
+# effect.  The frozen end-to-end harness touches exactly these.
+def test_batch_evaluator_ignores_groups_and_composer():
+    from repro.hype.api import compile_plan
+    from repro.serve.batch import BatchEvaluator
+    from repro.workloads import HospitalConfig, generate_hospital_document
+
+    tree = generate_hospital_document(HospitalConfig(num_patients=3, seed=1))
+    plans = [compile_plan(q) for q in ("//patient", "//patient/pname", "//record")]
+    plain = BatchEvaluator(plans).run(tree.root)
+    inert = BatchEvaluator(
+        plans, groups=[(0, 1, 2)], composer=lambda members: None
+    ).run(tree.root)
+    assert [r.ids for r in inert] == [r.ids for r in plain]
+    assert [r.stats for r in inert] == [r.stats for r in plain]
+    assert inert.stats == plain.stats
+    assert inert.stats.composed_fallbacks == 0
+
+
+def test_service_compose_is_inert(hospital_doc):
+    from repro.serve.service import QueryService
+
+    with QueryService(hospital_doc, compose=True) as service:
+        assert service.compose is False
+        service.compose = True  # settable, and changes nothing
+        service.register_tenant("admin", None)
+        answer = service.submit("admin", "//patient")
+        assert answer.ids() == service.submit("admin", "//patient").ids()
+
+
+def test_snapshot_composed_properties_read_zero(hospital_doc):
+    from repro.serve.service import QueryRequest, QueryService
+
+    with QueryService(hospital_doc) as service:
+        service.register_tenant("admin", None)
+        service.submit_many(
+            [QueryRequest("admin", "//patient"), QueryRequest("admin", "//patient/pname")]
+        )
+        snapshot = service.metrics_snapshot()
+    names = ("composed_hits", "composed_builds", "composed_fallbacks", "interned_ccfgs")
+    assert [getattr(snapshot, name) for name in names] == [0, 0, 0, 0]
+    assert not [key for key in snapshot.as_dict() if "compos" in key or "ccfg" in key]
+
+
+def test_composed_cache_is_inert():
+    from repro.serve.cache import ComposedCache, PlanCache
+
+    cache = ComposedCache()
+    assert cache.kernel_for([], (), "hype", doc_key="d") is None
+    assert cache.stats.builds == 0
+    assert isinstance(PlanCache().composed, ComposedCache)
+
+
 #: Members that went with composed persistence (or were only ever called
 #: from tests), as (module, class, member).
 RETIRED_MEMBERS = (
     ("compile/store.py", "PlanStore", "clear"),
     ("compile/store.py", "StoreStats", "composed_hits"),
     ("engine/smoqe.py", "SMOQE", "cache_stats"),
-    ("hype/compose.py", "ComposedKernel", "preloaded"),
     ("serve/cache.py", "ComposedCache", "persist"),
-    ("serve/cache.py", "ComposedStats", "rehydrated"),
-    ("serve/cache.py", "ComposedStats", "persisted"),
 )
 
 

@@ -2,8 +2,8 @@
 
 ``repro.tier`` holds the two algorithms every cache and every persisted
 kind in the system is built on.  This suite pins each algorithm once,
-directly, and then drives the same gate scenarios through the three LRU
-owners (``PlanCache``, ``ComposedCache``, ``DocumentStore``) and the same
+directly, and then drives the same gate scenarios through the two LRU
+owners (``PlanCache``, ``DocumentStore``) and the same
 damage / sweep scenarios through the two persisted kinds (plan
 artifact, index record) by parametrisation, and the retired layout
 sidecar through the same damage states — the per-owner copies of these tests are gone (mapping in ``CHANGES.md``,
@@ -28,10 +28,9 @@ from repro.compile import PlanStore, QueryCompiler
 from repro.docstore import DOC_FORMAT_VERSION, DocumentStore, content_digest
 from repro.errors import ReproError, XMLParseError
 from repro.faults import FaultPlan, FaultRule
-from repro.hype.api import ALGORITHMS, HYPE, to_mfa
-from repro.hype.core import CompiledPlan
+from repro.hype.api import ALGORITHMS
 from repro.obs.counters import Counters
-from repro.serve.cache import ComposedCache, PlanCache, plan_key
+from repro.serve.cache import PlanCache, plan_key
 from repro.serve.service import QueryRequest, QueryService
 from repro.tier import FileTier, SingleFlightLRU
 from repro.views.samples import sigma0
@@ -298,44 +297,10 @@ class PlanOwner:
         return self.cache.plan(None, self.queries[i])
 
     def probe(self):
-        return self.cache.stats, len(self.cache), self.cache.composed.stats
+        return self.cache.stats, len(self.cache)
 
     def built(self) -> int:
         return self.cache.stats.misses
-
-
-class ComposedOwner:
-    """``ComposedCache.kernel_for``; the slow step is the composition.
-    Each key is its own member tuple, so the step can name it."""
-
-    def __init__(self, tmp_path, monkeypatch) -> None:
-        import repro.serve.cache as module
-
-        self.step = step = SlowStep()
-        real = module.ComposedKernel
-
-        def stepped(members):
-            step(tuple(members))
-            return real(members)
-
-        monkeypatch.setattr(module, "ComposedKernel", stepped)
-        self.cache = ComposedCache()
-        self.members = [
-            tuple(CompiledPlan(to_mfa(q)) for q in ("//a", "//a/b"))
-            for _ in range(2)
-        ]
-
-    def key(self, i: int):
-        return self.members[i]
-
-    def lookup(self, i: int):
-        return self.cache.kernel_for(list(self.members[i]), self.key(i), HYPE)
-
-    def probe(self):
-        return self.cache.stats, len(self.cache), self.cache.gauges()
-
-    def built(self) -> int:
-        return self.cache.stats.builds
 
 
 class DocumentOwner:
@@ -368,7 +333,7 @@ class DocumentOwner:
         return self.store.stats.misses
 
 
-@pytest.fixture(params=[PlanOwner, ComposedOwner, DocumentOwner])
+@pytest.fixture(params=[PlanOwner, DocumentOwner])
 def owner(request, tmp_path, monkeypatch):
     return request.param(tmp_path, monkeypatch)
 
@@ -392,9 +357,9 @@ class TestOwnersShareTheGate:
         assert len(owner.step.calls) == 3  # two failures, one build, one hit
 
     def test_a_parked_build_blocks_nobody_else(self, owner):
-        """Satellite 1's regression for ``ComposedCache`` (its cold load
-        used to run under the lock ``stats`` / ``gauges`` / ``len`` and
-        every other wave's lookup take), held for all three owners."""
+        """A cold build runs outside the map lock: ``stats`` / ``len``
+        and every other key's lookup never queue behind it, for both
+        owners."""
         owner.step.park = {owner.key(0)}
         parked, parked_box = in_thread(lambda: owner.lookup(0))
         assert owner.step.entered.wait(WAIT)
@@ -592,14 +557,13 @@ class Deployment:
             plan_store=PlanStore(self.plans),
             document_store=documents,
         )
-        service.compose = True  # composed whatever the lean pass
         service.register_view("research", sigma0())
         service.register_tenant("institute", "research")
         return service
 
     def drive(self, wave=WAVE) -> tuple[list, dict]:
-        """The wave under all three algorithms: touches every plan, the
-        composed machine (HyPE) and both index variants."""
+        """The wave under all three algorithms: touches every plan and
+        both index variants."""
         with self.boot() as service:
             answers = [
                 [

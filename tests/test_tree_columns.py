@@ -4,8 +4,8 @@ One equivalence harness: a tree built in memory (frozen by
 ``index_tree``) and the same tree parsed back from its serialisation
 (emitted as columns by the parser) must be one document — every column,
 the canonical text, the content address, and the answers and
-:class:`HyPEStats` of all three algorithms per lane, batched and
-composed.  Then the ownership contract, by hand: one node object per id,
+:class:`HyPEStats` of all three algorithms per lane and batched.
+Then the ownership contract, by hand: one node object per id,
 created under concurrency without duplicates; a served query creates no
 node at all; a released tree is freed by reference count even while one
 of its answer nodes is held.
@@ -23,8 +23,6 @@ from hypothesis import given, settings
 import repro.xtree.node as node_module
 from repro.docstore import DocumentStore, IndexedDocument, content_digest
 from repro.hype.api import ALGORITHMS, compile_plan
-from repro.hype.compose import ComposedKernel, descend_composed
-from repro.hype.core import RunCursor
 from repro.serve.batch import BatchEvaluator
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads import FIG8
@@ -38,17 +36,14 @@ COLUMNS = ("label", "parent", "depth", "text", "position", "kid_ids", "kid_start
 
 
 def _runs(doc: IndexedDocument, query) -> list[tuple[list[int], object]]:
-    """``(answer ids, stats)`` of every algorithm x per-lane / batch /
-    composed over ``doc``'s own layout and indexes."""
+    """``(answer ids, stats)`` of every algorithm x per-lane / batch
+    over ``doc``'s own layout and indexes."""
     out = []
     for algorithm in ALGORITHMS:
         index = None if algorithm == "hype" else doc.index_for(algorithm == "opthype-c")
         plans = [compile_plan(query, algorithm=algorithm, index=index)] * 2
         results = [plans[0].run(0, layout=doc.layout)]
         results += BatchEvaluator(plans).run(0, layout=doc.layout).results
-        cursors = [RunCursor(plan) for plan in plans]
-        descend_composed(ComposedKernel(plans), cursors, 0, doc.layout)
-        results += [cursor.finish() for cursor in cursors]
         out += [(result.ids, result.stats) for result in results]
     return out
 

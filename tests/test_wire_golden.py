@@ -80,7 +80,6 @@ def build_service(work: Path) -> QueryService:
         plan_store=PlanStore(str(work / "plans")),
         document_store=DocumentStore(index_dir=str(work / "docs")),
     )
-    service.compose = True  # the composed wave, compiled lean pass or not
     service.register_view("research", sigma0())
     service.register_tenant("institute", "research")
     service.register_tenant("twin", "research")
@@ -244,8 +243,8 @@ def collect() -> dict:
         work = Path(tmp)
         service = build_service(work)
         try:
-            # A composed width-2 wave first, so the composed-tier
-            # counters and spans exist however the socket waves coalesce.
+            # A width-2 wave first, so the shared-pass counters and
+            # spans exist however the socket waves coalesce.
             service.submit_wave(
                 [
                     QueryRequest("institute", "patient"),
