@@ -6,9 +6,9 @@ a *lane* carrying its own ``mstates``/``fstates`` cursor, and every lane
 runs :func:`repro.hype.kernel.descend`'s lean pass on its own, one lane
 after another — the SAME code a sequential
 :meth:`repro.hype.core.CompiledPlan.run` drives with one lane.  (Lanes
-were once multiplexed through one traversal, and later stepped together
-as one composed product machine; both measured slower than the lean
-pass run lane by lane, so both are gone.)
+were once multiplexed through one traversal, which measured slower, and
+later stepped as one composed product machine, which lost to the
+compiled lean pass; both are gone.)
 
 Correctness: a lane steps its plan's dense kernel only at nodes where
 it is itself live, calls the same transition/pop machinery, and records

@@ -509,10 +509,11 @@ def test_service_compose_is_inert(hospital_doc):
 
     with QueryService(hospital_doc, compose=True) as service:
         assert service.compose is False
-        service.compose = True  # settable, and changes nothing
         service.register_tenant("admin", None)
-        answer = service.submit("admin", "//patient")
-        assert answer.ids() == service.submit("admin", "//patient").ids()
+        before = service.submit("admin", "//patient")
+        service.compose = True  # settable, and changes nothing
+        after = service.submit("admin", "//patient")
+    assert (after.ids(), after.stats) == (before.ids(), before.stats)
 
 
 def test_snapshot_composed_properties_read_zero(hospital_doc):
