@@ -7,9 +7,11 @@ more elements than the sequential total.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.automata.compile import compile_query
+from repro.docstore import IndexedDocument
 from repro.hype.core import CompiledPlan
 from repro.hype.index import build_index
 from repro.serve.batch import BatchEvaluator
@@ -154,3 +156,40 @@ class TestBatchProperty:
             assert bat.stats.skipped_subtrees == seq.stats.skipped_subtrees
             assert bat.stats.gate_failures == seq.stats.gate_failures
         assert batch.stats.visited_elements <= batch.stats.sequential_visited
+
+
+#: Family -> the index its lanes compile against.  A served wave compiles
+#: every lane against its document's own index, which also parks the
+#: mask column on the document's layout.
+FAMILIES = {
+    "hype": lambda doc: None,
+    "opthype": lambda doc: doc.index_for(False),
+    "opthype-c": lambda doc: doc.index_for(True),
+}
+
+
+class TestWaveEqualsSequentialEveryFamily:
+    """One wave over N lanes == N sequential runs, answers and full
+    ``HyPEStats``, for every algorithm family, with the layout built on
+    demand or supplied by the document."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("supplied", [False, True], ids=["on-demand", "supplied"])
+    @settings(
+        max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(tree=trees(), queries=st.lists(paths(max_leaves=5), min_size=2, max_size=4))
+    def test_lanes_identical(self, family, supplied, tree, queries):
+        doc = IndexedDocument(tree)  # owns the plans' label table
+        layout = doc.layout if supplied else None
+        index = FAMILIES[family](doc)
+        plans = [CompiledPlan(compile_query(q), index=index) for q in queries]
+        sequential = [plan.run(tree.root, layout=layout) for plan in plans]
+        wave = BatchEvaluator(plans).run(tree.root, layout=layout)
+        for lane, (got, expected) in enumerate(zip(wave, sequential)):
+            assert ids(got.answers) == ids(expected.answers), f"lane {lane}"
+            assert got.stats == expected.stats, f"lane {lane}"
+        assert wave.stats.sequential_visited == sum(
+            r.stats.visited_elements for r in sequential
+        )
+        assert wave.stats.visited_elements <= wave.stats.sequential_visited

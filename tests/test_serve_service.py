@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dtd import hospital_dtd, hospital_view_dtd
 from repro.errors import (
     AuthorizationError,
     QueryParseError,
@@ -10,7 +11,10 @@ from repro.errors import (
     ViewError,
 )
 from repro.serve.cache import PlanCache
+from repro.hype.api import ALGORITHMS
 from repro.serve.service import QueryRequest, QueryService, rejection_kind
+from repro.views.samples import SIGMA0_ANNOTATIONS
+from repro.views.spec import view_spec
 from repro.workloads import (
     FIG8A,
     VIEW_QUERIES,
@@ -230,6 +234,59 @@ class TestSubmitMany:
         answers, _stats = service.submit_many(requests)
         assert answers[0].view is None
         assert answers[1].view == "research"
+
+
+class TestWavesMixingViews:
+    """A wave whose lanes run under different views answers every lane
+    exactly as that lane's own ``submit`` does: lanes never share a
+    rewrite across the view boundary."""
+
+    @pytest.fixture()
+    def two_view_service(self, hospital_doc, sigma0_spec):
+        restricted = view_spec(
+            hospital_dtd(),
+            hospital_view_dtd(),
+            {**SIGMA0_ANNOTATIONS, ("patient", "parent"): "parent[not(.)]"},
+        )
+        service = QueryService(hospital_doc)
+        service.register_view("research", sigma0_spec)
+        service.register_view("restricted", restricted)
+        service.register_tenant("inst", "research")
+        service.register_tenant("audit", "restricted")
+        return service
+
+    @staticmethod
+    def _assert_lanes_as_submitted(service, wave):
+        answers, stats = service.submit_many(wave)
+        assert stats.lanes == len(wave)
+        for request, answer in zip(wave, answers):
+            expected = service.submit(
+                request.tenant, request.query, algorithm=request.algorithm
+            )
+            assert answer.view == expected.view
+            assert answer.ids() == expected.ids()
+            assert answer.stats == expected.stats
+        return answers
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_lane_per_view(self, two_view_service, algorithm):
+        wave = [
+            QueryRequest("inst", "patient", algorithm),
+            QueryRequest("audit", "patient", algorithm),
+        ]
+        research, restricted = self._assert_lanes_as_submitted(
+            two_view_service, wave
+        )
+        assert (research.view, restricted.view) == ("research", "restricted")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_two_lanes_per_view(self, two_view_service, algorithm):
+        wave = [
+            QueryRequest(tenant, query, algorithm)
+            for tenant in ("inst", "audit")
+            for query in ("patient", "patient/record")
+        ]
+        self._assert_lanes_as_submitted(two_view_service, wave)
 
 
 class TestSubmitWave:
