@@ -5,7 +5,7 @@
 PY ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test loc sanitize coverage-c bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke fleet-smoke chaos-smoke warm install
+.PHONY: test loc sanitize coverage-c mutants bench bench-smoke bench-hot bench-hot-smoke bench-e2e bench-e2e-trace bench-e2e-pairs front-smoke obs-smoke concurrency-smoke cache-smoke churn-smoke fleet-smoke chaos-smoke warm install
 
 test:
 	$(PY) -m pytest -x -q
@@ -20,8 +20,9 @@ install:
 	$(PY) -m pip install -e .
 
 # The compiled passes (_scan.c, _lean.c) under AddressSanitizer and
-# UndefinedBehaviorSanitizer: the native, parser and doc-tier suites —
-# every differential, the mangled and truncated inputs, the 300-deep
+# UndefinedBehaviorSanitizer: the native, parser and doc-tier suites and
+# the oracle lattice — every differential, every lattice point under the
+# compiled passes, the mangled and truncated inputs, the 300-deep
 # and 400-wide documents, the label and distinct-mask boundaries — over
 # three hypothesis seeds, so three times the examples.  The sanitized
 # objects build into a cache of their own (the interpreter's pycache
@@ -33,7 +34,8 @@ SANITIZE_ENV = CC="$(SANITIZE_CC)" PYTHONPYCACHEPREFIX="$(CURDIR)/.sanitize-cach
 	LD_PRELOAD="$$(gcc -print-file-name=libasan.so) $$(gcc -print-file-name=libubsan.so)" \
 	ASAN_OPTIONS=detect_leaks=0
 SANITIZE_SUITES = tests/test_parse_native.py tests/test_parse_oracle.py \
-	tests/test_descent_native.py tests/test_cold_native.py tests/test_docstore.py
+	tests/test_descent_native.py tests/test_cold_native.py tests/test_docstore.py \
+	tests/test_lattice.py
 sanitize:
 	$(SANITIZE_ENV) $(PY) -c "from repro.hype import kernel; from repro.xtree import parse; \
 	    assert (kernel.DESCENT, parse.SCAN) == ('compiled', 'compiled'), (kernel.DESCENT, parse.SCAN)"
@@ -56,6 +58,15 @@ coverage-c:
 	    assert (kernel.DESCENT, parse.SCAN) == ('compiled', 'compiled'), (kernel.DESCENT, parse.SCAN)"
 	$(COVERAGE_ENV) $(PY) -m pytest -q -p no:cacheprovider $(SANITIZE_SUITES)
 	$(PY) tools/coverage_cc.py --report "$(COVERAGE_DIR)/gcov"
+
+# Grade the oracle lattice with mutants: a seeded sample of operator
+# flips, ±1 constants and dropped statements in the evaluator and the
+# rewriter, plus hand-listed flips in _lean.c, each graded by
+# tests/test_lattice.py in a temporary copy of the tree (its own
+# PYTHONPYCACHEPREFIX; the working tree is never written).  Prints the
+# kill rate; fails below 90 %.  Not part of tier-1 (~15 min on 2 cores).
+mutants:
+	$(PY) tools/mutate.py
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only -q

@@ -287,8 +287,8 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
         _print_answers(answer.nodes, limit=args.limit)
     print(
         f"batched {len(requests)} query(ies) in {stats.lanes} lane(s): "
-        f"{stats.visited_elements} distinct element(s) visited "
-        f"vs {stats.sequential_visited} summed over lanes "
+        f"{stats.visited_elements} element(s) visited "
+        f"vs {stats.sequential_visited} summed over queries "
         f"(shared {stats.saved_visits})"
     )
     if args.plan_dir or args.doc_dir:

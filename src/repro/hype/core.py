@@ -327,7 +327,7 @@ class CompiledPlan:
         fresh columns from the context's document
         (:func:`repro.docstore.layout.covering_layout`); answers and
         per-run :class:`HyPEStats` are identical either way
-        (property-tested in ``tests/test_hype_columnar.py``).  A tree
+        (property-tested in ``tests/test_lattice.py``).  A tree
         that was never frozen raises :class:`repro.errors.EvaluationError`.
 
         ``deadline`` — an optional :class:`repro.guard.Deadline` — arms

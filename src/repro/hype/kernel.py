@@ -86,8 +86,9 @@ predicates' ``holds``, a pop fill over more than 63 finals or of an
 automaton with a NOT in an ε-cycle (the reference raises), and the
 clock.
 A wave's lanes are stepped one after the other (stepping them together
-through one multiplexed loop measured slower at every width); what the
-wave shares is reported from the union of the lanes' visit columns.
+through one multiplexed loop measured slower at every width), and a
+wave's counters are its lanes' own: no pass is shared, so none is
+reported.
 The document the pass walks is always a
 :class:`~repro.docstore.layout.DocumentLayout`'s columns — the caller's
 when it covers the context, fresh ones otherwise
@@ -741,7 +742,7 @@ def _expired(deadline) -> DeadlineError:
     )
 
 
-def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
+def descend(lanes, context, layout=None, deadline=None) -> None:
     """THE descent: every lane's automaton driven over ``context``.
 
     ``lanes`` is a list of ``(plan, cursor)`` pairs; a sequential run is
@@ -759,10 +760,6 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     prunes on the mask column of *that* document, and is refused when it
     has none of the lane's label table and variant
     (:meth:`repro.docstore.layout.DocumentLayout.mask_keys`).
-    ``shared`` (a
-    :class:`repro.serve.batch.BatchStats`-shaped object) receives the
-    counters of the pass a wave *shares*: the union of the lanes' visit
-    sets, and the children of that union no lane entered.
 
     ``deadline`` (a :class:`repro.guard.Deadline`) arms a cooperative
     cancellation checkpoint: every :data:`repro.guard.CHECK_INTERVAL`
@@ -777,7 +774,6 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
     _fault_fire("descend")
     layout, root = covering_layout(context, layout)
     checks = CHECK_INTERVAL
-    live = []
     for plan, cursor in lanes:
         cursor.layout = layout
         mask_keys = layout.mask_keys(plan)
@@ -790,20 +786,6 @@ def descend(lanes, context, layout=None, shared=None, deadline=None) -> None:
         checks = _descend_lane(
             plan, cursor, layout, mask_keys, root, cfg, deadline, checks
         )
-        live.append(cursor)
-    if shared is None or not live:
-        return
-    if len(live) == 1:
-        shared.visited_elements += live[0].visited
-        shared.skipped_subtrees += live[0].skipped
-        return
-    union = set()
-    for cursor in live:
-        union.update(cursor.visit_ids)
-    kid_start = layout.kid_start
-    examined = sum(kid_start[i + 1] - kid_start[i] for i in union)
-    shared.visited_elements += len(union)
-    shared.skipped_subtrees += examined - len(union) + 1
 
 
 def _descend_lane_py(

@@ -57,13 +57,13 @@ FAMILIES = (
     Family("largest_wave", "largest_wave", "gauge",
            "Largest admission wave observed."),
     Family("batch_runs", "batch_runs_total", "counter",
-           "Shared evaluation passes."),
+           "Batched evaluation waves."),
     Family("batched_queries", "batched_queries_total", "counter",
-           "Queries served by shared passes."),
+           "Queries served by batched waves."),
     Family("batch_visited", "batch_visited_total", "counter",
-           "Elements visited by shared passes."),
+           "Elements visited by batched waves (summed over lanes)."),
     Family("sequential_visited", "sequential_visited_total", "counter",
-           "Elements per-query passes would have visited."),
+           "Elements one pass per query would have visited."),
     Family("cache.misses", "plan_cache_misses_total", "counter",
            "Full plan-cache misses."),
     Family("cache.evictions", "plan_cache_evictions_total", "counter",

@@ -15,8 +15,8 @@ it is itself live, calls the same transition/pop machinery, and records
 its own cans DAG into its own :class:`repro.hype.core.RunCursor` —
 exactly the state the sequential run would build.  So per-lane answers
 *and* per-lane statistics (visited, skipped, gate failures) are
-identical to N sequential runs; :class:`BatchStats` adds what the wave
-has in common — the union of the lanes' visits against their sum.
+identical to N sequential runs, and :class:`BatchStats` sums them: a
+wave visits what its lanes visit.
 
 Sharing: lanes are :class:`CompiledPlan` objects, so two lanes given the
 *same* plan object (e.g. the same view query admitted for two tenants)
@@ -35,19 +35,19 @@ from ..xtree.node import Node
 
 @dataclass
 class BatchStats:
-    """Counters of the *shared* pass (per-lane stats live on each result).
+    """Counters of one wave (per-lane stats live on each result).
 
-    ``visited_elements``/``skipped_subtrees`` are those of the union of
-    the lanes' visit sets — the traversal a shared pass would make.
+    Every lane runs its own pass, so the wave's ``visited_elements`` is
+    the sum of its lanes' visits; ``sequential_visited`` is what the
+    wave's *requests* would have cost one by one, which is more only
+    where the service gave two requests one lane (one plan).
     """
 
     #: Lanes in the batch (live or not at the root).
     lanes: int = 0
-    #: Elements the shared pass visited (unique nodes with >= 1 live lane).
+    #: Elements the wave's passes visited: the sum over its lanes.
     visited_elements: int = 0
-    #: Subtrees skipped because *no* lane kept live states.
-    skipped_subtrees: int = 0
-    #: Sum of per-lane visited elements == cost of N sequential passes.
+    #: Sum of per-request visited elements == cost of N sequential passes.
     sequential_visited: int = 0
     #: Inert, reads 0: only the frozen end-to-end harness reads it.
     composed_fallbacks = property(lambda self: 0)
@@ -56,13 +56,11 @@ class BatchStats:
         """Add another pass's counters into this one."""
         self.lanes += other.lanes
         self.visited_elements += other.visited_elements
-        self.skipped_subtrees += other.skipped_subtrees
         self.sequential_visited += other.sequential_visited
 
     @property
     def saved_visits(self) -> int:
-        """Element visits shared between lanes (overlap between the
-        lanes' passes)."""
+        """Element visits requests sharing one lane did not repeat."""
         return self.sequential_visited - self.visited_elements
 
 
@@ -131,13 +129,9 @@ class BatchEvaluator:
         """
         stats = BatchStats(lanes=len(self.plans))
         cursors = [RunCursor(plan) for plan in self.plans]
-        descend(
-            list(zip(self.plans, cursors)),
-            context,
-            layout,
-            shared=stats,
-            deadline=deadline,
-        )
+        descend(list(zip(self.plans, cursors)), context, layout, deadline=deadline)
         results = [cursor.finish() for cursor in cursors]
-        stats.sequential_visited = sum(r.stats.visited_elements for r in results)
+        stats.visited_elements = stats.sequential_visited = sum(
+            r.stats.visited_elements for r in results
+        )
         return BatchResult(results, stats)

@@ -291,9 +291,9 @@ class MetricsSnapshot(ServiceCounters):
         if self.batch_runs:
             lines.append(
                 f"batching: {self.batched_queries} query(ies) in "
-                f"{self.batch_runs} shared pass(es), visited "
+                f"{self.batch_runs} wave(s), visited "
                 f"{self.batch_visited} vs {self.sequential_visited} "
-                f"sequential element(s) "
+                f"one pass per query "
                 f"(saved {self.batch_saved_visits})"
             )
         if self.pool_size:

@@ -40,24 +40,27 @@ def trees(draw, max_depth: int = 4, max_children: int = 3) -> XMLTree:
 # ----------------------------------------------------------------------
 # Queries
 # ----------------------------------------------------------------------
-def _atoms() -> st.SearchStrategy[ast.Path]:
+def _atoms(labels=LABELS) -> st.SearchStrategy[ast.Path]:
     return st.one_of(
-        st.sampled_from([ast.Label(label) for label in LABELS]),
+        st.sampled_from([ast.Label(label) for label in labels]),
         st.just(ast.Wildcard()),
         st.just(ast.Empty()),
         st.just(ast.DescOrSelf()),
     )
 
 
-def paths(max_leaves: int = 8) -> st.SearchStrategy[ast.Path]:
-    """Random ``Xreg`` path expressions (with ``//`` and filters)."""
+def paths(
+    max_leaves: int = 8, labels=LABELS, texts=TEXTS
+) -> st.SearchStrategy[ast.Path]:
+    """Random ``Xreg`` path expressions (with ``//`` and filters) over
+    ``labels``, comparing text against ``texts``."""
     return st.recursive(
-        _atoms(),
+        _atoms(labels),
         lambda inner: st.one_of(
             st.builds(ast.Concat, inner, inner),
             st.builds(ast.Union, inner, inner),
             st.builds(ast.Star, inner),
-            st.builds(ast.Filtered, inner, filters(inner)),
+            st.builds(ast.Filtered, inner, filters(inner, texts)),
         ),
         max_leaves=max_leaves,
     )
@@ -79,12 +82,14 @@ def gated_paths() -> st.SearchStrategy[ast.Path]:
     )
 
 
-def filters(path_strategy: st.SearchStrategy[ast.Path]) -> st.SearchStrategy[ast.Filter]:
+def filters(
+    path_strategy: st.SearchStrategy[ast.Path], texts=TEXTS
+) -> st.SearchStrategy[ast.Filter]:
     """Random filters over the given path strategy."""
     base = st.one_of(
         st.builds(ast.Exists, path_strategy),
         st.builds(
-            ast.TextEquals, path_strategy, st.sampled_from(TEXTS)
+            ast.TextEquals, path_strategy, st.sampled_from(texts)
         ),
     )
     return st.recursive(

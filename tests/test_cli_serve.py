@@ -48,7 +48,7 @@ class TestServeBatch:
         assert main(["serve-batch", str(workspace["doc"]), *QUERIES]) == 0
         out = capsys.readouterr().out
         assert out.count("query:") == len(QUERIES)
-        assert "distinct element(s) visited" in out
+        assert "element(s) visited vs" in out
         assert f"batched {len(QUERIES)} query(ies)" in out
 
     def test_view_queries_with_spec(self, workspace, capsys):

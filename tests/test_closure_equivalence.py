@@ -15,21 +15,20 @@ import pytest
 from hypothesis import given, settings
 
 from repro.automata.compile import compile_query
-from repro.baselines.naive import NaiveEvaluator
 from repro.compile.artifact import PlanArtifact
 from repro.compile.pipeline import QueryCompiler
-from repro.compile.store import PlanStore
 from repro.docstore import IndexedDocument
-from repro.hype.api import ALGORITHMS, HYPE
+from repro.hype.api import HYPE
 from repro.hype.core import CompiledPlan
 from repro.hype.kernel import DEAD, OTHER_LABEL, close, kernel_payload
 from repro.serve.cache import PlanCache
-from repro.views import materialize, sigma0
+from repro.views import sigma0
 from repro.workloads import FIG8, VIEW_QUERIES, HospitalConfig
 from repro.workloads import generate_hospital_document
 from repro.workloads.adversarial import CANARY_QUERY, bomb_family, sigma0_variant
 from repro.xtree.build import document, element, text_node
 
+from .oracle import reference
 from .strategies import paths
 from .test_plan_hygiene import load_hygiene
 
@@ -182,15 +181,6 @@ class TestClosedTable:
                 )
 
 
-def _oracle(spec, tree, query) -> set[int]:
-    if spec is None:
-        nodes = NaiveEvaluator(query).run(tree)
-    else:
-        view = materialize(spec, tree)
-        nodes = view.sources(NaiveEvaluator(query).run(view.tree))
-    return {node.node_id for node in nodes}
-
-
 def _copy(node):
     """A fresh copy of ``node``'s subtree (a frozen node belongs to its
     tree for good)."""
@@ -213,54 +203,6 @@ def _relabelled(tree):
 
 
 class TestExecutables:
-    QUERIES = [(True, query) for query in CHURN] + [
-        (True, VIEW_QUERIES["example-1.1"]),
-        (False, FIG8["fig8b"]),
-    ]
-
-    def test_one_plan_serves_every_document_and_algorithm(self, tmp_path):
-        """The closed plan is THE HyPE executable of every document;
-        OptHyPE / OptHyPE-C executables are per document, seeded from
-        its tables; a cold cache over the same store rehydrates (L2
-        ``preload``) — and every one of them answers like
-        ``views.materialize`` + the naive evaluator."""
-        spec = sigma0()
-        first = IndexedDocument(
-            generate_hospital_document(HospitalConfig(num_patients=30, seed=11))
-        )
-        other = IndexedDocument(_relabelled(
-            generate_hospital_document(HospitalConfig(num_patients=25, seed=9))
-        ))
-        assert first.layout.labels != other.layout.labels
-        documents = [first, other]
-        fresh = PlanCache(64, store=PlanStore(tmp_path / "plans"))
-        rehydrated = PlanCache(64, store=PlanStore(tmp_path / "plans"))
-        answered = 0
-        for on_view, query in self.QUERIES:
-            view = spec if on_view else None
-            expected = [_oracle(view, doc.tree, query) for doc in documents]
-            answered += all(expected)
-            for cache, tier in ((fresh, "misses"), (rehydrated, "l2_hits")):
-                before = getattr(cache.stats, tier)
-                cached = cache.plan(view, query)
-                assert getattr(cache.stats, tier) == before + 1
-                hype = {id(cached.compiled(HYPE, d.tree, d)) for d in documents}
-                assert len(hype) == 1, "HyPE executables are per plan"
-                if cache is fresh:
-                    assert cached.artifact.closure is cached.compiled(
-                        HYPE, first.tree, first
-                    )
-                for algorithm in ALGORITHMS:
-                    plans = [cached.compiled(algorithm, d.tree, d) for d in documents]
-                    if algorithm != HYPE:
-                        assert plans[0] is not plans[1]
-                        assert plans[0].kernel.trans, "seeded, not lazily filled"
-                    for plan, doc, want in zip(plans, documents, expected):
-                        for layout in (doc.layout, None):
-                            got = plan.run(doc.tree.root, layout=layout).answers
-                            assert {n.node_id for n in got} == want
-        assert answered >= len(self.QUERIES) - 2, "the oracle answers are empty"
-
     def test_hype_executable_survives_unseen_labels(self):
         """One closed plan over a document whose labels it never named."""
         config = HospitalConfig(num_patients=4, seed=2)
@@ -271,4 +213,4 @@ class TestExecutables:
         assert plan is cached.compiled(HYPE, wrapped.tree, wrapped)
         for doc in (plain, wrapped, plain):
             got = plan.run(doc.tree.root, layout=doc.layout).answers
-            assert {n.node_id for n in got} == _oracle(None, doc.tree, "//diagnosis")
+            assert {n.node_id for n in got} == reference(None, doc.tree, "//diagnosis")

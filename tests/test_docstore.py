@@ -733,27 +733,6 @@ class TestTierGC:
         assert store.snapshot_stats().gc_removed == 1
 
 
-class TestLoadedIndexEquivalence:
-    def test_loaded_index_answers_like_built(self, tmp_path, hospital_xml):
-        from repro.hype.core import CompiledPlan
-        from repro.hype.api import to_mfa
-
-        cold = DocumentStore(index_dir=tmp_path / "docs")
-        cold.get(hospital_xml).index_for(True)
-        warm = DocumentStore(index_dir=tmp_path / "docs")
-        doc = warm.get(hospital_xml)
-        tree = doc.tree
-        fresh = build_index(tree, compressed=True)
-        loaded = doc.index_for(True)
-        assert warm.stats.index_loads == 1
-        query = "//patient[.//diagnosis/text() = 'heart disease']"
-        mfa = to_mfa(query)
-        a = CompiledPlan(mfa, index=fresh).run(tree.root)
-        b = CompiledPlan(mfa, index=loaded).run(tree.root)
-        assert a.answers == b.answers
-        assert a.stats == b.stats
-
-
 class TestCorruptionProperty:
     """The doc tier's half of the corruption property: one bit flipped
     anywhere in a v3 index record — header, hash echo, label blob, mask

@@ -1,18 +1,15 @@
 """Columns are the only document the evaluator walks.
 
 There is one path — :class:`repro.docstore.layout.DocumentLayout`
-columns — so the properties here pin the two things that can differ
-between callers: *whose* columns a run walks (the supplied layout, or
-fresh ones built on demand when none covers the context) must not be
-observable in answers or :class:`HyPEStats`, and the supplied-layout
-path — the one production runs — must agree with the reference
-evaluator directly, not transitively.  A foreign layout is never indexed; a
-never-frozen tree is refused, and a frozen one cannot be edited under a
-layout (a freeze is final).
+columns.  *Whose* columns a run walks (the supplied layout, or fresh
+ones built on demand when none covers the context) is an axis of the
+oracle lattice (``tests/test_lattice.py``), as is the supplied-layout
+path — the one production runs — at sub-tree contexts.  A foreign
+layout is never indexed; a never-frozen tree is refused, and a frozen
+one cannot be edited under a layout (a freeze is final).
 """
 
 import pytest
-from hypothesis import given, settings
 
 from repro.docstore import DocumentStore, IndexedDocument
 from repro.errors import EvaluationError
@@ -21,10 +18,7 @@ from repro.serve.batch import BatchEvaluator
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.workloads.queries import FIG8
-from repro.xpath import evaluate
 from repro.xtree.serialize import serialize
-
-from .strategies import paths, trees
 
 
 def _plan(query, algorithm, doc):
@@ -43,43 +37,6 @@ def _same(results, expected):
     for got, want in zip(results, expected):
         assert got.answers == want.answers
         assert got.stats == want.stats
-
-
-@given(trees(), paths(max_leaves=5), paths(max_leaves=5))
-@settings(max_examples=60, deadline=None)
-def test_on_demand_layout_is_identical_to_a_supplied_one(tree, first, second):
-    """Per lane and batched, all three algorithms, root and
-    sub-tree contexts: a run that builds its own columns is the run
-    that was handed the document's."""
-    doc = IndexedDocument(tree)
-    contexts = [n for n in tree.nodes if n.is_element][:3]
-    for algorithm in ALGORITHMS:
-        plans = [_plan(query, algorithm, doc) for query in (first, second)]
-        for context in contexts:
-            supplied = [plan.run(context, layout=doc.layout) for plan in plans]
-            _same([plan.run(context) for plan in plans], supplied)
-            batch = BatchEvaluator(plans)
-            with_layout = batch.run(context, layout=doc.layout)
-            on_demand = batch.run(context)
-            assert with_layout.stats == on_demand.stats
-            _same(on_demand.results, supplied)
-            _same(with_layout.results, supplied)
-
-
-@given(trees(), paths())
-@settings(max_examples=120, deadline=None)
-def test_supplied_layout_agrees_with_the_reference_evaluator(tree, query):
-    """The oracle on the path production runs: every algorithm, over
-    the document's own layout and index, against the set semantics."""
-    doc = IndexedDocument(tree)
-    contexts = [n for n in tree.nodes if n.is_element][:3]
-    for algorithm in ALGORITHMS:
-        plan = _plan(query, algorithm, doc)
-        for context in contexts:
-            expected = {n.node_id for n in evaluate(query, context)}
-            got = plan.run(context, layout=doc.layout)
-            assert {n.node_id for n in got.answers} == expected
-            assert got.stats.answers == len(expected)
 
 
 @pytest.mark.parametrize("parse", [True, False], ids=["parsed", "built"])

@@ -93,16 +93,6 @@ class TestPruning:
         result = hype_eval(compile_query(parse_query("e/f")), TREE.root)
         assert result.stats.skipped_subtrees >= 3
 
-    def test_pruned_results_equal_unpruned(self):
-        for source in QUERIES:
-            query = parse_query(source)
-            expected = {n.node_id for n in evaluate(query, TREE.root)}
-            got = {
-                n.node_id
-                for n in hype_eval(compile_query(query), TREE.root).answers
-            }
-            assert got == expected, source
-
 
 class TestEvaluatorReuse:
     def test_same_mfa_many_documents(self):

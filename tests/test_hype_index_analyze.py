@@ -5,8 +5,6 @@ masks are the ``index.masks`` column, and an index is built by
 ``build_index`` (its classes are constructed from a swept column).
 """
 
-import pytest
-
 from repro.automata import compile_query
 from repro.hype import (
     CompressedLabelIndex,
@@ -140,25 +138,6 @@ class TestViability:
 
 
 class TestOptHyPECorrectness:
-    QUERIES = [
-        "//b",
-        "a/b",
-        "a[b/text() = 'y']",
-        "a[not(b)]",
-        "c/d",
-        "(a | c)*/b",
-        "a[.//b]",
-    ]
-
-    @pytest.mark.parametrize("source", QUERIES)
-    @pytest.mark.parametrize("compressed", [False, True])
-    def test_matches_reference(self, source, compressed):
-        query = parse_query(source)
-        expected = {n.node_id for n in evaluate(query, TREE.root)}
-        index = build_index(TREE, compressed=compressed)
-        result = CompiledPlan(compile_query(query), index=index).run(TREE.root)
-        assert {n.node_id for n in result.answers} == expected
-
     def test_index_prunes_more_than_plain(self):
         query = parse_query("//b[text() = 'zzz']")
         mfa = compile_query(query)

@@ -4,11 +4,12 @@ unobservable.
 OptHyPE(-C) executables, transition rows and OptHyPE-C's mask interning
 belong to the :class:`repro.hype.index.LabelTable` of a label set, so a
 new document of a known label set runs on tables its predecessors
-filled.  The harness below is the equivalence claim — a shared
-executable *after* other documents filled it is a fresh one, answers and
-:class:`HyPEStats` alike, per lane and as a wave — and the
-hand-written cases pin who shares what, what an executable refuses, and
-that concurrent ingests agree on one table.
+filled.  That sharing is unobservable — a shared executable *after*
+other documents filled it answers like the oracle, with a fresh plan's
+:class:`HyPEStats`, per lane and as a wave — is the lattice's seeded
+point (``tests/test_lattice.py``); the cases here pin who shares what,
+what an executable refuses, and that concurrent ingests agree on one
+table.
 """
 
 from __future__ import annotations
@@ -17,62 +18,16 @@ import sys
 import threading
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.docstore import DocumentStore, IndexedDocument
 from repro.errors import EvaluationError
 from repro.hype.api import ALGORITHMS, HYPE, OPTHYPE, OPTHYPE_C
-from repro.hype.core import CompiledPlan
 from repro.hype.index import build_index, label_table
 from repro.serve.batch import BatchEvaluator
 from repro.serve.cache import PlanCache
 from repro.workloads import HospitalConfig, generate_hospital_document
 from repro.xtree.parse import parse_xml
 from repro.xtree.serialize import serialize
-
-from .strategies import gated_paths, trees
-
-
-def _same(got, want):
-    assert {n.node_id for n in got.answers} == {n.node_id for n in want.answers}
-    assert got.stats == want.stats
-
-
-@given(
-    st.lists(trees(max_depth=3), min_size=2, max_size=4),
-    st.lists(gated_paths(), min_size=2, max_size=3),
-)
-@settings(
-    max_examples=30,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-def test_a_shared_executable_is_a_fresh_one(forest, queries):
-    """Sequences of same- and mixed-label-set documents x gated queries
-    x 3 algorithms x per-lane / wave: each document runs on the
-    executables its predecessors filled, and is indistinguishable from a fresh ``for_algorithm`` plan of its own."""
-    cache = PlanCache(8)
-    cached = [cache.plan(None, query) for query in queries]
-    documents = [IndexedDocument(tree) for tree in forest]
-    for doc in documents:
-        root, layout = doc.tree.root, doc.layout
-        for algorithm in ALGORITHMS:
-            shared = [plan.compiled(algorithm, doc.tree, doc) for plan in cached]
-            want = [
-                CompiledPlan.for_algorithm(plan.mfa, algorithm, doc.tree, doc).run(
-                    root, layout=layout
-                )
-                for plan in cached
-            ]
-            for plan, expected in zip(shared, want):
-                _same(plan.run(root, layout=layout), expected)
-            wave = BatchEvaluator(shared).run(root, layout=layout)
-            for lane, expected in zip(wave.results, want):
-                _same(lane, expected)
-    tables = {id(doc.layout.table) for doc in documents}
-    for plan in cached:
-        assert len(plan.executables()) == 1 + 2 * len(tables)
 
 
 # ----------------------------------------------------------------------
