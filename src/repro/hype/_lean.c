@@ -1080,16 +1080,6 @@ pop_outcome(Pass *p, long cfg, PyObject *node, PyObject *trues)
     outcome = memo_get(outcomes, key);
     if (outcome == NULL && PyErr_Occurred())
         goto done;
-    if (outcome != NULL && trues != NULL) {
-        /* The reference probes ``outcomes.get(...) or fill_pop(...)``. */
-        int truth = PyObject_IsTrue(outcome);
-        if (truth < 0) {
-            Py_CLEAR(outcome);
-            goto done;
-        }
-        if (!truth)
-            Py_CLEAR(outcome);
-    }
     if (outcome == NULL)
         outcome = cold_fill(p, &p->cold, cfg, node, truths);
 done:
@@ -1583,17 +1573,13 @@ visit_at(PyObject *seq, long long i, Py_ssize_t n, Py_ssize_t *out)
 }
 
 /* ``alive & finals`` is non-empty, tested by membership of each final
- * state (``finals`` is a tuple of them); generically for a non-set. */
+ * state (``finals`` is a tuple of them).  Alive sets are frozensets. */
 static int
 has_final(PyObject *alive, PyObject *finals)
 {
     if (!PyAnySet_Check(alive)) {
-        PyObject *both = PyNumber_And(alive, finals);
-        if (both == NULL)
-            return -1;
-        int truth = PyObject_IsTrue(both);
-        Py_DECREF(both);
-        return truth;
+        PyErr_SetString(PyExc_TypeError, "collect_answers: an alive set must be a set");
+        return -1;
     }
     for (Py_ssize_t k = 0; k < PyTuple_GET_SIZE(finals); k++) {
         int found = PySet_Contains(alive, PyTuple_GET_ITEM(finals, k));

@@ -389,9 +389,10 @@ class DenseKernel:
             if holds(columns, node_id):
                 bits |= bit
         truths = frozenset(truths)
-        return outcomes.get((bits, truths)) or self.fill_pop(
-            plan, cfg, columns, node_id, truths
-        )
+        outcome = outcomes.get((bits, truths))
+        if outcome is None:
+            outcome = self.fill_pop(plan, cfg, columns, node_id, truths)
+        return outcome
 
     def pop_entry(self, plan, cfg: int) -> tuple:
         """The cfg's pop table, built on first use."""

@@ -168,6 +168,7 @@ def wide_inputs(draw) -> Inputs:
     width = draw(st.integers(64, 70))
     kids = draw(st.lists(st.tuples(st.integers(0, width - 1), st.integers(0, width - 1)),
                          min_size=1, max_size=12))
+    kids.append((width - 1, width - 1))  # a text whose predicate bit is past 63
     groups = ["".join(f"<x{x}>t{t}</x{x}>" for x, t in kids[i::3]) for i in range(3)]
     union = " | ".join(f"x{x}" for x in range(width))
     said = " or ".join(f"text() = 't{t}'" for t in range(width))
