@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,8 @@ from repro.compile.store import PlanStore
 from repro.docstore import DocumentStore, IndexedDocument
 from repro.dtd import hospital_dtd, hospital_view_dtd
 from repro.dtd.generate import GeneratorConfig, generate_document
-from repro.errors import AutomatonError
+from repro.errors import AutomatonError, DeadlineError
+from repro.guard import CHECK_INTERVAL, Deadline
 from repro.hype import core, kernel
 from repro.hype.api import ALGORITHMS, HYPE
 from repro.hype.core import CompiledPlan
@@ -334,14 +336,18 @@ def test_every_point_once(descent, scan, tmp_path):
 
 @pytest.mark.parametrize("descent", PASSES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_a_not_in_an_epsilon_cycle_is_refused_by_every_pass(algorithm, descent):
-    """``NOT(OR(itself))`` wired under the gate of ``//.[text()='x']``
-    (no index decides it): the reference, ``AFAPool._analyze``, raises,
-    and every pass raises at the first pop — never an answer."""
+def test_every_pass_refuses_what_it_must(algorithm, descent):
+    """Over ``//.[text()='x']`` (no index decides it) and a document
+    longer than a deadline checkpoint interval, every pass raises, never
+    answers: past an expired deadline, and with ``NOT(OR(itself))`` wired
+    under the gate, where the reference, ``AFAPool._analyze``, raises."""
     _skip_missing(descent=descent)
-    doc = IndexedDocument(parse_xml("<a>x<b>x</b><c/></a>"))
+    doc = IndexedDocument(parse_xml("<a>x" + "<b>x</b>" * (CHECK_INTERVAL + 8) + "</a>"))
     with passes(descent, "python"):
         mfa = COMPILER.compile(None, "//.[text() = 'x']").mfa
+        plan = CompiledPlan.for_algorithm(mfa, algorithm, doc.tree, doc)
+        with pytest.raises(DeadlineError):
+            plan.run(doc.tree.root, layout=doc.layout, deadline=Deadline(time.perf_counter() - 1))
         hub = mfa.pool.new_or()
         mfa.pool.wire(hub, mfa.pool.new_not(hub))
         for state, gate in list(mfa.nfa.ann.items()):

@@ -161,7 +161,7 @@ def main() -> int:
         print("the unmutated tree fails the harness: no mutant is graded")
         return 1
     killed = sum(line.startswith("killed") for line in lines)
-    print(f"{killed} of {len(lines)} mutants killed ({killed / len(lines):.0%})")
+    print(f"{killed} of {len(lines)} mutants killed ({killed / len(lines):.1%})")
     return 0 if killed >= FLOOR * len(lines) else 1
 
 
