@@ -64,7 +64,7 @@ coverage-c:
 # rewriter, plus hand-listed flips in _lean.c, each graded by
 # tests/test_lattice.py in a temporary copy of the tree (its own
 # PYTHONPYCACHEPREFIX; the working tree is never written).  Prints the
-# kill rate; fails below 90 %.  Not part of tier-1 (~15 min on 2 cores).
+# kill rate; fails below 90 %.  Not part of tier-1 (~7 min on 2 cores).
 mutants:
 	$(PY) tools/mutate.py
 
