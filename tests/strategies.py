@@ -1,21 +1,81 @@
-"""Hypothesis strategies for random trees, queries and views.
+"""Hypothesis strategies and the inputs several test modules share.
 
-Shared by the property-based differential tests: random documents over a
-small alphabet, random ``Xreg`` queries (paths + filters), and random
-*view specifications* whose annotations are simple enough to keep
-materialisation fast but still exercise recursion.
+Random documents over a small alphabet, random ``Xreg`` queries (paths +
+filters), a family of recursive *view specifications* whose annotations
+are simple enough to keep materialisation fast, and ``plan_churn``'s
+query templates.
 """
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 from hypothesis import strategies as st
 
+from repro.dtd import parse_dtd
+from repro.views import view_spec
 from repro.xpath import ast
 from repro.xtree.build import element, text_node
 from repro.xtree.node import XMLTree
 
 LABELS = ("a", "b", "c")
 TEXTS = ("x", "y")
+
+_HYGIENE = Path(__file__).resolve().parents[1] / "benchmarks" / "churn_hygiene.py"
+
+
+def load_hygiene():
+    """``benchmarks/churn_hygiene.py`` as a module (it is a script, not
+    part of a package)."""
+    spec = importlib.util.spec_from_file_location("churn_hygiene", _HYGIENE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The ``plan_churn`` templates of ``benchmarks/e2e``, one fresh constant.
+CHURN = [t.format(c="k7n1") for t in load_hygiene().CHURN_TEMPLATES]
+
+SRC_DTD = parse_dtd(
+    """
+    root s
+    s -> a*
+    a -> a*, b*, t*
+    b -> t*
+    t -> #PCDATA
+    """
+)
+
+#: Recursive view over SRC_DTD with restructuring annotations.
+VIEW_DTD = parse_dtd(
+    """
+    root v
+    v -> p*
+    p -> p*, leaf*
+    leaf -> #PCDATA
+    """
+)
+
+
+def make_view(p_annotation: str, leaf_annotation: str):
+    return view_spec(
+        SRC_DTD,
+        VIEW_DTD,
+        {
+            ("v", "p"): "a",
+            ("p", "p"): p_annotation,
+            ("p", "leaf"): leaf_annotation,
+        },
+    )
+
+
+VIEWS = [
+    make_view("a", "t"),
+    make_view("a[t]", "b/t"),
+    make_view("a/a | b", "t | b/t"),
+    make_view("(a)*/b", "t"),
+]
 
 
 # ----------------------------------------------------------------------

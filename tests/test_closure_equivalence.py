@@ -29,11 +29,7 @@ from repro.workloads.adversarial import CANARY_QUERY, bomb_family, sigma0_varian
 from repro.xtree.build import document, element, text_node
 
 from .oracle import reference
-from .strategies import paths
-from .test_plan_hygiene import load_hygiene
-
-#: The ``plan_churn`` templates of ``benchmarks/e2e``, one fresh constant.
-CHURN = [t.format(c="k7n1") for t in load_hygiene().CHURN_TEMPLATES]
+from .strategies import CHURN, paths
 
 
 def reference_payload(mfa, max_cfgs: int = 256) -> dict:

@@ -7,11 +7,16 @@ pass: ``_lean.c`` when :mod:`repro.native` could build and load it
 Phase 2 follows it: ``_lean.c``'s ``collect_answers``, else
 :meth:`CompiledPlan._collect_answers_py`.  Here:
 
-* **differential** — an expired deadline stops both lean passes after
-  the same number of steps, leaving the same partial visit columns.
-  Answers and :class:`HyPEStats` of both passes and both phase 2s on
-  generated documents and queries, cold and warm, per lane and in
-  waves, are held to the oracle (``tests/test_lattice.py``);
+* **differential** — what answers cannot show: random documents ×
+  random (and gated) queries × the three algorithms, on a cold plan
+  (every table miss taken) and on the plan the other pass warmed (every
+  probe a hit), give the same visit columns (the phase-1 sets by
+  identity), deaths and live-deadline countdown; both phase 2s, on a
+  cold and on a warm ``_alive_cache``, return the same answer ids in the
+  same order and leave the same cache keys and cached set objects; an
+  expired deadline stops both after the same number of steps.  Answers
+  and :class:`HyPEStats` per lane and in waves are held to the oracle
+  (``tests/test_lattice.py``);
 * **fallback** — no compiler, a failed build, an unwritable cache and a
   free-threaded interpreter each select the Python pass with the reason
   recorded, and a cached build is loaded without invoking a compiler.
@@ -56,11 +61,11 @@ from repro.guard import CHECK_INTERVAL, Deadline
 from repro import native
 from repro.hype import kernel
 from repro.hype.api import ALGORITHMS, compile_plan
-from repro.hype.core import RunCursor
+from repro.hype.core import CompiledPlan, RunCursor
 from repro.workloads.hospital import HospitalConfig, generate_hospital_document
 from repro.xtree import parse
 
-from .strategies import gated_paths, trees
+from .strategies import gated_paths, paths, trees
 
 SRC = Path(kernel.__file__).resolve().parents[2]
 
@@ -70,6 +75,8 @@ compiled_only = pytest.mark.skipif(
 #: The loader's two sources: the lean pass and the parser's token pass.
 SOURCES = [("repro.hype", "_lean.c"), ("repro.xtree", "_scan.c")]
 PASSES = {"python": kernel._descend_lane_py, "compiled": kernel._descend_lane}
+PHASE2 = {"python": CompiledPlan._collect_answers_py, "compiled": kernel._collect_answers}
+OTHER = {"python": "compiled", "compiled": "python"}
 
 
 def _plan(query, algorithm, doc):
@@ -114,8 +121,52 @@ def _record(cursor, left, error):
 # ----------------------------------------------------------------------
 # Differential: compiled == python
 # ----------------------------------------------------------------------
+def _phase2(collect, plan, cursor):
+    """One phase 2 over ``cursor``'s cans: ``(answer ids, the plan's
+    alive-cache keys afterwards)``."""
+    columns = cursor.visit_ids, cursor.visit_parents, cursor.visit_mstates
+    ids = collect(plan, *columns, cursor.deaths, cursor.finals_seen, cursor.layout.columns.label)
+    return ids, list(plan._alive_cache)
+
+
 @compiled_only
 class TestCompiledEqualsPython:
+    @given(trees(), st.one_of(paths(), gated_paths()), st.integers(0, CHECK_INTERVAL))
+    @settings(max_examples=40, deadline=None)
+    def test_cold_and_warm_plans_and_caches(self, tree, query, checks):
+        """Per algorithm and context: a fresh plan per pass, then each
+        pass on the plan the *other* one warmed, with a live deadline so
+        the countdown is read and returned.  Then both phase 2s from an
+        empty cache (every chain step a miss through ``plan._alive``),
+        and each from the cache the other filled (every probe a hit)."""
+        doc = IndexedDocument(tree)
+        far = Deadline(time.perf_counter() + 3600.0)
+        for algorithm in ALGORITHMS:
+            plans = {name: _plan(query, algorithm, doc) for name in PASSES}
+            for context in [n.node_id for n in tree.nodes if n.is_element][:2]:
+                cold = {
+                    name: _lane(lean, plans[name], doc.layout, context, far, checks)
+                    for name, lean in PASSES.items()
+                }
+                assert _record(*cold["python"]) == _record(*cold["compiled"])
+                for name, lean in PASSES.items():
+                    warm = _lane(lean, plans[OTHER[name]], doc.layout, context, far, checks)
+                    assert _record(*warm) == _record(*cold[OTHER[name]])
+                    sets = zip(warm[0].visit_mstates, cold[OTHER[name]][0].visit_mstates)
+                    assert all(mine is theirs for mine, theirs in sets)
+                plan, cursor = plans["python"], cold["python"][0]
+                cache, filled = plan._alive_cache, {}
+                for name, collect in PHASE2.items():
+                    cache.clear()
+                    filled[name] = _phase2(collect, plan, cursor), dict(cache)
+                (expected, python), (got, compiled) = filled["python"], filled["compiled"]
+                assert got == expected
+                assert all(python[key] is compiled[key] for key in python)
+                for name, collect in PHASE2.items():
+                    cache.clear()
+                    cache.update(filled[OTHER[name]][1])
+                    assert _phase2(collect, plan, cursor) == expected
+
     @given(trees(max_depth=5), gated_paths(), st.integers(0, 40))
     @settings(max_examples=40, deadline=None)
     def test_expired_deadline_cuts_both_at_the_same_step(self, tree, query, checks):

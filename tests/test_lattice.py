@@ -7,8 +7,9 @@ draw past 63 finals) and a value per axis: algorithm; alone or lane 0
 of a wave (wavemates rotate the algorithm); own or on-demand layout;
 compiled or Python descent and scan; fresh, L2, seeded or rehydrated
 plan; built, parsed or tier-loaded document.  Every lane answers like
-the reference; the query's ``HyPEStats`` (and serialised bytes) equal
-the canonical point's: fresh, built, alone, own layout, Python passes.
+the reference, in document order; the query's ``HyPEStats`` (and
+serialised bytes) equal the canonical point's: fresh, built, alone, own
+layout, Python passes.  The reference itself is anchored to ElementTree.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import itertools
 import json
 import threading
 import time
+import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.compile import PlanArtifact, QueryCompiler
@@ -32,7 +34,7 @@ from repro.compile.store import PlanStore
 from repro.docstore import DocumentStore, IndexedDocument
 from repro.dtd import hospital_dtd, hospital_view_dtd
 from repro.dtd.generate import GeneratorConfig, generate_document
-from repro.errors import AutomatonError, DeadlineError
+from repro.errors import AutomatonError, DeadlineError, QueryTooComplexError
 from repro.guard import CHECK_INTERVAL, Deadline
 from repro.hype import core, kernel
 from repro.hype.api import ALGORITHMS, HYPE
@@ -49,16 +51,13 @@ from repro.xpath import ast
 from repro.xpath.parser import parse_query
 from repro.xpath.unparse import unparse
 from repro.xtree import parse, parse_xml
+from repro.xtree.build import element
 from repro.xtree.node import XMLTree
 from repro.xtree.parse import parse_canonical
 from repro.xtree.serialize import serialize
 
-from .oracle import reference
-from .oracle import test_the_reference_reads_like_elementtree  # noqa: F401
-from .oracle import test_the_text_deviation_is_the_string_value  # noqa: F401
-from .strategies import paths, trees
-from .test_closure_equivalence import CHURN
-from .test_properties import SRC_DTD, VIEWS as PROPERTY_VIEWS
+from .oracle import as_etree, et_queries, reference
+from .strategies import CHURN, SRC_DTD, VIEWS as PROPERTY_VIEWS, gated_paths, paths, trees
 
 PLANS = ("fresh", "l2", "seeded", "rehydrated")
 DOCUMENTS = ("built", "parsed", "tier")
@@ -145,7 +144,7 @@ def policies(draw, dtd):
 @st.composite
 def view_inputs(draw) -> Inputs:
     """A sample DTD with a policy's view or σ0, or one of the views of
-    ``tests/test_properties.py``."""
+    ``tests/strategies.py``."""
     name = draw(st.sampled_from([*sorted(DTDS), "properties"]))
     if name == "properties":
         spec, dtd, texts = draw(st.sampled_from(PROPERTY_VIEWS)), SRC_DTD, ("x", "y")
@@ -180,13 +179,18 @@ def wide_inputs(draw) -> Inputs:
     return Inputs(None, parse_xml(f"<r><g>{'</g><g>'.join(groups)}</g></r>"), query, mates)
 
 
+SOURCE_QUERIES = st.one_of(paths(), gated_paths())
+
+
 @st.composite
 def source_inputs(draw) -> Inputs:
-    """A random tree, source queries, and one of its first elements."""
+    """A random tree, source queries (some gated: deaths happen), and
+    one of its first elements."""
     tree = draw(trees())
     elements = [node.node_id for node in tree.nodes if node.is_element]
-    mates = draw(st.lists(paths(), min_size=3, max_size=3))
-    return Inputs(None, tree, draw(paths()), mates, draw(st.sampled_from(elements[:3])))
+    mates = draw(st.lists(SOURCE_QUERIES, min_size=3, max_size=3))
+    query = draw(SOURCE_QUERIES)
+    return Inputs(None, tree, query, mates, draw(st.sampled_from(elements[:3])))
 
 
 #: Per eight examples: four view draws, three random trees, one wide draw.
@@ -215,9 +219,24 @@ def _document(provenance: str, built: IndexedDocument, workdir: Path):
     return DocumentStore(index_dir=workdir / "docs").get(text)
 
 
-def _executable(provenance, algorithm, spec, query, doc, workdir: Path, artifact=None):
+def _retexted(tree: XMLTree) -> XMLTree:
+    """``tree`` with every text turned to the next of its texts: the
+    same labels (so the same label table), other answers."""
+    texts = sorted({node.value for node in tree.nodes if node.is_text})
+    turn = dict(zip(texts, texts[1:] + texts[:1]))
+
+    def copy(node):
+        kids = (turn[kid.value] if kid.is_text else copy(kid) for kid in node.children)
+        return element(node.label, *kids)
+
+    return XMLTree(copy(tree.root))
+
+
+def _executable(provenance, algorithm, inputs, query, doc, workdir: Path, artifact=None):
     """``query``'s executable for ``doc`` and its artifact (``artifact``:
-    one compiled under the same passes already)."""
+    one compiled under the same passes already).  A seeded executable
+    serves another document of the label set first."""
+    spec = inputs.spec
     artifact = artifact or COMPILER.compile(spec, query)
     if provenance == "fresh":
         return CompiledPlan.for_algorithm(artifact.mfa, algorithm, doc.tree, doc), artifact
@@ -234,20 +253,26 @@ def _executable(provenance, algorithm, spec, query, doc, workdir: Path, artifact
         cached = SHARED.plan(spec, query)
         if algorithm == HYPE:  # THE HyPE executable: the closed table itself
             assert cached.compiled(HYPE, doc.tree, doc) is cached.artifact.closure
+        other = IndexedDocument(_retexted(doc.tree))
+        shared = cached.compiled(algorithm, other.tree, other)
+        served = shared.run(other.tree.node(inputs.context), layout=other.layout).ids
+        assert served == sorted(reference(spec, other.tree, query, inputs.context))
+        assert cached.compiled(algorithm, doc.tree, doc) is shared
     return cached.compiled(algorithm, doc.tree, doc), artifact
 
 
-def run_point(point: Point, inputs: Inputs, built, workdir: Path, artifact=None):
-    """Answer ids per lane (lane 0 the query), the query's stats, its
-    artifact bytes where the point serialised it, and its artifact."""
+def run_point(point: Point, inputs: Inputs, built, workdir: Path, artifacts=()):
+    """Answer ids per lane (lane 0 the query), the query's stats, and
+    its artifact bytes where the point serialised it (``artifacts``:
+    per lane, one compiled under the same passes already)."""
     queries = [inputs.query, *inputs.mates[: point.wavemates]]
     with passes(point.descent, point.scan):
         doc = _document(point.document, built, workdir)
         first = ALGORITHMS.index(point.algorithm)  # wavemates rotate the algorithm
         algorithms = [ALGORITHMS[(first + lane) % 3] for lane in range(len(queries))]
         made = [
-            _executable(point.plan, algorithm, inputs.spec, query, doc, workdir, own)
-            for algorithm, query, own in zip(algorithms, queries, [artifact, None, None, None])
+            _executable(point.plan, algorithm, inputs, query, doc, workdir, own)
+            for algorithm, query, own in zip(algorithms, queries, [*artifacts, None, None, None, None])
         ]
         plans = [plan for plan, _artifact in made]
         layout = doc.layout if point.layout == "supplied" else None
@@ -259,32 +284,40 @@ def run_point(point: Point, inputs: Inputs, built, workdir: Path, artifact=None)
         raw = made[0][1].to_bytes() if point.plan in ("l2", "rehydrated") else None
     if point.document == "tier" and point.algorithm != HYPE:
         assert doc.stats.index_loads, "the tier point must load its index"
-    return [set(result.ids) for result in results], results[0].stats, raw, made[0][1]
+    return [result.ids for result in results], results[0].stats, raw
 
 
-def check(point: Point, inputs: Inputs, workdir: Path) -> None:
-    """``point`` answers like the oracle, with the canonical point's
-    stats (and, where serialised, bytes)."""
+def check(point: Point, inputs: Inputs, workdir: Path):
+    """``point`` answers like the oracle, in document order, with the
+    canonical point's stats (and, where serialised, bytes), which it
+    returns.  A query over the compile budget is refused, not answered:
+    the example is dropped."""
+    queries = [inputs.query, *inputs.mates[: point.wavemates]]
+    with passes("python", "python"):
+        try:
+            artifacts = [COMPILER.compile(inputs.spec, query) for query in queries]
+        except QueryTooComplexError:
+            reject()
     built = IndexedDocument(inputs.tree)
     canonical = Point(point.algorithm)
-    ids, stats, _raw, artifact = run_point(canonical, inputs, built, workdir)
+    ids, stats, _raw = run_point(canonical, inputs, built, workdir, artifacts[:1])
     expected = [
-        reference(inputs.spec, inputs.tree, query, inputs.context)
-        for query in [inputs.query, *inputs.mates]
+        sorted(reference(inputs.spec, inputs.tree, query, inputs.context)) for query in queries
     ]
     assert ids[0] == expected[0], ("canonical", unparse(inputs.query))
     assert stats.answers == len(ids[0])
     assert stats.visited_elements or not stats.skipped_subtrees  # a dead root prunes nothing
     if point == canonical:
-        return
-    # Under the Python passes the canonical compilation is the point's own.
-    own = artifact if point.descent == "python" else None
-    got, got_stats, raw, _artifact = run_point(point, inputs, built, workdir, own)
+        return stats
+    # Under the Python passes the canonical compilations are the point's own.
+    own = artifacts if point.descent == "python" else ()
+    got, got_stats, raw = run_point(point, inputs, built, workdir, own)
     for lane, (answer, want) in enumerate(zip(got, expected)):
         assert answer == want, (point, lane)
     assert got_stats == stats, point
     if raw is not None:  # the canonical table was closed by the Python cold path
-        assert raw == artifact.to_bytes(), point
+        assert raw == artifacts[0].to_bytes(), point
+    return stats
 
 
 def _view(view):
@@ -329,10 +362,12 @@ PINNED = Inputs(
 @pytest.mark.parametrize("descent", PASSES)
 def test_every_point_once(descent, scan, algorithm, plan, tmp_path):
     """The product of the other axes over the σ0 hospital inputs, one
-    test per pass pair, algorithm and plan, so a failure names them."""
+    test per pass pair, algorithm and plan, so a failure names them.
+    The inputs fail gates (a view qualifier is false somewhere)."""
     _skip_missing(descent=descent, scan=scan)
     for wavemates, layout, document in itertools.product((0, 3), LAYOUTS, DOCUMENTS):
-        check(Point(algorithm, wavemates, layout, descent, scan, plan, document), PINNED, tmp_path)
+        point = Point(algorithm, wavemates, layout, descent, scan, plan, document)
+        assert check(point, PINNED, tmp_path).gate_failures
 
 
 @pytest.mark.parametrize("descent", PASSES)
@@ -407,4 +442,24 @@ def test_the_fleet_answers_like_the_oracle(fleet, request):
     message = {"op": "query", "tenant": tenant, "query": unparse(query), "algorithm": algorithm}
     reply = ask({**message, "limit": -1})
     assert reply["ok"], reply
-    assert set(reply["ids"]) == reference(FLEET_VIEWS[tenant], hospital, query), message
+    assert reply["ids"] == sorted(reference(FLEET_VIEWS[tenant], hospital, query)), message
+
+
+@given(trees(), et_queries())
+@settings(max_examples=150, deadline=None)
+def test_the_reference_reads_like_elementtree(tree, query):
+    ours, theirs = query
+    ids: dict = {}
+    found = as_etree(tree.root, ids).findall(theirs)
+    assert reference(None, tree, ours) == {ids[id(hit)] for hit in found}, query
+
+
+def test_the_text_deviation_is_the_string_value():
+    """``b`` in ``<a><b>x<c>y</c></b></a>``: own text ``x``, string
+    value ``xy``; on the leaf ``c`` the readings agree."""
+    text = "<a><b>x<c>y</c></b></a>"
+    tree, root = parse_xml(text), ET.fromstring(text)
+    assert reference(None, tree, "b[text()='x']") == {1}
+    assert root.findall("./b[.='x']") == [] and root.findall("./b[.='xy']")
+    assert reference(None, tree, "b/c[text()='y']") == {3}
+    assert len(root.findall("./b/c[.='y']")) == 1

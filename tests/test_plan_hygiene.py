@@ -13,9 +13,7 @@ outside pytest); here they are assertions.
 from __future__ import annotations
 
 import gc
-import importlib.util
 import weakref
-from pathlib import Path
 
 import pytest
 
@@ -26,16 +24,7 @@ from repro.serve.cache import PlanCache
 from repro.workloads import HospitalConfig, generate_hospital_document
 from repro.xtree import Node, parse_xml, serialize, text_node
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "churn_hygiene.py"
-
-
-def load_hygiene():
-    """``benchmarks/churn_hygiene.py`` as a module (it is a script, not
-    part of a package)."""
-    spec = importlib.util.spec_from_file_location("churn_hygiene", _SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from .strategies import load_hygiene
 
 
 @pytest.fixture(scope="module")

@@ -19,14 +19,14 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.automata import compile_query, conceptual_eval
 from repro.baselines import TwoPassEvaluator, XQuerySimEvaluator
-from repro.dtd import GeneratorConfig, generate_document, parse_dtd
+from repro.dtd import GeneratorConfig, generate_document
 from repro.dtd.validate import conforms
 from repro.rewrite import rewrite_query, rewrite_to_xreg
-from repro.views import materialize, view_spec
+from repro.views import materialize
 from repro.xpath import ast, evaluate, parse_query, unparse
 from repro.xpath.normalize import canonical, simplify
 
-from .strategies import paths, trees
+from .strategies import SRC_DTD, VIEWS, paths, trees
 
 COMMON = dict(
     deadline=None,
@@ -81,46 +81,6 @@ class TestParserRoundTrip:
 # ----------------------------------------------------------------------
 # Rewriting properties over a family of random views
 # ----------------------------------------------------------------------
-SRC_DTD = parse_dtd(
-    """
-    root s
-    s -> a*
-    a -> a*, b*, t*
-    b -> t*
-    t -> #PCDATA
-    """
-)
-
-#: Recursive view over SRC_DTD with restructuring annotations.
-VIEW_DTD = parse_dtd(
-    """
-    root v
-    v -> p*
-    p -> p*, leaf*
-    leaf -> #PCDATA
-    """
-)
-
-def make_view(p_annotation: str, leaf_annotation: str):
-    return view_spec(
-        SRC_DTD,
-        VIEW_DTD,
-        {
-            ("v", "p"): "a",
-            ("p", "p"): p_annotation,
-            ("p", "leaf"): leaf_annotation,
-        },
-    )
-
-
-VIEWS = [
-    make_view("a", "t"),
-    make_view("a[t]", "b/t"),
-    make_view("a/a | b", "t | b/t"),
-    make_view("(a)*/b", "t"),
-]
-
-
 def random_source(seed: int):
     return generate_document(
         SRC_DTD,
