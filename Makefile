@@ -20,9 +20,10 @@ install:
 	$(PY) -m pip install -e .
 
 # The compiled passes (_scan.c, _lean.c) under AddressSanitizer and
-# UndefinedBehaviorSanitizer: the native, parser and doc-tier suites and
-# the oracle lattice — every differential, every lattice point under the
-# compiled passes, the mangled and truncated inputs, the 300-deep
+# UndefinedBehaviorSanitizer: the native, parser and doc-tier suites, the
+# oracle lattice and the shape-template property (instances share one
+# NFA's cached ε-closures with the compiled pass) — every differential,
+# every lattice point under the compiled passes, the mangled and truncated inputs, the 300-deep
 # and 400-wide documents, the label and distinct-mask boundaries — over
 # three hypothesis seeds, so three times the examples.  The sanitized
 # objects build into a cache of their own (the interpreter's pycache
@@ -35,7 +36,7 @@ SANITIZE_ENV = CC="$(SANITIZE_CC)" PYTHONPYCACHEPREFIX="$(CURDIR)/.sanitize-cach
 	ASAN_OPTIONS=detect_leaks=0
 SANITIZE_SUITES = tests/test_parse_native.py tests/test_parse_oracle.py \
 	tests/test_descent_native.py tests/test_cold_native.py tests/test_docstore.py \
-	tests/test_lattice.py
+	tests/test_lattice.py tests/test_shape_templates.py
 sanitize:
 	$(SANITIZE_ENV) $(PY) -c "from repro.hype import kernel; from repro.xtree import parse; \
 	    assert (kernel.DESCENT, parse.SCAN) == ('compiled', 'compiled'), (kernel.DESCENT, parse.SCAN)"

@@ -10,6 +10,10 @@ collector had to do about it:
 * **cyclic garbage** — objects only a collection could free, caught with
   ``gc.DEBUG_SAVEALL``.  Plans own their kernels one way, so an evicted
   plan must die by reference count: the count must be 0;
+* **evicted shape templates still alive**, collector off — the eight
+  templates cycle through a cache smaller than eight, so its template
+  table evicts continuously, and an evicted template (whose automaton
+  its instances share) must die by reference count too: 0;
 * **gen-2 collections** during the drive (with the collector on);
 * ``_compute_child_sets`` **calls per compile** — the closure computes
   the OTHER column once per cfg and aliases every unnamed column to it;
@@ -28,7 +32,8 @@ most :data:`TRACKED_PER_DOCUMENT_FLOOR` whatever its node count — plus
 the **nodes created by the served queries**: the serving path walks node
 ids and replies with ids, so 0.
 
-Exits non-zero on any cyclic garbage from either side, on a document
+Exits non-zero on any cyclic garbage from either side, on an evicted
+template still alive (or no template evicted at all), on a document
 over the tracked-object floor, or on a node created while serving.
 ``tests/test_plan_hygiene.py`` runs the same functions as tier-1
 assertions; re-read the traced budgets themselves with
@@ -40,6 +45,7 @@ from __future__ import annotations
 import gc
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -143,6 +149,29 @@ def cyclic_garbage(requests: int = 96, capacity: int = 4) -> list:
         churn.drive(capacity)  # lazy imports and first-use tables
         return _garbage_of(lambda: churn.drive(requests))
     finally:
+        churn.close()
+
+
+def evicted_templates_alive(requests: int = 96, capacity: int = 4) -> tuple[int, int]:
+    """``(shape templates evicted, of them still alive)`` after
+    ``requests`` misses through a ``capacity``-entry cache with the
+    collector off: ``(n > 0, 0)`` = evicted templates die by reference
+    count."""
+    churn = ChurnService(capacity)
+    seen: list[weakref.ref] = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(requests):
+            churn.drive(1)
+            for _key, template in churn.cache._templates.items():
+                if all(ref() is not template for ref in seen):
+                    seen.append(weakref.ref(template))
+        held = [template for _key, template in churn.cache._templates.items()]
+        evicted = [ref for ref in seen if all(ref() is not t for t in held)]
+        return len(evicted), sum(ref() is not None for ref in evicted)
+    finally:
+        gc.enable()
         churn.close()
 
 
@@ -356,9 +385,11 @@ def _kinds(garbage: list) -> list[str]:
 
 def main() -> int:
     garbage = cyclic_garbage()
+    evicted, alive = evicted_templates_alive()
     counts = collections_and_calls()
     print("plans")
     print(f"  cyclic garbage objects        {len(garbage)}")
+    print(f"  evicted templates alive       {alive} of {evicted}")
     print(
         f"  collections gen0/gen1/gen2    {counts['gen0_collections']}/"
         f"{counts['gen1_collections']}/{counts['gen2_collections']} "
@@ -388,6 +419,13 @@ def main() -> int:
         f"({tables} label table(s), {documents} documents)"
     )
     status = 0
+    if alive or not evicted:
+        print(
+            f"FAIL: {alive} of {evicted} evicted shape template(s) outlived "
+            "their eviction (none evicted: the drive no longer covers them)",
+            file=sys.stderr,
+        )
+        status = 1
     if tracked > TRACKED_PER_DOCUMENT_FLOOR:
         print(
             f"FAIL: an ingested document adds {tracked:.0f} tracked objects "

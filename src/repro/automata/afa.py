@@ -150,6 +150,18 @@ class AFAPool:
         holder.target = target
         self._order = None
 
+    def with_predicates(self, preds) -> "AFAPool":
+        """A pool sharing this pool's states except the finals of
+        ``preds`` — ``(state, predicate)`` pairs — which are fresh finals
+        under the given predicates.  The ε-graph is this pool's, and so
+        is its SCC analysis."""
+        pool = AFAPool()
+        pool.states = list(self.states)
+        for state, pred in preds:
+            pool.states[state] = AFAState(FINAL, pred=pred)
+        pool._order, pool._scc_of = self._order, self._scc_of
+        return pool
+
     def __len__(self) -> int:
         return len(self.states)
 

@@ -17,9 +17,8 @@ The resulting MFA size is linear in ``|Q|``.
 
 from __future__ import annotations
 
-from ..errors import FragmentError
 from ..xpath import ast
-from ..xpath.normalize import desugar, simplify
+from ..xpath.normalize import desugar, desugar_filter, simplify, simplify_filter
 from .afa import AFAPool, TextPred, WILDCARD
 from .mfa import MFA
 from .nfa import NFA
@@ -50,11 +49,6 @@ class MFABuilder:
             end = self.nfa.new_state()
             self.nfa.add_edge(start, WILDCARD, end)
             return start, {end}
-        if isinstance(query, ast.DescOrSelf):
-            # ``//`` ≡ (wildcard)* — a single wildcard-looping hub state.
-            hub = self.nfa.new_state()
-            self.nfa.add_edge(hub, WILDCARD, hub)
-            return hub, {hub}
         if isinstance(query, ast.Concat):
             left_start, left_finals = self.path_fragment(query.left)
             right_start, right_finals = self.path_fragment(query.right)
@@ -116,12 +110,6 @@ class MFABuilder:
             return self.pool.new_trans(path.name, continuation)
         if isinstance(path, ast.Wildcard):
             return self.pool.new_trans(WILDCARD, continuation)
-        if isinstance(path, ast.DescOrSelf):
-            # hub = continuation ∨ step-to-child(hub)
-            hub = self.pool.new_or()
-            step = self.pool.new_trans(WILDCARD, hub)
-            self.pool.wire(hub, continuation, step)
-            return hub
         if isinstance(path, ast.Concat):
             rest = self.afa_path(path.right, continuation)
             return self.afa_path(path.left, rest)
@@ -159,9 +147,9 @@ class MFABuilder:
 def compile_query(query: ast.Path, description: str | None = None) -> MFA:
     """Compile an ``Xreg``/``X`` query into an equivalent MFA.
 
-    ``//`` is accepted and handled natively (wildcard self-loop).  The query
-    is simplified first so Kleene stars over nullable bodies do not inject
-    gratuitous ε-cycles.
+    ``//`` is desugared to ``(*)*`` first (the builder knows no ``//``),
+    and the query simplified so Kleene stars over nullable bodies do not
+    inject gratuitous ε-cycles.
     """
     prepared = simplify(desugar(query))
     builder = MFABuilder()
@@ -177,10 +165,11 @@ def compile_filter(predicate: ast.Filter) -> tuple[MFA, int]:
     The carrier MFA has a single state that is both start and final,
     annotated with the filter — evaluating it at a node returns the node
     itself iff the filter holds (useful for testing filters in isolation).
+    The filter is desugared and simplified as :func:`compile_query` does.
     """
     builder = MFABuilder()
     state = builder.nfa.new_state()
-    entry = builder.filter_entry(predicate)
+    entry = builder.filter_entry(simplify_filter(desugar_filter(predicate)))
     builder.nfa.annotate(state, entry)
     mfa = builder.finish(state, {state}, description="compiled filter")
     return mfa, entry

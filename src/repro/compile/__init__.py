@@ -9,6 +9,9 @@ How plans come to exist, end to end:
 * :mod:`repro.compile.artifact` — :class:`PlanArtifact`, the versioned,
   serialisable record of a compiled plan, and the collision-safe key
   scheme ``(view_fingerprint, normalized_query, format_version)``;
+* :mod:`repro.compile.shape` — :func:`shape_of` / :func:`instantiate`:
+  a query's literals lifted into slots, and its artifact built from its
+  shape's compiled :class:`Template` instead of a rewrite;
 * :mod:`repro.compile.store` — :class:`PlanStore`, the atomic,
   corruption-tolerant on-disk tier under the serving layer's two-tier
   :class:`repro.serve.cache.PlanCache`.
@@ -22,6 +25,7 @@ from .artifact import ArtifactError, FORMAT_VERSION, PlanArtifact, PlanKey
 from .pipeline import (
     CompileMetrics,
     CompileStats,
+    INSTANTIATE,
     NORMALIZE,
     NormalizedQuery,
     PARSE,
@@ -32,6 +36,7 @@ from .pipeline import (
     TRANSLATE,
     TRIM,
 )
+from .shape import Slot, Template, instantiate, shape_of
 from .store import PlanStore, StoreStats
 
 __all__ = [
@@ -50,6 +55,11 @@ __all__ = [
     "REWRITE",
     "TRIM",
     "TRANSLATE",
+    "INSTANTIATE",
+    "Slot",
+    "Template",
+    "instantiate",
+    "shape_of",
     "PlanStore",
     "StoreStats",
 ]

@@ -60,8 +60,12 @@ from ..hype.kernel import check_cfgs
 #: v4: each ``cfgs`` row's watch pairs are in ascending state id (a cfg
 #: depends on set contents only), so v3 payloads carry other cfg keys;
 #: v3 files are never read and ``PlanStore.gc`` sweeps them.
+#: v5: a literal is quoted with the quote character it lacks
+#: (:func:`repro.xpath.unparse.unparse`); v4 wrote every literal in
+#: ``'``, so two queries could share one key and a v4 file may hold the
+#: other query's plan — v4 files are never read and ``gc`` sweeps them.
 #: Only the gzip form is read: its crc32 trailer is the artifact's seal.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: gzip magic bytes; bytes that do not start with them are refused.
 _GZIP_MAGIC = b"\x1f\x8b"

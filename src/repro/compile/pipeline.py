@@ -23,6 +23,10 @@ Stages (every compilation runs a subset, each individually timed):
             in the plan that will serve it (:func:`repro.hype.kernel.close`)
             — the artifact ships hot-loop-ready, cold workers skip the
             lazy fills
+``instantiate`` a query's artifact from its shape's template
+            (:mod:`repro.compile.shape`): fresh literal finals over the
+            template's automaton, then the dense closure — the sibling of
+            every stage above for a query whose shape was compiled before
 ========== ==========================================================
 
 The stage counters double as the restart acceptance check: a service
@@ -53,10 +57,12 @@ REWRITE = "rewrite"
 TRIM = "trim"
 TRANSLATE = "translate"
 DENSE = "dense"
+INSTANTIATE = "instantiate"
 
 #: All stage names, in pipeline order (rewrite/trim on the view path,
-#: translate on the direct path; dense closes either path's MFA).
-STAGES = (PARSE, NORMALIZE, REWRITE, TRIM, TRANSLATE, DENSE)
+#: translate on the direct path; dense closes either path's MFA;
+#: instantiate replaces all three for a query whose shape has a template).
+STAGES = (PARSE, NORMALIZE, REWRITE, TRIM, TRANSLATE, DENSE, INSTANTIATE)
 
 
 @dataclass
@@ -228,6 +234,15 @@ class QueryCompiler:
             stages=stages,
             closure=closed,
         )
+
+    def instantiate(
+        self, template, normalized: NormalizedQuery, literals: tuple[str, ...]
+    ) -> PlanArtifact:
+        """The instantiate stage: :func:`repro.compile.shape.instantiate`,
+        timed — ``normalized``'s artifact from its shape's template."""
+        from .shape import instantiate
+
+        return self._timed(INSTANTIATE, instantiate, template, normalized, literals)
 
     # ------------------------------------------------------------------
     def _timed(self, stage: str, fn, *args, _stages=None, **kwargs):

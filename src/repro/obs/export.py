@@ -65,7 +65,9 @@ FAMILIES = (
     Family("sequential_visited", "sequential_visited_total", "counter",
            "Elements one pass per query would have visited."),
     Family("cache.misses", "plan_cache_misses_total", "counter",
-           "Full plan-cache misses."),
+           "Plan-cache misses: lookups that built a new artifact."),
+    Family("cache.shape_hits", "plan_cache_shape_hits_total", "counter",
+           "Plan-cache misses instantiated from a cached shape template."),
     Family("cache.evictions", "plan_cache_evictions_total", "counter",
            "L1 LRU evictions."),
     Family("in_flight_evaluations", "in_flight_evaluations", "gauge",

@@ -95,8 +95,6 @@ class DirectRewriter:
             for parent, child in self._edges:
                 matrix.add(parent, child, self.spec.annotation(parent, child))
             return matrix
-        if isinstance(query, ast.DescOrSelf):  # pragma: no cover - desugared
-            return self._path_matrix(ast.Star(ast.Wildcard()))
         if isinstance(query, ast.Concat):
             left = self._path_matrix(query.left)
             right = self._path_matrix(query.right)

@@ -122,8 +122,6 @@ class MFARewriter:
             return self._step(view_type, query.name)
         if isinstance(query, ast.Wildcard):
             return self._wildcard(view_type)
-        if isinstance(query, ast.DescOrSelf):  # pragma: no cover - desugared
-            return self._build(ast.Star(ast.Wildcard()), view_type)
         if isinstance(query, ast.Concat):
             return self._concat(query, view_type)
         if isinstance(query, ast.Union):
@@ -334,8 +332,6 @@ def _uniquify_path(node: ast.Path) -> ast.Path:
         return ast.Empty()
     if isinstance(node, ast.Wildcard):
         return ast.Wildcard()
-    if isinstance(node, ast.DescOrSelf):
-        return ast.DescOrSelf()
     raise RewriteError(f"cannot uniquify path node {node!r}")
 
 

@@ -34,6 +34,13 @@ of L1 (``(view fingerprint, text as posed)`` → key + display text), so
 only a text's first sight is parsed and normalised — a hit does no
 compile-stage work at all.
 
+A never-seen text is most often a known query with new constants (the
+prepared-statement pattern).  Below L2 sits the **shape** tier: a
+bounded table of plan templates keyed by ``(view fingerprint, shape
+text)`` (:mod:`repro.compile.shape`) — a miss whose shape was compiled
+before is *instantiated* from it, skipping the rewrite, to the bytes a
+fresh compile would produce.
+
 The cache is the single plan store for both the stand-alone
 :class:`repro.engine.smoqe.SMOQE` engine and the multi-tenant
 :class:`repro.serve.service.QueryService`.
@@ -50,7 +57,9 @@ from weakref import WeakKeyDictionary
 from ..automata.mfa import MFA
 from ..compile.artifact import PlanArtifact, PlanKey
 from ..compile.pipeline import NormalizedQuery, QueryCompiler
+from ..compile.shape import Template, shape_of
 from ..compile.store import PlanStore
+from ..errors import ReproError
 from ..hype.api import HYPE, OPTHYPE_C
 from ..hype.core import CompiledPlan
 from ..obs.counters import Counters
@@ -188,13 +197,16 @@ class CacheStats(Counters):
 
     ``hits`` counts L1 (in-memory) hits; ``l2_hits`` counts lookups
     served by rehydrating an artifact from the on-disk store; ``misses``
-    counts full misses, i.e. fresh compilations.
+    counts lookups neither tier served, i.e. new artifacts; of those,
+    ``shape_hits`` were instantiated from an already compiled template
+    of their shape instead of compiled (no rewrite ran).
     """
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     l2_hits: int = 0
+    shape_hits: int = 0
 
     @property
     def l1_hits(self) -> int:
@@ -251,6 +263,21 @@ class PlanCache:
     written only after a lookup succeeded: a rejected text is rejected
     afresh every time, and an alias whose plan was evicted just falls
     through to the full path below it.
+
+    Below L2, the **shape** tier: a query with a non-empty literal is
+    looked up by its shape (:func:`repro.compile.shape.shape_of`) in a
+    :class:`repro.tier.SingleFlightLRU` of :class:`repro.compile.shape.
+    Template` values keyed by ``(view fingerprint, shape text)``, also
+    bounded at the plan capacity.  A template is compiled once, from
+    the shape itself (its literals are :class:`repro.compile.shape.Slot`
+    sentinels), and every query of that shape is *instantiated* from it
+    (the ``instantiate`` compile stage): a plan-cache miss without a
+    rewrite (``shape_hits``), whose artifact equals a fresh compile's
+    byte for byte — so it is written back, shipped and served like one.
+    A query without a non-empty literal bypasses the tier (it is its own
+    shape, which L1 already keys), and a template whose compilation
+    raises is not kept: the query is compiled itself and raises its own
+    error.
     """
 
     def __init__(
@@ -266,6 +293,9 @@ class PlanCache:
         #: Raw-text aliases (see the class docstring).  Uncounted: losing
         #: one costs a re-parse, never correctness.
         self._aliases = SingleFlightLRU(capacity, CacheStats())
+        #: Shape templates (see the class docstring); uncounted here —
+        #: ``shape_hits`` is counted per lookup a template served.
+        self._templates = SingleFlightLRU(capacity, CacheStats())
         #: Inert (see :class:`ComposedCache`).
         self.composed = ComposedCache()
 
@@ -285,10 +315,11 @@ class PlanCache:
         posed*, not of its normal form).
 
         Lookup order: raw-text alias (texts only) → L1 (live plans) → L2
-        (artifact store, when configured) → the compilation pipeline.
-        Rehydrated and freshly compiled plans are promoted into L1; fresh
-        compilations are also written back to the store, so every process
-        sharing the directory — and every future restart — starts warm.
+        (artifact store, when configured) → shape template → the
+        compilation pipeline.  Rehydrated, instantiated and freshly
+        compiled plans are promoted into L1; new artifacts are also
+        written back to the store, so every process sharing the
+        directory — and every future restart — starts warm.
         Only a text's first sight (or its first after its plan was
         evicted) parses and normalises it.
         """
@@ -314,9 +345,11 @@ class PlanCache:
                 nonlocal tier
                 artifact = None if self.store is None else self.store.load(key)
                 if artifact is None:
-                    tier = "compile"
-                    artifact = self.compiler.compile(spec, normalized)
-                    self._stats.count("misses")
+                    tier, artifact = self._build(spec, normalized, key[0])
+                    if tier == "shape":
+                        self._stats.count("misses", "shape_hits")
+                    else:
+                        self._stats.count("misses")
                 else:
                     tier = "l2"
                     self._stats.count("l2_hits")
@@ -328,11 +361,35 @@ class PlanCache:
             # Write-back after publication AND after the gate: the save
             # (payload encode + disk write) is atomic and idempotent, so
             # waiters — served from L1 by now — never queue behind it.
-            if tier == "compile" and self.store is not None:
+            if tier in ("compile", "shape") and self.store is not None:
                 self.store.save(key, plan.artifact)
             if alias is not None:
                 self._aliases.get(alias, lambda: (key, display))
             return plan, display
+
+    def _build(
+        self, spec: ViewSpec | None, normalized: NormalizedQuery, fingerprint
+    ) -> tuple[str, PlanArtifact]:
+        """A new artifact and its tier: ``"shape"`` when instantiated
+        from a template compiled before, ``"compile"`` otherwise (no
+        literal, a new shape — its template compiled here — or a
+        template that failed to compile)."""
+        shape, literals = shape_of(normalized)
+        if not literals:
+            return "compile", self.compiler.compile(spec, normalized)
+        compiled = []
+
+        def template() -> Template:
+            compiled.append(True)
+            return Template.of(self.compiler.compile(spec, shape))
+
+        try:
+            found = self._templates.get((fingerprint, shape.text), template)
+        except ReproError:
+            # Never report a sentinel: the query's own compile raises.
+            return "compile", self.compiler.compile(spec, normalized)
+        artifact = self.compiler.instantiate(found, normalized, literals)
+        return ("compile" if compiled else "shape"), artifact
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable) -> CachedPlan | None:
@@ -352,6 +409,7 @@ class PlanCache:
         specification.
         """
         self._aliases.drop(lambda alias: alias[0] == view)
+        self._templates.drop(lambda shape: shape[0] == view)
         return self._lru.drop(lambda key: key[0] == view)
 
     # ------------------------------------------------------------------

@@ -204,7 +204,8 @@ class MetricsSnapshot(ServiceCounters):
 
     @property
     def plan_misses(self) -> int:
-        """Lookups that ran the full compilation pipeline."""
+        """Lookups that built a new artifact: compiled, or instantiated
+        from a shape template (``cache.shape_hits``)."""
         return self.cache.misses
 
     @property
@@ -237,7 +238,8 @@ class MetricsSnapshot(ServiceCounters):
             (
                 f"plan cache: {self.plan_l1_hits} L1 + "
                 f"{self.plan_l2_hits} L2 hit(s), "
-                f"{self.plan_misses} miss(es), "
+                f"{self.plan_misses} miss(es) "
+                f"({self.cache.shape_hits} from a shape template), "
                 f"{self.cache.evictions} eviction(s), "
                 f"hit rate {self.cache.hit_rate:.0%}"
             ),

@@ -2,11 +2,14 @@
 
 Produces strings the parser maps back to an equivalent AST; tested by the
 round-trip property ``canonical(parse(unparse(q))) == canonical(q)`` (the
-canonicalisation only re-associates ``/`` and ``|`` chains).
+canonicalisation only re-associates ``/`` and ``|`` chains).  A literal
+is quoted with the quote character it lacks, so the text of a normal form
+names exactly one query (it is the plan cache's key).
 """
 
 from __future__ import annotations
 
+from ..errors import QuerySyntaxError
 from . import ast
 
 # Precedence levels: union < concat < postfix (star/filter) < atom.
@@ -84,9 +87,10 @@ def _filter(node: ast.Filter, top: bool = False) -> str:
     if isinstance(node, ast.Exists):
         return _path(node.path, _UNION)
     if isinstance(node, ast.TextEquals):
+        literal = _literal(node.value)
         if isinstance(node.path, ast.Empty):
-            return f"text() = '{node.value}'"
-        return f"{_path(node.path, _CONCAT)}/text() = '{node.value}'"
+            return f"text() = {literal}"
+        return f"{_path(node.path, _CONCAT)}/text() = {literal}"
     if isinstance(node, ast.Not):
         return f"not({_filter(node.inner, top=True)})"
     if isinstance(node, ast.And):
@@ -94,6 +98,18 @@ def _filter(node: ast.Filter, top: bool = False) -> str:
     if isinstance(node, ast.Or):
         return f"{_filter_operand(node.left)} or {_filter_operand(node.right)}"
     raise TypeError(f"unknown filter node {node!r}")
+
+
+def _literal(value: str) -> str:
+    """``value`` quoted with a quote character it does not hold, so the
+    text reparses to it (and two different ASTs never unparse alike)."""
+    if "'" not in value:
+        return f"'{value}'"
+    if '"' not in value:
+        return f'"{value}"'
+    # The lexer ends a literal at its own quote, so no parsed query holds
+    # one; only a hand-built AST can.
+    raise QuerySyntaxError(f"literal {value!r} holds both quote characters")
 
 
 def _filter_operand(node: ast.Filter) -> str:

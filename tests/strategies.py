@@ -163,6 +163,22 @@ def filters(
     )
 
 
+def other_literals(node: ast.Path | ast.Filter):
+    """``node`` with each non-empty literal ``v`` turned to ``v~``: equal
+    where ``node``'s literals are equal, so of the same shape."""
+    if isinstance(node, (ast.Concat, ast.Union, ast.And, ast.Or)):
+        return type(node)(other_literals(node.left), other_literals(node.right))
+    if isinstance(node, (ast.Star, ast.Not)):
+        return type(node)(other_literals(node.inner))
+    if isinstance(node, ast.Filtered):
+        return ast.Filtered(other_literals(node.path), other_literals(node.predicate))
+    if isinstance(node, ast.Exists):
+        return ast.Exists(other_literals(node.path))
+    if isinstance(node, ast.TextEquals):
+        return ast.TextEquals(other_literals(node.path), node.value and f"{node.value}~")
+    return node
+
+
 def x_fragment_paths(max_leaves: int = 8) -> st.SearchStrategy[ast.Path]:
     """Random ``X``-fragment paths (no Kleene star, ``//`` allowed)."""
     return st.recursive(

@@ -142,6 +142,41 @@ class TestRootMemo:
         assert set(derived) == keys == set(plan.kernel.roots)
 
 
+class TestDeadAtTheRoot:
+    """An OptHyPE(-C) lane whose query names a label the document lacks
+    is dead at the root: it never descends and reports all-zero
+    ``HyPEStats`` — alone and as a wave lane, under every lean pass —
+    while HyPE walks the document."""
+
+    DOC = "<a><b><c/></b><b/></a>"
+    QUERY = "b/zzz"
+
+    @pytest.mark.parametrize("lean", ["python", "compiled"])
+    @pytest.mark.parametrize("algorithm", ["opthype", "opthype-c"])
+    def test_the_lane_reports_nothing(self, algorithm, lean, monkeypatch):
+        from repro.hype import core, kernel
+        from repro.hype.core import HyPEStats
+        from repro.xtree import parse_xml
+
+        if lean == "python":
+            monkeypatch.setattr(kernel, "_descend_lane", kernel._descend_lane_py)
+            monkeypatch.setattr(kernel, "_cold", None)
+            monkeypatch.setattr(
+                core, "_collect_answers", CompiledPlan._collect_answers_py
+            )
+        elif kernel.DESCENT != "compiled":
+            pytest.skip(f"descent is {kernel.DESCENT!r}")
+        doc = IndexedDocument(parse_xml(self.DOC))
+        dead = _document_plan(self.QUERY, algorithm, doc)
+        hype = _document_plan(self.QUERY, "hype", doc)
+        alone = dead.run(doc.tree.root, layout=doc.layout)
+        assert alone.ids == [] and alone.stats == HyPEStats()
+        wave = BatchEvaluator([hype, dead, hype]).run(doc.tree.root, layout=doc.layout)
+        walked, lane, again = wave.results
+        assert lane.ids == [] and lane.stats == HyPEStats()
+        assert walked.stats.visited_elements == again.stats.visited_elements == 3
+
+
 class TestPopTable:
     def _doc(self):
         from repro.xtree.build import document, element, text_node

@@ -5,8 +5,9 @@ Every configuration is held to the paper's oracle,
 inputs (a sample DTD's policy view or σ0, a random tree, or a wide
 draw past 63 finals) and a value per axis: algorithm; alone or lane 0
 of a wave (wavemates rotate the algorithm); own or on-demand layout;
-compiled or Python descent and scan; fresh, L2, seeded or rehydrated
-plan; built, parsed or tier-loaded document.  Every lane answers like
+compiled or Python descent and scan; fresh, L2, seeded, rehydrated or
+shape plan (instantiated from a template compiled for other literals);
+built, parsed or tier-loaded document.  Every lane answers like
 the reference, in document order; the query's ``HyPEStats`` (and
 serialised bytes) equal the canonical point's: fresh, built, alone, own
 layout, Python passes.  The reference itself is anchored to ElementTree.
@@ -57,9 +58,11 @@ from repro.xtree.parse import parse_canonical
 from repro.xtree.serialize import serialize
 
 from .oracle import as_etree, et_queries, reference
-from .strategies import CHURN, SRC_DTD, VIEWS as PROPERTY_VIEWS, gated_paths, paths, trees
+from .strategies import (
+    CHURN, SRC_DTD, VIEWS as PROPERTY_VIEWS, gated_paths, other_literals, paths, trees,
+)
 
-PLANS = ("fresh", "l2", "seeded", "rehydrated")
+PLANS = ("fresh", "l2", "seeded", "rehydrated", "shape")
 DOCUMENTS = ("built", "parsed", "tier")
 LAYOUTS = ("supplied", "on-demand")
 PASSES = ("python", "compiled")
@@ -249,6 +252,13 @@ def _executable(provenance, algorithm, inputs, query, doc, workdir: Path, artifa
     elif provenance == "rehydrated":
         revived = PlanArtifact.from_bytes(artifact.to_bytes())
         cached = CachedPlan(revived.mfa, revived)
+    elif provenance == "shape":
+        cache = PlanCache(4)
+        cache.plan(spec, other_literals(query))  # compiles the template
+        cached = cache.plan(spec, query)
+        stats = cache.stats  # the same text (no literal), or an instance
+        assert (stats.hits, stats.shape_hits) in ((1, 0), (0, 1))
+        return cached.compiled(algorithm, doc.tree, doc), cached.artifact
     else:
         cached = SHARED.plan(spec, query)
         if algorithm == HYPE:  # THE HyPE executable: the closed table itself
@@ -281,7 +291,7 @@ def run_point(point: Point, inputs: Inputs, built, workdir: Path, artifacts=()):
             results = BatchEvaluator(plans).run(context, layout=layout).results
         else:
             results = [plans[0].run(context, layout=layout)]
-        raw = made[0][1].to_bytes() if point.plan in ("l2", "rehydrated") else None
+        raw = made[0][1].to_bytes() if point.plan in ("l2", "rehydrated", "shape") else None
     if point.document == "tier" and point.algorithm != HYPE:
         assert doc.stats.index_loads, "the tier point must load its index"
     return [result.ids for result in results], results[0].stats, raw

@@ -70,6 +70,14 @@ def test_an_evicted_plan_dies_by_reference_count(hygiene):
         churn.close()
 
 
+def test_an_evicted_template_dies_by_reference_count(hygiene):
+    """The eight churn templates through a capacity-4 cache evict shape
+    templates continuously; with the collector OFF, none outlives its
+    eviction (instances share its automaton, never point back)."""
+    evicted, alive = hygiene.evicted_templates_alive(requests=48, capacity=4)
+    assert evicted > 0 and alive == 0
+
+
 def test_tracked_objects_per_cached_plan(hygiene):
     """What each L1 entry adds to every later collection's traversal
     (509 before the payload, the second plan and the per-state ``eps``
