@@ -21,8 +21,11 @@ install:
 
 # The compiled passes (_scan.c, _lean.c) under AddressSanitizer and
 # UndefinedBehaviorSanitizer: the native, parser and doc-tier suites, the
-# oracle lattice and the shape-template property (instances share one
-# NFA's cached ε-closures with the compiled pass) — every differential,
+# oracle lattice, the shape-template property (instances share one
+# NFA's cached ε-closures with the compiled pass) and the plan store
+# (every automaton decoded from disk is closed by the compiled pass on
+# its first build: round trips, corrupt and stale files, the bit-flip
+# sweep) — every differential,
 # every lattice point under the compiled passes, the mangled and truncated inputs, the 300-deep
 # and 400-wide documents, the label and distinct-mask boundaries — over
 # three hypothesis seeds, so three times the examples.  The sanitized
@@ -36,7 +39,7 @@ SANITIZE_ENV = CC="$(SANITIZE_CC)" PYTHONPYCACHEPREFIX="$(CURDIR)/.sanitize-cach
 	ASAN_OPTIONS=detect_leaks=0
 SANITIZE_SUITES = tests/test_parse_native.py tests/test_parse_oracle.py \
 	tests/test_descent_native.py tests/test_cold_native.py tests/test_docstore.py \
-	tests/test_lattice.py tests/test_shape_templates.py
+	tests/test_lattice.py tests/test_shape_templates.py tests/test_plan_store.py
 sanitize:
 	$(SANITIZE_ENV) $(PY) -c "from repro.hype import kernel; from repro.xtree import parse; \
 	    assert (kernel.DESCENT, parse.SCAN) == ('compiled', 'compiled'), (kernel.DESCENT, parse.SCAN)"

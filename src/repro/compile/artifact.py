@@ -5,17 +5,15 @@ rehydrate a thread-safe :class:`repro.hype.core.CompiledPlan` without
 redoing the MFA rewrite: the trimmed MFA (codec-encoded via
 :mod:`repro.automata.codec`) plus the key metadata that makes the record
 self-describing — the view fingerprint it was compiled against, the
-normalised query text, and the format version.  Since format v3 an
-artifact may also carry the plan's eagerly-closed **dense kernel
-payload** (:func:`repro.hype.kernel.kernel_payload`): the interned-cfg
-transition closure that lets a cold worker start with its hot-loop
-tables filled instead of re-deriving them on the first requests.  The
-payload is an *encoding*: the process that compiled the plan keeps the
-closed tables themselves (:attr:`PlanArtifact.closure`) and encodes them
-only when the artifact is serialised.
-Document-dependent state (index mask filters, per-layout rows) is still
-deliberately NOT part of an artifact: it rebuilds lazily on first run,
-which keeps artifacts small and document-portable.
+normalised query text, and the format version.  Nothing else: the dense
+transition closure the evaluator runs on (:func:`repro.hype.kernel.close`)
+is a pure function of the automaton, so the compiling process keeps the
+closed plan (:attr:`PlanArtifact.closure`) and a decoded artifact closes
+its automaton again on first use (:meth:`PlanArtifact.closed`) — one
+format, one rehydration path.  Document-dependent state (index mask
+filters, per-layout rows) is not part of an artifact either: it
+rebuilds lazily on first run, which keeps artifacts small and
+document-portable.
 
 Key scheme.  An artifact's cache key is ``(view_fingerprint,
 normalized_query, format_version)``:
@@ -48,24 +46,26 @@ from dataclasses import dataclass, field
 from ..automata.codec import CodecError, mfa_from_dict, mfa_to_dict
 from ..automata.mfa import MFA
 from ..errors import ReproError
-from ..hype.kernel import check_cfgs
 
 #: Version of the persisted plan format (codec payload + key scheme).
 #: v2: artifact files are gzip-compressed (the version lives in the key,
 #: so v1 files are simply never looked up — ``PlanStore.gc`` reclaims
 #: them).
-#: v3: the optional ``kernel`` field carries the dense transition
-#: closure (:func:`repro.hype.kernel.kernel_payload`); v2 files decode
-#: as counted misses and are recompiled (and swept by ``PlanStore.gc``).
-#: v4: each ``cfgs`` row's watch pairs are in ascending state id (a cfg
-#: depends on set contents only), so v3 payloads carry other cfg keys;
-#: v3 files are never read and ``PlanStore.gc`` sweeps them.
+#: v3: an optional ``kernel`` field carried the encoded dense
+#: transition closure; v2 files decode as counted misses and are
+#: recompiled (and swept by ``PlanStore.gc``).
+#: v4: each ``kernel`` cfg row's watch pairs are in ascending state id
+#: (a cfg depends on set contents only), so v3 payloads carry other cfg
+#: keys; v3 files are never read and ``PlanStore.gc`` sweeps them.
 #: v5: a literal is quoted with the quote character it lacks
 #: (:func:`repro.xpath.unparse.unparse`); v4 wrote every literal in
 #: ``'``, so two queries could share one key and a v4 file may hold the
 #: other query's plan — v4 files are never read and ``gc`` sweeps them.
+#: v6: no ``kernel`` field — the closure is recomputed from the automaton
+#: (:meth:`PlanArtifact.closed`); v5 files are never read and ``gc``
+#: sweeps them.
 #: Only the gzip form is read: its crc32 trailer is the artifact's seal.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: gzip magic bytes; bytes that do not start with them are refused.
 _GZIP_MAGIC = b"\x1f\x8b"
@@ -98,25 +98,30 @@ class PlanArtifact:
     description: str = ""
     format_version: int = FORMAT_VERSION
     stages: dict[str, float] = field(default_factory=dict)
-    #: The dense closure (``None``: the producer skipped the dense
-    #: stage): a decoded ``kernel`` payload when the artifact came
-    #: from a store or a peer, or — fresh from the pipeline — the
-    #: index-free :class:`repro.hype.core.CompiledPlan` whose table the
-    #: dense stage closed in place (the plan cache serves it as HyPE).
+    #: The index-free :class:`repro.hype.core.CompiledPlan` whose dense
+    #: table is closed (the plan cache serves it as HyPE): the dense
+    #: stage's, or — for an artifact decoded from a store or a peer —
+    #: ``None`` until :meth:`closed` closes it.
     closure: object | None = None
 
     @property
-    def kernel(self) -> dict | None:
-        """The ``kernel`` payload.  A fresh compilation holds closed
-        tables, not a payload: it is encoded here, on demand — i.e. when
-        the artifact is serialised (:meth:`to_payload`, so
-        ``PlanStore.save`` and a fleet ship) — to the same bytes."""
-        closure = self.closure
-        if closure is None or isinstance(closure, dict):
-            return closure
-        from ..hype.kernel import kernel_payload
+    def kernel(self):
+        """The closed :class:`repro.hype.kernel.DenseKernel` every other
+        executable is seeded from (``None`` before a decoded artifact's
+        first :meth:`closed`)."""
+        return None if self.closure is None else self.closure.kernel
 
-        return kernel_payload(closure)
+    def closed(self):
+        """:attr:`closure`, closed from the automaton on first call when
+        the artifact was decoded (the dense stage's work, but not a
+        compile stage: no counter records it).  The caller serialises
+        first calls (the plan cache's entry lock); a lost race closes
+        twice, and either plan is the same closure."""
+        if self.closure is None:
+            from .pipeline import _dense_closure
+
+            object.__setattr__(self, "closure", _dense_closure(self.mfa))
+        return self.closure
 
     def cache_key(self) -> PlanKey:
         """The collision-safe key this artifact is stored under."""
@@ -125,17 +130,13 @@ class PlanArtifact:
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
         """JSON-compatible plain data (deterministic for a given plan)."""
-        payload = {
+        return {
             "format_version": self.format_version,
             "view_fingerprint": self.view_fingerprint,
             "normalized_query": self.normalized_query,
             "description": self.description,
             "mfa": mfa_to_dict(self.mfa),
         }
-        kernel = self.kernel
-        if kernel is not None:
-            payload["kernel"] = kernel
-        return payload
 
     def to_bytes(self) -> bytes:
         """Canonical serialised form: gzip over deterministic JSON.
@@ -191,7 +192,6 @@ class PlanArtifact:
             view_fingerprint=fingerprint,
             description=str(data.get("description", "")),
             format_version=FORMAT_VERSION,
-            closure=_validate_kernel(data.get("kernel")),
         )
 
     @classmethod
@@ -215,52 +215,3 @@ class PlanArtifact:
         except (ValueError, UnicodeDecodeError) as error:
             raise ArtifactError(f"artifact is not valid JSON: {error}") from error
         return cls.from_payload(data)
-
-
-def _validate_kernel(kernel: object) -> dict | None:
-    """Structurally validate an optional dense-kernel payload.
-
-    The shape is what :func:`repro.hype.kernel.kernel_payload` emits and
-    :meth:`repro.hype.kernel.DenseKernel.preload` consumes: the cfg rows
-    are checked by the kernel's own codec
-    (:func:`repro.hype.kernel.check_cfgs`), the labels and every
-    transition index here, so a truncated or hand-mangled payload fails
-    the *decode* (a counted cache miss) instead of crashing a preload
-    deep inside the evaluator.
-
-    Raises:
-        ArtifactError: on any structural violation.
-    """
-    if kernel is None:
-        return None
-    if not isinstance(kernel, dict):
-        raise ArtifactError(
-            f"kernel payload must be an object, got {type(kernel).__name__}"
-        )
-    try:
-        num_sets, num_cfgs = check_cfgs(kernel)
-    except ValueError as error:
-        raise ArtifactError(f"kernel {error}") from error
-    labels, trans = kernel.get("labels"), kernel.get("trans")
-    if not isinstance(labels, list) or not all(
-        isinstance(label, str) for label in labels
-    ):
-        raise ArtifactError("kernel labels must be a list of strings")
-    if not isinstance(trans, list):
-        raise ArtifactError("kernel trans must be a list")
-    for row in trans:
-        if (
-            not isinstance(row, list)
-            or len(row) != 4
-            or not all(isinstance(x, int) for x in row)
-        ):
-            raise ArtifactError(f"malformed kernel transition {row!r}")
-        cfg_i, label_i, base_i, child_i = row
-        if not 0 <= cfg_i < num_cfgs or not 0 <= child_i < num_cfgs:
-            raise ArtifactError(f"kernel transition {row!r} references no cfg")
-        # label index == len(labels) is the shared OTHER column.
-        if not 0 <= label_i <= len(labels):
-            raise ArtifactError(f"kernel transition {row!r} references no label")
-        if not 0 <= base_i < num_sets:
-            raise ArtifactError(f"kernel transition {row!r} references no set")
-    return kernel

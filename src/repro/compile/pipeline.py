@@ -21,8 +21,9 @@ Stages (every compilation runs a subset, each individually timed):
             sibling of ``rewrite``)
 ``dense``   eagerly close the MFA's dense transition table, in place
             in the plan that will serve it (:func:`repro.hype.kernel.close`)
-            — the artifact ships hot-loop-ready, cold workers skip the
-            lazy fills
+            — HyPE runs on it and the OptHyPE executables are seeded from
+            it; a decoded artifact is closed again on its first build,
+            which no stage counts
 ``instantiate`` a query's artifact from its shape's template
             (:mod:`repro.compile.shape`): fresh literal finals over the
             template's automaton, then the dense closure — the sibling of
@@ -260,9 +261,10 @@ class QueryCompiler:
 
 
 def _dense_closure(mfa):
-    """The dense stage: build THE index-free plan of ``mfa`` — it
-    travels in the artifact and serves HyPE on every document — and
-    close its transition table in place.
+    """The dense stage: build THE index-free plan of ``mfa`` — the
+    artifact's :attr:`~repro.compile.artifact.PlanArtifact.closure`,
+    never serialised, which serves HyPE on every document — and close
+    its transition table in place.
 
     Imported lazily — the hype evaluator package sits above the compile
     pipeline in the layer diagram, and only this one stage reaches up.

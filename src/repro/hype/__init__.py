@@ -23,7 +23,7 @@ from .index import (
     SubtreeLabelIndex,
     build_index,
 )
-from .kernel import DenseKernel, descend, kernel_payload
+from .kernel import DenseKernel, descend
 
 __all__ = [
     "hype_eval",
@@ -45,6 +45,5 @@ __all__ = [
     "ViabilityAnalyzer",
     "DenseKernel",
     "descend",
-    "kernel_payload",
 ]
 

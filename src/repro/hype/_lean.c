@@ -210,9 +210,9 @@ static PyObject *dead_word = NULL;   /* the int DEAD */
 
 static PyObject *s_flat, *s_alphabet, *s_pool, *s_states, *s_kind, *s_eps,
     *s_label, *s_target, *s_pred, *s_trans, *s_ann, *s_closure,
-    *s_eps_closure_of, *s_start, *s_set_ids, *s_cfg_ids, *s_cfg_relevant,
-    *s_cfg_watch, *s_cfg_m, *s_cfg_r, *s_cfg_has_ann, *s_pop_cache,
-    *s_dead_cache, *s_holds, *s_wildcard, *s_and, *s_or, *s_not, *s_final;
+    *s_set_ids, *s_cfg_ids, *s_cfg_relevant, *s_cfg_watch, *s_cfg_m, *s_cfg_r,
+    *s_cfg_has_ann, *s_pop_cache, *s_dead_cache, *s_holds, *s_wildcard, *s_and,
+    *s_or, *s_not, *s_final;
 
 typedef struct {
     Py_ssize_t n_nfa, n_afa, ncols; /* ncols counts the OTHER column (last) */
@@ -565,19 +565,9 @@ flat_build(PyObject *kern, PyObject *mfa)
         bad_automaton("states, transitions and λ must be a list, a list and a dict");
         goto done;
     }
-    /* The NFA's ε-closures (computed on first use). */
-    closures = PyObject_GetAttr(nfa, s_closure);
-    if (closures == Py_None) {
-        Py_CLEAR(closures);
-        PyObject *start = PyObject_GetAttr(nfa, s_start);
-        PyObject *done_ = start ? PyObject_CallMethodOneArg(nfa, s_eps_closure_of, start) : NULL;
-        Py_XDECREF(start);
-        if (done_ == NULL)
-            goto done;
-        Py_DECREF(done_);
-        closures = PyObject_GetAttr(nfa, s_closure);
-    }
-    if (closures == NULL)
+    /* The NFA's ε-closures: every caller runs after ``root_cfg`` or
+     * ``close``, which computed them. */
+    if ((closures = PyObject_GetAttr(nfa, s_closure)) == NULL)
         goto done;
     f->n_nfa = PyList_GET_SIZE(nfa_trans);
     f->n_afa = PyList_GET_SIZE(states);
@@ -2847,8 +2837,6 @@ PyInit__lean(void)
     INTERN(s_trans, "trans");
     INTERN(s_ann, "ann");
     INTERN(s_closure, "_closure");
-    INTERN(s_eps_closure_of, "eps_closure_of");
-    INTERN(s_start, "start");
     INTERN(s_set_ids, "_set_ids");
     INTERN(s_cfg_ids, "cfg_ids");
     INTERN(s_cfg_relevant, "cfg_relevant");

@@ -174,28 +174,26 @@ class CompiledPlan:
         algorithm: str,
         document,
         indexes,
-        kernel: dict | None = None,
+        kernel: DenseKernel | None = None,
     ) -> "CompiledPlan":
-        """Build (or rehydrate) the plan realising ``algorithm`` on ``mfa``.
+        """Build the plan realising ``algorithm`` on ``mfa``.
 
         This is the constructor path everything above the evaluator
         uses — the plan cache building an OptHyPE executable per label
-        table, and the persistent tier rehydrating an MFA decoded from
-        a :class:`repro.compile.artifact.PlanArtifact` (only the compile
-        pipeline's dense stage builds a bare plan itself).  Artifacts carry
-        only the automaton: the label table and variant come from
+        table (only the compile pipeline's dense stage builds a bare
+        plan itself).  The label table and variant come from
         ``indexes``, an *index provider* (anything with an
         ``index_for(compressed)`` method — canonically the
         :class:`repro.docstore.document.IndexedDocument` of
         ``document``, which builds or tier-loads each variant exactly
         once under a lock and parks it on its layout, where runs find
-        it).  Every memo
-        table starts empty, filling lazily on first run — unless the
-        artifact shipped its eager dense closure, passed as ``kernel``
-        and preloaded into the plan's
-        :class:`repro.hype.kernel.DenseKernel` (pre-filter transitions
-        for all three algorithm variants; the mask filter rows always
-        stay lazy).
+        it).  Every memo table starts empty, filling lazily on first
+        run — unless ``kernel``, the closed
+        :class:`repro.hype.kernel.DenseKernel` of an index-free plan of
+        the same MFA (:attr:`repro.compile.artifact.PlanArtifact.kernel`),
+        seeds the plan's transitions (:meth:`DenseKernel.seed`:
+        pre-filter transitions for all three algorithm variants; the
+        mask filter rows always stay lazy).
         """
         from .api import ALGORITHMS, HYPE, OPTHYPE_C
 
@@ -205,8 +203,8 @@ class CompiledPlan:
             plan = cls(mfa)
         else:
             plan = cls(mfa, index=indexes.index_for(algorithm == OPTHYPE_C))
-        if kernel:
-            plan.kernel.preload(plan, kernel)
+        if kernel is not None:
+            plan.kernel.seed(plan, kernel)
         return plan
 
     # ------------------------------------------------------------------

@@ -32,20 +32,17 @@ Labels the automaton does not distinguish — anything outside the MFA's
 transition alphabet — all share one ``OTHER`` column per cfg: an unseen
 label can only take wildcard moves, so its transition is independent of
 the label text.  That makes the table *finite and document-independent*,
-which is what lets :func:`close` close it eagerly at compile time — in
-place, in the index-free plan that then serves HyPE on every document —
-and :func:`kernel_payload` encode the closed table into a
-:class:`repro.compile.artifact.PlanArtifact` (format v4) whenever one is
-persisted or shipped: a cold worker rehydrates the closure
-(:meth:`DenseKernel.preload`) instead of re-deriving it on the first
-requests.  Cfgs cross a process boundary in one wire form — state-set
-rows plus ``[mstates, relevant, watch]`` rows — written by
-:func:`encode_cfgs`, checked by :func:`check_cfgs` and read back by
-:func:`decode_cfgs`.
+which is what lets :func:`close` close it eagerly — in place, in the
+index-free plan that then serves HyPE on every document — and
+:meth:`DenseKernel.seed` fill every other executable of the same MFA
+from it.  The closure is a pure function of the automaton, so it is
+never persisted: a :class:`repro.compile.artifact.PlanArtifact` carries
+the MFA alone, and a plan decoded from a store or a peer is closed again
+on its first executable build.
 
 Ownership runs one way: a plan owns its kernel and the kernel holds no
 reference back.  The slow paths that need the automaton (transition and
-pop misses, rehydration) take the plan as their first argument — every
+pop misses, seeding) take the plan as their first argument — every
 lane holds its plan for the run anyway — so a plan dropped by the cache
 is freed by reference count, not by the cycle collector.
 
@@ -69,7 +66,7 @@ Both build the Python objects the references build, and both keep one
 rule: order is by state id; contents decide.  A cfg's watch tuple, its
 predicate bits and the resolved values walk their state sets in
 ascending id, and sets and cfgs are minted in a fixed order, so every
-table and payload byte is a function of set contents, never of how a
+table entry is a function of set contents, never of how a
 set object was built.  :mod:`repro.native` builds the extension on
 first import; :data:`DESCENT` records which passes this process runs
 (``"compiled"``, or ``"python: <reason>"``), and :func:`descend` and
@@ -150,9 +147,9 @@ class DenseKernel:
     """Dense transition tables of one :class:`CompiledPlan`.
 
     Built empty with the plan and filled lazily — or eagerly: closed in
-    place (:func:`close`), preloaded from a persisted artifact payload,
-    or seeded from a closed kernel; shared by every run and lane of the
-    plan, across threads.
+    place (:func:`close`) or seeded from a closed kernel
+    (:meth:`seed`); shared by every run and lane of the plan, across
+    threads.
     """
 
     __slots__ = (
@@ -453,66 +450,39 @@ class DenseKernel:
         return outcome
 
     # ------------------------------------------------------------------
-    # Rehydration: a persisted payload, or a closed plan's own tables
+    # Seeding: another plan's closed tables
     # ------------------------------------------------------------------
-    def preload(self, plan, payload: dict) -> int:
-        """Rehydrate the eager closure of a persisted plan artifact.
-
-        The payload is document-independent: for plain plans it fills
-        the ``(cfg, label) -> packed`` table outright; for index-equipped
-        plans the same entries become pre-filter edge words (the mask
-        filter rows stay lazy — they fill as documents bring masks).  Returns
-        the number of transition entries installed.
-        """
-        interned, cfg_map = decode_cfgs(plan, payload["sets"], payload["cfgs"])
-        columns = payload["labels"] + [OTHER_LABEL]
-        return self._install(
-            plan,
-            cfg_map,
-            (
-                (cfg_i, columns[label_i], interned[base_i], child_i)
-                for cfg_i, label_i, base_i, child_i in payload["trans"]
-            ),
-        )
-
     def seed(self, plan, closed: "DenseKernel") -> int:
-        """:meth:`preload` straight from a closed kernel's tables (the
+        """Fill the transitions from a closed kernel's tables (the
         index-free plan of the same MFA that :func:`close` closed) — how
-        an OptHyPE executable gets its pre-filter edge words without a
-        payload ever being encoded: the closed kernel's own frozensets
-        stand in for the set rows."""
+        every executable but that plan itself starts warm.  The closed
+        kernel's cfgs are minted here in its order, its own frozensets
+        interned into ``plan``; a plain plan gets the packed words, an
+        index-equipped one (OptHyPE/-C) pre-filter edge words (its mask
+        filter rows stay lazy — they fill as documents bring masks).
+        Returns the number of entries installed; entries already present
+        are kept."""
         order, children, bases, num_cfgs = closed.closure
         if self.flat is None:
             self.flat = closed.flat
-        _, cfg_map = decode_cfgs(
-            plan,
-            closed.cfg_mstates[:num_cfgs] + closed.cfg_relevant[:num_cfgs],
-            zip(range(num_cfgs), range(num_cfgs, 2 * num_cfgs), closed.cfg_watch),
-        )
         intern = plan._intern
+        mstates = [intern(s) for s in closed.cfg_mstates[:num_cfgs]]
+        relevant = [intern(s) for s in closed.cfg_relevant[:num_cfgs]]
+        cfg_map = [DEAD] + [
+            self.cfg_of(*mstates[cfg], *relevant[cfg], closed.cfg_watch[cfg])
+            for cfg in range(1, num_cfgs)
+        ]
+        indexed = plan.bit_of is not None
         columns = sorted(closed.alphabet) + [OTHER_LABEL]
         width = len(columns)
-        return self._install(
-            plan,
-            cfg_map,
-            (
-                (order[i // width], columns[i % width], intern(base), children[i])
-                for i, base in enumerate(bases)
-            ),
-        )
-
-    def _install(self, plan, cfg_map, rows) -> int:
-        """Install the ``rows`` — ``(source cfg, label, (base, base_id),
-        source child)``, cfgs mapped to this kernel's by ``cfg_map`` —
-        that are not present."""
-        indexed = plan.bit_of is not None
         trans = self.trans
         installed = 0
-        for cfg_i, label, (base, base_id), child_i in rows:
-            key = (cfg_map[cfg_i], label)
+        for i, base in enumerate(bases):
+            base, base_id = intern(base)
+            key = (cfg_map[order[i // width]], columns[i % width])
             if key in trans:
                 continue
-            child = cfg_map[child_i]
+            child = cfg_map[children[i]]
             if child == DEAD:
                 trans[key] = DEAD
             elif indexed:
@@ -530,103 +500,12 @@ class DenseKernel:
         return installed
 
 
-# ----------------------------------------------------------------------
-# The cfg codec: the one wire form of interned run configurations
-# ----------------------------------------------------------------------
-def encode_cfgs(kern: DenseKernel, num_cfgs: int, bases=()) -> tuple[dict, list]:
-    """The wire form of ``kern``'s first ``num_cfgs`` cfgs.
-
-    Returns ``({"sets": rows, "cfgs": rows}, base_ids)``: each distinct
-    state set becomes one sorted ``sets`` row, each cfg one ``[mstates
-    set, relevant set, [[watcher, target], ...]]`` row, and ``base_ids``
-    are the set ids of ``bases`` (numbered first), for callers whose
-    transition rows name further sets.  Plain JSON-shaped data.
-    """
-    ids: dict = {}
-    set_rows: list[list[int]] = []
-
-    def set_id(fs) -> int:
-        idx = ids.get(fs)
-        if idx is None:
-            idx = ids[fs] = len(set_rows)
-            set_rows.append(sorted(fs))
-        return idx
-
-    base_ids = [set_id(base) for base in bases]
-    cfg_rows = [
-        [
-            set_id(kern.cfg_mstates[cfg]),
-            set_id(kern.cfg_relevant[cfg]),
-            [[watcher, target] for watcher, target in kern.cfg_watch[cfg]],
-        ]
-        for cfg in range(num_cfgs)
-    ]
-    return {"sets": set_rows, "cfgs": cfg_rows}, base_ids
-
-
-def _is_ints(row: object, arity: int | None = None) -> bool:
-    """Whether ``row`` is a list of ints (bools excluded) of ``arity``."""
-    return (
-        isinstance(row, list)
-        and (arity is None or len(row) == arity)
-        and all(type(x) is int for x in row)
-    )
-
-
-def check_cfgs(payload: dict) -> tuple[int, int]:
-    """Structurally validate encoded cfgs: ``sets`` are int lists, every
-    cfg row is ``[set, set, [[int, int], ...]]`` with both set ids in
-    range.  Returns ``(len(sets), len(cfgs))`` for the caller's own
-    range checks; raises :class:`ValueError` on any violation, so a
-    mangled payload is refused where it is loaded instead of crashing
-    (or silently mis-indexing) a decode inside the evaluator."""
-    for key in ("sets", "cfgs"):
-        if not isinstance(payload.get(key), list):
-            raise ValueError(f"payload {key!r} must be a list")
-    sets, cfgs = payload["sets"], payload["cfgs"]
-    if not all(_is_ints(row) for row in sets):
-        raise ValueError("sets must be lists of state ids")
-    for row in cfgs:
-        if (
-            not isinstance(row, list)
-            or len(row) != 3
-            or not _is_ints(row[:2])
-            or not isinstance(row[2], list)
-            or not all(_is_ints(pair, 2) for pair in row[2])
-        ):
-            raise ValueError(f"malformed cfg row {row!r}")
-        if not (0 <= row[0] < len(sets) and 0 <= row[1] < len(sets)):
-            raise ValueError(f"cfg row {row!r} references no set")
-    return len(sets), len(cfgs)
-
-
-def decode_cfgs(plan, sets, cfgs) -> tuple[list, list[int]]:
-    """Decode cfgs into ``plan``'s id space: intern each state set, mint
-    each ``(mstates set, relevant set, watch)`` row in the plan's kernel
-    (the empty cfg is :data:`DEAD`).  Returns ``(interned, cfg_map)`` —
-    the ``(set, id)`` pair per ``sets`` row and the kernel cfg id per
-    ``cfgs`` row.  Indices must be valid (:func:`check_cfgs`)."""
-    intern = plan._intern
-    cfg_of = plan.kernel.cfg_of
-    interned = [intern(frozenset(row)) for row in sets]
-    cfg_map: list[int] = []
-    for m_idx, r_idx, watch in cfgs:
-        mstates, m_id = interned[m_idx]
-        relevant, r_id = interned[r_idx]
-        if not mstates and not relevant:
-            cfg_map.append(DEAD)
-        else:
-            watch = tuple((int(w), int(t)) for w, t in watch)
-            cfg_map.append(cfg_of(mstates, m_id, relevant, r_id, watch))
-    return interned, cfg_map
-
-
 def close(plan, max_cfgs: int = 256) -> None:
     """Eagerly close a (plain) plan's dense table, in place: the compiled
     closure (``_lean.c``) when :data:`DESCENT` is ``"compiled"``, else
     :func:`_close_py`, the reference it reproduces — the same cfgs and
-    interned sets minted in the same order, the same closure record,
-    tables and :func:`kernel_payload` bytes."""
+    interned sets minted in the same order, the same closure record and
+    tables."""
     if _cold is None:
         return _close_py(plan, max_cfgs)
     if plan.bit_of is not None:
@@ -710,30 +589,6 @@ def _close_py(plan, max_cfgs: int = 256) -> None:
     # The cfg count is part of the record: a truncated closure's plan
     # mints further cfgs while it runs, and they are not the closure's.
     kern.closure = (array("i", queue), children, bases, len(kern.cfg_packed))
-
-
-def kernel_payload(plan, max_cfgs: int = 256) -> dict:
-    """The artifact encoding of a plan's closed dense table.
-
-    Closes the table first if nobody has (:func:`close`).  Pure
-    encoding otherwise — plain JSON-shaped data, a function of the
-    closure alone, so a plan that has since served documents encodes to
-    the same bytes as on the day it was compiled.
-    """
-    close(plan, max_cfgs)
-    kern = plan.kernel
-    order, children, bases, num_cfgs = kern.closure
-    labels = sorted(kern.alphabet)
-    width = len(labels) + 1
-    encoded, base_ids = encode_cfgs(kern, num_cfgs, bases)
-    return {
-        "labels": labels,
-        **encoded,
-        "trans": [
-            [order[i // width], i % width, base_id, children[i]]
-            for i, base_id in enumerate(base_ids)
-        ],
-    }
 
 
 def _expired(deadline) -> DeadlineError:

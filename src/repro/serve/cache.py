@@ -168,21 +168,17 @@ class CachedPlan:
             return plan
 
     def _build(self, algorithm: str, document: XMLTree, indexes) -> CompiledPlan:
-        """One executable.  A freshly compiled plan's HyPE executable IS
-        the index-free plan whose table the compile pipeline closed in
-        place, and its OptHyPE executables seed their pre-filter edge
-        words from that plan's tables; a plan rehydrated from a store or
-        a peer preloads every executable from the kernel payload."""
-        closure = self.artifact.closure
-        if not isinstance(closure, CompiledPlan):
-            return CompiledPlan.for_algorithm(
-                self.mfa, algorithm, document, indexes, kernel=closure
-            )
+        """One executable, built one way for every plan — fresh,
+        instantiated from a shape or rehydrated: HyPE is the index-free
+        plan whose table is closed (the compile pipeline's; a plan
+        decoded from a store or a peer is closed here, on its first
+        build), and the OptHyPE executables are seeded from its kernel."""
+        closed = self.artifact.closed()
         if algorithm == HYPE:
-            return closure
-        plan = CompiledPlan.for_algorithm(self.mfa, algorithm, document, indexes)
-        plan.kernel.seed(plan, closure.kernel)
-        return plan
+            return closed
+        return CompiledPlan.for_algorithm(
+            self.mfa, algorithm, document, indexes, kernel=closed.kernel
+        )
 
     def executables(self) -> list[CompiledPlan]:
         """Every live executable of this plan (introspection, tests)."""

@@ -9,7 +9,8 @@ both read (child steps, ``*``, ``//``, ``[tag]``, stacked predicates).
 One deviation is named, not tested away: **the paper's ``text()`` reads
 an element's own text children, ElementTree's ``[tag='t']`` /
 ``[.='t']`` its string value** (all descendant text).  They agree on
-leaves.
+leaves.  :func:`closure_tables` is what a plan's dense closure is when
+two closures are compared.
 """
 
 from __future__ import annotations
@@ -50,3 +51,25 @@ def et_queries(draw) -> tuple[str, str]:
         theirs += draw(st.sampled_from(["/", "//"])) + draw(st.sampled_from([*LABELS, "*"]))
         theirs += "".join(f"[{tag}]" for tag in draw(st.lists(st.sampled_from(LABELS), max_size=2)))
     return (theirs if theirs[1:3] == "//" else theirs[2:]), theirs
+
+
+def closure_tables(plan) -> tuple:
+    """A closed plan's dense closure as plain data: the column labels,
+    the closure record (expanded cfgs in BFS order, each column's child
+    cfg and pre-filter base set, the cfg count) and each closure cfg's
+    ``(mstates, relevant, watch)``.  Sets compare by contents, so two
+    plans closed apart (other processes, other passes) have equal tables
+    exactly when their closures agree; cfgs minted after the closure
+    (by runs) are not part of it."""
+    kern = plan.kernel
+    order, children, bases, num_cfgs = kern.closure
+    return (
+        sorted(kern.alphabet),
+        list(order),
+        list(children),
+        list(bases),
+        num_cfgs,
+        kern.cfg_mstates[:num_cfgs],
+        kern.cfg_relevant[:num_cfgs],
+        kern.cfg_watch[:num_cfgs],
+    )

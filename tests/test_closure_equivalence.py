@@ -4,9 +4,11 @@
 per cfg, the OTHER column once plus the columns some state of the cfg
 names — every other column aliases to OTHER.  The reference below is
 the closure as it was before: a breadth-first sweep that computes every
-(cfg, column) pair in a scratch plan and emits the v3 payload directly.
-Persisted bytes, the closed table, and the answers of every executable
-built from it must not be able to tell the two apart.
+(cfg, column) pair in a scratch plan.  The closure tables
+(:func:`tests.oracle.closure_tables`) — of a fresh compile and of its
+artifact decoded and closed again — the closed table, and the answers
+of every executable built from it must not be able to tell the two
+apart.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.compile.pipeline import QueryCompiler
 from repro.docstore import IndexedDocument
 from repro.hype.api import HYPE
 from repro.hype.core import CompiledPlan
-from repro.hype.kernel import DEAD, OTHER_LABEL, close, kernel_payload
+from repro.hype.kernel import DEAD, OTHER_LABEL, close
 from repro.serve.cache import PlanCache
 from repro.views import sigma0
 from repro.workloads import FIG8, VIEW_QUERIES, HospitalConfig
@@ -28,28 +30,19 @@ from repro.workloads import generate_hospital_document
 from repro.workloads.adversarial import CANARY_QUERY, bomb_family, sigma0_variant
 from repro.xtree.build import document, element, text_node
 
-from .oracle import reference
+from .oracle import closure_tables, reference
 from .strategies import CHURN, paths
 
 
-def reference_payload(mfa, max_cfgs: int = 256) -> dict:
-    """The all-columns closure BFS (kept verbatim as the reference)."""
+def reference_tables(mfa, max_cfgs: int = 256) -> tuple:
+    """The all-columns closure BFS (kept verbatim as the reference), as
+    :func:`tests.oracle.closure_tables` reads a closed plan."""
     plan = CompiledPlan(mfa)
     kern = plan.kernel
-    labels = sorted(kern.alphabet)
-    columns = labels + [OTHER_LABEL]
-    sets: dict = {}
-    set_rows: list[list[int]] = []
-
-    def set_id(fs) -> int:
-        idx = sets.get(fs)
-        if idx is None:
-            idx = sets[fs] = len(set_rows)
-            set_rows.append(sorted(fs))
-        return idx
-
+    columns = sorted(kern.alphabet) + [OTHER_LABEL]
     root = kern.root_cfg(plan, None)
-    trans_rows: list[list[int]] = []
+    children: list[int] = []
+    bases: list = []
     seen = {DEAD}
     queue: list[int] = []
     if root != DEAD:
@@ -61,7 +54,7 @@ def reference_payload(mfa, max_cfgs: int = 256) -> dict:
         head += 1
         mstates = kern.cfg_mstates[cfg]
         relevant = kern.cfg_relevant[cfg]
-        for label_i, label in enumerate(columns):
+        for label in columns:
             (
                 base_v, _base_idv, mstates_v, m_idv, relevant_v, r_idv, watch,
                 _has_final, _has_ann,
@@ -70,20 +63,22 @@ def reference_payload(mfa, max_cfgs: int = 256) -> dict:
                 child = DEAD
             else:
                 child = kern.cfg_of(mstates_v, m_idv, relevant_v, r_idv, watch)
-            trans_rows.append([cfg, label_i, set_id(base_v), child])
+            children.append(child)
+            bases.append(base_v)
             if child not in seen:
                 seen.add(child)
                 if len(seen) <= max_cfgs:
                     queue.append(child)
-    cfg_rows = [
-        [
-            set_id(kern.cfg_mstates[cfg]),
-            set_id(kern.cfg_relevant[cfg]),
-            [[watcher, target] for watcher, target in kern.cfg_watch[cfg]],
-        ]
-        for cfg in range(len(kern.cfg_packed))
-    ]
-    return {"labels": labels, "sets": set_rows, "cfgs": cfg_rows, "trans": trans_rows}
+    return (
+        columns[:-1],
+        queue,
+        children,
+        bases,
+        len(kern.cfg_packed),
+        kern.cfg_mstates,
+        kern.cfg_relevant,
+        kern.cfg_watch,
+    )
 
 
 def _golden() -> list:
@@ -106,40 +101,41 @@ def _golden() -> list:
 
 class TestPersistedBytes:
     @pytest.mark.parametrize("spec, query", _golden())
-    def test_artifact_bytes_equal_the_reference(self, spec, query):
-        """``to_bytes()`` of a compiled artifact — the payload encoded on
-        demand from the closed tables — equals the bytes of the same
-        artifact carrying the reference closure's payload."""
+    def test_artifact_closes_like_the_reference(self, spec, query):
+        """A compiled artifact's closure, and the closure its bytes
+        decode and close to, equal the reference closure's tables; the
+        decoded artifact's bytes are the compiled one's."""
         artifact = QueryCompiler().compile(spec, query)
         assert isinstance(artifact.closure, CompiledPlan)
-        reference = PlanArtifact(
-            mfa=artifact.mfa,
-            normalized_query=artifact.normalized_query,
-            view_fingerprint=artifact.view_fingerprint,
-            description=artifact.description,
-            closure=reference_payload(artifact.mfa),
-        )
-        assert artifact.to_bytes() == reference.to_bytes()
+        expected = reference_tables(artifact.mfa)
+        assert closure_tables(artifact.closure) == expected
+        decoded = PlanArtifact.from_bytes(artifact.to_bytes())
+        assert decoded.closure is None
+        assert closure_tables(decoded.closed()) == expected
+        assert decoded.to_bytes() == artifact.to_bytes()
 
     @pytest.mark.parametrize("max_cfgs", [1, 2, 3, 5])
-    def test_a_truncated_closure_encodes_like_the_reference(self, max_cfgs):
+    def test_a_truncated_closure_matches_the_reference(self, max_cfgs):
         """``max_cfgs`` cuts the sweep short at the same cfg, and what
         the plan mints while it runs afterwards is not the closure's."""
         query = CHURN[-1]
         mfa = QueryCompiler().compile(sigma0(), query).mfa
         plan = CompiledPlan(mfa)
-        expected = reference_payload(mfa, max_cfgs)
-        assert kernel_payload(plan, max_cfgs) == expected
+        expected = reference_tables(mfa, max_cfgs)
+        close(plan, max_cfgs)
+        assert closure_tables(plan) == expected
         tree = generate_hospital_document(HospitalConfig(num_patients=6, seed=3))
         plan.run(tree.root)  # fills the rest lazily, minting further cfgs
-        assert len(plan.kernel.cfg_packed) >= len(expected["cfgs"])
-        assert kernel_payload(plan, max_cfgs) == expected
+        assert len(plan.kernel.cfg_packed) >= expected[4]
+        assert closure_tables(plan) == expected
 
     @given(paths())
     @settings(max_examples=60, deadline=None)
-    def test_random_queries_encode_like_the_reference(self, query):
+    def test_random_queries_close_like_the_reference(self, query):
         mfa = compile_query(query)
-        assert kernel_payload(CompiledPlan(mfa)) == reference_payload(mfa)
+        plan = CompiledPlan(mfa)
+        close(plan)
+        assert closure_tables(plan) == reference_tables(mfa)
 
 
 class TestClosedTable:

@@ -14,27 +14,28 @@ object was built (its iteration order).  Here:
   two MFAs compiled independently from one query are closed one by each
   side.
   The closure record, every interned set (id and contents), the cfg and
-  transition tables, the NFA's ε-closures (contents), the kernel payload
-  and ``PlanArtifact.to_bytes()`` are identical.  Then each side runs all
-  three algorithms cold (every pop a miss) and warm: answers,
-  :class:`HyPEStats`, the pop tables, ``_pop_cache`` and ``_dead_cache``
-  (entries and their order) are identical.  On generated documents and
+  transition tables, the NFA's ε-closures (contents), the closure tables
+  (:func:`tests.oracle.closure_tables`) and ``PlanArtifact.to_bytes()``
+  are identical.  Then each side runs all three algorithms cold (every
+  pop a miss) and warm: answers, :class:`HyPEStats`, the pop tables,
+  ``_pop_cache`` and ``_dead_cache`` (entries and their order) are
+  identical.  On generated documents and
   queries the oracle lattice (``tests/test_lattice.py``) holds both
-  sides' answers and stats to the reference, and the bytes of a plan
-  closed by the compiled side to the Python side's;
+  sides' answers and stats to the reference, and the closure tables of a
+  plan closed by the compiled side to the Python side's;
 * **contents decide** — a plan whose sets were interned beforehand with
-  other insertion histories closes and runs to the same payload bytes and
-  pop tables as a plain plan, and no plan mints two cfgs for one
-  configuration;
+  other insertion histories closes and runs to the same closure tables
+  and pop tables as a plain plan, and no plan mints two cfgs for one
+  configuration, seeded or closed again from its decoded artifact;
 * **the reference alone** — the same comparisons between two
   independent reference closures and runs.  This is what the ``CC=false``
   job asserts (the compiled cases skip there): the determinism the
   compiled side is held to;
 * **bounds and references** — a mangled automaton (transition, ε,
   λ, target and operator ids out of range, a closure row naming a state
-  past the automaton, a wrong kind or arity) and mangled cfg tables (a
-  set naming a state at or past the automaton's size) raise and never
-  crash; 2 000 cold plans, some cut
+  past the automaton, no ε-closures at all, a wrong kind or arity) and
+  mangled cfg tables (a set naming a state at or past the automaton's
+  size) raise and never crash; 2 000 cold plans, some cut
   short by a raising predicate, leave allocated blocks and live sets
   where they were.  These run in a subprocess, so a crash fails the test
   instead of killing the suite.
@@ -58,8 +59,11 @@ from repro.hype import kernel
 from repro.hype.api import ALGORITHMS, HYPE, to_mfa
 from repro.hype.core import CompiledPlan
 from repro.rewrite.mfa_rewrite import rewrite_query, trim_mfa
+from repro.serve.cache import CachedPlan
 from repro.views import sigma0
 from repro.workloads import FIG8, VIEW_QUERIES, HospitalConfig, generate_hospital_document
+
+from .oracle import closure_tables
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -139,7 +143,7 @@ def closure_state(plan) -> dict:
         "packed": kern.cfg_packed,
         "trans": list(kern.trans.items()),
         "closures": contents(plan.mfa.nfa._closure),
-        "payload": kernel.kernel_payload(plan),
+        "tables": closure_tables(plan),
         "bytes": PlanArtifact(mfa=plan.mfa, normalized_query="q", closure=plan).to_bytes(),
     }
 
@@ -248,12 +252,13 @@ def reversed_history(members) -> frozenset:
     return frozenset(sorted(members, reverse=True))
 
 
-def run_algorithms(name: str, mfa, doc, history=None) -> tuple[dict, bytes, list]:
+def run_algorithms(name: str, mfa, doc, history=None) -> tuple[dict, tuple, list]:
     """One side closes ``mfa``'s index-free plan, seeds the OptHyPE(-C)
     plans from it and runs each algorithm on ``doc``, cold then warm.
     ``history`` maps an algorithm to set contents in id order: that plan
     interns them (:func:`reversed_history`) before anything else.
-    Returns the plans, the artifact bytes and what each run left."""
+    Returns the plans, the artifact bytes with the closure tables and
+    what each run left."""
     plans, runs = {}, []
     with side(name):
         for algorithm in ALGORITHMS:
@@ -272,7 +277,7 @@ def run_algorithms(name: str, mfa, doc, history=None) -> tuple[dict, bytes, list
                 result = plan.run(0, layout=doc.layout)
                 runs.append((algorithm, result.ids, result.stats, pop_state(plan)))
         artifact = PlanArtifact(mfa=mfa, normalized_query="q", closure=plans[HYPE])
-        return plans, artifact.to_bytes(), runs
+        return plans, (artifact.to_bytes(), closure_tables(plans[HYPE])), runs
 
 
 @pytest.fixture(scope="module")
@@ -287,13 +292,14 @@ class TestContentsDecide:
     @pytest.mark.parametrize("name", SIDES)
     def test_other_insertion_histories_change_nothing(self, name, docs):
         """Pre-interning a plan's sets with other insertion histories
-        leaves its payload bytes, pop tables, answers and stats as a plain
-        plan's: the tables read set contents, never iteration order."""
+        leaves its closure tables, pop tables, answers and stats as a
+        plain plan's: the tables read set contents, never iteration
+        order."""
         doc = docs[1]
         reordered = 0
         for query, on_view in NAMED:
             mfa = fresh_mfa(query, on_view)
-            plain, plain_bytes, plain_runs = run_algorithms(name, mfa, doc)
+            plain, plain_closure, plain_runs = run_algorithms(name, mfa, doc)
             history = {
                 algorithm: [sorted(s) for s, _id in plan._set_ids.values()]
                 for algorithm, plan in plain.items()
@@ -303,10 +309,10 @@ class TestContentsDecide:
                 for plan in plain.values()
                 for s, _id in plan._set_ids.values()
             )
-            permuted, permuted_bytes, permuted_runs = run_algorithms(
+            permuted, permuted_closure, permuted_runs = run_algorithms(
                 name, mfa, doc, history
             )
-            assert permuted_bytes == plain_bytes, query
+            assert permuted_closure == plain_closure, query
             assert permuted_runs == plain_runs, query
             for algorithm, plan in permuted.items():
                 assert plan._set_ids.keys() == plain[algorithm]._set_ids.keys()
@@ -317,17 +323,20 @@ class TestContentsDecide:
         """No two cfgs of one plan share ``(mstates, relevant, watch
         contents)``, under every algorithm, after a run — whether the plan
         was seeded from the closed plan or rehydrated from its artifact
-        (whose decoded sets were built another way than the closure's)."""
+        (whose decoded automaton is closed again, as the plan cache does
+        on a rehydrated plan's first build)."""
         for query, on_view in NAMED:
-            seeded, raw, _runs = run_algorithms(name, fresh_mfa(query, on_view), doc30)
+            seeded, (raw, tables), _runs = run_algorithms(
+                name, fresh_mfa(query, on_view), doc30
+            )
             stored = PlanArtifact.from_bytes(raw)
             with side(name):
+                cached = CachedPlan(stored.mfa, stored)
                 rehydrated = {
-                    algorithm: CompiledPlan.for_algorithm(
-                        stored.mfa, algorithm, doc30.tree, doc30, kernel=stored.closure
-                    )
+                    algorithm: cached.compiled(algorithm, doc30.tree, doc30)
                     for algorithm in ALGORITHMS
                 }
+                assert closure_tables(stored.closure) == tables, query
                 for plan in rehydrated.values():
                     plan.run(0, layout=doc30.layout)
             for how, plans in (("seeded", seeded), ("rehydrated", rehydrated)):
@@ -396,6 +405,20 @@ for name, mangle in mangles():
     except (ValueError, IndexError, TypeError, KeyError):
         pass
     runs += 1
+
+# No epsilon-closures at all, past the root cfg (which computes them, as
+# kernel.close does): the flat automaton's build reads them as they are.
+plan = CompiledPlan(to_mfa(QUERY))
+root = plan.kernel.root_cfg(plan, None)
+plan.mfa.nfa._closure = None
+try:
+    with plan._intern_lock, plan.kernel._lock:
+        kernel._cold.close(plan, root, 256)
+    failures.append("no closures: no error")
+except ValueError as error:
+    if "closure per NFA state" not in str(error):
+        failures.append(f"no closures: {error}")
+runs += 1
 
 # Tables a pop fill reads, mangled after the closure.
 def every(column, value):
@@ -500,7 +523,7 @@ class TestBoundsAndReferences:
     def test_mangled_flat_arrays_raise_and_never_crash(self):
         done = _subprocess(_MANGLED)
         assert done.returncode == 0, done.stdout + done.stderr
-        assert "21 mangled plans" in done.stdout
+        assert "22 mangled plans" in done.stdout
 
     def test_2000_cold_plans_leak_nothing(self):
         done = _subprocess(_CHURN)

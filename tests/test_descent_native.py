@@ -307,15 +307,15 @@ class TestFallback:
         """Under ``PYTHONPYCACHEPREFIX`` the build lives where the
         interpreter keeps bytecode — what ``make sanitize`` uses for a
         build cache of its own — and the package's ``__pycache__`` gets
-        nothing new."""
+        nothing new (a checkout only ever run under a prefix has none)."""
         home = Path(importlib.util.find_spec(package).origin).parent
-        before = set((home / "__pycache__").iterdir())
+        before = set((home / "__pycache__").glob("*"))
         monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path))
         module, reason = native.load(package, source)
         assert reason is None and module.__name__ == f"{package}.{source[:-2]}"
         (built,) = (tmp_path / home.relative_to(home.anchor)).glob(f"{source[:-2]}.*")
         assert built.is_file()
-        assert set((home / "__pycache__").iterdir()) == before
+        assert set((home / "__pycache__").glob("*")) == before
 
 
 # ----------------------------------------------------------------------

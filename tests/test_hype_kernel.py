@@ -1,22 +1,19 @@
-"""Dense-kernel structure: one loop, one table, persistable closure.
+"""Dense-kernel structure: one loop, one table, one closure.
 
 :func:`repro.hype.kernel.descend` is the only descent loop, the root
-cfg is derived once, pops resolve from one table, and a persisted
-:func:`kernel_payload` closure installs once, stays inside the alphabet,
-survives the artifact codec (format v4) and is rejected structurally
-when mangled.  That every algorithm answers alike — alone and in waves,
-over a preloaded closure or a lazily filled one — is the oracle's claim
+cfg is derived once, pops resolve from one table, and a closed table
+seeds another plan of its MFA once and stays inside the alphabet.  That
+every algorithm answers alike — alone and in waves, over a seeded
+closure or a lazily filled one — is the oracle's claim
 (``tests/test_lattice.py``).
 """
 
 import pytest
 
-from repro.compile import ArtifactError, PlanArtifact, QueryCompiler
-from repro.compile.artifact import _validate_kernel
 from repro.docstore import IndexedDocument
 from repro.hype.api import ALGORITHMS, compile_plan, to_mfa
 from repro.hype.core import CompiledPlan
-from repro.hype.kernel import OTHER_LABEL, DenseKernel, kernel_payload
+from repro.hype.kernel import OTHER_LABEL, DenseKernel, close
 from repro.hype.index import build_index
 from repro.serve.batch import BatchEvaluator
 from repro.workloads import FIG8
@@ -37,8 +34,9 @@ class TestOneSharedLoop:
         """Structural guard: CompiledPlan.run and BatchEvaluator.run
         both drive repro.hype.kernel.descend, and no other descent
         implementation exists in the library — nor a second document
-        mode (the evaluator walks layout columns only) or a second cfg
-        codec beside the kernel's."""
+        mode (the evaluator walks layout columns only) or a cfg wire
+        codec (closures are never persisted: seeding hands the closed
+        kernel's own sets over)."""
         import ast as pyast
         import inspect
         import pathlib
@@ -107,8 +105,8 @@ class TestOneSharedLoop:
                         and getattr(p.func, "id", None) == "int",
                     ):
                         decoders.append(func.name)
-        assert encoders == ["encode_cfgs"]
-        assert decoders == ["decode_cfgs"]
+        assert encoders == []
+        assert decoders == []
 
 
 class TestRootMemo:
@@ -261,23 +259,25 @@ class TestPopTable:
         assert kern.trans and {label for _cfg, label in kern.trans} <= columns
 
 
-class TestPreloadedClosure:
-    def test_preload_installs_the_closure(self):
+class TestSeededClosure:
+    def test_seed_installs_the_closure(self):
         mfa = to_mfa("a/b")
-        payload = kernel_payload(CompiledPlan(mfa))
-        assert payload["trans"], "closure of a/b cannot be empty"
+        closed = CompiledPlan(mfa)
+        close(closed)
+        assert closed.kernel.trans, "closure of a/b cannot be empty"
         plan = CompiledPlan(mfa)
-        installed = plan.kernel.preload(plan, payload)
-        assert installed == len(payload["trans"])
-        # Idempotent: a second preload finds every entry present.
-        assert plan.kernel.preload(plan, payload) == 0
+        installed = plan.kernel.seed(plan, closed.kernel)
+        assert installed == len(closed.kernel.trans)
+        assert plan.kernel.trans == closed.kernel.trans
+        # Idempotent: a second seed finds every entry present.
+        assert plan.kernel.seed(plan, closed.kernel) == 0
 
-    def test_payload_requires_an_index_free_plan(self):
+    def test_closure_requires_an_index_free_plan(self):
         tree = generate_hospital_document(HospitalConfig(num_patients=1, seed=0))
         mfa = to_mfa("//patient")
         indexed = CompiledPlan(mfa, index=build_index(tree, compressed=False))
         with pytest.raises(ValueError):
-            kernel_payload(indexed)
+            close(indexed)
 
     def test_trans_keys_stay_inside_the_alphabet(self):
         """Labels outside the automaton alphabet share ONE transition
@@ -315,44 +315,3 @@ class TestPreloadedClosure:
                     assert OTHER_LABEL in labels, "unknown labels were probed"
                     assert labels <= columns
 
-
-class TestArtifactKernelField:
-    def test_kernel_survives_the_codec(self):
-        artifact = QueryCompiler().compile(None, "a[b]/c")
-        assert artifact.kernel is not None
-        decoded = PlanArtifact.from_bytes(artifact.to_bytes())
-        assert decoded.kernel == artifact.kernel
-
-    def test_kernel_field_is_optional(self):
-        artifact = QueryCompiler().compile(None, "a/b")
-        payload = artifact.to_payload()
-        del payload["kernel"]
-        decoded = PlanArtifact.from_payload(payload)
-        assert decoded.kernel is None
-
-    @pytest.mark.parametrize(
-        "mangle",
-        [
-            lambda k: "not a dict",
-            lambda k: {key: v for key, v in k.items() if key != "trans"},
-            lambda k: {**k, "labels": [1, 2]},
-            lambda k: {**k, "sets": [["x"]]},
-            lambda k: {**k, "cfgs": [[0, 10_000, []]]},
-            lambda k: {**k, "cfgs": [[0, 0, [[1]]]]},
-            lambda k: {**k, "trans": [[10_000, 0, 0, 0]]},
-            lambda k: {**k, "trans": [[0, 10_000, 0, 0]]},
-            lambda k: {**k, "trans": [[0, 0, 10_000, 0]]},
-            lambda k: {**k, "trans": [[0, 0, 0]]},
-        ],
-    )
-    def test_mangled_kernel_fails_the_decode(self, mangle):
-        """A bad closure must fail as a counted ArtifactError at decode
-        time, never crash a preload inside the evaluator."""
-        artifact = QueryCompiler().compile(None, "a[b]/c")
-        payload = artifact.to_payload()
-        payload["kernel"] = mangle(payload["kernel"])
-        with pytest.raises(ArtifactError):
-            PlanArtifact.from_payload(payload)
-
-    def test_validate_kernel_accepts_none(self):
-        assert _validate_kernel(None) is None

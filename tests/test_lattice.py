@@ -8,9 +8,10 @@ of a wave (wavemates rotate the algorithm); own or on-demand layout;
 compiled or Python descent and scan; fresh, L2, seeded, rehydrated or
 shape plan (instantiated from a template compiled for other literals);
 built, parsed or tier-loaded document.  Every lane answers like
-the reference, in document order; the query's ``HyPEStats`` (and
-serialised bytes) equal the canonical point's: fresh, built, alone, own
-layout, Python passes.  The reference itself is anchored to ElementTree.
+the reference, in document order; the query's ``HyPEStats`` (and,
+where serialised or instantiated, artifact bytes and closure tables)
+equal the canonical point's: fresh, built, alone, own layout, Python
+passes.  The reference itself is anchored to ElementTree.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from repro.xtree.node import XMLTree
 from repro.xtree.parse import parse_canonical
 from repro.xtree.serialize import serialize
 
-from .oracle import as_etree, et_queries, reference
+from .oracle import as_etree, closure_tables, et_queries, reference
 from .strategies import (
     CHURN, SRC_DTD, VIEWS as PROPERTY_VIEWS, gated_paths, other_literals, paths, trees,
 )
@@ -236,9 +237,10 @@ def _retexted(tree: XMLTree) -> XMLTree:
 
 
 def _executable(provenance, algorithm, inputs, query, doc, workdir: Path, artifact=None):
-    """``query``'s executable for ``doc`` and its artifact (``artifact``:
-    one compiled under the same passes already).  A seeded executable
-    serves another document of the label set first."""
+    """``query``'s executable for ``doc`` and the artifact it was built
+    from (``artifact``: one compiled under the same passes already) — an
+    L2 or rehydrated plan's is the decoded one, closed on that build.  A
+    seeded executable serves another document of the label set first."""
     spec = inputs.spec
     artifact = artifact or COMPILER.compile(spec, query)
     if provenance == "fresh":
@@ -268,13 +270,15 @@ def _executable(provenance, algorithm, inputs, query, doc, workdir: Path, artifa
         served = shared.run(other.tree.node(inputs.context), layout=other.layout).ids
         assert served == sorted(reference(spec, other.tree, query, inputs.context))
         assert cached.compiled(algorithm, doc.tree, doc) is shared
-    return cached.compiled(algorithm, doc.tree, doc), artifact
+        return shared, artifact
+    return cached.compiled(algorithm, doc.tree, doc), cached.artifact
 
 
 def run_point(point: Point, inputs: Inputs, built, workdir: Path, artifacts=()):
     """Answer ids per lane (lane 0 the query), the query's stats, and
-    its artifact bytes where the point serialised it (``artifacts``:
-    per lane, one compiled under the same passes already)."""
+    its artifact bytes and closure tables where the point serialised it
+    or instantiated it from a template (``artifacts``: per lane, one
+    compiled under the same passes already)."""
     queries = [inputs.query, *inputs.mates[: point.wavemates]]
     with passes(point.descent, point.scan):
         doc = _document(point.document, built, workdir)
@@ -291,7 +295,9 @@ def run_point(point: Point, inputs: Inputs, built, workdir: Path, artifacts=()):
             results = BatchEvaluator(plans).run(context, layout=layout).results
         else:
             results = [plans[0].run(context, layout=layout)]
-        raw = made[0][1].to_bytes() if point.plan in ("l2", "rehydrated", "shape") else None
+        raw = None
+        if point.plan in ("l2", "rehydrated", "shape"):
+            raw = made[0][1].to_bytes(), closure_tables(made[0][1].closure)
     if point.document == "tier" and point.algorithm != HYPE:
         assert doc.stats.index_loads, "the tier point must load its index"
     return [result.ids for result in results], results[0].stats, raw
@@ -299,9 +305,9 @@ def run_point(point: Point, inputs: Inputs, built, workdir: Path, artifacts=()):
 
 def check(point: Point, inputs: Inputs, workdir: Path):
     """``point`` answers like the oracle, in document order, with the
-    canonical point's stats (and, where serialised, bytes), which it
-    returns.  A query over the compile budget is refused, not answered:
-    the example is dropped."""
+    canonical point's stats (and, where serialised, bytes and closure
+    tables), which it returns.  A query over the compile budget is
+    refused, not answered: the example is dropped."""
     queries = [inputs.query, *inputs.mates[: point.wavemates]]
     with passes("python", "python"):
         try:
@@ -326,7 +332,7 @@ def check(point: Point, inputs: Inputs, workdir: Path):
         assert answer == want, (point, lane)
     assert got_stats == stats, point
     if raw is not None:  # the canonical table was closed by the Python cold path
-        assert raw == artifacts[0].to_bytes(), point
+        assert raw == (artifacts[0].to_bytes(), closure_tables(artifacts[0].closure)), point
     return stats
 
 

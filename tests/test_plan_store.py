@@ -11,13 +11,17 @@ import asyncio
 import gzip
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.compile import FORMAT_VERSION, PlanStore, QueryCompiler
+import repro
+from repro.compile import FORMAT_VERSION, PlanArtifact, PlanStore, QueryCompiler
 from repro.compile.pipeline import REWRITE, TRANSLATE
 from repro.hype.api import ALGORITHMS
-from repro.serve.cache import PlanCache, plan_key
+from repro.hype.kernel import DenseKernel
+from repro.serve.cache import CachedPlan, PlanCache, plan_key
 from repro.serve.service import QueryRequest, QueryService
 from repro.workloads import FIG8, VIEW_QUERIES
 
@@ -482,14 +486,13 @@ class TestBitFlipProperty:
 
     @staticmethod
     def answers(artifact, doc) -> list:
-        from repro.hype.core import CompiledPlan
-
+        """Each algorithm's answers and stats on the executables the plan
+        cache builds from ``artifact`` (a decoded one is closed again on
+        the first)."""
+        cached = CachedPlan(artifact.mfa, artifact)
         found = []
         for algorithm in ALGORITHMS:
-            plan = CompiledPlan.for_algorithm(
-                artifact.mfa, algorithm, doc.tree, doc, kernel=artifact.kernel
-            )
-            result = plan.run(0, layout=doc.layout)
+            result = cached.compiled(algorithm, doc.tree, doc).run(0, layout=doc.layout)
             found.append((result.ids, result.stats))
         return found
 
@@ -509,6 +512,7 @@ class TestBitFlipProperty:
                 assert store.stats.corrupt == before + 1, bit
                 corrupt += 1
             else:
+                assert loaded.closure is None, bit  # a load is a pure decode
                 assert self.answers(loaded, doc) == reference, bit
                 identical += 1
         return identical, corrupt
@@ -645,3 +649,85 @@ class TestStoreGC:
         assert "removed 6 stale document-tier file(s)" in out
         assert not stale_index.exists() and not stale_layout.exists()
         assert not any(path.exists() for path in retired)
+
+
+SRC = Path(repro.__file__).parent
+
+#: What persisted the dense closure up to format v5: its encoder, the cfg
+#: wire codec, the decode-time validator and ``DenseKernel.preload``.
+RETIRED_KERNEL_PAYLOAD_NAMES = (
+    "kernel_payload",
+    "encode_cfgs",
+    "_is_ints",
+    "check_cfgs",
+    "decode_cfgs",
+    "preload",
+    "_validate_kernel",
+)
+
+
+class TestRetiredKernelPayload:
+    """Format v6 persists the automaton alone: the closure is a function
+    of it, closed again on a decoded plan's first build."""
+
+    @pytest.mark.parametrize("name", RETIRED_KERNEL_PAYLOAD_NAMES)
+    def test_a_retired_name_is_gone(self, name):
+        """Not defined, imported or named — not even in a docstring or a
+        comment — in any Python or C source of the library."""
+        pattern = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
+        sources = sorted(SRC.rglob("*.py")) + sorted(SRC.rglob("*.c"))
+        assert len(sources) > 50, "the walk is broken"
+        assert [
+            path.relative_to(SRC).as_posix()
+            for path in sources
+            if pattern.search(path.read_text())
+        ] == []
+        assert not hasattr(DenseKernel, name)
+
+    @pytest.mark.parametrize(
+        "on_view, query",
+        [pytest.param(True, query, id=name) for name, query in sorted(VIEW_QUERIES.items())]
+        + [pytest.param(False, query, id=name) for name, query in sorted(FIG8.items())],
+    )
+    def test_a_v6_payload_has_no_kernel_key(self, on_view, query, sigma0_spec):
+        """The warm set: the compiling process keeps its closure and
+        writes the automaton alone; decoding closes nothing."""
+        artifact = QueryCompiler().compile(sigma0_spec if on_view else None, query)
+        assert artifact.kernel is artifact.closure.kernel
+        raw = artifact.to_bytes()
+        payload = json.loads(gzip.decompress(raw))
+        assert FORMAT_VERSION == payload["format_version"] == 6
+        assert sorted(payload) == [
+            "description", "format_version", "mfa", "normalized_query", "view_fingerprint"
+        ]
+        decoded = PlanArtifact.from_bytes(raw)
+        assert decoded.closure is None and decoded.kernel is None
+        assert decoded.to_bytes() == raw
+
+    def test_a_v5_file_is_never_read_and_gc_sweeps_it(self, store, sigma0_spec, monkeypatch):
+        """A v5 process's file — ``kernel`` field and all — under its own
+        key: the current process looks the query up under the v6 key,
+        misses without opening it, compiles; ``gc`` removes it."""
+        query = VIEW_QUERIES["example-4.1"]
+        artifact = QueryCompiler().compile(sigma0_spec, query)
+        payload = artifact.to_payload()
+        payload["format_version"] = 5
+        payload["kernel"] = {"labels": [], "sets": [[]], "cfgs": [[0, 0, []]], "trans": []}
+        v5_raw = gzip.compress(json.dumps(payload, sort_keys=True).encode(), mtime=0)
+        v5_path = store.path_for((artifact.view_fingerprint, artifact.normalized_query, 5))
+        v5_path.write_bytes(v5_raw)
+        decoded = []
+        real = PlanArtifact.from_bytes.__func__
+        monkeypatch.setattr(
+            PlanArtifact, "from_bytes",
+            classmethod(lambda cls, raw: decoded.append(raw) or real(cls, raw)),
+        )
+        cache = PlanCache(4, store=store)
+        cache.plan(sigma0_spec, query)
+        assert (cache.stats.misses, cache.stats.l2_hits) == (1, 0)
+        stats = store.stats
+        assert (stats.misses, stats.corrupt, stats.errors, stats.stores) == (1, 0, 0, 1)
+        assert v5_raw not in decoded
+        assert store.gc() == 1
+        assert not v5_path.exists() and len(store) == 1
+        assert store.load(artifact.cache_key()).to_bytes() == artifact.to_bytes()

@@ -2,8 +2,9 @@
 
 A query with a non-empty literal is instantiated from its shape's
 template — compiled once, from the shape, with slot sentinels — and the
-instance must be a fresh compile byte for byte: ``to_bytes()`` and
-``mfa.size()``, whatever literals the template was first asked for.
+instance must be a fresh compile byte for byte: ``to_bytes()``, the
+closure tables (:func:`tests.oracle.closure_tables`) and ``mfa.size()``,
+whatever literals the template was first asked for.
 Beside the property: the unit behaviour of ``shape_of``, the tier's
 counters and tier label, a failing template, a view annotation whose
 literal reads like a sentinel, and the quoting that keeps two queries
@@ -38,7 +39,7 @@ from repro.xpath import ast
 from repro.xpath.parser import parse_query
 from repro.xpath.unparse import unparse
 
-from .oracle import reference
+from .oracle import closure_tables, reference
 from .strategies import CHURN, LABELS, VIEWS, make_view, other_literals, paths
 
 COMPILER = QueryCompiler()
@@ -60,6 +61,13 @@ SPECS = (
 
 def fresh(spec, query):
     return COMPILER.compile(spec, query)
+
+
+def assert_fresh(artifact, expected) -> None:
+    """``artifact`` is the fresh compile ``expected`` byte for byte, and
+    its closure is the fresh compile's (a decoded one is closed here)."""
+    assert artifact.to_bytes() == expected.to_bytes()
+    assert closure_tables(artifact.closed()) == closure_tables(expected.closure)
 
 
 @st.composite
@@ -86,7 +94,7 @@ class TestInstancesAreFreshCompiles:
         before = cache.stats
         plan = cache.plan(spec, query)
         after = cache.stats
-        assert plan.artifact.to_bytes() == expected.to_bytes()
+        assert_fresh(plan.artifact, expected)
         assert plan.mfa.size() == expected.mfa.size()
         assert plan.artifact.cache_key() == expected.cache_key()
         _shape, literals = shape_of(COMPILER.normalize(query))
@@ -104,7 +112,7 @@ class TestInstancesAreFreshCompiles:
         plan = cache.plan(SIGMA0, query)
         expected = fresh(SIGMA0, query)
         assert cache.stats.shape_hits == 1
-        assert plan.artifact.to_bytes() == expected.to_bytes()
+        assert_fresh(plan.artifact, expected)
         assert plan.mfa.size() == expected.mfa.size()
 
 
@@ -178,7 +186,7 @@ class TestTheTier:
         warm = PlanCache(8, store=PlanStore(tmp_path))
         plan = warm.plan(SIGMA0, query)
         assert warm.stats.l2_hits == 1
-        assert plan.artifact.to_bytes() == fresh(SIGMA0, query).to_bytes()
+        assert_fresh(plan.artifact, fresh(SIGMA0, query))
 
     def test_invalidation_drops_the_view_templates(self):
         cache = PlanCache(8)
@@ -222,7 +230,7 @@ class TestSentinelsAreSlotsNotTexts:
         plan = cache.plan(LITERAL_VIEW, query)
         assert cache.stats.shape_hits == 1
         expected = fresh(LITERAL_VIEW, query)
-        assert plan.artifact.to_bytes() == expected.to_bytes()
+        assert_fresh(plan.artifact, expected)
         texts = sorted(
             state.pred.value
             for state in plan.mfa.pool.states
@@ -237,7 +245,7 @@ class TestSentinelsAreSlotsNotTexts:
         cache = PlanCache(8)
         cache.plan(SIGMA0, query.replace(HEART, "flu"))
         plan = cache.plan(SIGMA0, query)
-        assert plan.artifact.to_bytes() == fresh(SIGMA0, query).to_bytes()
+        assert_fresh(plan.artifact, fresh(SIGMA0, query))
 
 
 class TestQuotedLiterals:
@@ -283,7 +291,7 @@ class TestQuotedLiterals:
         payload["format_version"] = 4
         key = (artifact.view_fingerprint, artifact.normalized_query, 4)
         store.path_for(key).write_bytes(gzip.compress(json.dumps(payload).encode()))
-        assert FORMAT_VERSION == 5
+        assert FORMAT_VERSION == 6
         assert store.load(artifact.cache_key()) is None
         assert store.gc() == 1 and len(store) == 0
 
