@@ -11,7 +11,8 @@ a versioned :class:`repro.compile.artifact.PlanArtifact`.
 Stages (every compilation runs a subset, each individually timed):
 
 ========== ==========================================================
-``parse``   query string → AST (skipped when the caller hands an AST)
+``parse``   query string → AST (skipped when the caller hands an AST,
+            and on a plan-cache frame hit: :mod:`repro.compile.shape`)
 ``normalize`` :func:`repro.xpath.normalize.normal_form` + unparse —
             yields the canonical text used in cache/store keys
 ``rewrite`` view query → MFA over the source (Algorithm ``rewrite``,
@@ -141,6 +142,13 @@ class NormalizedQuery:
 DEFAULT_BUDGET = CompileBudget()
 
 
+def key_of(fingerprint: str | None, normal: str) -> PlanKey:
+    """The persistent plan key of the query whose normal-form text is
+    ``normal`` over the view with ``fingerprint`` (``None``: no view) —
+    the one constructor of the key scheme."""
+    return (fingerprint, normal, FORMAT_VERSION)
+
+
 class QueryCompiler:
     """Owns the full compilation pipeline as named, timed stages.
 
@@ -166,6 +174,14 @@ class QueryCompiler:
         self.budget = budget
 
     # ------------------------------------------------------------------
+    def parse(self, text: str) -> ast.Path:
+        """The parse stage alone, recorded like ``normalize`` (no span: a
+        plan-cache lookup's parse is part of its ``plan`` span)."""
+        started = time.perf_counter()
+        parsed = parse_query(text)
+        self.metrics.record(PARSE, time.perf_counter() - started)
+        return parsed
+
     def normalize(self, query: str | ast.Path | NormalizedQuery) -> NormalizedQuery:
         """Run the parse (strings only) and normalize stages."""
         if isinstance(query, NormalizedQuery):
@@ -183,8 +199,7 @@ class QueryCompiler:
     ) -> PlanKey:
         """The collision-safe cache/store key of ``(spec, query)``."""
         normalized = self.normalize(query)
-        fingerprint = spec.fingerprint() if spec is not None else None
-        return (fingerprint, normalized.text, FORMAT_VERSION)
+        return key_of(spec.fingerprint() if spec is not None else None, normalized.text)
 
     def compile(
         self, spec: ViewSpec | None, query: str | ast.Path | NormalizedQuery
@@ -237,10 +252,11 @@ class QueryCompiler:
         )
 
     def instantiate(
-        self, template, normalized: NormalizedQuery, literals: tuple[str, ...]
+        self, template, normalized: str, literals: tuple[str, ...]
     ) -> PlanArtifact:
         """The instantiate stage: :func:`repro.compile.shape.instantiate`,
-        timed — ``normalized``'s artifact from its shape's template."""
+        timed — the artifact of the query whose normal-form text is
+        ``normalized``, from its shape's template."""
         from .shape import instantiate
 
         return self._timed(INSTANTIATE, instantiate, template, normalized, literals)

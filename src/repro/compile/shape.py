@@ -18,16 +18,28 @@ are a function of the query with each literal replaced by a slot — its
 A slot's sentinel literal is a :class:`Slot`: a template's finals are
 found by the sentinel's *type*, never by its text, so a view annotation
 whose literal reads like a sentinel is never substituted.
+
+One step earlier, a query *text*'s **frame** (:func:`frame_of`) is the
+text with each non-empty quoted literal replaced by its equality class.
+The lexer reads two texts of one frame as the same tokens apart from the
+string values, and :func:`repro.xpath.normalize.normal_form` reads a
+literal only through ``==``, so every text of a frame has the same
+normal form up to its literals.  A :class:`Frame` records that once —
+the display and normal-form texts cut at their literals, the shape and
+which literal fills each slot — and :meth:`Frame.render` gives another
+text of the frame its texts and literals with no parse, no
+normalisation and no :func:`shape_of`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..automata.afa import FINAL, TextPred
 from ..automata.mfa import MFA
 from ..xpath import ast
-from ..xpath.unparse import unparse
+from ..xpath.unparse import quote_literal, unparse
 from .artifact import PlanArtifact
 from .pipeline import NormalizedQuery, _dense_closure
 
@@ -54,38 +66,130 @@ def shape_of(
     non-empty literal is its own shape: ``(normalized, ())``.
     """
     slots: dict[str, Slot] = {}
-    shape = _lift_path(normalized.ast, slots)
+
+    def lift(value: str) -> Slot:
+        if value not in slots:
+            slots[value] = Slot(len(slots))
+        return slots[value]
+
+    shape = _map_path(normalized.ast, lift)
     if not slots:
         return normalized, ()
     return NormalizedQuery(shape, unparse(shape)), tuple(slots)
 
 
-def _lift_path(node: ast.Path, slots: dict[str, Slot]) -> ast.Path:
+def fill(shape: NormalizedQuery, literals: tuple[str, ...]) -> NormalizedQuery:
+    """The normalized query whose :func:`shape_of` is ``(shape,
+    literals)``: each slot given its literal back."""
+    query = _map_path(shape.ast, lambda slot: literals[slot.index])
+    return NormalizedQuery(query, unparse(query))
+
+
+def _map_path(node: ast.Path, fn) -> ast.Path:
+    """``node`` with ``fn`` applied to each non-empty literal."""
     if isinstance(node, (ast.Concat, ast.Union)):
-        return type(node)(_lift_path(node.left, slots), _lift_path(node.right, slots))
+        return type(node)(_map_path(node.left, fn), _map_path(node.right, fn))
     if isinstance(node, ast.Star):
-        return ast.Star(_lift_path(node.inner, slots))
+        return ast.Star(_map_path(node.inner, fn))
     if isinstance(node, ast.Filtered):
-        return ast.Filtered(
-            _lift_path(node.path, slots), _lift_test(node.predicate, slots)
-        )
+        return ast.Filtered(_map_path(node.path, fn), _map_test(node.predicate, fn))
     return node
 
 
-def _lift_test(node: ast.Filter, slots: dict[str, Slot]) -> ast.Filter:
+def _map_test(node: ast.Filter, fn) -> ast.Filter:
     if isinstance(node, ast.Exists):
-        return ast.Exists(_lift_path(node.path, slots))
+        return ast.Exists(_map_path(node.path, fn))
     if isinstance(node, ast.TextEquals):
-        path = _lift_path(node.path, slots)
         value = node.value
-        if value:
-            if value not in slots:
-                slots[value] = Slot(len(slots))
-            value = slots[value]
-        return ast.TextEquals(path, value)
+        return ast.TextEquals(_map_path(node.path, fn), fn(value) if value else value)
     if isinstance(node, ast.Not):
-        return ast.Not(_lift_test(node.inner, slots))
-    return type(node)(_lift_test(node.left, slots), _lift_test(node.right, slots))
+        return ast.Not(_map_test(node.inner, fn))
+    return type(node)(_map_test(node.left, fn), _map_test(node.right, fn))
+
+
+#: A quoted literal as the lexer reads one: a quote character up to the
+#: next of the same (``re.split`` keeps it, between the pieces around it).
+_LITERAL = re.compile(r"""('[^']*'|"[^"]*")""")
+
+
+def frame_of(text: str) -> tuple[tuple, tuple[str, ...]]:
+    """``(frame, values)`` of a query text: the text cut at its quoted
+    literals, alternately a piece of text and a literal's equality class
+    (numbered by first occurrence), and the literals in class order.
+
+    An empty literal stays inline in its piece, as it stays in the
+    shape.  A text without a non-empty literal is ``((text,), ())``.
+    """
+    classes: dict[str, int] = {}
+    frame = _cut(text, classes)
+    return frame, tuple(classes)
+
+
+def _cut(text: str, classes: dict[str, int]) -> tuple:
+    """``text`` cut at its quoted literals, each non-empty one mapped by
+    value to its class in ``classes`` (a new value gets the next)."""
+    parts = _LITERAL.split(text)
+    cut = [parts[0]]
+    for at in range(1, len(parts), 2):
+        value = parts[at][1:-1]
+        if value:
+            cut += (classes.setdefault(value, len(classes)), parts[at + 1])
+        else:
+            cut[-1] += parts[at] + parts[at + 1]
+    return tuple(cut)
+
+
+def _render(cut: tuple, values: tuple[str, ...]) -> str:
+    parts = list(cut)
+    for at in range(1, len(parts), 2):
+        parts[at] = quote_literal(values[parts[at]])
+    return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """What every text of one frame shares, learnt from one of them.
+
+    ``display`` and ``normal`` are the text's display text (the unparse
+    of its parse) and normal-form text, cut at their literals like a
+    frame; ``slots`` gives each of the shape's slots its literal's class.
+    It holds texts and the shape, never a plan or a template.
+    """
+
+    display: tuple
+    normal: tuple
+    shape: NormalizedQuery
+    slots: tuple[int, ...]
+
+    @classmethod
+    def of(
+        cls,
+        values: tuple[str, ...],
+        display: str,
+        normal: str,
+        shape: NormalizedQuery,
+        literals: tuple[str, ...],
+    ) -> "Frame":
+        """The frame of a text whose :func:`frame_of` gave ``values``,
+        whose display and normal-form texts are ``display`` and
+        ``normal``, and whose :func:`shape_of` is ``(shape, literals)``."""
+        classes = {value: index for index, value in enumerate(values)}
+        return cls(
+            _cut(display, classes),
+            _cut(normal, classes),
+            shape,
+            tuple(classes[literal] for literal in literals),
+        )
+
+    def render(self, values: tuple[str, ...]) -> tuple[str, str, tuple[str, ...]]:
+        """``(display, normal, literals)`` of the text of this frame whose
+        :func:`frame_of` gave ``values``: what parsing, normalising and
+        :func:`shape_of` would give it."""
+        return (
+            _render(self.display, values),
+            _render(self.normal, values),
+            tuple(values[index] for index in self.slots),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +220,11 @@ class Template:
 
 
 def instantiate(
-    template: Template, normalized: NormalizedQuery, literals: tuple[str, ...]
+    template: Template, normalized: str, literals: tuple[str, ...]
 ) -> PlanArtifact:
-    """The artifact of ``normalized`` (whose :func:`shape_of` gave
-    ``template``'s shape and ``literals``), equal to a fresh compile's
-    byte for byte.
+    """The artifact of the query whose normal-form text is ``normalized``
+    (and whose :func:`shape_of` gave ``template``'s shape and
+    ``literals``), equal to a fresh compile's byte for byte.
 
     The instance shares the template's NFA (and its cached ε-closures)
     and its non-final AFA states — an automaton is never changed once
@@ -134,14 +238,12 @@ def instantiate(
     )
     # A direct query's description is its normalized text
     # (``compile_query``); a rewritten one's names the rewriting.
-    description = (
-        normalized.text if template.view_fingerprint is None else mfa.description
-    )
+    description = normalized if template.view_fingerprint is None else mfa.description
     instance = MFA(mfa.nfa, pool, description=description, meta=dict(mfa.meta))
     return PlanArtifact(
         mfa=instance,
-        normalized_query=normalized.text,
+        normalized_query=normalized,
         view_fingerprint=template.view_fingerprint,
-        description=description or normalized.text,
+        description=description or normalized,
         closure=_dense_closure(instance),
     )

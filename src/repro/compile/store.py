@@ -31,10 +31,6 @@ from .artifact import PlanArtifact, PlanKey
 #: Suffix of artifact files inside a store directory.
 PLAN_SUFFIX = ".plan.json"
 
-#: Suffixes of kinds no current process writes (composed-kernel payloads
-#: are no longer persisted): :meth:`PlanStore.gc` sweeps them as stale.
-_RETIRED_SUFFIXES = (".composed.json",)
-
 
 @dataclass
 class StoreStats(Counters):
@@ -111,7 +107,8 @@ class PlanStore:
         files that fail to decode (corrupt, truncated, a stale or future
         :data:`FORMAT_VERSION`) or that sit at a path that does not match
         their own key echo (moved between stores or digest-colliding),
-        plus every file of a retired kind (an older process's
+        plus every file of a retired kind
+        (:data:`repro.tier.RETIRED_SUFFIXES`: an older process's
         ``*.composed.json``).  Healthy artifacts are untouched.  Returns
         the number removed; each is also counted under ``gc_removed``.
         """
@@ -122,7 +119,7 @@ class PlanStore:
             key = PlanArtifact.from_bytes(raw).cache_key()
             return self.path_for(key) == path
 
-        return self._tier.sweep((PLAN_SUFFIX, *_RETIRED_SUFFIXES), keep)
+        return self._tier.sweep((PLAN_SUFFIX,), keep)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

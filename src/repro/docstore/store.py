@@ -69,11 +69,6 @@ DOC_FORMAT_VERSION = 3
 #: Suffix of index records inside a ``--doc-dir``.
 DOC_INDEX_SUFFIX = ".docidx.bin"
 
-#: Suffixes of retired kinds: never read, always swept — the gzip-JSON
-#: index files of formats v1/v2 and the binary layout sidecars (the
-#: layout is rebuilt from the parse, which is cheaper than reading it).
-_RETIRED_SUFFIXES = (".docidx.json.gz", ".doclay.bin")
-
 # A record opens with a sealed header, so its offsets are computable without
 # reading anything else:
 #
@@ -181,8 +176,9 @@ class DocIndexTier(FileTier):
         """Remove tier files the current format will never read.
 
         Sweeps anything under the tier's suffixes that no :meth:`load` of
-        the running version could serve: the retired kinds (gzip-JSON
-        index files, layout sidecars), files whose name does not carry
+        the running version could serve: the retired kinds
+        (:data:`repro.tier.RETIRED_SUFFIXES`: gzip-JSON index files,
+        layout sidecars), files whose name does not carry
         the current ``.v{DOC_FORMAT_VERSION}`` tag (every pre-bump file),
         and current-version records that fail their seal or do not echo
         their own name (a renamed, truncated or bit-rotted file) — every
@@ -198,7 +194,7 @@ class DocIndexTier(FileTier):
             _index_header(memoryview(raw), content_hash)
             return True
 
-        return self.sweep((DOC_INDEX_SUFFIX, *_RETIRED_SUFFIXES), keep)
+        return self.sweep((DOC_INDEX_SUFFIX,), keep)
 
     def __len__(self) -> int:
         """Number of current-version index records: one per document."""

@@ -68,6 +68,8 @@ FAMILIES = (
            "Plan-cache misses: lookups that built a new artifact."),
     Family("cache.shape_hits", "plan_cache_shape_hits_total", "counter",
            "Plan-cache misses instantiated from a cached shape template."),
+    Family("cache.frame_hits", "plan_cache_frame_hits_total", "counter",
+           "Plan-cache text lookups served by a known frame (no parse, no normalize)."),
     Family("cache.evictions", "plan_cache_evictions_total", "counter",
            "L1 LRU evictions."),
     Family("in_flight_evaluations", "in_flight_evaluations", "gauge",

@@ -35,11 +35,20 @@ only a text's first sight is parsed and normalised — a hit does no
 compile-stage work at all.
 
 A never-seen text is most often a known query with new constants (the
-prepared-statement pattern).  Below L2 sits the **shape** tier: a
-bounded table of plan templates keyed by ``(view fingerprint, shape
-text)`` (:mod:`repro.compile.shape`) — a miss whose shape was compiled
-before is *instantiated* from it, skipping the rewrite, to the bytes a
-fresh compile would produce.
+prepared-statement pattern).  Two tiers serve it (both in
+:mod:`repro.compile.shape`):
+
+* the **frame** tier, between the aliases and L1: a bounded table keyed
+  by ``(view fingerprint, frame)`` — the text cut at its literals, each
+  replaced by its equality class — that gives a never-seen text of a
+  known frame its display text, plan key, shape and literals with no
+  parse and no normalisation;
+* the **shape** tier, below L2: a bounded table of plan templates keyed
+  by ``(view fingerprint, shape text)`` — a miss whose shape was
+  compiled before is *instantiated* from it, skipping the rewrite, to
+  the bytes a fresh compile would produce.
+
+In order: alias → frame → L1 → L2 → shape → compile.
 
 The cache is the single plan store for both the stand-alone
 :class:`repro.engine.smoqe.SMOQE` engine and the multi-tenant
@@ -56,8 +65,8 @@ from weakref import WeakKeyDictionary
 
 from ..automata.mfa import MFA
 from ..compile.artifact import PlanArtifact, PlanKey
-from ..compile.pipeline import NormalizedQuery, QueryCompiler
-from ..compile.shape import Template, shape_of
+from ..compile.pipeline import NormalizedQuery, QueryCompiler, key_of
+from ..compile.shape import Frame, Template, fill, frame_of, shape_of
 from ..compile.store import PlanStore
 from ..errors import ReproError
 from ..hype.api import HYPE, OPTHYPE_C
@@ -93,8 +102,9 @@ def normalized_query_text(query: str | ast.Path) -> str:
 def plan_key(spec: ViewSpec | None, query: str | ast.Path) -> CacheKey:
     """The collision-safe key ``(spec, query)`` resolves to.
 
-    Delegates to :meth:`repro.compile.pipeline.QueryCompiler.plan_key` —
-    the one authoritative constructor of the persistent key scheme.
+    Delegates to :meth:`repro.compile.pipeline.QueryCompiler.plan_key`,
+    which builds it with :func:`repro.compile.pipeline.key_of` — the one
+    constructor of the persistent key scheme.
     """
     return QueryCompiler().plan_key(spec, query)
 
@@ -195,7 +205,9 @@ class CacheStats(Counters):
     served by rehydrating an artifact from the on-disk store; ``misses``
     counts lookups neither tier served, i.e. new artifacts; of those,
     ``shape_hits`` were instantiated from an already compiled template
-    of their shape instead of compiled (no rewrite ran).
+    of their shape instead of compiled (no rewrite ran).  ``frame_hits``
+    counts text lookups whose frame was known, so the text was neither
+    parsed nor normalised, whichever tier then served the plan.
     """
 
     hits: int = 0
@@ -203,6 +215,7 @@ class CacheStats(Counters):
     evictions: int = 0
     l2_hits: int = 0
     shape_hits: int = 0
+    frame_hits: int = 0
 
     @property
     def l1_hits(self) -> int:
@@ -260,6 +273,21 @@ class PlanCache:
     afresh every time, and an alias whose plan was evicted just falls
     through to the full path below it.
 
+    A text the aliases miss is cut into its **frame**
+    (:func:`repro.compile.shape.frame_of`) and looked up in a table of
+    :class:`repro.compile.shape.Frame` values keyed by ``(view
+    fingerprint, frame)``, bounded at the plan capacity too.  A known
+    frame renders the text's display text and plan key (literals quoted
+    by :func:`repro.xpath.unparse.quote_literal`) and hands its shape and
+    literals to the tiers below: no parse, no normalisation, no
+    :func:`repro.compile.shape.shape_of` (``frame_hits``).  Exact,
+    because two texts of one frame lex to the same tokens apart from
+    their string values and the normal form reads a literal only through
+    ``==``, whose outcomes the frame's classes record.  Like an alias, a
+    frame is written only after a lookup succeeded, holds texts and a
+    shape and never a plan or a template, and is learnt only from a text
+    with a non-empty literal (the aliases serve the others).
+
     Below L2, the **shape** tier: a query with a non-empty literal is
     looked up by its shape (:func:`repro.compile.shape.shape_of`) in a
     :class:`repro.tier.SingleFlightLRU` of :class:`repro.compile.shape.
@@ -292,6 +320,9 @@ class PlanCache:
         #: Shape templates (see the class docstring); uncounted here —
         #: ``shape_hits`` is counted per lookup a template served.
         self._templates = SingleFlightLRU(capacity, CacheStats())
+        #: Query frames (see the class docstring); uncounted here —
+        #: ``frame_hits`` is counted per lookup a frame served.
+        self._frames = SingleFlightLRU(capacity, CacheStats())
         #: Inert (see :class:`ComposedCache`).
         self.composed = ComposedCache()
 
@@ -310,38 +341,52 @@ class PlanCache:
         it with the query's display text (the unparse of the query *as
         posed*, not of its normal form).
 
-        Lookup order: raw-text alias (texts only) → L1 (live plans) → L2
-        (artifact store, when configured) → shape template → the
-        compilation pipeline.  Rehydrated, instantiated and freshly
-        compiled plans are promoted into L1; new artifacts are also
+        Lookup order: raw-text alias (texts only) → frame (texts only) →
+        L1 (live plans) → L2 (artifact store, when configured) → shape
+        template → the compilation pipeline.  Rehydrated, instantiated
+        and freshly compiled plans are promoted into L1; new artifacts are also
         written back to the store, so every process sharing the
         directory — and every future restart — starts warm.
-        Only a text's first sight (or its first after its plan was
-        evicted) parses and normalises it.
+        Only the first text of a frame (or of a literal-free text, its
+        first sight after its alias or plan was evicted) is parsed and
+        normalised.
         """
         with span("plan") as plan_span:
-            alias = None
+            fingerprint = None if spec is None else spec.fingerprint()
+            alias = values = entry = None
             if isinstance(query, str):
-                alias = (None if spec is None else spec.fingerprint(), query)
+                alias = (fingerprint, query)
                 known = self._aliases.hit(alias)
                 plan = None if known is None else self._lru.hit(known[0])
                 if plan is not None:
                     if plan_span is not None:
                         plan_span.set(tier="l1")
                     return plan, known[1]
-                query = parse_query(query)
-            display = (
-                query.text if isinstance(query, NormalizedQuery) else unparse(query)
-            )
-            normalized = self.compiler.normalize(query)
-            key = self.compiler.plan_key(spec, normalized)
+                frame, values = frame_of(query)
+                if values:
+                    entry = self._frames.hit((fingerprint, frame))
+            if entry is not None:
+                display, normal, literals = entry.render(values)
+                shaped = entry.shape, literals
+                self._stats.count("frame_hits")
+            else:
+                if isinstance(query, str):
+                    query = self.compiler.parse(query)
+                display = (
+                    query.text if isinstance(query, NormalizedQuery) else unparse(query)
+                )
+                normalized = self.compiler.normalize(query)
+                normal = normalized.text
+                shaped = None  # shape_of runs only where a build or a frame needs it
+            key = key_of(fingerprint, normal)
             tier = "l1"
 
             def resolve() -> CachedPlan:
-                nonlocal tier
+                nonlocal tier, shaped
                 artifact = None if self.store is None else self.store.load(key)
                 if artifact is None:
-                    tier, artifact = self._build(spec, normalized, key[0])
+                    shaped = shaped or shape_of(normalized)
+                    tier, artifact = self._build(spec, fingerprint, normal, *shaped)
                     if tier == "shape":
                         self._stats.count("misses", "shape_hits")
                     else:
@@ -361,18 +406,31 @@ class PlanCache:
                 self.store.save(key, plan.artifact)
             if alias is not None:
                 self._aliases.get(alias, lambda: (key, display))
+                if entry is None and values:
+                    self._frames.get(
+                        (fingerprint, frame),
+                        lambda: Frame.of(
+                            values, display, normal, *(shaped or shape_of(normalized))
+                        ),
+                    )
             return plan, display
 
     def _build(
-        self, spec: ViewSpec | None, normalized: NormalizedQuery, fingerprint
+        self,
+        spec: ViewSpec | None,
+        fingerprint: str | None,
+        normal: str,
+        shape: NormalizedQuery,
+        literals: tuple[str, ...],
     ) -> tuple[str, PlanArtifact]:
-        """A new artifact and its tier: ``"shape"`` when instantiated
-        from a template compiled before, ``"compile"`` otherwise (no
-        literal, a new shape — its template compiled here — or a
-        template that failed to compile)."""
-        shape, literals = shape_of(normalized)
+        """A new artifact (of the query whose normal-form text is
+        ``normal`` and whose :func:`shape_of` is ``(shape, literals)``)
+        and its tier: ``"shape"`` when instantiated from a template
+        compiled before, ``"compile"`` otherwise (no literal, a new
+        shape — its template compiled here — or a template that failed
+        to compile)."""
         if not literals:
-            return "compile", self.compiler.compile(spec, normalized)
+            return "compile", self.compiler.compile(spec, shape)
         compiled = []
 
         def template() -> Template:
@@ -383,8 +441,8 @@ class PlanCache:
             found = self._templates.get((fingerprint, shape.text), template)
         except ReproError:
             # Never report a sentinel: the query's own compile raises.
-            return "compile", self.compiler.compile(spec, normalized)
-        artifact = self.compiler.instantiate(found, normalized, literals)
+            return "compile", self.compiler.compile(spec, fill(shape, literals))
+        artifact = self.compiler.instantiate(found, normal, literals)
         return ("compile" if compiled else "shape"), artifact
 
     # ------------------------------------------------------------------
@@ -405,6 +463,7 @@ class PlanCache:
         specification.
         """
         self._aliases.drop(lambda alias: alias[0] == view)
+        self._frames.drop(lambda frame: frame[0] == view)
         self._templates.drop(lambda shape: shape[0] == view)
         return self._lru.drop(lambda key: key[0] == view)
 

@@ -243,6 +243,10 @@ class MetricsSnapshot(ServiceCounters):
                 f"{self.cache.evictions} eviction(s), "
                 f"hit rate {self.cache.hit_rate:.0%}"
             ),
+            (
+                f"query frames: {self.cache.frame_hits} lookup(s) "
+                "without a parse or a normalize"
+            ),
         ]
         stages = [
             (name, stage)

@@ -32,6 +32,12 @@ from typing import Callable, Hashable
 from .faults import fire as _fault_fire
 from .obs.counters import Counters
 
+#: Suffixes of retired file kinds, in every tier: no current process
+#: reads or writes one, and every :meth:`FileTier.sweep` removes it —
+#: composed-kernel tables (plan stores), the v1/v2 gzip-JSON index files
+#: and the layout sidecars of every version (document tiers).
+RETIRED_SUFFIXES = (".composed.json", ".docidx.json.gz", ".doclay.bin")
+
 
 class SingleFlightLRU:
     """A bounded LRU whose misses are resolved once per key.
@@ -231,9 +237,10 @@ class FileTier:
         """Remove files under ``suffixes`` that ``keep(path, data)``
         refuses (returns false or raises :class:`ValueError`) — the
         kind's own decode-and-echo check, so what a read would refuse is
-        what a sweep reclaims.  Returns the number removed, each also
-        counted under ``gc_removed``; files that cannot be read or
-        unlinked count ``errors`` and stay.
+        what a sweep reclaims — and every file under
+        :data:`RETIRED_SUFFIXES`, unread.  Returns the number removed,
+        each also counted under ``gc_removed``; files that cannot be read
+        or unlinked count ``errors`` and stay.
         """
         try:
             entries = sorted(self.root.iterdir())
@@ -242,17 +249,9 @@ class FileTier:
             return 0
         removed = 0
         for path in entries:
-            if not path.name.endswith(suffixes):
-                continue
-            try:
-                data = path.read_bytes()
-                kept = bool(data) and keep(path, data)
-            except ValueError:
-                kept = False
-            except OSError:
-                self.stats.count("errors")
-                continue
-            if kept:
+            if path.name.endswith(RETIRED_SUFFIXES):
+                pass  # a retired kind: no check could keep it
+            elif not path.name.endswith(suffixes) or self._kept(path, keep):
                 continue
             try:
                 path.unlink()
@@ -262,3 +261,15 @@ class FileTier:
             removed += 1
             self.stats.count("gc_removed")
         return removed
+
+    def _kept(self, path: Path, keep: Callable) -> bool:
+        """Whether :meth:`sweep` leaves ``path``: ``keep`` accepts its
+        bytes, or they cannot be read (counted under ``errors``)."""
+        try:
+            data = path.read_bytes()
+            return bool(data) and keep(path, data)
+        except ValueError:
+            return False
+        except OSError:
+            self.stats.count("errors")
+            return True

@@ -87,7 +87,7 @@ def _filter(node: ast.Filter, top: bool = False) -> str:
     if isinstance(node, ast.Exists):
         return _path(node.path, _UNION)
     if isinstance(node, ast.TextEquals):
-        literal = _literal(node.value)
+        literal = quote_literal(node.value)
         if isinstance(node.path, ast.Empty):
             return f"text() = {literal}"
         return f"{_path(node.path, _CONCAT)}/text() = {literal}"
@@ -100,9 +100,11 @@ def _filter(node: ast.Filter, top: bool = False) -> str:
     raise TypeError(f"unknown filter node {node!r}")
 
 
-def _literal(value: str) -> str:
+def quote_literal(value: str) -> str:
     """``value`` quoted with a quote character it does not hold, so the
-    text reparses to it (and two different ASTs never unparse alike)."""
+    text reparses to it (and two different ASTs never unparse alike).
+    The plan cache's frame tier renders literals with it too
+    (:meth:`repro.compile.shape.Frame.render`)."""
     if "'" not in value:
         return f"'{value}'"
     if '"' not in value:

@@ -163,20 +163,25 @@ def filters(
     )
 
 
+def map_literals(node: ast.Path | ast.Filter, fn):
+    """``node`` with each non-empty literal ``v`` turned to ``fn(v)``."""
+    if isinstance(node, (ast.Concat, ast.Union, ast.And, ast.Or)):
+        return type(node)(map_literals(node.left, fn), map_literals(node.right, fn))
+    if isinstance(node, (ast.Star, ast.Not)):
+        return type(node)(map_literals(node.inner, fn))
+    if isinstance(node, ast.Filtered):
+        return ast.Filtered(map_literals(node.path, fn), map_literals(node.predicate, fn))
+    if isinstance(node, ast.Exists):
+        return ast.Exists(map_literals(node.path, fn))
+    if isinstance(node, ast.TextEquals):
+        return ast.TextEquals(map_literals(node.path, fn), node.value and fn(node.value))
+    return node
+
+
 def other_literals(node: ast.Path | ast.Filter):
     """``node`` with each non-empty literal ``v`` turned to ``v~``: equal
     where ``node``'s literals are equal, so of the same shape."""
-    if isinstance(node, (ast.Concat, ast.Union, ast.And, ast.Or)):
-        return type(node)(other_literals(node.left), other_literals(node.right))
-    if isinstance(node, (ast.Star, ast.Not)):
-        return type(node)(other_literals(node.inner))
-    if isinstance(node, ast.Filtered):
-        return ast.Filtered(other_literals(node.path), other_literals(node.predicate))
-    if isinstance(node, ast.Exists):
-        return ast.Exists(other_literals(node.path))
-    if isinstance(node, ast.TextEquals):
-        return ast.TextEquals(other_literals(node.path), node.value and f"{node.value}~")
-    return node
+    return map_literals(node, lambda value: f"{value}~")
 
 
 def x_fragment_paths(max_leaves: int = 8) -> st.SearchStrategy[ast.Path]:

@@ -182,86 +182,6 @@ class TestSeamsNamedByTheTier:
         assert (stats.index_loads, stats.index_builds) == (2, 0)
 
 
-class TestRetiredLayoutSeams:
-    """The layout is no longer persisted, so the two points that guarded
-    its sidecar's file I/O are gone: they are not in the seam table, and
-    a plan naming either one never fires across a cold and a restarted
-    boot over a ``--doc-dir``, which counts no failure."""
-
-    POINTS = ("doc-tier.load-layout", "doc-tier.save-layout")
-
-    def test_the_points_are_gone_from_the_seam_table(self):
-        for point in self.POINTS:
-            assert point not in faults.__doc__
-        assert "layout" not in faults.__doc__
-
-    @pytest.mark.parametrize(
-        "point,action",
-        [("doc-tier.save-layout", "drop"), ("doc-tier.load-layout", "corrupt")],
-    )
-    def test_a_retired_point_never_fires(self, point, action, tmp_path):
-        seams = TestSeamsNamedByTheTier()
-        reference = seams.answers(DocumentStore())
-        schedule = plan(FaultRule(point, action))
-        for _boot in range(2):  # cold, then restarted over the same directory
-            store = DocumentStore(index_dir=tmp_path / "docs")
-            assert seams.answers(store) == reference
-            assert (store.stats.errors, store.stats.corrupt) == (0, 0)
-        assert schedule.hits(point) == 0
-        assert schedule.fired_counts() == {}
-        assert [path.name[64:] for path in (tmp_path / "docs").iterdir()] == [
-            ".v3.docidx.bin"
-        ]
-
-
-class TestRetiredComposedSeams:
-    """Composed tables are no longer persisted, so the two points that
-    guarded their file I/O are gone: a plan naming either one never
-    fires across a cold and a restarted wave over a ``--plan-dir``, and
-    the plan store counts no failure."""
-
-    XML = TestSeamsNamedByTheTier.XML
-
-    def wave(self, directory) -> tuple[list, dict]:
-        from repro.serve.service import QueryRequest, QueryService
-        from repro.views.samples import sigma0
-        from repro.workloads import VIEW_QUERIES
-
-        with QueryService(
-            DocumentStore().get(self.XML), plan_store=PlanStore(directory)
-        ) as service:
-            service.register_view("research", sigma0())
-            service.register_tenant("institute", "research")
-            wave = [
-                QueryRequest("institute", query)
-                for query in sorted(VIEW_QUERIES.values())[:4]
-            ]
-            answers, _stats = service.submit_many(wave)
-            return (
-                [answer.ids() for answer in answers],
-                service.metrics_snapshot().as_dict(),
-            )
-
-    @pytest.mark.parametrize(
-        "point,action",
-        [
-            ("plan-store.save-composed", "drop"),
-            ("plan-store.load-composed", "corrupt"),
-        ],
-    )
-    def test_a_retired_point_never_fires(self, point, action, tmp_path):
-        reference, _snap = self.wave(tmp_path / "reference")
-        schedule = plan(FaultRule(point, action))
-        for _boot in range(2):  # cold, then restarted over the same store
-            answers, snap = self.wave(tmp_path / "plans")
-            assert answers == reference
-            counters = snap["plan_store"]
-            assert (counters["errors"], counters["corrupt"]) == (0, 0)
-        assert schedule.hits(point) == 0
-        assert schedule.fired_counts() == {}
-        assert list((tmp_path / "plans").glob("*.composed.json*")) == []
-
-
 class TestDescendSeam:
     def test_slow_descent_fires_per_schedule(self):
         tree = generate_hospital_document(HospitalConfig(num_patients=2, seed=0))

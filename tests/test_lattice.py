@@ -5,8 +5,9 @@ Every configuration is held to the paper's oracle,
 inputs (a sample DTD's policy view or σ0, a random tree, or a wide
 draw past 63 finals) and a value per axis: algorithm; alone or lane 0
 of a wave (wavemates rotate the algorithm); own or on-demand layout;
-compiled or Python descent and scan; fresh, L2, seeded, rehydrated or
-shape plan (instantiated from a template compiled for other literals);
+compiled or Python descent and scan; fresh, L2, seeded, rehydrated,
+shape plan (instantiated from a template compiled for other literals)
+or frame plan (a text looked up after another text of its frame);
 built, parsed or tier-loaded document.  Every lane answers like
 the reference, in document order; the query's ``HyPEStats`` (and,
 where serialised or instantiated, artifact bytes and closure tables)
@@ -63,7 +64,7 @@ from .strategies import (
     CHURN, SRC_DTD, VIEWS as PROPERTY_VIEWS, gated_paths, other_literals, paths, trees,
 )
 
-PLANS = ("fresh", "l2", "seeded", "rehydrated", "shape")
+PLANS = ("fresh", "l2", "seeded", "rehydrated", "shape", "frame")
 DOCUMENTS = ("built", "parsed", "tier")
 LAYOUTS = ("supplied", "on-demand")
 PASSES = ("python", "compiled")
@@ -261,6 +262,13 @@ def _executable(provenance, algorithm, inputs, query, doc, workdir: Path, artifa
         stats = cache.stats  # the same text (no literal), or an instance
         assert (stats.hits, stats.shape_hits) in ((1, 0), (0, 1))
         return cached.compiled(algorithm, doc.tree, doc), cached.artifact
+    elif provenance == "frame":
+        cache = PlanCache(4)
+        cache.plan(spec, unparse(other_literals(query)))  # learns the frame
+        cached = cache.plan(spec, unparse(query))
+        stats = cache.stats  # the same text (no literal), or a frame hit
+        assert (stats.hits, stats.frame_hits) in ((1, 0), (0, 1))
+        return cached.compiled(algorithm, doc.tree, doc), cached.artifact
     else:
         cached = SHARED.plan(spec, query)
         if algorithm == HYPE:  # THE HyPE executable: the closed table itself
@@ -291,12 +299,13 @@ def run_point(point: Point, inputs: Inputs, built, workdir: Path, artifacts=()):
         plans = [plan for plan, _artifact in made]
         layout = doc.layout if point.layout == "supplied" else None
         context = doc.tree.node(inputs.context)
-        if point.wavemates:
-            results = BatchEvaluator(plans).run(context, layout=layout).results
+        if point.wavemates:  # under a live deadline, as a served wave runs
+            live = Deadline(time.perf_counter() + 3600)
+            results = BatchEvaluator(plans).run(context, layout=layout, deadline=live).results
         else:
             results = [plans[0].run(context, layout=layout)]
         raw = None
-        if point.plan in ("l2", "rehydrated", "shape"):
+        if point.plan in ("l2", "rehydrated", "shape", "frame"):
             raw = made[0][1].to_bytes(), closure_tables(made[0][1].closure)
     if point.document == "tier" and point.algorithm != HYPE:
         assert doc.stats.index_loads, "the tier point must load its index"

@@ -13,6 +13,7 @@ outside pytest); here they are assertions.
 from __future__ import annotations
 
 import gc
+import types
 import weakref
 
 import pytest
@@ -20,7 +21,10 @@ import pytest
 from repro.docstore import DocumentStore
 from repro.errors import EvaluationError
 from repro.hype.api import ALGORITHMS
-from repro.serve.cache import PlanCache
+from repro.automata.mfa import MFA
+from repro.compile.shape import Template
+from repro.hype.core import CompiledPlan
+from repro.serve.cache import CachedPlan, PlanCache
 from repro.workloads import HospitalConfig, generate_hospital_document
 from repro.xtree import Node, parse_xml, serialize, text_node
 
@@ -76,6 +80,41 @@ def test_an_evicted_template_dies_by_reference_count(hygiene):
     eviction (instances share its automaton, never point back)."""
     evicted, alive = hygiene.evicted_templates_alive(requests=48, capacity=4)
     assert evicted > 0 and alive == 0
+
+
+def reachable(root) -> list:
+    """Every object ``root`` reaches through ``gc.get_referents``, not
+    entering classes, modules or functions (which reach everything)."""
+    seen, stack, found = {id(root)}, [root], []
+    while stack:
+        for referent in gc.get_referents(stack.pop()):
+            if id(referent) in seen or isinstance(
+                referent, (type, types.ModuleType, types.FunctionType)
+            ):
+                continue
+            seen.add(id(referent))
+            found.append(referent)
+            stack.append(referent)
+    return found
+
+
+def test_a_frame_keeps_nothing_alive(hygiene):
+    """A frame entry holds texts and a shape: from it, no cached plan, no
+    template and no automaton is reachable, so an evicted plan or
+    template still dies by reference count while its frame lives."""
+    churn = hygiene.ChurnService(capacity=16)
+    try:
+        churn.drive(16)  # the eight frames, each learnt and then hit
+        assert churn.cache.stats.frame_hits == 8
+        frames = [frame for _key, frame in churn.cache._frames.items()]
+        assert len(frames) == 8
+        kinds = (CachedPlan, Template, MFA, CompiledPlan)
+        for frame in frames:
+            objects = reachable(frame)
+            assert frame.shape in objects, "the walk is broken"
+            assert [o for o in objects if isinstance(o, kinds)] == []
+    finally:
+        churn.close()
 
 
 def test_tracked_objects_per_cached_plan(hygiene):

@@ -345,76 +345,6 @@ def test_the_replaced_copies_are_gone():
     assert "capacity" not in inspect.signature(ComposedCache).parameters
 
 
-#: Composed tables are no longer persisted: the codec, the store API, the
-#: write-back, the fault seams and the wire keys of that kind, by name.
-RETIRED_COMPOSED_NAMES = (
-    "load_composed",
-    "save_composed",
-    "composed_payload",
-    "preload_composed",
-    "check_composed",
-    "COMPOSED_SUFFIX",
-    "composed_path_for",
-    "_decode_composed",
-    "_composed_key",
-    "_persist_composed",
-    "persisted_shape",
-    "preloaded_trans",
-    "composed_rehydrated",
-    "composed_stores",
-    "composed_misses",
-    "plan-store.load-composed",
-    "plan-store.save-composed",
-)
-
-
-@pytest.mark.parametrize("name", RETIRED_COMPOSED_NAMES)
-def test_a_retired_composed_persistence_name_is_gone(name):
-    pattern = re.compile(rf"(?<![\w-]){re.escape(name)}(?![\w-])")
-    assert [
-        relative(path) for path in LIBRARY if pattern.search(path.read_text())
-    ] == []
-
-
-#: The layout is rebuilt from the parse and never persisted: the sidecar's
-#: store API, its rehydration constructor, its suffix and its counters,
-#: by name.
-RETIRED_LAYOUT_NAMES = (
-    "load_layout",
-    "from_arrays",
-    "layout_path_for",
-    "DOC_LAYOUT_SUFFIX",
-    "layout_loads",
-    "layout_stores",
-)
-
-
-def spelled(tree: ast.AST):
-    """Every identifier a module spells — names, attributes, definitions,
-    imports, parameters, keywords — and every word of its strings."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
-        elif isinstance(node, ast.alias):
-            yield from filter(None, (node.name, node.asname))
-        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
-            yield node.arg
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield from re.findall(r"\w+", node.value)
-
-
-@pytest.mark.parametrize("name", RETIRED_LAYOUT_NAMES)
-def test_a_retired_layout_sidecar_name_is_gone(name):
-    assert name in set(spelled(ast.parse(f"tier.{name}"))), "the walk is broken"
-    assert [
-        relative(path) for path in LIBRARY if name in set(spelled(parse(path)))
-    ] == []
-
-
 def test_nothing_maps_a_file():
     """The sidecar was the only mapped kind: every tier read is a plain
     read now, and nothing under ``src/repro`` imports :mod:`mmap`."""
@@ -428,25 +358,6 @@ def test_nothing_maps_a_file():
         and (node.module or "").split(".")[0] == "mmap"
     ]
     assert importers == []
-
-
-#: The composed wave machine is gone: every wave is the lean pass over
-#: its lanes, one after another.  Its module, its kernel and errors, the
-#: service's grouping, the kernel's composed-only pop and the wave's and
-#: span's composed counters, by name.  (``repro.views.compose`` is the
-#: paper's view composition and stays.)
-RETIRED_COMPOSE_NAMES = (
-    "ComposedKernel",
-    "descend_composed",
-    "ComposedOverflow",
-    "ComposeError",
-    "DEFAULT_CCFG_CAP",
-    "_compose_groups",
-    "pop_quiet",
-    "composed_groups",
-    "composed_lanes",
-    "composed_width",
-)
 
 
 def imported_modules(path: Path):
@@ -474,14 +385,6 @@ def test_nothing_imports_the_composed_machine():
             module == "repro.hype.compose" or module.startswith("repro.hype.compose.")
             for module in imported_modules(path)
         )
-    ] == []
-
-
-@pytest.mark.parametrize("name", RETIRED_COMPOSE_NAMES)
-def test_a_retired_composed_machine_name_is_gone(name):
-    assert name in set(spelled(ast.parse(f"kernel.{name}"))), "the walk is broken"
-    assert [
-        relative(path) for path in LIBRARY if name in set(spelled(parse(path)))
     ] == []
 
 
@@ -537,47 +440,6 @@ def test_composed_cache_is_inert():
     assert cache.kernel_for([], (), "hype", doc_key="d") is None
     assert cache.stats.builds == 0
     assert isinstance(PlanCache().composed, ComposedCache)
-
-
-#: Members that went with composed persistence (or were only ever called
-#: from tests), as (module, class, member).
-RETIRED_MEMBERS = (
-    ("compile/store.py", "PlanStore", "clear"),
-    ("compile/store.py", "StoreStats", "composed_hits"),
-    ("engine/smoqe.py", "SMOQE", "cache_stats"),
-    ("serve/cache.py", "ComposedCache", "persist"),
-)
-
-
-def members(klass: ast.ClassDef) -> set[str]:
-    """Every name the class defines: methods, class-level fields and
-    attributes its methods assign on ``self``."""
-    names = set()
-    for node in ast.walk(klass):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                names.add(node.attr)
-    return names
-
-
-@pytest.mark.parametrize(
-    "module,owner,member",
-    RETIRED_MEMBERS,
-    ids=[f"{owner}.{member}" for _module, owner, member in RETIRED_MEMBERS],
-)
-def test_a_retired_member_is_gone(module, owner, member):
-    (klass,) = [
-        node
-        for node in ast.walk(parse(SRC / module))
-        if isinstance(node, ast.ClassDef) and node.name == owner
-    ]
-    names = members(klass)
-    assert names, f"{owner} defines nothing: the walk is broken"
-    assert member not in names
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,9 @@ kind in the system is built on.  This suite pins each algorithm once,
 directly, and then drives the same gate scenarios through the two LRU
 owners (``PlanCache``, ``DocumentStore``) and the same
 damage / sweep scenarios through the two persisted kinds (plan
-artifact, index record) by parametrisation, and the retired layout
-sidecar through the same damage states — the per-owner copies of these tests are gone (mapping in ``CHANGES.md``,
-PR 20).
+artifact, index record) by parametrisation — the per-owner copies of
+these tests are gone (mapping in ``CHANGES.md``).  Retired file
+kinds are ``tests/retired.py``'s rows.
 
 Every wait has a timeout: at a defect these tests fail, they do not hang.
 """
@@ -19,20 +19,19 @@ import shutil
 import sys
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 
 import pytest
 
 from repro import faults
 from repro.compile import PlanStore, QueryCompiler
-from repro.docstore import DOC_FORMAT_VERSION, DocumentStore, content_digest
+from repro.docstore import DocumentStore, content_digest
 from repro.errors import ReproError, XMLParseError
 from repro.faults import FaultPlan, FaultRule
 from repro.hype.api import ALGORITHMS
 from repro.obs.counters import Counters
 from repro.serve.cache import PlanCache, plan_key
 from repro.serve.service import QueryRequest, QueryService
-from repro.tier import FileTier, SingleFlightLRU
+from repro.tier import RETIRED_SUFFIXES, FileTier, SingleFlightLRU
 from repro.views.samples import sigma0
 from repro.workloads import (
     VIEW_QUERIES,
@@ -511,6 +510,20 @@ class TestFileTier:
         ]
         assert self.counts(tier) == (1, 0, 3)
 
+    @pytest.mark.parametrize("suffix", RETIRED_SUFFIXES)
+    def test_sweep_removes_a_retired_kind_unread(self, suffix, tier):
+        """Whatever a retired file holds, no kind's check sees it and the
+        sweep removes it; one that cannot be unlinked stays, an error."""
+        (tier.root / f"good{suffix}").write_bytes(b"good")
+        (tier.root / f"stuck{suffix}").mkdir()
+
+        def keep(path, data):
+            raise AssertionError(f"{path.name} was read")
+
+        assert tier.sweep((".kind",), keep) == 1
+        assert [p.name for p in tier.root.iterdir()] == [f"stuck{suffix}"]
+        assert self.counts(tier) == (1, 0, 1)
+
     def test_seams_fire_with_bytes_in_hand_and_on_every_write(self, tier):
         path = tier.root / "x.bin"
         schedule = faults.install(
@@ -734,69 +747,3 @@ class TestGcReclaimsWhatLoadRefuses:
         deployment, _expected = deployed
         assert PlanStore(deployment.plans).gc() == 0
         assert DocumentStore(index_dir=deployment.docs).tier.gc() == 0
-
-
-#: A sealed layout sidecar as format 3 wrote it while layouts were
-#: persisted (another document's: the reader of that time refused it
-#: under this deployment's key, counting it ``corrupt``).
-GOLDEN_SIDECAR = next(
-    (Path(__file__).parent / "golden" / "doctier_v3").glob("*.doclay.bin")
-)
-#: What a leftover sidecar may hold: the sealed bytes, or those bytes
-#: damaged the ways ``DAMAGE`` damages a live file ("wrong-key-echo"
-#: puts the document's index record under the sidecar's name).
-SIDECAR_STATES = ["sealed", *sorted(DAMAGE)]
-
-
-class TestRetiredLayoutSidecar:
-    """A ``.doclay.bin`` left beside the index record by a writer that
-    persisted layouts is never read — whatever it holds, a boot loads
-    the record, builds no index, counts nothing and leaves the file as
-    it was — and ``gc`` sweeps it unless it cannot be read."""
-
-    @staticmethod
-    def leave(deployment, state: str) -> Path:
-        address = content_digest(XML)
-        tier = DocumentStore(index_dir=deployment.docs).tier
-        path = tier.root / f"{address}.v{DOC_FORMAT_VERSION}.doclay.bin"
-        path.write_bytes(GOLDEN_SIDECAR.read_bytes())
-        if state != "sealed":
-            DAMAGE[state](path, tier.path_for(address))
-        return path
-
-    @staticmethod
-    def contents(path: Path):
-        return "directory" if path.is_dir() else path.read_bytes()
-
-    @pytest.mark.parametrize("state", SIDECAR_STATES)
-    def test_a_leftover_sidecar_is_never_read(self, state, deployed):
-        deployment, expected = deployed
-        path = self.leave(deployment, state)
-        before = self.contents(path)
-        answers, snap = deployment.drive()
-        assert answers == expected
-        counters = snap["doc_store"]
-        assert (counters["errors"], counters["corrupt"]) == (0, 0)
-        assert (counters["index_builds"], counters["index_stores"]) == (0, 0)
-        assert self.contents(path) == before
-
-    @pytest.mark.parametrize("state", SIDECAR_STATES)
-    def test_gc_sweeps_a_leftover_sidecar(self, state, deployed):
-        deployment, expected = deployed
-        path = self.leave(deployment, state)
-        before = set(deployment.docs.iterdir())
-        store = DocumentStore(index_dir=deployment.docs)
-        if state == "unreadable":
-            # The sweep's read policy: what cannot be read counts
-            # ``errors`` and stays.
-            assert store.tier.gc() == 0
-            assert (store.stats.gc_removed, store.stats.errors) == (0, 1)
-            assert set(deployment.docs.iterdir()) == before
-        else:
-            assert store.tier.gc() == 1
-            assert (store.stats.gc_removed, store.stats.errors) == (1, 0)
-            assert before - set(deployment.docs.iterdir()) == {path}
-        answers, snap = deployment.drive()
-        assert answers == expected
-        counters = snap["doc_store"]
-        assert (counters["errors"], counters["corrupt"]) == (0, 0)

@@ -1,12 +1,15 @@
 """Grade the oracle lattice with mutants: ``make mutants``.
 
-A seeded sample of Python mutants (an operator flipped, an int constant
-moved by one, a statement dropped) in the evaluator and the rewriter,
-plus :data:`C_MUTANTS` in ``_lean.c``, each graded by
-``tests/test_lattice.py`` in a temporary copy of the tree with its own
-``PYTHONPYCACHEPREFIX``; the working tree is never written.  A failure
-(unshrunk) or a hang past :data:`TIMEOUT` kills a mutant; the unmutated
-copy must pass first.  Exits 1 below :data:`FLOOR` killed.
+Seeded samples of Python mutants (an operator flipped, an int constant
+moved by one, a statement dropped) — one sample per group of
+:data:`TARGETS`: the evaluator and the rewriter, the shape and frame
+tiers, the unparser — plus :data:`C_MUTANTS` in ``_lean.c``, each
+graded by ``tests/test_lattice.py`` and ``tests/test_shape_templates.py``
+in a temporary copy of the tree with its own ``PYTHONPYCACHEPREFIX``;
+the working tree is never written.  A failure (unshrunk) or a hang past
+:data:`TIMEOUT` kills a mutant; the unmutated copy must pass first.
+Prints the kill rate per module and overall; exits 1 below
+:data:`FLOOR` killed.
 """
 
 from __future__ import annotations
@@ -22,11 +25,16 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TARGETS = ["hype/core.py", "hype/kernel.py", "hype/analyze.py", "rewrite/mfa_rewrite.py",
-           "automata/*.py"]
-SAMPLE, SEED, WORKERS, TIMEOUT, FLOOR = 40, 38, 2, 300, 0.9
+#: (globs under ``src/repro``, mutants drawn from their sites), per group.
+TARGETS = [
+    (("hype/core.py", "hype/kernel.py", "hype/analyze.py", "rewrite/mfa_rewrite.py",
+      "automata/*.py"), 40),
+    (("compile/shape.py",), 12),
+    (("xpath/unparse.py",), 12),
+]
+SEED, WORKERS, TIMEOUT, FLOOR = 38, 2, 300, 0.9
 HARNESS = ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
-           "tests/test_lattice.py"]
+           "tests/test_lattice.py", "tests/test_shape_templates.py"]
 #: Appended to the copy's ``tests/conftest.py``: a kill needs no shrinking.
 NO_SHRINK = """
 from hypothesis import Phase, settings as _settings
@@ -98,15 +106,17 @@ class Mutator(ast.NodeTransformer):
 
 def mutants() -> list:
     """``(name, path, mutated source, compiled)`` of every mutant."""
-    sites = []
-    for pattern in TARGETS:
-        for path in sorted((ROOT / "src/repro").glob(pattern)):
-            listing = Mutator()
-            listing.visit(ast.parse(path.read_text()))
-            sites += [(path, i, line, what) for i, (line, what) in enumerate(listing.sites)]
+    sample = []
+    for patterns, size in TARGETS:
+        sites = []
+        for pattern in patterns:
+            for path in sorted((ROOT / "src/repro").glob(pattern)):
+                listing = Mutator()
+                listing.visit(ast.parse(path.read_text()))
+                sites += [(path, i, line, what) for i, (line, what) in enumerate(listing.sites)]
+        sample += random.Random(SEED).sample(sites, size)
     jobs = []
-    sample = sorted(random.Random(SEED).sample(sites, SAMPLE), key=lambda s: (str(s[0]), s[1]))
-    for path, i, line, what in sample:
+    for path, i, line, what in sorted(sample, key=lambda s: (str(s[0]), s[1])):
         source = ast.unparse(Mutator(i).visit(ast.parse(path.read_text())))
         jobs.append((f"{path.relative_to(ROOT / 'src/repro')}:{line} {what}", path, source, False))
     lean = ROOT / "src/repro/hype/_lean.c"
@@ -160,6 +170,12 @@ def main() -> int:
     if not lines.pop(0).startswith("survived"):
         print("the unmutated tree fails the harness: no mutant is graded")
         return 1
+    modules: dict[str, list[bool]] = {}
+    for line in lines:
+        module = line.split()[1].split(":")[0]
+        modules.setdefault(module, []).append(line.startswith("killed"))
+    for module, kills in sorted(modules.items()):
+        print(f"  {module:28} {sum(kills)} of {len(kills)} killed")
     killed = sum(line.startswith("killed") for line in lines)
     print(f"{killed} of {len(lines)} mutants killed ({killed / len(lines):.1%})")
     return 0 if killed >= FLOOR * len(lines) else 1
